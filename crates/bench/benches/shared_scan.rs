@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oltap_common::{row, Row, Value, DataType, Field, Schema};
-use oltap_exec::shared_scan::{run_independent, run_shared_batch, ScanQuery};
+use oltap_bench::baselines::shared_scan::{run_independent, run_shared_batch, ScanQuery};
 use oltap_storage::{CmpOp, DeltaMainTable, ScanPredicate};
 use oltap_txn::TransactionManager;
 use std::sync::Arc;

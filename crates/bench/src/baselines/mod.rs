@@ -1,0 +1,4 @@
+//! Comparison implementations that only the experiment harnesses import.
+//! They are not part of the engine: no query path reaches them.
+
+pub mod shared_scan;

@@ -15,7 +15,9 @@
 use oltap_bench::harness::{scaled, time, TextTable};
 use oltap_common::{row, Row, Value};
 use oltap_common::{DataType, Field, Schema};
-use oltap_exec::shared_scan::{run_independent, run_shared_batch, ClockScan, ScanQuery};
+use oltap_bench::baselines::shared_scan::{
+    run_independent, run_shared_batch, ClockScan, ScanQuery,
+};
 use oltap_storage::{CmpOp, DeltaMainTable, ScanPredicate};
 use oltap_txn::TransactionManager;
 use std::sync::Arc;

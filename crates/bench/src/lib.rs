@@ -7,9 +7,12 @@
 //!   transactions, and CH-style analytic queries.
 //! * [`workloads`] — the paper's two motivating streams
 //!   (machine telemetry, social-retail surges).
+//! * [`baselines`] — comparison implementations only the experiments
+//!   use, kept out of the engine crates (the E8 shared/clock scan).
 //! * [`harness`] — timing/table utilities shared by the `e01..e12`
 //!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`).
 
+pub mod baselines;
 pub mod ch;
 pub mod harness;
 pub mod workloads;

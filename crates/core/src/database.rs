@@ -1,14 +1,13 @@
 //! The `Database` facade: catalog + transactions + WAL + maintenance.
 
 use crate::catalog::{Catalog, TableFormat, TableHandle};
-use crate::parallel::ParallelExec;
 use crate::session::{QueryResult, Session};
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::mem::{MemoryGovernor, WorkloadClass};
 use oltap_common::schema::SchemaRef;
 use oltap_common::{DataType, DbError, Field, Result, Schema};
 use oltap_exec::ExecResources;
-use oltap_sched::{AdmissionConfig, AdmissionController, AdmissionTicket};
+use oltap_sched::{AdmissionConfig, AdmissionController, AdmissionTicket, WorkerPool};
 use oltap_sql::ast::Statement;
 use oltap_sql::parse;
 use oltap_storage::spill::{purge_spill_root, SpillDir};
@@ -109,7 +108,8 @@ pub struct Database {
     txn_mgr: Arc<TransactionManager>,
     wal: Wal,
     faults: Arc<FaultInjector>,
-    parallel: RwLock<Option<Arc<ParallelExec>>>,
+    /// Worker pool SELECT pipelines fan out on; `None` runs them inline.
+    exec_pool: RwLock<Option<Arc<WorkerPool>>>,
     memory: RwLock<Option<(Arc<MemoryGovernor>, u64)>>,
     admission: RwLock<Option<Arc<AdmissionController>>>,
     spill_root: PathBuf,
@@ -172,7 +172,7 @@ impl Database {
             txn_mgr: Arc::new(TransactionManager::new()),
             wal: Wal::new_in_memory(),
             faults: FaultInjector::disabled(),
-            parallel: RwLock::new(None),
+            exec_pool: RwLock::new(None),
             memory: RwLock::new(None),
             admission: RwLock::new(None),
             spill_root: default_spill_root(None),
@@ -237,7 +237,7 @@ impl Database {
             txn_mgr: Arc::new(TransactionManager::new()),
             wal,
             faults,
-            parallel: RwLock::new(None),
+            exec_pool: RwLock::new(None),
             memory: RwLock::new(
                 governor.zip(config.memory.as_ref().map(|c| c.query_bytes)),
             ),
@@ -343,27 +343,19 @@ impl Database {
         self.pager.as_ref().map(|p| p.buffer().stats())
     }
 
-    /// Sets the degree of intra-query parallelism for SELECTs. `workers
-    /// <= 1` restores the serial Volcano executor (the default); larger
-    /// values spin up a dedicated worker pool and route queries through
-    /// the morsel-driven [`ParallelExec`]. Both paths produce identical
-    /// results.
+    /// Sets the degree of intra-query parallelism for SELECTs. With
+    /// `workers <= 1` (the default) every pipeline runs inline on the
+    /// session's thread; larger values spin up a dedicated worker pool the
+    /// same pipelines fan out on. Results are identical at every setting.
     pub fn set_parallelism(&self, workers: usize) {
-        let mut slot = self.parallel.write();
-        *slot = if workers <= 1 {
-            None
-        } else {
-            Some(Arc::new(ParallelExec::with_faults(
-                workers,
-                Arc::clone(&self.faults),
-            )))
-        };
+        *self.exec_pool.write() =
+            (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers)));
     }
 
-    /// The active parallel executor, if [`Database::set_parallelism`]
-    /// enabled one.
-    pub fn parallel_exec(&self) -> Option<Arc<ParallelExec>> {
-        self.parallel.read().clone()
+    /// The pool SELECT pipelines fan out on, if
+    /// [`Database::set_parallelism`] enabled one.
+    pub(crate) fn exec_pool(&self) -> Option<Arc<WorkerPool>> {
+        self.exec_pool.read().clone()
     }
 
     /// Opens a file-backed database at `path` (recovering prior state).

@@ -9,7 +9,7 @@
 //! * a SQL surface ([`Database::execute`] /
 //!   [`session::Session::execute`]) covering DDL, DML, transactions, and
 //!   analytic queries, planned by `oltap-sql` and run on `oltap-exec`
-//!   operators;
+//!   morsel pipelines ([`physical`]);
 //! * write-ahead logging and recovery ([`Database::open`]);
 //! * background [`Database::maintenance`] (delta merge, dual-format
 //!   population, MVCC garbage collection) and an optional
@@ -17,7 +17,6 @@
 
 pub mod catalog;
 pub mod database;
-pub mod parallel;
 pub mod physical;
 pub mod session;
 
@@ -25,5 +24,4 @@ pub use catalog::{Catalog, TableFormat, TableHandle};
 pub use database::{
     BufferConfig, Database, DbConfig, DbStats, MaintenanceDaemon, MaintenanceStats, MemoryConfig,
 };
-pub use parallel::ParallelExec;
 pub use session::{QueryResult, Session, SessionActivity};

@@ -1,34 +1,49 @@
-//! Physical planning: lowers an optimized [`LogicalPlan`] onto the
-//! vectorized operators of `oltap-exec`.
+//! Physical planning and execution: the engine's one lowering of an
+//! optimized [`LogicalPlan`] onto the morsel pipelines of `oltap-exec`.
+//!
+//! A plan is decomposed at **pipeline breakers** (hash-join build,
+//! aggregate, sort / top-K) into a sequence of pipelines, innermost first.
+//! Each pipeline is a source batch set (segment-granular column-scan
+//! morsels), a chain of streaming [`StageSpec`]s (filter / project / join
+//! probe), and a sink chosen by the breaker above it;
+//! `oltap_exec::pipeline` runs it inline on the calling thread, or on the
+//! worker pool when [`ExecContext::pool`] carries one — with results
+//! byte-identical at every worker count.
 //!
 //! Physical decisions beyond 1:1 lowering:
 //!
 //! * `Sort + Limit → TopK`, the bounded-heap optimization for
 //!   dashboard-style `ORDER BY ... LIMIT k` queries.
+//! * `Aggregate(Scan)` over a columnar table runs fused over the encoded
+//!   segments when its shape qualifies ([`try_fused_aggregate`]).
 //! * Sideways information passing for joins the optimizer marked: the
-//!   build side is drained *during lowering*, its [`JoinTable`] yields a
-//!   Bloom-filter [`JoinFilter`], and the probe-side scan is lowered with
-//!   that filter attached to its pushdown — storage skips or thins
-//!   segments before batches ever reach the probe.
+//!   build pipeline runs *before* the probe side is decomposed, its
+//!   [`JoinTable`](oltap_exec::JoinTable) yields a Bloom-filter
+//!   [`JoinFilter`], and the probe-side scan carries that filter in its
+//!   pushdown — storage skips or thins segments before batches ever reach
+//!   the probe.
 
 use crate::catalog::{Catalog, TableHandle};
 use oltap_common::fault::FaultInjector;
 use oltap_common::hash::FxHashMap;
 use oltap_common::ids::TxnId;
-use oltap_common::{Batch, CancellationToken, Result};
-use oltap_exec::operator::{BoxedOperator, CancelOp, FilterOp, LimitOp, MemorySource, ProjectOp};
+use oltap_common::schema::SchemaRef;
+use oltap_common::{Batch, CancellationToken, DbError, Result};
+use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
-    fused_aggregate_segments, fused_shape, AggExpr, AggregatorCore, ExecResources, Expr,
-    FusedScanCtx, HashAggregateOp, HashJoinOp, JoinTable, JoinTableBuilder, SortOp, TopKOp,
+    fused_aggregate_segments, fused_shape, join_output_schema, AggExpr, AggregatorCore,
+    ExecResources, Expr, FusedScanCtx,
 };
+use oltap_sched::{NumaTopology, WorkerPool};
 use oltap_sql::LogicalPlan;
 use oltap_storage::JoinFilter;
 use oltap_txn::Ts;
 use std::sync::Arc;
 
 /// Execution-time context: the snapshot the query reads at, plus the
-/// cancellation token the operator tree is guarded by.
-#[derive(Debug, Clone)]
+/// cancellation, memory, fault, and worker plumbing its pipelines run
+/// under.
+#[derive(Clone)]
 pub struct ExecContext {
     /// Snapshot timestamp.
     pub read_ts: Ts,
@@ -36,234 +51,286 @@ pub struct ExecContext {
     pub me: TxnId,
     /// Batch size for scans.
     pub batch_size: usize,
-    /// Cancellation/deadline token; [`CancellationToken::none`] for
-    /// unguarded execution.
+    /// Cancellation/deadline token, checked at every morsel boundary;
+    /// [`CancellationToken::none`] for unguarded execution.
     pub cancel: CancellationToken,
     /// Memory budget + spill directory for the pipeline breakers;
     /// [`ExecResources::unlimited`] for unmetered execution.
     pub mem: ExecResources,
-    /// Fault injector probed by the fused kernels (forces the scalar
-    /// fallback path); [`FaultInjector::disabled`] outside chaos tests.
+    /// Fault injector probed at morsel and join-build boundaries and by
+    /// the fused kernels (forcing their scalar fallback);
+    /// [`FaultInjector::disabled`] outside chaos tests.
     pub faults: Arc<FaultInjector>,
+    /// Worker pool the pipelines fan out on (see
+    /// [`crate::Database::set_parallelism`]); `None` runs every pipeline
+    /// inline on the calling thread.
+    pub pool: Option<Arc<WorkerPool>>,
 }
 
-/// Lowers a logical plan to a pulling operator tree. Every plan edge gets
-/// a [`CancelOp`] guard, so cancellation (explicit or deadline) is
-/// observed within one batch boundary no matter which operator is
-/// currently pulling.
-pub fn lower(plan: &LogicalPlan, catalog: &Catalog, ctx: &ExecContext) -> Result<BoxedOperator> {
-    let mut sips = FxHashMap::default();
-    lower_inner(plan, catalog, ctx, &mut sips)
+/// A decomposed pipeline: source morsels, the streaming stage chain to run
+/// over each, and the schema of the chain's output.
+struct Pipeline {
+    batches: Vec<Batch>,
+    stages: Vec<StageSpec>,
+    schema: SchemaRef,
 }
 
-/// Drains a lowered build side through a [`JoinTableBuilder`]. The arrival
-/// counter doubles as the morsel index, so the resulting table is
-/// byte-identical to the one the parallel build produces for the same
-/// batches (see `exec::join`'s determinism argument).
-pub fn build_join_table(
-    mut right: BoxedOperator,
-    right_keys: &[oltap_exec::Expr],
-    res: ExecResources,
-) -> Result<JoinTable> {
-    let build_width = right.schema().len();
-    let mut builder = JoinTableBuilder::with_resources(right_keys.len(), build_width, res);
-    let mut arrival = 0usize;
-    while let Some(batch) = right.next()? {
-        if batch.is_empty() {
-            continue;
+impl Pipeline {
+    /// A pipeline whose batches are already final (a breaker's output).
+    fn materialized(batches: Vec<Batch>, schema: SchemaRef) -> Pipeline {
+        Pipeline {
+            batches,
+            stages: Vec::new(),
+            schema,
         }
-        let key_cols = right_keys
-            .iter()
-            .map(|e| e.eval_batch(&batch))
-            .collect::<Result<Vec<_>>>()?;
-        builder.push_batch(&key_cols, &batch, arrival)?;
-        arrival += 1;
     }
-    builder.finish()
 }
 
-fn lower_inner(
+/// The state one plan's decomposition threads through its recursion.
+struct Lowering<'a> {
+    catalog: &'a Catalog,
+    ctx: &'a ExecContext,
+    pctx: ParallelContext,
+    /// Join filters published by sideways-marked joins, keyed by join id,
+    /// for the probe-side scans decomposed after them.
+    sips: FxHashMap<u32, JoinFilter>,
+}
+
+/// Executes `plan` at `ctx`'s snapshot and returns its non-empty result
+/// batches in order.
+pub fn execute_plan(
     plan: &LogicalPlan,
     catalog: &Catalog,
     ctx: &ExecContext,
-    sips: &mut FxHashMap<u32, JoinFilter>,
-) -> Result<BoxedOperator> {
-    let op: BoxedOperator = match plan {
-        LogicalPlan::Scan {
+) -> Result<Vec<Batch>> {
+    let mut lowering = Lowering {
+        catalog,
+        ctx,
+        pctx: ParallelContext {
+            pool: ctx.pool.clone(),
+            sockets: NumaTopology::two_socket().sockets,
+            cancel: ctx.cancel.clone(),
+            faults: Arc::clone(&ctx.faults),
+            mem: ctx.mem.clone(),
+        },
+        sips: FxHashMap::default(),
+    };
+    let p = lowering.decompose(plan)?;
+    let batches = lowering.drain(p)?;
+    Ok(batches.into_iter().filter(|b| !b.is_empty()).collect())
+}
+
+impl Lowering<'_> {
+    /// Runs a pipeline's remaining stage chain, yielding its batches in
+    /// morsel order. Handing over already-final batches is a batch
+    /// boundary too: a cancelled query never returns a result.
+    fn drain(&self, p: Pipeline) -> Result<Vec<Batch>> {
+        if p.stages.is_empty() {
+            self.ctx.cancel.check()?;
+            Ok(p.batches)
+        } else {
+            self.pctx.run_collect(p.batches, p.stages)
+        }
+    }
+
+    /// Recursively decomposes a plan. Streaming operators extend the
+    /// current pipeline's stage chain; pipeline breakers run the chain
+    /// built so far through their sink and start a fresh pipeline over the
+    /// materialized result.
+    fn decompose(&mut self, plan: &LogicalPlan) -> Result<Pipeline> {
+        Ok(match plan {
+            LogicalPlan::Scan {
+                table,
+                projection,
+                pushdown,
+                sip,
+                ..
+            } => {
+                let handle = self.catalog.get(table)?;
+                // Attach the sideways join filter registered by the join
+                // breaker this scan feeds (builds run before probe-side
+                // decomposition, so the filter is ready here).
+                let sip_pushdown = sip.as_ref().and_then(|s| {
+                    self.sips.get(&s.join_id).map(|template| {
+                        let mut jf = template.clone();
+                        jf.columns = s.key_columns.clone();
+                        pushdown.clone().with_join(jf)
+                    })
+                });
+                let pushdown = sip_pushdown.as_ref().unwrap_or(pushdown);
+                let ctx = self.ctx;
+                let batches =
+                    handle.scan(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
+                Pipeline::materialized(batches, plan.output_schema()?)
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let mut p = self.decompose(input)?;
+                p.stages
+                    .push(StageSpec::filter(predicate.clone(), &p.schema)?);
+                p
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let mut p = self.decompose(input)?;
+                let (stage, schema) = StageSpec::project(exprs, &p.schema)?;
+                p.stages.push(stage);
+                p.schema = schema;
+                p
+            }
+            LogicalPlan::Aggregate { input, group, aggs } => {
+                if let Some(fused) = self.try_fused_aggregate(input, group, aggs)? {
+                    return Ok(fused);
+                }
+                let p = self.decompose(input)?;
+                let core = Arc::new(AggregatorCore::new(&p.schema, group.clone(), aggs.clone())?);
+                let schema = core.schema();
+                let batches = self.pctx.run_aggregate(p.batches, p.stages, core)?;
+                Pipeline::materialized(batches, schema)
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                join_type,
+                sip,
+            } => {
+                if left_keys.len() != right_keys.len() || left_keys.is_empty() {
+                    return Err(DbError::Plan(
+                        "join requires one or more positionally paired keys".into(),
+                    ));
+                }
+                // Build pipeline first, then extend the probe-side
+                // pipeline in place. Per-worker build sinks merge into one
+                // deterministic JoinTable.
+                let build = self.decompose(right)?;
+                let table = Arc::new(self.pctx.run_join_build(
+                    build.batches,
+                    build.stages,
+                    right_keys.clone(),
+                    build.schema.len(),
+                )?);
+                if let Some(id) = sip {
+                    // Publish the Bloom filter for the probe-side scan
+                    // before the probe pipeline is decomposed.
+                    self.sips.insert(*id, table.filter(Vec::new()));
+                }
+                let mut p = self.decompose(left)?;
+                let schema = join_output_schema(&p.schema, &build.schema, *join_type);
+                p.stages.push(StageSpec::Probe(Arc::new(ProbeStage {
+                    table,
+                    keys: left_keys.clone(),
+                    join_type: *join_type,
+                    schema: Arc::clone(&schema),
+                })));
+                p.schema = schema;
+                p
+            }
+            LogicalPlan::Sort { input, keys } => {
+                let p = self.decompose(input)?;
+                let batches =
+                    self.pctx
+                        .run_sort(p.batches, p.stages, keys.clone(), Arc::clone(&p.schema))?;
+                Pipeline::materialized(batches, p.schema)
+            }
+            LogicalPlan::Limit {
+                input,
+                offset,
+                limit,
+            } => {
+                // Physical rewrite: Limit(Sort(x)) with offset 0 → top-K
+                // sink.
+                if let LogicalPlan::Sort {
+                    input: sort_in,
+                    keys,
+                } = input.as_ref()
+                {
+                    if *offset == 0 && *limit != usize::MAX {
+                        let p = self.decompose(sort_in)?;
+                        let batches = self.pctx.run_topk(
+                            p.batches,
+                            p.stages,
+                            keys.clone(),
+                            *limit,
+                            Arc::clone(&p.schema),
+                        )?;
+                        return Ok(Pipeline::materialized(batches, p.schema));
+                    }
+                }
+                // General limit/offset is inherently sequential and cheap:
+                // slice the morsel-ordered stream.
+                let p = self.decompose(input)?;
+                let schema = Arc::clone(&p.schema);
+                let ordered = self.drain(p)?;
+                Pipeline::materialized(limit_batches(ordered, *offset, *limit), schema)
+            }
+        })
+    }
+
+    /// Attempts the fused operate-on-compressed path for an
+    /// `Aggregate(Scan)` plan over a delta-main table: group keys and
+    /// aggregate inputs are read straight from the encoded segments (see
+    /// `oltap_exec::fused`), the delta is folded through the same
+    /// [`AggregatorCore`], and the finished batches replace the whole
+    /// subtree — the fused scan reads encoded segments directly, so there
+    /// is no batch stream to morselize. Returns `None` — fall back to the
+    /// pipelines — when the shape doesn't qualify: non-column expressions,
+    /// non-columnar tables, or a scan carrying a sideways join filter.
+    fn try_fused_aggregate(
+        &self,
+        input: &LogicalPlan,
+        group: &[(Expr, String)],
+        aggs: &[AggExpr],
+    ) -> Result<Option<Pipeline>> {
+        let ctx = self.ctx;
+        let LogicalPlan::Scan {
             table,
             projection,
             pushdown,
             sip,
             ..
-        } => {
-            let handle = catalog.get(table)?;
-            // Attach the join filter the marked join registered for this
-            // scan (if the join was lowered through the SIP path).
-            let sip_pushdown = sip.as_ref().and_then(|s| {
-                sips.get(&s.join_id).map(|template| {
-                    let mut jf = template.clone();
-                    jf.columns = s.key_columns.clone();
-                    pushdown.clone().with_join(jf)
-                })
-            });
-            let pushdown = sip_pushdown.as_ref().unwrap_or(pushdown);
-            let batches =
-                handle.scan(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
-            let schema = plan.output_schema()?;
-            Box::new(MemorySource::new(schema, batches))
+        } = input
+        else {
+            return Ok(None);
+        };
+        if sip.is_some() {
+            return Ok(None);
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let child = lower_inner(input, catalog, ctx, sips)?;
-            Box::new(FilterOp::new(child, predicate.clone())?)
+        let TableHandle::Column(t) = self.catalog.get(table)? else {
+            return Ok(None);
+        };
+        let input_schema = input.output_schema()?;
+        let core = AggregatorCore::new(&input_schema, group.to_vec(), aggs.to_vec())?;
+        let Some(shape) = fused_shape(&core) else {
+            return Ok(None);
+        };
+        let (segments, delta) =
+            t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
+        let mut map = core.new_map();
+        fused_aggregate_segments(
+            &core,
+            &mut map,
+            &segments,
+            &shape,
+            projection,
+            &FusedScanCtx {
+                pred: pushdown,
+                read_ts: ctx.read_ts,
+                me: ctx.me,
+                faults: &ctx.faults,
+            },
+        )?;
+        for b in &delta {
+            core.consume(&mut map, b)?;
         }
-        LogicalPlan::Project { input, exprs } => {
-            let child = lower_inner(input, catalog, ctx, sips)?;
-            let (es, names): (Vec<_>, Vec<_>) = exprs.iter().cloned().unzip();
-            Box::new(ProjectOp::new(child, es, names)?)
-        }
-        LogicalPlan::Aggregate { input, group, aggs } => {
-            if let Some(batches) = try_fused_aggregate(input, group, aggs, catalog, ctx)? {
-                Box::new(MemorySource::new(plan.output_schema()?, batches))
-            } else {
-                let child = lower_inner(input, catalog, ctx, sips)?;
-                Box::new(
-                    HashAggregateOp::new(child, group.clone(), aggs.clone())?
-                        .with_resources(ctx.mem.clone()),
-                )
-            }
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-            sip,
-        } => {
-            if let Some(id) = sip {
-                // SIP path: build the hash table eagerly, register its
-                // Bloom filter for the probe-side scan, then lower the
-                // probe with the filter in place.
-                let r = lower_inner(right, catalog, ctx, sips)?;
-                let right_schema = right.output_schema()?;
-                let table = Arc::new(build_join_table(r, right_keys, ctx.mem.clone())?);
-                sips.insert(*id, table.filter(Vec::new()));
-                let l = lower_inner(left, catalog, ctx, sips)?;
-                Box::new(
-                    HashJoinOp::from_built(l, table, left_keys.clone(), *join_type, &right_schema)?
-                        .with_resources(ctx.mem.clone()),
-                )
-            } else {
-                let l = lower_inner(left, catalog, ctx, sips)?;
-                let r = lower_inner(right, catalog, ctx, sips)?;
-                Box::new(
-                    HashJoinOp::new(l, r, left_keys.clone(), right_keys.clone(), *join_type)?
-                        .with_resources(ctx.mem.clone()),
-                )
-            }
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let child = lower_inner(input, catalog, ctx, sips)?;
-            Box::new(SortOp::new(child, keys.clone()).with_resources(ctx.mem.clone()))
-        }
-        LogicalPlan::Limit {
-            input,
-            offset,
-            limit,
-        } => {
-            // Physical rewrite: Limit(Sort(x)) with offset 0 → TopK.
-            if let LogicalPlan::Sort { input: sort_in, keys } = input.as_ref() {
-                if *offset == 0 && *limit != usize::MAX {
-                    let child = lower_inner(sort_in, catalog, ctx, sips)?;
-                    let topk = Box::new(TopKOp::new(child, keys.clone(), *limit));
-                    return Ok(Box::new(CancelOp::new(topk, ctx.cancel.clone())));
-                }
-            }
-            let child = lower_inner(input, catalog, ctx, sips)?;
-            Box::new(LimitOp::new(child, *offset, *limit))
-        }
-    };
-    Ok(Box::new(CancelOp::new(op, ctx.cancel.clone())))
-}
-
-/// Attempts the fused operate-on-compressed path for an
-/// `Aggregate(Scan)` plan over a delta-main table: group keys and
-/// aggregate inputs are read straight from the encoded segments (see
-/// `oltap_exec::fused`), the delta is folded through the same
-/// [`AggregatorCore`], and the finished batches replace the whole
-/// operator subtree. Returns `None` — fall back to the operator
-/// pipeline — when the shape doesn't qualify: non-column expressions,
-/// non-columnar tables, or a scan carrying a sideways join filter
-/// (whose build side is only drained during regular lowering).
-///
-/// Both the serial and the parallel planner call this, so the two cannot
-/// drift: a fusable plan produces byte-identical batches either way.
-pub fn try_fused_aggregate(
-    input: &LogicalPlan,
-    group: &[(Expr, String)],
-    aggs: &[AggExpr],
-    catalog: &Catalog,
-    ctx: &ExecContext,
-) -> Result<Option<Vec<Batch>>> {
-    let LogicalPlan::Scan {
-        table,
-        projection,
-        pushdown,
-        sip,
-        ..
-    } = input
-    else {
-        return Ok(None);
-    };
-    if sip.is_some() {
-        return Ok(None);
+        Ok(Some(Pipeline::materialized(
+            core.finish(map)?,
+            core.schema(),
+        )))
     }
-    let TableHandle::Column(t) = catalog.get(table)? else {
-        return Ok(None);
-    };
-    let input_schema = input.output_schema()?;
-    let core = AggregatorCore::new(&input_schema, group.to_vec(), aggs.to_vec())?;
-    let Some(shape) = fused_shape(&core) else {
-        return Ok(None);
-    };
-    let (segments, delta) =
-        t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
-    let mut map = core.new_map();
-    fused_aggregate_segments(
-        &core,
-        &mut map,
-        &segments,
-        &shape,
-        projection,
-        &FusedScanCtx {
-            pred: pushdown,
-            read_ts: ctx.read_ts,
-            me: ctx.me,
-            faults: &ctx.faults,
-        },
-    )?;
-    for b in &delta {
-        core.consume(&mut map, b)?;
-    }
-    Ok(Some(core.finish(map)?))
 }
 
-/// Convenience: lower + drain into batches.
-pub fn execute_plan(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-) -> Result<Vec<oltap_common::Batch>> {
-    let op = lower(plan, catalog, ctx)?;
-    oltap_exec::operator::collect_with(op, &ctx.cancel)
-}
-
-/// The schema a plan's results will carry.
-pub fn result_schema(plan: &LogicalPlan) -> Result<oltap_common::schema::SchemaRef> {
-    plan.output_schema()
-}
-
-/// Default execution context for a snapshot read.
+/// Default execution context for a snapshot read: unguarded, unmetered,
+/// and inline (no worker pool).
 pub fn snapshot_ctx(read_ts: Ts) -> ExecContext {
     ExecContext {
         read_ts,
@@ -272,6 +339,7 @@ pub fn snapshot_ctx(read_ts: Ts) -> ExecContext {
         cancel: CancellationToken::none(),
         mem: ExecResources::unlimited(),
         faults: FaultInjector::disabled(),
+        pool: None,
     }
 }
 
@@ -280,11 +348,12 @@ mod tests {
     use super::*;
     use crate::catalog::{TableFormat, TableHandle};
     use oltap_common::row;
-    use oltap_common::{DataType, Field, Schema, Value};
+    use oltap_common::{DataType, Field, Row, Schema, Value};
     use oltap_sql::{bind_select, optimize, parse, Statement};
     use oltap_txn::TransactionManager;
-    use std::sync::Arc;
 
+    /// `t`: 500 columnar rows (`id`, `grp` cycling a/b/c, `v = id % 10`);
+    /// `dim`: a row-store dimension labelling groups a and b only.
     fn setup() -> (Arc<TransactionManager>, Catalog) {
         let mgr = Arc::new(TransactionManager::new());
         let mut cat = Catalog::new();
@@ -301,31 +370,65 @@ mod tests {
         );
         let h = TableHandle::create(schema, TableFormat::Column).unwrap();
         let tx = mgr.begin();
-        for i in 0..100 {
-            h.insert(&tx, row![i as i64, ["a", "b"][i % 2], (i % 10) as i64])
+        for i in 0..500 {
+            h.insert(&tx, row![i as i64, ["a", "b", "c"][i % 3], (i % 10) as i64])
                 .unwrap();
         }
         tx.commit().unwrap();
         cat.create("t", h).unwrap();
+
+        let dim_schema = Arc::new(
+            Schema::with_primary_key(
+                vec![
+                    Field::not_null("g", DataType::Utf8),
+                    Field::new("label", DataType::Utf8),
+                ],
+                &["g"],
+            )
+            .unwrap(),
+        );
+        let d = TableHandle::create(dim_schema, TableFormat::Row).unwrap();
+        let tx = mgr.begin();
+        for (g, l) in [("a", "alpha"), ("b", "beta")] {
+            d.insert(&tx, row![g, l]).unwrap();
+        }
+        tx.commit().unwrap();
+        cat.create("dim", d).unwrap();
         (mgr, cat)
     }
 
-    fn run(sql: &str, mgr: &TransactionManager, cat: &Catalog) -> Vec<oltap_common::Row> {
+    fn plan_for(sql: &str, cat: &Catalog) -> LogicalPlan {
         let stmt = parse(sql).unwrap();
         let sel = match stmt {
             Statement::Select(s) => s,
-            _ => unreachable!(),
+            other => panic!("{other:?}"),
         };
-        let plan = optimize(bind_select(&sel, cat).unwrap()).unwrap();
-        let batches = execute_plan(&plan, cat, &snapshot_ctx(mgr.now())).unwrap();
+        optimize(bind_select(&sel, cat).unwrap()).unwrap()
+    }
+
+    /// A snapshot context with `workers` workers: inline for one, a
+    /// dedicated pool otherwise.
+    fn ctx_at(mgr: &TransactionManager, workers: usize) -> ExecContext {
+        ExecContext {
+            pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
+            ..snapshot_ctx(mgr.now())
+        }
+    }
+
+    fn run_at(sql: &str, mgr: &TransactionManager, cat: &Catalog, workers: usize) -> Vec<Row> {
+        let batches = execute_plan(&plan_for(sql, cat), cat, &ctx_at(mgr, workers)).unwrap();
         batches.iter().flat_map(|b| b.to_rows()).collect()
+    }
+
+    fn run(sql: &str, mgr: &TransactionManager, cat: &Catalog) -> Vec<Row> {
+        run_at(sql, mgr, cat, 1)
     }
 
     #[test]
     fn end_to_end_select() {
         let (mgr, cat) = setup();
         let rows = run("SELECT id FROM t WHERE v = 3 ORDER BY id", &mgr, &cat);
-        assert_eq!(rows.len(), 10);
+        assert_eq!(rows.len(), 50);
         assert_eq!(rows[0][0], Value::Int(3));
     }
 
@@ -337,9 +440,9 @@ mod tests {
             &mgr,
             &cat,
         );
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Str("a".into()));
-        assert_eq!(rows[0][1], Value::Int(50));
+        assert_eq!(rows[0][1], Value::Int(167));
     }
 
     #[test]
@@ -347,8 +450,8 @@ mod tests {
         let (mgr, cat) = setup();
         let rows = run("SELECT id FROM t ORDER BY id DESC LIMIT 3", &mgr, &cat);
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0][0], Value::Int(99));
-        assert_eq!(rows[2][0], Value::Int(97));
+        assert_eq!(rows[0][0], Value::Int(499));
+        assert_eq!(rows[2][0], Value::Int(497));
     }
 
     #[test]
@@ -374,7 +477,7 @@ mod tests {
     #[test]
     fn sip_join_matches_plain_filter() {
         let (mgr, cat) = setup();
-        // The build side is restricted to v = 3 (10 of 100 ids), so the
+        // The build side is restricted to v = 3 (50 of 500 ids), so the
         // sideways filter prunes most probe rows at the scan — but the
         // result must match the equivalent single-table query exactly.
         let joined = run(
@@ -384,7 +487,7 @@ mod tests {
         );
         let direct = run("SELECT id FROM t WHERE v = 3 ORDER BY id", &mgr, &cat);
         assert_eq!(joined, direct);
-        assert_eq!(joined.len(), 10);
+        assert_eq!(joined.len(), 50);
     }
 
     #[test]
@@ -396,5 +499,103 @@ mod tests {
             &cat,
         );
         assert!(rows.is_empty());
+    }
+
+    #[test]
+    fn join_without_paired_keys_is_rejected() {
+        let (mgr, cat) = setup();
+        let keyless = LogicalPlan::Join {
+            left: Box::new(plan_for("SELECT * FROM t", &cat)),
+            right: Box::new(plan_for("SELECT * FROM dim", &cat)),
+            left_keys: vec![Expr::col(1)],
+            right_keys: Vec::new(),
+            join_type: oltap_exec::JoinType::Inner,
+            sip: None,
+        };
+        let err = execute_plan(&keyless, &cat, &ctx_at(&mgr, 1)).unwrap_err();
+        assert!(matches!(err, DbError::Plan(_)), "{err:?}");
+    }
+
+    #[test]
+    fn results_are_worker_count_independent_for_all_shapes() {
+        let (mgr, cat) = setup();
+        let queries = [
+            "SELECT * FROM t",
+            "SELECT id, v * 2 FROM t WHERE v > 4",
+            "SELECT grp, COUNT(*), SUM(v), MIN(id), MAX(v) FROM t GROUP BY grp ORDER BY grp",
+            "SELECT COUNT(*) FROM t WHERE v = 3",
+            "SELECT id, v FROM t ORDER BY v DESC, id",
+            "SELECT id FROM t ORDER BY v LIMIT 7",
+            "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 13",
+            "SELECT t.id, dim.label FROM t JOIN dim ON t.grp = dim.g WHERE t.v < 3 \
+             ORDER BY t.id LIMIT 20",
+            "SELECT t.id, dim.label FROM t LEFT JOIN dim ON t.grp = dim.g ORDER BY t.id",
+            "SELECT grp, AVG(v) FROM t WHERE id < 300 GROUP BY grp ORDER BY grp",
+        ];
+        assert_worker_count_independent(&mgr, &cat, &queries);
+    }
+
+    #[test]
+    fn empty_table_all_shapes() {
+        let mgr = Arc::new(TransactionManager::new());
+        let mut cat = Catalog::new();
+        let schema = Arc::new(
+            Schema::with_primary_key(
+                vec![
+                    Field::not_null("id", DataType::Int64),
+                    Field::new("v", DataType::Int64),
+                ],
+                &["id"],
+            )
+            .unwrap(),
+        );
+        cat.create(
+            "e",
+            TableHandle::create(schema, TableFormat::Column).unwrap(),
+        )
+        .unwrap();
+        let queries = [
+            "SELECT * FROM e",
+            "SELECT COUNT(*) FROM e",
+            "SELECT id FROM e ORDER BY v LIMIT 3",
+        ];
+        assert_worker_count_independent(&mgr, &cat, &queries);
+        // Global COUNT over empty input still yields its zero row.
+        for workers in [1, 4] {
+            let rows = run_at("SELECT COUNT(*) FROM e", &mgr, &cat, workers);
+            assert_eq!(rows[0][0], Value::Int(0));
+        }
+    }
+
+    /// 1 ≡ 2 ≡ 8 workers: identical rows in identical order.
+    fn assert_worker_count_independent(mgr: &TransactionManager, cat: &Catalog, queries: &[&str]) {
+        for sql in queries {
+            let inline = run_at(sql, mgr, cat, 1);
+            for workers in [2, 8] {
+                assert_eq!(
+                    inline,
+                    run_at(sql, mgr, cat, workers),
+                    "{sql} at workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pre_cancelled_token_cancels_at_any_worker_count() {
+        let (mgr, cat) = setup();
+        for sql in ["SELECT SUM(v) FROM t", "SELECT * FROM t"] {
+            let plan = plan_for(sql, &cat);
+            for workers in [1, 4] {
+                let mut ctx = ctx_at(&mgr, workers);
+                ctx.cancel = CancellationToken::new();
+                ctx.cancel.cancel();
+                let err = execute_plan(&plan, &cat, &ctx).unwrap_err();
+                assert!(
+                    matches!(err, DbError::Cancelled(_)),
+                    "{sql} workers={workers}: {err:?}"
+                );
+            }
+        }
     }
 }

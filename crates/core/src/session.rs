@@ -252,11 +252,9 @@ impl Session {
                         }
                     },
                     faults: Arc::clone(self.db.faults()),
+                    pool: self.db.exec_pool(),
                 };
-                match self.db.parallel_exec() {
-                    Some(pexec) => pexec.execute(&plan, &catalog, &ctx),
-                    None => execute_plan(&plan, &catalog, &ctx),
-                }
+                execute_plan(&plan, &catalog, &ctx)
             }
             Err(e) => Err(e),
         };

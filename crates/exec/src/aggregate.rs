@@ -1,7 +1,6 @@
 //! Blocking hash aggregation (GROUP BY) with the standard SQL aggregates.
 
 use crate::expr::Expr;
-use crate::operator::{BoxedOperator, Operator};
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
 use oltap_common::schema::SchemaRef;
@@ -176,7 +175,7 @@ impl AggState {
 
     /// Folds another partial state (same function, different input slice)
     /// into this one. Every aggregate here is decomposable, which is what
-    /// lets the parallel executor aggregate per worker and merge.
+    /// lets the pipeline executor aggregate per worker and merge.
     pub(crate) fn merge(&mut self, other: AggState) -> Result<()> {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
@@ -262,8 +261,8 @@ impl GroupMap {
 /// The reusable aggregation engine: schema derivation, per-batch
 /// consumption into a [`GroupMap`], partial-map merging, and the
 /// deterministic finish (sort by group key, chunk into batches). The
-/// serial [`HashAggregateOp`] and the parallel aggregate sink both drive
-/// this core, so the two paths cannot drift.
+/// pipeline's aggregate sink and the fused segment path both drive this
+/// core.
 pub struct AggregatorCore {
     group_by: Vec<Expr>,
     aggs: Vec<AggExpr>,
@@ -450,8 +449,8 @@ fn agg_partition_of(key: &Row) -> usize {
 /// is either *entirely* resident or *entirely* spilled (per sink), so
 /// [`into_map`](Self::into_map) can replay each spilled partition in
 /// write order (= arrival order) into fresh states and merge them into
-/// the resident map touching only vacant entries. Serial and parallel
-/// runs, spilling or not, produce bit-identical group states.
+/// the resident map touching only vacant entries. Runs at any worker
+/// count, spilling or not, produce bit-identical group states.
 pub struct SpillingAggregator {
     map: GroupMap,
     res: ExecResources,
@@ -634,77 +633,14 @@ fn update_states(
     Ok(())
 }
 
-/// Blocking hash-aggregation operator (the serial driver of
-/// [`AggregatorCore`]).
-pub struct HashAggregateOp {
-    input: Option<BoxedOperator>,
-    core: AggregatorCore,
-    output: Option<std::vec::IntoIter<Batch>>,
-    res: ExecResources,
-}
-
-impl HashAggregateOp {
-    /// Builds the operator. Output schema = group-by columns (labeled
-    /// `names`) followed by one column per aggregate.
-    pub fn new(
-        input: BoxedOperator,
-        group_by: Vec<(Expr, String)>,
-        aggs: Vec<AggExpr>,
-    ) -> Result<Self> {
-        let core = AggregatorCore::new(&input.schema(), group_by, aggs)?;
-        Ok(HashAggregateOp {
-            input: Some(input),
-            core,
-            output: None,
-            res: ExecResources::unlimited(),
-        })
-    }
-
-    /// Sets the memory/spill context the blocking aggregation runs under.
-    pub fn with_resources(mut self, res: ExecResources) -> Self {
-        self.res = res;
-        self
-    }
-
-    fn execute(&mut self) -> Result<Vec<Batch>> {
-        let mut input = self
-            .input
-            .take()
-            .ok_or_else(|| DbError::Execution("aggregate input already consumed".into()))?;
-        let mut sink = SpillingAggregator::new(self.res.clone());
-        while let Some(batch) = input.next()? {
-            sink.consume(&self.core, &batch)?;
-        }
-        let map = sink.into_map(&self.core)?;
-        self.core.finish(map)
-    }
-}
-
-impl Operator for HashAggregateOp {
-    fn schema(&self) -> SchemaRef {
-        self.core.schema()
-    }
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let batches = self.execute()?;
-            self.output = Some(batches.into_iter());
-        }
-        Ok(self
-            .output
-            .as_mut()
-            .map(|it| it.next())
-            .unwrap_or_default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use crate::operator::{collect, MemorySource};
+    use crate::pipeline::tests::{ctx, rows_of};
     use oltap_common::row;
 
-    fn source() -> BoxedOperator {
+    fn source() -> (SchemaRef, Vec<Batch>) {
         let schema = Arc::new(Schema::new(vec![
             Field::new("g", DataType::Utf8),
             Field::new("v", DataType::Int64),
@@ -727,20 +663,22 @@ mod tests {
             .chunks(33)
             .map(|c| Batch::from_rows(&schema, c).unwrap())
             .collect();
-        Box::new(MemorySource::new(schema, batches))
+        (schema, batches)
     }
 
-    fn run(op: HashAggregateOp) -> Vec<Row> {
-        collect(Box::new(op))
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .collect()
+    /// Aggregates `input` through a one-worker pipeline's aggregate sink.
+    fn aggregate(
+        input: (SchemaRef, Vec<Batch>),
+        group_by: Vec<(Expr, String)>,
+        aggs: Vec<AggExpr>,
+    ) -> Result<Vec<Row>> {
+        let core = Arc::new(AggregatorCore::new(&input.0, group_by, aggs)?);
+        Ok(rows_of(&ctx(1).run_aggregate(input.1, Vec::new(), core)?))
     }
 
     #[test]
     fn grouped_aggregates() {
-        let op = HashAggregateOp::new(
+        let rows = aggregate(
             source(),
             vec![(Expr::col(0), "g".into())],
             vec![
@@ -753,7 +691,6 @@ mod tests {
             ],
         )
         .unwrap();
-        let rows = run(op);
         assert_eq!(rows.len(), 2);
         // Group "a": even i in 0..100 → 50 rows; i%10==9 never even → all valid.
         let a = &rows[0];
@@ -773,7 +710,7 @@ mod tests {
 
     #[test]
     fn global_aggregate_no_groups() {
-        let op = HashAggregateOp::new(
+        let rows = aggregate(
             source(),
             vec![],
             vec![
@@ -782,7 +719,6 @@ mod tests {
             ],
         )
         .unwrap();
-        let rows = run(op);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(100));
     }
@@ -790,9 +726,8 @@ mod tests {
     #[test]
     fn global_aggregate_empty_input() {
         let schema = Arc::new(Schema::new(vec![Field::new("v", DataType::Int64)]));
-        let src = Box::new(MemorySource::new(Arc::clone(&schema), vec![]));
-        let op = HashAggregateOp::new(
-            src,
+        let rows = aggregate(
+            (schema, Vec::new()),
             vec![],
             vec![
                 AggExpr::count_star("n"),
@@ -802,7 +737,6 @@ mod tests {
             ],
         )
         .unwrap();
-        let rows = run(op);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
         assert_eq!(rows[0][1], Value::Null);
@@ -813,19 +747,18 @@ mod tests {
     #[test]
     fn grouped_empty_input_yields_no_rows() {
         let schema = Arc::new(Schema::new(vec![Field::new("v", DataType::Int64)]));
-        let src = Box::new(MemorySource::new(Arc::clone(&schema), vec![]));
-        let op = HashAggregateOp::new(
-            src,
+        let rows = aggregate(
+            (schema, Vec::new()),
             vec![(Expr::col(0), "v".into())],
             vec![AggExpr::count_star("n")],
         )
         .unwrap();
-        assert!(run(op).is_empty());
+        assert!(rows.is_empty());
     }
 
     #[test]
     fn group_by_expression() {
-        let op = HashAggregateOp::new(
+        let rows = aggregate(
             source(),
             vec![(
                 Expr::binary(BinOp::Mod, Expr::col(1), Expr::lit(3i64)),
@@ -834,7 +767,6 @@ mod tests {
             vec![AggExpr::count_star("n")],
         )
         .unwrap();
-        let rows = run(op);
         // Groups: NULL (from null v), 0, 1, 2.
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0][0], Value::Null); // NULL sorts first
@@ -842,7 +774,7 @@ mod tests {
 
     #[test]
     fn avg_matches_sum_over_count() {
-        let op = HashAggregateOp::new(
+        let rows = aggregate(
             source(),
             vec![],
             vec![
@@ -852,7 +784,6 @@ mod tests {
             ],
         )
         .unwrap();
-        let rows = run(op);
         let s = rows[0][0].as_float().unwrap();
         let c = rows[0][1].as_int().unwrap() as f64;
         let a = rows[0][2].as_float().unwrap();
@@ -861,7 +792,7 @@ mod tests {
 
     #[test]
     fn min_max_strings() {
-        let op = HashAggregateOp::new(
+        let rows = aggregate(
             source(),
             vec![],
             vec![
@@ -870,7 +801,6 @@ mod tests {
             ],
         )
         .unwrap();
-        let rows = run(op);
         assert_eq!(rows[0][0], Value::Str("a".into()));
         assert_eq!(rows[0][1], Value::Str("b".into()));
     }
@@ -878,9 +808,8 @@ mod tests {
     #[test]
     fn partial_maps_merge_to_serial_result() {
         // Consuming batches into three partial maps and merging must be
-        // indistinguishable from one map — the parallel-sink contract.
-        let mut src = source();
-        let schema = src.schema();
+        // indistinguishable from one map — the per-worker sink contract.
+        let (schema, batches) = source();
         let core = AggregatorCore::new(
             &schema,
             vec![(Expr::col(0), "g".into())],
@@ -895,29 +824,18 @@ mod tests {
         .unwrap();
         let mut whole = core.new_map();
         let mut parts = vec![core.new_map(), core.new_map(), core.new_map()];
-        let mut i = 0;
-        while let Some(b) = src.next().unwrap() {
-            core.consume(&mut whole, &b).unwrap();
-            core.consume(&mut parts[i % 3], &b).unwrap();
-            i += 1;
+        for (i, b) in batches.iter().enumerate() {
+            core.consume(&mut whole, b).unwrap();
+            core.consume(&mut parts[i % 3], b).unwrap();
         }
         let mut merged = core.new_map();
         for p in parts {
             core.merge(&mut merged, p).unwrap();
         }
-        let serial: Vec<Row> = core
-            .finish(whole)
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .collect();
-        let parallel: Vec<Row> = core
-            .finish(merged)
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .collect();
-        assert_eq!(serial, parallel);
+        assert_eq!(
+            rows_of(&core.finish(whole).unwrap()),
+            rows_of(&core.finish(merged).unwrap())
+        );
     }
 
     #[test]
@@ -1000,7 +918,7 @@ mod tests {
 
     #[test]
     fn sum_rejects_strings() {
-        assert!(HashAggregateOp::new(
+        assert!(aggregate(
             source(),
             vec![],
             vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")],

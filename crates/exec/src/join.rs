@@ -9,9 +9,9 @@
 //!
 //! Determinism: build entries are tagged with a sequence number
 //! `(morsel_index << 32) | row` and each partition is sorted by it before
-//! the slot table is built, so serial and parallel builds (any worker
+//! the slot table is built, so builds at any worker count (any worker
 //! interleaving) produce byte-identical tables, and duplicate-key fan-out
-//! order matches the serial arrival order. [`JoinTableBuilder::merge`] is
+//! order is the build side's morsel order. [`JoinTableBuilder::merge`] is
 //! therefore order-insensitive, like the aggregate/sort sink merges.
 //!
 //! Sideways information passing: a finished [`JoinTable`] exports a
@@ -22,7 +22,6 @@
 //! false positives are re-checked exactly here at probe time.
 
 use crate::expr::Expr;
-use crate::operator::{BoxedOperator, Operator};
 use crate::resources::ExecResources;
 use oltap_common::bloom::BlockedBloom;
 use oltap_common::hash::{
@@ -48,8 +47,7 @@ pub enum JoinType {
 
 /// Output schema of a hash join: left fields followed by right fields
 /// (nullable under LEFT since unmatched rows pad with NULLs), with
-/// repeated names disambiguated mechanically. Shared by the serial
-/// operator and the parallel probe stage so the two paths agree.
+/// repeated names disambiguated mechanically.
 pub fn join_output_schema(left: &Schema, right: &Schema, join_type: JoinType) -> SchemaRef {
     let mut fields = left.fields().to_vec();
     fields.extend(right.fields().iter().cloned().map(|mut f| {
@@ -155,7 +153,7 @@ struct JoinPartition {
     /// Combined key hash per entry.
     hashes: Vec<u64>,
     /// Next entry with the same key (`NONE` = end of chain), preserving
-    /// build arrival order so duplicate fan-out matches the serial plan.
+    /// build arrival order so duplicate fan-out is deterministic.
     next: Vec<u32>,
     /// Packed key values, `key_width` per entry.
     keys: Vec<Value>,
@@ -327,9 +325,9 @@ fn corrupt_entry(_: std::array::TryFromSliceError) -> DbError {
     DbError::Corruption("truncated join spill entry".into())
 }
 
-/// Accumulates build-side batches into radix partitions. Each parallel
+/// Accumulates build-side batches into radix partitions. Each pipeline
 /// worker owns one builder; [`merge`](Self::merge) concatenates them in
-/// any order and [`finish`](Self::finish) restores the serial order.
+/// any order and [`finish`](Self::finish) restores morsel order.
 ///
 /// Memory-bounded when built [`with_resources`](Self::with_resources):
 /// every appended batch is charged to the query's budget first, and a
@@ -439,9 +437,8 @@ impl JoinTableBuilder {
     }
 
     /// Appends one build batch. `key_cols` are the evaluated key
-    /// expressions over `batch`; `morsel_index` is the batch's serial
-    /// position (morsel index in the parallel build, arrival count in the
-    /// serial build) and orders entries deterministically.
+    /// expressions over `batch`; `morsel_index` is the batch's position in
+    /// the build source and orders entries deterministically.
     pub fn push_batch(
         &mut self,
         key_cols: &[ColumnVector],
@@ -517,15 +514,15 @@ impl JoinTableBuilder {
     /// Freezes the builder into an immutable [`JoinTable`]: reloads any
     /// spilled partition chunks (the finished table is resident — its
     /// footprint is force-accounted, which is admission control's concern,
-    /// not the build loop's), sorts each partition into serial arrival
-    /// order, builds the open-addressing slot tables with duplicate
+    /// not the build loop's), sorts each partition into morsel order,
+    /// builds the open-addressing slot tables with duplicate
     /// chains, and derives the Bloom filter and key envelopes for
     /// sideways information passing.
     pub fn finish(mut self) -> Result<JoinTable> {
         let kw = self.key_width;
         let bw = self.build_width;
         // Reload spilled entries. Chunk order within a partition does not
-        // matter: the sequence sort below restores serial arrival order.
+        // matter: the sequence sort below restores morsel order.
         for part in &mut self.parts {
             for handle in std::mem::take(&mut part.spilled) {
                 self.res.budget.reserve_forced(handle.bytes());
@@ -563,7 +560,7 @@ impl JoinTableBuilder {
                     ..
                 } = sink;
                 let n = seqs.len();
-                // Serial arrival order, regardless of merge order.
+                // Morsel order, regardless of merge order.
                 let mut order: Vec<u32> = (0..n as u32).collect();
                 order.sort_unstable_by_key(|&i| seqs[i as usize]);
                 let mut hashes = Vec::with_capacity(n);
@@ -662,8 +659,7 @@ impl ProbeScratch {
 
 /// Probes the build `table` with one batch of left rows, producing the
 /// joined batch (`None` when nothing in the batch matched under an inner
-/// join). This is the per-batch body of the streaming probe, shared by
-/// [`HashJoinOp`] and the parallel pipeline's probe stage. Key columns
+/// join). This is the per-batch body of the pipeline's probe stage. Key columns
 /// are hashed in place; the output is assembled column-wise (left columns
 /// gathered by selection vector, right columns copied from the packed
 /// build payload).
@@ -812,156 +808,27 @@ fn gather_build_column(
     Ok(())
 }
 
-/// Hash join: blocking build on the right input, streaming probe from the
-/// left. Output schema = left columns followed by right columns.
-pub struct HashJoinOp {
-    left: BoxedOperator,
-    right: Option<BoxedOperator>,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    join_type: JoinType,
-    schema: SchemaRef,
-    table: Option<Arc<JoinTable>>,
-    scratch: ProbeScratch,
-    res: ExecResources,
-}
-
-impl HashJoinOp {
-    /// Builds a hash join. `left_keys`/`right_keys` are positionally
-    /// paired equality conditions.
-    pub fn new(
-        left: BoxedOperator,
-        right: BoxedOperator,
-        left_keys: Vec<Expr>,
-        right_keys: Vec<Expr>,
-        join_type: JoinType,
-    ) -> Result<Self> {
-        if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-            return Err(oltap_common::DbError::Plan(
-                "join requires one or more positionally paired keys".into(),
-            ));
-        }
-        let ls = left.schema();
-        let rs = right.schema();
-        Ok(HashJoinOp {
-            schema: join_output_schema(&ls, &rs, join_type),
-            left,
-            right: Some(right),
-            left_keys,
-            right_keys,
-            join_type,
-            table: None,
-            scratch: ProbeScratch::new(),
-            res: ExecResources::unlimited(),
-        })
-    }
-
-    /// Sets the memory/spill context the blocking build runs under.
-    pub fn with_resources(mut self, res: ExecResources) -> Self {
-        self.res = res;
-        self
-    }
-
-    /// A probe-only join over a table built elsewhere. The sideways-
-    /// information-passing planner path builds the table *before* lowering
-    /// the probe side (to derive the scan filter), then hands it here.
-    pub fn from_built(
-        left: BoxedOperator,
-        table: Arc<JoinTable>,
-        left_keys: Vec<Expr>,
-        join_type: JoinType,
-        right_schema: &Schema,
-    ) -> Result<Self> {
-        if left_keys.len() != table.key_width() || left_keys.is_empty() {
-            return Err(oltap_common::DbError::Plan(
-                "join requires one or more positionally paired keys".into(),
-            ));
-        }
-        let ls = left.schema();
-        Ok(HashJoinOp {
-            schema: join_output_schema(&ls, right_schema, join_type),
-            left,
-            right: None,
-            left_keys,
-            right_keys: Vec::new(),
-            join_type,
-            table: Some(table),
-            scratch: ProbeScratch::new(),
-            res: ExecResources::unlimited(),
-        })
-    }
-
-    fn build(&mut self) -> Result<Arc<JoinTable>> {
-        if let Some(t) = &self.table {
-            return Ok(Arc::clone(t));
-        }
-        let mut right = self
-            .right
-            .take()
-            .ok_or_else(|| DbError::Execution("hash join build input already consumed".into()))?;
-        let build_width = right.schema().len();
-        let mut builder = JoinTableBuilder::with_resources(
-            self.right_keys.len(),
-            build_width,
-            self.res.clone(),
-        );
-        let mut arrival = 0usize;
-        while let Some(batch) = right.next()? {
-            if batch.is_empty() {
-                continue;
-            }
-            let key_cols = self
-                .right_keys
-                .iter()
-                .map(|e| e.eval_batch(&batch))
-                .collect::<Result<Vec<_>>>()?;
-            builder.push_batch(&key_cols, &batch, arrival)?;
-            arrival += 1;
-        }
-        let table = Arc::new(builder.finish()?);
-        self.table = Some(Arc::clone(&table));
-        Ok(table)
-    }
-}
-
-impl Operator for HashJoinOp {
-    fn schema(&self) -> SchemaRef {
-        Arc::clone(&self.schema)
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        let table = self.build()?;
-        loop {
-            let batch = match self.left.next()? {
-                Some(b) => b,
-                None => return Ok(None),
-            };
-            if batch.is_empty() {
-                continue;
-            }
-            if let Some(out) = probe_batch(
-                &table,
-                &self.left_keys,
-                self.join_type,
-                &self.schema,
-                &batch,
-                &mut self.scratch,
-            )? {
-                return Ok(Some(out));
-            }
-            // All left rows unmatched under inner join: pull next batch.
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{collect, MemorySource};
+    use crate::pipeline::tests::{ctx, rows_of};
+    use crate::pipeline::{ProbeStage, StageSpec};
     use oltap_common::row;
     use oltap_common::{DataType, Field, Row};
 
-    fn orders() -> BoxedOperator {
+    /// A join input: its schema and batches.
+    type Input = (SchemaRef, Vec<Batch>);
+
+    fn input(schema: SchemaRef, rows: &[Row]) -> Input {
+        let batches = if rows.is_empty() {
+            Vec::new()
+        } else {
+            vec![Batch::from_rows(&schema, rows).unwrap()]
+        };
+        (schema, batches)
+    }
+
+    fn orders() -> Input {
         let schema = Arc::new(Schema::new(vec![
             Field::new("oid", DataType::Int64),
             Field::new("cust", DataType::Int64),
@@ -974,41 +841,51 @@ mod tests {
             row![4i64, 99i64, 400i64], // no matching customer
             Row::new(vec![Value::Int(5), Value::Null, Value::Int(500)]),
         ];
-        let b = Batch::from_rows(&schema, &rows).unwrap();
-        Box::new(MemorySource::new(schema, vec![b]))
+        input(schema, &rows)
     }
 
-    fn customers() -> BoxedOperator {
+    fn customers() -> Input {
         let schema = Arc::new(Schema::new(vec![
             Field::new("cid", DataType::Int64),
             Field::new("name", DataType::Utf8),
         ]));
         let rows = vec![row![10i64, "ada"], row![20i64, "bob"], row![30i64, "cat"]];
-        let b = Batch::from_rows(&schema, &rows).unwrap();
-        Box::new(MemorySource::new(schema, vec![b]))
+        input(schema, &rows)
     }
 
-    fn rows_of(op: HashJoinOp) -> Vec<Row> {
-        let mut rows: Vec<Row> = collect(Box::new(op))
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .collect();
+    /// Hash-joins `left` to `right` on a one-worker pipeline (build sink,
+    /// then a probe stage over the left batches); rows come back sorted.
+    fn hash_join(
+        left: Input,
+        right: Input,
+        left_keys: Vec<Expr>,
+        right_keys: Vec<Expr>,
+        join_type: JoinType,
+    ) -> Vec<Row> {
+        let c = ctx(1);
+        let table = c
+            .run_join_build(right.1, Vec::new(), right_keys, right.0.len())
+            .unwrap();
+        let probe = StageSpec::Probe(Arc::new(ProbeStage {
+            table: Arc::new(table),
+            keys: left_keys,
+            join_type,
+            schema: join_output_schema(&left.0, &right.0, join_type),
+        }));
+        let mut rows = rows_of(&c.run_collect(left.1, vec![probe]).unwrap());
         rows.sort();
         rows
     }
 
     #[test]
     fn inner_join_matches() {
-        let op = HashJoinOp::new(
+        let rows = hash_join(
             orders(),
             customers(),
             vec![Expr::col(1)],
             vec![Expr::col(0)],
             JoinType::Inner,
-        )
-        .unwrap();
-        let rows = rows_of(op);
+        );
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Int(1));
         assert_eq!(rows[0][4], Value::Str("ada".into()));
@@ -1019,15 +896,13 @@ mod tests {
 
     #[test]
     fn left_join_pads_with_nulls() {
-        let op = HashJoinOp::new(
+        let rows = hash_join(
             orders(),
             customers(),
             vec![Expr::col(1)],
             vec![Expr::col(0)],
             JoinType::Left,
-        )
-        .unwrap();
-        let rows = rows_of(op);
+        );
         assert_eq!(rows.len(), 5);
         let unmatched: Vec<&Row> = rows
             .iter()
@@ -1040,21 +915,22 @@ mod tests {
         }
     }
 
+    fn int_keys(name: &str, keys: &[i64]) -> Input {
+        let schema = Arc::new(Schema::new(vec![Field::new(name, DataType::Int64)]));
+        let rows: Vec<Row> = keys.iter().map(|&k| row![k]).collect();
+        input(schema, &rows)
+    }
+
     #[test]
     fn left_join_fully_unmatched_probe() {
         // No probe key appears on the build side: every row NULL-pads.
-        let schema = Arc::new(Schema::new(vec![Field::new("cid", DataType::Int64)]));
-        let b = Batch::from_rows(&schema, &[row![1000i64], row![2000i64]]).unwrap();
-        let right = Box::new(MemorySource::new(schema, vec![b]));
-        let op = HashJoinOp::new(
+        let rows = hash_join(
             orders(),
-            right,
+            int_keys("cid", &[1000, 2000]),
             vec![Expr::col(1)],
             vec![Expr::col(0)],
             JoinType::Left,
-        )
-        .unwrap();
-        let rows = rows_of(op);
+        );
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r[3] == Value::Null));
     }
@@ -1062,19 +938,15 @@ mod tests {
     #[test]
     fn duplicate_build_keys_fan_out() {
         // Two customers with the same id value on the build side.
-        let schema = Arc::new(Schema::new(vec![Field::new("cid", DataType::Int64)]));
-        let b = Batch::from_rows(&schema, &[row![10i64], row![10i64]]).unwrap();
-        let right = Box::new(MemorySource::new(schema, vec![b]));
-        let op = HashJoinOp::new(
+        let rows = hash_join(
             orders(),
-            right,
+            int_keys("cid", &[10, 10]),
             vec![Expr::col(1)],
             vec![Expr::col(0)],
             JoinType::Inner,
-        )
-        .unwrap();
+        );
         // Orders 1 and 3 have cust=10 → 2 × 2 = 4 output rows.
-        assert_eq!(rows_of(op).len(), 4);
+        assert_eq!(rows.len(), 4);
     }
 
     #[test]
@@ -1085,77 +957,55 @@ mod tests {
         ]));
         let left_rows = vec![row![1i64, 1i64], row![1i64, 2i64], row![2i64, 1i64]];
         let right_rows = vec![row![1i64, 1i64], row![2i64, 1i64]];
-        let left = Box::new(MemorySource::new(
-            Arc::clone(&schema),
-            vec![Batch::from_rows(&schema, &left_rows).unwrap()],
-        ));
-        let right = Box::new(MemorySource::new(
-            Arc::clone(&schema),
-            vec![Batch::from_rows(&schema, &right_rows).unwrap()],
-        ));
-        let op = HashJoinOp::new(
-            left,
-            right,
+        let rows = hash_join(
+            input(Arc::clone(&schema), &left_rows),
+            input(schema, &right_rows),
             vec![Expr::col(0), Expr::col(1)],
             vec![Expr::col(0), Expr::col(1)],
             JoinType::Inner,
-        )
-        .unwrap();
-        assert_eq!(rows_of(op).len(), 2);
+        );
+        assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn empty_sides() {
-        let schema = Arc::new(Schema::new(vec![Field::new("a", DataType::Int64)]));
-        let empty = || -> BoxedOperator {
-            Box::new(MemorySource::new(
-                Arc::new(Schema::new(vec![Field::new("a", DataType::Int64)])),
-                vec![],
-            ))
-        };
         // Empty build: inner join yields nothing, left join pads all.
-        let left_data = Box::new(MemorySource::new(
-            Arc::clone(&schema),
-            vec![Batch::from_rows(&schema, &[row![1i64]]).unwrap()],
-        ));
-        let op = HashJoinOp::new(
-            left_data,
-            empty(),
+        let rows = hash_join(
+            int_keys("a", &[1]),
+            int_keys("a", &[]),
             vec![Expr::col(0)],
             vec![Expr::col(0)],
             JoinType::Inner,
-        )
-        .unwrap();
-        assert!(rows_of(op).is_empty());
+        );
+        assert!(rows.is_empty());
 
-        let left_data = Box::new(MemorySource::new(
-            Arc::clone(&schema),
-            vec![Batch::from_rows(&schema, &[row![1i64]]).unwrap()],
-        ));
-        let op = HashJoinOp::new(
-            left_data,
-            empty(),
+        let rows = hash_join(
+            int_keys("a", &[1]),
+            int_keys("a", &[]),
             vec![Expr::col(0)],
             vec![Expr::col(0)],
             JoinType::Left,
-        )
-        .unwrap();
-        let rows = rows_of(op);
+        );
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Value::Null);
+
+        // Empty probe: nothing to emit under either join type.
+        for join_type in [JoinType::Inner, JoinType::Left] {
+            let rows = hash_join(
+                int_keys("a", &[]),
+                int_keys("a", &[1]),
+                vec![Expr::col(0)],
+                vec![Expr::col(0)],
+                join_type,
+            );
+            assert!(rows.is_empty());
+        }
     }
 
     #[test]
     fn schema_disambiguates_names() {
-        let op = HashJoinOp::new(
-            orders(),
-            orders(),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-            JoinType::Inner,
-        )
-        .unwrap();
-        let s = op.schema();
+        let (schema, _) = orders();
+        let s = join_output_schema(&schema, &schema, JoinType::Inner);
         let names: Vec<&str> = s.fields().iter().map(|f| f.name.as_str()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -1349,20 +1199,13 @@ mod tests {
         // Float(10.0) on the probe side joins Int(10) on the build side:
         // Value equality is cross-type, and the hash classes agree.
         let left_schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Float64)]));
-        let left_rows = vec![row![10.0f64], row![10.5f64]];
-        let left = Box::new(MemorySource::new(
-            Arc::clone(&left_schema),
-            vec![Batch::from_rows(&left_schema, &left_rows).unwrap()],
-        ));
-        let op = HashJoinOp::new(
-            left,
+        let rows = hash_join(
+            input(left_schema, &[row![10.0f64], row![10.5f64]]),
             customers(),
             vec![Expr::col(0)],
             vec![Expr::col(0)],
             JoinType::Inner,
-        )
-        .unwrap();
-        let rows = rows_of(op);
+        );
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][2], Value::Str("ada".into()));
     }

@@ -13,17 +13,18 @@
 //!   segments: code-domain grouping with dense per-code accumulators and
 //!   block-folded integer aggregates (HANA/BLU operate-on-compressed
 //!   analog).
-//! * [`operator`], [`aggregate`], [`join`], [`sort`] — the batched
-//!   operator set: filter, project, limit, hash aggregation, hash join,
-//!   sort, top-K.
-//! * [`shared_scan`] — circular/clock shared scans (QPipe \[12\] /
-//!   Crescando \[39\] analog).
-//! * [`pipeline`] — morsel-driven parallel pipelines over the worker pool
-//!   (HyPer \[28\] morsel parallelism analog): NUMA-affine morsel
-//!   dispatch, thread-local stage chains, thread-partitioned sinks.
+//! * [`pipeline`] — the one executor: morsel-driven pipelines (HyPer
+//!   \[28\] morsel parallelism analog) of streaming filter / project /
+//!   join-probe stages feeding a sink, run inline on the caller's thread
+//!   with one worker or fanned out over the worker pool with NUMA-affine
+//!   morsel dispatch and thread-partitioned sinks; plus `LIMIT`/`OFFSET`
+//!   slicing of the morsel-ordered result.
+//! * [`aggregate`], [`join`], [`sort`] — the pipeline breakers' cores:
+//!   hash aggregation, radix-partitioned hash-join build and probe, sort
+//!   buffers and top-K accumulators.
 //! * [`resources`] — the per-query memory budget and spill directory the
 //!   pipeline breakers (join build, aggregation, sort) degrade into when
-//!   a reservation is rejected, preserving serial-identical output.
+//!   a reservation is rejected, without changing their output.
 
 pub mod aggregate;
 pub mod compiled;
@@ -31,32 +32,24 @@ pub mod expr;
 pub mod fused;
 pub mod join;
 pub mod kernels;
-pub mod operator;
 pub mod pipeline;
 pub mod resources;
-pub mod shared_scan;
 pub mod sort;
 
-pub use aggregate::{
-    AggExpr, AggFunc, AggregatorCore, GroupMap, HashAggregateOp, SpillingAggregator,
-};
+pub use aggregate::{AggExpr, AggFunc, AggregatorCore, GroupMap, SpillingAggregator};
 pub use compiled::{compile, CompiledExpr, Program};
 pub use expr::{BinOp, Expr, UnOp};
 pub use fused::{fused_aggregate_segments, fused_shape, FusedScanCtx, FusedShape};
 pub use join::{
-    join_output_schema, probe_batch, HashJoinOp, JoinTable, JoinTableBuilder, JoinType,
-    ProbeScratch, PARTITION_BITS,
-};
-pub use operator::{
-    collect, collect_with, count_rows, count_rows_with, BoxedOperator, CancelOp, FilterOp,
-    LimitOp, MemorySource, Operator, ProjectOp,
+    join_output_schema, probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch,
+    PARTITION_BITS,
 };
 pub use pipeline::{
-    Morsel, MorselDispenser, ParallelContext, ProbeStage, StageSpec, MORSEL_FAULT_RETRIES,
+    limit_batches, Morsel, MorselDispenser, ParallelContext, ProbeStage, StageSpec,
+    MORSEL_FAULT_RETRIES,
 };
 pub use resources::ExecResources;
-pub use shared_scan::{ClockScan, ScanQuery, ScanQueryResult};
 pub use sort::{
     compare_keys, merge_sorted_runs, merge_spilled_sort, sort_entries, SortBuffer, SortEntry,
-    SortKey, SortOp, TopKAcc, TopKOp,
+    SortKey, TopKAcc,
 };

@@ -1,35 +1,39 @@
-//! Morsel-driven parallel pipelines over the worker pool.
+//! The morsel-driven pipeline executor — the engine's only executor.
 //!
 //! The HyPer lineage (Funke, Kemper, Neumann) gets its OLAP throughput
 //! from **morsel-driven parallelism**: a plan is cut at pipeline breakers
 //! (hash-join build, aggregate, sort) into pipelines; each pipeline's
-//! source hands out *morsels* — segment-granular batches — from a shared
-//! atomic dispenser, and worker threads run the pipeline's operator chain
-//! thread-locally before merging into thread-partitioned sinks. This
-//! module provides the executor half of that design; plan decomposition
-//! lives in `oltap-core`.
+//! source hands out *morsels* — segment-granular batches — and workers run
+//! the pipeline's stage chain thread-locally before merging into
+//! thread-partitioned sinks. This module provides the executor half of
+//! that design; plan decomposition lives in `oltap-core`.
 //!
-//! Determinism contract: the parallel path must produce **byte-identical**
-//! results to the serial Volcano path. Three mechanisms deliver that:
+//! The worker count is a runtime quantity. Without a pool
+//! ([`ParallelContext::pool`] is `None`) a pipeline runs **inline**: one
+//! worker, on the caller's thread, taking morsels in index order into one
+//! sink — no dispenser, no channel, no thread hand-off. That degenerate
+//! case is the sequential reference; with a pool the same loop runs once
+//! per pool worker over a shared NUMA-affine dispenser.
 //!
-//! 1. Morsel indices equal the serial batch arrival order, and stage
-//!    chains are 1:1 per batch, so ordering sinks by morsel index
-//!    reconstructs the serial batch stream exactly.
+//! Determinism contract: results are **byte-identical** at every worker
+//! count. Three mechanisms deliver that:
+//!
+//! 1. Morsel indices are the source's batch order, and stage chains are
+//!    1:1 per batch, so ordering sinks by morsel index reconstructs the
+//!    one-worker batch stream exactly.
 //! 2. Row-level sinks (sort runs, top-K candidates, join build rows) tag
-//!    every row with a sequence number `(morsel_index << 32) | row_in_batch`
-//!    that is order-isomorphic to the serial arrival counter; merges break
-//!    key ties by that sequence, matching the serial stable sort and the
-//!    serial build-table scan order.
+//!    every row with a sequence number `(morsel_index << 32) | row_in_batch`;
+//!    merges break key ties by that sequence, which is the order a stable
+//!    sort / in-order build scan over the one-worker stream produces.
 //! 3. Aggregate group maps merge with order-independent per-group state
-//!    ([`AggregatorCore::merge`]) and emit in sorted group-key order, the
-//!    same order the serial operator emits.
+//!    ([`AggregatorCore::merge`]) and emit in sorted group-key order.
 //!
-//! Cancellation and fault injection keep their serial granularity: the
-//! token is checked and the [`points::EXEC_MORSEL_FAIL`] fault point is
-//! probed at every morsel boundary (a morsel *is* a batch boundary), with
-//! a bounded retry so probabilistic chaos runs still complete. The join
-//! build pipeline probes its own [`points::EXEC_JOIN_BUILD_FAIL`] point
-//! per build morsel with the same retry budget.
+//! Cancellation and fault injection work at morsel granularity at every
+//! worker count: the token is checked and the [`points::EXEC_MORSEL_FAIL`]
+//! fault point is probed at every morsel boundary, with a bounded retry so
+//! probabilistic chaos runs still complete. The join build pipeline probes
+//! its own [`points::EXEC_JOIN_BUILD_FAIL`] point per build morsel with
+//! the same retry budget.
 
 use crate::aggregate::{AggregatorCore, SpillingAggregator};
 use crate::compiled::CompiledExpr;
@@ -39,7 +43,8 @@ use crate::resources::ExecResources;
 use crate::sort::{merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc};
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
+use oltap_common::vector::BATCH_SIZE;
+use oltap_common::{Batch, CancellationToken, DataType, DbError, Field, Result, Row, Schema};
 use oltap_sched::{WorkerPool, WorkloadClass};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -54,7 +59,7 @@ pub const MORSEL_FAULT_RETRIES: u32 = 16;
 /// One unit of parallel work: a batch plus its dispatch metadata.
 #[derive(Debug)]
 pub struct Morsel {
-    /// Position in the serial batch order (drives result determinism).
+    /// Position in the source's batch order (drives result determinism).
     pub index: usize,
     /// Simulated NUMA socket this morsel's data lives on.
     pub socket: usize,
@@ -154,7 +159,7 @@ impl MorselDispenser {
 pub enum StageSpec {
     /// Keep rows where the boolean predicate holds.
     Filter {
-        /// Boolean predicate (validated at decomposition time).
+        /// Boolean predicate (see [`StageSpec::filter`]).
         predicate: Expr,
         /// Schema the predicate compiles against.
         input_schema: SchemaRef,
@@ -170,12 +175,42 @@ pub enum StageSpec {
     Probe(Arc<ProbeStage>),
 }
 
+impl StageSpec {
+    /// A filter stage over `input_schema`; rejects non-boolean predicates.
+    pub fn filter(predicate: Expr, input_schema: &SchemaRef) -> Result<StageSpec> {
+        if predicate.data_type(input_schema)? != DataType::Bool {
+            return Err(DbError::Plan("filter predicate must be boolean".into()));
+        }
+        Ok(StageSpec::Filter {
+            predicate,
+            input_schema: Arc::clone(input_schema),
+        })
+    }
+
+    /// A projection stage computing one column per `(expression, name)`
+    /// pair, together with the schema of its output.
+    pub fn project(
+        exprs: &[(Expr, String)],
+        input_schema: &SchemaRef,
+    ) -> Result<(StageSpec, SchemaRef)> {
+        let fields = exprs
+            .iter()
+            .map(|(e, n)| Ok(Field::new(n.clone(), e.data_type(input_schema)?)))
+            .collect::<Result<Vec<_>>>()?;
+        let spec = StageSpec::Project {
+            exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
+            input_schema: Arc::clone(input_schema),
+        };
+        Ok((spec, Arc::new(Schema::new(fields))))
+    }
+}
+
 /// The shared read-only state of a hash-join probe stage. The build table
-/// is produced by [`ParallelContext::run_join_build`] (itself a parallel
-/// pipeline) and then probed concurrently without locks; each worker keeps
-/// its own [`ProbeScratch`] so probing allocates nothing per batch.
+/// is produced by [`ParallelContext::run_join_build`] (itself a pipeline)
+/// and then probed concurrently without locks; each worker keeps its own
+/// [`ProbeScratch`] so probing allocates nothing per batch.
 pub struct ProbeStage {
-    /// Radix-partitioned build side in serial scan order.
+    /// Radix-partitioned build side in build-scan order.
     pub table: Arc<JoinTable>,
     /// Probe-side key expressions.
     pub keys: Vec<Expr>,
@@ -193,22 +228,22 @@ enum CompiledStage {
 }
 
 impl CompiledStage {
-    fn compile(spec: &StageSpec) -> CompiledStage {
+    fn compile(spec: StageSpec) -> CompiledStage {
         match spec {
             StageSpec::Filter {
                 predicate,
                 input_schema,
-            } => CompiledStage::Filter(CompiledExpr::new(predicate.clone(), input_schema)),
+            } => CompiledStage::Filter(CompiledExpr::new(predicate, &input_schema)),
             StageSpec::Project {
                 exprs,
                 input_schema,
             } => CompiledStage::Project(
                 exprs
-                    .iter()
-                    .map(|e| CompiledExpr::new(e.clone(), input_schema))
+                    .into_iter()
+                    .map(|e| CompiledExpr::new(e, &input_schema))
                     .collect(),
             ),
-            StageSpec::Probe(p) => CompiledStage::Probe(Arc::clone(p), ProbeScratch::new()),
+            StageSpec::Probe(p) => CompiledStage::Probe(p, ProbeScratch::new()),
         }
     }
 
@@ -254,14 +289,14 @@ impl CompiledStage {
 }
 
 /// Everything a pipeline run needs beyond its own morsels and stages: the
-/// pool to dispatch on, the degree of parallelism, the simulated socket
-/// count for morsel affinity, and the query's cancellation/fault plumbing.
+/// pool to dispatch on (if any), the simulated socket count for morsel
+/// affinity, and the query's cancellation/fault plumbing.
 pub struct ParallelContext {
-    /// Worker pool the pipeline tasks are submitted to (as OLAP class).
-    pub pool: Arc<WorkerPool>,
-    /// Number of concurrent pipeline tasks.
-    pub parallelism: usize,
-    /// Simulated NUMA socket count (drives morsel affinity).
+    /// Worker pool the pipeline tasks are submitted to (as OLAP class),
+    /// one task per pool worker. `None` runs every pipeline inline: one
+    /// worker, on the caller's thread.
+    pub pool: Option<Arc<WorkerPool>>,
+    /// Simulated NUMA socket count (drives morsel affinity on the pool).
     pub sockets: usize,
     /// Per-query cancellation token, checked at every morsel boundary.
     pub cancel: CancellationToken,
@@ -273,11 +308,16 @@ pub struct ParallelContext {
 }
 
 impl ParallelContext {
-    /// Runs one pipeline: `parallelism` tasks pull morsels from a shared
-    /// dispenser, run the compiled stage chain thread-locally, and fold
-    /// surviving batches into a per-worker sink state `S`. Returns every
-    /// worker's finished sink in worker-id order (the deterministic merge
-    /// order); the first error in worker order wins.
+    /// Runs one pipeline: every worker pulls morsels, runs the compiled
+    /// stage chain thread-locally, and folds surviving batches into its
+    /// own sink state `S`. Returns every worker's finished sink in
+    /// worker-id order (the deterministic merge order); the first error in
+    /// worker order wins.
+    ///
+    /// Without a pool there is one worker and it is the caller: morsels
+    /// are taken in index order straight off `batches`, with no dispenser,
+    /// channel, or thread hand-off. With a pool, one task per pool worker
+    /// pulls from a shared NUMA-affine dispenser.
     fn fan_out<S, R, M, C, F>(
         &self,
         batches: Vec<Batch>,
@@ -293,9 +333,22 @@ impl ParallelContext {
         C: Fn(&mut S, usize, Batch) -> Result<()> + Send + Sync + 'static,
         F: Fn(S) -> R + Send + Sync + 'static,
     {
-        let n = self.parallelism.max(1);
+        let Some(pool) = &self.pool else {
+            let mut morsels = batches.into_iter().enumerate();
+            let sink = worker_drive(
+                &mut || morsels.next(),
+                stages,
+                &self.cancel,
+                &self.faults,
+                &AtomicBool::new(false),
+                &make,
+                &consume,
+                &finish,
+            )?;
+            return Ok(vec![sink]);
+        };
+        let n = pool.worker_count().max(1);
         let dispenser = Arc::new(MorselDispenser::new(batches, self.sockets));
-        let stages = Arc::new(stages);
         let make = Arc::new(make);
         let consume = Arc::new(consume);
         let finish = Arc::new(finish);
@@ -303,7 +356,7 @@ impl ParallelContext {
         let (tx, rx) = mpsc::channel::<(usize, Result<R>)>();
         for wid in 0..n {
             let dispenser = Arc::clone(&dispenser);
-            let stages = Arc::clone(&stages);
+            let stages = stages.clone();
             let make = Arc::clone(&make);
             let consume = Arc::clone(&consume);
             let finish = Arc::clone(&finish);
@@ -312,9 +365,15 @@ impl ParallelContext {
             let abort = Arc::clone(&abort);
             let tx = tx.clone();
             let socket = wid % self.sockets.max(1);
-            self.pool.submit(WorkloadClass::Olap, move || {
+            pool.submit(WorkloadClass::Olap, move || {
                 let r = worker_drive(
-                    socket, &dispenser, &stages, &cancel, &faults, &abort, &*make, &*consume,
+                    &mut || dispenser.next_for(socket).map(|m| (m.index, m.batch)),
+                    stages,
+                    &cancel,
+                    &faults,
+                    &abort,
+                    &*make,
+                    &*consume,
                     &*finish,
                 );
                 if r.is_err() {
@@ -333,9 +392,9 @@ impl ParallelContext {
         Ok(out)
     }
 
-    /// Pipeline sink preserving the serial batch stream: batches are
+    /// Pipeline sink preserving the source's batch order: batches are
     /// collected per worker tagged with their morsel index and merged by
-    /// index, which *is* the serial arrival order.
+    /// index.
     pub fn run_collect(&self, batches: Vec<Batch>, stages: Vec<StageSpec>) -> Result<Vec<Batch>> {
         let runs = self.fan_out(
             batches,
@@ -356,8 +415,8 @@ impl ParallelContext {
     /// hashing against the shared query budget) sealed into complete
     /// [`GroupMap`](crate::aggregate::GroupMap)s and merged in worker
     /// order (group state merge is order-independent), finished by the
-    /// shared core which emits groups in sorted key order — the serial
-    /// order, spilling or not.
+    /// shared core which emits groups in sorted key order, spilling or
+    /// not.
     pub fn run_aggregate(
         &self,
         batches: Vec<Batch>,
@@ -383,8 +442,8 @@ impl ParallelContext {
 
     /// Join-build sink: per-worker [`JoinTableBuilder`]s accumulate radix
     /// partitions with rows tagged by morsel sequence; the merged builder
-    /// restores serial scan order in [`JoinTableBuilder::finish`], so
-    /// duplicate keys fan out in the same order as the serial probe. Each
+    /// restores build-scan order in [`JoinTableBuilder::finish`], so
+    /// duplicate keys fan out in the same order at any worker count. Each
     /// build morsel probes [`points::EXEC_JOIN_BUILD_FAIL`] with the same
     /// bounded retry as the morsel fault point.
     pub fn run_join_build(
@@ -430,15 +489,14 @@ impl ParallelContext {
 
     /// Sort sink: per-worker [`SortBuffer`]s (budget-bounded, spilling
     /// sorted runs to disk under pressure), k-way merged with
-    /// sequence-number tie-breaking — exactly the order of the serial
-    /// stable sort, whether or not any buffer spilled.
+    /// sequence-number tie-breaking — exactly the order of a stable sort
+    /// over the morsel-ordered input, whether or not any buffer spilled.
     pub fn run_sort(
         &self,
         batches: Vec<Batch>,
         stages: Vec<StageSpec>,
         keys: Vec<SortKey>,
         schema: SchemaRef,
-        batch_size: usize,
     ) -> Result<Vec<Batch>> {
         let keys = Arc::new(keys);
         let k_consume = Arc::clone(&keys);
@@ -461,12 +519,12 @@ impl ParallelContext {
             },
             |buf| buf,
         )?;
-        merge_spilled_sort(buffers, &keys, &schema, batch_size)
+        merge_spilled_sort(buffers, &keys, &schema, BATCH_SIZE)
     }
 
     /// Top-K sink: per-worker bounded heaps; the union of candidates is
-    /// sorted (sequence tie-break) and truncated — identical to the serial
-    /// [`crate::sort::TopKOp`] output.
+    /// sorted (sequence tie-break) and truncated — the first `k` rows of
+    /// the full sort, using O(n log k) work instead.
     pub fn run_topk(
         &self,
         batches: Vec<Batch>,
@@ -509,14 +567,42 @@ impl ParallelContext {
     }
 }
 
-/// One worker's pipeline loop: pull morsels (NUMA-affine), probe the fault
-/// point with bounded retry, run the compiled stage chain, fold surviving
-/// output into the local sink state.
+/// General `LIMIT`/`OFFSET` over a morsel-ordered batch list: drops the
+/// first `offset` rows and keeps the next `limit`. Inherently sequential
+/// and cheap — it only slices batches that are already materialized.
+pub fn limit_batches(batches: Vec<Batch>, offset: usize, limit: usize) -> Vec<Batch> {
+    let mut skip = offset;
+    let mut remaining = limit;
+    let mut out = Vec::new();
+    for batch in batches {
+        if remaining == 0 {
+            break;
+        }
+        let n = batch.len();
+        if skip >= n {
+            skip -= n;
+            continue;
+        }
+        let start = std::mem::take(&mut skip);
+        let take = (n - start).min(remaining);
+        remaining -= take;
+        if take == n {
+            out.push(batch);
+        } else {
+            let sel: Vec<u32> = (start as u32..(start + take) as u32).collect();
+            out.push(batch.take(&sel));
+        }
+    }
+    out
+}
+
+/// One worker's pipeline loop: pull `(index, batch)` morsels from
+/// `next_morsel`, probe the fault point with bounded retry, run the
+/// compiled stage chain, fold surviving output into the local sink state.
 #[allow(clippy::too_many_arguments)]
 fn worker_drive<S, R>(
-    socket: usize,
-    dispenser: &MorselDispenser,
-    stages: &[StageSpec],
+    next_morsel: &mut dyn FnMut() -> Option<(usize, Batch)>,
+    stages: Vec<StageSpec>,
     cancel: &CancellationToken,
     faults: &FaultInjector,
     abort: &AtomicBool,
@@ -524,11 +610,11 @@ fn worker_drive<S, R>(
     consume: &dyn Fn(&mut S, usize, Batch) -> Result<()>,
     finish: &dyn Fn(S) -> R,
 ) -> Result<R> {
-    let mut compiled: Vec<CompiledStage> = stages.iter().map(CompiledStage::compile).collect();
+    let mut compiled: Vec<CompiledStage> = stages.into_iter().map(CompiledStage::compile).collect();
     let mut state = make();
     while !abort.load(Ordering::Relaxed) {
         cancel.check()?;
-        let Some(morsel) = dispenser.next_for(socket) else {
+        let Some((index, batch)) = next_morsel() else {
             break;
         };
         let mut attempts = 0u32;
@@ -536,23 +622,22 @@ fn worker_drive<S, R>(
             attempts += 1;
             if attempts > MORSEL_FAULT_RETRIES {
                 return Err(DbError::FaultInjected(format!(
-                    "morsel {} exhausted {MORSEL_FAULT_RETRIES} retries at {}",
-                    morsel.index,
+                    "morsel {index} exhausted {MORSEL_FAULT_RETRIES} retries at {}",
                     points::EXEC_MORSEL_FAIL
                 )));
             }
         }
-        if morsel.batch.is_empty() {
+        if batch.is_empty() {
             continue;
         }
-        let mut cur = Some(morsel.batch);
+        let mut cur = Some(batch);
         for stage in &mut compiled {
             let Some(b) = cur else { break };
             cur = stage.apply(b)?;
         }
         if let Some(out) = cur {
             if !out.is_empty() {
-                consume(&mut state, morsel.index, out)?;
+                consume(&mut state, index, out)?;
             }
         }
     }
@@ -560,14 +645,36 @@ fn worker_drive<S, R>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use crate::operator::{collect, FilterOp, MemorySource};
     use oltap_common::fault::FaultPoint;
     use oltap_common::row;
-    use oltap_common::{DataType, Field, Schema};
+    use oltap_common::Value;
     use std::collections::HashSet;
+
+    /// The shared test harness of the breaker modules: a pipeline context
+    /// with `workers` workers — inline on the test thread when `workers <=
+    /// 1`, a dedicated pool otherwise — drawing from `mem`.
+    pub(crate) fn ctx_with(workers: usize, mem: ExecResources) -> ParallelContext {
+        ParallelContext {
+            pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
+            sockets: 2,
+            cancel: CancellationToken::none(),
+            faults: FaultInjector::disabled(),
+            mem,
+        }
+    }
+
+    /// [`ctx_with`] under an unlimited budget.
+    pub(crate) fn ctx(workers: usize) -> ParallelContext {
+        ctx_with(workers, ExecResources::unlimited())
+    }
+
+    /// Flattens batches into their rows.
+    pub(crate) fn rows_of(batches: &[Batch]) -> Vec<Row> {
+        batches.iter().flat_map(|b| b.to_rows()).collect()
+    }
 
     fn batches(n: usize) -> (SchemaRef, Vec<Batch>) {
         let schema = Arc::new(Schema::new(vec![
@@ -582,15 +689,8 @@ mod tests {
         (schema, out)
     }
 
-    fn ctx(parallelism: usize) -> ParallelContext {
-        ParallelContext {
-            pool: Arc::new(WorkerPool::new(parallelism, parallelism)),
-            parallelism,
-            sockets: 2,
-            cancel: CancellationToken::none(),
-            faults: FaultInjector::disabled(),
-            mem: ExecResources::unlimited(),
-        }
+    fn count(batches: &[Batch]) -> usize {
+        batches.iter().map(|b| b.len()).sum()
     }
 
     #[test]
@@ -634,75 +734,142 @@ mod tests {
     }
 
     #[test]
-    fn parallel_filter_matches_serial_order() {
+    fn filter_selects_true_rows() {
+        let (schema, bs) = batches(1000);
+        let pred = Expr::binary(BinOp::Eq, Expr::col(1), Expr::lit(3i64));
+        let stage = StageSpec::filter(pred, &schema).unwrap();
+        let got = ctx(1).run_collect(bs, vec![stage]).unwrap();
+        assert_eq!(count(&got), 100);
+    }
+
+    #[test]
+    fn filter_rejects_non_boolean() {
+        let (schema, _) = batches(10);
+        assert!(StageSpec::filter(Expr::col(0), &schema).is_err());
+    }
+
+    #[test]
+    fn project_computes_expressions() {
+        let (schema, bs) = batches(10);
+        let (stage, out_schema) = StageSpec::project(
+            &[
+                (Expr::col(0), "id".into()),
+                (
+                    Expr::binary(BinOp::Mul, Expr::col(0), Expr::lit(2i64)),
+                    "id2".into(),
+                ),
+            ],
+            &schema,
+        )
+        .unwrap();
+        assert_eq!(out_schema.len(), 2);
+        assert_eq!(out_schema.field(1).name, "id2");
+        let rows = rows_of(&ctx(1).run_collect(bs, vec![stage]).unwrap());
+        // Int64-typed expressions stay on the interpreter so the output
+        // type matches the declared schema.
+        assert_eq!(rows[4][1], Value::Int(8));
+    }
+
+    #[test]
+    fn limit_and_offset() {
+        // Batches hold 100 rows: the window starts and ends mid-batch.
+        let (_, bs) = batches(1000);
+        let rows = rows_of(&limit_batches(bs, 250, 30));
+        assert_eq!(rows.len(), 30);
+        assert_eq!(rows[0][0], Value::Int(250));
+        assert_eq!(rows[29][0], Value::Int(279));
+        // A window crossing batch boundaries keeps whole middle batches.
+        let (_, bs) = batches(1000);
+        let rows = rows_of(&limit_batches(bs, 150, 300));
+        assert_eq!(rows.len(), 300);
+        assert_eq!(rows[0][0], Value::Int(150));
+        assert_eq!(rows[299][0], Value::Int(449));
+    }
+
+    #[test]
+    fn limit_zero_and_past_end() {
+        let (_, bs) = batches(10);
+        assert_eq!(count(&limit_batches(bs.clone(), 0, 0)), 0);
+        assert_eq!(count(&limit_batches(bs.clone(), 5, 100)), 5);
+        assert_eq!(count(&limit_batches(bs, 50, 10)), 0);
+    }
+
+    #[test]
+    fn stages_compose() {
+        let (schema, bs) = batches(1000);
+        let filter = StageSpec::filter(
+            Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(500i64)),
+            &schema,
+        )
+        .unwrap();
+        let (project, _) = StageSpec::project(&[(Expr::col(1), "v".into())], &schema).unwrap();
+        let got = ctx(1).run_collect(bs, vec![filter, project]).unwrap();
+        assert_eq!(count(&got), 500);
+        let limited = limit_batches(got, 10, 20);
+        assert_eq!(count(&limited), 20);
+        assert_eq!(limited[0].num_columns(), 1);
+    }
+
+    #[test]
+    fn filter_is_worker_count_independent() {
         let (schema, bs) = batches(5000);
         let pred = Expr::binary(BinOp::Lt, Expr::col(1), Expr::lit(4i64));
-        let serial = {
-            let src = Box::new(MemorySource::new(Arc::clone(&schema), bs.clone()));
-            collect(Box::new(FilterOp::new(src, pred.clone()).unwrap())).unwrap()
+        let run = |workers| {
+            let stage = StageSpec::filter(pred.clone(), &schema).unwrap();
+            rows_of(&ctx(workers).run_collect(bs.clone(), vec![stage]).unwrap())
         };
-        for parallelism in [1, 2, 8] {
-            let got = ctx(parallelism)
-                .run_collect(
-                    bs.clone(),
-                    vec![StageSpec::Filter {
-                        predicate: pred.clone(),
-                        input_schema: Arc::clone(&schema),
-                    }],
-                )
-                .unwrap();
-            let serial_rows: Vec<Row> = serial.iter().flat_map(|b| b.to_rows()).collect();
-            let got_rows: Vec<Row> = got.iter().flat_map(|b| b.to_rows()).collect();
-            assert_eq!(serial_rows, got_rows, "parallelism={parallelism}");
+        let inline = run(1);
+        assert_eq!(inline.len(), 2000);
+        for workers in [2, 8] {
+            assert_eq!(inline, run(workers), "workers={workers}");
         }
     }
 
     #[test]
     fn morsel_faults_retry_then_succeed() {
         let (schema, bs) = batches(2000);
-        let faults = FaultInjector::new(7);
-        faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::with_probability(0.3));
-        let c = ParallelContext {
-            faults: Arc::clone(&faults),
-            ..ctx(4)
-        };
-        let got = c
-            .run_collect(
-                bs.clone(),
-                vec![StageSpec::Filter {
-                    predicate: Expr::binary(BinOp::Eq, Expr::col(1), Expr::lit(3i64)),
-                    input_schema: Arc::clone(&schema),
-                }],
-            )
-            .unwrap();
-        let total: usize = got.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 200);
-        assert!(faults.fired_count() > 0, "chaos run should have fired");
+        for workers in [1, 4] {
+            let faults = FaultInjector::new(7);
+            faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::with_probability(0.3));
+            let c = ParallelContext {
+                faults: Arc::clone(&faults),
+                ..ctx(workers)
+            };
+            let pred = Expr::binary(BinOp::Eq, Expr::col(1), Expr::lit(3i64));
+            let stage = StageSpec::filter(pred, &schema).unwrap();
+            let got = c.run_collect(bs.clone(), vec![stage]).unwrap();
+            assert_eq!(count(&got), 200, "workers={workers}");
+            assert!(faults.fired_count() > 0, "chaos run should have fired");
+        }
     }
 
     #[test]
     fn persistent_morsel_fault_surfaces_error() {
         let (_, bs) = batches(500);
-        let faults = FaultInjector::new(7);
-        faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::always());
-        let c = ParallelContext {
-            faults,
-            ..ctx(2)
-        };
-        let err = c.run_collect(bs, Vec::new()).unwrap_err();
-        assert!(matches!(err, DbError::FaultInjected(_)), "{err:?}");
+        for workers in [1, 2] {
+            let faults = FaultInjector::new(7);
+            faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::always());
+            let c = ParallelContext {
+                faults,
+                ..ctx(workers)
+            };
+            let err = c.run_collect(bs.clone(), Vec::new()).unwrap_err();
+            assert!(matches!(err, DbError::FaultInjected(_)), "{err:?}");
+        }
     }
 
     #[test]
     fn cancelled_context_stops_pipeline() {
         let (_, bs) = batches(500);
-        let token = CancellationToken::new();
-        token.cancel();
-        let c = ParallelContext {
-            cancel: token,
-            ..ctx(4)
-        };
-        let err = c.run_collect(bs, Vec::new()).unwrap_err();
-        assert!(matches!(err, DbError::Cancelled(_)), "{err:?}");
+        for workers in [1, 4] {
+            let token = CancellationToken::new();
+            token.cancel();
+            let c = ParallelContext {
+                cancel: token,
+                ..ctx(workers)
+            };
+            let err = c.run_collect(bs.clone(), Vec::new()).unwrap_err();
+            assert!(matches!(err, DbError::Cancelled(_)), "{err:?}");
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Per-query execution resources: the memory budget and the spill
 //! directory the pipeline breakers degrade into when it runs dry.
 //!
-//! [`ExecResources`] is deliberately cheap and cloneable: the serial
-//! operator tree and every parallel worker hold clones that share one
-//! underlying [`MemoryBudget`] account and one scratch [`SpillDir`], so
-//! the whole query is metered as a unit no matter how it is parallelized.
+//! [`ExecResources`] is deliberately cheap and cloneable: every pipeline
+//! worker's sink holds a clone sharing one underlying [`MemoryBudget`]
+//! account and one scratch [`SpillDir`], so the whole query is metered as
+//! a unit at any worker count.
 //! The default is unlimited-and-spill-less, which keeps every existing
 //! construction path working unchanged.
 

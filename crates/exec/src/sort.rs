@@ -1,4 +1,4 @@
-//! Blocking sort and top-K operators, with external-merge spilling.
+//! Blocking sort and top-K sinks, with external-merge spilling.
 //!
 //! The in-memory path stages `(key, seq, row)` entries and sorts once at
 //! the end. Under a [`MemoryBudget`](oltap_common::mem::MemoryBudget) a
@@ -8,10 +8,9 @@
 //! every entry carries a globally unique arrival sequence and all merges
 //! order by `(key, seq)`, any partitioning of the input into sorted
 //! streams — per-worker runs, spilled runs, memory tails — merges to
-//! exactly the serial stable sort's output.
+//! exactly a stable sort's output over the arrival order.
 
 use crate::expr::Expr;
-use crate::operator::{BoxedOperator, Operator};
 use crate::resources::ExecResources;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, DbError, Result, Row};
@@ -55,8 +54,8 @@ pub fn compare_keys(a: &Row, b: &Row, keys: &[SortKey]) -> Ordering {
 
 /// One row staged for sorting: `(key values, arrival sequence, full row)`.
 /// The sequence number breaks key ties by arrival order, which makes
-/// per-worker sort runs merge to exactly the order a serial stable sort
-/// would produce.
+/// per-worker sort runs merge to exactly the order a stable sort over the
+/// whole input would produce.
 pub type SortEntry = (Row, u64, Row);
 
 /// Sorts entries by the sort keys, breaking ties by arrival sequence.
@@ -248,8 +247,8 @@ impl SortStream {
 
 /// Streams every buffer's runs and memory tail through one k-way
 /// `(key, seq)` merge into output batches. Globally unique sequence
-/// numbers make the result identical to the serial stable sort no matter
-/// how entries were split across buffers and runs.
+/// numbers make the result identical to one stable sort no matter how
+/// entries were split across buffers and runs.
 pub fn merge_spilled_sort(
     buffers: Vec<SortBuffer>,
     keys: &[SortKey],
@@ -305,79 +304,6 @@ pub fn merge_spilled_sort(
         .collect()
 }
 
-/// Full blocking sort. Entries are staged in a [`SortBuffer`], so under a
-/// memory budget the sort degrades into an external merge of on-disk runs
-/// — with output identical to the in-memory stable sort (the `(key, seq)`
-/// order *is* the stable order, seq being the arrival counter).
-pub struct SortOp {
-    input: Option<BoxedOperator>,
-    keys: Vec<SortKey>,
-    schema: SchemaRef,
-    output: Option<std::vec::IntoIter<Batch>>,
-    batch_size: usize,
-    res: ExecResources,
-}
-
-impl SortOp {
-    /// Builds a sort over `input`.
-    pub fn new(input: BoxedOperator, keys: Vec<SortKey>) -> Self {
-        let schema = input.schema();
-        SortOp {
-            input: Some(input),
-            keys,
-            schema,
-            output: None,
-            batch_size: 4096,
-            res: ExecResources::unlimited(),
-        }
-    }
-
-    /// Sets the memory/spill context the blocking sort runs under.
-    pub fn with_resources(mut self, res: ExecResources) -> Self {
-        self.res = res;
-        self
-    }
-
-    fn execute(&mut self) -> Result<Vec<Batch>> {
-        let mut input = self
-            .input
-            .take()
-            .ok_or_else(|| DbError::Execution("sort input already consumed".into()))?;
-        let mut buf = SortBuffer::new(self.keys.clone(), self.res.clone());
-        let mut morsel = 0u64;
-        while let Some(batch) = input.next()? {
-            let key_cols = self
-                .keys
-                .iter()
-                .map(|k| k.expr.eval_batch(&batch))
-                .collect::<Result<Vec<_>>>()?;
-            for i in 0..batch.len() {
-                let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
-                buf.push(key, (morsel << 32) | i as u64, batch.row(i))?;
-            }
-            morsel += 1;
-        }
-        merge_spilled_sort(vec![buf], &self.keys, &self.schema, self.batch_size)
-    }
-}
-
-impl Operator for SortOp {
-    fn schema(&self) -> SchemaRef {
-        SchemaRef::clone(&self.schema)
-    }
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let batches = self.execute()?;
-            self.output = Some(batches.into_iter());
-        }
-        Ok(self
-            .output
-            .as_mut()
-            .map(|it| it.next())
-            .unwrap_or_default())
-    }
-}
-
 /// Heap entry for top-K (max-heap of the worst retained row). Key ties
 /// order by arrival sequence so later-arriving duplicates rank worse and
 /// the retained set matches a stable sort's prefix.
@@ -412,9 +338,11 @@ impl Ord for HeapRow {
     }
 }
 
-/// Bounded top-K accumulator: keeps the best `k` rows seen so far. The
-/// streaming [`TopKOp`] feeds one of these; the parallel executor keeps one
-/// per worker and merges candidate sets with [`sort_entries`].
+/// Bounded top-K accumulator: keeps the best `k` rows seen so far —
+/// O(n log k) instead of a full sort, the classic optimization for
+/// `ORDER BY ... LIMIT k` dashboards (the paper's real-time monitoring use
+/// cases). The pipeline executor keeps one per worker and merges candidate
+/// sets with [`sort_entries`].
 pub struct TopKAcc {
     heap: BinaryHeap<HeapRow>,
     k: usize,
@@ -463,89 +391,15 @@ impl TopKAcc {
     }
 }
 
-/// Top-K: keeps only the first `k` rows of the sort order, using a bounded
-/// heap — O(n log k) instead of a full sort, the classic optimization for
-/// `ORDER BY ... LIMIT k` dashboards (the paper's real-time monitoring
-/// use cases).
-pub struct TopKOp {
-    input: Option<BoxedOperator>,
-    keys: Vec<SortKey>,
-    k: usize,
-    schema: SchemaRef,
-    output: Option<std::vec::IntoIter<Batch>>,
-}
-
-impl TopKOp {
-    /// Builds a top-K over `input`.
-    pub fn new(input: BoxedOperator, keys: Vec<SortKey>, k: usize) -> Self {
-        let schema = input.schema();
-        TopKOp {
-            input: Some(input),
-            keys,
-            k,
-            schema,
-            output: None,
-        }
-    }
-
-    fn execute(&mut self) -> Result<Vec<Batch>> {
-        let mut input = self
-            .input
-            .take()
-            .ok_or_else(|| DbError::Execution("top-k input already consumed".into()))?;
-        let mut acc = TopKAcc::new(&self.keys, self.k);
-        if self.k == 0 {
-            return Ok(Vec::new());
-        }
-        let mut seq = 0u64;
-        while let Some(batch) = input.next()? {
-            let key_cols = self
-                .keys
-                .iter()
-                .map(|k| k.expr.eval_batch(&batch))
-                .collect::<Result<Vec<_>>>()?;
-            for i in 0..batch.len() {
-                let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
-                acc.push(key, seq, batch.row(i));
-                seq += 1;
-            }
-        }
-        let mut retained = acc.into_entries();
-        sort_entries(&mut retained, &self.keys);
-        let rows: Vec<Row> = retained.into_iter().map(|(_, _, r)| r).collect();
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(vec![Batch::from_rows(&self.schema, &rows)?])
-    }
-}
-
-impl Operator for TopKOp {
-    fn schema(&self) -> SchemaRef {
-        SchemaRef::clone(&self.schema)
-    }
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let batches = self.execute()?;
-            self.output = Some(batches.into_iter());
-        }
-        Ok(self
-            .output
-            .as_mut()
-            .map(|it| it.next())
-            .unwrap_or_default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{collect, MemorySource};
+    use crate::pipeline::tests::{ctx, ctx_with, rows_of};
     use oltap_common::row;
     use oltap_common::{DataType, Field, Schema, Value};
     use std::sync::Arc;
 
-    fn source(values: &[i64]) -> BoxedOperator {
+    fn source(values: &[i64]) -> (SchemaRef, Vec<Batch>) {
         let schema = Arc::new(Schema::new(vec![
             Field::new("v", DataType::Int64),
             Field::new("tag", DataType::Utf8),
@@ -558,13 +412,30 @@ mod tests {
             .chunks(7)
             .map(|c| Batch::from_rows(&schema, c).unwrap())
             .collect();
-        Box::new(MemorySource::new(schema, batches))
+        (schema, batches)
+    }
+
+    /// Sorts `values` through a one-worker pipeline's sort sink under `res`.
+    fn sort_with(values: &[i64], keys: Vec<SortKey>, res: ExecResources) -> Result<Vec<Batch>> {
+        let (schema, batches) = source(values);
+        ctx_with(1, res).run_sort(batches, Vec::new(), keys, schema)
+    }
+
+    fn sort(values: &[i64], keys: Vec<SortKey>) -> Vec<Batch> {
+        sort_with(values, keys, ExecResources::unlimited()).unwrap()
+    }
+
+    /// Top-`k` of `values` through a one-worker pipeline's top-K sink.
+    fn topk(values: &[i64], keys: Vec<SortKey>, k: usize) -> Vec<Batch> {
+        let (schema, batches) = source(values);
+        ctx(1)
+            .run_topk(batches, Vec::new(), keys, k, schema)
+            .unwrap()
     }
 
     fn first_col(batches: &[Batch]) -> Vec<i64> {
-        batches
+        rows_of(batches)
             .iter()
-            .flat_map(|b| b.to_rows())
             .map(|r| r[0].as_int().unwrap())
             .collect()
     }
@@ -572,12 +443,10 @@ mod tests {
     #[test]
     fn sort_ascending_descending() {
         let vals = [5i64, 3, 9, 1, 7, 3, 8, 2];
-        let op = SortOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))]);
-        let got = first_col(&collect(Box::new(op)).unwrap());
+        let got = first_col(&sort(&vals, vec![SortKey::asc(Expr::col(0))]));
         assert_eq!(got, vec![1, 2, 3, 3, 5, 7, 8, 9]);
 
-        let op = SortOp::new(source(&vals), vec![SortKey::desc(Expr::col(0))]);
-        let got = first_col(&collect(Box::new(op)).unwrap());
+        let got = first_col(&sort(&vals, vec![SortKey::desc(Expr::col(0))]));
         assert_eq!(got, vec![9, 8, 7, 5, 3, 3, 2, 1]);
     }
 
@@ -585,32 +454,27 @@ mod tests {
     fn multi_key_sort() {
         let vals = [5i64, 4, 3, 2, 1, 0];
         // tag asc (even < odd lexicographically), then v desc.
-        let op = SortOp::new(
-            source(&vals),
+        let got = first_col(&sort(
+            &vals,
             vec![SortKey::asc(Expr::col(1)), SortKey::desc(Expr::col(0))],
-        );
-        let got = first_col(&collect(Box::new(op)).unwrap());
+        ));
         assert_eq!(got, vec![4, 2, 0, 5, 3, 1]);
     }
 
     #[test]
     fn nulls_sort_first_ascending() {
         let schema = Arc::new(Schema::new(vec![Field::new("v", DataType::Int64)]));
-        let rows = vec![
-            row![2i64],
-            Row::new(vec![Value::Null]),
-            row![1i64],
-        ];
-        let src = Box::new(MemorySource::new(
-            Arc::clone(&schema),
-            vec![Batch::from_rows(&schema, &rows).unwrap()],
-        ));
-        let op = SortOp::new(src, vec![SortKey::asc(Expr::col(0))]);
-        let rows: Vec<Row> = collect(Box::new(op))
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .collect();
+        let rows = vec![row![2i64], Row::new(vec![Value::Null]), row![1i64]];
+        let batch = Batch::from_rows(&schema, &rows).unwrap();
+        let sorted = ctx(1)
+            .run_sort(
+                vec![batch],
+                Vec::new(),
+                vec![SortKey::asc(Expr::col(0))],
+                schema,
+            )
+            .unwrap();
+        let rows = rows_of(&sorted);
         assert_eq!(rows[0][0], Value::Null);
         assert_eq!(rows[1][0], Value::Int(1));
     }
@@ -618,13 +482,9 @@ mod tests {
     #[test]
     fn topk_matches_sort_prefix() {
         let vals: Vec<i64> = (0..200).map(|i| (i * 37) % 101).collect();
-        let sorted = {
-            let op = SortOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))]);
-            first_col(&collect(Box::new(op)).unwrap())
-        };
+        let sorted = first_col(&sort(&vals, vec![SortKey::asc(Expr::col(0))]));
         for k in [1usize, 5, 50, 200, 500] {
-            let op = TopKOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))], k);
-            let got = first_col(&collect(Box::new(op)).unwrap());
+            let got = first_col(&topk(&vals, vec![SortKey::asc(Expr::col(0))], k));
             assert_eq!(got, sorted[..k.min(sorted.len())].to_vec(), "k={k}");
         }
     }
@@ -632,33 +492,27 @@ mod tests {
     #[test]
     fn topk_descending() {
         let vals: Vec<i64> = (0..100).collect();
-        let op = TopKOp::new(source(&vals), vec![SortKey::desc(Expr::col(0))], 3);
-        let got = first_col(&collect(Box::new(op)).unwrap());
+        let got = first_col(&topk(&vals, vec![SortKey::desc(Expr::col(0))], 3));
         assert_eq!(got, vec![99, 98, 97]);
     }
 
     #[test]
     fn topk_zero_and_empty() {
-        let op = TopKOp::new(source(&[1, 2, 3]), vec![SortKey::asc(Expr::col(0))], 0);
-        assert!(collect(Box::new(op)).unwrap().is_empty());
-        let op = TopKOp::new(source(&[]), vec![SortKey::asc(Expr::col(0))], 5);
-        assert!(collect(Box::new(op)).unwrap().is_empty());
+        assert!(topk(&[1, 2, 3], vec![SortKey::asc(Expr::col(0))], 0).is_empty());
+        assert!(topk(&[], vec![SortKey::asc(Expr::col(0))], 5).is_empty());
     }
 
     #[test]
     fn merged_runs_match_serial_sort() {
         // Deal rows round-robin into 3 runs (tagging arrival order), sort
-        // each run, and merge: the result must equal the serial stable sort.
+        // each run, and merge: the result must equal the one-worker sort.
         let vals: Vec<i64> = (0..97).map(|i| (i * 31) % 13).collect();
         let keys = vec![SortKey::asc(Expr::col(0))];
-        let (schema, serial) = {
-            let op = SortOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))]);
-            (op.schema(), collect(Box::new(op)).unwrap())
-        };
+        let serial = sort(&vals, keys.clone());
+        let (schema, batches) = source(&vals);
         let mut runs: Vec<Vec<SortEntry>> = vec![Vec::new(); 3];
-        let mut src = source(&vals);
         let mut seq = 0u64;
-        while let Some(batch) = src.next().unwrap() {
+        for batch in &batches {
             for i in 0..batch.len() {
                 let row = batch.row(i);
                 let key = Row::new(vec![row[0].clone()]);
@@ -670,30 +524,35 @@ mod tests {
             sort_entries(run, &keys);
         }
         let merged = merge_sorted_runs(runs, &keys, &schema, 4096).unwrap();
-        let serial_rows: Vec<Row> = serial.iter().flat_map(|b| b.to_rows()).collect();
-        let merged_rows: Vec<Row> = merged.iter().flat_map(|b| b.to_rows()).collect();
-        assert_eq!(serial_rows, merged_rows);
+        assert_eq!(rows_of(&serial), rows_of(&merged));
     }
 
     #[test]
     fn topk_ties_keep_arrival_order() {
-        // All-equal keys: top-3 must be the first three rows by arrival.
+        // All-equal keys: top-3 must be the first three rows by arrival,
+        // across batch boundaries — the stable sort's prefix.
         let schema = Arc::new(Schema::new(vec![
             Field::new("k", DataType::Int64),
             Field::new("id", DataType::Int64),
         ]));
         let rows: Vec<Row> = (0..10i64).map(|i| row![7i64, i]).collect();
-        let src = Box::new(MemorySource::new(
-            Arc::clone(&schema),
-            vec![Batch::from_rows(&schema, &rows).unwrap()],
-        ));
-        let op = TopKOp::new(src, vec![SortKey::asc(Expr::col(0))], 3);
-        let got: Vec<Row> = collect(Box::new(op))
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
+        let batches = rows
+            .chunks(2)
+            .map(|c| Batch::from_rows(&schema, c).unwrap())
             .collect();
-        let ids: Vec<i64> = got.iter().map(|r| r[1].as_int().unwrap()).collect();
+        let got = ctx(1)
+            .run_topk(
+                batches,
+                Vec::new(),
+                vec![SortKey::asc(Expr::col(0))],
+                3,
+                schema,
+            )
+            .unwrap();
+        let ids: Vec<i64> = rows_of(&got)
+            .iter()
+            .map(|r| r[1].as_int().unwrap())
+            .collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -703,20 +562,19 @@ mod tests {
         use oltap_storage::spill::SpillDir;
 
         let vals: Vec<i64> = (0..3000).map(|i| (i * 131) % 257).collect();
-        let serial = {
-            let op = SortOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))]);
-            collect(Box::new(op)).unwrap()
-        };
+        let keys = vec![SortKey::asc(Expr::col(0))];
+        let serial = sort(&vals, keys.clone());
         let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
         let budget = gov.budget(WorkloadClass::Olap, 32 * 1024);
         let dir = Arc::new(SpillDir::create_temp().unwrap());
-        let op = SortOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))])
-            .with_resources(ExecResources::new(budget.clone(), Some(dir)));
-        let spilled = collect(Box::new(op)).unwrap();
+        let spilled =
+            sort_with(&vals, keys, ExecResources::new(budget.clone(), Some(dir))).unwrap();
         assert!(budget.spill_count() > 0, "tight budget must have spilled runs");
-        let serial_rows: Vec<Row> = serial.iter().flat_map(|b| b.to_rows()).collect();
-        let spilled_rows: Vec<Row> = spilled.iter().flat_map(|b| b.to_rows()).collect();
-        assert_eq!(serial_rows, spilled_rows, "spilling must not change the order");
+        assert_eq!(
+            rows_of(&serial),
+            rows_of(&spilled),
+            "spilling must not change the order"
+        );
     }
 
     #[test]
@@ -726,9 +584,12 @@ mod tests {
         let vals: Vec<i64> = (0..2000).collect();
         let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
         let budget = gov.budget(WorkloadClass::Olap, 1024);
-        let op = SortOp::new(source(&vals), vec![SortKey::asc(Expr::col(0))])
-            .with_resources(ExecResources::new(budget, None));
-        let err = collect(Box::new(op)).unwrap_err();
+        let err = sort_with(
+            &vals,
+            vec![SortKey::asc(Expr::col(0))],
+            ExecResources::new(budget, None),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, DbError::ResourceExhausted { .. }),
             "wrong error: {err:?}"
@@ -753,15 +614,14 @@ mod tests {
         use crate::expr::BinOp;
         let vals = [10i64, 25, 17, 2];
         // Sort by v % 10.
-        let op = SortOp::new(
-            source(&vals),
+        let got = first_col(&sort(
+            &vals,
             vec![SortKey::asc(Expr::binary(
                 BinOp::Mod,
                 Expr::col(0),
                 Expr::lit(10i64),
             ))],
-        );
-        let got = first_col(&collect(Box::new(op)).unwrap());
+        ));
         assert_eq!(got, vec![10, 2, 25, 17]);
     }
 }

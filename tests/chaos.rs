@@ -388,10 +388,10 @@ fn chaos_expired_deadline_terminates_promptly() {
 
 /// Scenario 8 — join-build faults: `exec.join_build_fail` kills
 /// partitioned-build morsels probabilistically; the pipeline driver
-/// retries each boundary transparently and the parallel join still
-/// matches the serial baseline. An `always()`-armed variant must exhaust
-/// the bounded retries and surface a clean `FaultInjected` error rather
-/// than hanging or corrupting the table.
+/// retries each boundary transparently — on the inline one-worker run
+/// and on the pool alike — and the results agree. An `always()`-armed
+/// variant must exhaust the bounded retries and surface a clean
+/// `FaultInjected` error rather than hanging or corrupting the table.
 #[test]
 fn chaos_join_build_faults_retry_then_give_up() {
     let seed = seed_for(8);
@@ -444,13 +444,69 @@ fn chaos_join_build_faults_retry_then_give_up() {
     // Permanent fault: the bounded retry must give up with a clean error.
     let faults = FaultInjector::new(seed ^ 1);
     faults.arm(points::EXEC_JOIN_BUILD_FAIL, FaultPoint::always());
-    let db = setup(faults);
+    let db = setup(Arc::clone(&faults));
     db.set_parallelism(4);
     let err = db.query(sql).unwrap_err();
     assert!(matches!(err, DbError::FaultInjected(_)), "{err}");
     // The engine survives: disarmed queries on the same database work.
+    faults.disarm(points::EXEC_JOIN_BUILD_FAIL);
     db.set_parallelism(1);
     assert!(!db.query(sql).unwrap().is_empty());
+}
+
+/// Scenario 8b — exec fault points are worker-count independent: the
+/// inline one-worker run probes `exec.morsel_fail` and
+/// `exec.join_build_fail` at the same boundaries as a four-worker run.
+/// Armed `always()`, both exhaust the bounded retries into a typed
+/// `FaultInjected`; armed `times(3)`, both retry transparently and return
+/// the unfaulted answer.
+#[test]
+fn chaos_exec_faults_fire_at_one_worker_as_at_four() {
+    let seed = seed_for(8) ^ 0xb;
+    let faults = FaultInjector::new(seed);
+    let db = Database::with_config(DbConfig {
+        wal_path: None,
+        faults: Some(Arc::clone(&faults)),
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.execute("CREATE TABLE fact (id BIGINT PRIMARY KEY, g BIGINT, v BIGINT) USING FORMAT COLUMN")
+        .unwrap();
+    db.execute("CREATE TABLE dim (g BIGINT PRIMARY KEY, w BIGINT) USING FORMAT ROW")
+        .unwrap();
+    let vals: Vec<String> = (0..400)
+        .map(|i| format!("({i}, {}, {})", i % 12, i % 7))
+        .collect();
+    db.execute(&format!("INSERT INTO fact VALUES {}", vals.join(", ")))
+        .unwrap();
+    let vals: Vec<String> = (0..12).map(|g| format!("({g}, {})", g * 10)).collect();
+    db.execute(&format!("INSERT INTO dim VALUES {}", vals.join(", ")))
+        .unwrap();
+    db.maintenance();
+    let sql = "SELECT fact.id, dim.w FROM fact JOIN dim ON fact.g = dim.g ORDER BY fact.id";
+    let want = db.query(sql).unwrap();
+    assert_eq!(want.len(), 400);
+
+    for point in [points::EXEC_MORSEL_FAIL, points::EXEC_JOIN_BUILD_FAIL] {
+        for workers in [1, 4] {
+            db.set_parallelism(workers);
+            faults.arm(point, FaultPoint::always());
+            let err = db.query(sql).unwrap_err();
+            assert!(
+                matches!(err, DbError::FaultInjected(_)),
+                "{point} workers={workers}: {err}"
+            );
+            let fired = faults.fired_count();
+            faults.arm(point, FaultPoint::times(3));
+            assert_eq!(
+                db.query(sql).unwrap(),
+                want,
+                "{point} workers={workers} (seed={seed:#x})"
+            );
+            assert_eq!(faults.fired_count(), fired + 3, "{point} workers={workers}");
+            faults.disarm(point);
+        }
+    }
 }
 
 /// A tiny memory configuration: per-query budgets small enough that the

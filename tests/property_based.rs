@@ -313,10 +313,9 @@ fn load_star_schema(db: &Arc<Database>, rng: &mut StdRng) -> Vec<String> {
     queries
 }
 
-/// The morsel-driven parallel executor is a drop-in replacement for the
-/// serial Volcano path: for random tables and every parallelized query
-/// shape, results at parallelism 2 and 8 are identical to parallelism 1 —
-/// same rows, same order.
+/// The pipeline executor's results do not depend on its worker count: for
+/// random tables and every query shape, results on 2 and 8 pool workers
+/// are identical to the inline one-worker run — same rows, same order.
 #[test]
 fn parallel_matches_serial_across_workers() {
     for case in 0..12u64 {
@@ -338,8 +337,8 @@ fn parallel_matches_serial_across_workers() {
 }
 
 /// Determinism survives chaos: with faults injected at morsel boundaries
-/// (each retried transparently by the pipeline driver), parallel results
-/// still match the serial baseline exactly.
+/// (each retried transparently by the pipeline driver — inline and on the
+/// pool alike), pooled results still match the one-worker run exactly.
 #[test]
 fn parallel_matches_serial_under_morsel_faults() {
     use oltapdb::common::fault::{points, FaultInjector, FaultPoint};
@@ -396,7 +395,7 @@ fn parallel_matches_serial_under_morsel_faults() {
 
 /// Join edge cases — NULL keys on both sides, duplicate build keys, an
 /// empty build side, and a fully-unmatched LEFT probe — produce identical
-/// results on the serial path and at every parallelism level. The INNER
+/// results inline and at every parallelism level. The INNER
 /// queries also exercise the sideways Bloom filter (the optimizer marks
 /// them), so this doubles as a semantics check for scan-side join
 /// filtering.
@@ -481,8 +480,8 @@ fn join_edge_cases_match_serial() {
 
 /// Determinism survives chaos at the join-build boundary: with
 /// `exec.join_build_fail` armed, partitioned-build morsels fail and are
-/// retried transparently, and parallel join results still match the
-/// serial baseline exactly.
+/// retried transparently at every worker count, and pooled join results
+/// still match the one-worker run exactly.
 #[test]
 fn parallel_matches_serial_under_join_build_faults() {
     use oltapdb::common::fault::{points, FaultInjector, FaultPoint};
@@ -553,8 +552,7 @@ fn parallel_matches_serial_under_join_build_faults() {
 /// Spilling is an execution strategy, not an answer-changing fallback: a
 /// memory-governed database whose per-query budget forces joins,
 /// aggregates, and sorts to disk answers every query byte-identically to
-/// an unbudgeted in-memory run — on the serial path and at every
-/// parallelism level.
+/// an unbudgeted in-memory run — inline and at every parallelism level.
 #[test]
 fn spilled_results_match_in_memory() {
     use oltapdb::core::{DbConfig, MemoryConfig};
