@@ -74,6 +74,20 @@ struct PoolInner {
     shed: AtomicU64,
 }
 
+impl PoolInner {
+    /// Changes a value the workers read before they wait, then wakes them.
+    /// The store happens under the queue lock: a worker holds that lock
+    /// from its read until it is waiting, so the wake-up cannot fall
+    /// between the two and be lost.
+    fn store_then_wake(&self, store: impl FnOnce()) {
+        {
+            let _queues = self.queues.lock();
+            store();
+        }
+        self.cv.notify_all();
+    }
+}
+
 /// A fixed-size worker pool with class-aware dispatch.
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
@@ -113,8 +127,8 @@ impl WorkerPool {
     /// Adjusts the OLAP admission limit at runtime (the workload manager's
     /// throttle knob).
     pub fn set_olap_limit(&self, limit: usize) {
-        self.inner.olap_limit.store(limit as u64, Ordering::SeqCst);
-        self.inner.cv.notify_all();
+        self.inner
+            .store_then_wake(|| self.inner.olap_limit.store(limit as u64, Ordering::SeqCst));
     }
 
     /// The current OLAP admission limit.
@@ -214,8 +228,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.cv.notify_all();
+        self.inner.store_then_wake(|| self.inner.stop.store(true, Ordering::SeqCst));
         for h in self.workers.drain(..) {
             let _ = h.join();
         }

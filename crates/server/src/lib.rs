@@ -1,18 +1,17 @@
 //! # oltap-server
 //!
 //! The network front end for oltapdb: a length-prefixed, CRC-checked
-//! framed wire protocol ([`wire`]) served over TCP by a multi-threaded
-//! server ([`server`]) that extends the engine's robustness guarantees
-//! to the edge:
+//! framed wire protocol ([`wire`]) served over TCP by a
+//! thread-per-connection server ([`server`]) that extends the engine's
+//! robustness guarantees to the edge:
 //!
 //! * per-connection sessions wired into admission control and the
 //!   memory governor, so OLTP priority and memory discipline survive at
 //!   the network boundary;
-//! * bounded response queues with slow-client backpressure — a client
-//!   that stops reading blocks the producer and eventually has its
-//!   query cancelled, never an unbounded buffer;
-//! * read/write deadlines and idle timeouts that cancel in-flight work
-//!   through the engine's cooperative cancellation tokens;
+//! * slow-client backpressure by the blocking socket write itself — a
+//!   connection holds one encoded frame at a time, and a client that
+//!   stops reading past the write deadline is cut, never buffered for;
+//! * read, write and idle deadlines on every socket wait;
 //! * overload shedding with typed [`oltap_common::DbError::Unavailable`]
 //!   responses carrying retry-after hints;
 //! * `net.*` fault injection points for chaos tests (torn frames,

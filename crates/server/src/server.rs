@@ -3,27 +3,27 @@
 //!
 //! ## Threading model
 //!
-//! One accept thread polls a nonblocking listener (so a drain can stop it
-//! promptly). Each connection gets a **reader** thread — owns the
-//! [`oltap_core::Session`], parses request frames, executes statements —
-//! and a **writer** thread draining a bounded [`ResponseQueue`]. The
-//! split is what makes slow-client backpressure observable: the reader
-//! (producer) blocks when the queue is full instead of buffering
-//! unboundedly, and a client that stops reading eventually trips the
-//! connection's cancel token, which cancels the in-flight query at its
-//! next batch boundary through the engine's cooperative cancellation.
+//! One accept thread blocks in `accept()`. Each connection gets **one**
+//! thread that owns the socket and the [`oltap_core::Session`] and blocks
+//! on the socket: in `peek` under the idle deadline for the next request,
+//! in `read_frame` under the read deadline for the rest of it, and, once
+//! the statement has run, in `write` under the write deadline for each
+//! response frame in turn. Nothing polls.
+//!
+//! The blocking write *is* the slow-client backpressure. A statement's
+//! result is fully materialized by the session before its first frame
+//! is encoded, so the connection holds the result plus one encoded frame
+//! and nothing else; a client that stops reading stalls the write, and
+//! past the write deadline the connection is cut. There is no response
+//! queue, so the edge claims nothing from the
+//! [`oltap_common::mem::MemoryGovernor`]: there is nothing to govern.
 //!
 //! ## Edge robustness
 //!
 //! * Every statement runs under a per-query token parented to the
 //!   connection token ([`oltap_common::CancellationToken::child`]), so
-//!   peer loss, write stalls, idle deadlines, and drain all cancel
-//!   in-flight work the same way.
-//! * Response bytes queued for a connection are claimed from the
-//!   [`MemoryGovernor`] (OLAP class — large result sets are analytic);
-//!   when the governor says no, the result is replaced by a typed
-//!   [`DbError::ResourceExhausted`] instead of buffering past the limit.
-//! * Overload (connection cap, draining) answers with
+//!   a drain cancels in-flight work the same way a deadline does.
+//! * Overload (connection cap, thread limit, draining) answers with
 //!   [`DbError::Unavailable`] carrying a retry-after hint derived from
 //!   the admission queue depth; the client's backoff honors it as a
 //!   floor.
@@ -32,28 +32,26 @@
 //!   [`points::NET_CONN_DROP_MID_QUERY`]) inject edge failures
 //!   deterministically for chaos tests.
 //! * [`Server::drain`] stops accepting, cancels analytic work
-//!   immediately, gives transactional work a grace period, then cancels
-//!   and force-closes stragglers — always bounded.
+//!   immediately, and wakes every connection that is waiting for a
+//!   request with `shutdown(Read)`; transactional work gets a grace
+//!   period to finish its statement, then stragglers are cancelled and
+//!   force-closed. Every wait is on a condition variable signalled as
+//!   connections leave, and every wait is bounded.
 
 use crate::wire::{
     frame_bytes, read_frame, DoneKind, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::mem::{MemoryBudget, WorkloadClass};
+use oltap_common::mem::WorkloadClass;
 use oltap_common::{CancellationToken, DbError, Result};
-use oltap_core::{Database, QueryResult, SessionActivity};
+use oltap_core::{Database, QueryResult, Session, SessionActivity};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Tick used by all polling waits (accept loop, idle peek, queue waits):
-/// short enough that drains and cancellation propagate promptly, long
-/// enough not to burn CPU.
-const POLL_TICK: Duration = Duration::from_millis(10);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -66,19 +64,13 @@ pub struct ServerConfig {
     /// Deadline for reading one frame once its first byte arrived. A
     /// peer that stalls mid-frame is cut off (torn frame).
     pub read_timeout: Duration,
-    /// Deadline for writing one frame. A peer that stops reading long
-    /// enough to stall the writer past this gets disconnected and its
-    /// in-flight query cancelled.
+    /// Deadline for a blocked response write to make progress. A peer
+    /// that stops reading for this long is disconnected.
     pub write_timeout: Duration,
     /// Connections idle longer than this are closed.
     pub idle_timeout: Duration,
     /// Per-statement timeout applied to every session (`None` = none).
     pub query_timeout: Option<Duration>,
-    /// Response-queue capacity in frames (per connection).
-    pub queue_frames: usize,
-    /// Response-queue capacity in bytes (per connection); also the size
-    /// of the per-connection governor claim for queued responses.
-    pub queue_bytes: usize,
     /// Rows per `Rows` frame when streaming a result set.
     pub rows_per_frame: usize,
     /// Grace period [`Server::drain`] gives transactional (OLTP) work
@@ -95,8 +87,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(300),
             query_timeout: None,
-            queue_frames: 32,
-            queue_bytes: 4 * 1024 * 1024,
             rows_per_frame: 512,
             drain_grace: Duration::from_secs(2),
         }
@@ -113,9 +103,7 @@ struct Counters {
     torn_requests: AtomicU64,
     partial_writes: AtomicU64,
     dropped_mid_query: AtomicU64,
-    shed_responses: AtomicU64,
     slow_client_disconnects: AtomicU64,
-    active: AtomicUsize,
 }
 
 /// A point-in-time snapshot of [`Server`] counters.
@@ -123,7 +111,7 @@ struct Counters {
 pub struct ServerStats {
     /// Connections accepted (past the fault/cap/drain gate).
     pub accepted: u64,
-    /// Connections refused (cap, drain, or `net.accept_fail`).
+    /// Connections refused (cap, thread limit, or `net.accept_fail`).
     pub refused: u64,
     /// Query requests received.
     pub queries: u64,
@@ -135,9 +123,8 @@ pub struct ServerStats {
     pub partial_writes: u64,
     /// Connections dropped by `net.conn_drop_mid_query`.
     pub dropped_mid_query: u64,
-    /// Result streams replaced by `ResourceExhausted` (governor refusal).
-    pub shed_responses: u64,
-    /// Connections cut because the client stalled the writer.
+    /// Connections cut because a response write failed or stalled past
+    /// the write deadline.
     pub slow_client_disconnects: u64,
     /// Currently live connections.
     pub active: usize,
@@ -158,108 +145,6 @@ pub struct DrainReport {
     pub duration: Duration,
 }
 
-// ---------------------------------------------------------------- queue
-
-enum Pop {
-    Frame(Vec<u8>, u64),
-    Timeout,
-    Closed,
-}
-
-struct QueueInner {
-    frames: VecDeque<(Vec<u8>, u64)>,
-    bytes: usize,
-    closed: bool,
-}
-
-/// Bounded per-connection response queue. `push` blocks while the queue
-/// is full (slow-client backpressure on the producer); `pop` is the
-/// writer's side. Closing wakes both ends.
-struct ResponseQueue {
-    inner: Mutex<QueueInner>,
-    changed: Condvar,
-    cap_frames: usize,
-    cap_bytes: usize,
-}
-
-impl ResponseQueue {
-    fn new(cap_frames: usize, cap_bytes: usize) -> Arc<ResponseQueue> {
-        Arc::new(ResponseQueue {
-            inner: Mutex::new(QueueInner {
-                frames: VecDeque::new(),
-                bytes: 0,
-                closed: false,
-            }),
-            changed: Condvar::new(),
-            cap_frames: cap_frames.max(1),
-            cap_bytes: cap_bytes.max(1),
-        })
-    }
-
-    /// Enqueues one encoded frame (`reserved` governor bytes ride along
-    /// and are released when the writer dequeues it). Blocks while full;
-    /// gives up with [`DbError::DeadlineExceeded`] after `stall`, and
-    /// with the token's error if the connection is cancelled mid-wait.
-    fn push(
-        &self,
-        frame: Vec<u8>,
-        reserved: u64,
-        cancel: &CancellationToken,
-        stall: Duration,
-    ) -> Result<()> {
-        let deadline = Instant::now() + stall;
-        let mut g = self.inner.lock();
-        loop {
-            if g.closed {
-                return Err(DbError::Io("connection closed".into()));
-            }
-            cancel.check()?;
-            let fits = g.frames.len() < self.cap_frames
-                && (g.bytes == 0 || g.bytes + frame.len() <= self.cap_bytes);
-            if fits {
-                g.bytes += frame.len();
-                g.frames.push_back((frame, reserved));
-                self.changed.notify_all();
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(DbError::DeadlineExceeded(
-                    "slow client: response queue full past the write deadline".into(),
-                ));
-            }
-            self.changed.wait_for(&mut g, POLL_TICK);
-        }
-    }
-
-    fn pop(&self, wait: Duration) -> Pop {
-        let mut g = self.inner.lock();
-        if g.frames.is_empty() {
-            if g.closed {
-                return Pop::Closed;
-            }
-            self.changed.wait_for(&mut g, wait);
-        }
-        match g.frames.pop_front() {
-            Some((f, reserved)) => {
-                g.bytes -= f.len();
-                self.changed.notify_all();
-                Pop::Frame(f, reserved)
-            }
-            None if g.closed => Pop::Closed,
-            None => Pop::Timeout,
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.changed.notify_all();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.lock().frames.is_empty()
-    }
-}
-
 // ------------------------------------------------------------- registry
 
 /// What the server keeps about a live connection for drain decisions.
@@ -274,7 +159,12 @@ struct Shared {
     cfg: ServerConfig,
     faults: Arc<FaultInjector>,
     draining: AtomicBool,
+    /// Live connections. The accept thread inserts an entry before it
+    /// spawns the connection's thread, so once that thread is joined a
+    /// drain sees every connection there is.
     conns: Mutex<HashMap<u64, ConnEntry>>,
+    /// Signalled (with `conns`) each time a connection leaves.
+    conn_left: Condvar,
     reapable: Mutex<Vec<std::thread::JoinHandle<()>>>,
     next_conn: AtomicU64,
     counters: Counters,
@@ -290,6 +180,29 @@ impl Shared {
             None => 25,
         }
     }
+
+    fn unavailable(&self, reason: &str) -> Response {
+        let retry_after_ms = self.retry_hint_ms();
+        Response::Error {
+            error: DbError::Unavailable {
+                reason: reason.into(),
+                retry_after_ms,
+            },
+            retry_after_ms,
+        }
+    }
+
+    /// Blocks until every connection has left or `deadline` passes.
+    fn wait_conns_gone(&self, deadline: Instant) {
+        let mut conns = self.conns.lock();
+        while !conns.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            self.conn_left.wait_for(&mut conns, left);
+        }
+    }
 }
 
 /// The network front end. Binds on [`Server::start`], serves until
@@ -298,14 +211,12 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Mutex<Option<std::thread::JoinHandle<()>>>,
-    drained: AtomicBool,
 }
 
 impl Server {
     /// Binds `cfg.addr` and starts accepting connections against `db`.
     pub fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             faults: Arc::clone(db.faults()),
@@ -313,6 +224,7 @@ impl Server {
             cfg,
             draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
+            conn_left: Condvar::new(),
             reapable: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(1),
             counters: Counters::default(),
@@ -320,13 +232,11 @@ impl Server {
         let s2 = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("oltap-accept".into())
-            .spawn(move || accept_loop(listener, s2))
-            .expect("spawn accept loop");
+            .spawn(move || accept_loop(listener, s2))?;
         Ok(Server {
             shared,
             addr,
             accept: Mutex::new(Some(accept)),
-            drained: AtomicBool::new(false),
         })
     }
 
@@ -346,15 +256,14 @@ impl Server {
             torn_requests: c.torn_requests.load(Ordering::Relaxed),
             partial_writes: c.partial_writes.load(Ordering::Relaxed),
             dropped_mid_query: c.dropped_mid_query.load(Ordering::Relaxed),
-            shed_responses: c.shed_responses.load(Ordering::Relaxed),
             slow_client_disconnects: c.slow_client_disconnects.load(Ordering::Relaxed),
-            active: c.active.load(Ordering::Relaxed),
+            active: self.active_connections(),
         }
     }
 
     /// Live connection count.
     pub fn active_connections(&self) -> usize {
-        self.shared.counters.active.load(Ordering::Relaxed)
+        self.shared.conns.lock().len()
     }
 
     /// Graceful, bounded shutdown: stop accepting, cancel analytic work
@@ -363,13 +272,10 @@ impl Server {
     pub fn drain(&self) -> DrainReport {
         let start = Instant::now();
         let mut report = DrainReport::default();
-        if self.drained.swap(true, Ordering::SeqCst) {
+        if self.shared.draining.swap(true, Ordering::SeqCst) {
             return report;
         }
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.lock().take() {
-            let _ = h.join();
-        }
+        self.stop_accepting();
         {
             let conns = self.shared.conns.lock();
             report.conns_at_start = conns.len();
@@ -378,14 +284,16 @@ impl Server {
                     entry.cancel.cancel();
                     report.cancelled_olap += 1;
                 }
+                // Wake the connection if it is blocked waiting for a
+                // request: its read returns EOF, it sees the flag, says
+                // so on its still-open write half, and leaves. One that
+                // is mid-statement finishes and answers first.
+                let _ = entry.stream.shutdown(Shutdown::Read);
             }
         }
-        // Grace: transactional work finishes; idle readers notice the
-        // drain flag on their next poll tick and leave.
-        let grace_end = start + self.shared.cfg.drain_grace;
-        while !self.shared.conns.lock().is_empty() && Instant::now() < grace_end {
-            std::thread::sleep(POLL_TICK);
-        }
+        // Grace: transactional work finishes.
+        self.shared
+            .wait_conns_gone(start + self.shared.cfg.drain_grace);
         // Cutoff: cancel whatever is still running.
         {
             let conns = self.shared.conns.lock();
@@ -394,10 +302,8 @@ impl Server {
                 entry.cancel.cancel();
             }
         }
-        let cancel_end = Instant::now() + Duration::from_secs(5);
-        while !self.shared.conns.lock().is_empty() && Instant::now() < cancel_end {
-            std::thread::sleep(POLL_TICK);
-        }
+        self.shared
+            .wait_conns_gone(Instant::now() + Duration::from_secs(5));
         // Last resort: sever the sockets of anything still alive.
         {
             let conns = self.shared.conns.lock();
@@ -406,15 +312,35 @@ impl Server {
                 let _ = entry.stream.shutdown(Shutdown::Both);
             }
         }
-        let force_end = Instant::now() + Duration::from_secs(2);
-        while !self.shared.conns.lock().is_empty() && Instant::now() < force_end {
-            std::thread::sleep(POLL_TICK);
-        }
+        self.shared
+            .wait_conns_gone(Instant::now() + Duration::from_secs(2));
         for h in self.shared.reapable.lock().drain(..) {
             let _ = h.join();
         }
         report.duration = start.elapsed();
         report
+    }
+
+    /// Wakes the accept thread, which blocks in `accept()`, with a
+    /// loopback connection to the listener; it sees the drain flag and
+    /// exits, dropping the listener.
+    fn stop_accepting(&self) {
+        let Some(accept) = self.accept.lock().take() else {
+            return;
+        };
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // If the wake-up cannot connect the thread stays parked in
+        // `accept()` and exits on the next connection instead; joining
+        // it here would make the drain unbounded.
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = accept.join();
+        }
     }
 }
 
@@ -428,20 +354,25 @@ impl Drop for Server {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::SeqCst) {
+            // `drain`'s wake-up connection, or a client that raced it.
+            if let Ok((stream, _)) = accepted {
+                refuse(stream, &shared, "draining");
+            }
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => handle_accept(stream, &shared),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(POLL_TICK);
+            // Transient accept errors (EMFILE, ECONNABORTED): the
+            // listener itself is still healthy. Descriptors come back
+            // when a connection leaves, so wait for that, not spin.
+            Err(_) => {
+                let mut conns = shared.conns.lock();
+                shared
+                    .conn_left
+                    .wait_for(&mut conns, Duration::from_millis(100));
             }
-            // Transient accept errors (EMFILE, ECONNABORTED): keep
-            // serving; the listener itself is still healthy.
-            Err(_) => std::thread::sleep(POLL_TICK),
         }
     }
 }
@@ -455,240 +386,245 @@ fn handle_accept(stream: TcpStream, shared: &Arc<Shared>) {
         drop(stream);
         return;
     }
-    if shared.draining.load(Ordering::SeqCst) {
-        c.refused.fetch_add(1, Ordering::Relaxed);
-        refuse(stream, shared, "draining");
-        return;
-    }
-    if c.active.load(Ordering::Relaxed) >= shared.cfg.max_conns {
+    let cancel = CancellationToken::new();
+    let mut session = shared.db.session();
+    session.set_session_cancel(Some(cancel.clone()));
+    session.set_query_timeout(shared.cfg.query_timeout);
+    let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+    // Register before the thread exists. The registry's handle on the
+    // socket is a second descriptor, so running out of those is the
+    // connection limit too.
+    let admitted = stream.try_clone().is_ok_and(|registered| {
+        let mut conns = shared.conns.lock();
+        let room = conns.len() < shared.cfg.max_conns;
+        if room {
+            let entry = ConnEntry {
+                cancel: cancel.clone(),
+                activity: session.activity(),
+                stream: registered,
+            };
+            conns.insert(id, entry);
+        }
+        room
+    });
+    if !admitted {
         c.refused.fetch_add(1, Ordering::Relaxed);
         refuse(stream, shared, "connection limit");
         return;
     }
-    c.accepted.fetch_add(1, Ordering::Relaxed);
-    c.active.fetch_add(1, Ordering::Relaxed);
-    let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let s2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name(format!("oltap-conn-{id}"))
         .spawn(move || {
-            serve_connection(id, stream, &s2);
+            serve_connection(stream, session, &cancel, &s2);
             s2.conns.lock().remove(&id);
-            s2.counters.active.fetch_sub(1, Ordering::Relaxed);
-        })
-        .expect("spawn connection thread");
-    shared.reapable.lock().push(handle);
+            s2.conn_left.notify_all();
+        });
+    match spawned {
+        Ok(handle) => {
+            c.accepted.fetch_add(1, Ordering::Relaxed);
+            let mut reapable = shared.reapable.lock();
+            reapable.retain(|h| !h.is_finished());
+            reapable.push(handle);
+        }
+        // The thread limit (EAGAIN) is overload like the connection cap.
+        // The failed spawn dropped the closure and the stream in it; the
+        // registry's clone is the same socket.
+        Err(_) => {
+            c.refused.fetch_add(1, Ordering::Relaxed);
+            if let Some(entry) = shared.conns.lock().remove(&id) {
+                refuse(entry.stream, shared, "thread limit");
+            }
+        }
+    }
 }
 
 /// Best-effort typed refusal (the peer may already be gone).
 fn refuse(mut stream: TcpStream, shared: &Shared, reason: &str) {
-    let retry = shared.retry_hint_ms();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     // Absorb the Hello so the refusal frame is read in sequence.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = read_frame(&mut stream);
-    let payload = Response::Error {
-        error: DbError::Unavailable {
-            reason: reason.into(),
-            retry_after_ms: retry,
-        },
-        retry_after_ms: retry,
-    }
-    .encode();
-    let _ = stream.write_all(&frame_bytes(&payload));
+    let _ = write_response(&mut stream, &shared.unavailable(reason));
     let _ = stream.shutdown(Shutdown::Both);
 }
 
 // ----------------------------------------------------------- connection
 
-fn serve_connection(id: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    // Handshake first, synchronously: no session or threads exist yet.
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    match read_frame(&mut stream) {
+/// Writes one response as one frame in one `write`.
+fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+    let payload = resp.encode();
+    debug_assert!(payload.len() <= MAX_FRAME);
+    stream.write_all(&frame_bytes(&payload))
+}
+
+/// One connection's socket, as its thread uses it after the handshake.
+struct Conn<'a> {
+    stream: TcpStream,
+    shared: &'a Shared,
+}
+
+impl Conn<'_> {
+    /// Sends one response frame, blocking until the peer's socket takes
+    /// it. `Err` is connection-fatal: the peer is gone, or has not read
+    /// for `write_timeout`.
+    fn send(&mut self, resp: Response) -> Result<()> {
+        let c = &self.shared.counters;
+        // Injected partial write: half the frame goes out, then the
+        // socket dies — the client must detect the torn frame via
+        // CRC/length.
+        if self.shared.faults.should_fire(points::NET_WRITE_PARTIAL) {
+            c.partial_writes.fetch_add(1, Ordering::Relaxed);
+            let frame = frame_bytes(&resp.encode());
+            let _ = self.stream.write_all(&frame[..(frame.len() / 2).max(1)]);
+            return Err(DbError::Io("injected partial write".into()));
+        }
+        write_response(&mut self.stream, &resp).map_err(|e| {
+            c.slow_client_disconnects.fetch_add(1, Ordering::Relaxed);
+            e.into()
+        })
+    }
+
+    fn send_error(&mut self, error: DbError, retry_after_ms: u64) -> Result<()> {
+        self.send(Response::Error {
+            error,
+            retry_after_ms,
+        })
+    }
+
+    /// Blocks for the next request: under `idle_timeout` for its first
+    /// byte, then under `read_timeout` for the rest of the frame (a peer
+    /// stalling mid-frame is a torn frame). `Ok(None)` is every way a
+    /// connection ends without one: EOF (the peer's close, or `drain`'s
+    /// `shutdown(Read)`), the idle deadline, a torn frame, a transport
+    /// error. `Err` is a frame that arrived whole and does not decode.
+    fn next_request(&mut self) -> Result<Option<Request>> {
+        let cfg = &self.shared.cfg;
+        let _ = self.stream.set_read_timeout(Some(cfg.idle_timeout));
+        if !matches!(self.stream.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
+            return Ok(None);
+        }
+        let _ = self.stream.set_read_timeout(Some(cfg.read_timeout));
+        match read_frame(&mut self.stream) {
+            Ok(Some(payload)) => Request::decode(&payload).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// Streams one statement result to the socket, a frame at a time.
+    /// Returns `Err` only for connection-fatal conditions (write failed
+    /// or stalled, connection cancelled); statement errors are sent to
+    /// the client and are `Ok`.
+    fn send_result(
+        &mut self,
+        result: Result<QueryResult>,
+        cancel: &CancellationToken,
+    ) -> Result<()> {
+        let done = |kind, count, note| Response::Done { kind, count, note };
+        match result {
+            Ok(QueryResult::Rows { schema, rows }) => {
+                let total = rows.len() as u64;
+                self.send(Response::Schema {
+                    fields: schema.fields().to_vec(),
+                })?;
+                let per_frame = self.shared.cfg.rows_per_frame.max(1);
+                let mut rows = rows.into_iter();
+                loop {
+                    let chunk: Vec<_> = rows.by_ref().take(per_frame).collect();
+                    if chunk.is_empty() {
+                        break;
+                    }
+                    self.send(Response::Rows { rows: chunk })?;
+                }
+                self.send(done(DoneKind::RowsEnd, total, String::new()))
+            }
+            Ok(QueryResult::Affected(n)) => {
+                self.send(done(DoneKind::Affected, n as u64, String::new()))
+            }
+            Ok(QueryResult::Ddl) => self.send(done(DoneKind::Ddl, 0, String::new())),
+            Ok(QueryResult::Txn(kind)) => self.send(done(DoneKind::Txn, 0, kind.to_string())),
+            Err(e) => {
+                self.shared
+                    .counters
+                    .statement_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                // A tripped *connection* (not per-query deadline) is fatal.
+                if cancel.is_cancelled() {
+                    return Err(e);
+                }
+                let retry = match &e {
+                    DbError::Unavailable { retry_after_ms, .. } => *retry_after_ms,
+                    DbError::ResourceExhausted { .. } | DbError::DeadlineExceeded(_) => {
+                        self.shared.retry_hint_ms()
+                    }
+                    _ => 0,
+                };
+                self.send_error(e, retry)
+            }
+        }
+    }
+}
+
+/// Handshake, synchronously and outside the fault points. `false` closes
+/// the connection.
+fn handshake(stream: &mut TcpStream) -> bool {
+    let refusal = match read_frame(stream) {
         Ok(Some(payload)) => match Request::decode(&payload) {
             Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
                 let ack = Response::HelloAck {
                     version: PROTOCOL_VERSION,
-                }
-                .encode();
-                if stream.write_all(&frame_bytes(&ack)).is_err() {
-                    return;
-                }
+                };
+                return write_response(stream, &ack).is_ok();
             }
-            Ok(Request::Hello { version }) => {
-                let payload = Response::Error {
-                    error: DbError::Unsupported(format!(
-                        "protocol version {version} (server speaks {PROTOCOL_VERSION})"
-                    )),
-                    retry_after_ms: 0,
-                }
-                .encode();
-                let _ = stream.write_all(&frame_bytes(&payload));
-                return;
-            }
-            _ => {
-                let payload = Response::Error {
-                    error: DbError::InvalidArgument(
-                        "first message must be Hello".into(),
-                    ),
-                    retry_after_ms: 0,
-                }
-                .encode();
-                let _ = stream.write_all(&frame_bytes(&payload));
-                return;
-            }
+            Ok(Request::Hello { version }) => DbError::Unsupported(format!(
+                "protocol version {version} (server speaks {PROTOCOL_VERSION})"
+            )),
+            _ => DbError::InvalidArgument("first message must be Hello".into()),
         },
-        _ => return, // dead or garbled before the handshake
-    }
-
-    let cancel = CancellationToken::new();
-    let mut session = shared.db.session();
-    session.set_session_cancel(Some(cancel.clone()));
-    session.set_query_timeout(shared.cfg.query_timeout);
-    let activity = session.activity();
-    let queue = ResponseQueue::new(shared.cfg.queue_frames, shared.cfg.queue_bytes);
-    // Governor claim for queued response bytes (OLAP class: large result
-    // sets are analytic; control frames are exempt). `None` (ungoverned
-    // database) means the queue caps alone bound the buffering.
-    let budget: Option<MemoryBudget> = shared
-        .db
-        .memory_governor()
-        .map(|g| g.budget(WorkloadClass::Olap, shared.cfg.queue_bytes as u64));
-
-    let Ok(wstream) = stream.try_clone() else {
-        return;
+        _ => return false, // dead or garbled before the handshake
     };
-    shared.conns.lock().insert(
-        id,
-        ConnEntry {
-            cancel: cancel.clone(),
-            activity,
-            stream: match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            },
+    let _ = write_response(
+        stream,
+        &Response::Error {
+            error: refusal,
+            retry_after_ms: 0,
         },
     );
-
-    let writer = {
-        let queue = Arc::clone(&queue);
-        let cancel = cancel.clone();
-        let shared = Arc::clone(shared);
-        let budget = budget.clone();
-        std::thread::Builder::new()
-            .name(format!("oltap-conn-{id}-w"))
-            .spawn(move || writer_loop(wstream, queue, budget, cancel, shared))
-            .expect("spawn connection writer")
-    };
-
-    reader_loop(&mut stream, &mut session, &queue, &budget, &cancel, shared);
-
-    // Cleanup: the session drop aborts any open transaction (releasing
-    // its locks and versions); closing the queue stops the writer.
-    drop(session);
-    queue.close();
-    let _ = writer.join();
-    let _ = stream.shutdown(Shutdown::Both);
+    false
 }
 
-fn reader_loop(
-    stream: &mut TcpStream,
-    session: &mut oltap_core::Session,
-    queue: &Arc<ResponseQueue>,
-    budget: &Option<MemoryBudget>,
+/// The connection's thread: owns the socket and the session, and blocks
+/// on the socket. Returning drops the session, which aborts any open
+/// transaction (releasing its locks and versions), and then the socket;
+/// the connection closes when the caller drops the registry's handle too.
+fn serve_connection(
+    mut stream: TcpStream,
+    mut session: Session,
     cancel: &CancellationToken,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) {
     let cfg = &shared.cfg;
     let c = &shared.counters;
-    let mut last_active = Instant::now();
-    loop {
-        if cancel.is_cancelled() {
-            return;
-        }
-        if shared.draining.load(Ordering::SeqCst) {
-            let retry = shared.retry_hint_ms();
-            let _ = send_control(
-                queue,
-                cancel,
-                cfg,
-                Response::Error {
-                    error: DbError::Unavailable {
-                        reason: "draining".into(),
-                        retry_after_ms: retry,
-                    },
-                    retry_after_ms: retry,
-                },
-            );
-            // Give the writer a moment to flush the notice.
-            let flush_end = Instant::now() + Duration::from_millis(250);
-            while !queue.is_empty() && Instant::now() < flush_end {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            return;
-        }
-        // Idle poll: peek one byte with a short timeout so the loop can
-        // observe drain/cancel/idle deadlines between requests.
-        let _ = stream.set_read_timeout(Some(POLL_TICK));
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return, // orderly EOF
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_active.elapsed() >= cfg.idle_timeout {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        // Bytes are on the wire: read the whole frame under the real
-        // deadline (a peer stalling mid-frame is a torn frame).
-        let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-        let request = match read_frame(stream) {
-            Ok(Some(payload)) => match Request::decode(&payload) {
-                Ok(r) => r,
-                Err(e) => {
-                    let _ = send_control(
-                        queue,
-                        cancel,
-                        cfg,
-                        Response::Error {
-                            error: e,
-                            retry_after_ms: 0,
-                        },
-                    );
-                    return; // desynchronized stream: close
-                }
-            },
-            Ok(None) => return,
-            Err(_) => return, // torn frame or transport error
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
+    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+    if !handshake(&mut stream) {
+        return;
+    }
+    let mut conn = Conn { stream, shared };
+    while !cancel.is_cancelled() {
+        let request = if shared.draining.load(Ordering::SeqCst) {
+            Ok(None)
+        } else {
+            conn.next_request()
         };
-        last_active = Instant::now();
-        match request {
-            Request::Close => return,
-            Request::Hello { .. } => {
-                if send_control(
-                    queue,
-                    cancel,
-                    cfg,
-                    Response::Error {
-                        error: DbError::InvalidArgument(
-                            "duplicate Hello after handshake".into(),
-                        ),
-                        retry_after_ms: 0,
-                    },
-                )
-                .is_err()
-                {
-                    return;
-                }
-            }
-            Request::Query { sql } => {
+        let sent = match request {
+            Ok(Some(Request::Close)) => break,
+            Ok(Some(Request::Hello { .. })) => conn.send_error(
+                DbError::InvalidArgument("duplicate Hello after handshake".into()),
+                0,
+            ),
+            Ok(Some(Request::Query { sql })) => {
                 c.queries.fetch_add(1, Ordering::Relaxed);
                 // Injected edge faults, in request order: a torn request
                 // is reported then the connection closes; a dropped
@@ -697,253 +633,72 @@ fn reader_loop(
                 // roll back any open transaction).
                 if shared.faults.should_fire(points::NET_READ_TORN) {
                     c.torn_requests.fetch_add(1, Ordering::Relaxed);
-                    let _ = send_control(
-                        queue,
-                        cancel,
-                        cfg,
-                        Response::Error {
-                            error: DbError::Corruption(
-                                "torn request frame".into(),
-                            ),
-                            retry_after_ms: 0,
-                        },
-                    );
-                    let flush_end = Instant::now() + Duration::from_millis(250);
-                    while !queue.is_empty() && Instant::now() < flush_end {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    return;
+                    let _ = conn.send_error(DbError::Corruption("torn request frame".into()), 0);
+                    break;
                 }
-                if shared
-                    .faults
-                    .should_fire(points::NET_CONN_DROP_MID_QUERY)
-                {
+                if shared.faults.should_fire(points::NET_CONN_DROP_MID_QUERY) {
                     c.dropped_mid_query.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-                if stream_result(session.execute(&sql), queue, budget, cancel, shared)
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Sends one small control frame (ack/done/error): exempt from the
-/// governor claim so refusals and completions are always deliverable.
-fn send_control(
-    queue: &Arc<ResponseQueue>,
-    cancel: &CancellationToken,
-    cfg: &ServerConfig,
-    resp: Response,
-) -> Result<()> {
-    queue.push(frame_bytes(&resp.encode()), 0, cancel, cfg.write_timeout)
-}
-
-/// Streams one statement result into the response queue. Returns `Err`
-/// only for connection-fatal conditions (queue closed/stalled, peer
-/// cancelled); statement errors are sent to the client and are `Ok`.
-fn stream_result(
-    result: Result<QueryResult>,
-    queue: &Arc<ResponseQueue>,
-    budget: &Option<MemoryBudget>,
-    cancel: &CancellationToken,
-    shared: &Arc<Shared>,
-) -> Result<()> {
-    let cfg = &shared.cfg;
-    let c = &shared.counters;
-    match result {
-        Ok(QueryResult::Rows { schema, rows }) => {
-            let total = rows.len() as u64;
-            let frames = encode_row_frames(&schema, rows, cfg.rows_per_frame);
-            for payload in frames {
-                let frame = frame_bytes(&payload);
-                // Claim queued response bytes from the governor; a
-                // refusal sheds the rest of this result with a typed
-                // error instead of buffering past the limit.
-                let reserved = frame.len() as u64;
-                if let Some(b) = budget {
-                    if let Err(e) = b.try_reserve(reserved) {
-                        c.shed_responses.fetch_add(1, Ordering::Relaxed);
-                        c.statement_errors.fetch_add(1, Ordering::Relaxed);
-                        let retry = shared.retry_hint_ms();
-                        return send_control(
-                            queue,
-                            cancel,
-                            cfg,
-                            Response::Error {
-                                error: e,
-                                retry_after_ms: retry,
-                            },
-                        );
-                    }
-                }
-                if let Err(e) = queue.push(frame, reserved, cancel, cfg.write_timeout) {
-                    // Undo the claim for the frame that never queued.
-                    if let Some(b) = budget {
-                        b.release(reserved);
-                    }
-                    return Err(e);
-                }
-            }
-            send_control(
-                queue,
-                cancel,
-                cfg,
-                Response::Done {
-                    kind: DoneKind::RowsEnd,
-                    count: total,
-                    note: String::new(),
-                },
-            )
-        }
-        Ok(QueryResult::Affected(n)) => send_control(
-            queue,
-            cancel,
-            cfg,
-            Response::Done {
-                kind: DoneKind::Affected,
-                count: n as u64,
-                note: String::new(),
-            },
-        ),
-        Ok(QueryResult::Ddl) => send_control(
-            queue,
-            cancel,
-            cfg,
-            Response::Done {
-                kind: DoneKind::Ddl,
-                count: 0,
-                note: String::new(),
-            },
-        ),
-        Ok(QueryResult::Txn(kind)) => send_control(
-            queue,
-            cancel,
-            cfg,
-            Response::Done {
-                kind: DoneKind::Txn,
-                count: 0,
-                note: kind.to_string(),
-            },
-        ),
-        Err(e) => {
-            c.statement_errors.fetch_add(1, Ordering::Relaxed);
-            // A tripped *connection* (not per-query deadline) is fatal.
-            if cancel.is_cancelled() {
-                return Err(e);
-            }
-            let retry = match &e {
-                DbError::Unavailable { retry_after_ms, .. } => *retry_after_ms,
-                DbError::ResourceExhausted { .. } | DbError::DeadlineExceeded(_) => {
-                    shared.retry_hint_ms()
-                }
-                _ => 0,
-            };
-            send_control(
-                queue,
-                cancel,
-                cfg,
-                Response::Error {
-                    error: e,
-                    retry_after_ms: retry,
-                },
-            )
-        }
-    }
-}
-
-/// Splits a result set into `Schema` + chunked `Rows` payloads, keeping
-/// every frame under [`MAX_FRAME`].
-fn encode_row_frames(
-    schema: &oltap_common::schema::SchemaRef,
-    rows: Vec<oltap_common::Row>,
-    rows_per_frame: usize,
-) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(2 + rows.len() / rows_per_frame.max(1));
-    out.push(
-        Response::Schema {
-            fields: schema.fields().to_vec(),
-        }
-        .encode(),
-    );
-    let mut rows = rows;
-    let chunk = rows_per_frame.max(1);
-    while !rows.is_empty() {
-        let rest = rows.split_off(rows.len().min(chunk));
-        let payload = Response::Rows { rows }.encode();
-        debug_assert!(payload.len() <= MAX_FRAME);
-        out.push(payload);
-        rows = rest;
-    }
-    out
-}
-
-// --------------------------------------------------------------- writer
-
-fn writer_loop(
-    mut stream: TcpStream,
-    queue: Arc<ResponseQueue>,
-    budget: Option<MemoryBudget>,
-    cancel: CancellationToken,
-    shared: Arc<Shared>,
-) {
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    loop {
-        match queue.pop(POLL_TICK) {
-            Pop::Frame(frame, reserved) => {
-                // Injected partial write: half the frame goes out, then
-                // the socket dies — the client must detect the torn
-                // frame via CRC/length and the in-flight query must be
-                // cancelled server-side.
-                if shared.faults.should_fire(points::NET_WRITE_PARTIAL) {
-                    shared
-                        .counters
-                        .partial_writes
-                        .fetch_add(1, Ordering::Relaxed);
-                    let half = (frame.len() / 2).max(1);
-                    let _ = stream.write_all(&frame[..half]);
-                    let _ = stream.flush();
-                    let _ = stream.shutdown(Shutdown::Both);
-                    if let Some(b) = &budget {
-                        b.release(reserved);
-                    }
-                    cancel.cancel();
-                    queue.close();
                     break;
                 }
-                let res = stream.write_all(&frame).and_then(|_| stream.flush());
-                if let Some(b) = &budget {
-                    b.release(reserved);
-                }
-                if res.is_err() {
-                    // Slow or dead client: cut the connection and cancel
-                    // whatever the reader is executing for it.
-                    shared
-                        .counters
-                        .slow_client_disconnects
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    cancel.cancel();
-                    queue.close();
-                    break;
-                }
+                conn.send_result(session.execute(&sql), cancel)
             }
-            Pop::Closed => break,
-            Pop::Timeout => {
-                if cancel.is_cancelled() && queue.is_empty() {
-                    break;
+            Ok(None) => {
+                // Woken or stopped by a drain: tell the client why.
+                if shared.draining.load(Ordering::SeqCst) {
+                    let _ = conn.send(shared.unavailable("draining"));
                 }
+                break;
             }
+            Err(e) => {
+                let _ = conn.send_error(e, 0);
+                break; // desynchronized stream: close
+            }
+        };
+        if sent.is_err() {
+            break;
         }
     }
-    // Drain any frames left after close, releasing their claims.
-    while let Pop::Frame(_, reserved) = queue.pop(Duration::ZERO) {
-        if let Some(b) = &budget {
-            b.release(reserved);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        stream.write_all(&frame_bytes(&hello.encode())).unwrap();
+        let ack = read_frame(&mut stream).unwrap().expect("handshake answer");
+        assert!(matches!(
+            Response::decode(&ack),
+            Ok(Response::HelloAck { .. })
+        ));
+        stream
+    }
+
+    /// Finished connection threads are reaped as new ones are accepted,
+    /// so a long-lived server does not keep a handle per connection it
+    /// ever served.
+    #[test]
+    fn finished_connection_handles_are_reaped_at_accept() {
+        let server = Server::start(Database::new(), ServerConfig::default()).unwrap();
+        let gone = Instant::now() + Duration::from_secs(30);
+        for _ in 0..200 {
+            let mut stream = connect(server.local_addr());
+            stream
+                .write_all(&frame_bytes(&Request::Close.encode()))
+                .unwrap();
+            server.shared.wait_conns_gone(gone);
+            assert_eq!(server.active_connections(), 0);
         }
+        // One more accept reaps the last of them; `+ 1` allows the one
+        // thread that has left the registry but not yet returned.
+        let _live = connect(server.local_addr());
+        let live = server.active_connections();
+        assert_eq!(live, 1);
+        let handles = server.shared.reapable.lock().len();
+        assert!(handles <= live + 1, "{handles} handles for {live} live");
     }
 }

@@ -1633,3 +1633,211 @@ fn chaos_net_fault_storm_64_clients() {
 fn chaos_net_smoke_200_connections() {
     net_storm(seed_for(204), 200, 10, 0.05);
 }
+
+// -------------------------------------------------------------------
+// The blocking edge: one thread per connection, the socket write as the
+// only backpressure, and a drain that wakes idle connections instead of
+// waiting for them to look.
+// -------------------------------------------------------------------
+
+use oltapdb::server::wire::{frame_bytes, read_frame, Request, Response};
+use std::io::Write;
+use std::net::TcpStream;
+
+fn raw_send(stream: &mut TcpStream, request: &Request) {
+    stream.write_all(&frame_bytes(&request.encode())).unwrap();
+}
+
+fn raw_recv(stream: &mut TcpStream) -> Response {
+    let payload = read_frame(stream).unwrap().expect("server closed early");
+    Response::decode(&payload).unwrap()
+}
+
+/// A handshaken bare socket, for what `Client` cannot do: read without
+/// having asked, or never read at all.
+fn raw_connect(addr: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    raw_send(
+        &mut stream,
+        &Request::Hello {
+            version: oltapdb::server::PROTOCOL_VERSION,
+        },
+    );
+    assert!(matches!(raw_recv(&mut stream), Response::HelloAck { .. }));
+    stream
+}
+
+/// Runs one statement on a bare socket and returns its last frame.
+fn raw_query(stream: &mut TcpStream, sql: &str) -> Response {
+    raw_send(stream, &Request::Query { sql: sql.into() });
+    loop {
+        match raw_recv(stream) {
+            Response::Schema { .. } | Response::Rows { .. } => {}
+            last => return last,
+        }
+    }
+}
+
+/// A client that asks for a result several times the size of the
+/// loopback socket buffers and never reads a byte of it. The blocked
+/// write is the backpressure: past `write_timeout` the server cuts the
+/// connection, counts it, and gives everything back.
+#[test]
+fn chaos_net_slow_client_is_cut_at_the_write_deadline() {
+    let db = net_db(FaultInjector::new(seed_for(205)));
+    db.execute("CREATE TABLE wide (id BIGINT PRIMARY KEY, k BIGINT, pad TEXT)")
+        .unwrap();
+    let pad = "x".repeat(1000);
+    for i in 0..200i64 {
+        db.execute(&format!("INSERT INTO wide VALUES ({i}, 7, '{pad}')"))
+            .unwrap();
+    }
+    let governor = db.memory_governor().unwrap();
+    let admission = db.admission().unwrap();
+    let used_before = governor.total_used();
+    let server = Server::start(
+        Arc::clone(&db),
+        ServerConfig {
+            write_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // 200 x 200 rows of two 1 kB strings: about 80 MB on the wire.
+    let mut silent = raw_connect(&server.local_addr().to_string());
+    raw_send(
+        &mut silent,
+        &Request::Query {
+            sql: "SELECT a.id, b.id, a.pad, b.pad FROM wide a JOIN wide b ON a.k = b.k".into(),
+        },
+    );
+    let asked = std::time::Instant::now();
+    wait_active_zero(&server, Duration::from_secs(30));
+    assert!(
+        asked.elapsed() >= Duration::from_millis(300),
+        "cut before the write deadline"
+    );
+
+    let stats = server.stats();
+    assert_eq!(stats.slow_client_disconnects, 1, "{stats:?}");
+    assert_eq!(stats.statement_errors, 0, "the statement itself succeeded");
+    assert_eq!(admission.running(), (0, 0), "admission ticket leaked");
+    assert_eq!(governor.total_used(), used_before, "governor bytes leaked");
+    drop(silent);
+}
+
+/// A result of many frames arrives whole and in order: the wire answer
+/// equals the in-process answer row for row.
+#[test]
+fn chaos_net_multi_frame_select_equals_in_process() {
+    let db = net_db(FaultInjector::new(seed_for(206)));
+    db.execute("CREATE TABLE seq (id BIGINT PRIMARY KEY, v BIGINT, tag TEXT)")
+        .unwrap();
+    let rows_per_frame = 16;
+    let n = 25 * rows_per_frame as i64 + 3;
+    for i in 0..n {
+        db.execute(&format!(
+            "INSERT INTO seq VALUES ({i}, {}, 't{}')",
+            (i * 7919) % 1000,
+            i % 13
+        ))
+        .unwrap();
+    }
+    let server = Server::start(
+        Arc::clone(&db),
+        ServerConfig {
+            rows_per_frame,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let sql = "SELECT id, v, tag FROM seq ORDER BY v, id";
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let wire = client.query(sql).unwrap();
+    let direct = db.query(sql).unwrap();
+    assert_eq!(wire.count, n as u64);
+    assert_eq!(wire.rows, direct);
+}
+
+/// A connection that says nothing is closed at the idle deadline: not
+/// before it, and without waiting for anything else to happen.
+#[test]
+fn chaos_net_idle_connection_is_closed_at_the_idle_deadline() {
+    let db = net_db(FaultInjector::new(seed_for(207)));
+    let server = Server::start(
+        Arc::clone(&db),
+        ServerConfig {
+            idle_timeout: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    // The server's clock starts when it has answered the handshake, which
+    // is before the client hears of it: start this one before either.
+    let start = std::time::Instant::now();
+    let mut idle = raw_connect(&server.local_addr().to_string());
+    assert!(
+        matches!(read_frame(&mut idle), Ok(None)),
+        "the server closes an idle connection without a frame"
+    );
+    let waited = start.elapsed();
+    assert!(
+        waited >= Duration::from_millis(200) && waited < Duration::from_secs(1),
+        "closed after {waited:?}"
+    );
+    wait_active_zero(&server, Duration::from_secs(5));
+}
+
+/// Drain against sixteen connections that are all waiting for a request,
+/// one of them inside an open transaction. Nothing is running, so the
+/// drain owes nobody its grace period: it wakes each connection, each
+/// tells its client why, and the open transaction rolls back.
+#[test]
+fn chaos_net_drain_wakes_idle_connections() {
+    let db = net_db(FaultInjector::new(seed_for(208)));
+    db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY)")
+        .unwrap();
+    let server = Server::start(
+        Arc::clone(&db),
+        ServerConfig {
+            drain_grace: Duration::from_secs(2),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let mut clients: Vec<TcpStream> = (0..16).map(|_| raw_connect(&addr)).collect();
+    for sql in ["BEGIN", "INSERT INTO t VALUES (1)"] {
+        let done = raw_query(&mut clients[0], sql);
+        assert!(matches!(done, Response::Done { .. }), "{sql}: {done:?}");
+    }
+    assert_eq!(server.active_connections(), 16);
+
+    let report = server.drain();
+    assert!(
+        report.duration < Duration::from_millis(500),
+        "an idle server drains at once: {report:?}"
+    );
+    assert_eq!((report.forced, report.cancelled_after_grace), (0, 0));
+    for client in &mut clients {
+        let notice = raw_recv(client);
+        assert!(
+            matches!(
+                &notice,
+                Response::Error { error: DbError::Unavailable { reason, .. }, .. }
+                    if reason == "draining"
+            ),
+            "{notice:?}"
+        );
+    }
+    assert_eq!(
+        db.query("SELECT COUNT(*) FROM t").unwrap()[0].values()[0],
+        Value::Int(0),
+        "the open transaction must roll back"
+    );
+}
