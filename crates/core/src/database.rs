@@ -313,8 +313,9 @@ impl Database {
     }
 
     /// Execution resources for one query of `class`: a budget from the
-    /// governor plus a fresh per-query spill dir, or
-    /// [`ExecResources::unlimited`] when governance is off.
+    /// governor plus the name of a per-query spill dir (made on disk only
+    /// if the query spills), or [`ExecResources::unlimited`] when
+    /// governance is off.
     pub(crate) fn exec_resources(&self, class: WorkloadClass) -> Result<ExecResources> {
         let guard = self.memory.read();
         match guard.as_ref() {

@@ -16,6 +16,8 @@
 //!   dashboard-style `ORDER BY ... LIMIT k` queries.
 //! * `Aggregate(Scan)` over a columnar table runs fused over the encoded
 //!   segments when its shape qualifies ([`try_fused_aggregate`]).
+//! * A scan the optimizer marked [`AccessPath::PkPoint`] is answered by a
+//!   key lookup and a re-check ([`point_get`]) instead of the table scan.
 //! * Sideways information passing for joins the optimizer marked: the
 //!   build pipeline runs *before* the probe side is decomposed, its
 //!   [`JoinTable`](oltap_exec::JoinTable) yields a Bloom-filter
@@ -27,16 +29,16 @@ use crate::catalog::{Catalog, TableHandle};
 use oltap_common::fault::FaultInjector;
 use oltap_common::hash::FxHashMap;
 use oltap_common::ids::TxnId;
-use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, CancellationToken, DbError, Result};
+use oltap_common::schema::{Schema, SchemaRef};
+use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
     fused_aggregate_segments, fused_shape, join_output_schema, AggExpr, AggregatorCore,
     ExecResources, Expr, FusedScanCtx,
 };
 use oltap_sched::{NumaTopology, WorkerPool};
-use oltap_sql::LogicalPlan;
-use oltap_storage::JoinFilter;
+use oltap_sql::{AccessPath, LogicalPlan};
+use oltap_storage::{JoinFilter, ScanPredicate};
 use oltap_txn::Ts;
 use std::sync::Arc;
 
@@ -144,6 +146,7 @@ impl Lowering<'_> {
                 projection,
                 pushdown,
                 sip,
+                access,
                 ..
             } => {
                 let handle = self.catalog.get(table)?;
@@ -159,9 +162,16 @@ impl Lowering<'_> {
                 });
                 let pushdown = sip_pushdown.as_ref().unwrap_or(pushdown);
                 let ctx = self.ctx;
-                let batches =
-                    handle.scan(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
-                Pipeline::materialized(batches, plan.output_schema()?)
+                let schema = plan.output_schema()?;
+                let batches = match access {
+                    AccessPath::PkPoint { key } => {
+                        point_get(&handle, key, projection, &schema, pushdown, ctx)?
+                    }
+                    AccessPath::FullScan => {
+                        handle.scan(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?
+                    }
+                };
+                Pipeline::materialized(batches, schema)
             }
             LogicalPlan::Filter { input, predicate } => {
                 let mut p = self.decompose(input)?;
@@ -274,7 +284,8 @@ impl Lowering<'_> {
     /// subtree — the fused scan reads encoded segments directly, so there
     /// is no batch stream to morselize. Returns `None` — fall back to the
     /// pipelines — when the shape doesn't qualify: non-column expressions,
-    /// non-columnar tables, or a scan carrying a sideways join filter.
+    /// non-columnar tables, a scan carrying a sideways join filter, or one
+    /// the optimizer answers with a key lookup.
     fn try_fused_aggregate(
         &self,
         input: &LogicalPlan,
@@ -287,12 +298,13 @@ impl Lowering<'_> {
             projection,
             pushdown,
             sip,
+            access,
             ..
         } = input
         else {
             return Ok(None);
         };
-        if sip.is_some() {
+        if sip.is_some() || *access != AccessPath::FullScan {
             return Ok(None);
         }
         let TableHandle::Column(t) = self.catalog.get(table)? else {
@@ -326,6 +338,35 @@ impl Lowering<'_> {
             core.finish(map)?,
             core.schema(),
         )))
+    }
+}
+
+/// The [`AccessPath::PkPoint`] access method: the scan's answer — validated
+/// predicate, snapshot visibility, projection, cancellation — for a
+/// pushdown that pins the whole primary key, from one keyed lookup. The key
+/// only nominates a row; the *whole* pushdown (residual conjuncts,
+/// contradictory key conjuncts, the sideways join filter) is re-checked
+/// against it, so the result is the scan's: that row in one batch, or none.
+fn point_get(
+    handle: &TableHandle,
+    key: &Row,
+    projection: &[usize],
+    projected: &Schema,
+    pred: &ScanPredicate,
+    ctx: &ExecContext,
+) -> Result<Vec<Batch>> {
+    ctx.cancel.check()?;
+    // What every `scan` does first. The optimizer only marks pushdowns
+    // whose literals are exactly typed, but the plan is a public value and
+    // the join filter arrives at run time: a bad ordinal or a mistyped
+    // literal is the scan's typed error, not an empty answer.
+    pred.validate(handle.schema())?;
+    match handle.get(key, ctx.read_ts, ctx.me)? {
+        Some(row) if pred.matches_row(&row) => Ok(vec![Batch::from_rows(
+            projected,
+            &[row.project(projection)],
+        )?]),
+        _ => Ok(Vec::new()),
     }
 }
 
@@ -475,6 +516,46 @@ mod tests {
     }
 
     #[test]
+    fn point_select_is_one_lookup_rechecked() {
+        let (mgr, cat) = setup();
+        let plan = plan_for("SELECT grp, v FROM t WHERE id = 7", &cat);
+        assert!(
+            plan.explain().contains("access=pk-point key=(7)"),
+            "{}",
+            plan.explain()
+        );
+        assert_eq!(
+            run("SELECT grp, v FROM t WHERE id = 7", &mgr, &cat),
+            vec![row!["b", 7i64]]
+        );
+        // The key only nominates the row: residual, contradictory and
+        // mistyped conjuncts decide as they would under the scan.
+        assert!(run("SELECT v FROM t WHERE id = 7 AND grp = 'a'", &mgr, &cat).is_empty());
+        assert!(run("SELECT v FROM t WHERE id = 7 AND id = 8", &mgr, &cat).is_empty());
+        assert!(run("SELECT v FROM t WHERE id = 7 AND v + 1 = 0", &mgr, &cat).is_empty());
+        assert!(run("SELECT v FROM t WHERE id = 777", &mgr, &cat).is_empty());
+        assert_eq!(
+            run("SELECT COUNT(*) FROM t WHERE id = 7", &mgr, &cat),
+            vec![row![1i64]]
+        );
+        let mistyped = plan_for("SELECT v FROM t WHERE id = 7 AND grp = 5", &cat);
+        let err = execute_plan(&mistyped, &cat, &ctx_at(&mgr, 1)).unwrap_err();
+        assert!(matches!(err, DbError::TypeMismatch { .. }), "{err:?}");
+        // A hand-built plan cannot smuggle a mistyped pushdown past the
+        // lookup either.
+        let mut forced = mistyped;
+        let LogicalPlan::Project { input, .. } = &mut forced else {
+            panic!("expected Project(Scan)")
+        };
+        let LogicalPlan::Scan { access, .. } = input.as_mut() else {
+            panic!("expected Scan")
+        };
+        *access = AccessPath::PkPoint { key: row![7i64] };
+        let err = execute_plan(&forced, &cat, &ctx_at(&mgr, 1)).unwrap_err();
+        assert!(matches!(err, DbError::TypeMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
     fn sip_join_matches_plain_filter() {
         let (mgr, cat) = setup();
         // The build side is restricted to v = 3 (50 of 500 ids), so the
@@ -584,7 +665,12 @@ mod tests {
     #[test]
     fn pre_cancelled_token_cancels_at_any_worker_count() {
         let (mgr, cat) = setup();
-        for sql in ["SELECT SUM(v) FROM t", "SELECT * FROM t"] {
+        for sql in [
+            "SELECT SUM(v) FROM t",
+            "SELECT * FROM t",
+            "SELECT v FROM t WHERE id = 7",   // key lookup, row found
+            "SELECT * FROM t WHERE id = 777", // key lookup, no row
+        ] {
             let plan = plan_for(sql, &cat);
             for workers in [1, 4] {
                 let mut ctx = ctx_at(&mgr, workers);

@@ -8,8 +8,10 @@ use oltap_sql::LogicalPlan;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{CancellationToken, DbError, Result, Row, Value};
 use oltap_sql::ast::{AstExpr, SelectStmt, Statement};
+use oltap_sql::optimizer::split_pushdown;
 use oltap_sql::plan::{bind_scalar, literal_value};
 use oltap_sql::{bind_select, optimize, parse};
+use oltap_storage::ScanPredicate;
 use oltap_txn::wal::WalOp;
 use oltap_txn::Transaction;
 use std::sync::Arc;
@@ -66,6 +68,27 @@ impl SessionActivity {
 
     fn set(&self, class: Option<WorkloadClass>) {
         *self.0.lock() = class;
+    }
+}
+
+/// Marks a planned SELECT as running: its cancel token and workload class
+/// are what [`Session::cancel_token`] and [`SessionActivity::current`] hand
+/// out, from here until the guard drops — on every exit, `?` included, so
+/// neither ever describes a query that is not executing.
+struct Running<'a>(&'a Session);
+
+impl<'a> Running<'a> {
+    fn enter(session: &'a Session, class: WorkloadClass, cancel: CancellationToken) -> Self {
+        *session.active_cancel.lock() = Some(cancel);
+        session.activity.set(Some(class));
+        Running(session)
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.activity.set(None);
+        *self.0.active_cancel.lock() = None;
     }
 }
 
@@ -220,6 +243,10 @@ impl Session {
             }
             None => self.snapshot(),
         };
+        let catalog = self.db.catalog_read();
+        let plan = optimize(bind_select(sel, &*catalog)?)?;
+        let schema = plan.output_schema()?;
+        let class = classify_plan(&plan);
         // Per-query token: a child of the connection token when one is
         // installed, so peer loss / deadlines / drain cancel the query.
         let cancel = match (&self.session_cancel, self.query_timeout) {
@@ -227,40 +254,23 @@ impl Session {
             (None, Some(t)) => CancellationToken::with_timeout(t),
             (None, None) => CancellationToken::new(),
         };
-        *self.active_cancel.lock() = Some(cancel.clone());
-        let catalog = self.db.catalog_read();
-        let plan = optimize(bind_select(sel, &*catalog)?)?;
-        let schema = plan.output_schema()?;
-        let class = classify_plan(&plan);
-        self.activity.set(Some(class));
-        // Admission gate first (may queue the query), then the per-query
-        // budget; the ticket is RAII and outlives execution.
-        let admitted = self.db.admit(class);
-        let result = match admitted {
-            Ok(_ticket) => {
-                let ctx = ExecContext {
-                    read_ts,
-                    me,
-                    batch_size: oltap_common::vector::BATCH_SIZE,
-                    cancel,
-                    mem: match self.db.exec_resources(class) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            self.activity.set(None);
-                            *self.active_cancel.lock() = None;
-                            return Err(e);
-                        }
-                    },
-                    faults: Arc::clone(self.db.faults()),
-                    pool: self.db.exec_pool(),
-                };
-                execute_plan(&plan, &catalog, &ctx)
-            }
-            Err(e) => Err(e),
+        let batches = {
+            let _running = Running::enter(self, class, cancel.clone());
+            // Admission gate first (may queue the query), then the
+            // per-query budget; the ticket is RAII and outlives execution.
+            let _ticket = self.db.admit(class)?;
+            let ctx = ExecContext {
+                read_ts,
+                me,
+                batch_size: oltap_common::vector::BATCH_SIZE,
+                cancel,
+                mem: self.db.exec_resources(class)?,
+                faults: Arc::clone(self.db.faults()),
+                pool: self.db.exec_pool(),
+            };
+            execute_plan(&plan, &catalog, &ctx)?
         };
-        self.activity.set(None);
-        *self.active_cancel.lock() = None;
-        let rows: Vec<Row> = result?.iter().flat_map(|b| b.to_rows()).collect();
+        let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
         Ok(QueryResult::Rows { schema, rows })
     }
 
@@ -410,7 +420,8 @@ impl Session {
     /// Materializes the rows a DML statement targets, at the transaction's
     /// snapshot (its own writes included). Predicates that pin every
     /// primary-key column with equality take the point-lookup fast path
-    /// (the OLTP shape: `WHERE pk = ...`).
+    /// (the OLTP shape: `WHERE pk = ...`), found by the extractor a SELECT's
+    /// access path is chosen with ([`ScanPredicate::pk_point`]).
     fn matching_rows(
         &self,
         txn: &Transaction,
@@ -419,8 +430,14 @@ impl Session {
         filter: Option<&AstExpr>,
     ) -> Result<Vec<Row>> {
         let predicate = filter.map(|f| bind_scalar(f, schema)).transpose()?;
+        let all: Vec<usize> = (0..schema.len()).collect();
         if let Some(p) = &predicate {
-            if let Some(key) = pk_equality_key(p, schema) {
+            let (conjuncts, _residual) = split_pushdown(p, &all);
+            let pushable = ScanPredicate {
+                conjuncts,
+                join: None,
+            };
+            if let Some(key) = pushable.pk_point(schema) {
                 return Ok(match handle.get(&key, txn.begin_ts(), txn.id())? {
                     // Re-check the full predicate (it may have residual
                     // conjuncts beyond the key columns).
@@ -431,10 +448,9 @@ impl Session {
                 });
             }
         }
-        let all: Vec<usize> = (0..schema.len()).collect();
         let batches = handle.scan(
             &all,
-            &oltap_storage::ScanPredicate::all(),
+            &ScanPredicate::all(),
             txn.begin_ts(),
             txn.id(),
             oltap_common::vector::BATCH_SIZE,
@@ -480,44 +496,6 @@ pub(crate) fn classify_plan(plan: &LogicalPlan) -> WorkloadClass {
     }
 }
 
-/// If the (bound) predicate is a conjunction containing `col = literal`
-/// for every primary-key column, returns the key row — the point-lookup
-/// fast path for OLTP-style DML.
-fn pk_equality_key(pred: &oltap_exec::Expr, schema: &oltap_common::Schema) -> Option<Row> {
-    use oltap_exec::expr::BinOp;
-    use oltap_exec::Expr;
-    if !schema.has_primary_key() {
-        return None;
-    }
-    let mut bindings: Vec<Option<Value>> = vec![None; schema.len()];
-    let mut stack = vec![pred];
-    while let Some(e) = stack.pop() {
-        if let Expr::Binary { op, left, right } = e {
-            match op {
-                BinOp::And => {
-                    stack.push(left);
-                    stack.push(right);
-                }
-                BinOp::Eq => match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column(c), Expr::Literal(v))
-                    | (Expr::Literal(v), Expr::Column(c))
-                        if *c < bindings.len() && !v.is_null() => {
-                            bindings[*c] = Some(v.clone());
-                        }
-                    _ => {}
-                },
-                _ => {}
-            }
-        }
-    }
-    let key: Option<Vec<Value>> = schema
-        .primary_key()
-        .iter()
-        .map(|&i| bindings[i].clone())
-        .collect();
-    key.map(Row::new)
-}
-
 /// Builds a full-width row from an INSERT's literal list, honoring an
 /// explicit column list (missing columns become NULL).
 fn build_insert_row(
@@ -552,5 +530,66 @@ fn build_insert_row(
             }
             Ok(Row::new(vals))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A SELECT that fails before it runs — in the binder here, in
+    /// admission or under a deadline elsewhere — leaves no cancel token and
+    /// no activity behind: both describe a query only while it executes.
+    #[test]
+    fn failed_select_leaves_no_cancel_token() {
+        let db = Database::new();
+        let mut s = db.session();
+        let err = s.execute("SELECT x FROM no_such_table").unwrap_err();
+        assert!(matches!(err, DbError::TableNotFound(_)), "{err}");
+        assert!(s.cancel_token().is_none());
+        assert!(s.activity().current().is_none());
+
+        s.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)")
+            .unwrap();
+        s.set_query_timeout(Some(std::time::Duration::ZERO));
+        let err = s.execute("SELECT SUM(v) FROM t").unwrap_err();
+        assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
+        assert!(s.cancel_token().is_none());
+        assert!(s.activity().current().is_none());
+    }
+
+    /// DML finds its point-lookup key with the extractor SELECT's access
+    /// path uses: `WHERE <full key>` touches one row whatever else the
+    /// filter says, and shapes the extractor declines still work by scan.
+    #[test]
+    fn dml_point_filters_touch_exactly_the_keyed_row() {
+        let db = Database::new();
+        db.execute(
+            "CREATE TABLE t (w BIGINT NOT NULL, d BIGINT NOT NULL, v BIGINT, PRIMARY KEY (w, d))",
+        )
+        .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 1, 10), (1, 2, 20), (2, 1, 30)")
+            .unwrap();
+        let affected = |sql: &str| db.execute(sql).unwrap().affected();
+        assert_eq!(affected("UPDATE t SET v = 11 WHERE d = 1 AND w = 1"), 1);
+        assert_eq!(
+            affected("UPDATE t SET v = 0 WHERE w = 1 AND d = 1 AND v = 99"),
+            0
+        );
+        assert_eq!(
+            affected("UPDATE t SET v = 0 WHERE w = 1 AND d = 1 AND w = 2"),
+            0
+        );
+        assert_eq!(
+            affected("UPDATE t SET v = v + 1 WHERE w = 1 AND d = 2 AND v + 1 = 21"),
+            1
+        );
+        // Declined by the extractor (cross-typed literal, partial key): scans.
+        assert_eq!(affected("UPDATE t SET v = 31 WHERE w = 2.0 AND d = 1"), 1);
+        assert_eq!(affected("DELETE FROM t WHERE w = 1"), 2);
+        assert_eq!(
+            db.query("SELECT w, d, v FROM t").unwrap(),
+            vec![oltap_common::row![2i64, 1i64, 31i64]]
+        );
     }
 }

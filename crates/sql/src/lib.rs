@@ -18,4 +18,4 @@ pub mod token;
 pub use ast::Statement;
 pub use optimizer::optimize;
 pub use parser::{parse, parse_script};
-pub use plan::{bind_scalar, bind_select, CatalogView, LogicalPlan};
+pub use plan::{bind_scalar, bind_select, AccessPath, CatalogView, LogicalPlan};

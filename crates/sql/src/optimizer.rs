@@ -7,12 +7,15 @@
 //! means a scan decodes only the referenced columns — the defining
 //! advantage of columnar layouts.
 //!
+//! Pushdown also decides each scan's [`AccessPath`]: a pushdown that pins
+//! the whole primary key with `=` makes the scan a key lookup.
+//!
 //! A fourth, join-specific pass runs last: [`optimize`] marks INNER
 //! equi-joins whose probe side reaches a bare scan so the physical planner
 //! can push a Bloom-filter join filter (sideways information passing) into
 //! that scan once the build side is materialized.
 
-use crate::plan::{LogicalPlan, SipScan};
+use crate::plan::{AccessPath, LogicalPlan, SipScan};
 use oltap_common::{Result, Value};
 use oltap_exec::expr::{BinOp, Expr, UnOp};
 use oltap_exec::join::JoinType;
@@ -215,20 +218,20 @@ fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
                     projection,
                     mut pushdown,
                     sip,
+                    access: _,
                 } => {
-                    let mut residual = Vec::new();
-                    for conj in split_conjuncts(predicate) {
-                        match to_column_predicate(&conj, &projection) {
-                            Some(cp) => pushdown.conjuncts.push(cp),
-                            None => residual.push(conj),
-                        }
-                    }
+                    let (pushed, residual) = split_pushdown(&predicate, &projection);
+                    pushdown.conjuncts.extend(pushed);
+                    // The access path is a function of the pushdown: chosen
+                    // here, where the pushdown is decided.
+                    let access = AccessPath::choose(&pushdown, &table_schema);
                     let scan = LogicalPlan::Scan {
                         table,
                         table_schema,
                         projection,
                         pushdown,
                         sip,
+                        access,
                     };
                     match rebuild_conjunction(residual) {
                         Some(pred) => LogicalPlan::Filter {
@@ -359,6 +362,36 @@ pub fn split_conjuncts(e: Expr) -> Vec<Expr> {
     }
 }
 
+/// Splits `predicate` into the conjuncts storage evaluates natively
+/// (`column <op> literal`, as table ordinals through `projection`) and the
+/// residual ones an executor filter keeps, both in source order.
+pub fn split_pushdown(predicate: &Expr, projection: &[usize]) -> (Vec<ColumnPredicate>, Vec<Expr>) {
+    fn walk(
+        e: &Expr,
+        projection: &[usize],
+        pushed: &mut Vec<ColumnPredicate>,
+        residual: &mut Vec<Expr>,
+    ) {
+        match e {
+            Expr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                walk(left, projection, pushed, residual);
+                walk(right, projection, pushed, residual);
+            }
+            conj => match to_column_predicate(conj, projection) {
+                Some(cp) => pushed.push(cp),
+                None => residual.push(conj.clone()),
+            },
+        }
+    }
+    let (mut pushed, mut residual) = (Vec::new(), Vec::new());
+    walk(predicate, projection, &mut pushed, &mut residual);
+    (pushed, residual)
+}
+
 fn rebuild_conjunction(mut conjuncts: Vec<Expr>) -> Option<Expr> {
     let first = if conjuncts.is_empty() {
         return None;
@@ -436,6 +469,7 @@ fn prune(plan: LogicalPlan, required: &BTreeSet<usize>) -> Result<(LogicalPlan, 
             projection,
             pushdown,
             sip,
+            access,
         } => {
             // Keep only required ordinals (in original order). A scan must
             // keep at least one column, otherwise batches lose their row
@@ -458,6 +492,7 @@ fn prune(plan: LogicalPlan, required: &BTreeSet<usize>) -> Result<(LogicalPlan, 
                     projection: new_projection,
                     pushdown, // table-ordinal based: unaffected
                     sip,      // table-ordinal based too (marked after pruning)
+                    access,   // a key of table values: unaffected
                 },
                 mapping,
             ))
@@ -737,6 +772,7 @@ fn attach_sip(plan: LogicalPlan, plan_cols: &[usize], id: u32) -> (LogicalPlan, 
             projection,
             pushdown,
             sip: None,
+            access,
         } => {
             let mapped: Option<Vec<usize>> = plan_cols
                 .iter()
@@ -753,6 +789,7 @@ fn attach_sip(plan: LogicalPlan, plan_cols: &[usize], id: u32) -> (LogicalPlan, 
                         join_id: id,
                         key_columns,
                     }),
+                    access,
                 },
                 attached,
             )
@@ -847,6 +884,34 @@ mod tests {
                 Field::new("x", DataType::Int64),
                 Field::new("y", DataType::Utf8),
             ])),
+        );
+        // Keyed tables, for the access-path choice.
+        tables.insert(
+            "k".to_string(),
+            Arc::new(
+                Schema::with_primary_key(
+                    vec![
+                        Field::not_null("id", DataType::Int64),
+                        Field::new("v", DataType::Int64),
+                    ],
+                    &["id"],
+                )
+                .unwrap(),
+            ),
+        );
+        tables.insert(
+            "k2".to_string(),
+            Arc::new(
+                Schema::with_primary_key(
+                    vec![
+                        Field::not_null("w", DataType::Int64),
+                        Field::not_null("d", DataType::Int64),
+                        Field::new("v", DataType::Utf8),
+                    ],
+                    &["w", "d"],
+                )
+                .unwrap(),
+            ),
         );
         TestCatalog { tables }
     }
@@ -1019,6 +1084,64 @@ mod tests {
         // block the mark: Filters do not reshape ordinals.
         let p = optimized("SELECT t.a FROM t JOIN u ON t.b = u.x WHERE t.a + t.b = 3");
         assert!(p.explain().contains("sip=#0"), "{}", p.explain());
+    }
+
+    fn find_access(p: &LogicalPlan) -> &AccessPath {
+        match p {
+            LogicalPlan::Scan { access, .. } => access,
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Limit { input, .. } => find_access(input),
+            LogicalPlan::Join { left, .. } => find_access(left),
+        }
+    }
+
+    #[test]
+    fn pk_point_chosen_for_full_key_equality() {
+        use oltap_common::row;
+        for (sql, key) in [
+            ("SELECT v FROM k WHERE id = 7", row![7i64]),
+            ("SELECT v FROM k WHERE 7 = id AND v > 1", row![7i64]),
+            ("SELECT v FROM k WHERE id = 3 + 4", row![7i64]), // folded first
+            ("SELECT v FROM k WHERE id = 7 AND id = 8", row![7i64]),
+            ("SELECT v FROM k WHERE id = 7 AND v + id = 9", row![7i64]), // residual Filter above
+            ("SELECT v FROM k2 WHERE d = 2 AND w = 1", row![1i64, 2i64]),
+            ("SELECT COUNT(*) FROM k WHERE id = 7", row![7i64]),
+            (
+                "SELECT k.v, u.y FROM k JOIN u ON k.v = u.x WHERE k.id = 7",
+                row![7i64],
+            ),
+        ] {
+            let p = optimized(sql);
+            assert_eq!(find_access(&p), &AccessPath::PkPoint { key }, "{sql}");
+            assert!(
+                p.explain().contains("access=pk-point key="),
+                "{}",
+                p.explain()
+            );
+        }
+    }
+
+    #[test]
+    fn full_scan_kept_for_everything_else() {
+        for sql in [
+            "SELECT v FROM k",
+            "SELECT v FROM k WHERE v = 7",            // not the key
+            "SELECT v FROM k WHERE id > 7",           // range
+            "SELECT v FROM k WHERE id <> 7",          // inequality
+            "SELECT v FROM k WHERE id = 7 OR id = 8", // disjunction: not pushed
+            "SELECT v FROM k WHERE id = 7.0",         // cross-typed literal
+            "SELECT v FROM k WHERE id = NULL",
+            "SELECT v FROM k2 WHERE w = 1", // partial composite key
+            "SELECT v FROM k2 WHERE w = 1 AND d >= 2",
+            "SELECT a FROM t WHERE a = 1", // no primary key
+        ] {
+            let p = optimized(sql);
+            assert_eq!(find_access(&p), &AccessPath::FullScan, "{sql}");
+            assert!(!p.explain().contains("access="), "{}", p.explain());
+        }
     }
 
     #[test]

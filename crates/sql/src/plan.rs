@@ -4,7 +4,7 @@
 
 use crate::ast::*;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{DbError, Field, Result, Schema, Value};
+use oltap_common::{DbError, Field, Result, Row, Schema, Value};
 use oltap_exec::aggregate::{AggExpr, AggFunc};
 use oltap_exec::expr::{Expr, UnOp};
 use oltap_exec::join::JoinType;
@@ -31,6 +31,34 @@ pub struct SipScan {
     pub key_columns: Vec<usize>,
 }
 
+/// How a scan node reaches its rows. A property of the plan, chosen by the
+/// optimizer from what the pushdown pins — never from a setting — and the
+/// seam a secondary-index path would plug into.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub enum AccessPath {
+    /// Read the table through its scan (zone maps, compressed-domain
+    /// predicates), filtering by the pushdown.
+    #[default]
+    FullScan,
+    /// The pushdown pins every primary-key column with `=`
+    /// ([`ScanPredicate::pk_point`]): fetch `key` through the key index and
+    /// re-check the whole pushdown against the one row found.
+    PkPoint {
+        /// The pinned key, in key-column order.
+        key: Row,
+    },
+}
+
+impl AccessPath {
+    /// The access path for a scan of `table_schema` filtered by `pushdown`.
+    pub fn choose(pushdown: &ScanPredicate, table_schema: &Schema) -> AccessPath {
+        match pushdown.pk_point(table_schema) {
+            Some(key) => AccessPath::PkPoint { key },
+            None => AccessPath::FullScan,
+        }
+    }
+}
+
 /// A bound logical plan node.
 #[derive(Debug, Clone)]
 pub enum LogicalPlan {
@@ -47,6 +75,9 @@ pub enum LogicalPlan {
         pushdown: ScanPredicate,
         /// Sideways join-filter mark set by the optimizer.
         sip: Option<SipScan>,
+        /// How the rows are reached, set by the optimizer with the
+        /// pushdown.
+        access: AccessPath,
     },
     /// Row filter (ordinals refer to the input's output).
     Filter {
@@ -176,9 +207,13 @@ impl LogicalPlan {
                 projection,
                 pushdown,
                 sip,
+                access,
                 ..
             } => {
                 out.push_str(&format!("{pad}Scan {table} cols={projection:?}"));
+                if let AccessPath::PkPoint { key } = access {
+                    out.push_str(&format!(" access=pk-point key={key}"));
+                }
                 if !pushdown.conjuncts.is_empty() {
                     out.push_str(" pushdown=[");
                     for (i, c) in pushdown.conjuncts.iter().enumerate() {
@@ -392,6 +427,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogView) -> Result<Logic
         table_schema: base_schema,
         pushdown: ScanPredicate::all(),
         sip: None,
+        access: AccessPath::FullScan,
     };
     for j in &stmt.joins {
         let right_schema = catalog.table_schema(&j.table.name)?;
@@ -402,6 +438,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogView) -> Result<Logic
             table_schema: right_schema,
             pushdown: ScanPredicate::all(),
             sip: None,
+            access: AccessPath::FullScan,
         };
         let mut left_keys = Vec::new();
         let mut right_keys = Vec::new();

@@ -13,7 +13,8 @@
 //!
 //! * All DML executes against the [`RowStore`] under MVCC, and additionally
 //!   enlists a journal entry that records the touched primary key at commit
-//!   time.
+//!   time. Until then the key is listed as pending under its writer, so
+//!   that transaction's own scans overlay its uncommitted writes too.
 //! * [`DualFormatTable::populate`] (re)builds the columnar segments from
 //!   the row-store state at the GC watermark and prunes the journal below
 //!   it. Population is the analog of Oracle's IMCU build.
@@ -38,17 +39,25 @@ use std::sync::Arc;
 /// The shared invalidation journal: (commit_ts, primary key).
 type Journal = Arc<RwLock<Vec<(Ts, Row)>>>;
 
+/// Keys with uncommitted writes, by writer. Only the writer's own scans
+/// read its list; it goes when the transaction ends either way.
+type Pending = Arc<RwLock<FxHashMap<TxnId, Vec<Row>>>>;
+
 /// Write-set adapter that publishes touched keys at commit time.
 struct JournalEntry {
     journal: Journal,
+    pending: Pending,
     key: Row,
 }
 
 impl WriteSetEntry for JournalEntry {
-    fn commit(&self, _txn: TxnId, commit_ts: Ts) {
+    fn commit(&self, txn: TxnId, commit_ts: Ts) {
         self.journal.write().push((commit_ts, self.key.clone()));
+        self.pending.write().remove(&txn);
     }
-    fn abort(&self, _txn: TxnId) {}
+    fn abort(&self, txn: TxnId) {
+        self.pending.write().remove(&txn);
+    }
 }
 
 struct ColumnarImage {
@@ -65,6 +74,7 @@ pub struct DualFormatTable {
     rows: RowStore,
     image: RwLock<ColumnarImage>,
     journal: Journal,
+    pending: Pending,
     next_segment: AtomicU64,
     /// Rows per columnar segment when populating.
     segment_rows: usize,
@@ -107,6 +117,7 @@ impl DualFormatTable {
                 pk_locs: FxHashMap::default(),
             }),
             journal: Arc::new(RwLock::new(Vec::new())),
+            pending: Pending::default(),
             next_segment: AtomicU64::new(1),
             segment_rows: 131_072,
             schema,
@@ -142,8 +153,12 @@ impl DualFormatTable {
     fn enlist_journal(&self, txn: &Transaction, key: Row) -> Result<()> {
         txn.enlist(Arc::new(JournalEntry {
             journal: Arc::clone(&self.journal),
-            key,
-        }))
+            pending: Arc::clone(&self.pending),
+            key: key.clone(),
+        }))?;
+        // Listed only once enlisted: the entry is what unlists it.
+        self.pending.write().entry(txn.id()).or_default().push(key);
+        Ok(())
     }
 
     /// Transactional insert (row store + journal).
@@ -249,13 +264,18 @@ impl DualFormatTable {
         // once, still the right version. The bound is inclusive at
         // `image_ts` so that bootstrap loads stamped at the initial (empty)
         // image timestamp are not considered covered by it.
-        let stale: FxHashSet<Row> = self
+        let mut stale: FxHashSet<Row> = self
             .journal
             .read()
             .iter()
             .filter(|(ts, _)| *ts >= image.image_ts)
             .map(|(_, k)| k.clone())
             .collect();
+        // The reader's own uncommitted writes are not in the journal yet:
+        // overlay them from the row store the same way.
+        if let Some(own) = self.pending.read().get(&me) {
+            stale.extend(own.iter().cloned());
+        }
 
         // Per-segment mask of stale offsets.
         let mut masks: Vec<Option<BitSet>> = vec![None; image.segments.len()];
@@ -456,6 +476,50 @@ mod tests {
             .collect();
         assert!(rows.iter().any(|r| r[0] == Value::Int(100)));
         assert!(!rows.iter().any(|r| r[0] == Value::Int(0)));
+    }
+
+    /// A transaction's analytic scan reads its own uncommitted insert,
+    /// update and delete, as its point reads do; nobody else's scan does,
+    /// and an abort leaves no trace.
+    #[test]
+    fn analytic_scan_reads_the_transactions_own_writes() {
+        let (mgr, t) = table();
+        let tx = mgr.begin();
+        for i in 0..10 {
+            t.insert(&tx, row![i as i64, "eu", 0i64]).unwrap();
+        }
+        tx.commit().unwrap();
+        t.populate(mgr.gc_watermark()).unwrap();
+
+        let amounts = |read_ts: Ts, me: TxnId| -> Vec<(Value, Value)> {
+            let mut rows: Vec<(Value, Value)> = t
+                .scan_analytic(&[0, 2], &ScanPredicate::all(), read_ts, me, 4096)
+                .unwrap()
+                .iter()
+                .flat_map(|b| b.to_rows())
+                .map(|r| (r[0].clone(), r[1].clone()))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let before = amounts(mgr.now(), NOBODY);
+
+        let tx = mgr.begin();
+        t.insert(&tx, row![100i64, "us", 5i64]).unwrap();
+        t.update(&tx, &row![1i64], row![1i64, "eu", 7i64]).unwrap();
+        t.delete(&tx, &row![0i64]).unwrap();
+        let own = amounts(tx.begin_ts(), tx.id());
+        assert_eq!(own.len(), 10);
+        assert_eq!(own[0], (Value::Int(1), Value::Int(7)));
+        assert_eq!(own[9], (Value::Int(100), Value::Int(5)));
+        assert_eq!(
+            amounts(mgr.now(), NOBODY),
+            before,
+            "uncommitted writes leaked"
+        );
+        tx.abort().unwrap();
+        assert_eq!(amounts(mgr.now(), NOBODY), before);
+        assert!(t.pending.read().is_empty());
     }
 
     #[test]

@@ -180,7 +180,12 @@ impl BitPacked {
                 "bit width {width} out of range"
             )));
         }
-        let need = (len * width as usize).div_ceil(64);
+        let need = len
+            .checked_mul(width as usize)
+            .ok_or_else(|| {
+                DbError::Corruption(format!("bit-packed length {len} x width {width} overflows"))
+            })?
+            .div_ceil(64);
         if words.len() < need {
             return Err(DbError::Corruption(format!(
                 "bit-packed payload has {} words, needs {need}",

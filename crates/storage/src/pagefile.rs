@@ -382,7 +382,7 @@ pub fn decode_page(buf: &[u8]) -> Result<EncodedColumn> {
                     IntEncoding::For(ForPacked::from_parts(base, cur.bitpacked()?))
                 }
                 INT_RLE => {
-                    let len = cur.len()?;
+                    let len = cur.logical_len()?;
                     let nruns = cur.len()?;
                     let mut runs = Vec::with_capacity(nruns);
                     for _ in 0..nruns {
@@ -401,7 +401,7 @@ pub fn decode_page(buf: &[u8]) -> Result<EncodedColumn> {
                     IntEncoding::Dict(Box::new(Dictionary::from_parts(dict, cur.bitpacked()?)?))
                 }
                 INT_DELTA => {
-                    let len = cur.len()?;
+                    let len = cur.logical_len()?;
                     let nanchors = cur.len()?;
                     let mut anchors = Vec::with_capacity(nanchors);
                     for _ in 0..nanchors {
@@ -533,14 +533,24 @@ impl Cursor<'_> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
-    /// A u64 count validated against the bytes actually remaining, so a
-    /// corrupt length cannot trigger a giant allocation.
+    /// A u64 count that sizes an allocation, validated against the bytes
+    /// actually present so a corrupt length cannot trigger a giant one.
     fn len(&mut self) -> Result<usize> {
         let v = self.u64()?;
         if v > self.buf.len() as u64 * 64 {
             return Err(corrupt(format!("implausible element count {v}")));
         }
         Ok(v as usize)
+    }
+
+    /// A u64 *row* count that sizes no allocation here: run-length, delta
+    /// and zero-width bit-packed columns legitimately hold far more rows
+    /// than bytes (a constant 4 096-row column is a few dozen bytes), so it
+    /// is bounded only by `usize`; the encoding's `from_parts` checks it
+    /// against the parts that were read.
+    fn logical_len(&mut self) -> Result<usize> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| corrupt(format!("row count {v} exceeds usize")))
     }
 
     fn string(&mut self) -> Result<String> {
@@ -556,7 +566,7 @@ impl Cursor<'_> {
 
     fn bitpacked(&mut self) -> Result<BitPacked> {
         let width = self.u8()?;
-        let len = self.len()?;
+        let len = self.logical_len()?;
         let nwords = self.len()?;
         let mut words = Vec::with_capacity(nwords);
         for _ in 0..nwords {
@@ -661,6 +671,41 @@ mod tests {
         }
     }
 
+    /// Benchmark defect 2: columns whose row count dwarfs their byte size —
+    /// constant (zero-width FOR / one-entry dictionary) and run-length
+    /// pages of 4 096 rows — are legal and must decode.
+    #[test]
+    fn codec_roundtrips_pages_with_more_rows_than_bytes() {
+        let n = 4096usize;
+        let constant = vec![7i64; n];
+        let cols = [
+            EncodedColumn::Int {
+                enc: IntEncoding::For(ForPacked::encode(&constant)),
+                validity: None,
+            },
+            EncodedColumn::Int {
+                enc: IntEncoding::Rle(Rle::encode(&constant)),
+                validity: None,
+            },
+            EncodedColumn::Int {
+                enc: IntEncoding::Dict(Box::new(Dictionary::encode(&constant))),
+                validity: None,
+            },
+            EncodedColumn::Str {
+                enc: StrEncoding::Dict(Box::new(Dictionary::encode(&vec!["x".to_string(); n]))),
+                validity: None,
+            },
+        ];
+        for col in &cols {
+            let payload = encode_page(col);
+            // More rows than the allocation bound would let a count claim.
+            assert!(payload.len() * 64 < n, "{}", col.encoding_name());
+            let back = decode_page(&payload).unwrap();
+            assert_eq!(back.len(), n, "{}", col.encoding_name());
+            assert_eq!(values_of(&back), values_of(col), "{}", col.encoding_name());
+        }
+    }
+
     #[test]
     fn file_roundtrip_and_directory() {
         let root = temp_root("rt");
@@ -732,6 +777,16 @@ mod tests {
         let mut huge = vec![TAG_FLOAT];
         huge.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_page(&huge).is_err());
+        // A row count the words read cannot hold is rejected by the
+        // encoding, overflow included.
+        let mut short = vec![TAG_INT, INT_FOR];
+        short.extend_from_slice(&0i64.to_le_bytes());
+        short.push(64); // width
+        short.extend_from_slice(&(u64::MAX / 2).to_le_bytes()); // len
+        short.extend_from_slice(&1u64.to_le_bytes()); // nwords
+        short.extend_from_slice(&7u64.to_le_bytes());
+        short.push(0); // no validity
+        assert!(matches!(decode_page(&short), Err(DbError::Corruption(_))));
         // Trailing garbage after a valid column.
         let mut payload = encode_page(&sample_columns()[0]);
         payload.push(0);

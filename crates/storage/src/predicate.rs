@@ -16,7 +16,7 @@
 
 use oltap_common::bloom::BlockedBloom;
 use oltap_common::hash::{join_hash_combine, join_hash_value, JOIN_KEY_SEED};
-use oltap_common::{Result, Row, Value};
+use oltap_common::{DataType, Result, Row, Schema, Value};
 use std::sync::Arc;
 
 /// Comparison operator of a simple predicate.
@@ -189,6 +189,51 @@ impl ScanPredicate {
             && self.join.as_ref().is_none_or(|j| j.matches_row(row))
     }
 
+    /// The primary key this predicate pins, when every key column of
+    /// `schema` carries an `=` conjunct a keyed lookup answers exactly —
+    /// the one test for "this is a point statement", shared by the
+    /// optimizer's access-path choice and DML.
+    ///
+    /// Only a predicate whose *every* literal is NULL or of its column's
+    /// own type qualifies. [`ScanPredicate::validate`] also admits
+    /// Int↔Float comparisons, and those do not mean the same thing
+    /// everywhere: `Ord` equates 2^53 + 1 with 2^53 as a float where `Hash`
+    /// does not, so a hashed key lookup could miss a row, and the
+    /// compressed-domain kernels reject a float literal on an integer
+    /// column outright where a row-wise check compares numerically. Such a
+    /// predicate keeps scanning, whatever the scan makes of it. Int and
+    /// Timestamp are the same integer to `Ord`, `Hash` and the kernels (and
+    /// SQL has no timestamp literal), so they stand in for one another.
+    ///
+    /// The key is a *candidate*: callers re-check the whole predicate
+    /// against the fetched row, which is what makes contradictory
+    /// (`k = 1 AND k = 2`), NULL, residual and join-filter conjuncts come
+    /// out as they would under a scan.
+    pub fn pk_point(&self, schema: &Schema) -> Option<Row> {
+        let integer = |t| matches!(t, DataType::Int64 | DataType::Timestamp);
+        let exactly_typed = |c: &ColumnPredicate| {
+            schema.fields().get(c.column).is_some_and(|f| {
+                c.value
+                    .data_type()
+                    .is_none_or(|t| t == f.data_type || (integer(t) && integer(f.data_type)))
+            })
+        };
+        if !schema.has_primary_key() || !self.conjuncts.iter().all(exactly_typed) {
+            return None;
+        }
+        schema
+            .primary_key()
+            .iter()
+            .map(|&k| {
+                self.conjuncts
+                    .iter()
+                    .find(|c| c.column == k && c.op == CmpOp::Eq && !c.value.is_null())
+                    .map(|c| c.value.clone())
+            })
+            .collect::<Option<Vec<Value>>>()
+            .map(Row::new)
+    }
+
     /// Checks that referenced columns exist and literals are comparable
     /// with the column type.
     pub fn validate(&self, schema: &oltap_common::Schema) -> Result<()> {
@@ -324,6 +369,68 @@ mod tests {
         assert!(p.matches_row(&row![5i64]));
         assert!(!p.matches_row(&row![6i64]));
         assert!(!p.matches_row(&row![-5i64]));
+    }
+
+    #[test]
+    fn pk_point_wants_a_typed_equality_on_every_key_column() {
+        let s = Schema::with_primary_key(
+            vec![
+                Field::not_null("w", DataType::Int64),
+                Field::not_null("d", DataType::Int64),
+                Field::new("name", DataType::Utf8),
+            ],
+            &["w", "d"],
+        )
+        .unwrap();
+        let full = ScanPredicate::single(1, CmpOp::Eq, Value::Int(7))
+            .and(2, CmpOp::Ne, Value::Str("x".into()))
+            .and(0, CmpOp::Eq, Value::Int(3));
+        // Key-column order, whatever the conjunct order; residuals ignored.
+        assert_eq!(full.pk_point(&s), Some(row![3i64, 7i64]));
+        // Contradictory conjuncts still name a candidate (the first); the
+        // caller's re-check is what empties the result.
+        let contradictory = full.clone().and(0, CmpOp::Eq, Value::Int(4));
+        assert_eq!(contradictory.pk_point(&s), Some(row![3i64, 7i64]));
+
+        let not_points = [
+            ScanPredicate::all(),
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(3)), // partial key
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(3)).and(1, CmpOp::Ge, Value::Int(7)),
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(3)).and(1, CmpOp::Ne, Value::Int(7)),
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(3)).and(1, CmpOp::Eq, Value::Null),
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(3)).and(1, CmpOp::Eq, Value::Float(7.0)),
+        ];
+        for p in &not_points {
+            assert_eq!(p.pk_point(&s), None, "{p:?}");
+        }
+        // NULL conjuncts do not disqualify (they empty the re-check); a
+        // cross-typed literal anywhere does, key column or not.
+        let with_null = full.clone().and(1, CmpOp::Eq, Value::Null);
+        assert_eq!(with_null.pk_point(&s), Some(row![3i64, 7i64]));
+        for spoiler in [
+            ColumnPredicate::new(0, CmpOp::Eq, Value::Float(3.0)),
+            ColumnPredicate::new(2, CmpOp::Ne, Value::Int(5)),
+            ColumnPredicate::new(9, CmpOp::Eq, Value::Int(1)),
+        ] {
+            let mut p = full.clone();
+            p.conjuncts.push(spoiler);
+            assert_eq!(p.pk_point(&s), None, "{p:?}");
+        }
+
+        // No declared key: nothing to look up by.
+        let keyless = Schema::new(vec![Field::new("w", DataType::Int64)]);
+        assert_eq!(
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(3)).pk_point(&keyless),
+            None
+        );
+        // Int literals reach a Timestamp key: same integer to Ord and Hash.
+        let timed =
+            Schema::with_primary_key(vec![Field::not_null("ts", DataType::Timestamp)], &["ts"])
+                .unwrap();
+        assert_eq!(
+            ScanPredicate::single(0, CmpOp::Eq, Value::Int(9)).pk_point(&timed),
+            Some(row![9i64])
+        );
     }
 
     #[test]

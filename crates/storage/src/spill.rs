@@ -6,9 +6,11 @@
 //! mechanics so the executor only thinks in records:
 //!
 //! * [`SpillDir`] — a per-query scratch directory under the database's
-//!   spill root. Dropping it (query completion, success *or* error)
-//!   removes every file it handed out; [`purge_spill_root`] removes
-//!   orphans left by a crash, and is called on recovery startup.
+//!   spill root, made on disk by the first [`SpillDir::writer`] call: a
+//!   query that never spills never touches the file system. Dropping it
+//!   (query completion, success *or* error) removes every file it handed
+//!   out; [`purge_spill_root`] removes orphans left by a crash, and is
+//!   called on recovery startup.
 //! * [`SpillWriter`] / [`SpillReader`] — length-framed record streams
 //!   (`u32` little-endian length + payload) over buffered files. The
 //!   payload codec belongs to the caller: the join build, the hash
@@ -25,32 +27,35 @@ use oltap_common::{DbError, Result};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Distinguishes spill dirs of concurrent processes / queries.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A scratch directory whose contents live exactly as long as the handle.
 ///
-/// Created under a database-level spill root; every file allocated
-/// through [`SpillDir::writer`] is removed when the `SpillDir` drops, so
-/// a query — successful, failed, or cancelled — cannot leak spill files.
+/// Named under a database-level spill root, and made on disk only when
+/// the first file is asked for; every file allocated through
+/// [`SpillDir::writer`] is removed when the `SpillDir` drops, so a query —
+/// successful, failed, or cancelled — cannot leak spill files.
 #[derive(Debug)]
 pub struct SpillDir {
     path: PathBuf,
     files: AtomicU64,
+    /// Set once the directory exists on disk; `Drop` removes nothing
+    /// otherwise.
+    created: AtomicBool,
 }
 
 impl SpillDir {
-    /// Creates a fresh uniquely-named scratch dir under `root`
-    /// (creating `root` itself if needed).
+    /// Reserves a fresh uniquely-named scratch dir under `root`. Nothing
+    /// is created on disk until the first [`SpillDir::writer`] call.
     pub fn create_under(root: &Path) -> Result<SpillDir> {
         let n = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = root.join(format!("q-{}-{}", std::process::id(), n));
-        fs::create_dir_all(&path)?;
         Ok(SpillDir {
-            path,
+            path: root.join(format!("q-{}-{}", std::process::id(), n)),
             files: AtomicU64::new(0),
+            created: AtomicBool::new(false),
         })
     }
 
@@ -69,10 +74,18 @@ impl SpillDir {
         self.files.load(Ordering::Relaxed)
     }
 
-    /// Opens a new spill file for writing. `label` is a human-readable
-    /// tag (`"join-p3"`, `"agg-p7"`, `"sort-run"`); a counter makes the
-    /// name unique.
+    /// Opens a new spill file for writing, making the directory (and the
+    /// root above it) on first use. `label` is a human-readable tag
+    /// (`"join-p3"`, `"agg-p7"`, `"sort-run"`); a counter makes the name
+    /// unique.
     pub fn writer(&self, label: &str) -> Result<SpillWriter> {
+        // Workers of one query may race here; `create_dir_all` is
+        // idempotent. Acquire/Release pair with `Drop`'s load so a dir
+        // made by any worker is removed.
+        if !self.created.load(Ordering::Acquire) {
+            fs::create_dir_all(&self.path)?;
+            self.created.store(true, Ordering::Release);
+        }
         let n = self.files.fetch_add(1, Ordering::Relaxed);
         let path = self.path.join(format!("{label}-{n}.spill"));
         let file = File::create(&path)?;
@@ -89,7 +102,9 @@ impl Drop for SpillDir {
     fn drop(&mut self) {
         // Best-effort: a failed removal leaves orphans for
         // `purge_spill_root` at next startup.
-        let _ = fs::remove_dir_all(&self.path);
+        if self.created.load(Ordering::Acquire) {
+            let _ = fs::remove_dir_all(&self.path);
+        }
     }
 }
 
@@ -261,6 +276,29 @@ mod tests {
         assert!(path.exists());
         drop(dir);
         assert!(!path.exists(), "spill dir removed on drop");
+    }
+
+    #[test]
+    fn nothing_is_created_until_the_first_writer() {
+        let root = std::env::temp_dir().join(format!(
+            "oltap-spill-lazy-{}-{}",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let dir = SpillDir::create_under(&root).unwrap();
+        assert!(!root.exists(), "create_under alone touched the disk");
+        // Dropping an unused dir is silent and still creates nothing.
+        drop(dir);
+        assert!(!root.exists());
+
+        let dir = SpillDir::create_under(&root).unwrap();
+        let w = dir.writer("first").unwrap();
+        assert!(root.is_dir() && dir.path().is_dir());
+        w.finish().unwrap();
+        drop(dir);
+        // The query's dir goes; the root stays for the next spill.
+        assert_eq!(fs::read_dir(&root).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1068,6 +1068,141 @@ fn chaos_corrupt_page_read_is_a_typed_error_not_a_panic() {
     );
 }
 
+/// Scenario 16b — the same fault on the point path: a primary-key
+/// `SELECT` on a paged table is answered by a key lookup that faults the
+/// row's pages in (`AccessPath::PkPoint`), so scenario 16's claim must
+/// hold there too — typed `Corruption`, nothing cached, a clean re-read.
+#[test]
+fn chaos_corrupt_page_read_on_point_select_is_typed_then_clean() {
+    let seed = seed_for(16) ^ 0xB;
+    let faults = FaultInjector::new(seed);
+    let db = paged_db(Arc::clone(&faults), 2048);
+    let point = |id: i64| format!("SELECT g, v FROM pages WHERE id = {id}");
+    let explain = db.query(&format!("EXPLAIN {}", point(1900))).unwrap();
+    assert!(
+        format!("{explain:?}").contains("access=pk-point"),
+        "{explain:?}"
+    );
+    assert_eq!(db.query(&point(70)).unwrap(), vec![row![20i64, 14i64]]);
+    // Push every page out of the tiny pool, so the next lookup — in a row
+    // group far from the last one — has to read from disk.
+    db.query("SELECT g, COUNT(*) FROM pages GROUP BY g")
+        .unwrap();
+    let misses = db.buffer_stats().unwrap().misses;
+
+    faults.arm(points::STORAGE_PAGE_READ_FAIL, FaultPoint::times(1));
+    let err = db.query(&point(1900)).unwrap_err();
+    assert!(
+        matches!(err, DbError::Corruption(_)),
+        "expected Corruption, got {err} (seed={seed:#x})"
+    );
+    assert_eq!(
+        faults.fired_count(),
+        1,
+        "page-read fault never fired — scenario vacuous (seed={seed:#x})"
+    );
+    assert!(db.buffer_stats().unwrap().misses > misses);
+    // Injected on the read path, not persisted, and nothing poisoned:
+    assert_eq!(
+        db.query(&point(1900)).unwrap(),
+        vec![row![1900i64 % 50, 1900i64 * 7 % 17]]
+    );
+}
+
+/// Scenario 7b — cancellation on the point path: a key lookup has no
+/// morsel boundary of its own, so the check is explicit. A past-deadline
+/// point `SELECT` fails with `DeadlineExceeded` and a cancelled one with
+/// `Cancelled` — key present or absent — and the session keeps working.
+#[test]
+fn chaos_point_select_honours_deadline_and_cancel() {
+    use oltapdb::common::CancellationToken;
+    use oltapdb::core::physical::{execute_plan, snapshot_ctx, ExecContext};
+    use oltapdb::sql::{bind_select, optimize, parse, Statement};
+
+    let db = Database::new();
+    db.execute("CREATE TABLE m (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT COLUMN")
+        .unwrap();
+    db.execute("INSERT INTO m VALUES (1, 10), (2, 20)").unwrap();
+    db.maintenance();
+
+    let mut s = db.session();
+    s.set_query_timeout(Some(Duration::ZERO));
+    for id in [1, 999] {
+        let err = s
+            .execute(&format!("SELECT v FROM m WHERE id = {id}"))
+            .unwrap_err();
+        assert!(
+            matches!(err, DbError::DeadlineExceeded(_)),
+            "id={id}: {err}"
+        );
+        assert!(s.cancel_token().is_none() && s.activity().current().is_none());
+    }
+    s.set_query_timeout(None);
+    let rows = s.execute("SELECT v FROM m WHERE id = 2").unwrap();
+    assert_eq!(rows.rows(), [row![20i64]]);
+
+    // An explicitly cancelled token, handed straight to the executor.
+    for id in [1, 999] {
+        let Statement::Select(sel) = parse(&format!("SELECT v FROM m WHERE id = {id}")).unwrap()
+        else {
+            unreachable!()
+        };
+        let catalog = db.catalog_read();
+        let plan = optimize(bind_select(&sel, &*catalog).unwrap()).unwrap();
+        assert!(
+            plan.explain().contains("access=pk-point"),
+            "{}",
+            plan.explain()
+        );
+        let cancel = CancellationToken::new();
+        cancel.cancel();
+        let ctx = ExecContext {
+            cancel,
+            ..snapshot_ctx(db.txn_manager().now())
+        };
+        let err = execute_plan(&plan, &catalog, &ctx).unwrap_err();
+        assert!(matches!(err, DbError::Cancelled(_)), "id={id}: {err}");
+    }
+}
+
+/// Scenario 11b — a statement that does not spill leaves the file system
+/// alone: under memory governance, a thousand point `SELECT`s and a fused
+/// aggregate never create the spill root, let alone a `q-*` directory in
+/// it; the first statement that does spill creates both, and its
+/// directory is gone when it finishes.
+#[test]
+fn chaos_unspilled_statements_never_touch_the_spill_root() {
+    let db = governed_db(FaultInjector::disabled());
+    let root = db.spill_root().to_path_buf();
+    let gov = db.memory_governor().unwrap();
+    assert!(!root.exists(), "opening a database created {root:?}");
+
+    for i in 0..1000i64 {
+        let id = i * 3 % 3000;
+        let rows = db
+            .query(&format!("SELECT g, v FROM fact WHERE id = {id}"))
+            .unwrap();
+        assert_eq!(rows, vec![row![id % 500, id % 13]]);
+    }
+    let total = db.query("SELECT COUNT(*), SUM(g) FROM fact").unwrap();
+    assert_eq!(total[0][0], Value::Int(3000));
+    assert_eq!(gov.spill_events(), 0, "scenario meant not to spill");
+    assert!(!root.exists(), "an unspilled statement created {root:?}");
+
+    // The 16 KiB budget cannot hold 500 groups of five aggregates.
+    let rows = db
+        .query("SELECT g, COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact GROUP BY g ORDER BY g")
+        .unwrap();
+    assert_eq!(rows.len(), 500);
+    assert!(gov.spill_events() > 0, "no spill — scenario vacuous");
+    assert_eq!(
+        std::fs::read_dir(&root).unwrap().count(),
+        0,
+        "spill scratch leaked after query completion"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Scenario 17 — `buffer.evict_race` under a tiny pool: the clock hand's
 /// chosen victim is re-pinned at the last moment (simulating a racing
 /// reader), forcing the sweep to skip it and pick another frame. Results

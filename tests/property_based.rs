@@ -712,6 +712,56 @@ fn paged_scans_match_resident_at_any_pool_size() {
     );
 }
 
+/// `BufferConfig::with_pool`'s own default of 4 096 rows a page scans what
+/// resident storage scans, on the columns whose pages are far smaller
+/// than their row count: constant and low-cardinality ones (a 4 096-row
+/// constant column is a few dozen bytes; the page decoder used to reject
+/// it as an implausible element count).
+#[test]
+fn paged_scans_at_default_page_rows_match_resident() {
+    use oltapdb::core::{BufferConfig, DbConfig};
+    let load = |db: &Arc<Database>| {
+        db.execute(
+            "CREATE TABLE wide (id BIGINT PRIMARY KEY, k BIGINT, g BIGINT, tag TEXT, ok BOOLEAN) \
+             USING FORMAT COLUMN",
+        )
+        .unwrap();
+        for chunk in 0..10i64 {
+            let vals: Vec<String> = (chunk * 1000..(chunk + 1) * 1000)
+                .map(|i| format!("({i}, 7, {}, 'same', true)", i / 4000))
+                .collect();
+            db.execute(&format!("INSERT INTO wide VALUES {}", vals.join(", ")))
+                .unwrap();
+        }
+        db.maintenance();
+    };
+    let resident = Database::new();
+    load(&resident);
+    let paged = Database::with_config(DbConfig {
+        buffer: Some(BufferConfig::with_pool(64 << 10)),
+        ..DbConfig::default()
+    })
+    .unwrap();
+    load(&paged);
+    for sql in [
+        "SELECT COUNT(*), SUM(k), MIN(g), MAX(g) FROM wide",
+        "SELECT g, COUNT(*), SUM(k) FROM wide GROUP BY g ORDER BY g",
+        "SELECT tag, ok, COUNT(*) FROM wide WHERE k = 7 GROUP BY tag, ok ORDER BY tag",
+        "SELECT id, k, g, tag, ok FROM wide WHERE g = 1 ORDER BY id LIMIT 5",
+        "SELECT k, g, tag FROM wide WHERE id = 4097",
+    ] {
+        assert_eq!(
+            paged.query(sql).unwrap(),
+            resident.query(sql).unwrap(),
+            "`{sql}`"
+        );
+    }
+    assert!(
+        paged.buffer_stats().unwrap().misses > 0,
+        "nothing was paged — vacuous"
+    );
+}
+
 /// The packed-code scan kernels (block unpack and SWAR) match the naive
 /// decode-then-compare reference over random widths, values, and
 /// literals, including the all-hit / no-hit selectivity extremes.
@@ -1259,4 +1309,363 @@ fn prop_backoff_sleep_honors_floor_and_cancels_promptly() {
         start.elapsed()
     );
     canceller.join().unwrap();
+}
+
+// ===================================================================
+// Access paths: a primary-key point statement is answered by a key
+// lookup (`AccessPath::PkPoint`), everything else by the table scan. The
+// lookup must be invisible in results.
+// ===================================================================
+
+/// The rows of a `Project? / Filter? / Scan` plan computed with
+/// `TableHandle::scan` called directly — whatever access path the plan
+/// names — and the executor's own expression evaluator for the rest.
+fn rows_via_scan(
+    plan: &oltapdb::sql::LogicalPlan,
+    db: &Database,
+    read_ts: u64,
+    me: oltapdb::common::ids::TxnId,
+) -> oltapdb::common::Result<Vec<oltapdb::common::Row>> {
+    use oltapdb::common::Row;
+    use oltapdb::sql::LogicalPlan;
+    match plan {
+        LogicalPlan::Scan {
+            table,
+            projection,
+            pushdown,
+            ..
+        } => {
+            let batches = db
+                .table(table)?
+                .scan(projection, pushdown, read_ts, me, 1024)?;
+            Ok(batches.iter().flat_map(|b| b.to_rows()).collect())
+        }
+        LogicalPlan::Filter { input, predicate } => {
+            let mut out = Vec::new();
+            for row in rows_via_scan(input, db, read_ts, me)? {
+                if predicate.eval_row(&row)? == Value::Bool(true) {
+                    out.push(row);
+                }
+            }
+            Ok(out)
+        }
+        LogicalPlan::Project { input, exprs } => rows_via_scan(input, db, read_ts, me)?
+            .iter()
+            .map(|row| {
+                let vals: oltapdb::common::Result<Vec<Value>> =
+                    exprs.iter().map(|(e, _)| e.eval_row(row)).collect();
+                vals.map(Row::new)
+            })
+            .collect(),
+        other => panic!("oracle does not interpret {}", other.explain()),
+    }
+}
+
+/// For ROW / COLUMN / DUAL tables, resident, paged through a tiny pool
+/// and frozen, with single and composite keys: every point statement —
+/// keys present, absent, deleted, updated in the delta, merged to main;
+/// residual conjuncts true and false; contradictory, duplicated, NULL and
+/// cross-typed key literals; projections with and without the key — reads
+/// exactly what the same plan reads through `TableHandle::scan`, now,
+/// `AS OF` an older timestamp, and inside a transaction with writes of
+/// its own.
+#[test]
+fn prop_point_get_matches_scan() {
+    use oltapdb::core::physical::{execute_plan, snapshot_ctx, ExecContext};
+    use oltapdb::core::{BufferConfig, DbConfig};
+    use oltapdb::sql::{bind_select, optimize, parse, AccessPath, LogicalPlan, Statement};
+
+    fn plan_of(db: &Database, sql: &str) -> LogicalPlan {
+        let Statement::Select(sel) = parse(sql).unwrap() else {
+            panic!("not a SELECT: {sql}")
+        };
+        optimize(bind_select(&sel, &*db.catalog_read()).unwrap()).unwrap()
+    }
+    fn is_point(plan: &LogicalPlan) -> bool {
+        match plan {
+            LogicalPlan::Scan { access, .. } => matches!(access, AccessPath::PkPoint { .. }),
+            LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+                is_point(input)
+            }
+            _ => false,
+        }
+    }
+    // Errors compare by message: a `TypeMismatch` must stay one.
+    fn shown(r: oltapdb::common::Result<Vec<oltapdb::common::Row>>) -> String {
+        format!("{:?}", r.map_err(|e| e.to_string()))
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Storage {
+        Resident,
+        Paged,
+        Frozen,
+    }
+    const IDS: i64 = 120;
+    let (mut point_plans, mut hits) = (0usize, 0usize);
+
+    for case in 0..8u64 {
+        for format in ["ROW", "COLUMN", "DUAL"] {
+            for storage in [Storage::Resident, Storage::Paged, Storage::Frozen] {
+                let seed = case ^ 0x0090_176E_7000;
+                let tag = format!("seed={seed:#x} {format} {storage:?}");
+                let mut rng = rng_for(seed);
+                let db = match storage {
+                    Storage::Paged => Database::with_config(DbConfig {
+                        buffer: Some(BufferConfig {
+                            pool_bytes: 512,
+                            page_rows: 64,
+                            page_root: None,
+                        }),
+                        ..DbConfig::default()
+                    })
+                    .unwrap(),
+                    _ => Database::new(),
+                };
+                db.execute(&format!(
+                    "CREATE TABLE s (id BIGINT PRIMARY KEY, g BIGINT, v BIGINT, name TEXT) \
+                     USING FORMAT {format}"
+                ))
+                .unwrap();
+                db.execute(&format!(
+                    "CREATE TABLE c (w BIGINT NOT NULL, d BIGINT NOT NULL, v BIGINT, name TEXT, \
+                     PRIMARY KEY (w, d)) USING FORMAT {format}"
+                ))
+                .unwrap();
+                let s_vals: Vec<String> = (0..IDS)
+                    .map(|i| {
+                        format!(
+                            "({i}, {}, {}, 'n{}')",
+                            i % 7,
+                            rng.gen_range(-50..50i64),
+                            i % 5
+                        )
+                    })
+                    .collect();
+                db.execute(&format!("INSERT INTO s VALUES {}", s_vals.join(", ")))
+                    .unwrap();
+                let c_vals: Vec<String> = (0..IDS)
+                    .map(|i| {
+                        format!(
+                            "({}, {}, {}, 'n{}')",
+                            i / 20,
+                            i % 20,
+                            rng.gen_range(-50..50i64),
+                            i % 5
+                        )
+                    })
+                    .collect();
+                db.execute(&format!("INSERT INTO c VALUES {}", c_vals.join(", ")))
+                    .unwrap();
+                db.maintenance();
+
+                // Random autocommit DML on both tables: updates of main rows
+                // land in the delta, deletes stamp main, inserts are new
+                // delta keys.
+                let churn = |rng: &mut StdRng, rounds: usize| {
+                    for _ in 0..rounds {
+                        let id = rng.gen_range(0..IDS + 20);
+                        let (w, d) = (id / 20, id % 20);
+                        let v = rng.gen_range(-50..50i64);
+                        let (s_sql, c_sql) = match rng.gen_range(0..3u32) {
+                            0 => (
+                                format!("UPDATE s SET v = {v} WHERE id = {id}"),
+                                format!("UPDATE c SET v = {v} WHERE w = {w} AND d = {d}"),
+                            ),
+                            1 => (
+                                format!("DELETE FROM s WHERE id = {id}"),
+                                format!("DELETE FROM c WHERE w = {w} AND d = {d}"),
+                            ),
+                            _ => (
+                                format!(
+                                    "INSERT INTO s VALUES ({id}, {}, {v}, 'n{}')",
+                                    id % 7,
+                                    id % 5
+                                ),
+                                format!("INSERT INTO c VALUES ({w}, {d}, {v}, 'n{}')", id % 5),
+                            ),
+                        };
+                        // Duplicate-key inserts fail; that is part of the mix.
+                        let _ = db.execute(&s_sql);
+                        let _ = db.execute(&c_sql);
+                    }
+                };
+                // Phase A, then maintenance: its survivors are merged to
+                // main (a second segment), its deletes applied.
+                churn(&mut rng, 25);
+                db.maintenance();
+                if storage == Storage::Frozen {
+                    let stats = db.freeze_all(true).unwrap();
+                    if format == "COLUMN" {
+                        assert!(stats.segments_frozen > 0, "{tag}: nothing froze — vacuous");
+                    }
+                }
+                // A pinned reader keeps the history from here readable.
+                let mut pin = db.session();
+                pin.execute("BEGIN").unwrap();
+                let ts_old = db.txn_manager().now();
+                // Phase B stays in the delta (the pin holds the watermark).
+                churn(&mut rng, 25);
+                db.maintenance();
+
+                // An open transaction with an insert, an update and a delete
+                // of its own on each table.
+                let txn = db.txn_manager().begin();
+                let (s_tab, c_tab) = (db.table("s").unwrap(), db.table("c").unwrap());
+                let reader = snapshot_ctx(0).me;
+                let now = db.txn_manager().now();
+                let live: Vec<i64> = (0..IDS + 20)
+                    .filter(|&i| s_tab.get(&row![i], now, reader).unwrap().is_some())
+                    .collect();
+                let (upd, del, ins) = (live[0], live[live.len() / 2], IDS + 30);
+                s_tab.insert(&txn, row![ins, 1i64, 1i64, "own"]).unwrap();
+                s_tab
+                    .update(&txn, &row![upd], row![upd, 2i64, 2i64, "own"])
+                    .unwrap();
+                s_tab.delete(&txn, &row![del]).unwrap();
+                c_tab.insert(&txn, row![9i64, 9i64, 1i64, "own"]).unwrap();
+                let own_ids = [upd, del, ins];
+
+                let snapshots = [
+                    ("now", now, reader),
+                    ("as-of", ts_old, reader),
+                    ("in-txn", txn.begin_ts(), txn.id()),
+                ];
+                for q in 0..60 {
+                    // Mostly random keys (some never existed), sometimes the
+                    // transaction's own.
+                    let id = if q % 6 == 0 {
+                        own_ids[q / 6 % 3]
+                    } else {
+                        rng.gen_range(0..IDS + 35)
+                    };
+                    let (w, d) = if id == ins {
+                        (9, 9)
+                    } else {
+                        (id / 20, id % 20)
+                    };
+                    let other = rng.gen_range(0..IDS);
+                    let x = rng.gen_range(-50..50i64);
+                    let cols = ["*", "v, name", "id", "name, g", "v + g"][rng.gen_range(0..5usize)];
+                    let residual = [
+                        String::new(),
+                        format!(" AND v > {x}"),
+                        format!(" AND name = 'n{}'", rng.gen_range(0..5)),
+                        " AND name <> 'own'".to_string(),
+                        format!(" AND v + v > {x}"),
+                        " AND name = 5".to_string(), // mistyped: the scan's TypeMismatch
+                    ][rng.gen_range(0..6usize)]
+                    .clone();
+                    let key = match rng.gen_range(0..12u32) {
+                        0 => format!("id = {id} AND id = {other}"), // contradictory (or duplicated)
+                        1 => format!("id = {id} AND id = {id}"),
+                        2 => "id = NULL".to_string(),
+                        3 => format!("id = {id}.0"),
+                        4 => format!("id = {id}.5"),
+                        5 => format!("id = {id}.0 AND {id} = id"),
+                        6 => format!("id >= {id} AND id <= {id}"), // a scan either way
+                        _ => format!("id = {id}"),
+                    };
+                    let c_cols = if cols == "id" || cols == "name, g" {
+                        "d, name"
+                    } else {
+                        cols
+                    };
+                    let c_cols = c_cols.replace("v + g", "v + w");
+                    let statements = [
+                        (
+                            format!("SELECT {cols} FROM s"),
+                            format!("WHERE {key}{residual}"),
+                        ),
+                        (
+                            format!("SELECT {c_cols} FROM c"),
+                            match q % 4 {
+                                0 => format!("WHERE w = {w}{residual}"), // partial key: a scan
+                                1 => format!("WHERE d = {d} AND w = {w} AND w = {w}{residual}"),
+                                _ => format!("WHERE w = {w} AND d = {d}{residual}"),
+                            },
+                        ),
+                    ];
+                    for (select, filter) in &statements {
+                        let plan = plan_of(&db, &format!("{select} {filter}"));
+                        point_plans += is_point(&plan) as usize;
+                        for (what, read_ts, me) in snapshots {
+                            let want = rows_via_scan(&plan, &db, read_ts, me);
+                            // Through SQL where SQL can name the snapshot; the
+                            // transaction's through the executor.
+                            let got = match what {
+                                "now" => db.query(&format!("{select} {filter}")),
+                                "as-of" => db.query(&format!("{select} AS OF {ts_old} {filter}")),
+                                _ => {
+                                    let ctx = ExecContext {
+                                        read_ts,
+                                        me,
+                                        ..snapshot_ctx(0)
+                                    };
+                                    execute_plan(&plan, &db.catalog_read(), &ctx)
+                                        .map(|bs| bs.iter().flat_map(|b| b.to_rows()).collect())
+                                }
+                            };
+                            hits += matches!(&got, Ok(rows) if !rows.is_empty()) as usize;
+                            assert_eq!(
+                                shown(got),
+                                shown(want),
+                                "{tag} {what}: `{select} {filter}`\n{}",
+                                plan.explain()
+                            );
+                        }
+                    }
+
+                    // Shapes the scan oracle does not interpret, against the
+                    // same statement written as a range (a scan): a point scan
+                    // under an aggregate, and one carrying a sideways join
+                    // filter from the join above it.
+                    for (point, range) in [
+                        (
+                            format!("SELECT COUNT(*), SUM(v) FROM s WHERE id = {id}"),
+                            format!("SELECT COUNT(*), SUM(v) FROM s WHERE id >= {id} AND id <= {id}"),
+                        ),
+                        (
+                            format!("SELECT s.v, c.v FROM s JOIN c ON s.g = c.w WHERE s.id = {id} ORDER BY c.v"),
+                            format!(
+                                "SELECT s.v, c.v FROM s JOIN c ON s.g = c.w \
+                                 WHERE s.id >= {id} AND s.id <= {id} ORDER BY c.v"
+                            ),
+                        ),
+                    ] {
+                        assert!(plan_of(&db, &point).explain().contains("access=pk-point"));
+                        assert!(!plan_of(&db, &range).explain().contains("access=pk-point"));
+                        assert_eq!(
+                            shown(db.query(&point)),
+                            shown(db.query(&range)),
+                            "{tag}: `{point}`"
+                        );
+                    }
+                }
+                txn.abort().unwrap();
+                pin.execute("COMMIT").unwrap();
+            }
+        }
+    }
+    // Not vacuous: most statements were point plans, and many found a row.
+    assert!(point_plans > 4000, "only {point_plans} point plans");
+    assert!(hits > 4000, "only {hits} non-empty answers");
+}
+
+/// A table without a primary key has no point path to take: `=` on any
+/// column is a scan, duplicates and all.
+#[test]
+fn keyless_tables_keep_scanning() {
+    let db = Database::new();
+    db.execute("CREATE TABLE h (a BIGINT, b BIGINT) USING FORMAT COLUMN")
+        .unwrap();
+    db.execute("INSERT INTO h VALUES (1, 10), (1, 11), (2, 20)")
+        .unwrap();
+    db.maintenance();
+    let explain = db.query("EXPLAIN SELECT b FROM h WHERE a = 1").unwrap();
+    assert!(!format!("{explain:?}").contains("access="), "{explain:?}");
+    assert_eq!(
+        db.query("SELECT b FROM h WHERE a = 1 ORDER BY b").unwrap(),
+        vec![row![10i64], row![11i64]]
+    );
 }
