@@ -103,8 +103,10 @@ fn scan_cell_name(width: u8, kernel: &str) -> &'static str {
     }
 }
 
-/// A column-format metrics table with a low-cardinality group key and a
-/// dictionary-friendly tag — the shape the fused kernels target.
+/// A column-format metrics table with one group key per key source of the
+/// fused dense path — `g` dictionary-coded, `q` a 4-bit frame of reference,
+/// `w` run-length encoded, `tag` dictionary strings — and an integer and a
+/// float measure: the shapes the fused kernels target.
 fn agg_db(faults: Option<Arc<FaultInjector>>) -> Arc<Database> {
     let db = Database::with_config(DbConfig {
         faults,
@@ -112,8 +114,8 @@ fn agg_db(faults: Option<Arc<FaultInjector>>) -> Arc<Database> {
     })
     .unwrap();
     db.execute(
-        "CREATE TABLE m (id BIGINT PRIMARY KEY, tag TEXT, g BIGINT, v BIGINT, f DOUBLE) \
-         USING FORMAT COLUMN",
+        "CREATE TABLE m (id BIGINT PRIMARY KEY, tag TEXT, g BIGINT, v BIGINT, f DOUBLE, \
+         q BIGINT, w BIGINT) USING FORMAT COLUMN",
     )
     .unwrap();
     let t = db.table("m").unwrap();
@@ -128,9 +130,12 @@ fn agg_db(faults: Option<Arc<FaultInjector>>) -> Arc<Database> {
         // with a wide FOR width is exactly where the encoder picks a
         // dictionary, which is what the dense code-domain lane keys on.
         let g = (i % 50) * 1_000_000_007;
+        // `q`: ten scattered values, as CH's ol_quantity; `w`: sixteen
+        // long runs, as its ol_w_id under a warehouse-ordered load.
+        let (q, w) = (k % 10 + 1, i * 16 / n + 1);
         t.insert(
             &tx,
-            row![i, tags[(i % 4) as usize], g, k, (k as f64) * 0.25],
+            row![i, tags[(i % 4) as usize], g, k, (k as f64) * 0.25, q, w],
         )
         .unwrap();
     }
@@ -149,7 +154,7 @@ fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
     faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::always());
     let fallback_db = agg_db(Some(Arc::clone(&faults)));
 
-    let queries: [(&'static str, &str); 4] = [
+    let queries: [(&'static str, &str); 8] = [
         (
             "agg_group_int",
             "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM m GROUP BY g ORDER BY g",
@@ -166,6 +171,24 @@ fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
             "agg_filtered",
             "SELECT tag, COUNT(*), SUM(v) FROM m WHERE v < 250 AND tag <> 'net' \
              GROUP BY tag ORDER BY tag",
+        ),
+        // What the CH statements of `benchmark/` run: FOR- and RLE-coded
+        // integer keys, and float sums held to the row-order additions.
+        (
+            "agg_group_for_key",
+            "SELECT q, COUNT(*), SUM(v) FROM m GROUP BY q ORDER BY q",
+        ),
+        (
+            "agg_group_rle_key",
+            "SELECT w, COUNT(*), SUM(v) FROM m GROUP BY w ORDER BY w",
+        ),
+        (
+            "agg_float_sum",
+            "SELECT COUNT(*), SUM(f) FROM m WHERE v < 500",
+        ),
+        (
+            "agg_float_avg",
+            "SELECT q, COUNT(*), SUM(f), AVG(f) FROM m GROUP BY q ORDER BY q",
         ),
     ];
     for (name, sql) in queries {

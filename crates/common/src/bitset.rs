@@ -188,9 +188,53 @@ impl BitSet {
         }
     }
 
+    /// ANDs `bits` into word slot `idx`: the filter-side twin of
+    /// [`BitSet::or_word`], for kernels that compare 64 values to a mask
+    /// word. Slots past the end are ignored.
+    pub fn and_word(&mut self, idx: usize, bits: u64) {
+        if let Some(w) = self.words.get_mut(idx) {
+            *w &= bits;
+        }
+    }
+
+    /// Makes this a set of `len` bits, every one equal to `value`, keeping
+    /// the allocation: scratch selections are reset once per row group
+    /// instead of reallocated.
+    pub fn reset(&mut self, len: usize, value: bool) {
+        self.words.clear();
+        self.words
+            .resize(len.div_ceil(64), if value { u64::MAX } else { 0 });
+        self.len = len;
+        self.clear_trailing();
+    }
+
     /// Raw word access (read-only), used by vectorized kernels.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// ORs `src` into this set with `src`'s bit 0 landing on bit `start` —
+    /// the inverse of [`BitSet::slice`], by the same word shifts, so a row
+    /// group's selection joins the segment's without a per-bit loop.
+    pub fn paste(&mut self, start: usize, src: &BitSet) {
+        assert!(start + src.len <= self.len, "paste out of range");
+        let base = start / 64;
+        let off = start % 64;
+        if off == 0 {
+            for (d, s) in self.words[base..].iter_mut().zip(&src.words) {
+                *d |= *s;
+            }
+            return;
+        }
+        for (k, &s) in src.words.iter().enumerate() {
+            self.words[base + k] |= s << off;
+            // `src` keeps its trailing bits clear, so a non-zero carry
+            // belongs to bits below `start + src.len`: the word exists.
+            let carry = s >> (64 - off);
+            if carry != 0 {
+                self.words[base + k + 1] |= carry;
+            }
+        }
     }
 
     /// Copies bits `[start, start + len)` into a fresh bitset whose bit 0
@@ -357,6 +401,44 @@ mod tests {
                 assert_eq!(s.get(i), b.get(start + i), "start {start} len {len} bit {i}");
             }
         }
+    }
+
+    #[test]
+    fn paste_matches_per_bit_copy_and_inverts_slice() {
+        let idx: Vec<usize> = (0..300).filter(|i| i % 5 == 0 || i % 11 == 3).collect();
+        for len in [0usize, 1, 63, 64, 65, 128, 191, 300] {
+            let src = BitSet::from_indexes(300, &idx).slice(0, len);
+            for start in [0usize, 1, 37, 63, 64, 65, 127, 200] {
+                // Into a destination that already holds bits: paste ORs.
+                let total = start + len + 70;
+                let before = BitSet::from_indexes(total, &[0, total - 1]);
+                let mut got = before.clone();
+                got.paste(start, &src);
+                let mut want = before;
+                for i in src.iter_ones() {
+                    want.set(start + i);
+                }
+                assert_eq!(got, want, "start {start} len {len}");
+                assert_eq!(got.slice(start, len).count_ones(), src.count_ones());
+            }
+        }
+        // Flush against the end: the carry word must not be touched.
+        let mut tight = BitSet::with_len(127);
+        tight.paste(63, &BitSet::all_set(64));
+        assert_eq!(tight.to_selection(), (63..127).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn reset_reuses_and_masks() {
+        let mut b = BitSet::from_indexes(200, &[3, 199]);
+        b.reset(70, true);
+        assert_eq!((b.len(), b.count_ones()), (70, 70));
+        b.reset(130, false);
+        assert_eq!((b.len(), b.count_ones()), (130, 0));
+        b.reset(65, true);
+        b.and_word(0, 0b101);
+        b.and_word(9, 0); // past the end: ignored
+        assert_eq!(b.to_selection(), vec![0, 2, 64]);
     }
 
     #[test]

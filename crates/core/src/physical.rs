@@ -105,24 +105,28 @@ pub fn execute_plan(
     catalog: &Catalog,
     ctx: &ExecContext,
 ) -> Result<Vec<Batch>> {
-    let mut lowering = Lowering {
-        catalog,
-        ctx,
-        pctx: ParallelContext {
-            pool: ctx.pool.clone(),
-            sockets: NumaTopology::two_socket().sockets,
-            cancel: ctx.cancel.clone(),
-            faults: Arc::clone(&ctx.faults),
-            mem: ctx.mem.clone(),
-        },
-        sips: FxHashMap::default(),
-    };
+    let mut lowering = Lowering::new(catalog, ctx);
     let p = lowering.decompose(plan)?;
     let batches = lowering.drain(p)?;
     Ok(batches.into_iter().filter(|b| !b.is_empty()).collect())
 }
 
-impl Lowering<'_> {
+impl<'a> Lowering<'a> {
+    fn new(catalog: &'a Catalog, ctx: &'a ExecContext) -> Self {
+        Lowering {
+            catalog,
+            ctx,
+            pctx: ParallelContext {
+                pool: ctx.pool.clone(),
+                sockets: NumaTopology::two_socket().sockets,
+                cancel: ctx.cancel.clone(),
+                faults: Arc::clone(&ctx.faults),
+                mem: ctx.mem.clone(),
+            },
+            sips: FxHashMap::default(),
+        }
+    }
+
     /// Runs a pipeline's remaining stage chain, yielding its batches in
     /// morsel order. Handing over already-final batches is a batch
     /// boundary too: a cancelled query never returns a result.
@@ -187,7 +191,7 @@ impl Lowering<'_> {
                 p
             }
             LogicalPlan::Aggregate { input, group, aggs } => {
-                if let Some(fused) = self.try_fused_aggregate(input, group, aggs)? {
+                if let Some((fused, _paths)) = self.try_fused_aggregate(input, group, aggs)? {
                     return Ok(fused);
                 }
                 let p = self.decompose(input)?;
@@ -282,7 +286,8 @@ impl Lowering<'_> {
     /// `oltap_exec::fused`), the delta is folded through the same
     /// [`AggregatorCore`], and the finished batches replace the whole
     /// subtree — the fused scan reads encoded segments directly, so there
-    /// is no batch stream to morselize. Returns `None` — fall back to the
+    /// is no batch stream to morselize; beside them, how many row groups
+    /// took the dense and the scalar path. Returns `None` — fall back to the
     /// pipelines — when the shape doesn't qualify: non-column expressions,
     /// non-columnar tables, a scan carrying a sideways join filter, or one
     /// the optimizer answers with a key lookup.
@@ -291,7 +296,7 @@ impl Lowering<'_> {
         input: &LogicalPlan,
         group: &[(Expr, String)],
         aggs: &[AggExpr],
-    ) -> Result<Option<Pipeline>> {
+    ) -> Result<Option<(Pipeline, (usize, usize))>> {
         let ctx = self.ctx;
         let LogicalPlan::Scan {
             table,
@@ -318,7 +323,7 @@ impl Lowering<'_> {
         let (segments, delta) =
             t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
         let mut map = core.new_map();
-        fused_aggregate_segments(
+        let paths = fused_aggregate_segments(
             &core,
             &mut map,
             &segments,
@@ -334,9 +339,9 @@ impl Lowering<'_> {
         for b in &delta {
             core.consume(&mut map, b)?;
         }
-        Ok(Some(Pipeline::materialized(
-            core.finish(map)?,
-            core.schema(),
+        Ok(Some((
+            Pipeline::materialized(core.finish(map)?, core.schema()),
+            paths,
         )))
     }
 }
@@ -660,6 +665,313 @@ mod tests {
                 );
             }
         }
+    }
+
+    // --- the analytic statement path on a CH-shaped database ---------------
+
+    use crate::database::{BufferConfig, Database, DbConfig};
+    use oltap_common::fault::{points, FaultPoint};
+
+    /// The benchmark's `olap_scan` statements (`benchmark/src/ch.rs`).
+    const OLAP_SCAN: [(&str, &str); 7] = [
+        (
+            "Q1",
+            "SELECT ol_quantity, COUNT(*) AS cnt, SUM(ol_amount) AS total, \
+             AVG(ol_amount) AS avg_amount FROM order_line \
+             GROUP BY ol_quantity ORDER BY ol_quantity",
+        ),
+        (
+            "Q6",
+            "SELECT SUM(ol_amount) AS revenue FROM order_line \
+             WHERE ol_quantity >= 5 AND ol_amount > 400.0",
+        ),
+        (
+            "Q14",
+            "SELECT COUNT(*) AS n, SUM(ol_amount) AS rev FROM order_line \
+             WHERE ol_delivery_d >= 1000000 AND ol_delivery_d < 2000000",
+        ),
+        (
+            "Q15",
+            "SELECT ol_w_id, SUM(ol_amount) AS v FROM order_line \
+             GROUP BY ol_w_id ORDER BY v DESC LIMIT 5",
+        ),
+        (
+            "Q2",
+            "SELECT s_i_id, SUM(s_quantity) AS q FROM stock \
+             WHERE s_quantity < 25 GROUP BY s_i_id ORDER BY q LIMIT 20",
+        ),
+        (
+            "Q12",
+            "SELECT o_ol_cnt, COUNT(*) AS n FROM orders \
+             WHERE o_carrier_id IS NOT NULL GROUP BY o_ol_cnt ORDER BY o_ol_cnt",
+        ),
+        (
+            "Q18",
+            "SELECT c_state, COUNT(*) AS n, SUM(c_balance) AS bal FROM customer \
+             GROUP BY c_state ORDER BY bal LIMIT 8",
+        ),
+    ];
+
+    /// A database with the benchmark's DDL for the four tables `olap_scan`
+    /// reads and its column value ranges, at three warehouses of 30
+    /// customers and 30 orders a district: 6.7k order lines, so a paged
+    /// `order_line` has several 1024-row groups. Merged into main segments.
+    fn ch_database(buffer: Option<BufferConfig>) -> Arc<Database> {
+        let db = Database::with_config(DbConfig {
+            faults: Some(FaultInjector::new(0xC4)),
+            buffer,
+            ..DbConfig::default()
+        })
+        .unwrap();
+        for ddl in [
+            "CREATE TABLE customer (c_w_id BIGINT NOT NULL, c_d_id BIGINT NOT NULL, \
+             c_id BIGINT NOT NULL, c_name TEXT, c_state TEXT, c_balance DOUBLE, \
+             c_ytd_payment DOUBLE, c_payment_cnt BIGINT, \
+             PRIMARY KEY (c_w_id, c_d_id, c_id)) USING FORMAT COLUMN",
+            "CREATE TABLE stock (s_w_id BIGINT NOT NULL, s_i_id BIGINT NOT NULL, \
+             s_quantity BIGINT, s_ytd BIGINT, s_order_cnt BIGINT, \
+             PRIMARY KEY (s_w_id, s_i_id)) USING FORMAT COLUMN",
+            "CREATE TABLE orders (o_w_id BIGINT NOT NULL, o_d_id BIGINT NOT NULL, \
+             o_id BIGINT NOT NULL, o_c_id BIGINT, o_entry_d TIMESTAMP, \
+             o_carrier_id BIGINT, o_ol_cnt BIGINT, \
+             PRIMARY KEY (o_w_id, o_d_id, o_id)) USING FORMAT COLUMN",
+            "CREATE TABLE order_line (ol_w_id BIGINT NOT NULL, ol_d_id BIGINT NOT NULL, \
+             ol_o_id BIGINT NOT NULL, ol_number BIGINT NOT NULL, ol_i_id BIGINT, \
+             ol_quantity BIGINT, ol_amount DOUBLE, ol_delivery_d TIMESTAMP, \
+             PRIMARY KEY (ol_w_id, ol_d_id, ol_o_id, ol_number)) USING FORMAT COLUMN",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        // SplitMix64, as the benchmark's generator.
+        let mut state = 0x0C4B_E9C4u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut range = |lo: i64, hi: i64| lo + (next() % (hi - lo + 1) as u64) as i64;
+        const STATES: [&str; 8] = ["CA", "NY", "TX", "WA", "IL", "MA", "FL", "OR"];
+        let int = Value::Int;
+        let (mut customer, mut stock, mut orders, mut order_line) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut ts = 1_000_000i64;
+        for w in 1..=3 {
+            for i in 1..=1000 {
+                stock.push(Row::new(vec![int(w), int(i), int(range(10, 99)), int(0), int(0)]));
+            }
+            for d in 1..=10 {
+                for c in 1..=30 {
+                    customer.push(Row::new(vec![
+                        int(w),
+                        int(d),
+                        int(c),
+                        Value::Str(format!("cust-{w}-{d}-{c}")),
+                        Value::Str(STATES[range(0, 7) as usize].to_string()),
+                        Value::Float(-10.0),
+                        Value::Float(10.0),
+                        int(1),
+                    ]));
+                }
+                for o in 1..=30 {
+                    let ol_cnt = range(5, 10);
+                    let carrier = if o < 21 { int(range(1, 10)) } else { Value::Null };
+                    ts += range(1, 49);
+                    orders.push(Row::new(vec![
+                        int(w),
+                        int(d),
+                        int(o),
+                        int(range(1, 30)),
+                        Value::Timestamp(ts),
+                        carrier,
+                        int(ol_cnt),
+                    ]));
+                    for n in 1..=ol_cnt {
+                        let amount = 1.0 + (range(0, (1 << 53) - 1) as f64 / (1u64 << 53) as f64) * 499.0;
+                        order_line.push(Row::new(vec![
+                            int(w),
+                            int(d),
+                            int(o),
+                            int(n),
+                            int(range(1, 1000)),
+                            int(range(1, 10)),
+                            Value::Float(amount),
+                            Value::Timestamp(ts + range(0, 999)),
+                        ]));
+                    }
+                }
+            }
+        }
+        for (table, rows) in [
+            ("customer", customer),
+            ("stock", stock),
+            ("orders", orders),
+            ("order_line", order_line),
+        ] {
+            let handle = db.table(table).unwrap();
+            for chunk in rows.chunks(2000) {
+                let txn = db.txn_manager().begin();
+                for row in chunk {
+                    handle.insert(&txn, row.clone()).unwrap();
+                }
+                txn.commit().unwrap();
+            }
+        }
+        db.maintenance();
+        db
+    }
+
+    fn aggregate_over_scan(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+        match plan {
+            LogicalPlan::Aggregate { input, .. } if matches!(**input, LogicalPlan::Scan { .. }) => {
+                Some(plan)
+            }
+            LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => aggregate_over_scan(input),
+            LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } => None,
+        }
+    }
+
+    /// Runs `sql`'s `Aggregate(Scan)` node the way the lowering does:
+    /// its rows, and the row groups that went dense and scalar.
+    fn fused_node(db: &Arc<Database>, sql: &str) -> (Vec<Row>, (usize, usize)) {
+        let catalog = db.catalog_read();
+        let plan = plan_for(sql, &catalog);
+        let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan) else {
+            panic!("no Aggregate(Scan) in the plan of `{sql}`:\n{}", plan.explain());
+        };
+        let ctx = ExecContext {
+            faults: Arc::clone(db.faults()),
+            ..snapshot_ctx(db.txn_manager().now())
+        };
+        let (pipeline, paths) = Lowering::new(&catalog, &ctx)
+            .try_fused_aggregate(input, group, aggs)
+            .unwrap()
+            .unwrap_or_else(|| panic!("`{sql}` did not fuse"));
+        (pipeline.batches.iter().flat_map(|b| b.to_rows()).collect(), paths)
+    }
+
+    /// Every `olap_scan` statement runs wholly on the dense path — no row
+    /// group decoded row by row — on resident, paged and frozen storage,
+    /// and answers bit for bit what the forced scalar path answers.
+    #[test]
+    fn olap_scan_shapes_run_dense_on_every_storage() {
+        let paged = BufferConfig {
+            pool_bytes: u64::MAX,
+            page_rows: 1024,
+            page_root: None,
+        };
+        for (storage, buffer, freeze) in [
+            ("resident", None, false),
+            ("paged", Some(paged), false),
+            ("frozen", None, true),
+        ] {
+            let db = ch_database(buffer);
+            if freeze {
+                assert!(db.freeze_all(true).unwrap().segments_frozen >= 4);
+            }
+            for (id, sql) in OLAP_SCAN {
+                let (rows, (dense, scalar)) = fused_node(&db, sql);
+                assert!(dense > 0 && scalar == 0, "{storage} {id}: {dense} dense, {scalar} scalar");
+                assert!(!rows.is_empty(), "{storage} {id}: vacuous");
+                if storage == "paged" && sql.contains("order_line") && !sql.contains("WHERE") {
+                    assert!(dense > 4, "{storage} {id}: {dense} row groups");
+                }
+                let answer = db.query(sql).unwrap();
+
+                db.faults()
+                    .arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::always());
+                let (reference, (ref_dense, ref_scalar)) = fused_node(&db, sql);
+                let reference_answer = db.query(sql).unwrap();
+                db.faults().disarm(points::EXEC_KERNEL_FALLBACK);
+
+                assert_eq!((ref_dense, ref_scalar), (0, dense), "{storage} {id}");
+                assert_eq!(rows, reference, "{storage} {id}");
+                assert_eq!(answer, reference_answer, "{storage} {id}");
+            }
+        }
+    }
+
+    /// A float literal against an integer column is one question, whichever
+    /// store holds the rows: delta, resident, paged or frozen segments.
+    #[test]
+    fn float_literal_on_int_column_answers_alike_in_every_store() {
+        let load = |db: &Arc<Database>| {
+            db.execute("CREATE TABLE q (id BIGINT PRIMARY KEY, n BIGINT) USING FORMAT COLUMN")
+                .unwrap();
+            let values: Vec<String> = (0..1500)
+                .map(|i| match i % 13 {
+                    5 => format!("({i}, NULL)"),
+                    _ => format!("({i}, {})", (i * 7) % 11 + 1),
+                })
+                .collect();
+            db.execute(&format!("INSERT INTO q VALUES {}", values.join(", ")))
+                .unwrap();
+        };
+        let paged = || {
+            Database::with_config(DbConfig {
+                buffer: Some(BufferConfig {
+                    pool_bytes: u64::MAX,
+                    page_rows: 256,
+                    page_root: None,
+                }),
+                ..DbConfig::default()
+            })
+            .unwrap()
+        };
+        let stores: [(&str, Arc<Database>); 4] = [
+            ("delta", Database::new()),
+            ("resident", Database::new()),
+            ("paged", paged()),
+            ("frozen", Database::new()),
+        ];
+        for (store, db) in &stores {
+            load(db);
+            if *store != "delta" {
+                db.maintenance();
+            }
+            if *store == "frozen" {
+                assert!(db.freeze_all(true).unwrap().segments_frozen > 0);
+            }
+        }
+        for cond in [
+            "n >= 5.0",
+            "n = 7.0",
+            "n = 7.5",
+            "n > 6.5",
+            "n <> 7.0",
+            "n <> 7.5",
+            "n < 0.5",
+            "n <= 11.0",
+            "4.5 < n",
+            "n >= 5.0 AND n < 8.5",
+            "n > 99999999999999999999.0",
+            "n < 99999999999999999999.0",
+            "n IS NOT NULL",
+        ] {
+            let answers: Vec<_> = stores
+                .iter()
+                .map(|(_, db)| {
+                    let count = db.query(&format!("SELECT COUNT(*) FROM q WHERE {cond}"));
+                    let ids = db.query(&format!("SELECT id FROM q WHERE {cond} ORDER BY id"));
+                    (count.unwrap(), ids.unwrap())
+                })
+                .collect();
+            let (count, ids) = &answers[0];
+            assert_eq!(count[0][0], Value::Int(ids.len() as i64), "{cond}");
+            for ((store, _), answer) in stores.iter().zip(&answers) {
+                assert_eq!(answer, &answers[0], "{cond}: {store} differs from delta");
+            }
+        }
+        // The pinned case: seven of eleven values are >= 5.
+        let (_, db) = &stores[1];
+        let n = db.query("SELECT COUNT(*) FROM q WHERE n >= 5.0").unwrap();
+        assert_eq!(n, db.query("SELECT COUNT(*) FROM q WHERE n >= 5").unwrap());
+        assert!(matches!(n[0][0], Value::Int(c) if c > 800));
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl Session {
         let predicate = filter.map(|f| bind_scalar(f, schema)).transpose()?;
         let all: Vec<usize> = (0..schema.len()).collect();
         if let Some(p) = &predicate {
-            let (conjuncts, _residual) = split_pushdown(p, &all);
+            let (conjuncts, _residual) = split_pushdown(p, &all, schema);
             let pushable = ScanPredicate {
                 conjuncts,
                 join: None,

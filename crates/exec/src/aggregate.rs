@@ -1,6 +1,7 @@
 //! Blocking hash aggregation (GROUP BY) with the standard SQL aggregates.
 
 use crate::expr::Expr;
+use crate::kernels::set_bits;
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
 use oltap_common::schema::SchemaRef;
@@ -168,9 +169,86 @@ impl AggState {
     }
 
     pub(crate) fn count_row(&mut self) {
+        self.count_rows(1);
+    }
+
+    /// Counts `n` rows at once (a popcount of the selection word).
+    #[inline]
+    pub(crate) fn count_rows(&mut self, n: i64) {
         if let AggState::Count(c) = self {
-            *c += 1;
+            *c += n;
         }
+    }
+
+    /// [`AggState::update`] for a non-NULL integer, without the [`Value`]:
+    /// the same state transitions, so it may stand in for it row by row.
+    #[inline]
+    pub(crate) fn update_int(&mut self, v: i64) -> Result<()> {
+        match self {
+            AggState::Count(c) => *c += 1,
+            AggState::SumI { sum, seen } => {
+                *sum = sum.wrapping_add(v);
+                *seen = true;
+            }
+            AggState::Avg { sum, count } => {
+                *sum += v as f64;
+                *count += 1;
+            }
+            AggState::Min(Some(Value::Int(cur))) => *cur = v.min(*cur),
+            AggState::Max(Some(Value::Int(cur))) => *cur = v.max(*cur),
+            _ => return self.update(&Value::Int(v)),
+        }
+        Ok(())
+    }
+
+    /// [`AggState::update`] for a non-NULL float, without the [`Value`].
+    #[inline]
+    pub(crate) fn update_float(&mut self, v: f64) -> Result<()> {
+        match self {
+            AggState::Count(c) => *c += 1,
+            AggState::SumF { sum, seen } => {
+                *sum += v;
+                *seen = true;
+            }
+            AggState::Avg { sum, count } => {
+                *sum += v;
+                *count += 1;
+            }
+            // Ties in the total order are the same bits: nothing to keep.
+            AggState::Min(Some(Value::Float(cur))) if v.total_cmp(cur).is_lt() => *cur = v,
+            AggState::Max(Some(Value::Float(cur))) if v.total_cmp(cur).is_gt() => *cur = v,
+            AggState::Min(Some(Value::Float(_))) | AggState::Max(Some(Value::Float(_))) => {}
+            _ => return self.update(&Value::Float(v)),
+        }
+        Ok(())
+    }
+
+    /// [`AggState::update_float`] over the rows of `block` whose bit is set
+    /// in `mask`, in row order: one addition per row onto the running sum,
+    /// exactly the additions the row-at-a-time loop makes.
+    pub(crate) fn update_floats(&mut self, block: &[f64], mask: u64) -> Result<()> {
+        let ordered_sum = |mut sum: f64| {
+            for o in set_bits(mask) {
+                sum += block[o];
+            }
+            sum
+        };
+        match self {
+            AggState::SumF { sum, seen } => {
+                *sum = ordered_sum(*sum);
+                *seen |= mask != 0;
+            }
+            AggState::Avg { sum, count } => {
+                *sum = ordered_sum(*sum);
+                *count += i64::from(mask.count_ones());
+            }
+            _ => {
+                for o in set_bits(mask) {
+                    self.update_float(block[o])?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Folds another partial state (same function, different input slice)
@@ -320,28 +398,6 @@ impl AggregatorCore {
     /// The resolved input type of each aggregate.
     pub fn agg_input_types(&self) -> &[DataType] {
         &self.input_types
-    }
-
-    /// Folds one key's partial states into `map` — the single-key mirror
-    /// of [`AggregatorCore::merge`], used by the fused segment path to
-    /// translate dense per-code accumulators into the global map.
-    pub(crate) fn merge_key(
-        &self,
-        map: &mut GroupMap,
-        key: Row,
-        states: Vec<AggState>,
-    ) -> Result<()> {
-        match map.0.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                for (dst, src) in e.get_mut().iter_mut().zip(states) {
-                    dst.merge(src)?;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(states);
-            }
-        }
-        Ok(())
     }
 
     /// An empty partial map.

@@ -337,6 +337,19 @@ impl IntFold {
     }
 }
 
+/// The positions of `mask`'s set bits, ascending: how the fused kernels
+/// walk the selected rows of a 64-row block.
+#[inline]
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let o = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            o
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,7 @@
 //! that scan once the build side is materialized.
 
 use crate::plan::{AccessPath, LogicalPlan, SipScan};
-use oltap_common::{Result, Value};
+use oltap_common::{DataType, Result, Schema, Value};
 use oltap_exec::expr::{BinOp, Expr, UnOp};
 use oltap_exec::join::JoinType;
 use oltap_storage::{CmpOp, ColumnPredicate};
@@ -220,7 +220,7 @@ fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
                     sip,
                     access: _,
                 } => {
-                    let (pushed, residual) = split_pushdown(&predicate, &projection);
+                    let (pushed, residual) = split_pushdown(&predicate, &projection, &table_schema);
                     pushdown.conjuncts.extend(pushed);
                     // The access path is a function of the pushdown: chosen
                     // here, where the pushdown is decided.
@@ -363,12 +363,18 @@ pub fn split_conjuncts(e: Expr) -> Vec<Expr> {
 }
 
 /// Splits `predicate` into the conjuncts storage evaluates natively
-/// (`column <op> literal`, as table ordinals through `projection`) and the
-/// residual ones an executor filter keeps, both in source order.
-pub fn split_pushdown(predicate: &Expr, projection: &[usize]) -> (Vec<ColumnPredicate>, Vec<Expr>) {
+/// (`column <op> literal`, as ordinals of `table_schema` through
+/// `projection`) and the residual ones an executor filter keeps, both in
+/// source order.
+pub fn split_pushdown(
+    predicate: &Expr,
+    projection: &[usize],
+    table_schema: &Schema,
+) -> (Vec<ColumnPredicate>, Vec<Expr>) {
     fn walk(
         e: &Expr,
         projection: &[usize],
+        table_schema: &Schema,
         pushed: &mut Vec<ColumnPredicate>,
         residual: &mut Vec<Expr>,
     ) {
@@ -378,17 +384,17 @@ pub fn split_pushdown(predicate: &Expr, projection: &[usize]) -> (Vec<ColumnPred
                 left,
                 right,
             } => {
-                walk(left, projection, pushed, residual);
-                walk(right, projection, pushed, residual);
+                walk(left, projection, table_schema, pushed, residual);
+                walk(right, projection, table_schema, pushed, residual);
             }
-            conj => match to_column_predicate(conj, projection) {
+            conj => match to_column_predicate(conj, projection, table_schema) {
                 Some(cp) => pushed.push(cp),
                 None => residual.push(conj.clone()),
             },
         }
     }
     let (mut pushed, mut residual) = (Vec::new(), Vec::new());
-    walk(predicate, projection, &mut pushed, &mut residual);
+    walk(predicate, projection, table_schema, &mut pushed, &mut residual);
     (pushed, residual)
 }
 
@@ -405,11 +411,32 @@ fn rebuild_conjunction(mut conjuncts: Vec<Expr>) -> Option<Expr> {
     }))
 }
 
-/// Tries to convert `#col op literal` (either side) into a storage
-/// predicate. `projection` maps plan ordinals back to table ordinals.
-fn to_column_predicate(e: &Expr, projection: &[usize]) -> Option<ColumnPredicate> {
+/// Tries to convert `#col op literal` (either side) or `#col IS NOT NULL`
+/// into a storage predicate. `projection` maps plan ordinals back to table
+/// ordinals.
+fn to_column_predicate(
+    e: &Expr,
+    projection: &[usize],
+    table_schema: &Schema,
+) -> Option<ColumnPredicate> {
     let (op, l, r) = match e {
         Expr::Binary { op, left, right } => (*op, left.as_ref(), right.as_ref()),
+        // A storage comparison never matches NULL, so `>=` the least value
+        // of the column's type passes exactly the non-NULL rows.
+        Expr::IsNotNull(inner) => {
+            let Expr::Column(c) = inner.as_ref() else {
+                return None;
+            };
+            let column = *projection.get(*c)?;
+            let least = match table_schema.fields().get(column)?.data_type {
+                DataType::Int64 | DataType::Timestamp => Value::Int(i64::MIN),
+                // First in `total_cmp` order: the negative NaN of largest payload.
+                DataType::Float64 => Value::Float(f64::from_bits(u64::MAX)),
+                DataType::Utf8 => Value::Str(String::new()),
+                DataType::Bool => Value::Bool(false),
+            };
+            return Some(ColumnPredicate::new(column, CmpOp::Ge, least));
+        }
         _ => return None,
     };
     let cmp = match op {
@@ -972,6 +999,35 @@ mod tests {
         let (_, pushdown) = find_scan(&p);
         assert_eq!(pushdown.conjuncts[0].op, CmpOp::Gt);
         assert_eq!(pushdown.conjuncts[0].value, Value::Int(5));
+    }
+
+    #[test]
+    fn is_not_null_pushed_as_at_least_the_least_value() {
+        let p = optimized("SELECT b FROM t WHERE a IS NOT NULL AND c IS NOT NULL AND d IS NOT NULL");
+        assert!(!p.explain().contains("Filter"), "{}", p.explain());
+        let (_, pushdown) = find_scan(&p);
+        let least = [
+            Value::Int(i64::MIN),
+            Value::Str(String::new()),
+            Value::Float(f64::from_bits(u64::MAX)),
+        ];
+        for (c, (column, least)) in pushdown.conjuncts.iter().zip([0, 2, 3].into_iter().zip(least)) {
+            assert_eq!((c.column, c.op, &c.value), (column, CmpOp::Ge, &least));
+        }
+        // Every non-NULL value passes, NULL does not — the negative NaN of
+        // largest payload included, the first float in the total order.
+        let d = &pushdown.conjuncts[2];
+        for v in [f64::NEG_INFINITY, -f64::NAN, f64::from_bits(u64::MAX), 0.0] {
+            assert!(d.matches_row(&oltap_common::Row::new(vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Float(v)
+            ])));
+        }
+        // IS NULL and IS NOT NULL of an expression stay with the executor.
+        let p = optimized("SELECT a FROM t WHERE a IS NULL AND a + b IS NOT NULL");
+        assert!(find_scan(&p).1.is_trivial());
     }
 
     #[test]

@@ -198,12 +198,11 @@ impl ScanPredicate {
     /// own type qualifies. [`ScanPredicate::validate`] also admits
     /// Int↔Float comparisons, and those do not mean the same thing
     /// everywhere: `Ord` equates 2^53 + 1 with 2^53 as a float where `Hash`
-    /// does not, so a hashed key lookup could miss a row, and the
-    /// compressed-domain kernels reject a float literal on an integer
-    /// column outright where a row-wise check compares numerically. Such a
-    /// predicate keeps scanning, whatever the scan makes of it. Int and
-    /// Timestamp are the same integer to `Ord`, `Hash` and the kernels (and
-    /// SQL has no timestamp literal), so they stand in for one another.
+    /// does not, so a hashed key lookup could miss a row the scan finds.
+    /// Such a predicate keeps scanning, which answers it numerically in
+    /// every store. Int and Timestamp are the same integer to `Ord`, `Hash`
+    /// and the kernels (and SQL has no timestamp literal), so they stand in
+    /// for one another.
     ///
     /// The key is a *candidate*: callers re-check the whole predicate
     /// against the fetched row, which is what makes contradictory

@@ -86,7 +86,8 @@ impl EncodedColumn {
         v + self.validity().map_or(0, |b| b.len() / 8 + 8)
     }
 
-    fn validity(&self) -> Option<&BitSet> {
+    /// The validity bitmap (`None` = no NULLs).
+    pub fn validity(&self) -> Option<&BitSet> {
         match self {
             EncodedColumn::Int { validity, .. }
             | EncodedColumn::Float { validity, .. }
@@ -221,47 +222,232 @@ impl EncodedColumn {
         }
     }
 
-    /// Evaluates `op literal` over all rows, AND-ing the result into `sel`
-    /// (rows whose bit is already clear are skipped implicitly since AND
-    /// only clears bits). NULL rows never match.
-    pub fn eval_predicate(&self, op: CmpOp, literal: &Value, sel: &mut BitSet) -> Result<()> {
+    /// ANDs `test` over all rows into `sel` (AND only clears bits, so rows
+    /// already deselected stay so). NULL rows never match. `matches` is the
+    /// caller's scratch, reused across conjuncts and row groups.
+    fn filter(&self, test: &Test<'_>, sel: &mut BitSet, matches: &mut BitSet) -> Result<()> {
         let n = self.len();
-        let mut matches = BitSet::with_len(n);
-        if literal.is_null() {
-            sel.intersect_with(&matches); // all clear
-            return Ok(());
-        }
-        match self {
-            EncodedColumn::Int { enc, .. } => {
-                let lit = literal.as_int()?;
-                eval_int(enc, op, lit, &mut matches);
-            }
-            EncodedColumn::Float { values, .. } => {
-                let lit = literal.as_float()?;
-                for (i, &v) in values.iter().enumerate() {
-                    if op.matches(v.total_cmp(&lit)) {
-                        matches.set(i);
-                    }
+        match (self, test) {
+            (_, Test::NotNull) => {
+                if let Some(validity) = self.validity() {
+                    sel.intersect_with(validity);
                 }
+                return Ok(());
             }
-            EncodedColumn::Str { enc, .. } => {
-                let lit = literal.as_str()?;
-                eval_str(enc, op, lit, &mut matches);
+            // Compared 64 values to a mask word, straight into `sel`.
+            (EncodedColumn::Float { values, validity }, Test::Float(op, lit)) => {
+                cmp_floats_block(values, *op, *lit, validity.as_ref(), sel);
+                return Ok(());
             }
-            EncodedColumn::Bool { values, .. } => {
-                let lit = literal.as_bool()?;
+            (EncodedColumn::Int { enc, .. }, Test::Int(op, lit)) => {
+                matches.reset(n, false);
+                eval_int(enc, *op, *lit, matches);
+            }
+            (EncodedColumn::Int { enc, .. }, Test::IntEither(a, b)) => {
+                // The kernels OR their hits in, so two passes are the union.
+                matches.reset(n, false);
+                eval_int(enc, a.0, a.1, matches);
+                eval_int(enc, b.0, b.1, matches);
+            }
+            (EncodedColumn::Str { enc, .. }, Test::Str(op, lit)) => {
+                matches.reset(n, false);
+                eval_str(enc, *op, lit, matches);
+            }
+            (EncodedColumn::Bool { values, .. }, Test::Bool(op, lit)) => {
+                matches.reset(n, false);
                 for i in 0..n {
-                    if op.matches(values.get(i).cmp(&lit)) {
+                    if op.matches(values.get(i).cmp(lit)) {
                         matches.set(i);
                     }
                 }
+            }
+            // Tests are typed from the schema; a chunk of another type is a
+            // page that does not belong to this column.
+            _ => {
+                return Err(DbError::Corruption(format!(
+                    "{} column chunk under a {test:?} test",
+                    self.encoding_name()
+                )))
             }
         }
         if let Some(validity) = self.validity() {
             matches.intersect_with(validity);
         }
-        sel.intersect_with(&matches);
+        sel.intersect_with(matches);
         Ok(())
+    }
+}
+
+/// One pushed-down comparison as the kernels take it: typed from the
+/// column's schema type once per [`Segment::select`], so no kernel looks at
+/// a [`Value`] again.
+#[derive(Debug)]
+enum Test<'a> {
+    /// Every non-NULL row passes.
+    NotNull,
+    /// Integer column against an integer.
+    Int(CmpOp, i64),
+    /// Integer column passing either comparison (`<> float` past 2^53).
+    IntEither((CmpOp, i64), (CmpOp, i64)),
+    /// Float column, `total_cmp` order.
+    Float(CmpOp, f64),
+    /// String column.
+    Str(CmpOp, &'a str),
+    /// Bool column.
+    Bool(CmpOp, bool),
+}
+
+/// Types `pred`'s conjuncts for the kernels. `None` when a conjunct can
+/// match no row (a NULL literal, `int_col = 7.5`).
+///
+/// A float literal on an integer column becomes the integer comparison(s)
+/// with the same answer as the row-wise `(a as f64).total_cmp(&lit)` the
+/// delta store and the zone maps use, so a statement answers the same
+/// whichever store a row lives in: `= 7.0` is `= 7`, `= 7.5` is nothing,
+/// `> 6.5` is `>= 7`, NaN and ±inf are all or nothing.
+fn typed_conjuncts<'a>(
+    pred: &'a ScanPredicate,
+    schema: &oltap_common::Schema,
+) -> Result<Option<Vec<(usize, Test<'a>)>>> {
+    let mut out = Vec::with_capacity(pred.conjuncts.len());
+    for ColumnPredicate { column, op, value } in &pred.conjuncts {
+        let field = schema
+            .fields()
+            .get(*column)
+            .ok_or_else(|| DbError::ColumnNotFound(format!("ordinal {column}")))?;
+        let (column, op) = (*column, *op);
+        if value.is_null() {
+            return Ok(None);
+        }
+        match (field.data_type, value) {
+            (DataType::Int64 | DataType::Timestamp, Value::Float(lit)) => {
+                if !int_tests_for_float(column, op, *lit, &mut out) {
+                    return Ok(None);
+                }
+            }
+            (DataType::Int64 | DataType::Timestamp, _) => {
+                let lit = value.as_int()?;
+                // `>= MIN` is how the optimizer spells IS NOT NULL.
+                out.push(match (op, lit) {
+                    (CmpOp::Ge, i64::MIN) => (column, Test::NotNull),
+                    _ => (column, Test::Int(op, lit)),
+                });
+            }
+            (DataType::Float64, _) => out.push((column, Test::Float(op, value.as_float()?))),
+            (DataType::Utf8, _) => out.push((column, Test::Str(op, value.as_str()?))),
+            (DataType::Bool, _) => out.push((column, Test::Bool(op, value.as_bool()?))),
+        }
+    }
+    Ok(Some(out))
+}
+
+/// Lowers `int_col <op> lit` for a float `lit`. `a as f64` is monotone in
+/// `a`, so the integers comparing below `lit` and those comparing above it
+/// are two rays around the (possibly empty, past 2^53 possibly long) run
+/// that compares equal, found by binary search on the comparison itself.
+/// Returns `false` when no integer passes.
+fn int_tests_for_float(
+    column: usize,
+    op: CmpOp,
+    lit: f64,
+    out: &mut Vec<(usize, Test<'_>)>,
+) -> bool {
+    use std::cmp::Ordering::{Equal, Less};
+    const MIN: i128 = i64::MIN as i128;
+    const MAX: i128 = i64::MAX as i128;
+    // How many integers, counted up from MIN, compare below `lit` (or at
+    // most `lit`): the first integer that does not, MAX + 1 if all do.
+    let first_not_below = |or_equal: bool| -> i128 {
+        let (mut lo, mut hi) = (MIN, MAX + 1);
+        while lo < hi {
+            let mid = (lo + hi) >> 1;
+            let c = (mid as i64 as f64).total_cmp(&lit);
+            if c == Less || (or_equal && c == Equal) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    let ge = first_not_below(false); // first a with a >= lit
+    let gt = first_not_below(true); // first a with a > lit
+    // The passing integers are those inside [x, y], or those outside it.
+    let (x, y, inside) = match op {
+        CmpOp::Eq => (ge, gt - 1, true),
+        CmpOp::Ne => (ge, gt - 1, false),
+        CmpOp::Lt => (MIN, ge - 1, true),
+        CmpOp::Le => (MIN, gt - 1, true),
+        CmpOp::Gt => (gt, MAX, true),
+        CmpOp::Ge => (ge, MAX, true),
+    };
+    let (empty, full) = (x > y, x == MIN && y == MAX);
+    let int = |op: CmpOp, lit: i128| Test::Int(op, lit as i64);
+    let mut push = |test| out.push((column, test));
+    match (inside, empty, full) {
+        (true, true, _) | (false, _, true) => return false,
+        (true, _, true) | (false, true, _) => push(Test::NotNull),
+        (true, ..) if x == y => push(int(CmpOp::Eq, x)),
+        (true, ..) if x == MIN => push(int(CmpOp::Le, y)),
+        (true, ..) if y == MAX => push(int(CmpOp::Ge, x)),
+        (true, ..) => {
+            push(int(CmpOp::Ge, x));
+            push(int(CmpOp::Le, y));
+        }
+        (false, ..) if x == y => push(int(CmpOp::Ne, x)),
+        (false, ..) if x == MIN => push(int(CmpOp::Gt, y)),
+        (false, ..) if y == MAX => push(int(CmpOp::Lt, x)),
+        (false, ..) => push(Test::IntEither(
+            (CmpOp::Lt, x as i64),
+            (CmpOp::Gt, y as i64),
+        )),
+    }
+    true
+}
+
+/// `f64::total_cmp`'s key: the integer whose order is the total order.
+#[inline]
+fn total_order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// ANDs `values <op> lit` (in `total_cmp` order, NULLs failing) into `sel`,
+/// 64 values to a mask word. The compare loop is branch-free over integer
+/// keys, so it vectorizes; words `sel` has already emptied are skipped.
+fn cmp_floats_block(
+    values: &[f64],
+    op: CmpOp,
+    lit: f64,
+    validity: Option<&BitSet>,
+    sel: &mut BitSet,
+) {
+    let lit = total_order_key(lit);
+    macro_rules! run {
+        ($test:expr) => {
+            for (w, block) in values.chunks(64).enumerate() {
+                if sel.words()[w] == 0 {
+                    continue;
+                }
+                let mut word = 0u64;
+                for (o, &v) in block.iter().enumerate() {
+                    let hit: bool = $test(total_order_key(v));
+                    word |= (hit as u64) << o;
+                }
+                if let Some(validity) = validity {
+                    word &= validity.words()[w];
+                }
+                sel.and_word(w, word);
+            }
+        };
+    }
+    match op {
+        CmpOp::Eq => run!(|k: i64| k == lit),
+        CmpOp::Ne => run!(|k: i64| k != lit),
+        CmpOp::Lt => run!(|k: i64| k < lit),
+        CmpOp::Le => run!(|k: i64| k <= lit),
+        CmpOp::Gt => run!(|k: i64| k > lit),
+        CmpOp::Ge => run!(|k: i64| k >= lit),
     }
 }
 
@@ -302,9 +488,7 @@ fn eval_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
                 return;
             }
             if all {
-                for i in 0..n {
-                    out.set(i);
-                }
+                set_bit_range(out, 0, n);
                 return;
             }
             cmp_codes_block(f.packed(), op, rel as u64, out);
@@ -313,9 +497,7 @@ fn eval_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
             let mut offset = 0usize;
             for &(v, run) in r.runs() {
                 if op.matches(v.cmp(&lit)) {
-                    for i in offset..offset + run as usize {
-                        out.set(i);
-                    }
+                    set_bit_range(out, offset, offset + run as usize);
                 }
                 offset += run as usize;
             }
@@ -326,9 +508,7 @@ fn eval_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
             let (code_op, code) = match translate_code_pred(op, d.code_of(&lit), d.lower_bound_code(&lit)) {
                 TranslatedPred::None => return,
                 TranslatedPred::All => {
-                    for i in 0..n {
-                        out.set(i);
-                    }
+                    set_bit_range(out, 0, n);
                     return;
                 }
                 TranslatedPred::Cmp(o, c) => (o, c),
@@ -392,9 +572,7 @@ fn eval_str(enc: &StrEncoding, op: CmpOp, lit: &str, out: &mut BitSet) {
             ) {
                 TranslatedPred::None => return,
                 TranslatedPred::All => {
-                    for i in 0..n {
-                        out.set(i);
-                    }
+                    set_bit_range(out, 0, n);
                     return;
                 }
                 TranslatedPred::Cmp(o, c) => (o, c),
@@ -1060,25 +1238,17 @@ impl Segment {
         if !self.zone_map.may_match(pred) {
             return Ok(None);
         }
-        // Validate ordinals up front so bad plans fail identically whether
-        // or not any group survives pruning.
-        let ncols = self.column_count();
-        for p in &pred.conjuncts {
-            if p.column >= ncols {
-                return Err(DbError::ColumnNotFound(format!("ordinal {}", p.column)));
-            }
-        }
-        if let Some(jf) = &pred.join {
-            for &c in &jf.columns {
-                if c >= ncols {
-                    return Err(DbError::ColumnNotFound(format!("join filter ordinal {c}")));
-                }
-            }
-        }
+        // Ordinals were checked once for the statement
+        // ([`ScanPredicate::validate`], which every table scan runs first);
+        // here the literals are typed for the kernels, once for the segment.
+        let Some(conjuncts) = typed_conjuncts(pred, &self.schema)? else {
+            return Ok(None);
+        };
         if self.frozen {
             self.frozen_scan_hits.fetch_add(1, Ordering::Relaxed);
         }
         let mut sel = BitSet::with_len(self.row_count);
+        let (mut local, mut matches) = (BitSet::new(), BitSet::new());
         for g in 0..self.group_count() {
             let (start, rows) = self.group_bounds(g);
             if rows == 0 || !self.group_zone(g).may_match(pred) {
@@ -1088,10 +1258,10 @@ impl Segment {
             if let Some(h) = self.heat.get(g) {
                 h.fetch_add(1, Ordering::Relaxed);
             }
-            let mut local = BitSet::all_set(rows);
-            for ColumnPredicate { column, op, value } in &pred.conjuncts {
+            local.reset(rows, true);
+            for (column, test) in &conjuncts {
                 self.column_chunk(g, *column)?
-                    .eval_predicate(*op, value, &mut local)?;
+                    .filter(test, &mut local, &mut matches)?;
                 if local.none_set() {
                     break;
                 }
@@ -1116,9 +1286,7 @@ impl Segment {
                     }
                 }
             }
-            for i in local.iter_ones() {
-                sel.set(start + i);
-            }
+            sel.paste(start, &local);
         }
         // Apply delete stamps.
         let deletes = self.deletes.read();
@@ -2039,6 +2207,149 @@ mod tests {
             assert_eq!(ra, rb, "read_ts {read_ts}");
         }
         assert_eq!(resident.row_at(0).unwrap(), paged.row_at(0).unwrap());
+    }
+
+    const ALL_OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// The word-at-a-time float compare against the per-row `total_cmp`
+    /// loop it replaced: NaNs of both signs, -0.0 vs 0.0, infinities,
+    /// NULLs, a selection that is already partly clear, a ragged tail.
+    #[test]
+    fn float_block_compare_matches_the_per_row_loop() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -1.5,
+            f64::MIN_POSITIVE / 2.0,
+            1e15,
+            0.1,
+        ];
+        let values: Vec<f64> = (0..203).map(|i| specials[(i * 7 + i / 11) % specials.len()]).collect();
+        let n = values.len();
+        let nulls: Vec<usize> = (0..n).filter(|i| i % 7 != 3).collect();
+        let validity = BitSet::from_indexes(n, &nulls);
+        let preselected: Vec<usize> = (0..n).filter(|i| i % 5 != 0 && !(64..128).contains(i)).collect();
+        for validity in [None, Some(&validity)] {
+            for op in ALL_OPS {
+                for &lit in &specials {
+                    let mut got = BitSet::from_indexes(n, &preselected);
+                    cmp_floats_block(&values, op, lit, validity, &mut got);
+                    let want: Vec<usize> = preselected
+                        .iter()
+                        .copied()
+                        .filter(|&i| validity.is_none_or(|v| v.get(i)))
+                        .filter(|&i| op.matches(values[i].total_cmp(&lit)))
+                        .collect();
+                    assert_eq!(
+                        got,
+                        BitSet::from_indexes(n, &want),
+                        "{op:?} {lit:?} nulls={}",
+                        validity.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `int_col <op> <float literal>` answers in a segment as it does row
+    /// by row (the delta store's comparison), whatever the encoding and
+    /// whether resident or paged — beyond 2^53, where several integers
+    /// equal one float, and for NaN, ±inf and -0.0 too.
+    #[test]
+    fn float_literals_on_int_columns_answer_as_the_row_wise_comparison() {
+        const P53: i64 = 1 << 53;
+        let edges = [
+            i64::MIN,
+            i64::MIN + 1,
+            -P53 - 1,
+            -P53,
+            -8,
+            -7,
+            -1,
+            0,
+            1,
+            6,
+            7,
+            8,
+            P53 - 1,
+            P53,
+            P53 + 1,
+            P53 + 2,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let column = |ints: Vec<i64>| -> Vec<Row> {
+            ints.into_iter()
+                .enumerate()
+                .map(|(i, v)| Row::new(vec![if i % 9 == 4 { Value::Null } else { Value::Int(v) }]))
+                .collect()
+        };
+        let tables = [
+            // wide (raw / dict), narrow (FOR), runs (RLE)
+            column(edges.iter().cycle().take(150).copied().collect()),
+            column((0..150).map(|i| (i * 5) % 17 - 3).collect()),
+            column((0..150).map(|i| 5 + i / 40).collect()),
+        ];
+        let lits = [
+            7.0,
+            7.5,
+            6.5,
+            -7.5,
+            0.0,
+            -0.0,
+            1e-300,
+            P53 as f64,
+            (P53 + 2) as f64,
+            -(P53 as f64),
+            -(i64::MIN as f64), // 2^63: above every i64
+            i64::MIN as f64,
+            1e19,
+            -1e19,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
+        for rows in &tables {
+            let resident = Segment::build(SegmentId(1), Arc::clone(&schema), rows).unwrap();
+            let paged =
+                Segment::build_paged(SegmentId(1), Arc::clone(&schema), rows, 0, &test_pager(u64::MAX, 64))
+                    .unwrap();
+            for op in ALL_OPS {
+                for &lit in &lits {
+                    let pred = ScanPredicate::single(0, op, Value::Float(lit));
+                    let want: Vec<u32> = (0..rows.len() as u32)
+                        .filter(|&i| pred.matches_row(&rows[i as usize]))
+                        .collect();
+                    for seg in [&resident, &paged] {
+                        let got = seg
+                            .select(&pred, 10, NOBODY)
+                            .unwrap()
+                            .map_or(Vec::new(), |s| s.to_selection());
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} x {op:?} {lit:?} paged={}",
+                            seg.column_encoding_name(0).unwrap(),
+                            seg.is_paged()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1239,26 +1239,45 @@ fn chaos_evict_race_never_changes_results() {
     );
 }
 
+/// A float measure whose sums change in their last bits under almost any
+/// regrouping of the additions: tenths, at magnitudes from 1e-3 to 1e9.
+fn load_amounts_table(db: &Arc<Database>) {
+    db.execute("CREATE TABLE amounts (id BIGINT PRIMARY KEY, g BIGINT, f DOUBLE) USING FORMAT COLUMN")
+        .unwrap();
+    let t = db.table("amounts").unwrap();
+    let tx = db.txn_manager().begin();
+    for i in 0..2000i64 {
+        let f = (i * 37 % 1009) as f64 * 0.1 * 10f64.powi((i % 5) as i32 * 3 - 3);
+        t.insert(&tx, row![i, i % 9, f]).unwrap();
+    }
+    tx.commit().unwrap();
+    db.maintenance();
+}
+
 /// Scenario 18 — `exec.kernel_fallback` mid-aggregate: random row groups
 /// of a fused GROUP BY abandon the code-domain fast path and fall back to
 /// the scalar reference mid-query. Mixed fused/scalar execution must be
 /// byte-identical to the clean fused run and to a fully-resident
-/// database, serial and parallel, on resident and paged storage alike.
+/// database, serial and parallel, on resident and paged storage alike —
+/// float sums, whose additions no path may regroup, included.
 #[test]
 fn chaos_kernel_fallback_mid_query_never_changes_results() {
     let seed = seed_for(18);
     let resident = Database::new();
     load_pages_table(&resident);
+    load_amounts_table(&resident);
 
     let queries = [
         "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM pages GROUP BY g ORDER BY g",
         "SELECT g, COUNT(v) FROM pages WHERE v > 8 GROUP BY g ORDER BY g",
         "SELECT COUNT(*), SUM(v) FROM pages",
+        "SELECT g, SUM(f), AVG(f) FROM amounts WHERE f > 0.25 GROUP BY g ORDER BY g",
     ];
     for pool_bytes in [u64::MAX, 2048] {
         let faults = FaultInjector::new(seed ^ pool_bytes);
         faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(0.4));
         let db = paged_db(Arc::clone(&faults), pool_bytes);
+        load_amounts_table(&db);
         for sql in &queries {
             let want = resident.query(sql).unwrap();
             db.set_parallelism(1);

@@ -862,78 +862,131 @@ fn int_fold_blocks_equal_scalar_fold() {
     }
 }
 
-/// Loads a random aggregation workload (dictionary-coded string group
-/// key, int group key, NULLs in both keys and measures) and the GROUP BY
-/// query shapes the fused path covers plus the ones it must refuse
-/// (AVG, float SUM).
-fn load_fused_agg_workload(db: &Arc<Database>, rng: &mut StdRng) -> Vec<String> {
+/// How a database of the fused-aggregation workload stores its main rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AggStorage {
+    Resident,
+    /// 64-row pages behind a pool of this many bytes.
+    Paged(u64),
+    Frozen,
+}
+
+/// Loads a random aggregation workload built to show any regrouping of
+/// float additions: `f` mixes `0.1`-style fractions over magnitudes
+/// 1e-9…1e15 with ±0.0, NULLs and one non-finite value (which one is the
+/// seed's — `inf - inf` and two NaNs in one sum have no defined bits), so
+/// nearly every reordering of a sum changes its last bits. Group columns
+/// cover every key source of the dense path — `tag` dictionary strings,
+/// `g` a narrow frame of reference, `r` runs, `w` a few or many values
+/// spread over the whole `i64` range — with NULL keys; rows are deleted
+/// from the main store and from the delta tail. Returns the queries: the
+/// shapes the dense path takes and the ones it leaves to the scalar path.
+fn load_fused_agg_workload(db: &Arc<Database>, rng: &mut StdRng, storage: AggStorage) -> Vec<String> {
     db.execute(
-        "CREATE TABLE m (id BIGINT PRIMARY KEY, tag TEXT, g BIGINT, v BIGINT, f DOUBLE) \
-         USING FORMAT COLUMN",
+        "CREATE TABLE m (id BIGINT PRIMARY KEY, tag TEXT, g BIGINT, r BIGINT, w BIGINT, \
+         v BIGINT, f DOUBLE) USING FORMAT COLUMN",
     )
     .unwrap();
     let tags = ["red", "green", "blue", "cyan", "teal"];
     let n = rng.gen_range(100..900usize);
+    let non_finite = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.1][rng.gen_range(0..4usize)];
+    let wide: Vec<i64> = (0..[5usize, 300][rng.gen_range(0..2usize)])
+        .map(|_| rng.gen::<i64>())
+        .collect();
+    let run_len = rng.gen_range(1..120i64);
+    let float = |rng: &mut StdRng| match rng.gen_range(0..64u8) {
+        0..=3 => Value::Null,
+        4..=6 => Value::Float(0.0),
+        7..=9 => Value::Float(-0.0),
+        10 => Value::Float(non_finite),
+        _ => {
+            let magnitude = 10f64.powi(rng.gen_range(-9..=15));
+            Value::Float(rng.gen_range(-9999..9999i64) as f64 * 0.1 * magnitude)
+        }
+    };
+    let nullable = |rng: &mut StdRng, one_in: u8, v: Value| match rng.gen_range(0..one_in) {
+        0 => Value::Null,
+        _ => v,
+    };
     let t = db.table("m").unwrap();
     let tx = db.txn_manager().begin();
     for i in 0..n {
-        let tag = if rng.gen_range(0..10u8) == 0 {
-            Value::Null
-        } else {
-            Value::Str(tags[rng.gen_range(0..tags.len())].to_string())
-        };
-        let v = if rng.gen_range(0..12u8) == 0 {
-            Value::Null
-        } else {
-            Value::Int(rng.gen_range(-1000..1000i64))
-        };
+        let tag = Value::Str(tags[rng.gen_range(0..tags.len())].to_string());
+        let g = Value::Int(rng.gen_range(0..7i64));
+        let v = Value::Int(rng.gen_range(-1000..1000i64));
+        let w = Value::Int(wide[rng.gen_range(0..wide.len())]);
         t.insert(
             &tx,
             oltapdb::common::Row::new(vec![
                 Value::Int(i as i64),
-                tag,
-                Value::Int(rng.gen_range(0..7i64)),
-                v,
-                Value::Float(rng.gen_range(-50..50i64) as f64 / 4.0),
+                nullable(rng, 10, tag),
+                nullable(rng, 15, g),
+                Value::Int(i as i64 / run_len),
+                nullable(rng, 20, w),
+                nullable(rng, 12, v),
+                float(rng),
             ]),
         )
         .unwrap();
     }
     tx.commit().unwrap();
-    // Merge most rows into (possibly paged) main segments, then add a
-    // small delta tail so the fused path exercises both stores.
+    // Merge most rows into (possibly paged, possibly frozen) main segments,
+    // then add a small delta tail so the fused path exercises both stores.
     db.maintenance();
+    if storage == AggStorage::Frozen {
+        assert!(db.freeze_all(true).unwrap().segments_frozen > 0);
+    }
+    let tail = rng.gen_range(1..40usize);
     let tx = db.txn_manager().begin();
-    for i in 0..rng.gen_range(1..40usize) {
+    for i in 0..tail {
         t.insert(
             &tx,
-            row![
-                (n + i) as i64,
-                tags[i % tags.len()],
-                (i % 7) as i64,
-                (i as i64) - 20,
-                i as f64
-            ],
+            oltapdb::common::Row::new(vec![
+                Value::Int((n + i) as i64),
+                Value::Str(tags[i % tags.len()].to_string()),
+                Value::Int((i % 7) as i64),
+                Value::Int((n as i64 - 1) / run_len),
+                Value::Int(wide[i % wide.len()]),
+                Value::Int((i as i64) - 20),
+                float(rng),
+            ]),
         )
         .unwrap();
     }
     tx.commit().unwrap();
+    for _ in 0..rng.gen_range(1..30usize) {
+        let id = rng.gen_range(0..n + tail);
+        db.execute(&format!("DELETE FROM m WHERE id = {id}")).unwrap();
+    }
     let x = rng.gen_range(-500..500i64);
     vec![
-        "SELECT tag, COUNT(*), SUM(v), MIN(v), MAX(v) FROM m GROUP BY tag ORDER BY tag".into(),
-        "SELECT g, COUNT(v), SUM(v) FROM m GROUP BY g ORDER BY g".into(),
-        format!("SELECT tag, SUM(v) FROM m WHERE v > {x} GROUP BY tag ORDER BY tag"),
-        "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM m".into(),
-        format!("SELECT COUNT(*) FROM m WHERE g = {}", x.rem_euclid(7)),
-        // Order-sensitive aggregates: must take the scalar path yet still
-        // agree everywhere.
-        "SELECT tag, AVG(v), SUM(f) FROM m GROUP BY tag ORDER BY tag".into(),
+        "SELECT tag, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v), SUM(f), AVG(f), MIN(f), MAX(f) \
+         FROM m GROUP BY tag ORDER BY tag"
+            .into(),
+        "SELECT g, COUNT(v), SUM(v), COUNT(f), SUM(f), AVG(v) FROM m GROUP BY g ORDER BY g".into(),
+        "SELECT r, COUNT(*), SUM(f), MIN(f), MAX(f), COUNT(tag) FROM m GROUP BY r ORDER BY r".into(),
+        "SELECT w, COUNT(*), AVG(f), SUM(v) FROM m GROUP BY w ORDER BY w".into(),
+        "SELECT COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v), COUNT(f), SUM(f), AVG(f), MIN(f), MAX(f) \
+         FROM m"
+            .into(),
+        format!("SELECT tag, SUM(v), SUM(f) FROM m WHERE v > {x} GROUP BY tag ORDER BY tag"),
+        "SELECT g, COUNT(*), SUM(f) FROM m WHERE f > 0.5 GROUP BY g ORDER BY g".into(),
+        format!("SELECT r, AVG(f) FROM m WHERE v >= {x}.5 AND tag IS NOT NULL GROUP BY r ORDER BY r"),
+        format!("SELECT COUNT(*), AVG(f) FROM m WHERE g = {}", x.rem_euclid(7)),
+        "SELECT SUM(f) FROM m WHERE f < 0.0".into(),
+        "SELECT g, COUNT(*) FROM m WHERE f IS NOT NULL AND w IS NOT NULL GROUP BY g ORDER BY g".into(),
+        // Left to the scalar path: two keys, a float key, MIN of strings.
+        "SELECT tag, g, SUM(f), AVG(v) FROM m GROUP BY tag, g ORDER BY tag, g".into(),
+        "SELECT f, COUNT(*) FROM m GROUP BY f ORDER BY f".into(),
+        "SELECT g, MIN(tag), SUM(f) FROM m GROUP BY g ORDER BY g".into(),
     ]
 }
 
-/// Fused code-domain aggregation is invisible: resident and paged
-/// storage, serial and parallel execution, and the forced-scalar fault
-/// fallback all produce byte-identical GROUP BY results.
+/// Fused aggregation is invisible, bit for bit: at fallback probability 0
+/// (all dense), 0.5 (dense and scalar row groups mixed mid-query) and 1
+/// (the scalar reference), on resident, paged (64-row pages, starved and
+/// unbounded pools) and frozen storage, at 1 and 4 workers, every GROUP BY
+/// gives the rows the all-scalar resident run gives — float sums included.
 #[test]
 fn fused_aggregation_matches_scalar_everywhere() {
     use oltapdb::common::fault::{points, FaultInjector, FaultPoint};
@@ -941,72 +994,67 @@ fn fused_aggregation_matches_scalar_everywhere() {
 
     for case in 0..8u64 {
         let seed = case ^ 0xF0_5ED_A66;
-        let baseline = Database::new();
-        let queries = load_fused_agg_workload(&baseline, &mut rng_for(seed));
-
-        // Forced fallback: every fused block boundary drops to the scalar
-        // path. Probability 0.5 mixes fused and scalar groups mid-query.
-        for prob in [1.0f64, 0.5] {
-            let faults = FaultInjector::new(seed ^ prob.to_bits());
-            faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(prob));
-            let db = Database::with_config(DbConfig {
-                faults: Some(Arc::clone(&faults)),
-                ..DbConfig::default()
-            })
-            .unwrap();
-            load_fused_agg_workload(&db, &mut rng_for(seed));
-            for sql in &queries {
-                assert_eq!(
-                    db.query(sql).unwrap(),
-                    baseline.query(sql).unwrap(),
-                    "seed={seed:#x} fallback_prob={prob} `{sql}`"
-                );
-            }
-            assert!(
-                faults.fired_count() > 0,
-                "seed={seed:#x}: fallback fault never exercised"
-            );
-        }
-
-        // Paged storage (tiny and unbounded pools) × serial/parallel.
-        for pool_bytes in [1024u64, u64::MAX] {
-            let db = Database::with_config(DbConfig {
-                buffer: Some(BufferConfig {
-                    pool_bytes,
-                    page_rows: 64,
-                    page_root: None,
-                }),
-                ..DbConfig::default()
-            })
-            .unwrap();
-            load_fused_agg_workload(&db, &mut rng_for(seed));
-            for sql in &queries {
-                let want = baseline.query(sql).unwrap();
+        let mut want: Option<(Vec<String>, Vec<Vec<oltapdb::common::Row>>)> = None;
+        for storage in [
+            AggStorage::Resident,
+            // Starved: a 64-row page of raw `w` keys and one of floats are
+            // ~0.5 KiB each and pinned together, so 2 KiB is the floor.
+            AggStorage::Paged(2048),
+            AggStorage::Paged(u64::MAX),
+            AggStorage::Frozen,
+        ] {
+            for prob in [1.0f64, 0.5, 0.0] {
+                let faults = FaultInjector::new(seed ^ prob.to_bits());
+                if prob > 0.0 {
+                    faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(prob));
+                }
+                let db = Database::with_config(DbConfig {
+                    faults: Some(Arc::clone(&faults)),
+                    buffer: match storage {
+                        AggStorage::Paged(pool_bytes) => Some(BufferConfig {
+                            pool_bytes,
+                            page_rows: 64,
+                            page_root: None,
+                        }),
+                        _ => None,
+                    },
+                    ..DbConfig::default()
+                })
+                .unwrap();
+                let queries = load_fused_agg_workload(&db, &mut rng_for(seed), storage);
+                // The reference: the first combination, resident and all scalar.
+                let (queries, want) = want.get_or_insert_with(|| {
+                    let rows = queries.iter().map(|sql| db.query(sql).unwrap()).collect();
+                    (queries, rows)
+                });
+                for workers in [1, 4] {
+                    db.set_parallelism(workers);
+                    for (sql, want) in queries.iter().zip(want.iter()) {
+                        assert_eq!(
+                            &db.query(sql).unwrap(),
+                            want,
+                            "seed={seed:#x} {storage:?} fallback_prob={prob} workers={workers} `{sql}`"
+                        );
+                    }
+                }
+                // An expression key takes the unfused batch pipeline, which
+                // meets the rows in the same order: the same bits again.
                 db.set_parallelism(1);
                 assert_eq!(
-                    db.query(sql).unwrap(),
-                    want,
-                    "seed={seed:#x} pool={pool_bytes} serial `{sql}`"
+                    db.query(
+                        "SELECT g + 0, COUNT(v), SUM(v), COUNT(f), SUM(f), AVG(v) FROM m \
+                         GROUP BY g + 0 ORDER BY g + 0"
+                    )
+                    .unwrap(),
+                    want[1],
+                    "seed={seed:#x} {storage:?} fallback_prob={prob} unfused twin of `{}`",
+                    queries[1]
                 );
-                db.set_parallelism(4);
-                assert_eq!(
-                    db.query(sql).unwrap(),
-                    want,
-                    "seed={seed:#x} pool={pool_bytes} parallel `{sql}`"
+                assert!(
+                    prob == 0.0 || faults.fired_count() > 0,
+                    "seed={seed:#x}: fallback fault never exercised"
                 );
             }
-        }
-
-        // Parallel on the resident baseline itself.
-        baseline.set_parallelism(4);
-        let reserial = Database::new();
-        load_fused_agg_workload(&reserial, &mut rng_for(seed));
-        for sql in &queries {
-            assert_eq!(
-                baseline.query(sql).unwrap(),
-                reserial.query(sql).unwrap(),
-                "seed={seed:#x} parallel-resident `{sql}`"
-            );
         }
     }
 }
