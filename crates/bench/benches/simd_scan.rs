@@ -1,7 +1,7 @@
 //! Criterion bench for E3: packed-code scan kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oltap_exec::kernels::{scan_naive, scan_swar, scan_unpack_block, PackedCmp};
+use oltap_bench::baselines::packed_scan::{scan_engine_block, scan_naive, scan_swar, PackedCmp};
 use oltap_storage::encoding::BitPacked;
 
 fn bench(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| scan_naive(p, PackedCmp::Lt, lit))
         });
         g.bench_with_input(BenchmarkId::new("block", width), &packed, |b, p| {
-            b.iter(|| scan_unpack_block(p, PackedCmp::Lt, lit))
+            b.iter(|| scan_engine_block(p, PackedCmp::Lt, lit))
         });
         g.bench_with_input(BenchmarkId::new("swar", width), &packed, |b, p| {
             b.iter(|| scan_swar(p, PackedCmp::Lt, lit).unwrap())

@@ -26,7 +26,7 @@
 use oltap_bench::harness::{bytes, rate, scaled, time, TextTable};
 use oltap_common::row;
 use oltap_core::{BufferConfig, Database, DbConfig};
-use oltap_exec::kernels::{scan_swar, scan_swar_band, PackedCmp};
+use oltap_bench::baselines::packed_scan::{scan_swar, scan_swar_band, PackedCmp};
 use oltap_storage::encoding::BitPacked;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

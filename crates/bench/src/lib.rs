@@ -8,7 +8,8 @@
 //! * [`workloads`] — the paper's two motivating streams
 //!   (machine telemetry, social-retail surges).
 //! * [`baselines`] — comparison implementations only the experiments
-//!   use, kept out of the engine crates (the E8 shared/clock scan).
+//!   use, kept out of the engine crates (the E8 shared/clock scan; the
+//!   naive and SWAR packed-code scans of E3 / E18 / E19).
 //! * [`harness`] — timing/table utilities shared by the `e01..e12`
 //!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`).
 

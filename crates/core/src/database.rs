@@ -1232,8 +1232,8 @@ mod tests {
         ));
         let root = dir.join("pages");
         std::fs::create_dir_all(&root).unwrap();
-        // Leftovers from a simulated crash mid-`Segment::build_paged`: a
-        // published page file whose segment never made it into the WAL,
+        // Leftovers from a simulated crash in the middle of a paged segment
+        // build: a published page file whose segment never made it into the WAL,
         // and a torn tmp file from an unfinished writer.
         std::fs::write(root.join("seg-1-1.pages"), b"orphan").unwrap();
         std::fs::write(root.join("seg-1-2.pages.tmp"), b"torn").unwrap();

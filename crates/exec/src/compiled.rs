@@ -38,12 +38,14 @@ pub const BLOCK: usize = 1024;
 
 /// One three-address instruction over f64 block registers.
 ///
-/// Numerics are uniformly f64 inside the VM (exact for integers up to
-/// 2^53, which covers the engine's arithmetic benchmarks); comparisons and
-/// logic produce 0.0/1.0 masks. `NULL` handling is hoisted out of the VM:
-/// the compiled program is only used when every referenced column is free
-/// of NULLs in the executing batch; otherwise execution transparently
-/// falls back to the vectorized interpreter.
+/// Numerics are uniformly f64 inside the VM, which is exact for integers
+/// up to 2^53 only: an integer literal beyond that is rejected at
+/// [`compile`], and `LoadCol` answers `Unsupported` for a block holding
+/// such a value. Comparisons and logic produce 0.0/1.0 masks. `NULL`
+/// handling is hoisted out of the VM: the compiled program is only used
+/// when every referenced column is free of NULLs in the executing batch.
+/// In each case execution transparently falls back to the vectorized
+/// interpreter ([`CompiledExpr::eval`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Instr {
     /// `reg[dst] = column[src]` (loaded blockwise).
@@ -93,9 +95,10 @@ pub struct Program {
 /// Compiles `expr` against `schema`.
 ///
 /// Supported: arithmetic, comparisons, and logic over `Int64`,
-/// `Timestamp`, `Float64`, and `Bool` columns and literals. Strings and
-/// `IS [NOT] NULL` are rejected — the caller falls back to the vectorized
-/// interpreter ([`DbError::Unsupported`]).
+/// `Timestamp`, `Float64`, and `Bool` columns and literals. Strings,
+/// `IS [NOT] NULL` and integer literals beyond 2^53 are rejected — the
+/// caller falls back to the vectorized interpreter
+/// ([`DbError::Unsupported`]).
 pub fn compile(expr: &Expr, schema: &Schema) -> Result<Program> {
     let produces_bool = expr.data_type(schema)? == DataType::Bool;
     let mut prog = Program {
@@ -142,17 +145,12 @@ fn compile_node(expr: &Expr, schema: &Schema, prog: &mut Program, depth: u8) -> 
             });
             Ok(depth)
         }
-        Expr::Literal(v) => {
-            let val = match v {
-                Value::Int(x) | Value::Timestamp(x) => *x as f64,
-                Value::Float(x) => *x,
-                Value::Bool(b) => *b as u8 as f64,
-                Value::Null | Value::Str(_) => {
-                    return Err(DbError::Unsupported(
-                        "cannot compile NULL/string literal".into(),
-                    ))
-                }
-            };
+        Expr::Literal(_) => {
+            let val = literal_f64(expr).ok_or_else(|| {
+                DbError::Unsupported(
+                    "cannot compile a NULL, string or beyond-2^53 integer literal".into(),
+                )
+            })?;
             prog.instrs.push(Instr::LoadConst { dst: depth, val });
             Ok(depth)
         }
@@ -230,11 +228,21 @@ fn compile_node(expr: &Expr, schema: &Schema, prog: &mut Program, depth: u8) -> 
     }
 }
 
-/// The f64 value of a compilable literal, or `None` (NULL and string
-/// literals are rejected later by the generic literal arm).
+/// Whether the VM's f64 registers hold `v` exactly. Every integer of
+/// magnitude up to 2^53 converts exactly; past it neighbours collapse onto
+/// one float, so `a = b` would hold for distinct integers.
+#[inline]
+fn exact_in_f64(v: i64) -> bool {
+    v.unsigned_abs() <= 1 << 53
+}
+
+/// The f64 value of a compilable literal, or `None` for what the VM cannot
+/// represent: NULL, strings, and integers that are not exact in f64.
 fn literal_f64(e: &Expr) -> Option<f64> {
     match e {
-        Expr::Literal(Value::Int(x)) | Expr::Literal(Value::Timestamp(x)) => Some(*x as f64),
+        Expr::Literal(Value::Int(x)) | Expr::Literal(Value::Timestamp(x)) => {
+            exact_in_f64(*x).then_some(*x as f64)
+        }
         Expr::Literal(Value::Float(x)) => Some(*x),
         Expr::Literal(Value::Bool(b)) => Some(*b as u8 as f64),
         _ => None,
@@ -325,8 +333,15 @@ impl Program {
                 let reg = &mut regs[dst as usize];
                 match col {
                     ColumnVector::Int64 { values, .. } => {
+                        let mut exact = true;
                         for (o, &v) in values[start..start + len].iter().enumerate() {
+                            exact &= exact_in_f64(v);
                             reg[o] = v as f64;
+                        }
+                        if !exact {
+                            return Err(DbError::Unsupported(
+                                "integer beyond 2^53 in the f64 VM".into(),
+                            ));
                         }
                     }
                     ColumnVector::Float64 { values, .. } => {
@@ -460,11 +475,15 @@ impl CompiledExpr {
     }
 
     /// Evaluates the expression: compiled fast path when the program exists
-    /// and the batch is NULL-free, interpreter otherwise.
+    /// and the batch holds nothing the VM declines (a NULL, an integer
+    /// beyond 2^53), interpreter otherwise.
     pub fn eval(&self, batch: &Batch) -> Result<ColumnVector> {
         if let Some(p) = &self.program {
             if p.applicable(batch) {
-                return p.run(batch);
+                match p.run(batch) {
+                    Err(DbError::Unsupported(_)) => {}
+                    done => return done,
+                }
             }
         }
         self.expr.eval_batch(batch)
@@ -604,6 +623,37 @@ mod tests {
         let v = c.eval(&b).unwrap(); // interpreter fallback
         assert_eq!(v.value_at(0), Value::Int(2));
         assert_eq!(v.value_at(1), Value::Null);
+    }
+
+    #[test]
+    fn integers_beyond_2_53_fall_back() {
+        const P53: i64 = 1 << 53;
+        let s = Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Int64),
+        ]);
+        // A literal the VM cannot hold is declined at compile time; the
+        // last exact one is not.
+        for (lit, compiles) in [(P53, true), (-P53, true), (P53 + 1, false), (i64::MIN, false)] {
+            let e = Expr::binary(BinOp::Eq, Expr::col(0), Expr::lit(lit));
+            assert_eq!(compile(&e, &s).is_ok(), compiles, "{lit}");
+            let e = Expr::binary(BinOp::Sub, Expr::lit(lit), Expr::col(0));
+            assert_eq!(compile(&e, &s).is_ok(), compiles, "{lit} - a");
+        }
+        // A column value it cannot hold is declined per block, and `eval`
+        // answers from the interpreter: a and b are distinct integers that
+        // are the same f64.
+        let rows = vec![row![1i64, 1i64], row![P53 + 1, P53]];
+        let b = Batch::from_rows(&s, &rows).unwrap();
+        let e = Expr::binary(BinOp::Eq, Expr::col(0), Expr::col(1));
+        let p = compile(&e, &s).unwrap();
+        assert!(p.applicable(&b));
+        assert!(matches!(p.run(&b), Err(DbError::Unsupported(_))));
+        let c = CompiledExpr::new(e, &s);
+        assert!(c.is_compiled());
+        let v = c.eval(&b).unwrap();
+        assert_eq!(v.value_at(0), Value::Bool(true));
+        assert_eq!(v.value_at(1), Value::Bool(false));
     }
 
     #[test]

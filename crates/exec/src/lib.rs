@@ -7,8 +7,10 @@
 //!   interpretation (the execution-model spectrum of §4).
 //! * [`compiled`] — a fused register-program evaluator standing in for
 //!   LLVM query compilation (HyPer \[28\] / Impala \[41\] analog).
-//! * [`kernels`] — SIMD-style predicate scans over bit-packed codes
-//!   (Willhalm et al. \[42\] analog), including a SWAR variant.
+//! * [`kernels`] — the block primitives of the fused path: the masked
+//!   integer fold and the set-bit walk. (Predicates over packed codes run
+//!   in `oltap-storage`; the naive and SWAR scans E3/E18 compare that
+//!   kernel with are `oltap-bench` baselines.)
 //! * [`fused`] — fused filter+aggregate directly over compressed
 //!   segments: code-domain grouping with dense per-code accumulators and
 //!   block-folded integer aggregates (HANA/BLU operate-on-compressed

@@ -239,16 +239,6 @@ impl DeltaMainTable {
         }
     }
 
-    /// Builds a segment in the table's configured residency mode.
-    fn build_segment(&self, id: SegmentId, rows: &[Row], visible_from: Ts) -> Result<Segment> {
-        match &self.pager {
-            Some(pager) => {
-                Segment::build_paged(id, Arc::clone(&self.schema), rows, visible_from, pager)
-            }
-            None => Segment::build_visible_from(id, Arc::clone(&self.schema), rows, visible_from),
-        }
-    }
-
     /// A streamed segment build in the table's residency mode (merge and
     /// compaction push rows group-at-a-time instead of materializing the
     /// whole segment).
@@ -289,14 +279,14 @@ impl DeltaMainTable {
             }
         }
         let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
-        let seg = Arc::new(self.build_segment(id, rows, 0)?);
+        let seg = Segment::from_rows(id, Arc::clone(&self.schema), rows, 0, self.pager.as_ref())?;
         if self.schema.has_primary_key() {
             for (i, r) in rows.iter().enumerate() {
                 let key = self.schema.key_of(r);
                 state.pk_locs.entry(key).or_default().push((id, i as u32));
             }
         }
-        state.segments.push(seg);
+        state.segments.push(Arc::new(seg));
         Ok(())
     }
 

@@ -213,14 +213,13 @@ impl DualFormatTable {
         let mut pk_locs = FxHashMap::default();
         for chunk in rows.chunks(self.segment_rows.max(1)) {
             let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
-            let seg = match &self.pager {
-                Some(pager) => {
-                    Segment::build_paged(id, Arc::clone(&self.schema), chunk, watermark, pager)?
-                }
-                None => {
-                    Segment::build_visible_from(id, Arc::clone(&self.schema), chunk, watermark)?
-                }
-            };
+            let seg = Segment::from_rows(
+                id,
+                Arc::clone(&self.schema),
+                chunk,
+                watermark,
+                self.pager.as_ref(),
+            )?;
             let seg_idx = segments.len();
             for (off, r) in chunk.iter().enumerate() {
                 pk_locs.insert(self.schema.key_of(r), (seg_idx, off as u32));

@@ -16,7 +16,7 @@ use crate::buffer::{PageGuard, SegmentPager};
 use crate::encoding::{BitPacked, IntEncoding, StrEncoding};
 use crate::pagefile::{PageFile, PageFileWriter};
 use crate::predicate::{CmpOp, ColumnPredicate, ScanPredicate};
-use crate::zonemap::{ColumnZone, ZoneMap};
+use crate::zonemap::ZoneMap;
 use oltap_common::hash::FxHashMap;
 use oltap_common::ids::{SegmentId, TxnId};
 use oltap_common::{BitSet, ColumnVector, DataType, DbError, Result, Row, Value};
@@ -723,9 +723,9 @@ fn translate_code_pred(op: CmpOp, exact: Option<u64>, lb: u64) -> TranslatedPred
     }
 }
 
-/// Metadata for one row group of a paged segment: the group's global row
-/// range plus its own zone map. A group whose zone map disproves the
-/// predicate is skipped without faulting any of its pages.
+/// Metadata for one row group: the group's global row range plus its own
+/// zone map. A group whose zone map disproves the predicate is skipped
+/// without touching (for paged segments: faulting) any of its chunks.
 #[derive(Debug)]
 pub struct RowGroupMeta {
     /// Global row offset of the group's first row.
@@ -736,26 +736,24 @@ pub struct RowGroupMeta {
     pub zone: ZoneMap,
 }
 
-/// Where a segment's encoded columns live: fully resident in memory, or
-/// paged out to a checksummed column-page file and faulted in through the
-/// buffer pool. Page `g * ncols + c` holds row group `g`'s column `c`.
+/// Where a segment's encoded column chunks live: held in memory, or paged
+/// out to a checksummed column-page file and faulted in through the buffer
+/// pool. Either way chunk `g * ncols + c` is row group `g`'s column `c`.
 #[derive(Debug)]
-enum ColumnData {
-    Resident(Vec<EncodedColumn>),
+enum ChunkStore {
+    Held(Vec<EncodedColumn>),
     Paged {
         pager: Arc<SegmentPager>,
         file: Arc<PageFile>,
-        ncols: usize,
-        groups: Vec<RowGroupMeta>,
     },
 }
 
-/// A borrowed (resident) or pinned (paged) reference to one encoded
-/// column chunk. Dereferences to [`EncodedColumn`]; the pinned variant
-/// keeps its buffer frame unevictable until dropped.
+/// A borrowed (held) or pinned (paged) reference to one encoded column
+/// chunk. Dereferences to [`EncodedColumn`]; the pinned variant keeps its
+/// buffer frame unevictable until dropped.
 #[derive(Debug)]
 pub enum ColumnRef<'a> {
-    /// Column borrowed from a resident segment.
+    /// Chunk borrowed from a segment that holds its chunks.
     Borrowed(&'a EncodedColumn),
     /// Column page pinned in the buffer pool.
     Pinned(PageGuard),
@@ -771,13 +769,17 @@ impl std::ops::Deref for ColumnRef<'_> {
     }
 }
 
-/// An immutable columnar segment.
+/// An immutable columnar segment: row groups over a chunk store. A segment
+/// built without a pager is the degenerate case of one group spanning all
+/// its rows, its chunks held in memory.
 #[derive(Debug)]
 pub struct Segment {
     id: SegmentId,
     schema: SchemaRef,
     row_count: usize,
-    data: ColumnData,
+    /// Row groups in row order; empty only for a segment of zero rows.
+    groups: Vec<RowGroupMeta>,
+    chunks: ChunkStore,
     zone_map: ZoneMap,
     /// Snapshots older than this timestamp must not see the segment's rows
     /// (they see them in the delta store instead). `0` for bulk loads.
@@ -798,154 +800,59 @@ pub struct Segment {
     frozen_scan_hits: AtomicU64,
 }
 
-fn heat_counters(groups: usize) -> Vec<AtomicU32> {
-    (0..groups.max(1)).map(|_| AtomicU32::new(0)).collect()
-}
-
 impl Segment {
     /// Builds a segment from materialized rows, visible to snapshots at or
-    /// after `visible_from` (use 0 for bulk loads).
-    pub fn build_visible_from(
+    /// after `visible_from` (use 0 for bulk loads). With a pager the rows
+    /// are cut into its row groups and every chunk goes to a page file;
+    /// without one the segment is one group held in memory. No row is
+    /// cloned: each group's slice goes straight to the encoder.
+    pub fn from_rows(
         id: SegmentId,
         schema: SchemaRef,
         rows: &[Row],
         visible_from: Ts,
+        pager: Option<&Arc<SegmentPager>>,
     ) -> Result<Self> {
-        Self::build_inner(id, schema, rows, visible_from, false)
-    }
-
-    /// Builds a fully resident segment from materialized rows (visible to
-    /// all snapshots).
-    pub fn build(id: SegmentId, schema: SchemaRef, rows: &[Row]) -> Result<Self> {
-        Self::build_inner(id, schema, rows, 0, false)
-    }
-
-    fn build_inner(
-        id: SegmentId,
-        schema: SchemaRef,
-        rows: &[Row],
-        visible_from: Ts,
-        frozen: bool,
-    ) -> Result<Self> {
-        // Transpose into per-column borrow vectors: the zone map and the
-        // encoders only need to *read* the values, so no row is cloned.
-        let cols = transpose_refs(&schema, rows)?;
-        let zone_map = ZoneMap::build_refs(&cols);
-        let mut columns = Vec::with_capacity(schema.len());
-        for (c, field) in schema.fields().iter().enumerate() {
-            columns.push(encode_column(field.data_type, &cols[c], frozen)?);
+        let mut builder = Self::builder(id, schema, visible_from, pager)?;
+        for group in rows.chunks(builder.group_rows) {
+            builder.flush_group(group)?;
         }
-        Ok(Segment {
-            id,
-            schema,
-            row_count: rows.len(),
-            data: ColumnData::Resident(columns),
-            zone_map,
-            visible_from,
-            deletes: RwLock::new(FxHashMap::default()),
-            frozen,
-            heat: heat_counters(1),
-            cold_ticks: AtomicU32::new(0),
-            frozen_scan_hits: AtomicU64::new(0),
-        })
+        builder.finish()
     }
 
-    /// Builds a *paged* segment: every row group's columns are encoded,
-    /// framed, and written to a page file under the pager's root; only the
-    /// zone maps, page directory, and delete stamps stay resident. Reads
-    /// fault pages back in through the pager's buffer pool.
-    pub fn build_paged(
-        id: SegmentId,
-        schema: SchemaRef,
-        rows: &[Row],
-        visible_from: Ts,
-        pager: &Arc<SegmentPager>,
-    ) -> Result<Self> {
-        let cols = transpose_refs(&schema, rows)?;
-        let zone_map = ZoneMap::build_refs(&cols);
-        let ncols = schema.len();
-        let n = rows.len();
-        let group_rows = pager.rows_per_group();
-        let mut writer = pager.create_file()?;
-        let mut groups = Vec::with_capacity(n.div_ceil(group_rows.max(1)));
-        let mut start = 0;
-        while start < n {
-            let len = group_rows.min(n - start);
-            // One page per column, appended in column order so page
-            // `g * ncols + c` addresses (group, column) directly. Encoded
-            // chunks are dropped right after framing — peak memory is one
-            // column chunk, not the segment.
-            for (c, field) in schema.fields().iter().enumerate() {
-                let enc = encode_column(field.data_type, &cols[c][start..start + len], false)?;
-                writer.append_column(&enc)?;
-            }
-            let zone = ZoneMap {
-                columns: cols
-                    .iter()
-                    .map(|c| ColumnZone::build_refs(&c[start..start + len]))
-                    .collect(),
-            };
-            groups.push(RowGroupMeta {
-                row_start: start,
-                rows: len,
-                zone,
-            });
-            start += len;
-        }
-        let file = Arc::new(writer.finish()?);
-        let ngroups = groups.len();
-        Ok(Segment {
-            id,
-            schema,
-            row_count: n,
-            data: ColumnData::Paged {
-                pager: Arc::clone(pager),
-                file,
-                ncols,
-                groups,
-            },
-            zone_map,
-            visible_from,
-            deletes: RwLock::new(FxHashMap::default()),
-            frozen: false,
-            heat: heat_counters(ngroups),
-            cold_ticks: AtomicU32::new(0),
-            frozen_scan_hits: AtomicU64::new(0),
-        })
-    }
-
-    /// True when the segment's columns live in a page file rather than in
+    /// True when the segment's chunks live in a page file rather than in
     /// memory.
     pub fn is_paged(&self) -> bool {
-        matches!(self.data, ColumnData::Paged { .. })
+        matches!(self.chunks, ChunkStore::Paged { .. })
     }
 
     /// Starts a streamed build (see [`SegmentBuilder`]): rows are pushed
-    /// one at a time and paged builds flush each full row group to disk,
-    /// so peak materialization is one row group instead of the segment.
+    /// one at a time and each full row group is encoded and dropped, so a
+    /// paged build materializes one row group at a time, not the segment.
     pub fn builder(
         id: SegmentId,
         schema: SchemaRef,
         visible_from: Ts,
         pager: Option<&Arc<SegmentPager>>,
     ) -> Result<SegmentBuilder> {
-        let mode = match pager {
-            Some(pager) => BuilderMode::Paged {
+        let sink = match pager {
+            Some(pager) => ChunkSink::Paged {
                 writer: pager.create_file()?,
                 pager: Arc::clone(pager),
-                buf: Vec::new(),
-                groups: Vec::new(),
-                zone: ZoneMap::empty(schema.len()),
-                row_count: 0,
             },
-            None => BuilderMode::Resident { rows: Vec::new() },
+            None => ChunkSink::Held(Vec::with_capacity(schema.len())),
         };
         Ok(SegmentBuilder {
             id,
+            zone: ZoneMap::empty(schema.len()),
             schema,
             visible_from,
             frozen: false,
-            mode,
+            group_rows: pager.map_or(usize::MAX, |p| p.rows_per_group()),
+            buf: Vec::new(),
+            groups: Vec::new(),
+            row_count: 0,
+            sink,
         })
     }
 
@@ -1054,107 +961,72 @@ impl Segment {
         &self.zone_map
     }
 
-    /// The encoded columns of a *resident* segment. Panics for paged
-    /// segments, whose columns are only reachable through pins — use
-    /// [`Segment::gather_columns`] / [`Segment::column_chunk`] instead.
-    pub fn columns(&self) -> &[EncodedColumn] {
-        match &self.data {
-            ColumnData::Resident(cols) => cols,
-            ColumnData::Paged { .. } => {
-                panic!("columns() called on a paged segment; pin pages via gather_columns")
-            }
-        }
-    }
-
     /// Number of columns.
     pub fn column_count(&self) -> usize {
-        match &self.data {
-            ColumnData::Resident(cols) => cols.len(),
-            ColumnData::Paged { ncols, .. } => *ncols,
-        }
+        self.schema.len()
     }
 
-    /// Number of row groups (resident segments are one implicit group).
+    /// Number of row groups (one for a non-empty segment built without a
+    /// pager, none for an empty segment).
     pub fn group_count(&self) -> usize {
-        match &self.data {
-            ColumnData::Resident(_) => 1,
-            ColumnData::Paged { groups, .. } => groups.len(),
-        }
+        self.groups.len()
     }
 
     /// `(row_start, rows)` of group `g`.
     pub fn group_bounds(&self, g: usize) -> (usize, usize) {
-        match &self.data {
-            ColumnData::Resident(_) => (0, self.row_count),
-            ColumnData::Paged { groups, .. } => (groups[g].row_start, groups[g].rows),
-        }
+        (self.groups[g].row_start, self.groups[g].rows)
     }
 
-    /// The zone map guarding group `g` (the global map for resident
-    /// segments, which have already passed it by the time groups are
-    /// visited).
+    /// The zone map guarding group `g`.
     pub fn group_zone(&self, g: usize) -> &ZoneMap {
-        match &self.data {
-            ColumnData::Resident(_) => &self.zone_map,
-            ColumnData::Paged { groups, .. } => &groups[g].zone,
-        }
+        &self.groups[g].zone
     }
 
-    /// Column `c` of group `g`: a plain borrow for resident segments, a
-    /// pinned buffer-pool page for paged ones (faulted in on a miss).
+    /// The group holding global row `row` (`row < row_count`).
+    fn group_of(&self, row: usize) -> usize {
+        self.groups
+            .partition_point(|gr| gr.row_start + gr.rows <= row)
+    }
+
+    /// Column `c` of group `g`: a plain borrow when the chunks are held, a
+    /// pinned buffer-pool page when they are paged (faulted in on a miss).
+    /// The one place that knows where a chunk lives.
     pub fn column_chunk(&self, g: usize, c: usize) -> Result<ColumnRef<'_>> {
-        match &self.data {
-            ColumnData::Resident(cols) => cols
-                .get(c)
-                .map(ColumnRef::Borrowed)
-                .ok_or_else(|| DbError::ColumnNotFound(format!("ordinal {c}"))),
-            ColumnData::Paged {
-                pager,
-                file,
-                ncols,
-                groups,
-            } => {
-                if c >= *ncols {
-                    return Err(DbError::ColumnNotFound(format!("ordinal {c}")));
-                }
-                if g >= groups.len() {
-                    return Err(DbError::InvalidArgument(format!(
-                        "row group {g} out of range"
-                    )));
-                }
-                let page = (g * ncols + c) as u32;
-                Ok(ColumnRef::Pinned(pager.pin(file, page)?))
+        let ncols = self.schema.len();
+        if c >= ncols {
+            return Err(DbError::ColumnNotFound(format!("ordinal {c}")));
+        }
+        if g >= self.groups.len() {
+            return Err(DbError::InvalidArgument(format!(
+                "row group {g} out of range"
+            )));
+        }
+        let chunk = g * ncols + c;
+        match &self.chunks {
+            ChunkStore::Held(chunks) => Ok(ColumnRef::Borrowed(&chunks[chunk])),
+            ChunkStore::Paged { pager, file } => {
+                Ok(ColumnRef::Pinned(pager.pin(file, chunk as u32)?))
             }
         }
     }
 
-    /// Encoding name of column `c` (diagnostics). For paged segments this
-    /// pins the first group's page; empty paged segments report `"empty"`.
+    /// Encoding name of column `c` in the first row group (diagnostics;
+    /// pins that page of a paged segment). Empty segments report
+    /// `"empty"`.
     pub fn column_encoding_name(&self, c: usize) -> Result<&'static str> {
-        match &self.data {
-            ColumnData::Resident(cols) => cols
-                .get(c)
-                .map(|col| col.encoding_name())
-                .ok_or_else(|| DbError::ColumnNotFound(format!("ordinal {c}"))),
-            ColumnData::Paged { ncols, groups, .. } => {
-                if c >= *ncols {
-                    return Err(DbError::ColumnNotFound(format!("ordinal {c}")));
-                }
-                if groups.is_empty() {
-                    return Ok("empty");
-                }
-                Ok(self.column_chunk(0, c)?.encoding_name())
-            }
+        if self.groups.is_empty() && c < self.schema.len() {
+            return Ok("empty");
         }
+        Ok(self.column_chunk(0, c)?.encoding_name())
     }
 
-    /// Compressed footprint in bytes: heap bytes for resident segments,
-    /// on-disk payload bytes for paged ones (what faulting everything in
-    /// would cost).
+    /// Compressed footprint in bytes: heap bytes of held chunks, on-disk
+    /// payload bytes of paged ones (what faulting everything in would
+    /// cost).
     pub fn size_bytes(&self) -> usize {
-        match &self.data {
-            ColumnData::Resident(cols) => cols.iter().map(|c| c.size_bytes()).sum(),
-            ColumnData::Paged { file, .. } => file.payload_bytes() as usize,
+        match &self.chunks {
+            ChunkStore::Held(chunks) => chunks.iter().map(|c| c.size_bytes()).sum(),
+            ChunkStore::Paged { file, .. } => file.payload_bytes() as usize,
         }
     }
 
@@ -1305,8 +1177,8 @@ impl Segment {
 
     /// Scans the segment: predicate + visibility + projection, producing
     /// batches of at most `batch_size` rows. Batch boundaries depend only
-    /// on the selection and `batch_size`, so paged and resident segments
-    /// produce byte-identical output.
+    /// on the selection and `batch_size`, so the same rows give
+    /// byte-identical output however they are cut into groups.
     pub fn scan(
         &self,
         projection: &[usize],
@@ -1330,71 +1202,53 @@ impl Segment {
     }
 
     /// Gathers the projected columns at the given ascending global row
-    /// indexes. Resident segments gather directly; paged segments split
-    /// the indexes into per-group runs, pin each `(group, column)` page
-    /// once per run, and concatenate the pieces.
+    /// indexes (each `< row_count`): the indexes are cut into runs that
+    /// fall into one row group, each `(group, column)` chunk is fetched
+    /// once per run, and later runs are appended to the first. Indexes
+    /// inside one group — always, for a one-group segment — are a single
+    /// run gathered straight into the result.
     pub fn gather_columns(
         &self,
         projection: &[usize],
         indexes: &[u32],
     ) -> Result<Vec<ColumnVector>> {
+        let mut out = Vec::with_capacity(projection.len());
         if indexes.is_empty() {
-            return projection
-                .iter()
-                .map(|&c| {
-                    self.schema
-                        .fields()
-                        .get(c)
-                        .map(|f| ColumnVector::new(f.data_type))
-                        .ok_or_else(|| DbError::ColumnNotFound(format!("ordinal {c}")))
-                })
-                .collect();
-        }
-        match &self.data {
-            ColumnData::Resident(cols) => projection
-                .iter()
-                .map(|&c| {
-                    cols.get(c)
-                        .map(|col| col.gather(indexes))
-                        .ok_or_else(|| DbError::ColumnNotFound(format!("ordinal {c}")))
-                })
-                .collect(),
-            ColumnData::Paged { groups, ncols, .. } => {
-                for &c in projection {
-                    if c >= *ncols {
-                        return Err(DbError::ColumnNotFound(format!("ordinal {c}")));
-                    }
-                }
-                // Split the (ascending) index list into runs that fall
-                // into the same row group.
-                let mut runs: Vec<(usize, usize, usize)> = Vec::new(); // (group, lo, hi)
-                let mut lo = 0;
-                while lo < indexes.len() {
-                    let row = indexes[lo] as usize;
-                    let g = groups
-                        .partition_point(|gr| gr.row_start + gr.rows <= row);
-                    let (gs, gr) = (groups[g].row_start, groups[g].rows);
-                    debug_assert!(row >= gs && row < gs + gr);
-                    let mut hi = lo + 1;
-                    while hi < indexes.len() && (indexes[hi] as usize) < gs + gr {
-                        hi += 1;
-                    }
-                    runs.push((g, lo, hi));
-                    lo = hi;
-                }
-                let mut pieces: Vec<Vec<ColumnVector>> =
-                    vec![Vec::with_capacity(runs.len()); projection.len()];
-                for &(g, lo, hi) in &runs {
-                    let start = groups[g].row_start as u32;
-                    let local: Vec<u32> =
-                        indexes[lo..hi].iter().map(|&i| i - start).collect();
-                    for (k, &c) in projection.iter().enumerate() {
-                        pieces[k].push(self.column_chunk(g, c)?.gather(&local));
-                    }
-                }
-                pieces.into_iter().map(concat_vectors).collect()
+            for &c in projection {
+                let field = self
+                    .schema
+                    .fields()
+                    .get(c)
+                    .ok_or_else(|| DbError::ColumnNotFound(format!("ordinal {c}")))?;
+                out.push(ColumnVector::new(field.data_type));
             }
+            return Ok(out);
         }
+        let mut local = Vec::new();
+        let mut lo = 0;
+        while lo < indexes.len() {
+            let g = self.group_of(indexes[lo] as usize);
+            let (start, rows) = self.group_bounds(g);
+            let hi = lo + indexes[lo..].partition_point(|&i| (i as usize) < start + rows);
+            // Chunks index their rows from the group's first row.
+            let run = if start == 0 {
+                &indexes[lo..hi]
+            } else {
+                local.clear();
+                local.extend(indexes[lo..hi].iter().map(|&i| i - start as u32));
+                &local[..]
+            };
+            for (k, &c) in projection.iter().enumerate() {
+                let piece = self.column_chunk(g, c)?.gather(run);
+                if lo == 0 {
+                    out.push(piece);
+                } else {
+                    append_vector(&mut out[k], piece)?;
+                }
+            }
+            lo = hi;
+        }
+        Ok(out)
     }
 
     /// Materializes the full row at `offset` (no visibility check — caller
@@ -1417,63 +1271,49 @@ impl Segment {
                 "row offset {offset} out of range"
             )));
         }
-        match &self.data {
-            ColumnData::Resident(cols) => {
-                if count_heat {
-                    if let Some(h) = self.heat.first() {
-                        h.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(Row::new(cols.iter().map(|c| c.value_at(i)).collect()))
-            }
-            ColumnData::Paged { ncols, groups, .. } => {
-                let g = groups.partition_point(|gr| gr.row_start + gr.rows <= i);
-                if count_heat {
-                    if let Some(h) = self.heat.get(g) {
-                        h.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let local = i - groups[g].row_start;
-                let mut values = Vec::with_capacity(*ncols);
-                for c in 0..*ncols {
-                    values.push(self.column_chunk(g, c)?.value_at(local));
-                }
-                Ok(Row::new(values))
+        let g = self.group_of(i);
+        if count_heat {
+            if let Some(h) = self.heat.get(g) {
+                h.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let local = i - self.groups[g].row_start;
+        let mut values = Vec::with_capacity(self.schema.len());
+        for c in 0..self.schema.len() {
+            values.push(self.column_chunk(g, c)?.value_at(local));
+        }
+        Ok(Row::new(values))
     }
 }
 
-/// A streamed, bounded-memory segment build. Rows are pushed one at a
-/// time; in paged mode each full row group is encoded, written to the
-/// page file, and dropped immediately, so building a segment of N rows
-/// buffers at most one row group of materialized rows (plus one encoded
-/// chunk) at any instant. Merge and compaction use this to avoid
-/// materializing a whole segment's worth of `Row`s transiently.
-///
-/// Resident mode has no paging boundary to flush at; it buffers all rows
-/// (the finished segment is fully in-memory anyway) and delegates to
-/// [`Segment::build_visible_from`] so both paths produce identical
-/// segments.
+/// The one way a segment is built. Rows are pushed one at a time (or, by
+/// [`Segment::from_rows`], handed over a group's slice at a time); each
+/// full row group is transposed, encoded, folded into the zone maps and
+/// its chunks handed to the sink, then dropped. A paged build therefore
+/// buffers at most one row group of rows plus one encoded chunk — merge
+/// and compaction rely on that to avoid materializing a whole segment's
+/// `Row`s. Without a pager there is no boundary to flush at: the group is
+/// the segment, so all rows are buffered and encoded at `finish`.
 pub struct SegmentBuilder {
     id: SegmentId,
     schema: SchemaRef,
     visible_from: Ts,
     frozen: bool,
-    mode: BuilderMode,
+    /// Rows per group: the pager's, or unbounded without one.
+    group_rows: usize,
+    buf: Vec<Row>,
+    groups: Vec<RowGroupMeta>,
+    zone: ZoneMap,
+    row_count: usize,
+    sink: ChunkSink,
 }
 
-enum BuilderMode {
-    Resident {
-        rows: Vec<Row>,
-    },
+/// Where the builder's encoded chunks go, in `g * ncols + c` order.
+enum ChunkSink {
+    Held(Vec<EncodedColumn>),
     Paged {
         pager: Arc<SegmentPager>,
         writer: PageFileWriter,
-        buf: Vec<Row>,
-        groups: Vec<RowGroupMeta>,
-        zone: ZoneMap,
-        row_count: usize,
     },
 }
 
@@ -1485,125 +1325,96 @@ impl SegmentBuilder {
         self
     }
 
-    /// Appends one row; may flush a completed row group to the page file.
+    /// Appends one row; may flush a completed row group.
     pub fn push_row(&mut self, row: Row) -> Result<()> {
-        match &mut self.mode {
-            BuilderMode::Resident { rows } => {
-                rows.push(row);
-                Ok(())
-            }
-            BuilderMode::Paged { pager, buf, .. } => {
-                buf.push(row);
-                if buf.len() >= pager.rows_per_group() {
-                    self.flush_group()?;
-                }
-                Ok(())
-            }
+        self.buf.push(row);
+        if self.buf.len() >= self.group_rows {
+            self.flush_buffered()?;
         }
+        Ok(())
     }
 
     /// Rows pushed so far (their offsets in the finished segment).
     pub fn rows_pushed(&self) -> usize {
-        match &self.mode {
-            BuilderMode::Resident { rows } => rows.len(),
-            BuilderMode::Paged { row_count, buf, .. } => row_count + buf.len(),
-        }
+        self.row_count + self.buf.len()
     }
 
-    /// Rows currently buffered in memory — bounded by one row group in
-    /// paged mode (asserted by tests).
+    /// Rows currently buffered in memory — bounded by one row group in a
+    /// paged build (asserted by tests).
     pub fn buffered_rows(&self) -> usize {
-        match &self.mode {
-            BuilderMode::Resident { rows } => rows.len(),
-            BuilderMode::Paged { buf, .. } => buf.len(),
-        }
+        self.buf.len()
     }
 
-    fn flush_group(&mut self) -> Result<()> {
-        let BuilderMode::Paged {
-            writer,
-            buf,
-            groups,
-            zone,
-            row_count,
-            ..
-        } = &mut self.mode
-        else {
-            return Ok(());
-        };
-        if buf.is_empty() {
-            return Ok(());
-        }
-        let cols = transpose_refs(&self.schema, buf)?;
-        for (c, field) in self.schema.fields().iter().enumerate() {
-            let enc = encode_column(field.data_type, &cols[c], self.frozen)?;
-            writer.append_column(&enc)?;
-        }
-        let group_zone = ZoneMap {
-            columns: cols.iter().map(|c| ColumnZone::build_refs(c)).collect(),
-        };
-        zone.absorb(&group_zone);
-        groups.push(RowGroupMeta {
-            row_start: *row_count,
-            rows: buf.len(),
-            zone: group_zone,
-        });
-        *row_count += buf.len();
+    fn flush_buffered(&mut self) -> Result<()> {
+        let mut buf = std::mem::take(&mut self.buf);
+        self.flush_group(&buf)?;
         buf.clear();
+        self.buf = buf;
+        Ok(())
+    }
+
+    /// Seals `rows` as the next row group.
+    fn flush_group(&mut self, rows: &[Row]) -> Result<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        // Transposed into per-column borrows: the zone map and the
+        // encoders only *read* the values, so no row is cloned.
+        let cols = transpose_refs(&self.schema, rows)?;
+        for (field, col) in self.schema.fields().iter().zip(&cols) {
+            let chunk = encode_column(field.data_type, col, self.frozen)?;
+            match &mut self.sink {
+                ChunkSink::Held(chunks) => chunks.push(chunk),
+                // Dropped right after framing: peak memory is one chunk.
+                ChunkSink::Paged { writer, .. } => {
+                    writer.append_column(&chunk)?;
+                }
+            }
+        }
+        let zone = ZoneMap::build_refs(&cols);
+        self.zone.absorb(&zone);
+        self.groups.push(RowGroupMeta {
+            row_start: self.row_count,
+            rows: rows.len(),
+            zone,
+        });
+        self.row_count += rows.len();
         Ok(())
     }
 
     /// Flushes the tail group and seals the segment.
     pub fn finish(mut self) -> Result<Segment> {
-        match self.mode {
-            BuilderMode::Resident { ref rows } => Segment::build_inner(
-                self.id,
-                Arc::clone(&self.schema),
-                rows,
-                self.visible_from,
-                self.frozen,
-            ),
-            BuilderMode::Paged { .. } => {
-                self.flush_group()?;
-                let BuilderMode::Paged {
-                    pager,
-                    writer,
-                    groups,
-                    zone,
-                    row_count,
-                    ..
-                } = self.mode
-                else {
-                    unreachable!("mode checked above");
-                };
-                let ncols = self.schema.len();
-                let file = Arc::new(writer.finish()?);
-                let ngroups = groups.len();
-                Ok(Segment {
-                    id: self.id,
-                    schema: self.schema,
-                    row_count,
-                    data: ColumnData::Paged {
-                        pager,
-                        file,
-                        ncols,
-                        groups,
-                    },
-                    zone_map: zone,
-                    visible_from: self.visible_from,
-                    deletes: RwLock::new(FxHashMap::default()),
-                    frozen: self.frozen,
-                    heat: heat_counters(ngroups),
-                    cold_ticks: AtomicU32::new(0),
-                    frozen_scan_hits: AtomicU64::new(0),
-                })
-            }
-        }
+        self.flush_buffered()?;
+        let chunks = match self.sink {
+            ChunkSink::Held(chunks) => ChunkStore::Held(chunks),
+            ChunkSink::Paged { pager, writer } => ChunkStore::Paged {
+                pager,
+                file: Arc::new(writer.finish()?),
+            },
+        };
+        Ok(Segment {
+            id: self.id,
+            schema: self.schema,
+            row_count: self.row_count,
+            // At least one counter, so table-level heat seeding has a place
+            // to land even in an empty segment.
+            heat: (0..self.groups.len().max(1))
+                .map(|_| AtomicU32::new(0))
+                .collect(),
+            groups: self.groups,
+            chunks,
+            zone_map: self.zone,
+            visible_from: self.visible_from,
+            deletes: RwLock::new(FxHashMap::default()),
+            frozen: self.frozen,
+            cold_ticks: AtomicU32::new(0),
+            frozen_scan_hits: AtomicU64::new(0),
+        })
     }
 }
 
 /// Transposes rows into per-column `&Value` slices, checking arity. The
-/// borrow-based transpose is what keeps [`Segment::build`] clone-free.
+/// borrow-based transpose is what keeps segment builds clone-free.
 fn transpose_refs<'r>(schema: &SchemaRef, rows: &'r [Row]) -> Result<Vec<Vec<&'r Value>>> {
     let ncols = schema.len();
     let mut cols: Vec<Vec<&Value>> = vec![Vec::with_capacity(rows.len()); ncols];
@@ -1620,23 +1431,9 @@ fn transpose_refs<'r>(schema: &SchemaRef, rows: &'r [Row]) -> Result<Vec<Vec<&'r
     Ok(cols)
 }
 
-/// Concatenates per-run gather results for one column back into a single
-/// vector. All pieces come from the same column, so a variant mismatch is
-/// page corruption that slipped past the CRC — reported, not assumed.
-fn concat_vectors(pieces: Vec<ColumnVector>) -> Result<ColumnVector> {
-    let mut iter = pieces.into_iter();
-    let Some(first) = iter.next() else {
-        return Err(DbError::InvalidArgument(
-            "concat of zero column pieces".into(),
-        ));
-    };
-    let mut out = first;
-    for piece in iter {
-        append_vector(&mut out, piece)?;
-    }
-    Ok(out)
-}
-
+/// Appends a later run's gather result to its column's earlier runs. Both
+/// come from the same column, so a variant mismatch is page corruption that
+/// slipped past the CRC — reported, not assumed.
 fn append_vector(out: &mut ColumnVector, piece: ColumnVector) -> Result<()> {
     // Merge validity first: absent validity means "all valid".
     fn merge_validity(
@@ -1823,7 +1620,7 @@ mod tests {
     }
 
     fn sample_segment() -> Segment {
-        Segment::build(SegmentId(1), schema(), &sample_rows()).unwrap()
+        Segment::from_rows(SegmentId(1), schema(), &sample_rows(), 0, None).unwrap()
     }
 
     fn test_pager(pool_bytes: u64, rows_per_group: usize) -> Arc<SegmentPager> {
@@ -1846,16 +1643,12 @@ mod tests {
     const NOBODY: TxnId = TxnId(u64::MAX);
 
     #[test]
-    fn streamed_paged_build_matches_batch_build_with_bounded_buffer() {
-        let rows = sample_rows();
+    fn streamed_paged_build_buffers_at_most_one_row_group() {
         let group = 128;
-        let batch_built =
-            Segment::build_paged(SegmentId(1), schema(), &rows, 5, &test_pager(u64::MAX, group))
-                .unwrap();
         let mut builder =
             Segment::builder(SegmentId(1), schema(), 5, Some(&test_pager(u64::MAX, group)))
                 .unwrap();
-        for (i, r) in rows.iter().cloned().enumerate() {
+        for (i, r) in sample_rows().into_iter().enumerate() {
             builder.push_row(r).unwrap();
             assert!(
                 builder.buffered_rows() <= group,
@@ -1863,40 +1656,7 @@ mod tests {
                 builder.buffered_rows()
             );
         }
-        let streamed = builder.finish().unwrap();
-        assert_eq!(streamed.row_count(), batch_built.row_count());
-        assert_eq!(streamed.visible_from(), batch_built.visible_from());
-        for off in [0u32, 1, group as u32 - 1, group as u32, 777, 999] {
-            assert_eq!(
-                streamed.row_at(off).unwrap(),
-                batch_built.row_at(off).unwrap(),
-                "row {off} differs between streamed and batch build"
-            );
-        }
-        // Zone maps agree, so predicate pruning is unchanged.
-        let pred = ScanPredicate::single(0, CmpOp::Gt, Value::Int(990));
-        let a = streamed.select(&pred, 10, NOBODY).unwrap();
-        let b = batch_built.select(&pred, 10, NOBODY).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streamed_resident_build_matches_batch_build() {
-        let rows = sample_rows();
-        let batch_built =
-            Segment::build_visible_from(SegmentId(9), schema(), &rows, 3).unwrap();
-        let mut builder = Segment::builder(SegmentId(9), schema(), 3, None).unwrap();
-        for r in &rows {
-            builder.push_row(r.clone()).unwrap();
-        }
-        let streamed = builder.finish().unwrap();
-        assert_eq!(streamed.row_count(), batch_built.row_count());
-        for off in [0u32, 499, 999] {
-            assert_eq!(
-                streamed.row_at(off).unwrap(),
-                batch_built.row_at(off).unwrap()
-            );
-        }
+        assert_eq!(builder.finish().unwrap().row_count(), 1000);
     }
 
     #[test]
@@ -1913,7 +1673,7 @@ mod tests {
         // 1000 rows * (8 + ~7 + 8) raw ≈ 23KB; encoded should be far less
         // for id (FOR 10-bit) and city (dict 2-bit).
         assert!(s.size_bytes() < 12_000, "size {}", s.size_bytes());
-        assert_eq!(s.columns()[1].encoding_name(), "dict");
+        assert_eq!(s.column_encoding_name(1).unwrap(), "dict");
     }
 
     #[test]
@@ -2065,7 +1825,7 @@ mod tests {
                 }])
             })
             .collect();
-        let s = Segment::build(SegmentId(2), schema, &rows).unwrap();
+        let s = Segment::from_rows(SegmentId(2), schema, &rows, 0, None).unwrap();
         assert_eq!(s.row_at(0).unwrap(), Row::new(vec![Value::Null]));
         assert_eq!(s.row_at(1).unwrap(), row![1i64]);
         // NULL rows never match predicates.
@@ -2103,7 +1863,7 @@ mod tests {
 
     #[test]
     fn empty_segment() {
-        let s = Segment::build(SegmentId(3), schema(), &[]).unwrap();
+        let s = Segment::from_rows(SegmentId(3), schema(), &[], 0, None).unwrap();
         assert_eq!(s.row_count(), 0);
         let batches = s
             .scan(&[0], &ScanPredicate::all(), 10, NOBODY, 4096)
@@ -2122,7 +1882,7 @@ mod tests {
         // ~10 groups of 100 rows; pool fits only a handful of pages.
         let pager = test_pager(4096, 100);
         let paged =
-            Segment::build_paged(SegmentId(1), schema(), &rows, 0, &pager).unwrap();
+            Segment::from_rows(SegmentId(1), schema(), &rows, 0, Some(&pager)).unwrap();
         assert!(paged.is_paged());
         assert_eq!(paged.group_count(), 10);
 
@@ -2161,7 +1921,7 @@ mod tests {
         let rows = sample_rows(); // id is 0..1000, sorted → disjoint group zones
         let pager = test_pager(u64::MAX, 100);
         let paged =
-            Segment::build_paged(SegmentId(1), schema(), &rows, 0, &pager).unwrap();
+            Segment::from_rows(SegmentId(1), schema(), &rows, 0, Some(&pager)).unwrap();
         let pred = ScanPredicate::single(0, CmpOp::Ge, Value::Int(950));
         let total: usize = paged
             .scan(&[0], &pred, 100, NOBODY, 4096)
@@ -2188,10 +1948,10 @@ mod tests {
                 }])
             })
             .collect();
-        let resident = Segment::build(SegmentId(2), Arc::clone(&schema), &rows).unwrap();
+        let resident = Segment::from_rows(SegmentId(2), Arc::clone(&schema), &rows, 0, None).unwrap();
         let pager = test_pager(u64::MAX, 17);
         let paged =
-            Segment::build_paged(SegmentId(2), Arc::clone(&schema), &rows, 0, &pager).unwrap();
+            Segment::from_rows(SegmentId(2), Arc::clone(&schema), &rows, 0, Some(&pager)).unwrap();
         let t1 = TxnId(1);
         for s in [&resident, &paged] {
             s.delete_row(10, t1, 100).unwrap();
@@ -2324,9 +2084,9 @@ mod tests {
         ];
         let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
         for rows in &tables {
-            let resident = Segment::build(SegmentId(1), Arc::clone(&schema), rows).unwrap();
+            let resident = Segment::from_rows(SegmentId(1), Arc::clone(&schema), rows, 0, None).unwrap();
             let paged =
-                Segment::build_paged(SegmentId(1), Arc::clone(&schema), rows, 0, &test_pager(u64::MAX, 64))
+                Segment::from_rows(SegmentId(1), Arc::clone(&schema), rows, 0, Some(&test_pager(u64::MAX, 64)))
                     .unwrap();
             for op in ALL_OPS {
                 for &lit in &lits {
@@ -2355,7 +2115,7 @@ mod tests {
     #[test]
     fn paged_empty_segment() {
         let pager = test_pager(u64::MAX, 64);
-        let s = Segment::build_paged(SegmentId(3), schema(), &[], 0, &pager).unwrap();
+        let s = Segment::from_rows(SegmentId(3), schema(), &[], 0, Some(&pager)).unwrap();
         assert_eq!(s.row_count(), 0);
         assert_eq!(s.group_count(), 0);
         assert!(s
@@ -2363,5 +2123,189 @@ mod tests {
             .unwrap()
             .is_empty());
         assert_eq!(s.column_encoding_name(0).unwrap(), "empty");
+    }
+
+    /// Rows with NULLs in every column, a sorted id, a low-cardinality
+    /// string and a float: each encoding family, hot and frozen.
+    fn mixed_rows(n: usize) -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i as i64),
+                    if i % 11 == 3 {
+                        Value::Null
+                    } else {
+                        Value::Str(["berlin", "munich", "cologne"][i % 3].into())
+                    },
+                    if i % 7 == 5 {
+                        Value::Null
+                    } else {
+                        Value::Float(i as f64 / 8.0)
+                    },
+                ])
+            })
+            .collect()
+    }
+
+    fn build(rows: &[Row], pager: Option<&Arc<SegmentPager>>, frozen: bool) -> Segment {
+        if !frozen {
+            return Segment::from_rows(SegmentId(1), schema(), rows, 0, pager).unwrap();
+        }
+        let mut builder = Segment::builder(SegmentId(1), schema(), 0, pager)
+            .unwrap()
+            .frozen();
+        for r in rows {
+            builder.push_row(r.clone()).unwrap();
+        }
+        builder.finish().unwrap()
+    }
+
+    /// A held segment is nothing but a paged one whose single group spans
+    /// the segment: with `rows_per_group >= row_count` the two stores agree
+    /// on all metadata and on every read, hot and frozen.
+    #[test]
+    fn one_group_paged_segment_equals_the_held_segment() {
+        let rows = mixed_rows(300);
+        let preds = [
+            ScanPredicate::all(),
+            ScanPredicate::single(0, CmpOp::Ge, Value::Int(250)),
+            ScanPredicate::single(1, CmpOp::Eq, Value::Str("munich".into())),
+            ScanPredicate::single(2, CmpOp::Lt, Value::Float(10.0)),
+            ScanPredicate::single(0, CmpOp::Gt, Value::Int(10_000)),
+        ];
+        for frozen in [false, true] {
+            for rows_per_group in [300, 4096] {
+                let held = build(&rows, None, frozen);
+                let paged = build(&rows, Some(&test_pager(u64::MAX, rows_per_group)), frozen);
+                assert!(paged.is_paged() && !held.is_paged());
+                assert_eq!(held.is_frozen(), frozen);
+                assert_eq!(paged.is_frozen(), frozen);
+                assert_eq!(held.group_count(), 1);
+                assert_eq!(paged.group_count(), 1);
+                assert_eq!(held.group_bounds(0), paged.group_bounds(0));
+                assert_eq!(held.group_zone(0), paged.group_zone(0));
+                assert_eq!(held.group_zone(0), held.zone_map());
+                assert_eq!(held.zone_map(), paged.zone_map());
+                assert_eq!(held.heat.len(), paged.heat.len());
+                for c in 0..3 {
+                    assert_eq!(
+                        held.column_encoding_name(c).unwrap(),
+                        paged.column_encoding_name(c).unwrap(),
+                        "column {c} frozen={frozen}"
+                    );
+                }
+                for (k, pred) in preds.iter().enumerate() {
+                    assert_eq!(
+                        held.select(pred, 10, NOBODY).unwrap(),
+                        paged.select(pred, 10, NOBODY).unwrap(),
+                        "pred {k} frozen={frozen}"
+                    );
+                    let a = held.scan(&[2, 0, 1], pred, 10, NOBODY, 64).unwrap();
+                    let b = paged.scan(&[2, 0, 1], pred, 10, NOBODY, 64).unwrap();
+                    assert_eq!(a.len(), b.len(), "pred {k} frozen={frozen}");
+                    for (x, y) in a.iter().zip(&b) {
+                        assert_eq!(x.to_rows(), y.to_rows(), "pred {k} frozen={frozen}");
+                    }
+                }
+                let picks = [0u32, 1, 63, 64, 65, 299];
+                assert_eq!(
+                    held.gather_columns(&[1, 2], &picks).unwrap(),
+                    paged.gather_columns(&[1, 2], &picks).unwrap()
+                );
+                for off in picks {
+                    assert_eq!(held.row_at(off).unwrap(), rows[off as usize]);
+                    assert_eq!(paged.row_at(off).unwrap(), rows[off as usize]);
+                }
+                assert_eq!(held.heat(), paged.heat());
+            }
+        }
+    }
+
+    /// Zero rows is zero groups in either store; every read is defined.
+    #[test]
+    fn empty_segments_through_both_stores() {
+        let pager = test_pager(u64::MAX, 64);
+        for pager in [None, Some(&pager)] {
+            for frozen in [false, true] {
+                let s = build(&[], pager, frozen);
+                assert_eq!(s.row_count(), 0);
+                assert_eq!(s.group_count(), 0);
+                assert!(s
+                    .scan(&[0], &ScanPredicate::all(), 10, NOBODY, 4096)
+                    .unwrap()
+                    .is_empty());
+                assert_eq!(
+                    s.gather_columns(&[0, 2], &[]).unwrap(),
+                    vec![
+                        ColumnVector::new(DataType::Int64),
+                        ColumnVector::new(DataType::Float64)
+                    ]
+                );
+                assert_eq!(s.column_encoding_name(0).unwrap(), "empty");
+                assert!(matches!(
+                    s.column_encoding_name(3),
+                    Err(DbError::ColumnNotFound(_))
+                ));
+                assert!(matches!(s.row_at(0), Err(DbError::InvalidArgument(_))));
+                assert!(matches!(
+                    s.column_chunk(0, 0),
+                    Err(DbError::InvalidArgument(_))
+                ));
+                s.seed_heat(8);
+                assert_eq!(s.heat(), 8);
+            }
+        }
+    }
+
+    /// `column_chunk` range-checks the group whichever store holds it.
+    #[test]
+    fn column_chunk_rejects_groups_and_columns_out_of_range() {
+        let rows = mixed_rows(100);
+        let pager = test_pager(u64::MAX, 64);
+        for pager in [None, Some(&pager)] {
+            let s = build(&rows, pager, false);
+            let groups = s.group_count();
+            assert!(s.column_chunk(groups - 1, 2).is_ok());
+            assert!(matches!(
+                s.column_chunk(groups, 0),
+                Err(DbError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                s.column_chunk(0, 3),
+                Err(DbError::ColumnNotFound(_))
+            ));
+        }
+    }
+
+    /// `gather_columns` over index lists inside one group, across two and
+    /// across all of them, at group sizes 1, 64 and the whole segment,
+    /// equals reading the rows one by one.
+    #[test]
+    fn gather_columns_across_groups_equals_row_at() {
+        let rows = mixed_rows(200);
+        let index_lists: [Vec<u32>; 5] = [
+            vec![70],
+            vec![65, 66, 90, 127],
+            vec![60, 63, 64, 100],
+            (0..200).step_by(7).collect(),
+            (0..200).collect(),
+        ];
+        let (one, sixty_four) = (test_pager(u64::MAX, 1), test_pager(u64::MAX, 64));
+        for pager in [Some(&one), Some(&sixty_four), None] {
+            for frozen in [false, true] {
+                let s = build(&rows, pager, frozen);
+                for indexes in &index_lists {
+                    let cols = s.gather_columns(&[0, 1, 2], indexes).unwrap();
+                    let got = oltap_common::Batch::new(cols).unwrap().to_rows();
+                    let want: Vec<Row> =
+                        indexes.iter().map(|&i| s.row_at(i).unwrap()).collect();
+                    assert_eq!(got, want, "groups={} frozen={frozen}", s.group_count());
+                    assert_eq!(
+                        want,
+                        indexes.iter().map(|&i| rows[i as usize].clone()).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 }

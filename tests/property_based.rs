@@ -762,12 +762,15 @@ fn paged_scans_at_default_page_rows_match_resident() {
     );
 }
 
-/// The packed-code scan kernels (block unpack and SWAR) match the naive
-/// decode-then-compare reference over random widths, values, and
-/// literals, including the all-hit / no-hit selectivity extremes.
+/// The engine's packed-code kernel (`cmp_codes_block`) and the SWAR
+/// baseline both match the naive decode-then-compare baseline over random
+/// widths, values, and literals, including the all-hit / no-hit
+/// selectivity extremes — so E3 / E18 time three scans of one answer.
 #[test]
 fn packed_scan_kernels_equal_scalar_reference() {
-    use oltapdb::exec::kernels::{scan_naive, scan_swar, scan_unpack_block, PackedCmp};
+    use oltap_bench::baselines::packed_scan::{
+        scan_engine_block, scan_naive, scan_swar, PackedCmp,
+    };
 
     for case in 0..64u64 {
         let mut rng = rng_for(case ^ 0x5CAB_51DE);
@@ -780,7 +783,7 @@ fn packed_scan_kernels_equal_scalar_reference() {
         for cmp in [PackedCmp::Eq, PackedCmp::Lt, PackedCmp::Gt] {
             for &lit in &literals {
                 let want = scan_naive(&packed, cmp, lit);
-                let block = scan_unpack_block(&packed, cmp, lit);
+                let block = scan_engine_block(&packed, cmp, lit);
                 assert_eq!(block, want, "seed={case} w={width} {cmp:?} lit={lit}");
                 if let Some(swar) = scan_swar(&packed, cmp, lit) {
                     assert_eq!(swar, want, "seed={case} w={width} swar {cmp:?} lit={lit}");

@@ -188,6 +188,54 @@ fn null_semantics_through_sql() {
     assert_eq!(rows[1][0], Value::Null);
 }
 
+/// Column-against-column integer comparisons past 2^53, where neighbouring
+/// integers are one f64: the answer is the integer answer, and it does not
+/// depend on whether a NULL elsewhere in the batch moved evaluation off the
+/// compiled expression VM.
+#[test]
+fn integer_comparisons_past_2_53_are_exact_with_or_without_a_null_in_the_batch() {
+    const P53: i64 = 1 << 53;
+    let cases = [
+        ("a = b", vec![]),
+        ("a < b", vec![3]),
+        ("a <> b", vec![1, 3]),
+        ("a + 1 > b", vec![1]),
+    ];
+    for f in formats() {
+        for with_null in [false, true] {
+            let db = Database::new();
+            db.execute(&format!(
+                "CREATE TABLE t (id BIGINT PRIMARY KEY, a BIGINT, b BIGINT) USING FORMAT {f}"
+            ))
+            .unwrap();
+            db.execute(&format!(
+                "INSERT INTO t VALUES (1, {}, {P53}), (3, {P53}, {})",
+                P53 + 1,
+                P53 + 1
+            ))
+            .unwrap();
+            if with_null {
+                db.execute("INSERT INTO t VALUES (2, NULL, 5)").unwrap();
+            }
+            for merged in [false, true] {
+                if merged {
+                    db.maintenance();
+                }
+                for (cond, want) in &cases {
+                    let got: Vec<Value> = db
+                        .query(&format!("SELECT id FROM t WHERE {cond} ORDER BY id"))
+                        .unwrap()
+                        .iter()
+                        .map(|r| r[0].clone())
+                        .collect();
+                    let want: Vec<Value> = want.iter().map(|&id| Value::Int(id)).collect();
+                    assert_eq!(got, want, "{f} null={with_null} merged={merged}: {cond}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn computed_expressions_and_order_by_expression() {
     let db = fresh("COLUMN");
