@@ -1,31 +1,30 @@
 //! Criterion bench for E11: the three expression engines.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use oltap_common::{row, Batch, Row, DataType, Field, Schema};
-use oltap_exec::compiled::compile;
+use oltap_bench::baselines::tuple_eval::eval_row;
+use oltap_common::{row, Batch, DataType, Field, Row, Schema};
 use oltap_exec::expr::{BinOp, Expr};
+use oltap_exec::CompiledExpr;
 
 fn bench(c: &mut Criterion) {
     let n = 500_000usize;
     let schema = Schema::new(vec![
         Field::new("a", DataType::Int64),
-        Field::new("b", DataType::Int64),
+        Field::new("f", DataType::Float64),
     ]);
-    let rows: Vec<Row> = (0..n).map(|i| row![i as i64, (i % 97) as i64]).collect();
+    let rows: Vec<Row> = (0..n).map(|i| row![i as i64, i as f64 * 0.25]).collect();
     let batches: Vec<Batch> = rows
         .chunks(4096)
         .map(|c| Batch::from_rows(&schema, c).unwrap())
         .collect();
+    // E11's float row: one the entry point holds a compiled program for.
     let expr = Expr::binary(
-        BinOp::Sub,
-        Expr::binary(
-            BinOp::Mul,
-            Expr::binary(BinOp::Add, Expr::col(0), Expr::col(1)),
-            Expr::lit(3i64),
-        ),
+        BinOp::Add,
+        Expr::binary(BinOp::Mul, Expr::col(1), Expr::lit(1.1f64)),
         Expr::col(0),
     );
-    let prog = compile(&expr, &schema).unwrap();
+    let compiled = CompiledExpr::new(expr.clone(), &schema);
+    assert!(compiled.is_compiled());
 
     let mut g = c.benchmark_group("expr_eval");
     g.sample_size(10);
@@ -34,7 +33,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut sink = 0usize;
             for r in &rows {
-                sink += expr.eval_row(r).unwrap().is_null() as usize;
+                sink += eval_row(&expr, r).unwrap().is_null() as usize;
             }
             sink
         })
@@ -52,7 +51,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut sink = 0usize;
             for batch in &batches {
-                sink += prog.run(batch).unwrap().len();
+                sink += compiled.eval(batch).unwrap().len();
             }
             sink
         })

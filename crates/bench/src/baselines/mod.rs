@@ -3,3 +3,4 @@
 
 pub mod packed_scan;
 pub mod shared_scan;
+pub mod tuple_eval;

@@ -21,7 +21,9 @@ use oltap_common::ids::TxnId;
 use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{row, Batch, Row};
 use oltap_core::Database;
-use oltap_exec::{join_output_schema, probe_batch, Expr, JoinTableBuilder, JoinType, ProbeScratch};
+use oltap_exec::{
+    join_output_schema, probe_batch, CompiledExpr, Expr, JoinTableBuilder, JoinType, ProbeScratch,
+};
 use oltap_storage::ScanPredicate;
 
 /// Key domain: dim covers every 100th key, so ~1% of fact rows join.
@@ -66,7 +68,7 @@ fn main() {
     let dim_batches = dim
         .scan(&[0, 1], &ScanPredicate::all(), ts, me, BATCH_SIZE)
         .unwrap();
-    let probe_keys = [Expr::col(1)];
+    let probe_keys = CompiledExpr::list([Expr::col(1)], &fact_schema);
     let reps = 3;
 
     // Variant 1 — the pre-partitioned join: HashMap<Row, Vec<Row>> build,
@@ -95,7 +97,7 @@ fn main() {
     let build_table = || {
         let mut builder = JoinTableBuilder::new(1, dim_schema.len());
         for (i, b) in dim_batches.iter().enumerate() {
-            let key_cols = vec![Expr::col(0).eval_batch(b).unwrap()];
+            let key_cols = vec![b.column(0).clone()];
             builder.push_batch(&key_cols, b, i).unwrap();
         }
         builder.finish().unwrap()

@@ -34,7 +34,7 @@ use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
     fused_aggregate_segments, fused_shape, join_output_schema, AggExpr, AggregatorCore,
-    ExecResources, Expr, FusedScanCtx,
+    CompiledExpr, ExecResources, Expr, FusedScanCtx,
 };
 use oltap_sched::{NumaTopology, WorkerPool};
 use oltap_sql::{AccessPath, LogicalPlan};
@@ -220,7 +220,7 @@ impl<'a> Lowering<'a> {
                 let table = Arc::new(self.pctx.run_join_build(
                     build.batches,
                     build.stages,
-                    right_keys.clone(),
+                    CompiledExpr::list(right_keys.iter().cloned(), &build.schema),
                     build.schema.len(),
                 )?);
                 if let Some(id) = sip {
@@ -232,7 +232,7 @@ impl<'a> Lowering<'a> {
                 let schema = join_output_schema(&p.schema, &build.schema, *join_type);
                 p.stages.push(StageSpec::Probe(Arc::new(ProbeStage {
                     table,
-                    keys: left_keys.clone(),
+                    keys: CompiledExpr::list(left_keys.iter().cloned(), &p.schema),
                     join_type: *join_type,
                     schema: Arc::clone(&schema),
                 })));

@@ -6,7 +6,9 @@ use oltap_common::ids::TxnId;
 use oltap_common::mem::WorkloadClass;
 use oltap_sql::LogicalPlan;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{CancellationToken, DbError, Result, Row, Value};
+use oltap_common::vector::BATCH_SIZE;
+use oltap_common::{Batch, CancellationToken, DbError, Result, Row, Value};
+use oltap_exec::{CompiledExpr, Expr};
 use oltap_sql::ast::{AstExpr, SelectStmt, Statement};
 use oltap_sql::optimizer::split_pushdown;
 use oltap_sql::plan::{bind_scalar, literal_value};
@@ -262,7 +264,7 @@ impl Session {
             let ctx = ExecContext {
                 read_ts,
                 me,
-                batch_size: oltap_common::vector::BATCH_SIZE,
+                batch_size: BATCH_SIZE,
                 cancel,
                 mem: self.db.exec_resources(class)?,
                 faults: Arc::clone(self.db.faults()),
@@ -353,20 +355,33 @@ impl Session {
                         "UPDATE on table without primary key".into(),
                     ));
                 }
-                let set_bound: Vec<(usize, oltap_exec::Expr)> = set
+                let set_bound: Vec<(usize, CompiledExpr)> = set
                     .iter()
-                    .map(|(c, e)| Ok((schema.index_of(c)?, bind_scalar(e, &schema)?)))
+                    .map(|(c, e)| {
+                        let e = CompiledExpr::new(bind_scalar(e, &schema)?, &schema);
+                        Ok((schema.index_of(c)?, e))
+                    })
                     .collect::<Result<Vec<_>>>()?;
                 let targets = self.matching_rows(txn, &handle, &schema, filter.as_ref())?;
+                // Every SET expression reads the old rows, and is evaluated
+                // over all of them before any is written: a division by
+                // zero or a mistyped value fails the statement with no row
+                // changed.
+                let mut new_rows = targets.clone();
+                if !targets.is_empty() {
+                    let old = Batch::from_rows(&schema, &targets)?;
+                    for (i, e) in &set_bound {
+                        let col = e.eval(&old)?;
+                        for (r, new) in new_rows.iter_mut().enumerate() {
+                            let v = col.value_at(r);
+                            v.check_type(schema.field(*i).data_type)?;
+                            new.values_mut()[*i] = v;
+                        }
+                    }
+                }
                 let mut ops = Vec::with_capacity(targets.len());
                 let pk_cols = schema.primary_key().to_vec();
-                for old in targets {
-                    let mut new = old.clone();
-                    for (i, e) in &set_bound {
-                        let v = e.eval_row(&old)?;
-                        v.check_type(schema.field(*i).data_type)?;
-                        new.values_mut()[*i] = v;
-                    }
+                for (old, new) in targets.into_iter().zip(new_rows) {
                     let old_key = schema.key_of(&old);
                     let pk_changed = pk_cols
                         .iter()
@@ -418,10 +433,12 @@ impl Session {
     }
 
     /// Materializes the rows a DML statement targets, at the transaction's
-    /// snapshot (its own writes included). Predicates that pin every
-    /// primary-key column with equality take the point-lookup fast path
-    /// (the OLTP shape: `WHERE pk = ...`), found by the extractor a SELECT's
-    /// access path is chosen with ([`ScanPredicate::pk_point`]).
+    /// snapshot (its own writes included). The filter is lowered as a
+    /// SELECT's is: the conjuncts storage evaluates are pushed into the
+    /// access — a point lookup when they pin every primary-key column with
+    /// equality (the OLTP shape: `WHERE pk = ...`, found by the extractor a
+    /// SELECT's access path is chosen with, [`ScanPredicate::pk_point`]), a
+    /// scan otherwise — and the residual conjuncts filter what it returns.
     fn matching_rows(
         &self,
         txn: &Transaction,
@@ -429,43 +446,39 @@ impl Session {
         schema: &oltap_common::Schema,
         filter: Option<&AstExpr>,
     ) -> Result<Vec<Row>> {
-        let predicate = filter.map(|f| bind_scalar(f, schema)).transpose()?;
         let all: Vec<usize> = (0..schema.len()).collect();
-        if let Some(p) = &predicate {
-            let (conjuncts, _residual) = split_pushdown(p, &all, schema);
-            let pushable = ScanPredicate {
-                conjuncts,
-                join: None,
-            };
-            if let Some(key) = pushable.pk_point(schema) {
-                return Ok(match handle.get(&key, txn.begin_ts(), txn.id())? {
-                    // Re-check the full predicate (it may have residual
-                    // conjuncts beyond the key columns).
-                    Some(row) if matches!(p.eval_row(&row)?, Value::Bool(true)) => {
-                        vec![row]
+        let (conjuncts, residual) = match filter {
+            Some(f) => split_pushdown(&bind_scalar(f, schema)?, &all, schema),
+            None => (Vec::new(), Vec::new()),
+        };
+        let pushed = ScanPredicate {
+            conjuncts,
+            join: None,
+        };
+        let residual = residual
+            .into_iter()
+            .reduce(Expr::and)
+            .map(|p| CompiledExpr::new(p, schema));
+        let (read_ts, me) = (txn.begin_ts(), txn.id());
+        let batches = match pushed.pk_point(schema) {
+            // The key only nominates a row: the whole pushdown is
+            // re-checked against it.
+            Some(key) => match handle.get(&key, read_ts, me)? {
+                Some(row) if pushed.matches_row(&row) => {
+                    if residual.is_none() {
+                        return Ok(vec![row]);
                     }
-                    _ => Vec::new(),
-                });
-            }
-        }
-        let batches = handle.scan(
-            &all,
-            &ScanPredicate::all(),
-            txn.begin_ts(),
-            txn.id(),
-            oltap_common::vector::BATCH_SIZE,
-        )?;
+                    vec![Batch::from_rows(schema, &[row])?]
+                }
+                _ => return Ok(Vec::new()),
+            },
+            None => handle.scan(&all, &pushed, read_ts, me, BATCH_SIZE)?,
+        };
         let mut out = Vec::new();
         for b in &batches {
-            for i in 0..b.len() {
-                let row = b.row(i);
-                let keep = match &predicate {
-                    None => true,
-                    Some(p) => matches!(p.eval_row(&row)?, Value::Bool(true)),
-                };
-                if keep {
-                    out.push(row);
-                }
+            match &residual {
+                None => out.extend(b.to_rows()),
+                Some(p) => out.extend(p.filter(b)?.into_iter().map(|i| b.row(i as usize))),
             }
         }
         Ok(out)

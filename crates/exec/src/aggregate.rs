@@ -1,11 +1,12 @@
 //! Blocking hash aggregation (GROUP BY) with the standard SQL aggregates.
 
+use crate::compiled::CompiledExpr;
 use crate::expr::Expr;
 use crate::kernels::set_bits;
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, DataType, DbError, Field, Result, Row, Schema, Value};
+use oltap_common::{Batch, ColumnVector, DataType, DbError, Field, Result, Row, Schema, Value};
 use oltap_storage::spill::SpillWriter;
 use oltap_txn::wal::{decode_row, encode_row};
 use std::sync::Arc;
@@ -342,8 +343,10 @@ impl GroupMap {
 /// pipeline's aggregate sink and the fused segment path both drive this
 /// core.
 pub struct AggregatorCore {
-    group_by: Vec<Expr>,
+    group_by: Vec<CompiledExpr>,
     aggs: Vec<AggExpr>,
+    /// `aggs[k].input`, ready to evaluate (`None` for `COUNT(*)`).
+    agg_inputs: Vec<Option<CompiledExpr>>,
     input_types: Vec<DataType>,
     schema: SchemaRef,
     batch_size: usize,
@@ -361,19 +364,22 @@ impl AggregatorCore {
         let mut group_exprs = Vec::new();
         for (e, name) in group_by {
             fields.push(Field::new(name, e.data_type(input_schema)?));
-            group_exprs.push(e);
+            group_exprs.push(CompiledExpr::new(e, input_schema));
         }
         let mut input_types = Vec::new();
+        let mut agg_inputs = Vec::new();
         for a in &aggs {
             fields.push(Field::new(a.label.clone(), a.output_type(input_schema)?));
             input_types.push(match &a.input {
                 Some(e) => e.data_type(input_schema)?,
                 None => DataType::Int64,
             });
+            agg_inputs.push(a.input.clone().map(|e| CompiledExpr::new(e, input_schema)));
         }
         Ok(AggregatorCore {
             group_by: group_exprs,
             aggs,
+            agg_inputs,
             input_types,
             schema: Arc::new(Schema::new(fields)),
             batch_size: 4096,
@@ -386,8 +392,8 @@ impl AggregatorCore {
     }
 
     /// The group-by expressions (in output order).
-    pub fn group_exprs(&self) -> &[Expr] {
-        &self.group_by
+    pub fn group_exprs(&self) -> impl ExactSizeIterator<Item = &Expr> {
+        self.group_by.iter().map(CompiledExpr::expr)
     }
 
     /// The aggregates (in output order).
@@ -413,23 +419,25 @@ impl AggregatorCore {
             .collect()
     }
 
+    /// One batch's group-key columns and aggregate-input columns (`None`
+    /// for `COUNT(*)`).
+    fn eval_inputs(&self, batch: &Batch) -> Result<(Vec<ColumnVector>, Vec<Option<ColumnVector>>)> {
+        let key_cols = CompiledExpr::eval_all(&self.group_by, batch)?;
+        let agg_cols = self
+            .agg_inputs
+            .iter()
+            .map(|e| e.as_ref().map(|e| e.eval(batch)).transpose())
+            .collect::<Result<Vec<_>>>()?;
+        Ok((key_cols, agg_cols))
+    }
+
     /// Folds one batch into `map`, evaluating group keys and aggregate
     /// inputs vectorized.
     pub fn consume(&self, map: &mut GroupMap, batch: &Batch) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        let key_cols = self
-            .group_by
-            .iter()
-            .map(|e| e.eval_batch(batch))
-            .collect::<Result<Vec<_>>>()?;
-        let agg_cols = self
-            .aggs
-            .iter()
-            .map(|a| a.input.as_ref().map(|e| e.eval_batch(batch)).transpose())
-            .collect::<Result<Vec<_>>>()?;
-
+        let (key_cols, agg_cols) = self.eval_inputs(batch)?;
         for i in 0..batch.len() {
             let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
             let states = map.0.entry(key).or_insert_with(|| self.make_states());
@@ -542,16 +550,7 @@ impl SpillingAggregator {
         if batch.is_empty() {
             return Ok(());
         }
-        let key_cols = core
-            .group_by
-            .iter()
-            .map(|e| e.eval_batch(batch))
-            .collect::<Result<Vec<_>>>()?;
-        let agg_cols = core
-            .aggs
-            .iter()
-            .map(|a| a.input.as_ref().map(|e| e.eval_batch(batch)).transpose())
-            .collect::<Result<Vec<_>>>()?;
+        let (key_cols, agg_cols) = core.eval_inputs(batch)?;
         let metered = self.res.is_limited();
         for i in 0..batch.len() {
             let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
@@ -599,7 +598,7 @@ impl SpillingAggregator {
     fn spill_row(
         &mut self,
         key: Row,
-        agg_cols: &[Option<oltap_common::vector::ColumnVector>],
+        agg_cols: &[Option<ColumnVector>],
         i: usize,
     ) -> Result<()> {
         let p = agg_partition_of(&key);
@@ -672,7 +671,7 @@ impl SpillingAggregator {
 fn update_states(
     states: &mut [AggState],
     core: &AggregatorCore,
-    agg_cols: &[Option<oltap_common::vector::ColumnVector>],
+    agg_cols: &[Option<ColumnVector>],
     i: usize,
 ) -> Result<()> {
     for (s, (a, col)) in states.iter_mut().zip(core.aggs.iter().zip(agg_cols)) {

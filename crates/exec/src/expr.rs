@@ -1,22 +1,28 @@
-//! Expression trees and their two interpreted evaluators.
+//! Expression trees and the vectorized interpreter that defines them.
 //!
-//! The same [`Expr`] can be evaluated three ways, mirroring the execution
-//! models the tutorial contrasts (§4: Volcano-style interpretation vs.
-//! vectorized processing vs. compiled queries \[28, 40\]):
+//! The tutorial contrasts three execution models (§4: Volcano-style
+//! interpretation vs. vectorized processing vs. compiled queries
+//! \[28, 40\]). The engine evaluates every expression through one entry
+//! point, [`crate::CompiledExpr`], which is the last two of them:
 //!
-//! 1. [`Expr::eval_row`] — classic tuple-at-a-time interpretation over
-//!    dynamically typed [`Value`]s: one tree walk *per row* (the baseline
-//!    every modern engine moved away from).
-//! 2. [`Expr::eval_batch`] — vectorized interpretation: one tree walk per
-//!    *batch*, with typed kernels over column vectors (MonetDB/X100-style).
-//! 3. [`crate::compiled`] — a fused block evaluator standing in for LLVM
-//!    code generation (HyPer-style).
+//! * [`Expr::eval_batch`] — vectorized interpretation: one tree walk per
+//!   *batch*, with typed kernels over column vectors (MonetDB/X100-style).
+//!   It is the definition of what an expression means.
+//! * [`crate::compiled`] — a fused block evaluator standing in for LLVM
+//!   code generation (HyPer-style), used wherever it is bit-identical.
 //!
+//! The first model — one tree walk *per row* over dynamically typed
+//! [`Value`]s, the baseline every modern engine moved away from — is an
+//! experiment subject only (`oltap-bench::baselines::tuple_eval`, E11).
+//!
+//! Semantics: integers wrap; floats compare by `f64::total_cmp`
+//! (`-0.0 < 0.0`, `NaN = NaN`, as `Value`'s ordering and the storage
+//! pushdown do); `Int64 (op) Float64` promotes the integer with `as f64`.
 //! SQL three-valued logic: NULL propagates through arithmetic and
 //! comparisons; `AND`/`OR` use Kleene semantics; a WHERE clause keeps rows
 //! whose predicate is exactly TRUE.
 
-use oltap_common::{BitSet, Batch, ColumnVector, DataType, DbError, Result, Row, Schema, Value};
+use oltap_common::{BitSet, Batch, ColumnVector, DataType, DbError, Result, Schema, Value};
 use std::fmt;
 
 /// Binary operators.
@@ -218,43 +224,6 @@ impl Expr {
     }
 
     // -----------------------------------------------------------------
-    // Tuple-at-a-time interpretation (the slow baseline)
-    // -----------------------------------------------------------------
-
-    /// Evaluates against a single row, Volcano style.
-    pub fn eval_row(&self, row: &Row) -> Result<Value> {
-        match self {
-            Expr::Column(i) => Ok(row
-                .values()
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| DbError::Execution(format!("column {i} out of range")))?),
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Binary { op, left, right } => {
-                let l = left.eval_row(row)?;
-                // Short-circuit-free for AND/OR: Kleene logic needs both.
-                let r = right.eval_row(row)?;
-                eval_binary_scalar(*op, &l, &r)
-            }
-            Expr::Unary { op, expr } => {
-                let v = expr.eval_row(row)?;
-                match (op, &v) {
-                    (_, Value::Null) => Ok(Value::Null),
-                    (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
-                    (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
-                    _ => Err(DbError::Execution(format!(
-                        "bad operand for {op:?}: {}",
-                        v.type_name()
-                    ))),
-                }
-            }
-            Expr::IsNull(e) => Ok(Value::Bool(e.eval_row(row)?.is_null())),
-            Expr::IsNotNull(e) => Ok(Value::Bool(!e.eval_row(row)?.is_null())),
-        }
-    }
-
-    // -----------------------------------------------------------------
     // Vectorized interpretation
     // -----------------------------------------------------------------
 
@@ -313,59 +282,12 @@ impl Expr {
             }
         }
     }
-
-    /// Evaluates as a filter over a batch: returns the selection vector of
-    /// rows where the predicate is TRUE (not NULL, not FALSE).
-    pub fn eval_filter(&self, batch: &Batch) -> Result<Vec<u32>> {
-        let v = self.eval_batch(batch)?;
-        let bits = v.as_bools()?;
-        let mut out = Vec::new();
-        match v.validity() {
-            None => out.extend(bits.iter_ones().map(|i| i as u32)),
-            Some(val) => {
-                for i in bits.iter_ones() {
-                    if val.get(i) {
-                        out.push(i as u32);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 fn normalize(t: DataType) -> DataType {
     match t {
         DataType::Timestamp => DataType::Int64,
         other => other,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar kernels
-// ---------------------------------------------------------------------------
-
-fn eval_binary_scalar(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    if op.is_logic() {
-        return kleene_scalar(op, l, r);
-    }
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    if op.is_comparison() {
-        return Ok(Value::Bool(op_cmp(op, l.cmp(r))));
-    }
-    // Arithmetic with Int/Float promotion.
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) | (Value::Timestamp(a), Value::Int(b))
-        | (Value::Int(a), Value::Timestamp(b)) | (Value::Timestamp(a), Value::Timestamp(b)) => {
-            arith_i64(op, *a, *b)
-        }
-        _ => {
-            let a = l.as_float()?;
-            let b = r.as_float()?;
-            Ok(Value::Float(arith_f64(op, a, b)))
-        }
     }
 }
 
@@ -382,27 +304,6 @@ fn op_cmp(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-fn arith_i64(op: BinOp, a: i64, b: i64) -> Result<Value> {
-    Ok(Value::Int(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(DbError::Execution("division by zero".into()));
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Mod => {
-            if b == 0 {
-                return Err(DbError::Execution("division by zero".into()));
-            }
-            a.wrapping_rem(b)
-        }
-        _ => unreachable!("not arithmetic"),
-    }))
-}
-
 fn arith_f64(op: BinOp, a: f64, b: f64) -> f64 {
     match op {
         BinOp::Add => a + b,
@@ -412,38 +313,6 @@ fn arith_f64(op: BinOp, a: f64, b: f64) -> f64 {
         BinOp::Mod => a % b,
         _ => unreachable!("not arithmetic"),
     }
-}
-
-fn kleene_scalar(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    let lb = match l {
-        Value::Null => None,
-        Value::Bool(b) => Some(*b),
-        other => {
-            return Err(DbError::Execution(format!(
-                "logic on non-boolean {}",
-                other.type_name()
-            )))
-        }
-    };
-    let rb = match r {
-        Value::Null => None,
-        Value::Bool(b) => Some(*b),
-        other => {
-            return Err(DbError::Execution(format!(
-                "logic on non-boolean {}",
-                other.type_name()
-            )))
-        }
-    };
-    Ok(match (op, lb, rb) {
-        (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => Value::Bool(false),
-        (BinOp::And, Some(true), Some(true)) => Value::Bool(true),
-        (BinOp::And, _, _) => Value::Null,
-        (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => Value::Bool(true),
-        (BinOp::Or, Some(false), Some(false)) => Value::Bool(false),
-        (BinOp::Or, _, _) => Value::Null,
-        _ => unreachable!(),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -740,7 +609,7 @@ impl fmt::Display for Expr {
 mod tests {
     use super::*;
     use oltap_common::row;
-    use oltap_common::{Field, Schema};
+    use oltap_common::{Field, Row, Schema};
 
     fn batch() -> Batch {
         let schema = Schema::new(vec![
@@ -766,65 +635,6 @@ mod tests {
         Batch::from_rows(&schema, &rows).unwrap()
     }
 
-    /// Row and batch evaluation must agree everywhere.
-    fn check_consistency(e: &Expr, b: &Batch) {
-        let vec_result = e.eval_batch(b).unwrap();
-        for i in 0..b.len() {
-            let row = b.row(i);
-            let row_result = e.eval_row(&row).unwrap();
-            assert_eq!(
-                vec_result.value_at(i),
-                row_result,
-                "row {i} disagrees for {e}"
-            );
-        }
-    }
-
-    #[test]
-    fn arithmetic_consistency() {
-        let b = batch();
-        // (a + b) * 2 - a
-        let e = Expr::binary(
-            BinOp::Sub,
-            Expr::binary(
-                BinOp::Mul,
-                Expr::binary(BinOp::Add, Expr::col(0), Expr::col(1)),
-                Expr::lit(2i64),
-            ),
-            Expr::col(0),
-        );
-        check_consistency(&e, &b);
-        // Mixed int/float promotes.
-        let e = Expr::binary(BinOp::Add, Expr::col(0), Expr::col(2));
-        check_consistency(&e, &b);
-    }
-
-    #[test]
-    fn comparison_consistency() {
-        let b = batch();
-        for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
-            let e = Expr::binary(op, Expr::col(0), Expr::lit(4i64));
-            check_consistency(&e, &b);
-        }
-        let e = Expr::binary(BinOp::Eq, Expr::col(3), Expr::lit("y"));
-        check_consistency(&e, &b);
-    }
-
-    #[test]
-    fn logic_kleene_consistency() {
-        let b = batch();
-        // (a > 2 AND b < 10) OR a IS NULL — exercises NULL propagation.
-        let e = Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(2i64))
-            .and(Expr::binary(BinOp::Lt, Expr::col(1), Expr::lit(10i64)))
-            .or(Expr::IsNull(Box::new(Expr::col(0))));
-        check_consistency(&e, &b);
-        let e = Expr::Unary {
-            op: UnOp::Not,
-            expr: Box::new(Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(2i64))),
-        };
-        check_consistency(&e, &b);
-    }
-
     #[test]
     fn null_propagates_through_arithmetic() {
         let b = batch();
@@ -835,20 +645,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_semantics_true_only() {
-        let b = batch();
-        // a > 2: rows 4..7 true, row 3 NULL (excluded), rows 0..2 false.
-        let e = Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(2i64));
-        let sel = e.eval_filter(&b).unwrap();
-        assert_eq!(sel, vec![4, 5, 6, 7]);
-    }
-
-    #[test]
     fn division_by_zero_is_error() {
         let b = batch();
         let e = Expr::binary(BinOp::Div, Expr::col(0), Expr::lit(0i64));
         assert!(e.eval_batch(&b).is_err());
-        assert!(e.eval_row(&b.row(0)).is_err());
         // Float division by zero is IEEE infinity, not an error.
         let e = Expr::binary(BinOp::Div, Expr::col(2), Expr::lit(0.0f64));
         assert!(e.eval_batch(&b).is_ok());
@@ -877,16 +677,6 @@ mod tests {
         assert!(bad.data_type(&schema).is_err());
         let bad_logic = Expr::binary(BinOp::And, Expr::col(0), Expr::col(0));
         assert!(bad_logic.data_type(&schema).is_err());
-    }
-
-    #[test]
-    fn is_null_handling() {
-        let b = batch();
-        let e = Expr::IsNull(Box::new(Expr::col(0)));
-        let sel = e.eval_filter(&b).unwrap();
-        assert_eq!(sel, vec![3]);
-        let e = Expr::IsNotNull(Box::new(Expr::col(0)));
-        assert_eq!(e.eval_filter(&b).unwrap().len(), 7);
     }
 
     #[test]

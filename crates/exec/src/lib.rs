@@ -3,10 +3,13 @@
 //! Vectorized query execution for `oltapdb`, implementing the
 //! query-processing dimensions the tutorial enumerates:
 //!
-//! * [`expr`] — expression trees with tuple-at-a-time *and* vectorized
-//!   interpretation (the execution-model spectrum of §4).
-//! * [`compiled`] — a fused register-program evaluator standing in for
-//!   LLVM query compilation (HyPer \[28\] / Impala \[41\] analog).
+//! * [`expr`] — expression trees and the vectorized interpreter that
+//!   defines their semantics.
+//! * [`compiled`] — [`CompiledExpr`], the one way anything evaluates an
+//!   expression: the interpreter, with a fused register-program evaluator
+//!   standing in for LLVM query compilation (HyPer \[28\] / Impala \[41\]
+//!   analog) wherever that is bit-identical. (The tuple-at-a-time walk of
+//!   §4's spectrum is an `oltap-bench` baseline.)
 //! * [`kernels`] — the block primitives of the fused path: the masked
 //!   integer fold and the set-bit walk. (Predicates over packed codes run
 //!   in `oltap-storage`; the naive and SWAR scans E3/E18 compare that
@@ -39,7 +42,7 @@ pub mod resources;
 pub mod sort;
 
 pub use aggregate::{AggExpr, AggFunc, AggregatorCore, GroupMap, SpillingAggregator};
-pub use compiled::{compile, CompiledExpr, Program};
+pub use compiled::CompiledExpr;
 pub use expr::{BinOp, Expr, UnOp};
 pub use fused::{fused_aggregate_segments, fused_shape, FusedScanCtx, FusedShape};
 pub use join::{

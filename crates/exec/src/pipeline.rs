@@ -152,25 +152,16 @@ impl MorselDispenser {
     }
 }
 
-/// The streaming (non-breaking) operators a pipeline runs per morsel.
-/// Specs are plain data so each worker can compile its own thread-local
-/// [`CompiledExpr`] programs.
+/// The streaming (non-breaking) operators a pipeline runs per morsel,
+/// their expressions compiled once where the stage is built; workers share
+/// them read-only.
 #[derive(Clone)]
 pub enum StageSpec {
-    /// Keep rows where the boolean predicate holds.
-    Filter {
-        /// Boolean predicate (see [`StageSpec::filter`]).
-        predicate: Expr,
-        /// Schema the predicate compiles against.
-        input_schema: SchemaRef,
-    },
+    /// Keep rows where the boolean predicate holds (see
+    /// [`StageSpec::filter`]).
+    Filter(Arc<CompiledExpr>),
     /// Compute one output column per expression.
-    Project {
-        /// Output column expressions.
-        exprs: Vec<Expr>,
-        /// Schema the expressions compile against.
-        input_schema: SchemaRef,
-    },
+    Project(Arc<[CompiledExpr]>),
     /// Probe a pre-built (shared, read-only) hash-join table.
     Probe(Arc<ProbeStage>),
 }
@@ -181,10 +172,10 @@ impl StageSpec {
         if predicate.data_type(input_schema)? != DataType::Bool {
             return Err(DbError::Plan("filter predicate must be boolean".into()));
         }
-        Ok(StageSpec::Filter {
+        Ok(StageSpec::Filter(Arc::new(CompiledExpr::new(
             predicate,
-            input_schema: Arc::clone(input_schema),
-        })
+            input_schema,
+        ))))
     }
 
     /// A projection stage computing one column per `(expression, name)`
@@ -197,11 +188,36 @@ impl StageSpec {
             .iter()
             .map(|(e, n)| Ok(Field::new(n.clone(), e.data_type(input_schema)?)))
             .collect::<Result<Vec<_>>>()?;
-        let spec = StageSpec::Project {
-            exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
-            input_schema: Arc::clone(input_schema),
-        };
-        Ok((spec, Arc::new(Schema::new(fields))))
+        let exprs = CompiledExpr::list(exprs.iter().map(|(e, _)| e.clone()), input_schema);
+        Ok((
+            StageSpec::Project(exprs.into()),
+            Arc::new(Schema::new(fields)),
+        ))
+    }
+
+    /// Applies this stage to one non-empty batch; `None` means the morsel
+    /// was fully consumed (filtered out / no join matches). `scratch` is
+    /// the worker's own probe buffers for this stage, reused across
+    /// batches.
+    fn apply(&self, batch: Batch, scratch: &mut ProbeScratch) -> Result<Option<Batch>> {
+        match self {
+            StageSpec::Filter(pred) => {
+                let sel = pred.filter(&batch)?;
+                if sel.len() == batch.len() {
+                    return Ok(Some(batch));
+                }
+                if sel.is_empty() {
+                    return Ok(None);
+                }
+                Ok(Some(batch.take(&sel)))
+            }
+            StageSpec::Project(exprs) => {
+                Ok(Some(Batch::new(CompiledExpr::eval_all(exprs, &batch)?)?))
+            }
+            StageSpec::Probe(p) => {
+                probe_batch(&p.table, &p.keys, p.join_type, &p.schema, &batch, scratch)
+            }
+        }
     }
 }
 
@@ -213,79 +229,11 @@ pub struct ProbeStage {
     /// Radix-partitioned build side in build-scan order.
     pub table: Arc<JoinTable>,
     /// Probe-side key expressions.
-    pub keys: Vec<Expr>,
+    pub keys: Vec<CompiledExpr>,
     /// Inner or left outer.
     pub join_type: JoinType,
     /// Joined output schema.
     pub schema: SchemaRef,
-}
-
-/// A worker's thread-local compilation of a [`StageSpec`] chain.
-enum CompiledStage {
-    Filter(CompiledExpr),
-    Project(Vec<CompiledExpr>),
-    Probe(Arc<ProbeStage>, ProbeScratch),
-}
-
-impl CompiledStage {
-    fn compile(spec: StageSpec) -> CompiledStage {
-        match spec {
-            StageSpec::Filter {
-                predicate,
-                input_schema,
-            } => CompiledStage::Filter(CompiledExpr::new(predicate, &input_schema)),
-            StageSpec::Project {
-                exprs,
-                input_schema,
-            } => CompiledStage::Project(
-                exprs
-                    .into_iter()
-                    .map(|e| CompiledExpr::new(e, &input_schema))
-                    .collect(),
-            ),
-            StageSpec::Probe(p) => CompiledStage::Probe(p, ProbeScratch::new()),
-        }
-    }
-
-    /// Applies this stage to one non-empty batch; `None` means the morsel
-    /// was fully consumed (filtered out / no join matches). `&mut self`
-    /// because the probe stage reuses its scratch buffers across batches.
-    fn apply(&mut self, batch: Batch) -> Result<Option<Batch>> {
-        match self {
-            CompiledStage::Filter(pred) => {
-                let mask = pred.eval(&batch)?;
-                let bits = mask.as_bools()?;
-                let mut sel = Vec::new();
-                match mask.validity() {
-                    None => sel.extend(bits.iter_ones().map(|i| i as u32)),
-                    Some(v) => {
-                        for i in bits.iter_ones() {
-                            if v.get(i) {
-                                sel.push(i as u32);
-                            }
-                        }
-                    }
-                }
-                if sel.len() == batch.len() {
-                    return Ok(Some(batch));
-                }
-                if sel.is_empty() {
-                    return Ok(None);
-                }
-                Ok(Some(batch.take(&sel)))
-            }
-            CompiledStage::Project(exprs) => {
-                let cols = exprs
-                    .iter()
-                    .map(|e| e.eval(&batch))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Some(Batch::new(cols)?))
-            }
-            CompiledStage::Probe(p, scratch) => {
-                probe_batch(&p.table, &p.keys, p.join_type, &p.schema, &batch, scratch)
-            }
-        }
-    }
 }
 
 /// Everything a pipeline run needs beyond its own morsels and stages: the
@@ -450,7 +398,7 @@ impl ParallelContext {
         &self,
         batches: Vec<Batch>,
         stages: Vec<StageSpec>,
-        keys: Vec<Expr>,
+        keys: Vec<CompiledExpr>,
         build_width: usize,
     ) -> Result<JoinTable> {
         let key_width = keys.len();
@@ -472,10 +420,7 @@ impl ParallelContext {
                         )));
                     }
                 }
-                let key_cols = keys
-                    .iter()
-                    .map(|e| e.eval_batch(&batch))
-                    .collect::<Result<Vec<_>>>()?;
+                let key_cols = CompiledExpr::eval_all(&keys, &batch)?;
                 builder.push_batch(&key_cols, &batch, idx)
             },
             |b| b,
@@ -498,8 +443,8 @@ impl ParallelContext {
         keys: Vec<SortKey>,
         schema: SchemaRef,
     ) -> Result<Vec<Batch>> {
+        let key_exprs = CompiledExpr::list(keys.iter().map(|k| k.expr.clone()), &schema);
         let keys = Arc::new(keys);
-        let k_consume = Arc::clone(&keys);
         let k_make = Arc::clone(&keys);
         let res = self.mem.clone();
         let buffers = self.fan_out(
@@ -507,10 +452,7 @@ impl ParallelContext {
             stages,
             move || SortBuffer::new(k_make.as_ref().clone(), res.clone()),
             move |buf: &mut SortBuffer, idx, batch| {
-                let key_cols = k_consume
-                    .iter()
-                    .map(|k| k.expr.eval_batch(&batch))
-                    .collect::<Result<Vec<_>>>()?;
+                let key_cols = CompiledExpr::eval_all(&key_exprs, &batch)?;
                 for i in 0..batch.len() {
                     let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
                     buf.push(key, ((idx as u64) << 32) | i as u64, batch.row(i))?;
@@ -536,18 +478,15 @@ impl ParallelContext {
         if k == 0 {
             return Ok(Vec::new());
         }
+        let key_exprs = CompiledExpr::list(keys.iter().map(|k| k.expr.clone()), &schema);
         let keys = Arc::new(keys);
         let k_make = Arc::clone(&keys);
-        let k_consume = Arc::clone(&keys);
         let sets = self.fan_out(
             batches,
             stages,
             move || TopKAcc::new(&k_make, k),
             move |acc: &mut TopKAcc, idx, batch| {
-                let key_cols = k_consume
-                    .iter()
-                    .map(|sk| sk.expr.eval_batch(&batch))
-                    .collect::<Result<Vec<_>>>()?;
+                let key_cols = CompiledExpr::eval_all(&key_exprs, &batch)?;
                 for i in 0..batch.len() {
                     let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
                     acc.push(key, ((idx as u64) << 32) | i as u64, batch.row(i));
@@ -597,8 +536,8 @@ pub fn limit_batches(batches: Vec<Batch>, offset: usize, limit: usize) -> Vec<Ba
 }
 
 /// One worker's pipeline loop: pull `(index, batch)` morsels from
-/// `next_morsel`, probe the fault point with bounded retry, run the
-/// compiled stage chain, fold surviving output into the local sink state.
+/// `next_morsel`, probe the fault point with bounded retry, run the stage
+/// chain, fold surviving output into the local sink state.
 #[allow(clippy::too_many_arguments)]
 fn worker_drive<S, R>(
     next_morsel: &mut dyn FnMut() -> Option<(usize, Batch)>,
@@ -610,7 +549,8 @@ fn worker_drive<S, R>(
     consume: &dyn Fn(&mut S, usize, Batch) -> Result<()>,
     finish: &dyn Fn(S) -> R,
 ) -> Result<R> {
-    let mut compiled: Vec<CompiledStage> = stages.into_iter().map(CompiledStage::compile).collect();
+    // This worker's probe buffers, one per stage (empty for the others).
+    let mut scratch: Vec<ProbeScratch> = stages.iter().map(|_| ProbeScratch::new()).collect();
     let mut state = make();
     while !abort.load(Ordering::Relaxed) {
         cancel.check()?;
@@ -631,9 +571,9 @@ fn worker_drive<S, R>(
             continue;
         }
         let mut cur = Some(batch);
-        for stage in &mut compiled {
+        for (stage, scratch) in stages.iter().zip(&mut scratch) {
             let Some(b) = cur else { break };
-            cur = stage.apply(b)?;
+            cur = stage.apply(b, scratch)?;
         }
         if let Some(out) = cur {
             if !out.is_empty() {

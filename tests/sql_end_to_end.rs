@@ -236,6 +236,51 @@ fn integer_comparisons_past_2_53_are_exact_with_or_without_a_null_in_the_batch()
     }
 }
 
+/// Expressions the f64 expression VM used to answer its own way —
+/// products that wrap `i64`, `-0.0` against `0.0` — mean what the
+/// interpreter says they mean, whether or not a NULL elsewhere in the
+/// batch moved evaluation off the VM.
+#[test]
+fn wrapping_products_and_negative_zero_answer_alike_with_or_without_a_null_in_the_batch() {
+    let cases = [
+        // 3037000501^2 is just past i64::MAX: it wraps negative.
+        ("a * a > 0", vec![2]),
+        ("a * a < 0", vec![1]),
+        // Floats order as `total_cmp` does: -0.0 is below 0.0.
+        ("f * 1.0 = 0.0", vec![1]),
+        ("f * 1.0 < 0.0", vec![2]),
+    ];
+    for f in formats() {
+        for with_null in [false, true] {
+            let db = Database::new();
+            db.execute(&format!(
+                "CREATE TABLE t (id BIGINT PRIMARY KEY, a BIGINT, f DOUBLE) USING FORMAT {f}"
+            ))
+            .unwrap();
+            db.execute("INSERT INTO t VALUES (1, 3037000501, 0.0), (2, -2, -0.0), (3, 0, 1.5)")
+                .unwrap();
+            if with_null {
+                db.execute("INSERT INTO t VALUES (4, NULL, NULL)").unwrap();
+            }
+            for merged in [false, true] {
+                if merged {
+                    db.maintenance();
+                }
+                for (cond, want) in &cases {
+                    let got: Vec<Value> = db
+                        .query(&format!("SELECT id FROM t WHERE {cond} ORDER BY id"))
+                        .unwrap()
+                        .iter()
+                        .map(|r| r[0].clone())
+                        .collect();
+                    let want: Vec<Value> = want.iter().map(|&id| Value::Int(id)).collect();
+                    assert_eq!(got, want, "{f} null={with_null} merged={merged}: {cond}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn computed_expressions_and_order_by_expression() {
     let db = fresh("COLUMN");
