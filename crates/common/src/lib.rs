@@ -17,6 +17,8 @@
 //! * [`bitset::BitSet`] — packed validity/selection/delete bitmaps.
 //! * [`bloom::BlockedBloom`] — a blocked Bloom filter for join
 //!   sideways-information-passing into scans.
+//! * [`crc::crc32`] — the checksum of every stored or sent frame (WAL
+//!   records, column pages, the heat sidecar, wire frames).
 //! * [`hash`] — a fast, non-cryptographic hasher (Fx-style) plus `HashMap`
 //!   aliases used on hot paths throughout the engine.
 //! * [`ids`] — newtype identifiers (tables, columns, segments, transactions,
@@ -35,6 +37,7 @@
 pub mod bitset;
 pub mod bloom;
 pub mod cancel;
+pub mod crc;
 pub mod error;
 pub mod fault;
 pub mod hash;
@@ -49,6 +52,7 @@ pub mod vector;
 pub use bitset::BitSet;
 pub use bloom::BlockedBloom;
 pub use cancel::CancellationToken;
+pub use crc::crc32;
 pub use error::{DbError, Result};
 pub use fault::{FaultInjector, FaultPoint};
 pub use mem::{MemoryBudget, MemoryGovernor, WorkloadClass};

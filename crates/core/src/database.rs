@@ -583,7 +583,7 @@ impl Database {
             payload.extend_from_slice(name.as_bytes());
             payload.extend_from_slice(&hs.total_heat.to_le_bytes());
             buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&oltap_txn::wal::crc32(&payload).to_le_bytes());
+            buf.extend_from_slice(&oltap_common::crc32(&payload).to_le_bytes());
             buf.extend_from_slice(&payload);
         }
         let tmp = path.with_extension("heat.tmp");
@@ -611,7 +611,7 @@ impl Database {
             }
             let payload = &bytes[off..off + len];
             off += len;
-            if oltap_txn::wal::crc32(payload) != crc || payload.len() < 12 {
+            if oltap_common::crc32(payload) != crc || payload.len() < 12 {
                 return;
             }
             let nlen = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;

@@ -896,6 +896,80 @@ mod tests {
         }
     }
 
+    /// A statement visits each row group once: the column it both filters
+    /// and aggregates (Q6's `ol_amount`, Q2's `s_quantity`) is faulted once
+    /// per group even when the pool is smaller than that column, where a
+    /// selection sweep followed by an aggregation sweep faults it twice. The
+    /// misses are exactly the distinct (group, column) pages the statement
+    /// reads, on the dense path and on the forced scalar one, and the
+    /// answer is the resident one.
+    #[test]
+    fn filtered_and_aggregated_column_faults_once_per_group() {
+        let resident = ch_database(None);
+        // The columns a statement reads, the filtered-and-aggregated first.
+        for (id, table, columns, pool_bytes) in [
+            ("Q6", "order_line", ["ol_amount", "ol_quantity"], 4096),
+            ("Q2", "stock", ["s_quantity", "s_i_id"], 1024),
+        ] {
+            let sql = OLAP_SCAN.iter().find(|(q, _)| *q == id).unwrap().1;
+            let want = resident.query(sql).unwrap();
+            for fallback in [false, true] {
+                let tag = format!("{id} fallback {fallback}");
+                // A cold pool per run: the count is this statement's alone.
+                let db = ch_database(Some(BufferConfig {
+                    pool_bytes,
+                    page_rows: 256,
+                    page_root: None,
+                }));
+                let (segments, pushdown) = {
+                    let catalog = db.catalog_read();
+                    let plan = plan_for(sql, &catalog);
+                    let Some(LogicalPlan::Aggregate { input, .. }) = aggregate_over_scan(&plan)
+                    else {
+                        panic!("{tag}: no Aggregate(Scan)");
+                    };
+                    let LogicalPlan::Scan { projection, pushdown, .. } = &**input else {
+                        unreachable!()
+                    };
+                    let TableHandle::Column(t) = catalog.get(table).unwrap() else {
+                        panic!("{tag}: {table} is not a column table");
+                    };
+                    let ctx = snapshot_ctx(db.txn_manager().now());
+                    let parts = t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, 4096);
+                    (parts.unwrap().0, pushdown.clone())
+                };
+                let groups: usize = segments.iter().map(|s| s.group_count()).sum();
+                assert!(groups > 8, "{tag}: {groups} row groups");
+
+                if fallback {
+                    db.faults()
+                        .arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::always());
+                }
+                let before = db.buffer_stats().unwrap().misses;
+                let answer = db.query(sql).unwrap();
+                let faulted = db.buffer_stats().unwrap().misses - before;
+                db.faults().disarm(points::EXEC_KERNEL_FALLBACK);
+                assert_eq!(answer, want, "{tag}");
+                assert_eq!(faulted, (groups * columns.len()) as u64, "{tag}");
+
+                // What the count above assumes: no group is pruned or
+                // filtered empty (it would need fewer pages), and the pool
+                // cannot hold the filtered column between two sweeps.
+                let mut filtered_bytes = 0;
+                for seg in &segments {
+                    let both = seg.schema().index_of(columns[0]).unwrap();
+                    let mut selector = seg.selector(&pushdown, u64::MAX, TxnId(u64::MAX));
+                    let selector = selector.as_mut().unwrap().as_mut().unwrap();
+                    for g in 0..seg.group_count() {
+                        assert!(selector.select_group(g).unwrap().is_some(), "{tag}: group {g}");
+                        filtered_bytes += seg.column_chunk(g, both).unwrap().size_bytes() as u64;
+                    }
+                }
+                assert!(filtered_bytes > pool_bytes, "{tag}: {filtered_bytes} B filtered");
+            }
+        }
+    }
+
     /// A float literal against an integer column is one question, whichever
     /// store holds the rows: delta, resident, paged or frozen segments.
     #[test]

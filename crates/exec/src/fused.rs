@@ -5,9 +5,12 @@
 //! every surviving row into a [`Batch`](oltap_common::Batch), re-evaluates
 //! the group key expression per batch, and probes a hash map per row. When
 //! the plan is `Aggregate(Scan)` with plain column references, none of that
-//! materialization is necessary: the segment's selection bitmap from
-//! [`Segment::select`] already says which rows survive, and the encoded
-//! columns can feed the aggregates directly.
+//! materialization is necessary: a row group's selection bitmap from
+//! [`GroupSelector::select_group`](oltap_storage::segment::GroupSelector::select_group)
+//! already says which rows survive, and the encoded columns can feed the
+//! aggregates directly — one row group at a time, selected and consumed
+//! before the next is touched, so a column that is filtered *and*
+//! aggregated is faulted once.
 //!
 //! The statement's group states live in one indexed store for the whole
 //! call ([`Running`]: key → group index, states addressed by index). Each
@@ -93,7 +96,7 @@ pub fn fused_shape(core: &AggregatorCore) -> Option<FusedShape> {
 /// Snapshot-visibility inputs shared by every segment visit of one fused
 /// aggregation.
 pub struct FusedScanCtx<'a> {
-    /// Pushed-down predicate (drives [`Segment::select`]).
+    /// Pushed-down predicate (drives [`Segment::selector`]).
     pub pred: &'a ScanPredicate,
     /// Snapshot timestamp.
     pub read_ts: Ts,
@@ -133,29 +136,23 @@ pub fn fused_aggregate_segments(
     let mut slots = SlotTable::default();
     let (mut dense, mut scalar) = (0, 0);
     for seg in segments {
-        let Some(sel) = seg.select(pred, read_ts, me)? else {
+        let Some(mut selector) = seg.selector(pred, read_ts, me)? else {
             continue;
         };
-        if sel.none_set() {
-            continue;
-        }
+        // One visit per row group: select it, aggregate it, move on — the
+        // pages the filter pinned are still in the pool for the aggregates.
         for g in 0..seg.group_count() {
-            let (start, rows) = seg.group_bounds(g);
-            if rows == 0 {
+            let Some(local) = selector.select_group(g)? else {
                 continue;
-            }
-            let local = sel.slice(start, rows);
-            if local.none_set() {
-                continue;
-            }
+            };
             // The fault point forces the scalar decode-then-evaluate path
             // at row-group boundaries; results must not change.
             let fused =
                 group_tab.len() <= 1 && !faults.should_fire(points::EXEC_KERNEL_FALLBACK);
-            if fused && dense_group(core, &mut run, &mut slots, seg, g, &group_tab, &agg_tab, &local)? {
+            if fused && dense_group(core, &mut run, &mut slots, seg, g, &group_tab, &agg_tab, local)? {
                 dense += 1;
             } else {
-                scalar_group(core, &mut run, seg, g, &group_tab, &agg_tab, &local)?;
+                scalar_group(core, &mut run, seg, g, &group_tab, &agg_tab, local)?;
                 scalar += 1;
             }
         }

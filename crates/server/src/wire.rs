@@ -15,8 +15,8 @@
 //! identically on disk and on the wire.
 
 use bytes::{Buf, BufMut};
-use oltap_common::{DataType, DbError, Field, Result, Row};
-use oltap_txn::wal::{crc32, decode_row, encode_row};
+use oltap_common::{crc32, DataType, DbError, Field, Result, Row};
+use oltap_txn::wal::{decode_row, encode_row};
 use std::io::{Read, Write};
 
 /// Wire protocol version. Bumped on any incompatible frame or codec

@@ -622,11 +622,16 @@ impl<T: Ord + Clone + std::hash::Hash> Dictionary<T> {
     /// must index into the dictionary; out-of-range codes mean corruption.
     pub fn from_parts(dict: Vec<T>, codes: BitPacked) -> Result<Self> {
         let card = dict.len() as u64;
-        for i in 0..codes.len() {
-            if codes.get(i) >= card {
+        // This runs on every fault of a dictionary page. When the dictionary
+        // has an entry for every code the width can spell there is nothing
+        // to check (an 8-entry dictionary under 3-bit codes); otherwise one
+        // `get` per row is the cheapest exact check measured — unpacking
+        // 64-code blocks and comparing their maximum costs a third more.
+        let spellable = 1u64.checked_shl(u32::from(codes.width()));
+        if spellable.is_none_or(|n| n > card) {
+            if let Some(bad) = (0..codes.len()).map(|i| codes.get(i)).find(|&c| c >= card) {
                 return Err(DbError::Corruption(format!(
-                    "dictionary code {} out of range (cardinality {card})",
-                    codes.get(i)
+                    "dictionary code {bad} out of range (cardinality {card})"
                 )));
             }
         }
@@ -988,6 +993,32 @@ mod tests {
         assert_eq!(d.code_of(&"grape".to_string()), None);
         // lower_bound: 'grape' sorts between fig and pear.
         assert_eq!(d.lower_bound_code(&"grape".to_string()), cp);
+    }
+
+    #[test]
+    fn dict_from_parts_rejects_the_first_code_past_the_dictionary() {
+        let pack = |codes: &[u64], width: u8| BitPacked::pack(codes, width).unwrap();
+        let mut codes: Vec<u64> = (0..200).map(|i| i % 5).collect();
+        let dict: Vec<i64> = (0..5).map(|v| v * 10).collect();
+        let ok = Dictionary::from_parts(dict.clone(), pack(&codes, 3)).unwrap();
+        assert_eq!(ok.get(7), &20);
+        // Past the first 64-row block, with a larger offender after it: the
+        // message names the first one, as the per-row check did.
+        codes[130] = 6;
+        codes[190] = 7;
+        match Dictionary::from_parts(dict.clone(), pack(&codes, 3)) {
+            Err(DbError::Corruption(m)) => {
+                assert_eq!(m, "dictionary code 6 out of range (cardinality 5)")
+            }
+            other => panic!("{other:?}"),
+        }
+        // Zero-width codes are all code 0, which needs one dictionary entry.
+        assert!(Dictionary::from_parts(vec![9i64], pack(&[0; 70], 0)).is_ok());
+        assert!(matches!(
+            Dictionary::<i64>::from_parts(Vec::new(), pack(&[0; 70], 0)),
+            Err(DbError::Corruption(_))
+        ));
+        assert!(Dictionary::<i64>::from_parts(Vec::new(), pack(&[], 0)).is_ok());
     }
 
     #[test]

@@ -25,10 +25,10 @@
 use crate::encoding::{BitPacked, DeltaEnc, Dictionary, ForPacked, IntEncoding, Rle, StrEncoding};
 use crate::segment::EncodedColumn;
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::{BitSet, DbError, Result};
-use oltap_txn::wal::crc32;
+use oltap_common::{crc32, BitSet, DbError, Result};
 use std::fs::{self, File};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -146,7 +146,7 @@ impl PageFileWriter {
         let file = File::open(&self.final_path)?;
         Ok(PageFile {
             path: std::mem::take(&mut self.final_path),
-            file: parking_lot::Mutex::new(file),
+            file,
             file_id: self.file_id,
             directory: std::mem::take(&mut self.directory),
             faults: Arc::clone(&self.faults),
@@ -168,12 +168,14 @@ impl Drop for PageFileWriter {
 ///
 /// The directory (offset/len/crc per page) is the only per-page state a
 /// paged segment keeps in memory; payloads are faulted in on demand
-/// through the buffer manager. Dropping the handle removes the file:
-/// page files never outlive their segment, and never survive a restart.
+/// through the buffer manager, each with one positional read that shares
+/// no file cursor — faults of distinct pages of one file run concurrently.
+/// Dropping the handle removes the file: page files never outlive their
+/// segment, and never survive a restart.
 #[derive(Debug)]
 pub struct PageFile {
     path: PathBuf,
-    file: parking_lot::Mutex<File>,
+    file: File,
     file_id: u64,
     directory: Vec<PageMeta>,
     faults: Arc<FaultInjector>,
@@ -218,17 +220,13 @@ impl PageFile {
             ))
         })?;
         let mut buf = vec![0u8; meta.len as usize];
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(meta.offset))?;
-            file.read_exact(&mut buf).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    DbError::Corruption(format!("truncated column page {idx}"))
-                } else {
-                    DbError::from(e)
-                }
-            })?;
-        }
+        self.file.read_exact_at(&mut buf, meta.offset).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                DbError::Corruption(format!("truncated column page {idx}"))
+            } else {
+                DbError::from(e)
+            }
+        })?;
         if self.faults.should_fire(points::STORAGE_PAGE_READ_FAIL) && !buf.is_empty() {
             let flip = idx % buf.len();
             buf[flip] ^= 0x40;
@@ -371,11 +369,7 @@ pub fn decode_page(buf: &[u8]) -> Result<EncodedColumn> {
             let enc = match cur.u8()? {
                 INT_RAW => {
                     let n = cur.len()?;
-                    let mut values = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        values.push(cur.i64()?);
-                    }
-                    IntEncoding::Raw(values)
+                    IntEncoding::Raw(cur.words(n, i64::from_le_bytes)?)
                 }
                 INT_FOR => {
                     let base = cur.i64()?;
@@ -394,19 +388,13 @@ pub fn decode_page(buf: &[u8]) -> Result<EncodedColumn> {
                 }
                 INT_DICT => {
                     let card = cur.len()?;
-                    let mut dict = Vec::with_capacity(card);
-                    for _ in 0..card {
-                        dict.push(cur.i64()?);
-                    }
+                    let dict = cur.words(card, i64::from_le_bytes)?;
                     IntEncoding::Dict(Box::new(Dictionary::from_parts(dict, cur.bitpacked()?)?))
                 }
                 INT_DELTA => {
                     let len = cur.logical_len()?;
                     let nanchors = cur.len()?;
-                    let mut anchors = Vec::with_capacity(nanchors);
-                    for _ in 0..nanchors {
-                        anchors.push(cur.i64()?);
-                    }
+                    let anchors = cur.words(nanchors, i64::from_le_bytes)?;
                     IntEncoding::Delta(DeltaEnc::from_parts(anchors, cur.bitpacked()?, len)?)
                 }
                 t => return Err(corrupt(format!("unknown int encoding tag {t}"))),
@@ -416,10 +404,7 @@ pub fn decode_page(buf: &[u8]) -> Result<EncodedColumn> {
         }
         TAG_FLOAT => {
             let n = cur.len()?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(f64::from_le_bytes(cur.array()?));
-            }
+            let values = cur.words(n, f64::from_le_bytes)?;
             let validity = cur.validity()?;
             EncodedColumn::Float { values, validity }
         }
@@ -517,6 +502,21 @@ impl Cursor<'_> {
         Ok(a)
     }
 
+    /// `n` little-endian 8-byte values: one bounds check for the run, then
+    /// a conversion loop over exact chunks (a raw 1 024-row column is a
+    /// thousand of these on every fault).
+    fn words<T>(&mut self, n: usize, from_le: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
+        let end = n.checked_mul(8).and_then(|bytes| self.pos.checked_add(bytes));
+        let end = end
+            .filter(|&e| e <= self.buf.len())
+            .ok_or_else(|| corrupt("column page truncated".into()))?;
+        let run = self.buf[self.pos..end].chunks_exact(8);
+        self.pos = end;
+        Ok(run
+            .map(|w| from_le(w.try_into().expect("chunks_exact(8) yields 8 bytes")))
+            .collect())
+    }
+
     fn u8(&mut self) -> Result<u8> {
         Ok(self.array::<1>()?[0])
     }
@@ -568,20 +568,12 @@ impl Cursor<'_> {
         let width = self.u8()?;
         let len = self.logical_len()?;
         let nwords = self.len()?;
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(self.u64()?);
-        }
-        BitPacked::from_parts(width, len, words)
+        BitPacked::from_parts(width, len, self.words(nwords, u64::from_le_bytes)?)
     }
 
     fn bitset(&mut self) -> Result<BitSet> {
         let len = self.len()?;
-        let nwords = len.div_ceil(64);
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(self.u64()?);
-        }
+        let words = self.words(len.div_ceil(64), u64::from_le_bytes)?;
         Ok(BitSet::from_words(words, len))
     }
 
@@ -762,6 +754,50 @@ mod tests {
         assert_eq!(faults.fired_count(), 1);
         // Fault exhausted: the same page reads back clean.
         assert!(f.read_page(0).is_ok());
+        drop(f);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Positional reads share no cursor: readers of one file on several
+    /// threads each get the page they asked for. (With a shared cursor and
+    /// no lock, a `seek` from one thread would land between another's
+    /// `seek` and `read`.)
+    #[test]
+    fn concurrent_reads_of_one_page_file_return_their_own_pages() {
+        let root = temp_root("concurrent");
+        let mut w = PageFileWriter::create_under(&root, FaultInjector::disabled()).unwrap();
+        // Pages of distinct content and length, several of each encoding.
+        let cols: Vec<EncodedColumn> = (0..6)
+            .flat_map(|round| {
+                sample_columns().into_iter().chain([EncodedColumn::Int {
+                    enc: IntEncoding::Raw((0..300 + round).map(|i| i * (round + 1)).collect()),
+                    validity: None,
+                }])
+            })
+            .collect();
+        for col in &cols {
+            w.append_column(col).unwrap();
+        }
+        let f = w.finish().unwrap();
+        let want: Vec<Vec<Value>> = cols.iter().map(values_of).collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (f, want, start) = (&f, &want, &start);
+                s.spawn(move || {
+                    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+                    start.wait();
+                    for _ in 0..2000 {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let idx = (state % want.len() as u64) as usize;
+                        let got = f.read_column(idx).unwrap();
+                        assert_eq!(values_of(&got), want[idx], "thread {t} page {idx}");
+                    }
+                });
+            }
+        });
         drop(f);
         let _ = fs::remove_dir_all(&root);
     }

@@ -1037,12 +1037,7 @@ impl Segment {
 
     /// Is row `offset` visibly deleted for snapshot (`read_ts`, `me`)?
     pub fn is_deleted(&self, offset: u32, read_ts: Ts, me: TxnId) -> bool {
-        match self.deletes.read().get(&offset) {
-            Some(Stamp::Committed(ts)) => *ts <= read_ts,
-            Some(Stamp::Pending(t)) => *t == me,
-            Some(Stamp::Infinity) => false,
-            None => false,
-        }
+        (self.deletes.read().get(&offset)).is_some_and(|stamp| stamp_deletes(stamp, read_ts, me))
     }
 
     /// Marks row `offset` deleted by `me` (first-committer-wins).
@@ -1094,19 +1089,15 @@ impl Segment {
             .retain(|_, stamp| !matches!(stamp, Stamp::Pending(t) if *t == me));
     }
 
-    /// Builds the visible-row selection for a snapshot: all rows, minus
-    /// rows whose predicate bits fail, minus visibly deleted rows.
-    /// Returns `None` when the zone map proves nothing matches.
-    ///
-    /// Evaluation is row-group-at-a-time, zone-map-first: a group whose
-    /// zone map disproves the predicate contributes no rows *and faults no
-    /// pages* — cold pruned groups stay cold.
-    pub fn select(
-        &self,
-        pred: &ScanPredicate,
+    /// Opens a statement's pass over this segment for a snapshot (see
+    /// [`GroupSelector`]). `None` when the segment's zone map, or a conjunct
+    /// no row can pass, proves nothing matches.
+    pub fn selector<'a>(
+        &'a self,
+        pred: &'a ScanPredicate,
         read_ts: Ts,
         me: TxnId,
-    ) -> Result<Option<BitSet>> {
+    ) -> Result<Option<GroupSelector<'a>>> {
         if !self.zone_map.may_match(pred) {
             return Ok(None);
         }
@@ -1119,64 +1110,50 @@ impl Segment {
         if self.frozen {
             self.frozen_scan_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let mut sel = BitSet::with_len(self.row_count);
-        let (mut local, mut matches) = (BitSet::new(), BitSet::new());
-        for g in 0..self.group_count() {
-            let (start, rows) = self.group_bounds(g);
-            if rows == 0 || !self.group_zone(g).may_match(pred) {
-                continue;
+        let mut deleted = None;
+        for (&offset, stamp) in self.deletes.read().iter() {
+            if stamp_deletes(stamp, read_ts, me) && (offset as usize) < self.row_count {
+                deleted
+                    .get_or_insert_with(|| BitSet::with_len(self.row_count))
+                    .set(offset as usize);
             }
-            // The group survived zone pruning: it is about to be touched.
-            if let Some(h) = self.heat.get(g) {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
-            local.reset(rows, true);
-            for (column, test) in &conjuncts {
-                self.column_chunk(g, *column)?
-                    .filter(test, &mut local, &mut matches)?;
-                if local.none_set() {
-                    break;
-                }
-            }
-            if local.none_set() {
-                continue;
-            }
-            // Sideways join filter: drop rows that provably have no join
-            // partner (NULL key, outside the build key envelope, or
-            // missing from the build-side Bloom filter). Key columns are
-            // pinned once per group, not once per row.
-            if let Some(jf) = &pred.join {
-                let mut keys: FxHashMap<usize, ColumnRef<'_>> = FxHashMap::default();
-                for &c in &jf.columns {
-                    if let std::collections::hash_map::Entry::Vacant(e) = keys.entry(c) {
-                        e.insert(self.column_chunk(g, c)?);
-                    }
-                }
-                for i in local.to_selection() {
-                    if !jf.matches_at(|c| keys[&c].value_at(i as usize)) {
-                        local.clear(i as usize);
-                    }
-                }
-            }
-            sel.paste(start, &local);
         }
-        // Apply delete stamps.
-        let deletes = self.deletes.read();
-        for (&offset, stamp) in deletes.iter() {
-            let visible_delete = match stamp {
-                Stamp::Committed(ts) => *ts <= read_ts,
-                Stamp::Pending(t) => *t == me,
-                Stamp::Infinity => false,
-            };
-            if visible_delete && (offset as usize) < sel.len() {
-                sel.clear(offset as usize);
+        Ok(Some(GroupSelector {
+            seg: self,
+            pred,
+            conjuncts,
+            deleted,
+            local: BitSet::new(),
+            matches: BitSet::new(),
+        }))
+    }
+
+    /// Builds the visible-row selection for a snapshot: all rows, minus
+    /// rows whose predicate bits fail, minus visibly deleted rows — the
+    /// concatenation of [`GroupSelector::select_group`] over the row groups.
+    /// Returns `None` when the zone map proves nothing matches.
+    pub fn select(
+        &self,
+        pred: &ScanPredicate,
+        read_ts: Ts,
+        me: TxnId,
+    ) -> Result<Option<BitSet>> {
+        let Some(mut selector) = self.selector(pred, read_ts, me)? else {
+            return Ok(None);
+        };
+        let mut sel = BitSet::with_len(self.row_count);
+        for g in 0..self.group_count() {
+            if let Some(local) = selector.select_group(g)? {
+                sel.paste(self.groups[g].row_start, local);
             }
         }
         Ok(Some(sel))
     }
 
     /// Scans the segment: predicate + visibility + projection, producing
-    /// batches of at most `batch_size` rows. Batch boundaries depend only
+    /// batches of at most `batch_size` rows. Each row group is selected and
+    /// gathered before the next is touched, so a column that is both
+    /// filtered and projected is faulted once; batch boundaries depend only
     /// on the selection and `batch_size`, so the same rows give
     /// byte-identical output however they are cut into groups.
     pub fn scan(
@@ -1187,16 +1164,40 @@ impl Segment {
         me: TxnId,
         batch_size: usize,
     ) -> Result<Vec<oltap_common::Batch>> {
-        let sel = match self.select(pred, read_ts, me)? {
-            Some(sel) => sel,
-            None => return Ok(Vec::new()),
+        let Some(mut selector) = self.selector(pred, read_ts, me)? else {
+            return Ok(Vec::new());
         };
-        let indexes = sel.to_selection();
+        let batch_size = batch_size.max(1);
         let mut out = Vec::new();
-        for chunk in indexes.chunks(batch_size.max(1)) {
-            out.push(oltap_common::Batch::new(
-                self.gather_columns(projection, chunk)?,
-            )?);
+        // The batch being filled: its columns so far and their row count.
+        let (mut open, mut open_rows) = (Vec::new(), 0);
+        for g in 0..self.group_count() {
+            let Some(local) = selector.select_group(g)? else {
+                continue;
+            };
+            let start = self.groups[g].row_start as u32;
+            let indexes: Vec<u32> = local.iter_ones().map(|i| start + i as u32).collect();
+            let mut rest = &indexes[..];
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(rest.len().min(batch_size - open_rows));
+                let columns = self.gather_columns(projection, piece)?;
+                if open_rows == 0 {
+                    open = columns;
+                } else {
+                    for (column, more) in open.iter_mut().zip(columns) {
+                        append_vector(column, more)?;
+                    }
+                }
+                open_rows += piece.len();
+                if open_rows == batch_size {
+                    out.push(oltap_common::Batch::new(std::mem::take(&mut open))?);
+                    open_rows = 0;
+                }
+                rest = tail;
+            }
+        }
+        if open_rows > 0 {
+            out.push(oltap_common::Batch::new(open)?);
         }
         Ok(out)
     }
@@ -1283,6 +1284,81 @@ impl Segment {
             values.push(self.column_chunk(g, c)?.value_at(local));
         }
         Ok(Row::new(values))
+    }
+}
+
+/// Does `stamp` delete its row for snapshot (`read_ts`, `me`)?
+fn stamp_deletes(stamp: &Stamp, read_ts: Ts, me: TxnId) -> bool {
+    match stamp {
+        Stamp::Committed(ts) => *ts <= read_ts,
+        Stamp::Pending(t) => *t == me,
+        Stamp::Infinity => false,
+    }
+}
+
+/// One statement's pass over one segment for one snapshot: what is decided
+/// once (the typed conjuncts, the rows the snapshot sees as deleted) and the
+/// scratch each row group's selection is built in. The row group is the
+/// unit: a reader selects group `g`, consumes the selection while the pages
+/// the filter pinned are still in the pool, and only then moves on —
+/// selecting the whole segment first faults every filtered-and-read column
+/// twice once the pool is smaller than the column.
+#[derive(Debug)]
+pub struct GroupSelector<'a> {
+    seg: &'a Segment,
+    pred: &'a ScanPredicate,
+    conjuncts: Vec<(usize, Test<'a>)>,
+    /// The rows the snapshot sees as deleted, if any.
+    deleted: Option<BitSet>,
+    local: BitSet,
+    matches: BitSet,
+}
+
+impl GroupSelector<'_> {
+    /// The visible rows of group `g` that pass the predicate, indexed from
+    /// the group's first row; `None` when there are none. A group whose zone
+    /// map disproves the predicate faults no pages — cold pruned groups
+    /// stay cold; any other group's heat rises by one.
+    pub fn select_group(&mut self, g: usize) -> Result<Option<&BitSet>> {
+        let (seg, pred) = (self.seg, self.pred);
+        let (start, rows) = seg.group_bounds(g);
+        if rows == 0 || !seg.group_zone(g).may_match(pred) {
+            return Ok(None);
+        }
+        // The group survived zone pruning: it is about to be touched.
+        if let Some(h) = seg.heat.get(g) {
+            h.fetch_add(1, Ordering::Relaxed);
+        }
+        let local = &mut self.local;
+        local.reset(rows, true);
+        for (column, test) in &self.conjuncts {
+            seg.column_chunk(g, *column)?
+                .filter(test, local, &mut self.matches)?;
+            if local.none_set() {
+                return Ok(None);
+            }
+        }
+        // Sideways join filter: drop rows that provably have no join
+        // partner (NULL key, outside the build key envelope, or
+        // missing from the build-side Bloom filter). Key columns are
+        // pinned once per group, not once per row.
+        if let Some(jf) = &pred.join {
+            let mut keys: FxHashMap<usize, ColumnRef<'_>> = FxHashMap::default();
+            for &c in &jf.columns {
+                if let std::collections::hash_map::Entry::Vacant(e) = keys.entry(c) {
+                    e.insert(seg.column_chunk(g, c)?);
+                }
+            }
+            for i in local.to_selection() {
+                if !jf.matches_at(|c| keys[&c].value_at(i as usize)) {
+                    local.clear(i as usize);
+                }
+            }
+        }
+        if let Some(deleted) = &self.deleted {
+            local.difference_with(&deleted.slice(start, rows));
+        }
+        Ok((!local.none_set()).then_some(&*local))
     }
 }
 
@@ -2305,6 +2381,89 @@ mod tests {
                         indexes.iter().map(|&i| rows[i as usize].clone()).collect::<Vec<_>>()
                     );
                 }
+            }
+        }
+    }
+    /// `select` is nothing but `select_group` over the row groups, pasted
+    /// at their offsets — on a held segment (one group), a paged one cut
+    /// into 64-row groups and a frozen one, with the three kinds of delete
+    /// stamp a snapshot can meet. Each group a statement does not prune
+    /// gains exactly one heat; each group it prunes faults no page.
+    #[test]
+    fn select_is_the_concatenation_of_select_group() {
+        let rows = mixed_rows(300);
+        let (me, other, read_ts) = (TxnId(7), TxnId(9), 100);
+        let preds = [
+            ScanPredicate::all(),
+            ScanPredicate::single(0, CmpOp::Ge, Value::Int(250)),
+            ScanPredicate::single(1, CmpOp::Eq, Value::Str("munich".into())),
+            ScanPredicate::single(2, CmpOp::Lt, Value::Float(10.0)),
+            ScanPredicate::single(0, CmpOp::Gt, Value::Int(10_000)),
+        ];
+        for (paged, frozen) in [(false, false), (true, false), (true, true)] {
+            for pred in &preds {
+                // A segment and a cold pool per statement shape, so that
+                // the miss count is this statement's alone.
+                let pager = paged.then(|| test_pager(u64::MAX, 64));
+                let seg = build(&rows, pager.as_ref(), frozen);
+                let tag = format!("paged {paged} frozen {frozen} {pred:?}");
+                // Mine and pending (deleted for me), committed before the
+                // snapshot (deleted), committed after it and a foreign
+                // pending one (both still visible).
+                for offset in [5, 70] {
+                    seg.delete_row(offset, me, read_ts).unwrap();
+                }
+                for (txn, offsets, cts) in [(TxnId(1), [10, 130], 50), (TxnId(2), [131, 299], 200)] {
+                    for offset in offsets {
+                        seg.delete_row(offset, txn, 0).unwrap();
+                    }
+                    seg.commit_deletes(txn, cts);
+                }
+                seg.delete_row(200, other, read_ts).unwrap();
+
+                let groups = seg.group_count();
+                assert_eq!(groups, if paged { 5 } else { 1 }, "{tag}");
+                let survives = |g: usize| seg.zone_map().may_match(pred) && seg.group_zone(g).may_match(pred);
+                let heat = || (0..groups).map(|g| seg.group_heat(g)).collect::<Vec<_>>();
+                let want_heat = |before: &[u32]| -> Vec<u32> {
+                    (0..groups).map(|g| before[g] + survives(g) as u32).collect()
+                };
+
+                let before = heat();
+                let mut pasted = BitSet::with_len(seg.row_count());
+                match seg.selector(pred, read_ts, me).unwrap() {
+                    None => assert!((0..groups).all(|g| !survives(g)), "{tag}"),
+                    Some(mut selector) => {
+                        for g in 0..groups {
+                            let (start, n) = seg.group_bounds(g);
+                            if let Some(local) = selector.select_group(g).unwrap() {
+                                assert_eq!(local.len(), n, "{tag} group {g}");
+                                assert!(survives(g) && !local.none_set(), "{tag} group {g}");
+                                pasted.paste(start, local);
+                            }
+                        }
+                    }
+                }
+                assert_eq!(heat(), want_heat(&before), "{tag}");
+                if let Some(pager) = &pager {
+                    // One page per surviving group per filtered column.
+                    let pages = (0..groups).filter(|&g| survives(g)).count() * pred.conjuncts.len();
+                    assert_eq!(pager.buffer().stats().misses, pages as u64, "{tag}");
+                }
+
+                // The row-wise definition of the selection.
+                let oracle: Vec<usize> = (0..rows.len())
+                    .filter(|&i| pred.matches_row(&rows[i]) && !seg.is_deleted(i as u32, read_ts, me))
+                    .collect();
+                assert_eq!(pasted.iter_ones().collect::<Vec<_>>(), oracle, "{tag}");
+                for offset in [131, 200, 299] {
+                    assert_eq!(pasted.get(offset), pred.matches_row(&rows[offset]), "{tag}");
+                }
+
+                let before = heat();
+                let whole = seg.select(pred, read_ts, me).unwrap();
+                assert_eq!(whole.unwrap_or_else(|| BitSet::with_len(rows.len())), pasted, "{tag}");
+                assert_eq!(heat(), want_heat(&before), "{tag}");
             }
         }
     }

@@ -21,7 +21,10 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+
+/// The frame checksum, re-exported under the path it was first written at.
+pub use oltap_common::crc32;
 
 /// One logical DML operation in the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,35 +95,6 @@ pub struct CommitRecord {
     pub commit_ts: Ts,
     /// The redo operations, in execution order.
     pub ops: Vec<WalOp>,
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven, built once.
-// ---------------------------------------------------------------------------
-
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, e) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        table
-    })
-}
-
-/// CRC32 checksum of `data` (IEEE polynomial).
-pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -719,13 +693,6 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert_eq!(records[2].commit_ts, 7);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
