@@ -3,9 +3,10 @@
 //! Willhalm et al.'s SIMD-scan (paper §3, \[42\]) evaluates predicates
 //! directly on packed dictionary codes, processing many codes per vector
 //! register. The engine's form of that idea is
-//! [`oltap_storage::segment::cmp_codes_block`] (block-decode 64 codes into
-//! a stack buffer, then a branch-free compare loop the autovectorizer turns
-//! into SIMD), wrapped here as [`scan_engine_block`]. The rest of this
+//! [`oltap_storage::segment::cmp_codes_block`] (unpack 64 codes by a
+//! width-specialised body into the narrowest lane that holds them, compare
+//! all 64 into byte-wide hits, gather the hits into a mask word by
+//! multiplication), wrapped here as [`scan_engine_block`]. The rest of this
 //! module is what the experiments measure it against; no statement reaches
 //! any of it:
 //!
@@ -58,8 +59,8 @@ pub fn scan_engine_block(codes: &BitPacked, cmp: PackedCmp, literal: u64) -> Bit
         PackedCmp::Lt => CmpOp::Lt,
         PackedCmp::Gt => CmpOp::Gt,
     };
-    let mut out = BitSet::with_len(codes.len());
-    cmp_codes_block(codes, op, literal, &mut out);
+    let mut out = BitSet::all_set(codes.len());
+    cmp_codes_block(codes, (op, literal), None, None, &mut out);
     out
 }
 

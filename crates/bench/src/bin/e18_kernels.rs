@@ -26,7 +26,10 @@ use oltap_common::fault::{points, FaultInjector, FaultPoint};
 use oltap_common::row;
 use oltap_core::{Database, DbConfig};
 use oltap_bench::baselines::packed_scan::{scan_engine_block, scan_naive, scan_swar, PackedCmp};
+use oltap_common::BitSet;
 use oltap_storage::encoding::BitPacked;
+use oltap_storage::segment::cmp_floats_block;
+use oltap_storage::CmpOp;
 use std::sync::Arc;
 
 /// A gated cell fails the gate when its ratio drops below this fraction
@@ -56,11 +59,22 @@ struct Cell {
     detail: String,
 }
 
+/// `"ns_per_row":…` for a cell's JSON detail and its table column.
+fn ns_per_row(secs: f64, rows: usize) -> (String, String) {
+    let ns = secs * 1e9 / rows.max(1) as f64;
+    (format!("\"ns_per_row\":{ns:.3}"), format!("{ns:.2}"))
+}
+
 /// Packed-scan kernels vs the naive per-code loop, at the widths the
-/// dictionary encoder actually emits for low-cardinality columns.
+/// dictionary encoder actually emits for low-cardinality columns; beside
+/// them the unpack alone (`unpack_block` vs a `get` per code).
 fn scan_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
     let n = scaled(4_000_000).max(200_000);
-    for width in [4u8, 8, 16] {
+    for (width, names) in [
+        (4u8, ["scan_block_w4", "scan_swar_w4", "unpack_w4"]),
+        (8, ["scan_block_w8", "scan_swar_w8", "unpack_w8"]),
+        (16, ["scan_block_w16", "scan_swar_w16", "unpack_w16"]),
+    ] {
         let max = (1u64 << width) - 1;
         let values: Vec<u64> = (0..n)
             .map(|i| ((i as u64).wrapping_mul(2654435761)) & max)
@@ -73,35 +87,81 @@ fn scan_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
         let (c, swar_s) = best(5, || scan_swar(&packed, PackedCmp::Lt, lit).unwrap());
         assert_eq!(a.count_ones(), b.count_ones(), "block kernel diverged");
         assert_eq!(b.count_ones(), c.count_ones(), "swar kernel diverged");
-        for (name, ratio, secs) in [
-            (scan_cell_name(width, "block"), naive_s / block_s, block_s),
-            (scan_cell_name(width, "swar"), naive_s / swar_s, swar_s),
+        // The unpack under the block kernel, into the 64-bit lanes the
+        // aggregates decode into, against random access.
+        let (x, get_s) = best(5, || (0..n).fold(0u64, |x, i| x ^ packed.get(i)));
+        let (y, unpack_s) = best(5, || {
+            let mut buf = [0u64; 64];
+            (0..n / 64).fold(0u64, |y, b| {
+                packed.unpack_block(b * 64, &mut buf);
+                buf.iter().fold(y, |y, &v| y ^ v)
+            })
+        });
+        assert_eq!(
+            y,
+            x ^ (n / 64 * 64..n).fold(0, |t, i| t ^ packed.get(i)),
+            "unpack diverged"
+        );
+        for (name, ratio, secs, versus) in [
+            (names[0], naive_s / block_s, block_s, "naive"),
+            (names[1], naive_s / swar_s, swar_s, "naive"),
+            (names[2], get_s / unpack_s, unpack_s, "get"),
         ] {
+            let (detail, ns) = ns_per_row(secs, n);
             table.row(&[
                 name.to_string(),
-                format!("{ratio:.2}x vs naive"),
+                format!("{ratio:.2}x vs {versus}"),
                 rate(n, secs),
+                ns,
                 "yes".to_string(),
             ]);
             cells.push(Cell {
                 name,
                 metric: ratio,
                 gated: true,
-                detail: format!("\"rows_per_sec\":{:.1}", n as f64 / secs.max(1e-12)),
+                detail: format!("\"rows_per_sec\":{:.1},{detail}", n as f64 / secs.max(1e-12)),
             });
         }
     }
 }
 
-fn scan_cell_name(width: u8, kernel: &str) -> &'static str {
-    match (width, kernel) {
-        (4, "block") => "scan_block_w4",
-        (8, "block") => "scan_block_w8",
-        (16, "block") => "scan_block_w16",
-        (4, "swar") => "scan_swar_w4",
-        (8, "swar") => "scan_swar_w8",
-        _ => "scan_swar_w16",
-    }
+/// The float compare kernel (64 values to a mask word) vs the per-row
+/// `total_cmp` loop it stands in for, at ~50% selectivity.
+fn float_cell(cells: &mut Vec<Cell>, table: &mut TextTable) {
+    let n = scaled(4_000_000).max(200_000);
+    let values: Vec<f64> = (0..n)
+        .map(|i| ((i as u64).wrapping_mul(2654435761) % 50_000) as f64 / 100.0)
+        .collect();
+    let lit = 250.0;
+    let (a, row_s) = best(5, || {
+        let mut out = BitSet::with_len(n);
+        for (i, v) in values.iter().enumerate() {
+            if v.total_cmp(&lit).is_gt() {
+                out.set(i);
+            }
+        }
+        out
+    });
+    let (b, block_s) = best(5, || {
+        let mut out = BitSet::all_set(n);
+        cmp_floats_block(&values, CmpOp::Gt, lit, None, &mut out);
+        out
+    });
+    assert_eq!(a, b, "float kernel diverged");
+    let (detail, ns) = ns_per_row(block_s, n);
+    table.row(&[
+        "float_cmp".to_string(),
+        format!("{:.2}x vs per-row", row_s / block_s),
+        rate(n, block_s),
+        ns,
+        "yes".to_string(),
+    ]);
+    cells.push(Cell {
+        name: "float_cmp",
+        metric: row_s / block_s,
+        gated: true,
+        detail,
+    });
 }
 
 /// A column-format metrics table with one group key per key source of the
@@ -155,7 +215,8 @@ fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
     faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::always());
     let fallback_db = agg_db(Some(Arc::clone(&faults)));
 
-    let queries: [(&'static str, &str); 8] = [
+    let rows = fused_db.query("SELECT COUNT(*) FROM m").unwrap()[0][0].as_int().unwrap() as usize;
+    let queries: [(&'static str, &str); 9] = [
         (
             "agg_group_int",
             "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM m GROUP BY g ORDER BY g",
@@ -191,23 +252,31 @@ fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
             "agg_float_avg",
             "SELECT q, COUNT(*), SUM(f), AVG(f) FROM m GROUP BY q ORDER BY q",
         ),
+        // The grouped float update alone: one running sum a row, its group
+        // found through the key's slot.
+        (
+            "agg_float_grouped",
+            "SELECT q, SUM(f) FROM m GROUP BY q ORDER BY q",
+        ),
     ];
     for (name, sql) in queries {
         let (fused, fused_s) = best(9, || fused_db.query(sql).unwrap());
         let (scalar, scalar_s) = best(9, || fallback_db.query(sql).unwrap());
         assert_eq!(fused, scalar, "{name}: fused and fallback disagree");
         let ratio = scalar_s / fused_s;
+        let (detail, ns) = ns_per_row(fused_s, rows);
         table.row(&[
             name.to_string(),
             format!("{ratio:.2}x vs fallback"),
             format!("{:.1}ms fused", fused_s * 1e3),
+            ns,
             "yes".to_string(),
         ]);
         cells.push(Cell {
             name,
             metric: ratio,
             gated: true,
-            detail: format!("\"fused_secs\":{fused_s:.6},\"fallback_secs\":{scalar_s:.6}"),
+            detail: format!("\"fused_secs\":{fused_s:.6},\"fallback_secs\":{scalar_s:.6},{detail}"),
         });
     }
     assert!(
@@ -246,6 +315,7 @@ fn join_cell(cells: &mut Vec<Cell>, table: &mut TextTable) {
         "join_probe".to_string(),
         "(informational)".to_string(),
         rate(n, secs),
+        ns_per_row(secs, n).1,
         "no".to_string(),
     ]);
     cells.push(Cell {
@@ -313,8 +383,9 @@ fn run_gate(baseline_json: &str, cells: &[Cell]) -> bool {
 fn main() {
     println!("E18: operate-on-compressed kernel microbench");
     let mut cells = Vec::new();
-    let mut table = TextTable::new(&["cell", "speedup", "throughput", "gated"]);
+    let mut table = TextTable::new(&["cell", "speedup", "throughput", "ns/row", "gated"]);
     scan_cells(&mut cells, &mut table);
+    float_cell(&mut cells, &mut table);
     agg_cells(&mut cells, &mut table);
     join_cell(&mut cells, &mut table);
     table.print("E18: kernel speedups (ratios measured within this run)");

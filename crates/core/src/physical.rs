@@ -34,7 +34,7 @@ use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
     fused_aggregate_segments, fused_shape, join_output_schema, AggExpr, AggregatorCore,
-    CompiledExpr, ExecResources, Expr, FusedScanCtx,
+    CompiledExpr, ExecResources, Expr, FusedScanCtx, RunningGroups,
 };
 use oltap_sched::{NumaTopology, WorkerPool};
 use oltap_sql::{AccessPath, LogicalPlan};
@@ -283,14 +283,15 @@ impl<'a> Lowering<'a> {
     /// Attempts the fused operate-on-compressed path for an
     /// `Aggregate(Scan)` plan over a delta-main table: group keys and
     /// aggregate inputs are read straight from the encoded segments (see
-    /// `oltap_exec::fused`), the delta is folded through the same
-    /// [`AggregatorCore`], and the finished batches replace the whole
+    /// `oltap_exec::fused`), the delta is folded into the same
+    /// [`RunningGroups`], and the finished batches replace the whole
     /// subtree — the fused scan reads encoded segments directly, so there
     /// is no batch stream to morselize; beside them, how many row groups
     /// took the dense and the scalar path. Returns `None` — fall back to the
-    /// pipelines — when the shape doesn't qualify: non-column expressions,
+    /// pipelines — when the shape doesn't qualify (non-column expressions,
     /// non-columnar tables, a scan carrying a sideways join filter, or one
-    /// the optimizer answers with a key lookup.
+    /// the optimizer answers with a key lookup) or the memory governor
+    /// refuses one of its groups.
     fn try_fused_aggregate(
         &self,
         input: &LogicalPlan,
@@ -322,27 +323,38 @@ impl<'a> Lowering<'a> {
         };
         let (segments, delta) =
             t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
-        let mut map = core.new_map();
-        let paths = fused_aggregate_segments(
-            &core,
-            &mut map,
+        let mut groups = RunningGroups::new(&core, &shape, &ctx.mem);
+        let fused = fused_aggregate_segments(
+            &mut groups,
             &segments,
-            &shape,
             projection,
             &FusedScanCtx {
                 pred: pushdown,
                 read_ts: ctx.read_ts,
                 me: ctx.me,
                 faults: &ctx.faults,
+                cancel: &ctx.cancel,
             },
-        )?;
-        for b in &delta {
-            core.consume(&mut map, b)?;
+        )
+        .and_then(|paths| {
+            for b in &delta {
+                groups.consume(b)?;
+            }
+            Ok(paths)
+        });
+        match fused {
+            Ok(paths) => Ok(Some((
+                Pipeline::materialized(groups.finish()?, core.schema()),
+                paths,
+            ))),
+            // The governor refused a group. The attempt has published
+            // nothing and hands back what it reserved as `groups` drops:
+            // the statement runs through the pipelines, whose aggregate
+            // sink spills. (Any other refusal — the buffer pool's, say —
+            // is the statement's error.)
+            Err(DbError::ResourceExhausted { .. }) if groups.refused() => Ok(None),
+            Err(e) => Err(e),
         }
-        Ok(Some((
-            Pipeline::materialized(core.finish(map)?, core.schema()),
-            paths,
-        )))
     }
 }
 
@@ -839,20 +851,106 @@ mod tests {
     /// Runs `sql`'s `Aggregate(Scan)` node the way the lowering does:
     /// its rows, and the row groups that went dense and scalar.
     fn fused_node(db: &Arc<Database>, sql: &str) -> (Vec<Row>, (usize, usize)) {
+        let ctx = ExecContext {
+            faults: Arc::clone(db.faults()),
+            ..snapshot_ctx(db.txn_manager().now())
+        };
+        fused_node_in(db, sql, &ctx).unwrap()
+    }
+
+    /// [`fused_node`] under `ctx`'s guards. The node's own result: nothing
+    /// downstream of it (the hand-over's cancellation check, say) has run.
+    fn fused_node_in(
+        db: &Arc<Database>,
+        sql: &str,
+        ctx: &ExecContext,
+    ) -> Result<(Vec<Row>, (usize, usize))> {
         let catalog = db.catalog_read();
         let plan = plan_for(sql, &catalog);
         let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan) else {
             panic!("no Aggregate(Scan) in the plan of `{sql}`:\n{}", plan.explain());
         };
-        let ctx = ExecContext {
-            faults: Arc::clone(db.faults()),
-            ..snapshot_ctx(db.txn_manager().now())
-        };
-        let (pipeline, paths) = Lowering::new(&catalog, &ctx)
-            .try_fused_aggregate(input, group, aggs)
-            .unwrap()
+        let (pipeline, paths) = Lowering::new(&catalog, ctx)
+            .try_fused_aggregate(input, group, aggs)?
             .unwrap_or_else(|| panic!("`{sql}` did not fuse"));
-        (pipeline.batches.iter().flat_map(|b| b.to_rows()).collect(), paths)
+        Ok((pipeline.batches.iter().flat_map(|b| b.to_rows()).collect(), paths))
+    }
+
+    /// A fused aggregate looks at its statement's token while it scans, on
+    /// the dense and on the scalar path, over a held segment (one row group
+    /// of all its rows) and a paged one: a token cancelled beforehand and a
+    /// deadline that runs out mid-scan both end the node itself with the
+    /// typed error, the latter well before a whole scan's time is up.
+    #[test]
+    fn fused_statements_honour_cancellation() {
+        use std::time::{Duration, Instant};
+        let sql = "SELECT q, COUNT(*), SUM(a), AVG(a) FROM big GROUP BY q";
+        let paged = BufferConfig {
+            pool_bytes: u64::MAX,
+            page_rows: 8192,
+            page_root: None,
+        };
+        for buffer in [None, Some(paged)] {
+            let tag = if buffer.is_some() { "paged" } else { "held" };
+            let db = Database::with_config(DbConfig {
+                faults: Some(FaultInjector::new(0xCA)),
+                buffer,
+                ..DbConfig::default()
+            })
+            .unwrap();
+            db.execute("CREATE TABLE big (k BIGINT PRIMARY KEY, q BIGINT, a DOUBLE) USING FORMAT COLUMN")
+                .unwrap();
+            let t = db.table("big").unwrap();
+            let tx = db.txn_manager().begin();
+            for k in 0..65_536i64 {
+                t.insert(&tx, row![k, (k * 7919) % 10 + 1, k as f64 * 0.25]).unwrap();
+            }
+            tx.commit().unwrap();
+            db.maintenance();
+            for scalar in [false, true] {
+                if scalar {
+                    db.faults().arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::always());
+                }
+                let guarded = |cancel: CancellationToken| ExecContext {
+                    faults: Arc::clone(db.faults()),
+                    cancel,
+                    ..snapshot_ctx(db.txn_manager().now())
+                };
+                // What a whole scan takes: the quickest of a few, the first
+                // of which pays for everything met for the first time.
+                let mut whole_scan = Duration::MAX;
+                for _ in 0..4 {
+                    let started = Instant::now();
+                    let (rows, (dense, scalar_groups)) =
+                        fused_node_in(&db, sql, &guarded(CancellationToken::none())).unwrap();
+                    whole_scan = whole_scan.min(started.elapsed());
+                    assert_eq!(rows.len(), 10, "{tag}");
+                    assert_eq!(dense == 0, scalar, "{tag}: {dense} dense, {scalar_groups} scalar");
+                }
+
+                let cancelled = CancellationToken::new();
+                cancelled.cancel();
+                let err = fused_node_in(&db, sql, &guarded(cancelled)).unwrap_err();
+                assert!(matches!(err, DbError::Cancelled(_)), "{tag} scalar={scalar}: {err:?}");
+
+                // A tenth of a scan in, the deadline passes; the scan looks
+                // every 4096 rows of its 65 536. Timing a scan is noisy, so
+                // the best of a few attempts is held to the bound.
+                let mut quickest = Duration::MAX;
+                for _ in 0..5 {
+                    let started = Instant::now();
+                    let token = CancellationToken::with_timeout(whole_scan / 10);
+                    let err = fused_node_in(&db, sql, &guarded(token)).unwrap_err();
+                    quickest = quickest.min(started.elapsed());
+                    assert!(matches!(err, DbError::DeadlineExceeded(_)), "{tag} scalar={scalar}: {err:?}");
+                }
+                assert!(
+                    quickest < whole_scan * 3 / 4,
+                    "{tag} scalar={scalar}: gave up after {quickest:?} of a {whole_scan:?} scan"
+                );
+                db.faults().disarm(points::EXEC_KERNEL_FALLBACK);
+            }
+        }
     }
 
     /// Every `olap_scan` statement runs wholly on the dense path — no row

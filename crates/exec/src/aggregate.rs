@@ -2,7 +2,6 @@
 
 use crate::compiled::CompiledExpr;
 use crate::expr::Expr;
-use crate::kernels::set_bits;
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
 use oltap_common::schema::SchemaRef;
@@ -170,86 +169,9 @@ impl AggState {
     }
 
     pub(crate) fn count_row(&mut self) {
-        self.count_rows(1);
-    }
-
-    /// Counts `n` rows at once (a popcount of the selection word).
-    #[inline]
-    pub(crate) fn count_rows(&mut self, n: i64) {
         if let AggState::Count(c) = self {
-            *c += n;
+            *c += 1;
         }
-    }
-
-    /// [`AggState::update`] for a non-NULL integer, without the [`Value`]:
-    /// the same state transitions, so it may stand in for it row by row.
-    #[inline]
-    pub(crate) fn update_int(&mut self, v: i64) -> Result<()> {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::SumI { sum, seen } => {
-                *sum = sum.wrapping_add(v);
-                *seen = true;
-            }
-            AggState::Avg { sum, count } => {
-                *sum += v as f64;
-                *count += 1;
-            }
-            AggState::Min(Some(Value::Int(cur))) => *cur = v.min(*cur),
-            AggState::Max(Some(Value::Int(cur))) => *cur = v.max(*cur),
-            _ => return self.update(&Value::Int(v)),
-        }
-        Ok(())
-    }
-
-    /// [`AggState::update`] for a non-NULL float, without the [`Value`].
-    #[inline]
-    pub(crate) fn update_float(&mut self, v: f64) -> Result<()> {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::SumF { sum, seen } => {
-                *sum += v;
-                *seen = true;
-            }
-            AggState::Avg { sum, count } => {
-                *sum += v;
-                *count += 1;
-            }
-            // Ties in the total order are the same bits: nothing to keep.
-            AggState::Min(Some(Value::Float(cur))) if v.total_cmp(cur).is_lt() => *cur = v,
-            AggState::Max(Some(Value::Float(cur))) if v.total_cmp(cur).is_gt() => *cur = v,
-            AggState::Min(Some(Value::Float(_))) | AggState::Max(Some(Value::Float(_))) => {}
-            _ => return self.update(&Value::Float(v)),
-        }
-        Ok(())
-    }
-
-    /// [`AggState::update_float`] over the rows of `block` whose bit is set
-    /// in `mask`, in row order: one addition per row onto the running sum,
-    /// exactly the additions the row-at-a-time loop makes.
-    pub(crate) fn update_floats(&mut self, block: &[f64], mask: u64) -> Result<()> {
-        let ordered_sum = |mut sum: f64| {
-            for o in set_bits(mask) {
-                sum += block[o];
-            }
-            sum
-        };
-        match self {
-            AggState::SumF { sum, seen } => {
-                *sum = ordered_sum(*sum);
-                *seen |= mask != 0;
-            }
-            AggState::Avg { sum, count } => {
-                *sum = ordered_sum(*sum);
-                *count += i64::from(mask.count_ones());
-            }
-            _ => {
-                for o in set_bits(mask) {
-                    self.update_float(block[o])?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Folds another partial state (same function, different input slice)
@@ -296,7 +218,7 @@ impl AggState {
         Ok(())
     }
 
-    fn finish(&self) -> Value {
+    pub(crate) fn finish(&self) -> Value {
         match self {
             AggState::Count(c) => Value::Int(*c),
             AggState::SumI { sum, seen } => {
@@ -482,6 +404,12 @@ impl AggregatorCore {
                 Row::new(vals)
             })
             .collect();
+        self.batches(&rows)
+    }
+
+    /// Chunks finished output rows (group key, then one value per
+    /// aggregate, in key order) into batches.
+    pub(crate) fn batches(&self, rows: &[Row]) -> Result<Vec<Batch>> {
         rows.chunks(self.batch_size)
             .map(|c| Batch::from_rows(&self.schema, c))
             .collect()

@@ -10,14 +10,12 @@
 //!   standing in for LLVM query compilation (HyPer \[28\] / Impala \[41\]
 //!   analog) wherever that is bit-identical. (The tuple-at-a-time walk of
 //!   §4's spectrum is an `oltap-bench` baseline.)
-//! * [`kernels`] — the block primitives of the fused path: the masked
-//!   integer fold and the set-bit walk. (Predicates over packed codes run
-//!   in `oltap-storage`; the naive and SWAR scans E3/E18 compare that
-//!   kernel with are `oltap-bench` baselines.)
 //! * [`fused`] — fused filter+aggregate directly over compressed
-//!   segments: code-domain grouping with dense per-code accumulators and
-//!   block-folded integer aggregates (HANA/BLU operate-on-compressed
-//!   analog).
+//!   segments: code-domain grouping into typed running accumulators, one
+//!   per distinct input (HANA/BLU operate-on-compressed analog).
+//!   (Predicates over packed codes run in `oltap-storage`; the naive and
+//!   SWAR scans E3/E18 compare that kernel with are `oltap-bench`
+//!   baselines.)
 //! * [`pipeline`] — the one executor: morsel-driven pipelines (HyPer
 //!   \[28\] morsel parallelism analog) of streaming filter / project /
 //!   join-probe stages feeding a sink, run inline on the caller's thread
@@ -36,7 +34,6 @@ pub mod compiled;
 pub mod expr;
 pub mod fused;
 pub mod join;
-pub mod kernels;
 pub mod pipeline;
 pub mod resources;
 pub mod sort;
@@ -44,7 +41,7 @@ pub mod sort;
 pub use aggregate::{AggExpr, AggFunc, AggregatorCore, GroupMap, SpillingAggregator};
 pub use compiled::CompiledExpr;
 pub use expr::{BinOp, Expr, UnOp};
-pub use fused::{fused_aggregate_segments, fused_shape, FusedScanCtx, FusedShape};
+pub use fused::{fused_aggregate_segments, fused_shape, FusedScanCtx, FusedShape, RunningGroups};
 pub use join::{
     join_output_schema, probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch,
     PARTITION_BITS,

@@ -24,6 +24,71 @@ use oltap_common::{DbError, Result};
 // Bit packing
 // ---------------------------------------------------------------------------
 
+/// An unsigned lane packed codes are decoded into. A kernel picks the
+/// narrowest one that holds the width, so the compare that follows covers
+/// the most codes an instruction can.
+pub trait Lane: Copy + Default + Ord {
+    /// Bits in the lane.
+    const BITS: usize;
+    /// The low [`Lane::BITS`] bits of `v`.
+    fn truncate(v: u64) -> Self;
+}
+
+macro_rules! impl_lane {
+    ($($t:ty)*) => {$(
+        impl Lane for $t {
+            const BITS: usize = <$t>::BITS as usize;
+            #[inline(always)]
+            fn truncate(v: u64) -> Self {
+                v as $t
+            }
+        }
+    )*};
+}
+impl_lane!(u8 u16 u32 u64);
+
+/// Invokes `$m!` on the literals 0 through 63: the width-specialised
+/// unpack bodies and their 64 straight-line extractions are generated from
+/// this one list.
+macro_rules! seq64 {
+    ($m:ident) => {
+        $m!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60
+            61 62 63)
+    };
+}
+
+/// Code `i` of a 64-code block packed at `W` bits in `words`. With `W` and
+/// `i` constants, the word index, the shift and whether the code straddles
+/// two words all fold away.
+#[inline(always)]
+fn code_at<const W: usize>(words: &[u64; W], i: usize) -> u64 {
+    let (word, off) = (i * W / 64, i * W % 64);
+    let mut v = words[word] >> off;
+    if off + W > 64 {
+        v |= words[word + 1] << (64 - off);
+    }
+    if W < 64 {
+        v &= (1u64 << W) - 1;
+    }
+    v
+}
+
+/// Unpacks the 64 codes held in the first `W` of `words`: 64 extractions
+/// with nothing left to decide at run time. A lane narrower than `W` is a
+/// caller's bug ([`BitPacked::unpack_block`] asserts it), and compiles to
+/// nothing but the panic.
+fn unpack64<const W: usize, T: Lane>(words: &[u64], out: &mut [T; 64]) {
+    assert!(W <= T::BITS, "lane narrower than the packed width");
+    let words: &[u64; W] = words[..W].try_into().expect("sliced to W words");
+    macro_rules! extract {
+        ($($i:literal)*) => {
+            $(out[$i] = T::truncate(code_at::<W>(words, $i));)*
+        };
+    }
+    seq64!(extract);
+}
+
 /// Densely bit-packed unsigned codes with a fixed width of 0..=64 bits.
 ///
 /// Width 0 is the degenerate "all values are zero" case and stores nothing.
@@ -119,43 +184,52 @@ impl BitPacked {
         out
     }
 
-    /// Unpacks into `out` (cleared first). The loop is written so the
-    /// compiler can unroll and vectorize the common widths.
+    /// Unpacks into `out` (cleared first), a 64-code block at a time.
     pub fn unpack_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.reserve(self.len);
-        let mut buf = [0u64; 64];
-        let mut start = 0usize;
-        while start < self.len {
-            let len = (self.len - start).min(64);
-            self.unpack_block(start, &mut buf[..len]);
-            out.extend_from_slice(&buf[..len]);
-            start += len;
+        out.resize(self.len, 0);
+        for (b, block) in out.chunks_mut(64).enumerate() {
+            self.unpack_block(b * 64, block);
         }
     }
 
     /// Decodes `out.len()` consecutive values starting at `start` into
-    /// `out`. This is the block-wise accessor the operate-on-compressed
-    /// kernels use: a sequential bit cursor instead of per-index math, in
-    /// a shape the compiler can unroll for the common widths.
+    /// `out`, whose lane must hold the width. This is the one block
+    /// accessor every operate-on-compressed kernel uses. A whole block on a
+    /// 64-aligned start is exactly `width` whole words, so it dispatches
+    /// once on the width to a body whose word indexes, shifts and straddles
+    /// are compile-time constants ([`unpack64`]); any other range walks a
+    /// bit cursor.
     #[inline]
-    pub fn unpack_block(&self, start: usize, out: &mut [u64]) {
+    pub fn unpack_block<T: Lane>(&self, start: usize, out: &mut [T]) {
         let w = self.width as usize;
-        debug_assert!(start + out.len() <= self.len);
+        debug_assert!(start + out.len() <= self.len && w <= T::BITS);
         if w == 0 {
-            out.fill(0);
-            return;
+            return out.fill(T::default());
+        }
+        if start.is_multiple_of(64) {
+            if let Ok(out) = <&mut [T; 64]>::try_from(&mut *out) {
+                let words = &self.words[start / 64 * w..];
+                macro_rules! by_width {
+                    ($($i:literal)*) => {
+                        match w - 1 {
+                            $($i => unpack64::<{ $i + 1 }, T>(words, out),)*
+                            _ => unreachable!("bit widths end at 64"),
+                        }
+                    };
+                }
+                return seq64!(by_width);
+            }
         }
         let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
         let mut bit = start * w;
         for slot in out.iter_mut() {
-            let word = bit >> 6;
-            let off = bit & 63;
+            let (word, off) = (bit >> 6, bit & 63);
             let mut v = self.words[word] >> off;
             if off + w > 64 {
                 v |= self.words[word + 1] << (64 - off);
             }
-            *slot = v & mask;
+            *slot = T::truncate(v & mask);
             bit += w;
         }
     }
@@ -721,7 +795,7 @@ impl IntEncoding {
     /// costed from the *full* cardinality (no 1024-row sample cap — cold
     /// data is rewritten once, off the write path, so the O(n log n) build
     /// is acceptable) and sorted runs are offered [`DeltaEnc`]. Ties prefer
-    /// FOR, whose packed codes feed the SWAR compare kernels directly.
+    /// FOR, whose packed codes feed the code-domain compare kernel directly.
     pub fn choose_frozen(values: &[i64]) -> Self {
         if values.is_empty() {
             return IntEncoding::Raw(Vec::new());
@@ -914,20 +988,39 @@ mod tests {
 
     #[test]
     fn unpack_block_matches_get_at_any_offset() {
-        for width in [0u8, 1, 5, 8, 13, 32, 63, 64] {
-            let max = if width == 0 {
-                0
-            } else if width == 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
+        /// `unpack_block` into lane `T` against `get`, for every length at
+        /// aligned and unaligned starts.
+        fn check<T: Lane + std::fmt::Debug>(packed: &BitPacked, values: &[u64]) {
+            for len in [0usize, 1, 63, 64, 65, 1000] {
+                for start in [0usize, 64, 128, 1, 63, 65, 77] {
+                    let mut out = vec![T::default(); len];
+                    packed.unpack_block(start, &mut out);
+                    let want: Vec<T> = (start..start + len).map(|i| T::truncate(packed.get(i))).collect();
+                    assert_eq!(out, want, "width {} at {start} len {len}", packed.width());
+                    assert!(values[start..start + len].iter().zip(&out).all(|(&v, &o)| T::truncate(v) == o));
+                }
+            }
+        }
+        for width in 0u8..=64 {
+            let max = match width {
+                0 => 0,
+                64 => u64::MAX,
+                w => (1u64 << w) - 1,
             };
-            let values: Vec<u64> = (0..300).map(|i| (i as u64 * 2654435761) & max).collect();
+            // Every seventh value the maximum, so every bit of a code is seen set.
+            let values: Vec<u64> = (0..1200u64)
+                .map(|i| if i % 7 == 0 { max } else { i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max })
+                .collect();
             let packed = BitPacked::pack(&values, width).unwrap();
-            for (start, len) in [(0usize, 64usize), (1, 63), (77, 100), (299, 1), (0, 300)] {
-                let mut out = vec![0u64; len];
-                packed.unpack_block(start, &mut out);
-                assert_eq!(out, values[start..start + len], "width {width} at {start}");
+            check::<u64>(&packed, &values);
+            match width {
+                0..=8 => {
+                    check::<u8>(&packed, &values);
+                    check::<u16>(&packed, &values);
+                }
+                9..=16 => check::<u16>(&packed, &values),
+                17..=32 => check::<u32>(&packed, &values),
+                _ => {}
             }
             assert_eq!(packed.unpack(), values, "width {width}");
         }

@@ -13,7 +13,7 @@
 //! reduces to "not (visibly deleted)".
 
 use crate::buffer::{PageGuard, SegmentPager};
-use crate::encoding::{BitPacked, IntEncoding, StrEncoding};
+use crate::encoding::{BitPacked, IntEncoding, Lane, StrEncoding};
 use crate::pagefile::{PageFile, PageFileWriter};
 use crate::predicate::{CmpOp, ColumnPredicate, ScanPredicate};
 use crate::zonemap::ZoneMap;
@@ -228,30 +228,38 @@ impl EncodedColumn {
     fn filter(&self, test: &Test<'_>, sel: &mut BitSet, matches: &mut BitSet) -> Result<()> {
         let n = self.len();
         match (self, test) {
-            (_, Test::NotNull) => {
-                if let Some(validity) = self.validity() {
-                    sel.intersect_with(validity);
-                }
-                return Ok(());
-            }
+            (_, Test::NotNull) => {}
             // Compared 64 values to a mask word, straight into `sel`.
             (EncodedColumn::Float { values, validity }, Test::Float(op, lit)) => {
                 cmp_floats_block(values, *op, *lit, validity.as_ref(), sel);
                 return Ok(());
             }
-            (EncodedColumn::Int { enc, .. }, Test::Int(op, lit)) => {
-                matches.reset(n, false);
-                eval_int(enc, *op, *lit, matches);
+            (EncodedColumn::Int { enc, validity }, Test::Int(first, second)) => {
+                let tests = [*first, second.unwrap_or(*first)];
+                let tests = &tests[..1 + usize::from(second.is_some())];
+                and_int(enc, tests, validity.as_ref(), sel, matches);
+                return Ok(());
             }
-            (EncodedColumn::Int { enc, .. }, Test::IntEither(a, b)) => {
-                // The kernels OR their hits in, so two passes are the union.
-                matches.reset(n, false);
-                eval_int(enc, a.0, a.1, matches);
-                eval_int(enc, b.0, b.1, matches);
+            (EncodedColumn::Int { enc, .. }, Test::IntOutside(x, y)) => {
+                // The rows inside the band, then everything but them.
+                let mut inside = BitSet::all_set(n);
+                and_int(enc, &[(CmpOp::Ge, *x), (CmpOp::Le, *y)], None, &mut inside, matches);
+                sel.difference_with(&inside);
             }
-            (EncodedColumn::Str { enc, .. }, Test::Str(op, lit)) => {
+            (EncodedColumn::Str { enc: StrEncoding::Dict(d), validity }, Test::Str(op, lit)) => {
+                let lit = lit.to_string();
+                let pred = translate_code_pred(*op, d.code_of(&lit), d.lower_bound_code(&lit));
+                and_codes(d.codes(), [pred, TranslatedPred::All], validity.as_ref(), sel);
+                return Ok(());
+            }
+            (EncodedColumn::Str { enc: StrEncoding::Raw(values), .. }, Test::Str(op, lit)) => {
                 matches.reset(n, false);
-                eval_str(enc, *op, lit, matches);
+                for (i, v) in values.iter().enumerate() {
+                    if op.matches(v.as_str().cmp(lit)) {
+                        matches.set(i);
+                    }
+                }
+                sel.intersect_with(matches);
             }
             (EncodedColumn::Bool { values, .. }, Test::Bool(op, lit)) => {
                 matches.reset(n, false);
@@ -260,6 +268,7 @@ impl EncodedColumn {
                         matches.set(i);
                     }
                 }
+                sel.intersect_with(matches);
             }
             // Tests are typed from the schema; a chunk of another type is a
             // page that does not belong to this column.
@@ -271,9 +280,8 @@ impl EncodedColumn {
             }
         }
         if let Some(validity) = self.validity() {
-            matches.intersect_with(validity);
+            sel.intersect_with(validity);
         }
-        sel.intersect_with(matches);
         Ok(())
     }
 }
@@ -285,10 +293,11 @@ impl EncodedColumn {
 enum Test<'a> {
     /// Every non-NULL row passes.
     NotNull,
-    /// Integer column against an integer.
-    Int(CmpOp, i64),
-    /// Integer column passing either comparison (`<> float` past 2^53).
-    IntEither((CmpOp, i64), (CmpOp, i64)),
+    /// Integer column against one integer, or two at once: both bounds of a
+    /// range are answered from one unpack of the column.
+    Int((CmpOp, i64), Option<(CmpOp, i64)>),
+    /// Integer column outside `[x, y]` (`<> float` past 2^53).
+    IntOutside(i64, i64),
     /// Float column, `total_cmp` order.
     Float(CmpOp, f64),
     /// String column.
@@ -328,10 +337,10 @@ fn typed_conjuncts<'a>(
             (DataType::Int64 | DataType::Timestamp, _) => {
                 let lit = value.as_int()?;
                 // `>= MIN` is how the optimizer spells IS NOT NULL.
-                out.push(match (op, lit) {
-                    (CmpOp::Ge, i64::MIN) => (column, Test::NotNull),
-                    _ => (column, Test::Int(op, lit)),
-                });
+                match (op, lit) {
+                    (CmpOp::Ge, i64::MIN) => out.push((column, Test::NotNull)),
+                    _ => push_int(&mut out, column, op, lit),
+                }
             }
             (DataType::Float64, _) => out.push((column, Test::Float(op, value.as_float()?))),
             (DataType::Utf8, _) => out.push((column, Test::Str(op, value.as_str()?))),
@@ -339,6 +348,18 @@ fn typed_conjuncts<'a>(
         }
     }
     Ok(Some(out))
+}
+
+/// Adds `column <op> lit`: as the second bound of a comparison on the column
+/// that has none yet, else as a conjunct of its own.
+fn push_int(out: &mut Vec<(usize, Test<'_>)>, column: usize, op: CmpOp, lit: i64) {
+    for (c, test) in out.iter_mut() {
+        if let (true, Test::Int(_, second @ None)) = (*c == column, test) {
+            *second = Some((op, lit));
+            return;
+        }
+    }
+    out.push((column, Test::Int((op, lit), None)));
 }
 
 /// Lowers `int_col <op> lit` for a float `lit`. `a as f64` is monotone in
@@ -382,25 +403,22 @@ fn int_tests_for_float(
         CmpOp::Ge => (ge, MAX, true),
     };
     let (empty, full) = (x > y, x == MIN && y == MAX);
-    let int = |op: CmpOp, lit: i128| Test::Int(op, lit as i64);
-    let mut push = |test| out.push((column, test));
+    let mut int = |op: CmpOp, lit: i128| push_int(out, column, op, lit as i64);
     match (inside, empty, full) {
         (true, true, _) | (false, _, true) => return false,
-        (true, _, true) | (false, true, _) => push(Test::NotNull),
-        (true, ..) if x == y => push(int(CmpOp::Eq, x)),
-        (true, ..) if x == MIN => push(int(CmpOp::Le, y)),
-        (true, ..) if y == MAX => push(int(CmpOp::Ge, x)),
+        (true, _, true) | (false, true, _) => out.push((column, Test::NotNull)),
+        (true, ..) if x == y => int(CmpOp::Eq, x),
+        (true, ..) if x == MIN => int(CmpOp::Le, y),
+        (true, ..) if y == MAX => int(CmpOp::Ge, x),
         (true, ..) => {
-            push(int(CmpOp::Ge, x));
-            push(int(CmpOp::Le, y));
+            int(CmpOp::Ge, x);
+            int(CmpOp::Le, y);
         }
-        (false, ..) if x == y => push(int(CmpOp::Ne, x)),
-        (false, ..) if x == MIN => push(int(CmpOp::Gt, y)),
-        (false, ..) if y == MAX => push(int(CmpOp::Lt, x)),
-        (false, ..) => push(Test::IntEither(
-            (CmpOp::Lt, x as i64),
-            (CmpOp::Gt, y as i64),
-        )),
+        (false, ..) if x == y => int(CmpOp::Ne, x),
+        (false, ..) if x == MIN => int(CmpOp::Gt, y),
+        (false, ..) if y == MAX => int(CmpOp::Lt, x),
+        // Strictly inside (MIN, MAX), so neither bound wraps.
+        (false, ..) => out.push((column, Test::IntOutside(x as i64, y as i64))),
     }
     true
 }
@@ -412,87 +430,128 @@ fn total_order_key(v: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
+/// The mask of the lanes of `block` passing `<op> lit`: one branch-free
+/// loop compares all 64 into byte-wide hits — the release build emits
+/// packed SSE2 compares for it, sixteen `u8` lanes or two `f64`s an
+/// instruction — and a multiply gathers the hits eight at a time into mask
+/// bits. No per-row shift into the word, which is what the loop cost before.
+#[inline(always)]
+fn cmp_mask<T: PartialOrd + Copy>(block: &[T; 64], op: CmpOp, lit: T) -> u64 {
+    #[inline(always)]
+    fn gather<T: Copy>(block: &[T; 64], hit: impl Fn(T) -> bool) -> u64 {
+        let mut hits = [0u8; 64];
+        for (h, &v) in hits.iter_mut().zip(block) {
+            *h = u8::from(hit(v));
+        }
+        let mut word = 0;
+        for (i, eight) in hits.chunks_exact(8).enumerate() {
+            let eight = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+            // Byte j's low bit lands on bit 56 + j of the product, and no
+            // two partial products share a bit, so nothing carries.
+            word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+        }
+        word
+    }
+    match op {
+        CmpOp::Eq => gather(block, |v| v == lit),
+        CmpOp::Ne => gather(block, |v| v != lit),
+        CmpOp::Lt => gather(block, |v| v < lit),
+        CmpOp::Le => gather(block, |v| v <= lit),
+        CmpOp::Gt => gather(block, |v| v > lit),
+        CmpOp::Ge => gather(block, |v| v >= lit),
+    }
+}
+
+/// The word of `bits` covering block `w` (`None` = every row set).
+#[inline]
+fn word_of(bits: Option<&BitSet>, w: usize) -> u64 {
+    bits.map_or(u64::MAX, |b| b.words()[w])
+}
+
 /// ANDs `values <op> lit` (in `total_cmp` order, NULLs failing) into `sel`,
-/// 64 values to a mask word. The compare loop is branch-free over integer
-/// keys, so it vectorizes; words `sel` has already emptied are skipped.
-fn cmp_floats_block(
+/// 64 values to a mask word; words `sel` has already emptied are skipped.
+/// The `f64`s are compared as they are wherever that is the total order:
+/// the two differ only on a NaN (either side) or on zeros of opposite sign,
+/// so a NaN or zero literal, or a block holding a NaN, is compared through
+/// [`total_order_key`] instead. Public for E18, which times it.
+pub fn cmp_floats_block(
     values: &[f64],
     op: CmpOp,
     lit: f64,
     validity: Option<&BitSet>,
     sel: &mut BitSet,
 ) {
-    let lit = total_order_key(lit);
-    macro_rules! run {
-        ($test:expr) => {
-            for (w, block) in values.chunks(64).enumerate() {
-                if sel.words()[w] == 0 {
-                    continue;
-                }
-                let mut word = 0u64;
-                for (o, &v) in block.iter().enumerate() {
-                    let hit: bool = $test(total_order_key(v));
-                    word |= (hit as u64) << o;
-                }
-                if let Some(validity) = validity {
-                    word &= validity.words()[w];
-                }
-                sel.and_word(w, word);
-            }
+    let plain = !lit.is_nan() && lit != 0.0;
+    let mut tail = [0.0; 64];
+    for (w, chunk) in values.chunks(64).enumerate() {
+        if sel.words()[w] == 0 {
+            continue;
+        }
+        // Lanes past a short last block hold zeros; `sel` has no bits there.
+        let block: &[f64; 64] = chunk.try_into().unwrap_or_else(|_| {
+            tail[..chunk.len()].copy_from_slice(chunk);
+            &tail
+        });
+        let word = if plain && !block.iter().fold(false, |nan, v| nan | v.is_nan()) {
+            cmp_mask(block, op, lit)
+        } else {
+            cmp_mask(&block.map(total_order_key), op, total_order_key(lit))
         };
-    }
-    match op {
-        CmpOp::Eq => run!(|k: i64| k == lit),
-        CmpOp::Ne => run!(|k: i64| k != lit),
-        CmpOp::Lt => run!(|k: i64| k < lit),
-        CmpOp::Le => run!(|k: i64| k <= lit),
-        CmpOp::Gt => run!(|k: i64| k > lit),
-        CmpOp::Ge => run!(|k: i64| k >= lit),
+        sel.and_word(w, word & word_of(validity, w));
     }
 }
 
-/// Predicate evaluation over encoded integers, operating on the compressed
-/// form where profitable (codes for dictionary, shifted domain for FOR,
-/// runs for RLE).
-fn eval_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
-    match enc {
-        IntEncoding::Raw(values) => {
-            for (i, &v) in values.iter().enumerate() {
-                if op.matches(v.cmp(&lit)) {
-                    out.set(i);
-                }
-            }
-        }
+/// ANDs every comparison of `tests` (one, or the two bounds of a range)
+/// over an integer encoding into `sel`, NULLs failing: in the code domain
+/// for the packed encodings, by runs or binary search for the others.
+fn and_int(
+    enc: &IntEncoding,
+    tests: &[(CmpOp, i64)],
+    validity: Option<&BitSet>,
+    sel: &mut BitSet,
+    matches: &mut BitSet,
+) {
+    let mut preds = [TranslatedPred::All; 2];
+    let codes = match enc {
         IntEncoding::For(f) => {
-            // Compare in the shifted (code) domain to avoid per-row adds.
-            let n = f.len();
-            let base = f.base();
-            let max_code = if f.width() == 64 {
-                u64::MAX
-            } else if f.width() == 0 {
-                0
-            } else {
-                (1u64 << f.width()) - 1
-            };
-            // lit relative to base, clamped to the representable window.
-            let rel = (lit as i128) - (base as i128);
-            let (all, none): (bool, bool) = match op {
-                CmpOp::Eq => (false, rel < 0 || rel > max_code as i128),
-                CmpOp::Ne => (rel < 0 || rel > max_code as i128, false),
-                CmpOp::Lt => (rel > max_code as i128, rel <= 0),
-                CmpOp::Le => (rel >= max_code as i128, rel < 0),
-                CmpOp::Gt => (rel < 0, rel >= max_code as i128),
-                CmpOp::Ge => (rel <= 0, rel > max_code as i128),
-            };
-            if none {
-                return;
+            for (pred, &(op, lit)) in preds.iter_mut().zip(tests) {
+                // Relative to the frame: every code is above a negative
+                // literal; one past the width is the kernel's to decide.
+                *pred = match (u64::try_from(lit as i128 - f.base() as i128), op) {
+                    (Ok(rel), _) => TranslatedPred::Cmp(op, rel),
+                    (Err(_), CmpOp::Ne | CmpOp::Gt | CmpOp::Ge) => TranslatedPred::All,
+                    (Err(_), _) => TranslatedPred::None,
+                };
             }
-            if all {
-                set_bit_range(out, 0, n);
-                return;
-            }
-            cmp_codes_block(f.packed(), op, rel as u64, out);
+            f.packed()
         }
+        IntEncoding::Dict(d) => {
+            for (pred, &(op, lit)) in preds.iter_mut().zip(tests) {
+                *pred = translate_code_pred(op, d.code_of(&lit), d.lower_bound_code(&lit));
+            }
+            d.codes()
+        }
+        _ => {
+            for &(op, lit) in tests {
+                matches.reset(enc.len(), false);
+                or_unpacked_int(enc, op, lit, matches);
+                sel.intersect_with(matches);
+            }
+            if let Some(validity) = validity {
+                sel.intersect_with(validity);
+            }
+            return;
+        }
+    };
+    and_codes(codes, preds, validity, sel);
+}
+
+/// ORs the rows passing `<op> lit` into `out` for the integer encodings
+/// that have no packed codes to compare: a sorted run answers with two
+/// binary searches, run lengths with one comparison a run, raw values row
+/// by row.
+fn or_unpacked_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
+    match enc {
         IntEncoding::Rle(r) => {
             let mut offset = 0usize;
             for &(v, run) in r.runs() {
@@ -502,22 +561,7 @@ fn eval_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
                 offset += run as usize;
             }
         }
-        IntEncoding::Dict(d) => {
-            let n = d.len();
-            // Translate to a code comparison.
-            let (code_op, code) = match translate_code_pred(op, d.code_of(&lit), d.lower_bound_code(&lit)) {
-                TranslatedPred::None => return,
-                TranslatedPred::All => {
-                    set_bit_range(out, 0, n);
-                    return;
-                }
-                TranslatedPred::Cmp(o, c) => (o, c),
-            };
-            cmp_codes_block(d.codes(), code_op, code, out);
-        }
         IntEncoding::Delta(d) => {
-            // Sorted run: every comparison reduces to at most two binary
-            // searches and a contiguous bit-range fill — no scan at all.
             let n = d.len();
             match op {
                 CmpOp::Eq => set_bit_range(out, d.lower_bound(lit), d.upper_bound(lit)),
@@ -530,6 +574,16 @@ fn eval_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
                 CmpOp::Gt => set_bit_range(out, d.upper_bound(lit), n),
                 CmpOp::Ge => set_bit_range(out, d.lower_bound(lit), n),
             }
+        }
+        IntEncoding::Raw(values) => {
+            for (i, &v) in values.iter().enumerate() {
+                if op.matches(v.cmp(&lit)) {
+                    out.set(i);
+                }
+            }
+        }
+        IntEncoding::For(_) | IntEncoding::Dict(_) => {
+            unreachable!("packed codes are compared in the code domain")
         }
     }
 }
@@ -553,67 +607,83 @@ fn set_bit_range(out: &mut BitSet, lo: usize, hi: usize) {
     }
 }
 
-fn eval_str(enc: &StrEncoding, op: CmpOp, lit: &str, out: &mut BitSet) {
-    match enc {
-        StrEncoding::Raw(values) => {
-            for (i, v) in values.iter().enumerate() {
-                if op.matches(v.as_str().cmp(lit)) {
-                    out.set(i);
-                }
-            }
-        }
-        StrEncoding::Dict(d) => {
-            let n = d.len();
-            let lit_owned = lit.to_string();
-            let (code_op, code) = match translate_code_pred(
-                op,
-                d.code_of(&lit_owned),
-                d.lower_bound_code(&lit_owned),
-            ) {
-                TranslatedPred::None => return,
-                TranslatedPred::All => {
-                    set_bit_range(out, 0, n);
-                    return;
-                }
-                TranslatedPred::Cmp(o, c) => (o, c),
-            };
-            cmp_codes_block(d.codes(), code_op, code, out);
-        }
+/// ANDs comparisons already translated into the code domain into `sel`.
+fn and_codes(
+    codes: &BitPacked,
+    preds: [TranslatedPred; 2],
+    validity: Option<&BitSet>,
+    sel: &mut BitSet,
+) {
+    let mut tests = preds.iter().filter_map(|p| match p {
+        TranslatedPred::Cmp(op, code) => Some((*op, *code)),
+        _ => None,
+    });
+    if preds.contains(&TranslatedPred::None) {
+        sel.reset(sel.len(), false);
+    } else if let Some(first) = tests.next() {
+        cmp_codes_block(codes, first, tests.next(), validity, sel);
+    } else if let Some(validity) = validity {
+        sel.intersect_with(validity);
     }
 }
 
-/// Compares every packed code against `lit`, ORing hits into `out` a
-/// 64-bit word at a time. Codes are unpacked 64 per block into a stack
-/// buffer; the comparison loop is branch-free so it autovectorizes, and
-/// hit bits land in `out` via a single `or_word` per block. Public so
-/// property tests can pit it directly against decode-then-evaluate.
-pub fn cmp_codes_block(codes: &BitPacked, op: CmpOp, lit: u64, out: &mut BitSet) {
-    let n = codes.len();
-    let mut buf = [0u64; 64];
-    let mut start = 0usize;
-    macro_rules! run {
-        ($test:expr) => {
-            while start < n {
-                let take = (n - start).min(64);
-                let block = &mut buf[..take];
-                codes.unpack_block(start, block);
-                let mut word = 0u64;
-                for (o, &c) in block.iter().enumerate() {
-                    let hit: bool = $test(c);
-                    word |= (hit as u64) << o;
-                }
-                out.or_word(start / 64, word);
-                start += take;
+/// ANDs `code <op> literal` — for `first` and, when given, `second`: the
+/// two bounds of a range cost one unpack — over every packed code into
+/// `sel`, rows NULL in `validity` failing. The one code-domain compare:
+/// codes are unpacked 64 to a block into the narrowest lane that holds the
+/// width and compared there ([`cmp_mask`]); blocks `sel` has already
+/// emptied are not unpacked at all. A literal past every code the width
+/// can spell is decided here, before it could be truncated to the lane.
+/// Public so property tests can pit it against decode-then-evaluate.
+pub fn cmp_codes_block(
+    codes: &BitPacked,
+    first: (CmpOp, u64),
+    second: Option<(CmpOp, u64)>,
+    validity: Option<&BitSet>,
+    sel: &mut BitSet,
+) {
+    let max_code = u64::MAX.checked_shr(64 - u32::from(codes.width())).unwrap_or(0);
+    let mut tests = [first; 2];
+    let mut n = 0;
+    for (op, lit) in [Some(first), second].into_iter().flatten() {
+        match op {
+            _ if lit <= max_code => {
+                tests[n] = (op, lit);
+                n += 1;
             }
-        };
+            CmpOp::Ne | CmpOp::Lt | CmpOp::Le => {}
+            CmpOp::Eq | CmpOp::Gt | CmpOp::Ge => return sel.reset(sel.len(), false),
+        }
     }
-    match op {
-        CmpOp::Eq => run!(|c: u64| c == lit),
-        CmpOp::Ne => run!(|c: u64| c != lit),
-        CmpOp::Lt => run!(|c: u64| c < lit),
-        CmpOp::Le => run!(|c: u64| c <= lit),
-        CmpOp::Gt => run!(|c: u64| c > lit),
-        CmpOp::Ge => run!(|c: u64| c >= lit),
+    if n == 0 {
+        return validity.map_or((), |validity| sel.intersect_with(validity));
+    }
+    fn run<T: Lane>(
+        codes: &BitPacked,
+        tests: &[(CmpOp, u64)],
+        validity: Option<&BitSet>,
+        sel: &mut BitSet,
+    ) {
+        let mut block = [T::default(); 64];
+        for w in 0..sel.words().len() {
+            if sel.words()[w] == 0 {
+                continue;
+            }
+            // Lanes past a short last block are stale; `sel` has no bits there.
+            let take = (codes.len() - w * 64).min(64);
+            codes.unpack_block(w * 64, &mut block[..take]);
+            let mut word = word_of(validity, w);
+            for &(op, lit) in tests {
+                word &= cmp_mask(&block, op, T::truncate(lit));
+            }
+            sel.and_word(w, word);
+        }
+    }
+    match codes.width() {
+        0..=8 => run::<u8>(codes, &tests[..n], validity, sel),
+        9..=16 => run::<u16>(codes, &tests[..n], validity, sel),
+        17..=32 => run::<u32>(codes, &tests[..n], validity, sel),
+        _ => run::<u64>(codes, &tests[..n], validity, sel),
     }
 }
 
@@ -682,6 +752,7 @@ fn decode_int_block(enc: &IntEncoding, start: usize, out: &mut [i64]) {
     }
 }
 
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum TranslatedPred {
     /// No row can match.
     None,
@@ -2072,7 +2143,17 @@ mod tests {
             1e15,
             0.1,
         ];
-        let values: Vec<f64> = (0..203).map(|i| specials[(i * 7 + i / 11) % specials.len()]).collect();
+        // Block 0 mixes every special, block 1 has zeros of both signs but
+        // no NaN, block 2 neither (the plain `f64` compare runs on those
+        // two), and the short last block has a NaN again.
+        let values: Vec<f64> = (0..203usize)
+            .map(|i| match i / 64 {
+                1 => specials[2 + (i * 7 + i / 11) % (specials.len() - 2)],
+                2 => specials[4 + (i * 7 + i / 11) % (specials.len() - 4)],
+                _ => specials[(i * 7 + i / 11) % specials.len()],
+            })
+            .collect();
+        assert!(values[64..192].iter().all(|v| !v.is_nan()) && values[192..].iter().any(|v| v.is_nan()));
         let n = values.len();
         let nulls: Vec<usize> = (0..n).filter(|i| i % 7 != 3).collect();
         let validity = BitSet::from_indexes(n, &nulls);
@@ -2094,6 +2175,68 @@ mod tests {
                         "{op:?} {lit:?} nulls={}",
                         validity.is_some()
                     );
+                }
+            }
+        }
+    }
+
+    /// Two comparisons bounding one integer column are typed as one test
+    /// and answered from one unpack: the selection is the intersection of
+    /// the two single conjuncts', whatever the encoding, for bounds inside,
+    /// at the edges of and outside the column's range, held and paged.
+    #[test]
+    fn range_conjunct_equals_the_two_single_conjuncts() {
+        let schema: SchemaRef = Arc::new(Schema::new(
+            ["for", "dict", "rle", "raw", "sorted"].map(|n| Field::new(n, DataType::Int64)).to_vec(),
+        ));
+        let rows: Vec<Row> = (0..700i64)
+            .map(|i| {
+                let null_or = |v: i64| if i % 13 == 4 { Value::Null } else { Value::Int(v) };
+                Row::new(vec![
+                    null_or(100 + (i * 37) % 90),
+                    null_or((i % 5) * 1_000_000_007),
+                    null_or(i / 100),
+                    null_or(i.wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64)),
+                    Value::Int(i * 3),
+                ])
+            })
+            .collect();
+        let pager = test_pager(1 << 20, 64);
+        for (pager, frozen) in [(None, false), (Some(&pager), false), (None, true)] {
+            let mut builder = Segment::builder(SegmentId(1), Arc::clone(&schema), 0, pager).unwrap();
+            if frozen {
+                builder = builder.frozen();
+            }
+            for r in &rows {
+                builder.push_row(r.clone()).unwrap();
+            }
+            let seg = builder.finish().unwrap();
+            let select = |pred: &ScanPredicate| {
+                seg.select(pred, 1, TxnId(1)).unwrap().unwrap_or_else(|| BitSet::with_len(rows.len()))
+            };
+            for (c, bounds) in [
+                (0, [99, 100, 140, 189, 190]),
+                (1, [-1, 0, 2_000_000_014, 4_000_000_028, 4_000_000_029]),
+                (2, [-1, 0, 3, 6, 7]),
+                (3, [i64::MIN, -1, 0, 1 << 62, i64::MAX]),
+                (4, [-1, 0, 1000, 2097, 2098]),
+            ] {
+                for (lo_op, hi_op) in [(CmpOp::Ge, CmpOp::Lt), (CmpOp::Gt, CmpOp::Le), (CmpOp::Ne, CmpOp::Eq)] {
+                    for lo in bounds {
+                        for hi in bounds {
+                            let pred = ScanPredicate::single(c, lo_op, Value::Int(lo)).and(c, hi_op, Value::Int(hi));
+                            // (`>= i64::MIN` is typed as IS NOT NULL.)
+                            assert!(matches!(
+                                typed_conjuncts(&pred, &schema).unwrap().as_deref(),
+                                Some([(_, Test::Int(_, Some(_)))] | [(_, Test::NotNull), _])
+                            ));
+                            let mut want = select(&ScanPredicate::single(c, lo_op, Value::Int(lo)));
+                            want.intersect_with(&select(&ScanPredicate::single(c, hi_op, Value::Int(hi))));
+                            assert_eq!(select(&pred), want, "column {c}: {lo_op:?} {lo} and {hi_op:?} {hi}");
+                            let by_row: Vec<usize> = (0..rows.len()).filter(|&i| pred.matches_row(&rows[i])).collect();
+                            assert_eq!(want, BitSet::from_indexes(rows.len(), &by_row));
+                        }
+                    }
                 }
             }
         }

@@ -384,6 +384,29 @@ fn chaos_expired_deadline_terminates_promptly() {
     s.set_query_timeout(Some(Duration::from_secs(30)));
     let rows = s.execute("SELECT COUNT(*) FROM m").unwrap();
     assert_eq!(rows.rows()[0][0], Value::Int(4000));
+
+    // The fused shape: an aggregate straight over a column table's merged
+    // segment (one row group of all its rows) looks at the deadline too.
+    db.execute("CREATE TABLE mc (id BIGINT PRIMARY KEY, v BIGINT, f DOUBLE) USING FORMAT COLUMN")
+        .unwrap();
+    for chunk in 0..8 {
+        let vals: Vec<String> = (0..500)
+            .map(|i| {
+                let id = chunk * 500 + i;
+                format!("({id}, {}, {}.5)", id % 97, id % 97)
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO mc VALUES {}", vals.join(", ")))
+            .unwrap();
+    }
+    db.maintenance();
+    let fused = "SELECT v, COUNT(*), SUM(f), AVG(f) FROM mc GROUP BY v ORDER BY v";
+    assert_eq!(s.execute(fused).unwrap().rows().len(), 97);
+    s.set_query_timeout(Some(Duration::ZERO));
+    let started = std::time::Instant::now();
+    let err = s.execute(fused).unwrap_err();
+    assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
+    assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
 }
 
 /// Scenario 8 — join-build faults: `exec.join_build_fail` kills
@@ -551,6 +574,83 @@ fn governed_db(faults: Arc<FaultInjector>) -> Arc<Database> {
     tx.commit().unwrap();
     db.maintenance();
     db
+}
+
+/// A fused aggregate's group states are the governor's to meter: a
+/// high-cardinality `GROUP BY` that qualifies for fusion reserves per group
+/// it creates, and when the query's budget refuses one, the attempt hands
+/// everything back and the statement runs through the pipelines, whose sink
+/// spills. Same rows as an unmetered database, and the pools are whole
+/// again afterwards.
+#[test]
+fn fused_group_states_are_charged_to_the_governor() {
+    let load = |memory| {
+        let db = Database::with_config(DbConfig {
+            wal_path: None,
+            memory,
+            ..DbConfig::default()
+        })
+        .unwrap();
+        db.execute("CREATE TABLE wide (id BIGINT PRIMARY KEY, g BIGINT, f DOUBLE) USING FORMAT COLUMN")
+            .unwrap();
+        let t = db.table("wide").unwrap();
+        let tx = db.txn_manager().begin();
+        for i in 0..100_000i64 {
+            t.insert(&tx, row![i, (i * 7919) % 50_000, i as f64 * 0.1]).unwrap();
+        }
+        tx.commit().unwrap();
+        db.maintenance();
+        db
+    };
+    let sql = "SELECT g, COUNT(*), SUM(f), AVG(f) FROM wide GROUP BY g ORDER BY g";
+    let want = load(None).query(sql).unwrap();
+    assert_eq!(want.len(), 50_000);
+
+    let db = load(Some(tiny_memory()));
+    let gov = db.memory_governor().unwrap();
+    let baseline = gov.total_used();
+    // A few groups fit the budget: the fused path answers, metered.
+    let few = db.query("SELECT g, COUNT(*) FROM wide WHERE g < 20 GROUP BY g ORDER BY g").unwrap();
+    assert_eq!(few.len(), 20);
+    assert_eq!(gov.spill_events(), 0, "twenty groups must fit 16 KiB");
+    assert_eq!(gov.total_used(), baseline);
+    // Fifty thousand do not.
+    for workers in [1, 4] {
+        db.set_parallelism(workers);
+        let spills = gov.spill_events();
+        assert_eq!(db.query(sql).unwrap(), want, "workers={workers}");
+        assert!(gov.spill_events() > spills, "workers={workers}: nothing spilled");
+        assert_eq!(gov.total_used(), baseline, "workers={workers}: reservation leaked");
+    }
+}
+
+/// Only the governor refusing a *group* sends a fused aggregate back to the
+/// pipelines. A buffer pool too small to pin one row group's inputs side by
+/// side refuses with the same error type, mid-scan; that one is the
+/// statement's typed error, as it was before group states were metered, and
+/// nothing is left charged to the query classes.
+#[test]
+fn fused_aggregate_surfaces_a_buffer_refusal() {
+    use oltapdb::common::mem::WorkloadClass;
+    let db = Database::with_config(DbConfig {
+        wal_path: None,
+        memory: Some(tiny_memory()),
+        // One 64-row page of doubles is 512 bytes: this holds one, not two.
+        buffer: Some(oltapdb::core::BufferConfig { pool_bytes: 900, page_rows: 64, page_root: None }),
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.execute("CREATE TABLE s (id BIGINT PRIMARY KEY, g BIGINT, a DOUBLE, b DOUBLE) USING FORMAT COLUMN")
+        .unwrap();
+    let vals: Vec<String> = (0..256).map(|i| format!("({i}, {}, {i}.25, {i}.5)", i % 5)).collect();
+    db.execute(&format!("INSERT INTO s VALUES {}", vals.join(", "))).unwrap();
+    db.maintenance();
+    let gov = db.memory_governor().unwrap();
+    assert_eq!(db.query("SELECT g, SUM(a) FROM s GROUP BY g ORDER BY g").unwrap().len(), 5);
+    let err = db.query("SELECT g, SUM(a), SUM(b) FROM s GROUP BY g ORDER BY g").unwrap_err();
+    assert!(matches!(&err, DbError::ResourceExhausted { class, .. } if class == "buffer"), "{err}");
+    assert_eq!(gov.spill_events(), 0);
+    assert_eq!(gov.used(WorkloadClass::Olap) + gov.used(WorkloadClass::Oltp), 0);
 }
 
 /// Scenario 9 — `mem.reserve_fail` mid join-build: seeded probabilistic

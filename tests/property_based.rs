@@ -992,74 +992,50 @@ fn packed_scan_kernels_equal_scalar_reference() {
 }
 
 /// The code-domain comparison kernel agrees with decoding every code and
-/// comparing in the value domain, for every operator and random widths.
+/// comparing in the value domain: every operator at every width, literals
+/// at 0, at the largest code and past it, alone and as the second bound of
+/// a range, with and without NULLs and a selection to AND into.
 #[test]
 fn code_domain_compare_equals_decode_then_evaluate() {
     use oltapdb::common::BitSet;
     use oltapdb::storage::segment::cmp_codes_block;
     use oltapdb::storage::CmpOp;
 
-    for case in 0..64u64 {
-        let mut rng = rng_for(case ^ 0xC0DE_D011);
-        let width = rng.gen_range(1..=16u8);
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    for width in 0..=64u8 {
+        let mut rng = rng_for(u64::from(width) ^ 0xC0DE_D011);
         let n = rng.gen_range(1..400usize);
-        let max = 1u64.checked_shl(width as u32).unwrap() - 1;
-        let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=max)).collect();
+        let max = u64::MAX.checked_shr(64 - u32::from(width)).unwrap_or(0);
+        let values: Vec<u64> = (0..n)
+            .map(|i| if i % 9 == 0 { max } else { rng.gen_range(0..=max) })
+            .collect();
         let packed = BitPacked::pack(&values, width).unwrap();
-        let lit = rng.gen_range(0..=max);
-        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let mut got = BitSet::with_len(n);
-            cmp_codes_block(&packed, op, lit, &mut got);
-            let mut want = BitSet::with_len(n);
-            for (i, &v) in values.iter().enumerate() {
-                let hit = match op {
-                    CmpOp::Eq => v == lit,
-                    CmpOp::Ne => v != lit,
-                    CmpOp::Lt => v < lit,
-                    CmpOp::Le => v <= lit,
-                    CmpOp::Gt => v > lit,
-                    CmpOp::Ge => v >= lit,
-                };
-                if hit {
-                    want.set(i);
+        let valid: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..8) != 0).collect();
+        let validity = BitSet::from_indexes(n, &valid);
+        let preselected: Vec<usize> = (0..n).filter(|i| !(64..128).contains(i) && i % 6 != 1).collect();
+        let literals = [0, max / 2, max, rng.gen_range(0..=max), max.saturating_add(1), u64::MAX];
+        let passes = |i: usize, (op, lit): (CmpOp, u64)| op.matches(values[i].cmp(&lit));
+        for first_op in OPS {
+            for &first in &literals {
+                let bound = (CmpOp::Le, literals[3]);
+                for (second, validity) in [(None, None), (Some(bound), None), (None, Some(&validity))] {
+                    let mut got = BitSet::from_indexes(n, &preselected);
+                    cmp_codes_block(&packed, (first_op, first), second, validity, &mut got);
+                    let want: Vec<usize> = preselected
+                        .iter()
+                        .copied()
+                        .filter(|&i| validity.is_none_or(|v| v.get(i)))
+                        .filter(|&i| passes(i, (first_op, first)) && second.is_none_or(|s| passes(i, s)))
+                        .collect();
+                    assert_eq!(
+                        got,
+                        BitSet::from_indexes(n, &want),
+                        "w={width} {first_op:?} {first} and {second:?} nulls={}",
+                        validity.is_some()
+                    );
                 }
             }
-            assert_eq!(got, want, "seed={case} w={width} {op:?} lit={lit}");
         }
-    }
-}
-
-/// The fused filter+aggregate block fold matches a per-row scalar fold
-/// under random values and selection masks.
-#[test]
-fn int_fold_blocks_equal_scalar_fold() {
-    use oltapdb::exec::kernels::IntFold;
-
-    for case in 0..64u64 {
-        let mut rng = rng_for(case ^ 0xF01D_CA5E);
-        let n = rng.gen_range(0..300usize);
-        let values: Vec<i64> = (0..n).map(|_| rng.gen::<i64>()).collect();
-        let masks: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.gen::<u64>()).collect();
-        let mut fold = IntFold::default();
-        for (w, chunk) in values.chunks(64).enumerate() {
-            fold.update_block(chunk, masks[w]);
-        }
-        let mut count = 0i64;
-        let mut sum = 0i64;
-        let mut min = i64::MAX;
-        let mut max = i64::MIN;
-        for (i, &v) in values.iter().enumerate() {
-            if masks[i / 64] >> (i % 64) & 1 == 1 {
-                count += 1;
-                sum = sum.wrapping_add(v);
-                min = min.min(v);
-                max = max.max(v);
-            }
-        }
-        assert_eq!(fold.count, count, "seed={case}");
-        assert_eq!(fold.sum, sum, "seed={case}");
-        assert_eq!(fold.min, min, "seed={case}");
-        assert_eq!(fold.max, max, "seed={case}");
     }
 }
 
@@ -1159,8 +1135,30 @@ fn load_fused_agg_workload(db: &Arc<Database>, rng: &mut StdRng, storage: AggSto
         let id = rng.gen_range(0..n + tail);
         db.execute(&format!("DELETE FROM m WHERE id = {id}")).unwrap();
     }
+    // A thousand groups under a frame-of-reference key: a group's rows are
+    // scattered over every row group, so its float sum shows any regrouping.
+    db.execute("CREATE TABLE k1 (id BIGINT PRIMARY KEY, k BIGINT, v BIGINT, f DOUBLE) USING FORMAT COLUMN")
+        .unwrap();
+    let k1 = db.table("k1").unwrap();
+    let tx = db.txn_manager().begin();
+    for i in 0..3000i64 {
+        let v = Value::Int(rng.gen_range(-1000..1000i64));
+        let row = vec![Value::Int(i), Value::Int(500 + (i * 7919) % 1000), nullable(rng, 12, v), float(rng)];
+        k1.insert(&tx, oltapdb::common::Row::new(row)).unwrap();
+    }
+    tx.commit().unwrap();
+    db.maintenance();
+    if storage == AggStorage::Frozen {
+        db.freeze_all(true).unwrap();
+    }
     let x = rng.gen_range(-500..500i64);
     vec![
+        // Aggregates that share accumulators: one sum for SUM and AVG, one
+        // row count less the input's NULLs for every count.
+        "SELECT g, SUM(f), AVG(f), COUNT(f), COUNT(*), SUM(v), AVG(v), COUNT(v) FROM m GROUP BY g ORDER BY g"
+            .into(),
+        "SELECT AVG(f), COUNT(*), SUM(f), COUNT(f), AVG(v), COUNT(v), SUM(v) FROM m".into(),
+        format!("SELECT k, COUNT(*), SUM(f), AVG(f), COUNT(v), MAX(v) FROM k1 WHERE v < {x} GROUP BY k ORDER BY k"),
         "SELECT tag, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v), SUM(f), AVG(f), MIN(f), MAX(f) \
          FROM m GROUP BY tag ORDER BY tag"
             .into(),
@@ -1180,11 +1178,14 @@ fn load_fused_agg_workload(db: &Arc<Database>, rng: &mut StdRng, storage: AggSto
         "SELECT tag, g, SUM(f), AVG(v) FROM m GROUP BY tag, g ORDER BY tag, g".into(),
         "SELECT f, COUNT(*) FROM m GROUP BY f ORDER BY f".into(),
         "SELECT g, MIN(tag), SUM(f) FROM m GROUP BY g ORDER BY g".into(),
+        // MIN and MAX of one string column: two accumulators, not one shared.
+        "SELECT g, MAX(tag), MIN(tag), COUNT(tag) FROM m GROUP BY g ORDER BY g".into(),
+        "SELECT MIN(tag), MAX(tag) FROM m".into(),
     ]
 }
 
 /// Fused aggregation is invisible, bit for bit: at fallback probability 0
-/// (all dense), 0.5 (dense and scalar row groups mixed mid-query) and 1
+/// (all dense), 0.4 (dense and scalar row groups mixed mid-query) and 1
 /// (the scalar reference), on resident, paged (64-row pages, starved and
 /// unbounded pools) and frozen storage, at 1 and 4 workers, every GROUP BY
 /// gives the rows the all-scalar resident run gives — float sums included.
@@ -1204,7 +1205,7 @@ fn fused_aggregation_matches_scalar_everywhere() {
             AggStorage::Paged(u64::MAX),
             AggStorage::Frozen,
         ] {
-            for prob in [1.0f64, 0.5, 0.0] {
+            for prob in [1.0f64, 0.4, 0.0] {
                 let faults = FaultInjector::new(seed ^ prob.to_bits());
                 if prob > 0.0 {
                     faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(prob));
@@ -1239,18 +1240,22 @@ fn fused_aggregation_matches_scalar_everywhere() {
                     }
                 }
                 // An expression key takes the unfused batch pipeline, which
-                // meets the rows in the same order: the same bits again.
+                // meets the rows in the same order: the same bits again, and
+                // from states no fused aggregate shares with another.
                 db.set_parallelism(1);
-                assert_eq!(
-                    db.query(
-                        "SELECT g + 0, COUNT(v), SUM(v), COUNT(f), SUM(f), AVG(v) FROM m \
-                         GROUP BY g + 0 ORDER BY g + 0"
-                    )
-                    .unwrap(),
-                    want[1],
-                    "seed={seed:#x} {storage:?} fallback_prob={prob} unfused twin of `{}`",
-                    queries[1]
-                );
+                for (twin_of, twin) in [
+                    (4, "SELECT g + 0, COUNT(v), SUM(v), COUNT(f), SUM(f), AVG(v) FROM m \
+                         GROUP BY g + 0 ORDER BY g + 0"),
+                    (17, "SELECT g + 0, MAX(tag), MIN(tag), COUNT(tag) FROM m \
+                          GROUP BY g + 0 ORDER BY g + 0"),
+                ] {
+                    assert_eq!(
+                        db.query(twin).unwrap(),
+                        want[twin_of],
+                        "seed={seed:#x} {storage:?} fallback_prob={prob} unfused twin of `{}`",
+                        queries[twin_of]
+                    );
+                }
                 assert!(
                     prob == 0.0 || faults.fired_count() > 0,
                     "seed={seed:#x}: fallback fault never exercised"

@@ -65,6 +65,49 @@ fn aggregates_having_orderby_limit() {
     }
 }
 
+/// `MIN` and `MAX` of one string or boolean column in one statement are two
+/// answers, in whichever order they are asked for, grouped or not, merged
+/// into segments or still in the delta — on every format (the fused path
+/// shares accumulators between aggregates of one input, and must not share
+/// these).
+#[test]
+fn min_and_max_of_one_string_or_bool_column_are_two_answers() {
+    for f in formats() {
+        let db = Database::new();
+        db.execute(&format!(
+            "CREATE TABLE t (id BIGINT PRIMARY KEY, g BIGINT, s TEXT, b BOOLEAN) USING FORMAT {f}"
+        ))
+        .unwrap();
+        let vals: Vec<String> = (0..200)
+            .map(|i| format!("({i}, {}, 's{i:03}', {})", i % 2, i % 3 == 0))
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", vals.join(", "))).unwrap();
+        let s = |s: &str| Value::Str(s.into());
+        for merged in [false, true] {
+            if merged {
+                db.maintenance();
+            }
+            let rows = db.query("SELECT MIN(s), MAX(s), MIN(b), MAX(b) FROM t").unwrap();
+            let want = [s("s000"), s("s199"), Value::Bool(false), Value::Bool(true)];
+            assert_eq!(rows[0].values(), &want, "format {f} merged={merged}");
+            let rows = db.query("SELECT MAX(s), MIN(s), COUNT(s) FROM t").unwrap();
+            let want = [s("s199"), s("s000"), Value::Int(200)];
+            assert_eq!(rows[0].values(), &want, "format {f} merged={merged}");
+            let rows = db
+                .query("SELECT g, MIN(s), MAX(s), MAX(b), MIN(b) FROM t GROUP BY g ORDER BY g")
+                .unwrap();
+            let want = [
+                [Value::Int(0), s("s000"), s("s198"), Value::Bool(true), Value::Bool(false)],
+                [Value::Int(1), s("s001"), s("s199"), Value::Bool(true), Value::Bool(false)],
+            ];
+            assert_eq!(rows.len(), 2, "format {f} merged={merged}");
+            for (row, want) in rows.iter().zip(&want) {
+                assert_eq!(row.values(), want, "format {f} merged={merged}");
+            }
+        }
+    }
+}
+
 #[test]
 fn update_delete_visibility_across_formats() {
     for f in formats() {
