@@ -14,14 +14,11 @@
 //! are not, which is what makes a checked-in baseline meaningful across
 //! laptops and CI runners alike.
 //!
-//! Emits `results/BENCH_kernels.json` (override with
-//! `BENCH_KERNELS_OUT`). With `BENCH_KERNELS_GATE=1` it additionally
-//! compares each gated ratio against the checked-in baseline
-//! (`BENCH_KERNELS_BASELINE`, default the output path, read *before*
-//! overwriting) and exits nonzero if any ratio regressed by more than
-//! 20% — the CI quick-mode perf gate.
+//! Records `results/BENCH_kernels.json`; run with `--gate` it writes
+//! nothing and instead fails if a gated ratio is more than 20% below that
+//! file's (`harness::Report`) — the CI quick-mode perf gate.
 
-use oltap_bench::harness::{rate, scaled, time, TextTable};
+use oltap_bench::harness::{best, scaled, Report};
 use oltap_common::fault::{points, FaultInjector, FaultPoint};
 use oltap_common::row;
 use oltap_core::{Database, DbConfig};
@@ -32,43 +29,15 @@ use oltap_storage::segment::cmp_floats_block;
 use oltap_storage::CmpOp;
 use std::sync::Arc;
 
-/// A gated cell fails the gate when its ratio drops below this fraction
-/// of the checked-in baseline (>20% regression).
-const GATE_FRACTION: f64 = 0.8;
-
-/// Best-of-N timing: reports the minimum over `reps` runs, which is far
-/// more stable than a single sample at CI's tiny quick-mode scales.
-fn best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let (mut out, mut secs) = time(&mut f);
-    for _ in 1..reps {
-        let (v, s) = time(&mut f);
-        if s < secs {
-            out = v;
-            secs = s;
-        }
-    }
-    (out, secs)
-}
-
-struct Cell {
-    name: &'static str,
-    /// The gated metric: a same-run speedup ratio (or informational
-    /// rows/sec for ungated cells).
-    metric: f64,
-    gated: bool,
-    detail: String,
-}
-
-/// `"ns_per_row":…` for a cell's JSON detail and its table column.
-fn ns_per_row(secs: f64, rows: usize) -> (String, String) {
-    let ns = secs * 1e9 / rows.max(1) as f64;
-    (format!("\"ns_per_row\":{ns:.3}"), format!("{ns:.2}"))
+/// Nanoseconds a row.
+fn ns_per_row(secs: f64, rows: usize) -> f64 {
+    secs * 1e9 / rows.max(1) as f64
 }
 
 /// Packed-scan kernels vs the naive per-code loop, at the widths the
 /// dictionary encoder actually emits for low-cardinality columns; beside
 /// them the unpack alone (`unpack_block` vs a `get` per code).
-fn scan_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
+fn scan_cells(report: &mut Report) {
     let n = scaled(4_000_000).max(200_000);
     for (width, names) in [
         (4u8, ["scan_block_w4", "scan_swar_w4", "unpack_w4"]),
@@ -102,32 +71,23 @@ fn scan_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
             x ^ (n / 64 * 64..n).fold(0, |t, i| t ^ packed.get(i)),
             "unpack diverged"
         );
-        for (name, ratio, secs, versus) in [
-            (names[0], naive_s / block_s, block_s, "naive"),
-            (names[1], naive_s / swar_s, swar_s, "naive"),
-            (names[2], get_s / unpack_s, unpack_s, "get"),
+        for (name, ratio, secs) in [
+            (names[0], naive_s / block_s, block_s),
+            (names[1], naive_s / swar_s, swar_s),
+            (names[2], get_s / unpack_s, unpack_s),
         ] {
-            let (detail, ns) = ns_per_row(secs, n);
-            table.row(&[
-                name.to_string(),
-                format!("{ratio:.2}x vs {versus}"),
-                rate(n, secs),
-                ns,
-                "yes".to_string(),
-            ]);
-            cells.push(Cell {
-                name,
-                metric: ratio,
-                gated: true,
-                detail: format!("\"rows_per_sec\":{:.1},{detail}", n as f64 / secs.max(1e-12)),
-            });
+            let detail = [
+                ("rows_per_sec", n as f64 / secs.max(1e-12)),
+                ("ns_per_row", ns_per_row(secs, n)),
+            ];
+            report.cell(name, ratio, true, &detail);
         }
     }
 }
 
 /// The float compare kernel (64 values to a mask word) vs the per-row
 /// `total_cmp` loop it stands in for, at ~50% selectivity.
-fn float_cell(cells: &mut Vec<Cell>, table: &mut TextTable) {
+fn float_cell(report: &mut Report) {
     let n = scaled(4_000_000).max(200_000);
     let values: Vec<f64> = (0..n)
         .map(|i| ((i as u64).wrapping_mul(2654435761) % 50_000) as f64 / 100.0)
@@ -148,20 +108,12 @@ fn float_cell(cells: &mut Vec<Cell>, table: &mut TextTable) {
         out
     });
     assert_eq!(a, b, "float kernel diverged");
-    let (detail, ns) = ns_per_row(block_s, n);
-    table.row(&[
-        "float_cmp".to_string(),
-        format!("{:.2}x vs per-row", row_s / block_s),
-        rate(n, block_s),
-        ns,
-        "yes".to_string(),
-    ]);
-    cells.push(Cell {
-        name: "float_cmp",
-        metric: row_s / block_s,
-        gated: true,
-        detail,
-    });
+    report.cell(
+        "float_cmp",
+        row_s / block_s,
+        true,
+        &[("ns_per_row", ns_per_row(block_s, n))],
+    );
 }
 
 /// A column-format metrics table with one group key per key source of the
@@ -209,7 +161,7 @@ fn agg_db(faults: Option<Arc<FaultInjector>>) -> Arc<Database> {
 /// fallback via `exec.kernel_fallback` armed `always()`. Same data, same
 /// plan, same machine, same run — the ratio isolates exactly the fused
 /// kernels.
-fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
+fn agg_cells(report: &mut Report) {
     let fused_db = agg_db(None);
     let faults = FaultInjector::new(0x0e18);
     faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::always());
@@ -263,21 +215,12 @@ fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
         let (fused, fused_s) = best(9, || fused_db.query(sql).unwrap());
         let (scalar, scalar_s) = best(9, || fallback_db.query(sql).unwrap());
         assert_eq!(fused, scalar, "{name}: fused and fallback disagree");
-        let ratio = scalar_s / fused_s;
-        let (detail, ns) = ns_per_row(fused_s, rows);
-        table.row(&[
-            name.to_string(),
-            format!("{ratio:.2}x vs fallback"),
-            format!("{:.1}ms fused", fused_s * 1e3),
-            ns,
-            "yes".to_string(),
-        ]);
-        cells.push(Cell {
-            name,
-            metric: ratio,
-            gated: true,
-            detail: format!("\"fused_secs\":{fused_s:.6},\"fallback_secs\":{scalar_s:.6},{detail}"),
-        });
+        let detail = [
+            ("fused_secs", fused_s),
+            ("fallback_secs", scalar_s),
+            ("ns_per_row", ns_per_row(fused_s, rows)),
+        ];
+        report.cell(name, scalar_s / fused_s, true, &detail);
     }
     assert!(
         faults.fired_count() > 0,
@@ -288,7 +231,7 @@ fn agg_cells(cells: &mut Vec<Cell>, table: &mut TextTable) {
 /// Batched hash-probe throughput through the full SQL path. There is no
 /// in-engine scalar probe to ratio against (the batched probe *is* the
 /// join), so this cell is informational — recorded, never gated.
-fn join_cell(cells: &mut Vec<Cell>, table: &mut TextTable) {
+fn join_cell(report: &mut Report) {
     let n = scaled(1_000_000).max(100_000);
     let dim_n = (n / 100).max(10);
     let db = Database::new();
@@ -310,130 +253,20 @@ fn join_cell(cells: &mut Vec<Cell>, table: &mut TextTable) {
     db.maintenance();
     let sql = "SELECT COUNT(*), SUM(fact.v) FROM fact JOIN dim ON fact.k = dim.k";
     let (_, secs) = best(3, || db.query(sql).unwrap());
-    let rps = n as f64 / secs.max(1e-12);
-    table.row(&[
-        "join_probe".to_string(),
-        "(informational)".to_string(),
-        rate(n, secs),
-        ns_per_row(secs, n).1,
-        "no".to_string(),
-    ]);
-    cells.push(Cell {
-        name: "join_probe",
-        metric: rps,
-        gated: false,
-        detail: format!("\"probe_rows\":{n}"),
-    });
-}
-
-/// Pulls `(name, metric, gated)` out of a BENCH_kernels.json payload.
-/// The file is flat (one object per cell, no nesting), so a scan for
-/// the field markers we ourselves emit is all the parsing needed.
-fn parse_cells(json: &str) -> Vec<(String, f64, bool)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("{\"name\":\"") {
-        rest = &rest[i + 9..];
-        let Some(name_end) = rest.find('"') else { break };
-        let name = rest[..name_end].to_string();
-        let Some(cell_end) = rest.find('}') else { break };
-        let cell = &rest[..cell_end];
-        if let Some(m) = cell.find("\"metric\":") {
-            let tail = &cell[m + 9..];
-            let num = &tail[..tail.find(',').unwrap_or(tail.len())];
-            if let Ok(metric) = num.trim().parse::<f64>() {
-                out.push((name, metric, cell.contains("\"gated\":true")));
-            }
-        }
-        rest = &rest[cell_end..];
-    }
-    out
-}
-
-/// Compares current gated ratios against the checked-in baseline. Any
-/// cell below `GATE_FRACTION` of its baseline fails the run.
-fn run_gate(baseline_json: &str, cells: &[Cell]) -> bool {
-    let baseline = parse_cells(baseline_json);
-    let mut t = TextTable::new(&["cell", "baseline", "current", "floor", "verdict"]);
-    let mut failures = 0;
-    for (name, base, gated) in &baseline {
-        if !gated {
-            continue;
-        }
-        let Some(cur) = cells.iter().find(|c| c.name == name) else {
-            println!("gate: baseline cell {name} missing from this run");
-            failures += 1;
-            continue;
-        };
-        let floor = base * GATE_FRACTION;
-        let ok = cur.metric >= floor;
-        failures += usize::from(!ok);
-        t.row(&[
-            name.clone(),
-            format!("{base:.2}x"),
-            format!("{:.2}x", cur.metric),
-            format!("{floor:.2}x"),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
-    }
-    t.print("E18 gate: speedup ratios vs checked-in baseline");
-    failures == 0
+    let detail = [("probe_rows", n as f64), ("ns_per_row", ns_per_row(secs, n))];
+    report.cell("join_probe", n as f64 / secs.max(1e-12), false, &detail);
 }
 
 fn main() {
     println!("E18: operate-on-compressed kernel microbench");
-    let mut cells = Vec::new();
-    let mut table = TextTable::new(&["cell", "speedup", "throughput", "ns/row", "gated"]);
-    scan_cells(&mut cells, &mut table);
-    float_cell(&mut cells, &mut table);
-    agg_cells(&mut cells, &mut table);
-    join_cell(&mut cells, &mut table);
-    table.print("E18: kernel speedups (ratios measured within this run)");
+    let mut report = Report::new("e18_kernels");
+    scan_cells(&mut report);
+    float_cell(&mut report);
+    agg_cells(&mut report);
+    join_cell(&mut report);
     println!(
         "expected shape: every gated ratio > 1; scan ratios grow as the \
          code width shrinks"
     );
-
-    let out = std::env::var("BENCH_KERNELS_OUT")
-        .unwrap_or_else(|_| "results/BENCH_kernels.json".to_string());
-    // Read the baseline before writing: by default they are the same
-    // file, and the gate must compare against the *checked-in* ratios.
-    let baseline_path =
-        std::env::var("BENCH_KERNELS_BASELINE").unwrap_or_else(|_| out.clone());
-    let baseline_json = std::fs::read_to_string(&baseline_path).ok();
-
-    let json_cells: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"name\":\"{}\",\"metric\":{:.4},\"gated\":{},{}}}",
-                c.name, c.metric, c.gated, c.detail
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"experiment\":\"e18_kernels\",\"gate_fraction\":{GATE_FRACTION},\
-         \"cells\":[\n  {}\n]}}\n",
-        json_cells.join(",\n  ")
-    );
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out, &json).expect("write BENCH_kernels.json");
-    println!("wrote {out}");
-
-    if std::env::var("BENCH_KERNELS_GATE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        let Some(baseline_json) = baseline_json else {
-            eprintln!("gate: no baseline at {baseline_path} — cannot gate");
-            std::process::exit(1);
-        };
-        if !run_gate(&baseline_json, &cells) {
-            eprintln!(
-                "gate: kernel speedup regressed >{:.0}% vs {baseline_path}",
-                (1.0 - GATE_FRACTION) * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!("gate: all gated ratios within {GATE_FRACTION}x of baseline");
-    }
+    report.finish("kernels");
 }

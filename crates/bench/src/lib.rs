@@ -10,8 +10,12 @@
 //! * [`baselines`] — comparison implementations only the experiments
 //!   use, kept out of the engine crates (the E8 shared/clock scan; the
 //!   naive and SWAR packed-code scans of E3 / E18 / E19).
-//! * [`harness`] — timing/table utilities shared by the `e01..e12`
-//!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`).
+//! * [`harness`] — timing/table utilities shared by the sixteen `e01..e19`
+//!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`),
+//!   and [`harness::Report`]: the one file shape (`results/BENCH_*.json`)
+//!   and the one `--gate` of the experiments that record a number.
+//!
+//! End-to-end measurement is not here: it is the `benchmark/` workspace.
 
 pub mod baselines;
 pub mod ch;

@@ -288,20 +288,16 @@ impl DualFormatTable {
             }
         }
 
+        // A row group at a time, the stale rows hidden like deleted ones.
         let mut out = Vec::new();
-        for (seg, mask) in image.segments.iter().zip(&masks) {
-            let sel = match seg.select(pred, read_ts, me)? {
-                Some(sel) => sel,
-                None => continue,
+        for (seg, mask) in image.segments.iter().zip(masks) {
+            let Some(mut selector) = seg.selector(pred, read_ts, me)? else {
+                continue;
             };
-            let mut sel = sel;
             if let Some(mask) = mask {
-                sel.difference_with(mask);
+                selector.hide(mask);
             }
-            let indexes = sel.to_selection();
-            for chunk in indexes.chunks(batch_size.max(1)) {
-                out.push(Batch::new(seg.gather_columns(projection, chunk)?)?);
-            }
+            out.extend(selector.scan(projection, batch_size)?);
         }
 
         // Overlay: current row-store versions of stale/new keys.
@@ -356,8 +352,8 @@ mod tests {
 
     const NOBODY: TxnId = TxnId(u64::MAX - 1);
 
-    fn table() -> (Arc<TransactionManager>, DualFormatTable) {
-        let schema = Arc::new(
+    fn schema() -> SchemaRef {
+        Arc::new(
             Schema::with_primary_key(
                 vec![
                     Field::not_null("id", DataType::Int64),
@@ -367,10 +363,13 @@ mod tests {
                 &["id"],
             )
             .unwrap(),
-        );
+        )
+    }
+
+    fn table() -> (Arc<TransactionManager>, DualFormatTable) {
         (
             Arc::new(TransactionManager::new()),
-            DualFormatTable::new(schema).unwrap(),
+            DualFormatTable::new(schema()).unwrap(),
         )
     }
 
@@ -591,5 +590,76 @@ mod tests {
         assert_eq!(count(&t, mgr.now()), 30);
         t.populate(mgr.gc_watermark()).unwrap();
         assert_eq!(count(&t, mgr.now()), 30);
+    }
+
+    /// The DUAL twin of core's
+    /// `filtered_and_aggregated_column_faults_once_per_group`: a column the
+    /// scan both filters and projects is faulted once per row group under a
+    /// pool smaller than that column (a whole-segment selection followed by
+    /// a gather faults it twice), stale rows are overlaid exactly once, and
+    /// the answer is the resident table's.
+    #[test]
+    fn filtered_and_projected_column_faults_once_per_group() {
+        use crate::buffer::BufferManager;
+        use oltap_common::fault::FaultInjector;
+        let (pool_bytes, group_rows, n) = (4096, 256, 4096i64);
+        let root = std::env::temp_dir().join(format!("oltap-dual-pages-{}", std::process::id()));
+        let pager = SegmentPager::new(
+            root,
+            BufferManager::new(pool_bytes, None, FaultInjector::disabled()),
+            group_rows,
+            FaultInjector::disabled(),
+        );
+        let mgr = Arc::new(TransactionManager::new());
+        let paged = DualFormatTable::with_pager(schema(), Some(Arc::clone(&pager))).unwrap();
+        let resident = DualFormatTable::new(schema()).unwrap();
+        for t in [&paged, &resident] {
+            let tx = mgr.begin();
+            for i in 0..n {
+                t.insert(&tx, row![i, "eu", (i * 7919) % 60_000]).unwrap();
+            }
+            tx.commit().unwrap();
+            t.populate(mgr.gc_watermark()).unwrap();
+            // Stale keys in two groups: masked in the image, overlaid from
+            // the row store.
+            let tx = mgr.begin();
+            t.update(&tx, &row![3i64], row![3i64, "eu", 1i64]).unwrap();
+            t.delete(&tx, &row![1000i64]).unwrap();
+            tx.commit().unwrap();
+        }
+
+        // Every group has a passing row: none is pruned or filtered empty.
+        let pred = ScanPredicate::single(2, CmpOp::Ge, Value::Int(0));
+        let answer = |t: &DualFormatTable| -> Vec<Row> {
+            let mut rows: Vec<Row> = t
+                .scan_analytic(&[2, 0], &pred, mgr.now(), NOBODY, 1000)
+                .unwrap()
+                .iter()
+                .flat_map(|b| b.to_rows())
+                .collect();
+            rows.sort();
+            rows
+        };
+        let before = pager.buffer().stats().misses;
+        let got = answer(&paged);
+        let faulted = pager.buffer().stats().misses - before;
+        assert_eq!(got.len(), n as usize - 1);
+        assert_eq!(got, answer(&resident));
+
+        let image = paged.image.read();
+        let groups: usize = image.segments.iter().map(|s| s.group_count()).sum();
+        assert_eq!(groups, n as usize / group_rows);
+        let amount_bytes: usize = image
+            .segments
+            .iter()
+            .flat_map(|s| {
+                (0..s.group_count()).map(move |g| s.column_chunk(g, 2).unwrap().size_bytes())
+            })
+            .sum();
+        assert!(
+            amount_bytes as u64 > pool_bytes,
+            "{amount_bytes} B filtered"
+        );
+        assert_eq!(faulted, (groups * 2) as u64);
     }
 }

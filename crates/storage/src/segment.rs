@@ -287,7 +287,7 @@ impl EncodedColumn {
 }
 
 /// One pushed-down comparison as the kernels take it: typed from the
-/// column's schema type once per [`Segment::select`], so no kernel looks at
+/// column's schema type once per [`Segment::selector`], so no kernel looks at
 /// a [`Value`] again.
 #[derive(Debug)]
 enum Test<'a> {
@@ -1199,34 +1199,9 @@ impl Segment {
         }))
     }
 
-    /// Builds the visible-row selection for a snapshot: all rows, minus
-    /// rows whose predicate bits fail, minus visibly deleted rows — the
-    /// concatenation of [`GroupSelector::select_group`] over the row groups.
-    /// Returns `None` when the zone map proves nothing matches.
-    pub fn select(
-        &self,
-        pred: &ScanPredicate,
-        read_ts: Ts,
-        me: TxnId,
-    ) -> Result<Option<BitSet>> {
-        let Some(mut selector) = self.selector(pred, read_ts, me)? else {
-            return Ok(None);
-        };
-        let mut sel = BitSet::with_len(self.row_count);
-        for g in 0..self.group_count() {
-            if let Some(local) = selector.select_group(g)? {
-                sel.paste(self.groups[g].row_start, local);
-            }
-        }
-        Ok(Some(sel))
-    }
-
     /// Scans the segment: predicate + visibility + projection, producing
-    /// batches of at most `batch_size` rows. Each row group is selected and
-    /// gathered before the next is touched, so a column that is both
-    /// filtered and projected is faulted once; batch boundaries depend only
-    /// on the selection and `batch_size`, so the same rows give
-    /// byte-identical output however they are cut into groups.
+    /// batches of at most `batch_size` rows ([`GroupSelector::scan`] over
+    /// this snapshot's [`selector`](Self::selector)).
     pub fn scan(
         &self,
         projection: &[usize],
@@ -1235,42 +1210,10 @@ impl Segment {
         me: TxnId,
         batch_size: usize,
     ) -> Result<Vec<oltap_common::Batch>> {
-        let Some(mut selector) = self.selector(pred, read_ts, me)? else {
-            return Ok(Vec::new());
-        };
-        let batch_size = batch_size.max(1);
-        let mut out = Vec::new();
-        // The batch being filled: its columns so far and their row count.
-        let (mut open, mut open_rows) = (Vec::new(), 0);
-        for g in 0..self.group_count() {
-            let Some(local) = selector.select_group(g)? else {
-                continue;
-            };
-            let start = self.groups[g].row_start as u32;
-            let indexes: Vec<u32> = local.iter_ones().map(|i| start + i as u32).collect();
-            let mut rest = &indexes[..];
-            while !rest.is_empty() {
-                let (piece, tail) = rest.split_at(rest.len().min(batch_size - open_rows));
-                let columns = self.gather_columns(projection, piece)?;
-                if open_rows == 0 {
-                    open = columns;
-                } else {
-                    for (column, more) in open.iter_mut().zip(columns) {
-                        append_vector(column, more)?;
-                    }
-                }
-                open_rows += piece.len();
-                if open_rows == batch_size {
-                    out.push(oltap_common::Batch::new(std::mem::take(&mut open))?);
-                    open_rows = 0;
-                }
-                rest = tail;
-            }
+        match self.selector(pred, read_ts, me)? {
+            Some(selector) => selector.scan(projection, batch_size),
+            None => Ok(Vec::new()),
         }
-        if open_rows > 0 {
-            out.push(oltap_common::Batch::new(open)?);
-        }
-        Ok(out)
     }
 
     /// Gathers the projected columns at the given ascending global row
@@ -1279,7 +1222,7 @@ impl Segment {
     /// once per run, and later runs are appended to the first. Indexes
     /// inside one group — always, for a one-group segment — are a single
     /// run gathered straight into the result.
-    pub fn gather_columns(
+    fn gather_columns(
         &self,
         projection: &[usize],
         indexes: &[u32],
@@ -1386,6 +1329,62 @@ pub struct GroupSelector<'a> {
 }
 
 impl GroupSelector<'_> {
+    /// Hides `rows` (one bit per segment row) from this pass as if the
+    /// snapshot saw them deleted — a dual-format table's stale keys.
+    pub fn hide(&mut self, rows: BitSet) {
+        match &mut self.deleted {
+            Some(deleted) => deleted.union_with(&rows),
+            None => self.deleted = Some(rows),
+        }
+    }
+
+    /// Runs the pass: batches of at most `batch_size` rows of the projected
+    /// columns. Each row group is selected and gathered before the next is
+    /// touched, so a column that is both filtered and projected is faulted
+    /// once; batch boundaries depend only on the selection and
+    /// `batch_size`, so the same rows give byte-identical output however
+    /// they are cut into groups.
+    pub fn scan(
+        mut self,
+        projection: &[usize],
+        batch_size: usize,
+    ) -> Result<Vec<oltap_common::Batch>> {
+        let seg = self.seg;
+        let batch_size = batch_size.max(1);
+        let mut out = Vec::new();
+        // The batch being filled: its columns so far and their row count.
+        let (mut open, mut open_rows) = (Vec::new(), 0);
+        for g in 0..seg.group_count() {
+            let Some(local) = self.select_group(g)? else {
+                continue;
+            };
+            let start = seg.groups[g].row_start as u32;
+            let indexes: Vec<u32> = local.iter_ones().map(|i| start + i as u32).collect();
+            let mut rest = &indexes[..];
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(rest.len().min(batch_size - open_rows));
+                let columns = seg.gather_columns(projection, piece)?;
+                if open_rows == 0 {
+                    open = columns;
+                } else {
+                    for (column, more) in open.iter_mut().zip(columns) {
+                        append_vector(column, more)?;
+                    }
+                }
+                open_rows += piece.len();
+                if open_rows == batch_size {
+                    out.push(oltap_common::Batch::new(std::mem::take(&mut open))?);
+                    open_rows = 0;
+                }
+                rest = tail;
+            }
+        }
+        if open_rows > 0 {
+            out.push(oltap_common::Batch::new(open)?);
+        }
+        Ok(out)
+    }
+
     /// The visible rows of group `g` that pass the predicate, indexed from
     /// the group's first row; `None` when there are none. A group whose zone
     /// map disproves the predicate faults no pages — cold pruned groups
@@ -1788,6 +1787,26 @@ mod tests {
     }
 
     const NOBODY: TxnId = TxnId(u64::MAX);
+
+    impl Segment {
+        /// The whole-segment selection — [`GroupSelector::select_group`]
+        /// over the row groups, pasted together; `None` when the zone map
+        /// proves nothing matches. No reader works this way (it faults a
+        /// filtered-and-read column twice under a small pool); it is what
+        /// `select_is_the_concatenation_of_select_group` compares against.
+        fn select(&self, pred: &ScanPredicate, read_ts: Ts, me: TxnId) -> Result<Option<BitSet>> {
+            let Some(mut selector) = self.selector(pred, read_ts, me)? else {
+                return Ok(None);
+            };
+            let mut sel = BitSet::with_len(self.row_count);
+            for g in 0..self.group_count() {
+                if let Some(local) = selector.select_group(g)? {
+                    sel.paste(self.groups[g].row_start, local);
+                }
+            }
+            Ok(Some(sel))
+        }
+    }
 
     #[test]
     fn streamed_paged_build_buffers_at_most_one_row_group() {
