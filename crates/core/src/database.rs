@@ -110,7 +110,8 @@ pub struct Database {
     faults: Arc<FaultInjector>,
     /// Worker pool SELECT pipelines fan out on; `None` runs them inline.
     exec_pool: RwLock<Option<Arc<WorkerPool>>>,
-    memory: RwLock<Option<(Arc<MemoryGovernor>, u64)>>,
+    /// Memory governance, fixed at open: the governor and each query's cap.
+    memory: Option<(Arc<MemoryGovernor>, u64)>,
     admission: RwLock<Option<Arc<AdmissionController>>>,
     spill_root: PathBuf,
     /// Segment pager; when set, every columnar table built after open
@@ -173,7 +174,7 @@ impl Database {
             wal: Wal::new_in_memory(),
             faults: FaultInjector::disabled(),
             exec_pool: RwLock::new(None),
-            memory: RwLock::new(None),
+            memory: None,
             admission: RwLock::new(None),
             spill_root: default_spill_root(None),
             pager: None,
@@ -238,9 +239,7 @@ impl Database {
             wal,
             faults,
             exec_pool: RwLock::new(None),
-            memory: RwLock::new(
-                governor.zip(config.memory.as_ref().map(|c| c.query_bytes)),
-            ),
+            memory: governor.zip(config.memory.as_ref().map(|c| c.query_bytes)),
             admission: RwLock::new(None),
             spill_root,
             pager,
@@ -259,30 +258,6 @@ impl Database {
         Ok(db)
     }
 
-    /// Enables (or, with `None`, disables) memory governance: every
-    /// subsequent statement runs under a per-query
-    /// [`oltap_common::mem::MemoryBudget`] drawn from a shared
-    /// [`MemoryGovernor`], spilling to disk instead of exceeding it.
-    ///
-    /// Note: a buffer pool configured at open time stays tied to the
-    /// governor it was opened with; reconfiguring memory here does not
-    /// move page-residency accounting to the new governor.
-    pub fn set_memory_config(&self, cfg: Option<MemoryConfig>) {
-        *self.memory.write() = cfg.map(|c| {
-            (
-                // The governor probes `mem.reserve_fail` on the database's
-                // injector, so chaos configs reach reservations too.
-                MemoryGovernor::with_faults(
-                    c.total_bytes,
-                    c.oltp_bytes,
-                    c.olap_bytes,
-                    Arc::clone(&self.faults),
-                ),
-                c.query_bytes,
-            )
-        });
-    }
-
     /// Enables (or disables) query-granularity admission control.
     pub fn set_admission_config(&self, cfg: Option<AdmissionConfig>) {
         *self.admission.write() = cfg.map(AdmissionController::new);
@@ -290,7 +265,7 @@ impl Database {
 
     /// The memory governor, if governance is enabled.
     pub fn memory_governor(&self) -> Option<Arc<MemoryGovernor>> {
-        self.memory.read().as_ref().map(|(g, _)| Arc::clone(g))
+        self.memory.as_ref().map(|(g, _)| Arc::clone(g))
     }
 
     /// The admission controller, if one is configured.
@@ -317,8 +292,7 @@ impl Database {
     /// if the query spills), or [`ExecResources::unlimited`] when
     /// governance is off.
     pub(crate) fn exec_resources(&self, class: WorkloadClass) -> Result<ExecResources> {
-        let guard = self.memory.read();
-        match guard.as_ref() {
+        match &self.memory {
             Some((gov, query_bytes)) => {
                 let budget = gov.budget(class, *query_bytes);
                 let dir = SpillDir::create_under(&self.spill_root)?;

@@ -33,7 +33,7 @@ use oltap_common::schema::{Schema, SchemaRef};
 use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
-    fused_aggregate_segments, fused_shape, join_output_schema, AggExpr, AggregatorCore,
+    fused_aggregate_segments, join_output_schema, AggExpr, AggregatorCore,
     CompiledExpr, ExecResources, Expr, FusedScanCtx, RunningGroups,
 };
 use oltap_sched::{NumaTopology, WorkerPool};
@@ -291,7 +291,8 @@ impl<'a> Lowering<'a> {
     /// pipelines — when the shape doesn't qualify (non-column expressions,
     /// non-columnar tables, a scan carrying a sideways join filter, or one
     /// the optimizer answers with a key lookup) or the memory governor
-    /// refuses one of its groups.
+    /// refuses one of its groups during the segment walk (refused one while
+    /// folding the delta, the store freezes and spills like any other).
     fn try_fused_aggregate(
         &self,
         input: &LogicalPlan,
@@ -317,13 +318,13 @@ impl<'a> Lowering<'a> {
             return Ok(None);
         };
         let input_schema = input.output_schema()?;
-        let core = AggregatorCore::new(&input_schema, group.to_vec(), aggs.to_vec())?;
-        let Some(shape) = fused_shape(&core) else {
+        let core = Arc::new(AggregatorCore::new(&input_schema, group.to_vec(), aggs.to_vec())?);
+        if !core.reads_bare_columns() {
             return Ok(None);
-        };
+        }
         let (segments, delta) =
             t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
-        let mut groups = RunningGroups::new(&core, &shape, &ctx.mem);
+        let mut groups = RunningGroups::new(&core, &ctx.mem);
         let fused = fused_aggregate_segments(
             &mut groups,
             &segments,
@@ -347,11 +348,11 @@ impl<'a> Lowering<'a> {
                 Pipeline::materialized(groups.finish()?, core.schema()),
                 paths,
             ))),
-            // The governor refused a group. The attempt has published
-            // nothing and hands back what it reserved as `groups` drops:
-            // the statement runs through the pipelines, whose aggregate
-            // sink spills. (Any other refusal — the buffer pool's, say —
-            // is the statement's error.)
+            // The governor refused a group mid-walk. The attempt has
+            // published nothing and hands back what it reserved as `groups`
+            // drops: the statement runs through the pipelines, whose sink
+            // is the same store fed row by row, and spills. (Any other
+            // refusal — the buffer pool's, say — is the statement's error.)
             Err(DbError::ResourceExhausted { .. }) if groups.refused() => Ok(None),
             Err(e) => Err(e),
         }

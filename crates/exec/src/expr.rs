@@ -158,6 +158,33 @@ impl Expr {
         Expr::binary(BinOp::Or, self, other)
     }
 
+    /// Whether `other` is the same tree down to its literals' kinds, so
+    /// that one evaluation answers for both. (`==` is not that: `Value`
+    /// equality is numeric, and `v * 2` equals `v * 2.0` under it.)
+    pub fn identical(&self, other: &Expr) -> bool {
+        match (self, other) {
+            (Expr::Literal(a), Expr::Literal(b)) => {
+                std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
+            }
+            (
+                Expr::Binary { op, left, right },
+                Expr::Binary {
+                    op: o,
+                    left: l,
+                    right: r,
+                },
+            ) => op == o && left.identical(l) && right.identical(r),
+            (Expr::Unary { op, expr }, Expr::Unary { op: o, expr: e }) => {
+                op == o && expr.identical(e)
+            }
+            (Expr::IsNull(a), Expr::IsNull(b)) | (Expr::IsNotNull(a), Expr::IsNotNull(b)) => {
+                a.identical(b)
+            }
+            (Expr::Column(a), Expr::Column(b)) => a == b,
+            _ => false,
+        }
+    }
+
     /// Every column ordinal referenced by the expression.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
         match self {

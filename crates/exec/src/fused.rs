@@ -12,14 +12,10 @@
 //! before the next is touched, so a column that is filtered *and*
 //! aggregated is faulted once.
 //!
-//! The statement's group states live in one indexed store for the whole
-//! call ([`RunningGroups`]): a key resolves to a group index, and what the
-//! aggregates accumulate is held in one typed column per *distinct
-//! accumulator*, addressed by that index — a row count, and per input
-//! column its NULL count, running sum, minimum or maximum. `SUM(x)` and
-//! `AVG(x)` read one sum; `COUNT(*)`, `COUNT(x)` and `AVG`'s divisor read
-//! the row count less `x`'s NULLs. Each row group is then visited one of
-//! two ways:
+//! The statement's group states live in the engine's one group store
+//! ([`RunningGroups`], where its accumulators are described) for the whole
+//! call; its slots are scan-output ordinals here. Each row group is
+//! visited one of two ways:
 //!
 //! * **Dense** — at most one group column, integer or dictionary-coded.
 //!   The key resolves to a group index with nothing decided per row:
@@ -52,54 +48,17 @@
 //! group.) The only regrouping left is where it is exact: the row count of
 //! a block whose selected rows land in one group is a popcount.
 
-use crate::aggregate::{AggFunc, AggState, AggregatorCore};
-use crate::expr::Expr;
-use crate::resources::ExecResources;
+use crate::groups::{AccState, Keys, RunningGroups, UNRESOLVED};
 use oltap_common::cancel::CancellationToken;
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::hash::FxHashMap;
 use oltap_common::ids::TxnId;
-use oltap_common::{Batch, BitSet, DataType, DbError, Result, Row, Value};
+use oltap_common::{BitSet, Result, Row, Value};
 use oltap_storage::encoding::{BitPacked, IntEncoding, StrEncoding};
 use oltap_storage::segment::{ColumnRef, EncodedColumn, Segment};
 use oltap_storage::ScanPredicate;
 use oltap_txn::Ts;
 use std::cmp::{max_by, min_by};
 use std::sync::Arc;
-
-/// The column shape of a fusable aggregation: group keys and aggregate
-/// inputs resolved to scan-output ordinals.
-pub struct FusedShape {
-    /// Group-by columns (scan-output ordinals).
-    pub group_cols: Vec<usize>,
-    /// Aggregate input columns (`None` for `COUNT(*)`).
-    pub agg_cols: Vec<Option<usize>>,
-}
-
-/// Checks whether `core` is fusable: every group key and aggregate input
-/// must be a plain column reference (anything else needs expression
-/// evaluation, which the batch pipeline already does well).
-pub fn fused_shape(core: &AggregatorCore) -> Option<FusedShape> {
-    let mut group_cols = Vec::with_capacity(core.group_exprs().len());
-    for e in core.group_exprs() {
-        match e {
-            Expr::Column(c) => group_cols.push(*c),
-            _ => return None,
-        }
-    }
-    let mut agg_cols = Vec::with_capacity(core.agg_exprs().len());
-    for a in core.agg_exprs() {
-        match &a.input {
-            None => agg_cols.push(None),
-            Some(Expr::Column(c)) => agg_cols.push(Some(*c)),
-            Some(_) => return None,
-        }
-    }
-    Some(FusedShape {
-        group_cols,
-        agg_cols,
-    })
-}
 
 /// Snapshot-visibility and statement-guard inputs shared by every segment
 /// visit of one fused aggregation.
@@ -117,10 +76,10 @@ pub struct FusedScanCtx<'a> {
     pub cancel: &'a CancellationToken,
 }
 
-/// Aggregates the visible rows of `segments` directly into `run`, in
-/// segment order, without materializing batches. `projection` maps
-/// scan-output ordinals (which the shape's columns are expressed in) to
-/// table ordinals. The caller folds the delta store's batches in afterwards
+/// Aggregates the visible rows of `segments` directly into `run` — a store
+/// whose core [reads bare columns](crate::AggregatorCore::reads_bare_columns)
+/// — in segment order, without materializing batches. `projection` maps
+/// scan-output ordinals (the store's slots) to table ordinals. The caller folds the delta store's batches in afterwards
 /// ([`RunningGroups::consume`]), preserving the unfused scan's
 /// segments-then-delta row order.
 ///
@@ -128,9 +87,10 @@ pub struct FusedScanCtx<'a> {
 /// `(dense, scalar)`. An error leaves `run` part-way through a row group:
 /// the statement has failed, or — when it was the governor refusing a group
 /// ([`RunningGroups::refused`]; nothing has been published) — starts over on
-/// the pipelines, whose sink spills.
+/// the pipelines, where the same store decides per row and spills: the dense
+/// kernels resolve a block's groups before folding it and have nowhere to.
 pub fn fused_aggregate_segments(
-    run: &mut RunningGroups<'_>,
+    run: &mut RunningGroups,
     segments: &[Arc<Segment>],
     projection: &[usize],
     ctx: &FusedScanCtx<'_>,
@@ -173,282 +133,8 @@ pub fn fused_aggregate_segments(
     Ok((dense, scalar))
 }
 
-/// "No group resolved yet" in a slot table.
-const UNRESOLVED: u32 = u32::MAX;
-
-/// The statement's running groups, addressed by index: a group exists from
-/// the first selected row that carries its key, as in a hash aggregation,
-/// and group `gi`'s share of every accumulator is that column's entry `gi`.
-pub struct RunningGroups<'c> {
-    core: &'c AggregatorCore,
-    /// Group-by columns (scan-output ordinals).
-    group_cols: Vec<usize>,
-    keys: Keys,
-    /// Selected rows of each group: `COUNT(*)`, and less an input's NULLs
-    /// every other count.
-    rows: Vec<i64>,
-    accs: Vec<Acc>,
-    /// How each aggregate reads its answer off `rows` and `accs`.
-    outputs: Vec<Output>,
-    mem: ExecResources,
-    /// What a group costs the governor apart from a [`Row`] key, what has
-    /// been reserved so far (handed back on drop), and whether the governor
-    /// has refused a group.
-    group_bytes: u64,
-    reserved: u64,
-    refused: bool,
-}
-
-/// Key → group index.
-enum Keys {
-    /// One integer (or timestamp) group column: the key of group `gi` is
-    /// `of[gi]`, `None` for the NULL key. Keys from `lo` up have a slot each
-    /// (`slots[key - lo]`, [`UNRESOLVED`] until the key is met), as many as
-    /// the segments' zone maps say the column spans when that is within the
-    /// slot budget — frame-of-reference codes index them directly; the NULL
-    /// key and keys outside (the delta's, possibly) go through `index`.
-    Int {
-        of: Vec<Option<i64>>,
-        lo: i64,
-        slots: Vec<u32>,
-        index: FxHashMap<Option<i64>, u32>,
-    },
-    /// Any other GROUP BY list, the empty one of a global aggregate included.
-    Rows(FxHashMap<Row, u32>),
-}
-
-impl Keys {
-    /// The least key with a slot, and the slots (none under a row key).
-    fn slots(&self) -> (i64, &[u32]) {
-        match self {
-            Keys::Int { lo, slots, .. } => (*lo, slots),
-            Keys::Rows(_) => (0, &[]),
-        }
-    }
-}
-
-/// One distinct accumulator: what is accumulated (`state`) of which input
-/// column (`col`, a scan-output ordinal).
-struct Acc {
-    col: usize,
-    state: AccState,
-}
-
-enum AccState {
-    /// Selected rows whose input is NULL.
-    Nulls(Vec<i64>),
-    /// `f64` additions in row order: `SUM` and `AVG` of a float column,
-    /// `AVG` of an integer one.
-    SumF(Vec<f64>),
-    /// Wrapping integer sum.
-    SumI(Vec<i64>),
-    MinI(Vec<i64>),
-    MaxI(Vec<i64>),
-    /// Float extremes in `total_cmp` order (ties are the same bits), started
-    /// from its two ends.
-    MinF(Vec<f64>),
-    MaxF(Vec<f64>),
-    /// What only the scalar path evaluates (`MIN` / `MAX` of strings and
-    /// bools), as the state the pipelines keep.
-    Scalar(AggFunc, DataType, Vec<AggState>),
-}
-
-/// Where an aggregate's answer is: indexes into `accs`. `nulls` is the
-/// input's NULL count; the group's non-NULL inputs are its rows less that.
-enum Output {
-    Rows,
-    Count {
-        nulls: usize,
-    },
-    /// `SUM`, `MIN`, `MAX`: the accumulator's value, NULL without an input.
-    Value {
-        acc: usize,
-        nulls: usize,
-    },
-    Avg {
-        sum: usize,
-        nulls: usize,
-    },
-}
-
-impl<'c> RunningGroups<'c> {
-    /// An empty store for `core`'s aggregates over `shape`'s columns,
-    /// charging `mem` for every group it creates.
-    pub fn new(core: &'c AggregatorCore, shape: &FusedShape, mem: &ExecResources) -> Self {
-        let schema = core.schema();
-        let int_key = shape.group_cols.len() == 1
-            && matches!(
-                schema.field(0).data_type,
-                DataType::Int64 | DataType::Timestamp
-            );
-        let mut accs: Vec<Acc> = Vec::new();
-        // The accumulator `state` of `col`, shared by every aggregate that
-        // asks for the same one.
-        let mut acc = |col: usize, state: AccState| {
-            let same = |a: &Acc| match (&a.state, &state) {
-                _ if a.col != col => false,
-                (AccState::Scalar(f, ..), AccState::Scalar(g, ..)) => f == g,
-                (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
-            };
-            accs.iter().position(same).unwrap_or_else(|| {
-                accs.push(Acc { col, state });
-                accs.len() - 1
-            })
-        };
-        let mut outputs = Vec::with_capacity(shape.agg_cols.len());
-        for ((a, t), col) in core
-            .agg_exprs()
-            .iter()
-            .zip(core.agg_input_types())
-            .zip(&shape.agg_cols)
-        {
-            let Some(col) = *col else {
-                outputs.push(Output::Rows);
-                continue;
-            };
-            let nulls = acc(col, AccState::Nulls(Vec::new()));
-            let int = matches!(t, DataType::Int64 | DataType::Timestamp);
-            let float = *t == DataType::Float64;
-            let state = match a.func {
-                AggFunc::CountStar | AggFunc::Count => {
-                    outputs.push(Output::Count { nulls });
-                    continue;
-                }
-                AggFunc::Avg => AccState::SumF(Vec::new()),
-                AggFunc::Sum if float => AccState::SumF(Vec::new()),
-                AggFunc::Sum => AccState::SumI(Vec::new()),
-                AggFunc::Min if int => AccState::MinI(Vec::new()),
-                AggFunc::Max if int => AccState::MaxI(Vec::new()),
-                AggFunc::Min if float => AccState::MinF(Vec::new()),
-                AggFunc::Max if float => AccState::MaxF(Vec::new()),
-                func => AccState::Scalar(func, *t, Vec::new()),
-            };
-            outputs.push(match (a.func, acc(col, state)) {
-                (AggFunc::Avg, sum) => Output::Avg { sum, nulls },
-                (_, acc) => Output::Value { acc, nulls },
-            });
-        }
-        // As `SpillingAggregator::consume` charges a group: its accumulators
-        // and the entry's overhead here, its key when it is created.
-        let group_bytes = 8
-            + 48
-            + accs
-                .iter()
-                .map(|a| match a.state {
-                    AccState::Scalar(..) => std::mem::size_of::<AggState>(),
-                    _ => 8,
-                })
-                .sum::<usize>();
-        RunningGroups {
-            core,
-            group_cols: shape.group_cols.clone(),
-            keys: if int_key {
-                Keys::Int {
-                    of: Vec::new(),
-                    lo: 0,
-                    slots: Vec::new(),
-                    index: FxHashMap::default(),
-                }
-            } else {
-                Keys::Rows(FxHashMap::default())
-            },
-            rows: Vec::new(),
-            accs,
-            outputs,
-            mem: mem.clone(),
-            group_bytes: group_bytes as u64,
-            reserved: 0,
-            refused: false,
-        }
-    }
-
-    /// Whether the governor refused one of this store's groups — the one
-    /// [`DbError::ResourceExhausted`] that ends the fused attempt, not the
-    /// statement.
-    pub fn refused(&self) -> bool {
-        self.refused
-    }
-
-    /// Opens group `rows.len()`, `key_bytes` its key's footprint.
-    fn new_group(&mut self, key_bytes: usize) -> Result<u32> {
-        let gi = u32::try_from(self.rows.len())
-            .ok()
-            .filter(|&gi| gi != UNRESOLVED)
-            .ok_or_else(|| DbError::Execution("more than 2^32 groups".into()))?;
-        if self.mem.is_limited() {
-            let bytes = self.group_bytes + key_bytes as u64;
-            if let Err(refused) = self.mem.budget.try_reserve(bytes) {
-                self.refused = true;
-                return Err(refused);
-            }
-            self.reserved += bytes;
-        }
-        self.rows.push(0);
-        for acc in &mut self.accs {
-            match &mut acc.state {
-                AccState::Nulls(v) | AccState::SumI(v) => v.push(0),
-                AccState::SumF(v) => v.push(0.0),
-                AccState::MinI(v) => v.push(i64::MAX),
-                AccState::MaxI(v) => v.push(i64::MIN),
-                AccState::MinF(v) => v.push(f64::from_bits(u64::MAX >> 1)),
-                AccState::MaxF(v) => v.push(f64::from_bits(u64::MAX)),
-                AccState::Scalar(func, t, v) => v.push(AggState::new(*func, *t)),
-            }
-        }
-        Ok(gi)
-    }
-
-    fn group_of(&mut self, key: Row) -> Result<u32> {
-        if let (Keys::Int { .. }, [v]) = (&self.keys, key.values()) {
-            let v = if v.is_null() { None } else { Some(v.as_int()?) };
-            return self.group_of_int(v);
-        }
-        let Keys::Rows(by_key) = &self.keys else {
-            return Err(DbError::Execution(
-                "a row key in an integer-keyed aggregation".into(),
-            ));
-        };
-        if let Some(&gi) = by_key.get(&key) {
-            return Ok(gi);
-        }
-        let gi = self.new_group(key.approx_size())?;
-        if let Keys::Rows(by_key) = &mut self.keys {
-            by_key.insert(key, gi);
-        }
-        Ok(gi)
-    }
-
-    fn group_of_int(&mut self, key: Option<i64>) -> Result<u32> {
-        let Keys::Int {
-            lo, slots, index, ..
-        } = &self.keys
-        else {
-            return self.group_of(Row::new(vec![key.map_or(Value::Null, Value::Int)]));
-        };
-        let slot = key
-            .and_then(|v| usize::try_from(v.checked_sub(*lo)?).ok())
-            .filter(|&s| s < slots.len());
-        let met = match slot {
-            Some(s) => slots[s],
-            None => index.get(&key).copied().unwrap_or(UNRESOLVED),
-        };
-        if met != UNRESOLVED {
-            return Ok(met);
-        }
-        let gi = self.new_group(std::mem::size_of::<Row>() + std::mem::size_of::<Value>())?;
-        if let Keys::Int {
-            of, slots, index, ..
-        } = &mut self.keys
-        {
-            of.push(key);
-            match slot {
-                Some(s) => slots[s] = gi,
-                None => drop(index.insert(key, gi)),
-            }
-        }
-        Ok(gi)
-    }
-
+/// What only the segment walk asks of the store.
+impl RunningGroups {
     /// Before the first group: gives every key the zone maps of `segments`
     /// allow for the integer group column a slot, when they span no more
     /// than the slot budget.
@@ -488,113 +174,10 @@ impl<'c> RunningGroups<'c> {
         projection: &[usize],
     ) -> Result<Vec<Option<ColumnRef<'s>>>> {
         let mut chunks: Vec<Option<ColumnRef<'s>>> = projection.iter().map(|_| None).collect();
-        for &c in self
-            .group_cols
-            .iter()
-            .chain(self.accs.iter().map(|a| &a.col))
-        {
-            if chunks[c].is_none() {
-                chunks[c] = Some(seg.column_chunk(g, projection[c])?);
-            }
+        for &c in &self.read_slots {
+            chunks[c] = Some(seg.column_chunk(g, projection[c])?);
         }
         Ok(chunks)
-    }
-
-    /// One row, whose column `c` (a scan-output ordinal) is `value_at(c)`:
-    /// the update the scalar path makes per selected row and the delta fold
-    /// per delta row, in the accumulators' order.
-    fn update_row(&mut self, value_at: impl Fn(usize) -> Value) -> Result<()> {
-        let key = Row::new(self.group_cols.iter().map(|&c| value_at(c)).collect());
-        let gi = self.group_of(key)? as usize;
-        self.rows[gi] += 1;
-        for acc in &mut self.accs {
-            let v = value_at(acc.col);
-            match &mut acc.state {
-                AccState::Nulls(n) => n[gi] += i64::from(v.is_null()),
-                _ if v.is_null() => {}
-                AccState::SumF(s) => s[gi] += v.as_float()?,
-                AccState::SumI(s) => s[gi] = s[gi].wrapping_add(v.as_int()?),
-                AccState::MinI(m) => m[gi] = m[gi].min(v.as_int()?),
-                AccState::MaxI(m) => m[gi] = m[gi].max(v.as_int()?),
-                AccState::MinF(m) => m[gi] = min_by(m[gi], v.as_float()?, f64::total_cmp),
-                AccState::MaxF(m) => m[gi] = max_by(m[gi], v.as_float()?, f64::total_cmp),
-                AccState::Scalar(_, _, states) => states[gi].update(&v)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds one batch of scan output (the delta store's rows) into the
-    /// groups, row by row.
-    pub fn consume(&mut self, batch: &Batch) -> Result<()> {
-        for i in 0..batch.len() {
-            self.update_row(|c| batch.column(c).value_at(i))?;
-        }
-        Ok(())
-    }
-
-    /// Finishes as [`AggregatorCore::finish`] does: one row per group in
-    /// key order, chunked into batches; a global aggregate over no rows
-    /// answers with its one empty group.
-    pub fn finish(mut self) -> Result<Vec<Batch>> {
-        if self.rows.is_empty() && self.group_cols.is_empty() {
-            self.group_of(Row::new(Vec::new()))?;
-        }
-        let finished = |key: &[Value], gi: usize| {
-            let mut vals = Vec::with_capacity(key.len() + self.outputs.len());
-            vals.extend_from_slice(key);
-            let inputs = |nulls: usize| match &self.accs[nulls].state {
-                AccState::Nulls(n) => self.rows[gi] - n[gi],
-                _ => 0,
-            };
-            vals.extend(self.outputs.iter().map(|out| match *out {
-                Output::Rows => Value::Int(self.rows[gi]),
-                Output::Count { nulls } => Value::Int(inputs(nulls)),
-                Output::Value { nulls, .. } | Output::Avg { nulls, .. } if inputs(nulls) == 0 => {
-                    Value::Null
-                }
-                Output::Value { acc, .. } => match &self.accs[acc].state {
-                    AccState::SumI(v) | AccState::MinI(v) | AccState::MaxI(v) => Value::Int(v[gi]),
-                    AccState::SumF(v) | AccState::MinF(v) | AccState::MaxF(v) => {
-                        Value::Float(v[gi])
-                    }
-                    AccState::Scalar(_, _, states) => states[gi].finish(),
-                    AccState::Nulls(_) => Value::Null,
-                },
-                Output::Avg { sum, nulls } => match &self.accs[sum].state {
-                    AccState::SumF(v) => Value::Float(v[gi] / inputs(nulls) as f64),
-                    _ => Value::Null,
-                },
-            }));
-            Row::new(vals)
-        };
-        // Key order, NULL first: integer keys are ordered before any row
-        // is built, others as the rows they lead (keys are distinct, so
-        // ordering whole rows orders by key).
-        let rows: Vec<Row> = match &self.keys {
-            Keys::Int { of, .. } => {
-                let mut order: Vec<usize> = (0..of.len()).collect();
-                order.sort_unstable_by_key(|&gi| of[gi]);
-                let key = |gi: usize| [of[gi].map_or(Value::Null, Value::Int)];
-                order.into_iter().map(|gi| finished(&key(gi), gi)).collect()
-            }
-            Keys::Rows(by_key) => {
-                let mut rows: Vec<Row> = by_key
-                    .iter()
-                    .map(|(key, &gi)| finished(key.values(), gi as usize))
-                    .collect();
-                rows.sort();
-                rows
-            }
-        };
-        self.core.batches(&rows)
-    }
-}
-
-impl Drop for RunningGroups<'_> {
-    /// The groups go, and what they were charged goes back.
-    fn drop(&mut self) {
-        self.mem.budget.release(self.reserved);
     }
 }
 
@@ -626,7 +209,7 @@ impl SlotTable {
         &mut self,
         code: usize,
         dict: &Dict<'_>,
-        run: &mut RunningGroups<'_>,
+        run: &mut RunningGroups,
     ) -> Result<u32> {
         if self.slots[code] == UNRESOLVED {
             self.slots[code] = match dict {
@@ -713,7 +296,7 @@ impl<'a> KeySource<'a> {
         &mut self,
         (base, take): (usize, usize),
         keyed: u64,
-        run: &mut RunningGroups<'_>,
+        run: &mut RunningGroups,
         slots: &mut SlotTable,
         gidx: &mut [u32; 64],
     ) -> Result<Option<u32>> {
@@ -876,7 +459,7 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// nothing) when the group column's chunk or an accumulator's input is one
 /// only the scalar path handles, in which case the caller runs that.
 fn dense_group(
-    run: &mut RunningGroups<'_>,
+    run: &mut RunningGroups,
     slots: &mut SlotTable,
     chunks: &[Option<ColumnRef<'_>>],
     local: &BitSet,
@@ -998,62 +581,10 @@ fn dense_group(
                 (AccState::MaxF(m), _) => fold(m, &groups, mask, |m, o| {
                     max_by(m, floats[o], f64::total_cmp)
                 }),
-                (AccState::Scalar(..), _) => {}
+                (AccState::MinV(_) | AccState::MaxV(_), _) => {}
             }
         }
     }
     slots.clear();
     Ok(true)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::aggregate::AggExpr;
-    use oltap_common::mem::{MemoryGovernor, WorkloadClass};
-    use oltap_common::{row, Field, Schema};
-
-    /// However a store ends — finished, or dropped after the governor
-    /// refused a group — its groups' reservation goes back; and only that
-    /// refusal reads as `refused`.
-    #[test]
-    fn a_store_hands_its_reservation_back_however_it_ends() {
-        let budget =
-            MemoryGovernor::new(1 << 20, 1 << 20, 1 << 20).budget(WorkloadClass::Olap, 4096);
-        let mem = ExecResources::new(budget.clone(), None);
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int64),
-            Field::new("v", DataType::Int64),
-        ]);
-        let group = vec![(Expr::Column(0), "k".to_string())];
-        let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::Column(1), "s")];
-        let core = AggregatorCore::new(&schema, group, aggs).unwrap();
-        let shape = fused_shape(&core).unwrap();
-        let batch = |groups: i64| {
-            let rows: Vec<Row> = (0..groups).map(|k| row![k, k * 2]).collect();
-            Batch::from_rows(&schema, &rows).unwrap()
-        };
-
-        let mut run = RunningGroups::new(&core, &shape, &mem);
-        run.consume(&batch(10)).unwrap();
-        assert!(budget.used() > 0 && !run.refused());
-        assert_eq!(
-            run.finish().unwrap().iter().map(Batch::len).sum::<usize>(),
-            10
-        );
-        assert_eq!(budget.used(), 0);
-
-        let mut run = RunningGroups::new(&core, &shape, &mem);
-        let err = run.consume(&batch(1000)).unwrap_err();
-        assert!(
-            matches!(err, DbError::ResourceExhausted { .. }) && run.refused(),
-            "{err}"
-        );
-        assert!(
-            budget.used() > 0,
-            "the groups before the refusal are still charged"
-        );
-        drop(run);
-        assert_eq!(budget.used(), 0);
-    }
 }

@@ -10,9 +10,13 @@
 //!   standing in for LLVM query compilation (HyPer \[28\] / Impala \[41\]
 //!   analog) wherever that is bit-identical. (The tuple-at-a-time walk of
 //!   §4's spectrum is an `oltap-bench` baseline.)
+//! * [`groups`] — [`RunningGroups`], the one group store every GROUP BY
+//!   fills: key → group index, one typed accumulator column per distinct
+//!   input, charged to the governor, spilling once refused, merged across
+//!   workers.
 //! * [`fused`] — fused filter+aggregate directly over compressed
-//!   segments: code-domain grouping into typed running accumulators, one
-//!   per distinct input (HANA/BLU operate-on-compressed analog).
+//!   segments: code-domain grouping straight into that store
+//!   (HANA/BLU operate-on-compressed analog).
 //!   (Predicates over packed codes run in `oltap-storage`; the naive and
 //!   SWAR scans E3/E18 compare that kernel with are `oltap-bench`
 //!   baselines.)
@@ -23,8 +27,8 @@
 //!   morsel dispatch and thread-partitioned sinks; plus `LIMIT`/`OFFSET`
 //!   slicing of the morsel-ordered result.
 //! * [`aggregate`], [`join`], [`sort`] — the pipeline breakers' cores:
-//!   hash aggregation, radix-partitioned hash-join build and probe, sort
-//!   buffers and top-K accumulators.
+//!   an aggregation's schema and input slots, radix-partitioned hash-join
+//!   build and probe, sort buffers and top-K accumulators.
 //! * [`resources`] — the per-query memory budget and spill directory the
 //!   pipeline breakers (join build, aggregation, sort) degrade into when
 //!   a reservation is rejected, without changing their output.
@@ -33,15 +37,17 @@ pub mod aggregate;
 pub mod compiled;
 pub mod expr;
 pub mod fused;
+pub mod groups;
 pub mod join;
 pub mod pipeline;
 pub mod resources;
 pub mod sort;
 
-pub use aggregate::{AggExpr, AggFunc, AggregatorCore, GroupMap, SpillingAggregator};
+pub use aggregate::{AggExpr, AggFunc, AggregatorCore};
 pub use compiled::CompiledExpr;
 pub use expr::{BinOp, Expr, UnOp};
-pub use fused::{fused_aggregate_segments, fused_shape, FusedScanCtx, FusedShape, RunningGroups};
+pub use fused::{fused_aggregate_segments, FusedScanCtx};
+pub use groups::RunningGroups;
 pub use join::{
     join_output_schema, probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch,
     PARTITION_BITS,
@@ -52,6 +58,5 @@ pub use pipeline::{
 };
 pub use resources::ExecResources;
 pub use sort::{
-    compare_keys, merge_sorted_runs, merge_spilled_sort, sort_entries, SortBuffer, SortEntry,
-    SortKey, TopKAcc,
+    compare_keys, merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc,
 };

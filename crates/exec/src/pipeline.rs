@@ -25,8 +25,8 @@
 //!    every row with a sequence number `(morsel_index << 32) | row_in_batch`;
 //!    merges break key ties by that sequence, which is the order a stable
 //!    sort / in-order build scan over the one-worker stream produces.
-//! 3. Aggregate group maps merge with order-independent per-group state
-//!    ([`AggregatorCore::merge`]) and emit in sorted group-key order.
+//! 3. Per-worker group stores merge per key in worker order
+//!    ([`RunningGroups::merge`]) and emit in sorted group-key order.
 //!
 //! Cancellation and fault injection work at morsel granularity at every
 //! worker count: the token is checked and the [`points::EXEC_MORSEL_FAIL`]
@@ -35,9 +35,10 @@
 //! its own [`points::EXEC_JOIN_BUILD_FAIL`] point per build morsel with
 //! the same retry budget.
 
-use crate::aggregate::{AggregatorCore, SpillingAggregator};
+use crate::aggregate::AggregatorCore;
 use crate::compiled::CompiledExpr;
 use crate::expr::Expr;
+use crate::groups::RunningGroups;
 use crate::join::{probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch};
 use crate::resources::ExecResources;
 use crate::sort::{merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc};
@@ -110,11 +111,6 @@ impl MorselDispenser {
             local: AtomicUsize::new(0),
             remote: AtomicUsize::new(0),
         }
-    }
-
-    /// Total number of morsels (dispatched or not).
-    pub fn morsel_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Hands out the next morsel for a worker pinned to `socket`,
@@ -359,33 +355,30 @@ impl ParallelContext {
         Ok(all.into_iter().map(|(_, b)| b).collect())
     }
 
-    /// Aggregation sink: per-worker [`SpillingAggregator`]s (hybrid
-    /// hashing against the shared query budget) sealed into complete
-    /// [`GroupMap`](crate::aggregate::GroupMap)s and merged in worker
-    /// order (group state merge is order-independent), finished by the
-    /// shared core which emits groups in sorted key order, spilling or
-    /// not.
+    /// Aggregation sink: one [`RunningGroups`] per worker against the
+    /// shared query budget (a refused group freezes that worker's store,
+    /// which spills from then on), sealed on the worker, merged in worker
+    /// order and finished in sorted key order, spilling or not.
     pub fn run_aggregate(
         &self,
         batches: Vec<Batch>,
         stages: Vec<StageSpec>,
         core: Arc<AggregatorCore>,
     ) -> Result<Vec<Batch>> {
-        let res = self.mem.clone();
-        let c_consume = Arc::clone(&core);
-        let c_seal = Arc::clone(&core);
-        let maps = self.fan_out(
+        let mem = self.mem.clone();
+        let stores = self.fan_out(
             batches,
             stages,
-            move || SpillingAggregator::new(res.clone()),
-            move |sink: &mut SpillingAggregator, _idx, batch| sink.consume(&c_consume, &batch),
-            move |sink| sink.into_map(&c_seal),
+            move || RunningGroups::new(&core, &mem),
+            |groups: &mut RunningGroups, _idx, batch| groups.consume(&batch),
+            |mut groups| groups.seal().map(|()| groups),
         )?;
-        let mut merged = core.new_map();
-        for m in maps {
-            core.merge(&mut merged, m?)?;
+        let mut stores = stores.into_iter();
+        let mut merged = stores.next().expect("a pipeline has a worker")?;
+        for store in stores {
+            merged.merge(store?)?;
         }
-        core.finish(merged)
+        merged.finish()
     }
 
     /// Join-build sink: per-worker [`JoinTableBuilder`]s accumulate radix

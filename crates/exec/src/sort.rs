@@ -63,48 +63,6 @@ pub fn sort_entries(entries: &mut [SortEntry], keys: &[SortKey]) {
     entries.sort_by(|a, b| compare_keys(&a.0, &b.0, keys).then(a.1.cmp(&b.1)));
 }
 
-/// K-way merges sorted runs (each ordered by `sort_entries`) into output
-/// batches. A linear min-pick over run heads is plenty for worker-count
-/// many runs.
-pub fn merge_sorted_runs(
-    runs: Vec<Vec<SortEntry>>,
-    keys: &[SortKey],
-    schema: &SchemaRef,
-    batch_size: usize,
-) -> Result<Vec<Batch>> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut heads = vec![0usize; runs.len()];
-    let mut rows: Vec<Row> = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            let Some(cand) = run.get(heads[r]) else {
-                continue;
-            };
-            best = match best {
-                None => Some(r),
-                Some(b) => {
-                    let cur = &runs[b][heads[b]];
-                    let ord = compare_keys(&cand.0, &cur.0, keys).then(cand.1.cmp(&cur.1));
-                    if ord == Ordering::Less {
-                        Some(r)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let b = best.ok_or_else(|| {
-            DbError::Execution("sort merge lost track of remaining rows".into())
-        })?;
-        rows.push(runs[b][heads[b]].2.clone());
-        heads[b] += 1;
-    }
-    rows.chunks(batch_size)
-        .map(|c| Batch::from_rows(schema, c))
-        .collect()
-}
-
 /// Spill codec for one [`SortEntry`]:
 /// `[seq u64][key_len u32][row codec of key][row codec of row]`.
 fn encode_sort_entry(entry: &SortEntry) -> Vec<u8> {
@@ -504,26 +462,25 @@ mod tests {
 
     #[test]
     fn merged_runs_match_serial_sort() {
-        // Deal rows round-robin into 3 runs (tagging arrival order), sort
-        // each run, and merge: the result must equal the one-worker sort.
+        // Deal rows round-robin into 3 workers' buffers (tagging arrival
+        // order) and merge: the result must equal the one-worker sort.
         let vals: Vec<i64> = (0..97).map(|i| (i * 31) % 13).collect();
         let keys = vec![SortKey::asc(Expr::col(0))];
         let serial = sort(&vals, keys.clone());
         let (schema, batches) = source(&vals);
-        let mut runs: Vec<Vec<SortEntry>> = vec![Vec::new(); 3];
+        let mut runs: Vec<SortBuffer> = (0..3)
+            .map(|_| SortBuffer::new(keys.clone(), ExecResources::unlimited()))
+            .collect();
         let mut seq = 0u64;
         for batch in &batches {
             for i in 0..batch.len() {
                 let row = batch.row(i);
                 let key = Row::new(vec![row[0].clone()]);
-                runs[(seq % 3) as usize].push((key, seq, row));
+                runs[(seq % 3) as usize].push(key, seq, row).unwrap();
                 seq += 1;
             }
         }
-        for run in &mut runs {
-            sort_entries(run, &keys);
-        }
-        let merged = merge_sorted_runs(runs, &keys, &schema, 4096).unwrap();
+        let merged = merge_spilled_sort(runs, &keys, &schema, 4096).unwrap();
         assert_eq!(rows_of(&serial), rows_of(&merged));
     }
 

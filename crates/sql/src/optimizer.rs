@@ -16,8 +16,9 @@
 //! that scan once the build side is materialized.
 
 use crate::plan::{AccessPath, LogicalPlan, SipScan};
-use oltap_common::{DataType, Result, Schema, Value};
-use oltap_exec::expr::{BinOp, Expr, UnOp};
+use oltap_common::{Batch, DataType, Field, Result, Row, Schema, Value};
+use oltap_exec::expr::{BinOp, Expr};
+use oltap_exec::CompiledExpr;
 use oltap_exec::join::JoinType;
 use oltap_storage::{CmpOp, ColumnPredicate};
 use std::collections::BTreeSet;
@@ -88,119 +89,59 @@ fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
     })
 }
 
-/// Folds literal-only subtrees bottom-up. Division by zero and other
-/// runtime errors are left unfolded (they must surface at execution).
+/// Folds literal-only subtrees bottom-up, each by evaluating it with the
+/// engine's evaluator — so a folded statement answers exactly as the
+/// unfolded one would (integers wrap, comparisons promote). A subtree the
+/// evaluator rejects (division by zero, a type error) stays unfolded: the
+/// error must surface at execution.
 pub fn fold_expr(e: Expr) -> Expr {
-    match e {
-        Expr::Binary { op, left, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            if let (Expr::Literal(a), Expr::Literal(b)) = (&left, &right) {
-                if let Some(v) = fold_binary(op, a, b) {
-                    return Expr::Literal(v);
-                }
+    let is_literal = |e: &Expr| matches!(e, Expr::Literal(_));
+    // The node over its folded operands.
+    let e = match e {
+        Expr::Binary { op, left, right } => match (op, fold_expr(*left), fold_expr(*right)) {
+            (op, left, right) if is_literal(&left) && is_literal(&right) => {
+                Expr::binary(op, left, right)
             }
-            // Boolean identities: TRUE AND x → x, FALSE OR x → x, etc.
-            match (op, &left, &right) {
-                (BinOp::And, Expr::Literal(Value::Bool(true)), _) => return right,
-                (BinOp::And, _, Expr::Literal(Value::Bool(true))) => return left,
-                (BinOp::Or, Expr::Literal(Value::Bool(false)), _) => return right,
-                (BinOp::Or, _, Expr::Literal(Value::Bool(false))) => return left,
-                (BinOp::And, Expr::Literal(Value::Bool(false)), _)
-                | (BinOp::And, _, Expr::Literal(Value::Bool(false))) => {
-                    return Expr::Literal(Value::Bool(false))
-                }
-                (BinOp::Or, Expr::Literal(Value::Bool(true)), _)
-                | (BinOp::Or, _, Expr::Literal(Value::Bool(true))) => {
-                    return Expr::Literal(Value::Bool(true))
-                }
-                _ => {}
-            }
-            Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
-        }
-        Expr::Unary { op, expr } => {
-            let inner = fold_expr(*expr);
-            if let Expr::Literal(v) = &inner {
-                match (op, v) {
-                    (UnOp::Neg, Value::Int(i)) => return Expr::Literal(Value::Int(-i)),
-                    (UnOp::Neg, Value::Float(f)) => return Expr::Literal(Value::Float(-f)),
-                    (UnOp::Not, Value::Bool(b)) => return Expr::Literal(Value::Bool(!b)),
-                    (_, Value::Null) => return Expr::Literal(Value::Null),
-                    _ => {}
-                }
-            }
-            Expr::Unary {
-                op,
-                expr: Box::new(inner),
-            }
-        }
-        Expr::IsNull(inner) => {
-            let inner = fold_expr(*inner);
-            if let Expr::Literal(v) = &inner {
-                return Expr::Literal(Value::Bool(v.is_null()));
-            }
-            Expr::IsNull(Box::new(inner))
-        }
-        Expr::IsNotNull(inner) => {
-            let inner = fold_expr(*inner);
-            if let Expr::Literal(v) = &inner {
-                return Expr::Literal(Value::Bool(!v.is_null()));
-            }
-            Expr::IsNotNull(Box::new(inner))
-        }
-        other => other,
+            // Boolean identities — plan rewrites, not arithmetic.
+            (BinOp::And, Expr::Literal(Value::Bool(true)), x)
+            | (BinOp::And, x, Expr::Literal(Value::Bool(true)))
+            | (BinOp::Or, Expr::Literal(Value::Bool(false)), x)
+            | (BinOp::Or, x, Expr::Literal(Value::Bool(false))) => return x,
+            (BinOp::And, f @ Expr::Literal(Value::Bool(false)), _)
+            | (BinOp::And, _, f @ Expr::Literal(Value::Bool(false))) => return f,
+            (BinOp::Or, t @ Expr::Literal(Value::Bool(true)), _)
+            | (BinOp::Or, _, t @ Expr::Literal(Value::Bool(true))) => return t,
+            (op, left, right) => Expr::binary(op, left, right),
+        },
+        Expr::Unary { op, expr } => Expr::Unary {
+            op,
+            expr: Box::new(fold_expr(*expr)),
+        },
+        Expr::IsNull(inner) => Expr::IsNull(Box::new(fold_expr(*inner))),
+        Expr::IsNotNull(inner) => Expr::IsNotNull(Box::new(fold_expr(*inner))),
+        leaf => return leaf,
+    };
+    let literal_only = match &e {
+        Expr::Binary { left, right, .. } => is_literal(left) && is_literal(right),
+        Expr::Unary { expr, .. } | Expr::IsNull(expr) | Expr::IsNotNull(expr) => is_literal(expr),
+        Expr::Column(_) | Expr::Literal(_) => false,
+    };
+    if literal_only {
+        return eval_literal_only(&e).unwrap_or(e);
     }
+    e
 }
 
-fn fold_binary(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
-    use oltap_common::Value::*;
-    if a.is_null() || b.is_null() {
-        // NULL propagation for non-logic ops; Kleene handled by identities.
-        if !matches!(op, BinOp::And | BinOp::Or) {
-            return Some(Null);
-        }
-        return None;
-    }
-    Some(match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul => match (a, b) {
-            (Int(x), Int(y)) => Int(match op {
-                BinOp::Add => x.wrapping_add(*y),
-                BinOp::Sub => x.wrapping_sub(*y),
-                _ => x.wrapping_mul(*y),
-            }),
-            _ => {
-                let (x, y) = (a.as_float().ok()?, b.as_float().ok()?);
-                Float(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    _ => x * y,
-                })
-            }
-        },
-        // Division folds only when safe.
-        BinOp::Div | BinOp::Mod => match (a, b) {
-            (Int(_), Int(0)) => return None,
-            (Int(x), Int(y)) => Int(if op == BinOp::Div { x / y } else { x % y }),
-            _ => {
-                let (x, y) = (a.as_float().ok()?, b.as_float().ok()?);
-                Float(if op == BinOp::Div { x / y } else { x % y })
-            }
-        },
-        BinOp::Eq => Bool(a == b),
-        BinOp::Ne => Bool(a != b),
-        BinOp::Lt => Bool(a < b),
-        BinOp::Le => Bool(a <= b),
-        BinOp::Gt => Bool(a > b),
-        BinOp::Ge => Bool(a >= b),
-        BinOp::And | BinOp::Or => {
-            let (x, y) = (a.as_bool().ok()?, b.as_bool().ok()?);
-            Bool(if op == BinOp::And { x && y } else { x || y })
-        }
-    })
+/// The literal the engine's evaluator answers for `e`, which reads no
+/// column; `None` when it refuses, or when the literal would not type as
+/// `e` does (a NULL literal is an integer: a boolean NULL stays a tree).
+fn eval_literal_only(e: &Expr) -> Option<Expr> {
+    // Any one-row batch will do.
+    let schema = Schema::new(vec![Field::new("", DataType::Int64)]);
+    let one_row = Batch::from_rows(&schema, &[Row::new(vec![Value::Int(0)])]).ok()?;
+    let answer = CompiledExpr::new(e.clone(), &schema).eval(&one_row).ok()?;
+    let folded = Expr::Literal(answer.value_at(0));
+    (folded.data_type(&schema).ok()? == e.data_type(&schema).ok()?).then_some(folded)
 }
 
 // ---------------------------------------------------------------------------

@@ -61,17 +61,6 @@ pub struct MergeStats {
     pub new_segment: Option<u64>,
 }
 
-/// Statistics returned by [`DeltaMainTable::compact`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompactStats {
-    /// Segments rewritten into the compacted segment.
-    pub segments_compacted: usize,
-    /// Rows dropped because their deletion is below the watermark.
-    pub rows_dropped: usize,
-    /// Segments skipped because of in-flight (pending) deletes.
-    pub segments_skipped: usize,
-}
-
 /// Statistics returned by [`DeltaMainTable::freeze`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FreezeStats {
@@ -240,7 +229,7 @@ impl DeltaMainTable {
     }
 
     /// A streamed segment build in the table's residency mode (merge and
-    /// compaction push rows group-at-a-time instead of materializing the
+    /// freeze push rows group-at-a-time instead of materializing the
     /// whole segment).
     fn segment_builder(&self, id: SegmentId, visible_from: Ts) -> Result<SegmentBuilder> {
         Segment::builder(id, Arc::clone(&self.schema), visible_from, self.pager.as_ref())
@@ -510,67 +499,6 @@ impl DeltaMainTable {
         })
     }
 
-    /// Rewrites main segments, dropping rows whose deletion committed at or
-    /// before `watermark` and folding the rest into a single segment.
-    /// Segments with in-flight (pending) deletes are left untouched.
-    pub fn compact(&self, watermark: Ts) -> Result<CompactStats> {
-        let mut state = self.state.write();
-        let mut stats = CompactStats::default();
-        let compactable = |s: &Arc<Segment>| !s.has_pending_deletes() && s.visible_to(watermark);
-        if !state.segments.iter().any(&compactable) {
-            stats.segments_skipped = state.segments.len();
-            return Ok(stats);
-        }
-        let mut keep: Vec<Arc<Segment>> = Vec::new();
-        // Streamed rewrite: surviving rows go straight into the builder,
-        // which flushes each completed row group, so peak transient
-        // materialization is one row group — not the union of every
-        // compacted segment.
-        let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
-        let mut builder = self.segment_builder(id, watermark)?;
-        // (row offset in the new segment) → surviving stamp to re-register.
-        let mut carried_stamps: Vec<(u32, Stamp)> = Vec::new();
-        for seg in state.segments.drain(..) {
-            if !compactable(&seg) {
-                stats.segments_skipped += 1;
-                keep.push(seg);
-                continue;
-            }
-            stats.segments_compacted += 1;
-            for off in 0..seg.row_count() as u32 {
-                match seg.delete_stamp(off) {
-                    Some(Stamp::Committed(ts)) if ts <= watermark => {
-                        stats.rows_dropped += 1;
-                    }
-                    Some(stamp @ Stamp::Committed(_)) => {
-                        carried_stamps.push((builder.rows_pushed() as u32, stamp));
-                        builder.push_row(seg.row_at_uncounted(off)?)?;
-                    }
-                    _ => builder.push_row(seg.row_at(off)?)?,
-                }
-            }
-        }
-        let seg = Arc::new(builder.finish()?);
-        for (off, stamp) in carried_stamps {
-            seg.restore_delete_stamp(off, stamp);
-        }
-        // Rebuild the pk index from scratch: surviving segments + new one.
-        state.pk_locs.clear();
-        state.segments = keep;
-        state.segments.push(Arc::clone(&seg));
-        if self.schema.has_primary_key() {
-            let segments = std::mem::take(&mut state.segments);
-            for s in &segments {
-                for off in 0..s.row_count() as u32 {
-                    let key = self.schema.key_of(&s.row_at(off)?);
-                    state.pk_locs.entry(key).or_default().push((s.id(), off));
-                }
-            }
-            state.segments = segments;
-        }
-        Ok(stats)
-    }
-
     /// Decays every segment's heat counters and rewrites the *cold* ones
     /// into their frozen representation: surviving rows (deletions
     /// committed at or before `watermark` are dropped, L-Store style) are
@@ -585,8 +513,8 @@ impl DeltaMainTable {
     /// with in-flight (pending) deletes are skipped **this pass** and
     /// re-evaluated on every subsequent pass — once the deleting
     /// transaction resolves and the watermark passes it, the segment
-    /// freezes (this also fixes the old `compact` behaviour of shelving
-    /// such segments forever).
+    /// freezes. Each segment is rewritten on its own: nothing coalesces
+    /// segments.
     ///
     /// Crash hygiene: the frozen page file is published tmp+rename by the
     /// segment builder *before* the in-memory swap. The
@@ -725,17 +653,6 @@ impl DeltaMainTable {
             .map(|s| s.row_count().saturating_sub(s.delete_count()))
             .sum();
         main + state.delta.key_count()
-    }
-
-    /// Per-segment encoding names of column `c` (diagnostics / EXPLAIN).
-    /// Pins the first page of each paged segment's column.
-    pub fn column_encodings(&self, c: usize) -> Result<Vec<&'static str>> {
-        self.state
-            .read()
-            .segments
-            .iter()
-            .map(|s| s.column_encoding_name(c))
-            .collect()
     }
 }
 
@@ -972,18 +889,25 @@ mod tests {
             );
             assert_eq!(count(&t, mgr.now()), 1, "round {round}");
         }
-        // 1 bulk segment + 5 merge segments accumulated.
+        // 1 bulk segment + 5 merge segments accumulated, the key's five
+        // dead versions spread over the first five.
         assert_eq!(t.sizes().segments, 6);
-        // Compaction folds them and drops dead rows.
-        let stats = t.compact(mgr.gc_watermark()).unwrap();
-        assert_eq!(stats.segments_compacted, 6);
+        // A forced freeze rewrites each, drops the dead rows and leaves the
+        // key pointing at its one live version; it folds nothing together.
+        let stats = t.freeze(mgr.gc_watermark(), &FaultInjector::disabled(), true).unwrap();
+        assert_eq!(stats.segments_frozen, 6);
         assert_eq!(stats.rows_dropped, 5);
-        assert_eq!(t.sizes().segments, 1);
+        assert_eq!(t.sizes().segments, 6);
         assert_eq!(count(&t, mgr.now()), 1);
         assert_eq!(
             t.get(&row![1i64], mgr.now(), NOBODY).unwrap().unwrap()[2],
             Value::Int(5)
         );
+        let tx = mgr.begin();
+        t.update(&tx, &row![1i64], row![1i64, "a", 6i64]).unwrap();
+        let cts = tx.commit().unwrap();
+        assert_eq!(t.get(&row![1i64], cts, NOBODY).unwrap().unwrap()[2], Value::Int(6));
+        assert_eq!(count(&t, cts), 1);
     }
 
     #[test]
@@ -1135,20 +1059,6 @@ mod tests {
         let before = t2.heat_stats().total_heat;
         t2.seed_heat(16);
         assert!(t2.heat_stats().total_heat > before);
-    }
-
-    #[test]
-    fn compact_skips_segments_with_pending_deletes() {
-        let (mgr, t) = table();
-        t.bulk_load(&[row![1i64, "a", 1i64], row![2i64, "b", 2i64]])
-            .unwrap();
-        let tx = mgr.begin();
-        t.delete(&tx, &row![1i64]).unwrap();
-        let stats = t.compact(mgr.gc_watermark()).unwrap();
-        assert_eq!(stats.segments_skipped, 1);
-        assert_eq!(stats.segments_compacted, 0);
-        tx.abort().unwrap();
-        assert_eq!(count(&t, mgr.now()), 2);
     }
 
     #[test]

@@ -240,14 +240,6 @@ impl RowStore {
         self.index.iter().map(|(_, chain)| chain.gc(watermark)).sum()
     }
 
-    /// Iterates `(key, latest committed row)` pairs regardless of
-    /// snapshots — the merge path uses this to drain the delta.
-    pub fn latest_committed_rows<'a>(&'a self) -> impl Iterator<Item = (Row, Row)> + 'a {
-        self.index
-            .iter()
-            .filter_map(|(k, chain)| chain.latest_committed().map(|r| (k.clone(), r)))
-    }
-
     /// Merge hook: closes (at `watermark`) and returns every row whose
     /// latest version committed at or before `watermark` and is not being
     /// rewritten by an in-flight transaction. The caller must re-publish

@@ -1003,8 +1003,8 @@ impl Segment {
         self.deletes.read().get(&offset).copied()
     }
 
-    /// True when any delete stamp is still pending (blocks compaction from
-    /// dropping this segment).
+    /// True when any delete stamp is still pending (blocks a freeze from
+    /// rewriting this segment).
     pub fn has_pending_deletes(&self) -> bool {
         self.deletes
             .read()
@@ -1137,7 +1137,7 @@ impl Segment {
         }
     }
 
-    /// Re-registers a delete stamp at a new offset (compaction carries
+    /// Re-registers a delete stamp at a new offset (a freeze carries
     /// not-yet-globally-dead stamps into the rewritten segment).
     pub fn restore_delete_stamp(&self, offset: u32, stamp: Stamp) {
         self.deletes.write().insert(offset, stamp);
@@ -1437,7 +1437,7 @@ impl GroupSelector<'_> {
 /// full row group is transposed, encoded, folded into the zone maps and
 /// its chunks handed to the sink, then dropped. A paged build therefore
 /// buffers at most one row group of rows plus one encoded chunk — merge
-/// and compaction rely on that to avoid materializing a whole segment's
+/// and freeze rely on that to avoid materializing a whole segment's
 /// `Row`s. Without a pager there is no boundary to flush at: the group is
 /// the segment, so all rows are buffered and encoded at `finish`.
 pub struct SegmentBuilder {

@@ -314,15 +314,6 @@ impl<T: Clone> VersionChain<T> {
         v.end = Stamp::Committed(watermark);
         Some(v.data.clone())
     }
-
-    /// Latest committed live payload regardless of snapshots (merge path).
-    pub fn latest_committed(&self) -> Option<T> {
-        self.versions
-            .read()
-            .iter()
-            .find(|v| matches!(v.begin, Stamp::Committed(_)) && v.end == Stamp::Infinity)
-            .map(|v| v.data.clone())
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The seven `olap_scan` statements answer, byte for byte, what they
 //! answered before the block kernels and the typed running states were
 //! rebuilt (ISSUE 22): the checksums below were recorded at commit
-//! `4e0eded` — the row-at-a-time `AggState` engine — over the benchmark's
+//! `4e0eded` — the row-at-a-time, state-enum-per-aggregate engine — over the benchmark's
 //! own 16-warehouse population, which this test loads through the
 //! benchmark's own generator. "Bit-identical to the scalar path" is thereby
 //! held against bytes from before the rewrite, float sums included, not

@@ -108,6 +108,36 @@ fn min_and_max_of_one_string_or_bool_column_are_two_answers() {
     }
 }
 
+/// Constant folding is the evaluator's arithmetic: `i64::MIN / -1`,
+/// `i64::MIN % -1` and `-(i64::MIN)` wrap, folded (literals only — this
+/// panicked in the optimizer) exactly as unfolded (a column in the
+/// expression), on every format; and a literal division by zero is still
+/// the statement's error, not the planner's.
+#[test]
+fn overflowing_constants_fold_to_the_evaluators_wrapped_values() {
+    const MIN: &str = "(0 - 9223372036854775807 - 1)";
+    for f in formats() {
+        let db = Database::new();
+        db.execute(&format!("CREATE TABLE t (id BIGINT PRIMARY KEY, d BIGINT) USING FORMAT {f}")).unwrap();
+        db.execute("INSERT INTO t VALUES (1, -1)").unwrap();
+        for (literal, with_column, want) in [
+            (format!("{MIN} / -1"), format!("{MIN} / d"), i64::MIN),
+            (format!("{MIN} % -1"), format!("{MIN} % d"), 0),
+            (format!("-{MIN}"), format!("-({MIN} - d - 1)"), i64::MIN),
+        ] {
+            for e in [literal, with_column] {
+                let rows = db.query(&format!("SELECT {e} FROM t")).unwrap();
+                assert_eq!(rows[0].values(), &[Value::Int(want)], "format {f}: {e}");
+                let want = if want == 0 { "0" } else { MIN };
+                let kept = db.query(&format!("SELECT id FROM t WHERE {e} = {want}")).unwrap();
+                assert_eq!(kept.len(), 1, "format {f}: WHERE {e} = {want}");
+            }
+        }
+        let err = db.query("SELECT 1 / 0 FROM t").unwrap_err();
+        assert!(matches!(err, oltapdb::common::DbError::Execution(_)), "format {f}: {err}");
+    }
+}
+
 #[test]
 fn update_delete_visibility_across_formats() {
     for f in formats() {
