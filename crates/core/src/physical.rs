@@ -1069,6 +1069,40 @@ mod tests {
         }
     }
 
+    /// Scans larger than the pool recycle their own frames, so a rotation
+    /// of them finds part of what it reads still resident: Q1 and Q14
+    /// each read about three times the pool (`ol_amount` alone is 105
+    /// pages of 528 bytes against 20 KB), and the later rotations fault
+    /// fewer pages than the first, by counts that repeat exactly. Under
+    /// the clock alone every rotation faults the first one's 387: each
+    /// statement flushes the pool for the next. A statement that fits
+    /// (Q12, 28 pages) is cached whole, and still is after a large pass
+    /// has run through the pool.
+    #[test]
+    fn a_rotation_of_scans_larger_than_the_pool_keeps_part_of_it() {
+        let resident = ch_database(None);
+        let db = ch_database(Some(BufferConfig {
+            pool_bytes: 20 << 10,
+            page_rows: 64,
+            page_root: None,
+        }));
+        let sql = |id: &str| OLAP_SCAN.iter().find(|(q, _)| *q == id).unwrap().1;
+        let faults = |ids: &[&str]| {
+            let before = db.buffer_stats().unwrap().misses;
+            for id in ids {
+                assert_eq!(db.query(sql(id)).unwrap(), resident.query(sql(id)).unwrap(), "{id}");
+            }
+            db.buffer_stats().unwrap().misses - before
+        };
+        let rotations = [0; 3].map(|_| faults(&["Q1", "Q14"]));
+        assert_eq!(rotations, [387, 312, 323]);
+        let around_a_scan = [faults(&["Q12"]), faults(&["Q12"]), faults(&["Q1"]), faults(&["Q12"])];
+        assert_eq!(around_a_scan, [28, 0, 173, 0]);
+        let stats = db.buffer_stats().unwrap();
+        assert_eq!(stats.pinned_bytes, 0);
+        assert!(stats.resident_bytes <= stats.capacity_bytes);
+    }
+
     /// A float literal against an integer column is one question, whichever
     /// store holds the rows: delta, resident, paged or frozen segments.
     #[test]

@@ -54,7 +54,7 @@ use oltap_common::fault::{points, FaultInjector};
 use oltap_common::ids::TxnId;
 use oltap_common::{BitSet, Result, Row, Value};
 use oltap_storage::encoding::{BitPacked, IntEncoding, StrEncoding};
-use oltap_storage::segment::{ColumnRef, EncodedColumn, Segment};
+use oltap_storage::segment::{ColumnRef, EncodedColumn, PassChunks, Segment};
 use oltap_storage::ScanPredicate;
 use oltap_txn::Ts;
 use std::cmp::{max_by, min_by};
@@ -102,13 +102,14 @@ pub fn fused_aggregate_segments(
         let Some(mut selector) = seg.selector(ctx.pred, ctx.read_ts, ctx.me)? else {
             continue;
         };
+        let pass = selector.chunks();
         // One visit per row group: select it, aggregate it, move on — the
         // pages the filter pinned are still in the pool for the aggregates.
         for g in 0..seg.group_count() {
             let Some(local) = selector.select_group(g)? else {
                 continue;
             };
-            let chunks = run.chunks(seg, g, projection)?;
+            let chunks = run.chunks(&pass, g, projection)?;
             // The fault point forces the scalar decode-then-evaluate path
             // at row-group boundaries; results must not change.
             let fused =
@@ -169,13 +170,13 @@ impl RunningGroups {
     /// columns and the accumulators' inputs, `None` for the rest.
     fn chunks<'s>(
         &self,
-        seg: &'s Segment,
+        pass: &PassChunks<'s>,
         g: usize,
         projection: &[usize],
     ) -> Result<Vec<Option<ColumnRef<'s>>>> {
         let mut chunks: Vec<Option<ColumnRef<'s>>> = projection.iter().map(|_| None).collect();
         for &c in &self.read_slots {
-            chunks[c] = Some(seg.column_chunk(g, projection[c])?);
+            chunks[c] = Some(pass.column_chunk(g, projection[c])?);
         }
         Ok(chunks)
     }

@@ -965,6 +965,57 @@ mod tests {
         assert!(hs.frozen_scan_hits > 0);
     }
 
+    /// A segment's frames leave the pool with it. Merged segments are read
+    /// into a governed pool, then frozen away: what stays resident — and
+    /// claimed from the governor — is the pages of the live segments, none
+    /// of which has been read yet; a scan then brings in exactly those.
+    #[test]
+    fn frames_of_a_replaced_segment_leave_the_pool_with_it() {
+        use crate::buffer::BufferManager;
+        use oltap_common::mem::MemoryGovernor;
+        let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
+        let buffer = BufferManager::new(u64::MAX, Some(Arc::clone(&gov)), FaultInjector::disabled());
+        let root = std::env::temp_dir().join(format!("oltap-delta-pages-{}", std::process::id()));
+        let faults = FaultInjector::disabled();
+        let pager = SegmentPager::new(root, Arc::clone(&buffer), 64, Arc::clone(&faults));
+        let (mgr, plain) = table();
+        let t = DeltaMainTable::with_pager(Arc::clone(plain.schema()), Some(pager));
+        let read_all = |t: &DeltaMainTable| {
+            (t.scan(&[0, 1, 2], &ScanPredicate::all(), mgr.now(), NOBODY, 4096).unwrap())
+                .iter()
+                .map(|b| b.len())
+                .sum::<usize>()
+        };
+        for batch in 0..2i64 {
+            let tx = mgr.begin();
+            for i in batch * 300..(batch + 1) * 300 {
+                t.insert(&tx, row![i, ["a", "b"][i as usize % 2], i / 10]).unwrap();
+            }
+            tx.commit().unwrap();
+            t.merge(mgr.gc_watermark()).unwrap();
+        }
+        assert_eq!(read_all(&t), 600);
+        let hot = buffer.stats().resident_bytes;
+        assert!(hot > 0 && gov.buffer_used() == hot);
+
+        let stats = t.freeze(mgr.gc_watermark(), &faults, true).unwrap();
+        assert_eq!(stats.segments_frozen, 2);
+        assert_eq!(buffer.stats().resident_bytes, 0, "dead frames stayed resident");
+        assert_eq!(gov.buffer_used(), 0, "dead frames stayed claimed");
+
+        assert_eq!(read_all(&t), 600);
+        let (segments, _) = t
+            .fused_scan_parts(&[0, 1, 2], &ScanPredicate::all(), mgr.now(), NOBODY, 4096)
+            .unwrap();
+        let live: usize = (segments.iter())
+            .flat_map(|s| (0..s.group_count()).flat_map(move |g| (0..3).map(move |c| (s, g, c))))
+            .map(|(s, g, c)| s.column_chunk(g, c).unwrap().size_bytes())
+            .sum();
+        assert_eq!(buffer.stats().resident_bytes, live as u64);
+        assert_eq!(gov.buffer_used(), live as u64);
+        assert_eq!(buffer.stats().pinned_bytes, 0);
+    }
+
     #[test]
     fn freeze_reevaluates_segments_once_pending_deletes_commit() {
         let (mgr, t) = table();

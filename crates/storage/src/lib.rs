@@ -33,7 +33,7 @@ pub mod skiplist;
 pub mod spill;
 pub mod zonemap;
 
-pub use buffer::{BufferManager, BufferStats, PageGuard, PageKey, SegmentPager};
+pub use buffer::{BufferManager, BufferStats, PageGuard, PageKey, ScanPass, SegmentPager};
 pub use delta::{DeltaMainTable, FreezeStats, HeatStats, MergeStats, TableSizes};
 pub use dual::DualFormatTable;
 pub use pagefile::{purge_page_root, PageFile, PageFileWriter};

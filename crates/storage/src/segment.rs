@@ -12,7 +12,7 @@
 //! every live snapshot can see every merged row. Visibility therefore
 //! reduces to "not (visibly deleted)".
 
-use crate::buffer::{PageGuard, SegmentPager};
+use crate::buffer::{PageGuard, ScanPass, SegmentPager};
 use crate::encoding::{BitPacked, IntEncoding, Lane, StrEncoding};
 use crate::pagefile::{PageFile, PageFileWriter};
 use crate::predicate::{CmpOp, ColumnPredicate, ScanPredicate};
@@ -819,6 +819,16 @@ enum ChunkStore {
     },
 }
 
+/// A paged segment's frames leave the pool with it: once the segment is
+/// merged or frozen away nothing can pin them again.
+impl Drop for ChunkStore {
+    fn drop(&mut self) {
+        if let ChunkStore::Paged { pager, file } = self {
+            pager.buffer().forget_file(file.file_id());
+        }
+    }
+}
+
 /// A borrowed (held) or pinned (paged) reference to one encoded column
 /// chunk. Dereferences to [`EncodedColumn`]; the pinned variant keeps its
 /// buffer frame unevictable until dropped.
@@ -1061,8 +1071,17 @@ impl Segment {
 
     /// Column `c` of group `g`: a plain borrow when the chunks are held, a
     /// pinned buffer-pool page when they are paged (faulted in on a miss).
-    /// The one place that knows where a chunk lives.
+    /// For a point read or a diagnostic; a scan reads through its pass
+    /// ([`PassChunks::column_chunk`]).
     pub fn column_chunk(&self, g: usize, c: usize) -> Result<ColumnRef<'_>> {
+        self.chunk(g, c, None)
+    }
+
+    /// The one place that knows where a chunk lives. A `pass` tells the
+    /// pool which row group it is reading and, the first time it reads a
+    /// column, how many bytes of that column it may go on to pin: the page
+    /// directory's lengths over the row groups the zone maps leave it.
+    fn chunk(&self, g: usize, c: usize, pass: Option<&Pass>) -> Result<ColumnRef<'_>> {
         let ncols = self.schema.len();
         if c >= ncols {
             return Err(DbError::ColumnNotFound(format!("ordinal {c}")));
@@ -1076,7 +1095,17 @@ impl Segment {
         match &self.chunks {
             ChunkStore::Held(chunks) => Ok(ColumnRef::Borrowed(&chunks[chunk])),
             ChunkStore::Paged { pager, file } => {
-                Ok(ColumnRef::Pinned(pager.pin(file, chunk as u32)?))
+                let pass = pass.map(|pass| {
+                    pass.pool.reading(g, c, || {
+                        let pages = file.directory().iter().skip(c).step_by(ncols);
+                        (pages.zip(&pass.admitted))
+                            .filter(|(_, admitted)| **admitted)
+                            .map(|(page, _)| page.len as u64)
+                            .sum()
+                    });
+                    &pass.pool
+                });
+                Ok(ColumnRef::Pinned(pager.pin(file, chunk as u32, pass)?))
             }
         }
     }
@@ -1189,8 +1218,17 @@ impl Segment {
                     .set(offset as usize);
             }
         }
+        let admitted = (self.groups.iter())
+            .map(|group| group.rows > 0 && group.zone.may_match(pred))
+            .collect();
         Ok(Some(GroupSelector {
-            seg: self,
+            chunks: PassChunks {
+                seg: self,
+                pass: Arc::new(Pass {
+                    admitted,
+                    pool: ScanPass::default(),
+                }),
+            },
             pred,
             conjuncts,
             deleted,
@@ -1226,6 +1264,7 @@ impl Segment {
         &self,
         projection: &[usize],
         indexes: &[u32],
+        pass: Option<&Pass>,
     ) -> Result<Vec<ColumnVector>> {
         let mut out = Vec::with_capacity(projection.len());
         if indexes.is_empty() {
@@ -1254,7 +1293,7 @@ impl Segment {
                 &local[..]
             };
             for (k, &c) in projection.iter().enumerate() {
-                let piece = self.column_chunk(g, c)?.gather(run);
+                let piece = self.chunk(g, c, pass)?.gather(run);
                 if lo == 0 {
                     out.push(piece);
                 } else {
@@ -1310,6 +1349,31 @@ fn stamp_deletes(stamp: &Stamp, read_ts: Ts, me: TxnId) -> bool {
     }
 }
 
+/// What a pass shares with whoever reads chunks for it.
+#[derive(Debug)]
+struct Pass {
+    /// The row groups the zone maps leave the pass (and that hold rows).
+    admitted: Vec<bool>,
+    /// The buffer pool's record of the pass.
+    pool: ScanPass,
+}
+
+/// A pass's way to its segment's chunks ([`GroupSelector::chunks`]): what
+/// it pins, the pool counts towards the pass, so that a pass larger than
+/// the pool recycles its own frames instead of everyone else's.
+#[derive(Debug, Clone)]
+pub struct PassChunks<'a> {
+    seg: &'a Segment,
+    pass: Arc<Pass>,
+}
+
+impl<'a> PassChunks<'a> {
+    /// [`Segment::column_chunk`], pinned for this pass.
+    pub fn column_chunk(&self, g: usize, c: usize) -> Result<ColumnRef<'a>> {
+        self.seg.chunk(g, c, Some(&self.pass))
+    }
+}
+
 /// One statement's pass over one segment for one snapshot: what is decided
 /// once (the typed conjuncts, the rows the snapshot sees as deleted) and the
 /// scratch each row group's selection is built in. The row group is the
@@ -1319,7 +1383,7 @@ fn stamp_deletes(stamp: &Stamp, read_ts: Ts, me: TxnId) -> bool {
 /// twice once the pool is smaller than the column.
 #[derive(Debug)]
 pub struct GroupSelector<'a> {
-    seg: &'a Segment,
+    chunks: PassChunks<'a>,
     pred: &'a ScanPredicate,
     conjuncts: Vec<(usize, Test<'a>)>,
     /// The rows the snapshot sees as deleted, if any.
@@ -1328,7 +1392,13 @@ pub struct GroupSelector<'a> {
     matches: BitSet,
 }
 
-impl GroupSelector<'_> {
+impl<'a> GroupSelector<'a> {
+    /// The handle the pass's other reads go through: the columns a reader
+    /// aggregates or projects, beside the ones `select_group` filters.
+    pub fn chunks(&self) -> PassChunks<'a> {
+        self.chunks.clone()
+    }
+
     /// Hides `rows` (one bit per segment row) from this pass as if the
     /// snapshot saw them deleted — a dual-format table's stale keys.
     pub fn hide(&mut self, rows: BitSet) {
@@ -1349,7 +1419,7 @@ impl GroupSelector<'_> {
         projection: &[usize],
         batch_size: usize,
     ) -> Result<Vec<oltap_common::Batch>> {
-        let seg = self.seg;
+        let PassChunks { seg, pass } = self.chunks();
         let batch_size = batch_size.max(1);
         let mut out = Vec::new();
         // The batch being filled: its columns so far and their row count.
@@ -1363,7 +1433,7 @@ impl GroupSelector<'_> {
             let mut rest = &indexes[..];
             while !rest.is_empty() {
                 let (piece, tail) = rest.split_at(rest.len().min(batch_size - open_rows));
-                let columns = seg.gather_columns(projection, piece)?;
+                let columns = seg.gather_columns(projection, piece, Some(&pass))?;
                 if open_rows == 0 {
                     open = columns;
                 } else {
@@ -1390,9 +1460,10 @@ impl GroupSelector<'_> {
     /// map disproves the predicate faults no pages — cold pruned groups
     /// stay cold; any other group's heat rises by one.
     pub fn select_group(&mut self, g: usize) -> Result<Option<&BitSet>> {
-        let (seg, pred) = (self.seg, self.pred);
+        let (chunks, pred) = (&self.chunks, self.pred);
+        let seg = chunks.seg;
         let (start, rows) = seg.group_bounds(g);
-        if rows == 0 || !seg.group_zone(g).may_match(pred) {
+        if !chunks.pass.admitted[g] {
             return Ok(None);
         }
         // The group survived zone pruning: it is about to be touched.
@@ -1402,7 +1473,8 @@ impl GroupSelector<'_> {
         let local = &mut self.local;
         local.reset(rows, true);
         for (column, test) in &self.conjuncts {
-            seg.column_chunk(g, *column)?
+            chunks
+                .column_chunk(g, *column)?
                 .filter(test, local, &mut self.matches)?;
             if local.none_set() {
                 return Ok(None);
@@ -1416,7 +1488,7 @@ impl GroupSelector<'_> {
             let mut keys: FxHashMap<usize, ColumnRef<'_>> = FxHashMap::default();
             for &c in &jf.columns {
                 if let std::collections::hash_map::Entry::Vacant(e) = keys.entry(c) {
-                    e.insert(seg.column_chunk(g, c)?);
+                    e.insert(chunks.column_chunk(g, c)?);
                 }
             }
             for i in local.to_selection() {
@@ -2447,8 +2519,8 @@ mod tests {
                 }
                 let picks = [0u32, 1, 63, 64, 65, 299];
                 assert_eq!(
-                    held.gather_columns(&[1, 2], &picks).unwrap(),
-                    paged.gather_columns(&[1, 2], &picks).unwrap()
+                    held.gather_columns(&[1, 2], &picks, None).unwrap(),
+                    paged.gather_columns(&[1, 2], &picks, None).unwrap()
                 );
                 for off in picks {
                     assert_eq!(held.row_at(off).unwrap(), rows[off as usize]);
@@ -2473,7 +2545,7 @@ mod tests {
                     .unwrap()
                     .is_empty());
                 assert_eq!(
-                    s.gather_columns(&[0, 2], &[]).unwrap(),
+                    s.gather_columns(&[0, 2], &[], None).unwrap(),
                     vec![
                         ColumnVector::new(DataType::Int64),
                         ColumnVector::new(DataType::Float64)
@@ -2533,7 +2605,7 @@ mod tests {
             for frozen in [false, true] {
                 let s = build(&rows, pager, frozen);
                 for indexes in &index_lists {
-                    let cols = s.gather_columns(&[0, 1, 2], indexes).unwrap();
+                    let cols = s.gather_columns(&[0, 1, 2], indexes, None).unwrap();
                     let got = oltap_common::Batch::new(cols).unwrap().to_rows();
                     let want: Vec<Row> =
                         indexes.iter().map(|&i| s.row_at(i).unwrap()).collect();

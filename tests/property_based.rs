@@ -893,7 +893,9 @@ fn wal_replay_is_prefix_closed() {
 /// Larger-than-memory paging is invisible to queries: a buffer pool
 /// around a tenth of the data answers every query shape byte-identically
 /// to an unlimited pool and to the fully-resident (unpaged) path, on the
-/// serial and the parallel executor alike.
+/// serial and the parallel executor alike — one statement at a time, in a
+/// repeated rotation (what a scan leaves in the pool is what the next one
+/// finds), and with two sessions scanning the same segments at once.
 #[test]
 fn paged_scans_match_resident_at_any_pool_size() {
     use oltapdb::core::{BufferConfig, DbConfig};
@@ -902,12 +904,22 @@ fn paged_scans_match_resident_at_any_pool_size() {
         let seed = case ^ 0xBF_F3_4D;
         let resident = Database::new();
         let queries = load_star_schema(&resident, &mut rng_for(seed));
+        // A fused aggregate, a filtered projection, a pipeline aggregate,
+        // and a self-join: two passes over each segment in one statement.
+        let rotation = [
+            queries[2].as_str(),
+            queries[1].as_str(),
+            queries[10].as_str(),
+            "SELECT a.id, b.v FROM fact a JOIN fact b ON a.id = b.id WHERE a.v >= 0",
+        ];
+        let wanted: Vec<_> = rotation.iter().map(|sql| resident.query(sql).unwrap()).collect();
 
         // A pool far below the merged segment footprint (a 64-row page of
         // doubles is 528 bytes, and the pages a row group's readers hold
-        // are pinned side by side: 2 KiB is the floor), and one that never
-        // evicts. Both must agree with the resident baseline.
-        for pool_bytes in [2048u64, u64::MAX] {
+        // are pinned side by side: 2 KiB is the floor), one that holds two
+        // statements' pins but not the data, and one that never evicts.
+        // All must agree with the resident baseline.
+        for pool_bytes in [2048u64, 8192, u64::MAX] {
             let db = Database::with_config(DbConfig {
                 buffer: Some(BufferConfig {
                     pool_bytes,
@@ -935,8 +947,31 @@ fn paged_scans_match_resident_at_any_pool_size() {
                     "seed={seed:#x} pool={pool_bytes} parallel `{sql}`"
                 );
             }
+            let rotate = |who: &str| {
+                for round in 0..3 {
+                    for (sql, want) in rotation.iter().zip(&wanted) {
+                        assert_eq!(
+                            &db.query(sql).unwrap(),
+                            want,
+                            "seed={seed:#x} pool={pool_bytes} {who} round {round} `{sql}`"
+                        );
+                    }
+                }
+            };
+            for workers in [1, 4] {
+                db.set_parallelism(workers);
+                rotate(&format!("{workers} workers"));
+                // The starved pool holds one statement's pins, not two.
+                if pool_bytes > 2048 {
+                    std::thread::scope(|s| {
+                        s.spawn(|| rotate("first of two sessions"));
+                        s.spawn(|| rotate("second of two sessions"));
+                    });
+                }
+            }
             let stats = db.buffer_stats().unwrap();
             assert!(stats.misses > 0, "seed={seed:#x}: nothing faulted — vacuous");
+            assert_eq!(stats.pinned_bytes, 0, "seed={seed:#x} pool={pool_bytes}");
             any_evictions |= stats.evictions > 0;
         }
     }
