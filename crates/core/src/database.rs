@@ -501,14 +501,6 @@ impl Database {
                         "DDL mixed into a DML record".into(),
                     ))
                 }
-                // Two-phase-commit records belong to the distributed
-                // participant recovery path (oltap-dist); the embedded
-                // single-node engine never writes them to its own WAL.
-                WalOp::Prepare { .. } | WalOp::TxnDecision { .. } => {
-                    return Err(DbError::Unsupported(
-                        "2PC records in a single-node WAL".into(),
-                    ))
-                }
             }
         }
         txn.commit()?;

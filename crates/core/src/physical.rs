@@ -96,6 +96,9 @@ struct Lowering<'a> {
     /// Join filters published by sideways-marked joins, keyed by join id,
     /// for the probe-side scans decomposed after them.
     sips: FxHashMap<u32, JoinFilter>,
+    /// A node of the plan (by address) and the batches that stand for it: a
+    /// distributed statement's cut, answered by the shards.
+    leaf: Option<(&'a LogicalPlan, Vec<Batch>)>,
 }
 
 /// Executes `plan` at `ctx`'s snapshot and returns its non-empty result
@@ -105,14 +108,70 @@ pub fn execute_plan(
     catalog: &Catalog,
     ctx: &ExecContext,
 ) -> Result<Vec<Batch>> {
-    let mut lowering = Lowering::new(catalog, ctx);
+    execute_above(plan, None, catalog, ctx)
+}
+
+/// [`execute_plan`] with the node `leaf` names answered by the batches
+/// beside it: what a distributed statement runs above its cut.
+pub fn execute_above(
+    plan: &LogicalPlan,
+    leaf: Option<(&LogicalPlan, Vec<Batch>)>,
+    catalog: &Catalog,
+    ctx: &ExecContext,
+) -> Result<Vec<Batch>> {
+    let mut lowering = Lowering::new(catalog, ctx, leaf);
     let p = lowering.decompose(plan)?;
     let batches = lowering.drain(p)?;
     Ok(batches.into_iter().filter(|b| !b.is_empty()).collect())
 }
 
+/// What one partition hands up for a plan fragment: its root `Aggregate`'s
+/// groups, sealed but not finished, or — any other root — its batches.
+/// Partitions [`merge`](Partial::merge) in order and [`finish`](Partial::finish) once.
+pub enum Partial {
+    /// The fragment's root was an `Aggregate`.
+    Groups(Box<RunningGroups>),
+    /// The fragment's root was anything else.
+    Batches(Vec<Batch>),
+}
+
+impl Partial {
+    /// Folds the next partition's answer to the same fragment into this one.
+    pub fn merge(&mut self, next: Partial) -> Result<()> {
+        match (self, next) {
+            (Partial::Groups(mine), Partial::Groups(theirs)) => mine.merge(*theirs),
+            (Partial::Batches(mine), Partial::Batches(theirs)) => {
+                mine.extend(theirs);
+                Ok(())
+            }
+            _ => Err(DbError::Execution("merging partials of different fragments".into())),
+        }
+    }
+
+    /// The fragment's batches, as the operator above it would be handed them.
+    pub fn finish(self) -> Result<Vec<Batch>> {
+        match self {
+            Partial::Groups(groups) => groups.finish(),
+            Partial::Batches(batches) => Ok(batches),
+        }
+    }
+}
+
+/// Executes the fragment rooted at `cut` at `ctx`'s snapshot; an
+/// `Aggregate` root stops at its sealed groups (spilled rows replayed here,
+/// under this partition's budget) instead of finishing them.
+pub fn execute_fragment(cut: &LogicalPlan, catalog: &Catalog, ctx: &ExecContext) -> Result<Partial> {
+    let mut lowering = Lowering::new(catalog, ctx, None);
+    if let LogicalPlan::Aggregate { input, group, aggs } = cut {
+        let mut groups = lowering.aggregate(input, group, aggs)?;
+        return groups.seal().map(|()| Partial::Groups(Box::new(groups)));
+    }
+    let p = lowering.decompose(cut)?;
+    lowering.drain(p).map(Partial::Batches)
+}
+
 impl<'a> Lowering<'a> {
-    fn new(catalog: &'a Catalog, ctx: &'a ExecContext) -> Self {
+    fn new(catalog: &'a Catalog, ctx: &'a ExecContext, leaf: Option<(&'a LogicalPlan, Vec<Batch>)>) -> Self {
         Lowering {
             catalog,
             ctx,
@@ -124,6 +183,7 @@ impl<'a> Lowering<'a> {
                 mem: ctx.mem.clone(),
             },
             sips: FxHashMap::default(),
+            leaf,
         }
     }
 
@@ -144,6 +204,9 @@ impl<'a> Lowering<'a> {
     /// built so far through their sink and start a fresh pipeline over the
     /// materialized result.
     fn decompose(&mut self, plan: &LogicalPlan) -> Result<Pipeline> {
+        if let Some((_, batches)) = self.leaf.take_if(|(node, _)| std::ptr::eq(*node, plan)) {
+            return Ok(Pipeline::materialized(batches, plan.output_schema()?));
+        }
         Ok(match plan {
             LogicalPlan::Scan {
                 table,
@@ -191,14 +254,9 @@ impl<'a> Lowering<'a> {
                 p
             }
             LogicalPlan::Aggregate { input, group, aggs } => {
-                if let Some((fused, _paths)) = self.try_fused_aggregate(input, group, aggs)? {
-                    return Ok(fused);
-                }
-                let p = self.decompose(input)?;
-                let core = Arc::new(AggregatorCore::new(&p.schema, group.clone(), aggs.clone())?);
-                let schema = core.schema();
-                let batches = self.pctx.run_aggregate(p.batches, p.stages, core)?;
-                Pipeline::materialized(batches, schema)
+                let groups = self.aggregate(input, group, aggs)?;
+                let schema = groups.schema();
+                Pipeline::materialized(groups.finish()?, schema)
             }
             LogicalPlan::Join {
                 left,
@@ -280,14 +338,31 @@ impl<'a> Lowering<'a> {
         })
     }
 
+    /// An `Aggregate`'s groups, every input row folded in: fused over the
+    /// encoded segments when the shape qualifies, else by the pipelines'
+    /// sink. The lowering finishes them; [`execute_fragment`] does not.
+    fn aggregate(
+        &mut self,
+        input: &LogicalPlan,
+        group: &[(Expr, String)],
+        aggs: &[AggExpr],
+    ) -> Result<RunningGroups> {
+        if let Some((fused, _paths)) = self.try_fused_aggregate(input, group, aggs)? {
+            return Ok(fused);
+        }
+        let p = self.decompose(input)?;
+        let core = Arc::new(AggregatorCore::new(&p.schema, group.to_vec(), aggs.to_vec())?);
+        self.pctx.run_aggregate(p.batches, p.stages, core)
+    }
+
     /// Attempts the fused operate-on-compressed path for an
     /// `Aggregate(Scan)` plan over a delta-main table: group keys and
     /// aggregate inputs are read straight from the encoded segments (see
     /// `oltap_exec::fused`), the delta is folded into the same
-    /// [`RunningGroups`], and the finished batches replace the whole
-    /// subtree — the fused scan reads encoded segments directly, so there
-    /// is no batch stream to morselize; beside them, how many row groups
-    /// took the dense and the scalar path. Returns `None` — fall back to the
+    /// [`RunningGroups`], which stands for the whole subtree — the fused
+    /// scan reads encoded segments directly, so there is no batch stream to
+    /// morselize; beside it, how many row groups took the dense and the
+    /// scalar path. Returns `None` — fall back to the
     /// pipelines — when the shape doesn't qualify (non-column expressions,
     /// non-columnar tables, a scan carrying a sideways join filter, or one
     /// the optimizer answers with a key lookup) or the memory governor
@@ -298,7 +373,7 @@ impl<'a> Lowering<'a> {
         input: &LogicalPlan,
         group: &[(Expr, String)],
         aggs: &[AggExpr],
-    ) -> Result<Option<(Pipeline, (usize, usize))>> {
+    ) -> Result<Option<(RunningGroups, (usize, usize))>> {
         let ctx = self.ctx;
         let LogicalPlan::Scan {
             table,
@@ -344,10 +419,7 @@ impl<'a> Lowering<'a> {
             Ok(paths)
         });
         match fused {
-            Ok(paths) => Ok(Some((
-                Pipeline::materialized(groups.finish()?, core.schema()),
-                paths,
-            ))),
+            Ok(paths) => Ok(Some((groups, paths))),
             // The governor refused a group mid-walk. The attempt has
             // published nothing and hands back what it reserved as `groups`
             // drops: the statement runs through the pipelines, whose sink
@@ -871,10 +943,10 @@ mod tests {
         let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan) else {
             panic!("no Aggregate(Scan) in the plan of `{sql}`:\n{}", plan.explain());
         };
-        let (pipeline, paths) = Lowering::new(&catalog, ctx)
+        let (groups, paths) = Lowering::new(&catalog, ctx, None)
             .try_fused_aggregate(input, group, aggs)?
             .unwrap_or_else(|| panic!("`{sql}` did not fuse"));
-        Ok((pipeline.batches.iter().flat_map(|b| b.to_rows()).collect(), paths))
+        Ok((groups.finish()?.iter().flat_map(|b| b.to_rows()).collect(), paths))
     }
 
     /// A fused aggregate looks at its statement's token while it scans, on

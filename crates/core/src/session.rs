@@ -1,7 +1,7 @@
 //! Sessions: statement execution with explicit or automatic transactions.
 
 use crate::database::Database;
-use crate::physical::{execute_plan, ExecContext};
+use crate::physical::{execute_fragment, execute_plan, ExecContext, Partial};
 use oltap_common::ids::TxnId;
 use oltap_common::mem::WorkloadClass;
 use oltap_sql::LogicalPlan;
@@ -248,7 +248,28 @@ impl Session {
         let catalog = self.db.catalog_read();
         let plan = optimize(bind_select(sel, &*catalog)?)?;
         let schema = plan.output_schema()?;
-        let class = classify_plan(&plan);
+        let batches = self.run(&plan, (read_ts, me), |ctx| execute_plan(&plan, &catalog, ctx))?;
+        let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
+        Ok(QueryResult::Rows { schema, rows })
+    }
+
+    /// Runs a fragment of a SELECT planned elsewhere — a distributed
+    /// statement's `cut`, bound against a catalog with this one's tables —
+    /// as a statement of this session: at its snapshot, under its admission
+    /// ticket, budget and cancellation, stopping at a [`Partial`].
+    pub fn execute_fragment(&self, cut: &LogicalPlan) -> Result<Partial> {
+        let catalog = self.db.catalog_read();
+        self.run(cut, self.snapshot(), |ctx| execute_fragment(cut, &catalog, ctx))
+    }
+
+    /// Runs `f` as the execution of `plan`, a SELECT of this session's.
+    fn run<T>(
+        &self,
+        plan: &LogicalPlan,
+        (read_ts, me): (oltap_txn::Ts, TxnId),
+        f: impl FnOnce(&ExecContext) -> Result<T>,
+    ) -> Result<T> {
+        let class = classify_plan(plan);
         // Per-query token: a child of the connection token when one is
         // installed, so peer loss / deadlines / drain cancel the query.
         let cancel = match (&self.session_cancel, self.query_timeout) {
@@ -256,24 +277,19 @@ impl Session {
             (None, Some(t)) => CancellationToken::with_timeout(t),
             (None, None) => CancellationToken::new(),
         };
-        let batches = {
-            let _running = Running::enter(self, class, cancel.clone());
-            // Admission gate first (may queue the query), then the
-            // per-query budget; the ticket is RAII and outlives execution.
-            let _ticket = self.db.admit(class)?;
-            let ctx = ExecContext {
-                read_ts,
-                me,
-                batch_size: BATCH_SIZE,
-                cancel,
-                mem: self.db.exec_resources(class)?,
-                faults: Arc::clone(self.db.faults()),
-                pool: self.db.exec_pool(),
-            };
-            execute_plan(&plan, &catalog, &ctx)?
-        };
-        let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
-        Ok(QueryResult::Rows { schema, rows })
+        let _running = Running::enter(self, class, cancel.clone());
+        // Admission gate first (may queue the query), then the
+        // per-query budget; the ticket is RAII and outlives execution.
+        let _ticket = self.db.admit(class)?;
+        f(&ExecContext {
+            read_ts,
+            me,
+            batch_size: BATCH_SIZE,
+            cancel,
+            mem: self.db.exec_resources(class)?,
+            faults: Arc::clone(self.db.faults()),
+            pool: self.db.exec_pool(),
+        })
     }
 
     /// EXPLAIN: bind + optimize, render the plan tree as one row per line.

@@ -1,12 +1,21 @@
-//! The in-process cluster: partitioned, Raft-replicated tables with
-//! scatter-gather query execution.
+//! The in-process cluster: a partitioned, Raft-replicated table whose every
+//! shard is a [`Database`], queried in SQL.
 //!
-//! This is the scale-out architecture of the tutorial's §3 systems: data
-//! is horizontally partitioned ([`crate::partition`]); each partition is
-//! replicated by a Raft group ([`crate::raft`], the Kudu design \[24\]);
-//! queries scatter to every partition, compute partial aggregates next to
-//! the data, and gather the partials (the Oracle DBIM scale-out / MPP
-//! pattern \[27\]).
+//! This is the scale-out architecture of the tutorial's §3 systems: data is
+//! horizontally partitioned ([`crate::partition`]); each partition is a
+//! local store behind a Raft log ([`crate::raft`], the Kudu design \[24\]);
+//! aggregation runs next to the data and the partials are gathered (the
+//! Oracle DBIM scale-out / MPP pattern \[27\]). DESIGN.md § 14 has the why.
+//!
+//! * **One store.** A replica ([`ReplicaStore`]) applies committed entries
+//!   through its database's `TableHandle` and transaction manager, as a
+//!   session's DML does; a wiped replica is a fresh `Database`.
+//! * **One aggregate.** [`DistributedTable::query`] plans once, runs the
+//!   plan's `Aggregate` (or `Scan`) fragment on every partition through a
+//!   `Session`, merges the sealed [`Partial`]s in partition order, finishes
+//!   once, and lowers what is above the cut as it would any plan.
+//! * **One log.** `Prepare` / `Decide` arrive through the Raft log, and a
+//!   restarted replica's in-doubt set is rebuilt by replaying it.
 //!
 //! **Substitution:** "nodes" are replica slots within this process and the
 //! wire is in-memory channels. Quorum math, leader routing, failure
@@ -14,22 +23,22 @@
 //! simulated (see DESIGN.md).
 
 use crate::partition::Partitioner;
-use crate::raft::{Network, RaftConfig, RaftNode, Role, StateMachine};
+use crate::raft::{Network, NodeReport, RaftConfig, RaftNode, Role, StateMachine};
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::ids::{NodeId, PartitionId, TxnId};
+use oltap_common::ids::{NodeId, PartitionId};
 use oltap_common::retry::Backoff;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{DbError, Result, Row};
-use oltap_storage::{DeltaMainTable, ScanPredicate};
-use oltap_txn::wal::{decode_row, encode_row, in_doubt_gtxns, CommitRecord, Wal, WalOp};
-use oltap_txn::{Transaction, TransactionManager};
+use oltap_common::{CancellationToken, DbError, Result, Row};
+use oltap_core::physical::{execute_above, snapshot_ctx, ExecContext, Partial};
+use oltap_core::{Catalog, Database, TableFormat, TableHandle};
+use oltap_sql::{bind_select, optimize, parse, LogicalPlan, Statement};
+use oltap_txn::wal::{decode_row, encode_row};
+use oltap_txn::Transaction;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-const NOBODY: TxnId = TxnId(u64::MAX - 4);
 
 /// A command replicated through a partition's Raft log.
 ///
@@ -60,6 +69,47 @@ pub enum ShardCmd {
     },
 }
 
+/// Length-prefixed rows, as Raft commands and snapshots carry them: a `u32`
+/// count, then each row's `u32` length and [`encode_row`] bytes.
+fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
+    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for r in rows {
+        let b = encode_row(r);
+        buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&b);
+    }
+}
+
+fn read_u32(b: &[u8], off: &mut usize) -> Option<u32> {
+    let v = u32::from_le_bytes(b.get(*off..*off + 4)?.try_into().ok()?);
+    *off += 4;
+    Some(v)
+}
+
+fn read_u64(b: &[u8], off: &mut usize) -> Option<u64> {
+    let v = u64::from_le_bytes(b.get(*off..*off + 8)?.try_into().ok()?);
+    *off += 8;
+    Some(v)
+}
+
+fn read_bool(b: &[u8], off: &mut usize) -> Option<bool> {
+    let v = *b.get(*off)? != 0;
+    *off += 1;
+    Some(v)
+}
+
+fn read_rows(b: &[u8], off: &mut usize) -> Option<Vec<Row>> {
+    let n = read_u32(b, off)? as usize;
+    let mut rows = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        let len = read_u32(b, off)? as usize;
+        let slice = b.get(*off..*off + len)?;
+        *off += len;
+        rows.push(decode_row(slice).ok()?);
+    }
+    Some(rows)
+}
+
 impl ShardCmd {
     /// Serializes the command for the Raft log (tag byte + payload).
     pub fn encode(&self) -> Vec<u8> {
@@ -72,12 +122,7 @@ impl ShardCmd {
             ShardCmd::Prepare { gtxn, rows } => {
                 buf.push(1);
                 buf.extend_from_slice(&gtxn.to_le_bytes());
-                buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for r in rows {
-                    let b = encode_row(r);
-                    buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&b);
-                }
+                put_rows(&mut buf, rows);
             }
             ShardCmd::Decide { gtxn, commit } => {
                 buf.push(2);
@@ -95,37 +140,16 @@ impl ShardCmd {
         match tag {
             0 => Ok(ShardCmd::Insert(decode_row(rest)?)),
             1 => {
-                if rest.len() < 12 {
-                    return Err(corrupt());
-                }
-                let gtxn = u64::from_le_bytes(rest[0..8].try_into().unwrap());
-                let n = u32::from_le_bytes(rest[8..12].try_into().unwrap()) as usize;
-                let mut off = 12usize;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    if rest.len() < off + 4 {
-                        return Err(corrupt());
-                    }
-                    let len =
-                        u32::from_le_bytes(rest[off..off + 4].try_into().unwrap()) as usize;
-                    off += 4;
-                    if rest.len() < off + len {
-                        return Err(corrupt());
-                    }
-                    rows.push(decode_row(&rest[off..off + len])?);
-                    off += len;
-                }
+                let mut off = 0;
+                let gtxn = read_u64(rest, &mut off).ok_or_else(corrupt)?;
+                let rows = read_rows(rest, &mut off).ok_or_else(corrupt)?;
                 Ok(ShardCmd::Prepare { gtxn, rows })
             }
             2 => {
-                if rest.len() < 9 {
-                    return Err(corrupt());
-                }
-                let gtxn = u64::from_le_bytes(rest[0..8].try_into().unwrap());
-                Ok(ShardCmd::Decide {
-                    gtxn,
-                    commit: rest[8] != 0,
-                })
+                let mut off = 0;
+                let gtxn = read_u64(rest, &mut off).ok_or_else(corrupt)?;
+                let commit = read_bool(rest, &mut off).ok_or_else(corrupt)?;
+                Ok(ShardCmd::Decide { gtxn, commit })
             }
             t => Err(DbError::Corruption(format!("bad shard command tag {t}"))),
         }
@@ -134,24 +158,23 @@ impl ShardCmd {
 
 /// A prepared-but-undecided global transaction held by one replica.
 struct PendingPrepare {
-    /// The local MVCC transaction pinning the staged versions. `None`
-    /// when staging failed (vote = abort) — there is nothing to commit.
+    /// The local MVCC transaction pinning the staged versions: this
+    /// replica's yes vote. `None` when staging failed — the vote is abort
+    /// and there is nothing to commit.
     txn: Option<Transaction>,
-    /// This replica's prepare vote.
-    ok: bool,
     /// The staged rows, retained so a Raft snapshot can re-stage them on
     /// a restoring replica.
     rows: Vec<Row>,
 }
 
 /// Per-replica 2PC participant state: prepared transactions awaiting a
-/// decision, decided outcomes (for idempotent re-delivery), and the
-/// participant WAL recording `Prepare`/`TxnDecision` records so a
-/// restarted replica can enumerate its in-doubt transactions.
+/// decision, and decided outcomes (for idempotent re-delivery). Nothing
+/// here is logged locally: both arrive through the partition's Raft log,
+/// and a restarted replica rebuilds them by replaying it.
+#[derive(Default)]
 struct TwoPcLocal {
     pending: BTreeMap<u64, PendingPrepare>,
     outcomes: BTreeMap<u64, bool>,
-    wal: Wal,
 }
 
 /// Decided outcomes retained per replica for idempotent re-delivery.
@@ -161,94 +184,74 @@ struct TwoPcLocal {
 const OUTCOME_RETENTION: usize = 64;
 
 impl TwoPcLocal {
-    fn new() -> Self {
-        TwoPcLocal {
-            pending: BTreeMap::new(),
-            outcomes: BTreeMap::new(),
-            wal: Wal::new_in_memory(),
+    /// Once decided outcomes pile up past twice the retention window, drops
+    /// the oldest (gtxns are time-ordered: epoch in the high bits, sequence
+    /// in the low), so participant memory grows with the in-flight set
+    /// instead of with total transaction history.
+    fn forget_old_outcomes(&mut self) {
+        if self.outcomes.len() >= OUTCOME_RETENTION * 2 {
+            while self.outcomes.len() > OUTCOME_RETENTION {
+                self.outcomes.pop_first();
+            }
         }
-    }
-
-    /// Checkpoint: once decided outcomes pile up past twice the retention
-    /// window, drop the oldest (gtxns are time-ordered: epoch in the high
-    /// bits, sequence in the low) and rewrite the WAL to hold only the
-    /// still-pending prepares plus the retained decisions. Without this,
-    /// participant memory and in-doubt recovery scans grow with total
-    /// transaction history instead of with the in-flight set.
-    fn maybe_checkpoint(&mut self) {
-        if self.outcomes.len() < OUTCOME_RETENTION * 2 {
-            return;
-        }
-        while self.outcomes.len() > OUTCOME_RETENTION {
-            self.outcomes.pop_first();
-        }
-        let wal = Wal::new_in_memory();
-        for (&gtxn, p) in &self.pending {
-            let _ = wal.append(&CommitRecord {
-                txn: TxnId(gtxn),
-                commit_ts: 0,
-                ops: vec![WalOp::Prepare {
-                    gtxn,
-                    table: String::new(),
-                    rows: p.rows.clone(),
-                }],
-            });
-        }
-        for (&gtxn, &commit) in &self.outcomes {
-            let _ = wal.append(&CommitRecord {
-                txn: TxnId(gtxn),
-                commit_ts: 0,
-                ops: vec![WalOp::TxnDecision { gtxn, commit }],
-            });
-        }
-        self.wal = wal;
     }
 }
 
-/// Swappable replica storage: the table + transaction manager the Raft
-/// apply function writes into. Held behind a lock so a crash-restart can
-/// *wipe* the replica (simulating loss of the machine's data disk) and
-/// rebuild it purely from the Raft log — the re-applied entries land in
-/// the fresh table. Also hosts the replica's 2PC participant state
+/// An empty shard: a database holding the cluster's one table.
+fn empty_shard(schema: &SchemaRef) -> Arc<Database> {
+    let db = Database::new();
+    db.create_table(DistributedTable::TABLE, Arc::clone(schema), TableFormat::Column)
+        .expect("an empty in-memory database accepts its first table");
+    db
+}
+
+/// Stages `rows` under a fresh local transaction and prepares it: the MVCC
+/// versions stay pending (invisible to snapshots, pinned against
+/// maintenance) until the decision. `None` — the vote is abort — when any
+/// row is refused; dropping the transaction rolls the partial staging back.
+fn stage(db: &Database, table: &TableHandle, rows: &[Row]) -> Option<Transaction> {
+    let tx = db.txn_manager().begin();
+    let staged = rows.iter().try_for_each(|row| table.insert(&tx, row.clone()));
+    staged.and_then(|()| tx.prepare()).ok().map(|_| tx)
+}
+
+/// Swappable replica storage: the [`Database`] the Raft apply function
+/// writes into. Held behind a lock so a crash-restart can *wipe* the
+/// replica (simulating loss of the machine's data disk) and rebuild it
+/// purely from the Raft log — the re-applied entries land in the fresh
+/// database. Also hosts the replica's 2PC participant state
 /// ([`TwoPcLocal`]), which is wiped and rebuilt the same way.
 pub struct ReplicaStore {
     schema: SchemaRef,
-    inner: RwLock<(Arc<DeltaMainTable>, Arc<TransactionManager>)>,
+    db: RwLock<Arc<Database>>,
     twopc: Mutex<TwoPcLocal>,
     faults: Arc<FaultInjector>,
+    dropped: AtomicU64,
 }
 
 impl ReplicaStore {
     fn new(schema: SchemaRef, faults: Arc<FaultInjector>) -> Arc<ReplicaStore> {
-        let table = Arc::new(DeltaMainTable::new(Arc::clone(&schema)));
-        let mgr = Arc::new(TransactionManager::new());
         Arc::new(ReplicaStore {
+            db: RwLock::new(empty_shard(&schema)),
             schema,
-            inner: RwLock::new((table, mgr)),
-            twopc: Mutex::new(TwoPcLocal::new()),
+            twopc: Mutex::new(TwoPcLocal::default()),
             faults,
+            dropped: AtomicU64::new(0),
         })
     }
 
-    /// The current table (snapshot of the swappable slot).
-    pub fn table(&self) -> Arc<DeltaMainTable> {
-        Arc::clone(&self.inner.read().0)
+    /// The shard's current database (snapshot of the swappable slot).
+    pub fn db(&self) -> Arc<Database> {
+        Arc::clone(&self.db.read())
     }
 
-    /// The current transaction manager.
-    pub fn mgr(&self) -> Arc<TransactionManager> {
-        Arc::clone(&self.inner.read().1)
-    }
-
-    /// Drops all local state, replacing table, manager, and 2PC state
+    /// Drops all local state, replacing the database and the 2PC state
     /// with empty ones. The next Raft re-apply pass repopulates from the
     /// log (or a snapshot install repopulates via [`Self::restore_bytes`]).
     pub fn wipe(&self) {
-        let table = Arc::new(DeltaMainTable::new(Arc::clone(&self.schema)));
-        let mgr = Arc::new(TransactionManager::new());
         let mut tp = self.twopc.lock();
-        *self.inner.write() = (table, mgr);
-        *tp = TwoPcLocal::new();
+        *self.db.write() = empty_shard(&self.schema);
+        *tp = TwoPcLocal::default();
     }
 
     /// This replica's prepare vote for `gtxn`, if it has seen the
@@ -260,7 +263,7 @@ impl ReplicaStore {
         // a retrying coordinator toward the already-taken abort.
         tp.pending
             .get(&gtxn)
-            .map(|p| p.ok)
+            .map(|p| p.txn.is_some())
             .or_else(|| tp.outcomes.get(&gtxn).copied())
     }
 
@@ -271,37 +274,42 @@ impl ReplicaStore {
     }
 
     /// Global transaction ids this replica prepared but never saw a
-    /// decision for. Maintained incrementally as the keys of the pending
-    /// map (O(in-flight), not O(history)); the participant WAL mirrors
-    /// the same set — [`Self::wal_in_doubt`] recomputes it by replay, the
-    /// path a restarted node with only its WAL would take.
+    /// decision for: the keys of the pending map (O(in-flight), not
+    /// O(history)), which a restarted replica rebuilds by replaying its
+    /// Raft log or restoring its snapshot.
     pub fn in_doubt(&self) -> Vec<u64> {
         self.twopc.lock().pending.keys().copied().collect()
     }
 
-    /// The in-doubt set as derived from the participant WAL alone
-    /// (full replay — test oracle for the incremental set).
-    pub fn wal_in_doubt(&self) -> Vec<u64> {
-        let tp = self.twopc.lock();
-        let (records, _) = tp.wal.replay_records();
-        in_doubt_gtxns(&records)
+    /// Log entries and snapshots this replica could not apply in full:
+    /// bytes that decode to no [`ShardCmd`], a snapshot that ends early, a
+    /// database without the table. The log is the authority and cannot take
+    /// an entry back, so they are dropped — and counted, because each is a
+    /// divergence from the log.
+    pub fn dropped_commands(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Applies one replicated command (called from the Raft apply fn).
     /// Returns `true` when an armed fault requests this replica crash
     /// *after* the prepare is durable — the participant-crash chaos point.
     fn apply(&self, cmd: &[u8]) -> bool {
-        let cmd = match ShardCmd::decode(cmd) {
-            Ok(c) => c,
-            Err(_) => return false,
-        };
-        let (table, mgr) = {
-            let g = self.inner.read();
-            (Arc::clone(&g.0), Arc::clone(&g.1))
-        };
+        self.try_apply(cmd).unwrap_or_else(|_| {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            false
+        })
+    }
+
+    fn try_apply(&self, cmd: &[u8]) -> Result<bool> {
+        if cmd.is_empty() {
+            return Ok(false); // a new leader's no-op entry carries no command
+        }
+        let cmd = ShardCmd::decode(cmd)?;
+        let db = self.db();
+        let table = db.table(DistributedTable::TABLE)?;
         match cmd {
             ShardCmd::Insert(row) => {
-                let tx = mgr.begin();
+                let tx = db.txn_manager().begin();
                 // Replicated commands are already committed cluster-wide;
                 // local conflicts cannot occur because all writes flow
                 // through the same log. Duplicate keys appear only during
@@ -309,109 +317,62 @@ impl ReplicaStore {
                 if table.insert(&tx, row).is_ok() {
                     let _ = tx.commit();
                 }
-                false
+                Ok(false)
             }
             ShardCmd::Prepare { gtxn, rows } => {
                 let mut tp = self.twopc.lock();
                 // Re-apply after restart: skip if already staged/decided.
                 if tp.pending.contains_key(&gtxn) || tp.outcomes.contains_key(&gtxn) {
-                    return false;
+                    return Ok(false);
                 }
-                // Stage under a local transaction, leave it open: the MVCC
-                // versions stay pending (invisible to snapshots) until the
-                // decision arrives. Apply is single-threaded per replica
-                // and commands are log-ordered, so success/failure here is
-                // deterministic across all replicas of the partition.
-                let tx = mgr.begin();
-                let mut ok = true;
-                for row in &rows {
-                    if table.insert(&tx, row.clone()).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                let txn = if ok && tx.prepare().is_ok() {
-                    Some(tx)
-                } else {
-                    ok = false;
-                    None // dropping `tx` aborts the partial staging
-                };
-                let _ = tp.wal.append(&CommitRecord {
-                    txn: TxnId(gtxn),
-                    commit_ts: 0,
-                    ops: vec![WalOp::Prepare {
-                        gtxn,
-                        table: String::new(),
-                        rows: rows.clone(),
-                    }],
-                });
-                tp.pending.insert(gtxn, PendingPrepare { txn, ok, rows });
+                // Apply is single-threaded per replica and commands are
+                // log-ordered, so success/failure here is deterministic
+                // across all replicas of the partition.
+                let txn = stage(&db, &table, &rows);
+                tp.pending.insert(gtxn, PendingPrepare { txn, rows });
                 drop(tp);
-                self.faults
-                    .should_fire(points::TWOPC_PARTICIPANT_CRASH_PREPARED)
+                Ok(self
+                    .faults
+                    .should_fire(points::TWOPC_PARTICIPANT_CRASH_PREPARED))
             }
             ShardCmd::Decide { gtxn, commit } => {
                 let mut tp = self.twopc.lock();
                 if tp.outcomes.contains_key(&gtxn) {
-                    return false; // duplicate decision delivery
+                    return Ok(false); // duplicate decision delivery
                 }
-                if let Some(p) = tp.pending.remove(&gtxn) {
-                    if let Some(tx) = p.txn {
-                        if commit && p.ok {
-                            let _ = tx.commit();
-                        } else {
-                            let _ = tx.abort();
-                        }
+                if let Some(tx) = tp.pending.remove(&gtxn).and_then(|p| p.txn) {
+                    if commit {
+                        let _ = tx.commit();
+                    } else {
+                        let _ = tx.abort();
                     }
                 }
-                let _ = tp.wal.append(&CommitRecord {
-                    txn: TxnId(gtxn),
-                    commit_ts: 0,
-                    ops: vec![WalOp::TxnDecision { gtxn, commit }],
-                });
                 tp.outcomes.insert(gtxn, commit);
-                tp.maybe_checkpoint();
-                false
+                tp.forget_old_outcomes();
+                Ok(false)
             }
         }
     }
 
     /// Serializes the replica's full state for a Raft snapshot: committed
-    /// rows, still-pending prepares (with their staged rows, so a restored
-    /// replica can re-stage them), and decided outcomes. Called from the
-    /// Raft worker thread, which is also the only caller of `apply`, so
-    /// the state observed is exactly the state at `last_applied`.
+    /// rows (read through the shard's own SQL surface), still-pending
+    /// prepares (with their staged rows, so a restored replica can re-stage
+    /// them), and decided outcomes. Called from the Raft worker thread,
+    /// which is also the only caller of `apply`, so the state observed is
+    /// exactly the state at `last_applied`.
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let (table, mgr) = {
-            let g = self.inner.read();
-            (Arc::clone(&g.0), Arc::clone(&g.1))
-        };
-        let all: Vec<usize> = (0..self.schema.len()).collect();
-        let mut rows: Vec<Row> = Vec::new();
-        if let Ok(batches) = table.scan(&all, &ScanPredicate::all(), mgr.now(), NOBODY, 4096)
-        {
-            for b in &batches {
-                rows.extend(b.to_rows());
-            }
-        }
+        let rows = self
+            .db()
+            .query(&format!("SELECT * FROM {}", DistributedTable::TABLE))
+            .unwrap_or_default();
         let tp = self.twopc.lock();
         let mut buf = Vec::with_capacity(64 + rows.len() * 16);
-        buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-        for r in &rows {
-            let b = encode_row(r);
-            buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&b);
-        }
+        put_rows(&mut buf, &rows);
         buf.extend_from_slice(&(tp.pending.len() as u32).to_le_bytes());
         for (gtxn, p) in &tp.pending {
             buf.extend_from_slice(&gtxn.to_le_bytes());
-            buf.push(p.ok as u8);
-            buf.extend_from_slice(&(p.rows.len() as u32).to_le_bytes());
-            for r in &p.rows {
-                let b = encode_row(r);
-                buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&b);
-            }
+            buf.push(p.txn.is_some() as u8);
+            put_rows(&mut buf, &p.rows);
         }
         buf.extend_from_slice(&(tp.outcomes.len() as u32).to_le_bytes());
         for (gtxn, commit) in &tp.outcomes {
@@ -422,108 +383,41 @@ impl ReplicaStore {
     }
 
     /// Replaces the replica's state with a snapshot produced by
-    /// [`Self::snapshot_bytes`] (InstallSnapshot on a lagging follower).
+    /// [`Self::snapshot_bytes`] (InstallSnapshot on a lagging follower). One
+    /// that ends early restores what it holds and counts as dropped.
     fn restore_bytes(&self, bytes: &[u8]) {
-        fn read_u32(b: &[u8], off: &mut usize) -> Option<u32> {
-            let v = u32::from_le_bytes(b.get(*off..*off + 4)?.try_into().ok()?);
-            *off += 4;
-            Some(v)
-        }
-        fn read_u64(b: &[u8], off: &mut usize) -> Option<u64> {
-            let v = u64::from_le_bytes(b.get(*off..*off + 8)?.try_into().ok()?);
-            *off += 8;
-            Some(v)
-        }
-        fn read_rows(b: &[u8], off: &mut usize) -> Option<Vec<Row>> {
-            let n = read_u32(b, off)? as usize;
-            let mut rows = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let len = read_u32(b, off)? as usize;
-                let slice = b.get(*off..*off + len)?;
-                *off += len;
-                rows.push(decode_row(slice).ok()?);
-            }
-            Some(rows)
-        }
         self.wipe();
-        let (table, mgr) = {
-            let g = self.inner.read();
-            (Arc::clone(&g.0), Arc::clone(&g.1))
-        };
+        if self.try_restore(bytes).is_none() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn try_restore(&self, bytes: &[u8]) -> Option<()> {
+        let db = self.db();
+        let table = db.table(DistributedTable::TABLE).ok()?;
         let mut off = 0usize;
-        let Some(committed) = read_rows(bytes, &mut off) else {
-            return;
-        };
-        let tx = mgr.begin();
-        for row in committed {
+        let tx = db.txn_manager().begin();
+        for row in read_rows(bytes, &mut off)? {
             let _ = table.insert(&tx, row);
         }
         let _ = tx.commit();
         let mut tp = self.twopc.lock();
-        let Some(np) = read_u32(bytes, &mut off) else {
-            return;
-        };
-        for _ in 0..np {
-            let (Some(gtxn), Some(&okb)) = (read_u64(bytes, &mut off), bytes.get(off))
-            else {
-                return;
-            };
-            off += 1;
-            let Some(rows) = read_rows(bytes, &mut off) else {
-                return;
-            };
-            // Re-stage exactly as apply(Prepare) would, including the WAL
-            // record, so in-doubt recovery works from a restored replica.
-            let tx = mgr.begin();
-            let mut ok = okb != 0;
-            if ok {
-                for row in &rows {
-                    if table.insert(&tx, row.clone()).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            let txn = if ok && tx.prepare().is_ok() {
-                Some(tx)
-            } else {
-                ok = false;
-                None
-            };
-            let _ = tp.wal.append(&CommitRecord {
-                txn: TxnId(gtxn),
-                commit_ts: 0,
-                ops: vec![WalOp::Prepare {
-                    gtxn,
-                    table: String::new(),
-                    rows: rows.clone(),
-                }],
-            });
-            tp.pending.insert(gtxn, PendingPrepare { txn, ok, rows });
+        for _ in 0..read_u32(bytes, &mut off)? {
+            let (gtxn, voted_yes) = (read_u64(bytes, &mut off)?, read_bool(bytes, &mut off)?);
+            let rows = read_rows(bytes, &mut off)?;
+            // Re-stage exactly as apply(Prepare) would, so the restored
+            // replica holds — and reports in doubt — what the sender held.
+            let txn = if voted_yes { stage(&db, &table, &rows) } else { None };
+            tp.pending.insert(gtxn, PendingPrepare { txn, rows });
         }
-        let Some(no) = read_u32(bytes, &mut off) else {
-            return;
-        };
-        for _ in 0..no {
-            let (Some(gtxn), Some(&commit)) = (read_u64(bytes, &mut off), bytes.get(off))
-            else {
-                return;
-            };
-            off += 1;
-            let _ = tp.wal.append(&CommitRecord {
-                txn: TxnId(gtxn),
-                commit_ts: 0,
-                ops: vec![WalOp::TxnDecision {
-                    gtxn,
-                    commit: commit != 0,
-                }],
-            });
-            tp.outcomes.insert(gtxn, commit != 0);
+        for _ in 0..read_u32(bytes, &mut off)? {
+            tp.outcomes.insert(read_u64(bytes, &mut off)?, read_bool(bytes, &mut off)?);
         }
+        Some(())
     }
 }
 
-/// One replica of one partition: swappable local storage fed by the
+/// One replica of one partition: a swappable local [`Database`] fed by the
 /// partition's Raft log.
 pub struct Replica {
     /// The replica's storage slot (wipe-able for rebuild tests).
@@ -533,14 +427,10 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// The current local table.
-    pub fn table(&self) -> Arc<DeltaMainTable> {
-        self.store.table()
-    }
-
-    /// The current transaction manager.
-    pub fn mgr(&self) -> Arc<TransactionManager> {
-        self.store.mgr()
+    /// The shard's current database: SQL, snapshots and maintenance over
+    /// what this replica has applied.
+    pub fn db(&self) -> Arc<Database> {
+        self.store.db()
     }
 }
 
@@ -557,6 +447,11 @@ pub struct PartitionGroup {
 }
 
 impl PartitionGroup {
+    /// The replicas whose Raft node is up.
+    fn running(&self) -> impl Iterator<Item = &Replica> {
+        self.replicas.iter().filter(|r| r.raft.is_running())
+    }
+
     fn current_leader(&self) -> Option<usize> {
         self.replicas
             .iter()
@@ -666,11 +561,7 @@ impl PartitionGroup {
         let deadline = std::time::Instant::now() + timeout;
         let mut backoff = Backoff::for_cluster();
         loop {
-            let vote = self
-                .replicas
-                .iter()
-                .filter(|r| r.raft.is_running())
-                .find_map(|r| r.store.prepare_vote(gtxn));
+            let vote = self.running().find_map(|r| r.store.prepare_vote(gtxn));
             if let Some(ok) = vote {
                 return Ok(ok);
             }
@@ -682,21 +573,13 @@ impl PartitionGroup {
 
     /// Whether any running replica has applied a decision for `gtxn`.
     pub fn decided(&self, gtxn: u64) -> Option<bool> {
-        self.replicas
-            .iter()
-            .filter(|r| r.raft.is_running())
-            .find_map(|r| r.store.decided(gtxn))
+        self.running().find_map(|r| r.store.decided(gtxn))
     }
 
     /// Global transactions some running replica prepared but never saw
     /// decided — the partition's in-doubt set after a crash.
-    pub fn in_doubt_gtxns(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .replicas
-            .iter()
-            .filter(|r| r.raft.is_running())
-            .flat_map(|r| r.store.in_doubt())
-            .collect();
+    pub fn in_doubt(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self.running().flat_map(|r| r.store.in_doubt()).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -728,16 +611,40 @@ impl ClusterConfig {
     }
 }
 
-/// A partitioned, replicated, queryable table.
+/// A partitioned, replicated table, queried in SQL.
 pub struct DistributedTable {
     schema: SchemaRef,
+    /// What the coordinator binds statements against: every shard's
+    /// catalog, with no rows behind it.
+    catalog: Catalog,
     partitioner: Partitioner,
     groups: Vec<PartitionGroup>,
     config: ClusterConfig,
     faults: Arc<FaultInjector>,
 }
 
+/// The node a distributed plan is cut at: its `Aggregate`, or its `Scan`
+/// when it has none. The cut and everything below it run once per
+/// partition; everything above runs once, on the gathered result.
+fn cut_of(plan: &LogicalPlan) -> Result<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Scan { .. } => Ok(plan),
+        LogicalPlan::Aggregate { input, .. } => cut_of(input).map(|_| plan),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => cut_of(input),
+        LogicalPlan::Join { .. } => Err(DbError::Unsupported(
+            "a distributed Join: a partition holds only its own rows of the one table".into(),
+        )),
+    }
+}
+
 impl DistributedTable {
+    /// The SQL name of the cluster's one table, on the coordinator and in
+    /// every shard's database.
+    pub const TABLE: &'static str = "t";
+
     /// Builds the cluster: one Raft group per partition, replicas placed
     /// round-robin over nodes.
     pub fn new(schema: SchemaRef, config: ClusterConfig) -> Result<Self> {
@@ -745,12 +652,12 @@ impl DistributedTable {
     }
 
     /// Builds the cluster with a fault injector shared by every replica's
-    /// transport (`raft.*` points) and the scatter-gather read path
-    /// (`scan.partition_fail`). Cross-node probe interleaving makes the
-    /// `raft.*` decision *order* timing-dependent at this scope — safety
-    /// invariants must hold on every schedule; for strictly replayable
-    /// message-level schedules use [`crate::raft::RaftGroup::spawn_with_faults`]
-    /// with per-node injectors.
+    /// transport (`raft.*` points), its participant state (`twopc.*`) and
+    /// the scatter-gather read path (`scan.partition_fail`). Cross-node
+    /// probe interleaving makes the `raft.*` decision *order*
+    /// timing-dependent at this scope — safety invariants must hold on
+    /// every schedule; for strictly replayable message-level schedules use
+    /// [`crate::raft::RaftGroup::spawn_with_faults`] with per-node injectors.
     pub fn new_with_faults(
         schema: SchemaRef,
         config: ClusterConfig,
@@ -762,6 +669,9 @@ impl DistributedTable {
             ));
         }
         let partitioner = Partitioner::hash(config.partitions)?;
+        let mut catalog = Catalog::new();
+        let unpopulated = TableHandle::create(Arc::clone(&schema), TableFormat::Column)?;
+        catalog.create(Self::TABLE, unpopulated)?;
         let mut groups = Vec::with_capacity(config.partitions);
         for p in 0..config.partitions {
             let members: Vec<usize> = (0..config.replication)
@@ -811,6 +721,7 @@ impl DistributedTable {
         }
         Ok(DistributedTable {
             schema,
+            catalog,
             partitioner,
             groups,
             config,
@@ -856,104 +767,115 @@ impl DistributedTable {
         self.groups[p].replicate_insert(&row, Duration::from_secs(10))
     }
 
-    /// One partition's partial aggregate, with per-partition retry: a
-    /// failed scan (injected via `scan.partition_fail` or a transient
-    /// leader gap) is retried with exponential backoff before the whole
-    /// query is failed. Falls back to a degraded (non-linearizable) read
-    /// from the best surviving replica if the partition has no leader.
-    fn partition_aggregate(
+    /// Runs one SELECT over the whole table (see the module docs): planned
+    /// once, its aggregation computed next to the data on every partition,
+    /// the partials merged in partition order and finished once.
+    pub fn query(&self, sql: &str) -> Result<Vec<Row>> {
+        self.query_under(sql, &CancellationToken::new())
+    }
+
+    /// [`Self::query`] under the caller's cancellation token: every
+    /// partition's fragment and the coordinator's share check it.
+    pub fn query_under(&self, sql: &str, cancel: &CancellationToken) -> Result<Vec<Row>> {
+        let sel = match parse(sql)? {
+            // A timestamp names a snapshot of one shard's clock, not of the
+            // cluster.
+            Statement::Select(sel) if sel.as_of.is_none() => sel,
+            other => {
+                return Err(DbError::Unsupported(format!(
+                    "a distributed statement is a SELECT without AS OF, not {other:?}"
+                )))
+            }
+        };
+        let plan = optimize(bind_select(&sel, &self.catalog)?)?;
+        let cut = cut_of(&plan)?;
+        let mut partials = self.scatter(cut, cancel)?.into_iter();
+        let mut gathered = partials
+            .next()
+            .ok_or_else(|| DbError::Cluster("a cluster has a partition".into()))?;
+        partials.try_for_each(|next| gathered.merge(next))?;
+        let ctx = ExecContext {
+            cancel: cancel.clone(),
+            ..snapshot_ctx(0)
+        };
+        let leaf = Some((cut, gathered.finish()?));
+        let batches = execute_above(&plan, leaf, &self.catalog, &ctx)?;
+        Ok(batches.iter().flat_map(|b| b.to_rows()).collect())
+    }
+
+    /// Every partition's answer to the fragment `cut`, in partition order,
+    /// each computed on a thread of its own. A fragment that panics is its
+    /// partition's typed error, not the statement's panic.
+    fn scatter(&self, cut: &LogicalPlan, cancel: &CancellationToken) -> Result<Vec<Partial>> {
+        std::thread::scope(|scope| {
+            let tasks: Vec<_> = self
+                .groups
+                .iter()
+                .map(|g| (g, scope.spawn(move || self.partition_fragment(g, cut, cancel))))
+                .collect();
+            tasks
+                .into_iter()
+                .map(|(g, task)| {
+                    task.join().unwrap_or_else(|_| {
+                        Err(DbError::ShardUnavailable {
+                            partition: g.id.raw(),
+                            reason: "the partition's fragment panicked".into(),
+                        })
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// One partition's answer, with per-partition retry: a failed attempt
+    /// (injected via `scan.partition_fail`, a transient leader gap, the
+    /// fragment's own error) is retried with exponential backoff before the
+    /// statement fails with the partition's id. Reads the lease-holding
+    /// leader, else — degraded, non-linearizable — the best surviving
+    /// replica, through a session of that shard's database: at its snapshot,
+    /// under its admission ticket and budget, opening no transaction.
+    fn partition_fragment(
         &self,
         g: &PartitionGroup,
-        pred: &ScanPredicate,
-        agg_column: usize,
-    ) -> Result<(u64, i64)> {
+        cut: &LogicalPlan,
+        cancel: &CancellationToken,
+    ) -> Result<Partial> {
         let mut backoff = Backoff::for_cluster();
-        let mut last_err = None;
+        let mut reason = String::new();
         for attempt in 0..4 {
+            cancel.check()?;
             if attempt > 0 {
                 backoff.sleep();
             }
-            if self.faults.should_fire(points::SCAN_PARTITION_FAIL) {
-                last_err = Some(DbError::FaultInjected(format!(
-                    "scan.partition_fail on partition {}",
-                    g.id
-                )));
-                continue;
-            }
-            let (idx, _degraded) = match g.read_index(Duration::from_secs(5)) {
-                Ok(x) => x,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
+            let answer = if self.faults.should_fire(points::SCAN_PARTITION_FAIL) {
+                Err(DbError::FaultInjected(points::SCAN_PARTITION_FAIL.into()))
+            } else {
+                g.read_index(Duration::from_secs(5)).and_then(|(idx, _degraded)| {
+                    let mut session = g.replicas[idx].db().session();
+                    session.set_session_cancel(Some(cancel.clone()));
+                    session.execute_fragment(cut)
+                })
             };
-            let r = &g.replicas[idx];
-            let (table, mgr) = (r.table(), r.mgr());
-            match table.scan(&[agg_column], pred, mgr.now(), NOBODY, 4096) {
-                Ok(batches) => {
-                    let mut count = 0u64;
-                    let mut sum = 0i64;
-                    for b in &batches {
-                        count += b.len() as u64;
-                        let col = b.column(0);
-                        for i in 0..b.len() {
-                            if col.is_valid(i) {
-                                if let oltap_common::Value::Int(x) = col.value_at(i) {
-                                    sum = sum.wrapping_add(x);
-                                }
-                            }
-                        }
-                    }
-                    return Ok((count, sum));
-                }
-                Err(e) => last_err = Some(e),
+            match answer {
+                Ok(partial) => return Ok(partial),
+                Err(e) => reason = e.to_string(),
             }
         }
-        Err(last_err.unwrap_or_else(|| {
-            DbError::Cluster(format!("partition {} unavailable", g.id))
-        }))
+        cancel.check()?;
+        Err(DbError::ShardUnavailable {
+            partition: g.id.raw(),
+            reason,
+        })
     }
 
-    /// Scatter-gather filtered aggregate:
-    /// `SELECT count(*), sum(col) WHERE pred`, computed as partials on
-    /// each partition's leader replica and combined.
-    pub fn scan_aggregate(
-        &self,
-        pred: &ScanPredicate,
-        agg_column: usize,
-    ) -> Result<(u64, i64)> {
-        let partials: Result<Vec<(u64, i64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .groups
-                .iter()
-                .map(|g| scope.spawn(move || self.partition_aggregate(g, pred, agg_column)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter task panicked"))
-                .collect()
-        });
-        let partials = partials?;
-        Ok(partials
-            .into_iter()
-            .fold((0, 0), |(c, s), (pc, ps)| (c + pc, s.wrapping_add(ps))))
-    }
-
-    /// Collects every visible row (test oracle; sorts by primary key).
-    /// Uses the degraded-read path, so it stays available without quorum.
-    pub fn collect_all(&self) -> Result<Vec<Row>> {
-        let all: Vec<usize> = (0..self.schema.len()).collect();
-        let mut rows = Vec::new();
-        for g in &self.groups {
-            let (idx, _degraded) = g.read_index(Duration::from_secs(5))?;
-            let r = &g.replicas[idx];
-            let (table, mgr) = (r.table(), r.mgr());
-            for b in table.scan(&all, &ScanPredicate::all(), mgr.now(), NOBODY, 4096)? {
-                rows.extend(b.to_rows());
-            }
+    /// Runs one [`Database::maintenance`] pass on every running replica:
+    /// each shard merges its delta into encoded segments below its own
+    /// watermark, which every open — hence every prepared — transaction
+    /// pins, so a merge never changes what a snapshot reads.
+    pub fn maintenance(&self) {
+        for r in self.groups.iter().flat_map(|g| g.running()) {
+            r.db().maintenance();
         }
-        rows.sort();
-        Ok(rows)
     }
 
     /// Crashes every replica hosted on cluster node `node`.
@@ -993,19 +915,17 @@ impl DistributedTable {
         }
     }
 
-    /// Waits until every partition's replicas have applied the same number
-    /// of entries (quiesce helper for tests).
+    /// Waits until every running replica of every partition has applied
+    /// the partition's highest commit index (quiesce helper for tests).
     pub fn wait_converged(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let converged = self.groups.iter().all(|g| {
-                let counts: Vec<usize> = g
-                    .replicas
-                    .iter()
-                    .filter(|r| r.raft.is_running())
-                    .map(|r| r.table().row_count_estimate())
-                    .collect();
-                counts.windows(2).all(|w| w[0] == w[1])
+                let reports: Option<Vec<NodeReport>> = g.running().map(|r| r.raft.report()).collect();
+                reports.is_some_and(|reports| {
+                    let committed = reports.iter().map(|rep| rep.commit_index).max();
+                    reports.iter().all(|rep| Some(rep.last_applied) == committed)
+                })
             });
             if converged {
                 return true;
@@ -1023,7 +943,16 @@ mod tests {
     use super::*;
     use oltap_common::row;
     use oltap_common::{DataType, Field, Schema, Value};
-    use oltap_storage::CmpOp;
+
+    /// Every visible row, in key order.
+    fn all_rows(t: &DistributedTable) -> Vec<Row> {
+        t.query("SELECT * FROM t ORDER BY id").unwrap()
+    }
+
+    /// `COUNT(*), SUM(v)` over the whole table.
+    fn count_and_sum(t: &DistributedTable) -> Row {
+        t.query("SELECT COUNT(*), SUM(v) FROM t").unwrap().remove(0)
+    }
 
     fn schema() -> SchemaRef {
         Arc::new(
@@ -1044,36 +973,20 @@ mod tests {
         for i in 0..60 {
             t.insert(row![i as i64, 1i64]).unwrap();
         }
-        let (count, sum) = t.scan_aggregate(&ScanPredicate::all(), 1).unwrap();
-        assert_eq!(count, 60);
-        assert_eq!(sum, 60);
+        assert_eq!(count_and_sum(&t), row![60i64, 60i64]);
     }
 
     #[test]
     fn matches_single_node_oracle() {
         let t = DistributedTable::new(schema(), ClusterConfig::small()).unwrap();
-        let local = DeltaMainTable::new(schema());
-        let mgr: Arc<TransactionManager> = Arc::new(TransactionManager::new());
+        let local = empty_shard(&schema());
         for i in 0..40 {
             let r = row![i as i64, (i % 7) as i64];
             t.insert(r.clone()).unwrap();
-            let tx = mgr.begin();
-            local.insert(&tx, r).unwrap();
-            tx.commit().unwrap();
+            local.execute(&format!("INSERT INTO t VALUES ({i}, {})", i % 7)).unwrap();
         }
-        let pred = ScanPredicate::single(1, CmpOp::Ge, Value::Int(3));
-        let (dc, ds) = t.scan_aggregate(&pred, 1).unwrap();
-        let batches = local
-            .scan(&[1], &pred, mgr.now(), TxnId(u64::MAX - 5), 4096)
-            .unwrap();
-        let lc: usize = batches.iter().map(|b| b.len()).sum();
-        let ls: i64 = batches
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .map(|r| r[0].as_int().unwrap())
-            .sum();
-        assert_eq!(dc as usize, lc);
-        assert_eq!(ds, ls);
+        let sql = "SELECT COUNT(*), SUM(v) FROM t WHERE v >= 3";
+        assert_eq!(t.query(sql).unwrap(), local.query(sql).unwrap());
     }
 
     #[test]
@@ -1082,7 +995,7 @@ mod tests {
         for i in 0..30 {
             t.insert(row![i as i64, i as i64]).unwrap();
         }
-        let rows = t.collect_all().unwrap();
+        let rows = all_rows(&t);
         assert_eq!(rows.len(), 30);
         assert_eq!(rows[0][0], Value::Int(0));
         assert_eq!(rows[29][0], Value::Int(29));
@@ -1097,19 +1010,11 @@ mod tests {
         assert!(t.wait_converged(Duration::from_secs(10)));
         // Every replica of every partition holds identical data.
         for g in t.groups() {
-            let all: Vec<usize> = vec![0, 1];
-            let mut views: Vec<Vec<Row>> = Vec::new();
-            for r in &g.replicas {
-                let mut rows: Vec<Row> = r
-                    .table()
-                    .scan(&all, &ScanPredicate::all(), r.mgr().now(), NOBODY, 4096)
-                    .unwrap()
-                    .iter()
-                    .flat_map(|b| b.to_rows())
-                    .collect();
-                rows.sort();
-                views.push(rows);
-            }
+            let views: Vec<Vec<Row>> = g
+                .replicas
+                .iter()
+                .map(|r| r.db().query("SELECT * FROM t ORDER BY id").unwrap())
+                .collect();
             for w in views.windows(2) {
                 assert_eq!(w[0], w[1], "replica divergence in {}", g.id);
             }
@@ -1127,8 +1032,7 @@ mod tests {
         for i in 10..20 {
             t.insert(row![i as i64, 1i64]).unwrap();
         }
-        let (count, _) = t.scan_aggregate(&ScanPredicate::all(), 1).unwrap();
-        assert_eq!(count, 20);
+        assert_eq!(count_and_sum(&t)[0], Value::Int(20));
         // The crashed node catches up after restart.
         t.restart_node(1);
         assert!(t.wait_converged(Duration::from_secs(15)));
@@ -1161,8 +1065,7 @@ mod tests {
         let (idx, degraded) = g.read_index(Duration::from_millis(300)).unwrap();
         assert_eq!(idx, survivor);
         assert!(degraded);
-        let (count, _) = t.scan_aggregate(&ScanPredicate::all(), 1).unwrap();
-        assert_eq!(count, 12);
+        assert_eq!(count_and_sum(&t)[0], Value::Int(12));
     }
 
     #[test]
@@ -1178,7 +1081,7 @@ mod tests {
             t.insert(row![i as i64, i as i64]).unwrap();
         }
         assert!(t.wait_converged(Duration::from_secs(10)));
-        let before = t.collect_all().unwrap();
+        let before = all_rows(&t);
 
         // Node 2 loses its data disk entirely, then comes back: local
         // tables are empty until the Raft log is re-applied.
@@ -1187,7 +1090,8 @@ mod tests {
             for (i, &m) in g.members.iter().enumerate() {
                 if m == 2 {
                     g.replicas[i].store.wipe();
-                    assert_eq!(g.replicas[i].table().row_count_estimate(), 0);
+                    let held = g.replicas[i].db().query("SELECT COUNT(*) FROM t").unwrap();
+                    assert_eq!(held, vec![row![0i64]]);
                 }
             }
         }
@@ -1196,7 +1100,7 @@ mod tests {
             t.wait_converged(Duration::from_secs(15)),
             "wiped node failed to rebuild from the log"
         );
-        assert_eq!(t.collect_all().unwrap(), before);
+        assert_eq!(all_rows(&t), before);
     }
 
     #[test]
@@ -1215,9 +1119,7 @@ mod tests {
         for i in 0..10 {
             t.insert(row![i as i64, 1i64]).unwrap();
         }
-        let (count, sum) = t.scan_aggregate(&ScanPredicate::all(), 1).unwrap();
-        assert_eq!(count, 10);
-        assert_eq!(sum, 10);
+        assert_eq!(count_and_sum(&t), row![10i64, 10i64]);
         assert_eq!(faults.fired_count(), 2, "both armed failures consumed");
     }
 
@@ -1273,8 +1175,8 @@ mod tests {
             "clean staging must vote commit"
         );
         // Staged versions are pending: invisible to reads.
-        assert_eq!(t.collect_all().unwrap().len(), 0);
-        assert_eq!(g.in_doubt_gtxns(), vec![101]);
+        assert_eq!(all_rows(&t).len(), 0);
+        assert_eq!(g.in_doubt(), vec![101]);
         // Decision commits them.
         g.propose_cmd(
             &ShardCmd::Decide {
@@ -1284,11 +1186,11 @@ mod tests {
             Duration::from_secs(10),
         )
         .unwrap();
-        assert_eq!(t.collect_all().unwrap().len(), 2);
+        assert_eq!(all_rows(&t).len(), 2);
         // Followers apply the decision asynchronously; poll until the
         // whole group has cleared its in-doubt set.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !g.in_doubt_gtxns().is_empty() {
+        while !g.in_doubt().is_empty() {
             assert!(
                 std::time::Instant::now() < deadline,
                 "decision never cleared the in-doubt set"
@@ -1324,16 +1226,16 @@ mod tests {
             Duration::from_secs(10),
         )
         .unwrap();
-        assert_eq!(t.collect_all().unwrap().len(), 0, "abort leaves no rows");
+        assert_eq!(all_rows(&t).len(), 0, "abort leaves no rows");
         assert_eq!(g.decided(55), Some(false));
         // A later insert of the same key succeeds: the staged version was
         // rolled back, not leaked.
         t.insert(row![9i64, 91i64]).unwrap();
-        assert_eq!(t.collect_all().unwrap().len(), 1);
+        assert_eq!(all_rows(&t).len(), 1);
     }
 
     #[test]
-    fn participant_checkpoint_bounds_state_growth() {
+    fn participant_outcomes_are_bounded() {
         let cfg = ClusterConfig {
             nodes: 1,
             replication: 1,
@@ -1359,26 +1261,16 @@ mod tests {
             .unwrap();
         }
         let store = &g.replicas[0].store;
-        {
-            let tp = store.twopc.lock();
-            assert!(
-                tp.outcomes.len() < OUTCOME_RETENTION * 2,
-                "outcomes grew unbounded: {}",
-                tp.outcomes.len()
-            );
-            assert!(
-                (tp.wal.record_count() as usize) < OUTCOME_RETENTION * 2 + 1,
-                "participant WAL grew unbounded: {}",
-                tp.wal.record_count()
-            );
-        }
+        let retained = store.twopc.lock().outcomes.len();
+        assert!(
+            retained < OUTCOME_RETENTION * 2,
+            "outcomes grew unbounded: {retained}"
+        );
         // Recent outcomes are retained for idempotent re-delivery; the
-        // oldest were forgotten at checkpoint.
+        // oldest were forgotten.
         assert_eq!(store.decided(n), Some(false));
         assert_eq!(store.decided(1), None);
-        // The incremental in-doubt set agrees with the WAL-replay oracle,
-        // before and after an undecided prepare.
-        assert_eq!(store.in_doubt(), store.wal_in_doubt());
+        // The in-doubt set is the undecided prepares, and only those.
         assert!(store.in_doubt().is_empty());
         g.propose_cmd(
             &ShardCmd::Prepare {
@@ -1389,7 +1281,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.in_doubt(), vec![n + 1]);
-        assert_eq!(store.wal_in_doubt(), vec![n + 1]);
+        assert_eq!(store.dropped_commands(), 0);
     }
 
     #[test]
@@ -1440,8 +1332,6 @@ mod tests {
         for i in 0..15 {
             t.insert(row![i as i64, 2i64]).unwrap();
         }
-        let (count, sum) = t.scan_aggregate(&ScanPredicate::all(), 1).unwrap();
-        assert_eq!(count, 15);
-        assert_eq!(sum, 30);
+        assert_eq!(count_and_sum(&t), row![15i64, 30i64]);
     }
 }

@@ -1,17 +1,18 @@
 //! # oltap-dist
 //!
 //! The scale-out substrate: horizontal partitioning, an in-process
-//! replicated cluster, and distributed scatter-gather query execution —
-//! the tutorial's "scaling out to distributed deployments" dimension
-//! (§1, §3; Kudu \[24\], Oracle DBIM distributed architecture \[27\]).
+//! replicated cluster whose every shard is an `oltap-core` `Database`, and
+//! distributed SQL over it — the tutorial's "scaling out to distributed
+//! deployments" dimension (§1, §3; Kudu \[24\], Oracle DBIM distributed
+//! architecture \[27\]). `oltap-core` does not depend on this crate.
 //!
 //! * [`partition`] — hash and range partitioners over primary keys.
 //! * [`raft`] — a from-scratch simplified Raft (elections, log
 //!   replication, majority commit, crash/restart, link failures).
 //! * [`cluster`] — [`cluster::DistributedTable`]: partitions × replicas,
-//!   each partition driven by a Raft group applying into a local
-//!   delta+main table; queries scatter partial aggregates to partition
-//!   leaders and gather.
+//!   each replica a `Database` its partition's Raft group applies into;
+//!   a SELECT is planned once, its `Aggregate` runs on every partition and
+//!   the sealed group stores merge in partition order.
 //! * [`twopc`] — cross-shard atomic commit: two-phase commit with a
 //!   Raft-replicated coordinator decision log, presumed-abort recovery,
 //!   and chaos-testable crash points at every protocol transition.

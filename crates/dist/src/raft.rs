@@ -149,6 +149,9 @@ pub struct NodeReport {
     pub role: Role,
     /// Highest committed index.
     pub commit_index: u64,
+    /// Highest index applied to the state machine (by replay, or folded in
+    /// by an installed snapshot).
+    pub last_applied: u64,
     /// Retained log *tail* — entries after `snap_index` (the full log
     /// when no snapshot has been taken).
     pub log: Vec<LogEntry>,
@@ -821,6 +824,7 @@ impl Worker {
                         term: p.current_term,
                         role: v.role,
                         commit_index: v.commit_index,
+                        last_applied: v.last_applied,
                         log: p.log.clone(),
                         snap_index: p.snap_index,
                         snap_term: p.snap_term,

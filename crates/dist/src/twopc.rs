@@ -16,7 +16,7 @@
 //!                  │            │                │
 //!                  └─ crash ────┴─> recovery: no decision record ⇒ ABORT
 //!                                              decision record   ⇒ re-deliver
-//! participant:  idle → PREPARED (versions pinned, WAL'd) → committed/aborted
+//! participant:  idle → PREPARED (versions pinned, in the Raft log) → committed/aborted
 //!                           │
 //!                           └─ crash ⇒ restart re-stages from log/snapshot,
 //!                              stays in doubt until the coordinator resolves
@@ -427,8 +427,8 @@ impl TwoPcCoordinator {
     /// * A **logged decision without an `End`** is re-delivered to every
     ///   partition (idempotent; partitions that never prepared it just
     ///   record the outcome).
-    /// * A **prepared-but-undecided** gtxn reported by some participant's
-    ///   WAL is **presumed aborted**: the abort is logged first (so the
+    /// * A **prepared-but-undecided** gtxn reported by some participant
+    ///   is **presumed aborted**: the abort is logged first (so the
     ///   answer is stable if we crash again), then delivered.
     pub fn resolve_in_doubt(&self, table: &DistributedTable) -> Result<RecoveryReport> {
         let records = self.records();
@@ -464,7 +464,7 @@ impl TwoPcCoordinator {
         let mut in_doubt: Vec<u64> = table
             .groups()
             .iter()
-            .flat_map(|g| g.in_doubt_gtxns())
+            .flat_map(|g| g.in_doubt())
             .filter(|g| !decisions.contains_key(g))
             .collect();
         in_doubt.sort_unstable();
@@ -529,7 +529,7 @@ mod tests {
     /// in-doubt set to drain.
     fn wait_no_doubt(t: &DistributedTable) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while t.groups().iter().any(|g| !g.in_doubt_gtxns().is_empty()) {
+        while t.groups().iter().any(|g| !g.in_doubt().is_empty()) {
             assert!(Instant::now() < deadline, "in-doubt set never drained");
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -560,7 +560,7 @@ mod tests {
         );
         let mut expect = rows;
         expect.sort();
-        assert_eq!(t.collect_all().unwrap(), expect);
+        assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), expect);
         // More than one partition actually participated.
         let touched = (0..8)
             .map(|i| t.partition_of(&row![i as i64, 0i64]).unwrap())
@@ -578,7 +578,7 @@ mod tests {
         assert_eq!(outcome, TwoPcOutcome::Aborted);
         // Atomicity: *no* row of the batch survives anywhere, only the
         // pre-existing one.
-        assert_eq!(t.collect_all().unwrap(), vec![row![3i64, 999i64]]);
+        assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), vec![row![3i64, 999i64]]);
     }
 
     #[test]
@@ -590,7 +590,7 @@ mod tests {
         let err = coord.commit_rows(&t, spread_rows(6)).unwrap_err();
         assert!(matches!(err, DbError::TxnInDoubt { .. }));
         // Participants hold prepared state...
-        assert!(t.groups().iter().any(|g| !g.in_doubt_gtxns().is_empty()));
+        assert!(t.groups().iter().any(|g| !g.in_doubt().is_empty()));
         // ...until a successor attaches and resolves by presumed abort.
         let log = coord.log();
         drop(coord);
@@ -598,7 +598,7 @@ mod tests {
         let report = coord2.resolve_in_doubt(&t).unwrap();
         assert_eq!(report.presumed_aborted.len(), 1);
         assert!(report.resumed.is_empty());
-        assert_eq!(t.collect_all().unwrap(), Vec::<Row>::new());
+        assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), Vec::<Row>::new());
         wait_no_doubt(&t);
     }
 
@@ -619,7 +619,7 @@ mod tests {
         };
         assert_eq!(coord.decision_for(gtxn), Some(true), "decision was logged");
         // Nothing visible yet: prepared but undelivered.
-        assert_eq!(t.collect_all().unwrap(), Vec::<Row>::new());
+        assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), Vec::<Row>::new());
         let log = coord.log();
         drop(coord);
         let coord2 = TwoPcCoordinator::attach(log, FaultInjector::disabled()).unwrap();
@@ -627,7 +627,7 @@ mod tests {
         assert_eq!(report.resumed, vec![gtxn]);
         let mut expect = rows;
         expect.sort();
-        assert_eq!(t.collect_all().unwrap(), expect, "commit was completed");
+        assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), expect, "commit was completed");
     }
 
     #[test]

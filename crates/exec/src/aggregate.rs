@@ -249,7 +249,7 @@ mod tests {
         aggs: Vec<AggExpr>,
     ) -> Result<Vec<Row>> {
         let core = Arc::new(AggregatorCore::new(&input.0, group_by, aggs)?);
-        Ok(rows_of(&ctx(1).run_aggregate(input.1, Vec::new(), core)?))
+        Ok(rows_of(&ctx(1).run_aggregate(input.1, Vec::new(), core)?.finish()?))
     }
 
     #[test]

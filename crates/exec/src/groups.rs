@@ -21,9 +21,10 @@
 //! the same order. Without a spill directory the refusal is the
 //! statement's error.
 //!
-//! Workers. Each pipeline worker fills its own store; sealed stores
-//! [`merge`](RunningGroups::merge) in worker order, accumulator by
-//! accumulator — every aggregate here is decomposable — and
+//! Workers. Each pipeline worker — and each partition of a distributed
+//! statement — fills its own store; sealed stores
+//! [`merge`](RunningGroups::merge) in worker (partition) order, accumulator
+//! by accumulator — every aggregate here is decomposable — and
 //! [`finish`](RunningGroups::finish) emits groups in key order, so the
 //! answer does not depend on which worker met a key first.
 
@@ -257,6 +258,11 @@ impl RunningGroups {
         }
     }
 
+    /// The schema [`finish`](RunningGroups::finish) answers in.
+    pub fn schema(&self) -> oltap_common::schema::SchemaRef {
+        self.core.schema()
+    }
+
     /// Whether the governor refused one of this store's groups — the one
     /// [`DbError::ResourceExhausted`] that freezes a store `consume` fills
     /// and ends a fused attempt, not the statement.
@@ -417,7 +423,7 @@ impl RunningGroups {
     /// (write order = arrival order, so each group comes out bit-identical
     /// to a never-frozen run) into groups of its own — by the freeze
     /// invariant none of them is resident yet.
-    pub(crate) fn seal(&mut self) -> Result<()> {
+    pub fn seal(&mut self) -> Result<()> {
         self.sealed = true;
         if self.writers.is_empty() {
             return Ok(());
@@ -443,11 +449,11 @@ impl RunningGroups {
         Ok(())
     }
 
-    /// Folds another store of the same aggregation (a different worker's
-    /// input) into this one, sealing both: per key, accumulator by
-    /// accumulator. Integer results cannot depend on the merge order; float
-    /// sums add in the caller's — fixed — worker order.
-    pub(crate) fn merge(&mut self, mut other: RunningGroups) -> Result<()> {
+    /// Folds another store of the same aggregation (a different worker's or
+    /// partition's input) into this one, sealing both: per key, accumulator
+    /// by accumulator. Integer results cannot depend on the merge order;
+    /// float sums add in the caller's — fixed — worker or partition order.
+    pub fn merge(&mut self, mut other: RunningGroups) -> Result<()> {
         self.seal()?;
         other.seal()?;
         match std::mem::replace(&mut other.keys, Keys::Rows(FxHashMap::default())) {

@@ -357,14 +357,15 @@ impl ParallelContext {
 
     /// Aggregation sink: one [`RunningGroups`] per worker against the
     /// shared query budget (a refused group freezes that worker's store,
-    /// which spills from then on), sealed on the worker, merged in worker
-    /// order and finished in sorted key order, spilling or not.
+    /// which spills from then on), sealed on the worker and merged in worker
+    /// order; the caller [`finish`](RunningGroups::finish)es the merged
+    /// store, or first merges it on into another partition's.
     pub fn run_aggregate(
         &self,
         batches: Vec<Batch>,
         stages: Vec<StageSpec>,
         core: Arc<AggregatorCore>,
-    ) -> Result<Vec<Batch>> {
+    ) -> Result<RunningGroups> {
         let mem = self.mem.clone();
         let stores = self.fan_out(
             batches,
@@ -378,7 +379,7 @@ impl ParallelContext {
         for store in stores {
             merged.merge(store?)?;
         }
-        merged.finish()
+        Ok(merged)
     }
 
     /// Join-build sink: per-worker [`JoinTableBuilder`]s accumulate radix

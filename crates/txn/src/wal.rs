@@ -58,31 +58,6 @@ pub enum WalOp {
         /// The original statement text.
         sql: String,
     },
-    /// Two-phase-commit participant record: this node prepared global
-    /// transaction `gtxn`, staging `rows` into `table`. The versions are
-    /// pinned (invisible but held) until a matching [`WalOp::TxnDecision`]
-    /// arrives. A participant that recovers with a `Prepare` but no
-    /// decision record must treat the transaction as *in doubt* and ask
-    /// the coordinator log — never unilaterally commit, and only abort
-    /// once the coordinator's presumed-abort rule confirms it.
-    Prepare {
-        /// Global (cross-shard) transaction id.
-        gtxn: u64,
-        /// Target table name.
-        table: String,
-        /// Full row images staged by this participant.
-        rows: Vec<Row>,
-    },
-    /// Two-phase-commit decision record: global transaction `gtxn` is
-    /// resolved. `commit == true` makes the staged versions visible;
-    /// `false` discards them. Closes the in-doubt window opened by the
-    /// matching [`WalOp::Prepare`].
-    TxnDecision {
-        /// Global (cross-shard) transaction id.
-        gtxn: u64,
-        /// True = commit, false = abort.
-        commit: bool,
-    },
 }
 
 /// The unit of logging: everything a transaction did, stamped with its
@@ -244,20 +219,6 @@ impl WalOp {
                 buf.put_u8(3);
                 put_str(buf, sql);
             }
-            WalOp::Prepare { gtxn, table, rows } => {
-                buf.put_u8(4);
-                buf.put_u64_le(*gtxn);
-                put_str(buf, table);
-                buf.put_u32_le(rows.len() as u32);
-                for row in rows {
-                    put_row(buf, row);
-                }
-            }
-            WalOp::TxnDecision { gtxn, commit } => {
-                buf.put_u8(5);
-                buf.put_u64_le(*gtxn);
-                buf.put_u8(*commit as u8);
-            }
         }
     }
 
@@ -281,24 +242,6 @@ impl WalOp {
             3 => WalOp::Ddl {
                 sql: get_str(buf)?,
             },
-            4 => {
-                check_len(buf, 8)?;
-                let gtxn = buf.get_u64_le();
-                let table = get_str(buf)?;
-                check_len(buf, 4)?;
-                let n = buf.get_u32_le() as usize;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rows.push(get_row(buf)?);
-                }
-                WalOp::Prepare { gtxn, table, rows }
-            }
-            5 => {
-                check_len(buf, 9)?;
-                let gtxn = buf.get_u64_le();
-                let commit = buf.get_u8() != 0;
-                WalOp::TxnDecision { gtxn, commit }
-            }
             t => return Err(DbError::Corruption(format!("bad op tag {t}"))),
         })
     }
@@ -553,29 +496,6 @@ pub fn replay(mut bytes: &[u8]) -> (Vec<CommitRecord>, Option<DbError>) {
     (out, None)
 }
 
-/// Scans replayed records for two-phase-commit state and returns the
-/// global transaction ids that are *in doubt*: a [`WalOp::Prepare`] was
-/// logged but no [`WalOp::TxnDecision`] followed. Recovery must hold these
-/// transactions' versions and resolve them against the coordinator log
-/// (presumed-abort: a coordinator with no commit record means abort).
-pub fn in_doubt_gtxns(records: &[CommitRecord]) -> Vec<u64> {
-    let mut prepared: Vec<u64> = Vec::new();
-    for rec in records {
-        for op in &rec.ops {
-            match op {
-                WalOp::Prepare { gtxn, .. } if !prepared.contains(gtxn) => {
-                    prepared.push(*gtxn);
-                }
-                WalOp::TxnDecision { gtxn, .. } => {
-                    prepared.retain(|g| g != gtxn);
-                }
-                _ => {}
-            }
-        }
-    }
-    prepared
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,96 +613,6 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert_eq!(records[2].commit_ts, 7);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn twopc_ops_roundtrip() {
-        let r = CommitRecord {
-            txn: TxnId(11),
-            commit_ts: 0,
-            ops: vec![
-                WalOp::Prepare {
-                    gtxn: 0xDEAD_BEEF,
-                    table: "orders".into(),
-                    rows: vec![row![1i64, "a"], row![2i64, "b"]],
-                },
-                WalOp::TxnDecision {
-                    gtxn: 0xDEAD_BEEF,
-                    commit: true,
-                },
-                WalOp::TxnDecision {
-                    gtxn: 77,
-                    commit: false,
-                },
-            ],
-        };
-        assert_eq!(CommitRecord::decode(&r.encode()).unwrap(), r);
-    }
-
-    #[test]
-    fn in_doubt_scan_finds_undecided_prepares() {
-        let rec = |ops: Vec<WalOp>| CommitRecord {
-            txn: TxnId(0),
-            commit_ts: 0,
-            ops,
-        };
-        let records = vec![
-            rec(vec![WalOp::Prepare {
-                gtxn: 1,
-                table: "t".into(),
-                rows: vec![row![1i64]],
-            }]),
-            rec(vec![WalOp::Prepare {
-                gtxn: 2,
-                table: "t".into(),
-                rows: vec![row![2i64]],
-            }]),
-            rec(vec![WalOp::TxnDecision {
-                gtxn: 1,
-                commit: true,
-            }]),
-            rec(vec![WalOp::Prepare {
-                gtxn: 3,
-                table: "t".into(),
-                rows: vec![],
-            }]),
-            rec(vec![WalOp::TxnDecision {
-                gtxn: 3,
-                commit: false,
-            }]),
-        ];
-        // gtxn 1 committed, 3 aborted; only 2 is in doubt.
-        assert_eq!(in_doubt_gtxns(&records), vec![2]);
-    }
-
-    #[test]
-    fn in_doubt_survives_wal_crash_replay() {
-        // Prepare is durable, the decision append is torn by a crash:
-        // replay must surface the transaction as in doubt.
-        let faults = FaultInjector::new(0x2FC);
-        faults.arm(points::WAL_TORN_WRITE, FaultPoint::times(1).after(1));
-        let wal = Wal::with_faults(faults);
-        wal.append(&CommitRecord {
-            txn: TxnId(1),
-            commit_ts: 0,
-            ops: vec![WalOp::Prepare {
-                gtxn: 9,
-                table: "t".into(),
-                rows: vec![row![5i64]],
-            }],
-        })
-        .unwrap();
-        wal.append(&CommitRecord {
-            txn: TxnId(1),
-            commit_ts: 1,
-            ops: vec![WalOp::TxnDecision {
-                gtxn: 9,
-                commit: true,
-            }],
-        })
-        .unwrap_err(); // torn mid-write
-        let (records, _) = wal.replay_records();
-        assert_eq!(in_doubt_gtxns(&records), vec![9]);
     }
 
     #[test]

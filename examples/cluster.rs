@@ -1,5 +1,5 @@
-//! Scale-out: a Raft-replicated, hash-partitioned table with
-//! scatter-gather analytics and a node failure mid-flight.
+//! Scale-out: a Raft-replicated, hash-partitioned table whose shards are
+//! each a `Database`, queried in SQL, with a node failure mid-flight.
 //!
 //! ```bash
 //! cargo run --release --example cluster
@@ -7,7 +7,6 @@
 
 use oltapdb::common::{row, DataType, Field, Schema, Value};
 use oltapdb::dist::{ClusterConfig, DistributedTable, RaftConfig};
-use oltapdb::storage::{CmpOp, ScanPredicate};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,12 +37,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("ingested 3000 readings (each quorum-committed)");
 
-    // Scatter-gather analytics: partial aggregates at partition leaders.
-    let (count, sum) = cluster.scan_aggregate(&ScanPredicate::all(), 2)?;
-    println!("fleet total: count={count} sum={sum}");
-    let hot = ScanPredicate::single(2, CmpOp::Ge, Value::Int(90));
-    let (hot_n, _) = cluster.scan_aggregate(&hot, 2)?;
-    println!("readings >= 90: {hot_n}");
+    // Distributed SQL: the statement is planned once, its aggregation runs
+    // next to the data on every partition, the partials merge in partition
+    // order, and HAVING / ORDER BY / LIMIT run on the gathered groups.
+    let total = cluster.query("SELECT COUNT(*), SUM(reading) FROM t")?;
+    println!("fleet total: count={} sum={}", total[0][0], total[0][1]);
+    let hot = cluster.query("SELECT COUNT(*) FROM t WHERE reading >= 90")?;
+    println!("readings >= 90: {}", hot[0][0]);
+    let by_zone = "SELECT zone, COUNT(*), AVG(reading) FROM t GROUP BY zone ORDER BY zone";
+    for zone in cluster.query(by_zone)? {
+        println!("zone {}: n={} avg={}", zone[0], zone[1], zone[2]);
+    }
+
+    // A shard is a database: one maintenance pass merges every replica's
+    // delta into encoded segments, and the same statement now runs fused.
+    cluster.maintenance();
+    assert_eq!(cluster.query("SELECT COUNT(*), SUM(reading) FROM t")?, total);
+    println!("after maintenance(): same answer from merged segments");
 
     // Kill a node; the majority keeps serving reads and writes.
     println!("\ncrashing node 1 ...");
@@ -51,9 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 3_000..3_200 {
         cluster.insert(row![i as i64, (i % 4) as i64, 1i64])?;
     }
-    let (count, _) = cluster.scan_aggregate(&ScanPredicate::all(), 2)?;
-    println!("after 200 more inserts without node 1: count={count}");
-    assert_eq!(count, 3_200);
+    let count = cluster.query("SELECT COUNT(*) FROM t")?;
+    println!("after 200 more inserts without node 1: count={}", count[0][0]);
+    assert_eq!(count[0][0], Value::Int(3_200));
 
     // Bring it back; Raft catches the replica up from the leaders' logs.
     println!("restarting node 1 ...");

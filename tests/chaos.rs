@@ -294,7 +294,7 @@ fn chaos_crash_restart_rebuilds_from_log() {
         t.insert(row![i, i * 3]).unwrap();
     }
     assert!(t.wait_converged(Duration::from_secs(20)));
-    let before = t.collect_all().unwrap();
+    let before = t.query("SELECT * FROM t ORDER BY id").unwrap();
     assert_eq!(before.len(), 30);
 
     // Node 1 dies and loses its data disk; writes continue on the
@@ -308,7 +308,7 @@ fn chaos_crash_restart_rebuilds_from_log() {
         t.wait_converged(Duration::from_secs(30)),
         "wiped node failed to rebuild (seed={seed:#x})"
     );
-    let after = t.collect_all().unwrap();
+    let after = t.query("SELECT * FROM t ORDER BY id").unwrap();
     assert_eq!(after.len(), 40, "committed writes lost across crash");
     assert_eq!(&after[..30], &before[..], "pre-crash rows changed");
 }
@@ -831,12 +831,22 @@ fn batch_rows(t: &DistributedTable, n: i64) -> Vec<Row> {
 /// Waits for every replica's prepared-but-undecided set to drain.
 fn wait_no_doubt(t: &DistributedTable, timeout: Duration) {
     let deadline = std::time::Instant::now() + timeout;
-    while t.groups().iter().any(|g| !g.in_doubt_gtxns().is_empty()) {
+    while t.groups().iter().any(|g| !g.in_doubt().is_empty()) {
         assert!(
             std::time::Instant::now() < deadline,
             "in-doubt transactions never resolved"
         );
         std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// No replica dropped a command its Raft log delivered: every entry decoded
+/// and found its table.
+fn assert_no_dropped_commands(t: &DistributedTable) {
+    for g in t.groups() {
+        for r in &g.replicas {
+            assert_eq!(r.store.dropped_commands(), 0, "partition {}", g.id);
+        }
     }
 }
 
@@ -873,10 +883,10 @@ fn chaos_2pc_coordinator_crash_between_prepare_and_commit() {
     assert_eq!(coord.decision_for(gtxn), None, "no decision may exist");
     // Participants are genuinely in doubt (prepared, invisible).
     assert!(
-        t.groups().iter().any(|g| g.in_doubt_gtxns().contains(&gtxn)),
+        t.groups().iter().any(|g| g.in_doubt().contains(&gtxn)),
         "no participant holds a prepare — scenario vacuous"
     );
-    assert_eq!(t.collect_all().unwrap(), Vec::<Row>::new());
+    assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), Vec::<Row>::new());
 
     // Successor takes over the replicated log: presumed abort.
     let log = coord.log();
@@ -887,10 +897,11 @@ fn chaos_2pc_coordinator_crash_between_prepare_and_commit() {
     assert_eq!(coord2.decision_for(gtxn), Some(false), "abort now durable");
     wait_no_doubt(&t, Duration::from_secs(15));
     assert_eq!(
-        t.collect_all().unwrap(),
+        t.query("SELECT * FROM t ORDER BY id").unwrap(),
         Vec::<Row>::new(),
         "presumed-abort leaked rows (seed={seed:#x})"
     );
+    assert_no_dropped_commands(&t);
 }
 
 /// Scenario 13 — participant crash after prepare, coordinator crash after
@@ -974,10 +985,11 @@ fn chaos_2pc_participant_crash_resolved_at_recovery() {
     let mut expect = rows;
     expect.sort();
     assert_eq!(
-        t.collect_all().unwrap(),
+        t.query("SELECT * FROM t ORDER BY id").unwrap(),
         expect,
         "committed batch incomplete after recovery (seed={seed:#x})"
     );
+    assert_no_dropped_commands(&t);
 }
 
 /// Scenario 14 — decision-message loss: the first three decision
@@ -1004,7 +1016,8 @@ fn chaos_2pc_decision_message_loss_retried_until_resolved() {
     wait_no_doubt(&t, Duration::from_secs(15));
     let mut expect = rows;
     expect.sort();
-    assert_eq!(t.collect_all().unwrap(), expect);
+    assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap(), expect);
+    assert_no_dropped_commands(&t);
 }
 
 /// Scenario 15 — snapshot-install failure during catch-up: a node misses
@@ -1073,7 +1086,7 @@ fn chaos_2pc_snapshot_install_failure_falls_back_to_replay() {
             .any(|d| d.fired),
         "install-failure fault never fired — scenario vacuous"
     );
-    assert_eq!(t.collect_all().unwrap().len(), 50, "rows lost in catch-up");
+    assert_eq!(t.query("SELECT * FROM t ORDER BY id").unwrap().len(), 50, "rows lost in catch-up");
     // The restarted replica recovered via snapshot + tail: it holds a
     // snapshot and applied far fewer entries than the full history.
     let rep = g.replicas[1].raft.report().unwrap();
@@ -1083,6 +1096,7 @@ fn chaos_2pc_snapshot_install_failure_falls_back_to_replay() {
         "node replayed the full history ({} entries) instead of using the snapshot",
         rep.applied_since_boot
     );
+    assert_no_dropped_commands(&t);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ fn run_crash_point_iteration(seed: u64) -> Option<&'static str> {
     expect.sort();
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     loop {
-        if t.collect_all().unwrap() == expect {
+        if t.query("SELECT * FROM t ORDER BY id").unwrap() == expect {
             break;
         }
         assert!(
