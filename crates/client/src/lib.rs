@@ -17,7 +17,7 @@
 use oltap_common::retry::Backoff;
 use oltap_common::{CancellationToken, DbError, Field, Result, Row};
 use oltap_server::wire::{frame_bytes, read_frame, DoneKind, Request, Response, PROTOCOL_VERSION};
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -39,7 +39,10 @@ pub struct QueryOutcome {
 /// One blocking wire-protocol connection.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Buffered for reading: a short answer's frames (Schema, Rows, Done;
+    /// a header and a payload each) arrive in one segment and are taken
+    /// off the socket in one `read`. Writes go to the socket directly.
+    stream: BufReader<TcpStream>,
     /// Retry-after hint from the most recent server error (milliseconds;
     /// 0 when the server offered none).
     last_retry_after_ms: u64,
@@ -66,7 +69,7 @@ impl Client {
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_write_timeout(Some(write_timeout))?;
         let mut client = Client {
-            stream,
+            stream: BufReader::new(stream),
             last_retry_after_ms: 0,
         };
         client.send(&Request::Hello {
@@ -130,8 +133,9 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<()> {
-        self.stream.write_all(&frame_bytes(&req.encode()))?;
-        self.stream.flush()?;
+        let socket = self.stream.get_mut();
+        socket.write_all(&frame_bytes(&req.encode()))?;
+        socket.flush()?;
         Ok(())
     }
 

@@ -6,7 +6,7 @@
 //! deployments" dimension (§1, §3; Kudu \[24\], Oracle DBIM distributed
 //! architecture \[27\]). `oltap-core` does not depend on this crate.
 //!
-//! * [`partition`] — hash and range partitioners over primary keys.
+//! * [`partition`] — the hash partitioner over primary keys.
 //! * [`raft`] — a from-scratch simplified Raft (elections, log
 //!   replication, majority commit, crash/restart, link failures).
 //! * [`cluster`] — [`cluster::DistributedTable`]: partitions × replicas,

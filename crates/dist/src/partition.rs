@@ -1,4 +1,4 @@
-//! Horizontal partitioning: hash and range partitioners.
+//! Horizontal partitioning by key hash.
 //!
 //! Kudu "distributes data using horizontal partitioning" (§3, \[24\]);
 //! Oracle DBIM distributes its columnar format across instances the same
@@ -9,20 +9,11 @@ use oltap_common::hash::hash_bytes;
 use oltap_common::ids::PartitionId;
 use oltap_common::{DbError, Result, Row, Value};
 
-/// A partitioning scheme over primary keys.
+/// Hash partitioning over primary keys: hash of the full key, modulo the
+/// partition count.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Partitioner {
-    /// Hash of the full key, modulo partition count.
-    Hash {
-        /// Number of partitions.
-        partitions: usize,
-    },
-    /// Range partitioning on the first key column: partition `i` holds
-    /// keys in `[bounds[i-1], bounds[i])` with open ends.
-    Range {
-        /// Ascending split points; `bounds.len() + 1` partitions.
-        bounds: Vec<Value>,
-    },
+pub struct Partitioner {
+    partitions: usize,
 }
 
 impl Partitioner {
@@ -31,43 +22,21 @@ impl Partitioner {
         if partitions == 0 {
             return Err(DbError::InvalidArgument("zero partitions".into()));
         }
-        Ok(Partitioner::Hash { partitions })
-    }
-
-    /// Range partitioner; `bounds` must be strictly ascending.
-    pub fn range(bounds: Vec<Value>) -> Result<Self> {
-        if bounds.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(DbError::InvalidArgument(
-                "range bounds must be strictly ascending".into(),
-            ));
-        }
-        Ok(Partitioner::Range { bounds })
+        Ok(Partitioner { partitions })
     }
 
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        match self {
-            Partitioner::Hash { partitions } => *partitions,
-            Partitioner::Range { bounds } => bounds.len() + 1,
-        }
+        self.partitions
     }
 
     /// Partition owning `key`.
     pub fn partition_of(&self, key: &Row) -> PartitionId {
-        match self {
-            Partitioner::Hash { partitions } => {
-                let mut buf = Vec::with_capacity(16);
-                for v in key.values() {
-                    encode_value(&mut buf, v);
-                }
-                PartitionId(hash_bytes(&buf) % *partitions as u64)
-            }
-            Partitioner::Range { bounds } => {
-                let k = &key[0];
-                let idx = bounds.partition_point(|b| b <= k);
-                PartitionId(idx as u64)
-            }
+        let mut buf = Vec::with_capacity(16);
+        for v in key.values() {
+            encode_value(&mut buf, v);
         }
+        PartitionId(hash_bytes(&buf) % self.partitions as u64)
     }
 }
 
@@ -124,23 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn range_partitioning() {
-        let p = Partitioner::range(vec![Value::Int(10), Value::Int(20)]).unwrap();
-        assert_eq!(p.partition_count(), 3);
-        assert_eq!(p.partition_of(&row![5i64]).raw(), 0);
-        assert_eq!(p.partition_of(&row![10i64]).raw(), 1);
-        assert_eq!(p.partition_of(&row![15i64]).raw(), 1);
-        assert_eq!(p.partition_of(&row![20i64]).raw(), 2);
-        assert_eq!(p.partition_of(&row![1000i64]).raw(), 2);
-    }
-
-    #[test]
-    fn range_rejects_unsorted_bounds() {
-        assert!(Partitioner::range(vec![Value::Int(20), Value::Int(10)]).is_err());
-        assert!(Partitioner::range(vec![Value::Int(10), Value::Int(10)]).is_err());
-    }
-
-    #[test]
     fn zero_partitions_rejected() {
         assert!(Partitioner::hash(0).is_err());
     }
@@ -155,12 +107,5 @@ mod tests {
         let c = p.partition_of(&row![1i64, "x"]);
         assert_eq!(a, c);
         let _ = b;
-    }
-
-    #[test]
-    fn string_range_bounds() {
-        let p = Partitioner::range(vec![Value::Str("m".into())]).unwrap();
-        assert_eq!(p.partition_of(&row!["apple"]).raw(), 0);
-        assert_eq!(p.partition_of(&row!["zebra"]).raw(), 1);
     }
 }

@@ -7,16 +7,20 @@
 //! thread that owns the socket and the [`oltap_core::Session`] and blocks
 //! on the socket: in `peek` under the idle deadline for the next request,
 //! in `read_frame` under the read deadline for the rest of it, and, once
-//! the statement has run, in `write` under the write deadline for each
-//! response frame in turn. Nothing polls.
+//! the statement has run, in `write` under the write deadline for its
+//! response frames. Nothing polls.
 //!
 //! The blocking write *is* the slow-client backpressure. A statement's
 //! result is fully materialized by the session before its first frame
-//! is encoded, so the connection holds the result plus one encoded frame
-//! and nothing else; a client that stops reading stalls the write, and
-//! past the write deadline the connection is cut. There is no response
-//! queue, so the edge claims nothing from the
-//! [`oltap_common::mem::MemoryGovernor`]: there is nothing to govern.
+//! is encoded. Its frames (Schema, Rows…, Done) are appended to one
+//! buffer that is written when the answer is complete — a point `SELECT`
+//! is one `write`, not three — or as soon as it passes [`FLUSH_AT`], so
+//! the connection holds the result plus `FLUSH_AT` and one encoded frame
+//! and nothing else, and a large result still streams; a client that
+//! stops reading stalls the write, and past the write deadline the
+//! connection is cut. There is no response queue, so the edge claims
+//! nothing from the [`oltap_common::mem::MemoryGovernor`]: there is
+//! nothing to govern.
 //!
 //! ## Edge robustness
 //!
@@ -39,7 +43,7 @@
 //!   connections leave, and every wait is bounded.
 
 use crate::wire::{
-    frame_bytes, read_frame, DoneKind, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
+    frame_bytes, put_frame, read_frame, DoneKind, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::mem::WorkloadClass;
@@ -458,28 +462,57 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()
     stream.write_all(&frame_bytes(&payload))
 }
 
+/// Queued response bytes past which [`Conn::send`] writes without
+/// waiting for the end of the answer: what a large result holds at the
+/// edge, and the most a stalled peer leaves unsent before the write
+/// deadline starts to run.
+const FLUSH_AT: usize = 64 * 1024;
+
 /// One connection's socket, as its thread uses it after the handshake.
 struct Conn<'a> {
     stream: TcpStream,
+    /// Encoded response frames not yet written.
+    out: Vec<u8>,
     shared: &'a Shared,
 }
 
 impl Conn<'_> {
-    /// Sends one response frame, blocking until the peer's socket takes
-    /// it. `Err` is connection-fatal: the peer is gone, or has not read
-    /// for `write_timeout`.
+    /// Queues one response frame, writing the queue out once it passes
+    /// [`FLUSH_AT`]; [`Conn::flush`] ends the answer. `Err` is
+    /// connection-fatal: the peer is gone, or has not read for
+    /// `write_timeout`.
     fn send(&mut self, resp: Response) -> Result<()> {
-        let c = &self.shared.counters;
-        // Injected partial write: half the frame goes out, then the
-        // socket dies — the client must detect the torn frame via
-        // CRC/length.
+        let payload = resp.encode();
+        debug_assert!(payload.len() <= MAX_FRAME);
+        // Injected partial write: the frames before this one and half of
+        // it go out, then the socket dies — the client must detect the
+        // torn frame via CRC/length.
         if self.shared.faults.should_fire(points::NET_WRITE_PARTIAL) {
+            let c = &self.shared.counters;
             c.partial_writes.fetch_add(1, Ordering::Relaxed);
-            let frame = frame_bytes(&resp.encode());
-            let _ = self.stream.write_all(&frame[..(frame.len() / 2).max(1)]);
+            let frame = frame_bytes(&payload);
+            self.out
+                .extend_from_slice(&frame[..(frame.len() / 2).max(1)]);
+            let _ = self.stream.write_all(&self.out);
+            self.out.clear();
             return Err(DbError::Io("injected partial write".into()));
         }
-        write_response(&mut self.stream, &resp).map_err(|e| {
+        put_frame(&mut self.out, &payload);
+        if self.out.len() >= FLUSH_AT {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes every queued frame in one `write_all`, blocking until the
+    /// peer's socket takes them. `Err` as for [`Conn::send`].
+    fn flush(&mut self) -> Result<()> {
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        // One frame can be megabytes; an idle connection keeps none of it.
+        self.out.shrink_to(2 * FLUSH_AT);
+        written.map_err(|e| {
+            let c = &self.shared.counters;
             c.slow_client_disconnects.fetch_add(1, Ordering::Relaxed);
             e.into()
         })
@@ -511,7 +544,8 @@ impl Conn<'_> {
         }
     }
 
-    /// Streams one statement result to the socket, a frame at a time.
+    /// Queues one statement result, a frame at a time (a large one is
+    /// on the socket but for its last [`FLUSH_AT`] bytes when this returns).
     /// Returns `Err` only for connection-fatal conditions (write failed
     /// or stalled, connection cancelled); statement errors are sent to
     /// the client and are `Ok`.
@@ -611,7 +645,11 @@ fn serve_connection(
     if !handshake(&mut stream) {
         return;
     }
-    let mut conn = Conn { stream, shared };
+    let mut conn = Conn {
+        stream,
+        out: Vec::new(),
+        shared,
+    };
     while !cancel.is_cancelled() {
         let request = if shared.draining.load(Ordering::SeqCst) {
             Ok(None)
@@ -654,10 +692,13 @@ fn serve_connection(
                 break; // desynchronized stream: close
             }
         };
-        if sent.is_err() {
+        if sent.and_then(|()| conn.flush()).is_err() {
             break;
         }
     }
+    // What a `break` above queued on its way out (a refusal, a drain
+    // notice); nothing, after a failed write.
+    let _ = conn.flush();
 }
 
 #[cfg(test)]
@@ -676,6 +717,34 @@ mod tests {
             Ok(Response::HelloAck { .. })
         ));
         stream
+    }
+
+    /// A short answer leaves in one write: one `read` on the raw socket
+    /// returns Schema, Rows and Done whole, and nothing after them.
+    #[test]
+    fn a_point_answer_is_one_write() {
+        use std::io::Read;
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+        let server = Server::start(db, ServerConfig::default()).unwrap();
+        let mut stream = connect(server.local_addr());
+        let sql = "SELECT v FROM t WHERE id = 1".to_string();
+        stream
+            .write_all(&frame_bytes(&Request::Query { sql }.encode()))
+            .unwrap();
+        let mut buf = [0u8; 4096];
+        let n = stream.read(&mut buf).unwrap();
+        let mut answer = &buf[..n];
+        let mut next = || {
+            let payload = read_frame(&mut answer).unwrap().expect("a whole frame");
+            Response::decode(&payload).unwrap()
+        };
+        assert!(matches!(next(), Response::Schema { .. }));
+        assert!(matches!(next(), Response::Rows { rows } if rows.len() == 1));
+        assert!(matches!(next(), Response::Done { count: 1, .. }));
+        assert!(answer.is_empty());
     }
 
     /// Finished connection threads are reaped as new ones are accepted,

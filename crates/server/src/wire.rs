@@ -112,10 +112,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// Serializes a frame into a buffer (for queueing before the socket).
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
+    put_frame(&mut out, payload);
+    out
+}
+
+/// Appends one frame to `out`: the frames of one answer queue up in one
+/// buffer and leave in one write.
+pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Reads one full frame, verifying length sanity and CRC. An EOF before

@@ -138,7 +138,13 @@ pub struct TableSizes {
 
 struct TableState {
     delta: RowStore,
+    /// Main segments in scan order. Changed only by [`TableState::publish`]
+    /// and [`TableState::replace`], which keep `slot_of` in step.
     segments: Vec<Arc<Segment>>,
+    /// Segment id → its position in `segments`: the insert check, the point
+    /// read and the delete resolve a `pk_locs` entry through this, whatever
+    /// number of segments the table has grown.
+    slot_of: FxHashMap<SegmentId, usize>,
     /// Primary key → every main-store location that ever held the key.
     /// At most one location is visible to a given snapshot.
     pk_locs: FxHashMap<Row, Vec<(SegmentId, u32)>>,
@@ -146,7 +152,34 @@ struct TableState {
 
 impl TableState {
     fn segment(&self, id: SegmentId) -> Option<&Arc<Segment>> {
-        self.segments.iter().find(|s| s.id() == id)
+        self.slot_of.get(&id).map(|&slot| &self.segments[slot])
+    }
+
+    /// Publishes a new segment at the end of the scan order (bulk load,
+    /// merge).
+    fn publish(&mut self, seg: Arc<Segment>) {
+        let taken = self.slot_of.insert(seg.id(), self.segments.len());
+        assert!(taken.is_none(), "segment {} published twice", seg.id());
+        self.segments.push(seg);
+        self.check_slots();
+    }
+
+    /// Swaps the segment at `slot` for its rewrite (freeze), which keeps its
+    /// place in the scan order; the old id retires.
+    fn replace(&mut self, slot: usize, seg: Arc<Segment>) {
+        let taken = self.slot_of.insert(seg.id(), slot);
+        assert!(taken.is_none(), "segment {} published twice", seg.id());
+        let old = std::mem::replace(&mut self.segments[slot], seg);
+        let retired = self.slot_of.remove(&old.id());
+        assert_eq!(retired, Some(slot), "segment {} off its slot", old.id());
+        self.check_slots();
+    }
+
+    /// Every segment is found under its id, and nothing else is.
+    fn check_slots(&self) {
+        debug_assert_eq!(self.slot_of.len(), self.segments.len());
+        debug_assert!((self.segments.iter().enumerate())
+            .all(|(slot, seg)| self.slot_of.get(&seg.id()) == Some(&slot)));
     }
 }
 
@@ -193,6 +226,7 @@ impl DeltaMainTable {
             state: RwLock::new(TableState {
                 delta: RowStore::new(Arc::clone(&schema)),
                 segments: Vec::new(),
+                slot_of: FxHashMap::default(),
                 pk_locs: FxHashMap::default(),
             }),
             schema,
@@ -275,7 +309,7 @@ impl DeltaMainTable {
                 state.pk_locs.entry(key).or_default().push((id, i as u32));
             }
         }
-        state.segments.push(Arc::new(seg));
+        state.publish(Arc::new(seg));
         Ok(())
     }
 
@@ -488,7 +522,7 @@ impl DeltaMainTable {
         // merged segment (recovery replays the WAL into the delta, so the
         // seed had nowhere to land until now).
         seg.seed_heat(self.pending_seed_heat.swap(0, Ordering::Relaxed));
-        state.segments.push(seg);
+        state.publish(seg);
         // Compact the delta index: drop chains now dead to every snapshot
         // (their data lives in the new segment). Live/pending chains move
         // over by Arc.
@@ -585,7 +619,7 @@ impl DeltaMainTable {
             }
             let bytes_after = frozen.size_bytes();
             // Atomic per-segment swap + pk remap, all under the write lock.
-            state.segments[idx] = Arc::clone(&frozen);
+            state.replace(idx, Arc::clone(&frozen));
             if self.schema.has_primary_key() {
                 let old_id = seg.id();
                 for locs in state.pk_locs.values_mut() {
@@ -908,6 +942,56 @@ mod tests {
         let cts = tx.commit().unwrap();
         assert_eq!(t.get(&row![1i64], cts, NOBODY).unwrap().unwrap()[2], Value::Int(6));
         assert_eq!(count(&t, cts), 1);
+    }
+
+    /// A `pk_locs` entry resolves through `slot_of`, not a walk: after 96
+    /// publishes and a freeze that retires every id but the newest, the
+    /// first, a middle and the last live segment are found under their ids
+    /// at their slots, a retired id finds nothing, and point reads of the
+    /// keys that moved still answer.
+    #[test]
+    fn segment_lookup_by_id_across_many_segments_and_a_freeze() {
+        let (mgr, t) = table();
+        let n = 96i64;
+        for i in 0..n {
+            let tx = mgr.begin();
+            t.insert(&tx, row![i, "a", i]).unwrap();
+            tx.commit().unwrap();
+            t.merge(mgr.gc_watermark()).unwrap();
+        }
+        let ids = |t: &DeltaMainTable| -> Vec<SegmentId> {
+            t.state.read().segments.iter().map(|s| s.id()).collect()
+        };
+        let before = ids(&t);
+        assert_eq!(before.len(), n as usize);
+        // One more merge after the freeze: frozen and unfrozen ids mix.
+        let frozen = t
+            .freeze(mgr.gc_watermark(), &FaultInjector::disabled(), true)
+            .unwrap();
+        assert_eq!(frozen.segments_frozen, n as usize);
+        let tx = mgr.begin();
+        t.insert(&tx, row![n, "a", n]).unwrap();
+        tx.commit().unwrap();
+        t.merge(mgr.gc_watermark()).unwrap();
+
+        let after = ids(&t);
+        assert_eq!(after.len(), n as usize + 1);
+        {
+            let state = t.state.read();
+            for slot in [0, after.len() / 2, after.len() - 1] {
+                let found = state.segment(after[slot]).expect("live id resolves");
+                assert!(Arc::ptr_eq(found, &state.segments[slot]), "slot {slot}");
+            }
+            for retired in [before[0], before[before.len() / 2]] {
+                assert!(!after.contains(&retired));
+                assert!(state.segment(retired).is_none(), "{retired} retired");
+            }
+            assert!(state.segment(SegmentId(u64::MAX)).is_none());
+        }
+        for key in [0, n / 2, n - 1, n] {
+            let got = t.get(&row![key], mgr.now(), NOBODY).unwrap();
+            assert_eq!(got, Some(row![key, "a", key]));
+        }
     }
 
     #[test]

@@ -723,21 +723,36 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// One flipped bit on disk — in the first byte, either side of the
+    /// checksum kernel's first 64-byte step, the last byte — of an
+    /// 8 202-byte page (1 024 raw `f64`s, `ol_amount`'s shape) is a typed
+    /// error; the page reads back once the bit is restored.
     #[test]
     fn on_disk_corruption_is_typed() {
         let root = temp_root("corrupt");
         let mut w = PageFileWriter::create_under(&root, FaultInjector::disabled()).unwrap();
-        let idx = w.append_column(&sample_columns()[0]).unwrap();
+        let idx = w
+            .append_column(&EncodedColumn::Float {
+                values: (0..1024).map(|i| i as f64 / 7.0).collect(),
+                validity: None,
+            })
+            .unwrap() as usize;
         let f = w.finish().unwrap();
-        // Flip a payload byte on disk behind the handle's back.
-        let meta = f.directory()[idx as usize];
-        let mut bytes = fs::read(f.path()).unwrap();
-        bytes[meta.offset as usize + 4] ^= 0xFF;
-        fs::write(f.path(), &bytes).unwrap();
-        assert!(matches!(
-            f.read_page(idx as usize),
-            Err(DbError::Corruption(_))
-        ));
+        let meta = f.directory()[idx];
+        assert_eq!(meta.len, 8202);
+        let clean = fs::read(f.path()).unwrap();
+        for at in [0, 63, 64, 8201] {
+            // Behind the handle's back.
+            let mut bytes = clean.clone();
+            bytes[meta.offset as usize + at] ^= 0x08;
+            fs::write(f.path(), &bytes).unwrap();
+            assert!(
+                matches!(f.read_page(idx), Err(DbError::Corruption(_))),
+                "flipped bit in byte {at} went unnoticed"
+            );
+        }
+        fs::write(f.path(), &clean).unwrap();
+        assert!(f.read_column(idx).is_ok());
         drop(f);
         let _ = fs::remove_dir_all(&root);
     }
