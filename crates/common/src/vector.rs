@@ -55,19 +55,26 @@ impl ColumnVector {
     /// Creates an empty vector of the given logical type. `Timestamp` maps
     /// onto the `Int64` physical representation.
     pub fn new(data_type: DataType) -> Self {
+        Self::with_capacity(data_type, 0)
+    }
+
+    /// [`new`](Self::new) with room for `rows` values, so a producer that
+    /// knows its row count up front never regrows while it pushes.
+    pub fn with_capacity(data_type: DataType, rows: usize) -> Self {
         match data_type {
             DataType::Int64 | DataType::Timestamp => ColumnVector::Int64 {
-                values: Vec::new(),
+                values: Vec::with_capacity(rows),
                 validity: None,
             },
             DataType::Float64 => ColumnVector::Float64 {
-                values: Vec::new(),
+                values: Vec::with_capacity(rows),
                 validity: None,
             },
             DataType::Utf8 => ColumnVector::Utf8 {
-                values: Vec::new(),
+                values: Vec::with_capacity(rows),
                 validity: None,
             },
+            // Bit-packed, 64 rows a word: nothing worth reserving.
             DataType::Bool => ColumnVector::Bool {
                 values: BitSet::new(),
                 validity: None,

@@ -196,10 +196,15 @@ impl TableHandle {
                 let stats = t.merge(watermark)?;
                 let frozen = t.freeze(watermark, faults, false)?;
                 let pruned = t.gc(watermark);
+                // What the pass left behind: every scan pays per segment and
+                // per stored row, dead or not.
+                let after = t.sizes();
                 format!(
-                    "merged {} rows, froze {} segments ({} -> {} bytes), gc pruned {pruned} versions",
+                    "merged {} rows, froze {} segments ({} -> {} bytes), gc pruned {pruned} versions; \
+                     now {} segments, {} main rows ({} dead), {} delta keys",
                     stats.rows_merged, frozen.segments_frozen, frozen.bytes_before,
-                    frozen.bytes_after
+                    frozen.bytes_after, after.segments, after.main_rows, after.main_dead_rows,
+                    after.delta_rows
                 )
             }
             TableHandle::Dual(t) => {

@@ -1051,6 +1051,14 @@ mod tests {
         assert!(stats.notes.iter().any(|(_, n)| n.contains("merged 200")));
         let after = db.query("SELECT COUNT(*), SUM(v) FROM t").unwrap();
         assert_eq!(before[0], after[0]);
+        // The note also says what the pass left: an update of a merged row
+        // is a second segment and a dead row in the first.
+        let left = "now 1 segments, 200 main rows (0 dead), 0 delta keys";
+        assert!(stats.notes.iter().any(|(_, n)| n.ends_with(left)), "{stats:?}");
+        db.execute("UPDATE t SET v = 99 WHERE id = 7").unwrap();
+        let stats = db.maintenance();
+        let left = "now 2 segments, 201 main rows (1 dead), 0 delta keys";
+        assert!(stats.notes.iter().any(|(_, n)| n.ends_with(left)), "{stats:?}");
     }
 
     #[test]

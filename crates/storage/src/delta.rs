@@ -6,7 +6,11 @@
 //! row-store-plus-column-store: ingest lands in the row-format delta at
 //! OLTP speed; a background **merge** periodically drains committed delta
 //! rows into a new compressed segment; analytic scans read segments (fast,
-//! compressed, zone-mapped) plus the small delta (fresh).
+//! compressed, zone-mapped) plus the delta (fresh). How big the delta is
+//! decides what that costs: under `htap_mixed`'s 250 ms merge tick it holds
+//! 2 000–4 000 keys of `order_line`, each scanned some 125 times before it
+//! merges, at 25–150 ns a key (L2-resident to cold) against the 0.5–2 ns
+//! of a merged row — DESIGN.md § "What a row costs".
 //!
 //! # MVCC correctness of merge
 //!
@@ -128,6 +132,9 @@ impl HeatStats {
 pub struct TableSizes {
     /// Rows resident in main segments (including logically deleted).
     pub main_rows: usize,
+    /// Of those, rows whose delete has committed: an updated row leaves one
+    /// behind in its segment until a freeze rewrites it.
+    pub main_dead_rows: usize,
     /// Distinct keys resident in the delta store.
     pub delta_rows: usize,
     /// Number of main segments.
@@ -279,6 +286,9 @@ impl DeltaMainTable {
         let state = self.state.read();
         TableSizes {
             main_rows: state.segments.iter().map(|s| s.row_count()).sum(),
+            main_dead_rows: (state.segments.iter())
+                .map(|s| s.committed_delete_count())
+                .sum(),
             delta_rows: state.delta.key_count(),
             segments: state.segments.len(),
             main_bytes: state.segments.iter().map(|s| s.size_bytes()).sum(),
@@ -465,15 +475,16 @@ impl DeltaMainTable {
                 out.extend(seg.scan(projection, pred, read_ts, me, batch_size)?);
             }
         }
-        out.extend(state.delta.scan(projection, pred, read_ts, me, batch_size)?);
+        out.extend(state.delta.scan_validated(projection, pred, read_ts, me, batch_size)?);
         Ok(out)
     }
 
     /// The raw inputs of a fused (operate-on-compressed) scan: the main
     /// segments visible at `read_ts` plus the delta store's batches. The
     /// fused aggregate path consumes segments without materializing them;
-    /// the delta — small and row-format — is returned pre-scanned in the
-    /// same order the batched [`DeltaMainTable::scan`] would emit it.
+    /// the delta — row-format, a few thousand keys between two merges — is
+    /// returned pre-scanned in the same order the batched
+    /// [`DeltaMainTable::scan`] would emit it.
     pub fn fused_scan_parts(
         &self,
         projection: &[usize],
@@ -490,7 +501,7 @@ impl DeltaMainTable {
             .filter(|s| s.visible_to(read_ts))
             .cloned()
             .collect();
-        let delta = state.delta.scan(projection, pred, read_ts, me, batch_size)?;
+        let delta = state.delta.scan_validated(projection, pred, read_ts, me, batch_size)?;
         Ok((segments, delta))
     }
 

@@ -254,7 +254,7 @@ impl DualFormatTable {
             // The snapshot predates the image: fall back to the row store
             // (only possible for snapshots older than the population
             // watermark, i.e. none in steady state).
-            return self.rows.scan(projection, pred, read_ts, me, batch_size);
+            return self.rows.scan_validated(projection, pred, read_ts, me, batch_size);
         }
         // Keys whose columnar copy may be stale. No upper bound on the
         // journal timestamp is needed: the overlay below reads the row

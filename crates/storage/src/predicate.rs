@@ -17,6 +17,7 @@
 use oltap_common::bloom::BlockedBloom;
 use oltap_common::hash::{join_hash_combine, join_hash_value, JOIN_KEY_SEED};
 use oltap_common::{DataType, Result, Row, Schema, Value};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Comparison operator of a simple predicate.
@@ -115,30 +116,32 @@ pub struct JoinFilter {
 
 impl JoinFilter {
     /// Evaluates the filter against one row, fetching key values through
-    /// `value_at(table_ordinal)`.
-    pub fn matches_at(&self, mut value_at: impl FnMut(usize) -> Value) -> bool {
+    /// `value_at(table_ordinal)` — owned (a segment decodes its keys by
+    /// value) or borrowed (a row already holds them).
+    pub fn matches_at<V: Borrow<Value>>(&self, mut value_at: impl FnMut(usize) -> V) -> bool {
         if self.build_rows == 0 {
             return false;
         }
         let mut h = JOIN_KEY_SEED;
         for (k, &c) in self.columns.iter().enumerate() {
             let v = value_at(c);
+            let v = v.borrow();
             if v.is_null() {
                 return false; // NULL keys never join.
             }
             if let Some(Some((lo, hi))) = self.ranges.get(k) {
-                if v < *lo || v > *hi {
+                if v < lo || v > hi {
                     return false;
                 }
             }
-            h = join_hash_combine(h, join_hash_value(&v));
+            h = join_hash_combine(h, join_hash_value(v));
         }
         self.bloom.contains(h)
     }
 
-    /// Evaluates the filter against a materialized row.
+    /// Evaluates the filter against a materialized row, in place.
     pub fn matches_row(&self, row: &Row) -> bool {
-        self.matches_at(|c| row[c].clone())
+        self.matches_at(|c| &row[c])
     }
 }
 

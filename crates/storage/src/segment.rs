@@ -1135,6 +1135,16 @@ impl Segment {
         self.deletes.read().len()
     }
 
+    /// Number of rows whose delete has committed: still stored, dead to
+    /// every new snapshot, dropped by the next freeze of this segment.
+    pub fn committed_delete_count(&self) -> usize {
+        self.deletes
+            .read()
+            .values()
+            .filter(|s| matches!(s, Stamp::Committed(_)))
+            .count()
+    }
+
     /// Is row `offset` visibly deleted for snapshot (`read_ts`, `me`)?
     pub fn is_deleted(&self, offset: u32, read_ts: Ts, me: TxnId) -> bool {
         (self.deletes.read().get(&offset)).is_some_and(|stamp| stamp_deletes(stamp, read_ts, me))

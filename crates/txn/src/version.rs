@@ -92,21 +92,28 @@ impl<T: Clone> VersionChain<T> {
         }
     }
 
-    /// Reads the version visible at `read_ts` for transaction `me`.
-    pub fn read(&self, read_ts: Ts, me: TxnId) -> Option<T> {
+    /// Runs `f` on the version visible at `read_ts` for transaction `me`,
+    /// borrowed in place under the chain's read lock: the one visibility
+    /// walk, which [`read`](Self::read) and
+    /// [`exists_for`](Self::exists_for) are spelled in. `f` sees either a
+    /// whole committed (or own pending) version or is not called — writers
+    /// stamp a chain under the write lock. It must not touch this chain.
+    pub fn with_visible<R>(&self, read_ts: Ts, me: TxnId, f: impl FnOnce(&T) -> R) -> Option<R> {
         let guard = self.versions.read();
         guard
             .iter()
             .find(|v| v.visible_to(read_ts, me))
-            .map(|v| v.data.clone())
+            .map(|v| f(&v.data))
+    }
+
+    /// Reads the version visible at `read_ts` for transaction `me`.
+    pub fn read(&self, read_ts: Ts, me: TxnId) -> Option<T> {
+        self.with_visible(read_ts, me, T::clone)
     }
 
     /// True when some version is visible at `read_ts` for `me`.
     pub fn exists_for(&self, read_ts: Ts, me: TxnId) -> bool {
-        self.versions
-            .read()
-            .iter()
-            .any(|v| v.visible_to(read_ts, me))
+        self.with_visible(read_ts, me, |_| ()).is_some()
     }
 
     /// Installs a brand-new pending version at the head *without* ending a
