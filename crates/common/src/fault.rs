@@ -97,6 +97,12 @@ pub mod points {
     /// real crash).
     pub const STORAGE_FREEZE_CRASH: &str = "storage.freeze_crash";
 
+    /// Crash the coalesce step of a maintenance pass after the rewrite of a
+    /// run of segments is built (its page file published) but before the
+    /// swap. The old run must keep serving bit-identically, and the
+    /// unpublished rewrite's page file must go with it.
+    pub const STORAGE_COALESCE_CRASH: &str = "storage.coalesce_crash";
+
     /// Fail an accepted connection before its session starts (as if the
     /// accept syscall or the initial socket setup failed). The accept loop
     /// must drop that one connection and keep serving; the client sees a

@@ -207,6 +207,50 @@ impl ColumnVector {
         Ok(())
     }
 
+    /// [`push`](Self::push) for a value the caller gives up: a string moves
+    /// into the vector instead of being copied.
+    pub fn push_owned(&mut self, value: Value) -> Result<()> {
+        match (self, value) {
+            (ColumnVector::Utf8 { values, validity }, Value::Str(s)) => {
+                let idx = values.len();
+                values.push(s);
+                push_validity(validity, idx, false);
+                Ok(())
+            }
+            (column, value) => column.push(&value),
+        }
+    }
+
+    /// Splits the vector at row `at` (`at <= len`, as `Vec::split_off`):
+    /// `self` keeps `[0, at)` and the rows `[at, len)` are returned.
+    pub fn split_off(&mut self, at: usize) -> ColumnVector {
+        fn split_bits(bits: &mut BitSet, at: usize) -> BitSet {
+            let tail = bits.slice(at, bits.len() - at);
+            *bits = bits.slice(0, at);
+            tail
+        }
+        let split_validity =
+            |validity: &mut Option<BitSet>| validity.as_mut().map(|bits| split_bits(bits, at));
+        match self {
+            ColumnVector::Int64 { values, validity } => ColumnVector::Int64 {
+                values: values.split_off(at),
+                validity: split_validity(validity),
+            },
+            ColumnVector::Float64 { values, validity } => ColumnVector::Float64 {
+                values: values.split_off(at),
+                validity: split_validity(validity),
+            },
+            ColumnVector::Utf8 { values, validity } => ColumnVector::Utf8 {
+                values: values.split_off(at),
+                validity: split_validity(validity),
+            },
+            ColumnVector::Bool { values, validity } => ColumnVector::Bool {
+                values: split_bits(values, at),
+                validity: split_validity(validity),
+            },
+        }
+    }
+
     /// Gathers the rows at `sel` into a new vector (selection-vector
     /// application).
     pub fn take(&self, sel: &[u32]) -> ColumnVector {
@@ -559,5 +603,33 @@ mod tests {
         let p = b.project(&[1, 0]);
         assert_eq!(p.num_columns(), 2);
         assert_eq!(p.row(0)[0], Value::Str("x".into()));
+    }
+
+    /// `split_off` keeps the head and returns the tail, validity and bits
+    /// with them, at every cut; `push_owned` is `push` with the string moved.
+    #[test]
+    fn split_off_and_push_owned() {
+        let values = [Value::Str("a".into()), Value::Null, Value::Str("c".into())];
+        for at in 0..=values.len() {
+            let mut column = ColumnVector::new(DataType::Utf8);
+            let mut bools = ColumnVector::new(DataType::Bool);
+            for (i, v) in values.iter().enumerate() {
+                column.push_owned(v.clone()).unwrap();
+                bools.push(&if v.is_null() { Value::Null } else { Value::Bool(i == 2) }).unwrap();
+            }
+            let (tail, bool_tail) = (column.split_off(at), bools.split_off(at));
+            assert_eq!((column.len(), tail.len()), (at, values.len() - at));
+            for (i, want) in values.iter().enumerate() {
+                let (got, got_bool) = if i < at {
+                    (column.value_at(i), bools.value_at(i))
+                } else {
+                    (tail.value_at(i - at), bool_tail.value_at(i - at))
+                };
+                assert_eq!(&got, want, "at {at}, row {i}");
+                assert_eq!(got_bool.is_null(), want.is_null(), "at {at}, row {i}");
+            }
+        }
+        let mut ints = ColumnVector::new(DataType::Int64);
+        assert!(ints.push_owned(Value::Str("no".into())).is_err());
     }
 }

@@ -19,7 +19,7 @@ use oltap_common::{Batch, DbError, Result, Row};
 use oltap_sql::ast::FormatOpt;
 use oltap_sql::CatalogView;
 use oltap_storage::{
-    DeltaMainTable, DualFormatTable, FreezeStats, HeatStats, RowStore, ScanPredicate,
+    DeltaMainTable, DualFormatTable, FreezeStats, HeatStats, MergeBell, RowStore, ScanPredicate,
     SegmentPager,
 };
 use oltap_txn::{Transaction, Ts};
@@ -70,21 +70,27 @@ impl std::fmt::Debug for TableHandle {
 impl TableHandle {
     /// Creates an empty table of the requested format.
     pub fn create(schema: SchemaRef, format: TableFormat) -> Result<TableHandle> {
-        Self::create_with_pager(schema, format, None)
+        Self::create_with(schema, format, None, None)
     }
 
     /// Creates an empty table; when `pager` is set, columnar segments
     /// (delta-main and dual image) are paged through its buffer pool. Row
-    /// stores ignore the pager — they are the OLTP working set.
-    pub fn create_with_pager(
+    /// stores ignore the pager — they are the OLTP working set. A column
+    /// table rings `bell` when its delta becomes worth merging.
+    pub fn create_with(
         schema: SchemaRef,
         format: TableFormat,
         pager: Option<Arc<SegmentPager>>,
+        bell: Option<Arc<MergeBell>>,
     ) -> Result<TableHandle> {
         Ok(match format {
             TableFormat::Row => TableHandle::Row(Arc::new(RowStore::new(schema))),
             TableFormat::Column => {
-                TableHandle::Column(Arc::new(DeltaMainTable::with_pager(schema, pager)))
+                let table = DeltaMainTable::with_pager(schema, pager);
+                TableHandle::Column(Arc::new(match bell {
+                    Some(bell) => table.with_bell(bell),
+                    None => table,
+                }))
             }
             TableFormat::Dual => {
                 TableHandle::Dual(Arc::new(DualFormatTable::with_pager(schema, pager)?))
@@ -182,31 +188,18 @@ impl TableHandle {
     }
 
     /// Maintenance with the database's fault injector threaded through, so
-    /// chaos points inside the background freeze pass fire. Column tables
-    /// additionally run the hot/cold freeze pass every tick — which is what
-    /// re-evaluates segments an earlier pass skipped for in-flight deletes
-    /// once those deletes commit and the GC watermark passes them.
+    /// chaos points inside the background passes fire. Column tables run
+    /// merge → coalesce → freeze → gc ([`DeltaMainTable::maintain`]) every
+    /// tick — which is also what re-evaluates segments an earlier pass
+    /// skipped for in-flight deletes once those deletes commit and the GC
+    /// watermark passes them.
     pub fn maintain_full(&self, watermark: Ts, faults: &FaultInjector) -> Result<String> {
         Ok(match self {
             TableHandle::Row(t) => {
                 let pruned = t.gc(watermark);
                 format!("gc pruned {pruned} versions")
             }
-            TableHandle::Column(t) => {
-                let stats = t.merge(watermark)?;
-                let frozen = t.freeze(watermark, faults, false)?;
-                let pruned = t.gc(watermark);
-                // What the pass left behind: every scan pays per segment and
-                // per stored row, dead or not.
-                let after = t.sizes();
-                format!(
-                    "merged {} rows, froze {} segments ({} -> {} bytes), gc pruned {pruned} versions; \
-                     now {} segments, {} main rows ({} dead), {} delta keys",
-                    stats.rows_merged, frozen.segments_frozen, frozen.bytes_before,
-                    frozen.bytes_after, after.segments, after.main_rows, after.main_dead_rows,
-                    after.delta_rows
-                )
-            }
+            TableHandle::Column(t) => t.maintain(watermark, faults)?,
             TableHandle::Dual(t) => {
                 let n = t.populate(watermark)?;
                 let pruned = t.gc(watermark);

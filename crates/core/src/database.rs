@@ -12,7 +12,8 @@ use oltap_sql::ast::Statement;
 use oltap_sql::parse;
 use oltap_storage::spill::{purge_spill_root, SpillDir};
 use oltap_storage::{
-    purge_page_root, BufferManager, BufferStats, FreezeStats, HeatStats, SegmentPager,
+    purge_page_root, BufferManager, BufferStats, FreezeStats, HeatStats, MergeBell, MergeStats,
+    SegmentPager,
 };
 use oltap_txn::wal::{CommitRecord, Wal, WalOp};
 use oltap_txn::{Transaction, TransactionManager, Ts};
@@ -20,7 +21,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Memory-governance configuration: the process pool, its per-class
 /// carve-outs, and the per-query cap handed to each statement's
@@ -127,6 +128,9 @@ pub struct Database {
     /// open so a restart does not zero the hot/cold state and let the
     /// freeze pass immediately re-freeze the working set.
     heat_path: Option<PathBuf>,
+    /// Rung by a column table whose delta a scan has found worth merging;
+    /// the maintenance daemon waits on it between its passes.
+    bell: Arc<MergeBell>,
 }
 
 /// Sequence for per-database temp roots (ephemeral databases).
@@ -180,6 +184,7 @@ impl Database {
             pager: None,
             history_floor: AtomicU64::new(0),
             heat_path: None,
+            bell: Arc::default(),
         })
     }
 
@@ -245,6 +250,7 @@ impl Database {
             pager,
             history_floor: AtomicU64::new(0),
             heat_path,
+            bell: Arc::default(),
         });
         db.set_admission_config(config.admission);
         // Spill files never outlive a process on purpose; anything under
@@ -390,7 +396,7 @@ impl Database {
         format: TableFormat,
     ) -> Result<()> {
         let sql = render_create_table(name, &schema, format);
-        let handle = TableHandle::create_with_pager(schema, format, self.pager.clone())?;
+        let handle = self.new_table(schema, format)?;
         self.catalog.write().create(name, handle)?;
         self.log_ddl(&sql)
     }
@@ -420,16 +426,19 @@ impl Database {
                     .collect();
                 let key_refs: Vec<&str> = primary_key.iter().map(|s| s.as_str()).collect();
                 let schema = Arc::new(Schema::with_primary_key(fields, &key_refs)?);
-                let handle = TableHandle::create_with_pager(
-                    schema,
-                    (*format).into(),
-                    self.pager.clone(),
-                )?;
+                let handle = self.new_table(schema, (*format).into())?;
                 self.catalog.write().create(name, handle)
             }
             Statement::DropTable { name } => self.catalog.write().drop_table(name),
             other => Err(DbError::Unsupported(format!("not DDL: {other:?}"))),
         }
+    }
+
+    /// An empty table paged through the database's pool, if it has one,
+    /// and ringing its merge bell.
+    fn new_table(&self, schema: SchemaRef, format: TableFormat) -> Result<TableHandle> {
+        let bell = Some(Arc::clone(&self.bell));
+        TableHandle::create_with(schema, format, self.pager.clone(), bell)
     }
 
     fn log_ddl(&self, sql: &str) -> Result<()> {
@@ -535,6 +544,27 @@ impl Database {
         MaintenanceStats { watermark, notes }
     }
 
+    /// The merge trigger's pass: merges every column table whose delta a
+    /// scan has found worth merging since its last merge (see
+    /// `oltap_storage::delta`), at the current GC watermark, raising the
+    /// history floor as [`maintenance`](Self::maintenance) does. Returns
+    /// the tables it merged, with what each merge moved; a table whose
+    /// merge fails is left to the next full pass, which reports the error.
+    pub fn merge_due(&self) -> Vec<(String, MergeStats)> {
+        let watermark = self.txn_mgr.gc_watermark();
+        self.history_floor.fetch_max(watermark, Ordering::SeqCst);
+        let catalog = self.catalog.read();
+        let mut merged = Vec::new();
+        for (name, handle) in catalog.handles() {
+            if let TableHandle::Column(t) = handle {
+                if let Ok(Some(stats)) = t.merge_if_due(watermark) {
+                    merged.push((name.clone(), stats));
+                }
+            }
+        }
+        merged
+    }
+
     /// Writes the per-table heat snapshot next to the WAL (tmp+rename,
     /// CRC-framed records). Best-effort: heat is advisory — a lost
     /// snapshot only means segments restart cold — so I/O errors are
@@ -634,7 +664,12 @@ impl Database {
         }
     }
 
-    /// Spawns a background maintenance thread ticking every `interval`.
+    /// Spawns a background maintenance thread: a full pass
+    /// ([`maintenance`](Self::maintenance)) every `interval`, and between
+    /// passes, whenever a column table rings the merge bell, the trigger's
+    /// merge of the tables that are due ([`merge_due`](Self::merge_due)).
+    /// The thread waits on the bell, not in a sleep, so dropping the
+    /// daemon wakes it at once.
     ///
     /// The daemon is panic-safe: a merge pass that panics (a bug, or the
     /// `merge.abort` chaos point) is caught and counted, and the daemon
@@ -642,6 +677,7 @@ impl Database {
     /// for the lifetime of the process.
     pub fn start_maintenance(self: &Arc<Self>, interval: Duration) -> MaintenanceDaemon {
         let db = Arc::clone(self);
+        let bell = Arc::clone(&self.bell);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let panics = Arc::new(AtomicU64::new(0));
@@ -651,24 +687,36 @@ impl Database {
         let handle = std::thread::Builder::new()
             .name("oltap-maintenance".into())
             .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    std::thread::sleep(interval);
+                let mut rings = 0;
+                let mut next_pass = Instant::now() + interval;
+                loop {
+                    let rung = db.bell.wait(&mut rings, next_pass);
                     if stop2.load(Ordering::SeqCst) {
                         break;
                     }
+                    let full = Instant::now() >= next_pass;
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        db.maintenance()
+                        if rung {
+                            db.merge_due();
+                        }
+                        if full {
+                            db.maintenance();
+                        }
                     }));
                     if res.is_err() {
                         panics2.fetch_add(1, Ordering::SeqCst);
                         eprintln!("maintenance pass panicked; daemon continues");
                     }
-                    ticks2.fetch_add(1, Ordering::SeqCst);
+                    if full {
+                        ticks2.fetch_add(1, Ordering::SeqCst);
+                        next_pass = Instant::now() + interval;
+                    }
                 }
             })
             .expect("spawn maintenance daemon");
         MaintenanceDaemon {
             stop,
+            bell,
             panics,
             ticks,
             handle: Some(handle),
@@ -699,6 +747,8 @@ pub struct MaintenanceStats {
 /// Handle to the background maintenance thread (stops on drop).
 pub struct MaintenanceDaemon {
     stop: Arc<AtomicBool>,
+    /// Rung on drop, to wake the thread out of its wait.
+    bell: Arc<MergeBell>,
     panics: Arc<AtomicU64>,
     ticks: Arc<AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -719,6 +769,7 @@ impl MaintenanceDaemon {
 impl Drop for MaintenanceDaemon {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.bell.ring();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -1059,6 +1110,12 @@ mod tests {
         let stats = db.maintenance();
         let left = "now 2 segments, 201 main rows (1 dead), 0 delta keys";
         assert!(stats.notes.iter().any(|(_, n)| n.ends_with(left)), "{stats:?}");
+        // One segment and one row are no run: nothing coalesced. The note
+        // also says what the trigger and the write lock did.
+        let note = &stats.notes.iter().find(|(t, _)| t == "t").unwrap().1;
+        assert!(note.contains("(0 triggered merges since the last pass)"), "{note}");
+        assert!(note.contains("coalesced 0 runs (0 -> 0 segments, 0 rows dropped)"), "{note}");
+        assert!(note.contains("longest write hold "), "{note}");
     }
 
     #[test]
@@ -1104,6 +1161,59 @@ mod tests {
         drop(daemon); // must join cleanly
         let rows = db.query("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(rows[0][0], Value::Int(1));
+    }
+
+    /// The daemon waits on the merge bell, not in a sleep: dropping it
+    /// returns at once however long its interval.
+    #[test]
+    fn dropping_the_daemon_returns_at_once_with_a_long_interval() {
+        let db = Database::new();
+        let daemon = db.start_maintenance(Duration::from_secs(10));
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        drop(daemon);
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "drop took {took:?}");
+    }
+
+    fn column_table(db: &Database, name: &str) -> Arc<oltap_storage::DeltaMainTable> {
+        match db.table(name).unwrap() {
+            TableHandle::Column(t) => t,
+            other => panic!("{name} is {other:?}"),
+        }
+    }
+
+    /// Between two passes of a daemon that ticks every ten seconds, the
+    /// trigger merges the table a reader keeps scanning, once its scans
+    /// have paid for it, and leaves the table nobody reads in its delta.
+    #[test]
+    fn the_trigger_merges_a_scanned_table_and_never_a_write_only_one() {
+        let db = Database::new();
+        for name in ["scanned", "written"] {
+            db.execute(&format!(
+                "CREATE TABLE {name} (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT COLUMN"
+            ))
+            .unwrap();
+        }
+        let daemon = db.start_maintenance(Duration::from_secs(10));
+        for name in ["scanned", "written"] {
+            let values: Vec<String> = (0..200).map(|i| format!("({i}, {i})")).collect();
+            db.execute(&format!("INSERT INTO {name} VALUES {}", values.join(", ")))
+                .unwrap();
+        }
+        let (scanned, written) = (column_table(&db, "scanned"), column_table(&db, "written"));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while scanned.sizes().segments == 0 && Instant::now() < deadline {
+            let sum = db.query("SELECT SUM(v) FROM scanned").unwrap();
+            assert_eq!(sum[0][0], Value::Int(199 * 200 / 2));
+        }
+        assert_eq!(scanned.sizes().segments, 1, "the trigger never merged the scanned table");
+        assert_eq!(scanned.sizes().delta_rows, 0);
+        assert_eq!(daemon.ticks(), 0, "a full pass ran: the test proves nothing");
+        assert_eq!(written.sizes().segments, 0);
+        assert_eq!(written.sizes().delta_rows, 200);
+        assert!(db.history_floor() > 0, "the trigger's merge left the floor down");
+        drop(daemon);
     }
 
     #[test]

@@ -4,13 +4,26 @@
 //! This is the storage design the tutorial traces from differential files
 //! and LSM-trees (§4, \[29, 16\]) into HANA's delta/main and MemSQL's
 //! row-store-plus-column-store: ingest lands in the row-format delta at
-//! OLTP speed; a background **merge** periodically drains committed delta
-//! rows into a new compressed segment; analytic scans read segments (fast,
-//! compressed, zone-mapped) plus the delta (fresh). How big the delta is
-//! decides what that costs: under `htap_mixed`'s 250 ms merge tick it holds
-//! 2 000–4 000 keys of `order_line`, each scanned some 125 times before it
-//! merges, at 25–150 ns a key (L2-resident to cold) against the 0.5–2 ns
-//! of a merged row — DESIGN.md § "What a row costs".
+//! OLTP speed; a **merge** drains committed delta rows into a new compressed
+//! segment; analytic scans read segments (fast, compressed, zone-mapped)
+//! plus the delta (fresh); a **coalesce** keeps the segments few and their
+//! dead rows out. DESIGN.md § "Hot/cold compaction" has the measurements.
+//!
+//! # When the delta merges
+//!
+//! By a cost decision, not a clock (ski rental). Every scan of the delta
+//! adds the keys it walked to the delta's visit count
+//! ([`RowStore::visits`]); a statement pays about `VISIT_NS` (125 ns) for
+//! each. Maintenance pays about `MERGE_ROW_NS` (2.3 µs) a row a merge
+//! moves — the merge's own ≈ 1 µs and the rewrites coalescing later makes
+//! of the row — plus `MERGE_FIXED_NS` (110 µs) a merge however few. Once
+//! the scans have paid as much for leaving the keys where they are as a
+//! merge would cost to move them, the scan that crossed the line flags the
+//! table and rings its [`MergeBell`]; the maintenance daemon wakes and
+//! merges that table alone ([`DeltaMainTable::merge_if_due`]). A table
+//! nobody scans never merges between the daemon's passes. The three costs
+//! are constants measured by `examples/segment_cost.rs`; none is
+//! configurable.
 //!
 //! # MVCC correctness of merge
 //!
@@ -27,20 +40,110 @@
 //! The close-and-publish pair runs under the table's state write lock,
 //! which scans take for read, so no reader observes the intermediate
 //! state.
+//!
+//! # Coalescing
+//!
+//! Each merge adds a segment, and an update of a merged row leaves a dead
+//! one behind in its segment; the full maintenance pass (merge → coalesce →
+//! freeze → gc) rewrites runs of **adjacent** segments as one, deciding from
+//! live-row sizes alone: walking from the tail, an older segment joins the
+//! run behind it while its live rows are at most twice the run's (a binary
+//! counter: sizes at least double from the tail towards the head, so a
+//! table holds O(log rows) segments and a row is rewritten O(log rows)
+//! times), and a segment at least half dead at the watermark is rewritten
+//! even on its own (so stored rows stay under twice the live ones).
+//!
+//! * Only adjacent runs are joined, and survivors keep their order, so
+//!   every visible row keeps its place in the (segment, group, row) order a
+//!   scan — and an in-order float sum — walks: answers keep their bits.
+//! * Frozen and unfrozen segments never share a run: cold data keeps its
+//!   frozen encodings, and hot data is not re-encoded as cold.
+//! * Rows whose delete committed at or before the watermark are dropped;
+//!   later stamps are carried. The rewrite is visible from the latest
+//!   `visible_from` of its inputs, which is at or below the watermark, so
+//!   every snapshot a reader may still take sees it whole, exactly as it
+//!   saw every input.
+//! * The rewrite is built beside the table, from the inputs' `Arc`s, with
+//!   no table lock held (a per-table maintenance mutex keeps two passes off
+//!   the same run), and published in one swap under the write lock.
+//!   Pending delete stamps are copied into it, and each retired input
+//!   forwards later `commit_deletes` / `abort_deletes` there
+//!   (`Segment::retire_into`): the forward is set under the input's own
+//!   stamp lock, so a transaction resolving its delete lands either before
+//!   the copy or through the forward.
+//!
+//! The freeze pass is the same rebuild of a run of one, into the frozen
+//! encodings.
 
 use crate::buffer::SegmentPager;
 use crate::predicate::ScanPredicate;
 use crate::rowstore::RowStore;
-use crate::segment::{Segment, SegmentBuilder};
+use crate::segment::{Segment, SegmentBuilder, DROPPED};
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::hash::FxHashMap;
 use oltap_common::ids::{SegmentId, TxnId};
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, DbError, Result, Row};
 use oltap_txn::{Stamp, Transaction, Ts, WriteSetEntry};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::{Condvar, Mutex, RwLock, RwLockWriteGuard};
+use std::ops::{Deref, DerefMut, Range};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// What an analytic statement pays for each delta key its scan walks, ns:
+/// 114–136 measured (`examples/segment_cost`: the four `order_line`
+/// statements over a 3 400-key delta, and again once it merged).
+const VISIT_NS: u64 = 125;
+/// What maintenance pays for each row a merge moves into a segment, ns, all
+/// in: the merge's own 1 025–1 060, and the coalesces that rewrite the row
+/// later (2 276–2 376 measured, every maintenance step over the probe's
+/// 6 800 NewOrders divided by the rows merged).
+const MERGE_ROW_NS: u64 = 2_300;
+/// What a merge pays however few rows it moves, ns (108–111 µs measured).
+const MERGE_FIXED_NS: u64 = 110_000;
+
+/// Is `delta` worth merging? The scans have paid `visits × VISIT_NS` for
+/// leaving its keys where they are; a merge would move them for
+/// `keys × MERGE_ROW_NS + MERGE_FIXED_NS`.
+fn merge_pays(delta: &RowStore) -> bool {
+    let keys = delta.key_count() as u64;
+    keys > 0
+        && delta.visits().saturating_mul(VISIT_NS)
+            >= keys.saturating_mul(MERGE_ROW_NS).saturating_add(MERGE_FIXED_NS)
+}
+
+/// What a table rings when its delta has become worth merging, and what
+/// the maintenance daemon waits on between its passes. Rings are counted,
+/// so none is lost between a waiter's look and its wait.
+#[derive(Debug, Default)]
+pub struct MergeBell {
+    rings: Mutex<u64>,
+    rung: Condvar,
+}
+
+impl MergeBell {
+    /// Wakes every waiter.
+    pub fn ring(&self) {
+        *self.rings.lock() += 1;
+        self.rung.notify_all();
+    }
+
+    /// Waits until the bell has rung more than `*seen` times or `deadline`
+    /// has passed. True when it rang; `*seen` is then brought up to date.
+    pub fn wait(&self, seen: &mut u64, deadline: Instant) -> bool {
+        let mut rings = self.rings.lock();
+        while *rings == *seen {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            self.rung.wait_for(&mut rings, deadline - now);
+        }
+        *seen = *rings;
+        true
+    }
+}
 
 /// Write-set adapter finalizing a transaction's delete stamps in a segment.
 struct SegmentDeleteEntry {
@@ -133,7 +236,7 @@ pub struct TableSizes {
     /// Rows resident in main segments (including logically deleted).
     pub main_rows: usize,
     /// Of those, rows whose delete has committed: an updated row leaves one
-    /// behind in its segment until a freeze rewrites it.
+    /// behind in its segment until a coalesce or a freeze rewrites it.
     pub main_dead_rows: usize,
     /// Distinct keys resident in the delta store.
     pub delta_rows: usize,
@@ -146,14 +249,14 @@ pub struct TableSizes {
 struct TableState {
     delta: RowStore,
     /// Main segments in scan order. Changed only by [`TableState::publish`]
-    /// and [`TableState::replace`], which keep `slot_of` in step.
+    /// and [`TableState::retire`], which keep `slot_of` in step.
     segments: Vec<Arc<Segment>>,
     /// Segment id → its position in `segments`: the insert check, the point
     /// read and the delete resolve a `pk_locs` entry through this, whatever
     /// number of segments the table has grown.
     slot_of: FxHashMap<SegmentId, usize>,
-    /// Primary key → every main-store location that ever held the key.
-    /// At most one location is visible to a given snapshot.
+    /// Primary key → every main-store location that holds the key: one a
+    /// stored row. At most one location is visible to a given snapshot.
     pk_locs: FxHashMap<Row, Vec<(SegmentId, u32)>>,
 }
 
@@ -171,14 +274,21 @@ impl TableState {
         self.check_slots();
     }
 
-    /// Swaps the segment at `slot` for its rewrite (freeze), which keeps its
-    /// place in the scan order; the old id retires.
-    fn replace(&mut self, slot: usize, seg: Arc<Segment>) {
-        let taken = self.slot_of.insert(seg.id(), slot);
-        assert!(taken.is_none(), "segment {} published twice", seg.id());
-        let old = std::mem::replace(&mut self.segments[slot], seg);
-        let retired = self.slot_of.remove(&old.id());
-        assert_eq!(retired, Some(slot), "segment {} off its slot", old.id());
+    /// Swaps the run of segments at `slots` for its rewrite (coalesce,
+    /// freeze), which takes the run's place in the scan order — or, when no
+    /// row survived, for nothing. The run's ids retire.
+    fn retire(&mut self, slots: Range<usize>, seg: Option<Arc<Segment>>) {
+        if let Some(seg) = &seg {
+            assert!(!self.slot_of.contains_key(&seg.id()), "segment {} published twice", seg.id());
+        }
+        let start = slots.start;
+        for old in self.segments.splice(slots, seg) {
+            self.slot_of.remove(&old.id());
+        }
+        // Every segment from the run on may have moved.
+        for (slot, seg) in self.segments.iter().enumerate().skip(start) {
+            self.slot_of.insert(seg.id(), slot);
+        }
         self.check_slots();
     }
 
@@ -190,6 +300,100 @@ impl TableState {
     }
 }
 
+/// The table's state under its write lock, timed: when released, the hold
+/// (not the wait for it) is folded into the table's longest, which the
+/// maintenance note reports.
+struct HeldState<'a> {
+    state: RwLockWriteGuard<'a, TableState>,
+    since: Instant,
+    longest_ns: &'a AtomicU64,
+}
+
+impl Deref for HeldState<'_> {
+    type Target = TableState;
+    fn deref(&self) -> &TableState {
+        &self.state
+    }
+}
+
+impl DerefMut for HeldState<'_> {
+    fn deref_mut(&mut self) -> &mut TableState {
+        &mut self.state
+    }
+}
+
+impl Drop for HeldState<'_> {
+    fn drop(&mut self) {
+        let held = self.since.elapsed().as_nanos() as u64;
+        self.longest_ns.fetch_max(held, Ordering::Relaxed);
+    }
+}
+
+/// A run of adjacent segments rebuilt as one, built but not yet published.
+struct Rebuilt {
+    /// The run, in scan order.
+    inputs: Vec<Arc<Segment>>,
+    /// `moved[i][offset]`: input `i`'s row `offset` in the output, or
+    /// [`DROPPED`].
+    moved: Vec<Vec<u32>>,
+    /// `keys[i][offset]`: the primary key of input `i`'s row `offset`
+    /// (empty for a table without one).
+    keys: Vec<Vec<Row>>,
+    /// The rewrite; `None` when no row survived.
+    output: Option<Arc<Segment>>,
+    /// Rows left out as dead at the watermark.
+    rows_dropped: usize,
+}
+
+/// What one coalesce step did.
+#[derive(Debug, Default)]
+struct Coalesced {
+    runs: usize,
+    segments_in: usize,
+    segments_out: usize,
+    rows_dropped: usize,
+}
+
+/// The runs a coalesce rewrites, as slot ranges of `segments` (in scan
+/// order), from the tail: an older segment joins the run behind it while
+/// its live rows at `watermark` are at most twice the run's, and a run of
+/// one is rewritten only when at least half its rows are dead. A run never
+/// mixes frozen and unfrozen segments — cold data keeps its frozen
+/// encodings and hot data is not re-encoded as cold — and a segment
+/// `watermark` cannot see yet ends a run and is left alone.
+fn coalesce_runs(segments: &[Arc<Segment>], watermark: Ts) -> Vec<Range<usize>> {
+    // (live, dead, frozen) of each segment the watermark sees.
+    let sizes: Vec<Option<(usize, usize, bool)>> = (segments.iter())
+        .map(|seg| {
+            let dead = seg.dead_count_at(watermark);
+            seg.visible_to(watermark).then(|| (seg.row_count() - dead, dead, seg.is_frozen()))
+        })
+        .collect();
+    let mut runs = Vec::new();
+    let mut end = sizes.len();
+    while end > 0 {
+        let Some((live, dead, frozen)) = sizes[end - 1] else {
+            end -= 1;
+            continue;
+        };
+        let (mut start, mut run_live) = (end - 1, live);
+        while let Some(Some((older, _, older_frozen))) =
+            start.checked_sub(1).map(|slot| sizes[slot])
+        {
+            if older > 2 * run_live || older_frozen != frozen {
+                break;
+            }
+            start -= 1;
+            run_live += older;
+        }
+        if end - start > 1 || 2 * dead >= live + dead {
+            runs.push(start..end);
+        }
+        end = start;
+    }
+    runs
+}
+
 /// A delta + main table (the engine's column-store format).
 pub struct DeltaMainTable {
     schema: SchemaRef,
@@ -198,6 +402,19 @@ pub struct DeltaMainTable {
     /// When set, merged/bulk-loaded segments are built *paged*: column
     /// data lives in page files and faults in through the buffer pool.
     pager: Option<Arc<SegmentPager>>,
+    /// Serialises merge, coalesce and freeze: a rewrite builds with no
+    /// table lock held, from `Arc`s of its inputs, and nothing else may
+    /// retire those inputs meanwhile.
+    maintenance: Mutex<()>,
+    /// Rung when a scan finds the delta worth merging.
+    bell: Option<Arc<MergeBell>>,
+    /// Set by the scan that found the delta worth merging (and rang),
+    /// cleared by the next merge.
+    due: AtomicBool,
+    /// Merges the trigger ran since the last full pass.
+    triggered: AtomicU64,
+    /// Longest hold of the state write lock since the last full pass, ns.
+    longest_hold_ns: AtomicU64,
     /// Cumulative freeze counters (survive segment churn).
     frozen_total: AtomicU64,
     freeze_bytes_before: AtomicU64,
@@ -239,11 +456,24 @@ impl DeltaMainTable {
             schema,
             next_segment: AtomicU64::new(1),
             pager,
+            maintenance: Mutex::new(()),
+            bell: None,
+            due: AtomicBool::new(false),
+            triggered: AtomicU64::new(0),
+            longest_hold_ns: AtomicU64::new(0),
             frozen_total: AtomicU64::new(0),
             freeze_bytes_before: AtomicU64::new(0),
             freeze_bytes_after: AtomicU64::new(0),
             pending_seed_heat: AtomicU64::new(0),
         }
+    }
+
+    /// The table, ringing `bell` when a scan finds its delta worth merging
+    /// (see the module docs); without one the flag is still set and
+    /// [`merge_if_due`](Self::merge_if_due) still answers.
+    pub fn with_bell(mut self, bell: Arc<MergeBell>) -> Self {
+        self.bell = Some(bell);
+        self
     }
 
     /// Restores access heat persisted before a restart. Existing segments
@@ -270,10 +500,20 @@ impl DeltaMainTable {
     }
 
     /// A streamed segment build in the table's residency mode (merge and
-    /// freeze push rows group-at-a-time instead of materializing the
+    /// the rewrites push rows group-at-a-time instead of materializing the
     /// whole segment).
     fn segment_builder(&self, id: SegmentId, visible_from: Ts) -> Result<SegmentBuilder> {
         Segment::builder(id, Arc::clone(&self.schema), visible_from, self.pager.as_ref())
+    }
+
+    /// The state under its write lock, the hold timed ([`HeldState`]).
+    fn write_state(&self) -> HeldState<'_> {
+        let state = self.state.write();
+        HeldState {
+            state,
+            since: Instant::now(),
+            longest_ns: &self.longest_hold_ns,
+        }
     }
 
     /// The table schema.
@@ -301,7 +541,7 @@ impl DeltaMainTable {
         for r in rows {
             self.schema.check_row(r)?;
         }
-        let mut state = self.state.write();
+        let mut state = self.write_state();
         // Duplicate-key screening against both delta and existing main.
         if self.schema.has_primary_key() {
             for r in rows {
@@ -476,6 +716,7 @@ impl DeltaMainTable {
             }
         }
         out.extend(state.delta.scan_validated(projection, pred, read_ts, me, batch_size)?);
+        self.note_visits(&state.delta);
         Ok(out)
     }
 
@@ -502,13 +743,45 @@ impl DeltaMainTable {
             .cloned()
             .collect();
         let delta = state.delta.scan_validated(projection, pred, read_ts, me, batch_size)?;
+        self.note_visits(&state.delta);
         Ok((segments, delta))
+    }
+
+    /// The trigger's merge: merges at `watermark` if a scan has found the
+    /// delta worth it since the last merge (see the module docs); `None`
+    /// when it was not due.
+    pub fn merge_if_due(&self, watermark: Ts) -> Result<Option<MergeStats>> {
+        if !self.due.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        let stats = self.merge(watermark)?;
+        self.triggered.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(stats))
+    }
+
+    /// After a scan has walked the delta: once the walks have paid for a
+    /// merge, flag the table and ring the bell — once until the merge.
+    fn note_visits(&self, delta: &RowStore) {
+        if !self.due.load(Ordering::Relaxed)
+            && merge_pays(delta)
+            && !self.due.swap(true, Ordering::Relaxed)
+        {
+            if let Some(bell) = &self.bell {
+                bell.ring();
+            }
+        }
     }
 
     /// Merges committed delta rows (at or below `watermark`) into a new
     /// main segment. See the module docs for why this is MVCC-safe.
     pub fn merge(&self, watermark: Ts) -> Result<MergeStats> {
-        let mut state = self.state.write();
+        let _maintenance = self.maintenance.lock();
+        let mut state = self.write_state();
+        // Whatever it moves, a merge settles the visits paid so far: the
+        // keys it leaves behind (pending, or above the watermark) must earn
+        // the next one afresh.
+        self.due.store(false, Ordering::Relaxed);
+        state.delta.reset_visits();
         let drained = state.delta.drain_committed(watermark);
         if drained.is_empty() {
             return Ok(MergeStats::default());
@@ -544,13 +817,76 @@ impl DeltaMainTable {
         })
     }
 
+    /// The full maintenance pass over this table at `watermark`: merge →
+    /// coalesce → freeze (cold segments only) → gc. Returns the pass's note:
+    /// what each step did, the merges the trigger ran since the last pass,
+    /// the longest hold of the state write lock since then, and what the
+    /// pass left.
+    pub fn maintain(&self, watermark: Ts, faults: &FaultInjector) -> Result<String> {
+        let merged = self.merge(watermark)?;
+        let coalesced = self.coalesce(watermark, faults)?;
+        let frozen = self.freeze(watermark, faults, false)?;
+        let pruned = self.gc(watermark);
+        let triggered = self.triggered.swap(0, Ordering::Relaxed);
+        let longest_hold_us = self.longest_hold_ns.swap(0, Ordering::Relaxed) / 1_000;
+        // What the pass left behind: every scan pays per segment and per
+        // stored row, dead or not.
+        let after = self.sizes();
+        Ok(format!(
+            "merged {} rows ({triggered} triggered merges since the last pass), \
+             coalesced {} runs ({} -> {} segments, {} rows dropped), \
+             froze {} segments ({} -> {} bytes), gc pruned {pruned} versions, \
+             longest write hold {longest_hold_us} us; \
+             now {} segments, {} main rows ({} dead), {} delta keys",
+            merged.rows_merged,
+            coalesced.runs,
+            coalesced.segments_in,
+            coalesced.segments_out,
+            coalesced.rows_dropped,
+            frozen.segments_frozen,
+            frozen.bytes_before,
+            frozen.bytes_after,
+            after.segments,
+            after.main_rows,
+            after.main_dead_rows,
+            after.delta_rows
+        ))
+    }
+
+    /// Rewrites the runs [`coalesce_runs`] picks, each as one segment built
+    /// beside the table and published in one swap (see the module docs).
+    ///
+    /// Crash hygiene as for the freeze: the [`points::STORAGE_COALESCE_CRASH`]
+    /// fault aborts between build and swap — the old run keeps serving, and
+    /// the unpublished rewrite is dropped with its page file.
+    fn coalesce(&self, watermark: Ts, faults: &FaultInjector) -> Result<Coalesced> {
+        let _maintenance = self.maintenance.lock();
+        let segments = self.state.read().segments.clone();
+        let mut done = Coalesced::default();
+        for run in coalesce_runs(&segments, watermark) {
+            let inputs = &segments[run];
+            let rebuilt = self.rebuild(inputs, watermark, inputs[0].is_frozen())?;
+            if faults.should_fire(points::STORAGE_COALESCE_CRASH) {
+                return Err(DbError::FaultInjected(
+                    "crash between coalesce build and swap".into(),
+                ));
+            }
+            done.runs += 1;
+            done.segments_in += inputs.len();
+            done.segments_out += usize::from(rebuilt.output.is_some());
+            done.rows_dropped += rebuilt.rows_dropped;
+            self.publish(rebuilt)?;
+        }
+        Ok(done)
+    }
+
     /// Decays every segment's heat counters and rewrites the *cold* ones
-    /// into their frozen representation: surviving rows (deletions
-    /// committed at or before `watermark` are dropped, L-Store style) are
-    /// streamed into a fresh segment built with the frozen encodings
-    /// (exact-cost selection, sorted-run delta, full-cardinality ordered
-    /// dictionaries), and the replacement is swapped in atomically per
-    /// segment under the table's state write lock.
+    /// into their frozen representation: the coalesce's rebuild of a run of
+    /// one — rows whose deletion committed at or before `watermark` are
+    /// dropped (L-Store style), the rest gathered column-wise into a
+    /// segment built with the frozen encodings (exact-cost selection,
+    /// sorted-run delta, full-cardinality ordered dictionaries) beside the
+    /// table, then swapped in under the state write lock.
     ///
     /// OLTP transparency: updates and deletes of frozen rows go through
     /// the delta / delete-stamp paths exactly as for hot segments, so no
@@ -558,8 +894,7 @@ impl DeltaMainTable {
     /// with in-flight (pending) deletes are skipped **this pass** and
     /// re-evaluated on every subsequent pass — once the deleting
     /// transaction resolves and the watermark passes it, the segment
-    /// freezes. Each segment is rewritten on its own: nothing coalesces
-    /// segments.
+    /// freezes.
     ///
     /// Crash hygiene: the frozen page file is published tmp+rename by the
     /// segment builder *before* the in-memory swap. The
@@ -579,10 +914,10 @@ impl DeltaMainTable {
         /// Consecutive zero-heat maintenance decays before a segment is
         /// considered cold enough to freeze.
         const COLD_TICKS: u32 = 2;
-        let mut state = self.state.write();
+        let _maintenance = self.maintenance.lock();
+        let segments = self.state.read().segments.clone();
         let mut stats = FreezeStats::default();
-        for idx in 0..state.segments.len() {
-            let seg = Arc::clone(&state.segments[idx]);
+        for seg in &segments {
             seg.decay_heat();
             if seg.is_frozen() {
                 continue;
@@ -595,31 +930,7 @@ impl DeltaMainTable {
                 continue;
             }
             let bytes_before = seg.size_bytes();
-            let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
-            let mut builder = self.segment_builder(id, watermark)?.frozen();
-            // Old row offset → new offset for surviving rows (pk remap).
-            let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-            let mut carried_stamps: Vec<(u32, Stamp)> = Vec::new();
-            let mut dropped = 0usize;
-            for off in 0..seg.row_count() as u32 {
-                let stamp = seg.delete_stamp(off);
-                if let Some(Stamp::Committed(ts)) = stamp {
-                    if ts <= watermark {
-                        dropped += 1;
-                        continue;
-                    }
-                }
-                let new_off = builder.rows_pushed() as u32;
-                if let Some(s @ Stamp::Committed(_)) = stamp {
-                    carried_stamps.push((new_off, s));
-                }
-                remap.insert(off, new_off);
-                builder.push_row(seg.row_at_uncounted(off)?)?;
-            }
-            let frozen = Arc::new(builder.finish()?);
-            for &(off, stamp) in &carried_stamps {
-                frozen.restore_delete_stamp(off, stamp);
-            }
+            let rebuilt = self.rebuild(std::slice::from_ref(seg), watermark, true)?;
             // The replacement is fully built (page file published via
             // tmp+rename) but not yet visible. A crash here must leave the
             // old representation serving and the new one reclaimable.
@@ -628,30 +939,12 @@ impl DeltaMainTable {
                     "crash between freeze publish and swap".into(),
                 ));
             }
-            let bytes_after = frozen.size_bytes();
-            // Atomic per-segment swap + pk remap, all under the write lock.
-            state.replace(idx, Arc::clone(&frozen));
-            if self.schema.has_primary_key() {
-                let old_id = seg.id();
-                for locs in state.pk_locs.values_mut() {
-                    locs.retain_mut(|loc| {
-                        if loc.0 != old_id {
-                            return true;
-                        }
-                        match remap.get(&loc.1) {
-                            Some(&new_off) => {
-                                *loc = (id, new_off);
-                                true
-                            }
-                            None => false,
-                        }
-                    });
-                }
-                state.pk_locs.retain(|_, locs| !locs.is_empty());
-            }
+            let (groups, bytes_after) = (rebuilt.output.as_ref())
+                .map_or((0, 0), |frozen| (frozen.group_count(), frozen.size_bytes()));
+            stats.rows_dropped += rebuilt.rows_dropped;
+            self.publish(rebuilt)?;
             stats.segments_frozen += 1;
-            stats.groups_frozen += frozen.group_count();
-            stats.rows_dropped += dropped;
+            stats.groups_frozen += groups;
             stats.bytes_before += bytes_before;
             stats.bytes_after += bytes_after;
             self.frozen_total.fetch_add(1, Ordering::Relaxed);
@@ -661,6 +954,125 @@ impl DeltaMainTable {
                 .fetch_add(bytes_after as u64, Ordering::Relaxed);
         }
         Ok(stats)
+    }
+
+    /// Rebuilds `inputs`, adjacent segments in scan order, as one segment
+    /// beside the table — no table lock held, reading the inputs through
+    /// their `Arc`s and a rewrite pass (no heat): rows dead at `watermark`
+    /// are left out, and the survivors of each input row group, in order,
+    /// are gathered out of its chunks column by column and pushed as one
+    /// column batch. The output is visible from the latest `visible_from`
+    /// of its inputs and inherits their summed heat and least coldness;
+    /// `frozen` picks the frozen encodings. Every input row's key is read
+    /// too, for the swap's `pk_locs` remap.
+    fn rebuild(&self, inputs: &[Arc<Segment>], watermark: Ts, frozen: bool) -> Result<Rebuilt> {
+        let visible_from = inputs.iter().map(|seg| seg.visible_from()).max().unwrap_or(0);
+        let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
+        let mut builder = self.segment_builder(id, visible_from)?;
+        if frozen {
+            builder = builder.frozen();
+        }
+        let key_columns = self.schema.primary_key();
+        let (mut moved, mut keys, mut rows_dropped) = (Vec::new(), Vec::new(), 0);
+        for seg in inputs {
+            let dead = seg.dead_at(watermark);
+            rows_dropped += dead.count_ones();
+            let mut seg_moved = vec![DROPPED; seg.row_count()];
+            let mut seg_keys = Vec::new();
+            if !key_columns.is_empty() {
+                seg_keys.reserve_exact(seg.row_count());
+            }
+            let chunks = seg.rewrite_pass();
+            for g in 0..seg.group_count() {
+                let (start, rows) = seg.group_bounds(g);
+                let keep: Vec<u32> =
+                    (0..rows as u32).filter(|&i| !dead.get(start + i as usize)).collect();
+                let base = builder.rows_pushed();
+                for (k, &i) in keep.iter().enumerate() {
+                    seg_moved[start + i as usize] = (base + k) as u32;
+                }
+                if !key_columns.is_empty() {
+                    let all: Vec<u32> = (0..rows as u32).collect();
+                    let key_cols = (key_columns.iter())
+                        .map(|&c| Ok(chunks.column_chunk(g, c)?.gather(&all)))
+                        .collect::<Result<Vec<_>>>()?;
+                    let key_at = |i| Row::new(key_cols.iter().map(|col| col.value_at(i)).collect());
+                    seg_keys.extend((0..rows).map(key_at));
+                }
+                let columns = (0..self.schema.len())
+                    .map(|c| Ok(chunks.column_chunk(g, c)?.gather(&keep)))
+                    .collect::<Result<Vec<_>>>()?;
+                builder.push_columns(columns)?;
+            }
+            moved.push(seg_moved);
+            keys.push(seg_keys);
+        }
+        let built = builder.finish()?;
+        // An all-dead run leaves nothing to publish; dropping the empty
+        // rewrite here deletes its page file.
+        let output = (built.row_count() > 0).then(|| {
+            let heat = inputs.iter().map(|seg| seg.heat()).sum();
+            let cold_ticks = inputs.iter().map(|seg| seg.cold_ticks()).min().unwrap_or(0);
+            built.inherit(heat, cold_ticks);
+            Arc::new(built)
+        });
+        Ok(Rebuilt {
+            inputs: inputs.to_vec(),
+            moved,
+            keys,
+            output,
+            rows_dropped,
+        })
+    }
+
+    /// Publishes a rebuild in one swap under the state write lock: each
+    /// input's stamps move to the output and later commits and aborts are
+    /// forwarded there (`Segment::retire_into`); `pk_locs` follows every
+    /// input row to its new location, or drops it, looked up by the
+    /// rebuild's own keys — the table's other keys are not walked; and the
+    /// run's slots become the output's ([`TableState::retire`]).
+    fn publish(&self, rebuilt: Rebuilt) -> Result<()> {
+        let Rebuilt {
+            inputs,
+            moved,
+            keys,
+            output,
+            ..
+        } = rebuilt;
+        let mut state = self.write_state();
+        let first = state.slot_of.get(&inputs[0].id()).copied();
+        let in_place = |first: &usize| {
+            (inputs.iter().enumerate())
+                .all(|(k, seg)| state.segments.get(first + k).is_some_and(|s| Arc::ptr_eq(s, seg)))
+        };
+        let Some(first) = first.filter(in_place) else {
+            return Err(DbError::Corruption("a rewritten run is no longer in place".into()));
+        };
+        for (seg, moved) in inputs.iter().zip(&moved) {
+            seg.retire_into(output.as_ref(), moved);
+        }
+        let new_id = output.as_ref().map(|seg| seg.id());
+        for ((seg, moved), keys) in inputs.iter().zip(&moved).zip(&keys) {
+            for (offset, key) in keys.iter().enumerate() {
+                let Some(locs) = state.pk_locs.get_mut(key) else {
+                    continue;
+                };
+                let old = (seg.id(), offset as u32);
+                if let Some(at) = locs.iter().position(|&loc| loc == old) {
+                    match (new_id, moved[offset]) {
+                        (Some(id), new) if new != DROPPED => locs[at] = (id, new),
+                        _ => {
+                            locs.remove(at);
+                        }
+                    }
+                }
+                if locs.is_empty() {
+                    state.pk_locs.remove(key);
+                }
+            }
+        }
+        state.retire(first..first + inputs.len(), output);
+        Ok(())
     }
 
     /// Aggregated heat/freeze counters for `Database::stats`.
@@ -708,6 +1120,9 @@ mod tests {
     use oltap_common::row;
     use oltap_common::{DataType, Field, Schema, Value};
     use oltap_txn::TransactionManager;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     const NOBODY: TxnId = TxnId(u64::MAX - 1);
 
@@ -937,12 +1352,13 @@ mod tests {
         // 1 bulk segment + 5 merge segments accumulated, the key's five
         // dead versions spread over the first five.
         assert_eq!(t.sizes().segments, 6);
-        // A forced freeze rewrites each, drops the dead rows and leaves the
-        // key pointing at its one live version; it folds nothing together.
+        // A forced freeze rewrites each on its own and drops the dead rows:
+        // the five segments left with no row are retired with nothing in
+        // their place, and the key points at its one live version.
         let stats = t.freeze(mgr.gc_watermark(), &FaultInjector::disabled(), true).unwrap();
         assert_eq!(stats.segments_frozen, 6);
         assert_eq!(stats.rows_dropped, 5);
-        assert_eq!(t.sizes().segments, 6);
+        assert_eq!(t.sizes().segments, 1);
         assert_eq!(count(&t, mgr.now()), 1);
         assert_eq!(
             t.get(&row![1i64], mgr.now(), NOBODY).unwrap().unwrap()[2],
@@ -1264,5 +1680,372 @@ mod tests {
             s.join().unwrap();
         }
         assert_eq!(count(&t, mgr.now()), 2000);
+    }
+
+    /// A pager of `rows_per_group`-row groups over an unbounded pool, in a
+    /// directory of its own (returned, to be counted and removed).
+    fn own_pager(rows_per_group: usize) -> (Arc<SegmentPager>, std::path::PathBuf) {
+        use crate::buffer::BufferManager;
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "oltap-coalesce-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let faults = FaultInjector::disabled();
+        let buffer = BufferManager::new(u64::MAX, None, Arc::clone(&faults));
+        (SegmentPager::new(root.clone(), buffer, rows_per_group, faults), root)
+    }
+
+    fn page_files(root: &std::path::Path) -> usize {
+        std::fs::read_dir(root).map_or(0, |dir| dir.count())
+    }
+
+    /// Every row a snapshot sees, by id.
+    fn rows_at(t: &DeltaMainTable, read_ts: Ts, me: TxnId) -> Vec<Row> {
+        let batches = t.scan(&[0, 1, 2], &ScanPredicate::all(), read_ts, me, 4096).unwrap();
+        let mut rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
+        rows.sort_by(|a, b| a[0].cmp(&b[0]));
+        rows
+    }
+
+    fn insert_committed(
+        mgr: &Arc<TransactionManager>,
+        t: &DeltaMainTable,
+        ids: std::ops::Range<i64>,
+    ) {
+        let tx = mgr.begin();
+        for id in ids {
+            t.insert(&tx, row![id, "a", id]).unwrap();
+        }
+        tx.commit().unwrap();
+    }
+
+    /// The live rows of each segment, in scan order.
+    fn segment_rows(t: &DeltaMainTable) -> Vec<usize> {
+        (t.state.read().segments.iter())
+            .map(|seg| seg.row_count() - seg.committed_delete_count())
+            .collect()
+    }
+
+    /// Equal merges fold like a binary counter: after every pass the live
+    /// rows more than double from each segment to the one before it, so 64
+    /// merges leave at most seven segments, and the note says what folded.
+    /// (A scan a tick keeps the segments hot: a cold one would freeze, and
+    /// frozen and unfrozen segments do not share a run.)
+    #[test]
+    fn coalescing_folds_equal_merges_like_a_binary_counter() {
+        let (mgr, t) = table();
+        let faults = FaultInjector::disabled();
+        for tick in 0..64i64 {
+            insert_committed(&mgr, &t, tick * 10..tick * 10 + 10);
+            count(&t, mgr.now());
+            let note = t.maintain(mgr.gc_watermark(), &faults).unwrap();
+            let sizes = segment_rows(&t);
+            assert!(sizes.windows(2).all(|w| w[0] > 2 * w[1]), "tick {tick}: {sizes:?}");
+            assert!(sizes.len() <= 7, "tick {tick}: {sizes:?}");
+            if tick == 1 {
+                let folded = "coalesced 1 runs (2 -> 1 segments, 0 rows dropped)";
+                assert!(note.contains(folded), "{note}");
+            }
+        }
+        assert_eq!(count(&t, mgr.now()), 640);
+        for id in [0, 319, 639] {
+            assert_eq!(t.get(&row![id], mgr.now(), NOBODY).unwrap(), Some(row![id, "a", id]));
+        }
+    }
+
+    /// Two hundred and forty dirty ticks of random inserts, updates and
+    /// deletes, each ending in the full pass, on held segments, on paged
+    /// ones of 64-row groups, and on frozen ones (every sixteenth tick
+    /// freezes all): the table keeps O(log rows) segments, stores at most
+    /// twice its live rows, holds one key location a stored row — no more
+    /// than live keys plus carried stamps — and answers as the model; a
+    /// point read and a scan's cost a row are as cheap in the last tenth
+    /// of the run as in the first.
+    #[test]
+    fn a_long_run_keeps_segments_few_stored_rows_bounded_and_costs_flat() {
+        const TICKS: usize = 240;
+        for storage in ["held", "paged", "frozen"] {
+            let (mgr, plain) = table();
+            let (t, root) = match storage {
+                "paged" => {
+                    let (pager, root) = own_pager(64);
+                    let t = DeltaMainTable::with_pager(Arc::clone(plain.schema()), Some(pager));
+                    (t, Some(root))
+                }
+                _ => (plain, None),
+            };
+            let faults = FaultInjector::disabled();
+            let mut rng = StdRng::seed_from_u64(0x31);
+            let mut model: BTreeMap<i64, Row> = BTreeMap::new();
+            let mut keys: Vec<i64> = Vec::new();
+            let (mut get_ns, mut scan_ns) = (Vec::new(), Vec::new());
+            for tick in 0..TICKS {
+                let tx = mgr.begin();
+                let mut touched = std::collections::HashSet::new();
+                for _ in 0..24 {
+                    let op = rng.gen_range(0..10u32);
+                    if op < 4 || keys.is_empty() {
+                        let id = 100_000 + tick as i64 * 100 + touched.len() as i64;
+                        let r = row![id, "n", rng.gen_range(0..1000i64)];
+                        t.insert(&tx, r.clone()).unwrap();
+                        model.insert(id, r);
+                        keys.push(id);
+                        touched.insert(id);
+                        continue;
+                    }
+                    let at = rng.gen_range(0..keys.len());
+                    let id = keys[at];
+                    if !touched.insert(id) {
+                        continue;
+                    }
+                    if op < 8 {
+                        let r = row![id, "u", rng.gen_range(0..1000i64)];
+                        t.update(&tx, &row![id], r.clone()).unwrap();
+                        model.insert(id, r);
+                    } else {
+                        t.delete(&tx, &row![id]).unwrap();
+                        model.remove(&id);
+                        keys.swap_remove(at);
+                    }
+                }
+                tx.commit().unwrap();
+                if storage == "frozen" && tick % 16 == 15 {
+                    t.freeze(mgr.gc_watermark(), &faults, true).unwrap();
+                }
+                t.maintain(mgr.gc_watermark(), &faults).unwrap();
+
+                let tag = format!("{storage} tick {tick}");
+                let sizes = t.sizes();
+                let live = sizes.main_rows - sizes.main_dead_rows;
+                assert_eq!(live, model.len(), "{tag}: {sizes:?}");
+                assert!(sizes.main_rows <= 2 * live, "{tag}: {sizes:?}");
+                // Two classes (frozen, hot), each at most log2(live) + 1.
+                let log2 = (usize::BITS - live.leading_zeros()) as usize;
+                assert!(sizes.segments <= 2 * log2 + 1, "{tag}: {:?}", segment_rows(&t));
+                let (locations, stamps) = {
+                    let state = t.state.read();
+                    let locations: usize = state.pk_locs.values().map(Vec::len).sum();
+                    (locations, state.segments.iter().map(|s| s.delete_count()).sum::<usize>())
+                };
+                assert_eq!(locations, sizes.main_rows, "{tag}");
+                assert!(locations <= model.len() + stamps, "{tag}");
+                if tick % 40 == 39 {
+                    let want: Vec<Row> = model.values().cloned().collect();
+                    assert_eq!(rows_at(&t, mgr.now(), NOBODY), want, "{tag}");
+                }
+
+                // Costs: the best of three rounds of 64 point reads of live
+                // keys, and of three whole scans, per row.
+                let now = mgr.now();
+                let probes: Vec<i64> =
+                    (0..64).map(|_| keys[rng.gen_range(0..keys.len())]).collect();
+                let best = |f: &mut dyn FnMut()| {
+                    (0..3)
+                        .map(|_| {
+                            let started = Instant::now();
+                            f();
+                            started.elapsed().as_nanos() as f64
+                        })
+                        .fold(f64::INFINITY, f64::min)
+                };
+                get_ns.push(best(&mut || {
+                    for &id in &probes {
+                        assert!(t.get(&row![id], now, NOBODY).unwrap().is_some());
+                    }
+                }) / probes.len() as f64);
+                let scan = best(&mut || assert_eq!(count(&t, now), model.len()));
+                scan_ns.push(scan / model.len() as f64);
+            }
+            let median = |xs: &[f64]| {
+                let mut xs = xs.to_vec();
+                xs.sort_by(f64::total_cmp);
+                xs[xs.len() / 2]
+            };
+            let decile = TICKS / 10;
+            for (what, costs) in [("get", &get_ns), ("scan a row", &scan_ns)] {
+                let (first, last) = (median(&costs[..decile]), median(&costs[TICKS - decile..]));
+                assert!(
+                    last <= 3.0 * first,
+                    "{storage}: {what} {first:.0} ns in the first tenth, {last:.0} ns in the last"
+                );
+            }
+            drop(t);
+            if let Some(root) = root {
+                assert_eq!(page_files(&root), 0, "page files outlived their segments");
+                let _ = std::fs::remove_dir_all(root);
+            }
+        }
+    }
+
+    /// A delete still pending when its segment is coalesced lives on in the
+    /// rewrite: a rival's delete of the row conflicts with it there, and
+    /// once it resolves — through the retired segment's forward — a commit
+    /// hides the row and an abort leaves it visible.
+    #[test]
+    fn a_delete_pending_across_a_coalesce_resolves_in_the_rewrite() {
+        let faults = FaultInjector::disabled();
+        for commit in [true, false] {
+            let (mgr, t) = table();
+            for batch in 0..2 {
+                insert_committed(&mgr, &t, batch * 10..batch * 10 + 10);
+                t.merge(mgr.gc_watermark()).unwrap();
+            }
+            let deleter = mgr.begin();
+            t.delete(&deleter, &row![3i64]).unwrap();
+            let note = t.maintain(mgr.gc_watermark(), &faults).unwrap();
+            assert!(note.contains("coalesced 1 runs (2 -> 1 segments, 0 rows dropped)"), "{note}");
+            let rival = mgr.begin();
+            assert!(matches!(t.delete(&rival, &row![3i64]), Err(DbError::WriteConflict(_))));
+            rival.abort().unwrap();
+            if commit {
+                deleter.commit().unwrap();
+            } else {
+                deleter.abort().unwrap();
+            }
+            let now = mgr.now();
+            assert_eq!(t.get(&row![3i64], now, NOBODY).unwrap().is_some(), !commit);
+            assert_eq!(count(&t, now), if commit { 19 } else { 20 });
+            // The resolved row is an ordinary one: deletable after an abort,
+            // dropped by the next pass after a commit.
+            let tx = mgr.begin();
+            assert_eq!(t.delete(&tx, &row![3i64]).is_ok(), !commit);
+            tx.commit().unwrap();
+            let note = t.maintain(mgr.gc_watermark(), &faults).unwrap();
+            assert!(note.ends_with("now 1 segments, 20 main rows (1 dead), 0 delta keys")
+                || note.contains("1 rows dropped"), "{note}");
+            assert_eq!(count(&t, mgr.now()), 19);
+        }
+    }
+
+    /// A delete that resolves between a coalesce's build and its swap lands
+    /// before the copy: the stamp moves over as it was left, committed or
+    /// gone.
+    #[test]
+    fn a_delete_resolved_between_build_and_swap_moves_with_the_copy() {
+        for commit in [true, false] {
+            let (mgr, t) = table();
+            for batch in 0..2 {
+                insert_committed(&mgr, &t, batch * 10..batch * 10 + 10);
+                t.merge(mgr.gc_watermark()).unwrap();
+            }
+            let deleter = mgr.begin();
+            t.delete(&deleter, &row![13i64]).unwrap();
+            let before = mgr.begin();
+            let segments = t.state.read().segments.clone();
+            let rebuilt = t.rebuild(&segments, mgr.gc_watermark(), false).unwrap();
+            if commit {
+                deleter.commit().unwrap();
+            } else {
+                deleter.abort().unwrap();
+            }
+            t.publish(rebuilt).unwrap();
+            assert_eq!(t.sizes().segments, 1);
+            assert_eq!(t.get(&row![13i64], mgr.now(), NOBODY).unwrap().is_some(), !commit);
+            assert_eq!(count(&t, mgr.now()), if commit { 19 } else { 20 });
+            assert_eq!(count(&t, before.begin_ts()), 20, "an older snapshot still sees the row");
+            before.commit().unwrap();
+        }
+    }
+
+    /// A snapshot at the watermark a coalesce runs at reads what it read
+    /// before: rows deleted at or before it are dropped, later deletes and
+    /// the later versions of updated rows keep their stamps and their place
+    /// in the delta.
+    #[test]
+    fn a_snapshot_at_the_watermark_reads_the_same_across_a_coalesce() {
+        let (mgr, t) = table();
+        let faults = FaultInjector::disabled();
+        for batch in 0..3 {
+            insert_committed(&mgr, &t, batch * 40..batch * 40 + 40);
+            t.merge(mgr.gc_watermark()).unwrap();
+        }
+        let tx = mgr.begin();
+        for id in (0..120).step_by(3) {
+            t.delete(&tx, &row![id]).unwrap();
+        }
+        tx.commit().unwrap();
+        let reader = mgr.begin();
+        let at = reader.begin_ts();
+        let recorded = rows_at(&t, at, NOBODY);
+        assert_eq!(recorded.len(), 80);
+        let tx = mgr.begin();
+        for id in (1..120).step_by(3) {
+            t.update(&tx, &row![id], row![id, "late", -id]).unwrap();
+        }
+        for id in (2..120).step_by(6) {
+            t.delete(&tx, &row![id]).unwrap();
+        }
+        tx.commit().unwrap();
+        assert_eq!(mgr.gc_watermark(), at, "the reader pins the watermark");
+        let note = t.maintain(at, &faults).unwrap();
+        assert!(note.contains("coalesced 1 runs (3 -> 1 segments, 40 rows dropped)"), "{note}");
+        assert_eq!(rows_at(&t, at, NOBODY), recorded);
+        assert_eq!(rows_at(&t, at, reader.id()), recorded);
+        let now = rows_at(&t, mgr.now(), NOBODY);
+        assert_eq!(now.len(), 60);
+        let mut updated = now.iter().filter(|r| r[0].as_int().unwrap() % 3 == 1);
+        assert!(updated.all(|r| r[1] == Value::Str("late".into())));
+        reader.commit().unwrap();
+    }
+
+    /// `storage.coalesce_crash` between build and swap: the old run keeps
+    /// serving the same rows, the unpublished rewrite's page file goes with
+    /// it, a clean retry coalesces, and dropping the table leaves no page
+    /// file behind.
+    #[test]
+    fn coalesce_crash_point_leaves_the_old_run_serving() {
+        let (mgr, plain) = table();
+        let (pager, root) = own_pager(64);
+        let t = DeltaMainTable::with_pager(Arc::clone(plain.schema()), Some(pager));
+        for batch in 0..2 {
+            insert_committed(&mgr, &t, batch * 100..batch * 100 + 100);
+            t.merge(mgr.gc_watermark()).unwrap();
+        }
+        let before = rows_at(&t, mgr.now(), NOBODY);
+        assert_eq!(page_files(&root), 2);
+        let faults = FaultInjector::new(0x19c);
+        faults.arm(points::STORAGE_COALESCE_CRASH, oltap_common::FaultPoint::times(1));
+        let err = t.maintain(mgr.gc_watermark(), &faults).unwrap_err();
+        assert!(matches!(err, DbError::FaultInjected(_)), "{err}");
+        assert_eq!(t.sizes().segments, 2);
+        assert_eq!(rows_at(&t, mgr.now(), NOBODY), before);
+        assert_eq!(page_files(&root), 2, "the unpublished rewrite left its page file");
+        let note = t.maintain(mgr.gc_watermark(), &faults).unwrap();
+        assert!(note.contains("coalesced 1 runs (2 -> 1 segments"), "{note}");
+        assert_eq!(rows_at(&t, mgr.now(), NOBODY), before);
+        assert_eq!(page_files(&root), 1);
+        drop(t);
+        assert_eq!(page_files(&root), 0);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// The trigger: writes alone never make a delta due; scans pay for its
+    /// keys until the walks match the price of a merge, and the scan that
+    /// crosses it rings the bell — once, however many scans follow — and
+    /// `merge_if_due` merges it.
+    #[test]
+    fn scans_pay_for_a_merge_and_ring_the_bell_once() {
+        let bell = Arc::new(MergeBell::default());
+        let (mgr, plain) = table();
+        let t = plain.with_bell(Arc::clone(&bell));
+        insert_committed(&mgr, &t, 0..100);
+        let mut seen = 0;
+        assert!(t.merge_if_due(mgr.gc_watermark()).unwrap().is_none());
+        let price = 100 * MERGE_ROW_NS + MERGE_FIXED_NS;
+        let scans = price.div_ceil(100 * VISIT_NS);
+        for _ in 1..scans {
+            count(&t, mgr.now());
+        }
+        assert!(!bell.wait(&mut seen, Instant::now()), "rang before the walks paid");
+        count(&t, mgr.now());
+        assert!(bell.wait(&mut seen, Instant::now()), "the paying scan did not ring");
+        count(&t, mgr.now());
+        assert!(!bell.wait(&mut seen, Instant::now()), "rang twice for one merge");
+        let merged = t.merge_if_due(mgr.gc_watermark()).unwrap().expect("due");
+        assert_eq!(merged.rows_merged, 100);
+        assert!(t.merge_if_due(mgr.gc_watermark()).unwrap().is_none());
+        assert_eq!(count(&t, mgr.now()), 100);
     }
 }

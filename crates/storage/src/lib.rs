@@ -34,7 +34,7 @@ pub mod spill;
 pub mod zonemap;
 
 pub use buffer::{BufferManager, BufferStats, PageGuard, PageKey, ScanPass, SegmentPager};
-pub use delta::{DeltaMainTable, FreezeStats, HeatStats, MergeStats, TableSizes};
+pub use delta::{DeltaMainTable, FreezeStats, HeatStats, MergeBell, MergeStats, TableSizes};
 pub use dual::DualFormatTable;
 pub use pagefile::{purge_page_root, PageFile, PageFileWriter};
 pub use predicate::{CmpOp, ColumnPredicate, JoinFilter, ScanPredicate};

@@ -36,6 +36,10 @@ pub struct RowStore {
     /// Sequence for tables without a declared primary key (each row gets a
     /// hidden, monotonically increasing key; point DML is then unsupported).
     hidden_seq: AtomicU64,
+    /// Keys walked by scans of this store since it was built: what a delta
+    /// has cost the statements that read it, the break-even merge trigger's
+    /// input ([`crate::DeltaMainTable`]).
+    visits: AtomicU64,
 }
 
 impl std::fmt::Debug for RowStore {
@@ -53,6 +57,7 @@ impl RowStore {
             schema,
             index: SkipList::new(),
             hidden_seq: AtomicU64::new(0),
+            visits: AtomicU64::new(0),
         }
     }
 
@@ -64,6 +69,17 @@ impl RowStore {
     /// Number of distinct keys ever inserted (includes logically deleted).
     pub fn key_count(&self) -> usize {
         self.index.len()
+    }
+
+    /// Keys the scans of this store have walked since it was built or last
+    /// reset (a merge resets it).
+    pub fn visits(&self) -> u64 {
+        self.visits.load(Ordering::Relaxed)
+    }
+
+    /// Starts the visit count over (a merge has just paid for them).
+    pub(crate) fn reset_visits(&self) {
+        self.visits.store(0, Ordering::Relaxed);
     }
 
     fn key_for_insert(&self, row: &Row) -> Row {
@@ -243,7 +259,9 @@ impl RowStore {
         let mut columns = fresh();
         // Counted apart from the columns: an empty projection has none.
         let mut rows = 0usize;
+        let mut walked = 0;
         for (_, chain) in self.index.iter() {
+            walked += 1;
             let pushed = chain.with_visible(read_ts, me, |row| -> Result<bool> {
                 if !pred.matches_row(row) {
                     return Ok(false);
@@ -264,6 +282,7 @@ impl RowStore {
         if rows > 0 {
             out.push(Batch::new(columns)?);
         }
+        self.visits.fetch_add(walked, Ordering::Relaxed);
         Ok(out)
     }
 

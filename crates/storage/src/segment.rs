@@ -16,7 +16,7 @@ use crate::buffer::{PageGuard, ScanPass, SegmentPager};
 use crate::encoding::{BitPacked, IntEncoding, Lane, StrEncoding};
 use crate::pagefile::{PageFile, PageFileWriter};
 use crate::predicate::{CmpOp, ColumnPredicate, ScanPredicate};
-use crate::zonemap::ZoneMap;
+use crate::zonemap::{ColumnZone, ZoneMap};
 use oltap_common::hash::FxHashMap;
 use oltap_common::ids::{SegmentId, TxnId};
 use oltap_common::{BitSet, ColumnVector, DataType, DbError, Result, Row, Value};
@@ -850,6 +850,20 @@ impl std::ops::Deref for ColumnRef<'_> {
     }
 }
 
+/// A segment's delete stamps, and the segment that took its rows over.
+#[derive(Debug, Default)]
+struct Deletes {
+    /// Row offset → stamp of the deleting transaction.
+    stamps: FxHashMap<u32, Stamp>,
+    /// Set by [`Segment::retire_into`] in the critical section that copies
+    /// the stamps over: a later `commit_deletes` / `abort_deletes` of a
+    /// stamp pending here is forwarded to the rewrite as well.
+    successor: Option<Arc<Segment>>,
+}
+
+/// `moved[offset]` of a rewritten row that did not survive the rewrite.
+pub(crate) const DROPPED: u32 = u32::MAX;
+
 /// An immutable columnar segment: row groups over a chunk store. A segment
 /// built without a pager is the degenerate case of one group spanning all
 /// its rows, its chunks held in memory.
@@ -865,8 +879,8 @@ pub struct Segment {
     /// Snapshots older than this timestamp must not see the segment's rows
     /// (they see them in the delta store instead). `0` for bulk loads.
     visible_from: Ts,
-    /// MVCC delete stamps: row offset → stamp of the deleting transaction.
-    deletes: RwLock<FxHashMap<u32, Stamp>>,
+    /// MVCC delete stamps, and where they go once the segment is retired.
+    deletes: RwLock<Deletes>,
     /// True when this segment is a freeze-pass rewrite (cold data,
     /// re-encoded with the denser frozen encodings).
     frozen: bool,
@@ -885,8 +899,8 @@ impl Segment {
     /// Builds a segment from materialized rows, visible to snapshots at or
     /// after `visible_from` (use 0 for bulk loads). With a pager the rows
     /// are cut into its row groups and every chunk goes to a page file;
-    /// without one the segment is one group held in memory. No row is
-    /// cloned: each group's slice goes straight to the encoder.
+    /// without one the segment is one group held in memory. Each group's
+    /// slice is transposed straight into typed column vectors and encoded.
     pub fn from_rows(
         id: SegmentId,
         schema: SchemaRef,
@@ -896,7 +910,16 @@ impl Segment {
     ) -> Result<Self> {
         let mut builder = Self::builder(id, schema, visible_from, pager)?;
         for group in rows.chunks(builder.group_rows) {
-            builder.flush_group(group)?;
+            let mut columns = builder.empty_columns(group.len());
+            for row in group {
+                if row.len() != columns.len() {
+                    return Err(arity_mismatch());
+                }
+                for (column, value) in columns.iter_mut().zip(row.values()) {
+                    column.push(value)?;
+                }
+            }
+            builder.flush_group(columns)?;
         }
         builder.finish()
     }
@@ -907,9 +930,10 @@ impl Segment {
         matches!(self.chunks, ChunkStore::Paged { .. })
     }
 
-    /// Starts a streamed build (see [`SegmentBuilder`]): rows are pushed
-    /// one at a time and each full row group is encoded and dropped, so a
-    /// paged build materializes one row group at a time, not the segment.
+    /// Starts a streamed build (see [`SegmentBuilder`]): rows are pushed a
+    /// row or a column batch at a time and each full row group is encoded
+    /// and dropped, so a paged build holds one row group at a time, not the
+    /// segment.
     pub fn builder(
         id: SegmentId,
         schema: SchemaRef,
@@ -923,7 +947,7 @@ impl Segment {
             },
             None => ChunkSink::Held(Vec::with_capacity(schema.len())),
         };
-        Ok(SegmentBuilder {
+        let mut builder = SegmentBuilder {
             id,
             zone: ZoneMap::empty(schema.len()),
             schema,
@@ -931,10 +955,13 @@ impl Segment {
             frozen: false,
             group_rows: pager.map_or(usize::MAX, |p| p.rows_per_group()),
             buf: Vec::new(),
+            buffered: 0,
             groups: Vec::new(),
             row_count: 0,
             sink,
-        })
+        };
+        builder.buf = builder.empty_columns(0);
+        Ok(builder)
     }
 
     /// The earliest snapshot timestamp that may see this segment's rows.
@@ -1010,16 +1037,13 @@ impl Segment {
 
     /// The delete stamp of row `offset`, if any (conflict analysis).
     pub fn delete_stamp(&self, offset: u32) -> Option<Stamp> {
-        self.deletes.read().get(&offset).copied()
+        self.deletes.read().stamps.get(&offset).copied()
     }
 
     /// True when any delete stamp is still pending (blocks a freeze from
     /// rewriting this segment).
     pub fn has_pending_deletes(&self) -> bool {
-        self.deletes
-            .read()
-            .values()
-            .any(|s| matches!(s, Stamp::Pending(_)))
+        (self.deletes.read().stamps.values()).any(|s| matches!(s, Stamp::Pending(_)))
     }
 
     /// The segment id.
@@ -1077,6 +1101,20 @@ impl Segment {
         self.chunk(g, c, None)
     }
 
+    /// A pass over every row group for a rewrite that reads the segment out
+    /// whole (a coalesce or a freeze): its pins count towards the pass, so
+    /// a segment larger than the pool recycles the frames it loaded itself
+    /// rather than everyone else's, and it bumps no heat.
+    pub(crate) fn rewrite_pass(&self) -> PassChunks<'_> {
+        PassChunks {
+            seg: self,
+            pass: Arc::new(Pass {
+                admitted: self.groups.iter().map(|group| group.rows > 0).collect(),
+                pool: ScanPass::default(),
+            }),
+        }
+    }
+
     /// The one place that knows where a chunk lives. A `pass` tells the
     /// pool which row group it is reading and, the first time it reads a
     /// column, how many bytes of that column it may go on to pin: the page
@@ -1132,22 +1170,42 @@ impl Segment {
 
     /// Number of delete stamps (committed or pending).
     pub fn delete_count(&self) -> usize {
-        self.deletes.read().len()
+        self.deletes.read().stamps.len()
     }
 
     /// Number of rows whose delete has committed: still stored, dead to
-    /// every new snapshot, dropped by the next freeze of this segment.
+    /// every new snapshot, dropped by the next rewrite of this segment.
     pub fn committed_delete_count(&self) -> usize {
-        self.deletes
-            .read()
-            .values()
-            .filter(|s| matches!(s, Stamp::Committed(_)))
-            .count()
+        self.dead_count_at(Ts::MAX)
+    }
+
+    /// How many rows [`dead_at`](Self::dead_at) `watermark` would mark.
+    pub(crate) fn dead_count_at(&self, watermark: Ts) -> usize {
+        let deletes = self.deletes.read();
+        let dead = |stamp: &&Stamp| matches!(stamp, Stamp::Committed(ts) if *ts <= watermark);
+        deletes.stamps.values().filter(dead).count()
+    }
+
+    /// The rows whose delete committed at or before `watermark`, one bit a
+    /// row: dead to every snapshot a reader may still take, so a rewrite
+    /// leaves them out. A stamp committed later, or still pending, keeps
+    /// its row.
+    pub(crate) fn dead_at(&self, watermark: Ts) -> BitSet {
+        let mut dead = BitSet::with_len(self.row_count);
+        for (&offset, stamp) in &self.deletes.read().stamps {
+            if matches!(stamp, Stamp::Committed(ts) if *ts <= watermark)
+                && (offset as usize) < self.row_count
+            {
+                dead.set(offset as usize);
+            }
+        }
+        dead
     }
 
     /// Is row `offset` visibly deleted for snapshot (`read_ts`, `me`)?
     pub fn is_deleted(&self, offset: u32, read_ts: Ts, me: TxnId) -> bool {
-        (self.deletes.read().get(&offset)).is_some_and(|stamp| stamp_deletes(stamp, read_ts, me))
+        (self.deletes.read().stamps.get(&offset))
+            .is_some_and(|stamp| stamp_deletes(stamp, read_ts, me))
     }
 
     /// Marks row `offset` deleted by `me` (first-committer-wins).
@@ -1157,7 +1215,7 @@ impl Segment {
                 "offset {offset} out of range"
             )));
         }
-        let mut deletes = self.deletes.write();
+        let deletes = &mut self.deletes.write().stamps;
         match deletes.get(&offset) {
             Some(Stamp::Pending(t)) if *t == me => Ok(()), // idempotent
             Some(Stamp::Pending(_)) => {
@@ -1176,27 +1234,70 @@ impl Segment {
         }
     }
 
-    /// Re-registers a delete stamp at a new offset (a freeze carries
-    /// not-yet-globally-dead stamps into the rewritten segment).
+    /// Re-registers a delete stamp at a new offset (a rewrite carries
+    /// not-yet-globally-dead stamps into the segment it builds).
     pub fn restore_delete_stamp(&self, offset: u32, stamp: Stamp) {
-        self.deletes.write().insert(offset, stamp);
+        self.deletes.write().stamps.insert(offset, stamp);
     }
 
-    /// Commit hook: finalizes `me`'s pending delete stamps at `cts`.
+    /// Commit hook: finalizes `me`'s pending delete stamps at `cts` — here,
+    /// and in the segment that took this one's rows over, if a rewrite has
+    /// retired it since the stamps were set.
     pub fn commit_deletes(&self, me: TxnId, cts: Ts) {
-        let mut deletes = self.deletes.write();
-        for stamp in deletes.values_mut() {
-            if matches!(stamp, Stamp::Pending(t) if *t == me) {
-                *stamp = Stamp::Committed(cts);
+        let successor = {
+            let mut deletes = self.deletes.write();
+            for stamp in deletes.stamps.values_mut() {
+                if matches!(stamp, Stamp::Pending(t) if *t == me) {
+                    *stamp = Stamp::Committed(cts);
+                }
             }
+            deletes.successor.clone()
+        };
+        if let Some(next) = successor {
+            next.commit_deletes(me, cts);
         }
     }
 
-    /// Abort hook: removes `me`'s pending delete stamps.
+    /// Abort hook: removes `me`'s pending delete stamps, here and in the
+    /// segment that took this one's rows over.
     pub fn abort_deletes(&self, me: TxnId) {
-        self.deletes
-            .write()
-            .retain(|_, stamp| !matches!(stamp, Stamp::Pending(t) if *t == me));
+        let successor = {
+            let mut deletes = self.deletes.write();
+            (deletes.stamps).retain(|_, stamp| !matches!(stamp, Stamp::Pending(t) if *t == me));
+            deletes.successor.clone()
+        };
+        if let Some(next) = successor {
+            next.abort_deletes(me);
+        }
+    }
+
+    /// Retires this segment into `successor`, the rewrite that took its
+    /// rows over (`None`: no row survived): every stamp moves to its row's
+    /// new offset (`moved[offset]`, [`DROPPED`] for a row left out), and
+    /// from then on a commit or abort of a stamp still pending here is
+    /// forwarded there. Copy and forward are one critical section on this
+    /// segment's stamps, so a transaction resolving its delete meanwhile
+    /// lands either before the copy or through the forward.
+    pub(crate) fn retire_into(&self, successor: Option<&Arc<Segment>>, moved: &[u32]) {
+        let mut deletes = self.deletes.write();
+        if let Some(next) = successor {
+            for (&offset, &stamp) in &deletes.stamps {
+                match moved.get(offset as usize) {
+                    Some(&new) if new != DROPPED => next.restore_delete_stamp(new, stamp),
+                    _ => {}
+                }
+            }
+        }
+        deletes.successor = successor.cloned();
+    }
+
+    /// Gives a rewrite its inputs' standing: `heat` spread over its groups
+    /// as [`seed_heat`](Self::seed_heat) spreads it, and the coldness the
+    /// inputs had earned (`cold_ticks`), so that coalescing neither heats
+    /// nor cools anything.
+    pub(crate) fn inherit(&self, heat: u64, cold_ticks: u32) {
+        self.seed_heat(heat);
+        self.cold_ticks.store(cold_ticks, Ordering::Relaxed);
     }
 
     /// Opens a statement's pass over this segment for a snapshot (see
@@ -1221,7 +1322,7 @@ impl Segment {
             self.frozen_scan_hits.fetch_add(1, Ordering::Relaxed);
         }
         let mut deleted = None;
-        for (&offset, stamp) in self.deletes.read().iter() {
+        for (&offset, stamp) in &self.deletes.read().stamps {
             if stamp_deletes(stamp, read_ts, me) && (offset as usize) < self.row_count {
                 deleted
                     .get_or_insert_with(|| BitSet::with_len(self.row_count))
@@ -1318,17 +1419,6 @@ impl Segment {
     /// Materializes the full row at `offset` (no visibility check — caller
     /// is responsible). Faults the row's pages for paged segments.
     pub fn row_at(&self, offset: u32) -> Result<Row> {
-        self.row_at_inner(offset, true)
-    }
-
-    /// `row_at` for maintenance-internal reads (freeze rewrites): does not
-    /// bump heat counters, so a crashed rewrite cannot re-heat the segment
-    /// it was trying to freeze.
-    pub fn row_at_uncounted(&self, offset: u32) -> Result<Row> {
-        self.row_at_inner(offset, false)
-    }
-
-    fn row_at_inner(&self, offset: u32, count_heat: bool) -> Result<Row> {
         let i = offset as usize;
         if i >= self.row_count {
             return Err(DbError::InvalidArgument(format!(
@@ -1336,10 +1426,8 @@ impl Segment {
             )));
         }
         let g = self.group_of(i);
-        if count_heat {
-            if let Some(h) = self.heat.get(g) {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(h) = self.heat.get(g) {
+            h.fetch_add(1, Ordering::Relaxed);
         }
         let local = i - self.groups[g].row_start;
         let mut values = Vec::with_capacity(self.schema.len());
@@ -1514,14 +1602,17 @@ impl<'a> GroupSelector<'a> {
     }
 }
 
-/// The one way a segment is built. Rows are pushed one at a time (or, by
-/// [`Segment::from_rows`], handed over a group's slice at a time); each
-/// full row group is transposed, encoded, folded into the zone maps and
-/// its chunks handed to the sink, then dropped. A paged build therefore
-/// buffers at most one row group of rows plus one encoded chunk — merge
-/// and freeze rely on that to avoid materializing a whole segment's
-/// `Row`s. Without a pager there is no boundary to flush at: the group is
-/// the segment, so all rows are buffered and encoded at `finish`.
+/// The one way a segment is built. Rows arrive one at a time
+/// ([`push_row`](Self::push_row): a merge draining the delta) or a column
+/// batch at a time ([`push_columns`](Self::push_columns): a coalesce or a
+/// freeze, which gather each input row group's surviving rows straight out
+/// of its encoded chunks, so no `Row` is built); either way they are
+/// buffered as one typed [`ColumnVector`] a column, and each full row group
+/// is encoded, folded into the zone maps and its chunks handed to the sink,
+/// then dropped. A paged build therefore buffers at most one row group
+/// plus one encoded chunk. Without a pager there is no boundary to flush
+/// at: the group is the segment, so every row is buffered and encoded at
+/// `finish`.
 pub struct SegmentBuilder {
     id: SegmentId,
     schema: SchemaRef,
@@ -1529,7 +1620,9 @@ pub struct SegmentBuilder {
     frozen: bool,
     /// Rows per group: the pager's, or unbounded without one.
     group_rows: usize,
-    buf: Vec<Row>,
+    /// The open row group, one vector a column, `buffered` rows each.
+    buf: Vec<ColumnVector>,
+    buffered: usize,
     groups: Vec<RowGroupMeta>,
     zone: ZoneMap,
     row_count: usize,
@@ -1553,44 +1646,90 @@ impl SegmentBuilder {
         self
     }
 
-    /// Appends one row; may flush a completed row group.
+    /// Appends one row; may flush a completed row group. The values move
+    /// into the open group's column vectors. A row that does not fit the
+    /// schema is an error that leaves the build unusable.
     pub fn push_row(&mut self, row: Row) -> Result<()> {
-        self.buf.push(row);
-        if self.buf.len() >= self.group_rows {
-            self.flush_buffered()?;
+        if row.len() != self.buf.len() {
+            return Err(arity_mismatch());
         }
-        Ok(())
+        for (column, value) in self.buf.iter_mut().zip(row.into_values()) {
+            column.push_owned(value)?;
+        }
+        self.buffered += 1;
+        self.flush_full_groups()
+    }
+
+    /// Appends a batch of rows given column by column — one vector a
+    /// schema column, in schema order, all equally long; may flush
+    /// completed row groups. The rewrite path: a coalesce or a freeze
+    /// gathers an input row group's surviving rows out of its encoded
+    /// chunks into these.
+    pub fn push_columns(&mut self, columns: Vec<ColumnVector>) -> Result<()> {
+        let rows = columns.first().map_or(0, ColumnVector::len);
+        if columns.len() != self.buf.len() || columns.iter().any(|c| c.len() != rows) {
+            return Err(DbError::InvalidArgument(
+                "column batch shape mismatch while building segment".into(),
+            ));
+        }
+        for (column, piece) in self.buf.iter_mut().zip(columns) {
+            if column.data_type() != piece.data_type() {
+                return Err(DbError::TypeMismatch {
+                    expected: column.data_type().name().into(),
+                    actual: piece.data_type().name().into(),
+                });
+            }
+            if column.is_empty() {
+                *column = piece;
+            } else {
+                append_vector(column, piece)?;
+            }
+        }
+        self.buffered += rows;
+        self.flush_full_groups()
     }
 
     /// Rows pushed so far (their offsets in the finished segment).
     pub fn rows_pushed(&self) -> usize {
-        self.row_count + self.buf.len()
+        self.row_count + self.buffered
     }
 
     /// Rows currently buffered in memory — bounded by one row group in a
     /// paged build (asserted by tests).
     pub fn buffered_rows(&self) -> usize {
-        self.buf.len()
+        self.buffered
     }
 
-    fn flush_buffered(&mut self) -> Result<()> {
-        let mut buf = std::mem::take(&mut self.buf);
-        self.flush_group(&buf)?;
-        buf.clear();
-        self.buf = buf;
+    /// One empty vector a schema column, with room for `rows` values.
+    fn empty_columns(&self, rows: usize) -> Vec<ColumnVector> {
+        (self.schema.fields().iter())
+            .map(|field| ColumnVector::with_capacity(field.data_type, rows))
+            .collect()
+    }
+
+    /// Seals every full row group at the front of the buffer.
+    fn flush_full_groups(&mut self) -> Result<()> {
+        let n = self.group_rows;
+        while self.buffered >= n {
+            let rest: Vec<ColumnVector> = self.buf.iter_mut().map(|c| c.split_off(n)).collect();
+            let group = std::mem::replace(&mut self.buf, rest);
+            self.buffered -= n;
+            self.flush_group(group)?;
+        }
         Ok(())
     }
 
-    /// Seals `rows` as the next row group.
-    fn flush_group(&mut self, rows: &[Row]) -> Result<()> {
-        if rows.is_empty() {
+    /// Seals `columns` (one vector a schema column, equally long) as the
+    /// next row group.
+    fn flush_group(&mut self, columns: Vec<ColumnVector>) -> Result<()> {
+        let rows = columns.first().map_or(0, ColumnVector::len);
+        if rows == 0 {
             return Ok(());
         }
-        // Transposed into per-column borrows: the zone map and the
-        // encoders only *read* the values, so no row is cloned.
-        let cols = transpose_refs(&self.schema, rows)?;
-        for (field, col) in self.schema.fields().iter().zip(&cols) {
-            let chunk = encode_column(field.data_type, col, self.frozen)?;
+        let mut zone = ZoneMap::empty(0);
+        for (field, column) in self.schema.fields().iter().zip(columns) {
+            zone.columns.push(ColumnZone::of_vector(&column, field.data_type));
+            let chunk = encode_column(field.data_type, column, self.frozen)?;
             match &mut self.sink {
                 ChunkSink::Held(chunks) => chunks.push(chunk),
                 // Dropped right after framing: peak memory is one chunk.
@@ -1599,20 +1738,20 @@ impl SegmentBuilder {
                 }
             }
         }
-        let zone = ZoneMap::build_refs(&cols);
         self.zone.absorb(&zone);
         self.groups.push(RowGroupMeta {
             row_start: self.row_count,
-            rows: rows.len(),
+            rows,
             zone,
         });
-        self.row_count += rows.len();
+        self.row_count += rows;
         Ok(())
     }
 
     /// Flushes the tail group and seals the segment.
     pub fn finish(mut self) -> Result<Segment> {
-        self.flush_buffered()?;
+        let tail = std::mem::take(&mut self.buf);
+        self.flush_group(tail)?;
         let chunks = match self.sink {
             ChunkSink::Held(chunks) => ChunkStore::Held(chunks),
             ChunkSink::Paged { pager, writer } => ChunkStore::Paged {
@@ -1633,7 +1772,7 @@ impl SegmentBuilder {
             chunks,
             zone_map: self.zone,
             visible_from: self.visible_from,
-            deletes: RwLock::new(FxHashMap::default()),
+            deletes: RwLock::new(Deletes::default()),
             frozen: self.frozen,
             cold_ticks: AtomicU32::new(0),
             frozen_scan_hits: AtomicU64::new(0),
@@ -1641,28 +1780,20 @@ impl SegmentBuilder {
     }
 }
 
-/// Transposes rows into per-column `&Value` slices, checking arity. The
-/// borrow-based transpose is what keeps segment builds clone-free.
-fn transpose_refs<'r>(schema: &SchemaRef, rows: &'r [Row]) -> Result<Vec<Vec<&'r Value>>> {
-    let ncols = schema.len();
-    let mut cols: Vec<Vec<&Value>> = vec![Vec::with_capacity(rows.len()); ncols];
-    for row in rows {
-        if row.len() != ncols {
-            return Err(DbError::InvalidArgument(
-                "row arity mismatch while building segment".into(),
-            ));
-        }
-        for (c, v) in row.values().iter().enumerate() {
-            cols[c].push(v);
-        }
-    }
-    Ok(cols)
+fn arity_mismatch() -> DbError {
+    DbError::InvalidArgument("row arity mismatch while building segment".into())
 }
 
 /// Appends a later run's gather result to its column's earlier runs. Both
 /// come from the same column, so a variant mismatch is page corruption that
 /// slipped past the CRC — reported, not assumed.
 fn append_vector(out: &mut ColumnVector, piece: ColumnVector) -> Result<()> {
+    /// `piece`'s bits after `out`'s, a word at a time.
+    fn append_bits(out: &mut BitSet, piece: &BitSet) {
+        let at = out.len();
+        out.grow(piece.len());
+        out.paste(at, piece);
+    }
     // Merge validity first: absent validity means "all valid".
     fn merge_validity(
         out_validity: &mut Option<BitSet>,
@@ -1672,22 +1803,13 @@ fn append_vector(out: &mut ColumnVector, piece: ColumnVector) -> Result<()> {
     ) {
         match (out_validity.as_mut(), piece_validity) {
             (None, None) => {}
-            (Some(v), None) => {
-                for _ in 0..piece_len {
-                    v.push(true);
-                }
+            (Some(v), piece) => {
+                append_bits(v, &piece.unwrap_or_else(|| BitSet::all_set(piece_len)))
             }
-            (None, Some(p)) => {
+            (None, Some(piece)) => {
                 let mut v = BitSet::all_set(out_len);
-                for i in 0..piece_len {
-                    v.push(p.get(i));
-                }
+                append_bits(&mut v, &piece);
                 *out_validity = Some(v);
-            }
-            (Some(v), Some(p)) => {
-                for i in 0..piece_len {
-                    v.push(p.get(i));
-                }
             }
         }
     }
@@ -1730,9 +1852,7 @@ fn append_vector(out: &mut ColumnVector, piece: ColumnVector) -> Result<()> {
             },
         ) => {
             merge_validity(validity, values.len(), pval, pv.len());
-            for i in 0..pv.len() {
-                values.push(pv.get(i));
-            }
+            append_bits(values, &pv);
         }
         _ => {
             return Err(DbError::Corruption(
@@ -1743,78 +1863,46 @@ fn append_vector(out: &mut ColumnVector, piece: ColumnVector) -> Result<()> {
     Ok(())
 }
 
-fn encode_column(data_type: DataType, values: &[&Value], frozen: bool) -> Result<EncodedColumn> {
-    let n = values.len();
-    let mut validity: Option<BitSet> = None;
-    let mark_null = |validity: &mut Option<BitSet>, i: usize| {
-        validity
-            .get_or_insert_with(|| BitSet::all_set(n))
-            .clear(i);
-    };
-    Ok(match data_type {
-        DataType::Int64 | DataType::Timestamp => {
-            let mut ints = Vec::with_capacity(n);
-            for (i, v) in values.iter().enumerate() {
-                if v.is_null() {
-                    mark_null(&mut validity, i);
-                    ints.push(0);
-                } else {
-                    ints.push(v.as_int()?);
-                }
-            }
-            EncodedColumn::Int {
-                enc: if frozen {
-                    IntEncoding::choose_frozen(&ints)
-                } else {
-                    IntEncoding::choose(&ints)
-                },
-                validity,
-            }
-        }
-        DataType::Float64 => {
-            let mut floats = Vec::with_capacity(n);
-            for (i, v) in values.iter().enumerate() {
-                if v.is_null() {
-                    mark_null(&mut validity, i);
-                    floats.push(0.0);
-                } else {
-                    floats.push(v.as_float()?);
-                }
-            }
+/// Encodes one column of a row group (`frozen`: the freeze pass's denser
+/// integer choices). The vector must be `data_type`'s; a validity bitmap
+/// with no NULL in it is dropped, so a column reads the same however its
+/// rows were pushed.
+fn encode_column(data_type: DataType, column: ColumnVector, frozen: bool) -> Result<EncodedColumn> {
+    let expected = ColumnVector::new(data_type).data_type();
+    if column.data_type() != expected {
+        return Err(DbError::TypeMismatch {
+            expected: expected.name().into(),
+            actual: column.data_type().name().into(),
+        });
+    }
+    let nulls = |validity: Option<BitSet>| validity.filter(|v| v.count_ones() < v.len());
+    Ok(match column {
+        ColumnVector::Int64 { values, validity } => EncodedColumn::Int {
+            enc: if frozen {
+                IntEncoding::choose_frozen(&values)
+            } else {
+                IntEncoding::choose(&values)
+            },
+            validity: nulls(validity),
+        },
+        ColumnVector::Float64 {
+            mut values,
+            validity,
+        } => {
+            values.shrink_to_fit();
             EncodedColumn::Float {
-                values: floats,
-                validity,
+                values,
+                validity: nulls(validity),
             }
         }
-        DataType::Utf8 => {
-            let mut strs = Vec::with_capacity(n);
-            for (i, v) in values.iter().enumerate() {
-                if v.is_null() {
-                    mark_null(&mut validity, i);
-                    strs.push(String::new());
-                } else {
-                    strs.push(v.as_str()?.to_string());
-                }
-            }
-            EncodedColumn::Str {
-                enc: StrEncoding::choose(&strs),
-                validity,
-            }
-        }
-        DataType::Bool => {
-            let mut bits = BitSet::with_len(n);
-            for (i, v) in values.iter().enumerate() {
-                if v.is_null() {
-                    mark_null(&mut validity, i);
-                } else if v.as_bool()? {
-                    bits.set(i);
-                }
-            }
-            EncodedColumn::Bool {
-                values: bits,
-                validity,
-            }
-        }
+        ColumnVector::Utf8 { values, validity } => EncodedColumn::Str {
+            enc: StrEncoding::choose(&values),
+            validity: nulls(validity),
+        },
+        ColumnVector::Bool { values, validity } => EncodedColumn::Bool {
+            values,
+            validity: nulls(validity),
+        },
     })
 }
 
@@ -1905,6 +1993,51 @@ mod tests {
             );
         }
         assert_eq!(builder.finish().unwrap().row_count(), 1000);
+    }
+
+    /// A segment built from column batches — of ragged sizes that straddle
+    /// the row groups, NULLs in two columns — is the segment built row by
+    /// row: the same groups, zones, encodings and rows, held, paged and
+    /// frozen; a paged build still buffers at most one group.
+    #[test]
+    fn column_batches_build_the_segment_rows_build() {
+        let rows = mixed_rows(300);
+        let pager = test_pager(u64::MAX, 64);
+        for (pager, frozen) in [(None, false), (Some(&pager), false), (Some(&pager), true), (None, true)] {
+            let by_rows = build(&rows, pager, frozen);
+            let mut builder = Segment::builder(SegmentId(2), schema(), 0, pager).unwrap();
+            if frozen {
+                builder = builder.frozen();
+            }
+            let mut at = 0;
+            for size in [1, 63, 2, 100, 0, 134] {
+                let mut columns: Vec<ColumnVector> =
+                    schema().fields().iter().map(|f| ColumnVector::new(f.data_type)).collect();
+                for row in &rows[at..at + size] {
+                    for (column, value) in columns.iter_mut().zip(row.values()) {
+                        column.push(value).unwrap();
+                    }
+                }
+                builder.push_columns(columns).unwrap();
+                assert!(pager.is_none() || builder.buffered_rows() < 64);
+                at += size;
+            }
+            let by_columns = builder.finish().unwrap();
+            let tag = format!("paged {} frozen {frozen}", pager.is_some());
+            assert_eq!(by_columns.group_count(), by_rows.group_count(), "{tag}");
+            for g in 0..by_rows.group_count() {
+                assert_eq!(by_columns.group_bounds(g), by_rows.group_bounds(g), "{tag}");
+                assert_eq!(by_columns.group_zone(g), by_rows.group_zone(g), "{tag}");
+                for c in 0..3 {
+                    let name = |s: &Segment| s.column_chunk(g, c).unwrap().encoding_name();
+                    assert_eq!(name(&by_columns), name(&by_rows), "{tag} group {g} column {c}");
+                }
+            }
+            assert_eq!(by_columns.zone_map(), by_rows.zone_map(), "{tag}");
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(&by_columns.row_at(i as u32).unwrap(), row, "{tag} row {i}");
+            }
+        }
     }
 
     #[test]

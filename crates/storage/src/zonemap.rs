@@ -8,7 +8,7 @@
 //! which is exactly the machine-telemetry workload of the paper's §1).
 
 use crate::predicate::{CmpOp, ColumnPredicate, JoinFilter, ScanPredicate};
-use oltap_common::Value;
+use oltap_common::{BitSet, ColumnVector, DataType, Value};
 use std::cmp::Ordering;
 
 /// Min/max/null statistics for one column of one segment.
@@ -30,10 +30,61 @@ impl ColumnZone {
         Self::build_iter(values.iter(), values.len())
     }
 
-    /// Builds the zone from borrowed values — the clone-free path used by
-    /// segment builds, which transpose rows into `&Value` slices.
-    pub fn build_refs(values: &[&Value]) -> Self {
-        Self::build_iter(values.iter().copied(), values.len())
+    /// Builds the zone of one column of a row group as a segment build holds
+    /// it, typed: the bounds are found on the native values and only they
+    /// become `Value`s (`data_type` tells an integer column from a
+    /// timestamp one, which share a vector). Same bounds as
+    /// [`ColumnZone::build`] over the same values: floats order by
+    /// `total_cmp`, as `Value` does.
+    pub(crate) fn of_vector(column: &ColumnVector, data_type: DataType) -> Self {
+        /// The least and the greatest of the valid rows under `cmp`.
+        fn bounds<'a, T: 'a>(
+            values: impl Iterator<Item = &'a T>,
+            cmp: impl Fn(&T, &T) -> Ordering,
+        ) -> Option<(&'a T, &'a T)> {
+            values.fold(None, |acc, v| match acc {
+                None => Some((v, v)),
+                Some((lo, hi)) => Some((
+                    if cmp(v, lo) == Ordering::Less { v } else { lo },
+                    if cmp(v, hi) == Ordering::Greater { v } else { hi },
+                )),
+            })
+        }
+        /// The values of the rows `validity` (`None`: all) marks valid.
+        fn valid<'a, T>(
+            values: &'a [T],
+            validity: Option<&'a BitSet>,
+        ) -> impl Iterator<Item = &'a T> {
+            let valid = move |i: &usize| validity.is_none_or(|v| v.get(*i));
+            (0..values.len()).filter(valid).map(move |i| &values[i])
+        }
+        let row_count = column.len();
+        let validity = column.validity();
+        let (min, max) = match column {
+            ColumnVector::Int64 { values, .. } => {
+                let wrap = |v: i64| match data_type {
+                    DataType::Timestamp => Value::Timestamp(v),
+                    _ => Value::Int(v),
+                };
+                bounds(valid(values, validity), Ord::cmp).map(|(lo, hi)| (wrap(*lo), wrap(*hi)))
+            }
+            ColumnVector::Float64 { values, .. } => bounds(valid(values, validity), f64::total_cmp)
+                .map(|(lo, hi)| (Value::Float(*lo), Value::Float(*hi))),
+            ColumnVector::Utf8 { values, .. } => bounds(valid(values, validity), Ord::cmp)
+                .map(|(lo, hi)| (Value::Str(lo.clone()), Value::Str(hi.clone()))),
+            ColumnVector::Bool { values, .. } => {
+                let bits: Vec<bool> = (0..row_count).map(|i| values.get(i)).collect();
+                bounds(valid(&bits, validity), Ord::cmp)
+                    .map(|(lo, hi)| (Value::Bool(*lo), Value::Bool(*hi)))
+            }
+        }
+        .unzip();
+        ColumnZone {
+            min,
+            max,
+            null_count: validity.map_or(0, |v| row_count - v.count_ones()),
+            row_count,
+        }
     }
 
     fn build_iter<'a>(values: impl Iterator<Item = &'a Value>, row_count: usize) -> Self {
@@ -115,14 +166,6 @@ impl ZoneMap {
     pub fn build(columns: &[Vec<Value>]) -> Self {
         ZoneMap {
             columns: columns.iter().map(|c| ColumnZone::build(c)).collect(),
-        }
-    }
-
-    /// Builds zones from borrowed per-column value slices (clone-free
-    /// segment build path).
-    pub fn build_refs(columns: &[Vec<&Value>]) -> Self {
-        ZoneMap {
-            columns: columns.iter().map(|c| ColumnZone::build_refs(c)).collect(),
         }
     }
 
@@ -327,5 +370,45 @@ mod tests {
         assert!(z.may_match(CmpOp::Eq, &Value::Str("cologne".into())));
         assert!(!z.may_match(CmpOp::Eq, &Value::Str("aachen".into())));
         assert!(!z.may_match(CmpOp::Gt, &Value::Str("zurich".into())));
+    }
+
+    /// The typed zone of a column vector is the zone of its values: NULLs
+    /// counted and skipped, floats by `total_cmp` (NaN and both zeros),
+    /// integers and timestamps, strings, booleans, an all-NULL column.
+    #[test]
+    fn a_vectors_zone_is_the_zone_of_its_values() {
+        use oltap_common::{ColumnVector, DataType};
+        let columns: [(DataType, Vec<Value>); 6] = [
+            (DataType::Int64, vec![Value::Int(5), Value::Null, Value::Int(-3), Value::Int(9)]),
+            (DataType::Timestamp, vec![Value::Timestamp(7), Value::Timestamp(2)]),
+            (
+                DataType::Float64,
+                vec![
+                    Value::Float(0.0),
+                    Value::Float(-0.0),
+                    Value::Null,
+                    Value::Float(f64::NAN),
+                    Value::Float(-1.5),
+                ],
+            ),
+            (
+                DataType::Utf8,
+                vec![Value::Str("munich".into()), Value::Null, Value::Str("berlin".into())],
+            ),
+            (DataType::Bool, vec![Value::Bool(true), Value::Null, Value::Bool(true)]),
+            (DataType::Int64, vec![Value::Null, Value::Null]),
+        ];
+        for (data_type, values) in columns {
+            let mut column = ColumnVector::new(data_type);
+            for v in &values {
+                column.push(v).unwrap();
+            }
+            let (typed, by_value) = (ColumnZone::of_vector(&column, data_type), ColumnZone::build(&values));
+            assert_eq!(typed, by_value, "{data_type:?}");
+            // Equal under `Value`'s order is not enough for floats: same bits.
+            if let (Some(Value::Float(a)), Some(Value::Float(b))) = (&typed.min, &by_value.min) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 }

@@ -129,6 +129,12 @@ impl Transaction {
             e.commit(self.id, cts);
         }
         self.mgr.finish_commit_ts(cts);
+        // Acknowledged only once every new snapshot covers it: an earlier
+        // commit still stamping holds the watermark below `cts`, and the
+        // next transaction this thread begins must see what it just wrote.
+        while self.mgr.now() < cts {
+            std::thread::yield_now();
+        }
         *status = TxnStatus::Committed(cts);
         self.mgr.deregister(self.id);
         Ok(cts)
@@ -429,27 +435,29 @@ mod tests {
         assert_eq!(mgr.gc_watermark(), 17);
     }
 
+    /// A chain whose commit stamping waits for a go-ahead, after saying it
+    /// has begun: a commit held in flight.
+    struct SlowEntry {
+        chain: Arc<VersionChain<i64>>,
+        entered: crossbeam::channel::Sender<()>,
+        release: crossbeam::channel::Receiver<()>,
+    }
+    impl WriteSetEntry for SlowEntry {
+        fn commit(&self, txn: TxnId, cts: Ts) {
+            let _ = self.entered.send(());
+            let _ = self.release.recv(); // simulate slow stamping
+            self.chain.commit(txn, cts);
+        }
+        fn abort(&self, txn: TxnId) {
+            self.chain.abort(txn);
+        }
+    }
+
     /// Regression test for the commit-window race: a commit whose write
     /// set is still being stamped must not be covered by new snapshots.
     #[test]
     fn snapshots_exclude_in_flight_commits() {
         use crossbeam::channel::bounded;
-
-        struct SlowEntry {
-            chain: Arc<VersionChain<i64>>,
-            entered: crossbeam::channel::Sender<()>,
-            release: crossbeam::channel::Receiver<()>,
-        }
-        impl WriteSetEntry for SlowEntry {
-            fn commit(&self, txn: TxnId, cts: Ts) {
-                let _ = self.entered.send(());
-                let _ = self.release.recv(); // simulate slow stamping
-                self.chain.commit(txn, cts);
-            }
-            fn abort(&self, txn: TxnId) {
-                self.chain.abort(txn);
-            }
-        }
 
         let mgr = Arc::new(TransactionManager::new());
         let chain = Arc::new(VersionChain::new());
@@ -481,6 +489,50 @@ mod tests {
         assert_eq!(chain.read(late.begin_ts(), late.id()), Some(7));
         // And the mid snapshot still does not (stability).
         assert_eq!(chain.read(mid.begin_ts(), mid.id()), None);
+    }
+
+    /// A later commit is not acknowledged while an earlier one is still
+    /// stamping: it returns once new snapshots cover it, so the next
+    /// transaction its thread begins sees its writes (without this, an
+    /// update there met its own previous commit as a conflict).
+    #[test]
+    fn a_commit_returns_once_new_snapshots_see_it() {
+        use crossbeam::channel::bounded;
+
+        let mgr = Arc::new(TransactionManager::new());
+        let (slow_chain, chain) = (Arc::new(VersionChain::new()), Arc::new(VersionChain::new()));
+        let slow = mgr.begin();
+        slow_chain.insert(1, slow.id(), slow.begin_ts()).unwrap();
+        let (entered_tx, entered_rx) = bounded(1);
+        let (release_tx, release_rx) = bounded(1);
+        slow.enlist(Arc::new(SlowEntry {
+            chain: slow_chain,
+            entered: entered_tx,
+            release: release_rx,
+        }))
+        .unwrap();
+        let slow_committer = std::thread::spawn(move || slow.commit().unwrap());
+        entered_rx.recv().unwrap();
+
+        let t = mgr.begin();
+        chain.insert(7, t.id(), t.begin_ts()).unwrap();
+        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        let (done_tx, done_rx) = bounded(1);
+        let committer = std::thread::spawn(move || {
+            let cts = t.commit().unwrap();
+            done_tx.send(()).unwrap();
+            cts
+        });
+        assert!(
+            done_rx.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
+            "acknowledged while an earlier commit held it out of new snapshots"
+        );
+        release_tx.send(()).unwrap();
+        slow_committer.join().unwrap();
+        let cts = committer.join().unwrap();
+        let next = mgr.begin();
+        assert!(next.begin_ts() >= cts);
+        assert_eq!(chain.read(next.begin_ts(), next.id()), Some(7));
     }
 
     #[test]

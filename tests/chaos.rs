@@ -1540,6 +1540,83 @@ fn chaos_freeze_crash_in_maintenance_daemon_self_heals() {
     );
 }
 
+/// Scenario 19c — `storage.coalesce_crash`: a maintenance pass dies after
+/// building the rewrite of a run of paged segments (its page file
+/// published) and before the swap. The pass reports the fault as the
+/// table's note; the old run keeps serving byte-identical answers, serial
+/// and parallel; the next clean pass coalesces; and once the database is
+/// dropped no page file is left under its root.
+#[test]
+fn chaos_crash_mid_coalesce_keeps_the_old_run_serving() {
+    let seed = seed_for(193);
+    let faults = FaultInjector::new(seed);
+    let root = std::env::temp_dir()
+        .join(format!("oltap-chaos-coalesce-{}-{seed:x}", std::process::id()));
+    let db = Database::with_config(DbConfig {
+        wal_path: None,
+        faults: Some(Arc::clone(&faults)),
+        buffer: Some(oltapdb::core::BufferConfig {
+            pool_bytes: 2048,
+            page_rows: 64,
+            page_root: Some(root.clone()),
+        }),
+        ..DbConfig::default()
+    })
+    .unwrap();
+    load_pages_table(&db);
+    // A second load as large as the first: the next pass folds the two.
+    let tx = db.txn_manager().begin();
+    let t = db.table("pages").unwrap();
+    for i in 2000..4000i64 {
+        t.insert(&tx, row![i, i % 50, i * 7 % 17]).unwrap();
+    }
+    drop(t);
+    tx.commit().unwrap();
+    db.execute("DELETE FROM pages WHERE id < 100").unwrap();
+    let queries = [
+        "SELECT g, COUNT(*), SUM(v), MIN(id), MAX(id) FROM pages GROUP BY g ORDER BY g",
+        "SELECT id, v FROM pages WHERE id >= 3900 ORDER BY id",
+        "SELECT COUNT(*) FROM pages WHERE v > 8",
+    ];
+    let before: Vec<_> = queries.iter().map(|sql| db.query(sql).unwrap()).collect();
+
+    faults.arm(points::STORAGE_COALESCE_CRASH, FaultPoint::times(1));
+    let stats = db.maintenance();
+    assert!(
+        (stats.notes.iter())
+            .any(|(t, n)| t == "pages" && n.contains("error") && n.contains("fault")),
+        "crash must surface as a per-table note: {stats:?} (seed={seed:#x})"
+    );
+    assert_eq!(faults.fired_count(), 1, "scenario vacuous (seed={seed:#x})");
+    let segments = || match db.table("pages").unwrap() {
+        oltapdb::core::TableHandle::Column(t) => t.sizes().segments,
+        other => panic!("pages is {other:?}"),
+    };
+    assert_eq!(segments(), 2, "the swap happened (seed={seed:#x})");
+    for workers in [1, 4] {
+        db.set_parallelism(workers);
+        for (sql, want) in queries.iter().zip(&before) {
+            assert_eq!(&db.query(sql).unwrap(), want, "{sql} workers={workers} (seed={seed:#x})");
+        }
+    }
+    db.set_parallelism(1);
+
+    let stats = db.maintenance();
+    assert!(
+        (stats.notes.iter()).any(|(t, n)| t == "pages"
+            && n.contains("coalesced 1 runs (2 -> 1 segments, 100 rows dropped)")),
+        "the clean pass must coalesce: {stats:?} (seed={seed:#x})"
+    );
+    assert_eq!(segments(), 1);
+    for (sql, want) in queries.iter().zip(&before) {
+        assert_eq!(&db.query(sql).unwrap(), want, "{sql} after the coalesce (seed={seed:#x})");
+    }
+    drop(db);
+    let left: Vec<_> = std::fs::read_dir(&root).map_or(Vec::new(), |dir| dir.collect());
+    assert!(left.is_empty(), "page files outlived the database: {left:?} (seed={seed:#x})");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // ===================================================================
 // Network edge scenarios (20–20c): the wire-protocol front end under
 // injected edge faults. Invariants: acknowledged writes survive, torn

@@ -495,8 +495,21 @@ fn load_star_schema(db: &Arc<Database>, rng: &mut StdRng) -> Vec<String> {
         .collect();
     // Two or three pieces, each merged into a segment of its own (the last
     // by the maintenance below): a scan is a morsel per segment, so pool
-    // workers each hold a share of a sort, a join build, a GROUP BY.
-    let pieces: Vec<_> = rows.chunks(n.div_ceil(rng.gen_range(2..4usize))).collect();
+    // workers each hold a share of a sort, a join build, a GROUP BY. Each
+    // piece is four times the next — a coalesce folds a segment into the
+    // one behind it only at twice or less.
+    let count = rng.gen_range(2..4usize);
+    let weight = |k: usize| 4usize.pow((count - 1 - k) as u32);
+    let total: usize = (0..count).map(weight).sum();
+    let mut rest = &rows[..];
+    let pieces: Vec<&[oltapdb::common::Row]> = (0..count)
+        .map(|k| {
+            let take = if k + 1 == count { rest.len() } else { n * weight(k) / total };
+            let (piece, tail) = rest.split_at(take);
+            rest = tail;
+            piece
+        })
+        .collect();
     for (i, piece) in pieces.iter().enumerate() {
         let tx = db.txn_manager().begin();
         for row in *piece {
