@@ -20,6 +20,7 @@ pub fn eval_row(expr: &Expr, row: &Row) -> Result<Value> {
             .cloned()
             .ok_or_else(|| DbError::Execution(format!("column {i} out of range")))?),
         Expr::Literal(v) => Ok(v.clone()),
+        Expr::Param(i, _) => Err(DbError::Execution(format!("parameter ${i} was never filled"))),
         Expr::Binary { op, left, right } => {
             let l = eval_row(left, row)?;
             // Short-circuit-free for AND/OR: Kleene logic needs both.

@@ -243,6 +243,10 @@ impl TableHandle {
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: FxHashMap<String, TableHandle>,
+    /// Bumped by every change to the table set: a plan made at an older
+    /// generation may name a table, a column ordinal or a type that no
+    /// longer is.
+    generation: u64,
 }
 
 impl Catalog {
@@ -257,6 +261,7 @@ impl Catalog {
             return Err(DbError::AlreadyExists(name.to_string()));
         }
         self.tables.insert(name.to_string(), handle);
+        self.generation += 1;
         Ok(())
     }
 
@@ -264,8 +269,15 @@ impl Catalog {
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         self.tables
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::TableNotFound(name.to_string()))
+            .ok_or_else(|| DbError::TableNotFound(name.to_string()))?;
+        self.generation += 1;
+        Ok(())
+    }
+
+    /// The catalog's generation: it changes whenever a table is created or
+    /// dropped.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Looks a table up.

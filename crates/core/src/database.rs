@@ -1,6 +1,7 @@
 //! The `Database` facade: catalog + transactions + WAL + maintenance.
 
 use crate::catalog::{Catalog, TableFormat, TableHandle};
+use crate::prepared::PlanCache;
 use crate::session::{QueryResult, Session};
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::mem::{MemoryGovernor, WorkloadClass};
@@ -131,6 +132,12 @@ pub struct Database {
     /// Rung by a column table whose delta a scan has found worth merging;
     /// the maintenance daemon waits on it between its passes.
     bell: Arc<MergeBell>,
+    /// Plans by statement shape (see [`crate::prepared`]).
+    plans: PlanCache,
+    /// Set when a log append fails: the log may end in a torn frame, which
+    /// replay reads nothing behind, so nothing more is logged (and nothing
+    /// more committed) until the database is reopened.
+    log_failed: AtomicBool,
 }
 
 /// Sequence for per-database temp roots (ephemeral databases).
@@ -185,6 +192,8 @@ impl Database {
             history_floor: AtomicU64::new(0),
             heat_path: None,
             bell: Arc::default(),
+            plans: PlanCache::default(),
+            log_failed: AtomicBool::new(false),
         })
     }
 
@@ -251,6 +260,8 @@ impl Database {
             history_floor: AtomicU64::new(0),
             heat_path,
             bell: Arc::default(),
+            plans: PlanCache::default(),
+            log_failed: AtomicBool::new(false),
         });
         db.set_admission_config(config.admission);
         // Spill files never outlive a process on purpose; anything under
@@ -372,6 +383,11 @@ impl Database {
         }
     }
 
+    /// The plan cache sessions share.
+    pub(crate) fn plans(&self) -> &PlanCache {
+        &self.plans
+    }
+
     /// Read access to the catalog (held across bind + execute so the
     /// table set is stable for the statement).
     pub fn catalog_read(&self) -> RwLockReadGuard<'_, Catalog> {
@@ -397,18 +413,17 @@ impl Database {
     ) -> Result<()> {
         let sql = render_create_table(name, &schema, format);
         let handle = self.new_table(schema, format)?;
-        self.catalog.write().create(name, handle)?;
-        self.log_ddl(&sql)
+        self.publish_ddl(&sql, DdlChange::Create(name.to_string(), handle))
     }
 
     /// Applies a parsed DDL statement (used by sessions); `sql` is the
     /// original text, logged verbatim.
     pub(crate) fn execute_ddl(&self, stmt: &Statement, sql: &str) -> Result<()> {
-        self.apply_ddl(stmt)?;
-        self.log_ddl(sql)
+        self.publish_ddl(sql, self.ddl_change(stmt)?)
     }
 
-    fn apply_ddl(&self, stmt: &Statement) -> Result<()> {
+    /// The change `stmt` makes to the table set (a CREATE's table built).
+    fn ddl_change(&self, stmt: &Statement) -> Result<DdlChange> {
         match stmt {
             Statement::CreateTable {
                 name,
@@ -427,11 +442,29 @@ impl Database {
                 let key_refs: Vec<&str> = primary_key.iter().map(|s| s.as_str()).collect();
                 let schema = Arc::new(Schema::with_primary_key(fields, &key_refs)?);
                 let handle = self.new_table(schema, (*format).into())?;
-                self.catalog.write().create(name, handle)
+                Ok(DdlChange::Create(name.clone(), handle))
             }
-            Statement::DropTable { name } => self.catalog.write().drop_table(name),
+            Statement::DropTable { name } => Ok(DdlChange::Drop(name.clone())),
             other => Err(DbError::Unsupported(format!("not DDL: {other:?}"))),
         }
+    }
+
+    /// Applies DDL the way a commit applies writes — checked, logged, then
+    /// published — all under the catalog's write lock: no statement sees a
+    /// table set the log lacks, and a change that cannot apply is never
+    /// logged. Publishing bumps the catalog's generation, which retires
+    /// every plan made before it.
+    fn publish_ddl(&self, sql: &str, change: DdlChange) -> Result<()> {
+        let mut catalog = self.catalog.write();
+        change.check(&catalog)?;
+        self.append(&CommitRecord {
+            txn: oltap_common::ids::TxnId(0),
+            commit_ts: self.txn_mgr.tick(),
+            ops: vec![WalOp::Ddl {
+                sql: sql.to_string(),
+            }],
+        })?;
+        change.apply(&mut catalog)
     }
 
     /// An empty table paged through the database's pool, if it has one,
@@ -441,29 +474,37 @@ impl Database {
         TableHandle::create_with(schema, format, self.pager.clone(), bell)
     }
 
-    fn log_ddl(&self, sql: &str) -> Result<()> {
-        let cts = self.txn_mgr.tick();
-        self.wal.append(&CommitRecord {
-            txn: oltap_common::ids::TxnId(0),
-            commit_ts: cts,
-            ops: vec![WalOp::Ddl {
-                sql: sql.to_string(),
-            }],
-        })
+    /// Appends `record` to the log — or refuses, once an append has failed:
+    /// the failed append may have left a torn frame, and replay reads
+    /// nothing behind one, so a record logged after it would be lost at the
+    /// next open. Reopening truncates the torn tail and writes again.
+    fn append(&self, record: &CommitRecord) -> Result<()> {
+        if self.log_failed.load(Ordering::Acquire) {
+            return Err(DbError::Io(
+                "the write-ahead log failed an append; reopen the database to write again"
+                    .into(),
+            ));
+        }
+        self.wal
+            .append(record)
+            .inspect_err(|_| self.log_failed.store(true, Ordering::Release))
     }
 
-    /// Commits `txn` and durably logs its redo `ops` (the write-ahead
-    /// point of the engine).
+    /// Commits `txn`, logging its redo `ops` inside the commit window (the
+    /// write-ahead point of the engine): a commit the log refuses is rolled
+    /// back, so it is neither visible nor acknowledged. A transaction that
+    /// wrote nothing commits without logging.
     pub(crate) fn commit_txn(&self, txn: &Transaction, ops: Vec<WalOp>) -> Result<Ts> {
-        let cts = txn.commit()?;
-        if !ops.is_empty() {
-            self.wal.append(&CommitRecord {
-                txn: txn.id(),
-                commit_ts: cts,
-                ops,
-            })?;
+        if ops.is_empty() {
+            return txn.commit();
         }
-        Ok(cts)
+        txn.commit_logged(|commit_ts| {
+            self.append(&CommitRecord {
+                txn: txn.id(),
+                commit_ts,
+                ops,
+            })
+        })
     }
 
     /// WAL record count (diagnostics).
@@ -490,8 +531,7 @@ impl Database {
     fn apply_record(self: &Arc<Self>, rec: &CommitRecord) -> Result<()> {
         // DDL records hold exactly one op.
         if let [WalOp::Ddl { sql }] = rec.ops.as_slice() {
-            let stmt = parse(sql)?;
-            return self.apply_ddl(&stmt);
+            return self.ddl_change(&parse(sql)?)?.apply(&mut self.catalog.write());
         }
         let txn = self.txn_mgr.begin();
         for op in &rec.ops {
@@ -657,10 +697,15 @@ impl Database {
                 heat.absorb(&h);
             }
         }
+        let (plan_hits, plan_misses, plan_invalidations, plan_shapes) = self.plans.counters();
         DbStats {
             buffer: self.buffer_stats(),
             heat,
             history_floor: self.history_floor(),
+            plan_hits,
+            plan_misses,
+            plan_invalidations,
+            plan_shapes,
         }
     }
 
@@ -733,6 +778,41 @@ pub struct DbStats {
     pub heat: HeatStats,
     /// Oldest timestamp `AS OF` reads may target.
     pub history_floor: Ts,
+    /// Statements whose shape found its plan in the plan cache.
+    pub plan_hits: u64,
+    /// Statements whose shape did not (each planned its shape).
+    pub plan_misses: u64,
+    /// Of the misses, those that found a plan made before a DDL.
+    pub plan_invalidations: u64,
+    /// Shapes the cache holds now (at most
+    /// [`crate::prepared::PLAN_CACHE_SHAPES`]).
+    pub plan_shapes: usize,
+}
+
+/// One change to the table set.
+enum DdlChange {
+    Create(String, TableHandle),
+    Drop(String),
+}
+
+impl DdlChange {
+    /// Whether the change applies to `catalog`.
+    fn check(&self, catalog: &Catalog) -> Result<()> {
+        match self {
+            DdlChange::Create(name, _) if catalog.get(name).is_ok() => {
+                Err(DbError::AlreadyExists(name.clone()))
+            }
+            DdlChange::Create(..) => Ok(()),
+            DdlChange::Drop(name) => catalog.get(name).map(drop),
+        }
+    }
+
+    fn apply(self, catalog: &mut Catalog) -> Result<()> {
+        match self {
+            DdlChange::Create(name, handle) => catalog.create(&name, handle),
+            DdlChange::Drop(name) => catalog.drop_table(&name),
+        }
+    }
 }
 
 /// Result of one maintenance pass.

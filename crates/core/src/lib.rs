@@ -8,8 +8,8 @@
 //! * MVCC [`Database::session`] sessions with snapshot isolation;
 //! * a SQL surface ([`Database::execute`] /
 //!   [`session::Session::execute`]) covering DDL, DML, transactions, and
-//!   analytic queries, planned by `oltap-sql` and run on `oltap-exec`
-//!   morsel pipelines ([`physical`]);
+//!   analytic queries, planned by `oltap-sql` once per statement shape
+//!   ([`prepared`]) and run on `oltap-exec` morsel pipelines ([`physical`]);
 //! * write-ahead logging and recovery ([`Database::open`]);
 //! * background [`Database::maintenance`] (delta merge, dual-format
 //!   population, MVCC garbage collection) and an optional
@@ -18,6 +18,7 @@
 pub mod catalog;
 pub mod database;
 pub mod physical;
+pub mod prepared;
 pub mod session;
 
 pub use catalog::{Catalog, TableFormat, TableHandle};

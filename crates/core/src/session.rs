@@ -1,21 +1,21 @@
 //! Sessions: statement execution with explicit or automatic transactions.
 
+use crate::catalog::{Catalog, TableHandle};
 use crate::database::Database;
 use crate::physical::{execute_fragment, execute_plan, ExecContext, Partial};
+use crate::prepared::{compile, Prepared, Target, PLAN_CACHE_SHAPE_BYTES};
 use oltap_common::ids::TxnId;
 use oltap_common::mem::WorkloadClass;
-use oltap_sql::LogicalPlan;
 use oltap_common::schema::SchemaRef;
 use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{Batch, CancellationToken, DbError, Result, Row, Value};
-use oltap_exec::{CompiledExpr, Expr};
-use oltap_sql::ast::{AstExpr, SelectStmt, Statement};
-use oltap_sql::optimizer::split_pushdown;
-use oltap_sql::plan::{bind_scalar, literal_value};
-use oltap_sql::{bind_select, optimize, parse};
-use oltap_storage::ScanPredicate;
+use oltap_exec::CompiledExpr;
+use oltap_sql::ast::{AstExpr, Statement};
+use oltap_sql::plan::{as_of_timestamp, literal_value};
+use oltap_sql::{lex, parse, parse_tokens, Lexed, LogicalPlan};
 use oltap_txn::wal::WalOp;
 use oltap_txn::Transaction;
+use parking_lot::RwLockReadGuard;
 use std::sync::Arc;
 
 /// The result of executing one statement.
@@ -154,22 +154,96 @@ impl Session {
         self.active_cancel.lock().clone()
     }
 
-    /// Executes one SQL statement.
+    /// Executes one SQL statement through the database's plan cache: the
+    /// text is lexed into its shape and its literals; the plan kept for the
+    /// shape runs with them, or the statement is parsed and planned once
+    /// for its shape, kept, and run (see [`crate::prepared`]).
+    ///
+    /// A statement longer than [`PLAN_CACHE_SHAPE_BYTES`] — a bulk `INSERT`
+    /// — is not kept: it runs as [`Session::execute_statement`] runs it.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmt = parse(sql)?;
-        self.execute_statement(stmt, sql)
+        if sql.len() > PLAN_CACHE_SHAPE_BYTES {
+            return self.execute_statement(parse(sql)?, sql);
+        }
+        self.check_connection()?;
+        let db = Arc::clone(&self.db);
+        let Lexed {
+            tokens,
+            params,
+            shape,
+        } = lex(sql)?;
+        let catalog = db.catalog_read();
+        let generation = catalog.generation();
+        if let Some(prepared) = db.plans().get(&shape, generation) {
+            return self.run_prepared(&prepared, &params, catalog, sql);
+        }
+        match Prepared::new(parse_tokens(tokens, &params)?, &catalog)? {
+            Some(prepared) => {
+                let prepared = db.plans().insert(shape, generation, prepared);
+                self.run_prepared(&prepared, &params, catalog, sql)
+            }
+            // Its plan would depend on its literals' values: plan them.
+            None => {
+                drop(catalog);
+                self.execute_statement(parse(sql)?, sql)
+            }
+        }
     }
 
-    /// Executes an already parsed statement (`sql` is kept for DDL
-    /// logging).
+    /// Executes an already parsed statement of literals, as [`parse`]
+    /// makes it (`sql` is kept for DDL logging): planned for itself alone,
+    /// without the plan cache.
     pub fn execute_statement(&mut self, stmt: Statement, sql: &str) -> Result<QueryResult> {
-        // A tripped connection token rejects new statements immediately —
-        // the connection is dead, draining, or past its deadline.
-        if let Some(conn) = &self.session_cancel {
-            conn.check()?;
+        self.check_connection()?;
+        let db = Arc::clone(&self.db);
+        let catalog = db.catalog_read();
+        let prepared = Prepared::new(stmt, &catalog)?.ok_or_else(|| {
+            DbError::Plan("this statement binds by its literals' values: execute its text".into())
+        })?;
+        self.run_prepared(&prepared, &[], catalog, sql)
+    }
+
+    /// A tripped connection token rejects new statements immediately — the
+    /// connection is dead, draining, or past its deadline.
+    fn check_connection(&self) -> Result<()> {
+        match &self.session_cancel {
+            Some(conn) => conn.check(),
+            None => Ok(()),
         }
-        match stmt {
-            Statement::Begin => {
+    }
+
+    /// Runs `prepared` with `params` in its slots. `catalog` is the guard it
+    /// was found or planned under: a SELECT runs under it, a DML statement
+    /// finds its table through it.
+    fn run_prepared(
+        &mut self,
+        prepared: &Prepared,
+        params: &[Value],
+        catalog: RwLockReadGuard<'_, Catalog>,
+        sql: &str,
+    ) -> Result<QueryResult> {
+        match prepared {
+            Prepared::Select {
+                plan,
+                schema,
+                as_of,
+                explain,
+            } => {
+                let filled;
+                let plan = if params.is_empty() {
+                    plan
+                } else {
+                    let mut p = plan.clone();
+                    p.fill(params);
+                    filled = p;
+                    &filled
+                };
+                if *explain {
+                    return Ok(explain_rows(plan));
+                }
+                self.execute_select(plan, schema, as_of.as_ref(), params, &catalog)
+            }
+            Prepared::Begin => {
                 if self.txn.is_some() {
                     return Err(DbError::InvalidArgument(
                         "transaction already open".into(),
@@ -179,7 +253,7 @@ impl Session {
                 self.pending_ops.clear();
                 Ok(QueryResult::Txn("BEGIN"))
             }
-            Statement::Commit => {
+            Prepared::Commit => {
                 let txn = self
                     .txn
                     .take()
@@ -188,7 +262,7 @@ impl Session {
                 self.db.commit_txn(&txn, ops)?;
                 Ok(QueryResult::Txn("COMMIT"))
             }
-            Statement::Rollback => {
+            Prepared::Rollback => {
                 let txn = self
                     .txn
                     .take()
@@ -197,18 +271,23 @@ impl Session {
                 self.pending_ops.clear();
                 Ok(QueryResult::Txn("ROLLBACK"))
             }
-            Statement::CreateTable { .. } | Statement::DropTable { .. } => {
+            Prepared::Ddl(stmt) => {
+                drop(catalog);
                 if self.txn.is_some() {
                     return Err(DbError::Unsupported(
                         "DDL inside an open transaction".into(),
                     ));
                 }
-                self.db.execute_ddl(&stmt, sql)?;
+                self.db.execute_ddl(stmt, sql)?;
                 Ok(QueryResult::Ddl)
             }
-            Statement::Select(sel) => self.execute_select(&sel),
-            Statement::Explain(sel) => self.execute_explain(&sel),
-            dml => self.execute_dml(dml),
+            Prepared::Insert { table, .. }
+            | Prepared::Update { table, .. }
+            | Prepared::Delete { table, .. } => {
+                let handle = catalog.get(table)?;
+                drop(catalog);
+                self.execute_dml(prepared, &handle, params)
+            }
         }
     }
 
@@ -219,14 +298,21 @@ impl Session {
         }
     }
 
-    fn execute_select(&self, sel: &SelectStmt) -> Result<QueryResult> {
-        let (read_ts, me) = match sel.as_of {
+    fn execute_select(
+        &self,
+        plan: &LogicalPlan,
+        schema: &SchemaRef,
+        as_of: Option<&AstExpr>,
+        params: &[Value],
+        catalog: &Catalog,
+    ) -> Result<QueryResult> {
+        let (read_ts, me) = match as_of {
             // Time travel: pin the snapshot to the requested timestamp.
             // The reader identity is an anonymous snapshot reader, so a
             // historical read inside an open transaction does not see that
             // transaction's own pending writes.
             Some(ts) => {
-                let ts = ts as oltap_txn::Ts;
+                let ts = as_of_timestamp(ts, params)? as oltap_txn::Ts;
                 let floor = self.db.history_floor();
                 if ts < floor {
                     return Err(DbError::InvalidArgument(format!(
@@ -245,12 +331,12 @@ impl Session {
             }
             None => self.snapshot(),
         };
-        let catalog = self.db.catalog_read();
-        let plan = optimize(bind_select(sel, &*catalog)?)?;
-        let schema = plan.output_schema()?;
-        let batches = self.run(&plan, (read_ts, me), |ctx| execute_plan(&plan, &catalog, ctx))?;
+        let batches = self.run(plan, (read_ts, me), |ctx| execute_plan(plan, catalog, ctx))?;
         let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
-        Ok(QueryResult::Rows { schema, rows })
+        Ok(QueryResult::Rows {
+            schema: Arc::clone(schema),
+            rows,
+        })
     }
 
     /// Runs a fragment of a SELECT planned elsewhere — a distributed
@@ -292,44 +378,34 @@ impl Session {
         })
     }
 
-    /// EXPLAIN: bind + optimize, render the plan tree as one row per line.
-    fn execute_explain(&self, sel: &SelectStmt) -> Result<QueryResult> {
-        let catalog = self.db.catalog_read();
-        let plan = optimize(bind_select(sel, &*catalog)?)?;
-        let schema = Arc::new(oltap_common::Schema::new(vec![oltap_common::Field::new(
-            "plan",
-            oltap_common::DataType::Utf8,
-        )]));
-        let rows: Vec<Row> = plan
-            .explain()
-            .lines()
-            .map(|l| Row::new(vec![Value::Str(l.to_string())]))
-            .collect();
-        Ok(QueryResult::Rows { schema, rows })
-    }
-
     /// Runs DML in the open transaction, or in a fresh auto-commit one.
-    fn execute_dml(&mut self, stmt: Statement) -> Result<QueryResult> {
+    fn execute_dml(
+        &mut self,
+        dml: &Prepared,
+        handle: &TableHandle,
+        params: &[Value],
+    ) -> Result<QueryResult> {
         // DML is transactional work by definition: drains see Oltp and
         // grant the grace period instead of cancelling immediately.
         self.activity.set(Some(WorkloadClass::Oltp));
-        let out = self.execute_dml_inner(stmt);
+        let out = self.execute_dml_inner(dml, handle, params);
         self.activity.set(None);
         out
     }
 
-    fn execute_dml_inner(&mut self, stmt: Statement) -> Result<QueryResult> {
-        if self.txn.is_some() {
-            // Split borrows: take the txn out during execution.
-            let txn = self.txn.take().unwrap();
-            let result = self.apply_dml(&txn, &stmt);
-            self.txn = Some(txn);
-            let (n, ops) = result?;
+    fn execute_dml_inner(
+        &mut self,
+        dml: &Prepared,
+        handle: &TableHandle,
+        params: &[Value],
+    ) -> Result<QueryResult> {
+        if let Some(txn) = &self.txn {
+            let (n, ops) = self.apply_dml(txn, dml, handle, params)?;
             self.pending_ops.extend(ops);
             Ok(QueryResult::Affected(n))
         } else {
             let txn = self.db.txn_manager().begin();
-            match self.apply_dml(&txn, &stmt) {
+            match self.apply_dml(&txn, dml, handle, params) {
                 Ok((n, ops)) => {
                     self.db.commit_txn(&txn, ops)?;
                     Ok(QueryResult::Affected(n))
@@ -343,50 +419,61 @@ impl Session {
     }
 
     /// Applies a DML statement under `txn`; returns (affected, redo ops).
-    fn apply_dml(&self, txn: &Transaction, stmt: &Statement) -> Result<(usize, Vec<WalOp>)> {
-        match stmt {
-            Statement::Insert {
+    fn apply_dml(
+        &self,
+        txn: &Transaction,
+        dml: &Prepared,
+        handle: &TableHandle,
+        params: &[Value],
+    ) -> Result<(usize, Vec<WalOp>)> {
+        match dml {
+            Prepared::Insert {
                 table,
-                columns,
+                width,
+                targets,
                 rows,
             } => {
-                let handle = self.db.table(table)?;
-                let schema = Arc::clone(handle.schema());
+                // Every row is built before any is written: a value that
+                // fails leaves no row behind.
+                let rows = rows
+                    .iter()
+                    .map(|cells| {
+                        let mut vals = vec![Value::Null; *width];
+                        for (&t, cell) in targets.iter().zip(cells) {
+                            vals[t] = literal_value(cell, params)?;
+                        }
+                        Ok(Row::new(vals))
+                    })
+                    .collect::<Result<Vec<_>>>()?;
                 let mut ops = Vec::with_capacity(rows.len());
-                for literal_row in rows {
-                    let row = build_insert_row(&schema, columns.as_deref(), literal_row)?;
+                for row in rows {
                     handle.insert(txn, row.clone())?;
                     ops.push(WalOp::Insert {
                         table: table.clone(),
                         row,
                     });
                 }
-                Ok((rows.len(), ops))
+                Ok((ops.len(), ops))
             }
-            Statement::Update { table, set, filter } => {
-                let handle = self.db.table(table)?;
-                let schema = Arc::clone(handle.schema());
-                if !schema.has_primary_key() {
-                    return Err(DbError::Unsupported(
-                        "UPDATE on table without primary key".into(),
-                    ));
-                }
-                let set_bound: Vec<(usize, CompiledExpr)> = set
+            Prepared::Update {
+                table,
+                schema,
+                set,
+                target,
+            } => {
+                let set: Vec<(usize, CompiledExpr)> = set
                     .iter()
-                    .map(|(c, e)| {
-                        let e = CompiledExpr::new(bind_scalar(e, &schema)?, &schema);
-                        Ok((schema.index_of(c)?, e))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let targets = self.matching_rows(txn, &handle, &schema, filter.as_ref())?;
+                    .map(|(i, e)| (*i, compile(e, schema, params)))
+                    .collect();
+                let targets = self.matching_rows(txn, handle, schema, target, params)?;
                 // Every SET expression reads the old rows, and is evaluated
                 // over all of them before any is written: a division by
                 // zero or a mistyped value fails the statement with no row
                 // changed.
                 let mut new_rows = targets.clone();
                 if !targets.is_empty() {
-                    let old = Batch::from_rows(&schema, &targets)?;
-                    for (i, e) in &set_bound {
+                    let old = Batch::from_rows(schema, &targets)?;
+                    for (i, e) in &set {
                         let col = e.eval(&old)?;
                         for (r, new) in new_rows.iter_mut().enumerate() {
                             let v = col.value_at(r);
@@ -396,7 +483,7 @@ impl Session {
                     }
                 }
                 let mut ops = Vec::with_capacity(targets.len());
-                let pk_cols = schema.primary_key().to_vec();
+                let pk_cols = schema.primary_key();
                 for (old, new) in targets.into_iter().zip(new_rows) {
                     let old_key = schema.key_of(&old);
                     let pk_changed = pk_cols
@@ -424,15 +511,12 @@ impl Session {
                 }
                 Ok((ops.len(), ops))
             }
-            Statement::Delete { table, filter } => {
-                let handle = self.db.table(table)?;
-                let schema = Arc::clone(handle.schema());
-                if !schema.has_primary_key() {
-                    return Err(DbError::Unsupported(
-                        "DELETE on table without primary key".into(),
-                    ));
-                }
-                let targets = self.matching_rows(txn, &handle, &schema, filter.as_ref())?;
+            Prepared::Delete {
+                table,
+                schema,
+                target,
+            } => {
+                let targets = self.matching_rows(txn, handle, schema, target, params)?;
                 let mut ops = Vec::with_capacity(targets.len());
                 for row in &targets {
                     let key = schema.key_of(row);
@@ -453,28 +537,18 @@ impl Session {
     /// SELECT's is: the conjuncts storage evaluates are pushed into the
     /// access — a point lookup when they pin every primary-key column with
     /// equality (the OLTP shape: `WHERE pk = ...`, found by the extractor a
-    /// SELECT's access path is chosen with, [`ScanPredicate::pk_point`]), a
+    /// SELECT's access path is chosen with,
+    /// [`oltap_storage::ScanPredicate::pk_point`]), a
     /// scan otherwise — and the residual conjuncts filter what it returns.
     fn matching_rows(
         &self,
         txn: &Transaction,
-        handle: &crate::catalog::TableHandle,
+        handle: &TableHandle,
         schema: &oltap_common::Schema,
-        filter: Option<&AstExpr>,
+        target: &Target,
+        params: &[Value],
     ) -> Result<Vec<Row>> {
-        let all: Vec<usize> = (0..schema.len()).collect();
-        let (conjuncts, residual) = match filter {
-            Some(f) => split_pushdown(&bind_scalar(f, schema)?, &all, schema),
-            None => (Vec::new(), Vec::new()),
-        };
-        let pushed = ScanPredicate {
-            conjuncts,
-            join: None,
-        };
-        let residual = residual
-            .into_iter()
-            .reduce(Expr::and)
-            .map(|p| CompiledExpr::new(p, schema));
+        let (pushed, residual) = target.fill(schema, params);
         let (read_ts, me) = (txn.begin_ts(), txn.id());
         let batches = match pushed.pk_point(schema) {
             // The key only nominates a row: the whole pushdown is
@@ -488,7 +562,10 @@ impl Session {
                 }
                 _ => return Ok(Vec::new()),
             },
-            None => handle.scan(&all, &pushed, read_ts, me, BATCH_SIZE)?,
+            None => {
+                let all: Vec<usize> = (0..schema.len()).collect();
+                handle.scan(&all, &pushed, read_ts, me, BATCH_SIZE)?
+            }
         };
         let mut out = Vec::new();
         for b in &batches {
@@ -525,41 +602,18 @@ pub(crate) fn classify_plan(plan: &LogicalPlan) -> WorkloadClass {
     }
 }
 
-/// Builds a full-width row from an INSERT's literal list, honoring an
-/// explicit column list (missing columns become NULL).
-fn build_insert_row(
-    schema: &oltap_common::Schema,
-    columns: Option<&[String]>,
-    literals: &[AstExpr],
-) -> Result<Row> {
-    match columns {
-        None => {
-            if literals.len() != schema.len() {
-                return Err(DbError::InvalidArgument(format!(
-                    "INSERT has {} values, table has {} columns",
-                    literals.len(),
-                    schema.len()
-                )));
-            }
-            let vals = literals
-                .iter()
-                .map(literal_value)
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Row::new(vals))
-        }
-        Some(cols) => {
-            if literals.len() != cols.len() {
-                return Err(DbError::InvalidArgument(
-                    "INSERT column/value count mismatch".into(),
-                ));
-            }
-            let mut vals = vec![Value::Null; schema.len()];
-            for (c, l) in cols.iter().zip(literals) {
-                vals[schema.index_of(c)?] = literal_value(l)?;
-            }
-            Ok(Row::new(vals))
-        }
-    }
+/// EXPLAIN's answer: the plan tree, one row per line.
+fn explain_rows(plan: &LogicalPlan) -> QueryResult {
+    let schema = Arc::new(oltap_common::Schema::new(vec![oltap_common::Field::new(
+        "plan",
+        oltap_common::DataType::Utf8,
+    )]));
+    let rows: Vec<Row> = plan
+        .explain()
+        .lines()
+        .map(|l| Row::new(vec![Value::Str(l.to_string())]))
+        .collect();
+    QueryResult::Rows { schema, rows }
 }
 
 #[cfg(test)]

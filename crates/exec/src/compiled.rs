@@ -194,7 +194,7 @@ fn compile_node(expr: &Expr, schema: &Schema, prog: &mut Program, depth: u8) -> 
             }
             Some(t)
         }
-        Expr::IsNull(_) | Expr::IsNotNull(_) => None,
+        Expr::IsNull(_) | Expr::IsNotNull(_) | Expr::Param(..) => None,
     }
 }
 

@@ -106,6 +106,11 @@ pub enum Expr {
     Column(usize),
     /// A constant.
     Literal(Value),
+    /// A statement parameter: slot `0` of the values a planned statement
+    /// runs with, typed by `1`, the value it was planned with. A plan
+    /// carries it until the slot is filled with a [`Expr::Literal`] before
+    /// the plan runs; evaluating an unfilled slot is an error.
+    Param(usize, Value),
     /// Binary operation.
     Binary {
         /// Operator.
@@ -189,7 +194,7 @@ impl Expr {
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
         match self {
             Expr::Column(i) => out.push(*i),
-            Expr::Literal(_) => {}
+            Expr::Literal(_) | Expr::Param(..) => {}
             Expr::Binary { left, right, .. } => {
                 left.referenced_columns(out);
                 right.referenced_columns(out);
@@ -210,7 +215,7 @@ impl Expr {
                 }
                 Ok(normalize(schema.field(*i).data_type))
             }
-            Expr::Literal(v) => Ok(v
+            Expr::Literal(v) | Expr::Param(_, v) => Ok(v
                 .data_type()
                 .map(normalize)
                 .unwrap_or(DataType::Int64)), // NULL literal defaults to Int64
@@ -263,6 +268,9 @@ impl Expr {
                 .cloned()
                 .ok_or_else(|| DbError::Execution(format!("column {i} out of range"))),
             Expr::Literal(v) => broadcast(v, batch.len()),
+            Expr::Param(i, _) => Err(DbError::Execution(format!(
+                "parameter ${i} was never filled"
+            ))),
             Expr::Binary { op, left, right } => {
                 let l = left.eval_batch(batch)?;
                 let r = right.eval_batch(batch)?;
@@ -621,6 +629,7 @@ impl fmt::Display for Expr {
         match self {
             Expr::Column(i) => write!(f, "#{i}"),
             Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Param(i, _) => write!(f, "${i}"),
             Expr::Binary { op, left, right } => {
                 write!(f, "({left} {} {right})", op.symbol())
             }

@@ -31,6 +31,10 @@ pub enum AstExpr {
     Column(ColumnName),
     /// Literal value.
     Literal(Value),
+    /// A literal lifted out of the statement: its index among the
+    /// statement's parameters, and its value in this statement. A plan
+    /// bound from it is a plan for every statement of the same shape.
+    Param(usize, Value),
     /// Binary operation.
     Binary {
         /// Operator.
@@ -138,8 +142,9 @@ pub struct SelectStmt {
     /// OFFSET.
     pub offset: Option<usize>,
     /// `AS OF <ts>` time-travel clause: run the statement at this
-    /// historical snapshot instead of the session's.
-    pub as_of: Option<i64>,
+    /// historical snapshot instead of the session's (a literal or a
+    /// parameter; see [`crate::plan::as_of_timestamp`]).
+    pub as_of: Option<AstExpr>,
 }
 
 /// Storage format requested in CREATE TABLE ... USING FORMAT.

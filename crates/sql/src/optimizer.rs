@@ -15,7 +15,7 @@
 //! can push a Bloom-filter join filter (sideways information passing) into
 //! that scan once the build side is materialized.
 
-use crate::plan::{AccessPath, LogicalPlan, SipScan};
+use crate::plan::{AccessPath, LogicalPlan, ParamSlot, SipScan};
 use oltap_common::{Batch, DataType, Field, Result, Row, Schema, Value};
 use oltap_exec::expr::{BinOp, Expr};
 use oltap_exec::CompiledExpr;
@@ -28,7 +28,24 @@ use std::collections::BTreeSet;
 /// final column references, sideways-join marking last of all so the scan
 /// ordinals it records are the pruned ones the executor will see).
 pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let plan = fold_plan(plan)?;
+    optimize_folded(fold_plan(plan, &mut false)?)
+}
+
+/// [`optimize`] for a plan bound from a statement's parameters
+/// ([`crate::ast::AstExpr::Param`]): `None` when constant folding met a
+/// parameter — where the same statement's literals would fold (`id = 3 +
+/// 4`, `x AND TRUE`) the plan depends on their values, and the statement
+/// must be planned with its literals.
+pub fn optimize_shape(plan: LogicalPlan) -> Result<Option<LogicalPlan>> {
+    let mut met_param = false;
+    let plan = fold_plan(plan, &mut met_param)?;
+    if met_param {
+        return Ok(None);
+    }
+    optimize_folded(plan).map(Some)
+}
+
+fn optimize_folded(plan: LogicalPlan) -> Result<LogicalPlan> {
     let plan = push_down_predicates(plan)?;
     let plan = prune_scan_projections(plan)?;
     let mut next_id = 0u32;
@@ -39,22 +56,22 @@ pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
 // Constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
+fn fold_plan(plan: LogicalPlan, met: &mut bool) -> Result<LogicalPlan> {
     Ok(match plan {
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(fold_plan(*input)?),
-            predicate: fold_expr(predicate),
+            input: Box::new(fold_plan(*input, met)?),
+            predicate: fold(predicate, met),
         },
         LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(fold_plan(*input)?),
+            input: Box::new(fold_plan(*input, met)?),
             exprs: exprs
                 .into_iter()
-                .map(|(e, n)| (fold_expr(e), n))
+                .map(|(e, n)| (fold(e, met), n))
                 .collect(),
         },
         LogicalPlan::Aggregate { input, group, aggs } => LogicalPlan::Aggregate {
-            input: Box::new(fold_plan(*input)?),
-            group: group.into_iter().map(|(e, n)| (fold_expr(e), n)).collect(),
+            input: Box::new(fold_plan(*input, met)?),
+            group: group.into_iter().map(|(e, n)| (fold(e, met), n)).collect(),
             aggs,
         },
         LogicalPlan::Join {
@@ -65,15 +82,15 @@ fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
             join_type,
             sip,
         } => LogicalPlan::Join {
-            left: Box::new(fold_plan(*left)?),
-            right: Box::new(fold_plan(*right)?),
+            left: Box::new(fold_plan(*left, met)?),
+            right: Box::new(fold_plan(*right, met)?),
             left_keys,
             right_keys,
             join_type,
             sip,
         },
         LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(fold_plan(*input)?),
+            input: Box::new(fold_plan(*input, met)?),
             keys,
         },
         LogicalPlan::Limit {
@@ -81,7 +98,7 @@ fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
             offset,
             limit,
         } => LogicalPlan::Limit {
-            input: Box::new(fold_plan(*input)?),
+            input: Box::new(fold_plan(*input, met)?),
             offset,
             limit,
         },
@@ -93,38 +110,56 @@ fn fold_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
 /// engine's evaluator — so a folded statement answers exactly as the
 /// unfolded one would (integers wrap, comparisons promote). A subtree the
 /// evaluator rejects (division by zero, a type error) stays unfolded: the
-/// error must surface at execution.
+/// error must surface at execution. A parameter is not a literal: it never
+/// folds.
 pub fn fold_expr(e: Expr) -> Expr {
+    fold(e, &mut false)
+}
+
+/// [`fold_expr`], setting `met_param` where a parameter stands in a place
+/// a literal would have folded.
+fn fold(e: Expr, met_param: &mut bool) -> Expr {
     let is_literal = |e: &Expr| matches!(e, Expr::Literal(_));
+    let constant = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(..));
     // The node over its folded operands.
     let e = match e {
-        Expr::Binary { op, left, right } => match (op, fold_expr(*left), fold_expr(*right)) {
-            (op, left, right) if is_literal(&left) && is_literal(&right) => {
-                Expr::binary(op, left, right)
+        Expr::Binary { op, left, right } => {
+            match (op, fold(*left, met_param), fold(*right, met_param)) {
+                (op, left, right) if is_literal(&left) && is_literal(&right) => {
+                    Expr::binary(op, left, right)
+                }
+                // Boolean identities — plan rewrites, not arithmetic.
+                (BinOp::And, Expr::Literal(Value::Bool(true)), x)
+                | (BinOp::And, x, Expr::Literal(Value::Bool(true)))
+                | (BinOp::Or, Expr::Literal(Value::Bool(false)), x)
+                | (BinOp::Or, x, Expr::Literal(Value::Bool(false))) => return x,
+                (BinOp::And, f @ Expr::Literal(Value::Bool(false)), _)
+                | (BinOp::And, _, f @ Expr::Literal(Value::Bool(false))) => return f,
+                (BinOp::Or, t @ Expr::Literal(Value::Bool(true)), _)
+                | (BinOp::Or, _, t @ Expr::Literal(Value::Bool(true))) => return t,
+                (op, left, right) => {
+                    let boolean = |e: &Expr| matches!(e, Expr::Param(_, Value::Bool(_)));
+                    *met_param |= (constant(&left) && constant(&right))
+                        || (op.is_logic() && (boolean(&left) || boolean(&right)));
+                    Expr::binary(op, left, right)
+                }
             }
-            // Boolean identities — plan rewrites, not arithmetic.
-            (BinOp::And, Expr::Literal(Value::Bool(true)), x)
-            | (BinOp::And, x, Expr::Literal(Value::Bool(true)))
-            | (BinOp::Or, Expr::Literal(Value::Bool(false)), x)
-            | (BinOp::Or, x, Expr::Literal(Value::Bool(false))) => return x,
-            (BinOp::And, f @ Expr::Literal(Value::Bool(false)), _)
-            | (BinOp::And, _, f @ Expr::Literal(Value::Bool(false))) => return f,
-            (BinOp::Or, t @ Expr::Literal(Value::Bool(true)), _)
-            | (BinOp::Or, _, t @ Expr::Literal(Value::Bool(true))) => return t,
-            (op, left, right) => Expr::binary(op, left, right),
-        },
+        }
         Expr::Unary { op, expr } => Expr::Unary {
             op,
-            expr: Box::new(fold_expr(*expr)),
+            expr: Box::new(fold(*expr, met_param)),
         },
-        Expr::IsNull(inner) => Expr::IsNull(Box::new(fold_expr(*inner))),
-        Expr::IsNotNull(inner) => Expr::IsNotNull(Box::new(fold_expr(*inner))),
+        Expr::IsNull(inner) => Expr::IsNull(Box::new(fold(*inner, met_param))),
+        Expr::IsNotNull(inner) => Expr::IsNotNull(Box::new(fold(*inner, met_param))),
         leaf => return leaf,
     };
     let literal_only = match &e {
         Expr::Binary { left, right, .. } => is_literal(left) && is_literal(right),
-        Expr::Unary { expr, .. } | Expr::IsNull(expr) | Expr::IsNotNull(expr) => is_literal(expr),
-        Expr::Column(_) | Expr::Literal(_) => false,
+        Expr::Unary { expr, .. } | Expr::IsNull(expr) | Expr::IsNotNull(expr) => {
+            *met_param |= matches!(**expr, Expr::Param(..));
+            is_literal(expr)
+        }
+        Expr::Column(_) | Expr::Literal(_) | Expr::Param(..) => false,
     };
     if literal_only {
         return eval_literal_only(&e).unwrap_or(e);
@@ -160,9 +195,15 @@ fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
                     mut pushdown,
                     sip,
                     access: _,
+                    mut slots,
                 } => {
-                    let (pushed, residual) = split_pushdown(&predicate, &projection, &table_schema);
-                    pushdown.conjuncts.extend(pushed);
+                    let split = split_pushdown(&predicate, &projection, &table_schema);
+                    let base = pushdown.conjuncts.len();
+                    slots.extend(split.slots.into_iter().map(|s| ParamSlot {
+                        conjunct: base + s.conjunct,
+                        ..s
+                    }));
+                    pushdown.conjuncts.extend(split.pushed);
                     // The access path is a function of the pushdown: chosen
                     // here, where the pushdown is decided.
                     let access = AccessPath::choose(&pushdown, &table_schema);
@@ -173,8 +214,9 @@ fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
                         pushdown,
                         sip,
                         access,
+                        slots,
                     };
-                    match rebuild_conjunction(residual) {
+                    match rebuild_conjunction(split.residual) {
                         Some(pred) => LogicalPlan::Filter {
                             input: Box::new(scan),
                             predicate: pred,
@@ -303,40 +345,49 @@ pub fn split_conjuncts(e: Expr) -> Vec<Expr> {
     }
 }
 
+/// A predicate split for a scan by [`split_pushdown`].
+#[derive(Debug, Default)]
+pub struct Split {
+    /// The conjuncts storage evaluates natively, in source order.
+    pub pushed: Vec<ColumnPredicate>,
+    /// Which of `pushed` compare against a statement parameter.
+    pub slots: Vec<ParamSlot>,
+    /// The conjuncts an executor filter keeps, in source order.
+    pub residual: Vec<Expr>,
+}
+
 /// Splits `predicate` into the conjuncts storage evaluates natively
-/// (`column <op> literal`, as ordinals of `table_schema` through
-/// `projection`) and the residual ones an executor filter keeps, both in
-/// source order.
-pub fn split_pushdown(
-    predicate: &Expr,
-    projection: &[usize],
-    table_schema: &Schema,
-) -> (Vec<ColumnPredicate>, Vec<Expr>) {
-    fn walk(
-        e: &Expr,
-        projection: &[usize],
-        table_schema: &Schema,
-        pushed: &mut Vec<ColumnPredicate>,
-        residual: &mut Vec<Expr>,
-    ) {
+/// (`column <op> literal` or `column <op> parameter`, as ordinals of
+/// `table_schema` through `projection`) and the residual ones an executor
+/// filter keeps.
+pub fn split_pushdown(predicate: &Expr, projection: &[usize], table_schema: &Schema) -> Split {
+    fn walk(e: &Expr, projection: &[usize], table_schema: &Schema, out: &mut Split) {
         match e {
             Expr::Binary {
                 op: BinOp::And,
                 left,
                 right,
             } => {
-                walk(left, projection, table_schema, pushed, residual);
-                walk(right, projection, table_schema, pushed, residual);
+                walk(left, projection, table_schema, out);
+                walk(right, projection, table_schema, out);
             }
             conj => match to_column_predicate(conj, projection, table_schema) {
-                Some(cp) => pushed.push(cp),
-                None => residual.push(conj.clone()),
+                Some((cp, param)) => {
+                    if let Some(param) = param {
+                        out.slots.push(ParamSlot {
+                            conjunct: out.pushed.len(),
+                            param,
+                        });
+                    }
+                    out.pushed.push(cp);
+                }
+                None => out.residual.push(conj.clone()),
             },
         }
     }
-    let (mut pushed, mut residual) = (Vec::new(), Vec::new());
-    walk(predicate, projection, table_schema, &mut pushed, &mut residual);
-    (pushed, residual)
+    let mut out = Split::default();
+    walk(predicate, projection, table_schema, &mut out);
+    out
 }
 
 fn rebuild_conjunction(mut conjuncts: Vec<Expr>) -> Option<Expr> {
@@ -352,14 +403,16 @@ fn rebuild_conjunction(mut conjuncts: Vec<Expr>) -> Option<Expr> {
     }))
 }
 
-/// Tries to convert `#col op literal` (either side) or `#col IS NOT NULL`
-/// into a storage predicate. `projection` maps plan ordinals back to table
-/// ordinals.
+/// Tries to convert `#col op literal` or `#col op parameter` (either
+/// side) or `#col IS NOT NULL` into a storage predicate, with the
+/// parameter's index when it compares against one (the predicate then
+/// holds the value the parameter was planned with). `projection` maps plan
+/// ordinals back to table ordinals.
 fn to_column_predicate(
     e: &Expr,
     projection: &[usize],
     table_schema: &Schema,
-) -> Option<ColumnPredicate> {
+) -> Option<(ColumnPredicate, Option<usize>)> {
     let (op, l, r) = match e {
         Expr::Binary { op, left, right } => (*op, left.as_ref(), right.as_ref()),
         // A storage comparison never matches NULL, so `>=` the least value
@@ -376,7 +429,7 @@ fn to_column_predicate(
                 DataType::Utf8 => Value::Str(String::new()),
                 DataType::Bool => Value::Bool(false),
             };
-            return Some(ColumnPredicate::new(column, CmpOp::Ge, least));
+            return Some((ColumnPredicate::new(column, CmpOp::Ge, least), None));
         }
         _ => return None,
     };
@@ -389,13 +442,14 @@ fn to_column_predicate(
         BinOp::Ge => CmpOp::Ge,
         _ => return None,
     };
-    match (l, r) {
-        (Expr::Column(c), Expr::Literal(v)) => Some(ColumnPredicate::new(
-            *projection.get(*c)?,
-            cmp,
-            v.clone(),
-        )),
-        (Expr::Literal(v), Expr::Column(c)) => {
+    let constant = |e: &Expr| match e {
+        Expr::Literal(v) => Some((v.clone(), None)),
+        Expr::Param(i, v) => Some((v.clone(), Some(*i))),
+        _ => None,
+    };
+    let (c, cmp, (value, param)) = match (l, r) {
+        (Expr::Column(c), other) => (c, cmp, constant(other)?),
+        (other, Expr::Column(c)) => {
             let flipped = match cmp {
                 CmpOp::Lt => CmpOp::Gt,
                 CmpOp::Le => CmpOp::Ge,
@@ -403,14 +457,11 @@ fn to_column_predicate(
                 CmpOp::Ge => CmpOp::Le,
                 other => other,
             };
-            Some(ColumnPredicate::new(
-                *projection.get(*c)?,
-                flipped,
-                v.clone(),
-            ))
+            (c, flipped, constant(other)?)
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some((ColumnPredicate::new(*projection.get(*c)?, cmp, value), param))
 }
 
 // ---------------------------------------------------------------------------
@@ -438,6 +489,7 @@ fn prune(plan: LogicalPlan, required: &BTreeSet<usize>) -> Result<(LogicalPlan, 
             pushdown,
             sip,
             access,
+            slots,
         } => {
             // Keep only required ordinals (in original order). A scan must
             // keep at least one column, otherwise batches lose their row
@@ -461,6 +513,7 @@ fn prune(plan: LogicalPlan, required: &BTreeSet<usize>) -> Result<(LogicalPlan, 
                     pushdown, // table-ordinal based: unaffected
                     sip,      // table-ordinal based too (marked after pruning)
                     access,   // a key of table values: unaffected
+                    slots,    // pushdown positions: unaffected
                 },
                 mapping,
             ))
@@ -741,6 +794,7 @@ fn attach_sip(plan: LogicalPlan, plan_cols: &[usize], id: u32) -> (LogicalPlan, 
             pushdown,
             sip: None,
             access,
+            slots,
         } => {
             let mapped: Option<Vec<usize>> = plan_cols
                 .iter()
@@ -758,6 +812,7 @@ fn attach_sip(plan: LogicalPlan, plan_cols: &[usize], id: u32) -> (LogicalPlan, 
                         key_columns,
                     }),
                     access,
+                    slots,
                 },
                 attached,
             )
@@ -770,7 +825,7 @@ fn attach_sip(plan: LogicalPlan, plan_cols: &[usize], id: u32) -> (LogicalPlan, 
 fn shift_expr(e: Expr, by: usize) -> Expr {
     match e {
         Expr::Column(i) => Expr::Column(i - by),
-        Expr::Literal(v) => Expr::Literal(v),
+        leaf @ (Expr::Literal(_) | Expr::Param(..)) => leaf,
         Expr::Binary { op, left, right } => Expr::Binary {
             op,
             left: Box::new(shift_expr(*left, by)),
@@ -797,7 +852,7 @@ fn remap_expr(e: Expr, mapping: &[usize]) -> Expr {
             let new = mapping.get(i).copied().unwrap_or(i);
             Expr::Column(if new == usize::MAX { i } else { new })
         }
-        Expr::Literal(v) => Expr::Literal(v),
+        leaf @ (Expr::Literal(_) | Expr::Param(..)) => leaf,
         Expr::Binary { op, left, right } => Expr::Binary {
             op,
             left: Box::new(remap_expr(*left, mapping)),

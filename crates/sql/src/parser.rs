@@ -2,13 +2,24 @@
 //! expressions.
 
 use crate::ast::*;
+use crate::plan::as_of_timestamp;
 use crate::token::{tokenize, Token};
 use oltap_common::{DataType, DbError, Result, Value};
 
 /// Parses one statement (a trailing semicolon is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    parse_tokens(tokenize(sql)?, &[])
+}
+
+/// Parses one statement from the tokens [`crate::token::lex`] made of it:
+/// each [`Token::Param`] becomes an [`AstExpr::Param`] holding its value
+/// from `params`.
+pub fn parse_tokens(tokens: Vec<Token>, params: &[Value]) -> Result<Statement> {
+    let mut p = Parser {
+        tokens,
+        params,
+        pos: 0,
+    };
     let stmt = p.statement()?;
     p.eat_if(&Token::Semicolon);
     p.expect(&Token::Eof)?;
@@ -17,8 +28,11 @@ pub fn parse(sql: &str) -> Result<Statement> {
 
 /// Parses a semicolon-separated script.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: tokenize(sql)?,
+        params: &[],
+        pos: 0,
+    };
     let mut out = Vec::new();
     loop {
         while p.eat_if(&Token::Semicolon) {}
@@ -29,22 +43,26 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
     }
 }
 
-struct Parser {
+struct Parser<'a> {
     tokens: Vec<Token>,
+    params: &'a [Value],
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
 
+    /// The current token, moved out (the parser never looks back), and a
+    /// step forward; at the end, `Eof` again.
     fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1], Token::Eof)
+        } else {
+            self.tokens[self.pos].clone()
         }
-        t
     }
 
     fn eat_if(&mut self, t: &Token) -> bool {
@@ -57,7 +75,7 @@ impl Parser {
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Token::Keyword(k) if k == kw) {
+        if matches!(self.peek(), Token::Keyword(k) if *k == kw) {
             self.next();
             true
         } else {
@@ -97,7 +115,7 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Statement> {
         match self.peek() {
-            Token::Keyword(k) => match k.as_str() {
+            Token::Keyword(k) => match *k {
                 "SELECT" => Ok(Statement::Select(Box::new(self.select()?))),
                 "EXPLAIN" => {
                     self.next();
@@ -202,7 +220,7 @@ impl Parser {
 
     fn data_type(&mut self) -> Result<DataType> {
         match self.next() {
-            Token::Keyword(k) => match k.as_str() {
+            Token::Keyword(k) => match k {
                 "INT" | "BIGINT" => Ok(DataType::Int64),
                 "DOUBLE" | "FLOAT" => Ok(DataType::Float64),
                 "TEXT" => Ok(DataType::Utf8),
@@ -330,7 +348,7 @@ impl Parser {
         // Time travel: `FROM t AS OF <ts>` pins the statement's snapshot.
         let as_of = if self.eat_kw("AS") {
             self.expect_kw("OF")?;
-            Some(self.usize_literal()? as i64)
+            Some(self.timestamp()?)
         } else {
             None
         };
@@ -440,12 +458,35 @@ impl Parser {
         }
     }
 
+    /// `AS OF`'s timestamp, lifted or not.
+    fn timestamp(&mut self) -> Result<AstExpr> {
+        let ts = match self.next() {
+            Token::Int(n) => AstExpr::Literal(Value::Int(n)),
+            Token::Param(i) => self.param(i)?,
+            other => {
+                return Err(DbError::Parse(format!(
+                    "expected non-negative integer, found {other:?}"
+                )))
+            }
+        };
+        as_of_timestamp(&ts, self.params)?;
+        Ok(ts)
+    }
+
+    fn param(&self, i: usize) -> Result<AstExpr> {
+        let v = self
+            .params
+            .get(i)
+            .ok_or_else(|| DbError::Parse(format!("parameter {i} has no value")))?;
+        Ok(AstExpr::Param(i, v.clone()))
+    }
+
     fn table_ref(&mut self) -> Result<TableRef> {
         let name = self.ident()?;
         // `AS` introduces an alias unless it starts an `AS OF <ts>`
         // time-travel clause (two-token lookahead).
-        let starts_as_of = matches!(self.peek(), Token::Keyword(k) if k == "AS")
-            && matches!(self.tokens.get(self.pos + 1), Some(Token::Keyword(k)) if k == "OF");
+        let starts_as_of = matches!(self.peek(), Token::Keyword("AS"))
+            && matches!(self.tokens.get(self.pos + 1), Some(Token::Keyword("OF")));
         let alias = if starts_as_of {
             None
         } else if self.eat_kw("AS") {
@@ -482,8 +523,8 @@ impl Parser {
         let mut lhs = self.prefix()?;
         loop {
             let (op, bp) = match self.peek() {
-                Token::Keyword(k) if k == "OR" => (BinOp::Or, 1),
-                Token::Keyword(k) if k == "AND" => (BinOp::And, 2),
+                Token::Keyword("OR") => (BinOp::Or, 1),
+                Token::Keyword("AND") => (BinOp::And, 2),
                 Token::Eq => (BinOp::Eq, 4),
                 Token::Ne => (BinOp::Ne, 4),
                 Token::Lt => (BinOp::Lt, 4),
@@ -495,7 +536,7 @@ impl Parser {
                 Token::Star => (BinOp::Mul, 6),
                 Token::Slash => (BinOp::Div, 6),
                 Token::Percent => (BinOp::Mod, 6),
-                Token::Keyword(k) if k == "IS" => {
+                Token::Keyword("IS") => {
                     if min_bp > 4 {
                         break;
                     }
@@ -526,59 +567,37 @@ impl Parser {
     }
 
     fn prefix(&mut self) -> Result<AstExpr> {
-        match self.peek().clone() {
-            Token::Keyword(k) if k == "NOT" => {
-                self.next();
-                Ok(AstExpr::Not(Box::new(self.expr(3)?)))
-            }
-            Token::Minus => {
-                self.next();
-                Ok(AstExpr::Neg(Box::new(self.prefix()?)))
-            }
-            Token::Int(n) => {
-                self.next();
-                Ok(AstExpr::Literal(Value::Int(n)))
-            }
-            Token::Float(f) => {
-                self.next();
-                Ok(AstExpr::Literal(Value::Float(f)))
-            }
-            Token::Str(s) => {
-                self.next();
-                Ok(AstExpr::Literal(Value::Str(s)))
-            }
-            Token::Keyword(k) if k == "TRUE" => {
-                self.next();
-                Ok(AstExpr::Literal(Value::Bool(true)))
-            }
-            Token::Keyword(k) if k == "FALSE" => {
-                self.next();
-                Ok(AstExpr::Literal(Value::Bool(false)))
-            }
-            Token::Keyword(k) if k == "NULL" => {
-                self.next();
-                Ok(AstExpr::Literal(Value::Null))
-            }
-            Token::Keyword(k)
-                if matches!(k.as_str(), "COUNT" | "SUM" | "MIN" | "MAX" | "AVG") =>
-            {
-                self.next();
+        if let Token::Ident(_) = self.peek() {
+            return Ok(AstExpr::Column(self.column_name()?));
+        }
+        match self.next() {
+            Token::Keyword("NOT") => Ok(AstExpr::Not(Box::new(self.expr(3)?))),
+            Token::Minus => Ok(AstExpr::Neg(Box::new(self.prefix()?))),
+            Token::Int(n) => Ok(AstExpr::Literal(Value::Int(n))),
+            Token::Float(f) => Ok(AstExpr::Literal(Value::Float(f))),
+            Token::Str(s) => Ok(AstExpr::Literal(Value::Str(s))),
+            Token::Param(i) => self.param(i),
+            Token::Keyword("TRUE") => Ok(AstExpr::Literal(Value::Bool(true))),
+            Token::Keyword("FALSE") => Ok(AstExpr::Literal(Value::Bool(false))),
+            Token::Keyword("NULL") => Ok(AstExpr::Literal(Value::Null)),
+            Token::Keyword(func @ ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG")) => {
                 self.expect(&Token::LParen)?;
-                let arg = if k == "COUNT" && self.eat_if(&Token::Star) {
+                let arg = if func == "COUNT" && self.eat_if(&Token::Star) {
                     None
                 } else {
                     Some(Box::new(self.expr(0)?))
                 };
                 self.expect(&Token::RParen)?;
-                Ok(AstExpr::Aggregate { func: k, arg })
+                Ok(AstExpr::Aggregate {
+                    func: func.to_string(),
+                    arg,
+                })
             }
             Token::LParen => {
-                self.next();
                 let e = self.expr(0)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Token::Ident(_) => Ok(AstExpr::Column(self.column_name()?)),
             other => Err(DbError::Parse(format!(
                 "unexpected token in expression: {other:?}"
             ))),
@@ -656,7 +675,9 @@ mod tests {
         let s = parse("INSERT INTO t VALUES (-5, -2.5)").unwrap();
         match s {
             Statement::Insert { rows, .. } => {
-                assert_eq!(rows[0][0], AstExpr::Neg(Box::new(AstExpr::Literal(Value::Int(5)))));
+                // The minus is part of the number.
+                assert_eq!(rows[0][0], AstExpr::Literal(Value::Int(-5)));
+                assert_eq!(rows[0][1], AstExpr::Literal(Value::Float(-2.5)));
             }
             other => panic!("{other:?}"),
         }
@@ -704,7 +725,7 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("{other:?}"),
         };
-        assert_eq!(sel.as_of, Some(42));
+        assert_eq!(sel.as_of, Some(AstExpr::Literal(Value::Int(42))));
         assert_eq!(sel.from.alias, None);
         assert!(sel.filter.is_some());
 
@@ -714,11 +735,34 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(sel.from.alias.as_deref(), Some("o"));
-        assert_eq!(sel.as_of, Some(7));
+        assert_eq!(sel.as_of, Some(AstExpr::Literal(Value::Int(7))));
 
         // A negative or missing timestamp is a parse error.
         assert!(parse("SELECT v FROM t AS OF -1").is_err());
         assert!(parse("SELECT v FROM t AS OF").is_err());
+    }
+
+    /// What `lex` lifted parses to parameters holding their values; the
+    /// counts the shape keeps stay literal.
+    #[test]
+    fn parses_lifted_literals_as_params() {
+        let l = crate::token::lex("SELECT v FROM t AS OF 9 WHERE id = -3 AND s = 'x' LIMIT 2").unwrap();
+        let sel = match parse_tokens(l.tokens, &l.params).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(sel.as_of, Some(AstExpr::Param(0, Value::Int(9))));
+        assert_eq!(sel.limit, Some(2));
+        match sel.filter.unwrap() {
+            AstExpr::Binary { left, right, .. } => {
+                assert!(matches!(*left, AstExpr::Binary { right, .. } if *right == AstExpr::Param(1, Value::Int(-3))));
+                assert!(matches!(*right, AstExpr::Binary { right, .. } if *right == AstExpr::Param(2, Value::Str("x".into()))));
+            }
+            other => panic!("{other:?}"),
+        }
+        // A negative timestamp fails lifted as it does written.
+        let l = crate::token::lex("SELECT v FROM t AS OF -1").unwrap();
+        assert!(matches!(parse_tokens(l.tokens, &l.params), Err(DbError::Parse(_))));
     }
 
     #[test]

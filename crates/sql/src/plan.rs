@@ -59,6 +59,16 @@ impl AccessPath {
     }
 }
 
+/// A pushdown conjunct whose value is a statement parameter: filled by
+/// [`LogicalPlan::fill`] before the plan runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamSlot {
+    /// Index into the scan's `pushdown.conjuncts`.
+    pub conjunct: usize,
+    /// Index into the statement's parameters.
+    pub param: usize,
+}
+
 /// A bound logical plan node.
 #[derive(Debug, Clone)]
 pub enum LogicalPlan {
@@ -78,6 +88,9 @@ pub enum LogicalPlan {
         /// How the rows are reached, set by the optimizer with the
         /// pushdown.
         access: AccessPath,
+        /// The pushdown conjuncts whose value is a statement parameter
+        /// (empty in a plan of literals).
+        slots: Vec<ParamSlot>,
     },
     /// Row filter (ordinals refer to the input's output).
     Filter {
@@ -190,6 +203,67 @@ impl LogicalPlan {
                 Arc::new(Schema::new(fields))
             }
         })
+    }
+
+    /// Fills every parameter slot with its value from `params`: each
+    /// [`Expr::Param`] becomes a literal ([`fill_expr`]), each pushdown
+    /// [`ParamSlot`] gets its value, and a scan's access path is chosen
+    /// again from the filled pushdown (the parameters' types, fixed by the
+    /// shape, decide *which* path; their values are the key). A slot
+    /// `params` lacks keeps the value it was planned with.
+    pub fn fill(&mut self, params: &[Value]) {
+        match self {
+            LogicalPlan::Scan {
+                table_schema,
+                pushdown,
+                access,
+                slots,
+                ..
+            } => {
+                for s in slots.iter() {
+                    if let (Some(c), Some(v)) =
+                        (pushdown.conjuncts.get_mut(s.conjunct), params.get(s.param))
+                    {
+                        c.value = v.clone();
+                    }
+                }
+                if !slots.is_empty() {
+                    *access = AccessPath::choose(pushdown, table_schema);
+                }
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                fill_expr(predicate, params);
+                input.fill(params);
+            }
+            LogicalPlan::Project { input, exprs } => {
+                exprs.iter_mut().for_each(|(e, _)| fill_expr(e, params));
+                input.fill(params);
+            }
+            LogicalPlan::Aggregate { input, group, aggs } => {
+                group.iter_mut().for_each(|(e, _)| fill_expr(e, params));
+                aggs.iter_mut()
+                    .filter_map(|a| a.input.as_mut())
+                    .for_each(|e| fill_expr(e, params));
+                input.fill(params);
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                ..
+            } => {
+                left_keys.iter_mut().for_each(|e| fill_expr(e, params));
+                right_keys.iter_mut().for_each(|e| fill_expr(e, params));
+                left.fill(params);
+                right.fill(params);
+            }
+            LogicalPlan::Sort { input, keys } => {
+                keys.iter_mut().for_each(|k| fill_expr(&mut k.expr, params));
+                input.fill(params);
+            }
+            LogicalPlan::Limit { input, .. } => input.fill(params),
+        }
     }
 
     /// Pretty-prints the plan tree (EXPLAIN output).
@@ -350,11 +424,31 @@ impl Scope {
     }
 }
 
+/// Replaces every [`Expr::Param`] in `e` with a literal: its value from
+/// `params`, or, for a slot `params` lacks, the value it was planned with.
+pub fn fill_expr(e: &mut Expr, params: &[Value]) {
+    match e {
+        Expr::Param(i, planned) => {
+            let v = params.get(*i).unwrap_or(planned).clone();
+            *e = Expr::Literal(v);
+        }
+        Expr::Column(_) | Expr::Literal(_) => {}
+        Expr::Binary { left, right, .. } => {
+            fill_expr(left, params);
+            fill_expr(right, params);
+        }
+        Expr::Unary { expr, .. } | Expr::IsNull(expr) | Expr::IsNotNull(expr) => {
+            fill_expr(expr, params)
+        }
+    }
+}
+
 /// Binds a scalar [`AstExpr`] (no aggregates allowed) against a scope.
 fn bind_expr(e: &AstExpr, scope: &Scope) -> Result<Expr> {
     Ok(match e {
         AstExpr::Column(c) => Expr::Column(scope.resolve(c)?),
         AstExpr::Literal(v) => Expr::Literal(v.clone()),
+        AstExpr::Param(i, v) => Expr::Param(*i, v.clone()),
         AstExpr::Binary { op, left, right } => Expr::Binary {
             op: *op,
             left: Box::new(bind_expr(left, scope)?),
@@ -394,7 +488,7 @@ pub fn bind_scalar(e: &AstExpr, schema: &Schema) -> Result<Expr> {
 fn contains_aggregate(e: &AstExpr) -> bool {
     match e {
         AstExpr::Aggregate { .. } => true,
-        AstExpr::Column(_) | AstExpr::Literal(_) => false,
+        AstExpr::Column(_) | AstExpr::Literal(_) | AstExpr::Param(..) => false,
         AstExpr::Binary { left, right, .. } => {
             contains_aggregate(left) || contains_aggregate(right)
         }
@@ -428,6 +522,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogView) -> Result<Logic
         pushdown: ScanPredicate::all(),
         sip: None,
         access: AccessPath::FullScan,
+        slots: Vec::new(),
     };
     for j in &stmt.joins {
         let right_schema = catalog.table_schema(&j.table.name)?;
@@ -439,6 +534,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogView) -> Result<Logic
             pushdown: ScanPredicate::all(),
             sip: None,
             access: AccessPath::FullScan,
+            slots: Vec::new(),
         };
         let mut left_keys = Vec::new();
         let mut right_keys = Vec::new();
@@ -485,17 +581,55 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogView) -> Result<Logic
         };
     }
 
-    let has_aggs = !stmt.group_by.is_empty()
+    if aggregates(stmt) {
+        bind_aggregate_query(stmt, plan, &scope)
+    } else {
+        bind_simple_query(stmt, plan, &scope)
+    }
+}
+
+/// Whether `stmt` is an aggregate query.
+fn aggregates(stmt: &SelectStmt) -> bool {
+    !stmt.group_by.is_empty()
         || stmt.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => contains_aggregate(expr),
             SelectItem::Wildcard => false,
         })
-        || stmt.having.as_ref().map(contains_aggregate).unwrap_or(false);
+        || stmt.having.as_ref().is_some_and(contains_aggregate)
+}
 
-    if has_aggs {
-        bind_aggregate_query(stmt, plan, &scope)
+/// Whether binding `stmt` reads a parameter's *value*, so that its plan
+/// is not one plan for every statement of its shape: an aggregate query
+/// matches its SELECT list, GROUP BY, HAVING and ORDER BY expressions
+/// against each other by their literals, and an unaliased literal in the
+/// SELECT list names its output column.
+pub fn binds_by_value(stmt: &SelectStmt) -> bool {
+    fn has_param(e: &AstExpr) -> bool {
+        match e {
+            AstExpr::Param(..) => true,
+            AstExpr::Column(_) | AstExpr::Literal(_) => false,
+            AstExpr::Binary { left, right, .. } => has_param(left) || has_param(right),
+            AstExpr::Not(x) | AstExpr::Neg(x) | AstExpr::IsNull(x) | AstExpr::IsNotNull(x) => {
+                has_param(x)
+            }
+            AstExpr::Aggregate { arg, .. } => arg.as_deref().is_some_and(has_param),
+        }
+    }
+    let items = stmt.items.iter().filter_map(|i| match i {
+        SelectItem::Expr { expr, alias } => Some((expr, alias.is_some())),
+        SelectItem::Wildcard => None,
+    });
+    if aggregates(stmt) {
+        let mut matched = items
+            .map(|(e, _)| e)
+            .chain(&stmt.group_by)
+            .chain(&stmt.having)
+            .chain(stmt.order_by.iter().map(|o| &o.expr));
+        matched.any(has_param)
     } else {
-        bind_simple_query(stmt, plan, &scope)
+        items
+            .filter(|(_, aliased)| !aliased)
+            .any(|(e, _)| matches!(e, AstExpr::Param(..)))
     }
 }
 
@@ -705,7 +839,7 @@ fn collect_aggs(e: &AstExpr, scope: &Scope, aggs: &mut Vec<AggExpr>) -> Result<(
             }
             Ok(())
         }
-        AstExpr::Column(_) | AstExpr::Literal(_) => Ok(()),
+        AstExpr::Column(_) | AstExpr::Literal(_) | AstExpr::Param(..) => Ok(()),
         AstExpr::Binary { left, right, .. } => {
             collect_aggs(left, scope, aggs)?;
             collect_aggs(right, scope, aggs)
@@ -742,6 +876,7 @@ fn rebind_over_aggregate(
             Ok(Expr::Column(group_ast.len() + pos))
         }
         AstExpr::Literal(v) => Ok(Expr::Literal(v.clone())),
+        AstExpr::Param(i, v) => Ok(Expr::Param(*i, v.clone())),
         AstExpr::Column(c) => Err(DbError::Plan(format!(
             "column {c} must appear in GROUP BY or inside an aggregate"
         ))),
@@ -774,23 +909,35 @@ fn display_name(e: &AstExpr) -> String {
             None => "count".to_string(),
             Some(a) => format!("{}_{}", func.to_ascii_lowercase(), display_name(a)),
         },
-        AstExpr::Literal(v) => v.to_string(),
+        AstExpr::Literal(v) | AstExpr::Param(_, v) => v.to_string(),
         _ => "expr".to_string(),
     }
 }
 
-/// Folds `-literal` and similar into plain literals (used when binding
-/// INSERT values).
-pub fn literal_value(e: &AstExpr) -> Result<Value> {
+/// The value of an INSERT cell: a literal, a parameter (its value from
+/// `params`, or the one it was parsed with where `params` lacks it), or a
+/// negation of one.
+pub fn literal_value(e: &AstExpr, params: &[Value]) -> Result<Value> {
     match e {
         AstExpr::Literal(v) => Ok(v.clone()),
-        AstExpr::Neg(inner) => match literal_value(inner)? {
+        AstExpr::Param(i, parsed) => Ok(params.get(*i).unwrap_or(parsed).clone()),
+        AstExpr::Neg(inner) => match literal_value(inner, params)? {
             Value::Int(i) => Ok(Value::Int(-i)),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(DbError::Plan(format!("cannot negate {other}"))),
         },
         other => Err(DbError::Plan(format!(
             "expected a literal value, found {other:?}"
+        ))),
+    }
+}
+
+/// The timestamp of an `AS OF` clause: a non-negative integer.
+pub fn as_of_timestamp(e: &AstExpr, params: &[Value]) -> Result<i64> {
+    match literal_value(e, params)? {
+        Value::Int(n) if n >= 0 => Ok(n),
+        other => Err(DbError::Parse(format!(
+            "expected non-negative integer, found {other:?}"
         ))),
     }
 }
@@ -1028,13 +1175,20 @@ mod tests {
     #[test]
     fn literal_values() {
         assert_eq!(
-            literal_value(&AstExpr::Neg(Box::new(AstExpr::Literal(Value::Int(5))))).unwrap(),
+            literal_value(&AstExpr::Neg(Box::new(AstExpr::Literal(Value::Int(5)))), &[]).unwrap(),
             Value::Int(-5)
         );
-        assert!(literal_value(&AstExpr::Column(ColumnName {
-            qualifier: None,
-            name: "x".into()
-        }))
+        assert!(literal_value(
+            &AstExpr::Column(ColumnName {
+                qualifier: None,
+                name: "x".into()
+            }),
+            &[]
+        )
         .is_err());
+        // A parameter reads the statement's value, not the one it was
+        // planned with.
+        let param = AstExpr::Neg(Box::new(AstExpr::Param(0, Value::Int(1))));
+        assert_eq!(literal_value(&param, &[Value::Float(2.5)]).unwrap(), Value::Float(-2.5));
     }
 }

@@ -114,17 +114,35 @@ impl Transaction {
     /// Returns the commit timestamp. Valid from `Active` (local commit)
     /// and from `Prepared` (2PC decision delivery).
     pub fn commit(&self) -> Result<Ts> {
+        self.commit_logged(|_| Ok(()))
+    }
+
+    /// [`Transaction::commit`], logging the commit inside its window: `log`
+    /// runs with the reserved commit timestamp before anything is stamped.
+    /// When it fails the timestamp is released with nothing stamped at it,
+    /// the write set is rolled back and the transaction is aborted — a
+    /// commit the log lacks is neither visible nor acknowledged.
+    pub fn commit_logged(&self, log: impl FnOnce(Ts) -> Result<()>) -> Result<Ts> {
         let mut status = self.status.lock();
         if !matches!(*status, TxnStatus::Active | TxnStatus::Prepared) {
             return Err(DbError::TxnClosed(format!("{:?}", *status)));
         }
         // Commit-window protocol: the commit timestamp is *reserved*
-        // first, the write set is stamped, and only then does the
-        // timestamp become part of the snapshot watermark. A reader can
-        // therefore never hold a snapshot that covers a commit whose
-        // stamping is still in flight (which would make rows pop into its
-        // view mid-transaction).
+        // first, the commit is logged, the write set is stamped, and only
+        // then does the timestamp become part of the snapshot watermark. A
+        // reader can therefore never hold a snapshot that covers a commit
+        // whose stamping is still in flight (which would make rows pop into
+        // its view mid-transaction), nor one the log does not hold.
         let cts = self.mgr.reserve_commit_ts();
+        if let Err(e) = log(cts) {
+            self.mgr.finish_commit_ts(cts);
+            for e in self.write_set.lock().iter() {
+                e.abort(self.id);
+            }
+            *status = TxnStatus::Aborted;
+            self.mgr.deregister(self.id);
+            return Err(e);
+        }
         for e in self.write_set.lock().iter() {
             e.commit(self.id, cts);
         }
@@ -533,6 +551,30 @@ mod tests {
         let next = mgr.begin();
         assert!(next.begin_ts() >= cts);
         assert_eq!(chain.read(next.begin_ts(), next.id()), Some(7));
+    }
+
+    /// A commit whose log append fails publishes nothing: its rows stay
+    /// out of every snapshot, the transaction is aborted, and the
+    /// timestamp it held does not hold the watermark back.
+    #[test]
+    fn a_commit_the_log_refuses_is_rolled_back() {
+        let mgr = Arc::new(TransactionManager::new());
+        let chain = Arc::new(VersionChain::new());
+        let t = mgr.begin();
+        chain.insert(7, t.id(), t.begin_ts()).unwrap();
+        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        let err = t
+            .commit_logged(|_| Err(DbError::Io("disk full".into())))
+            .unwrap_err();
+        assert_eq!(err, DbError::Io("disk full".into()));
+        assert_eq!(t.status(), TxnStatus::Aborted);
+        assert_eq!(mgr.active_count(), 0);
+        assert_eq!(chain.version_count(), 0);
+        let next = mgr.begin();
+        assert_eq!(chain.read(next.begin_ts(), next.id()), None);
+        // The released timestamp does not stall later commits.
+        next.commit().unwrap();
+        assert!(mgr.now() > next.begin_ts());
     }
 
     #[test]

@@ -215,9 +215,11 @@ fn chaos_leader_crash_and_catchup() {
 }
 
 /// Scenario 4 — torn WAL tail: a seeded torn write cuts a commit record
-/// at an arbitrary byte offset; the process "crashes" (drop) and the
-/// database reopens from the same file. Every acknowledged commit is
-/// recovered; the torn transaction is not resurrected.
+/// at an arbitrary byte offset. The torn commit is neither visible nor
+/// acknowledged, and the database refuses every later commit with a typed
+/// error (a record behind a torn frame would be lost at replay) until it
+/// reopens from the same file, which recovers every acknowledged commit
+/// and does not resurrect the torn transaction.
 #[test]
 fn chaos_torn_wal_tail_recovery() {
     let seed = seed_for(4);
@@ -229,9 +231,7 @@ fn chaos_torn_wal_tail_recovery() {
     let mut acked: Vec<i64> = Vec::new();
     {
         let faults = FaultInjector::new(seed);
-        // Tear one commit after the schema DDL and a few acked rows. A
-        // torn tail IS the crash: the writer stops at the failed commit
-        // (real processes don't keep appending past a failed flush).
+        // Tear one commit after the schema DDL and a few acked rows.
         faults.arm(points::WAL_TORN_WRITE, FaultPoint::times(1).after(4));
         let db = Database::with_config(DbConfig {
             wal_path: Some(path.clone()),
@@ -241,7 +241,7 @@ fn chaos_torn_wal_tail_recovery() {
         .unwrap();
         db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)")
             .unwrap();
-        let mut torn = false;
+        let mut torn = None;
         for i in 0..10i64 {
             match db.execute(&format!("INSERT INTO t VALUES ({i}, {})", i * 2)) {
                 Ok(_) => acked.push(i),
@@ -251,13 +251,35 @@ fn chaos_torn_wal_tail_recovery() {
                         matches!(e, DbError::FaultInjected(_)),
                         "unexpected error: {e}"
                     );
-                    torn = true;
+                    torn = Some(i);
                     break;
                 }
             }
         }
-        assert!(torn, "torn-write fault never fired (seed={seed:#x})");
+        let torn = torn.unwrap_or_else(|| panic!("torn-write fault never fired (seed={seed:#x})"));
         assert_eq!(acked, vec![0, 1, 2], "DDL + 3 commits precede the tear");
+
+        // A new snapshot does not see the torn commit's row.
+        let seen = db.query(&format!("SELECT COUNT(*) FROM t WHERE id = {torn}")).unwrap();
+        assert_eq!(seen[0][0], Value::Int(0), "the torn commit is visible");
+        let rows = db.query("SELECT id FROM t ORDER BY id").unwrap();
+        let ids: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        assert_eq!(ids, acked);
+
+        // The next commit — explicit, auto-commit, or DDL — fails typed,
+        // and leaves nothing visible behind.
+        let mut s = db.session();
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO t VALUES (100, 200)").unwrap();
+        let err = s.execute("COMMIT").unwrap_err();
+        assert!(matches!(err, DbError::Io(_)), "{err}");
+        assert!(!s.in_transaction());
+        let err = db.execute("INSERT INTO t VALUES (101, 202)").unwrap_err();
+        assert!(matches!(err, DbError::Io(_)), "{err}");
+        let err = db.execute("CREATE TABLE u (id BIGINT PRIMARY KEY)").unwrap_err();
+        assert!(matches!(err, DbError::Io(_)), "{err}");
+        assert!(db.table("u").is_err(), "DDL the log refused was applied");
+        assert_eq!(db.query("SELECT COUNT(*) FROM t").unwrap()[0][0], Value::Int(3));
         // Process "crashes" here: db dropped without clean shutdown.
     }
 
@@ -272,6 +294,11 @@ fn chaos_torn_wal_tail_recovery() {
             "row payload corrupted by recovery"
         );
     }
+    // Reopened, the database writes again.
+    db.execute("INSERT INTO t VALUES (3, 6)").unwrap();
+    drop(db);
+    let db = Database::open(&path).unwrap();
+    assert_eq!(db.query("SELECT COUNT(*) FROM t").unwrap()[0][0], Value::Int(4));
     std::fs::remove_file(&path).unwrap();
 }
 

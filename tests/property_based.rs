@@ -2204,7 +2204,7 @@ fn two_nan_arithmetic(e: &oltapdb::exec::Expr, row: &oltapdb::common::Row) -> bo
         Expr::Unary { expr, .. } | Expr::IsNull(expr) | Expr::IsNotNull(expr) => {
             two_nan_arithmetic(expr, row)
         }
-        Expr::Column(_) | Expr::Literal(_) => false,
+        Expr::Column(_) | Expr::Literal(_) | Expr::Param(..) => false,
     }
 }
 
