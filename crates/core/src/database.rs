@@ -18,7 +18,7 @@ use oltap_storage::{
 };
 use oltap_txn::wal::{CommitRecord, Wal, WalOp};
 use oltap_txn::{Transaction, TransactionManager, Ts};
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -136,8 +136,9 @@ pub struct Database {
     plans: PlanCache,
     /// Set when a log append fails: the log may end in a torn frame, which
     /// replay reads nothing behind, so nothing more is logged (and nothing
-    /// more committed) until the database is reopened.
-    log_failed: AtomicBool,
+    /// more committed) until the database is reopened. Every append runs
+    /// under this lock, so none can slip in behind a failing one.
+    log_failed: Mutex<bool>,
 }
 
 /// Sequence for per-database temp roots (ephemeral databases).
@@ -193,7 +194,7 @@ impl Database {
             heat_path: None,
             bell: Arc::default(),
             plans: PlanCache::default(),
-            log_failed: AtomicBool::new(false),
+            log_failed: Mutex::new(false),
         })
     }
 
@@ -261,7 +262,7 @@ impl Database {
             heat_path,
             bell: Arc::default(),
             plans: PlanCache::default(),
-            log_failed: AtomicBool::new(false),
+            log_failed: Mutex::new(false),
         });
         db.set_admission_config(config.admission);
         // Spill files never outlive a process on purpose; anything under
@@ -479,15 +480,14 @@ impl Database {
     /// nothing behind one, so a record logged after it would be lost at the
     /// next open. Reopening truncates the torn tail and writes again.
     fn append(&self, record: &CommitRecord) -> Result<()> {
-        if self.log_failed.load(Ordering::Acquire) {
+        let mut failed = self.log_failed.lock();
+        if *failed {
             return Err(DbError::Io(
                 "the write-ahead log failed an append; reopen the database to write again"
                     .into(),
             ));
         }
-        self.wal
-            .append(record)
-            .inspect_err(|_| self.log_failed.store(true, Ordering::Release))
+        self.wal.append(record).inspect_err(|_| *failed = true)
     }
 
     /// Commits `txn`, logging its redo `ops` inside the commit window (the

@@ -123,7 +123,8 @@ impl Target {
         })
     }
 
-    /// The pushdown and the residual filter, filled from `params`.
+    /// The pushdown and the residual filter, filled from `params` (every
+    /// literal of the statement, so one for each slot).
     pub(crate) fn fill(
         &self,
         schema: &Schema,
@@ -131,9 +132,7 @@ impl Target {
     ) -> (Cow<'_, ScanPredicate>, Option<CompiledExpr>) {
         let mut pushdown = Cow::Borrowed(&self.pushdown);
         for s in &self.slots {
-            if let Some(v) = params.get(s.param) {
-                pushdown.to_mut().conjuncts[s.conjunct].value = v.clone();
-            }
+            pushdown.to_mut().conjuncts[s.conjunct].value = params[s.param].clone();
         }
         let residual = self.residual.as_ref().map(|r| compile(r, schema, params));
         (pushdown, residual)

@@ -209,8 +209,9 @@ impl LogicalPlan {
     /// [`Expr::Param`] becomes a literal ([`fill_expr`]), each pushdown
     /// [`ParamSlot`] gets its value, and a scan's access path is chosen
     /// again from the filled pushdown (the parameters' types, fixed by the
-    /// shape, decide *which* path; their values are the key). A slot
-    /// `params` lacks keeps the value it was planned with.
+    /// shape, decide *which* path; their values are the key). `params`
+    /// holds every literal the statement's text was lexed with, so it has
+    /// a value for each slot.
     pub fn fill(&mut self, params: &[Value]) {
         match self {
             LogicalPlan::Scan {
@@ -221,11 +222,7 @@ impl LogicalPlan {
                 ..
             } => {
                 for s in slots.iter() {
-                    if let (Some(c), Some(v)) =
-                        (pushdown.conjuncts.get_mut(s.conjunct), params.get(s.param))
-                    {
-                        c.value = v.clone();
-                    }
+                    pushdown.conjuncts[s.conjunct].value = params[s.param].clone();
                 }
                 if !slots.is_empty() {
                     *access = AccessPath::choose(pushdown, table_schema);
@@ -424,14 +421,11 @@ impl Scope {
     }
 }
 
-/// Replaces every [`Expr::Param`] in `e` with a literal: its value from
-/// `params`, or, for a slot `params` lacks, the value it was planned with.
+/// Replaces every [`Expr::Param`] in `e` with a literal, its value from
+/// `params` (every literal of the statement, so one for each slot).
 pub fn fill_expr(e: &mut Expr, params: &[Value]) {
     match e {
-        Expr::Param(i, planned) => {
-            let v = params.get(*i).unwrap_or(planned).clone();
-            *e = Expr::Literal(v);
-        }
+        Expr::Param(i, _) => *e = Expr::Literal(params[*i].clone()),
         Expr::Column(_) | Expr::Literal(_) => {}
         Expr::Binary { left, right, .. } => {
             fill_expr(left, params);
@@ -915,12 +909,14 @@ fn display_name(e: &AstExpr) -> String {
 }
 
 /// The value of an INSERT cell: a literal, a parameter (its value from
-/// `params`, or the one it was parsed with where `params` lacks it), or a
-/// negation of one.
+/// `params`), or a negation of one.
 pub fn literal_value(e: &AstExpr, params: &[Value]) -> Result<Value> {
     match e {
         AstExpr::Literal(v) => Ok(v.clone()),
-        AstExpr::Param(i, parsed) => Ok(params.get(*i).unwrap_or(parsed).clone()),
+        AstExpr::Param(i, _) => params
+            .get(*i)
+            .cloned()
+            .ok_or_else(|| DbError::Execution(format!("parameter ${i} was never filled"))),
         AstExpr::Neg(inner) => match literal_value(inner, params)? {
             Value::Int(i) => Ok(Value::Int(-i)),
             Value::Float(f) => Ok(Value::Float(-f)),
@@ -1190,5 +1186,7 @@ mod tests {
         // planned with.
         let param = AstExpr::Neg(Box::new(AstExpr::Param(0, Value::Int(1))));
         assert_eq!(literal_value(&param, &[Value::Float(2.5)]).unwrap(), Value::Float(-2.5));
+        // One it was never given is an error, never the planned value.
+        assert!(matches!(literal_value(&param, &[]), Err(DbError::Execution(_))));
     }
 }

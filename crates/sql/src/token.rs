@@ -69,60 +69,21 @@ pub enum Token {
     Eof,
 }
 
-/// The keywords, sorted (a binary search finds them).
+/// The keywords, commonest first (a scan finds them).
 const KEYWORDS: &[&str] = &[
-    "AND", "AS", "ASC", "AVG", "BEGIN", "BIGINT", "BOOL", "BOOLEAN", "BY", "COLUMN", "COMMIT",
-    "COUNT", "CREATE", "DELETE", "DESC", "DISTINCT", "DOUBLE", "DROP", "DUAL", "EXPLAIN",
-    "FALSE", "FLOAT", "FORMAT", "FROM", "GROUP", "HAVING", "INNER", "INSERT", "INT", "INTO",
-    "IS", "JOIN", "KEY", "LEFT", "LIMIT", "MAX", "MIN", "NOT", "NULL", "OF", "OFFSET", "ON",
-    "OR", "ORDER", "OUTER", "PRIMARY", "ROLLBACK", "ROW", "SELECT", "SET", "SUM", "TABLE",
-    "TEXT", "TIMESTAMP", "TRUE", "UPDATE", "USING", "VALUES", "VARCHAR", "WHERE",
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "OFFSET", "ASC", "DESC",
+    "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "CREATE", "TABLE", "PRIMARY",
+    "KEY", "NOT", "NULL", "AND", "OR", "AS", "JOIN", "INNER", "LEFT", "OUTER", "ON",
+    "INT", "BIGINT", "DOUBLE", "FLOAT", "TEXT", "VARCHAR", "BOOLEAN", "BOOL", "TIMESTAMP",
+    "TRUE", "FALSE", "IS", "COUNT", "SUM", "MIN", "MAX", "AVG", "USING", "FORMAT", "ROW",
+    "COLUMN", "DUAL", "HAVING", "DISTINCT", "BEGIN", "COMMIT", "ROLLBACK", "DROP", "EXPLAIN",
+    "OF",
 ];
-
-/// Longest keyword (`TIMESTAMP`).
-const LONGEST: usize = 9;
-
-/// A word of at most [`LONGEST`] ASCII letters as one integer, first letter
-/// most significant and zero-padded: integers order as the words do.
-const fn pack(word: &[u8]) -> u128 {
-    let mut packed = 0u128;
-    let mut i = 0;
-    while i < LONGEST {
-        let b = if i < word.len() { word[i] } else { 0 };
-        packed = packed << 8 | b as u128;
-        i += 1;
-    }
-    packed
-}
-
-/// [`KEYWORDS`], packed.
-const PACKED: [u128; KEYWORDS.len()] = {
-    let mut out = [0u128; KEYWORDS.len()];
-    let mut i = 0;
-    while i < KEYWORDS.len() {
-        out[i] = pack(KEYWORDS[i].as_bytes());
-        i += 1;
-    }
-    out
-};
 
 /// The keyword `word` spells, in any case.
 fn keyword(word: &str) -> Option<&'static str> {
-    let bytes = word.as_bytes();
-    if bytes.len() > LONGEST {
-        return None;
-    }
-    let mut upper = [0u8; LONGEST];
-    for (u, b) in upper.iter_mut().zip(bytes) {
-        if !b.is_ascii_alphabetic() {
-            return None;
-        }
-        *u = b.to_ascii_uppercase();
-    }
-    PACKED
-        .binary_search(&pack(&upper))
-        .ok()
-        .map(|i| KEYWORDS[i])
+    let upper = word.to_ascii_uppercase();
+    KEYWORDS.iter().copied().find(|k| *k == upper)
 }
 
 /// A statement as [`lex`] hands it over.
@@ -467,10 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn keywords_are_sorted_and_found_in_any_case() {
-        assert!(KEYWORDS.windows(2).all(|w| w[0] < w[1]));
-        assert!(PACKED.windows(2).all(|w| w[0] < w[1]));
-        assert!(KEYWORDS.iter().all(|k| k.len() <= LONGEST));
+    fn keywords_are_found_in_any_case() {
         for k in KEYWORDS {
             assert_eq!(keyword(k), Some(*k));
             assert_eq!(keyword(&k.to_ascii_lowercase()), Some(*k));

@@ -136,11 +136,7 @@ impl Transaction {
         let cts = self.mgr.reserve_commit_ts();
         if let Err(e) = log(cts) {
             self.mgr.finish_commit_ts(cts);
-            for e in self.write_set.lock().iter() {
-                e.abort(self.id);
-            }
-            *status = TxnStatus::Aborted;
-            self.mgr.deregister(self.id);
+            self.roll_back(&mut status);
             return Err(e);
         }
         for e in self.write_set.lock().iter() {
@@ -165,12 +161,18 @@ impl Transaction {
         if !matches!(*status, TxnStatus::Active | TxnStatus::Prepared) {
             return Err(DbError::TxnClosed(format!("{:?}", *status)));
         }
+        self.roll_back(&mut status);
+        Ok(())
+    }
+
+    /// Rolls back the write set and retires the transaction as `Aborted`;
+    /// `status` is the caller's held status guard.
+    fn roll_back(&self, status: &mut TxnStatus) {
         for e in self.write_set.lock().iter() {
             e.abort(self.id);
         }
         *status = TxnStatus::Aborted;
         self.mgr.deregister(self.id);
-        Ok(())
     }
 }
 
@@ -182,12 +184,9 @@ impl Drop for Transaction {
         // versions) until the decision arrives; dropping it is the
         // in-process equivalent of losing the prepared state's holder,
         // and leaking pinned versions forever would be strictly worse.
-        if matches!(*self.status.lock(), TxnStatus::Active | TxnStatus::Prepared) {
-            for e in self.write_set.lock().iter() {
-                e.abort(self.id);
-            }
-            self.mgr.deregister(self.id);
-            *self.status.lock() = TxnStatus::Aborted;
+        let mut status = self.status.lock();
+        if matches!(*status, TxnStatus::Active | TxnStatus::Prepared) {
+            self.roll_back(&mut status);
         }
     }
 }
