@@ -1,10 +1,8 @@
-//! The one expression entry point, [`CompiledExpr`], and the "compiled"
-//! engine inside it: a fused, register-based block evaluator standing in
-//! for LLVM code generation.
+//! The "compiled" arm of E11: a fused, register-based block evaluator
+//! standing in for LLVM code generation. It is not part of the engine.
 //!
-//! Every operator and every DML statement evaluates expressions through
-//! [`CompiledExpr::eval`] / [`CompiledExpr::filter`]. The vectorized
-//! interpreter ([`Expr::eval_batch`]) **defines** what an expression
+//! The engine evaluates every expression with the vectorized
+//! interpreter ([`Expr::eval_batch`]), which **defines** what an expression
 //! means — total order on floats (`-0.0 < 0.0`, `NaN = NaN`), wrapping
 //! `i64` arithmetic, Kleene logic over NULLs — and the VM below is an
 //! accelerator that runs only where its answer is bit-identical to the
@@ -26,7 +24,7 @@
 //!   place, instead of freshly allocated vectors.
 //!
 //! Registers are uniformly f64, so the VM **declines** whatever f64 cannot
-//! reproduce, and `eval` answers from the interpreter instead:
+//! reproduce ([`compile`] or [`Program::run`] returns `None`):
 //!
 //! * at compile time — a bare column or literal (nothing to fuse: the
 //!   interpreter hands the column over as it is), strings, `IS [NOT]
@@ -50,17 +48,12 @@
 //! from *two* NaN operands follow operand order, which LLVM is free to
 //! commute.
 //!
-//! String predicates never reach this VM by design: pushed-down string
-//! comparisons are rewritten into the *code domain* at the scan layer
-//! (`oltap-storage` translates them to dictionary-code comparisons per row
-//! group), so the compiled engine only ever sees numeric/boolean work.
-//!
-//! The benchmark `e11_compilation` compares [`CompiledExpr::eval`] with
-//! the bare interpreter and with a tuple-at-a-time walk
-//! (`oltap-bench::baselines::tuple_eval`) on identical expressions.
+//! The benchmark `e11_compilation` compares [`Program::run`] with the
+//! interpreter and a tuple-at-a-time walk ([`super::tuple_eval`]) on
+//! identical expressions. No statement reaches this module.
 
-use crate::expr::{BinOp, Expr, UnOp};
-use oltap_common::{Batch, BitSet, ColumnVector, DataType, Result, Schema, Value};
+use oltap_common::{Batch, BitSet, ColumnVector, DataType, Schema, Value};
+use oltap_exec::expr::{BinOp, Expr, UnOp};
 
 /// Values per execution block. Small enough for registers to stay
 /// L1-resident (`BLOCK * 8B * registers`), large enough to amortize the
@@ -94,7 +87,7 @@ enum Instr {
 /// A compiled expression: flat instruction sequence + register count. The
 /// result is in register 0.
 #[derive(Debug, Clone)]
-struct Program {
+pub struct Program {
     instrs: Vec<Instr>,
     regs: usize,
     referenced: Vec<usize>,
@@ -104,7 +97,7 @@ struct Program {
 
 /// Compiles `expr` against `schema`, or declines (`None`) what the VM
 /// cannot evaluate exactly — see the module docs for the list.
-fn compile(expr: &Expr, schema: &Schema) -> Option<Program> {
+pub fn compile(expr: &Expr, schema: &Schema) -> Option<Program> {
     if matches!(expr, Expr::Column(_) | Expr::Literal(_)) {
         return None;
     }
@@ -265,10 +258,15 @@ fn lanes(op: BinOp, dst: &mut [f64], rhs: impl Fn(usize) -> f64) {
 }
 
 impl Program {
+    /// The program's size: (instructions run per block, block registers).
+    pub fn size(&self) -> (usize, usize) {
+        (self.instrs.len(), self.regs)
+    }
+
     /// Executes over a batch, producing the column vector the interpreter
     /// would — or `None` when the batch holds something the VM declines (a
     /// NULL in a referenced column, an integer it cannot hold exactly).
-    fn run(&self, batch: &Batch) -> Option<ColumnVector> {
+    pub fn run(&self, batch: &Batch) -> Option<ColumnVector> {
         let null_free = self.referenced.iter().all(|&c| {
             batch
                 .columns()
@@ -365,78 +363,11 @@ fn exec_block(
     true
 }
 
-/// An expression ready to evaluate — the one way operators and DML
-/// statements evaluate anything. Built once where the operator is; `eval`
-/// answers as [`Expr::eval_batch`] does, through the compiled program
-/// wherever that is exact.
-#[derive(Debug, Clone)]
-pub struct CompiledExpr {
-    expr: Expr,
-    program: Option<Program>,
-}
-
-impl CompiledExpr {
-    /// Compiles when the VM can evaluate `expr` exactly; otherwise keeps
-    /// only the interpreter. An expression that does not type-check is
-    /// kept too: evaluating it reports the interpreter's error.
-    pub fn new(expr: Expr, schema: &Schema) -> Self {
-        let program = compile(&expr, schema);
-        CompiledExpr { expr, program }
-    }
-
-    /// One [`CompiledExpr`] per expression, all against `schema` — an
-    /// operator's key or output list.
-    pub fn list(exprs: impl IntoIterator<Item = Expr>, schema: &Schema) -> Vec<CompiledExpr> {
-        exprs
-            .into_iter()
-            .map(|e| CompiledExpr::new(e, schema))
-            .collect()
-    }
-
-    /// Evaluates every expression of a list over `batch`, one column each.
-    pub fn eval_all(exprs: &[CompiledExpr], batch: &Batch) -> Result<Vec<ColumnVector>> {
-        exprs.iter().map(|e| e.eval(batch)).collect()
-    }
-
-    /// Whether a compiled program is available.
-    pub fn is_compiled(&self) -> bool {
-        self.program.is_some()
-    }
-
-    /// Evaluates the expression over a batch, producing one column vector.
-    pub fn eval(&self, batch: &Batch) -> Result<ColumnVector> {
-        match self.program.as_ref().and_then(|p| p.run(batch)) {
-            Some(v) => Ok(v),
-            None => self.expr.eval_batch(batch),
-        }
-    }
-
-    /// Evaluates as a filter over a batch: the selection vector of rows
-    /// where the predicate is TRUE (not NULL, not FALSE).
-    pub fn filter(&self, batch: &Batch) -> Result<Vec<u32>> {
-        let v = self.eval(batch)?;
-        let bits = v.as_bools()?;
-        Ok(match v.validity() {
-            None => bits.iter_ones().map(|i| i as u32).collect(),
-            Some(val) => bits
-                .iter_ones()
-                .filter(|&i| val.get(i))
-                .map(|i| i as u32)
-                .collect(),
-        })
-    }
-
-    /// The underlying expression.
-    pub fn expr(&self) -> &Expr {
-        &self.expr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oltap_common::row;
-    use oltap_common::{Field, Row, Schema};
+    use oltap_common::{Field, Result, Row};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -515,7 +446,7 @@ mod tests {
         let b = batch(100);
         assert_matches_interpreter(&e, &b);
         let p = compile(&e, &schema()).unwrap();
-        assert!(p.regs <= 3, "regs {}", p.regs);
+        assert!(p.size().1 <= 3, "regs {}", p.size().1);
     }
 
     #[test]
@@ -534,11 +465,9 @@ mod tests {
         let s = schema();
         let e = Expr::binary(BinOp::Eq, Expr::col(3), Expr::lit("k"));
         assert!(compile(&e, &s).is_none());
-        let c = CompiledExpr::new(e, &s);
-        assert!(!c.is_compiled());
-        // But eval still works through the interpreter.
+        // But the interpreter evaluates it.
         let b = batch(10);
-        let v = c.eval(&b).unwrap();
+        let v = e.eval_batch(&b).unwrap();
         assert_eq!(v.value_at(0), Value::Bool(true));
     }
 
@@ -550,8 +479,7 @@ mod tests {
         let e = Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1.5f64));
         let p = compile(&e, &s).unwrap();
         assert!(p.run(&b).is_none());
-        let c = CompiledExpr::new(e, &s);
-        let v = c.eval(&b).unwrap(); // interpreter fallback
+        let v = e.eval_batch(&b).unwrap(); // what a caller falls back to
         assert_eq!(v.value_at(0), Value::Float(2.5));
         assert_eq!(v.value_at(1), Value::Null);
     }
@@ -577,24 +505,23 @@ mod tests {
             let e = Expr::binary(BinOp::Sub, Expr::lit(lit), Expr::col(2));
             assert_eq!(compile(&e, &s).is_some(), compiles, "{lit} - f");
         }
-        // A column value it cannot hold is declined per block, and `eval`
-        // answers from the interpreter: a and b are distinct integers that
-        // are the same f64.
+        // A column value it cannot hold is declined per block, and the
+        // interpreter answers: a and b are distinct integers that are the
+        // same f64.
         let rows = vec![row![1i64, 1i64, 0.0f64], row![P53 + 1, P53, 0.0f64]];
         let b = Batch::from_rows(&s, &rows).unwrap();
         let e = Expr::binary(BinOp::Eq, Expr::col(0), Expr::col(1));
         let p = compile(&e, &s).unwrap();
         assert!(p.run(&b).is_none());
-        let c = CompiledExpr::new(e, &s);
-        assert!(c.is_compiled());
-        let v = c.eval(&b).unwrap();
+        let v = e.eval_batch(&b).unwrap();
         assert_eq!(v.value_at(0), Value::Bool(true));
         assert_eq!(v.value_at(1), Value::Bool(false));
     }
 
     /// Rows `a, f` beside an unrelated `u`, once NULL-free (the VM runs)
-    /// and once with one `u` NULL (the batch falls to the interpreter):
-    /// `pred OR u < 0` must select the same rows both ways.
+    /// and once with one `u` NULL (the VM declines the batch): `pred OR u <
+    /// 0` must select the same rows from the VM and from the interpreter
+    /// over either batch.
     fn selected_with_and_without_a_null(
         pred: Expr,
         a: [i64; 4],
@@ -607,16 +534,26 @@ mod tests {
             Field::new("u", DataType::Int64),
         ]);
         let e = pred.or(Expr::binary(BinOp::Lt, Expr::col(2), Expr::lit(0i64)));
-        let c = CompiledExpr::new(e.clone(), &s);
-        assert_eq!(c.is_compiled(), compiles, "{e}");
+        let p = compile(&e, &s);
+        assert_eq!(p.is_some(), compiles, "{e}");
         let mut rows: Vec<Row> = (0..4).map(|i| row![a[i], f[i], 7i64]).collect();
         let null_free = Batch::from_rows(&s, &rows).unwrap();
-        let compiled = c.filter(&null_free).unwrap();
+        let interpreted = e.filter(&null_free).unwrap();
+        if let Some(p) = &p {
+            let mask = p.run(&null_free).unwrap();
+            let compiled: Vec<u32> = mask
+                .as_bools()
+                .unwrap()
+                .iter_ones()
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(compiled, interpreted, "{e}");
+        }
         rows[0].values_mut()[2] = Value::Null;
         let with_null = Batch::from_rows(&s, &rows).unwrap();
-        assert!(compile(&e, &s).is_none_or(|p| p.run(&with_null).is_none()));
-        assert_eq!(compiled, c.filter(&with_null).unwrap(), "{e}");
-        compiled
+        assert!(p.is_none_or(|p| p.run(&with_null).is_none()));
+        assert_eq!(interpreted, e.filter(&with_null).unwrap(), "{e}");
+        interpreted
     }
 
     #[test]
@@ -707,10 +644,10 @@ mod tests {
             Expr::binary(BinOp::Eq, Expr::col(0), Expr::Literal(Value::Null)),
         ];
         for e in declined {
-            assert!(!CompiledExpr::new(e.clone(), &s).is_compiled(), "{e}");
+            assert!(compile(&e, &s).is_none(), "{e}");
         }
         let e = Expr::binary(BinOp::Eq, Expr::col(1), Expr::lit(true));
-        assert!(CompiledExpr::new(e, &s).is_compiled());
+        assert!(compile(&e, &s).is_some());
     }
 
     #[test]
@@ -719,8 +656,6 @@ mod tests {
         // expressions stay on the interpreter.
         let e = Expr::binary(BinOp::Div, Expr::col(0), Expr::col(1));
         assert!(compile(&e, &schema()).is_none());
-        let c = CompiledExpr::new(e, &schema());
-        assert!(!c.is_compiled());
     }
 
     #[test]
@@ -742,18 +677,18 @@ mod tests {
         // Right-side literal: LoadCol + BinConst = 2 instructions.
         let e = Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(100i64));
         let p = compile(&e, &s).unwrap();
-        assert_eq!(p.instrs.len(), 2, "{:?}", p);
+        assert_eq!(p.size().0, 2, "{:?}", p);
         assert_matches_interpreter(&e, &b);
         // Left-side literal mirrors the comparison: 5 < a ⇒ a > 5.
         let e = Expr::binary(BinOp::Lt, Expr::lit(5i64), Expr::col(0));
         let p = compile(&e, &s).unwrap();
-        assert_eq!(p.instrs.len(), 2);
+        assert_eq!(p.size().0, 2);
         assert_matches_interpreter(&e, &b);
         // Left-side literal on a non-mirrorable op stays generic (3
         // instructions) but still agrees.
         let e = Expr::binary(BinOp::Sub, Expr::lit(1000.0f64), Expr::col(2));
         let p = compile(&e, &s).unwrap();
-        assert_eq!(p.instrs.len(), 3);
+        assert_eq!(p.size().0, 3);
         assert_matches_interpreter(&e, &b);
         // Folding must not change register pressure for a chain.
         let mut e = Expr::col(2);
@@ -761,7 +696,7 @@ mod tests {
             e = Expr::binary(BinOp::Add, e, Expr::lit(2i64));
         }
         let p = compile(&e, &schema()).unwrap();
-        assert_eq!(p.regs, 1);
+        assert_eq!(p.size().1, 1);
         assert_matches_interpreter(&e, &b);
     }
 
@@ -778,7 +713,7 @@ mod tests {
         }
     }
 
-    /// `a` = 0..8 with row 3 NULL.
+    /// `a` = 0..8 with row 3 NULL, which the VM never answers over.
     fn filter_over_a_null(e: Expr) -> Result<Vec<u32>> {
         let s = Schema::new(vec![Field::new("a", DataType::Int64)]);
         let rows: Vec<Row> = (0..8)
@@ -790,7 +725,9 @@ mod tests {
                 }
             })
             .collect();
-        CompiledExpr::new(e, &s).filter(&Batch::from_rows(&s, &rows).unwrap())
+        let b = Batch::from_rows(&s, &rows).unwrap();
+        assert!(compile(&e, &s).is_none_or(|p| p.run(&b).is_none()));
+        e.filter(&b)
     }
 
     #[test]

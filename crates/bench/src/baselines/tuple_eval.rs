@@ -3,8 +3,8 @@
 //!
 //! The classic Volcano shape (tutorial §4): one tree walk *per row* over
 //! dynamically typed [`Value`]s — the baseline every modern engine moved
-//! away from. The engine evaluates expressions a batch at a time through
-//! `oltap_exec::CompiledExpr`; no statement reaches this module. Its
+//! away from. The engine evaluates expressions a batch at a time with
+//! `Expr::eval_batch`; no statement reaches this module. Its
 //! semantics are the engine's: wrapping integers, [`Value`]'s total order
 //! for comparisons, Kleene logic, integer division by zero an error.
 

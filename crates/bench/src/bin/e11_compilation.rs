@@ -8,18 +8,18 @@
 //! compiled ≥ vectorized ≫ tuple-at-a-time.
 //!
 //! The three arms: the tuple-at-a-time baseline
-//! (`oltap_bench::baselines::tuple_eval`), the bare interpreter
-//! (`Expr::eval_batch`), and the engine's one entry point
-//! (`CompiledExpr::eval`) — the path a statement takes. The `VM` column
-//! says whether that entry point holds a compiled program for the
-//! expression; where it says `no`, the third arm *is* the interpreter.
+//! (`oltap_bench::baselines::tuple_eval`), the vectorized interpreter
+//! (`Expr::eval_batch`) — the engine's one evaluator, the path a statement
+//! takes — and the f64 register VM (`oltap_bench::baselines::f64_vm`).
+//! The `VM` column says whether the VM compiled the expression; where it
+//! says `no` the VM declines it, and its two cells are `-`.
 
+use oltap_bench::baselines::f64_vm::compile;
 use oltap_bench::baselines::tuple_eval::eval_row;
 use oltap_bench::harness::{rate, scaled, time, TextTable};
 use oltap_common::{row, Batch, Row};
 use oltap_common::{DataType, Field, Schema};
 use oltap_exec::expr::{BinOp, Expr};
-use oltap_exec::CompiledExpr;
 
 fn main() {
     let n = scaled(2_000_000);
@@ -113,25 +113,21 @@ fn main() {
             }
             sink
         });
-        // The engine's entry point: the compiled block program where it
-        // is exact, the interpreter where it declines.
-        let compiled = CompiledExpr::new(expr.clone(), &schema);
-        let (_, comp_s) = time(|| {
-            let mut sink = 0usize;
-            for b in &batches {
-                let v = compiled.eval(b).unwrap();
-                sink += v.len();
-            }
-            sink
+        // The VM: a compiled block program, where it is exact.
+        let program = compile(expr, &schema);
+        let comp_s = program.as_ref().map(|p| {
+            let run = |b| p.run(b).expect("no NULL, no integer past 2^53").len();
+            time(|| batches.iter().map(run).sum::<usize>()).1
         });
+        let declined = || "-".to_string();
         t.row(&[
             name.to_string(),
             rate(n, tuple_s),
             rate(n, vec_s),
-            rate(n, comp_s),
-            if compiled.is_compiled() { "yes" } else { "no" }.to_string(),
+            comp_s.map_or_else(declined, |s| rate(n, s)),
+            if program.is_some() { "yes" } else { "no" }.to_string(),
             format!("{:.1}x", tuple_s / vec_s),
-            format!("{:.1}x", tuple_s / comp_s),
+            comp_s.map_or_else(declined, |s| format!("{:.1}x", tuple_s / s)),
         ]);
     }
     t.print("E11: expression engine comparison");

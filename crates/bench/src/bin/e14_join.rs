@@ -26,9 +26,7 @@ use oltap_common::ids::TxnId;
 use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{row, Batch, Row};
 use oltap_core::Database;
-use oltap_exec::{
-    join_output_schema, probe_batch, CompiledExpr, Expr, JoinTableBuilder, JoinType, ProbeScratch,
-};
+use oltap_exec::{join_output_schema, probe_batch, Expr, JoinTableBuilder, JoinType, ProbeScratch};
 use oltap_storage::ScanPredicate;
 
 fn main() {
@@ -75,7 +73,7 @@ fn main() {
     let dim_batches = dim
         .scan(&[0, 1], &ScanPredicate::all(), ts, me, BATCH_SIZE)
         .unwrap();
-    let probe_keys = CompiledExpr::list([Expr::col(1)], &fact_schema);
+    let probe_keys = [Expr::col(1)];
     // Variant 1 — the pre-partitioned join: HashMap<Row, Vec<Row>> build,
     // one boxed key Row allocated per probe row.
     let legacy = |batches: &[Batch]| -> usize {

@@ -8,8 +8,8 @@
 //! * [`workloads`] — the paper's two motivating streams
 //!   (machine telemetry, social-retail surges).
 //! * [`baselines`] — comparison implementations only the experiments
-//!   use, kept out of the engine crates (the E8 shared/clock scan; the
-//!   naive and SWAR packed-code scans of E3 / E18 / E19).
+//!   use, kept out of the engine crates (E8's shared scan; E3 / E18 /
+//!   E19's naive and SWAR packed scans; E11's tuple walk and f64 VM).
 //! * [`harness`] — timing/table utilities shared by the sixteen `e01..e19`
 //!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`),
 //!   and [`harness::Report`]: the one file shape (`results/BENCH_*.json`)

@@ -16,7 +16,7 @@
 //!   bytes a step, then into one lane, which absorbs the 16-byte tail a lane
 //!   at a time; Barrett reduction brings the 128 bits down to 32
 //!   (≈ 25 GB/s on an 8 KiB page: one multiply a cycle, eight a step). Taken when `is_x86_feature_detected!("pclmulqdq")` and the
-//!   input is at least [`FOLD_WIDTH`] bytes.
+//!   input is at least `FOLD_WIDTH` bytes.
 //!
 //! The rule is not a tunable. 64 bytes is the algorithm's width — four lanes
 //! have to be filled before there is anything to fold — not a measured

@@ -18,7 +18,7 @@
 //! breakers respond by *spilling* (see `oltap-exec`) and only surface
 //! [`DbError::ResourceExhausted`] when no degradation path exists.
 //!
-//! The [`points::MEM_RESERVE_FAIL`](crate::fault::points::MEM_RESERVE_FAIL)
+//! The [`points::MEM_RESERVE_FAIL`]
 //! fault point fires inside `try_reserve`, so chaos tests can force the
 //! spill paths deterministically without provisioning tiny pools.
 //!

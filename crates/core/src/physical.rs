@@ -15,9 +15,9 @@
 //! * `Sort + Limit → TopK`, the bounded-heap optimization for
 //!   dashboard-style `ORDER BY ... LIMIT k` queries.
 //! * `Aggregate(Scan)` over a columnar table runs fused over the encoded
-//!   segments when its shape qualifies ([`try_fused_aggregate`]).
+//!   segments when its shape qualifies (`try_fused_aggregate`).
 //! * A scan the optimizer marked [`AccessPath::PkPoint`] is answered by a
-//!   key lookup and a re-check ([`point_get`]) instead of the table scan.
+//!   key lookup and a re-check (`point_get`) instead of the table scan.
 //! * Sideways information passing for joins the optimizer marked: the
 //!   build pipeline runs *before* the probe side is decomposed, its
 //!   [`JoinTable`](oltap_exec::JoinTable) yields a Bloom-filter
@@ -33,8 +33,8 @@ use oltap_common::schema::{Schema, SchemaRef};
 use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
-    fused_aggregate_segments, join_output_schema, AggExpr, AggregatorCore,
-    CompiledExpr, ExecResources, Expr, FusedScanCtx, RunningGroups,
+    fused_aggregate_segments, join_output_schema, AggExpr, AggregatorCore, ExecResources, Expr,
+    FusedScanCtx, RunningGroups,
 };
 use oltap_sched::{NumaTopology, WorkerPool};
 use oltap_sql::{AccessPath, LogicalPlan};
@@ -278,7 +278,7 @@ impl<'a> Lowering<'a> {
                 let table = Arc::new(self.pctx.run_join_build(
                     build.batches,
                     build.stages,
-                    CompiledExpr::list(right_keys.iter().cloned(), &build.schema),
+                    right_keys.clone(),
                     build.schema.len(),
                 )?);
                 if let Some(id) = sip {
@@ -290,7 +290,7 @@ impl<'a> Lowering<'a> {
                 let schema = join_output_schema(&p.schema, &build.schema, *join_type);
                 p.stages.push(StageSpec::Probe(Arc::new(ProbeStage {
                     table,
-                    keys: CompiledExpr::list(left_keys.iter().cloned(), &p.schema),
+                    keys: left_keys.clone(),
                     join_type: *join_type,
                     schema: Arc::clone(&schema),
                 })));

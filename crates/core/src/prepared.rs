@@ -1,10 +1,10 @@
 //! Statements planned once: what a session runs, and the per-database
 //! cache that keeps them by shape (DESIGN.md § "Plan cache").
 //!
-//! Every statement a [`Session`](crate::Session) runs is a [`Prepared`].
+//! Every statement a [`Session`](crate::Session) runs is a `Prepared`.
 //! [`Session::execute`](crate::Session::execute) lexes the text into its
 //! shape and its lifted literals ([`oltap_sql::lex`]), finds the shape's
-//! plan in the [`PlanCache`] or parses and plans it once, and runs it with
+//! plan in the `PlanCache` or parses and plans it once, and runs it with
 //! the literals filling its parameter slots;
 //! [`Session::execute_statement`](crate::Session::execute_statement)
 //! plans an already parsed statement of literals the same way and runs it
@@ -14,7 +14,7 @@ use crate::catalog::Catalog;
 use oltap_common::hash::FxHashMap;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{DbError, Result, Schema, Value};
-use oltap_exec::{CompiledExpr, Expr};
+use oltap_exec::Expr;
 use oltap_sql::ast::{AstExpr, SelectStmt, Statement};
 use oltap_sql::optimizer::split_pushdown;
 use oltap_sql::plan::{bind_scalar, binds_by_value, fill_expr, ParamSlot};
@@ -125,25 +125,21 @@ impl Target {
 
     /// The pushdown and the residual filter, filled from `params` (every
     /// literal of the statement, so one for each slot).
-    pub(crate) fn fill(
-        &self,
-        schema: &Schema,
-        params: &[Value],
-    ) -> (Cow<'_, ScanPredicate>, Option<CompiledExpr>) {
+    pub(crate) fn fill(&self, params: &[Value]) -> (Cow<'_, ScanPredicate>, Option<Expr>) {
         let mut pushdown = Cow::Borrowed(&self.pushdown);
         for s in &self.slots {
             pushdown.to_mut().conjuncts[s.conjunct].value = params[s.param].clone();
         }
-        let residual = self.residual.as_ref().map(|r| compile(r, schema, params));
+        let residual = self.residual.as_ref().map(|r| filled(r, params));
         (pushdown, residual)
     }
 }
 
-/// `e` filled from `params` and compiled against `schema`.
-pub(crate) fn compile(e: &Expr, schema: &Schema, params: &[Value]) -> CompiledExpr {
+/// `e` with its slots filled from `params`.
+pub(crate) fn filled(e: &Expr, params: &[Value]) -> Expr {
     let mut e = e.clone();
     fill_expr(&mut e, params);
-    CompiledExpr::new(e, schema)
+    e
 }
 
 impl Prepared {

@@ -3,13 +3,12 @@
 use crate::catalog::{Catalog, TableHandle};
 use crate::database::Database;
 use crate::physical::{execute_fragment, execute_plan, ExecContext, Partial};
-use crate::prepared::{compile, Prepared, Target, PLAN_CACHE_SHAPE_BYTES};
+use crate::prepared::{filled, Prepared, Target, PLAN_CACHE_SHAPE_BYTES};
 use oltap_common::ids::TxnId;
 use oltap_common::mem::WorkloadClass;
 use oltap_common::schema::SchemaRef;
 use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{Batch, CancellationToken, DbError, Result, Row, Value};
-use oltap_exec::CompiledExpr;
 use oltap_sql::ast::{AstExpr, Statement};
 use oltap_sql::plan::{as_of_timestamp, literal_value};
 use oltap_sql::{lex, parse, parse_tokens, Lexed, LogicalPlan};
@@ -461,10 +460,6 @@ impl Session {
                 set,
                 target,
             } => {
-                let set: Vec<(usize, CompiledExpr)> = set
-                    .iter()
-                    .map(|(i, e)| (*i, compile(e, schema, params)))
-                    .collect();
                 let targets = self.matching_rows(txn, handle, schema, target, params)?;
                 // Every SET expression reads the old rows, and is evaluated
                 // over all of them before any is written: a division by
@@ -473,8 +468,8 @@ impl Session {
                 let mut new_rows = targets.clone();
                 if !targets.is_empty() {
                     let old = Batch::from_rows(schema, &targets)?;
-                    for (i, e) in &set {
-                        let col = e.eval(&old)?;
+                    for (i, e) in set {
+                        let col = filled(e, params).eval_batch(&old)?;
                         for (r, new) in new_rows.iter_mut().enumerate() {
                             let v = col.value_at(r);
                             v.check_type(schema.field(*i).data_type)?;
@@ -548,7 +543,7 @@ impl Session {
         target: &Target,
         params: &[Value],
     ) -> Result<Vec<Row>> {
-        let (pushed, residual) = target.fill(schema, params);
+        let (pushed, residual) = target.fill(params);
         let (read_ts, me) = (txn.begin_ts(), txn.id());
         let batches = match pushed.pk_point(schema) {
             // The key only nominates a row: the whole pushdown is

@@ -220,7 +220,7 @@ fn stage(db: &Database, table: &TableHandle, rows: &[Row]) -> Option<Transaction
 /// replica (simulating loss of the machine's data disk) and rebuild it
 /// purely from the Raft log — the re-applied entries land in the fresh
 /// database. Also hosts the replica's 2PC participant state
-/// ([`TwoPcLocal`]), which is wiped and rebuilt the same way.
+/// (`TwoPcLocal`), which is wiped and rebuilt the same way.
 pub struct ReplicaStore {
     schema: SchemaRef,
     db: RwLock<Arc<Database>>,
@@ -247,7 +247,7 @@ impl ReplicaStore {
 
     /// Drops all local state, replacing the database and the 2PC state
     /// with empty ones. The next Raft re-apply pass repopulates from the
-    /// log (or a snapshot install repopulates via [`Self::restore_bytes`]).
+    /// log (or a snapshot install repopulates via `restore_bytes`).
     pub fn wipe(&self) {
         let mut tp = self.twopc.lock();
         *self.db.write() = empty_shard(&self.schema);

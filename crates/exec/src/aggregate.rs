@@ -1,6 +1,5 @@
 //! Blocking hash aggregation (GROUP BY) with the standard SQL aggregates.
 
-use crate::compiled::CompiledExpr;
 use crate::expr::Expr;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, ColumnVector, DataType, DbError, Field, Result, Row, Schema};
@@ -111,7 +110,7 @@ pub struct AggregatorCore {
     /// `None` for `COUNT(*)`.
     agg_slots: Vec<Option<usize>>,
     /// The expression of each slot; `None` when slots are input ordinals.
-    slot_exprs: Option<Vec<CompiledExpr>>,
+    slot_exprs: Option<Vec<Expr>>,
     schema: SchemaRef,
     batch_size: usize,
 }
@@ -158,7 +157,7 @@ impl AggregatorCore {
             input_types,
             group_slots,
             agg_slots,
-            slot_exprs: (!bare).then(|| CompiledExpr::list(exprs, input_schema)),
+            slot_exprs: (!bare).then_some(exprs),
             schema: Arc::new(Schema::new(fields)),
             batch_size: 4096,
         })
@@ -196,7 +195,7 @@ impl AggregatorCore {
     pub(crate) fn slot_columns<'b>(&self, batch: &'b Batch) -> Result<Cow<'b, [ColumnVector]>> {
         Ok(match &self.slot_exprs {
             None => Cow::Borrowed(batch.columns()),
-            Some(exprs) => Cow::Owned(CompiledExpr::eval_all(exprs, batch)?),
+            Some(exprs) => Cow::Owned(Expr::eval_all(exprs, batch)?),
         })
     }
 

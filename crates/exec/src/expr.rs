@@ -2,18 +2,18 @@
 //!
 //! The tutorial contrasts three execution models (§4: Volcano-style
 //! interpretation vs. vectorized processing vs. compiled queries
-//! \[28, 40\]). The engine evaluates every expression through one entry
-//! point, [`crate::CompiledExpr`], which is the last two of them:
+//! \[28, 40\]). The engine evaluates every expression with one of them:
+//! [`Expr::eval_batch`], vectorized interpretation — one tree walk per
+//! *batch*, with typed kernels over column vectors (MonetDB/X100-style) —
+//! and [`Expr::filter`] over it for predicates. It is the definition of
+//! what an expression means.
 //!
-//! * [`Expr::eval_batch`] — vectorized interpretation: one tree walk per
-//!   *batch*, with typed kernels over column vectors (MonetDB/X100-style).
-//!   It is the definition of what an expression means.
-//! * [`crate::compiled`] — a fused block evaluator standing in for LLVM
-//!   code generation (HyPer-style), used wherever it is bit-identical.
-//!
-//! The first model — one tree walk *per row* over dynamically typed
-//! [`Value`]s, the baseline every modern engine moved away from — is an
-//! experiment subject only (`oltap-bench::baselines::tuple_eval`, E11).
+//! The other two are experiment subjects only (E11, in
+//! `oltap-bench::baselines`): `tuple_eval`, one tree walk *per row* over
+//! dynamically typed [`Value`]s, the baseline every modern engine moved
+//! away from; and `f64_vm`, a fused block evaluator standing in for LLVM
+//! code generation (HyPer-style), which declines what f64 cannot
+//! reproduce.
 //!
 //! Semantics: integers wrap; floats compare by `f64::total_cmp`
 //! (`-0.0 < 0.0`, `NaN = NaN`, as `Value`'s ordering and the storage
@@ -316,6 +316,27 @@ impl Expr {
                 })
             }
         }
+    }
+
+    /// Evaluates every expression of a list over `batch`, one column each:
+    /// an operator's key or output list.
+    pub fn eval_all(exprs: &[Expr], batch: &Batch) -> Result<Vec<ColumnVector>> {
+        exprs.iter().map(|e| e.eval_batch(batch)).collect()
+    }
+
+    /// Evaluates as a filter over a batch: the selection vector of rows
+    /// where the predicate is TRUE (not NULL, not FALSE).
+    pub fn filter(&self, batch: &Batch) -> Result<Vec<u32>> {
+        let v = self.eval_batch(batch)?;
+        let bits = v.as_bools()?;
+        Ok(match v.validity() {
+            None => bits.iter_ones().map(|i| i as u32).collect(),
+            Some(val) => bits
+                .iter_ones()
+                .filter(|&i| val.get(i))
+                .map(|i| i as u32)
+                .collect(),
+        })
     }
 }
 

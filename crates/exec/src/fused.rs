@@ -2,7 +2,7 @@
 //! (operate-on-compressed, paper §3).
 //!
 //! The classic pipeline for `SELECT k, SUM(v) … GROUP BY k` decompresses
-//! every surviving row into a [`Batch`], re-evaluates
+//! every surviving row into a [`Batch`](oltap_common::Batch), re-evaluates
 //! the group key expression per batch, and probes a hash map per row. When
 //! the plan is `Aggregate(Scan)` with plain column references, none of that
 //! materialization is necessary: a row group's selection bitmap from

@@ -13,7 +13,7 @@
 //! and handed back when the store drops. The first refusal **freezes** a
 //! store ([`RunningGroups::refused`]): groups already resident keep
 //! updating in place, and `consume` writes the rows of unseen keys raw —
-//! the slot values the store reads — to one of [`PARTITIONS`] spill files
+//! the slot values the store reads — to one of `PARTITIONS` spill files
 //! chosen by key hash. A key is therefore either *entirely* resident or
 //! *entirely* spilled, so [`RunningGroups::seal`] can replay each file in
 //! write order (= arrival order) into groups opened force-accounted, and

@@ -21,7 +21,7 @@
 //! that provably have no join partner. The filter has no false negatives;
 //! false positives are re-checked exactly here at probe time.
 
-use crate::compiled::CompiledExpr;
+use crate::expr::Expr;
 use crate::resources::ExecResources;
 use oltap_common::bloom::BlockedBloom;
 use oltap_common::hash::{
@@ -665,13 +665,13 @@ impl ProbeScratch {
 /// build payload).
 pub fn probe_batch(
     table: &JoinTable,
-    keys: &[CompiledExpr],
+    keys: &[Expr],
     join_type: JoinType,
     schema: &SchemaRef,
     batch: &Batch,
     scratch: &mut ProbeScratch,
 ) -> Result<Option<Batch>> {
-    let key_cols = CompiledExpr::eval_all(keys, batch)?;
+    let key_cols = Expr::eval_all(keys, batch)?;
     hash_keys(
         &key_cols,
         batch.len(),
@@ -808,7 +808,6 @@ fn gather_build_column(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
     use crate::pipeline::tests::{ctx, rows_of};
     use crate::pipeline::{ProbeStage, StageSpec};
     use oltap_common::row;
@@ -827,8 +826,8 @@ mod tests {
     }
 
     /// The probe key list `[#0]`.
-    fn key0(schema: &Schema) -> Vec<CompiledExpr> {
-        CompiledExpr::list([Expr::col(0)], schema)
+    fn key0() -> Vec<Expr> {
+        vec![Expr::col(0)]
     }
 
     fn orders() -> Input {
@@ -866,13 +865,12 @@ mod tests {
         join_type: JoinType,
     ) -> Vec<Row> {
         let c = ctx(1);
-        let right_keys = CompiledExpr::list(right_keys, &right.0);
         let table = c
             .run_join_build(right.1, Vec::new(), right_keys, right.0.len())
             .unwrap();
         let probe = StageSpec::Probe(Arc::new(ProbeStage {
             table: Arc::new(table),
-            keys: CompiledExpr::list(left_keys, &left.0),
+            keys: left_keys,
             join_type,
             schema: join_output_schema(&left.0, &right.0, join_type),
         }));
@@ -1054,10 +1052,10 @@ mod tests {
         let out_schema = join_output_schema(&schema, &schema, JoinType::Inner);
         let mut s1 = ProbeScratch::new();
         let mut s2 = ProbeScratch::new();
-        let o1 = probe_batch(&t1, &key0(&schema), JoinType::Inner, &out_schema, &probe, &mut s1)
+        let o1 = probe_batch(&t1, &key0(), JoinType::Inner, &out_schema, &probe, &mut s1)
             .unwrap()
             .unwrap();
-        let o2 = probe_batch(&t2, &key0(&schema), JoinType::Inner, &out_schema, &probe, &mut s2)
+        let o2 = probe_batch(&t2, &key0(), JoinType::Inner, &out_schema, &probe, &mut s2)
             .unwrap()
             .unwrap();
         assert_eq!(o1.to_rows(), o2.to_rows());
@@ -1086,7 +1084,7 @@ mod tests {
             }
             let batch = Batch::from_rows(&schema, rows).unwrap();
             let mut scratch = ProbeScratch::new();
-            probe_batch(&table, &key0(&schema), JoinType::Inner, &out_schema, &batch, &mut scratch)
+            probe_batch(&table, &key0(), JoinType::Inner, &out_schema, &batch, &mut scratch)
                 .unwrap()
                 .map(|b| b.to_rows())
                 .unwrap_or_default()
@@ -1128,7 +1126,7 @@ mod tests {
         let batch = Batch::from_rows(&schema, &rows).unwrap();
         let out_schema = join_output_schema(&schema, &schema, JoinType::Inner);
         let mut scratch = ProbeScratch::new();
-        let out = probe_batch(&table, &key0(&schema), JoinType::Inner, &out_schema, &batch, &mut scratch)
+        let out = probe_batch(&table, &key0(), JoinType::Inner, &out_schema, &batch, &mut scratch)
             .unwrap();
         assert!(out.is_none(), "false positives must not produce join rows");
     }
@@ -1172,7 +1170,7 @@ mod tests {
         let out_schema = join_output_schema(&schema, &schema, JoinType::Inner);
         let run = |t: &JoinTable| {
             let mut s = ProbeScratch::new();
-            probe_batch(t, &key0(&schema), JoinType::Inner, &out_schema, &probe, &mut s)
+            probe_batch(t, &key0(), JoinType::Inner, &out_schema, &probe, &mut s)
                 .unwrap()
                 .unwrap()
                 .to_rows()

@@ -4,12 +4,10 @@
 //! query-processing dimensions the tutorial enumerates:
 //!
 //! * [`expr`] — expression trees and the vectorized interpreter that
-//!   defines their semantics.
-//! * [`compiled`] — [`CompiledExpr`], the one way anything evaluates an
-//!   expression: the interpreter, with a fused register-program evaluator
-//!   standing in for LLVM query compilation (HyPer \[28\] / Impala \[41\]
-//!   analog) wherever that is bit-identical. (The tuple-at-a-time walk of
-//!   §4's spectrum is an `oltap-bench` baseline.)
+//!   defines their semantics: the one way anything evaluates an
+//!   expression. (The tuple-at-a-time walk and the f64 register VM
+//!   standing in for HyPer \[28\] / Impala \[41\] query compilation, the
+//!   other two points of §4's spectrum, are `oltap-bench` baselines.)
 //! * [`groups`] — [`RunningGroups`], the one group store every GROUP BY
 //!   fills: key → group index, one typed accumulator column per distinct
 //!   input, charged to the governor, spilling once refused, merged across
@@ -34,7 +32,6 @@
 //!   a reservation is rejected, without changing their output.
 
 pub mod aggregate;
-pub mod compiled;
 pub mod expr;
 pub mod fused;
 pub mod groups;
@@ -44,7 +41,6 @@ pub mod resources;
 pub mod sort;
 
 pub use aggregate::{AggExpr, AggFunc, AggregatorCore};
-pub use compiled::CompiledExpr;
 pub use expr::{BinOp, Expr, UnOp};
 pub use fused::{fused_aggregate_segments, FusedScanCtx};
 pub use groups::RunningGroups;

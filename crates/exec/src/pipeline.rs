@@ -36,7 +36,6 @@
 //! the same retry budget.
 
 use crate::aggregate::AggregatorCore;
-use crate::compiled::CompiledExpr;
 use crate::expr::Expr;
 use crate::groups::RunningGroups;
 use crate::join::{probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch};
@@ -149,15 +148,15 @@ impl MorselDispenser {
 }
 
 /// The streaming (non-breaking) operators a pipeline runs per morsel,
-/// their expressions compiled once where the stage is built; workers share
-/// them read-only.
+/// their expressions type-checked once where the stage is built; workers
+/// share them read-only.
 #[derive(Clone)]
 pub enum StageSpec {
     /// Keep rows where the boolean predicate holds (see
     /// [`StageSpec::filter`]).
-    Filter(Arc<CompiledExpr>),
+    Filter(Arc<Expr>),
     /// Compute one output column per expression.
-    Project(Arc<[CompiledExpr]>),
+    Project(Arc<[Expr]>),
     /// Probe a pre-built (shared, read-only) hash-join table.
     Probe(Arc<ProbeStage>),
 }
@@ -168,10 +167,7 @@ impl StageSpec {
         if predicate.data_type(input_schema)? != DataType::Bool {
             return Err(DbError::Plan("filter predicate must be boolean".into()));
         }
-        Ok(StageSpec::Filter(Arc::new(CompiledExpr::new(
-            predicate,
-            input_schema,
-        ))))
+        Ok(StageSpec::Filter(Arc::new(predicate)))
     }
 
     /// A projection stage computing one column per `(expression, name)`
@@ -184,9 +180,9 @@ impl StageSpec {
             .iter()
             .map(|(e, n)| Ok(Field::new(n.clone(), e.data_type(input_schema)?)))
             .collect::<Result<Vec<_>>>()?;
-        let exprs = CompiledExpr::list(exprs.iter().map(|(e, _)| e.clone()), input_schema);
+        let exprs = exprs.iter().map(|(e, _)| e.clone()).collect();
         Ok((
-            StageSpec::Project(exprs.into()),
+            StageSpec::Project(exprs),
             Arc::new(Schema::new(fields)),
         ))
     }
@@ -208,7 +204,7 @@ impl StageSpec {
                 Ok(Some(batch.take(&sel)))
             }
             StageSpec::Project(exprs) => {
-                Ok(Some(Batch::new(CompiledExpr::eval_all(exprs, &batch)?)?))
+                Ok(Some(Batch::new(Expr::eval_all(exprs, &batch)?)?))
             }
             StageSpec::Probe(p) => {
                 probe_batch(&p.table, &p.keys, p.join_type, &p.schema, &batch, scratch)
@@ -225,7 +221,7 @@ pub struct ProbeStage {
     /// Radix-partitioned build side in build-scan order.
     pub table: Arc<JoinTable>,
     /// Probe-side key expressions.
-    pub keys: Vec<CompiledExpr>,
+    pub keys: Vec<Expr>,
     /// Inner or left outer.
     pub join_type: JoinType,
     /// Joined output schema.
@@ -392,7 +388,7 @@ impl ParallelContext {
         &self,
         batches: Vec<Batch>,
         stages: Vec<StageSpec>,
-        keys: Vec<CompiledExpr>,
+        keys: Vec<Expr>,
         build_width: usize,
     ) -> Result<JoinTable> {
         let key_width = keys.len();
@@ -414,7 +410,7 @@ impl ParallelContext {
                         )));
                     }
                 }
-                let key_cols = CompiledExpr::eval_all(&keys, &batch)?;
+                let key_cols = Expr::eval_all(&keys, &batch)?;
                 builder.push_batch(&key_cols, &batch, idx)
             },
             |b| b,
@@ -437,7 +433,7 @@ impl ParallelContext {
         keys: Vec<SortKey>,
         schema: SchemaRef,
     ) -> Result<Vec<Batch>> {
-        let key_exprs = CompiledExpr::list(keys.iter().map(|k| k.expr.clone()), &schema);
+        let key_exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
         let keys = Arc::new(keys);
         let k_make = Arc::clone(&keys);
         let res = self.mem.clone();
@@ -446,7 +442,7 @@ impl ParallelContext {
             stages,
             move || SortBuffer::new(k_make.as_ref().clone(), res.clone()),
             move |buf: &mut SortBuffer, idx, batch| {
-                let key_cols = CompiledExpr::eval_all(&key_exprs, &batch)?;
+                let key_cols = Expr::eval_all(&key_exprs, &batch)?;
                 for i in 0..batch.len() {
                     let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
                     buf.push(key, ((idx as u64) << 32) | i as u64, batch.row(i))?;
@@ -472,7 +468,7 @@ impl ParallelContext {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let key_exprs = CompiledExpr::list(keys.iter().map(|k| k.expr.clone()), &schema);
+        let key_exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
         let keys = Arc::new(keys);
         let k_make = Arc::clone(&keys);
         let sets = self.fan_out(
@@ -480,7 +476,7 @@ impl ParallelContext {
             stages,
             move || TopKAcc::new(&k_make, k),
             move |acc: &mut TopKAcc, idx, batch| {
-                let key_cols = CompiledExpr::eval_all(&key_exprs, &batch)?;
+                let key_cols = Expr::eval_all(&key_exprs, &batch)?;
                 for i in 0..batch.len() {
                     let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
                     acc.push(key, ((idx as u64) << 32) | i as u64, batch.row(i));

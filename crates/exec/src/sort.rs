@@ -96,7 +96,7 @@ fn decode_sort_entry(bytes: &[u8]) -> Result<SortEntry> {
 ///
 /// Entries accumulate in memory while reservations succeed; a rejected
 /// reservation sorts the staged entries by `(key, seq)` and writes them
-/// out as one on-disk run, freeing their reservation. [`into_streams`]
+/// out as one on-disk run, freeing their reservation. [`SortBuffer::into_streams`]
 /// (via [`merge_spilled_sort`]) later merges every run with the sorted
 /// in-memory tail.
 pub struct SortBuffer {

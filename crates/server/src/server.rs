@@ -14,7 +14,7 @@
 //! result is fully materialized by the session before its first frame
 //! is encoded. Its frames (Schema, Rows…, Done) are appended to one
 //! buffer that is written when the answer is complete — a point `SELECT`
-//! is one `write`, not three — or as soon as it passes [`FLUSH_AT`], so
+//! is one `write`, not three — or as soon as it passes `FLUSH_AT`, so
 //! the connection holds the result plus `FLUSH_AT` and one encoded frame
 //! and nothing else, and a large result still streams; a client that
 //! stops reading stalls the write, and past the write deadline the

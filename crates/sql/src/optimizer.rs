@@ -18,7 +18,6 @@
 use crate::plan::{AccessPath, LogicalPlan, ParamSlot, SipScan};
 use oltap_common::{Batch, DataType, Field, Result, Row, Schema, Value};
 use oltap_exec::expr::{BinOp, Expr};
-use oltap_exec::CompiledExpr;
 use oltap_exec::join::JoinType;
 use oltap_storage::{CmpOp, ColumnPredicate};
 use std::collections::BTreeSet;
@@ -174,7 +173,7 @@ fn eval_literal_only(e: &Expr) -> Option<Expr> {
     // Any one-row batch will do.
     let schema = Schema::new(vec![Field::new("", DataType::Int64)]);
     let one_row = Batch::from_rows(&schema, &[Row::new(vec![Value::Int(0)])]).ok()?;
-    let answer = CompiledExpr::new(e.clone(), &schema).eval(&one_row).ok()?;
+    let answer = e.eval_batch(&one_row).ok()?;
     let folded = Expr::Literal(answer.value_at(0));
     (folded.data_type(&schema).ok()? == e.data_type(&schema).ok()?).then_some(folded)
 }

@@ -198,7 +198,7 @@ impl BitPacked {
     /// accessor every operate-on-compressed kernel uses. A whole block on a
     /// 64-aligned start is exactly `width` whole words, so it dispatches
     /// once on the width to a body whose word indexes, shifts and straddles
-    /// are compile-time constants ([`unpack64`]); any other range walks a
+    /// are compile-time constants (`unpack64`); any other range walks a
     /// bit cursor.
     #[inline]
     pub fn unpack_block<T: Lane>(&self, start: usize, out: &mut [T]) {

@@ -473,7 +473,7 @@ fn word_of(bits: Option<&BitSet>, w: usize) -> u64 {
 /// The `f64`s are compared as they are wherever that is the total order:
 /// the two differ only on a NaN (either side) or on zeros of opposite sign,
 /// so a NaN or zero literal, or a block holding a NaN, is compared through
-/// [`total_order_key`] instead. Public for E18, which times it.
+/// `total_order_key` instead. Public for E18, which times it.
 pub fn cmp_floats_block(
     values: &[f64],
     op: CmpOp,
@@ -631,7 +631,7 @@ fn and_codes(
 /// two bounds of a range cost one unpack — over every packed code into
 /// `sel`, rows NULL in `validity` failing. The one code-domain compare:
 /// codes are unpacked 64 to a block into the narrowest lane that holds the
-/// width and compared there ([`cmp_mask`]); blocks `sel` has already
+/// width and compared there (`cmp_mask`); blocks `sel` has already
 /// emptied are not unpacked at all. A literal past every code the width
 /// can spell is decided here, before it could be truncated to the lane.
 /// Public so property tests can pit it against decode-then-evaluate.

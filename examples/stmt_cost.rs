@@ -11,13 +11,12 @@
 //!   plan retired by an untimed DDL just before), a *hit*, and *planned
 //!   alone* (`parse` + `Session::execute_statement`, no cache);
 //! * a Payment (the benchmark's): its customer `UPDATE`'s parse (lex +
-//!   parse), bind + compile (binding its SET and WHERE, splitting the
-//!   pushdown, compiling the SET expressions), the `get` + `update` it does
-//!   in storage, and its SET expressions filled and compiled — what a hit
-//!   still pays per statement, and all that compiling them to read their
-//!   parameters at evaluation could save; then the `UPDATE` whole
-//!   (auto-commit) and `BEGIN` + three `UPDATE`s + `COMMIT` whole, the
-//!   same three ways.
+//!   parse), bind (binding its SET and WHERE, splitting the pushdown), the
+//!   `get` + `update` it does in storage, and its SET expressions filled
+//!   from the literals — what a hit still pays per statement, and all that
+//!   reading their parameters at evaluation could save; then the `UPDATE`
+//!   whole (auto-commit) and `BEGIN` + three `UPDATE`s + `COMMIT` whole,
+//!   the same three ways.
 //!
 //! Run with: `cargo run --release --example stmt_cost [warehouses]`
 //! (default 16; CI passes 1 and reads only the exit status). Release only,
@@ -32,7 +31,6 @@ mod rng;
 
 use oltapdb::common::{Result, Value};
 use oltapdb::core::{Database, Session};
-use oltapdb::exec::CompiledExpr;
 use oltapdb::sql::ast::Statement;
 use oltapdb::sql::optimizer::split_pushdown;
 use oltapdb::sql::plan::fill_expr;
@@ -191,7 +189,7 @@ fn main() -> Result<()> {
     );
     let customer = db.table("customer")?;
     let schema = Arc::clone(customer.schema());
-    let bind_compile = median_us(
+    let update_bind = median_us(
         |i| {
             let l = lex(&customer_update(&payment(i))).expect("lexes");
             parse_tokens(l.tokens, &l.params).expect("parses")
@@ -202,15 +200,14 @@ fn main() -> Result<()> {
             };
             let all: Vec<usize> = (0..schema.len()).collect();
             for (_, e) in &set {
-                let e = bind_scalar(e, &schema).expect("binds");
-                black_box(CompiledExpr::new(e, &schema));
+                black_box(bind_scalar(e, &schema).expect("binds"));
             }
             let filter = bind_scalar(filter.as_ref().expect("a WHERE"), &schema).expect("binds");
             black_box(split_pushdown(&filter, &all, &schema));
         },
     );
     // A hit's per-statement expression work: the bound SET expressions,
-    // filled from the literals and compiled.
+    // filled from the literals.
     let bound_set: Vec<_> = {
         let l = lex(&customer_update(&payment(0)))?;
         let Statement::Update { set, .. } = parse_tokens(l.tokens, &l.params)? else {
@@ -220,13 +217,13 @@ fn main() -> Result<()> {
             .map(|(_, e)| bind_scalar(e, &schema))
             .collect::<Result<_>>()?
     };
-    let fill_compile = median_us(
+    let fill = median_us(
         |i| lex(&customer_update(&payment(i))).expect("lexes").params,
         |params| {
             for e in &bound_set {
                 let mut e = e.clone();
                 fill_expr(&mut e, &params);
-                black_box(CompiledExpr::new(e, &schema));
+                black_box(e);
             }
         },
     );
@@ -261,7 +258,7 @@ fn main() -> Result<()> {
         }
     });
     println!("Payment");
-    println!("  customer UPDATE  parse {update_parse:6.2}  bind + compile {bind_compile:6.2}  get + update {get_update:6.2}  hit's SET fill + compile {fill_compile:6.2}");
+    println!("  customer UPDATE  parse {update_parse:6.2}  bind {update_bind:6.2}  get + update {get_update:6.2}  hit's SET fill {fill:6.2}");
     println!("  customer UPDATE whole (auto-commit)  miss {update_miss:6.2}  hit {update_hit:6.2}  (saved {:.2})  planned alone {update_alone:6.2}", update_miss - update_hit);
     println!("  BEGIN + 3 UPDATE + COMMIT  miss {payment_miss:6.2}  hit {payment_hit:6.2}  (saved {:.2})  planned alone {payment_alone:6.2}", payment_miss - payment_hit);
     let stats = db.stats();

@@ -262,9 +262,8 @@ fn null_semantics_through_sql() {
 }
 
 /// Column-against-column integer comparisons past 2^53, where neighbouring
-/// integers are one f64: the answer is the integer answer, and it does not
-/// depend on whether a NULL elsewhere in the batch moved evaluation off the
-/// compiled expression VM.
+/// integers are one f64: the answer is the integer answer, with or without
+/// a NULL elsewhere in the batch.
 #[test]
 fn integer_comparisons_past_2_53_are_exact_with_or_without_a_null_in_the_batch() {
     const P53: i64 = 1 << 53;
@@ -309,10 +308,9 @@ fn integer_comparisons_past_2_53_are_exact_with_or_without_a_null_in_the_batch()
     }
 }
 
-/// Expressions the f64 expression VM used to answer its own way —
-/// products that wrap `i64`, `-0.0` against `0.0` — mean what the
-/// interpreter says they mean, whether or not a NULL elsewhere in the
-/// batch moved evaluation off the VM.
+/// Expressions an f64 evaluator answers its own way — products that wrap
+/// `i64`, `-0.0` against `0.0` — mean what the interpreter says they mean,
+/// with or without a NULL elsewhere in the batch.
 #[test]
 fn wrapping_products_and_negative_zero_answer_alike_with_or_without_a_null_in_the_batch() {
     let cases = [
