@@ -918,7 +918,8 @@ pub fn literal_value(e: &AstExpr, params: &[Value]) -> Result<Value> {
             .cloned()
             .ok_or_else(|| DbError::Execution(format!("parameter ${i} was never filled"))),
         AstExpr::Neg(inner) => match literal_value(inner, params)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            // Wraps as the evaluator's negation does: `-(i64::MIN)` is itself.
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(DbError::Plan(format!("cannot negate {other}"))),
         },

@@ -147,7 +147,7 @@ fn scan(input: &str, lift: bool) -> Result<Lexed> {
             }
             // A minus that cannot be binary, before a digit: part of the number.
             '-' if next.is_some_and(|b| b.is_ascii_digit()) && lx.last != Last::Operand => {
-                i = lx.number(input, i + 1, true)?;
+                i = lx.number(input, i)?;
             }
             '!' if next == Some(b'=') => {
                 lx.push(Token::Ne);
@@ -222,7 +222,7 @@ fn scan(input: &str, lift: bool) -> Result<Lexed> {
                 lx.ident(&input[start..i], false);
                 i += 1;
             }
-            c if c.is_ascii_digit() => i = lx.number(input, i, false)?,
+            c if c.is_ascii_digit() => i = lx.number(input, i)?,
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
@@ -353,9 +353,10 @@ impl Lexer {
         }
     }
 
-    /// Lexes the number starting at `start` (negated when a unary minus
-    /// precedes it) and returns the offset past it.
-    fn number(&mut self, input: &str, start: usize, negative: bool) -> Result<usize> {
+    /// Lexes the number starting at `start` (at its unary minus, if it has
+    /// one) and returns the offset past it. The signed text is parsed
+    /// whole, so `-9223372036854775808` is `i64::MIN`.
+    fn number(&mut self, input: &str, start: usize) -> Result<usize> {
         let bytes = input.as_bytes();
         let digits = |mut i: usize| {
             while i < bytes.len() && bytes[i].is_ascii_digit() {
@@ -363,7 +364,7 @@ impl Lexer {
             }
             i
         };
-        let mut i = digits(start);
+        let mut i = digits(start + (bytes[start] == b'-') as usize);
         let is_float = i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit();
         if is_float {
             i = digits(i + 1);
@@ -373,12 +374,12 @@ impl Lexer {
             let f: f64 = text
                 .parse()
                 .map_err(|_| DbError::Parse(format!("bad float literal {text}")))?;
-            Value::Float(if negative { -f } else { f })
+            Value::Float(f)
         } else {
             let n: i64 = text
                 .parse()
                 .map_err(|_| DbError::Parse(format!("bad integer literal {text}")))?;
-            Value::Int(if negative { -n } else { n })
+            Value::Int(n)
         });
         Ok(i)
     }
@@ -455,7 +456,8 @@ mod tests {
         assert!(tokenize("'unterminated").is_err());
         assert!(tokenize("SELECT @").is_err());
         assert!(tokenize("99999999999999999999999").is_err());
-        assert!(tokenize("-9223372036854775808").is_err());
+        assert!(tokenize("9223372036854775808").is_err());
+        assert!(tokenize("-9223372036854775809").is_err());
     }
 
     #[test]
@@ -506,6 +508,7 @@ mod tests {
         );
         assert_eq!(tokenize("-0.0").unwrap()[0], Float(-0.0));
         assert!(matches!(tokenize("-0.0").unwrap()[0], Float(f) if f.is_sign_negative()));
+        assert_eq!(tokenize("-9223372036854775808").unwrap()[0], Int(i64::MIN));
     }
 
     #[test]

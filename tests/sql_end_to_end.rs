@@ -138,6 +138,41 @@ fn overflowing_constants_fold_to_the_evaluators_wrapped_values() {
     }
 }
 
+/// `i64::MIN` written as a literal — the sign is part of the number, not a
+/// negation of 9223372036854775808 — is inserted, found by a point read of
+/// its key and by a scan comparing with it, and `- -9223372036854775808`
+/// wraps back to it as the evaluator's negation does; through the plan
+/// cache and planned alone, on every format.
+#[test]
+fn the_least_integer_is_a_literal() {
+    const MIN: &str = "-9223372036854775808";
+    for f in formats() {
+        for cached in [true, false] {
+            let db = Database::new();
+            let mut s = db.session();
+            let mut run = |sql: &str| {
+                let answer = if cached {
+                    s.execute(sql)
+                } else {
+                    oltapdb::sql::parse(sql).and_then(|stmt| s.execute_statement(stmt, sql))
+                };
+                answer.unwrap_or_else(|e| panic!("{f} cached={cached}: {sql}: {e}")).rows().to_vec()
+            };
+            run(&format!("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT {f}"));
+            run(&format!("INSERT INTO t VALUES ({MIN}, 1), (2, {MIN})"));
+            run(&format!("INSERT INTO t VALUES (3, - {MIN})"));
+            let by_key = run(&format!("SELECT v FROM t WHERE id = {MIN}"));
+            assert_eq!(by_key.len(), 1, "{f} cached={cached}");
+            assert_eq!(by_key[0][0], Value::Int(1), "{f} cached={cached}");
+            let ids: Vec<Value> = run(&format!("SELECT id FROM t WHERE v = {MIN} ORDER BY id"))
+                .iter()
+                .map(|r| r[0].clone())
+                .collect();
+            assert_eq!(ids, [Value::Int(2), Value::Int(3)], "{f} cached={cached}");
+        }
+    }
+}
+
 #[test]
 fn update_delete_visibility_across_formats() {
     for f in formats() {
