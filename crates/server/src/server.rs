@@ -5,10 +5,15 @@
 //!
 //! One accept thread blocks in `accept()`. Each connection gets **one**
 //! thread that owns the socket and the [`oltap_core::Session`] and blocks
-//! on the socket: in `peek` under the idle deadline for the next request,
-//! in `read_frame` under the read deadline for the rest of it, and, once
-//! the statement has run, in `write` under the write deadline for its
-//! response frames. Nothing polls.
+//! on the socket: in `read` under the idle deadline for the next request's
+//! first byte, under the read deadline for the rest of it, and, once the
+//! statement has run, in `write` under the write deadline for its
+//! response frames. Nothing polls. Requests are read through a buffer the
+//! connection owns, as many bytes as the socket has, so a statement costs
+//! one `read` and one `write`: a request that arrives whole needs no
+//! other call, the socket's read timeout is set only when it changes, and
+//! requests a client sends back to back are answered in order from the
+//! buffer.
 //!
 //! The blocking write *is* the slow-client backpressure. A statement's
 //! result is fully materialized by the session before its first frame
@@ -43,7 +48,8 @@
 //!   connections leave, and every wait is bounded.
 
 use crate::wire::{
-    frame_bytes, put_frame, read_frame, DoneKind, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
+    frame_bytes, header, put_frame, read_frame, split_frame, DoneKind, Request, Response,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::mem::WorkloadClass;
@@ -51,7 +57,7 @@ use oltap_common::{CancellationToken, DbError, Result};
 use oltap_core::{Database, QueryResult, Session, SessionActivity};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -468,9 +474,20 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()
 /// deadline starts to run.
 const FLUSH_AT: usize = 64 * 1024;
 
+/// What a connection's request buffer holds between requests; a larger
+/// request grows it for as long as it is being read.
+const INPUT_BYTES: usize = 16 * 1024;
+
 /// One connection's socket, as its thread uses it after the handshake.
 struct Conn<'a> {
     stream: TcpStream,
+    /// Bytes read from the socket: `input[start..filled]` are the next
+    /// request, part of it, or more than one request.
+    input: Vec<u8>,
+    start: usize,
+    filled: usize,
+    /// The read timeout last set on the socket.
+    timeout: Option<Duration>,
     /// Encoded response frames not yet written.
     out: Vec<u8>,
     shared: &'a Shared,
@@ -525,22 +542,60 @@ impl Conn<'_> {
         })
     }
 
-    /// Blocks for the next request: under `idle_timeout` for its first
-    /// byte, then under `read_timeout` for the rest of the frame (a peer
-    /// stalling mid-frame is a torn frame). `Ok(None)` is every way a
-    /// connection ends without one: EOF (the peer's close, or `drain`'s
-    /// `shutdown(Read)`), the idle deadline, a torn frame, a transport
-    /// error. `Err` is a frame that arrived whole and does not decode.
+    /// The next request: from the buffer if it holds one whole, else read
+    /// for under `idle_timeout` until its first byte, then under
+    /// `read_timeout` for the rest of the frame (a peer stalling mid-frame
+    /// is a torn frame). `Ok(None)` is every way a connection ends without
+    /// one: EOF (the peer's close, or `drain`'s `shutdown(Read)`), the idle
+    /// deadline, a torn frame (cut short, longer than [`MAX_FRAME`], or
+    /// failing its CRC), a transport error. `Err` is a frame that arrived
+    /// whole and does not decode.
     fn next_request(&mut self) -> Result<Option<Request>> {
-        let cfg = &self.shared.cfg;
-        let _ = self.stream.set_read_timeout(Some(cfg.idle_timeout));
-        if !matches!(self.stream.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
-            return Ok(None);
+        loop {
+            let unread = &self.input[self.start..self.filled];
+            match split_frame(unread) {
+                Ok(Some((payload, used))) => {
+                    let request = Request::decode(payload);
+                    self.start += used;
+                    return request.map(Some);
+                }
+                Ok(None) => {}
+                Err(_) => return Ok(None),
+            }
+            let cfg = &self.shared.cfg;
+            let timeout = match unread.is_empty() {
+                true => cfg.idle_timeout,
+                false => cfg.read_timeout,
+            };
+            if self.timeout != Some(timeout) {
+                let _ = self.stream.set_read_timeout(Some(timeout));
+                self.timeout = Some(timeout);
+            }
+            self.make_room();
+            match self.stream.read(&mut self.input[self.filled..]) {
+                Ok(0) => return Ok(None),
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Ok(None),
+            }
         }
-        let _ = self.stream.set_read_timeout(Some(cfg.read_timeout));
-        match read_frame(&mut self.stream) {
-            Ok(Some(payload)) => Request::decode(&payload).map(Some),
-            _ => Ok(None),
+    }
+
+    /// Room to read into after the unread bytes, moved to the front: for
+    /// the whole of the frame they start (its length already checked), or
+    /// [`INPUT_BYTES`] — back to that once a large request has been read.
+    fn make_room(&mut self) {
+        self.input.copy_within(self.start..self.filled, 0);
+        self.filled -= self.start;
+        self.start = 0;
+        let head = self.input[..self.filled].first_chunk().map(header);
+        let want = match head {
+            Some(Ok((len, _))) => (8 + len).max(INPUT_BYTES),
+            _ => INPUT_BYTES,
+        };
+        if want > self.input.len() || (self.input.len() > INPUT_BYTES && want == INPUT_BYTES) {
+            self.input.resize(want, 0);
+            self.input.shrink_to(want);
         }
     }
 
@@ -647,6 +702,10 @@ fn serve_connection(
     }
     let mut conn = Conn {
         stream,
+        input: Vec::new(),
+        start: 0,
+        filled: 0,
+        timeout: Some(cfg.read_timeout),
         out: Vec::new(),
         shared,
     };
@@ -745,6 +804,70 @@ mod tests {
         assert!(matches!(next(), Response::Rows { rows } if rows.len() == 1));
         assert!(matches!(next(), Response::Done { count: 1, .. }));
         assert!(answer.is_empty());
+    }
+
+    /// Two requests a client sends in one write are two answers, in order:
+    /// the second waits in the connection's buffer while the first runs.
+    #[test]
+    fn two_requests_in_one_write_get_two_answers_in_order() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        let server = Server::start(db, ServerConfig::default()).unwrap();
+        let mut stream = connect(server.local_addr());
+        let mut both = Vec::new();
+        for id in [2, 1] {
+            let sql = format!("SELECT v FROM t WHERE id = {id}");
+            put_frame(&mut both, &Request::Query { sql }.encode());
+        }
+        stream.write_all(&both).unwrap();
+        let mut next = || Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        for v in [20, 10] {
+            assert!(matches!(next(), Response::Schema { .. }));
+            assert!(
+                matches!(next(), Response::Rows { rows } if rows == [oltap_common::row![v as i64]]),
+                "answer to v = {v}"
+            );
+            assert!(matches!(next(), Response::Done { count: 1, .. }));
+        }
+        assert_eq!(server.stats().queries, 2);
+    }
+
+    /// A request whose frame stops arriving part-way is torn once the read
+    /// deadline passes: the connection closes without an answer, and the
+    /// next connection is served.
+    #[test]
+    fn a_frame_stalled_past_the_read_deadline_is_torn() {
+        use std::io::Read;
+        let cfg = ServerConfig {
+            read_timeout: Duration::from_millis(100),
+            ..ServerConfig::default()
+        };
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY)")
+            .unwrap();
+        let server = Server::start(db, cfg).unwrap();
+        let mut stream = connect(server.local_addr());
+        let sql = "SELECT id FROM t".to_string();
+        let frame = frame_bytes(&Request::Query { sql }.encode());
+        stream.write_all(&frame[..frame.len() - 3]).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let started = Instant::now();
+        let read = stream.read(&mut [0u8; 64]).unwrap();
+        assert_eq!(read, 0, "an answer to a torn frame");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(5), "{took:?}");
+        let gone = Instant::now() + Duration::from_secs(10);
+        server.shared.wait_conns_gone(gone);
+        let left = (server.active_connections(), server.stats().queries);
+        assert_eq!(left, (0, 0));
+        let mut fresh = connect(server.local_addr());
+        fresh.write_all(&frame).unwrap();
+        let answer = Response::decode(&read_frame(&mut fresh).unwrap().unwrap()).unwrap();
+        assert!(matches!(answer, Response::Schema { .. }), "{answer:?}");
     }
 
     /// Finished connection threads are reaped as new ones are accepted,

@@ -124,6 +124,40 @@ pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// The payload length and CRC a frame header holds, the length checked
+/// against [`MAX_FRAME`] — before anything is allocated for the payload.
+pub(crate) fn header(head: &[u8; 8]) -> Result<(usize, u32)> {
+    let len = u32::from_le_bytes(head[..4].try_into().expect("four bytes")) as usize;
+    if len > MAX_FRAME {
+        return Err(DbError::Corruption(format!(
+            "frame length {len} exceeds cap {MAX_FRAME}"
+        )));
+    }
+    let crc = u32::from_le_bytes(head[4..].try_into().expect("four bytes"));
+    Ok((len, crc))
+}
+
+fn verify(payload: &[u8], crc: u32) -> Result<()> {
+    match crc32(payload) == crc {
+        true => Ok(()),
+        false => Err(DbError::Corruption("frame CRC mismatch".into())),
+    }
+}
+
+/// The payload of the frame at the front of `buf` and the bytes it takes,
+/// once all of it is there; `Ok(None)` until then.
+pub(crate) fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>> {
+    let Some(head) = buf.first_chunk() else {
+        return Ok(None);
+    };
+    let (len, crc) = header(head)?;
+    let Some(payload) = buf.get(8..8 + len) else {
+        return Ok(None);
+    };
+    verify(payload, crc)?;
+    Ok(Some((payload, 8 + len)))
+}
+
 /// Reads one full frame, verifying length sanity and CRC. An EOF before
 /// the first header byte returns `Ok(None)` (orderly peer close); an EOF
 /// or timeout mid-frame is a torn frame ([`DbError::Corruption`] /
@@ -137,13 +171,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
         }
         ReadOutcome::Full => {}
     }
-    let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(head[4..].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(DbError::Corruption(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
+    let (len, crc) = header(&head)?;
     let mut payload = vec![0u8; len];
     match read_exact_or_eof(r, &mut payload)? {
         ReadOutcome::Full => {}
@@ -151,9 +179,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             return Err(DbError::Corruption("torn frame payload".into()))
         }
     }
-    if crc32(&payload) != crc {
-        return Err(DbError::Corruption("frame CRC mismatch".into()));
-    }
+    verify(&payload, crc)?;
     Ok(Some(payload))
 }
 

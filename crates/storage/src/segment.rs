@@ -1118,7 +1118,9 @@ impl Segment {
     /// The one place that knows where a chunk lives. A `pass` tells the
     /// pool which row group it is reading and, the first time it reads a
     /// column, how many bytes of that column it may go on to pin: the page
-    /// directory's lengths over the row groups the zone maps leave it.
+    /// directory's lengths over the row groups the zone maps leave it. On
+    /// entering a row group it tells the pager's loader too, which reads
+    /// ahead the pages of the later row groups the zone maps leave it.
     fn chunk(&self, g: usize, c: usize, pass: Option<&Pass>) -> Result<ColumnRef<'_>> {
         let ncols = self.schema.len();
         if c >= ncols {
@@ -1134,13 +1136,22 @@ impl Segment {
             ChunkStore::Held(chunks) => Ok(ColumnRef::Borrowed(&chunks[chunk])),
             ChunkStore::Paged { pager, file } => {
                 let pass = pass.map(|pass| {
-                    pass.pool.reading(g, c, || {
+                    let entering = pass.pool.reading(g, c, || {
                         let pages = file.directory().iter().skip(c).step_by(ncols);
                         (pages.zip(&pass.admitted))
                             .filter(|(_, admitted)| **admitted)
                             .map(|(page, _)| page.len as u64)
                             .sum()
                     });
+                    if entering {
+                        pager.read_ahead(&pass.pool, g, |columns| {
+                            let later = (g + 1..self.groups.len()).filter(|&h| pass.admitted[h]);
+                            let page = move |h, c| (h, (h * ncols + c) as u32);
+                            later
+                                .flat_map(|h| columns.iter().map(move |&c| page(h, c)))
+                                .collect()
+                        });
+                    }
                     &pass.pool
                 });
                 Ok(ColumnRef::Pinned(pager.pin(file, chunk as u32, pass)?))
@@ -2843,5 +2854,208 @@ mod tests {
                 assert_eq!(heat(), want_heat(&before), "{tag}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod read_ahead {
+    use super::*;
+    use crate::buffer::{BufferManager, BufferStats};
+    use oltap_common::fault::FaultInjector;
+    use oltap_common::{Field, Schema};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const ROWS: usize = 64;
+    const NOBODY: TxnId = TxnId(u64::MAX);
+
+    fn root() -> std::path::PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "oltap-read-ahead-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
+    fn pager(pool_bytes: u64, loader: bool) -> Arc<SegmentPager> {
+        let buffer = BufferManager::new(pool_bytes, None, FaultInjector::disabled());
+        match loader {
+            true => SegmentPager::new(root(), buffer, ROWS, FaultInjector::disabled()),
+            false => SegmentPager::without_loader(root(), buffer, ROWS),
+        }
+    }
+
+    /// `groups` row groups of two integer columns, `id` and `2 * id`: every
+    /// page of a column is the same size.
+    fn segment(pager: &Arc<SegmentPager>, groups: usize) -> Segment {
+        let schema = Arc::new(Schema::new(vec![
+            Field::not_null("id", DataType::Int64),
+            Field::not_null("twice", DataType::Int64),
+        ]));
+        let rows: Vec<Row> = (0..(groups * ROWS) as i64)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Int(2 * i)]))
+            .collect();
+        Segment::from_rows(SegmentId(1), schema, &rows, 0, Some(pager)).unwrap()
+    }
+
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// One pass as a fused aggregate makes it: group by group, the filter
+    /// column pinned by `select_group`, the other one beside it. Returns
+    /// each group's sum of `twice`; `at(g)` runs as the pass enters group `g`.
+    fn pass(seg: &Segment, mut at: impl FnMut(usize)) -> Result<Vec<i64>> {
+        let pred = ScanPredicate::single(0, CmpOp::Ge, Value::Int(0));
+        let mut selector = seg.selector(&pred, 1, NOBODY)?.expect("nothing is pruned");
+        let chunks = selector.chunks();
+        let mut sums = Vec::new();
+        for g in 0..seg.group_count() {
+            at(g);
+            let rows: Vec<usize> = match selector.select_group(g)? {
+                Some(local) => local.iter_ones().collect(),
+                None => continue,
+            };
+            let twice = chunks.column_chunk(g, 1)?;
+            sums.push(
+                rows.iter()
+                    .map(|&i| twice.value_at(i).as_int().unwrap())
+                    .sum(),
+            );
+        }
+        Ok(sums)
+    }
+
+    fn counts(stats: BufferStats) -> [u64; 5] {
+        [
+            stats.hits,
+            stats.misses,
+            stats.evictions,
+            stats.resident_bytes,
+            stats.pinned_bytes,
+        ]
+    }
+
+    /// A page the loader read is published by the pass's own pin, as a miss
+    /// with its room made then: three passes read the same sums with the
+    /// loader as without it, with the same hits, misses, evictions and
+    /// resident bytes — under a pool that holds them, and one a quarter of
+    /// their size, which churns the pass's own frames.
+    #[test]
+    fn reading_ahead_changes_no_answer_and_no_pool_decision() {
+        let groups = 40;
+        let whole = segment(&pager(u64::MAX, false), groups).size_bytes() as u64;
+        for pool_bytes in [u64::MAX, whole / 4] {
+            let run = |loader: bool| {
+                let pager = pager(pool_bytes, loader);
+                let seg = segment(&pager, groups);
+                let sums: Vec<Vec<i64>> = (0..3)
+                    .map(|_| {
+                        pass(&seg, |g| {
+                            // The loader starts at the first miss after group
+                            // 0; let it read something before going on.
+                            let loads = || pager.buffer().stats().loader_loads;
+                            if loader && g == 2 && loads() == 0 {
+                                eventually("a read ahead", || loads() > 0);
+                            }
+                        })
+                        .unwrap()
+                    })
+                    .collect();
+                (sums, pager.buffer().stats())
+            };
+            let ((read_ahead, with), (alone, without)) = (run(true), run(false));
+            assert_eq!(read_ahead, alone, "pool {pool_bytes}");
+            assert_eq!(counts(with), counts(without), "pool {pool_bytes}");
+            assert!(
+                with.loader_loads > 0 && without.loader_loads == 0,
+                "{with:?}"
+            );
+            assert!(pool_bytes == u64::MAX || with.evictions > 0, "{with:?}");
+        }
+    }
+
+    /// How far ahead the loader runs: a quarter of what the pool can keep,
+    /// at the pass's bytes per row group — here `window` row groups. It
+    /// starts at the pass's first miss after its first row group (group 1),
+    /// leaves the next row group (2) to the pass, stops at the window's edge,
+    /// and goes on once the pass has gone half a window further.
+    #[test]
+    fn the_loader_runs_a_window_ahead_and_resumes_half_a_window_on() {
+        let groups = 60;
+        let window: usize = 8;
+        let probe = segment(&pager(u64::MAX, false), groups);
+        let per_group = (probe.size_bytes() / groups) as u64;
+        let pager = pager(4 * window as u64 * per_group, true);
+        let seg = segment(&pager, groups);
+        let loads = || pager.buffer().stats().loader_loads;
+        let settled = |want: u64| {
+            eventually(&format!("{want} pages read ahead"), || loads() == want);
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(loads(), want, "the loader ran past its window");
+        };
+        let resume = (1 + window + 1) - window.div_ceil(2);
+        pass(&seg, |g| match g {
+            // Listed at group 1, started there: groups 3 ..= 1 + window.
+            2 => settled(2 * (window as u64 - 1)),
+            // Still stopped just before the pass has gone half a window on.
+            g if g == resume - 1 => settled(2 * (window as u64 - 1)),
+            // Woken: up to `resume + window`.
+            g if g == resume + 1 => settled(2 * (resume + window - 2) as u64),
+            _ => {}
+        })
+        .unwrap();
+        assert_eq!(pager.jobs(), 0);
+    }
+
+    /// A pass that ends part-way — dropped, as a cancelled or failed
+    /// statement drops it — ends its job there: the loader, stopped at the
+    /// window's edge with row groups still to read, reads no more of them;
+    /// no job, load under way or pin is left; only what the pass pinned
+    /// became a frame; and the segment and the pager then go, the loader
+    /// thread with them, within a time bound.
+    #[test]
+    fn a_pass_dropped_part_way_leaves_nothing_behind() {
+        let (groups, window) = (40, 4);
+        let probe = segment(&pager(u64::MAX, false), groups);
+        let per_group = (probe.size_bytes() / groups) as u64;
+        let pager = pager(4 * window * per_group, true);
+        let seg = segment(&pager, groups);
+        let loads = || pager.buffer().stats().loader_loads;
+        let pred = ScanPredicate::single(0, CmpOp::Ge, Value::Int(0));
+        let mut selector = seg.selector(&pred, 1, NOBODY).unwrap().unwrap();
+        for g in 0..3 {
+            selector.select_group(g).unwrap();
+            selector.chunks().column_chunk(g, 1).unwrap();
+        }
+        // Groups 3 ..= 1 + window read, the rest of the list waiting.
+        eventually("the window read", || loads() == 2 * (window - 1));
+        assert_eq!(pager.jobs(), 1);
+        drop(selector);
+        let stats = pager.buffer().stats();
+        assert_eq!(
+            (pager.jobs(), pager.buffer().loading(), stats.pinned_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!(stats.misses, 2 * 3);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            loads(),
+            2 * (window - 1),
+            "the loader read on for a pass that ended"
+        );
+        let started = Instant::now();
+        drop(seg);
+        drop(pager);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(5),
+            "dropping the pager took {took:?}"
+        );
     }
 }

@@ -9,17 +9,33 @@
 //!   checksum of what it returned;
 //! * `verify`: `crc32` over the same bytes, so `read` = `read+verify` − it;
 //! * `decode`: `decode_page` of those bytes into an `EncodedColumn`;
-//! * `fault`: `PageFile::read_column`, all of it as the pool's loader pays it.
+//! * `fault`: `PageFile::read_column`, all of it as a fault pays it.
+//!
+//! Then one `order_line` pass as a statement makes it — CH Q1 over the
+//! benchmark's 16-warehouse `order_line`, through a buffer pool a quarter
+//! the size of its page files — and, per pass, the µs it takes, the pages
+//! it faults, how many of them the pager's loader had read ahead (its
+//! share of the faults) and how often the pass waited for a row group the
+//! loader was reading (`BufferStats::{misses, loader_loads, loader_waits}`).
 //!
 //! Run with: `cargo run --release --example fault_cost [pages per round]`
 //! (default 20 000; CI passes a small count and reads only the exit status).
+#![allow(dead_code)]
+
+#[path = "../benchmark/src/ch.rs"]
+mod ch;
+#[path = "../benchmark/src/rng.rs"]
+mod rng;
 
 use oltapdb::common::fault::FaultInjector;
 use oltapdb::common::crc32;
+use oltapdb::core::{BufferConfig, Database, DbConfig, TableHandle};
 use oltapdb::storage::encoding::{Dictionary, ForPacked, IntEncoding, StrEncoding};
 use oltapdb::storage::pagefile::{decode_page, PageFileWriter};
 use oltapdb::storage::segment::EncodedColumn;
 use std::hint::black_box;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 const ROWS: usize = 1024;
@@ -129,5 +145,86 @@ fn main() -> oltapdb::common::Result<()> {
         );
     }
     std::fs::remove_dir_all(&root)?;
+    order_line_pass(&root)
+}
+
+/// The benchmark's page size and warehouses (`benchmark/src/workload.rs`).
+const PAGE_ROWS: usize = 1024;
+const WAREHOUSES: i64 = 16;
+/// Passes timed after three that warm the pool and the page cache.
+const PASSES: usize = 9;
+
+/// A database holding the benchmark's `order_line` in paged segments
+/// behind a pool of `pool_bytes`, with its page files under `root`.
+fn order_line_db(pool_bytes: u64, root: &Path) -> oltapdb::common::Result<Arc<Database>> {
+    let db = Database::with_config(DbConfig {
+        buffer: Some(BufferConfig {
+            pool_bytes,
+            page_rows: PAGE_ROWS,
+            page_root: Some(root.to_path_buf()),
+        }),
+        ..DbConfig::default()
+    })?;
+    for stmt in ch::ddl() {
+        db.execute(stmt)?;
+    }
+    let population = ch::populate(WAREHOUSES);
+    let (_, rows) = (population.tables.iter())
+        .find(|(table, _)| *table == "order_line")
+        .expect("the CH population has order_line");
+    let handle = db.table("order_line")?;
+    for chunk in rows.chunks(2000) {
+        let txn = db.txn_manager().begin();
+        for row in chunk {
+            handle.insert(&txn, row.clone())?;
+        }
+        txn.commit()?;
+    }
+    db.maintenance();
+    Ok(db)
+}
+
+fn order_line_pass(root: &Path) -> oltapdb::common::Result<()> {
+    let sql = ch::OLAP.iter().find(|(id, _)| *id == "Q1").expect("Q1").1;
+    let page_bytes = {
+        let db = order_line_db(u64::MAX, &root.join("all"))?;
+        let TableHandle::Column(table) = db.table("order_line")? else {
+            unreachable!("order_line is a COLUMN table");
+        };
+        table.sizes().main_bytes as u64
+    };
+    let db = order_line_db(page_bytes / 4, &root.join("quarter"))?;
+    for _ in 0..3 {
+        db.query(sql)?;
+    }
+    let mut passes = Vec::with_capacity(PASSES);
+    for _ in 0..PASSES {
+        let before = db.buffer_stats().expect("a paged database");
+        let started = Instant::now();
+        db.query(sql)?;
+        let us = started.elapsed().as_secs_f64() * 1e6;
+        let after = db.buffer_stats().expect("a paged database");
+        let delta = |f: fn(&oltapdb::storage::BufferStats) -> u64| f(&after) - f(&before);
+        let (faults, loads) = (delta(|s| s.misses), delta(|s| s.loader_loads));
+        passes.push((us, faults, loads, delta(|s| s.loader_waits)));
+    }
+    passes.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (us, faults, loads, waits) = passes[PASSES / 2];
+    println!();
+    println!(
+        "order_line Q1 pass over a {} KB pool (a quarter of {} KB of pages), median of {PASSES}:",
+        page_bytes / 4 / 1024,
+        page_bytes / 1024
+    );
+    println!(
+        "{:>10} {:>8} {:>13} {:>7} {:>6}",
+        "us", "faults", "loader reads", "share", "waits"
+    );
+    println!(
+        "{us:>10.0} {faults:>8} {loads:>13} {:>7.2} {waits:>6}",
+        loads as f64 / faults.max(1) as f64
+    );
+    drop(db);
+    std::fs::remove_dir_all(root)?;
     Ok(())
 }

@@ -1329,6 +1329,163 @@ fn chaos_corrupt_page_read_on_point_select_is_typed_then_clean() {
     );
 }
 
+/// Scenario 16c — the same fault on a page the pager's loader read ahead
+/// of a scan. The loader reads, verifies and decodes the pages of the row
+/// groups a pass has yet to reach, on its own thread; a page that fails
+/// its checksum there must reach the pass that asks for that page as the
+/// same typed `Corruption` — not be swallowed, not be re-read behind the
+/// pass's back — and a clean re-read must follow. The schedule is exact:
+/// groups 0–3 are resident but for one page of group 2, whose read (probe
+/// 0, the pass's own) starts the loader on groups 4 and later; the fault
+/// fires on probe 1, the loader's first read, page (4, id).
+#[test]
+fn chaos_corrupt_page_read_ahead_reaches_the_pass_that_asks_for_it() {
+    use oltapdb::common::ids::{SegmentId, TxnId};
+    use oltapdb::storage::{BufferManager, CmpOp, ScanPredicate, Segment, SegmentPager};
+    let seed = seed_for(16) ^ 0xC;
+    let faults = FaultInjector::new(seed);
+    let (groups, rows_per_group) = (40usize, 64usize);
+    let root = std::env::temp_dir().join(format!("oltap-chaos-16c-{}", std::process::id()));
+    let buffer = BufferManager::new(u64::MAX, None, Arc::clone(&faults));
+    let pager = SegmentPager::new(&root, buffer, rows_per_group, Arc::clone(&faults));
+    let rows: Vec<Row> = (0..(groups * rows_per_group) as i64)
+        .map(|i| row![i, i * 7 % 17])
+        .collect();
+    let seg = Segment::from_rows(SegmentId(1), schema(), &rows, 0, Some(&pager)).unwrap();
+    for (g, c) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0), (3, 1)] {
+        seg.column_chunk(g, c).unwrap();
+    }
+    faults.arm(
+        points::STORAGE_PAGE_READ_FAIL,
+        FaultPoint::times(1).after(1),
+    );
+
+    // One pass as a fused aggregate makes it: the filter column, then `v`.
+    let pred = ScanPredicate::single(0, CmpOp::Ge, Value::Int(0));
+    let sum_of_v = |stop_at: usize| -> Result<i64, (usize, DbError)> {
+        let mut selector = seg.selector(&pred, 1, TxnId(u64::MAX)).unwrap().unwrap();
+        let chunks = selector.chunks();
+        let mut sum = 0;
+        for g in 0..groups {
+            let rows: Vec<usize> = match selector.select_group(g).map_err(|e| (g, e))? {
+                Some(local) => local.iter_ones().collect(),
+                None => continue,
+            };
+            let v = chunks.column_chunk(g, 1).map_err(|e| (g, e))?;
+            sum += rows
+                .iter()
+                .map(|&i| v.value_at(i).as_int().unwrap())
+                .sum::<i64>();
+            if g == stop_at {
+                // Let the loader read everything it was given first.
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while pager.buffer().stats().loader_loads < 2 * (groups as u64 - 4) {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "the loader never read ahead"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        Ok(sum)
+    };
+    let failed = sum_of_v(2).unwrap_err();
+    assert!(
+        matches!(failed, (4, DbError::Corruption(_))),
+        "expected Corruption at group 4, got {failed:?} (seed={seed:#x})"
+    );
+    let fired: Vec<u64> = (faults.decisions_at(points::STORAGE_PAGE_READ_FAIL).iter())
+        .filter(|d| d.fired)
+        .map(|d| d.probe)
+        .collect();
+    assert_eq!(
+        fired,
+        [1],
+        "the fault was not the loader's read (seed={seed:#x})"
+    );
+    let stats = pager.buffer().stats();
+    assert!(stats.loader_loads >= 2 * (groups as u64 - 4), "{stats:?}");
+    assert_eq!(stats.pinned_bytes, 0);
+
+    // Nothing corrupt was kept: the clean re-read returns the right sum.
+    let want: i64 = (0..(groups * rows_per_group) as i64)
+        .map(|i| i * 7 % 17)
+        .sum();
+    assert_eq!(sum_of_v(usize::MAX), Ok(want));
+    drop(seg);
+    drop(pager);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Scenario 16d — statements cut off mid-scan while the loader reads
+/// ahead of them. Deadlines from 0 to 2 ms land anywhere in a paged
+/// aggregate over a pool a quarter of its pages; whichever way each ends,
+/// it leaves no page pinned and the next statement's answer is the
+/// resident one; dropping the database then joins the loader thread
+/// within a time bound.
+#[test]
+fn chaos_deadline_mid_read_ahead_leaves_no_pins() {
+    let load = |db: &Arc<Database>| {
+        let ddl =
+            "CREATE TABLE big (id BIGINT PRIMARY KEY, g BIGINT, v DOUBLE) USING FORMAT COLUMN";
+        db.execute(ddl).unwrap();
+        let t = db.table("big").unwrap();
+        let tx = db.txn_manager().begin();
+        for i in 0..20_000i64 {
+            t.insert(&tx, row![i, i % 13, (i % 1009) as f64 * 0.5])
+                .unwrap();
+        }
+        tx.commit().unwrap();
+        db.maintenance();
+    };
+    let resident = Database::new();
+    load(&resident);
+    let db = Database::with_config(DbConfig {
+        buffer: Some(oltapdb::core::BufferConfig {
+            pool_bytes: 64 << 10,
+            page_rows: 64,
+            page_root: None,
+        }),
+        ..DbConfig::default()
+    })
+    .unwrap();
+    load(&db);
+    let sql = "SELECT g, COUNT(*), SUM(v) FROM big WHERE id >= 0 GROUP BY g ORDER BY g";
+    let want = resident.query(sql).unwrap();
+    let mut s = db.session();
+    let mut cut = 0;
+    for micros in (0..2000).step_by(50) {
+        s.set_query_timeout(Some(Duration::from_micros(micros)));
+        match s.execute(sql) {
+            Ok(rows) => assert_eq!(rows.rows(), &want[..], "deadline {micros} us"),
+            Err(DbError::DeadlineExceeded(_)) => cut += 1,
+            Err(e) => panic!("deadline {micros} us: {e}"),
+        }
+        assert_eq!(
+            db.buffer_stats().unwrap().pinned_bytes,
+            0,
+            "deadline {micros} us"
+        );
+    }
+    assert!(cut > 0, "no statement was cut off — vacuous");
+    s.set_query_timeout(None);
+    assert_eq!(s.execute(sql).unwrap().rows(), &want[..]);
+    let stats = db.buffer_stats().unwrap();
+    assert!(
+        stats.loader_loads > 0,
+        "the loader never read ahead — vacuous: {stats:?}"
+    );
+    drop(s);
+    let started = std::time::Instant::now();
+    drop(db);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "drop took {:?}",
+        started.elapsed()
+    );
+}
+
 /// Scenario 7b — cancellation on the point path: a key lookup has no
 /// morsel boundary of its own, so the check is explicit. A past-deadline
 /// point `SELECT` fails with `DeadlineExceeded` and a cancelled one with
