@@ -7,6 +7,10 @@
 //! both a filter-heavy scan and a group-by aggregation, flattening as the
 //! worker count approaches the machine's effective bandwidth limit.
 //!
+//! The last two statements are `Aggregate(Scan)` shapes, which take the
+//! fused walk: over held segments its morsels and stripes are claimed by
+//! the statement's thread and `workers - 1` of the pool's.
+//!
 //! Prints per-worker-count times and records nothing: a row whose workers
 //! outnumber the host's CPUs measures time-slicing, not scaling, and is
 //! marked so. That every worker count gives the *same answer* is a test
@@ -39,9 +43,8 @@ fn main() {
         rate(n, load_secs)
     );
 
-    // Shapes that run on the morsel pipelines. (`Aggregate(Scan)` over plain
-    // columns is answered by the fused kernels on the session thread at any
-    // worker count — E18 measures those.)
+    // Two shapes that run on the morsel pipelines, then two the fused walk
+    // answers (E18 measures its kernels on one core).
     let queries = [
         (
             "filter-project",
@@ -50,6 +53,11 @@ fn main() {
         (
             "group-by-expr",
             "SELECT g + 0, COUNT(*), SUM(v) FROM fact GROUP BY g + 0",
+        ),
+        ("fused-group-by", "SELECT g, COUNT(*), SUM(v) FROM fact GROUP BY g"),
+        (
+            "fused-filter",
+            "SELECT COUNT(*), SUM(v) FROM fact WHERE v < 500",
         ),
     ];
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -16,6 +16,7 @@ use oltap_common::hash::FxHashMap;
 use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, DbError, Result, Row};
+use oltap_exec::Helpers;
 use oltap_sql::ast::FormatOpt;
 use oltap_sql::CatalogView;
 use oltap_storage::{
@@ -247,12 +248,26 @@ pub struct Catalog {
     /// generation may name a table, a column ordinal or a type that no
     /// longer is.
     generation: u64,
+    /// Who may fold a fused aggregate over these tables beside the
+    /// statement's thread: the owning database's pool and admission gate
+    /// (none for a catalog of its own).
+    helpers: Helpers,
 }
 
 impl Catalog {
     /// Empty catalog.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The threads a statement over these tables may borrow.
+    pub fn helpers(&self) -> &Helpers {
+        &self.helpers
+    }
+
+    /// Lends the statements over these tables `helpers`.
+    pub(crate) fn set_helpers(&mut self, helpers: Helpers) {
+        self.helpers = helpers;
     }
 
     /// Registers a new table.

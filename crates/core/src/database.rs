@@ -7,7 +7,7 @@ use oltap_common::fault::{points, FaultInjector};
 use oltap_common::mem::{MemoryGovernor, WorkloadClass};
 use oltap_common::schema::SchemaRef;
 use oltap_common::{DataType, DbError, Field, Result, Schema};
-use oltap_exec::ExecResources;
+use oltap_exec::{ExecResources, Helpers};
 use oltap_sched::{AdmissionConfig, AdmissionController, AdmissionTicket, WorkerPool};
 use oltap_sql::ast::Statement;
 use oltap_sql::parse;
@@ -20,7 +20,7 @@ use oltap_txn::wal::{CommitRecord, Wal, WalOp};
 use oltap_txn::{Transaction, TransactionManager, Ts};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,8 +110,17 @@ pub struct Database {
     txn_mgr: Arc<TransactionManager>,
     wal: Wal,
     faults: Arc<FaultInjector>,
-    /// Worker pool SELECT pipelines fan out on; `None` runs them inline.
+    /// The database's one worker pool: `available_parallelism()` workers
+    /// from open (none on a one-CPU host), `n` after
+    /// [`set_parallelism(n)`](Database::set_parallelism). A fused
+    /// aggregate's helpers always run on it; SELECT pipelines fan out on it
+    /// once `pipelines_fan_out` is set.
     exec_pool: RwLock<Option<Arc<WorkerPool>>>,
+    /// Set by `set_parallelism(n)` with `n > 1`; otherwise pipelines run
+    /// inline on the session's thread.
+    pipelines_fan_out: AtomicBool,
+    /// Sessions open (see [`Database::session`]).
+    sessions: Arc<AtomicUsize>,
     /// Memory governance, fixed at open: the governor and each query's cap.
     memory: Option<(Arc<MemoryGovernor>, u64)>,
     admission: RwLock<Option<Arc<AdmissionController>>>,
@@ -139,6 +148,15 @@ pub struct Database {
     /// more committed) until the database is reopened. Every append runs
     /// under this lock, so none can slip in behind a failing one.
     log_failed: Mutex<bool>,
+}
+
+/// A session, counted open until dropped.
+pub(crate) struct OpenSession(Arc<AtomicUsize>);
+
+impl Drop for OpenSession {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Sequence for per-database temp roots (ephemeral databases).
@@ -180,12 +198,14 @@ impl std::fmt::Debug for Database {
 impl Database {
     /// An ephemeral in-memory database.
     pub fn new() -> Arc<Database> {
-        Arc::new(Database {
+        let db = Arc::new(Database {
             catalog: RwLock::new(Catalog::new()),
             txn_mgr: Arc::new(TransactionManager::new()),
             wal: Wal::new_in_memory(),
             faults: FaultInjector::disabled(),
             exec_pool: RwLock::new(None),
+            pipelines_fan_out: AtomicBool::new(false),
+            sessions: Arc::default(),
             memory: None,
             admission: RwLock::new(None),
             spill_root: default_spill_root(None),
@@ -195,7 +215,9 @@ impl Database {
             bell: Arc::default(),
             plans: PlanCache::default(),
             log_failed: Mutex::new(false),
-        })
+        });
+        db.open_pool();
+        db
     }
 
     /// Opens (and recovers) a database according to `config`.
@@ -254,6 +276,8 @@ impl Database {
             wal,
             faults,
             exec_pool: RwLock::new(None),
+            pipelines_fan_out: AtomicBool::new(false),
+            sessions: Arc::default(),
             memory: governor.zip(config.memory.as_ref().map(|c| c.query_bytes)),
             admission: RwLock::new(None),
             spill_root,
@@ -264,6 +288,7 @@ impl Database {
             plans: PlanCache::default(),
             log_failed: Mutex::new(false),
         });
+        db.open_pool();
         db.set_admission_config(config.admission);
         // Spill files never outlive a process on purpose; anything under
         // the root at open time is leakage from a crash.
@@ -279,6 +304,36 @@ impl Database {
     /// Enables (or disables) query-granularity admission control.
     pub fn set_admission_config(&self, cfg: Option<AdmissionConfig>) {
         *self.admission.write() = cfg.map(AdmissionController::new);
+    }
+
+    /// Starts the pool a database opens with: one worker per CPU the
+    /// process may use, none on a one-CPU host.
+    fn open_pool(&self) {
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        *self.exec_pool.write() = (cpus > 1).then(|| Arc::new(WorkerPool::new(cpus, cpus)));
+        self.lend_helpers();
+    }
+
+    /// Hands the catalog the pool as it is now, for the fused walks of the
+    /// statements planned over it, behind the OLTP-first gate: a helper
+    /// claims work only while no session but the statement's own is open —
+    /// another session's transactions have first call on the cores. (A
+    /// gate on running OLTP statements alone, or on open statements and
+    /// transactions, still cost `htap_mixed`'s transactional stream: it
+    /// spends most of its time between statements, and a helper wakes into
+    /// that gap.)
+    fn lend_helpers(&self) {
+        let sessions = Arc::clone(&self.sessions);
+        self.catalog.write().set_helpers(Helpers {
+            pool: self.exec_pool.read().clone(),
+            gate: Some(Arc::new(move || sessions.load(Ordering::Relaxed) <= 1)),
+        });
+    }
+
+    /// Counts a session as open until the guard drops.
+    pub(crate) fn open_session(&self) -> OpenSession {
+        self.sessions.fetch_add(1, Ordering::Relaxed);
+        OpenSession(Arc::clone(&self.sessions))
     }
 
     /// The memory governor, if governance is enabled.
@@ -336,18 +391,39 @@ impl Database {
         self.pager.as_ref().map(|p| p.buffer().stats())
     }
 
-    /// Sets the degree of intra-query parallelism for SELECTs. With
-    /// `workers <= 1` (the default) every pipeline runs inline on the
-    /// session's thread; larger values spin up a dedicated worker pool the
-    /// same pipelines fan out on. Results are identical at every setting.
+    /// Sets the degree of intra-query parallelism for SELECTs: replaces the
+    /// database's one worker pool with one of `workers` workers (none for
+    /// `workers <= 1`).
+    ///
+    /// Until this is called, the pool has `available_parallelism()`
+    /// workers (none on a one-CPU host), every pipeline runs inline on the
+    /// session's thread, and only a fused `Aggregate(Scan)` over held
+    /// segments fans out: its morsels and stripes are claimed by the
+    /// session's thread and up to `workers - 1` of the pool's, while no
+    /// other session is open (paged segments keep their one pass).
+    /// After it, with `workers > 1`, the pipelines fan out on the same pool
+    /// too; with `workers <= 1`, nothing fans out. Results are identical at
+    /// every setting — the fused walk's float sums included, since stripes
+    /// count selected rows — except that a pipeline aggregate's float sums
+    /// add per worker's share when the pipelines fan out.
     pub fn set_parallelism(&self, workers: usize) {
         *self.exec_pool.write() =
             (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers)));
+        self.pipelines_fan_out.store(workers > 1, Ordering::Relaxed);
+        self.lend_helpers();
     }
 
     /// The pool SELECT pipelines fan out on, if
     /// [`Database::set_parallelism`] enabled one.
     pub(crate) fn exec_pool(&self) -> Option<Arc<WorkerPool>> {
+        let fan_out = self.pipelines_fan_out.load(Ordering::Relaxed);
+        fan_out.then(|| self.exec_pool.read().clone()).flatten()
+    }
+
+    /// The database's worker pool (see [`Database::set_parallelism`]), if it
+    /// has one: what its helpers have run is in its
+    /// [`stats`](WorkerPool::stats).
+    pub fn worker_pool(&self) -> Option<Arc<WorkerPool>> {
         self.exec_pool.read().clone()
     }
 

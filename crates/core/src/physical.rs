@@ -33,7 +33,7 @@ use oltap_common::schema::{Schema, SchemaRef};
 use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
-    fused_aggregate_segments, join_output_schema, AggExpr, AggregatorCore, ExecResources, Expr,
+    fused_aggregate, join_output_schema, AggExpr, AggregatorCore, ExecResources, Expr, Fused,
     FusedScanCtx, RunningGroups,
 };
 use oltap_sched::{NumaTopology, WorkerPool};
@@ -347,8 +347,8 @@ impl<'a> Lowering<'a> {
         group: &[(Expr, String)],
         aggs: &[AggExpr],
     ) -> Result<RunningGroups> {
-        if let Some((fused, _paths)) = self.try_fused_aggregate(input, group, aggs)? {
-            return Ok(fused);
+        if let Some(fused) = self.try_fused_aggregate(input, group, aggs)? {
+            return Ok(fused.groups);
         }
         let p = self.decompose(input)?;
         let core = Arc::new(AggregatorCore::new(&p.schema, group.to_vec(), aggs.to_vec())?);
@@ -357,23 +357,23 @@ impl<'a> Lowering<'a> {
 
     /// Attempts the fused operate-on-compressed path for an
     /// `Aggregate(Scan)` plan over a delta-main table: group keys and
-    /// aggregate inputs are read straight from the encoded segments (see
-    /// `oltap_exec::fused`), the delta is folded into the same
-    /// [`RunningGroups`], which stands for the whole subtree — the fused
-    /// scan reads encoded segments directly, so there is no batch stream to
-    /// morselize; beside it, how many row groups took the dense and the
-    /// scalar path. Returns `None` — fall back to the
-    /// pipelines — when the shape doesn't qualify (non-column expressions,
-    /// non-columnar tables, a scan carrying a sideways join filter, or one
-    /// the optimizer answers with a key lookup) or the memory governor
-    /// refuses one of its groups during the segment walk (refused one while
-    /// folding the delta, the store freezes and spills like any other).
+    /// aggregate inputs are read straight from the encoded segments, then
+    /// the delta's rows, in stripes (see `oltap_exec::fused`) — on the
+    /// catalog's [helpers](Catalog::helpers) too when the segments are held
+    /// — into the [`RunningGroups`] that stand for the whole subtree;
+    /// beside them, which path each piece took and what the helpers did.
+    /// Returns `None` — fall back to the pipelines — when the shape doesn't
+    /// qualify (non-column expressions, non-columnar tables, a scan
+    /// carrying a sideways join filter, or one the optimizer answers with a
+    /// key lookup) or the memory governor refuses one of its groups during
+    /// the segment walk (refused one while folding the delta, the store
+    /// freezes and spills like any other).
     fn try_fused_aggregate(
         &self,
         input: &LogicalPlan,
         group: &[(Expr, String)],
         aggs: &[AggExpr],
-    ) -> Result<Option<(RunningGroups, (usize, usize))>> {
+    ) -> Result<Option<Fused>> {
         let ctx = self.ctx;
         let LogicalPlan::Scan {
             table,
@@ -399,10 +399,16 @@ impl<'a> Lowering<'a> {
         }
         let (segments, delta) =
             t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
-        let mut groups = RunningGroups::new(&core, &ctx.mem);
-        let fused = fused_aggregate_segments(
-            &mut groups,
-            &segments,
+        // `None` from the walk: the governor refused a group mid-walk. The
+        // attempt has published nothing and handed back what it reserved:
+        // the statement runs through the pipelines, whose sink is the same
+        // store fed row by row, and spills. (Any other refusal — the buffer
+        // pool's, say — is the statement's error.)
+        fused_aggregate(
+            &core,
+            &ctx.mem,
+            segments,
+            delta,
             projection,
             &FusedScanCtx {
                 pred: pushdown,
@@ -410,24 +416,9 @@ impl<'a> Lowering<'a> {
                 me: ctx.me,
                 faults: &ctx.faults,
                 cancel: &ctx.cancel,
+                helpers: self.catalog.helpers(),
             },
         )
-        .and_then(|paths| {
-            for b in &delta {
-                groups.consume(b)?;
-            }
-            Ok(paths)
-        });
-        match fused {
-            Ok(paths) => Ok(Some((groups, paths))),
-            // The governor refused a group mid-walk. The attempt has
-            // published nothing and hands back what it reserved as `groups`
-            // drops: the statement runs through the pipelines, whose sink
-            // is the same store fed row by row, and spills. (Any other
-            // refusal — the buffer pool's, say — is the statement's error.)
-            Err(DbError::ResourceExhausted { .. }) if groups.refused() => Ok(None),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -943,10 +934,11 @@ mod tests {
         let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan) else {
             panic!("no Aggregate(Scan) in the plan of `{sql}`:\n{}", plan.explain());
         };
-        let (groups, paths) = Lowering::new(&catalog, ctx, None)
+        let fused = Lowering::new(&catalog, ctx, None)
             .try_fused_aggregate(input, group, aggs)?
             .unwrap_or_else(|| panic!("`{sql}` did not fuse"));
-        Ok((groups.finish()?.iter().flat_map(|b| b.to_rows()).collect(), paths))
+        let rows = fused.groups.finish()?.iter().flat_map(|b| b.to_rows()).collect();
+        Ok((rows, (fused.dense, fused.scalar)))
     }
 
     /// A fused aggregate looks at its statement's token while it scans, on
@@ -1024,6 +1016,110 @@ mod tests {
                 db.faults().disarm(points::EXEC_KERNEL_FALLBACK);
             }
         }
+    }
+
+    /// A walk over held segments fans out on the database's pool, and its
+    /// helpers claim morsels and stripes — but not one while another
+    /// session is open: its transactions have first call on the cores.
+    #[test]
+    fn helpers_claim_nothing_while_another_session_is_open() {
+        let db = Database::new();
+        db.set_parallelism(2);
+        db.execute("CREATE TABLE big (k BIGINT PRIMARY KEY, q BIGINT, a DOUBLE) USING FORMAT COLUMN")
+            .unwrap();
+        let t = db.table("big").unwrap();
+        let tx = db.txn_manager().begin();
+        for k in 0..100_000i64 {
+            t.insert(&tx, row![k, k % 10, k as f64 * 0.25]).unwrap();
+        }
+        tx.commit().unwrap();
+        db.maintenance();
+        let sql = "SELECT q, COUNT(*), SUM(a) FROM big GROUP BY q";
+        let helped = || {
+            let catalog = db.catalog_read();
+            let plan = plan_for(sql, &catalog);
+            let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan)
+            else {
+                unreachable!()
+            };
+            let ctx = snapshot_ctx(db.txn_manager().now());
+            let fused = Lowering::new(&catalog, &ctx, None)
+                .try_fused_aggregate(input, group, aggs)
+                .unwrap()
+                .unwrap();
+            (fused.helped, fused.groups.finish().unwrap())
+        };
+        // The walk above stands for a statement of this session.
+        let _mine = db.session();
+        let (_, want) = helped();
+        // A helper that wakes late finds the statement's thread done.
+        assert!(
+            (0..50).any(|_| helped().0 > 0),
+            "the helper never claimed anything"
+        );
+        let other = db.session();
+        for _ in 0..10 {
+            let (claimed, answer) = helped();
+            assert_eq!(claimed, 0, "a helper claimed work beside another session");
+            assert_eq!(rows_of(&answer), rows_of(&want));
+        }
+        drop(other);
+    }
+
+    /// The gate is looked at before every claim, not only when the walk
+    /// fans out: a gate that shuts right after the statement's own look
+    /// leaves its helpers nothing, while one that stays open lets them
+    /// claim.
+    #[test]
+    fn a_helper_claims_nothing_once_the_gate_shuts() {
+        use oltap_exec::Helpers;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mgr = Arc::new(TransactionManager::new());
+        let schema = Arc::new(
+            Schema::with_primary_key(
+                vec![Field::not_null("k", DataType::Int64), Field::new("a", DataType::Float64)],
+                &["k"],
+            )
+            .unwrap(),
+        );
+        let h = TableHandle::create(schema, TableFormat::Column).unwrap();
+        let tx = mgr.begin();
+        for k in 0..100_000i64 {
+            h.insert(&tx, row![k, k as f64 * 0.5]).unwrap();
+        }
+        tx.commit().unwrap();
+        h.maintain(mgr.gc_watermark()).unwrap();
+        let mut cat = Catalog::new();
+        cat.create("big", h).unwrap();
+        let pool = Arc::new(WorkerPool::new(2, 2));
+        let sql = "SELECT COUNT(*), SUM(a) FROM big";
+        let mut helped = |gate: Arc<dyn Fn() -> bool + Send + Sync>| {
+            cat.set_helpers(Helpers {
+                pool: Some(Arc::clone(&pool)),
+                gate: Some(gate),
+            });
+            let plan = plan_for(sql, &cat);
+            let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan)
+            else {
+                unreachable!()
+            };
+            let ctx = snapshot_ctx(mgr.now());
+            let lowering = Lowering::new(&cat, &ctx, None);
+            lowering.try_fused_aggregate(input, group, aggs).unwrap().unwrap().helped
+        };
+        assert!(
+            (0..50).any(|_| helped(Arc::new(|| true)) > 0),
+            "an open gate never let the helper claim"
+        );
+        for _ in 0..10 {
+            let looks = AtomicUsize::new(0);
+            let once = move || looks.fetch_add(1, Ordering::Relaxed) == 0;
+            assert_eq!(helped(Arc::new(once)), 0, "a helper claimed past a shut gate");
+        }
+    }
+
+    fn rows_of(batches: &[Batch]) -> Vec<Row> {
+        batches.iter().flat_map(|b| b.to_rows()).collect()
     }
 
     /// Every `olap_scan` statement runs wholly on the dense path — no row

@@ -1,7 +1,7 @@
 //! Sessions: statement execution with explicit or automatic transactions.
 
 use crate::catalog::{Catalog, TableHandle};
-use crate::database::Database;
+use crate::database::{Database, OpenSession};
 use crate::physical::{execute_fragment, execute_plan, ExecContext, Partial};
 use crate::prepared::{filled, Prepared, Target, PLAN_CACHE_SHAPE_BYTES};
 use oltap_common::ids::TxnId;
@@ -105,11 +105,14 @@ pub struct Session {
     session_cancel: Option<CancellationToken>,
     active_cancel: parking_lot::Mutex<Option<CancellationToken>>,
     activity: SessionActivity,
+    /// Counts this session among the database's open ones.
+    _open: OpenSession,
 }
 
 impl Session {
     pub(crate) fn new(db: Arc<Database>) -> Session {
         Session {
+            _open: db.open_session(),
             db,
             txn: None,
             pending_ops: Vec::new(),

@@ -21,8 +21,13 @@
 //! the same order. Without a spill directory the refusal is the
 //! statement's error.
 //!
+//! Stripes. A float `SUM` / `AVG` adds in row order within each stripe of
+//! [`STRIPE_ROWS`] rows, one store a stripe, and the stripes' sums in
+//! stripe order ([`Stripes`]): whoever folds which stripe, the bits are the
+//! same.
+//!
 //! Workers. Each pipeline worker — and each partition of a distributed
-//! statement — fills its own store; sealed stores
+//! statement — fills its own stripes; sealed stores
 //! [`merge`](RunningGroups::merge) in worker (partition) order, accumulator
 //! by accumulator — every aggregate here is decomposable — and
 //! [`finish`](RunningGroups::finish) emits groups in key order, so the
@@ -31,10 +36,11 @@
 use crate::aggregate::{AggFunc, AggregatorCore};
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
-use oltap_common::{Batch, DataType, DbError, Result, Row, Value};
+use oltap_common::{Batch, ColumnVector, DataType, DbError, Result, Row, Value};
 use oltap_storage::spill::SpillWriter;
 use oltap_txn::wal::{decode_row, encode_row};
 use std::cmp::{max_by, min_by};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// "No group resolved yet" in a slot table.
@@ -123,8 +129,8 @@ pub(crate) struct Acc {
 pub(crate) enum AccState {
     /// Rows whose input is NULL.
     Nulls(Vec<i64>),
-    /// `f64` additions in row order: `SUM` and `AVG` of a float input,
-    /// `AVG` of an integer one.
+    /// `f64` additions in row order (within a stripe): `SUM` and `AVG` of a
+    /// float input, `AVG` of an integer one.
     SumF(Vec<f64>),
     /// Wrapping integer sum.
     SumI(Vec<i64>),
@@ -258,6 +264,19 @@ impl RunningGroups {
         }
     }
 
+    /// An empty store of the same aggregation on the same budget, with the
+    /// same integer key slots (all unmet).
+    pub(crate) fn empty_like(&self) -> RunningGroups {
+        let mut empty = RunningGroups::new(&self.core, &self.mem);
+        if let (Keys::Int { lo, slots, .. }, Keys::Int { lo: l, slots: s, .. }) =
+            (&mut empty.keys, &self.keys)
+        {
+            *lo = *l;
+            slots.resize(s.len(), UNRESOLVED);
+        }
+        empty
+    }
+
     /// The schema [`finish`](RunningGroups::finish) answers in.
     pub fn schema(&self) -> oltap_common::schema::SchemaRef {
         self.core.schema()
@@ -388,8 +407,19 @@ impl RunningGroups {
     /// spill files instead (terminal without a spill directory).
     pub fn consume(&mut self, batch: &Batch) -> Result<()> {
         let core = Arc::clone(&self.core);
-        let cols = core.slot_columns(batch)?;
-        for i in 0..batch.len() {
+        self.consume_rows(&core.slot_columns(batch)?, 0..batch.len())
+    }
+
+    /// [`consume`](Self::consume) of rows `rows` of `batch`.
+    pub(crate) fn consume_range(&mut self, batch: &Batch, rows: Range<usize>) -> Result<()> {
+        let core = Arc::clone(&self.core);
+        self.consume_rows(&core.slot_columns(batch)?, rows)
+    }
+
+    /// [`consume`](Self::consume) of rows `rows` of a batch whose slot
+    /// columns are `cols`.
+    fn consume_rows(&mut self, cols: &[ColumnVector], rows: Range<usize>) -> Result<()> {
+        for i in rows {
             let value_at = |c: usize| cols[c].value_at(i);
             match self.update_row(value_at) {
                 Err(refusal @ DbError::ResourceExhausted { .. }) if self.refused() => {
@@ -575,6 +605,93 @@ impl Drop for RunningGroups {
     /// The groups go, and what they were charged goes back.
     fn drop(&mut self) {
         self.mem.budget.release(self.reserved);
+    }
+}
+
+/// Selected rows a stripe folds. This is part of what a float `SUM` or
+/// `AVG` means — its additions run in row order within each stripe of this
+/// many rows, and the stripes' sums are added in stripe order — so it is a
+/// definition, never a tuning knob: changing it changes answers.
+pub const STRIPE_ROWS: usize = 16 * 1024;
+
+/// An input folded in stripes of [`STRIPE_ROWS`] rows: a store for the
+/// stripe being filled, and the stripes before it merged in stripe order.
+/// The pipelines' aggregate sink is one (per worker); the fused walk cuts
+/// the same stripes over the segments' selected rows and then the delta.
+pub struct Stripes {
+    /// The stripes before `open`, merged in order.
+    done: Option<RunningGroups>,
+    open: RunningGroups,
+    /// Rows folded into `open`.
+    rows: usize,
+}
+
+impl Stripes {
+    /// Stripes whose first store is `first` (empty).
+    pub fn new(first: RunningGroups) -> Self {
+        Stripes {
+            done: None,
+            open: first,
+            rows: 0,
+        }
+    }
+
+    /// The store of the stripe being filled.
+    pub(crate) fn open(&mut self) -> &mut RunningGroups {
+        &mut self.open
+    }
+
+    /// Rows the open stripe still takes.
+    pub(crate) fn room(&self) -> usize {
+        STRIPE_ROWS - self.rows
+    }
+
+    /// Counts `rows` more rows into the open stripe (at most its room); a
+    /// full stripe is merged behind the ones before it and a new one opens.
+    pub(crate) fn filled(&mut self, rows: usize) -> Result<()> {
+        self.rows += rows;
+        if self.rows == STRIPE_ROWS {
+            let next = self.open.empty_like();
+            let full = std::mem::replace(&mut self.open, next);
+            self.push(full)?;
+            self.rows = 0;
+        }
+        Ok(())
+    }
+
+    /// Merges the next stripe, complete, behind the ones before it.
+    fn push(&mut self, stripe: RunningGroups) -> Result<()> {
+        match &mut self.done {
+            Some(done) => done.merge(stripe),
+            None => {
+                self.done = Some(stripe);
+                Ok(())
+            }
+        }
+    }
+
+    /// Folds `batch`, row by row in order, cutting a stripe wherever one
+    /// fills.
+    pub fn consume(&mut self, batch: &Batch) -> Result<()> {
+        let core = Arc::clone(&self.open.core);
+        let cols = core.slot_columns(batch)?;
+        let mut at = 0;
+        while at < batch.len() {
+            let take = self.room().min(batch.len() - at);
+            self.open.consume_rows(&cols, at..at + take)?;
+            self.filled(take)?;
+            at += take;
+        }
+        Ok(())
+    }
+
+    /// Every stripe merged in order, sealed.
+    pub fn finish(self) -> Result<RunningGroups> {
+        let Stripes { done, mut open, .. } = self;
+        match done {
+            Some(mut done) => done.merge(open).map(|()| done),
+            None => open.seal().map(|()| open),
+        }
     }
 }
 

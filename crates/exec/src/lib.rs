@@ -42,8 +42,8 @@ pub mod sort;
 
 pub use aggregate::{AggExpr, AggFunc, AggregatorCore};
 pub use expr::{BinOp, Expr, UnOp};
-pub use fused::{fused_aggregate_segments, FusedScanCtx};
-pub use groups::RunningGroups;
+pub use fused::{fused_aggregate, Fused, FusedScanCtx, Helpers, MORSEL_ROWS};
+pub use groups::{RunningGroups, Stripes, STRIPE_ROWS};
 pub use join::{
     join_output_schema, probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch,
     PARTITION_BITS,

@@ -37,7 +37,7 @@
 
 use crate::aggregate::AggregatorCore;
 use crate::expr::Expr;
-use crate::groups::RunningGroups;
+use crate::groups::{RunningGroups, Stripes};
 use crate::join::{probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch};
 use crate::resources::ExecResources;
 use crate::sort::{merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc};
@@ -287,7 +287,8 @@ impl ParallelContext {
             )?;
             return Ok(vec![sink]);
         };
-        let n = pool.worker_count().max(1);
+        // A worker past the morsel count would find nothing to take.
+        let n = pool.worker_count().min(batches.len()).max(1);
         let dispenser = Arc::new(MorselDispenser::new(batches, self.sockets));
         let make = Arc::new(make);
         let consume = Arc::new(consume);
@@ -324,6 +325,14 @@ impl ParallelContext {
         }
         drop(tx);
         let mut results: Vec<(usize, Result<R>)> = rx.iter().collect();
+        // A task that panicked dropped its sender unanswered: its morsels
+        // are lost, so the pipeline has no answer.
+        if results.len() < n {
+            return Err(DbError::Execution(format!(
+                "{} of {n} pipeline workers panicked",
+                n - results.len()
+            )));
+        }
         results.sort_by_key(|(wid, _)| *wid);
         let mut out = Vec::with_capacity(n);
         for (_, r) in results {
@@ -351,11 +360,13 @@ impl ParallelContext {
         Ok(all.into_iter().map(|(_, b)| b).collect())
     }
 
-    /// Aggregation sink: one [`RunningGroups`] per worker against the
-    /// shared query budget (a refused group freezes that worker's store,
-    /// which spills from then on), sealed on the worker and merged in worker
-    /// order; the caller [`finish`](RunningGroups::finish)es the merged
-    /// store, or first merges it on into another partition's.
+    /// Aggregation sink: per worker, its input folded in [`Stripes`] of
+    /// [`STRIPE_ROWS`](crate::STRIPE_ROWS) rows against the shared query
+    /// budget (a refused group freezes that stripe's store, which spills
+    /// from then on), sealed on the worker and merged in worker order; the
+    /// caller [`finish`](RunningGroups::finish)es the merged store, or first
+    /// merges it on into another partition's. Inline, the one worker's
+    /// stripes are the statement's: its float sums are the fused walk's.
     pub fn run_aggregate(
         &self,
         batches: Vec<Batch>,
@@ -366,9 +377,9 @@ impl ParallelContext {
         let stores = self.fan_out(
             batches,
             stages,
-            move || RunningGroups::new(&core, &mem),
-            |groups: &mut RunningGroups, _idx, batch| groups.consume(&batch),
-            |mut groups| groups.seal().map(|()| groups),
+            move || Stripes::new(RunningGroups::new(&core, &mem)),
+            |stripes: &mut Stripes, _idx, batch| stripes.consume(&batch),
+            Stripes::finish,
         )?;
         let mut stores = stores.into_iter();
         let mut merged = stores.next().expect("a pipeline has a worker")?;
@@ -525,6 +536,22 @@ pub fn limit_batches(batches: Vec<Batch>, offset: usize, limit: usize) -> Vec<Ba
     out
 }
 
+/// Probes [`points::EXEC_MORSEL_FAIL`] at the start of morsel `index`,
+/// retrying up to [`MORSEL_FAULT_RETRIES`] times before the morsel fails.
+pub(crate) fn probe_morsel(faults: &FaultInjector, index: usize) -> Result<()> {
+    let mut attempts = 0u32;
+    while faults.should_fire(points::EXEC_MORSEL_FAIL) {
+        attempts += 1;
+        if attempts > MORSEL_FAULT_RETRIES {
+            return Err(DbError::FaultInjected(format!(
+                "morsel {index} exhausted {MORSEL_FAULT_RETRIES} retries at {}",
+                points::EXEC_MORSEL_FAIL
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// One worker's pipeline loop: pull `(index, batch)` morsels from
 /// `next_morsel`, probe the fault point with bounded retry, run the stage
 /// chain, fold surviving output into the local sink state.
@@ -547,16 +574,7 @@ fn worker_drive<S, R>(
         let Some((index, batch)) = next_morsel() else {
             break;
         };
-        let mut attempts = 0u32;
-        while faults.should_fire(points::EXEC_MORSEL_FAIL) {
-            attempts += 1;
-            if attempts > MORSEL_FAULT_RETRIES {
-                return Err(DbError::FaultInjected(format!(
-                    "morsel {index} exhausted {MORSEL_FAULT_RETRIES} retries at {}",
-                    points::EXEC_MORSEL_FAIL
-                )));
-            }
-        }
+        probe_morsel(faults, index)?;
         if batch.is_empty() {
             continue;
         }
@@ -786,6 +804,50 @@ pub(crate) mod tests {
             let err = c.run_collect(bs.clone(), Vec::new()).unwrap_err();
             assert!(matches!(err, DbError::FaultInjected(_)), "{err:?}");
         }
+    }
+
+    /// A stage that panics on one morsel costs the pipeline its answer, as
+    /// a typed error — not a hang, not an answer without that worker's
+    /// morsels — and costs the pool nothing: the same pool answers the next
+    /// pipeline in full, with every OLAP slot handed back.
+    #[test]
+    fn a_panicking_morsel_is_a_typed_error_and_the_pool_lives_on() {
+        let (_, bs) = batches(2000);
+        for workers in [2, 4] {
+            let c = ctx(workers);
+            let err = c
+                .fan_out(
+                    bs.clone(),
+                    Vec::new(),
+                    || 0usize,
+                    |rows: &mut usize, idx, batch| {
+                        assert_ne!(idx, 7, "morsel 7 fails");
+                        *rows += batch.len();
+                        Ok(())
+                    },
+                    |rows| rows,
+                )
+                .unwrap_err();
+            assert!(matches!(err, DbError::Execution(_)), "workers={workers}: {err:?}");
+            let got = c.run_collect(bs.clone(), Vec::new()).unwrap();
+            assert_eq!(count(&got), 2000, "workers={workers}");
+            // A worker hands its slot back just after its answer.
+            let pool = c.pool.as_ref().unwrap();
+            let since = std::time::Instant::now();
+            while pool.running() > 0 && since.elapsed().as_secs() < 5 {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.running(), 0, "workers={workers}");
+        }
+    }
+
+    /// A pipeline of one morsel wakes one worker.
+    #[test]
+    fn fan_out_submits_no_more_workers_than_morsels() {
+        let (_, bs) = batches(100);
+        let c = ctx(4);
+        assert_eq!(count(&c.run_collect(bs, Vec::new()).unwrap()), 100);
+        assert_eq!(c.pool.as_ref().unwrap().stats().olap_done, 1);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   concurrently, reserving workers for transactional bursts.
 //! * Counters for queue waits and completions, which the mixed-workload
 //!   experiment (E7) reports.
+//! * A task that panics costs only its own answer: the worker catches the
+//!   unwind, lives on, and hands the task's OLAP slot back.
 
 use oltap_common::CancellationToken;
 use parking_lot::{Condvar, Mutex};
@@ -209,6 +211,12 @@ impl WorkerPool {
         (q.oltp.len(), q.olap.len())
     }
 
+    /// OLAP tasks dispatched and not yet finished: the slots the admission
+    /// limit counts.
+    pub fn running(&self) -> usize {
+        self.inner.queues.lock().running_olap
+    }
+
     /// Aggregate statistics.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -281,7 +289,11 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 inner.olap_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
             }
         }
-        (item.job)();
+        // A panicking task is its submitter's failure, not the pool's: the
+        // unwind stops here, so the thread lives on and the OLAP slot below
+        // is handed back. The task's own channel drops unanswered, which is
+        // how its submitter learns of it.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(item.job));
         match item.class {
             WorkloadClass::Oltp => inner.oltp_done.fetch_add(1, Ordering::Relaxed),
             WorkloadClass::Olap => inner.olap_done.fetch_add(1, Ordering::Relaxed),
@@ -600,6 +612,25 @@ mod tests {
         blocker.recv().unwrap();
         assert!(!rx.recv().unwrap());
         assert_eq!(pool.stats().shed, 1);
+    }
+
+    /// A task that panics costs its submitter an answer, nothing more: its
+    /// channel drops unanswered, and the worker and the OLAP slot live on —
+    /// under a limit of one, the next OLAP task still dispatches.
+    #[test]
+    fn a_panicking_task_keeps_its_worker_and_slot() {
+        let pool = WorkerPool::new(1, 1);
+        let failed = pool.submit(WorkloadClass::Olap, || panic!("task fails"));
+        assert!(failed.recv().is_err(), "a panicked task never answers");
+        let ran = pool.submit(WorkloadClass::Olap, || {});
+        ran.recv().unwrap();
+        // The worker counts a task a moment after it answers.
+        let since = Instant::now();
+        while pool.running() > 0 && since.elapsed().as_secs() < 5 {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.running(), 0);
+        assert_eq!(pool.stats().olap_done, 2);
     }
 
     #[test]

@@ -23,6 +23,8 @@ use oltap_common::{BitSet, ColumnVector, DataType, DbError, Result, Row, Value};
 use oltap_common::schema::SchemaRef;
 use oltap_txn::{Stamp, Ts};
 use parking_lot::RwLock;
+use std::mem::take;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -222,39 +224,50 @@ impl EncodedColumn {
         }
     }
 
-    /// ANDs `test` over all rows into `sel` (AND only clears bits, so rows
-    /// already deselected stay so). NULL rows never match. `matches` is the
-    /// caller's scratch, reused across conjuncts and row groups.
-    fn filter(&self, test: &Test<'_>, sel: &mut BitSet, matches: &mut BitSet) -> Result<()> {
-        let n = self.len();
+    /// ANDs `test` over rows `[from, from + sel.len())` into `sel`, whose
+    /// bit `i` is row `from + i` (AND only clears bits, so rows already
+    /// deselected stay so); `from` is a multiple of 64, so the chunk's
+    /// blocks line up with `sel`'s words. NULL rows never match. `matches`
+    /// is the caller's scratch, reused across conjuncts and row groups.
+    fn filter(
+        &self,
+        test: &Test<'_>,
+        from: usize,
+        sel: &mut BitSet,
+        matches: &mut BitSet,
+    ) -> Result<()> {
+        debug_assert!(from.is_multiple_of(64) && from + sel.len() <= self.len());
+        let (n, w0) = (sel.len(), from / 64);
         match (self, test) {
             (_, Test::NotNull) => {}
             // Compared 64 values to a mask word, straight into `sel`.
             (EncodedColumn::Float { values, validity }, Test::Float(op, lit)) => {
-                cmp_floats_block(values, *op, *lit, validity.as_ref(), sel);
+                let values = &values[from..from + n];
+                cmp_floats_words(values, *op, *lit, (validity.as_ref(), w0), sel);
                 return Ok(());
             }
             (EncodedColumn::Int { enc, validity }, Test::Int(first, second)) => {
                 let tests = [*first, second.unwrap_or(*first)];
                 let tests = &tests[..1 + usize::from(second.is_some())];
-                and_int(enc, tests, validity.as_ref(), sel, matches);
+                and_int(enc, tests, (validity.as_ref(), w0), sel, matches);
                 return Ok(());
             }
             (EncodedColumn::Int { enc, .. }, Test::IntOutside(x, y)) => {
                 // The rows inside the band, then everything but them.
                 let mut inside = BitSet::all_set(n);
-                and_int(enc, &[(CmpOp::Ge, *x), (CmpOp::Le, *y)], None, &mut inside, matches);
+                let band = [(CmpOp::Ge, *x), (CmpOp::Le, *y)];
+                and_int(enc, &band, (None, w0), &mut inside, matches);
                 sel.difference_with(&inside);
             }
             (EncodedColumn::Str { enc: StrEncoding::Dict(d), validity }, Test::Str(op, lit)) => {
                 let lit = lit.to_string();
                 let pred = translate_code_pred(*op, d.code_of(&lit), d.lower_bound_code(&lit));
-                and_codes(d.codes(), [pred, TranslatedPred::All], validity.as_ref(), sel);
+                and_codes(d.codes(), [pred, TranslatedPred::All], (validity.as_ref(), w0), sel);
                 return Ok(());
             }
             (EncodedColumn::Str { enc: StrEncoding::Raw(values), .. }, Test::Str(op, lit)) => {
                 matches.reset(n, false);
-                for (i, v) in values.iter().enumerate() {
+                for (i, v) in values[from..from + n].iter().enumerate() {
                     if op.matches(v.as_str().cmp(lit)) {
                         matches.set(i);
                     }
@@ -264,7 +277,7 @@ impl EncodedColumn {
             (EncodedColumn::Bool { values, .. }, Test::Bool(op, lit)) => {
                 matches.reset(n, false);
                 for i in 0..n {
-                    if op.matches(values.get(i).cmp(lit)) {
+                    if op.matches(values.get(from + i).cmp(lit)) {
                         matches.set(i);
                     }
                 }
@@ -279,10 +292,21 @@ impl EncodedColumn {
                 )))
             }
         }
-        if let Some(validity) = self.validity() {
-            sel.intersect_with(validity);
-        }
+        and_valid(sel, (self.validity(), w0));
         Ok(())
+    }
+}
+
+/// A validity mask and the word of it that lines up with a selection's
+/// first word: a selection of rows `[64 * w0, …)` of its chunk.
+type Validity<'v> = (Option<&'v BitSet>, usize);
+
+/// ANDs the validity words lining up with `sel` into it.
+fn and_valid(sel: &mut BitSet, (validity, w0): Validity<'_>) {
+    if let Some(validity) = validity {
+        for w in 0..sel.words().len() {
+            sel.and_word(w, validity.words()[w0 + w]);
+        }
     }
 }
 
@@ -481,6 +505,18 @@ pub fn cmp_floats_block(
     validity: Option<&BitSet>,
     sel: &mut BitSet,
 ) {
+    cmp_floats_words(values, op, lit, (validity, 0), sel)
+}
+
+/// [`cmp_floats_block`] over `values` whose validity words start at word
+/// `w0` of `validity`.
+fn cmp_floats_words(
+    values: &[f64],
+    op: CmpOp,
+    lit: f64,
+    (validity, w0): Validity<'_>,
+    sel: &mut BitSet,
+) {
     let plain = !lit.is_nan() && lit != 0.0;
     let mut tail = [0.0; 64];
     for (w, chunk) in values.chunks(64).enumerate() {
@@ -497,17 +533,18 @@ pub fn cmp_floats_block(
         } else {
             cmp_mask(&block.map(total_order_key), op, total_order_key(lit))
         };
-        sel.and_word(w, word & word_of(validity, w));
+        sel.and_word(w, word & word_of(validity, w0 + w));
     }
 }
 
 /// ANDs every comparison of `tests` (one, or the two bounds of a range)
 /// over an integer encoding into `sel`, NULLs failing: in the code domain
 /// for the packed encodings, by runs or binary search for the others.
+/// `sel` holds rows `[64 * w0, …)` of the encoding, `w0` the validity's.
 fn and_int(
     enc: &IntEncoding,
     tests: &[(CmpOp, i64)],
-    validity: Option<&BitSet>,
+    validity: Validity<'_>,
     sel: &mut BitSet,
     matches: &mut BitSet,
 ) {
@@ -532,31 +569,35 @@ fn and_int(
             d.codes()
         }
         _ => {
+            let from = validity.1 * 64;
             for &(op, lit) in tests {
-                matches.reset(enc.len(), false);
-                or_unpacked_int(enc, op, lit, matches);
+                matches.reset(sel.len(), false);
+                or_unpacked_int(enc, op, lit, from, matches);
                 sel.intersect_with(matches);
             }
-            if let Some(validity) = validity {
-                sel.intersect_with(validity);
-            }
+            and_valid(sel, validity);
             return;
         }
     };
     and_codes(codes, preds, validity, sel);
 }
 
-/// ORs the rows passing `<op> lit` into `out` for the integer encodings
-/// that have no packed codes to compare: a sorted run answers with two
-/// binary searches, run lengths with one comparison a run, raw values row
-/// by row.
-fn or_unpacked_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
+/// ORs the rows passing `<op> lit` into `out`, whose bit `i` is row
+/// `from + i`, for the integer encodings that have no packed codes to
+/// compare: a sorted run answers with two binary searches, run lengths with
+/// one comparison a run, raw values row by row.
+fn or_unpacked_int(enc: &IntEncoding, op: CmpOp, lit: i64, from: usize, out: &mut BitSet) {
+    // Rows `[lo, hi)` of the encoding, as far as `out` holds them.
+    let mut set = |lo: usize, hi: usize| {
+        let end = from + out.len();
+        set_bit_range(out, lo.clamp(from, end) - from, hi.clamp(from, end) - from)
+    };
     match enc {
         IntEncoding::Rle(r) => {
             let mut offset = 0usize;
             for &(v, run) in r.runs() {
                 if op.matches(v.cmp(&lit)) {
-                    set_bit_range(out, offset, offset + run as usize);
+                    set(offset, offset + run as usize);
                 }
                 offset += run as usize;
             }
@@ -564,19 +605,19 @@ fn or_unpacked_int(enc: &IntEncoding, op: CmpOp, lit: i64, out: &mut BitSet) {
         IntEncoding::Delta(d) => {
             let n = d.len();
             match op {
-                CmpOp::Eq => set_bit_range(out, d.lower_bound(lit), d.upper_bound(lit)),
+                CmpOp::Eq => set(d.lower_bound(lit), d.upper_bound(lit)),
                 CmpOp::Ne => {
-                    set_bit_range(out, 0, d.lower_bound(lit));
-                    set_bit_range(out, d.upper_bound(lit), n);
+                    set(0, d.lower_bound(lit));
+                    set(d.upper_bound(lit), n);
                 }
-                CmpOp::Lt => set_bit_range(out, 0, d.lower_bound(lit)),
-                CmpOp::Le => set_bit_range(out, 0, d.upper_bound(lit)),
-                CmpOp::Gt => set_bit_range(out, d.upper_bound(lit), n),
-                CmpOp::Ge => set_bit_range(out, d.lower_bound(lit), n),
+                CmpOp::Lt => set(0, d.lower_bound(lit)),
+                CmpOp::Le => set(0, d.upper_bound(lit)),
+                CmpOp::Gt => set(d.upper_bound(lit), n),
+                CmpOp::Ge => set(d.lower_bound(lit), n),
             }
         }
         IntEncoding::Raw(values) => {
-            for (i, &v) in values.iter().enumerate() {
+            for (i, &v) in values[from..from + out.len()].iter().enumerate() {
                 if op.matches(v.cmp(&lit)) {
                     out.set(i);
                 }
@@ -611,7 +652,7 @@ fn set_bit_range(out: &mut BitSet, lo: usize, hi: usize) {
 fn and_codes(
     codes: &BitPacked,
     preds: [TranslatedPred; 2],
-    validity: Option<&BitSet>,
+    validity: Validity<'_>,
     sel: &mut BitSet,
 ) {
     let mut tests = preds.iter().filter_map(|p| match p {
@@ -621,9 +662,9 @@ fn and_codes(
     if preds.contains(&TranslatedPred::None) {
         sel.reset(sel.len(), false);
     } else if let Some(first) = tests.next() {
-        cmp_codes_block(codes, first, tests.next(), validity, sel);
-    } else if let Some(validity) = validity {
-        sel.intersect_with(validity);
+        cmp_codes_words(codes, first, tests.next(), validity, sel);
+    } else {
+        and_valid(sel, validity);
     }
 }
 
@@ -642,6 +683,17 @@ pub fn cmp_codes_block(
     validity: Option<&BitSet>,
     sel: &mut BitSet,
 ) {
+    cmp_codes_words(codes, first, second, (validity, 0), sel)
+}
+
+/// [`cmp_codes_block`] over codes `[64 * w0, …)`, `sel`'s bit 0 the first.
+fn cmp_codes_words(
+    codes: &BitPacked,
+    first: (CmpOp, u64),
+    second: Option<(CmpOp, u64)>,
+    validity: Validity<'_>,
+    sel: &mut BitSet,
+) {
     let max_code = u64::MAX.checked_shr(64 - u32::from(codes.width())).unwrap_or(0);
     let mut tests = [first; 2];
     let mut n = 0;
@@ -656,12 +708,12 @@ pub fn cmp_codes_block(
         }
     }
     if n == 0 {
-        return validity.map_or((), |validity| sel.intersect_with(validity));
+        return and_valid(sel, validity);
     }
     fn run<T: Lane>(
         codes: &BitPacked,
         tests: &[(CmpOp, u64)],
-        validity: Option<&BitSet>,
+        (validity, w0): Validity<'_>,
         sel: &mut BitSet,
     ) {
         let mut block = [T::default(); 64];
@@ -670,9 +722,9 @@ pub fn cmp_codes_block(
                 continue;
             }
             // Lanes past a short last block are stale; `sel` has no bits there.
-            let take = (codes.len() - w * 64).min(64);
-            codes.unpack_block(w * 64, &mut block[..take]);
-            let mut word = word_of(validity, w);
+            let take = (codes.len() - (w0 + w) * 64).min(64);
+            codes.unpack_block((w0 + w) * 64, &mut block[..take]);
+            let mut word = word_of(validity, w0 + w);
             for &(op, lit) in tests {
                 word &= cmp_mask(&block, op, T::truncate(lit));
             }
@@ -1569,24 +1621,49 @@ impl<'a> GroupSelector<'a> {
     /// map disproves the predicate faults no pages — cold pruned groups
     /// stay cold; any other group's heat rises by one.
     pub fn select_group(&mut self, g: usize) -> Result<Option<&BitSet>> {
+        let rows = self.chunks.seg.group_bounds(g).1;
+        let (mut local, mut matches) = (take(&mut self.local), take(&mut self.matches));
+        let any = self.select_into(g, 0..rows, &mut local, &mut matches);
+        (self.local, self.matches) = (local, matches);
+        Ok(any?.then_some(&self.local))
+    }
+
+    /// [`select_group`](Self::select_group) of rows `rows` of group `g`
+    /// alone — a morsel of it — into `into`, whose bit `i` becomes row
+    /// `rows.start + i`; `rows.start` is a multiple of 64. `false` when no
+    /// row is selected. Takes `&self`, so one pass's morsels can be selected
+    /// in any order, by any thread. The group's heat rises with the morsel
+    /// that starts it.
+    pub fn select_rows(&self, g: usize, rows: Range<usize>, into: &mut BitSet) -> Result<bool> {
+        self.select_into(g, rows, into, &mut BitSet::new())
+    }
+
+    /// Selects rows `rows` of group `g` into `local`: `false` when none is
+    /// selected.
+    fn select_into(
+        &self,
+        g: usize,
+        rows: Range<usize>,
+        local: &mut BitSet,
+        matches: &mut BitSet,
+    ) -> Result<bool> {
         let (chunks, pred) = (&self.chunks, self.pred);
         let seg = chunks.seg;
-        let (start, rows) = seg.group_bounds(g);
+        let start = seg.group_bounds(g).0;
         if !chunks.pass.admitted[g] {
-            return Ok(None);
+            return Ok(false);
         }
         // The group survived zone pruning: it is about to be touched.
-        if let Some(h) = seg.heat.get(g) {
+        if let (0, Some(h)) = (rows.start, seg.heat.get(g)) {
             h.fetch_add(1, Ordering::Relaxed);
         }
-        let local = &mut self.local;
-        local.reset(rows, true);
+        local.reset(rows.len(), true);
         for (column, test) in &self.conjuncts {
             chunks
                 .column_chunk(g, *column)?
-                .filter(test, local, &mut self.matches)?;
+                .filter(test, rows.start, local, matches)?;
             if local.none_set() {
-                return Ok(None);
+                return Ok(false);
             }
         }
         // Sideways join filter: drop rows that provably have no join
@@ -1601,15 +1678,15 @@ impl<'a> GroupSelector<'a> {
                 }
             }
             for i in local.to_selection() {
-                if !jf.matches_at(|c| keys[&c].value_at(i as usize)) {
+                if !jf.matches_at(|c| keys[&c].value_at(rows.start + i as usize)) {
                     local.clear(i as usize);
                 }
             }
         }
         if let Some(deleted) = &self.deleted {
-            local.difference_with(&deleted.slice(start, rows));
+            local.difference_with(&deleted.slice(start + rows.start, rows.len()));
         }
-        Ok((!local.none_set()).then_some(&*local))
+        Ok(!local.none_set())
     }
 }
 

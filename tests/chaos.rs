@@ -1677,6 +1677,90 @@ fn chaos_kernel_fallback_mid_query_never_changes_results() {
     }
 }
 
+/// Scenario 18b — the fused walk fanned out over the pool, cut short or
+/// faulted: deadlines from 0 to 3 ms land anywhere in a walk over held
+/// segments, `exec.morsel_fail` fails it always or retries at p = 0.3, and
+/// `exec.kernel_fallback` at p = 0.4 mixes the paths under it. Each
+/// statement answers the unfaulted bits or fails with the typed error, and
+/// whichever way it ends it leaves no helper running, none of the stripe
+/// stores' governor bytes reserved and no admission ticket held.
+#[test]
+fn chaos_parallel_fused_walk_leaves_nothing_behind() {
+    let seed = seed_for(0x18b);
+    let faults = FaultInjector::new(seed);
+    let db = Database::with_config(DbConfig {
+        faults: Some(Arc::clone(&faults)),
+        memory: Some(oltapdb::core::MemoryConfig::with_total(1 << 30)),
+        admission: Some(oltapdb::sched::AdmissionConfig::default()),
+        ..DbConfig::default()
+    })
+    .unwrap();
+    // A one-CPU host opens no pool: ask for the helpers this scenario is about.
+    if db.worker_pool().is_none() {
+        db.set_parallelism(2);
+    }
+    let pool = db.worker_pool().unwrap();
+    db.execute("CREATE TABLE big (id BIGINT PRIMARY KEY, g BIGINT, f DOUBLE) USING FORMAT COLUMN")
+        .unwrap();
+    let t = db.table("big").unwrap();
+    let tx = db.txn_manager().begin();
+    for i in 0..100_000i64 {
+        let f = (i * 37 % 1009) as f64 * 0.1 * 10f64.powi((i % 5) as i32 * 3 - 3);
+        t.insert(&tx, row![i, i % 13, f]).unwrap();
+    }
+    tx.commit().unwrap();
+    db.maintenance();
+    let gov = db.memory_governor().unwrap();
+    let admission = db.admission().unwrap();
+    let baseline = gov.total_used();
+    let sql = "SELECT g, COUNT(*), SUM(f), AVG(f) FROM big GROUP BY g ORDER BY g";
+    let mut s = db.session();
+    let want = s.execute(sql).unwrap().rows().to_vec();
+    let left_nothing = |tag: &str| {
+        let since = std::time::Instant::now();
+        while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
+            assert!(since.elapsed() < Duration::from_secs(10), "{tag}: a helper still runs");
+            std::thread::yield_now();
+        }
+        assert_eq!(gov.total_used(), baseline, "{tag}: governor bytes left reserved");
+        assert_eq!(admission.running(), (0, 0), "{tag}: admission ticket held");
+    };
+    let mut cut = 0;
+    for micros in (0..3000).step_by(100) {
+        s.set_query_timeout(Some(Duration::from_micros(micros)));
+        match s.execute(sql) {
+            Ok(rows) => assert_eq!(rows.rows(), &want[..], "deadline {micros} us"),
+            Err(DbError::DeadlineExceeded(_)) => cut += 1,
+            Err(e) => panic!("deadline {micros} us: {e}"),
+        }
+        left_nothing(&format!("deadline {micros} us"));
+    }
+    assert!(cut > 0, "no statement was cut off — vacuous");
+    s.set_query_timeout(None);
+
+    faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::always());
+    let err = s.execute(sql).unwrap_err();
+    assert!(matches!(err, DbError::FaultInjected(_)), "{err}");
+    left_nothing("morsel_fail always");
+    faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::with_probability(0.3));
+    for round in 0..5 {
+        let rows = s.execute(sql).unwrap();
+        assert_eq!(rows.rows(), &want[..], "morsel_fail p=0.3 round {round} (seed={seed:#x})");
+        left_nothing("morsel_fail p=0.3");
+    }
+    faults.disarm(points::EXEC_MORSEL_FAIL);
+
+    faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(0.4));
+    for round in 0..5 {
+        let rows = s.execute(sql).unwrap();
+        assert_eq!(rows.rows(), &want[..], "kernel_fallback round {round} (seed={seed:#x})");
+        left_nothing("kernel_fallback p=0.4");
+    }
+    faults.disarm(points::EXEC_KERNEL_FALLBACK);
+    assert!(faults.fired_count() > 0, "no fault fired — vacuous (seed={seed:#x})");
+    assert!(pool.stats().olap_done > 0, "no helper ever ran — vacuous");
+}
+
 /// Scenario 19 — `storage.freeze_crash`: the background freeze pass dies
 /// after publishing the frozen replacement segment's page file
 /// (tmp+rename) but before the in-memory swap. The table must be left
