@@ -249,8 +249,8 @@ pub struct Catalog {
     /// longer is.
     generation: u64,
     /// Who may fold a fused aggregate over these tables beside the
-    /// statement's thread: the owning database's pool and admission gate
-    /// (none for a catalog of its own).
+    /// statement's thread: the owning database's pool, behind its
+    /// OLTP-first gate (no one, for a catalog of its own).
     helpers: Helpers,
 }
 

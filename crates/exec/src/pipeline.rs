@@ -257,7 +257,9 @@ impl ParallelContext {
     /// Without a pool there is one worker and it is the caller: morsels
     /// are taken in index order straight off `batches`, with no dispenser,
     /// channel, or thread hand-off. With a pool, one task per pool worker
-    /// pulls from a shared NUMA-affine dispenser.
+    /// (or per morsel, if there are fewer) pulls from a shared NUMA-affine
+    /// dispenser; a task that panicked fails the pipeline with
+    /// [`DbError::Execution`] instead of leaving its morsels out.
     fn fan_out<S, R, M, C, F>(
         &self,
         batches: Vec<Batch>,
