@@ -22,6 +22,7 @@
 
 use oltap_common::ids::TxnId;
 use oltap_common::{Batch, Result};
+use oltap_core::TableHandle;
 use oltap_storage::{DeltaMainTable, ScanPredicate};
 use oltap_txn::Ts;
 use parking_lot::{Condvar, Mutex};
@@ -134,17 +135,17 @@ fn accumulate(batch: &Batch, q: &ScanQuery, acc: &mut ScanQueryResult) -> Result
 /// Materializes the scan snapshot the shared pass will sweep (all columns,
 /// no pushdown — each attached query filters differently).
 pub fn snapshot_batches(
-    table: &DeltaMainTable,
+    table: &Arc<DeltaMainTable>,
     read_ts: Ts,
     batch_size: usize,
 ) -> Result<Vec<Batch>> {
     let all: Vec<usize> = (0..table.schema().len()).collect();
-    table.scan(&all, &ScanPredicate::all(), read_ts, NOBODY, batch_size)
+    TableHandle::Column(Arc::clone(table)).scan(&all, &ScanPredicate::all(), read_ts, NOBODY, batch_size)
 }
 
 /// One pass, N queries: the batched shared scan.
 pub fn run_shared_batch(
-    table: &DeltaMainTable,
+    table: &Arc<DeltaMainTable>,
     read_ts: Ts,
     queries: &[ScanQuery],
 ) -> Result<Vec<ScanQueryResult>> {
@@ -162,11 +163,12 @@ pub fn run_shared_batch(
 /// keep the comparison honest — each query gets the storage layer's best
 /// single-query plan).
 pub fn run_independent(
-    table: &DeltaMainTable,
+    table: &Arc<DeltaMainTable>,
     read_ts: Ts,
     queries: &[ScanQuery],
 ) -> Result<Vec<ScanQueryResult>> {
     let mut results = Vec::with_capacity(queries.len());
+    let table = TableHandle::Column(Arc::clone(table));
     for q in queries {
         let batches = table.scan(
             &[q.agg_column],

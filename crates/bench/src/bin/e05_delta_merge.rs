@@ -10,6 +10,7 @@ use oltap_bench::harness::{bytes, rate, scaled, time, TextTable};
 use oltap_bench::workloads::TelemetryGen;
 use oltap_common::ids::TxnId;
 use oltap_common::{DataType, Field, Schema};
+use oltap_core::TableHandle;
 use oltap_storage::{DeltaMainTable, ScanPredicate};
 use oltap_txn::TransactionManager;
 use std::sync::Arc;
@@ -33,8 +34,9 @@ fn telemetry_schema() -> Arc<Schema> {
     )
 }
 
-fn scan_ms(t: &DeltaMainTable, read_ts: u64) -> f64 {
+fn scan_ms(t: &Arc<DeltaMainTable>, read_ts: u64) -> f64 {
     let pred = ScanPredicate::all();
+    let t = TableHandle::Column(Arc::clone(t));
     let (_n, secs) = time(|| {
         let mut rows = 0usize;
         for b in t.scan(&[0, 5], &pred, read_ts, NOBODY, 4096).unwrap() {
@@ -51,7 +53,7 @@ fn main() {
     println!("E5: delta growth vs scan latency ({} rows/step, {steps} steps)", step);
 
     let mgr = Arc::new(TransactionManager::new());
-    let table = DeltaMainTable::new(telemetry_schema());
+    let table = Arc::new(DeltaMainTable::new(telemetry_schema()));
     let mut gen = TelemetryGen::new(200, 8, 5);
 
     let mut t = TextTable::new(&[
@@ -108,7 +110,7 @@ fn main() {
     ]);
     for policy in [1usize, 4, usize::MAX] {
         let mgr = Arc::new(TransactionManager::new());
-        let table = DeltaMainTable::new(telemetry_schema());
+        let table = Arc::new(DeltaMainTable::new(telemetry_schema()));
         let mut gen = TelemetryGen::new(200, 8, 6);
         let mut scan_total = 0.0;
         let mut ingest_total = 0.0;

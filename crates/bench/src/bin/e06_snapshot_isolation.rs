@@ -10,6 +10,7 @@
 use oltap_bench::harness::{scaled, time, TextTable};
 use oltap_common::{row, Row};
 use oltap_common::{DataType, Field, Schema};
+use oltap_core::TableHandle;
 use oltap_storage::{DeltaMainTable, ScanPredicate};
 use oltap_txn::TransactionManager;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,13 +73,14 @@ fn main() {
         // Reader: one long transaction scanning repeatedly; the sum of the
         // snapshot must never change.
         let reader = mgr.begin();
+        let scanned = TableHandle::Column(Arc::clone(&table));
         let mut latencies = Vec::new();
         let mut sums = Vec::new();
         let (_, wall) = time(|| {
             for _ in 0..15 {
                 let (sum, secs) = time(|| {
                     let mut s = 0i64;
-                    for b in table
+                    for b in scanned
                         .scan(&[1], &ScanPredicate::all(), reader.begin_ts(), reader.id(), 4096)
                         .unwrap()
                     {

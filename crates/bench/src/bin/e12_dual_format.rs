@@ -11,6 +11,7 @@ use oltap_bench::harness::{rate, scaled, time, TextTable};
 use oltap_common::ids::TxnId;
 use oltap_common::{row, Row, Value};
 use oltap_common::{DataType, Field, Schema};
+use oltap_core::TableHandle;
 use oltap_storage::{CmpOp, DualFormatTable, RowStore, ScanPredicate};
 use oltap_txn::TransactionManager;
 use std::sync::Arc;
@@ -38,7 +39,8 @@ fn main() {
 
     let mgr = Arc::new(TransactionManager::new());
     let row_table = RowStore::new(schema());
-    let dual = DualFormatTable::new(schema()).unwrap();
+    let dual = Arc::new(DualFormatTable::new(schema()).unwrap());
+    let engine = TableHandle::Dual(Arc::clone(&dual));
 
     // DML cost: inserts.
     let rows: Vec<Row> = (0..n)
@@ -130,7 +132,7 @@ fn main() {
     };
     // Warm both paths once, then time.
     let _ = sum_of(dual.scan_oltp(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap());
-    let _ = sum_of(dual.scan_analytic(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap());
+    let _ = sum_of(engine.scan(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap());
     let (row_res, row_scan) = time(|| {
         sum_of(
             dual.scan_oltp(&[0, 2], &pred, read_ts, NOBODY, 4096)
@@ -139,7 +141,7 @@ fn main() {
     });
     let (col_res, col_scan) = time(|| {
         sum_of(
-            dual.scan_analytic(&[0, 2], &pred, read_ts, NOBODY, 4096)
+            engine.scan(&[0, 2], &pred, read_ts, NOBODY, 4096)
                 .unwrap(),
         )
     });

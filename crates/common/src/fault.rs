@@ -51,6 +51,10 @@ pub mod points {
     /// Fail a morsel of the partitioned hash-join build; the worker
     /// retries the boundary like [`EXEC_MORSEL_FAIL`].
     pub const EXEC_JOIN_BUILD_FAIL: &str = "exec.join_build_fail";
+    /// Panic at the start of a morsel, on whichever thread claimed it: the
+    /// statement must end with a typed `Execution` error, never unwind the
+    /// session's thread, and leave the worker pool serving.
+    pub const EXEC_MORSEL_PANIC: &str = "exec.morsel_panic";
     /// Fail a [`crate::mem::MemoryBudget`] reservation as if the pool
     /// were exhausted; operators must degrade (spill) or surface a typed
     /// `ResourceExhausted`, never panic.

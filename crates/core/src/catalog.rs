@@ -16,7 +16,7 @@ use oltap_common::hash::FxHashMap;
 use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, DbError, Result, Row};
-use oltap_exec::Helpers;
+use oltap_exec::{Helpers, Source};
 use oltap_sql::ast::FormatOpt;
 use oltap_sql::CatalogView;
 use oltap_storage::{
@@ -154,8 +154,8 @@ impl TableHandle {
         }
     }
 
-    /// Snapshot scan with predicate pushdown; each format uses its best
-    /// analytic access path.
+    /// Snapshot scan with predicate pushdown: [`source`](Self::source)
+    /// drained on the caller's thread.
     pub fn scan(
         &self,
         projection: &[usize],
@@ -164,13 +164,31 @@ impl TableHandle {
         me: TxnId,
         batch_size: usize,
     ) -> Result<Vec<Batch>> {
-        match self {
-            TableHandle::Row(t) => t.scan(projection, pred, read_ts, me, batch_size),
-            TableHandle::Column(t) => t.scan(projection, pred, read_ts, me, batch_size),
-            TableHandle::Dual(t) => {
-                t.scan_analytic(projection, pred, read_ts, me, batch_size)
+        self.source(projection, pred, read_ts, me, batch_size)?.drain()
+    }
+
+    /// The morsels of a snapshot scan with predicate pushdown, each format
+    /// by its best analytic access path: a column table's segments and
+    /// then its delta's rows, a dual table's columnar image (stale rows
+    /// hidden) and then its overlay, a row table's rows. Tail rows come in
+    /// batches of at most `batch_size`.
+    pub fn source(
+        &self,
+        projection: &[usize],
+        pred: &ScanPredicate,
+        read_ts: Ts,
+        me: TxnId,
+        batch_size: usize,
+    ) -> Result<Source> {
+        let (segments, tail) = match self {
+            TableHandle::Row(t) => (Vec::new(), t.scan(projection, pred, read_ts, me, batch_size)?),
+            TableHandle::Column(t) => {
+                let (segments, delta) = t.fused_scan_parts(projection, pred, read_ts, me, batch_size)?;
+                (segments.into_iter().map(|s| (s, None)).collect(), delta)
             }
-        }
+            TableHandle::Dual(t) => t.scan_parts(projection, pred, read_ts, me, batch_size)?,
+        };
+        Ok(Source::scan(segments, tail, pred, projection, (read_ts, me)))
     }
 
     /// Estimated visible rows (planning / diagnostics).
@@ -241,16 +259,16 @@ impl TableHandle {
 }
 
 /// The named-table registry.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct Catalog {
     tables: FxHashMap<String, TableHandle>,
     /// Bumped by every change to the table set: a plan made at an older
     /// generation may name a table, a column ordinal or a type that no
     /// longer is.
     generation: u64,
-    /// Who may fold a fused aggregate over these tables beside the
-    /// statement's thread: the owning database's pool, behind its
-    /// OLTP-first gate (no one, for a catalog of its own).
+    /// Who may claim the morsels of a statement over these tables beside
+    /// its own thread: the owning database's pool, behind its OLTP-first
+    /// gate (no one, for a catalog of its own).
     helpers: Helpers,
 }
 

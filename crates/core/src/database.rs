@@ -112,13 +112,9 @@ pub struct Database {
     faults: Arc<FaultInjector>,
     /// The database's one worker pool: `available_parallelism()` workers
     /// from open (none on a one-CPU host), `n` after
-    /// [`set_parallelism(n)`](Database::set_parallelism). A fused
-    /// aggregate's helpers always run on it; SELECT pipelines fan out on it
-    /// once `pipelines_fan_out` is set.
-    exec_pool: RwLock<Option<Arc<WorkerPool>>>,
-    /// Set by `set_parallelism(n)` with `n > 1`; otherwise pipelines run
-    /// inline on the session's thread.
-    pipelines_fan_out: AtomicBool,
+    /// [`set_parallelism(n)`](Database::set_parallelism). Every statement's
+    /// helpers come from it.
+    pool: RwLock<Option<Arc<WorkerPool>>>,
     /// Sessions open (see [`Database::session`]).
     sessions: Arc<AtomicUsize>,
     /// Memory governance, fixed at open: the governor and each query's cap.
@@ -203,8 +199,7 @@ impl Database {
             txn_mgr: Arc::new(TransactionManager::new()),
             wal: Wal::new_in_memory(),
             faults: FaultInjector::disabled(),
-            exec_pool: RwLock::new(None),
-            pipelines_fan_out: AtomicBool::new(false),
+            pool: RwLock::new(None),
             sessions: Arc::default(),
             memory: None,
             admission: RwLock::new(None),
@@ -216,7 +211,7 @@ impl Database {
             plans: PlanCache::default(),
             log_failed: Mutex::new(false),
         });
-        db.open_pool();
+        db.set_parallelism(std::thread::available_parallelism().map_or(1, usize::from));
         db
     }
 
@@ -275,8 +270,7 @@ impl Database {
             txn_mgr: Arc::new(TransactionManager::new()),
             wal,
             faults,
-            exec_pool: RwLock::new(None),
-            pipelines_fan_out: AtomicBool::new(false),
+            pool: RwLock::new(None),
             sessions: Arc::default(),
             memory: governor.zip(config.memory.as_ref().map(|c| c.query_bytes)),
             admission: RwLock::new(None),
@@ -288,7 +282,7 @@ impl Database {
             plans: PlanCache::default(),
             log_failed: Mutex::new(false),
         });
-        db.open_pool();
+        db.set_parallelism(std::thread::available_parallelism().map_or(1, usize::from));
         db.set_admission_config(config.admission);
         // Spill files never outlive a process on purpose; anything under
         // the root at open time is leakage from a crash.
@@ -306,16 +300,8 @@ impl Database {
         *self.admission.write() = cfg.map(AdmissionController::new);
     }
 
-    /// Starts the pool a database opens with: one worker per CPU the
-    /// process may use, none on a one-CPU host.
-    fn open_pool(&self) {
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        *self.exec_pool.write() = (cpus > 1).then(|| Arc::new(WorkerPool::new(cpus, cpus)));
-        self.lend_helpers();
-    }
-
-    /// Hands the catalog the pool as it is now, for the fused walks of the
-    /// statements planned over it, behind the OLTP-first gate: a helper
+    /// Hands the catalog the pool as it is now, for the statements planned
+    /// over it, behind the OLTP-first gate: a helper
     /// claims work only while no session but the statement's own is open —
     /// another session's transactions have first call on the cores. (A
     /// gate on running OLTP statements alone, or on open statements and
@@ -325,7 +311,7 @@ impl Database {
     fn lend_helpers(&self) {
         let sessions = Arc::clone(&self.sessions);
         self.catalog.write().set_helpers(Helpers {
-            pool: self.exec_pool.read().clone(),
+            pool: self.pool.read().clone(),
             gate: Some(Arc::new(move || sessions.load(Ordering::Relaxed) <= 1)),
         });
     }
@@ -395,36 +381,23 @@ impl Database {
     /// database's one worker pool with one of `workers` workers (none for
     /// `workers <= 1`).
     ///
-    /// Until this is called, the pool has `available_parallelism()`
-    /// workers (none on a one-CPU host), every pipeline runs inline on the
-    /// session's thread, and only a fused `Aggregate(Scan)` over held
-    /// segments fans out: its morsels and stripes are claimed by the
-    /// session's thread and up to `workers - 1` of the pool's, while no
-    /// other session is open (paged segments keep their one pass).
-    /// After it, with `workers > 1`, the pipelines fan out on the same pool
-    /// too; with `workers <= 1`, nothing fans out. Results are identical at
-    /// every setting — the fused walk's float sums included, since stripes
-    /// count selected rows — except that a pipeline aggregate's float sums
-    /// add per worker's share when the pipelines fan out.
+    /// A statement's morsels — a pipeline's, or a fused `Aggregate(Scan)`'s
+    /// — are claimed by its session's thread and up to `workers - 1` of the
+    /// pool's, as many as there are morsels beyond the first, while no
+    /// other session is open; a statement over paged segments keeps its
+    /// one pass. Until this is called the pool has `available_parallelism()`
+    /// workers (none on a one-CPU host). Results are identical at every
+    /// setting, float sums included: an aggregate's stripes count rows.
     pub fn set_parallelism(&self, workers: usize) {
-        *self.exec_pool.write() =
-            (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers)));
-        self.pipelines_fan_out.store(workers > 1, Ordering::Relaxed);
+        *self.pool.write() = (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers)));
         self.lend_helpers();
-    }
-
-    /// The pool SELECT pipelines fan out on, if
-    /// [`Database::set_parallelism`] enabled one.
-    pub(crate) fn exec_pool(&self) -> Option<Arc<WorkerPool>> {
-        let fan_out = self.pipelines_fan_out.load(Ordering::Relaxed);
-        fan_out.then(|| self.exec_pool.read().clone()).flatten()
     }
 
     /// The database's worker pool (see [`Database::set_parallelism`]), if it
     /// has one: what its helpers have run is in its
     /// [`stats`](WorkerPool::stats).
     pub fn worker_pool(&self) -> Option<Arc<WorkerPool>> {
-        self.exec_pool.read().clone()
+        self.pool.read().clone()
     }
 
     /// Opens a file-backed database at `path` (recovering prior state).

@@ -3,17 +3,21 @@
 //!
 //! A plan is decomposed at **pipeline breakers** (hash-join build,
 //! aggregate, sort / top-K) into a sequence of pipelines, innermost first.
-//! Each pipeline is a source batch set (segment-granular column-scan
-//! morsels), a chain of streaming [`StageSpec`]s (filter / project / join
-//! probe), and a sink chosen by the breaker above it;
-//! `oltap_exec::pipeline` runs it inline on the calling thread, or on the
-//! worker pool when [`ExecContext::pool`] carries one — with results
+//! Each pipeline is a [`Source`] of morsels — a scan's are its table's
+//! `(segment, row group, rows)` pieces and then its delta's (or a row
+//! store's) rows, a breaker's its output batches — a chain of streaming
+//! [`StageSpec`]s (filter / project / join probe), and a sink chosen by the
+//! breaker above it. `oltap_exec::pipeline` runs it: the statement's thread
+//! and the catalog's [helpers](Catalog::helpers) claim the morsels, each
+//! selecting and gathering only the rows it claimed, with results
 //! byte-identical at every worker count.
 //!
 //! Physical decisions beyond 1:1 lowering:
 //!
-//! * `Sort + Limit → TopK`, the bounded-heap optimization for
-//!   dashboard-style `ORDER BY ... LIMIT k` queries.
+//! * `Limit(Sort) → TopK`, the bounded-heap optimization for
+//!   dashboard-style `ORDER BY ... LIMIT k` queries with `k` up to a batch —
+//!   through the projections SQL plans between the two, applied to the `k`
+//!   rows.
 //! * `Aggregate(Scan)` over a columnar table runs fused over the encoded
 //!   segments when its shape qualifies (`try_fused_aggregate`).
 //! * A scan the optimizer marked [`AccessPath::PkPoint`] is answered by a
@@ -30,21 +34,21 @@ use oltap_common::fault::FaultInjector;
 use oltap_common::hash::FxHashMap;
 use oltap_common::ids::TxnId;
 use oltap_common::schema::{Schema, SchemaRef};
+use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{Batch, CancellationToken, DbError, Result, Row};
 use oltap_exec::pipeline::{limit_batches, ParallelContext, ProbeStage, StageSpec};
 use oltap_exec::{
     fused_aggregate, join_output_schema, AggExpr, AggregatorCore, ExecResources, Expr, Fused,
-    FusedScanCtx, RunningGroups,
+    RunningGroups, Source,
 };
-use oltap_sched::{NumaTopology, WorkerPool};
 use oltap_sql::{AccessPath, LogicalPlan};
 use oltap_storage::{JoinFilter, ScanPredicate};
 use oltap_txn::Ts;
 use std::sync::Arc;
 
 /// Execution-time context: the snapshot the query reads at, plus the
-/// cancellation, memory, fault, and worker plumbing its pipelines run
-/// under.
+/// cancellation, memory and fault plumbing its pipelines run under (who
+/// helps the statement's thread is [`Catalog::helpers`]'s to say).
 #[derive(Clone)]
 pub struct ExecContext {
     /// Snapshot timestamp.
@@ -63,28 +67,34 @@ pub struct ExecContext {
     /// the fused kernels (forcing their scalar fallback);
     /// [`FaultInjector::disabled`] outside chaos tests.
     pub faults: Arc<FaultInjector>,
-    /// Worker pool the pipelines fan out on (see
-    /// [`crate::Database::set_parallelism`]); `None` runs every pipeline
-    /// inline on the calling thread.
-    pub pool: Option<Arc<WorkerPool>>,
 }
 
 /// A decomposed pipeline: source morsels, the streaming stage chain to run
 /// over each, and the schema of the chain's output.
 struct Pipeline {
-    batches: Vec<Batch>,
+    source: Source,
     stages: Vec<StageSpec>,
     schema: SchemaRef,
 }
 
 impl Pipeline {
-    /// A pipeline whose batches are already final (a breaker's output).
-    fn materialized(batches: Vec<Batch>, schema: SchemaRef) -> Pipeline {
+    /// A pipeline of no stages yet over `source`: a scan's morsels, or
+    /// batches already at hand — a breaker's output, a key lookup's row, a
+    /// distributed statement's leaf.
+    fn of(source: impl Into<Source>, schema: SchemaRef) -> Pipeline {
         Pipeline {
-            batches,
+            source: source.into(),
             stages: Vec::new(),
             schema,
         }
+    }
+
+    /// The pipeline with a projection computing `exprs` appended.
+    fn project(mut self, exprs: &[(Expr, String)]) -> Result<Pipeline> {
+        let (stage, schema) = StageSpec::project(exprs, &self.schema)?;
+        self.stages.push(stage);
+        self.schema = schema;
+        Ok(self)
     }
 }
 
@@ -176,8 +186,7 @@ impl<'a> Lowering<'a> {
             catalog,
             ctx,
             pctx: ParallelContext {
-                pool: ctx.pool.clone(),
-                sockets: NumaTopology::two_socket().sockets,
+                helpers: catalog.helpers().clone(),
                 cancel: ctx.cancel.clone(),
                 faults: Arc::clone(&ctx.faults),
                 mem: ctx.mem.clone(),
@@ -187,16 +196,17 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    /// Runs a pipeline's remaining stage chain, yielding its batches in
-    /// morsel order. Handing over already-final batches is a batch
+    /// Runs a pipeline into batches, in morsel order; batches no stage
+    /// changes are handed on as they are. Handing over batches is a batch
     /// boundary too: a cancelled query never returns a result.
-    fn drain(&self, p: Pipeline) -> Result<Vec<Batch>> {
+    fn drain(&self, mut p: Pipeline) -> Result<Vec<Batch>> {
+        self.ctx.cancel.check()?;
         if p.stages.is_empty() {
-            self.ctx.cancel.check()?;
-            Ok(p.batches)
-        } else {
-            self.pctx.run_collect(p.batches, p.stages)
+            if let Some(batches) = p.source.take_tail() {
+                return Ok(batches);
+            }
         }
+        self.pctx.run_collect(p.source, p.stages)
     }
 
     /// Recursively decomposes a plan. Streaming operators extend the
@@ -205,7 +215,7 @@ impl<'a> Lowering<'a> {
     /// materialized result.
     fn decompose(&mut self, plan: &LogicalPlan) -> Result<Pipeline> {
         if let Some((_, batches)) = self.leaf.take_if(|(node, _)| std::ptr::eq(*node, plan)) {
-            return Ok(Pipeline::materialized(batches, plan.output_schema()?));
+            return Ok(Pipeline::of(batches, plan.output_schema()?));
         }
         Ok(match plan {
             LogicalPlan::Scan {
@@ -230,15 +240,15 @@ impl<'a> Lowering<'a> {
                 let pushdown = sip_pushdown.as_ref().unwrap_or(pushdown);
                 let ctx = self.ctx;
                 let schema = plan.output_schema()?;
-                let batches = match access {
+                let source = match access {
                     AccessPath::PkPoint { key } => {
-                        point_get(&handle, key, projection, &schema, pushdown, ctx)?
+                        point_get(&handle, key, projection, &schema, pushdown, ctx)?.into()
                     }
                     AccessPath::FullScan => {
-                        handle.scan(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?
+                        handle.source(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?
                     }
                 };
-                Pipeline::materialized(batches, schema)
+                Pipeline::of(source, schema)
             }
             LogicalPlan::Filter { input, predicate } => {
                 let mut p = self.decompose(input)?;
@@ -246,17 +256,11 @@ impl<'a> Lowering<'a> {
                     .push(StageSpec::filter(predicate.clone(), &p.schema)?);
                 p
             }
-            LogicalPlan::Project { input, exprs } => {
-                let mut p = self.decompose(input)?;
-                let (stage, schema) = StageSpec::project(exprs, &p.schema)?;
-                p.stages.push(stage);
-                p.schema = schema;
-                p
-            }
+            LogicalPlan::Project { input, exprs } => self.decompose(input)?.project(exprs)?,
             LogicalPlan::Aggregate { input, group, aggs } => {
                 let groups = self.aggregate(input, group, aggs)?;
                 let schema = groups.schema();
-                Pipeline::materialized(groups.finish()?, schema)
+                Pipeline::of(groups.finish()?, schema)
             }
             LogicalPlan::Join {
                 left,
@@ -276,7 +280,7 @@ impl<'a> Lowering<'a> {
                 // deterministic JoinTable.
                 let build = self.decompose(right)?;
                 let table = Arc::new(self.pctx.run_join_build(
-                    build.batches,
+                    build.source,
                     build.stages,
                     right_keys.clone(),
                     build.schema.len(),
@@ -301,31 +305,20 @@ impl<'a> Lowering<'a> {
                 let p = self.decompose(input)?;
                 let batches =
                     self.pctx
-                        .run_sort(p.batches, p.stages, keys.clone(), Arc::clone(&p.schema))?;
-                Pipeline::materialized(batches, p.schema)
+                        .run_sort(p.source, p.stages, keys.clone(), Arc::clone(&p.schema))?;
+                Pipeline::of(batches, p.schema)
             }
             LogicalPlan::Limit {
                 input,
                 offset,
                 limit,
             } => {
-                // Physical rewrite: Limit(Sort(x)) with offset 0 → top-K
-                // sink.
-                if let LogicalPlan::Sort {
-                    input: sort_in,
-                    keys,
-                } = input.as_ref()
-                {
-                    if *offset == 0 && *limit != usize::MAX {
-                        let p = self.decompose(sort_in)?;
-                        let batches = self.pctx.run_topk(
-                            p.batches,
-                            p.stages,
-                            keys.clone(),
-                            *limit,
-                            Arc::clone(&p.schema),
-                        )?;
-                        return Ok(Pipeline::materialized(batches, p.schema));
+                // Physical rewrite: Limit(Project*(Sort(x))) with offset 0 →
+                // top-K sink, whose unbudgeted heaps keep at most a batch of
+                // rows each; a larger k sorts (budgeted, spilling) and slices.
+                if *offset == 0 && *limit <= BATCH_SIZE {
+                    if let Some(p) = self.top_k(input, *limit)? {
+                        return Ok(p);
                     }
                 }
                 // General limit/offset is inherently sequential and cheap:
@@ -333,9 +326,25 @@ impl<'a> Lowering<'a> {
                 let p = self.decompose(input)?;
                 let schema = Arc::clone(&p.schema);
                 let ordered = self.drain(p)?;
-                Pipeline::materialized(limit_batches(ordered, *offset, *limit), schema)
+                Pipeline::of(limit_batches(ordered, *offset, *limit), schema)
             }
         })
+    }
+
+    /// The first `k` rows of `plan` from a top-K sink, when `plan` is a
+    /// sort under projections (which work row by row, so they commute with
+    /// the limit); `None` for any other plan.
+    fn top_k(&mut self, plan: &LogicalPlan, k: usize) -> Result<Option<Pipeline>> {
+        match plan {
+            LogicalPlan::Project { input, exprs } => self.top_k(input, k)?.map(|p| p.project(exprs)).transpose(),
+            LogicalPlan::Sort { input, keys } => {
+                let p = self.decompose(input)?;
+                let schema = Arc::clone(&p.schema);
+                let batches = self.pctx.run_topk(p.source, p.stages, keys.clone(), k, p.schema)?;
+                Ok(Some(Pipeline::of(batches, schema)))
+            }
+            _ => Ok(None),
+        }
     }
 
     /// An `Aggregate`'s groups, every input row folded in: fused over the
@@ -352,7 +361,7 @@ impl<'a> Lowering<'a> {
         }
         let p = self.decompose(input)?;
         let core = Arc::new(AggregatorCore::new(&p.schema, group.to_vec(), aggs.to_vec())?);
-        self.pctx.run_aggregate(p.batches, p.stages, core)
+        self.pctx.run_aggregate(p.source, p.stages, core)
     }
 
     /// Attempts the fused operate-on-compressed path for an
@@ -389,36 +398,22 @@ impl<'a> Lowering<'a> {
         if sip.is_some() || *access != AccessPath::FullScan {
             return Ok(None);
         }
-        let TableHandle::Column(t) = self.catalog.get(table)? else {
+        let handle = self.catalog.get(table)?;
+        if !matches!(handle, TableHandle::Column(_)) {
             return Ok(None);
-        };
+        }
         let input_schema = input.output_schema()?;
         let core = Arc::new(AggregatorCore::new(&input_schema, group.to_vec(), aggs.to_vec())?);
         if !core.reads_bare_columns() {
             return Ok(None);
         }
-        let (segments, delta) =
-            t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
+        let source = handle.source(projection, pushdown, ctx.read_ts, ctx.me, ctx.batch_size)?;
         // `None` from the walk: the governor refused a group mid-walk. The
         // attempt has published nothing and handed back what it reserved:
         // the statement runs through the pipelines, whose sink is the same
         // store fed row by row, and spills. (Any other refusal — the buffer
         // pool's, say — is the statement's error.)
-        fused_aggregate(
-            &core,
-            &ctx.mem,
-            segments,
-            delta,
-            projection,
-            &FusedScanCtx {
-                pred: pushdown,
-                read_ts: ctx.read_ts,
-                me: ctx.me,
-                faults: &ctx.faults,
-                cancel: &ctx.cancel,
-                helpers: self.catalog.helpers(),
-            },
-        )
+        fused_aggregate(&core, source, &self.pctx)
     }
 }
 
@@ -451,8 +446,8 @@ fn point_get(
     }
 }
 
-/// Default execution context for a snapshot read: unguarded, unmetered,
-/// and inline (no worker pool).
+/// Default execution context for a snapshot read: unguarded and
+/// unmetered.
 pub fn snapshot_ctx(read_ts: Ts) -> ExecContext {
     ExecContext {
         read_ts,
@@ -461,7 +456,6 @@ pub fn snapshot_ctx(read_ts: Ts) -> ExecContext {
         cancel: CancellationToken::none(),
         mem: ExecResources::unlimited(),
         faults: FaultInjector::disabled(),
-        pool: None,
     }
 }
 
@@ -471,6 +465,7 @@ mod tests {
     use crate::catalog::{TableFormat, TableHandle};
     use oltap_common::row;
     use oltap_common::{DataType, Field, Row, Schema, Value};
+    use oltap_sched::WorkerPool;
     use oltap_sql::{bind_select, optimize, parse, Statement};
     use oltap_txn::TransactionManager;
 
@@ -528,22 +523,26 @@ mod tests {
         optimize(bind_select(&sel, cat).unwrap()).unwrap()
     }
 
-    /// A snapshot context with `workers` workers: inline for one, a
-    /// dedicated pool otherwise.
-    fn ctx_at(mgr: &TransactionManager, workers: usize) -> ExecContext {
-        ExecContext {
+    /// A snapshot context for statements over `cat` at `workers` workers:
+    /// the statement's thread alone for one, beside a dedicated pool's
+    /// otherwise, lent through the catalog.
+    fn ctx_at(mgr: &TransactionManager, cat: &mut Catalog, workers: usize) -> ExecContext {
+        cat.set_helpers(oltap_exec::Helpers {
             pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
-            ..snapshot_ctx(mgr.now())
-        }
+            gate: None,
+        });
+        snapshot_ctx(mgr.now())
     }
 
-    fn run_at(sql: &str, mgr: &TransactionManager, cat: &Catalog, workers: usize) -> Vec<Row> {
-        let batches = execute_plan(&plan_for(sql, cat), cat, &ctx_at(mgr, workers)).unwrap();
+    fn run_at(sql: &str, mgr: &TransactionManager, cat: &mut Catalog, workers: usize) -> Vec<Row> {
+        let ctx = ctx_at(mgr, cat, workers);
+        let batches = execute_plan(&plan_for(sql, cat), cat, &ctx).unwrap();
         batches.iter().flat_map(|b| b.to_rows()).collect()
     }
 
     fn run(sql: &str, mgr: &TransactionManager, cat: &Catalog) -> Vec<Row> {
-        run_at(sql, mgr, cat, 1)
+        let batches = execute_plan(&plan_for(sql, cat), cat, &snapshot_ctx(mgr.now())).unwrap();
+        batches.iter().flat_map(|b| b.to_rows()).collect()
     }
 
     #[test]
@@ -620,7 +619,7 @@ mod tests {
             vec![row![1i64]]
         );
         let mistyped = plan_for("SELECT v FROM t WHERE id = 7 AND grp = 5", &cat);
-        let err = execute_plan(&mistyped, &cat, &ctx_at(&mgr, 1)).unwrap_err();
+        let err = execute_plan(&mistyped, &cat, &snapshot_ctx(mgr.now())).unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }), "{err:?}");
         // A hand-built plan cannot smuggle a mistyped pushdown past the
         // lookup either.
@@ -632,7 +631,7 @@ mod tests {
             panic!("expected Scan")
         };
         *access = AccessPath::PkPoint { key: row![7i64] };
-        let err = execute_plan(&forced, &cat, &ctx_at(&mgr, 1)).unwrap_err();
+        let err = execute_plan(&forced, &cat, &snapshot_ctx(mgr.now())).unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }), "{err:?}");
     }
 
@@ -674,13 +673,13 @@ mod tests {
             join_type: oltap_exec::JoinType::Inner,
             sip: None,
         };
-        let err = execute_plan(&keyless, &cat, &ctx_at(&mgr, 1)).unwrap_err();
+        let err = execute_plan(&keyless, &cat, &snapshot_ctx(mgr.now())).unwrap_err();
         assert!(matches!(err, DbError::Plan(_)), "{err:?}");
     }
 
     #[test]
     fn results_are_worker_count_independent_for_all_shapes() {
-        let (mgr, cat) = setup();
+        let (mgr, mut cat) = setup();
         let queries = [
             "SELECT * FROM t",
             "SELECT id, v * 2 FROM t WHERE v > 4",
@@ -694,7 +693,7 @@ mod tests {
             "SELECT t.id, dim.label FROM t LEFT JOIN dim ON t.grp = dim.g ORDER BY t.id",
             "SELECT grp, AVG(v) FROM t WHERE id < 300 GROUP BY grp ORDER BY grp",
         ];
-        assert_worker_count_independent(&mgr, &cat, &queries);
+        assert_worker_count_independent(&mgr, &mut cat, &queries);
     }
 
     #[test]
@@ -721,16 +720,16 @@ mod tests {
             "SELECT COUNT(*) FROM e",
             "SELECT id FROM e ORDER BY v LIMIT 3",
         ];
-        assert_worker_count_independent(&mgr, &cat, &queries);
+        assert_worker_count_independent(&mgr, &mut cat, &queries);
         // Global COUNT over empty input still yields its zero row.
         for workers in [1, 4] {
-            let rows = run_at("SELECT COUNT(*) FROM e", &mgr, &cat, workers);
+            let rows = run_at("SELECT COUNT(*) FROM e", &mgr, &mut cat, workers);
             assert_eq!(rows[0][0], Value::Int(0));
         }
     }
 
     /// 1 ≡ 2 ≡ 8 workers: identical rows in identical order.
-    fn assert_worker_count_independent(mgr: &TransactionManager, cat: &Catalog, queries: &[&str]) {
+    fn assert_worker_count_independent(mgr: &TransactionManager, cat: &mut Catalog, queries: &[&str]) {
         for sql in queries {
             let inline = run_at(sql, mgr, cat, 1);
             for workers in [2, 8] {
@@ -1020,7 +1019,9 @@ mod tests {
 
     /// A walk over held segments fans out on the database's pool, and its
     /// helpers claim morsels and stripes — but not one while another
-    /// session is open: its transactions have first call on the cores.
+    /// session is open: its transactions have first call on the cores. The
+    /// same gate holds for a pipeline (an expression-key aggregate, whose
+    /// helpers show in the pool's counts).
     #[test]
     fn helpers_claim_nothing_while_another_session_is_open() {
         let db = Database::new();
@@ -1034,8 +1035,8 @@ mod tests {
         }
         tx.commit().unwrap();
         db.maintenance();
-        let sql = "SELECT q, COUNT(*), SUM(a) FROM big GROUP BY q";
-        let helped = || {
+        let fused = || {
+            let sql = "SELECT q, COUNT(*), SUM(a) FROM big GROUP BY q";
             let catalog = db.catalog_read();
             let plan = plan_for(sql, &catalog);
             let Some(LogicalPlan::Aggregate { input, group, aggs }) = aggregate_over_scan(&plan)
@@ -1049,21 +1050,44 @@ mod tests {
                 .unwrap();
             (fused.helped, fused.groups.finish().unwrap())
         };
-        // The walk above stands for a statement of this session.
-        let _mine = db.session();
-        let (_, want) = helped();
-        // A helper that wakes late finds the statement's thread done.
-        assert!(
-            (0..50).any(|_| helped().0 > 0),
-            "the helper never claimed anything"
-        );
-        let other = db.session();
-        for _ in 0..10 {
-            let (claimed, answer) = helped();
-            assert_eq!(claimed, 0, "a helper claimed work beside another session");
-            assert_eq!(rows_of(&answer), rows_of(&want));
+        let pipeline = || {
+            let sql = "SELECT q + 0, COUNT(*), SUM(a) FROM big GROUP BY q + 0";
+            let pool = db.worker_pool().unwrap();
+            let before = settled(&pool);
+            let catalog = db.catalog_read();
+            let ctx = snapshot_ctx(db.txn_manager().now());
+            let answer = execute_plan(&plan_for(sql, &catalog), &catalog, &ctx).unwrap();
+            ((settled(&pool) - before) as usize, answer)
+        };
+        let inputs: [&dyn Fn() -> (usize, Vec<Batch>); 2] = [&fused, &pipeline];
+        for helped in inputs {
+            // The statement stands for one of this session.
+            let _mine = db.session();
+            let (_, want) = helped();
+            // A helper that wakes late finds the statement's thread done.
+            assert!(
+                (0..50).any(|_| helped().0 > 0),
+                "the helper never claimed anything"
+            );
+            let other = db.session();
+            for _ in 0..10 {
+                let (claimed, answer) = helped();
+                assert_eq!(claimed, 0, "a helper claimed work beside another session");
+                assert_eq!(rows_of(&answer), rows_of(&want));
+            }
+            drop(other);
         }
-        drop(other);
+    }
+
+    /// The OLAP tasks `pool` has finished, once none is queued or running:
+    /// a task answers its submitter a moment before the pool counts it.
+    fn settled(pool: &WorkerPool) -> u64 {
+        let since = std::time::Instant::now();
+        while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
+            assert!(since.elapsed().as_secs() < 10, "the pool never settled");
+            std::thread::yield_now();
+        }
+        pool.stats().olap_done
     }
 
     /// The gate is looked at before every claim, not only when the walk
@@ -1351,7 +1375,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_cancels_at_any_worker_count() {
-        let (mgr, cat) = setup();
+        let (mgr, mut cat) = setup();
         for sql in [
             "SELECT SUM(v) FROM t",
             "SELECT * FROM t",
@@ -1360,7 +1384,7 @@ mod tests {
         ] {
             let plan = plan_for(sql, &cat);
             for workers in [1, 4] {
-                let mut ctx = ctx_at(&mgr, workers);
+                let mut ctx = ctx_at(&mgr, &mut cat, workers);
                 ctx.cancel = CancellationToken::new();
                 ctx.cancel.cancel();
                 let err = execute_plan(&plan, &cat, &ctx).unwrap_err();

@@ -376,7 +376,6 @@ impl Session {
             cancel,
             mem: self.db.exec_resources(class)?,
             faults: Arc::clone(self.db.faults()),
-            pool: self.db.exec_pool(),
         })
     }
 

@@ -6,29 +6,32 @@
 //! expression per batch, and probes a hash map per row. When the plan is
 //! `Aggregate(Scan)` with plain column references, none of that
 //! materialization is necessary: a morsel's selection bitmap from
-//! [`GroupSelector::select_rows`] already says which rows survive, and the
-//! encoded columns can feed the aggregates directly.
+//! [`GroupSelector::select_rows`](oltap_storage::segment::GroupSelector::select_rows)
+//! already says which rows survive, and the encoded columns can feed the
+//! aggregates directly.
 //!
-//! The walk. A segment's row groups are cut into **morsels** — a paged
-//! group is one, a held group (one spanning the segment) is cut every
-//! [`MORSEL_ROWS`] rows — and a morsel's selection is the unit of work. The
-//! selected rows, in scan order (segments, then the delta's rows), are
-//! folded in **stripes** of [`STRIPE_ROWS`], each into a store of its own
-//! ([`RunningGroups`], where the accumulators are described), and the
-//! stripes are merged in stripe order. Who does the work depends on where
-//! the rows are:
+//! The walk. Its morsels are the pipelines' ([`Source`]): the segments'
+//! `(segment, row group, rows)` pieces, then the delta's batches, and a
+//! morsel's selection is the unit of work. The selected rows, in scan
+//! order, are folded in **stripes** of [`STRIPE_ROWS`], each into a store
+//! of its own ([`RunningGroups`], where the accumulators are described),
+//! and the stripes are merged in stripe order. Who does the work is the
+//! pipelines' claim loop's decision:
 //!
-//! * **One pass** — paged segments (the pager's loader thread is already
-//!   their second core), a walk of fewer than two morsels, or no worker
-//!   pool: the statement's thread selects each morsel and folds it at once,
-//!   cutting stripes as they fill — so a column that is filtered *and*
-//!   aggregated is faulted once.
-//! * **Fanned out** — held segments, with the database's worker pool: the
-//!   statement's thread and helpers from the pool claim morsels and select
+//! * **One pass** — the statement's thread alone: it selects each morsel
+//!   and folds it at once, cutting stripes as they fill — so a column that
+//!   is filtered *and* aggregated is faulted once. Paged segments always
+//!   take this pass.
+//! * **Fanned out** — held segments, with helpers from the database's
+//!   pool: the statement's thread and the helpers claim morsels and select
 //!   them, then claim stripes and fold them; the statement's thread merges
 //!   the stripes in order. A helper claims nothing while its
-//!   [`Helpers::gate`] is shut — the database shuts it while another
-//!   session is open: transactions keep their core.
+//!   [`Helpers::gate`](crate::Helpers::gate) is shut — the database shuts
+//!   it while another session is open: transactions keep their core.
+//!
+//! The same walk is a fanned-out pipeline's aggregate sink: there a
+//! morsel's unit is its stage output, parked under its index, and the
+//! stripes are cut over those rows.
 //!
 //! Each piece of a row group that a stripe folds is visited one of two
 //! ways:
@@ -62,83 +65,31 @@
 //! where those rows are stored or who folds them. So the sums are
 //! bit-identical on resident segments (one row group), paged ones (many)
 //! and frozen ones, before and after a merge or a coalesce, at any fallback
-//! probability, whichever thread claims which morsel or stripe, and at any
-//! worker count. (Per-row-group partials merged in group order — the
-//! obvious alternative — would define a *different* float sum for a paged
-//! table than for the same rows resident in one group: row-group boundaries
-//! are positions, which is why a stripe counts selected rows instead.) The
-//! only other regrouping is where it is exact: the row count of a block
-//! whose selected rows land in one group is a popcount, and integer,
-//! count and min / max accumulators do not depend on order at all.
+//! probability, whichever thread claims which morsel or stripe, at any
+//! worker count — and equal to the pipelines' sink over the same rows.
+//! (Per-row-group partials merged in group order — the obvious alternative
+//! — would define a *different* float sum for a paged table than for the
+//! same rows resident in one group: row-group boundaries are positions,
+//! which is why a stripe counts selected rows instead.) The only other
+//! regrouping is where it is exact: the row count of a block whose selected
+//! rows land in one group is a popcount, and integer, count and min / max
+//! accumulators do not depend on order at all.
 
 use crate::aggregate::AggregatorCore;
 use crate::groups::{AccState, Keys, RunningGroups, Stripes, STRIPE_ROWS, UNRESOLVED};
-use crate::pipeline::probe_morsel;
+use crate::pipeline::{caught, fan_out, Crew, Job, ParallelContext, Reader, Source, StageSpec};
 use crate::resources::ExecResources;
 use oltap_common::cancel::CancellationToken;
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::ids::TxnId;
 use oltap_common::{Batch, BitSet, DbError, Result, Row, Value};
-use oltap_sched::{WorkerPool, WorkloadClass};
+use oltap_sched::WorkerPool;
 use oltap_storage::encoding::{BitPacked, IntEncoding, StrEncoding};
-use oltap_storage::segment::{ColumnRef, EncodedColumn, GroupSelector, PassChunks, Segment};
-use oltap_storage::ScanPredicate;
-use oltap_txn::Ts;
-use parking_lot::{Condvar, Mutex};
+use oltap_storage::segment::{ColumnRef, EncodedColumn, PassChunks, Segment};
+use std::borrow::Cow;
 use std::cmp::{max_by, min_by};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Rows of a held row group one morsel spans (a multiple of 64, so a
-/// morsel's selection words line up with the chunk's blocks). It decides
-/// only who does how much work, never an answer: 16 Ki rows is about
-/// 20–60 µs of selection and folding on the CH columns, long enough that a
-/// helper's wake-up (≈ 11 µs across cores) is paid once per several
-/// morsels, short enough that a 48 k-row table still splits in three. The
-/// seven CH `olap_scan` statements at two workers ran 1.56× their one-worker
-/// time with it, 1.51× with 4 Ki-row morsels and 1.49× with 64 Ki.
-pub const MORSEL_ROWS: usize = 16 * 1024;
-
-/// Snapshot-visibility and statement-guard inputs shared by every segment
-/// visit of one fused aggregation.
-pub struct FusedScanCtx<'a> {
-    /// Pushed-down predicate (drives [`Segment::selector`]).
-    pub pred: &'a ScanPredicate,
-    /// Snapshot timestamp.
-    pub read_ts: Ts,
-    /// Transaction identity.
-    pub me: TxnId,
-    /// Fault injector probed at [`points::EXEC_MORSEL_FAIL`] per morsel
-    /// and [`points::EXEC_KERNEL_FALLBACK`] per piece.
-    pub faults: &'a Arc<FaultInjector>,
-    /// Checked every 64 blocks (4096 rows, the pipelines' morsel) on
-    /// either path, and at every morsel.
-    pub cancel: &'a CancellationToken,
-    /// Who may fold beside the statement's thread.
-    pub helpers: &'a Helpers,
-}
-
-/// The threads a fused walk may borrow besides the statement's own.
-#[derive(Clone, Default)]
-pub struct Helpers {
-    /// The database's worker pool: a walk fans out on as many of its
-    /// workers as it has morsels, the statement's thread counting as one.
-    /// `None`: every walk takes one pass.
-    pub pool: Option<Arc<WorkerPool>>,
-    /// Whether the transactional work beside the statement leaves a helper
-    /// a core now; consulted before every claim. `None`: always.
-    pub gate: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
-}
-
-impl std::fmt::Debug for Helpers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Helpers")
-            .field("workers", &self.pool.as_ref().map(|p| p.worker_count()))
-            .field("gated", &self.gate.is_some())
-            .finish()
-    }
-}
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A fused aggregation's groups, and how it got them.
 pub struct Fused {
@@ -152,12 +103,12 @@ pub struct Fused {
     pub helped: usize,
 }
 
-/// Aggregates the visible rows of `segments`, then the `delta`'s rows, into
-/// the groups of `core` — whose slots [are bare
+/// Aggregates the visible rows of `source`'s segments, then its tail (the
+/// delta's rows), into the groups of `core` — whose slots [are bare
 /// columns](crate::AggregatorCore::reads_bare_columns) — without
-/// materializing batches, in stripes (see the module docs). `projection`
-/// maps scan-output ordinals (the store's slots) to table ordinals; the
-/// delta's batches are in scan-output order already.
+/// materializing batches, in stripes (see the module docs). The source's
+/// projection maps scan-output ordinals (the store's slots) to table
+/// ordinals; its tail is in scan-output order already.
 ///
 /// `None` when the governor refused a group while the segments were being
 /// folded: nothing has been published and everything reserved is handed
@@ -168,149 +119,54 @@ pub struct Fused {
 /// does.)
 pub fn fused_aggregate(
     core: &Arc<AggregatorCore>,
-    mem: &ExecResources,
-    segments: Vec<Arc<Segment>>,
-    delta: Vec<Batch>,
-    projection: &[usize],
-    ctx: &FusedScanCtx<'_>,
+    source: Source,
+    ctx: &ParallelContext,
 ) -> Result<Option<Fused>> {
-    let mut first = RunningGroups::new(core, mem);
-    first.presize_slots(&segments, projection);
-    let morsels = morsels(&segments);
-    // Helpers beside the statement's thread, if the gate is open now; each
-    // looks again before every claim.
-    let open = ctx.helpers.gate.as_ref().is_none_or(|open| open());
-    let crew = match &ctx.helpers.pool {
-        Some(pool) if open && morsels.len() > 1 && !segments.iter().any(|s| s.is_paged()) => {
-            pool.worker_count().min(morsels.len()) - 1
-        }
-        _ => 0,
+    let mut first = RunningGroups::new(core, &ctx.mem);
+    first.presize_slots(&source.segments, &source.projection);
+    walk(source, Vec::new(), true, first, ctx)
+}
+
+/// The walk over `source`, its segment morsels folded from the encoded
+/// chunks when `fused`, else gathered through `stages` like its tail:
+/// fanned out when the context has helpers for it, else in one pass. A
+/// refusal that ends a fan-out is a fused walk's `None`; a pipeline's
+/// folds in one pass instead.
+pub(crate) fn walk(
+    source: Source,
+    stages: Vec<StageSpec>,
+    fused: bool,
+    first: RunningGroups,
+    ctx: &ParallelContext,
+) -> Result<Option<Fused>> {
+    let crew = ctx.crew(&source);
+    let walk = Walk::new(source, stages, fused, first.empty_like(), ctx);
+    let Some((pool, helpers)) = crew else {
+        return caught(|| one_pass(&walk, first));
     };
-    let scan = Scan {
-        segments: &segments,
-        projection,
-        pred: ctx.pred,
-        read_ts: ctx.read_ts,
-        me: ctx.me,
-        faults: ctx.faults,
-        cancel: ctx.cancel,
-    };
-    if crew == 0 {
-        return one_pass(&scan, first, &morsels, &delta);
+    let walk = Arc::new(walk);
+    match walk.fan_out(pool, helpers)? {
+        None if !fused => caught(|| one_pass(&walk, first)),
+        folded => Ok(folded),
     }
-    let walk = Arc::new(Walk {
-        segments: segments.clone(),
-        delta,
-        projection: projection.to_vec(),
-        pred: ctx.pred.clone(),
-        read_ts: ctx.read_ts,
-        me: ctx.me,
-        faults: Arc::clone(ctx.faults),
-        cancel: ctx.cancel.clone(),
-        gate: ctx.helpers.gate.clone(),
-        first,
-        selections: morsels.iter().map(|_| OnceLock::new()).collect(),
-        morsels,
-        next_morsel: AtomicUsize::new(0),
-        selected: AtomicUsize::new(0),
-        stripes: OnceLock::new(),
-        next_stripe: AtomicUsize::new(0),
-        abort: AtomicBool::new(false),
-        dense: AtomicUsize::new(0),
-        scalar: AtomicUsize::new(0),
-        helped: AtomicUsize::new(0),
-        crew: Mutex::new(Crew::default()),
-        cv: Condvar::new(),
-    });
-    let pool = ctx.helpers.pool.as_ref().expect("a crew has a pool");
-    for _ in 0..crew {
-        let walk = Arc::clone(&walk);
-        // Fire and forget: `close` waits for every helper that started.
-        drop(pool.submit(WorkloadClass::Olap, move || walk.help()));
-    }
-    walk.lead()
 }
 
-/// The morsels of `segments`, in scan order: `(segment, row group, rows)`.
-/// A paged row group is one morsel — its pages are read once, by one
-/// pass — and a held one is cut every [`MORSEL_ROWS`] rows.
-fn morsels(segments: &[Arc<Segment>]) -> Vec<(usize, usize, Range<usize>)> {
-    let mut out = Vec::new();
-    for (s, seg) in segments.iter().enumerate() {
-        let step = if seg.is_paged() { usize::MAX } else { MORSEL_ROWS };
-        for g in 0..seg.group_count() {
-            let rows = seg.group_bounds(g).1;
-            let mut lo = 0;
-            while lo < rows {
-                let hi = lo + step.min(rows - lo);
-                out.push((s, g, lo..hi));
-                lo = hi;
-            }
-        }
-    }
-    out
-}
-
-/// What a walk reads, borrowed.
-struct Scan<'w> {
-    segments: &'w [Arc<Segment>],
-    projection: &'w [usize],
-    pred: &'w ScanPredicate,
-    read_ts: Ts,
-    me: TxnId,
-    faults: &'w FaultInjector,
-    cancel: &'w CancellationToken,
-}
-
-/// One thread's means to select and fold: its passes over the segments it
-/// has touched (opened at first touch, each beside its way to the chunks)
-/// and its dictionary slot table.
+/// One thread's means to select and fold: its [`Reader`] of the source and
+/// its dictionary slot table.
 struct Folder<'w> {
-    scan: &'w Scan<'w>,
-    selectors: Vec<Option<Option<(GroupSelector<'w>, PassChunks<'w>)>>>,
+    reader: Reader<'w>,
     slots: SlotTable,
     dense: usize,
     scalar: usize,
 }
 
 impl<'w> Folder<'w> {
-    fn new(scan: &'w Scan<'w>) -> Self {
+    fn new(reader: Reader<'w>) -> Self {
         Folder {
-            scan,
-            selectors: scan.segments.iter().map(|_| None).collect(),
+            reader,
             slots: SlotTable::default(),
             dense: 0,
             scalar: 0,
-        }
-    }
-
-    /// This thread's pass over segment `s`; `None` when its zone map or
-    /// the predicate rules the segment out.
-    fn selector(&mut self, s: usize) -> Result<Option<&(GroupSelector<'w>, PassChunks<'w>)>> {
-        let scan = self.scan;
-        if self.selectors[s].is_none() {
-            let selector = scan.segments[s].selector(scan.pred, scan.read_ts, scan.me)?;
-            self.selectors[s] = Some(selector.map(|selector| {
-                let chunks = selector.chunks();
-                (selector, chunks)
-            }));
-        }
-        Ok(self.selectors[s].as_ref().and_then(Option::as_ref))
-    }
-
-    /// Selects morsel `m` into `into`, `false` when no row is selected:
-    /// probes [`points::EXEC_MORSEL_FAIL`] and the token first.
-    fn select(
-        &mut self,
-        m: usize,
-        (s, g, rows): &(usize, usize, Range<usize>),
-        into: &mut BitSet,
-    ) -> Result<bool> {
-        probe_morsel(self.scan.faults, m)?;
-        self.scan.cancel.check()?;
-        match self.selector(*s)? {
-            Some((selector, _)) => selector.select_rows(*g, rows.clone(), into),
-            None => Ok(false),
         }
     }
 
@@ -325,19 +181,19 @@ impl<'w> Folder<'w> {
         sel: &BitSet,
         bits: Range<usize>,
     ) -> Result<()> {
-        let scan = self.scan;
-        let (_, pass) = self.selector(s)?.expect("a selected morsel's segment has a pass");
-        let chunks = run.chunks(pass, g, scan.projection)?;
+        let (src, faults, cancel) = (self.reader.src, self.reader.faults, self.reader.cancel);
+        let projection = &src.projection;
+        let (_, pass) = self.reader.pass(s)?.expect("a selected morsel's segment has a pass");
+        let chunks = run.chunks(pass, g, projection)?;
         let piece = Piece { sel, first, bits };
-        let fused =
-            run.group_cols.len() <= 1 && !scan.faults.should_fire(points::EXEC_KERNEL_FALLBACK);
-        if fused && dense_piece(run, &mut self.slots, &chunks, &piece, scan.cancel)? {
+        let fused = run.group_cols.len() <= 1 && !faults.should_fire(points::EXEC_KERNEL_FALLBACK);
+        if fused && dense_piece(run, &mut self.slots, &chunks, &piece, cancel)? {
             self.dense += 1;
             return Ok(());
         }
         for (n, i) in piece.ones().enumerate() {
             if n % 4096 == 0 {
-                scan.cancel.check()?;
+                cancel.check()?;
             }
             let row = first + i;
             run.update_row(|c| chunks[c].as_ref().map_or(Value::Null, |chunk| chunk.value_at(row)))?;
@@ -347,20 +203,18 @@ impl<'w> Folder<'w> {
     }
 }
 
-/// The walk on the statement's thread alone: each morsel selected and at
-/// once folded into the open stripe, a stripe cut wherever one fills, then
-/// the delta's rows the same way.
-fn one_pass(
-    scan: &Scan<'_>,
-    first: RunningGroups,
-    morsels: &[(usize, usize, Range<usize>)],
-    delta: &[Batch],
-) -> Result<Option<Fused>> {
-    let mut folder = Folder::new(scan);
+/// `walk` on the statement's thread alone, from `first`: each morsel
+/// selected and at once folded into the open stripe (a fused walk's
+/// segment morsels), or its stage output consumed, a stripe cut wherever
+/// one fills.
+fn one_pass(walk: &Walk, first: RunningGroups) -> Result<Option<Fused>> {
+    let source = &walk.source;
+    let mut folder = Folder::new(Reader::new(source, &walk.stages, &walk.cancel, &walk.faults));
     let mut stripes = Stripes::new(first);
     let mut sel = BitSet::new();
-    for (m, morsel) in morsels.iter().enumerate() {
-        let folded = folder.select(m, morsel, &mut sel).and_then(|any| {
+    let folded_morsels = if walk.fused { source.morsels.len() } else { 0 };
+    for (m, morsel) in source.morsels[..folded_morsels].iter().enumerate() {
+        let folded = folder.reader.select(m, &mut sel).and_then(|any| {
             if !any {
                 return Ok(());
             }
@@ -381,8 +235,10 @@ fn one_pass(
             folded => folded?,
         }
     }
-    for batch in delta {
-        stripes.consume(batch)?;
+    for m in folded_morsels..source.len() {
+        if let Some(batch) = folder.reader.output(m, source.tail(m).map(Cow::Borrowed))? {
+            stripes.consume(&batch)?;
+        }
     }
     Ok(Some(Fused {
         groups: stripes.finish()?,
@@ -449,153 +305,96 @@ fn after_ones(sel: &BitSet, from: usize, n: usize) -> (usize, usize) {
     (sel.len(), taken)
 }
 
-/// A walk fanned out over the statement's thread and helpers from the pool:
-/// what they read, what they have found, and how they wait for each other.
+/// What a claimed morsel leaves for the stripes.
+enum Unit {
+    /// A segment morsel's selection, folded from the encoded chunks.
+    Sel(BitSet),
+    /// Stage output, parked: the batch itself is in the crew's hands until
+    /// the walk closes, its bytes reserved from the budget till then.
+    Rows(Weak<Batch>),
+    /// The source's tail batch at this index, untouched.
+    Tail,
+}
+
+/// What a walk's threads hand in: each stripe's store, by stripe index,
+/// and the parked stage output, which the walk frees as it closes.
+type Folded = (Vec<Option<RunningGroups>>, Vec<Arc<Batch>>);
+
+/// An aggregation fanned out over the statement's thread and helpers:
+/// morsels claimed and turned into [`Unit`]s, the stripes cut over the
+/// units' rows once every morsel is in, then claimed and folded, each into
+/// a store of its own, which the threads hand in by stripe index.
 struct Walk {
-    segments: Vec<Arc<Segment>>,
-    delta: Vec<Batch>,
-    projection: Vec<usize>,
-    pred: ScanPredicate,
-    read_ts: Ts,
-    me: TxnId,
-    faults: Arc<FaultInjector>,
+    crew: Crew<Folded>,
+    source: Source,
+    stages: Vec<StageSpec>,
+    /// Segment morsels are folded from their encoded chunks (a fused
+    /// aggregation), not gathered through `stages`.
+    fused: bool,
     cancel: CancellationToken,
-    /// [`Helpers::gate`]. (The walk never holds the pool: a helper may be
-    /// the walk's last holder, and a pool cannot be dropped by its own
-    /// worker.)
-    gate: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
+    faults: Arc<FaultInjector>,
+    mem: ExecResources,
     /// An empty store with the statement's key slots: each stripe's is one
     /// like it.
     first: RunningGroups,
-    morsels: Vec<(usize, usize, Range<usize>)>,
     next_morsel: AtomicUsize,
-    /// Each morsel's selection, once selected (`None`: none).
-    selections: Vec<OnceLock<Option<BitSet>>>,
-    /// Morsels selected so far.
-    selected: AtomicUsize,
-    /// Where each stripe starts, `(unit, position)`: the units are the
-    /// morsels and then the delta's batches, a position a bit of a
-    /// morsel's selection or a row of a batch. Cut once every morsel is
-    /// selected.
+    /// Each morsel's unit, once claimed (`None`: nothing left of it).
+    units: Vec<OnceLock<Option<Unit>>>,
+    /// Morsels in so far.
+    claimed: AtomicUsize,
+    /// Where each stripe starts, `(unit, position)`, a position a bit of a
+    /// selection or a row of a batch. Cut once every morsel is in.
     stripes: OnceLock<Vec<(usize, usize)>>,
     next_stripe: AtomicUsize,
-    /// Set by the first failure: nobody claims anything after it.
-    abort: AtomicBool,
+    /// Bytes of parked stage output reserved from the statement's budget.
+    parked: AtomicU64,
+    /// The governor refused a group while segments were folded, or a
+    /// unit's parking: the statement starts over in one pass.
+    refused: AtomicBool,
     dense: AtomicUsize,
     scalar: AtomicUsize,
-    helped: AtomicUsize,
-    crew: Mutex<Crew>,
-    cv: Condvar,
-}
-
-/// What the walk's threads wait on, under [`Walk::crew`].
-#[derive(Default)]
-struct Crew {
-    /// Helpers inside the walk.
-    active: usize,
-    /// The statement is done with the walk: a helper starting now leaves.
-    closed: bool,
-    /// Each stripe's store, once folded.
-    folded: Vec<Option<RunningGroups>>,
-    /// The first failure, and whether it was the governor refusing a group
-    /// while segments were folded.
-    failed: Option<(DbError, bool)>,
-}
-
-/// Leaves the walk on a helper's way out — panicking included, when the
-/// walk fails so that nobody waits for what the helper held.
-struct Leave<'w>(&'w Walk);
-
-impl Drop for Leave<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.fail(DbError::Execution("a fused walk's helper panicked".into()), false);
-        }
-        self.0.crew.lock().active -= 1;
-        self.0.cv.notify_all();
-    }
 }
 
 impl Walk {
-    fn scan(&self) -> Scan<'_> {
-        Scan {
-            segments: &self.segments,
-            projection: &self.projection,
-            pred: &self.pred,
-            read_ts: self.read_ts,
-            me: self.me,
-            faults: &self.faults,
-            cancel: &self.cancel,
+    fn new(
+        source: Source,
+        stages: Vec<StageSpec>,
+        fused: bool,
+        first: RunningGroups,
+        ctx: &ParallelContext,
+    ) -> Walk {
+        Walk {
+            crew: Crew::new(&ctx.helpers),
+            units: (0..source.len()).map(|_| OnceLock::new()).collect(),
+            source,
+            stages,
+            fused,
+            cancel: ctx.cancel.clone(),
+            faults: Arc::clone(&ctx.faults),
+            mem: ctx.mem.clone(),
+            first,
+            next_morsel: AtomicUsize::new(0),
+            claimed: AtomicUsize::new(0),
+            stripes: OnceLock::new(),
+            next_stripe: AtomicUsize::new(0),
+            parked: AtomicU64::new(0),
+            refused: AtomicBool::new(false),
+            dense: AtomicUsize::new(0),
+            scalar: AtomicUsize::new(0),
         }
     }
 
-    /// Records the walk's first failure and stops everyone.
-    fn fail(&self, err: DbError, refused: bool) {
-        self.abort.store(true, Ordering::Relaxed);
-        let mut crew = self.crew.lock();
-        crew.failed.get_or_insert((err, refused));
-        drop(crew);
-        self.cv.notify_all();
-    }
-
-    /// Whether a thread may claim more: nothing failed and, for a helper,
-    /// the gate is open.
-    fn may_claim(&self, helper: bool) -> bool {
-        let open = || self.gate.as_ref().is_none_or(|open| open());
-        !self.abort.load(Ordering::Relaxed) && (!helper || open())
-    }
-
-    /// A helper's share: morsels, then stripes, while it may claim them.
-    fn help(&self) {
-        {
-            let mut crew = self.crew.lock();
-            if crew.closed {
-                return;
-            }
-            crew.active += 1;
-        }
-        let _leave = Leave(self);
-        let scan = self.scan();
-        let mut folder = Folder::new(&scan);
-        let done = self
-            .select_morsels(&mut folder, true)
-            .and_then(|()| self.fold_stripes(&mut folder, true));
-        self.dense.fetch_add(folder.dense, Ordering::Relaxed);
-        self.scalar.fetch_add(folder.scalar, Ordering::Relaxed);
-        if let Err((err, refused)) = done {
-            self.fail(err, refused);
-        }
-    }
-
-    /// The statement's share: morsels, then stripes, then every stripe
-    /// merged in order once the helpers have folded theirs; whatever
-    /// happened, the walk closes before it answers.
-    fn lead(&self) -> Result<Option<Fused>> {
-        // Should the statement's thread panic, nobody may wait for what it
-        // claimed.
-        struct Abandon<'w>(&'w Walk);
-        impl Drop for Abandon<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.fail(DbError::Execution("a fused walk panicked".into()), false);
-                    self.0.crew.lock().closed = true;
-                }
-            }
-        }
-        let _abandon = Abandon(self);
-        let scan = self.scan();
-        let mut folder = Folder::new(&scan);
-        let done = self
-            .select_morsels(&mut folder, false)
-            .and_then(|()| self.fold_stripes(&mut folder, false));
-        if let Err((err, refused)) = done {
-            self.fail(err, refused);
-        }
-        let (folded, failed) = self.close();
-        if let Some((err, refused)) = failed {
-            return if refused { Ok(None) } else { Err(err) };
-        }
-        // Every stripe is folded (nothing failed), merged in stripe order.
+    /// The walk on the statement's thread and `helpers` workers of `pool`:
+    /// every stripe merged in order, or `None` if the budget refused. The
+    /// parked output is freed as the walk closes, and only then are its
+    /// bytes handed back.
+    fn fan_out(self: &Arc<Self>, pool: &WorkerPool, helpers: usize) -> Result<Option<Fused>> {
+        let folded = fan_out(pool, helpers, self).map(|(stripes, _parked)| stripes);
+        self.mem.budget.release(self.parked.swap(0, Ordering::Relaxed));
+        let folded = match folded {
+            Err(_) if self.refused.load(Ordering::Relaxed) => return Ok(None),
+            folded => folded?,
+        };
         let mut stripes = folded.into_iter().flatten();
         let mut groups = stripes.next().unwrap_or_else(|| self.first.empty_like());
         for stripe in stripes {
@@ -604,43 +403,49 @@ impl Walk {
         groups.seal()?;
         Ok(Some(Fused {
             groups,
-            dense: self.dense.load(Ordering::Relaxed) + folder.dense,
-            scalar: self.scalar.load(Ordering::Relaxed) + folder.scalar,
-            helped: self.helped.load(Ordering::Relaxed),
+            dense: self.dense.load(Ordering::Relaxed),
+            scalar: self.scalar.load(Ordering::Relaxed),
+            helped: self.crew.helped.load(Ordering::Relaxed),
         }))
     }
 
-    /// Closes the walk to helpers not yet started, waits for the ones that
-    /// did, and takes the stripes and the failure out of it — a helper
-    /// still queued holds the walk, but no store.
-    fn close(&self) -> (Vec<Option<RunningGroups>>, Option<(DbError, bool)>) {
-        let mut crew = self.crew.lock();
-        crew.closed = true;
-        while crew.active > 0 {
-            self.cv.wait(&mut crew);
+    /// Morsel `m`'s unit: a segment morsel's selection for a fused walk,
+    /// else its stage output — parked, unless it is a tail batch no stage
+    /// changed.
+    fn unit(&self, folder: &mut Folder<'_>, m: usize) -> Result<Option<Unit>> {
+        let tail = self.source.tail(m);
+        if self.fused && tail.is_none() {
+            let mut sel = BitSet::new();
+            return Ok(folder.reader.select(m, &mut sel)?.then_some(Unit::Sel(sel)));
         }
-        (std::mem::take(&mut crew.folded), crew.failed.take())
+        Ok(match folder.reader.output(m, tail.map(Cow::Borrowed))? {
+            None => None,
+            Some(Cow::Borrowed(_)) => Some(Unit::Tail),
+            Some(Cow::Owned(batch)) => {
+                let bytes = batch.columns().iter().map(|c| c.approx_size() as u64).sum();
+                if let Err(e) = self.mem.budget.try_reserve(bytes) {
+                    self.refused.store(true, Ordering::Relaxed);
+                    return Err(e);
+                }
+                self.parked.fetch_add(bytes, Ordering::Relaxed);
+                let batch = Arc::new(batch);
+                let unit = Unit::Rows(Arc::downgrade(&batch));
+                self.crew.hand_in(|(_, parked)| parked.push(batch));
+                Some(unit)
+            }
+        })
     }
 
-    /// Claims and selects morsels until none is left; whoever selects the
-    /// last one cuts the stripes.
-    fn select_morsels(&self, folder: &mut Folder<'_>, helper: bool) -> std::result::Result<(), (DbError, bool)> {
-        while self.may_claim(helper) {
-            let m = self.next_morsel.fetch_add(1, Ordering::Relaxed);
-            let Some(morsel) = self.morsels.get(m) else {
-                break;
-            };
-            let mut sel = BitSet::new();
-            let any = folder.select(m, morsel, &mut sel).map_err(|e| (e, false))?;
-            self.selections[m].set(any.then_some(sel)).expect("a morsel is claimed once");
-            if helper {
-                self.helped.fetch_add(1, Ordering::Relaxed);
-            }
-            if self.selected.fetch_add(1, Ordering::AcqRel) + 1 == self.morsels.len() {
-                self.cut_stripes();
-            }
-        }
-        Ok(())
+    /// Unit `u`, and how many rows it leaves for the stripes.
+    fn rows(&self, u: usize) -> (Option<&Unit>, usize) {
+        let unit = self.units[u].get().and_then(Option::as_ref);
+        let rows = match unit {
+            None => 0,
+            Some(Unit::Sel(sel)) => sel.count_ones(),
+            Some(Unit::Rows(batch)) => batch.upgrade().expect("parked till the walk closes").len(),
+            Some(Unit::Tail) => self.source.tail(u).map_or(0, Batch::len),
+        };
+        (unit, rows)
     }
 
     /// Where each stripe starts (see [`Walk::stripes`]), published to
@@ -648,106 +453,98 @@ impl Walk {
     fn cut_stripes(&self) {
         let mut starts = Vec::new();
         let mut seen = 0;
-        let units = self.selections.iter().map(|sel| {
-            let sel = sel.get().and_then(Option::as_ref);
-            (sel, sel.map_or(0, BitSet::count_ones))
-        });
-        let batches = self.delta.iter().map(|b| (None, b.len()));
-        for (u, (sel, rows)) in units.chain(batches).enumerate() {
+        for u in 0..self.units.len() {
+            let (unit, rows) = self.rows(u);
             while starts.len() * STRIPE_ROWS < seen + rows {
                 let nth = starts.len() * STRIPE_ROWS - seen;
-                let at = match sel {
-                    Some(sel) => after_ones(sel, 0, nth + 1).0 - 1,
-                    None => nth,
+                let at = match unit {
+                    Some(Unit::Sel(sel)) => after_ones(sel, 0, nth + 1).0 - 1,
+                    _ => nth,
                 };
                 starts.push((u, at));
             }
             seen += rows;
         }
-        let mut crew = self.crew.lock();
-        crew.folded = starts.iter().map(|_| None).collect();
-        self.stripes.set(starts).expect("the stripes are cut once");
-        drop(crew);
-        self.cv.notify_all();
+        self.crew.hand_in(|(folded, _)| {
+            *folded = starts.iter().map(|_| None).collect();
+            self.stripes.set(starts).expect("the stripes are cut once");
+        });
     }
 
-    /// Waits until the stripes are cut; `false` if the walk failed or
-    /// closed first.
-    fn stripes_cut(&self) -> bool {
-        let mut crew = self.crew.lock();
-        loop {
-            if self.stripes.get().is_some() {
-                return true;
-            }
-            if crew.failed.is_some() || crew.closed {
-                return false;
-            }
-            self.cv.wait(&mut crew);
-        }
-    }
-
-    /// Claims and folds stripes until none is left; the statement's thread
-    /// then waits until the helpers have folded theirs.
-    fn fold_stripes(&self, folder: &mut Folder<'_>, helper: bool) -> std::result::Result<(), (DbError, bool)> {
-        if !self.stripes_cut() {
-            return Ok(());
-        }
-        let starts = self.stripes.get().expect("cut");
-        while self.may_claim(helper) {
-            let k = self.next_stripe.fetch_add(1, Ordering::Relaxed);
-            if k >= starts.len() {
-                break;
-            }
-            let stripe = self.fold_stripe(folder, starts[k])?;
-            if helper {
-                self.helped.fetch_add(1, Ordering::Relaxed);
-            }
-            self.crew.lock().folded[k] = Some(stripe);
-            self.cv.notify_all();
-        }
-        if !helper {
-            let mut crew = self.crew.lock();
-            while crew.failed.is_none() && crew.folded.iter().any(Option::is_none) {
-                self.cv.wait(&mut crew);
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds the stripe starting at `(unit, at)`: [`STRIPE_ROWS`] selected
-    /// rows, or the rest, into a store of its own.
-    fn fold_stripe(
-        &self,
-        folder: &mut Folder<'_>,
-        (mut unit, mut at): (usize, usize),
-    ) -> std::result::Result<RunningGroups, (DbError, bool)> {
+    /// Folds the stripe starting at `(unit, at)`: [`STRIPE_ROWS`] rows, or
+    /// the rest, into a store of its own.
+    fn fold_stripe(&self, folder: &mut Folder<'_>, (mut u, mut at): (usize, usize)) -> Result<RunningGroups> {
         let mut run = self.first.empty_like();
         let mut left = STRIPE_ROWS;
-        while left > 0 && unit < self.morsels.len() {
-            if let Some(sel) = self.selections[unit].get().and_then(Option::as_ref) {
-                let (end, taken) = after_ones(sel, at, left);
-                if taken > 0 {
-                    let (s, g, rows) = &self.morsels[unit];
-                    let folded = folder.fold(&mut run, (*s, *g, rows.start), sel, at..end);
-                    folded.map_err(|e| {
-                        let refused = matches!(e, DbError::ResourceExhausted { .. }) && run.refused();
-                        (e, refused)
-                    })?;
-                    left -= taken;
+        while left > 0 && u < self.units.len() {
+            match self.units[u].get().and_then(Option::as_ref) {
+                Some(Unit::Sel(sel)) => {
+                    let (end, taken) = after_ones(sel, at, left);
+                    if taken > 0 {
+                        let (s, g, rows) = &self.source.morsels[u];
+                        folder.fold(&mut run, (*s, *g, rows.start), sel, at..end).inspect_err(|e| {
+                            if matches!(e, DbError::ResourceExhausted { .. }) && run.refused() {
+                                self.refused.store(true, Ordering::Relaxed);
+                            }
+                        })?;
+                        left -= taken;
+                    }
                 }
+                Some(unit) => {
+                    let parked = match unit {
+                        Unit::Rows(batch) => batch.upgrade(),
+                        _ => None,
+                    };
+                    let batch = parked.as_deref().or(self.source.tail(u)).expect("a parked or tail unit");
+                    let take = left.min(batch.len() - at);
+                    run.consume_range(batch, at..at + take)?;
+                    left -= take;
+                }
+                None => {}
             }
-            (unit, at) = (unit + 1, 0);
-        }
-        while left > 0 {
-            let Some(batch) = self.delta.get(unit - self.morsels.len()) else {
-                break;
-            };
-            let take = left.min(batch.len() - at);
-            run.consume_range(batch, at..at + take).map_err(|e| (e, false))?;
-            left -= take;
-            (unit, at) = (unit + 1, 0);
+            (u, at) = (u + 1, 0);
         }
         Ok(run)
+    }
+}
+
+impl Job for Walk {
+    type Shared = Folded;
+
+    fn crew(&self) -> &Crew<Self::Shared> {
+        &self.crew
+    }
+
+    /// Morsels, then stripes, while this thread may claim them; the
+    /// statement's thread then waits until the helpers have folded theirs.
+    fn share(&self, helper: bool) -> Result<()> {
+        let crew = &self.crew;
+        let reader = Reader::new(&self.source, &self.stages, &self.cancel, &self.faults);
+        let mut folder = Folder::new(reader);
+        let done = (|| {
+            while let Some(m) = crew.claim(&self.next_morsel, self.units.len(), helper) {
+                let unit = self.unit(&mut folder, m)?;
+                assert!(self.units[m].set(unit).is_ok(), "a morsel is claimed once");
+                if self.claimed.fetch_add(1, Ordering::AcqRel) + 1 == self.units.len() {
+                    self.cut_stripes();
+                }
+            }
+            if !crew.wait(|_| self.stripes.get().is_some()) {
+                return Ok(());
+            }
+            let starts = self.stripes.get().expect("cut");
+            while let Some(k) = crew.claim(&self.next_stripe, starts.len(), helper) {
+                let stripe = self.fold_stripe(&mut folder, starts[k])?;
+                crew.hand_in(|(folded, _)| folded[k] = Some(stripe));
+            }
+            if !helper {
+                crew.wait(|(folded, _)| folded.iter().all(Option::is_some));
+            }
+            Ok(())
+        })();
+        self.dense.fetch_add(folder.dense, Ordering::Relaxed);
+        self.scalar.fetch_add(folder.scalar, Ordering::Relaxed);
+        done
     }
 }
 
@@ -1211,4 +1008,50 @@ fn dense_piece(
     }
     slots.clear();
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::{AggExpr, AggFunc};
+    use crate::expr::{BinOp, Expr};
+    use crate::pipeline::tests::ctx_with;
+    use oltap_common::mem::{MemoryGovernor, WorkloadClass};
+    use oltap_common::{row, DataType, Field, Schema};
+
+    /// A fanned-out pipeline aggregate's parked stage output is freed as
+    /// the walk closes — the budget granting every morsel or refusing one —
+    /// and its bytes are back in the budget by then: the one-pass retry
+    /// after a refusal runs with nothing parked.
+    #[test]
+    fn parked_output_is_freed_as_the_walk_closes() {
+        let schema = Arc::new(Schema::new(vec![Field::new("g", DataType::Int64), Field::new("v", DataType::Int64)]));
+        let rows: Vec<Row> = (0..4000i64).map(|i| row![i % 7, i]).collect();
+        let batches: Vec<Batch> = rows.chunks(100).map(|c| Batch::from_rows(&schema, c).unwrap()).collect();
+        let key = (Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(0i64)), "k".to_string());
+        let (stage, out) = StageSpec::project(&[key, (Expr::col(1), "v".into())], &schema).unwrap();
+        let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")];
+        let core = Arc::new(AggregatorCore::new(&out, vec![(Expr::col(0), "k".into())], aggs).unwrap());
+        for (limit, granted) in [(u64::MAX, true), (8 << 10, false)] {
+            let budget = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX).budget(WorkloadClass::Olap, limit);
+            let ctx = ctx_with(4, ExecResources::new(budget.clone(), None));
+            let source = Source::from(batches.clone());
+            let (pool, helpers) = ctx.crew(&source).expect("forty morsels fan out");
+            let first = RunningGroups::new(&core, &ctx.mem);
+            let walk = Arc::new(Walk::new(source, vec![stage.clone()], false, first, &ctx));
+            let folded = walk.fan_out(pool, helpers).unwrap();
+            assert_eq!(folded.is_some(), granted, "limit {limit}");
+            let parked: Vec<&Weak<Batch>> = walk
+                .units
+                .iter()
+                .filter_map(|u| match u.get() {
+                    Some(Some(Unit::Rows(batch))) => Some(batch),
+                    _ => None,
+                })
+                .collect();
+            assert!(!parked.is_empty(), "limit {limit}: some output was parked");
+            assert!(parked.iter().all(|b| b.upgrade().is_none()), "limit {limit}: parked output freed");
+            assert_eq!(walk.parked.load(Ordering::Relaxed), 0, "limit {limit}");
+        }
+    }
 }

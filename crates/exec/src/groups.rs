@@ -2,8 +2,8 @@
 //! accumulator column per *distinct accumulator*, addressed by that index.
 //!
 //! Whoever aggregates fills a [`RunningGroups`]: the pipelines' aggregate
-//! sink a batch at a time ([`RunningGroups::consume`]), the fused segment
-//! walk ([`crate::fused`]) off encoded chunks. What the aggregates
+//! sink a batch at a time ([`Stripes::consume`]), the fused segment walk
+//! ([`crate::fused`]) off encoded chunks. What the aggregates
 //! accumulate is a row count per group and, per input *slot* (see
 //! [`AggregatorCore`]), its NULL count, running sum, minimum or maximum:
 //! `SUM(x)` and `AVG(x)` read one sum; `COUNT(*)`, `COUNT(x)` and `AVG`'s
@@ -12,7 +12,7 @@
 //! Memory. Every group is charged to the statement's budget when it opens
 //! and handed back when the store drops. The first refusal **freezes** a
 //! store ([`RunningGroups::refused`]): groups already resident keep
-//! updating in place, and `consume` writes the rows of unseen keys raw —
+//! updating in place, and a batch's rows of unseen keys are written raw —
 //! the slot values the store reads — to one of `PARTITIONS` spill files
 //! chosen by key hash. A key is therefore either *entirely* resident or
 //! *entirely* spilled, so [`RunningGroups::seal`] can replay each file in
@@ -26,12 +26,11 @@
 //! stripe order ([`Stripes`]): whoever folds which stripe, the bits are the
 //! same.
 //!
-//! Workers. Each pipeline worker — and each partition of a distributed
-//! statement — fills its own stripes; sealed stores
-//! [`merge`](RunningGroups::merge) in worker (partition) order, accumulator
+//! Merging. Stripes — and the partitions of a distributed statement —
+//! [`merge`](RunningGroups::merge) in stripe (partition) order, accumulator
 //! by accumulator — every aggregate here is decomposable — and
 //! [`finish`](RunningGroups::finish) emits groups in key order, so the
-//! answer does not depend on which worker met a key first.
+//! answer does not depend on which thread met a key first.
 
 use crate::aggregate::{AggFunc, AggregatorCore};
 use crate::resources::ExecResources;
@@ -283,7 +282,7 @@ impl RunningGroups {
     }
 
     /// Whether the governor refused one of this store's groups — the one
-    /// [`DbError::ResourceExhausted`] that freezes a store `consume` fills
+    /// [`DbError::ResourceExhausted`] that freezes a store a batch fills
     /// and ends a fused attempt, not the statement.
     pub fn refused(&self) -> bool {
         self.refusal.is_some()
@@ -376,7 +375,7 @@ impl RunningGroups {
     }
 
     /// One row, whose slot `c` holds `value_at(c)`: the one update of an
-    /// accumulator from a [`Value`] — `consume` per row, the fused walk's
+    /// accumulator from a [`Value`] — a batch's per row, the fused walk's
     /// scalar path per selected row, the spill replay per record — in the
     /// accumulators' order. A refused group leaves nothing updated.
     pub(crate) fn update_row(&mut self, value_at: impl Fn(usize) -> Value) -> Result<()> {
@@ -402,22 +401,17 @@ impl RunningGroups {
         Ok(())
     }
 
-    /// Folds one input batch into the groups, row by row in row order.
-    /// Once the governor has refused a group, rows of unseen keys go to the
-    /// spill files instead (terminal without a spill directory).
-    pub fn consume(&mut self, batch: &Batch) -> Result<()> {
-        let core = Arc::clone(&self.core);
-        self.consume_rows(&core.slot_columns(batch)?, 0..batch.len())
-    }
-
-    /// [`consume`](Self::consume) of rows `rows` of `batch`.
+    /// Folds rows `rows` of one input batch into the groups, row by row in
+    /// row order. Once the governor has refused a group, rows of unseen
+    /// keys go to the spill files instead (terminal without a spill
+    /// directory).
     pub(crate) fn consume_range(&mut self, batch: &Batch, rows: Range<usize>) -> Result<()> {
         let core = Arc::clone(&self.core);
         self.consume_rows(&core.slot_columns(batch)?, rows)
     }
 
-    /// [`consume`](Self::consume) of rows `rows` of a batch whose slot
-    /// columns are `cols`.
+    /// [`consume_range`](Self::consume_range) of a batch whose slot columns
+    /// are `cols`.
     fn consume_rows(&mut self, cols: &[ColumnVector], rows: Range<usize>) -> Result<()> {
         for i in rows {
             let value_at = |c: usize| cols[c].value_at(i);
@@ -616,8 +610,8 @@ pub const STRIPE_ROWS: usize = 16 * 1024;
 
 /// An input folded in stripes of [`STRIPE_ROWS`] rows: a store for the
 /// stripe being filled, and the stripes before it merged in stripe order.
-/// The pipelines' aggregate sink is one (per worker); the fused walk cuts
-/// the same stripes over the segments' selected rows and then the delta.
+/// The pipelines' aggregate sink on one thread is one; a fanned-out walk
+/// cuts the same stripes over the units its threads claimed.
 pub struct Stripes {
     /// The stripes before `open`, merged in order.
     done: Option<RunningGroups>,
@@ -770,7 +764,7 @@ mod tests {
     fn consumed(core: &Arc<AggregatorCore>, mem: &ExecResources, input: &[Batch]) -> RunningGroups {
         let mut groups = RunningGroups::new(core, mem);
         for b in input {
-            groups.consume(b).unwrap();
+            groups.consume_range(b, 0..b.len()).unwrap();
         }
         groups
     }
@@ -871,10 +865,11 @@ mod tests {
         let budget = tight(4096);
         let mem = ExecResources::new(budget.clone(), None);
         let mut groups = RunningGroups::new(&core, &mem);
-        let err = groups.consume(&batches(97, 2)[0]).and_then(|()| {
+        let first = &batches(97, 2)[0];
+        let err = groups.consume_range(first, 0..first.len()).and_then(|()| {
             batches(2000, 2000)
                 .iter()
-                .try_for_each(|b| groups.consume(b))
+                .try_for_each(|b| groups.consume_range(b, 0..b.len()))
         });
         let err = err.unwrap_err();
         assert!(

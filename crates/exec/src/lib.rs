@@ -11,7 +11,7 @@
 //! * [`groups`] — [`RunningGroups`], the one group store every GROUP BY
 //!   fills: key → group index, one typed accumulator column per distinct
 //!   input, charged to the governor, spilling once refused, merged across
-//!   workers.
+//!   stripes and partitions.
 //! * [`fused`] — fused filter+aggregate directly over compressed
 //!   segments: code-domain grouping straight into that store
 //!   (HANA/BLU operate-on-compressed analog).
@@ -19,11 +19,13 @@
 //!   SWAR scans E3/E18 compare that kernel with are `oltap-bench`
 //!   baselines.)
 //! * [`pipeline`] — the one executor: morsel-driven pipelines (HyPer
-//!   \[28\] morsel parallelism analog) of streaming filter / project /
-//!   join-probe stages feeding a sink, run inline on the caller's thread
-//!   with one worker or fanned out over the worker pool with NUMA-affine
-//!   morsel dispatch and thread-partitioned sinks; plus `LIMIT`/`OFFSET`
-//!   slicing of the morsel-ordered result.
+//!   \[28\] morsel parallelism analog) whose source is the scan's own
+//!   `(segment, row group, rows)` morsels, then tail batches; whichever
+//!   thread claims a morsel selects and gathers it and runs the streaming
+//!   filter / project / join-probe stages into its sink. One claim loop —
+//!   the statement's thread plus the pool's [`Helpers`] — serves every
+//!   pipeline and the fused walk. Plus `LIMIT`/`OFFSET` slicing of the
+//!   morsel-ordered result.
 //! * [`aggregate`], [`join`], [`sort`] — the pipeline breakers' cores:
 //!   an aggregation's schema and input slots, radix-partitioned hash-join
 //!   build and probe, sort buffers and top-K accumulators.
@@ -42,15 +44,15 @@ pub mod sort;
 
 pub use aggregate::{AggExpr, AggFunc, AggregatorCore};
 pub use expr::{BinOp, Expr, UnOp};
-pub use fused::{fused_aggregate, Fused, FusedScanCtx, Helpers, MORSEL_ROWS};
+pub use fused::{fused_aggregate, Fused};
 pub use groups::{RunningGroups, Stripes, STRIPE_ROWS};
 pub use join::{
     join_output_schema, probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch,
     PARTITION_BITS,
 };
 pub use pipeline::{
-    limit_batches, Morsel, MorselDispenser, ParallelContext, ProbeStage, StageSpec,
-    MORSEL_FAULT_RETRIES,
+    limit_batches, Helpers, ParallelContext, ProbeStage, Source, StageSpec, MORSEL_FAULT_RETRIES,
+    MORSEL_ROWS,
 };
 pub use resources::ExecResources;
 pub use sort::{

@@ -1,54 +1,71 @@
 //! The morsel-driven pipeline executor — the engine's only executor.
 //!
 //! The HyPer lineage (Funke, Kemper, Neumann) gets its OLAP throughput
-//! from **morsel-driven parallelism**: a plan is cut at pipeline breakers
-//! (hash-join build, aggregate, sort) into pipelines; each pipeline's
-//! source hands out *morsels* — segment-granular batches — and workers run
-//! the pipeline's stage chain thread-locally before merging into
-//! thread-partitioned sinks. This module provides the executor half of
-//! that design; plan decomposition lives in `oltap-core`.
+//! from **morsel-driven parallelism**, with the scan itself as the morsel
+//! source: a plan is cut at pipeline breakers (hash-join build, aggregate,
+//! sort) into pipelines, and each pipeline's [`Source`] is a list of
+//! morsels — the `(segment, row group, rows)` pieces of the segments it
+//! scans, then its tail batches (a delta's or a row store's rows, a
+//! breaker's output). Whichever thread claims a morsel selects it, gathers
+//! the selected rows of the projected columns, runs the stage chain and
+//! folds the result into its sink, so a scan's output never exists beyond
+//! one morsel per thread in a row sink. (A fanned-out aggregate parks
+//! every morsel's stage output, reserved from the budget, until all are
+//! in.) Plan decomposition lives in `oltap-core`.
 //!
-//! The worker count is a runtime quantity. Without a pool
-//! ([`ParallelContext::pool`] is `None`) a pipeline runs **inline**: one
-//! worker, on the caller's thread, taking morsels in index order into one
-//! sink — no dispenser, no channel, no thread hand-off. That degenerate
-//! case is the sequential reference; with a pool the same loop runs once
-//! per pool worker over a shared NUMA-affine dispenser.
+//! One claim loop serves every pipeline and the fused walk
+//! ([`crate::fused`]): the statement's thread claims morsels, and so do up
+//! to `min(workers, morsels) − 1` [`Helpers`] from the database's pool,
+//! each looking at the helpers' gate before every claim. A source of fewer
+//! than two morsels, one over paged segments (the pager's loader is
+//! already their second core) or a context without a pool runs on the
+//! statement's thread alone, in morsel order. A failure on any thread — an
+//! error, or a panic, which becomes [`DbError::Execution`] — ends the
+//! statement, and the walk closes (every helper that started has left)
+//! before the statement answers.
 //!
 //! Determinism contract: results are **byte-identical** at every worker
-//! count. Three mechanisms deliver that:
+//! count. Two mechanisms deliver that:
 //!
-//! 1. Morsel indices are the source's batch order, and stage chains are
-//!    1:1 per batch, so ordering sinks by morsel index reconstructs the
-//!    one-worker batch stream exactly.
-//! 2. Row-level sinks (sort runs, top-K candidates, join build rows) tag
-//!    every row with a sequence number `(morsel_index << 32) | row_in_batch`;
-//!    merges break key ties by that sequence, which is the order a stable
-//!    sort / in-order build scan over the one-worker stream produces.
-//! 3. Per-worker group stores merge per key in worker order
-//!    ([`RunningGroups::merge`]) and emit in sorted group-key order.
+//! 1. Row-level sinks (collected batches, sort runs, top-K candidates, join
+//!    build rows) tag every row with a sequence number `(morsel_index << 32)
+//!    | row_in_batch`, and merges order by it: the order one thread taking
+//!    the morsels in index order produces.
+//! 2. An aggregate folds the stage output in stripes of
+//!    [`STRIPE_ROWS`](crate::STRIPE_ROWS) rows of the post-stage row
+//!    sequence, one store a stripe, merged in stripe order — fanned out,
+//!    the claimed morsels park their output under their index and the
+//!    stripes are cut once every morsel is in, exactly as the fused walk
+//!    cuts them over its selections.
 //!
-//! Cancellation and fault injection work at morsel granularity at every
-//! worker count: the token is checked and the [`points::EXEC_MORSEL_FAIL`]
-//! fault point is probed at every morsel boundary, with a bounded retry so
-//! probabilistic chaos runs still complete. The join build pipeline probes
-//! its own [`points::EXEC_JOIN_BUILD_FAIL`] point per build morsel with
-//! the same retry budget.
+//! Cancellation and fault injection work at morsel granularity: the token
+//! is checked and the [`points::EXEC_MORSEL_FAIL`] fault point is probed
+//! at every morsel, with a bounded retry so probabilistic chaos runs still
+//! complete. The join build probes its own [`points::EXEC_JOIN_BUILD_FAIL`]
+//! point per build morsel with the same retry budget.
 
 use crate::aggregate::AggregatorCore;
 use crate::expr::Expr;
-use crate::groups::{RunningGroups, Stripes};
+use crate::fused::walk;
+use crate::groups::RunningGroups;
 use crate::join::{probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch};
 use crate::resources::ExecResources;
 use crate::sort::{merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc};
 use oltap_common::fault::{points, FaultInjector};
+use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
 use oltap_common::vector::BATCH_SIZE;
-use oltap_common::{Batch, CancellationToken, DataType, DbError, Field, Result, Row, Schema};
+use oltap_common::{Batch, BitSet, CancellationToken, DataType, DbError, Field, Result, Row, Schema};
 use oltap_sched::{WorkerPool, WorkloadClass};
-use parking_lot::Mutex;
+use oltap_storage::segment::{GroupSelector, PassChunks, Segment};
+use oltap_storage::ScanPredicate;
+use oltap_txn::Ts;
+use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// How many times a worker re-probes [`points::EXEC_MORSEL_FAIL`] before
 /// giving up on a morsel and surfacing [`DbError::FaultInjected`]. With a
@@ -56,96 +73,15 @@ use std::sync::{mpsc, Arc};
 /// `p^(RETRIES+1)` — negligible for chaos-test probabilities.
 pub const MORSEL_FAULT_RETRIES: u32 = 16;
 
-/// One unit of parallel work: a batch plus its dispatch metadata.
-#[derive(Debug)]
-pub struct Morsel {
-    /// Position in the source's batch order (drives result determinism).
-    pub index: usize,
-    /// Simulated NUMA socket this morsel's data lives on.
-    pub socket: usize,
-    /// The rows.
-    pub batch: Batch,
-}
-
-/// Shared atomic morsel dispenser with NUMA-affine queues.
-///
-/// Morsels are assigned round-robin to per-socket queues (mirroring
-/// [`oltap_sched::DataPlacement::round_robin`] segment placement); a
-/// worker first drains its own socket's queue via an atomic cursor and
-/// only then steals from remote sockets, so placement locality is
-/// preserved until load imbalance makes stealing worthwhile.
-pub struct MorselDispenser {
-    /// Each morsel is handed out exactly once; `take()` under the slot
-    /// lock makes dispatch race-free even when cursors wrap sockets.
-    slots: Vec<Mutex<Option<Batch>>>,
-    /// Per-socket morsel indices.
-    queues: Vec<Vec<usize>>,
-    /// Per-socket dispatch cursors.
-    cursors: Vec<AtomicUsize>,
-    sockets: usize,
-    local: AtomicUsize,
-    remote: AtomicUsize,
-}
-
-impl MorselDispenser {
-    /// Distributes `batches` round-robin over `sockets` queues, keeping
-    /// the original index as the morsel's identity.
-    pub fn new(batches: Vec<Batch>, sockets: usize) -> Self {
-        let sockets = sockets.max(1);
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); sockets];
-        let slots: Vec<Mutex<Option<Batch>>> = batches
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| {
-                queues[i % sockets].push(i);
-                Mutex::new(Some(b))
-            })
-            .collect();
-        let cursors = (0..sockets).map(|_| AtomicUsize::new(0)).collect();
-        MorselDispenser {
-            slots,
-            queues,
-            cursors,
-            sockets,
-            local: AtomicUsize::new(0),
-            remote: AtomicUsize::new(0),
-        }
-    }
-
-    /// Hands out the next morsel for a worker pinned to `socket`,
-    /// preferring the local queue and stealing from remote sockets only
-    /// when it is empty. `None` once every morsel has been dispatched.
-    pub fn next_for(&self, socket: usize) -> Option<Morsel> {
-        let home = socket % self.sockets;
-        for off in 0..self.sockets {
-            let s = (home + off) % self.sockets;
-            loop {
-                let pos = self.cursors[s].fetch_add(1, Ordering::Relaxed);
-                let Some(&idx) = self.queues[s].get(pos) else {
-                    break;
-                };
-                if let Some(batch) = self.slots[idx].lock().take() {
-                    let counter = if off == 0 { &self.local } else { &self.remote };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    return Some(Morsel {
-                        index: idx,
-                        socket: s,
-                        batch,
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// `(local, remote)` dispatch counts, for placement diagnostics.
-    pub fn placement_stats(&self) -> (usize, usize) {
-        (
-            self.local.load(Ordering::Relaxed),
-            self.remote.load(Ordering::Relaxed),
-        )
-    }
-}
+/// Rows of a held row group one morsel spans (a multiple of 64, so a
+/// morsel's selection words line up with the chunk's blocks). It decides
+/// only who does how much work, never an answer: 16 Ki rows is about
+/// 20–60 µs of selection and folding on the CH columns, long enough that a
+/// helper's wake-up (≈ 11 µs across cores) is paid once per several
+/// morsels, short enough that a 48 k-row table still splits in three. The
+/// seven CH `olap_scan` statements at two workers ran 1.56× their one-worker
+/// time with it, 1.51× with 4 Ki-row morsels and 1.49× with 64 Ki.
+pub const MORSEL_ROWS: usize = 16 * 1024;
 
 /// The streaming (non-breaking) operators a pipeline runs per morsel,
 /// their expressions type-checked once where the stage is built; workers
@@ -187,11 +123,11 @@ impl StageSpec {
         ))
     }
 
-    /// Applies this stage to one non-empty batch; `None` means the morsel
-    /// was fully consumed (filtered out / no join matches). `scratch` is
-    /// the worker's own probe buffers for this stage, reused across
-    /// batches.
-    fn apply(&self, batch: Batch, scratch: &mut ProbeScratch) -> Result<Option<Batch>> {
+    /// Applies this stage to one non-empty batch — a tail morsel's is
+    /// borrowed until a stage changes it; `None` means the morsel was
+    /// fully consumed (filtered out / no join matches). `scratch` is the
+    /// thread's own probe buffers for this stage, reused across batches.
+    fn apply<'b>(&self, batch: Cow<'b, Batch>, scratch: &mut ProbeScratch) -> Result<Option<Cow<'b, Batch>>> {
         match self {
             StageSpec::Filter(pred) => {
                 let sel = pred.filter(&batch)?;
@@ -201,13 +137,14 @@ impl StageSpec {
                 if sel.is_empty() {
                     return Ok(None);
                 }
-                Ok(Some(batch.take(&sel)))
+                Ok(Some(Cow::Owned(batch.take(&sel))))
             }
             StageSpec::Project(exprs) => {
-                Ok(Some(Batch::new(Expr::eval_all(exprs, &batch)?)?))
+                Ok(Some(Cow::Owned(Batch::new(Expr::eval_all(exprs, &batch)?)?)))
             }
             StageSpec::Probe(p) => {
-                probe_batch(&p.table, &p.keys, p.join_type, &p.schema, &batch, scratch)
+                let out = probe_batch(&p.table, &p.keys, p.join_type, &p.schema, &batch, scratch)?;
+                Ok(out.map(Cow::Owned))
             }
         }
     }
@@ -215,7 +152,7 @@ impl StageSpec {
 
 /// The shared read-only state of a hash-join probe stage. The build table
 /// is produced by [`ParallelContext::run_join_build`] (itself a pipeline)
-/// and then probed concurrently without locks; each worker keeps its own
+/// and then probed concurrently without locks; each thread keeps its own
 /// [`ProbeScratch`] so probing allocates nothing per batch.
 pub struct ProbeStage {
     /// Radix-partitioned build side in build-scan order.
@@ -228,131 +165,458 @@ pub struct ProbeStage {
     pub schema: SchemaRef,
 }
 
-/// Everything a pipeline run needs beyond its own morsels and stages: the
-/// pool to dispatch on (if any), the simulated socket count for morsel
-/// affinity, and the query's cancellation/fault plumbing.
-pub struct ParallelContext {
-    /// Worker pool the pipeline tasks are submitted to (as OLAP class),
-    /// one task per pool worker. `None` runs every pipeline inline: one
-    /// worker, on the caller's thread.
+/// A pipeline's morsels, in scan order: the `(segment, row group, rows)`
+/// morsels of its segments — a paged row group is one, a held one is cut
+/// every [`MORSEL_ROWS`] rows — then its tail batches, one morsel each.
+/// A morsel's index is its position in that list.
+pub struct Source {
+    pub(crate) segments: Vec<Arc<Segment>>,
+    /// Per segment, rows the scan must not see (a dual table's stale keys).
+    hidden: Vec<Option<BitSet>>,
+    pred: ScanPredicate,
+    pub(crate) projection: Vec<usize>,
+    read_ts: Ts,
+    me: TxnId,
+    pub(crate) morsels: Vec<(usize, usize, Range<usize>)>,
+    pub(crate) tail: Vec<Batch>,
+}
+
+impl Source {
+    /// A scan's morsels at snapshot (`read_ts`, `me`): those of `segments`,
+    /// each beside the rows to hide from it, then `tail` — batches already
+    /// in `projection`'s order, such as the delta's visible rows.
+    pub fn scan(
+        segments: Vec<(Arc<Segment>, Option<BitSet>)>,
+        tail: Vec<Batch>,
+        pred: &ScanPredicate,
+        projection: &[usize],
+        (read_ts, me): (Ts, TxnId),
+    ) -> Source {
+        let mut morsels = Vec::new();
+        for (s, (seg, _)) in segments.iter().enumerate() {
+            let step = if seg.is_paged() { usize::MAX } else { MORSEL_ROWS };
+            for g in 0..seg.group_count() {
+                let rows = seg.group_bounds(g).1;
+                for lo in (0..rows).step_by(step) {
+                    morsels.push((s, g, lo..rows.min(lo.saturating_add(step))));
+                }
+            }
+        }
+        let (segments, hidden) = segments.into_iter().unzip();
+        Source {
+            segments,
+            hidden,
+            pred: pred.clone(),
+            projection: projection.to_vec(),
+            read_ts,
+            me,
+            morsels,
+            tail,
+        }
+    }
+
+    /// Morsels in all.
+    pub(crate) fn len(&self) -> usize {
+        self.morsels.len() + self.tail.len()
+    }
+
+    /// Morsel `m`'s batch if it is a tail morsel.
+    pub(crate) fn tail(&self, m: usize) -> Option<&Batch> {
+        m.checked_sub(self.morsels.len()).map(|t| &self.tail[t])
+    }
+
+    /// Its batches, taken out, when it is tail morsels alone.
+    pub fn take_tail(&mut self) -> Option<Vec<Batch>> {
+        self.morsels.is_empty().then(|| std::mem::take(&mut self.tail))
+    }
+
+    /// Every morsel's rows on the caller's thread, in morsel order.
+    pub fn drain(self) -> Result<Vec<Batch>> {
+        let ctx = ParallelContext {
+            helpers: Helpers::default(),
+            cancel: CancellationToken::none(),
+            faults: FaultInjector::disabled(),
+            mem: ExecResources::unlimited(),
+        };
+        ctx.run_collect(self, Vec::new())
+    }
+}
+
+/// A breaker's output, or any batches at hand: tail morsels alone.
+impl From<Vec<Batch>> for Source {
+    fn from(tail: Vec<Batch>) -> Source {
+        Source::scan(Vec::new(), tail, &ScanPredicate::all(), &[], (0, TxnId(0)))
+    }
+}
+
+/// One thread's means to turn a source's morsels into stage output: its
+/// passes over the segments it has touched (each opened at first touch,
+/// beside its way to the chunks) and its probe buffers.
+pub(crate) struct Reader<'w> {
+    pub(crate) src: &'w Source,
+    passes: Vec<Option<Option<(GroupSelector<'w>, PassChunks<'w>)>>>,
+    stages: &'w [StageSpec],
+    scratch: Vec<ProbeScratch>,
+    pub(crate) cancel: &'w CancellationToken,
+    pub(crate) faults: &'w FaultInjector,
+}
+
+impl<'w> Reader<'w> {
+    pub(crate) fn new(
+        src: &'w Source,
+        stages: &'w [StageSpec],
+        cancel: &'w CancellationToken,
+        faults: &'w FaultInjector,
+    ) -> Self {
+        Reader {
+            src,
+            passes: src.segments.iter().map(|_| None).collect(),
+            stages,
+            scratch: stages.iter().map(|_| ProbeScratch::new()).collect(),
+            cancel,
+            faults,
+        }
+    }
+
+    /// This thread's pass over segment `s`; `None` when its zone map or
+    /// the predicate rules the segment out.
+    pub(crate) fn pass(&mut self, s: usize) -> Result<Option<&(GroupSelector<'w>, PassChunks<'w>)>> {
+        let src = self.src;
+        if self.passes[s].is_none() {
+            let mut selector = src.segments[s].selector(&src.pred, src.read_ts, src.me)?;
+            if let (Some(selector), Some(rows)) = (&mut selector, &src.hidden[s]) {
+                selector.hide(rows.clone());
+            }
+            self.passes[s] = Some(selector.map(|selector| {
+                let chunks = selector.chunks();
+                (selector, chunks)
+            }));
+        }
+        Ok(self.passes[s].as_ref().and_then(Option::as_ref))
+    }
+
+    /// What every morsel starts with: the token checked, the fault point
+    /// probed.
+    fn guard(&self, m: usize) -> Result<()> {
+        self.cancel.check()?;
+        probe_morsel(self.faults, m)
+    }
+
+    /// Selects segment morsel `m` into `into`, `false` when no row is
+    /// selected; guarded.
+    pub(crate) fn select(&mut self, m: usize, into: &mut BitSet) -> Result<bool> {
+        self.guard(m)?;
+        let (s, g, rows) = &self.src.morsels[m];
+        match self.pass(*s)? {
+            Some((selector, _)) => selector.select_rows(*g, rows.clone(), into),
+            None => Ok(false),
+        }
+    }
+
+    /// Morsel `m` through the stage chain, guarded: a segment morsel's
+    /// selected rows of the projected columns, gathered through this
+    /// thread's pass, or `batch`, a tail morsel's. `None` when nothing is
+    /// left of it.
+    pub(crate) fn output<'b>(&mut self, m: usize, batch: Option<Cow<'b, Batch>>) -> Result<Option<Cow<'b, Batch>>> {
+        let mut cur = match batch {
+            Some(batch) => {
+                self.guard(m)?;
+                batch
+            }
+            None => {
+                let mut sel = BitSet::new();
+                if !self.select(m, &mut sel)? {
+                    return Ok(None);
+                }
+                let src = self.src;
+                let (s, g, rows) = &src.morsels[m];
+                let (selector, _) = self.pass(*s)?.expect("a selected morsel's segment has a pass");
+                Cow::Owned(selector.gather(*g, rows.start, &sel, &src.projection)?)
+            }
+        };
+        for (stage, scratch) in self.stages.iter().zip(&mut self.scratch) {
+            if cur.is_empty() {
+                return Ok(None);
+            }
+            match stage.apply(cur, scratch)? {
+                Some(next) => cur = next,
+                None => return Ok(None),
+            }
+        }
+        Ok((!cur.is_empty()).then_some(cur))
+    }
+}
+
+/// Who may claim a statement's morsels besides its own thread.
+#[derive(Clone, Default)]
+pub struct Helpers {
+    /// The database's worker pool: a walk fans out on as many of its
+    /// workers as it has morsels, the statement's thread counting as one.
+    /// `None`: every walk takes one pass.
     pub pool: Option<Arc<WorkerPool>>,
-    /// Simulated NUMA socket count (drives morsel affinity on the pool).
-    pub sockets: usize,
-    /// Per-query cancellation token, checked at every morsel boundary.
+    /// Whether the transactional work beside the statement leaves a helper
+    /// a core now; consulted before every claim. `None`: always.
+    pub gate: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
+}
+
+/// The claim loop's shared half: who is inside a fanned-out walk, whether
+/// it failed, what its threads have handed in, and how they wait for each
+/// other.
+pub(crate) struct Crew<T> {
+    /// [`Helpers::gate`]. (Never the pool: a helper may be a walk's last
+    /// holder, and a pool cannot be dropped by its own worker.)
+    gate: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
+    /// Set by the first failure: nobody claims anything after it.
+    abort: AtomicBool,
+    /// Claims the helpers made.
+    pub(crate) helped: AtomicUsize,
+    state: Mutex<CrewState<T>>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct CrewState<T> {
+    /// Helpers inside the walk.
+    active: usize,
+    /// The statement is done with the walk: a helper starting now leaves.
+    closed: bool,
+    /// The first failure.
+    failed: Option<DbError>,
+    /// What the threads hand in.
+    shared: T,
+}
+
+impl<T: Default> Crew<T> {
+    pub(crate) fn new(helpers: &Helpers) -> Self {
+        Crew {
+            gate: helpers.gate.clone(),
+            abort: AtomicBool::default(),
+            helped: AtomicUsize::default(),
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Records the walk's first failure and stops everyone.
+    fn fail(&self, err: DbError) {
+        self.abort.store(true, Ordering::Relaxed);
+        self.state.lock().failed.get_or_insert(err);
+        self.cv.notify_all();
+    }
+
+    /// The next index of `next` below `n`, while this thread may claim:
+    /// nothing failed and, for a helper, the gate is open.
+    pub(crate) fn claim(&self, next: &AtomicUsize, n: usize, helper: bool) -> Option<usize> {
+        let open = || self.gate.as_ref().is_none_or(|open| open());
+        if self.abort.load(Ordering::Relaxed) || (helper && !open()) {
+            return None;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if helper && i < n {
+            self.helped.fetch_add(1, Ordering::Relaxed);
+        }
+        (i < n).then_some(i)
+    }
+
+    /// Hands `f` what the threads share, under the lock, and wakes whoever
+    /// waits for it.
+    pub(crate) fn hand_in(&self, f: impl FnOnce(&mut T)) {
+        f(&mut self.state.lock().shared);
+        self.cv.notify_all();
+    }
+
+    /// Waits until `ready` holds of what the threads share; `false` if the
+    /// walk failed or closed first.
+    pub(crate) fn wait(&self, mut ready: impl FnMut(&T) -> bool) -> bool {
+        let mut state = self.state.lock();
+        loop {
+            if ready(&state.shared) {
+                return true;
+            }
+            if state.failed.is_some() || state.closed {
+                return false;
+            }
+            self.cv.wait(&mut state);
+        }
+    }
+}
+
+/// Work fanned out over a statement's thread and helpers by [`fan_out`].
+pub(crate) trait Job: Send + Sync + 'static {
+    /// What its threads hand in.
+    type Shared: Default + Send;
+    /// The claim loop's shared half.
+    fn crew(&self) -> &Crew<Self::Shared>;
+    /// One thread's share: claims until nothing is left it may claim.
+    fn share(&self, helper: bool) -> Result<()>;
+}
+
+/// Runs one thread's share of a statement: a panic in it becomes the
+/// statement's typed error, whichever thread it hit.
+pub(crate) fn caught<R>(share: impl FnOnce() -> Result<R>) -> Result<R> {
+    catch_unwind(AssertUnwindSafe(share)).unwrap_or_else(|panic| {
+        let what = panic.downcast_ref::<String>().map_or("", String::as_str);
+        Err(DbError::Execution(format!("a morsel panicked: {what}")))
+    })
+}
+
+/// The claim loop: `job`'s share on the statement's thread and on
+/// `helpers` workers of `pool`, fire and forget. Once the statement's share
+/// is done the walk closes — a helper that starts later leaves at once —
+/// and every helper that started is waited for; then what the threads
+/// handed in, or the first failure (what they handed in dropped with it).
+pub(crate) fn fan_out<J: Job>(pool: &WorkerPool, helpers: usize, job: &Arc<J>) -> Result<J::Shared> {
+    for _ in 0..helpers {
+        let job = Arc::clone(job);
+        drop(pool.submit(WorkloadClass::Olap, move || {
+            let crew = job.crew();
+            {
+                let mut state = crew.state.lock();
+                if state.closed {
+                    return;
+                }
+                state.active += 1;
+            }
+            if let Err(err) = caught(|| job.share(true)) {
+                crew.fail(err);
+            }
+            crew.state.lock().active -= 1;
+            crew.cv.notify_all();
+        }));
+    }
+    let crew = job.crew();
+    if let Err(err) = caught(|| job.share(false)) {
+        crew.fail(err);
+    }
+    let mut state = crew.state.lock();
+    state.closed = true;
+    while state.active > 0 {
+        crew.cv.wait(&mut state);
+    }
+    let shared = std::mem::take(&mut state.shared);
+    state.failed.take().map_or(Ok(shared), Err)
+}
+
+/// A pipeline into a row sink, fanned out: each thread folds what it
+/// claims into a sink state of its own and hands the finished state in.
+struct RowJob<S, R> {
+    crew: Crew<Vec<R>>,
+    source: Source,
+    stages: Vec<StageSpec>,
+    next: AtomicUsize,
+    cancel: CancellationToken,
+    faults: Arc<FaultInjector>,
+    make: Box<dyn Fn() -> S + Send + Sync>,
+    consume: Box<Consume<S>>,
+    finish: Box<dyn Fn(S) -> R + Send + Sync>,
+}
+
+/// A row sink's fold of morsel `m`'s stage output.
+type Consume<S> = dyn for<'b> Fn(&mut S, usize, Cow<'b, Batch>) -> Result<()> + Send + Sync;
+
+impl<S: 'static, R: Send + 'static> Job for RowJob<S, R> {
+    type Shared = Vec<R>;
+
+    fn crew(&self) -> &Crew<Vec<R>> {
+        &self.crew
+    }
+
+    fn share(&self, helper: bool) -> Result<()> {
+        let mut reader = Reader::new(&self.source, &self.stages, &self.cancel, &self.faults);
+        let mut state = (self.make)();
+        while let Some(m) = self.crew.claim(&self.next, self.source.len(), helper) {
+            if let Some(out) = reader.output(m, self.source.tail(m).map(Cow::Borrowed))? {
+                (self.consume)(&mut state, m, out)?;
+            }
+        }
+        let out = (self.finish)(state);
+        self.crew.hand_in(|outs| outs.push(out));
+        Ok(())
+    }
+}
+
+/// Everything a pipeline run needs beyond its morsels and stages: who may
+/// help, and the query's cancellation, fault and memory plumbing.
+pub struct ParallelContext {
+    /// Who claims morsels besides the statement's thread.
+    pub helpers: Helpers,
+    /// Per-query cancellation token, checked at every morsel.
     pub cancel: CancellationToken,
-    /// Fault injector probed at every morsel boundary.
+    /// Fault injector probed at every morsel.
     pub faults: Arc<FaultInjector>,
-    /// Per-query memory budget and spill directory; every worker's sink
+    /// Per-query memory budget and spill directory; every thread's sink
     /// draws from this one shared account.
     pub mem: ExecResources,
 }
 
 impl ParallelContext {
-    /// Runs one pipeline: every worker pulls morsels, runs the compiled
-    /// stage chain thread-locally, and folds surviving batches into its
-    /// own sink state `S`. Returns every worker's finished sink in
-    /// worker-id order (the deterministic merge order); the first error in
-    /// worker order wins.
-    ///
-    /// Without a pool there is one worker and it is the caller: morsels
-    /// are taken in index order straight off `batches`, with no dispenser,
-    /// channel, or thread hand-off. With a pool, one task per pool worker
-    /// (or per morsel, if there are fewer) pulls from a shared NUMA-affine
-    /// dispenser; a task that panicked fails the pipeline with
-    /// [`DbError::Execution`] instead of leaving its morsels out.
-    fn fan_out<S, R, M, C, F>(
+    /// The pool and how many of its workers help with `source` now: one
+    /// fewer than its morsels or the pool's workers, none while the gate
+    /// is shut or the source holds a paged segment.
+    pub(crate) fn crew(&self, source: &Source) -> Option<(&WorkerPool, usize)> {
+        let pool = self.helpers.pool.as_deref()?;
+        let n = pool.worker_count().min(source.len());
+        let paged = source.segments.iter().any(|s| s.is_paged());
+        let open = || self.helpers.gate.as_ref().is_none_or(|open| open());
+        (n > 1 && !paged && open()).then(|| (pool, n - 1))
+    }
+
+    /// Runs one pipeline into a row sink: whoever claims a morsel folds its
+    /// stage output into a sink state `S` of its own; returns every
+    /// thread's finished sink, in no particular order (row sinks merge by
+    /// sequence number). On the statement's thread alone the tail batches
+    /// are moved, not copied, into the sink.
+    fn run_rows<S, R>(
         &self,
-        batches: Vec<Batch>,
+        source: impl Into<Source>,
         stages: Vec<StageSpec>,
-        make: M,
-        consume: C,
-        finish: F,
+        make: impl Fn() -> S + Send + Sync + 'static,
+        consume: impl for<'b> Fn(&mut S, usize, Cow<'b, Batch>) -> Result<()> + Send + Sync + 'static,
+        finish: impl Fn(S) -> R + Send + Sync + 'static,
     ) -> Result<Vec<R>>
     where
         S: 'static,
         R: Send + 'static,
-        M: Fn() -> S + Send + Sync + 'static,
-        C: Fn(&mut S, usize, Batch) -> Result<()> + Send + Sync + 'static,
-        F: Fn(S) -> R + Send + Sync + 'static,
     {
-        let Some(pool) = &self.pool else {
-            let mut morsels = batches.into_iter().enumerate();
-            let sink = worker_drive(
-                &mut || morsels.next(),
-                stages,
-                &self.cancel,
-                &self.faults,
-                &AtomicBool::new(false),
-                &make,
-                &consume,
-                &finish,
-            )?;
-            return Ok(vec![sink]);
-        };
-        // A worker past the morsel count would find nothing to take.
-        let n = pool.worker_count().min(batches.len()).max(1);
-        let dispenser = Arc::new(MorselDispenser::new(batches, self.sockets));
-        let make = Arc::new(make);
-        let consume = Arc::new(consume);
-        let finish = Arc::new(finish);
-        let abort = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<(usize, Result<R>)>();
-        for wid in 0..n {
-            let dispenser = Arc::clone(&dispenser);
-            let stages = stages.clone();
-            let make = Arc::clone(&make);
-            let consume = Arc::clone(&consume);
-            let finish = Arc::clone(&finish);
-            let cancel = self.cancel.clone();
-            let faults = Arc::clone(&self.faults);
-            let abort = Arc::clone(&abort);
-            let tx = tx.clone();
-            let socket = wid % self.sockets.max(1);
-            pool.submit(WorkloadClass::Olap, move || {
-                let r = worker_drive(
-                    &mut || dispenser.next_for(socket).map(|m| (m.index, m.batch)),
-                    stages,
-                    &cancel,
-                    &faults,
-                    &abort,
-                    &*make,
-                    &*consume,
-                    &*finish,
-                );
-                if r.is_err() {
-                    abort.store(true, Ordering::Relaxed);
+        let mut source = source.into();
+        let Some((pool, helpers)) = self.crew(&source) else {
+            return caught(|| {
+                let tail = std::mem::take(&mut source.tail);
+                let n = source.morsels.len();
+                let mut reader = Reader::new(&source, &stages, &self.cancel, &self.faults);
+                let mut state = make();
+                let tail = (n..).zip(tail).map(|(m, b)| (m, Some(Cow::Owned(b))));
+                for (m, batch) in (0..n).map(|m| (m, None)).chain(tail) {
+                    if let Some(out) = reader.output(m, batch)? {
+                        consume(&mut state, m, out)?;
+                    }
                 }
-                let _ = tx.send((wid, r));
+                Ok(vec![finish(state)])
             });
-        }
-        drop(tx);
-        let mut results: Vec<(usize, Result<R>)> = rx.iter().collect();
-        // A task that panicked dropped its sender unanswered: its morsels
-        // are lost, so the pipeline has no answer.
-        if results.len() < n {
-            return Err(DbError::Execution(format!(
-                "{} of {n} pipeline workers panicked",
-                n - results.len()
-            )));
-        }
-        results.sort_by_key(|(wid, _)| *wid);
-        let mut out = Vec::with_capacity(n);
-        for (_, r) in results {
-            out.push(r?);
-        }
-        Ok(out)
+        };
+        let job = Arc::new(RowJob {
+            crew: Crew::new(&self.helpers),
+            source,
+            stages,
+            next: AtomicUsize::new(0),
+            cancel: self.cancel.clone(),
+            faults: Arc::clone(&self.faults),
+            make: Box::new(make),
+            consume: Box::new(consume),
+            finish: Box::new(finish),
+        });
+        fan_out(pool, helpers, &job)
     }
 
-    /// Pipeline sink preserving the source's batch order: batches are
-    /// collected per worker tagged with their morsel index and merged by
-    /// index.
-    pub fn run_collect(&self, batches: Vec<Batch>, stages: Vec<StageSpec>) -> Result<Vec<Batch>> {
-        let runs = self.fan_out(
-            batches,
+    /// Pipeline sink preserving the source's order: batches are collected
+    /// tagged with their morsel index and merged by index.
+    pub fn run_collect(&self, source: impl Into<Source>, stages: Vec<StageSpec>) -> Result<Vec<Batch>> {
+        let runs = self.run_rows(
+            source,
             stages,
             Vec::new,
             |state: &mut Vec<(usize, Batch)>, idx, batch| {
-                state.push((idx, batch));
+                state.push((idx, batch.into_owned()));
                 Ok(())
             },
             |state| state,
@@ -362,36 +626,27 @@ impl ParallelContext {
         Ok(all.into_iter().map(|(_, b)| b).collect())
     }
 
-    /// Aggregation sink: per worker, its input folded in [`Stripes`] of
-    /// [`STRIPE_ROWS`](crate::STRIPE_ROWS) rows against the shared query
-    /// budget (a refused group freezes that stripe's store, which spills
-    /// from then on), sealed on the worker and merged in worker order; the
-    /// caller [`finish`](RunningGroups::finish)es the merged store, or first
-    /// merges it on into another partition's. Inline, the one worker's
-    /// stripes are the statement's: its float sums are the fused walk's.
+    /// Aggregation sink: the stage output folded in stripes of
+    /// [`STRIPE_ROWS`](crate::STRIPE_ROWS) rows of the post-stage row
+    /// sequence against the shared query budget (a refused group freezes
+    /// that stripe's store, which spills from then on), merged in stripe
+    /// order; the caller [`finish`](RunningGroups::finish)es the store, or
+    /// first merges it on into another partition's. Fanned out, this is the
+    /// fused walk over parked stage output; should the budget refuse to
+    /// park a morsel's output, the statement folds in one pass on its own
+    /// thread instead.
     pub fn run_aggregate(
         &self,
-        batches: Vec<Batch>,
+        source: impl Into<Source>,
         stages: Vec<StageSpec>,
         core: Arc<AggregatorCore>,
     ) -> Result<RunningGroups> {
-        let mem = self.mem.clone();
-        let stores = self.fan_out(
-            batches,
-            stages,
-            move || Stripes::new(RunningGroups::new(&core, &mem)),
-            |stripes: &mut Stripes, _idx, batch| stripes.consume(&batch),
-            Stripes::finish,
-        )?;
-        let mut stores = stores.into_iter();
-        let mut merged = stores.next().expect("a pipeline has a worker")?;
-        for store in stores {
-            merged.merge(store?)?;
-        }
-        Ok(merged)
+        let first = RunningGroups::new(&core, &self.mem);
+        let walked = walk(source.into(), stages, false, first, self)?;
+        Ok(walked.expect("a pipeline's walk is refused nothing").groups)
     }
 
-    /// Join-build sink: per-worker [`JoinTableBuilder`]s accumulate radix
+    /// Join-build sink: per-thread [`JoinTableBuilder`]s accumulate radix
     /// partitions with rows tagged by morsel sequence; the merged builder
     /// restores build-scan order in [`JoinTableBuilder::finish`], so
     /// duplicate keys fan out in the same order at any worker count. Each
@@ -399,17 +654,16 @@ impl ParallelContext {
     /// bounded retry as the morsel fault point.
     pub fn run_join_build(
         &self,
-        batches: Vec<Batch>,
+        source: impl Into<Source>,
         stages: Vec<StageSpec>,
         keys: Vec<Expr>,
         build_width: usize,
     ) -> Result<JoinTable> {
         let key_width = keys.len();
-        let keys = Arc::new(keys);
         let faults = Arc::clone(&self.faults);
         let res = self.mem.clone();
-        let parts: Vec<JoinTableBuilder> = self.fan_out(
-            batches,
+        let parts: Vec<JoinTableBuilder> = self.run_rows(
+            source,
             stages,
             move || JoinTableBuilder::with_resources(key_width, build_width, res.clone()),
             move |builder: &mut JoinTableBuilder, idx, batch| {
@@ -435,13 +689,13 @@ impl ParallelContext {
         merged.finish()
     }
 
-    /// Sort sink: per-worker [`SortBuffer`]s (budget-bounded, spilling
+    /// Sort sink: per-thread [`SortBuffer`]s (budget-bounded, spilling
     /// sorted runs to disk under pressure), k-way merged with
     /// sequence-number tie-breaking — exactly the order of a stable sort
     /// over the morsel-ordered input, whether or not any buffer spilled.
     pub fn run_sort(
         &self,
-        batches: Vec<Batch>,
+        source: impl Into<Source>,
         stages: Vec<StageSpec>,
         keys: Vec<SortKey>,
         schema: SchemaRef,
@@ -450,8 +704,8 @@ impl ParallelContext {
         let keys = Arc::new(keys);
         let k_make = Arc::clone(&keys);
         let res = self.mem.clone();
-        let buffers = self.fan_out(
-            batches,
+        let buffers = self.run_rows(
+            source,
             stages,
             move || SortBuffer::new(k_make.as_ref().clone(), res.clone()),
             move |buf: &mut SortBuffer, idx, batch| {
@@ -467,12 +721,12 @@ impl ParallelContext {
         merge_spilled_sort(buffers, &keys, &schema, BATCH_SIZE)
     }
 
-    /// Top-K sink: per-worker bounded heaps; the union of candidates is
+    /// Top-K sink: per-thread bounded heaps; the union of candidates is
     /// sorted (sequence tie-break) and truncated — the first `k` rows of
     /// the full sort, using O(n log k) work instead.
     pub fn run_topk(
         &self,
-        batches: Vec<Batch>,
+        source: impl Into<Source>,
         stages: Vec<StageSpec>,
         keys: Vec<SortKey>,
         k: usize,
@@ -484,8 +738,8 @@ impl ParallelContext {
         let key_exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
         let keys = Arc::new(keys);
         let k_make = Arc::clone(&keys);
-        let sets = self.fan_out(
-            batches,
+        let sets = self.run_rows(
+            source,
             stages,
             move || TopKAcc::new(&k_make, k),
             move |acc: &mut TopKAcc, idx, batch| {
@@ -538,9 +792,13 @@ pub fn limit_batches(batches: Vec<Batch>, offset: usize, limit: usize) -> Vec<Ba
     out
 }
 
-/// Probes [`points::EXEC_MORSEL_FAIL`] at the start of morsel `index`,
-/// retrying up to [`MORSEL_FAULT_RETRIES`] times before the morsel fails.
-pub(crate) fn probe_morsel(faults: &FaultInjector, index: usize) -> Result<()> {
+/// Probes [`points::EXEC_MORSEL_PANIC`] and then [`points::EXEC_MORSEL_FAIL`]
+/// at the start of morsel `index`, retrying the latter up to
+/// [`MORSEL_FAULT_RETRIES`] times before the morsel fails.
+fn probe_morsel(faults: &FaultInjector, index: usize) -> Result<()> {
+    if faults.should_fire(points::EXEC_MORSEL_PANIC) {
+        panic!("{} at morsel {index}", points::EXEC_MORSEL_PANIC);
+    }
     let mut attempts = 0u32;
     while faults.should_fire(points::EXEC_MORSEL_FAIL) {
         attempts += 1;
@@ -554,46 +812,6 @@ pub(crate) fn probe_morsel(faults: &FaultInjector, index: usize) -> Result<()> {
     Ok(())
 }
 
-/// One worker's pipeline loop: pull `(index, batch)` morsels from
-/// `next_morsel`, probe the fault point with bounded retry, run the stage
-/// chain, fold surviving output into the local sink state.
-#[allow(clippy::too_many_arguments)]
-fn worker_drive<S, R>(
-    next_morsel: &mut dyn FnMut() -> Option<(usize, Batch)>,
-    stages: Vec<StageSpec>,
-    cancel: &CancellationToken,
-    faults: &FaultInjector,
-    abort: &AtomicBool,
-    make: &dyn Fn() -> S,
-    consume: &dyn Fn(&mut S, usize, Batch) -> Result<()>,
-    finish: &dyn Fn(S) -> R,
-) -> Result<R> {
-    // This worker's probe buffers, one per stage (empty for the others).
-    let mut scratch: Vec<ProbeScratch> = stages.iter().map(|_| ProbeScratch::new()).collect();
-    let mut state = make();
-    while !abort.load(Ordering::Relaxed) {
-        cancel.check()?;
-        let Some((index, batch)) = next_morsel() else {
-            break;
-        };
-        probe_morsel(faults, index)?;
-        if batch.is_empty() {
-            continue;
-        }
-        let mut cur = Some(batch);
-        for (stage, scratch) in stages.iter().zip(&mut scratch) {
-            let Some(b) = cur else { break };
-            cur = stage.apply(b, scratch)?;
-        }
-        if let Some(out) = cur {
-            if !out.is_empty() {
-                consume(&mut state, index, out)?;
-            }
-        }
-    }
-    Ok(finish(state))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -601,15 +819,16 @@ pub(crate) mod tests {
     use oltap_common::fault::FaultPoint;
     use oltap_common::row;
     use oltap_common::Value;
-    use std::collections::HashSet;
 
     /// The shared test harness of the breaker modules: a pipeline context
     /// with `workers` workers — inline on the test thread when `workers <=
     /// 1`, a dedicated pool otherwise — drawing from `mem`.
     pub(crate) fn ctx_with(workers: usize, mem: ExecResources) -> ParallelContext {
         ParallelContext {
-            pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
-            sockets: 2,
+            helpers: Helpers {
+                pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
+                gate: None,
+            },
             cancel: CancellationToken::none(),
             faults: FaultInjector::disabled(),
             mem,
@@ -641,46 +860,6 @@ pub(crate) mod tests {
 
     fn count(batches: &[Batch]) -> usize {
         batches.iter().map(|b| b.len()).sum()
-    }
-
-    #[test]
-    fn dispenser_hands_out_each_morsel_once() {
-        let (_, bs) = batches(1000);
-        let count = bs.len();
-        let d = MorselDispenser::new(bs, 2);
-        let mut seen = HashSet::new();
-        // Two "workers" on different sockets interleaving.
-        loop {
-            let a = d.next_for(0);
-            let b = d.next_for(1);
-            if a.is_none() && b.is_none() {
-                break;
-            }
-            for m in [a, b].into_iter().flatten() {
-                assert!(seen.insert(m.index), "morsel {} dispatched twice", m.index);
-            }
-        }
-        assert_eq!(seen.len(), count);
-        let (local, remote) = d.placement_stats();
-        assert_eq!(local + remote, count);
-        // Balanced pull from both sockets: everything is a local hit.
-        assert_eq!(remote, 0);
-    }
-
-    #[test]
-    fn dispenser_steals_across_sockets() {
-        let (_, bs) = batches(400);
-        let count = bs.len();
-        let d = MorselDispenser::new(bs, 2);
-        // A single worker on socket 0 must still drain socket 1's queue.
-        let mut n = 0;
-        while d.next_for(0).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, count);
-        let (local, remote) = d.placement_stats();
-        assert_eq!(local, count.div_ceil(2));
-        assert_eq!(remote, count / 2);
     }
 
     #[test]
@@ -808,17 +987,54 @@ pub(crate) mod tests {
         }
     }
 
-    /// A stage that panics on one morsel costs the pipeline its answer, as
-    /// a typed error — not a hang, not an answer without that worker's
-    /// morsels — and costs the pool nothing: the same pool answers the next
+    /// The OLAP tasks `pool` has finished, once none is queued or running:
+    /// a task answers its submitter a moment before the pool counts it.
+    fn settled(pool: &WorkerPool) -> u64 {
+        let since = std::time::Instant::now();
+        while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
+            assert!(since.elapsed().as_secs() < 5, "the pool never settled");
+            std::thread::yield_now();
+        }
+        pool.stats().olap_done
+    }
+
+    /// A morsel that panics costs the statement its answer, as a typed
+    /// error — not a hang, not an answer without that morsel, not an
+    /// unwound statement thread — whichever thread claimed it: at one
+    /// worker, on the statement's own thread while its helpers' gate is
+    /// shut, and anywhere on the pool; in a pipeline's sink and in a fused
+    /// walk. It costs the pool nothing: the same pool answers the next
     /// pipeline in full, with every OLAP slot handed back.
     #[test]
     fn a_panicking_morsel_is_a_typed_error_and_the_pool_lives_on() {
-        let (_, bs) = batches(2000);
-        for workers in [2, 4] {
-            let c = ctx(workers);
+        use crate::aggregate::{AggExpr, AggregatorCore};
+        use crate::fused::fused_aggregate;
+        use oltap_common::ids::SegmentId;
+        let (schema, bs) = batches(2000);
+        // A held segment of 40 000 rows: three morsels of a fused walk.
+        let rows: Vec<Row> = (0..40_000).map(|i| row![i as i64, (i % 10) as i64]).collect();
+        let seg = Arc::new(Segment::from_rows(SegmentId(1), Arc::clone(&schema), &rows, 0, None).unwrap());
+        let core = Arc::new(
+            AggregatorCore::new(&schema, vec![(Expr::col(1), "v".into())], vec![AggExpr::count_star("n")]).unwrap(),
+        );
+        let walk = |c: &ParallelContext| {
+            let source = Source::scan(vec![(Arc::clone(&seg), None)], Vec::new(), &ScanPredicate::all(), &[0, 1], (1, TxnId(7)));
+            fused_aggregate(&core, source, c).map(|f| f.unwrap().groups.finish().unwrap())
+        };
+        // The statement's own thread claims every morsel: the gate shuts
+        // right after the look that fans the walk out.
+        let shut_after_one_look = || -> Arc<dyn Fn() -> bool + Send + Sync> {
+            let looks = AtomicUsize::new(0);
+            Arc::new(move || looks.fetch_add(1, Ordering::Relaxed) == 0)
+        };
+        for (workers, own_thread) in [(1, true), (2, true), (2, false), (4, false)] {
+            let tag = format!("workers={workers} own thread={own_thread}");
+            let mut c = ctx(workers);
+            if own_thread {
+                c.helpers.gate = Some(shut_after_one_look());
+            }
             let err = c
-                .fan_out(
+                .run_rows(
                     bs.clone(),
                     Vec::new(),
                     || 0usize,
@@ -830,26 +1046,40 @@ pub(crate) mod tests {
                     |rows| rows,
                 )
                 .unwrap_err();
-            assert!(matches!(err, DbError::Execution(_)), "workers={workers}: {err:?}");
-            let got = c.run_collect(bs.clone(), Vec::new()).unwrap();
-            assert_eq!(count(&got), 2000, "workers={workers}");
-            // A worker hands its slot back just after its answer.
-            let pool = c.pool.as_ref().unwrap();
-            let since = std::time::Instant::now();
-            while pool.running() > 0 && since.elapsed().as_secs() < 5 {
-                std::thread::yield_now();
+            assert!(matches!(err, DbError::Execution(_)), "{tag}: {err:?}");
+            let want = walk(&ctx(1)).unwrap();
+            c.faults = FaultInjector::new(7);
+            c.faults.arm(points::EXEC_MORSEL_PANIC, FaultPoint::times(1).after(1));
+            if own_thread {
+                c.helpers.gate = Some(shut_after_one_look());
             }
-            assert_eq!(pool.running(), 0, "workers={workers}");
+            let err = walk(&c).unwrap_err();
+            assert!(matches!(err, DbError::Execution(_)), "{tag}: fused walk: {err:?}");
+            assert_eq!(c.faults.fired_count(), 1, "{tag}");
+            c.helpers.gate = None;
+            assert_eq!(rows_of(&walk(&c).unwrap()), rows_of(&want), "{tag}");
+            let got = c.run_collect(bs.clone(), Vec::new()).unwrap();
+            assert_eq!(count(&got), 2000, "{tag}");
+            // A worker hands its slot back just after its answer.
+            if let Some(pool) = &c.helpers.pool {
+                settled(pool);
+                assert_eq!(pool.running(), 0, "{tag}");
+            }
         }
     }
 
-    /// A pipeline of one morsel wakes one worker.
+    /// A pipeline of one morsel runs on the statement's thread and wakes
+    /// no worker; one of many wakes helpers, which claim morsels.
     #[test]
-    fn fan_out_submits_no_more_workers_than_morsels() {
+    fn a_one_morsel_pipeline_wakes_no_worker() {
         let (_, bs) = batches(100);
         let c = ctx(4);
+        let pool = c.helpers.pool.as_ref().unwrap();
         assert_eq!(count(&c.run_collect(bs, Vec::new()).unwrap()), 100);
-        assert_eq!(c.pool.as_ref().unwrap().stats().olap_done, 1);
+        assert_eq!(settled(pool), 0);
+        let (_, bs) = batches(2000);
+        assert_eq!(count(&c.run_collect(bs, Vec::new()).unwrap()), 2000);
+        assert!(settled(pool) > 0, "no helper ran");
     }
 
     #[test]

@@ -308,10 +308,11 @@ pub struct TopKAcc {
 }
 
 impl TopKAcc {
-    /// An accumulator retaining the `k` best rows under `keys`.
+    /// An accumulator retaining the `k` best rows under `keys`; the heap
+    /// grows with the rows it keeps, never to `k` up front.
     pub fn new(keys: &[SortKey], k: usize) -> Self {
         TopKAcc {
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::new(),
             k,
             desc_mask: keys.iter().map(|k| k.desc).collect(),
         }
@@ -493,7 +494,7 @@ mod tests {
             Field::new("id", DataType::Int64),
         ]));
         let rows: Vec<Row> = (0..10i64).map(|i| row![7i64, i]).collect();
-        let batches = rows
+        let batches: Vec<Batch> = rows
             .chunks(2)
             .map(|c| Batch::from_rows(&schema, c).unwrap())
             .collect();

@@ -44,16 +44,6 @@ impl NumaTopology {
         }
     }
 
-    /// A 2-socket box.
-    pub fn two_socket() -> Self {
-        NumaTopology {
-            sockets: 2,
-            cores_per_socket: 8,
-            local_ns_per_kb: 60.0,
-            remote_ns_per_kb: 100.0,
-        }
-    }
-
     /// Cost in nanoseconds for `kb` KiB accessed from `task_socket` when
     /// the data lives on `data_socket`.
     pub fn access_ns(&self, task_socket: SocketId, data_socket: SocketId, kb: f64) -> f64 {
@@ -265,7 +255,11 @@ mod tests {
 
     #[test]
     fn access_cost_model() {
-        let topo = NumaTopology::two_socket();
+        let topo = NumaTopology {
+            sockets: 2,
+            remote_ns_per_kb: 100.0,
+            ..NumaTopology::four_socket()
+        };
         let local = topo.access_ns(SocketId(0), SocketId(0), 10.0);
         let remote = topo.access_ns(SocketId(0), SocketId(1), 10.0);
         assert_eq!(local, 600.0);
@@ -284,7 +278,10 @@ mod tests {
 
     #[test]
     fn empty_tasks() {
-        let topo = NumaTopology::two_socket();
+        let topo = NumaTopology {
+            sockets: 2,
+            ..NumaTopology::four_socket()
+        };
         let data = DataPlacement::round_robin(4, &topo);
         let stats = simulate_scan(&topo, &data, TaskPlacementPolicy::LocalityAware, &[]);
         assert_eq!(stats.makespan_ns, 0.0);

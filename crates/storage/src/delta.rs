@@ -697,35 +697,11 @@ impl DeltaMainTable {
         Err(DbError::KeyNotFound(format!("{key}")))
     }
 
-    /// Scans main segments (zone-map pruned, predicate pushdown on
-    /// compressed data) plus the delta, producing batches.
-    pub fn scan(
-        &self,
-        projection: &[usize],
-        pred: &ScanPredicate,
-        read_ts: Ts,
-        me: TxnId,
-        batch_size: usize,
-    ) -> Result<Vec<Batch>> {
-        pred.validate(&self.schema)?;
-        let state = self.state.read();
-        let mut out = Vec::new();
-        for seg in &state.segments {
-            if seg.visible_to(read_ts) {
-                out.extend(seg.scan(projection, pred, read_ts, me, batch_size)?);
-            }
-        }
-        out.extend(state.delta.scan_validated(projection, pred, read_ts, me, batch_size)?);
-        self.note_visits(&state.delta);
-        Ok(out)
-    }
-
     /// The raw inputs of a fused (operate-on-compressed) scan: the main
     /// segments visible at `read_ts` plus the delta store's batches. The
     /// fused aggregate path consumes segments without materializing them;
     /// the delta — row-format, a few thousand keys between two merges — is
-    /// returned pre-scanned in the same order the batched
-    /// [`DeltaMainTable::scan`] would emit it.
+    /// returned pre-scanned, in batches of at most `batch_size` rows.
     pub fn fused_scan_parts(
         &self,
         projection: &[usize],
@@ -1125,6 +1101,38 @@ mod tests {
     use std::collections::BTreeMap;
 
     const NOBODY: TxnId = TxnId(u64::MAX - 1);
+
+    /// A snapshot scan drained: [`DeltaMainTable::fused_scan_parts`]'s
+    /// segments, then the delta's batches.
+    trait Scan {
+        fn scan(
+            &self,
+            projection: &[usize],
+            pred: &ScanPredicate,
+            read_ts: Ts,
+            me: TxnId,
+            batch_size: usize,
+        ) -> Result<Vec<Batch>>;
+    }
+
+    impl Scan for DeltaMainTable {
+        fn scan(
+            &self,
+            projection: &[usize],
+            pred: &ScanPredicate,
+            read_ts: Ts,
+            me: TxnId,
+            batch_size: usize,
+        ) -> Result<Vec<Batch>> {
+            let (segments, delta) = self.fused_scan_parts(projection, pred, read_ts, me, batch_size)?;
+            let mut out = Vec::new();
+            for seg in &segments {
+                out.extend(seg.scan(projection, pred, read_ts, me, batch_size)?);
+            }
+            out.extend(delta);
+            Ok(out)
+        }
+    }
 
     fn table() -> (Arc<TransactionManager>, DeltaMainTable) {
         let schema = Arc::new(

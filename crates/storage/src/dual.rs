@@ -18,10 +18,11 @@
 //! * [`DualFormatTable::populate`] (re)builds the columnar segments from
 //!   the row-store state at the GC watermark and prunes the journal below
 //!   it. Population is the analog of Oracle's IMCU build.
-//! * An analytic scan at snapshot `s` reads the segments, masks out rows
-//!   whose key appears in the journal within `(image_ts, s]` (stale), and
-//!   overlays the current row-store versions of those keys plus
-//!   newly-inserted keys — each visible row is produced exactly once.
+//! * An analytic scan at snapshot `s` ([`DualFormatTable::scan_parts`])
+//!   reads the segments, masks out rows whose key appears in the journal
+//!   within `(image_ts, s]` (stale), and overlays the current row-store
+//!   versions of those keys plus newly-inserted keys — each visible row is
+//!   produced exactly once.
 
 use crate::buffer::SegmentPager;
 use crate::predicate::ScanPredicate;
@@ -67,6 +68,10 @@ struct ColumnarImage {
     /// Primary key → (segment index, offset) in the image.
     pk_locs: FxHashMap<Row, (usize, u32)>,
 }
+
+/// What [`DualFormatTable::scan_parts`] hands a scan: the image's segments,
+/// each beside its stale rows, and the overlay's batches.
+pub type ScanParts = (Vec<(Arc<Segment>, Option<BitSet>)>, Vec<Batch>);
 
 /// A dual-format table.
 pub struct DualFormatTable {
@@ -238,23 +243,29 @@ impl DualFormatTable {
         Ok(n)
     }
 
-    /// Analytic scan — served by the columnar image reconciled with the
-    /// journal overlay, consistent at `read_ts`.
-    pub fn scan_analytic(
+    /// The parts of an analytic scan — the columnar image reconciled with
+    /// the journal overlay, consistent at `read_ts`: the image's segments,
+    /// each beside the offsets of its rows whose columnar copy may be
+    /// stale (to be hidden like deleted ones), and the overlay — the row
+    /// store's current versions of those keys and of new ones, projected,
+    /// in batches. A snapshot older than the image is the row store's
+    /// alone: no segment, every visible row in the overlay.
+    pub fn scan_parts(
         &self,
         projection: &[usize],
         pred: &ScanPredicate,
         read_ts: Ts,
         me: TxnId,
         batch_size: usize,
-    ) -> Result<Vec<Batch>> {
+    ) -> Result<ScanParts> {
         pred.validate(&self.schema)?;
         let image = self.image.read();
         if read_ts < image.image_ts {
             // The snapshot predates the image: fall back to the row store
             // (only possible for snapshots older than the population
             // watermark, i.e. none in steady state).
-            return self.rows.scan_validated(projection, pred, read_ts, me, batch_size);
+            let rows = self.rows.scan_validated(projection, pred, read_ts, me, batch_size)?;
+            return Ok((Vec::new(), rows));
         }
         // Keys whose columnar copy may be stale. No upper bound on the
         // journal timestamp is needed: the overlay below reads the row
@@ -277,30 +288,18 @@ impl DualFormatTable {
         }
 
         // Per-segment mask of stale offsets.
-        let mut masks: Vec<Option<BitSet>> = vec![None; image.segments.len()];
+        let mut segments: Vec<(Arc<Segment>, Option<BitSet>)> =
+            image.segments.iter().map(|seg| (Arc::clone(seg), None)).collect();
         for key in &stale {
             if let Some(&(seg_idx, off)) = image.pk_locs.get(key) {
-                masks[seg_idx]
-                    .get_or_insert_with(|| {
-                        BitSet::with_len(image.segments[seg_idx].row_count())
-                    })
+                let (seg, mask) = &mut segments[seg_idx];
+                mask.get_or_insert_with(|| BitSet::with_len(seg.row_count()))
                     .set(off as usize);
             }
         }
 
-        // A row group at a time, the stale rows hidden like deleted ones.
-        let mut out = Vec::new();
-        for (seg, mask) in image.segments.iter().zip(masks) {
-            let Some(mut selector) = seg.selector(pred, read_ts, me)? else {
-                continue;
-            };
-            if let Some(mask) = mask {
-                selector.hide(mask);
-            }
-            out.extend(selector.scan(projection, batch_size)?);
-        }
-
         // Overlay: current row-store versions of stale/new keys.
+        let mut overlay = Vec::new();
         if !stale.is_empty() {
             let proj_schema = self.schema.project(projection);
             let mut buf = Vec::new();
@@ -312,10 +311,10 @@ impl DualFormatTable {
                 }
             }
             for chunk in buf.chunks(batch_size.max(1)) {
-                out.push(Batch::from_rows(&proj_schema, chunk)?);
+                overlay.push(Batch::from_rows(&proj_schema, chunk)?);
             }
         }
-        Ok(out)
+        Ok((segments, overlay))
     }
 
     /// OLTP-style scan — served entirely by the row format (for
@@ -351,6 +350,43 @@ mod tests {
     use oltap_txn::TransactionManager;
 
     const NOBODY: TxnId = TxnId(u64::MAX - 1);
+
+    /// An analytic scan drained: [`DualFormatTable::scan_parts`]'s segments
+    /// a row group at a time, stale rows hidden, then the overlay.
+    trait Analytic {
+        fn scan_analytic(
+            &self,
+            projection: &[usize],
+            pred: &ScanPredicate,
+            read_ts: Ts,
+            me: TxnId,
+            batch_size: usize,
+        ) -> Result<Vec<Batch>>;
+    }
+
+    impl Analytic for DualFormatTable {
+        fn scan_analytic(
+            &self,
+            projection: &[usize],
+            pred: &ScanPredicate,
+            read_ts: Ts,
+            me: TxnId,
+            batch_size: usize,
+        ) -> Result<Vec<Batch>> {
+            let (segments, overlay) = self.scan_parts(projection, pred, read_ts, me, batch_size)?;
+            let mut out = Vec::new();
+            for (seg, stale) in &segments {
+                if let Some(mut selector) = seg.selector(pred, read_ts, me)? {
+                    if let Some(stale) = stale {
+                        selector.hide(stale.clone());
+                    }
+                    out.extend(selector.scan(projection, batch_size)?);
+                }
+            }
+            out.extend(overlay);
+            Ok(out)
+        }
+    }
 
     fn schema() -> SchemaRef {
         Arc::new(

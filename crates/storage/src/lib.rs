@@ -35,7 +35,7 @@ pub mod zonemap;
 
 pub use buffer::{BufferManager, BufferStats, PageGuard, PageKey, ScanPass, SegmentPager};
 pub use delta::{DeltaMainTable, FreezeStats, HeatStats, MergeBell, MergeStats, TableSizes};
-pub use dual::DualFormatTable;
+pub use dual::{DualFormatTable, ScanParts};
 pub use pagefile::{purge_page_root, PageFile, PageFileWriter};
 pub use predicate::{CmpOp, ColumnPredicate, JoinFilter, ScanPredicate};
 pub use rowstore::RowStore;

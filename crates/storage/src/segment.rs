@@ -1616,6 +1616,22 @@ impl<'a> GroupSelector<'a> {
         Ok(out)
     }
 
+    /// The projected columns of the rows `sel` selects, gathered through
+    /// this pass: bit `i` of `sel` is row `first + i` of group `g` (a
+    /// morsel's selection from [`select_rows`](Self::select_rows)).
+    pub fn gather(
+        &self,
+        g: usize,
+        first: usize,
+        sel: &BitSet,
+        projection: &[usize],
+    ) -> Result<oltap_common::Batch> {
+        let PassChunks { seg, pass } = &self.chunks;
+        let start = (seg.groups[g].row_start + first) as u32;
+        let indexes: Vec<u32> = sel.iter_ones().map(|i| start + i as u32).collect();
+        oltap_common::Batch::new(seg.gather_columns(projection, &indexes, Some(pass))?)
+    }
+
     /// The visible rows of group `g` that pass the predicate, indexed from
     /// the group's first row; `None` when there are none. A group whose zone
     /// map disproves the predicate faults no pages — cold pruned groups

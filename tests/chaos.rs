@@ -1677,13 +1677,17 @@ fn chaos_kernel_fallback_mid_query_never_changes_results() {
     }
 }
 
-/// Scenario 18b — the fused walk fanned out over the pool, cut short or
-/// faulted: deadlines from 0 to 3 ms land anywhere in a walk over held
-/// segments, `exec.morsel_fail` fails it always or retries at p = 0.3, and
-/// `exec.kernel_fallback` at p = 0.4 mixes the paths under it. Each
-/// statement answers the unfaulted bits or fails with the typed error, and
-/// whichever way it ends it leaves no helper running, none of the stripe
-/// stores' governor bytes reserved and no admission ticket held.
+/// Scenario 18b — statements fanned out over the pool, cut short or
+/// faulted: the fused walk over held segments, and pipelines — a sort, a
+/// top-K, a join and an expression-key aggregate — over COLUMN, DUAL and
+/// ROW tables. Deadlines from 0 to 3 ms land anywhere in a walk,
+/// `exec.morsel_fail` fails it always or retries at p = 0.3,
+/// `exec.morsel_panic` panics one morsel on whichever thread claimed it,
+/// and `exec.kernel_fallback` at p = 0.4 mixes the fused paths under it.
+/// Each statement answers the unfaulted bits or fails with the typed
+/// error, and whichever way it ends it leaves no helper running, none of
+/// its governor bytes (stripe stores, parked stage output, sort buffers)
+/// reserved and no admission ticket held.
 #[test]
 fn chaos_parallel_fused_walk_leaves_nothing_behind() {
     let seed = seed_for(0x18b);
@@ -1700,22 +1704,38 @@ fn chaos_parallel_fused_walk_leaves_nothing_behind() {
         db.set_parallelism(2);
     }
     let pool = db.worker_pool().unwrap();
-    db.execute("CREATE TABLE big (id BIGINT PRIMARY KEY, g BIGINT, f DOUBLE) USING FORMAT COLUMN")
+    let amount = |i: i64| (i * 37 % 1009) as f64 * 0.1 * 10f64.powi((i % 5) as i32 * 3 - 3);
+    for (table, format, rows) in [("big", "COLUMN", 100_000), ("image", "DUAL", 40_000), ("rowstore", "ROW", 40_000)] {
+        db.execute(&format!(
+            "CREATE TABLE {table} (id BIGINT PRIMARY KEY, g BIGINT, f DOUBLE) USING FORMAT {format}"
+        ))
         .unwrap();
-    let t = db.table("big").unwrap();
-    let tx = db.txn_manager().begin();
-    for i in 0..100_000i64 {
-        let f = (i * 37 % 1009) as f64 * 0.1 * 10f64.powi((i % 5) as i32 * 3 - 3);
-        t.insert(&tx, row![i, i % 13, f]).unwrap();
+        let t = db.table(table).unwrap();
+        let tx = db.txn_manager().begin();
+        for i in 0..rows {
+            t.insert(&tx, row![i, i % 13, amount(i)]).unwrap();
+        }
+        tx.commit().unwrap();
     }
-    tx.commit().unwrap();
+    db.execute("CREATE TABLE dim (g BIGINT PRIMARY KEY, w BIGINT) USING FORMAT ROW").unwrap();
+    let values: Vec<String> = (0..13).map(|g| format!("({g}, {})", g * 10)).collect();
+    db.execute(&format!("INSERT INTO dim VALUES {}", values.join(", "))).unwrap();
     db.maintenance();
     let gov = db.memory_governor().unwrap();
     let admission = db.admission().unwrap();
     let baseline = gov.total_used();
-    let sql = "SELECT g, COUNT(*), SUM(f), AVG(f) FROM big GROUP BY g ORDER BY g";
+    let fused = "SELECT g, COUNT(*), SUM(f), AVG(f) FROM big GROUP BY g ORDER BY g";
+    let mut statements = vec![fused.to_string()];
+    for t in ["big", "image", "rowstore"] {
+        statements.extend([
+            format!("SELECT id, f FROM {t} WHERE g < 3 ORDER BY f, id"),
+            format!("SELECT id, g FROM {t} ORDER BY f DESC, id LIMIT 20"),
+            format!("SELECT {t}.id, dim.w FROM {t} JOIN dim ON {t}.g = dim.g WHERE dim.w > 50"),
+            format!("SELECT g + 0, COUNT(*), SUM(f), AVG(f) FROM {t} GROUP BY g + 0"),
+        ]);
+    }
     let mut s = db.session();
-    let want = s.execute(sql).unwrap().rows().to_vec();
+    let want: Vec<Vec<Row>> = statements.iter().map(|sql| s.execute(sql).unwrap().rows().to_vec()).collect();
     let left_nothing = |tag: &str| {
         let since = std::time::Instant::now();
         while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
@@ -1726,34 +1746,46 @@ fn chaos_parallel_fused_walk_leaves_nothing_behind() {
         assert_eq!(admission.running(), (0, 0), "{tag}: admission ticket held");
     };
     let mut cut = 0;
-    for micros in (0..3000).step_by(100) {
-        s.set_query_timeout(Some(Duration::from_micros(micros)));
-        match s.execute(sql) {
-            Ok(rows) => assert_eq!(rows.rows(), &want[..], "deadline {micros} us"),
-            Err(DbError::DeadlineExceeded(_)) => cut += 1,
-            Err(e) => panic!("deadline {micros} us: {e}"),
+    for (sql, want) in statements.iter().zip(&want) {
+        for micros in (0..3000).step_by(100) {
+            s.set_query_timeout(Some(Duration::from_micros(micros)));
+            match s.execute(sql) {
+                Ok(rows) => assert_eq!(rows.rows(), &want[..], "deadline {micros} us: {sql}"),
+                Err(DbError::DeadlineExceeded(_)) => cut += 1,
+                Err(e) => panic!("deadline {micros} us: {sql}: {e}"),
+            }
+            left_nothing(&format!("deadline {micros} us: {sql}"));
         }
-        left_nothing(&format!("deadline {micros} us"));
     }
     assert!(cut > 0, "no statement was cut off — vacuous");
     s.set_query_timeout(None);
 
-    faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::always());
-    let err = s.execute(sql).unwrap_err();
-    assert!(matches!(err, DbError::FaultInjected(_)), "{err}");
-    left_nothing("morsel_fail always");
-    faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::with_probability(0.3));
-    for round in 0..5 {
-        let rows = s.execute(sql).unwrap();
-        assert_eq!(rows.rows(), &want[..], "morsel_fail p=0.3 round {round} (seed={seed:#x})");
-        left_nothing("morsel_fail p=0.3");
+    for (sql, want) in statements.iter().zip(&want) {
+        faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::always());
+        let err = s.execute(sql).unwrap_err();
+        assert!(matches!(err, DbError::FaultInjected(_)), "{sql}: {err}");
+        left_nothing(&format!("morsel_fail always: {sql}"));
+        faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::with_probability(0.3));
+        let rounds = if sql == fused { 5 } else { 2 };
+        for round in 0..rounds {
+            let rows = s.execute(sql).unwrap();
+            assert_eq!(rows.rows(), &want[..], "morsel_fail p=0.3 round {round}: {sql} (seed={seed:#x})");
+            left_nothing(&format!("morsel_fail p=0.3: {sql}"));
+        }
+        faults.disarm(points::EXEC_MORSEL_FAIL);
+
+        faults.arm(points::EXEC_MORSEL_PANIC, FaultPoint::times(1).after(1));
+        let err = s.execute(sql).unwrap_err();
+        assert!(matches!(err, DbError::Execution(_)), "{sql}: {err}");
+        left_nothing(&format!("morsel_panic: {sql}"));
+        faults.disarm(points::EXEC_MORSEL_PANIC);
+        assert_eq!(s.execute(sql).unwrap().rows(), &want[..], "after a panic: {sql}");
     }
-    faults.disarm(points::EXEC_MORSEL_FAIL);
 
     faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(0.4));
     for round in 0..5 {
-        let rows = s.execute(sql).unwrap();
-        assert_eq!(rows.rows(), &want[..], "kernel_fallback round {round} (seed={seed:#x})");
+        let rows = s.execute(fused).unwrap();
+        assert_eq!(rows.rows(), &want[0][..], "kernel_fallback round {round} (seed={seed:#x})");
         left_nothing("kernel_fallback p=0.4");
     }
     faults.disarm(points::EXEC_KERNEL_FALLBACK);

@@ -111,6 +111,16 @@ const STATEMENTS: [&str; 3] = [
     "SELECT s, SUM(f), COUNT(f) FROM t WHERE f > 0.5 GROUP BY s ORDER BY s",
 ];
 
+/// The expression-key (or expression-filter) twin of each of
+/// [`STATEMENTS`], in order: the same aggregates over the same rows, which
+/// the fused path refuses, so the pipelines' aggregate sink answers — at
+/// more than one worker, fanned out over parked stage output.
+const TWINS: [&str; 3] = [
+    "SELECT g + 0, COUNT(*), SUM(f), AVG(f), MIN(f), MAX(v) FROM t GROUP BY g + 0",
+    "SELECT COUNT(*), SUM(f), AVG(v) FROM t WHERE v + 0 <> 3",
+    "SELECT s, SUM(f), COUNT(f) FROM t WHERE f + 0.0 > 0.5 GROUP BY s ORDER BY s",
+];
+
 /// The OLAP tasks `pool` has finished, once none is queued or running: a
 /// task answers its submitter a moment before the pool counts it.
 fn settled(pool: &WorkerPool) -> u64 {
@@ -128,7 +138,9 @@ fn settled(pool: &WorkerPool) -> u64 {
 /// holds pending deletes in both segments and a bystander a pending insert
 /// — neither visible, neither in the way. On held segments the pool's
 /// helpers did run: the statement's pool tasks outnumber the paged walk's,
-/// which takes one pass.
+/// which takes one pass. Each statement's twin ([`TWINS`]) answers the same
+/// bits at every storage and worker count, and the model's; on held
+/// storage at more than one worker the pool's helpers ran it.
 #[test]
 fn fused_walk_is_worker_count_independent() {
     let mut want: Option<Vec<Vec<Row>>> = None;
@@ -170,6 +182,19 @@ fn fused_walk_is_worker_count_independent() {
                         answer
                     })
                     .collect();
+                if p == 0.0 {
+                    for ((twin, sql), answer) in TWINS.iter().zip(STATEMENTS).zip(&answers) {
+                        let tag = format!("{storage:?} workers={workers}: {twin}");
+                        let before = db.worker_pool().map_or(0, |pool| settled(&pool));
+                        let got = db.query(twin).unwrap();
+                        let tasks = db.worker_pool().map_or(0, |pool| settled(&pool)) - before;
+                        assert!(same_rows(&got, answer), "{tag}: not {sql}'s answer\n{got:?}\n{answer:?}");
+                        assert!(same_rows(&got, &model_aggregate(&db, twin)), "{tag}: not the model's");
+                        if workers > 1 && storage != Storage::Paged {
+                            assert!(tasks > 0, "{tag}: no helper ran");
+                        }
+                    }
+                }
                 let tag = format!("{storage:?} workers={workers} fallback={p}");
                 match &want {
                     None => {

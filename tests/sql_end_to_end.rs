@@ -414,3 +414,52 @@ fn insert_conflicts_and_constraints_via_sql() {
         Value::Int(500)
     );
 }
+
+/// `ORDER BY … LIMIT k` with `k` past a batch sorts under the query's
+/// budget — spilling when the rows do not fit — instead of keeping `k` rows
+/// a thread in heaps no budget sees; a `k` far past the table asks for no
+/// memory up front. Budgeted, unbudgeted and the model answer alike.
+#[test]
+fn order_by_with_a_large_limit_sorts_within_the_query_budget() {
+    use oltapdb::common::Row;
+    use oltapdb::core::{DbConfig, MemoryConfig, TableHandle};
+
+    const ROWS: i64 = 20_000;
+    let load = |memory: Option<MemoryConfig>| {
+        let db = Database::with_config(DbConfig { memory, ..DbConfig::default() }).unwrap();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT COLUMN")
+            .unwrap();
+        let TableHandle::Column(t) = db.table("t").unwrap() else {
+            panic!("a column table");
+        };
+        let rows: Vec<Row> = (0..ROWS)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 7919 % 1009)]))
+            .collect();
+        t.bulk_load(&rows).unwrap();
+        db
+    };
+    let unbudgeted = load(None);
+    let budgeted = load(Some(MemoryConfig {
+        query_bytes: 64 << 10,
+        ..MemoryConfig::with_total(64 << 20)
+    }));
+    let mut model: Vec<(i64, i64)> = (0..ROWS).map(|i| (i, i * 7919 % 1009)).collect();
+    model.sort_by_key(|&(id, v)| (std::cmp::Reverse(v), id));
+    for k in [10_000usize, 100_000_000_000] {
+        let sql = format!("SELECT id, v FROM t ORDER BY v DESC, id LIMIT {k}");
+        let want: Vec<Vec<Value>> = model
+            .iter()
+            .take(k)
+            .map(|&(id, v)| vec![Value::Int(id), Value::Int(v)])
+            .collect();
+        for db in [&unbudgeted, &budgeted] {
+            for workers in [1, 2] {
+                db.set_parallelism(workers);
+                let got: Vec<Vec<Value>> = db.query(&sql).unwrap().iter().map(|r| r.values().to_vec()).collect();
+                assert_eq!(got, want, "LIMIT {k} at {workers} workers");
+            }
+        }
+    }
+    let spills = budgeted.memory_governor().unwrap().spill_events();
+    assert!(spills > 0, "the budgeted sorts spilled");
+}
