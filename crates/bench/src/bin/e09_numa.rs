@@ -8,10 +8,10 @@
 //! ~sockets× slower even when locality-aware.
 
 use oltap_bench::harness::{scaled, TextTable};
-use oltap_common::ids::{PartitionId, SocketId};
-use oltap_sched::numa::{
-    simulate_scan, DataPlacement, NumaTopology, ScanTask, TaskPlacementPolicy,
+use oltap_bench::numa::{
+    simulate_scan, DataPlacement, NumaTopology, ScanTask, SocketId, TaskPlacementPolicy,
 };
+use oltap_common::ids::PartitionId;
 
 fn main() {
     let partitions = 64usize;

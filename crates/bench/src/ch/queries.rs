@@ -6,10 +6,6 @@
 //! top-k rankings, and time-windowed reporting over live transactional
 //! data.
 
-use oltap_core::Database;
-use oltap_common::{Result, Row};
-use std::sync::Arc;
-
 /// One analytic query.
 #[derive(Debug, Clone)]
 pub struct ChQuery {
@@ -110,22 +106,11 @@ pub fn ch_queries() -> Vec<ChQuery> {
     ]
 }
 
-/// Runs every query once; returns (id, row count, elapsed µs).
-pub fn run_all(db: &Arc<Database>) -> Result<Vec<(&'static str, usize, u128)>> {
-    let mut out = Vec::new();
-    for q in ch_queries() {
-        let start = std::time::Instant::now();
-        let rows: Vec<Row> = db.query(q.sql)?;
-        out.push((q.id, rows.len(), start.elapsed().as_micros()));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ch::load::{load_ch, LoadSpec};
-    use oltap_core::TableFormat;
+    use oltap_core::{Database, TableFormat};
 
     #[test]
     fn every_query_parses_plans_and_runs() {

@@ -10,6 +10,8 @@
 //! * [`baselines`] — comparison implementations only the experiments
 //!   use, kept out of the engine crates (E8's shared scan; E3 / E18 /
 //!   E19's naive and SWAR packed scans; E11's tuple walk and f64 VM).
+//! * [`numa`] — E9's simulated NUMA topology, placement policies and
+//!   cost model.
 //! * [`harness`] — timing/table utilities shared by the sixteen `e01..e19`
 //!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`),
 //!   and [`harness::Report`]: the one file shape (`results/BENCH_*.json`)
@@ -20,4 +22,5 @@
 pub mod baselines;
 pub mod ch;
 pub mod harness;
+pub mod numa;
 pub mod workloads;

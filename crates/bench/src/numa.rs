@@ -1,4 +1,7 @@
-//! Simulated NUMA topology, data placement, and locality-aware scheduling.
+//! E9's cost model: a simulated NUMA topology, data placement, and
+//! locality-aware task placement (`e09_numa` prints its matrix; its tests
+//! are the root's `tests/numa_model.rs`, so a plain `cargo test` at the
+//! root runs them). The engine places nothing by socket.
 //!
 //! The tutorial lists NUMA-awareness among the advanced query-processing
 //! topics every scale-up operational analytics system must address (§1;
@@ -10,14 +13,18 @@
 //! **Substitution (documented in DESIGN.md):** this environment has no
 //! multi-socket hardware, so the topology is simulated: a declarative
 //! [`NumaTopology`] carries per-access-class costs, placements are real
-//! data structures, and the scheduler below charges the cost model while
-//! executing real scan work. The *decision logic* — the part the cited
+//! data structures, and [`simulate_scan`] charges the cost model to every
+//! task a placement policy assigns. The *decision logic* — the part the cited
 //! papers contribute — is identical to what would run on real hardware;
 //! only the penalty is injected instead of physical.
 
-use oltap_common::ids::{PartitionId, SocketId};
+use oltap_common::ids::PartitionId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A NUMA socket of the simulated topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SocketId(pub u64);
 
 /// A simulated multi-socket machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +185,7 @@ pub fn simulate_scan(
             }
         };
         let ns = topology.access_ns(task_socket, data_socket, t.kb);
-        socket_work[task_socket.raw() as usize] += ns;
+        socket_work[task_socket.0 as usize] += ns;
         stats.total_work_ns += ns;
         if task_socket == data_socket {
             stats.local_kb += t.kb;
@@ -191,100 +198,4 @@ pub fn simulate_scan(
         .map(|w| w / topology.cores_per_socket as f64)
         .fold(0.0, f64::max);
     stats
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tasks(n: usize, kb: f64) -> Vec<ScanTask> {
-        (0..n)
-            .map(|p| ScanTask {
-                partition: PartitionId(p as u64),
-                kb,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn locality_aware_is_fully_local() {
-        let topo = NumaTopology::four_socket();
-        let data = DataPlacement::round_robin(16, &topo);
-        let stats = simulate_scan(&topo, &data, TaskPlacementPolicy::LocalityAware, &tasks(16, 1024.0));
-        assert_eq!(stats.locality(), 1.0);
-        assert_eq!(stats.remote_kb, 0.0);
-    }
-
-    #[test]
-    fn locality_beats_random_by_cost_ratio() {
-        let topo = NumaTopology::four_socket();
-        let data = DataPlacement::round_robin(64, &topo);
-        let ts = tasks(64, 4096.0);
-        let aware = simulate_scan(&topo, &data, TaskPlacementPolicy::LocalityAware, &ts);
-        let random = simulate_scan(&topo, &data, TaskPlacementPolicy::Random(7), &ts);
-        assert!(aware.makespan_ns < random.makespan_ns);
-        // Expected random locality ≈ 1/sockets = 0.25.
-        assert!(random.locality() < 0.5);
-        // Throughput advantage bounded by the remote/local ratio (1.8×)
-        // plus imbalance effects.
-        let speedup = random.makespan_ns / aware.makespan_ns;
-        assert!(speedup > 1.1, "speedup {speedup}");
-    }
-
-    #[test]
-    fn single_socket_data_bottlenecks_even_aware_placement() {
-        let topo = NumaTopology::four_socket();
-        let good = DataPlacement::round_robin(16, &topo);
-        let bad = DataPlacement::single_socket(16, SocketId(0));
-        let ts = tasks(16, 1024.0);
-        let balanced = simulate_scan(&topo, &good, TaskPlacementPolicy::LocalityAware, &ts);
-        let skewed = simulate_scan(&topo, &bad, TaskPlacementPolicy::LocalityAware, &ts);
-        // All work lands on socket 0: makespan ~4× the balanced case.
-        assert!(skewed.makespan_ns > balanced.makespan_ns * 3.0);
-    }
-
-    #[test]
-    fn round_robin_tasks_on_round_robin_data_align() {
-        // With equal partition counts and the same modulus, round-robin
-        // task placement happens to be fully local too.
-        let topo = NumaTopology::four_socket();
-        let data = DataPlacement::round_robin(16, &topo);
-        let stats = simulate_scan(&topo, &data, TaskPlacementPolicy::RoundRobin, &tasks(16, 100.0));
-        assert_eq!(stats.locality(), 1.0);
-    }
-
-    #[test]
-    fn access_cost_model() {
-        let topo = NumaTopology {
-            sockets: 2,
-            remote_ns_per_kb: 100.0,
-            ..NumaTopology::four_socket()
-        };
-        let local = topo.access_ns(SocketId(0), SocketId(0), 10.0);
-        let remote = topo.access_ns(SocketId(0), SocketId(1), 10.0);
-        assert_eq!(local, 600.0);
-        assert_eq!(remote, 1000.0);
-    }
-
-    #[test]
-    fn random_placement_is_reproducible() {
-        let topo = NumaTopology::four_socket();
-        let a = DataPlacement::random(32, &topo, 42);
-        let b = DataPlacement::random(32, &topo, 42);
-        assert_eq!(a, b);
-        let c = DataPlacement::random(32, &topo, 43);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn empty_tasks() {
-        let topo = NumaTopology {
-            sockets: 2,
-            ..NumaTopology::four_socket()
-        };
-        let data = DataPlacement::round_robin(4, &topo);
-        let stats = simulate_scan(&topo, &data, TaskPlacementPolicy::LocalityAware, &[]);
-        assert_eq!(stats.makespan_ns, 0.0);
-        assert_eq!(stats.locality(), 1.0);
-    }
 }

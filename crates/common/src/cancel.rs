@@ -5,8 +5,8 @@
 //! cancellation within one batch (~1k rows) rather than running to
 //! completion. Tokens carry an optional deadline, so a session-level
 //! statement timeout and an explicit `cancel()` flow through one
-//! mechanism; the admission controller uses the same token to shed
-//! queued work that expired before it ever ran.
+//! mechanism; the admission controller looks at the same token to shed a
+//! statement still queued for an OLAP slot once it trips.
 
 use crate::error::{DbError, Result};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -69,13 +69,14 @@ pub enum DbError {
     /// Underlying I/O failure (message-only so the error stays `Clone + Eq`).
     Io(String),
     /// The operation was cancelled explicitly (session closed, `cancel()`
-    /// called, or the admission controller shed an already-cancelled
-    /// request). Deadline expiry is [`DbError::DeadlineExceeded`].
+    /// called), while running or while queued for admission. Deadline
+    /// expiry is [`DbError::DeadlineExceeded`].
     Cancelled(String),
-    /// A query or queued request ran past its deadline. Split from
-    /// [`DbError::Cancelled`] so callers can distinguish "the user gave
-    /// up" from "the system timed the work out" — retry policies and
-    /// admission accounting treat the two differently.
+    /// A query ran past its deadline, while running or while queued for
+    /// admission. Split from [`DbError::Cancelled`] so callers can
+    /// distinguish "the user gave up" from "the system timed the work
+    /// out" — retry policies and admission accounting treat the two
+    /// differently.
     DeadlineExceeded(String),
     /// A memory reservation (or other resource claim) could not be
     /// satisfied and the operator had no way to degrade (e.g. no spill

@@ -67,11 +67,6 @@ define_id!(
     PartitionId,
     "p"
 );
-define_id!(
-    /// Identifies a NUMA socket in the simulated topology.
-    SocketId,
-    "numa"
-);
 
 /// A stable physical locator for a row: which segment (or delta) it lives
 /// in and its ordinal position there. `segment == None` means the row is in

@@ -25,12 +25,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Whether values of this type have a fixed-width physical
-    /// representation (everything except strings).
-    pub fn is_fixed_width(self) -> bool {
-        !matches!(self, DataType::Utf8)
-    }
-
     /// Human-readable name, used in error messages and `EXPLAIN` output.
     pub fn name(self) -> &'static str {
         match self {

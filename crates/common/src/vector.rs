@@ -90,22 +90,6 @@ impl ColumnVector {
         }
     }
 
-    /// Creates an all-valid Float64 vector.
-    pub fn from_f64(values: Vec<f64>) -> Self {
-        ColumnVector::Float64 {
-            values,
-            validity: None,
-        }
-    }
-
-    /// Creates an all-valid Utf8 vector.
-    pub fn from_strings(values: Vec<String>) -> Self {
-        ColumnVector::Utf8 {
-            values,
-            validity: None,
-        }
-    }
-
     /// Creates an all-valid Bool vector.
     pub fn from_bools(bools: &[bool]) -> Self {
         let mut bits = BitSet::with_len(bools.len());
@@ -310,17 +294,6 @@ impl ColumnVector {
             ColumnVector::Float64 { values, .. } => Ok(values),
             other => Err(DbError::TypeMismatch {
                 expected: "Float64".into(),
-                actual: other.data_type().name().into(),
-            }),
-        }
-    }
-
-    /// Borrows the string values; errors for other types.
-    pub fn as_strings(&self) -> Result<&[String]> {
-        match self {
-            ColumnVector::Utf8 { values, .. } => Ok(values),
-            other => Err(DbError::TypeMismatch {
-                expected: "Utf8".into(),
                 actual: other.data_type().name().into(),
             }),
         }

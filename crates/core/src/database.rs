@@ -6,7 +6,7 @@ use crate::session::{QueryResult, Session};
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::mem::{MemoryGovernor, WorkloadClass};
 use oltap_common::schema::SchemaRef;
-use oltap_common::{DataType, DbError, Field, Result, Schema};
+use oltap_common::{CancellationToken, DataType, DbError, Field, Result, Schema};
 use oltap_exec::{ExecResources, Helpers};
 use oltap_sched::{AdmissionConfig, AdmissionController, AdmissionTicket, WorkerPool};
 use oltap_sql::ast::Statement;
@@ -337,11 +337,16 @@ impl Database {
         &self.spill_root
     }
 
-    /// Admits one query of `class`; `None` when no admission control is
-    /// configured. Blocks (queue-with-timeout) when OLAP is saturated.
-    pub(crate) fn admit(&self, class: WorkloadClass) -> Result<Option<AdmissionTicket>> {
+    /// Admits one query of `class` under its statement's token; `None`
+    /// when no admission control is configured. Blocks (queue-with-timeout)
+    /// when OLAP is saturated, and leaves the queue once `cancel` trips.
+    pub(crate) fn admit(
+        &self,
+        class: WorkloadClass,
+        cancel: &CancellationToken,
+    ) -> Result<Option<AdmissionTicket>> {
         match self.admission() {
-            Some(ctrl) => Ok(Some(ctrl.admit(class)?)),
+            Some(ctrl) => Ok(Some(ctrl.admit_under(class, cancel)?)),
             None => Ok(None),
         }
     }
@@ -389,13 +394,13 @@ impl Database {
     /// workers (none on a one-CPU host). Results are identical at every
     /// setting, float sums included: an aggregate's stripes count rows.
     pub fn set_parallelism(&self, workers: usize) {
-        *self.pool.write() = (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers)));
+        *self.pool.write() = (workers > 1).then(|| Arc::new(WorkerPool::new(workers)));
         self.lend_helpers();
     }
 
     /// The database's worker pool (see [`Database::set_parallelism`]), if it
-    /// has one: what its helpers have run is in its
-    /// [`stats`](WorkerPool::stats).
+    /// has one: how many helper tasks it has run is its
+    /// [`completed`](WorkerPool::completed) count.
     pub fn worker_pool(&self) -> Option<Arc<WorkerPool>> {
         self.pool.read().clone()
     }

@@ -528,7 +528,7 @@ mod tests {
     /// otherwise, lent through the catalog.
     fn ctx_at(mgr: &TransactionManager, cat: &mut Catalog, workers: usize) -> ExecContext {
         cat.set_helpers(oltap_exec::Helpers {
-            pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
+            pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers))),
             gate: None,
         });
         snapshot_ctx(mgr.now())
@@ -1079,15 +1079,15 @@ mod tests {
         }
     }
 
-    /// The OLAP tasks `pool` has finished, once none is queued or running:
-    /// a task answers its submitter a moment before the pool counts it.
+    /// The tasks `pool` has finished, once it is idle: a task hands its
+    /// work in a moment before the pool counts it.
     fn settled(pool: &WorkerPool) -> u64 {
         let since = std::time::Instant::now();
-        while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
+        while !pool.is_idle() {
             assert!(since.elapsed().as_secs() < 10, "the pool never settled");
             std::thread::yield_now();
         }
-        pool.stats().olap_done
+        pool.completed()
     }
 
     /// The gate is looked at before every claim, not only when the walk
@@ -1115,7 +1115,7 @@ mod tests {
         h.maintain(mgr.gc_watermark()).unwrap();
         let mut cat = Catalog::new();
         cat.create("big", h).unwrap();
-        let pool = Arc::new(WorkerPool::new(2, 2));
+        let pool = Arc::new(WorkerPool::new(2));
         let sql = "SELECT COUNT(*), SUM(a) FROM big";
         let mut helped = |gate: Arc<dyn Fn() -> bool + Send + Sync>| {
             cat.set_helpers(Helpers {

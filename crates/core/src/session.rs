@@ -368,7 +368,7 @@ impl Session {
         let _running = Running::enter(self, class, cancel.clone());
         // Admission gate first (may queue the query), then the
         // per-query budget; the ticket is RAII and outlives execution.
-        let _ticket = self.db.admit(class)?;
+        let _ticket = self.db.admit(class, &cancel)?;
         f(&ExecContext {
             read_ts,
             me,
@@ -636,6 +636,56 @@ mod tests {
         assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
         assert!(s.cancel_token().is_none());
         assert!(s.activity().current().is_none());
+    }
+
+    /// A statement queued for an OLAP slot leaves the queue when its token
+    /// trips, not when the queue times out: its deadline passing is
+    /// `DeadlineExceeded`, its connection's cancel (a drain, a lost peer)
+    /// `Cancelled` — each well before the 5 s queue timeout.
+    #[test]
+    fn a_queued_statement_is_shed_when_its_token_trips() {
+        use oltap_sched::AdmissionConfig;
+        use std::time::{Duration, Instant};
+        let db = Database::with_config(crate::DbConfig {
+            admission: Some(AdmissionConfig {
+                max_olap: 1,
+                ..AdmissionConfig::default()
+            }),
+            ..crate::DbConfig::default()
+        })
+        .unwrap();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        let admission = db.admission().unwrap();
+        let held = admission.admit(WorkloadClass::Olap).unwrap();
+
+        let mut s = db.session();
+        s.set_query_timeout(Some(Duration::from_millis(50)));
+        let since = Instant::now();
+        let err = s.execute("SELECT SUM(v) FROM t").unwrap_err();
+        assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
+        assert!(since.elapsed() < Duration::from_millis(500), "{:?}", since.elapsed());
+        assert_eq!(admission.queue_depth(), 0);
+
+        s.set_query_timeout(None);
+        let connection = CancellationToken::new();
+        s.set_session_cancel(Some(connection.clone()));
+        let queued = std::thread::spawn(move || {
+            let since = Instant::now();
+            (s.execute("SELECT SUM(v) FROM t").map(drop), since.elapsed())
+        });
+        while admission.queue_depth() == 0 {
+            std::thread::yield_now();
+        }
+        connection.cancel();
+        let (got, waited) = queued.join().unwrap();
+        assert!(matches!(got, Err(DbError::Cancelled(_))), "{got:?}");
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+        assert_eq!(admission.queue_depth(), 0);
+        assert_eq!(admission.stats().olap_timeouts, 0);
+        drop(held);
+        assert_eq!(admission.running(), (0, 0));
+        assert_eq!(db.query("SELECT SUM(v) FROM t").unwrap(), vec![oltap_common::row![30i64]]);
     }
 
     /// DML finds its point-lookup key with the extractor SELECT's access

@@ -25,11 +25,6 @@ impl Partitioner {
         Ok(Partitioner { partitions })
     }
 
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions
-    }
-
     /// Partition owning `key`.
     pub fn partition_of(&self, key: &Row) -> PartitionId {
         let mut buf = Vec::with_capacity(16);

@@ -329,12 +329,6 @@ pub struct LossyTransport {
 }
 
 impl LossyTransport {
-    /// A transport with no faults armed — the production default; probes
-    /// cost one atomic load.
-    pub fn passthrough(network: Arc<Network>) -> Arc<LossyTransport> {
-        Self::new(network, FaultInjector::disabled())
-    }
-
     /// A transport consulting `faults` on every send.
     pub fn new(network: Arc<Network>, faults: Arc<FaultInjector>) -> Arc<LossyTransport> {
         Arc::new(LossyTransport {

@@ -325,7 +325,7 @@ type Folded = (Vec<Option<RunningGroups>>, Vec<Arc<Batch>>);
 /// units' rows once every morsel is in, then claimed and folded, each into
 /// a store of its own, which the threads hand in by stripe index.
 struct Walk {
-    crew: Crew<Folded>,
+    crew: Arc<Crew<Folded>>,
     source: Source,
     stages: Vec<StageSpec>,
     /// Segment morsels are folded from their encoded chunks (a fused
@@ -511,7 +511,7 @@ impl Walk {
 impl Job for Walk {
     type Shared = Folded;
 
-    fn crew(&self) -> &Crew<Self::Shared> {
+    fn crew(&self) -> &Arc<Crew<Self::Shared>> {
         &self.crew
     }
 
@@ -1019,12 +1019,9 @@ mod tests {
     use oltap_common::mem::{MemoryGovernor, WorkloadClass};
     use oltap_common::{row, DataType, Field, Schema};
 
-    /// A fanned-out pipeline aggregate's parked stage output is freed as
-    /// the walk closes — the budget granting every morsel or refusing one —
-    /// and its bytes are back in the budget by then: the one-pass retry
-    /// after a refusal runs with nothing parked.
-    #[test]
-    fn parked_output_is_freed_as_the_walk_closes() {
+    /// Forty 100-row batches of `(g, v)`, a stage keying them by an
+    /// expression (so the walk parks its output) and `SUM(v)` by that key.
+    fn grouped_input() -> (Vec<Batch>, StageSpec, Arc<AggregatorCore>) {
         let schema = Arc::new(Schema::new(vec![Field::new("g", DataType::Int64), Field::new("v", DataType::Int64)]));
         let rows: Vec<Row> = (0..4000i64).map(|i| row![i % 7, i]).collect();
         let batches: Vec<Batch> = rows.chunks(100).map(|c| Batch::from_rows(&schema, c).unwrap()).collect();
@@ -1032,6 +1029,16 @@ mod tests {
         let (stage, out) = StageSpec::project(&[key, (Expr::col(1), "v".into())], &schema).unwrap();
         let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")];
         let core = Arc::new(AggregatorCore::new(&out, vec![(Expr::col(0), "k".into())], aggs).unwrap());
+        (batches, stage, core)
+    }
+
+    /// A fanned-out pipeline aggregate's parked stage output is freed as
+    /// the walk closes — the budget granting every morsel or refusing one —
+    /// and its bytes are back in the budget by then: the one-pass retry
+    /// after a refusal runs with nothing parked.
+    #[test]
+    fn parked_output_is_freed_as_the_walk_closes() {
+        let (batches, stage, core) = grouped_input();
         for (limit, granted) in [(u64::MAX, true), (8 << 10, false)] {
             let budget = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX).budget(WorkloadClass::Olap, limit);
             let ctx = ctx_with(4, ExecResources::new(budget.clone(), None));
@@ -1053,5 +1060,35 @@ mod tests {
             assert!(parked.iter().all(|b| b.upgrade().is_none()), "limit {limit}: parked output freed");
             assert_eq!(walk.parked.load(Ordering::Relaxed), 0, "limit {limit}");
         }
+    }
+
+    /// A helper still queued when its statement answers holds the walk's
+    /// crew, not the walk: the statement's hold is the walk's last, so the
+    /// walk — and its share of the statement's budget — is gone when the
+    /// statement lets go of it, whenever the helper starts.
+    #[test]
+    fn a_queued_helper_does_not_keep_the_walk() {
+        let (batches, stage, core) = grouped_input();
+        let ctx = ctx_with(2, ExecResources::unlimited());
+        let source = Source::from(batches);
+        let (pool, helpers) = ctx.crew(&source).expect("forty morsels fan out");
+        // Every worker waits until `release` drops, so the helpers queue.
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let blocked = Arc::new(parking_lot::Mutex::new(blocked));
+        for _ in 0..pool.worker_count() {
+            let blocked = Arc::clone(&blocked);
+            pool.submit(move || {
+                let _ = blocked.lock().recv();
+            });
+        }
+        let first = RunningGroups::new(&core, &ctx.mem);
+        let walk = Arc::new(Walk::new(source, vec![stage], false, first, &ctx));
+        assert!(walk.fan_out(pool, helpers).unwrap().is_some());
+        assert_eq!(walk.crew.helped.load(Ordering::Relaxed), 0, "the statement's thread claimed all");
+        let gone = Arc::downgrade(&walk);
+        drop(walk);
+        assert!(gone.upgrade().is_none(), "a queued helper keeps the walk");
+        assert!(!pool.is_idle(), "the helpers are still queued");
+        drop(release);
     }
 }

@@ -56,7 +56,7 @@ use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
 use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{Batch, BitSet, CancellationToken, DataType, DbError, Field, Result, Row, Schema};
-use oltap_sched::{WorkerPool, WorkloadClass};
+use oltap_sched::WorkerPool;
 use oltap_storage::segment::{GroupSelector, PassChunks, Segment};
 use oltap_storage::ScanPredicate;
 use oltap_txn::Ts;
@@ -363,7 +363,7 @@ pub struct Helpers {
 /// it failed, what its threads have handed in, and how they wait for each
 /// other.
 pub(crate) struct Crew<T> {
-    /// [`Helpers::gate`]. (Never the pool: a helper may be a walk's last
+    /// [`Helpers::gate`]. (Never the pool: a helper may be a crew's last
     /// holder, and a pool cannot be dropped by its own worker.)
     gate: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
     /// Set by the first failure: nobody claims anything after it.
@@ -387,14 +387,14 @@ struct CrewState<T> {
 }
 
 impl<T: Default> Crew<T> {
-    pub(crate) fn new(helpers: &Helpers) -> Self {
-        Crew {
+    pub(crate) fn new(helpers: &Helpers) -> Arc<Self> {
+        Arc::new(Crew {
             gate: helpers.gate.clone(),
             abort: AtomicBool::default(),
             helped: AtomicUsize::default(),
             state: Mutex::default(),
             cv: Condvar::new(),
-        }
+        })
     }
 
     /// Records the walk's first failure and stops everyone.
@@ -446,7 +446,7 @@ pub(crate) trait Job: Send + Sync + 'static {
     /// What its threads hand in.
     type Shared: Default + Send;
     /// The claim loop's shared half.
-    fn crew(&self) -> &Crew<Self::Shared>;
+    fn crew(&self) -> &Arc<Crew<Self::Shared>>;
     /// One thread's share: claims until nothing is left it may claim.
     fn share(&self, helper: bool) -> Result<()>;
 }
@@ -467,9 +467,8 @@ pub(crate) fn caught<R>(share: impl FnOnce() -> Result<R>) -> Result<R> {
 /// handed in, or the first failure (what they handed in dropped with it).
 pub(crate) fn fan_out<J: Job>(pool: &WorkerPool, helpers: usize, job: &Arc<J>) -> Result<J::Shared> {
     for _ in 0..helpers {
-        let job = Arc::clone(job);
-        drop(pool.submit(WorkloadClass::Olap, move || {
-            let crew = job.crew();
+        let (crew, job) = (Arc::clone(job.crew()), Arc::downgrade(job));
+        pool.submit(move || {
             {
                 let mut state = crew.state.lock();
                 if state.closed {
@@ -477,12 +476,19 @@ pub(crate) fn fan_out<J: Job>(pool: &WorkerPool, helpers: usize, job: &Arc<J>) -
                 }
                 state.active += 1;
             }
-            if let Err(err) = caught(|| job.share(true)) {
-                crew.fail(err);
+            // The statement holds the job while a helper is inside, and a
+            // helper lets go of it before it leaves: the statement's hold is
+            // the last, so what the job holds (the statement's budget) is
+            // back when the statement answers, however late a queued helper
+            // starts.
+            if let Some(job) = job.upgrade() {
+                if let Err(err) = caught(|| job.share(true)) {
+                    crew.fail(err);
+                }
             }
             crew.state.lock().active -= 1;
             crew.cv.notify_all();
-        }));
+        });
     }
     let crew = job.crew();
     if let Err(err) = caught(|| job.share(false)) {
@@ -500,7 +506,7 @@ pub(crate) fn fan_out<J: Job>(pool: &WorkerPool, helpers: usize, job: &Arc<J>) -
 /// A pipeline into a row sink, fanned out: each thread folds what it
 /// claims into a sink state of its own and hands the finished state in.
 struct RowJob<S, R> {
-    crew: Crew<Vec<R>>,
+    crew: Arc<Crew<Vec<R>>>,
     source: Source,
     stages: Vec<StageSpec>,
     next: AtomicUsize,
@@ -517,7 +523,7 @@ type Consume<S> = dyn for<'b> Fn(&mut S, usize, Cow<'b, Batch>) -> Result<()> + 
 impl<S: 'static, R: Send + 'static> Job for RowJob<S, R> {
     type Shared = Vec<R>;
 
-    fn crew(&self) -> &Crew<Vec<R>> {
+    fn crew(&self) -> &Arc<Crew<Vec<R>>> {
         &self.crew
     }
 
@@ -826,7 +832,7 @@ pub(crate) mod tests {
     pub(crate) fn ctx_with(workers: usize, mem: ExecResources) -> ParallelContext {
         ParallelContext {
             helpers: Helpers {
-                pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers, workers))),
+                pool: (workers > 1).then(|| Arc::new(WorkerPool::new(workers))),
                 gate: None,
             },
             cancel: CancellationToken::none(),
@@ -987,15 +993,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// The OLAP tasks `pool` has finished, once none is queued or running:
-    /// a task answers its submitter a moment before the pool counts it.
+    /// The tasks `pool` has finished, once it is idle: a task hands its
+    /// work in a moment before the pool counts it.
     fn settled(pool: &WorkerPool) -> u64 {
         let since = std::time::Instant::now();
-        while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
+        while !pool.is_idle() {
             assert!(since.elapsed().as_secs() < 5, "the pool never settled");
             std::thread::yield_now();
         }
-        pool.stats().olap_done
+        pool.completed()
     }
 
     /// A morsel that panics costs the statement its answer, as a typed
@@ -1060,10 +1066,10 @@ pub(crate) mod tests {
             assert_eq!(rows_of(&walk(&c).unwrap()), rows_of(&want), "{tag}");
             let got = c.run_collect(bs.clone(), Vec::new()).unwrap();
             assert_eq!(count(&got), 2000, "{tag}");
-            // A worker hands its slot back just after its answer.
+            // A worker is counted idle just after it hands its work in.
             if let Some(pool) = &c.helpers.pool {
                 settled(pool);
-                assert_eq!(pool.running(), 0, "{tag}");
+                assert!(pool.is_idle(), "{tag}");
             }
         }
     }

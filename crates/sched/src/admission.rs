@@ -1,12 +1,10 @@
 //! Query-level admission control for mixed OLTP + OLAP workloads.
 //!
-//! The worker pool ([`crate::pool`]) already prioritizes *tasks*: OLTP
-//! morsels dispatch before queued OLAP morsels. That is not enough under
-//! overload — once a large analytic query is running, its morsels are in
-//! flight and transactional latency collapses anyway. The systems the
-//! tutorial surveys therefore gate at *query* granularity (HANA workload
-//! classes, DB2 WLM, Psaroudakis et al.): an analytic query must be
-//! **admitted** before it may execute at all.
+//! A large analytic query, once running, takes every core its morsels can
+//! reach, and transactional latency collapses. The systems the tutorial
+//! surveys therefore gate at *query* granularity (HANA workload classes,
+//! DB2 WLM, Psaroudakis et al.): an analytic query must be **admitted**
+//! before it may execute at all.
 //!
 //! The [`AdmissionController`] implements that gate:
 //!
@@ -22,6 +20,10 @@
 //!   no free slot waits on a condition variable; it only fails — with a
 //!   typed [`DbError::ResourceExhausted`] — if no slot frees within
 //!   [`AdmissionConfig::queue_timeout`].
+//! * **Expired work is shed while it queues.** A query admitted under its
+//!   statement's token ([`AdmissionController::admit_under`]) leaves the
+//!   queue as soon as the token trips: [`DbError::Cancelled`] for a cancel
+//!   (drain, peer loss), [`DbError::DeadlineExceeded`] for a deadline.
 //!
 //! Admission is RAII: [`AdmissionController::admit`] returns an
 //! [`AdmissionTicket`] whose `Drop` releases the slot and wakes waiters,
@@ -29,11 +31,14 @@
 //! a slot.
 
 use oltap_common::mem::WorkloadClass;
-use oltap_common::{DbError, Result};
+use oltap_common::{CancellationToken, DbError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long a queued OLAP query waits before it looks at its token again.
+const CANCEL_POLL: Duration = Duration::from_millis(10);
 
 /// Admission policy knobs.
 #[derive(Debug, Clone)]
@@ -59,7 +64,7 @@ impl Default for AdmissionConfig {
     }
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Gate {
     running_oltp: usize,
     running_olap: usize,
@@ -77,12 +82,14 @@ pub struct AdmissionStats {
     pub olap_queued: u64,
     /// OLAP admissions that timed out waiting for a slot.
     pub olap_timeouts: u64,
-    /// Admission decisions taken while the OLTP-pressure throttle was
-    /// engaged.
+    /// OLAP admissions decided — admitted, timed out or shed — while the
+    /// OLTP-pressure throttle was engaged; once each, however often the
+    /// query woke while it queued.
     pub throttled_decisions: u64,
 }
 
 /// The query-granularity admission gate (see module docs).
+#[derive(Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     gate: Mutex<Gate>,
@@ -92,17 +99,6 @@ pub struct AdmissionController {
     olap_queued: AtomicU64,
     olap_timeouts: AtomicU64,
     throttled_decisions: AtomicU64,
-}
-
-impl std::fmt::Debug for AdmissionController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.gate.lock();
-        f.debug_struct("AdmissionController")
-            .field("running_oltp", &g.running_oltp)
-            .field("running_olap", &g.running_olap)
-            .field("waiting_olap", &g.waiting_olap)
-            .finish()
-    }
 }
 
 impl AdmissionController {
@@ -120,59 +116,85 @@ impl AdmissionController {
         })
     }
 
+    /// True while OLTP pressure holds the OLAP cap at its throttled level.
+    fn throttled(&self, gate: &Gate) -> bool {
+        gate.running_oltp >= self.cfg.pressure_threshold
+    }
+
     /// The effective OLAP cap for the current OLTP pressure.
     fn olap_cap(&self, gate: &Gate) -> usize {
-        if gate.running_oltp >= self.cfg.pressure_threshold {
-            self.throttled_decisions.fetch_add(1, Ordering::Relaxed);
+        if self.throttled(gate) {
             self.cfg.throttled_olap
         } else {
             self.cfg.max_olap
         }
     }
 
-    /// Admits one query of `class`, blocking (up to the configured queue
-    /// timeout) when the OLAP cap is reached. OLTP never blocks.
+    /// Admits one query of `class` under a token that never trips: see
+    /// [`admit_under`](AdmissionController::admit_under).
     pub fn admit(self: &Arc<Self>, class: WorkloadClass) -> Result<AdmissionTicket> {
-        match class {
-            WorkloadClass::Oltp => {
-                self.gate.lock().running_oltp += 1;
-                self.oltp_admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(AdmissionTicket {
-                    ctrl: Arc::clone(self),
-                    class,
-                })
-            }
-            WorkloadClass::Olap => {
-                let deadline = Instant::now() + self.cfg.queue_timeout;
-                let mut gate = self.gate.lock();
-                let mut queued = false;
-                while gate.running_olap >= self.olap_cap(&gate) {
-                    if !queued {
-                        queued = true;
-                        self.olap_queued.fetch_add(1, Ordering::Relaxed);
-                    }
-                    gate.waiting_olap += 1;
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    let timed_out = self.cv.wait_for(&mut gate, remaining).timed_out();
-                    gate.waiting_olap -= 1;
-                    if timed_out && gate.running_olap >= self.olap_cap(&gate) {
-                        self.olap_timeouts.fetch_add(1, Ordering::Relaxed);
-                        let cap = self.olap_cap(&gate);
-                        return Err(DbError::ResourceExhausted {
-                            class: "olap-admission".to_string(),
-                            requested: 1,
-                            available: cap.saturating_sub(gate.running_olap) as u64,
-                        });
-                    }
-                }
-                gate.running_olap += 1;
-                self.olap_admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(AdmissionTicket {
-                    ctrl: Arc::clone(self),
-                    class,
-                })
-            }
+        self.admit_under(class, &CancellationToken::none())
+    }
+
+    /// Admits one query of `class`, blocking when the OLAP cap is reached
+    /// until a slot frees, the configured queue timeout passes
+    /// ([`DbError::ResourceExhausted`]) or `cancel` trips (its own error).
+    /// OLTP never blocks.
+    pub fn admit_under(
+        self: &Arc<Self>,
+        class: WorkloadClass,
+        cancel: &CancellationToken,
+    ) -> Result<AdmissionTicket> {
+        if class == WorkloadClass::Olap {
+            self.wait_for_olap_slot(cancel)?;
+        } else {
+            self.gate.lock().running_oltp += 1;
+            self.oltp_admitted.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(AdmissionTicket {
+            ctrl: Arc::clone(self),
+            class,
+        })
+    }
+
+    /// Takes an OLAP slot, queueing for one while the cap is reached.
+    fn wait_for_olap_slot(&self, cancel: &CancellationToken) -> Result<()> {
+        let deadline = Instant::now() + self.cfg.queue_timeout;
+        let mut gate = self.gate.lock();
+        let mut queued = false;
+        let decision = loop {
+            if gate.running_olap < self.olap_cap(&gate) {
+                break Ok(());
+            }
+            if !queued {
+                queued = true;
+                self.olap_queued.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Err(shed) = cancel.check() {
+                break Err(shed);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                self.olap_timeouts.fetch_add(1, Ordering::Relaxed);
+                break Err(DbError::ResourceExhausted {
+                    class: "olap-admission".to_string(),
+                    requested: 1,
+                    available: 0,
+                });
+            }
+            // A release wakes every waiter; a token trips without one, so
+            // look at it again every `CANCEL_POLL`.
+            gate.waiting_olap += 1;
+            let _ = self.cv.wait_for(&mut gate, (deadline - now).min(CANCEL_POLL));
+            gate.waiting_olap -= 1;
+        };
+        if self.throttled(&gate) {
+            self.throttled_decisions.fetch_add(1, Ordering::Relaxed);
+        }
+        decision?;
+        gate.running_olap += 1;
+        self.olap_admitted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// In-flight query counts (oltp, olap).
@@ -228,13 +250,6 @@ impl AdmissionController {
 pub struct AdmissionTicket {
     ctrl: Arc<AdmissionController>,
     class: WorkloadClass,
-}
-
-impl AdmissionTicket {
-    /// The class this ticket was admitted under.
-    pub fn class(&self) -> WorkloadClass {
-        self.class
-    }
 }
 
 impl Drop for AdmissionTicket {
@@ -338,5 +353,75 @@ mod tests {
         // Pressure gone after OLTP finishes + slot free: admitted again.
         drop(_t);
         ctrl.admit(WorkloadClass::Olap).unwrap();
+    }
+
+    /// Runs `admit_under(Olap, token)` on a thread while both of a
+    /// `quick_cfg` controller's slots are held; returns once it queues.
+    fn queued_admission(
+        ctrl: &Arc<AdmissionController>,
+        token: CancellationToken,
+    ) -> std::thread::JoinHandle<(Result<()>, Duration)> {
+        let ctrl2 = Arc::clone(ctrl);
+        let waiter = std::thread::spawn(move || {
+            let since = Instant::now();
+            let got = ctrl2.admit_under(WorkloadClass::Olap, &token).map(drop);
+            (got, since.elapsed())
+        });
+        while ctrl.queue_depth() == 0 {
+            std::thread::yield_now();
+        }
+        waiter
+    }
+
+    /// A queued query whose token trips leaves the queue at once with that
+    /// token's error — `Cancelled` for a cancel, `DeadlineExceeded` for a
+    /// deadline — long before the queue timeout, and counts no timeout.
+    #[test]
+    fn a_queued_query_leaves_when_its_token_trips() {
+        let ctrl = AdmissionController::new(AdmissionConfig {
+            queue_timeout: Duration::from_secs(5),
+            ..quick_cfg()
+        });
+        let _a = ctrl.admit(WorkloadClass::Olap).unwrap();
+        let _b = ctrl.admit(WorkloadClass::Olap).unwrap();
+        let cancelled = CancellationToken::new();
+        let waiter = queued_admission(&ctrl, cancelled.clone());
+        cancelled.cancel();
+        let (got, waited) = waiter.join().unwrap();
+        assert!(matches!(got, Err(DbError::Cancelled(_))), "{got:?}");
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+
+        let waiter = queued_admission(&ctrl, CancellationToken::with_timeout(Duration::from_millis(50)));
+        let (got, waited) = waiter.join().unwrap();
+        assert!(matches!(got, Err(DbError::DeadlineExceeded(_))), "{got:?}");
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+
+        assert_eq!(ctrl.queue_depth(), 0);
+        assert_eq!(ctrl.running(), (0, 2));
+        assert_eq!((ctrl.stats().olap_queued, ctrl.stats().olap_timeouts), (2, 0));
+    }
+
+    /// A query that queues under the throttle and wakes many times — every
+    /// release wakes it, and it looks at its token between — is one
+    /// throttled decision, as is the immediate admission before it.
+    #[test]
+    fn a_queued_query_is_one_throttled_decision() {
+        let ctrl = AdmissionController::new(AdmissionConfig {
+            queue_timeout: Duration::from_secs(5),
+            ..quick_cfg()
+        });
+        // Pressure threshold 1: one transaction in flight throttles to 1.
+        let _t = ctrl.admit(WorkloadClass::Oltp).unwrap();
+        let a = ctrl.admit(WorkloadClass::Olap).unwrap();
+        assert_eq!(ctrl.stats().throttled_decisions, 1);
+        let waiter = queued_admission(&ctrl, CancellationToken::new());
+        for _ in 0..20 {
+            drop(ctrl.admit(WorkloadClass::Oltp).unwrap());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(a);
+        waiter.join().unwrap().0.unwrap();
+        assert_eq!(ctrl.stats().throttled_decisions, 2);
+        assert_eq!(ctrl.stats().olap_queued, 1);
     }
 }

@@ -1,22 +1,18 @@
 //! # oltap-sched
 //!
-//! Workload management for mixed OLTP + OLAP workloads and simulated-NUMA
-//! placement — the tutorial's "workload management" and "NUMA-awareness"
-//! dimensions (§1, \[31, 32\]).
+//! Workload management for mixed OLTP + OLAP workloads — the tutorial's
+//! "workload management" dimension (§1, \[32\]).
 //!
-//! * [`pool`] — a class-aware worker pool: OLTP tasks preempt queued OLAP
-//!   work, an admission limit bounds concurrent analytics, and an adaptive
-//!   [`pool::WorkloadManager`] throttles OLAP when transactions queue.
 //! * [`admission`] — query-granularity admission control: OLTP always
 //!   admitted, OLAP capped (throttled harder under OLTP pressure) with
-//!   queue-with-timeout semantics instead of hard rejection.
-//! * [`numa`] — a simulated multi-socket topology with data/task placement
-//!   policies and a cost model charging local vs. remote memory accesses.
+//!   queue-with-timeout semantics instead of hard rejection, and queued
+//!   work shed as soon as its statement's token trips.
+//! * [`pool`] — the helper pool a statement's claim loop borrows threads
+//!   from: one FIFO queue, workers that survive a task's panic. Whether a
+//!   statement may borrow at all is the engine's OLTP-first helper gate.
 
 pub mod admission;
-pub mod numa;
 pub mod pool;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats, AdmissionTicket};
-pub use numa::{DataPlacement, NumaStats, NumaTopology, ScanTask, TaskPlacementPolicy};
-pub use pool::{PoolStats, WorkerPool, WorkloadClass, WorkloadManager};
+pub use pool::WorkerPool;

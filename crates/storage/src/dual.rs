@@ -135,11 +135,6 @@ impl DualFormatTable {
         &self.schema
     }
 
-    /// The underlying row store (OLTP access path).
-    pub fn row_store(&self) -> &RowStore {
-        &self.rows
-    }
-
     /// Unpruned journal length (freshness metric).
     pub fn journal_len(&self) -> usize {
         self.journal.read().len()

@@ -315,13 +315,6 @@ impl ForPacked {
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
-    /// The raw shifted code at `i` (`value - base` as unsigned). Predicate
-    /// evaluation compares in this code domain to skip per-row adds.
-    #[inline]
-    pub fn raw_code(&self, i: usize) -> u64 {
-        self.packed.get(i)
-    }
-
     /// The frame base (minimum value).
     pub fn base(&self) -> i64 {
         self.base

@@ -1118,11 +1118,6 @@ impl Segment {
         &self.zone_map
     }
 
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.schema.len()
-    }
-
     /// Number of row groups (one for a non-empty segment built without a
     /// pager, none for an empty segment).
     pub fn group_count(&self) -> usize {

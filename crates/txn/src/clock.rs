@@ -34,14 +34,6 @@ impl Clock {
         }
     }
 
-    /// A clock resuming from `ts` (used by WAL recovery so new commits
-    /// stamp after everything already replayed).
-    pub fn starting_at(ts: Ts) -> Self {
-        Clock {
-            now: AtomicU64::new(ts),
-        }
-    }
-
     /// Current timestamp (the latest issued commit timestamp).
     #[inline]
     pub fn now(&self) -> Ts {

@@ -89,11 +89,6 @@ impl Transaction {
         Ok(())
     }
 
-    /// Number of enlisted write-set entries (diagnostics).
-    pub fn write_set_len(&self) -> usize {
-        self.write_set.lock().len()
-    }
-
     /// Transitions `Active → Prepared` (the participant half of 2PC phase
     /// one): the write set is frozen and its pending versions stay pinned
     /// until [`Transaction::commit`] or [`Transaction::abort`] delivers

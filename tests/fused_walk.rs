@@ -121,15 +121,15 @@ const TWINS: [&str; 3] = [
     "SELECT s, SUM(f), COUNT(f) FROM t WHERE f + 0.0 > 0.5 GROUP BY s ORDER BY s",
 ];
 
-/// The OLAP tasks `pool` has finished, once none is queued or running: a
-/// task answers its submitter a moment before the pool counts it.
+/// The tasks `pool` has finished, once it is idle: a task hands its work in
+/// a moment before the pool counts it.
 fn settled(pool: &WorkerPool) -> u64 {
     let since = std::time::Instant::now();
-    while (pool.running(), pool.queue_lengths()) != (0, (0, 0)) {
+    while !pool.is_idle() {
         assert!(since.elapsed().as_secs() < 10, "the pool never settled");
         std::thread::yield_now();
     }
-    pool.stats().olap_done
+    pool.completed()
 }
 
 /// Held, paged (64-row pages), frozen and coalesced, at 1, 2 and 4 workers,
