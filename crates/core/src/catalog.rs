@@ -7,9 +7,13 @@
 //!   OLTP).
 //! * [`TableFormat::Column`] — delta + compressed columnar main with
 //!   background merge (HANA/BLU-style operational analytics). The default.
-//! * [`TableFormat::Dual`] — simultaneous row store + columnar image
-//!   (Oracle DBIM-style), with point reads routed to the row format and
-//!   scans to the columnar image.
+//! * [`TableFormat::Dual`] — a row store beside a delta + main columnar
+//!   side, both written by every statement (Oracle DBIM-style), with point
+//!   reads routed to the row format and scans to the columnar side.
+//!
+//! Column and dual tables have one columnar mechanism between them,
+//! [`TableHandle::columns`]: scans, maintenance, the merge trigger, the
+//! freeze pass, heat and the fused aggregate all go through it.
 
 use oltap_common::fault::FaultInjector;
 use oltap_common::hash::FxHashMap;
@@ -33,7 +37,7 @@ pub enum TableFormat {
     Row,
     /// Delta + columnar main.
     Column,
-    /// Dual format (row + columnar image).
+    /// Dual format (row store + delta + main columnar side).
     Dual,
 }
 
@@ -75,28 +79,38 @@ impl TableHandle {
     }
 
     /// Creates an empty table; when `pager` is set, columnar segments
-    /// (delta-main and dual image) are paged through its buffer pool. Row
-    /// stores ignore the pager — they are the OLTP working set. A column
-    /// table rings `bell` when its delta becomes worth merging.
+    /// (of a column table and of a dual table's columnar side) are paged
+    /// through its buffer pool. Row stores ignore the pager — they are the
+    /// OLTP working set. A columnar side rings `bell` when its delta
+    /// becomes worth merging.
     pub fn create_with(
         schema: SchemaRef,
         format: TableFormat,
         pager: Option<Arc<SegmentPager>>,
         bell: Option<Arc<MergeBell>>,
     ) -> Result<TableHandle> {
+        if format == TableFormat::Row {
+            return Ok(TableHandle::Row(Arc::new(RowStore::new(schema))));
+        }
+        let columns = DeltaMainTable::with_pager(schema, pager);
+        let columns = match bell {
+            Some(bell) => columns.with_bell(bell),
+            None => columns,
+        };
         Ok(match format {
-            TableFormat::Row => TableHandle::Row(Arc::new(RowStore::new(schema))),
-            TableFormat::Column => {
-                let table = DeltaMainTable::with_pager(schema, pager);
-                TableHandle::Column(Arc::new(match bell {
-                    Some(bell) => table.with_bell(bell),
-                    None => table,
-                }))
-            }
-            TableFormat::Dual => {
-                TableHandle::Dual(Arc::new(DualFormatTable::with_pager(schema, pager)?))
-            }
+            TableFormat::Dual => TableHandle::Dual(Arc::new(DualFormatTable::with_columns(columns)?)),
+            _ => TableHandle::Column(Arc::new(columns)),
         })
+    }
+
+    /// The table's columnar side: a column table itself, a dual table's
+    /// [`DualFormatTable::columns`]; `None` for a row table.
+    pub fn columns(&self) -> Option<&Arc<DeltaMainTable>> {
+        match self {
+            TableHandle::Row(_) => None,
+            TableHandle::Column(t) => Some(t),
+            TableHandle::Dual(t) => Some(t.columns()),
+        }
     }
 
     /// The table's format.
@@ -168,9 +182,8 @@ impl TableHandle {
     }
 
     /// The morsels of a snapshot scan with predicate pushdown, each format
-    /// by its best analytic access path: a column table's segments and
-    /// then its delta's rows, a dual table's columnar image (stale rows
-    /// hidden) and then its overlay, a row table's rows. Tail rows come in
+    /// by its best analytic access path: the columnar side's segments and
+    /// then its delta's rows, or a row table's rows. Tail rows come in
     /// batches of at most `batch_size`.
     pub fn source(
         &self,
@@ -182,11 +195,8 @@ impl TableHandle {
     ) -> Result<Source> {
         let (segments, tail) = match self {
             TableHandle::Row(t) => (Vec::new(), t.scan(projection, pred, read_ts, me, batch_size)?),
-            TableHandle::Column(t) => {
-                let (segments, delta) = t.fused_scan_parts(projection, pred, read_ts, me, batch_size)?;
-                (segments.into_iter().map(|s| (s, None)).collect(), delta)
-            }
-            TableHandle::Dual(t) => t.scan_parts(projection, pred, read_ts, me, batch_size)?,
+            TableHandle::Column(t) => t.fused_scan_parts(projection, pred, read_ts, me, batch_size)?,
+            TableHandle::Dual(t) => (t.columns()).fused_scan_parts(projection, pred, read_ts, me, batch_size)?,
         };
         Ok(Source::scan(segments, tail, pred, projection, (read_ts, me)))
     }
@@ -200,59 +210,50 @@ impl TableHandle {
         }
     }
 
-    /// Format-appropriate maintenance at `watermark`: merge (column),
-    /// populate (dual), GC (all). Returns a human-readable note.
+    /// Format-appropriate maintenance at `watermark`: the columnar side's
+    /// full pass (column, dual), row-store GC (row, dual). Returns a
+    /// human-readable note.
     pub fn maintain(&self, watermark: Ts) -> Result<String> {
         self.maintain_full(watermark, &FaultInjector::disabled())
     }
 
     /// Maintenance with the database's fault injector threaded through, so
-    /// chaos points inside the background passes fire. Column tables run
-    /// merge → coalesce → freeze → gc ([`DeltaMainTable::maintain`]) every
-    /// tick — which is also what re-evaluates segments an earlier pass
-    /// skipped for in-flight deletes once those deletes commit and the GC
-    /// watermark passes them.
+    /// chaos points inside the background passes fire. A columnar side
+    /// runs merge → coalesce → freeze → gc ([`DeltaMainTable::maintain`])
+    /// every tick — which is also what re-evaluates segments an earlier
+    /// pass skipped for in-flight deletes once those deletes commit and
+    /// the GC watermark passes them.
     pub fn maintain_full(&self, watermark: Ts, faults: &FaultInjector) -> Result<String> {
         Ok(match self {
-            TableHandle::Row(t) => {
-                let pruned = t.gc(watermark);
-                format!("gc pruned {pruned} versions")
-            }
+            TableHandle::Row(t) => format!("gc pruned {} versions", t.gc(watermark)),
             TableHandle::Column(t) => t.maintain(watermark, faults)?,
             TableHandle::Dual(t) => {
-                let n = t.populate(watermark)?;
-                let pruned = t.gc(watermark);
-                format!("populated {n} rows, gc pruned {pruned} versions")
+                let columns = t.columns().maintain(watermark, faults)?;
+                format!("{columns}; row store gc pruned {} versions", t.gc(watermark))
             }
         })
     }
 
-    /// Runs the cold-segment freeze pass (column tables only; `None` for
-    /// formats without frozen representations). `force` ignores heat.
+    /// Runs the cold-segment freeze pass over the columnar side (`None`
+    /// for a row table). `force` ignores heat.
     pub fn freeze(
         &self,
         watermark: Ts,
         faults: &FaultInjector,
         force: bool,
     ) -> Result<Option<FreezeStats>> {
-        match self {
-            TableHandle::Column(t) => t.freeze(watermark, faults, force).map(Some),
-            _ => Ok(None),
-        }
+        self.columns().map(|t| t.freeze(watermark, faults, force)).transpose()
     }
 
-    /// Heat / freeze counters (column tables only).
+    /// Heat / freeze counters of the columnar side.
     pub fn heat_stats(&self) -> Option<HeatStats> {
-        match self {
-            TableHandle::Column(t) => Some(t.heat_stats()),
-            _ => None,
-        }
+        self.columns().map(|t| t.heat_stats())
     }
 
-    /// Restores access heat persisted before a restart (column tables only;
-    /// other formats have no freeze pass and ignore the seed).
+    /// Restores access heat persisted before a restart (a row table has no
+    /// freeze pass and ignores the seed).
     pub fn seed_heat(&self, total: u64) {
-        if let TableHandle::Column(t) = self {
+        if let Some(t) = self.columns() {
             t.seed_heat(total);
         }
     }

@@ -55,11 +55,11 @@ impl MemoryConfig {
 
 /// Buffer-pool configuration for larger-than-memory column stores.
 ///
-/// When set, columnar segments built by merges, compactions, bulk loads,
-/// and dual-format population are written to checksummed page files and
-/// faulted back in page-at-a-time through a clock-evicted buffer pool,
-/// instead of being held fully resident. Only zone maps, schemas, delete
-/// stamps, and page directories stay in memory.
+/// When set, columnar segments built by merges (of column tables and of
+/// dual tables' columnar sides), compactions and bulk loads are written
+/// to checksummed page files and faulted back in page-at-a-time through a
+/// clock-evicted buffer pool, instead of being held fully resident. Only
+/// zone maps, schemas, delete stamps, and page directories stay in memory.
 #[derive(Debug, Clone)]
 pub struct BufferConfig {
     /// Buffer-pool capacity in bytes. When [`DbConfig::memory`] is also
@@ -134,7 +134,7 @@ pub struct Database {
     /// open so a restart does not zero the hot/cold state and let the
     /// freeze pass immediately re-freeze the working set.
     heat_path: Option<PathBuf>,
-    /// Rung by a column table whose delta a scan has found worth merging;
+    /// Rung by a columnar table whose delta a scan has found worth merging;
     /// the maintenance daemon waits on it between its passes.
     bell: Arc<MergeBell>,
     /// Plans by statement shape (see [`crate::prepared`]).
@@ -611,7 +611,8 @@ impl Database {
     }
 
     /// Runs one maintenance pass over every table at the current GC
-    /// watermark: delta merges, dual-format population, version GC.
+    /// watermark: delta merges, coalesces and freezes (column tables and
+    /// dual tables' columnar sides), version GC.
     pub fn maintenance(&self) -> MaintenanceStats {
         // Chaos point: a merge pass that dies mid-flight. The background
         // daemon must survive this (see `start_maintenance`).
@@ -638,7 +639,7 @@ impl Database {
         MaintenanceStats { watermark, notes }
     }
 
-    /// The merge trigger's pass: merges every column table whose delta a
+    /// The merge trigger's pass: merges every columnar table whose delta a
     /// scan has found worth merging since its last merge (see
     /// `oltap_storage::delta`), at the current GC watermark, raising the
     /// history floor as [`maintenance`](Self::maintenance) does. Returns
@@ -650,7 +651,7 @@ impl Database {
         let catalog = self.catalog.read();
         let mut merged = Vec::new();
         for (name, handle) in catalog.handles() {
-            if let TableHandle::Column(t) = handle {
+            if let Some(t) = handle.columns() {
                 if let Ok(Some(stats)) = t.merge_if_due(watermark) {
                     merged.push((name.clone(), stats));
                 }
@@ -725,7 +726,7 @@ impl Database {
         self.history_floor.load(Ordering::SeqCst)
     }
 
-    /// Forces the freeze pass over every column table at the current GC
+    /// Forces the freeze pass over every columnar table at the current GC
     /// watermark, ignoring heat (tests and benchmarks; the background
     /// daemon freezes only cold segments).
     pub fn freeze_all(&self, force: bool) -> Result<FreezeStats> {
@@ -743,7 +744,7 @@ impl Database {
 
     /// Storage-engine counters: buffer-pool hits/misses (when a pool is
     /// configured) plus hot/cold heat and freeze statistics aggregated
-    /// over every column table.
+    /// over every columnar table.
     pub fn stats(&self) -> DbStats {
         let mut heat = HeatStats::default();
         for (_, handle) in self.catalog.read().handles() {
@@ -765,7 +766,7 @@ impl Database {
 
     /// Spawns a background maintenance thread: a full pass
     /// ([`maintenance`](Self::maintenance)) every `interval`, and between
-    /// passes, whenever a column table rings the merge bell, the trigger's
+    /// passes, whenever a columnar table rings the merge bell, the trigger's
     /// merge of the tables that are due ([`merge_due`](Self::merge_due)).
     /// The thread waits on the bell, not in a sleep, so dropping the
     /// daemon wakes it at once.
@@ -828,7 +829,7 @@ impl Database {
 pub struct DbStats {
     /// Buffer-pool counters; `None` when no pool is configured.
     pub buffer: Option<BufferStats>,
-    /// Heat / freeze counters aggregated over all column tables.
+    /// Heat / freeze counters aggregated over all columnar tables.
     pub heat: HeatStats,
     /// Oldest timestamp `AS OF` reads may target.
     pub history_floor: Ts,
@@ -1566,6 +1567,69 @@ mod tests {
             Value::Int(10)
         );
         s.execute("ROLLBACK").unwrap();
+    }
+
+    /// The segment ids of `name`'s columnar side, in scan order.
+    fn segment_ids(db: &Database, name: &str) -> Vec<oltap_common::ids::SegmentId> {
+        let handle = db.table(name).unwrap();
+        let columns = handle.columns().unwrap();
+        let all = oltap_storage::ScanPredicate::all();
+        let now = db.txn_manager().now();
+        let nobody = oltap_common::ids::TxnId(u64::MAX);
+        let (segments, _) = columns.fused_scan_parts(&[], &all, now, nobody, 1024).unwrap();
+        segments.iter().map(|s| s.id()).collect()
+    }
+
+    /// A DUAL table loaded as two merges settles like a column table:
+    /// coalesced, then frozen once nobody has scanned it for two ticks —
+    /// and from then on a tick rebuilds nothing: ten more leave its
+    /// segments, ids and all, as they were.
+    #[test]
+    fn an_unchanged_dual_table_keeps_its_segments_across_ticks() {
+        let db = Database::new();
+        db.execute("CREATE TABLE d (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT DUAL")
+            .unwrap();
+        let t = db.table("d").unwrap();
+        for load in 0..2i64 {
+            let tx = db.txn_manager().begin();
+            for id in load * 10_000..(load + 1) * 10_000 {
+                t.insert(&tx, Row::new(vec![Value::Int(id), Value::Int(id % 11)])).unwrap();
+            }
+            tx.commit().unwrap();
+            db.maintenance();
+        }
+        let want = db.query("SELECT v, COUNT(*) FROM d GROUP BY v ORDER BY v").unwrap();
+        let mut ticks = 0;
+        while db.stats().heat.frozen_segments == 0 {
+            ticks += 1;
+            assert!(ticks <= 4, "never froze: {:?}", db.maintenance().notes);
+            db.maintenance();
+        }
+        let settled = segment_ids(&db, "d");
+        assert_eq!(settled.len(), 1, "{settled:?}");
+        for tick in 0..10 {
+            db.maintenance();
+            assert_eq!(segment_ids(&db, "d"), settled, "tick {tick}");
+        }
+        assert_eq!(db.query("SELECT v, COUNT(*) FROM d GROUP BY v ORDER BY v").unwrap(), want);
+    }
+
+    /// `freeze_all` reaches a DUAL table's columnar side, and the frozen
+    /// segments answer as the unfrozen ones did.
+    #[test]
+    fn freeze_all_freezes_a_dual_tables_segments() {
+        let db = Database::new();
+        db.execute("CREATE TABLE d (id BIGINT PRIMARY KEY, grp BIGINT, v BIGINT) USING FORMAT DUAL")
+            .unwrap();
+        let vals: Vec<String> = (0..1000).map(|id| format!("({id}, {}, {id})", id % 5)).collect();
+        db.execute(&format!("INSERT INTO d VALUES {}", vals.join(", "))).unwrap();
+        db.maintenance();
+        let before = db.query("SELECT grp, SUM(v) FROM d GROUP BY grp ORDER BY grp").unwrap();
+        let stats = db.freeze_all(true).unwrap();
+        assert_eq!(stats.segments_frozen, 1, "{stats:?}");
+        assert_eq!(db.stats().heat.frozen_segments, 1);
+        assert_eq!(db.query("SELECT grp, SUM(v) FROM d GROUP BY grp ORDER BY grp").unwrap(), before);
+        assert_eq!(db.query("SELECT v FROM d WHERE id = 321").unwrap()[0][0], Value::Int(321));
     }
 
     #[test]

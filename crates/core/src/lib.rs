@@ -11,8 +11,9 @@
 //!   analytic queries, planned by `oltap-sql` once per statement shape
 //!   ([`prepared`]) and run on `oltap-exec` morsel pipelines ([`physical`]);
 //! * write-ahead logging and recovery ([`Database::open`]);
-//! * background [`Database::maintenance`] (delta merge, dual-format
-//!   population, MVCC garbage collection) and an optional
+//! * background [`Database::maintenance`] (delta merge — a dual-format
+//!   table's columnar side's too — coalescing, freezing, MVCC garbage
+//!   collection) and an optional
 //!   [`MaintenanceDaemon`] thread.
 
 pub mod catalog;

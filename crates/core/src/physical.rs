@@ -365,7 +365,8 @@ impl<'a> Lowering<'a> {
     }
 
     /// Attempts the fused operate-on-compressed path for an
-    /// `Aggregate(Scan)` plan over a delta-main table: group keys and
+    /// `Aggregate(Scan)` plan over a delta-main table (a COLUMN table, or a
+    /// DUAL table's columnar side — [`TableHandle::columns`]): group keys and
     /// aggregate inputs are read straight from the encoded segments, then
     /// the delta's rows, in stripes (see `oltap_exec::fused`) — on the
     /// catalog's [helpers](Catalog::helpers) too when the segments are held
@@ -399,7 +400,7 @@ impl<'a> Lowering<'a> {
             return Ok(None);
         }
         let handle = self.catalog.get(table)?;
-        if !matches!(handle, TableHandle::Column(_)) {
+        if handle.columns().is_none() {
             return Ok(None);
         }
         let input_schema = input.output_schema()?;
@@ -938,6 +939,56 @@ mod tests {
             .unwrap_or_else(|| panic!("`{sql}` did not fuse"));
         let rows = fused.groups.finish()?.iter().flat_map(|b| b.to_rows()).collect();
         Ok((rows, (fused.dense, fused.scalar)))
+    }
+
+    /// A DUAL table's aggregate fuses over its columnar side — merged
+    /// segments with rows stamped deleted, and a delta of updated and new
+    /// rows — and answers the bits of a COLUMN table given the same writes,
+    /// by the same paths.
+    #[test]
+    fn a_dual_table_fuses_like_its_column_twin() {
+        let db = Database::new();
+        for (table, format) in [("col", "COLUMN"), ("hybrid", "DUAL")] {
+            db.execute(&format!(
+                "CREATE TABLE {table} (k BIGINT PRIMARY KEY, q BIGINT, a DOUBLE) USING FORMAT {format}"
+            ))
+            .unwrap();
+        }
+        let tables = ["col", "hybrid"].map(|t| db.table(t).unwrap());
+        let amount = |k: i64| (k * 37 % 1009) as f64 * 0.1 * 10f64.powi((k % 5) as i32 * 3 - 3);
+        let write = |f: &dyn Fn(&TableHandle, &oltap_txn::Transaction)| {
+            let tx = db.txn_manager().begin();
+            for t in &tables {
+                f(t, &tx);
+            }
+            tx.commit().unwrap();
+        };
+        write(&|t, tx| {
+            for k in 0..40_000i64 {
+                t.insert(tx, row![k, k % 7, amount(k)]).unwrap();
+            }
+        });
+        db.maintenance();
+        write(&|t, tx| {
+            for k in (0..40_000i64).step_by(13) {
+                t.update(tx, &row![k], row![k, k % 5, amount(k + 1)]).unwrap();
+            }
+            for k in (5..40_000i64).step_by(101) {
+                t.delete(tx, &row![k]).unwrap();
+            }
+            for k in 40_000..41_000i64 {
+                t.insert(tx, row![k, k % 7, amount(k)]).unwrap();
+            }
+        });
+        for sql in [
+            "SELECT q, COUNT(*), SUM(a), AVG(a), MIN(a) FROM {t} GROUP BY q",
+            "SELECT COUNT(*), SUM(a), MAX(q) FROM {t} WHERE q <> 3",
+        ] {
+            let (col, col_paths) = fused_node(&db, &sql.replace("{t}", "col"));
+            let (hybrid, hybrid_paths) = fused_node(&db, &sql.replace("{t}", "hybrid"));
+            assert_eq!(format!("{hybrid:?}"), format!("{col:?}"), "{sql}");
+            assert_eq!(hybrid_paths, col_paths, "{sql}");
+        }
     }
 
     /// A fused aggregate looks at its statement's token while it scans, on

@@ -171,8 +171,6 @@ pub struct ProbeStage {
 /// A morsel's index is its position in that list.
 pub struct Source {
     pub(crate) segments: Vec<Arc<Segment>>,
-    /// Per segment, rows the scan must not see (a dual table's stale keys).
-    hidden: Vec<Option<BitSet>>,
     pred: ScanPredicate,
     pub(crate) projection: Vec<usize>,
     read_ts: Ts,
@@ -183,17 +181,17 @@ pub struct Source {
 
 impl Source {
     /// A scan's morsels at snapshot (`read_ts`, `me`): those of `segments`,
-    /// each beside the rows to hide from it, then `tail` — batches already
-    /// in `projection`'s order, such as the delta's visible rows.
+    /// then `tail` — batches already in `projection`'s order, such as the
+    /// delta's visible rows.
     pub fn scan(
-        segments: Vec<(Arc<Segment>, Option<BitSet>)>,
+        segments: Vec<Arc<Segment>>,
         tail: Vec<Batch>,
         pred: &ScanPredicate,
         projection: &[usize],
         (read_ts, me): (Ts, TxnId),
     ) -> Source {
         let mut morsels = Vec::new();
-        for (s, (seg, _)) in segments.iter().enumerate() {
+        for (s, seg) in segments.iter().enumerate() {
             let step = if seg.is_paged() { usize::MAX } else { MORSEL_ROWS };
             for g in 0..seg.group_count() {
                 let rows = seg.group_bounds(g).1;
@@ -202,10 +200,8 @@ impl Source {
                 }
             }
         }
-        let (segments, hidden) = segments.into_iter().unzip();
         Source {
             segments,
-            hidden,
             pred: pred.clone(),
             projection: projection.to_vec(),
             read_ts,
@@ -283,10 +279,7 @@ impl<'w> Reader<'w> {
     pub(crate) fn pass(&mut self, s: usize) -> Result<Option<&(GroupSelector<'w>, PassChunks<'w>)>> {
         let src = self.src;
         if self.passes[s].is_none() {
-            let mut selector = src.segments[s].selector(&src.pred, src.read_ts, src.me)?;
-            if let (Some(selector), Some(rows)) = (&mut selector, &src.hidden[s]) {
-                selector.hide(rows.clone());
-            }
+            let selector = src.segments[s].selector(&src.pred, src.read_ts, src.me)?;
             self.passes[s] = Some(selector.map(|selector| {
                 let chunks = selector.chunks();
                 (selector, chunks)
@@ -1024,7 +1017,7 @@ pub(crate) mod tests {
             AggregatorCore::new(&schema, vec![(Expr::col(1), "v".into())], vec![AggExpr::count_star("n")]).unwrap(),
         );
         let walk = |c: &ParallelContext| {
-            let source = Source::scan(vec![(Arc::clone(&seg), None)], Vec::new(), &ScanPredicate::all(), &[0, 1], (1, TxnId(7)));
+            let source = Source::scan(vec![Arc::clone(&seg)], Vec::new(), &ScanPredicate::all(), &[0, 1], (1, TxnId(7)));
             fused_aggregate(&core, source, c).map(|f| f.unwrap().groups.finish().unwrap())
         };
         // The statement's own thread claims every morsel: the gate shuts

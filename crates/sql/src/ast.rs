@@ -155,7 +155,7 @@ pub enum FormatOpt {
     /// Delta + columnar main (the default; pure analytics-friendly).
     #[default]
     Column,
-    /// Dual format (row + columnar image).
+    /// Dual format (row store + delta + columnar main).
     Dual,
 }
 

@@ -145,17 +145,19 @@ impl MergeBell {
     }
 }
 
-/// Write-set adapter finalizing a transaction's delete stamps in a segment.
+/// Write-set adapter finalizing a transaction's delete stamp on one
+/// segment row.
 struct SegmentDeleteEntry {
     segment: Arc<Segment>,
+    offset: u32,
 }
 
 impl WriteSetEntry for SegmentDeleteEntry {
     fn commit(&self, txn: TxnId, commit_ts: Ts) {
-        self.segment.commit_deletes(txn, commit_ts);
+        self.segment.commit_delete(self.offset, txn, commit_ts);
     }
     fn abort(&self, txn: TxnId) {
-        self.segment.abort_deletes(txn);
+        self.segment.abort_delete(self.offset, txn);
     }
 }
 
@@ -686,6 +688,7 @@ impl DeltaMainTable {
                 Ok(()) => {
                     txn.enlist(Arc::new(SegmentDeleteEntry {
                         segment: Arc::clone(seg),
+                        offset: off,
                     }))?;
                     return Ok(());
                 }

@@ -10,9 +10,9 @@
 //!   style), with predicate evaluation over compressed codes.
 //! * [`delta`] — the delta + main architecture with an MVCC-safe merge
 //!   (differential files / LSM lineage, §4).
-//! * [`dual`] — dual-format tables keeping a row store and a columnar
-//!   image simultaneously consistent via an invalidation journal
-//!   (Oracle Database In-Memory style, §3).
+//! * [`dual`] — dual-format tables: a row store beside a delta + main
+//!   columnar side, both written by every statement (Oracle Database
+//!   In-Memory style, §3).
 //! * [`predicate`] — pushed-down scan predicates shared by all formats.
 //! * [`spill`] — length-framed spill files under per-query scratch dirs,
 //!   the disk half of the executor's memory-bounded operators.
@@ -35,7 +35,7 @@ pub mod zonemap;
 
 pub use buffer::{BufferManager, BufferStats, PageGuard, PageKey, ScanPass, SegmentPager};
 pub use delta::{DeltaMainTable, FreezeStats, HeatStats, MergeBell, MergeStats, TableSizes};
-pub use dual::{DualFormatTable, ScanParts};
+pub use dual::DualFormatTable;
 pub use pagefile::{purge_page_root, PageFile, PageFileWriter};
 pub use predicate::{CmpOp, ColumnPredicate, JoinFilter, ScanPredicate};
 pub use rowstore::RowStore;

@@ -115,41 +115,6 @@ impl RowStore {
         Ok(())
     }
 
-    /// Bulk-loads `row` as already-committed data stamped at `ts`
-    /// (bypasses transactions; used by loaders, merge, and recovery).
-    pub fn load_committed(&self, row: Row, ts: Ts) -> Result<()> {
-        self.schema.check_row(&row)?;
-        let key = self.key_for_insert(&row);
-        match self.index.get(&key) {
-            Some(chain) => {
-                if chain.has_committed_live() {
-                    return Err(DbError::DuplicateKey(format!("{key}")));
-                }
-                // Re-insert under a synthetic bootstrap txn then commit.
-                let boot = TxnId(u64::MAX);
-                chain.insert(row, boot, ts)?;
-                chain.commit(boot, ts);
-                Ok(())
-            }
-            None => {
-                match self.index.insert(key, Arc::new(VersionChain::with_committed(row.clone(), ts))) {
-                    Ok(_) => Ok(()),
-                    Err(existing) => {
-                        // Raced with another loader on the same key.
-                        if existing.has_committed_live() {
-                            Err(DbError::DuplicateKey("concurrent load".into()))
-                        } else {
-                            let boot = TxnId(u64::MAX);
-                            existing.insert(row, boot, ts)?;
-                            existing.commit(boot, ts);
-                            Ok(())
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     fn chain_for(&self, key: Row) -> Arc<VersionChain<Row>> {
         if let Some(chain) = self.index.get(&key) {
             return Arc::clone(chain);
@@ -229,8 +194,7 @@ impl RowStore {
     }
 
     /// [`scan`](Self::scan) for a table that has already validated `pred`
-    /// against this schema (the delta of a [`crate::DeltaMainTable`], the
-    /// row side of a [`crate::DualFormatTable`]).
+    /// against this schema (the delta of a [`crate::DeltaMainTable`]).
     ///
     /// Projection-first: each visible version is borrowed in place under
     /// its chain's lock, the pushdown reads the borrowed row, and only the
@@ -642,17 +606,6 @@ mod tests {
             let unread = rs.scan(&[0, 1], &ScanPredicate::all(), cts, NOBODY, batch_size);
             assert_eq!(unread.unwrap().iter().map(Batch::len).sum::<usize>(), 6);
         }
-    }
-
-    #[test]
-    fn load_committed_bypasses_txns() {
-        let (mgr, rs) = store();
-        rs.load_committed(row![1i64, "bulk", 0i64], 0).unwrap();
-        assert!(rs.get(&row![1i64], mgr.now(), NOBODY).is_some());
-        assert!(matches!(
-            rs.load_committed(row![1i64, "dup", 0i64], 0),
-            Err(DbError::DuplicateKey(_))
-        ));
     }
 
     #[test]

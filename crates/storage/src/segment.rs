@@ -1298,6 +1298,43 @@ impl Segment {
         self.deletes.write().stamps.insert(offset, stamp);
     }
 
+    /// Commit hook of the delete `me` stamped on `offset`: finalizes that
+    /// stamp at `cts` without walking the segment's other stamps — and,
+    /// if a rewrite has retired this segment since, every stamp `me` left
+    /// pending in the segment that took its rows over
+    /// ([`commit_deletes`](Self::commit_deletes)).
+    pub fn commit_delete(&self, offset: u32, me: TxnId, cts: Ts) {
+        let successor = {
+            let mut deletes = self.deletes.write();
+            if let Some(stamp) = deletes.stamps.get_mut(&offset) {
+                if *stamp == Stamp::Pending(me) {
+                    *stamp = Stamp::Committed(cts);
+                }
+            }
+            deletes.successor.clone()
+        };
+        if let Some(next) = successor {
+            next.commit_deletes(me, cts);
+        }
+    }
+
+    /// Abort hook of the delete `me` stamped on `offset`: the stamp goes,
+    /// and so, if a rewrite has retired this segment since, does every
+    /// stamp `me` left pending in its successor
+    /// ([`abort_deletes`](Self::abort_deletes)).
+    pub fn abort_delete(&self, offset: u32, me: TxnId) {
+        let successor = {
+            let mut deletes = self.deletes.write();
+            if deletes.stamps.get(&offset) == Some(&Stamp::Pending(me)) {
+                deletes.stamps.remove(&offset);
+            }
+            deletes.successor.clone()
+        };
+        if let Some(next) = successor {
+            next.abort_deletes(me);
+        }
+    }
+
     /// Commit hook: finalizes `me`'s pending delete stamps at `cts` — here,
     /// and in the segment that took this one's rows over, if a rewrite has
     /// retired it since the stamps were set.
@@ -1553,15 +1590,6 @@ impl<'a> GroupSelector<'a> {
     /// aggregates or projects, beside the ones `select_group` filters.
     pub fn chunks(&self) -> PassChunks<'a> {
         self.chunks.clone()
-    }
-
-    /// Hides `rows` (one bit per segment row) from this pass as if the
-    /// snapshot saw them deleted — a dual-format table's stale keys.
-    pub fn hide(&mut self, rows: BitSet) {
-        match &mut self.deleted {
-            Some(deleted) => deleted.union_with(&rows),
-            None => self.deleted = Some(rows),
-        }
     }
 
     /// Runs the pass: batches of at most `batch_size` rows of the projected

@@ -297,15 +297,6 @@ impl<T: Clone> VersionChain<T> {
         self.versions.read().len()
     }
 
-    /// Whether a committed live version exists (ignores snapshots; used by
-    /// merge and integrity checks).
-    pub fn has_committed_live(&self) -> bool {
-        self.versions
-            .read()
-            .iter()
-            .any(|v| matches!(v.begin, Stamp::Committed(_)) && v.end == Stamp::Infinity)
-    }
-
     /// Merge hook: if the latest version is committed at or before
     /// `watermark` and still live, close it at `watermark` and return its
     /// payload. The caller is responsible for re-publishing the row in the
@@ -419,7 +410,6 @@ mod tests {
         c.commit(T1, 11);
         assert_eq!(c.read(10, T2), Some(1)); // old snapshot
         assert_eq!(c.read(11, T2), None); // new snapshot
-        assert!(!c.has_committed_live());
     }
 
     #[test]

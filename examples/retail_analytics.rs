@@ -4,9 +4,10 @@
 //! time".
 //!
 //! Uses a DUAL-format table (Oracle DBIM style): event ingest and point
-//! lookups ride the row store; the trend queries ride the columnar image,
-//! reconciled with the invalidation journal so results are consistent with
-//! the very latest committed events.
+//! lookups ride the row store; the trend queries ride the columnar side —
+//! merged segments plus the delta of rows since the last merge — which
+//! every write updates beside the row store, so results are consistent
+//! with the very latest committed events.
 //!
 //! ```bash
 //! cargo run --release --example retail_analytics
@@ -22,27 +23,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut gen = RetailGen::new(100, 7);
     let handle = db.table("retail_events")?;
 
-    // Phase 1: historical backlog, then populate the columnar image.
+    // Phase 1: historical backlog, then merge it into columnar segments.
     let backlog = gen.batch(50_000);
     let txn = db.txn_manager().begin();
     for r in &backlog {
         handle.insert(&txn, r.clone())?;
     }
     txn.commit()?;
-    db.maintenance(); // populates the dual table's columnar image
-    println!("loaded {} historical events; columnar image populated", backlog.len());
+    db.maintenance(); // merges the dual table's columnar side
+    println!("loaded {} historical events; columnar side merged", backlog.len());
 
-    // Phase 2: live events keep arriving (journal accumulates).
+    // Phase 2: live events keep arriving (they sit in the columnar delta).
     let live = gen.batch(5_000);
     let txn = db.txn_manager().begin();
     for r in &live {
         handle.insert(&txn, r.clone())?;
     }
     txn.commit()?;
-    println!("+{} live events since population\n", live.len());
+    println!("+{} live events since the merge\n", live.len());
 
     // Trend board: top products by recent mention volume — served by the
-    // columnar image + journal overlay, consistent with all commits.
+    // columnar segments + delta, consistent with all commits.
     println!("top products by mentions (live-consistent):");
     for r in db.query(
         "SELECT product, SUM(mentions) AS buzz, SUM(purchases) AS sold
@@ -76,11 +77,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Freshness bookkeeping of the dual format.
     if let oltapdb::core::TableHandle::Dual(d) = db.table("retail_events")? {
+        let sizes = d.columns().sizes();
         println!(
-            "\ndual-format state: image_ts={} journal_len={} segments={}",
-            d.image_ts(),
-            d.journal_len(),
-            d.segment_count()
+            "\ncolumnar side: {} segments, {} main rows ({} dead), {} delta keys",
+            sizes.segments, sizes.main_rows, sizes.main_dead_rows, sizes.delta_rows
         );
     }
     Ok(())

@@ -1678,7 +1678,8 @@ fn chaos_kernel_fallback_mid_query_never_changes_results() {
 }
 
 /// Scenario 18b — statements fanned out over the pool, cut short or
-/// faulted: the fused walk over held segments, and pipelines — a sort, a
+/// faulted: the fused walk over held segments (of a COLUMN table and of a
+/// DUAL table's columnar side), and pipelines — a sort, a
 /// top-K, a join and an expression-key aggregate — over COLUMN, DUAL and
 /// ROW tables. Deadlines from 0 to 3 ms land anywhere in a walk,
 /// `exec.morsel_fail` fails it always or retries at p = 0.3,
@@ -1725,7 +1726,8 @@ fn chaos_parallel_fused_walk_leaves_nothing_behind() {
     let admission = db.admission().unwrap();
     let baseline = gov.total_used();
     let fused = "SELECT g, COUNT(*), SUM(f), AVG(f) FROM big GROUP BY g ORDER BY g";
-    let mut statements = vec![fused.to_string()];
+    let fused_image = "SELECT g, COUNT(*), SUM(f), AVG(f) FROM image GROUP BY g ORDER BY g";
+    let mut statements = vec![fused.to_string(), fused_image.to_string()];
     for t in ["big", "image", "rowstore"] {
         statements.extend([
             format!("SELECT id, f FROM {t} WHERE g < 3 ORDER BY f, id"),
@@ -1766,7 +1768,7 @@ fn chaos_parallel_fused_walk_leaves_nothing_behind() {
         assert!(matches!(err, DbError::FaultInjected(_)), "{sql}: {err}");
         left_nothing(&format!("morsel_fail always: {sql}"));
         faults.arm(points::EXEC_MORSEL_FAIL, FaultPoint::with_probability(0.3));
-        let rounds = if sql == fused { 5 } else { 2 };
+        let rounds = if sql == fused || sql == fused_image { 5 } else { 2 };
         for round in 0..rounds {
             let rows = s.execute(sql).unwrap();
             assert_eq!(rows.rows(), &want[..], "morsel_fail p=0.3 round {round}: {sql} (seed={seed:#x})");
@@ -1784,9 +1786,11 @@ fn chaos_parallel_fused_walk_leaves_nothing_behind() {
 
     faults.arm(points::EXEC_KERNEL_FALLBACK, FaultPoint::with_probability(0.4));
     for round in 0..5 {
-        let rows = s.execute(fused).unwrap();
-        assert_eq!(rows.rows(), &want[0][..], "kernel_fallback round {round} (seed={seed:#x})");
-        left_nothing("kernel_fallback p=0.4");
+        for (sql, want) in [fused, fused_image].iter().zip(&want) {
+            let rows = s.execute(sql).unwrap();
+            assert_eq!(rows.rows(), &want[..], "kernel_fallback round {round}: {sql} (seed={seed:#x})");
+            left_nothing("kernel_fallback p=0.4");
+        }
     }
     faults.disarm(points::EXEC_KERNEL_FALLBACK);
     assert!(faults.fired_count() > 0, "no fault fired — vacuous (seed={seed:#x})");

@@ -6,7 +6,7 @@
 
 use oltapdb::common::fault::{points, FaultInjector, FaultPoint};
 use oltapdb::common::{Row, Value};
-use oltapdb::core::{BufferConfig, Database, DbConfig, TableHandle};
+use oltapdb::core::{BufferConfig, Database, DbConfig};
 use oltapdb::sched::WorkerPool;
 use std::sync::Arc;
 
@@ -54,11 +54,12 @@ enum Storage {
     Coalesced,
 }
 
-/// The table, loaded: a segment of [`FIRST`] rows, one of [`SECOND`] rows
-/// with every 97th deleted, and [`FRESH`] committed rows in the delta —
-/// more than four stripes. The database's fault injector is returned for
+/// The table, loaded in `format` (`COLUMN`, or `DUAL`, whose columnar
+/// side holds the same): a segment of [`FIRST`] rows, one of [`SECOND`]
+/// rows with every 97th deleted, and [`FRESH`] committed rows in the delta
+/// — more than four stripes. The database's fault injector is returned for
 /// the caller to arm.
-fn load(storage: Storage) -> (Arc<Database>, Arc<FaultInjector>) {
+fn load(format: &str, storage: Storage) -> (Arc<Database>, Arc<FaultInjector>) {
     let faults = FaultInjector::new(0x35);
     let buffer = (storage == Storage::Paged).then_some(BufferConfig {
         pool_bytes: u64::MAX,
@@ -71,12 +72,12 @@ fn load(storage: Storage) -> (Arc<Database>, Arc<FaultInjector>) {
         ..DbConfig::default()
     })
     .unwrap();
-    db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, g BIGINT, s TEXT, v BIGINT, f DOUBLE) USING FORMAT COLUMN")
-        .unwrap();
+    db.execute(&format!(
+        "CREATE TABLE t (id BIGINT PRIMARY KEY, g BIGINT, s TEXT, v BIGINT, f DOUBLE) USING FORMAT {format}"
+    ))
+    .unwrap();
     let handle = db.table("t").unwrap();
-    let TableHandle::Column(t) = &handle else {
-        panic!("a column table");
-    };
+    let t = handle.columns().expect("a columnar table");
     let insert = |ids: std::ops::Range<i64>| {
         let txn = db.txn_manager().begin();
         for i in ids {
@@ -132,9 +133,9 @@ fn settled(pool: &WorkerPool) -> u64 {
     pool.completed()
 }
 
-/// Held, paged (64-row pages), frozen and coalesced, at 1, 2 and 4 workers,
-/// with `exec.kernel_fallback` at 0, 0.4 and 1: every answer is the same
-/// bits, and those are the model's. Beside the walk, another transaction
+/// COLUMN and DUAL; held, paged (64-row pages), frozen and coalesced; at 1,
+/// 2 and 4 workers, with `exec.kernel_fallback` at 0, 0.4 and 1: every
+/// answer is the same bits, and those are the model's. Beside the walk, another transaction
 /// holds pending deletes in both segments and a bystander a pending insert
 /// — neither visible, neither in the way. On held segments the pool's
 /// helpers did run: the statement's pool tasks outnumber the paged walk's,
@@ -147,8 +148,10 @@ fn fused_walk_is_worker_count_independent() {
     // Pool tasks a statement caused on the paged table, by (statement,
     // workers): the pipelines' alone.
     let mut pipeline_tasks = std::collections::HashMap::new();
-    for storage in [Storage::Paged, Storage::Held, Storage::Frozen, Storage::Coalesced] {
-        let (db, faults) = load(storage);
+    for (format, storage) in ["COLUMN", "DUAL"].into_iter().flat_map(|format| {
+        [Storage::Paged, Storage::Held, Storage::Frozen, Storage::Coalesced].map(|storage| (format, storage))
+    }) {
+        let (db, faults) = load(format, storage);
         let handle = db.table("t").unwrap();
         let deleter = db.txn_manager().begin();
         for i in (100..150).chain(40_000..40_100).filter(|i| i % 97 != 5) {
@@ -171,7 +174,7 @@ fn fused_walk_is_worker_count_independent() {
                         let answer = db.query(sql).unwrap();
                         let tasks = done(&db) - before;
                         if workers > 1 {
-                            let tag = format!("{storage:?} {sql} workers={workers}");
+                            let tag = format!("{format} {storage:?} {sql} workers={workers}");
                             match storage {
                                 Storage::Paged => {
                                     pipeline_tasks.insert((q, workers), tasks);
@@ -184,7 +187,7 @@ fn fused_walk_is_worker_count_independent() {
                     .collect();
                 if p == 0.0 {
                     for ((twin, sql), answer) in TWINS.iter().zip(STATEMENTS).zip(&answers) {
-                        let tag = format!("{storage:?} workers={workers}: {twin}");
+                        let tag = format!("{format} {storage:?} workers={workers}: {twin}");
                         let before = db.worker_pool().map_or(0, |pool| settled(&pool));
                         let got = db.query(twin).unwrap();
                         let tasks = db.worker_pool().map_or(0, |pool| settled(&pool)) - before;
@@ -195,7 +198,7 @@ fn fused_walk_is_worker_count_independent() {
                         }
                     }
                 }
-                let tag = format!("{storage:?} workers={workers} fallback={p}");
+                let tag = format!("{format} {storage:?} workers={workers} fallback={p}");
                 match &want {
                     None => {
                         for (sql, answer) in STATEMENTS.iter().zip(&answers) {
@@ -212,7 +215,7 @@ fn fused_walk_is_worker_count_independent() {
             }
             faults.disarm(points::EXEC_KERNEL_FALLBACK);
         }
-        assert!(faults.fired_count() > 0, "{storage:?}: the scalar path never ran");
+        assert!(faults.fired_count() > 0, "{format} {storage:?}: the scalar path never ran");
         deleter.abort().unwrap();
         drop(bystander);
     }
