@@ -26,7 +26,7 @@ use oltap_core::TableHandle;
 use oltap_storage::{DeltaMainTable, ScanPredicate};
 use oltap_txn::Ts;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
@@ -217,6 +217,8 @@ struct ClockInner {
     cv: Condvar,
     stop: AtomicBool,
     read_ts: Mutex<Ts>,
+    /// Rows the sweeper has passed its attached queries, all revolutions.
+    swept: AtomicU64,
 }
 
 /// The live clock-scan service.
@@ -240,6 +242,7 @@ impl ClockScan {
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
             read_ts: Mutex::new(read_ts),
+            swept: AtomicU64::new(0),
         });
         let sweeper_inner = Arc::clone(&inner);
         let sweeper = std::thread::Builder::new()
@@ -261,18 +264,37 @@ impl ClockScan {
     /// Attaches a query; the returned receiver yields the result after at
     /// most one full revolution.
     pub fn submit(&self, query: ScanQuery) -> mpsc::Receiver<ScanQueryResult> {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut state = self.inner.state.lock();
-            state.pending.push(ActiveQuery {
-                query,
-                remaining: 0,
-                acc: ScanQueryResult::default(),
-                tx,
-            });
-        }
+        self.submit_all([query]).pop().expect("one query, one receiver")
+    }
+
+    /// Attaches queries together: the sweeper admits them at one cursor,
+    /// so one revolution answers them all. A receiver a query, in order.
+    pub fn submit_all(
+        &self,
+        queries: impl IntoIterator<Item = ScanQuery>,
+    ) -> Vec<mpsc::Receiver<ScanQueryResult>> {
+        let mut state = self.inner.state.lock();
+        let receivers = (queries.into_iter())
+            .map(|query| {
+                let (tx, rx) = mpsc::channel();
+                state.pending.push(ActiveQuery {
+                    query,
+                    remaining: 0,
+                    acc: ScanQueryResult::default(),
+                    tx,
+                });
+                rx
+            })
+            .collect();
+        drop(state);
         self.inner.cv.notify_all();
-        rx
+        receivers
+    }
+
+    /// Rows swept so far: one batch's rows each time the cursor passes it
+    /// to the attached queries, however many are attached.
+    pub fn rows_swept(&self) -> u64 {
+        self.inner.swept.load(Ordering::Relaxed)
     }
 
     /// Convenience: submit and wait.
@@ -346,6 +368,7 @@ fn sweep_loop(inner: Arc<ClockInner>) {
         };
 
         if let Some((batch, _pos)) = work {
+            inner.swept.fetch_add(batch.len() as u64, Ordering::Relaxed);
             let mut state = inner.state.lock();
             let mut finished = Vec::new();
             for (idx, q) in state.active.iter_mut().enumerate() {
@@ -437,6 +460,17 @@ mod tests {
             let r = h.join().unwrap();
             assert_eq!(r.count, 300, "bucket {b}");
         }
+    }
+
+    #[test]
+    fn queries_submitted_together_share_one_revolution() {
+        let (mgr, t) = table(50_000);
+        let clock = ClockScan::start(Arc::clone(&t), mgr.now());
+        let answers = clock.submit_all((0..10).map(bucket_query));
+        for rx in answers {
+            assert_eq!(rx.recv().unwrap().count, 5_000);
+        }
+        assert_eq!(clock.rows_swept(), 50_000);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Shared utilities for the experiment harness binaries: timing, table
-//! rendering, scale selection, and the one [`Report`] every experiment that
-//! records numbers writes and gates through.
+//! Shared utilities for the experiment binaries: timing, table rendering,
+//! scale selection, and the one [`Report`] every experiment writes and
+//! gates through.
 
 use std::path::Path;
 use std::time::Instant;
@@ -268,7 +268,9 @@ impl Report {
     /// Judges this run against a recorded one and returns what failed: a
     /// gated metric below [`GATE_FRACTION`] of its baseline (or not a
     /// number), a gated baseline cell this run did not produce, a gated cell
-    /// the baseline does not hold. Ungated cells are not looked at.
+    /// the baseline does not hold, and a gated baseline cell that is not a
+    /// finite number above zero — its floor is one nothing falls below.
+    /// Ungated cells are not looked at.
     pub fn gate(&self, baseline: &Report) -> Vec<String> {
         let mut failures = Vec::new();
         if baseline.experiment != self.experiment {
@@ -284,7 +286,10 @@ impl Report {
             let verdict = match current {
                 None => "MISSING",
                 // NaN on either side compares false.
-                Some(c) if c.metric >= floor => "ok",
+                Some(c) if c.metric >= floor && base.metric.is_finite() && base.metric > 0.0 => {
+                    "ok"
+                }
+                Some(c) if c.metric >= floor => "CANNOT FAIL",
                 Some(_) => "REGRESSED",
             };
             if verdict != "ok" {

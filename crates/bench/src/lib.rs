@@ -8,14 +8,14 @@
 //! * [`workloads`] — the paper's two motivating streams
 //!   (machine telemetry, social-retail surges).
 //! * [`baselines`] — comparison implementations only the experiments
-//!   use, kept out of the engine crates (E8's shared scan; E3 / E18 /
-//!   E19's naive and SWAR packed scans; E11's tuple walk and f64 VM).
-//! * [`numa`] — E9's simulated NUMA topology, placement policies and
-//!   cost model.
-//! * [`harness`] — timing/table utilities shared by the sixteen `e01..e19`
-//!   harness binaries (`cargo run -p oltap-bench --release --bin e01_...`),
-//!   and [`harness::Report`]: the one file shape (`results/BENCH_*.json`)
-//!   and the one `--gate` of the experiments that record a number.
+//!   use, kept out of the engine crates (E8's shared scan; E18 / E19's
+//!   naive and SWAR packed scans; E11's tuple walk and f64 VM).
+//! * [`numa`] — a simulated NUMA topology, placement policies and cost
+//!   model: E9's claim, held by the root's `tests/numa_model.rs`.
+//! * [`harness`] — timing/table utilities shared by the nine experiment
+//!   binaries (`cargo run -p oltap-bench --release --bin e02_...`), and
+//!   [`harness::Report`]: the one file shape (`results/BENCH_*.json`) and
+//!   the one `--gate` every experiment ends in.
 //!
 //! End-to-end measurement is not here: it is the `benchmark/` workspace.
 

@@ -1,7 +1,8 @@
 //! E9's cost model: a simulated NUMA topology, data placement, and
-//! locality-aware task placement (`e09_numa` prints its matrix; its tests
-//! are the root's `tests/numa_model.rs`, so a plain `cargo test` at the
-//! root runs them). The engine places nothing by socket.
+//! locality-aware task placement. The model is deterministic, so E9's
+//! claims are tests, not a timed experiment: the root's
+//! `tests/numa_model.rs`, which a plain `cargo test` at the root runs. The
+//! engine places nothing by socket.
 //!
 //! The tutorial lists NUMA-awareness among the advanced query-processing
 //! topics every scale-up operational analytics system must address (§1;

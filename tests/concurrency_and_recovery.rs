@@ -3,8 +3,9 @@
 
 use oltapdb::common::{DbError, Value};
 use oltapdb::core::Database;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 #[test]
 fn concurrent_transfer_storm_conserves_total() {
@@ -228,4 +229,79 @@ fn sessions_are_isolated_from_each_other() {
         db.query("SELECT COUNT(*) FROM t").unwrap()[0][0],
         Value::Int(2)
     );
+}
+
+/// MVCC snapshots under a write storm (tutorial §4, HyPer): one analytic
+/// transaction scans again and again while writer threads commit updates
+/// under it, and a writer holds uncommitted versions of half the rows it
+/// scans. Every scan sums what the first did, and none waits on a writer:
+/// the holder never commits while the reader runs, so a scan that waited
+/// would wait forever.
+#[test]
+fn analytic_scans_are_stable_and_unblocked_under_writer_threads() {
+    const ROWS: i64 = 2_000;
+    for format in ["ROW", "COLUMN", "DUAL"] {
+        let db = Database::new();
+        db.execute(&format!(
+            "CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT {format}"
+        ))
+        .unwrap();
+        let values: Vec<String> = (0..ROWS).map(|i| format!("({i}, 1)")).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            .unwrap();
+        // Merged, so the writers stamp main rows as well as delta versions.
+        db.maintenance();
+        let mut holder = db.session();
+        holder.execute("BEGIN").unwrap();
+        holder
+            .execute(&format!("UPDATE t SET v = v + 1000 WHERE id >= {}", ROWS / 2))
+            .unwrap();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let committed = Arc::new(AtomicU64::new(0));
+        let writers: Vec<_> = (0..3)
+            .map(|w| {
+                let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+                let committed = Arc::clone(&committed);
+                std::thread::spawn(move || {
+                    // The lower half only; two writers on one key may
+                    // conflict, and the loser's update is rolled back.
+                    let mut i = w;
+                    while !stop.load(Ordering::Relaxed) {
+                        let sql = format!("UPDATE t SET v = v + 1 WHERE id = {}", i % (ROWS / 2));
+                        if db.execute(&sql).is_ok() {
+                            committed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        i += 3;
+                    }
+                })
+            })
+            .collect();
+
+        let (tx, rx) = mpsc::channel();
+        let (reader_db, reader_committed) = (Arc::clone(&db), Arc::clone(&committed));
+        std::thread::spawn(move || {
+            let mut reader = reader_db.session();
+            reader.execute("BEGIN").unwrap();
+            let mut sum = || reader.execute("SELECT SUM(v) FROM t").unwrap().rows()[0][0].clone();
+            let mut sums = vec![sum()];
+            let floor = reader_committed.load(Ordering::Relaxed) + 200;
+            while sums.len() < 10 || reader_committed.load(Ordering::Relaxed) < floor {
+                sums.push(sum());
+            }
+            reader.execute("COMMIT").unwrap();
+            tx.send(sums).unwrap();
+        });
+        let sums = rx.recv_timeout(Duration::from_secs(120));
+        stop.store(true, Ordering::Relaxed);
+        for w in writers {
+            w.join().unwrap();
+        }
+        let sums = sums.unwrap_or_else(|_| panic!("{format}: a scan waited on a writer"));
+        holder.execute("ROLLBACK").unwrap();
+
+        assert!(sums.iter().all(|s| *s == sums[0]), "{format}: {sums:?}");
+        let total = ROWS + committed.load(Ordering::Relaxed) as i64;
+        assert_eq!(db.query("SELECT SUM(v) FROM t").unwrap()[0][0], Value::Int(total), "{format}");
+    }
 }

@@ -103,6 +103,29 @@ fn a_number_that_is_not_one_fails() {
 }
 
 #[test]
+fn a_baseline_nothing_can_fall_below_fails() {
+    // A floor of 0.8 × 0 (or of a negative number) holds every run: such a
+    // gated cell gates nothing, so it is a failure, not a pass. An infinite
+    // baseline's floor holds none.
+    for (base, verdict) in [
+        (0.0, "CANNOT FAIL"),
+        (-3.0, "CANNOT FAIL"),
+        (f64::INFINITY, "REGRESSED"),
+    ] {
+        let failures = run(5.0, 1000.0).gate(&run(base, 1000.0));
+        assert_eq!(failures, [format!("ratio: {verdict}")], "baseline {base}");
+    }
+    // ... from disk too; an ungated cell of 0 is only a record.
+    let path = scratch("zero");
+    run(0.0, 0.0).write_or_gate(&path, false).unwrap();
+    let err = run(5.0, 0.0).write_or_gate(&path, true).unwrap_err();
+    assert!(err.contains("ratio: CANNOT FAIL"), "{err}");
+    run(5.0, 1000.0).write_or_gate(&path, false).unwrap();
+    assert!(run(5.0, 0.0).write_or_gate(&path, true).is_ok());
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn a_gated_cell_on_one_side_only_fails() {
     let baseline = run(10.0, 1000.0);
     // The baseline gates a cell this run did not produce.
@@ -194,7 +217,6 @@ fn every_checked_in_baseline_parses_whole_and_gates_something() {
     assert_eq!(cells("BENCH_coldstore.json"), Some(("e19_coldstore", 5)));
     assert_eq!(cells("BENCH_dist.json"), Some(("e10_scaleout", 1)));
     assert_eq!(cells("BENCH_join.json"), Some(("e14_join", 3)));
-    assert_eq!(seen.len(), 4, "{seen:?}");
 
     // Spot values of the two baselines this PR must not have touched.
     let kernels =
@@ -211,4 +233,40 @@ fn every_checked_in_baseline_parses_whole_and_gates_something() {
         cold.cells[2].detail[0],
         ("bytes_before".to_string(), 661_367.0)
     );
+}
+
+/// Every experiment binary ends in one `Report` with a baseline: each
+/// `crates/bench/src/bin/*.rs` is the `experiment` of exactly one
+/// `results/BENCH_*.json`, that file gates at least one cell, and no file
+/// belongs to a binary that is gone.
+#[test]
+fn every_experiment_binary_gates_through_exactly_one_baseline() {
+    let bins = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let mut binaries: Vec<String> = std::fs::read_dir(bins)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    binaries.sort();
+    let mut baselines: Vec<(String, String, bool)> = std::fs::read_dir(results(""))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .map(|name| {
+            let report = Report::parse(&std::fs::read_to_string(results(&name)).unwrap())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let gates = report.cells.iter().any(|c| c.gated);
+            (report.experiment, name, gates)
+        })
+        .collect();
+    baselines.sort();
+    for bin in &binaries {
+        let files: Vec<_> = baselines.iter().filter(|b| &b.0 == bin).collect();
+        assert_eq!(files.len(), 1, "{bin} records into {files:?}");
+        assert!(files[0].2, "{} gates nothing", files[0].1);
+    }
+    for (experiment, name, _) in &baselines {
+        assert!(binaries.contains(experiment), "{name} is of `{experiment}`, no binary");
+    }
 }
