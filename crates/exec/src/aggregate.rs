@@ -2,7 +2,7 @@
 
 use crate::expr::Expr;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, ColumnVector, DataType, DbError, Field, Result, Row, Schema};
+use oltap_common::{Batch, ColumnVector, DataType, DbError, Field, Result, Schema};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -112,7 +112,6 @@ pub struct AggregatorCore {
     /// The expression of each slot; `None` when slots are input ordinals.
     slot_exprs: Option<Vec<Expr>>,
     schema: SchemaRef,
-    batch_size: usize,
 }
 
 impl AggregatorCore {
@@ -159,7 +158,6 @@ impl AggregatorCore {
             agg_slots,
             slot_exprs: (!bare).then_some(exprs),
             schema: Arc::new(Schema::new(fields)),
-            batch_size: 4096,
         })
     }
 
@@ -198,14 +196,6 @@ impl AggregatorCore {
             Some(exprs) => Cow::Owned(Expr::eval_all(exprs, batch)?),
         })
     }
-
-    /// Chunks finished output rows (group key, then one value per
-    /// aggregate, in key order) into batches.
-    pub(crate) fn batches(&self, rows: &[Row]) -> Result<Vec<Batch>> {
-        rows.chunks(self.batch_size)
-            .map(|c| Batch::from_rows(&self.schema, c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +203,7 @@ mod tests {
     use super::*;
     use crate::expr::BinOp;
     use crate::pipeline::tests::{ctx, rows_of};
-    use oltap_common::{row, Value};
+    use oltap_common::{row, Row, Value};
 
     fn source() -> (SchemaRef, Vec<Batch>) {
         let schema = Arc::new(Schema::new(vec![

@@ -35,7 +35,8 @@
 use crate::aggregate::{AggFunc, AggregatorCore};
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
-use oltap_common::{Batch, ColumnVector, DataType, DbError, Result, Row, Value};
+use oltap_common::vector::BATCH_SIZE;
+use oltap_common::{Batch, BitSet, ColumnVector, DataType, DbError, Result, Row, Value};
 use oltap_storage::spill::SpillWriter;
 use oltap_txn::wal::{decode_row, encode_row};
 use std::cmp::{max_by, min_by};
@@ -44,6 +45,9 @@ use std::sync::Arc;
 
 /// "No group resolved yet" in a slot table.
 pub(crate) const UNRESOLVED: u32 = u32::MAX;
+
+/// Groups whose bytes a store reserves from the budget at a time.
+const GROUP_CHUNK: u64 = 64;
 
 /// Number of spill partitions. Matches the join's radix fan-out, so a
 /// frozen store replays ~1/16 of its spilled rows at a time.
@@ -80,6 +84,8 @@ pub struct RunningGroups {
     /// has been reserved so far (handed back on drop).
     group_bytes: u64,
     reserved: u64,
+    /// Of `reserved`, what no group has taken yet.
+    credit: u64,
     /// The governor's refusal of a group. It stands for every later unseen
     /// key too: a key must never be part resident, part spilled.
     refusal: Option<DbError>,
@@ -257,6 +263,7 @@ impl RunningGroups {
             mem: mem.clone(),
             group_bytes: group_bytes as u64,
             reserved: 0,
+            credit: 0,
             refusal: None,
             sealed: false,
             writers: Vec::new(),
@@ -296,17 +303,32 @@ impl RunningGroups {
             .ok_or_else(|| DbError::Execution("more than 2^32 groups".into()))?;
         if self.mem.is_limited() {
             let bytes = self.group_bytes + key_bytes as u64;
-            if self.sealed {
-                self.mem.budget.reserve_forced(bytes);
-            } else {
-                if self.refusal.is_none() {
-                    self.refusal = self.mem.budget.try_reserve(bytes).err();
-                }
-                if let Some(refusal) = &self.refusal {
-                    return Err(refusal.clone());
+            if self.credit < bytes {
+                let need = bytes - self.credit;
+                let budget = &self.mem.budget;
+                let got = if self.sealed {
+                    budget.reserve_forced(need);
+                    Ok(need)
+                } else if let Some(refusal) = &self.refusal {
+                    Err(refusal.clone())
+                } else {
+                    // A chunk of groups at a time; refused, just this one,
+                    // so the store is refused exactly when it does not fit.
+                    let chunk = need.max(GROUP_CHUNK * self.group_bytes);
+                    budget
+                        .try_reserve(chunk)
+                        .map(|()| chunk)
+                        .or_else(|_| budget.try_reserve(need).map(|()| need))
+                };
+                match got {
+                    Ok(got) => {
+                        self.credit += got;
+                        self.reserved += got;
+                    }
+                    Err(refusal) => return Err(self.refusal.insert(refusal).clone()),
                 }
             }
-            self.reserved += bytes;
+            self.credit -= bytes;
         }
         self.rows.push(0);
         for acc in &mut self.accs {
@@ -537,62 +559,147 @@ impl RunningGroups {
     }
 
     /// Seals, then finishes: one row per group in key order (NULL first),
-    /// chunked into batches; a global aggregate over no rows answers with
-    /// its one empty group.
+    /// chunked into batches of [`BATCH_SIZE`] rows; a global aggregate over
+    /// no rows answers with its one empty group. Every column is gathered
+    /// straight off the keys, `rows` and `accs` in that order — no group
+    /// becomes a [`Row`].
     pub fn finish(mut self) -> Result<Vec<Batch>> {
         self.seal()?;
         if self.rows.is_empty() && self.group_cols.is_empty() {
             self.group_of(Row::new(Vec::new()))?;
         }
-        let finished = |key: &[Value], gi: usize| {
-            let mut vals = Vec::with_capacity(key.len() + self.outputs.len());
-            vals.extend_from_slice(key);
-            let inputs = |nulls: usize| match &self.accs[nulls].state {
-                AccState::Nulls(n) => self.rows[gi] - n[gi],
-                _ => 0,
-            };
-            vals.extend(self.outputs.iter().map(|out| match *out {
-                Output::Rows => Value::Int(self.rows[gi]),
-                Output::Count { nulls } => Value::Int(inputs(nulls)),
-                Output::Value { nulls, .. } | Output::Avg { nulls, .. } if inputs(nulls) == 0 => {
-                    Value::Null
-                }
-                Output::Value { acc, .. } => match &self.accs[acc].state {
-                    AccState::SumI(v) | AccState::MinI(v) | AccState::MaxI(v) => Value::Int(v[gi]),
-                    AccState::SumF(v) | AccState::MinF(v) | AccState::MaxF(v) => {
-                        Value::Float(v[gi])
-                    }
-                    AccState::MinV(v) | AccState::MaxV(v) => v[gi].clone().unwrap_or(Value::Null),
-                    AccState::Nulls(_) => Value::Null,
-                },
-                Output::Avg { sum, nulls } => match &self.accs[sum].state {
-                    AccState::SumF(v) => Value::Float(v[gi] / inputs(nulls) as f64),
-                    _ => Value::Null,
-                },
-            }));
-            Row::new(vals)
-        };
-        // Key order, NULL first: integer keys are ordered before any row
-        // is built, others as the rows they lead (keys are distinct, so
-        // ordering whole rows orders by key).
-        let rows: Vec<Row> = match &self.keys {
-            Keys::Int { of, .. } => {
-                let mut order: Vec<usize> = (0..of.len()).collect();
-                order.sort_unstable_by_key(|&gi| of[gi]);
-                let key = |gi: usize| [of[gi].map_or(Value::Null, Value::Int)];
-                order.into_iter().map(|gi| finished(&key(gi), gi)).collect()
+        let schema = self.core.schema();
+        let (key_types, out_types) = schema.fields().split_at(self.group_cols.len());
+        // Under a row key, the keys in key order beside `order`.
+        let mut row_keys: Vec<&Row> = Vec::new();
+        let order: Vec<u32> = match &self.keys {
+            // The slots are in key order already; the keys outside them —
+            // the NULL key first — go round them in theirs.
+            Keys::Int {
+                lo, slots, index, ..
+            } => {
+                let mut outside: Vec<(Option<i64>, u32)> =
+                    index.iter().map(|(&key, &gi)| (key, gi)).collect();
+                outside.sort_unstable();
+                let below = outside.partition_point(|&(key, _)| key.is_none_or(|k| k < *lo));
+                let (below, above) = outside.split_at(below);
+                let slotted = slots.iter().copied().filter(|&gi| gi != UNRESOLVED);
+                let gi = |&(_, gi): &(Option<i64>, u32)| gi;
+                below.iter().map(gi).chain(slotted).chain(above.iter().map(gi)).collect()
             }
+            // Keys are distinct, so ordering by key orders whole rows.
             Keys::Rows(by_key) => {
-                let mut rows: Vec<Row> = by_key
-                    .iter()
-                    .map(|(key, &gi)| finished(key.values(), gi as usize))
-                    .collect();
-                rows.sort();
-                rows
+                let mut sorted: Vec<(&Row, u32)> = by_key.iter().map(|(key, &gi)| (key, gi)).collect();
+                sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                row_keys = sorted.iter().map(|&(key, _)| key).collect();
+                sorted.into_iter().map(|(_, gi)| gi).collect()
             }
         };
-        self.core.batches(&rows)
+        (0..order.len())
+            .step_by(BATCH_SIZE)
+            .map(|at| {
+                let chunk = at..order.len().min(at + BATCH_SIZE);
+                let groups = &order[chunk.clone()];
+                let mut cols = Vec::with_capacity(schema.len());
+                match &self.keys {
+                    Keys::Int { of, .. } => {
+                        cols.push(ints(groups.iter().map(|&gi| of[gi as usize])))
+                    }
+                    Keys::Rows(_) => {
+                        for (c, field) in key_types.iter().enumerate() {
+                            let key = row_keys[chunk.clone()].iter().map(|row| &row[c]);
+                            cols.push(values(field.data_type, key)?);
+                        }
+                    }
+                }
+                for (out, field) in self.outputs.iter().zip(out_types) {
+                    cols.push(self.output_column(out, field.data_type, groups)?);
+                }
+                Batch::new(cols)
+            })
+            .collect()
     }
+
+    /// One aggregate's answers for `groups`, in that order.
+    fn output_column(&self, out: &Output, data_type: DataType, groups: &[u32]) -> Result<ColumnVector> {
+        // A group's non-NULL inputs, `nulls` the accumulator of their NULLs.
+        let inputs = |nulls: usize, gi: usize| match &self.accs[nulls].state {
+            AccState::Nulls(n) => self.rows[gi] - n[gi],
+            _ => 0,
+        };
+        let each = groups.iter().map(|&gi| gi as usize);
+        let (acc, nulls) = match *out {
+            Output::Rows => return Ok(ints(each.map(|gi| Some(self.rows[gi])))),
+            Output::Count { nulls } => return Ok(ints(each.map(|gi| Some(inputs(nulls, gi))))),
+            Output::Avg { sum, nulls } => {
+                let AccState::SumF(s) = &self.accs[sum].state else {
+                    return values(data_type, each.map(|_| &Value::Null));
+                };
+                let avg = |gi| {
+                    let n = inputs(nulls, gi);
+                    (n != 0).then(|| s[gi] / n as f64)
+                };
+                return Ok(floats(each.map(avg)));
+            }
+            Output::Value { acc, nulls } => (acc, nulls),
+        };
+        // `SUM`, `MIN`, `MAX`: the accumulator's value, NULL without an input.
+        let some = |gi: usize| inputs(nulls, gi) != 0;
+        Ok(match &self.accs[acc].state {
+            AccState::SumI(v) | AccState::MinI(v) | AccState::MaxI(v) => {
+                ints(each.map(|gi| some(gi).then(|| v[gi])))
+            }
+            AccState::SumF(v) | AccState::MinF(v) | AccState::MaxF(v) => {
+                floats(each.map(|gi| some(gi).then(|| v[gi])))
+            }
+            AccState::MinV(v) | AccState::MaxV(v) => values(
+                data_type,
+                each.map(|gi| v[gi].as_ref().filter(|_| some(gi)).unwrap_or(&Value::Null)),
+            )?,
+            AccState::Nulls(_) => values(data_type, each.map(|_| &Value::Null))?,
+        })
+    }
+}
+
+/// A column of `vals`, `None` a NULL, laid out as pushing them one at a
+/// time lays it out: no validity bitmap without a NULL.
+fn typed<T: Default>(
+    vals: impl Iterator<Item = Option<T>>,
+    column: fn(Vec<T>, Option<BitSet>) -> ColumnVector,
+) -> ColumnVector {
+    let mut nulls = Vec::new();
+    let vals: Vec<T> = vals
+        .enumerate()
+        .map(|(i, v)| {
+            v.unwrap_or_else(|| {
+                nulls.push(i);
+                T::default()
+            })
+        })
+        .collect();
+    let validity = (!nulls.is_empty()).then(|| {
+        let mut valid = BitSet::all_set(vals.len());
+        nulls.into_iter().for_each(|i| valid.clear(i));
+        valid
+    });
+    column(vals, validity)
+}
+
+fn ints(vals: impl Iterator<Item = Option<i64>>) -> ColumnVector {
+    typed(vals, |values, validity| ColumnVector::Int64 { values, validity })
+}
+
+fn floats(vals: impl Iterator<Item = Option<f64>>) -> ColumnVector {
+    typed(vals, |values, validity| ColumnVector::Float64 { values, validity })
+}
+
+/// A column of `data_type` holding `vals`: strings and booleans.
+fn values<'v>(data_type: DataType, vals: impl ExactSizeIterator<Item = &'v Value>) -> Result<ColumnVector> {
+    let mut col = ColumnVector::with_capacity(data_type, vals.len());
+    for v in vals {
+        col.push(v)?;
+    }
+    Ok(col)
 }
 
 impl Drop for RunningGroups {
@@ -699,6 +806,7 @@ mod tests {
     use oltap_common::schema::SchemaRef;
     use oltap_common::{row, Field, Schema};
     use oltap_storage::spill::SpillDir;
+    use std::collections::BTreeMap;
 
     fn schema() -> SchemaRef {
         Arc::new(Schema::new(vec![
@@ -740,6 +848,11 @@ mod tests {
 
     /// Every accumulator kind, `SUM`/`AVG` sharing one, over key `key`.
     fn core(key: Expr) -> Arc<AggregatorCore> {
+        core_by(vec![key])
+    }
+
+    /// [`core`] over the group keys `keys` (none: a global aggregate).
+    fn core_by(keys: Vec<Expr>) -> Arc<AggregatorCore> {
         let aggs = vec![
             AggExpr::count_star("n"),
             AggExpr::new(AggFunc::Count, Expr::col(1), "nv"),
@@ -754,7 +867,8 @@ mod tests {
             AggExpr::new(AggFunc::Min, Expr::col(3), "mns"),
             AggExpr::new(AggFunc::Max, Expr::col(3), "mxs"),
         ];
-        Arc::new(AggregatorCore::new(&schema(), vec![(key, "k".into())], aggs).unwrap())
+        let keys = keys.into_iter().enumerate().map(|(i, k)| (k, format!("k{i}"))).collect();
+        Arc::new(AggregatorCore::new(&schema(), keys, aggs).unwrap())
     }
 
     fn tight(limit: u64) -> MemoryBudget {
@@ -767,6 +881,109 @@ mod tests {
             groups.consume_range(b, 0..b.len()).unwrap();
         }
         groups
+    }
+
+    /// [`core`]'s answer worked out here, row by row: per key, in key order
+    /// (NULL first), `COUNT(*)`, then `COUNT`, `SUM`, `AVG`, `MIN`, `MAX`
+    /// of `v`, `SUM`, `AVG`, `MIN`, `MAX` of `f` and `MIN`, `MAX` of `s`.
+    fn model(input: &[Batch], key: &[usize]) -> Vec<Row> {
+        #[derive(Default)]
+        struct Group {
+            rows: i64,
+            ints: Vec<i64>,
+            floats: Vec<f64>,
+            strs: Vec<String>,
+        }
+        let mut groups: BTreeMap<Row, Group> = BTreeMap::new();
+        for row in input.iter().flat_map(Batch::to_rows) {
+            let g = groups.entry(row.project(key)).or_default();
+            g.rows += 1;
+            if let Value::Int(v) = row[1] {
+                g.ints.push(v);
+            }
+            if let Value::Float(f) = row[2] {
+                g.floats.push(f);
+            }
+            if let Value::Str(s) = &row[3] {
+                g.strs.push(s.clone());
+            }
+        }
+        let or_null = |v: Option<Value>| v.unwrap_or(Value::Null);
+        groups
+            .into_iter()
+            .map(|(key, g)| {
+                let n = g.ints.len() as i64;
+                let sum_i = g.ints.iter().fold(0i64, |s, &v| s.wrapping_add(v));
+                // Additions in row order, as one store makes them.
+                let sum_vf = g.ints.iter().fold(0.0, |s, &v| s + v as f64);
+                let sum_f = g.floats.iter().fold(0.0, |s, &f| s + f);
+                let some = |v: Value, n: usize| or_null((n > 0).then_some(v));
+                let mut vals = key.into_values();
+                vals.extend([
+                    Value::Int(g.rows),
+                    Value::Int(n),
+                    some(Value::Int(sum_i), g.ints.len()),
+                    some(Value::Float(sum_vf / n as f64), g.ints.len()),
+                    or_null(g.ints.iter().min().map(|&v| Value::Int(v))),
+                    or_null(g.ints.iter().max().map(|&v| Value::Int(v))),
+                    some(Value::Float(sum_f), g.floats.len()),
+                    some(Value::Float(sum_f / g.floats.len() as f64), g.floats.len()),
+                    or_null(g.floats.iter().copied().min_by(f64::total_cmp).map(Value::Float)),
+                    or_null(g.floats.iter().copied().max_by(f64::total_cmp).map(Value::Float)),
+                    or_null(g.strs.iter().min().map(|s| Value::Str(s.clone()))),
+                    or_null(g.strs.iter().max().map(|s| Value::Str(s.clone()))),
+                ]);
+                Row::new(vals)
+            })
+            .collect()
+    }
+
+    /// `finish` gathers its columns straight off the store: the model's
+    /// rows, in key order, in batches of `BATCH_SIZE` laid out as
+    /// `Batch::from_rows` lays out the model's — for an integer key with
+    /// NULLs through the index alone and partly slotted, a string key and a
+    /// two-column key, each over more groups than a batch holds — and a
+    /// global aggregate over no rows is its one empty group.
+    #[test]
+    fn finish_gathers_the_modelled_columns_in_key_order() {
+        let input = batches(12_000, 5_000);
+        let mem = ExecResources::unlimited();
+        let cases = [
+            ("integer key, indexed", vec![0], None),
+            ("integer key, keys 1000..3000 slotted", vec![0], Some((1000, 2000))),
+            ("string key", vec![3], None),
+            ("two-column key", vec![3, 0], None),
+        ];
+        for (case, key, slotted) in cases {
+            let core = core_by(key.iter().map(|&c| Expr::col(c)).collect());
+            let mut groups = RunningGroups::new(&core, &mem);
+            if let (Some((from, n)), Keys::Int { lo, slots, .. }) = (slotted, &mut groups.keys) {
+                *lo = from;
+                slots.resize(n, UNRESOLVED);
+            }
+            for b in &input {
+                groups.consume_range(b, 0..b.len()).unwrap();
+            }
+            if let Keys::Int { slots, index, .. } = &groups.keys {
+                let slotted_met = slots.iter().any(|&gi| gi != UNRESOLVED);
+                assert_eq!(slotted_met, slotted.is_some(), "{case}");
+                assert!(index.contains_key(&None), "{case}: the NULL key is indexed");
+            }
+            let want = model(&input, &key);
+            let got = groups.finish().unwrap();
+            assert_eq!(rows_of(&got), want, "{case}");
+            let laid_out: Vec<Batch> = want
+                .chunks(BATCH_SIZE)
+                .map(|c| Batch::from_rows(&core.schema(), c).unwrap())
+                .collect();
+            assert_eq!(got, laid_out, "{case}");
+        }
+        assert!(model(&input, &[0]).len() > BATCH_SIZE, "more groups than a batch");
+
+        let empty = RunningGroups::new(&core_by(Vec::new()), &mem).finish().unwrap();
+        let mut none = vec![Value::Int(0), Value::Int(0)];
+        none.resize(12, Value::Null);
+        assert_eq!(rows_of(&empty), [Row::new(none)]);
     }
 
     /// The per-worker sink contract: stores that split the input any way,

@@ -56,5 +56,6 @@ pub use pipeline::{
 };
 pub use resources::ExecResources;
 pub use sort::{
-    compare_keys, merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc,
+    compare_keys, merge_spilled_sort, sort_entries, topk_counts, SortBuffer, SortEntry, SortKey,
+    TopKAcc, TopKCounts,
 };

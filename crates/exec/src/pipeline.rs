@@ -742,11 +742,7 @@ impl ParallelContext {
             stages,
             move || TopKAcc::new(&k_make, k),
             move |acc: &mut TopKAcc, idx, batch| {
-                let key_cols = Expr::eval_all(&key_exprs, &batch)?;
-                for i in 0..batch.len() {
-                    let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
-                    acc.push(key, ((idx as u64) << 32) | i as u64, batch.row(i));
-                }
+                acc.offer(&Expr::eval_all(&key_exprs, &batch)?, &batch, idx);
                 Ok(())
             },
             TopKAcc::into_entries,

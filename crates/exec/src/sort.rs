@@ -13,11 +13,11 @@
 use crate::expr::Expr;
 use crate::resources::ExecResources;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, DbError, Result, Row};
+use oltap_common::{Batch, ColumnVector, DbError, Result, Row, Value};
 use oltap_storage::spill::{SpillHandle, SpillReader};
 use oltap_txn::wal::{decode_row, encode_row};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// One ORDER BY key.
 #[derive(Debug, Clone)]
@@ -262,38 +262,29 @@ pub fn merge_spilled_sort(
         .collect()
 }
 
-/// Heap entry for top-K (max-heap of the worst retained row). Key ties
-/// order by arrival sequence so later-arriving duplicates rank worse and
-/// the retained set matches a stable sort's prefix.
-struct HeapRow {
+/// `col`'s value at `i` against `v`, in [`Value`] order: what
+/// `col.value_at(i).cmp(v)` answers, without building the value to ask.
+fn cmp_at(col: &ColumnVector, i: usize, v: &Value) -> Ordering {
+    if !col.is_valid(i) {
+        return Value::Null.cmp(v);
+    }
+    match (col, v) {
+        (ColumnVector::Int64 { values, .. }, Value::Int(b) | Value::Timestamp(b)) => values[i].cmp(b),
+        (ColumnVector::Float64 { values, .. }, Value::Float(b)) => values[i].total_cmp(b),
+        (ColumnVector::Utf8 { values, .. }, Value::Str(b)) => values[i].as_str().cmp(b),
+        // Against anything but a string the order of the types decides, and
+        // an empty string allocates nothing.
+        (ColumnVector::Utf8 { .. }, _) => Value::Str(String::new()).cmp(v),
+        _ => col.value_at(i).cmp(v),
+    }
+}
+
+/// One retained row of a [`TopKAcc`]: its key values, arrival sequence and
+/// the row itself.
+struct Retained {
     key: Row,
     seq: u64,
     row: Row,
-    desc_mask: Vec<bool>,
-}
-
-impl PartialEq for HeapRow {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapRow {}
-impl PartialOrd for HeapRow {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapRow {
-    fn cmp(&self, other: &Self) -> Ordering {
-        for (i, desc) in self.desc_mask.iter().enumerate() {
-            let ord = self.key[i].cmp(&other.key[i]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        self.seq.cmp(&other.seq)
-    }
 }
 
 /// Bounded top-K accumulator: keeps the best `k` rows seen so far —
@@ -301,10 +292,44 @@ impl Ord for HeapRow {
 /// `ORDER BY ... LIMIT k` dashboards (the paper's real-time monitoring use
 /// cases). The pipeline executor keeps one per worker and merges candidate
 /// sets with [`sort_entries`].
+///
+/// An offered row is compared where it stands, in its batch's key columns,
+/// against the worst row retained; only a row that enters the heap is built
+/// into a key [`Row`] and a [`Row`]. Key ties order by arrival sequence, so
+/// a later duplicate ranks worse and the retained set is a stable sort's
+/// prefix.
 pub struct TopKAcc {
-    heap: BinaryHeap<HeapRow>,
+    /// A max-heap in `(key, seq)` order: the worst retained row first.
+    heap: Vec<Retained>,
     k: usize,
-    desc_mask: Vec<bool>,
+    desc: Vec<bool>,
+    counts: TopKCounts,
+}
+
+/// What top-K accumulators did with the rows offered them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopKCounts {
+    /// Rows offered.
+    pub offered: u64,
+    /// Rows that entered a heap (some later pushed out again).
+    pub entered: u64,
+    /// Rows built into a key [`Row`] and a [`Row`].
+    pub built: u64,
+}
+
+/// Every finished accumulator's [`TopKCounts`], summed over the process.
+static FINISHED: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+
+/// The [`TopKCounts`] of every top-K accumulator finished in this process so
+/// far: a statement's are the difference across it (other statements' add
+/// in when they run at the same time).
+pub fn topk_counts() -> TopKCounts {
+    let [offered, entered, built] = FINISHED.each_ref().map(|c| c.load(AtomicOrdering::Relaxed));
+    TopKCounts {
+        offered,
+        entered,
+        built,
+    }
 }
 
 impl TopKAcc {
@@ -312,41 +337,148 @@ impl TopKAcc {
     /// grows with the rows it keeps, never to `k` up front.
     pub fn new(keys: &[SortKey], k: usize) -> Self {
         TopKAcc {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             k,
-            desc_mask: keys.iter().map(|k| k.desc).collect(),
+            desc: keys.iter().map(|k| k.desc).collect(),
+            counts: TopKCounts::default(),
         }
     }
 
-    /// Offers one row; it is retained only while among the `k` best.
-    pub fn push(&mut self, key: Row, seq: u64, row: Row) {
+    /// Offers every row of `batch`, whose key columns are `keys`; row `i`
+    /// arrives as `(morsel << 32) | i`. A row is retained only while among
+    /// the `k` best.
+    pub fn offer(&mut self, keys: &[ColumnVector], batch: &Batch, morsel: usize) {
         if self.k == 0 {
             return;
         }
-        let entry = HeapRow {
-            key,
-            seq,
-            row,
-            desc_mask: self.desc_mask.clone(),
-        };
-        if self.heap.len() < self.k {
-            self.heap.push(entry);
-        } else if let Some(worst) = self.heap.peek() {
-            if entry.cmp(worst) == Ordering::Less {
-                self.heap.pop();
-                self.heap.push(entry);
+        self.counts.offered += batch.len() as u64;
+        let mut i = 0;
+        while i < batch.len() {
+            if self.heap.len() == self.k {
+                i = self.skip_losers(keys, i);
+                if i == batch.len() {
+                    break;
+                }
             }
+            self.offer_row(keys, batch, i, ((morsel as u64) << 32) | i as u64);
+            i += 1;
+        }
+    }
+
+    /// Offers row `i` of `batch`, arriving as `seq`: built into a new entry
+    /// while the heap is short of `k`, then written over the worst entry's
+    /// values when it beats it.
+    fn offer_row(&mut self, keys: &[ColumnVector], batch: &Batch, i: usize, seq: u64) {
+        fn values_at(cols: &[ColumnVector], i: usize) -> impl Iterator<Item = Value> + '_ {
+            cols.iter().map(move |c| c.value_at(i))
+        }
+        if self.heap.len() < self.k {
+            self.heap.push(Retained {
+                key: Row::new(values_at(keys, i).collect()),
+                seq,
+                row: Row::new(values_at(batch.columns(), i).collect()),
+            });
+            self.sift_up(self.heap.len() - 1);
+        } else if self.offered_cmp(keys, i, seq, &self.heap[0]) == Ordering::Less {
+            let worst = &mut self.heap[0];
+            worst.seq = seq;
+            for (to, v) in worst.key.values_mut().iter_mut().zip(values_at(keys, i)) {
+                *to = v;
+            }
+            for (to, v) in worst.row.values_mut().iter_mut().zip(values_at(batch.columns(), i)) {
+                *to = v;
+            }
+            self.sift_down(0);
+        } else {
+            return;
+        }
+        self.counts.entered += 1;
+        self.counts.built += 1;
+    }
+
+    /// The first row from `from` on whose first key is not past the worst
+    /// retained row's — every row skipped would lose to it on that key
+    /// alone — when that key is a plain integer or float column; else
+    /// `from`.
+    fn skip_losers(&self, keys: &[ColumnVector], from: usize) -> usize {
+        let desc = self.desc.first() == Some(&true);
+        let past = |ord: Ordering| ord == if desc { Ordering::Less } else { Ordering::Greater };
+        let losers = match (keys.first(), self.heap[0].key.values().first()) {
+            (Some(ColumnVector::Int64 { values, validity: None }), Some(Value::Int(w))) => {
+                values[from..].iter().take_while(|v| past(v.cmp(&w))).count()
+            }
+            (Some(ColumnVector::Float64 { values, validity: None }), Some(Value::Float(w))) => {
+                values[from..].iter().take_while(|v| past(v.total_cmp(w))).count()
+            }
+            _ => 0,
+        };
+        from + losers
+    }
+
+    /// Offered row `i` (key columns `keys`, sequence `seq`) against a
+    /// retained one.
+    fn offered_cmp(&self, keys: &[ColumnVector], i: usize, seq: u64, them: &Retained) -> Ordering {
+        for ((col, v), &desc) in keys.iter().zip(them.key.values()).zip(&self.desc) {
+            let ord = cmp_at(col, i, v);
+            if ord != Ordering::Equal {
+                return if desc { ord.reverse() } else { ord };
+            }
+        }
+        seq.cmp(&them.seq)
+    }
+
+    /// Two retained rows, in `(key, seq)` order.
+    fn retained_cmp(&self, a: usize, b: usize) -> Ordering {
+        let (a, b) = (&self.heap[a], &self.heap[b]);
+        for ((x, y), &desc) in a.key.values().iter().zip(b.key.values()).zip(&self.desc) {
+            let ord = x.cmp(y);
+            if ord != Ordering::Equal {
+                return if desc { ord.reverse() } else { ord };
+            }
+        }
+        a.seq.cmp(&b.seq)
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.retained_cmp(at, parent) != Ordering::Greater {
+                break;
+            }
+            self.heap.swap(at, parent);
+            at = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let mut worst = at;
+            for child in [2 * at + 1, 2 * at + 2] {
+                if child < self.heap.len() && self.retained_cmp(child, worst) == Ordering::Greater {
+                    worst = child;
+                }
+            }
+            if worst == at {
+                return;
+            }
+            self.heap.swap(at, worst);
+            at = worst;
         }
     }
 
     /// Drains the retained candidates (unordered; sort with
-    /// [`sort_entries`]).
+    /// [`sort_entries`]) and adds this accumulator's counts to
+    /// [`topk_counts`].
     pub fn into_entries(self) -> Vec<SortEntry> {
-        self.heap
-            .into_vec()
-            .into_iter()
-            .map(|h| (h.key, h.seq, h.row))
-            .collect()
+        let TopKCounts {
+            offered,
+            entered,
+            built,
+        } = self.counts;
+        for (total, n) in FINISHED.iter().zip([offered, entered, built]) {
+            total.fetch_add(n, AtomicOrdering::Relaxed);
+        }
+        self.heap.into_iter().map(|r| (r.key, r.seq, r.row)).collect()
     }
 }
 
@@ -445,6 +577,39 @@ mod tests {
         for k in [1usize, 5, 50, 200, 500] {
             let got = first_col(&topk(&vals, vec![SortKey::asc(Expr::col(0))], k));
             assert_eq!(got, sorted[..k.min(sorted.len())].to_vec(), "k={k}");
+        }
+    }
+
+    /// An offered row's key compares where it stands exactly as its value
+    /// would: NULLs, integers against floats, float zeros, NaN and the
+    /// infinities, strings against other types.
+    #[test]
+    fn in_place_comparison_is_value_order() {
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::Int(0),
+            Value::Timestamp(7),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Str(String::new()),
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+        ];
+        for data_type in [DataType::Int64, DataType::Float64, DataType::Utf8, DataType::Bool] {
+            let mut col = ColumnVector::new(data_type);
+            for v in values.iter().filter(|v| v.is_null() || v.check_type(data_type).is_ok()) {
+                col.push(v).unwrap();
+            }
+            for i in 0..col.len() {
+                for v in &values {
+                    assert_eq!(cmp_at(&col, i, v), col.value_at(i).cmp(v), "{data_type} row {i} vs {v:?}");
+                }
+            }
         }
     }
 
