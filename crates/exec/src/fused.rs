@@ -504,6 +504,7 @@ impl Walk {
             }
             (u, at) = (u + 1, 0);
         }
+        run.hand_back_credit();
         Ok(run)
     }
 }
@@ -1059,6 +1060,45 @@ mod tests {
             assert!(!parked.is_empty(), "limit {limit}: some output was parked");
             assert!(parked.iter().all(|b| b.upgrade().is_none()), "limit {limit}: parked output freed");
             assert_eq!(walk.parked.load(Ordering::Relaxed), 0, "limit {limit}");
+        }
+    }
+
+    /// A fanned-out walk keeps every stripe's store until the last stripe
+    /// is folded, so it needs the budget to hold every stripe's groups at
+    /// once. A store reserves its groups' bytes a chunk at a time, but hands
+    /// back what its groups did not take as soon as its stripe is folded:
+    /// at a budget of exactly those groups the walk still fuses, and one
+    /// byte less refuses it. (The statement's thread folds the stripes one
+    /// after another here: its helpers' gate shuts after the look that fans
+    /// the walk out.)
+    #[test]
+    fn a_walk_of_several_stripes_fuses_at_a_budget_of_its_groups() {
+        use oltap_common::ids::{SegmentId, TxnId};
+        use oltap_storage::ScanPredicate;
+        const STRIPES: u64 = 6;
+        const KEYS: i64 = 16;
+        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int64), Field::new("v", DataType::Int64)]));
+        let rows: Vec<Row> = (0..STRIPES as i64 * STRIPE_ROWS as i64).map(|i| row![i % KEYS, i]).collect();
+        let seg = Arc::new(Segment::from_rows(SegmentId(1), Arc::clone(&schema), &rows, 0, None).unwrap());
+        let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")];
+        let core = Arc::new(AggregatorCore::new(&schema, vec![(Expr::col(0), "k".into())], aggs).unwrap());
+        // An integer key's group: the store's price of a group, and its key.
+        let group = RunningGroups::new(&core, &ExecResources::unlimited()).group_bytes
+            + (std::mem::size_of::<Row>() + std::mem::size_of::<Value>()) as u64;
+        let need = STRIPES * KEYS as u64 * group;
+        for (limit, fuses) in [(need, true), (need - 1, false)] {
+            let budget = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX).budget(WorkloadClass::Olap, limit);
+            let mut ctx = ctx_with(2, ExecResources::new(budget.clone(), None));
+            let looks = AtomicUsize::new(0);
+            ctx.helpers.gate = Some(Arc::new(move || looks.fetch_add(1, Ordering::Relaxed) == 0));
+            let source = Source::scan(vec![Arc::clone(&seg)], Vec::new(), &ScanPredicate::all(), &[0, 1], (1, TxnId(7)));
+            let fused = fused_aggregate(&core, source, &ctx).unwrap();
+            assert_eq!(fused.is_some(), fuses, "limit {limit} of {need}");
+            if let Some(fused) = fused {
+                assert_eq!(fused.helped, 0, "the statement's thread folded every stripe");
+                assert_eq!(fused.groups.rows, vec![STRIPES as i64 * STRIPE_ROWS as i64 / KEYS; KEYS as usize]);
+            }
+            assert_eq!(budget.used(), 0, "limit {limit}: everything handed back");
         }
     }
 

@@ -82,7 +82,7 @@ pub struct RunningGroups {
     mem: ExecResources,
     /// What a group costs the governor apart from a [`Row`] key, and what
     /// has been reserved so far (handed back on drop).
-    group_bytes: u64,
+    pub(crate) group_bytes: u64,
     reserved: u64,
     /// Of `reserved`, what no group has taken yet.
     credit: u64,
@@ -288,6 +288,15 @@ impl RunningGroups {
         self.core.schema()
     }
 
+    /// Hands back the bytes reserved for groups not opened yet: the store
+    /// takes no more input of its own (it is sealed, or its stripe is full
+    /// and waits to be merged), and other stores may need them.
+    pub(crate) fn hand_back_credit(&mut self) {
+        self.mem.budget.release(self.credit);
+        self.reserved -= self.credit;
+        self.credit = 0;
+    }
+
     /// Whether the governor refused one of this store's groups — the one
     /// [`DbError::ResourceExhausted`] that freezes a store a batch fills
     /// and ends a fused attempt, not the statement.
@@ -471,6 +480,7 @@ impl RunningGroups {
     /// invariant none of them is resident yet.
     pub fn seal(&mut self) -> Result<()> {
         self.sealed = true;
+        self.hand_back_credit();
         if self.writers.is_empty() {
             return Ok(());
         }
@@ -761,10 +771,11 @@ impl Stripes {
     }
 
     /// Merges the next stripe, complete, behind the ones before it.
-    fn push(&mut self, stripe: RunningGroups) -> Result<()> {
+    fn push(&mut self, mut stripe: RunningGroups) -> Result<()> {
         match &mut self.done {
             Some(done) => done.merge(stripe),
             None => {
+                stripe.hand_back_credit();
                 self.done = Some(stripe);
                 Ok(())
             }

@@ -311,25 +311,20 @@ pub struct TopKAcc {
 pub struct TopKCounts {
     /// Rows offered.
     pub offered: u64,
-    /// Rows that entered a heap (some later pushed out again).
+    /// Rows that entered a heap, each built into a key [`Row`] and a
+    /// [`Row`] as it did (some later pushed out again).
     pub entered: u64,
-    /// Rows built into a key [`Row`] and a [`Row`].
-    pub built: u64,
 }
 
 /// Every finished accumulator's [`TopKCounts`], summed over the process.
-static FINISHED: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+static FINISHED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 
 /// The [`TopKCounts`] of every top-K accumulator finished in this process so
 /// far: a statement's are the difference across it (other statements' add
 /// in when they run at the same time).
 pub fn topk_counts() -> TopKCounts {
-    let [offered, entered, built] = FINISHED.each_ref().map(|c| c.load(AtomicOrdering::Relaxed));
-    TopKCounts {
-        offered,
-        entered,
-        built,
-    }
+    let [offered, entered] = FINISHED.each_ref().map(|c| c.load(AtomicOrdering::Relaxed));
+    TopKCounts { offered, entered }
 }
 
 impl TopKAcc {
@@ -352,16 +347,8 @@ impl TopKAcc {
             return;
         }
         self.counts.offered += batch.len() as u64;
-        let mut i = 0;
-        while i < batch.len() {
-            if self.heap.len() == self.k {
-                i = self.skip_losers(keys, i);
-                if i == batch.len() {
-                    break;
-                }
-            }
+        for i in 0..batch.len() {
             self.offer_row(keys, batch, i, ((morsel as u64) << 32) | i as u64);
-            i += 1;
         }
     }
 
@@ -393,26 +380,6 @@ impl TopKAcc {
             return;
         }
         self.counts.entered += 1;
-        self.counts.built += 1;
-    }
-
-    /// The first row from `from` on whose first key is not past the worst
-    /// retained row's — every row skipped would lose to it on that key
-    /// alone — when that key is a plain integer or float column; else
-    /// `from`.
-    fn skip_losers(&self, keys: &[ColumnVector], from: usize) -> usize {
-        let desc = self.desc.first() == Some(&true);
-        let past = |ord: Ordering| ord == if desc { Ordering::Less } else { Ordering::Greater };
-        let losers = match (keys.first(), self.heap[0].key.values().first()) {
-            (Some(ColumnVector::Int64 { values, validity: None }), Some(Value::Int(w))) => {
-                values[from..].iter().take_while(|v| past(v.cmp(&w))).count()
-            }
-            (Some(ColumnVector::Float64 { values, validity: None }), Some(Value::Float(w))) => {
-                values[from..].iter().take_while(|v| past(v.total_cmp(w))).count()
-            }
-            _ => 0,
-        };
-        from + losers
     }
 
     /// Offered row `i` (key columns `keys`, sequence `seq`) against a
@@ -470,12 +437,8 @@ impl TopKAcc {
     /// [`sort_entries`]) and adds this accumulator's counts to
     /// [`topk_counts`].
     pub fn into_entries(self) -> Vec<SortEntry> {
-        let TopKCounts {
-            offered,
-            entered,
-            built,
-        } = self.counts;
-        for (total, n) in FINISHED.iter().zip([offered, entered, built]) {
+        let TopKCounts { offered, entered } = self.counts;
+        for (total, n) in FINISHED.iter().zip([offered, entered]) {
             total.fetch_add(n, AtomicOrdering::Relaxed);
         }
         self.heap.into_iter().map(|r| (r.key, r.seq, r.row)).collect()

@@ -86,16 +86,17 @@ fn a_limited_order_by_is_the_full_order_by_cut_at_k() {
                 let got = db.query(&format!("{sql} LIMIT {k}")).unwrap();
                 let after = topk_counts();
                 assert_eq!(got, full[..k.min(n)], "{tag}");
-                // The sink ran, and built only the rows that entered a
-                // heap. (Statements of other tests running now add in; they
-                // obey the same bounds.)
+                // The sink ran, and let in — built — fewer rows than it was
+                // offered: over every row, with `LIMIT 5`, a few dozen of
+                // fifty thousand. (This binary runs no other statement.)
                 let offered = after.offered - before.offered;
                 let entered = after.entered - before.entered;
-                let built = after.built - before.built;
                 assert!(offered >= n as u64, "{tag}: {offered} rows offered");
-                assert!(built <= entered, "{tag}: {built} rows built, {entered} entered");
                 if k < n {
                     assert!(entered < offered, "{tag}: {entered} of {offered} entered");
+                }
+                if k == 5 && !every_k {
+                    assert!(entered * 100 < offered, "{tag}: {entered} of {offered} entered");
                 }
             }
         }
