@@ -22,7 +22,7 @@
 
 use oltap_common::ids::TxnId;
 use oltap_common::{Batch, Result};
-use oltap_core::TableHandle;
+use oltap_exec::Source;
 use oltap_storage::{DeltaMainTable, ScanPredicate};
 use oltap_txn::Ts;
 use parking_lot::{Condvar, Mutex};
@@ -140,7 +140,20 @@ pub fn snapshot_batches(
     batch_size: usize,
 ) -> Result<Vec<Batch>> {
     let all: Vec<usize> = (0..table.schema().len()).collect();
-    TableHandle::Column(Arc::clone(table)).scan(&all, &ScanPredicate::all(), read_ts, NOBODY, batch_size)
+    scan(table, &all, &ScanPredicate::all(), read_ts, batch_size)
+}
+
+/// The table's morsel source drained on the caller's thread, as a column
+/// table's `TableHandle::scan` drains it.
+fn scan(
+    table: &DeltaMainTable,
+    projection: &[usize],
+    pred: &ScanPredicate,
+    read_ts: Ts,
+    batch_size: usize,
+) -> Result<Vec<Batch>> {
+    let (segments, tail) = table.fused_scan_parts(projection, pred, read_ts, NOBODY, batch_size)?;
+    Source::scan(segments, tail, pred, projection, (read_ts, NOBODY)).drain()
 }
 
 /// One pass, N queries: the batched shared scan.
@@ -168,15 +181,8 @@ pub fn run_independent(
     queries: &[ScanQuery],
 ) -> Result<Vec<ScanQueryResult>> {
     let mut results = Vec::with_capacity(queries.len());
-    let table = TableHandle::Column(Arc::clone(table));
     for q in queries {
-        let batches = table.scan(
-            &[q.agg_column],
-            &q.predicate,
-            read_ts,
-            NOBODY,
-            4096,
-        )?;
+        let batches = scan(table, &[q.agg_column], &q.predicate, read_ts, 4096)?;
         let mut acc = ScanQueryResult::default();
         for b in &batches {
             acc.count += b.len() as u64;

@@ -17,8 +17,8 @@ use oltap_bench::harness::{best, scaled, Report};
 use oltap_bench::workloads::TelemetryGen;
 use oltap_common::ids::TxnId;
 use oltap_common::{DataType, Field, Row, Schema};
-use oltap_core::TableHandle;
-use oltap_storage::{DeltaMainTable, ScanPredicate};
+use oltap_core::{TableFormat, TableHandle};
+use oltap_storage::ScanPredicate;
 use oltap_txn::TransactionManager;
 use std::sync::Arc;
 
@@ -45,8 +45,8 @@ fn main() {
     let step = scaled(100_000);
     let steps = 8;
     let mgr = Arc::new(TransactionManager::new());
-    let table = Arc::new(DeltaMainTable::new(telemetry_schema()));
-    let scanned = TableHandle::Column(Arc::clone(&table));
+    let scanned = TableHandle::create(telemetry_schema(), TableFormat::Column).unwrap();
+    let table = scanned.columns().unwrap();
     let mut gen = TelemetryGen::new(200, 8, 5);
     let ingest = |rows: Vec<Row>| {
         for chunk in rows.chunks(5_000) {

@@ -22,8 +22,8 @@ use oltap_bench::harness::{best, scaled, time, Report};
 use oltap_common::ids::TxnId;
 use oltap_common::{row, Row, Value};
 use oltap_common::{DataType, Field, Schema};
-use oltap_core::TableHandle;
-use oltap_storage::{CmpOp, DualFormatTable, RowStore, ScanPredicate};
+use oltap_core::{TableFormat, TableHandle};
+use oltap_storage::{CmpOp, RowStore, ScanPredicate};
 use oltap_txn::TransactionManager;
 use std::sync::Arc;
 
@@ -50,8 +50,7 @@ fn main() {
 
     let mgr = Arc::new(TransactionManager::new());
     let row_table = RowStore::new(schema());
-    let dual = Arc::new(DualFormatTable::new(schema()).unwrap());
-    let engine = TableHandle::Dual(Arc::clone(&dual));
+    let dual = TableHandle::create(schema(), TableFormat::Dual).unwrap();
 
     // DML cost: inserts.
     let rows: Vec<Row> = (0..n)
@@ -77,7 +76,7 @@ fn main() {
     });
 
     // Populate the columnar side: one maintenance tick merges its delta.
-    engine.maintain(mgr.gc_watermark()).unwrap();
+    dual.maintain(mgr.gc_watermark()).unwrap();
 
     // DML cost: point updates of merged rows (the columnar side stamps the
     // segment row and puts the new version in its delta). Both tables
@@ -106,7 +105,7 @@ fn main() {
     // Steady state for the scan comparison: the maintenance daemon would
     // have merged by now; keep a small fresh tail (1% of rows) in the
     // delta so the scan reads both the segments and the delta.
-    engine.maintain(mgr.gc_watermark()).unwrap();
+    dual.maintain(mgr.gc_watermark()).unwrap();
     let fresh_tail = n / 100;
     for i in 0..fresh_tail {
         let tx = mgr.begin();
@@ -128,8 +127,8 @@ fn main() {
         }
         (rows, sum)
     };
-    let scan_oltp = || dual.scan_oltp(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap();
-    let scan_columns = || engine.scan(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap();
+    let scan_oltp = || dual.rows().unwrap().scan(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap();
+    let scan_columns = || dual.scan(&[0, 2], &pred, read_ts, NOBODY, 4096).unwrap();
     let (row_res, row_scan) = best(9, || sum_of(scan_oltp()));
     let (col_res, col_scan) = best(9, || sum_of(scan_columns()));
     assert_eq!(row_res, col_res, "formats disagree!");
@@ -143,7 +142,7 @@ fn main() {
             ("row_secs", row_scan),
             ("columnar_secs", col_scan),
             ("rows", n as f64),
-            ("delta_rows", dual.columns().sizes().delta_rows as f64),
+            ("delta_rows", dual.columns().unwrap().sizes().delta_rows as f64),
         ],
     );
     let insert = [("row_secs", row_ins), ("dual_secs", dual_ins), ("rows", n as f64)];

@@ -178,10 +178,19 @@ impl Default for RetryConfig {
 /// retryable server errors back off (honoring the server's retry-after
 /// hint as a floor), everything else propagates.
 ///
-/// Note for writers: a retried DML statement may have committed before
-/// the connection died, so retrying an INSERT can legitimately surface
-/// [`DbError::DuplicateKey`] — callers doing exactly-once writes should
-/// use keyed idempotent statements and treat that as success.
+/// A transaction never outlives its connection: the server rolls back the
+/// transaction of a connection it loses. So while one is open — from the
+/// `BEGIN` the server acknowledged to its `COMMIT` or `ROLLBACK` — a
+/// transport error drops the connection and answers
+/// [`DbError::TxnClosed`] instead of replaying the statement on a new
+/// session, where it would run alone and commit half the transaction. A
+/// `COMMIT` cut this way may have committed or not. The next statement
+/// starts outside any transaction.
+///
+/// Note for writers: a retried autocommit DML statement may have committed
+/// before the connection died, so retrying an INSERT can legitimately
+/// surface [`DbError::DuplicateKey`] — callers doing exactly-once writes
+/// should use keyed idempotent statements and treat that as success.
 pub struct RetryClient {
     addr: String,
     cfg: RetryConfig,
@@ -190,6 +199,8 @@ pub struct RetryClient {
     cancel: CancellationToken,
     reconnects: u64,
     retries: u64,
+    /// A transaction is open on `conn`.
+    in_txn: bool,
 }
 
 impl RetryClient {
@@ -207,6 +218,7 @@ impl RetryClient {
             cancel: CancellationToken::none(),
             reconnects: 0,
             retries: 0,
+            in_txn: false,
         }
     }
 
@@ -247,6 +259,9 @@ impl RetryClient {
             match conn.query(sql) {
                 Ok(out) => {
                     self.backoff.reset();
+                    if out.done == Some(DoneKind::Txn) {
+                        self.in_txn = out.note == "BEGIN";
+                    }
                     return Ok(out);
                 }
                 Err(e) => {
@@ -255,6 +270,11 @@ impl RetryClient {
                     // the stream may be desynchronized, so rebuild it.
                     if matches!(e, DbError::Io(_) | DbError::Corruption(_)) {
                         self.conn = None;
+                        if std::mem::take(&mut self.in_txn) {
+                            return Err(DbError::TxnClosed(format!(
+                                "the connection dropped inside the transaction: {e}"
+                            )));
+                        }
                     }
                     if !retryable(&e) {
                         return Err(e);

@@ -1,19 +1,32 @@
-//! The table catalog and the format-polymorphic table handle.
+//! The table catalog and the table handle.
 //!
-//! A table lives in one of three physical designs — exactly the spectrum
-//! the tutorial's §1 lays out:
+//! A table is one type with two optional sides: a skip-list row store and
+//! a columnar side (delta + compressed columnar main with background
+//! merge). The tutorial's three physical designs (§1) are which sides a
+//! table has:
 //!
-//! * [`TableFormat::Row`] — a pure skip-list row store (MemSQL-style
-//!   OLTP).
-//! * [`TableFormat::Column`] — delta + compressed columnar main with
-//!   background merge (HANA/BLU-style operational analytics). The default.
-//! * [`TableFormat::Dual`] — a row store beside a delta + main columnar
-//!   side, both written by every statement (Oracle DBIM-style), with point
-//!   reads routed to the row format and scans to the columnar side.
+//! * [`TableFormat::Row`] — the row side alone (MemSQL-style OLTP).
+//! * [`TableFormat::Column`] — the columnar side alone (HANA/BLU-style
+//!   operational analytics). The default.
+//! * [`TableFormat::Dual`] — both (Oracle DBIM-style): the row side is the
+//!   system of record, the columnar side a transactionally consistent copy.
 //!
-//! Column and dual tables have one columnar mechanism between them,
-//! [`TableHandle::columns`]: scans, maintenance, the merge trigger, the
-//! freeze pass, heat and the fused aggregate all go through it.
+//! Every operation follows one rule. A write goes to each side the table
+//! has, the row side first: its error is the statement's, and both sides
+//! apply first-committer-wins to the same history, so the columnar write
+//! cannot fail where the row write succeeded. A point read and the row
+//! count use the row side if there is one; a scan uses the columnar side if
+//! there is one. Maintenance garbage-collects the row side and runs the
+//! columnar side's full pass. [`TableHandle::columns`] is the one columnar
+//! mechanism: scans, maintenance, the merge trigger, the freeze pass, heat
+//! and the fused aggregate all go through it.
+//!
+//! An insert refused because a newer version of its key exists takes the
+//! row side's kind when the table has a row side: `DuplicateKey` where that
+//! version is live, `WriteConflict` where it is a delete after the snapshot
+//! or another transaction's pending write. A column table checks its merged
+//! rows first, so a merged row deleted after the snapshot is a
+//! `WriteConflict` even where the key has been inserted again since.
 
 use oltap_common::fault::FaultInjector;
 use oltap_common::hash::FxHashMap;
@@ -21,55 +34,22 @@ use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, DbError, Result, Row};
 use oltap_exec::{Helpers, Source};
-use oltap_sql::ast::FormatOpt;
 use oltap_sql::CatalogView;
 use oltap_storage::{
-    DeltaMainTable, DualFormatTable, FreezeStats, HeatStats, MergeBell, RowStore, ScanPredicate,
-    SegmentPager,
+    DeltaMainTable, FreezeStats, HeatStats, MergeBell, RowStore, ScanPredicate, SegmentPager,
 };
 use oltap_txn::{Transaction, Ts};
 use std::sync::Arc;
 
-/// The physical format of a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableFormat {
-    /// Skip-list row store.
-    Row,
-    /// Delta + columnar main.
-    Column,
-    /// Dual format (row store + delta + main columnar side).
-    Dual,
-}
+/// The physical format of a table: which sides it has.
+pub use oltap_sql::ast::FormatOpt as TableFormat;
 
-impl From<FormatOpt> for TableFormat {
-    fn from(f: FormatOpt) -> Self {
-        match f {
-            FormatOpt::Row => TableFormat::Row,
-            FormatOpt::Column => TableFormat::Column,
-            FormatOpt::Dual => TableFormat::Dual,
-        }
-    }
-}
-
-/// A handle to one table, dispatching over its physical format.
-#[derive(Clone)]
-pub enum TableHandle {
-    /// Row store.
-    Row(Arc<RowStore>),
-    /// Delta + main.
-    Column(Arc<DeltaMainTable>),
-    /// Dual format.
-    Dual(Arc<DualFormatTable>),
-}
-
-impl std::fmt::Debug for TableHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableHandle::Row(_) => f.write_str("TableHandle::Row"),
-            TableHandle::Column(_) => f.write_str("TableHandle::Column"),
-            TableHandle::Dual(_) => f.write_str("TableHandle::Dual"),
-        }
-    }
+/// A handle to one table: a row side, a columnar side, or both — never
+/// neither ([`create_with`](Self::create_with) is the only way to make one).
+#[derive(Clone, Debug)]
+pub struct TableHandle {
+    rows: Option<Arc<RowStore>>,
+    columns: Option<Arc<DeltaMainTable>>,
 }
 
 impl TableHandle {
@@ -78,94 +58,117 @@ impl TableHandle {
         Self::create_with(schema, format, None, None)
     }
 
-    /// Creates an empty table; when `pager` is set, columnar segments
-    /// (of a column table and of a dual table's columnar side) are paged
-    /// through its buffer pool. Row stores ignore the pager — they are the
-    /// OLTP working set. A columnar side rings `bell` when its delta
-    /// becomes worth merging.
+    /// Creates an empty table; when `pager` is set, the columnar side's
+    /// segments are paged through its buffer pool. A row side ignores the
+    /// pager — it is the OLTP working set. The columnar side rings `bell`
+    /// when its delta becomes worth merging. A table with both sides needs
+    /// a primary key: both identify rows by key.
     pub fn create_with(
         schema: SchemaRef,
         format: TableFormat,
         pager: Option<Arc<SegmentPager>>,
         bell: Option<Arc<MergeBell>>,
     ) -> Result<TableHandle> {
-        if format == TableFormat::Row {
-            return Ok(TableHandle::Row(Arc::new(RowStore::new(schema))));
+        if format == TableFormat::Dual && !schema.has_primary_key() {
+            return Err(DbError::InvalidArgument(
+                "dual-format tables require a primary key".into(),
+            ));
         }
-        let columns = DeltaMainTable::with_pager(schema, pager);
-        let columns = match bell {
-            Some(bell) => columns.with_bell(bell),
-            None => columns,
-        };
-        Ok(match format {
-            TableFormat::Dual => TableHandle::Dual(Arc::new(DualFormatTable::with_columns(columns)?)),
-            _ => TableHandle::Column(Arc::new(columns)),
-        })
+        let rows = (format != TableFormat::Column)
+            .then(|| Arc::new(RowStore::new(Arc::clone(&schema))));
+        let columns = (format != TableFormat::Row).then(|| {
+            let columns = DeltaMainTable::with_pager(schema, pager);
+            Arc::new(match bell {
+                Some(bell) => columns.with_bell(bell),
+                None => columns,
+            })
+        });
+        Ok(TableHandle { rows, columns })
     }
 
-    /// The table's columnar side: a column table itself, a dual table's
-    /// [`DualFormatTable::columns`]; `None` for a row table.
+    /// The table's row side: `None` for a column table.
+    pub fn rows(&self) -> Option<&Arc<RowStore>> {
+        self.rows.as_ref()
+    }
+
+    /// The table's columnar side: `None` for a row table.
     pub fn columns(&self) -> Option<&Arc<DeltaMainTable>> {
-        match self {
-            TableHandle::Row(_) => None,
-            TableHandle::Column(t) => Some(t),
-            TableHandle::Dual(t) => Some(t.columns()),
-        }
+        self.columns.as_ref()
     }
 
-    /// The table's format.
+    /// The side a table without the other one has.
+    fn only_rows(&self) -> &RowStore {
+        self.rows.as_deref().expect("a table without a columnar side has a row side")
+    }
+
+    fn only_columns(&self) -> &DeltaMainTable {
+        self.columns.as_deref().expect("a table without a row side has a columnar side")
+    }
+
+    /// The table's format, from the sides it has.
     pub fn format(&self) -> TableFormat {
-        match self {
-            TableHandle::Row(_) => TableFormat::Row,
-            TableHandle::Column(_) => TableFormat::Column,
-            TableHandle::Dual(_) => TableFormat::Dual,
+        if self.columns.is_none() {
+            TableFormat::Row
+        } else if self.rows.is_none() {
+            TableFormat::Column
+        } else {
+            TableFormat::Dual
         }
     }
 
     /// The schema.
     pub fn schema(&self) -> &SchemaRef {
-        match self {
-            TableHandle::Row(t) => t.schema(),
-            TableHandle::Column(t) => t.schema(),
-            TableHandle::Dual(t) => t.schema(),
+        if let Some(rows) = &self.rows {
+            return rows.schema();
         }
+        self.only_columns().schema()
     }
 
     /// Transactional insert.
     pub fn insert(&self, txn: &Transaction, row: Row) -> Result<()> {
-        match self {
-            TableHandle::Row(t) => t.insert(txn, row),
-            TableHandle::Column(t) => t.insert(txn, row),
-            TableHandle::Dual(t) => t.insert(txn, row),
-        }
+        self.write(row, |t, row| t.insert(txn, row), |t, row| t.insert(txn, row))
     }
 
     /// Transactional update by primary key (full row image).
     pub fn update(&self, txn: &Transaction, key: &Row, row: Row) -> Result<()> {
-        match self {
-            TableHandle::Row(t) => t.update(txn, key, row),
-            TableHandle::Column(t) => t.update(txn, key, row),
-            TableHandle::Dual(t) => t.update(txn, key, row),
-        }
+        self.write(row, |t, row| t.update(txn, key, row), |t, row| t.update(txn, key, row))
     }
 
     /// Transactional delete by primary key.
     pub fn delete(&self, txn: &Transaction, key: &Row) -> Result<()> {
-        match self {
-            TableHandle::Row(t) => t.delete(txn, key),
-            TableHandle::Column(t) => t.delete(txn, key),
-            TableHandle::Dual(t) => t.delete(txn, key),
+        if let Some(rows) = &self.rows {
+            rows.delete(txn, key)?;
         }
+        if let Some(columns) = &self.columns {
+            columns.delete(txn, key)?;
+        }
+        Ok(())
     }
 
-    /// Point lookup at a snapshot. Fallible: paged column stores may need
-    /// to fault the row's pages in.
-    pub fn get(&self, key: &Row, read_ts: Ts, me: TxnId) -> Result<Option<Row>> {
-        match self {
-            TableHandle::Row(t) => Ok(t.get(key, read_ts, me)),
-            TableHandle::Column(t) => t.get(key, read_ts, me),
-            TableHandle::Dual(t) => Ok(t.get(key, read_ts, me)),
+    /// Writes `row` to each side, the row side first; the row is cloned
+    /// only when both sides take it.
+    fn write(
+        &self,
+        row: Row,
+        to_rows: impl FnOnce(&RowStore, Row) -> Result<()>,
+        to_columns: impl FnOnce(&DeltaMainTable, Row) -> Result<()>,
+    ) -> Result<()> {
+        if let Some(rows) = &self.rows {
+            if self.columns.is_none() {
+                return to_rows(rows, row);
+            }
+            to_rows(rows, row.clone())?;
         }
+        to_columns(self.only_columns(), row)
+    }
+
+    /// Point lookup at a snapshot. Fallible: a paged columnar side may
+    /// need to fault the row's pages in.
+    pub fn get(&self, key: &Row, read_ts: Ts, me: TxnId) -> Result<Option<Row>> {
+        if let Some(rows) = &self.rows {
+            return Ok(rows.get(key, read_ts, me));
+        }
+        self.only_columns().get(key, read_ts, me)
     }
 
     /// Snapshot scan with predicate pushdown: [`source`](Self::source)
@@ -181,10 +184,10 @@ impl TableHandle {
         self.source(projection, pred, read_ts, me, batch_size)?.drain()
     }
 
-    /// The morsels of a snapshot scan with predicate pushdown, each format
-    /// by its best analytic access path: the columnar side's segments and
-    /// then its delta's rows, or a row table's rows. Tail rows come in
-    /// batches of at most `batch_size`.
+    /// The morsels of a snapshot scan with predicate pushdown: the columnar
+    /// side's segments and then its delta's rows, or the row side's rows
+    /// when there is no columnar side. Tail rows come in batches of at most
+    /// `batch_size`.
     pub fn source(
         &self,
         projection: &[usize],
@@ -193,26 +196,23 @@ impl TableHandle {
         me: TxnId,
         batch_size: usize,
     ) -> Result<Source> {
-        let (segments, tail) = match self {
-            TableHandle::Row(t) => (Vec::new(), t.scan(projection, pred, read_ts, me, batch_size)?),
-            TableHandle::Column(t) => t.fused_scan_parts(projection, pred, read_ts, me, batch_size)?,
-            TableHandle::Dual(t) => (t.columns()).fused_scan_parts(projection, pred, read_ts, me, batch_size)?,
+        let (segments, tail) = match &self.columns {
+            Some(columns) => columns.fused_scan_parts(projection, pred, read_ts, me, batch_size)?,
+            None => (Vec::new(), self.only_rows().scan(projection, pred, read_ts, me, batch_size)?),
         };
         Ok(Source::scan(segments, tail, pred, projection, (read_ts, me)))
     }
 
     /// Estimated visible rows (planning / diagnostics).
     pub fn row_count_estimate(&self) -> usize {
-        match self {
-            TableHandle::Row(t) => t.key_count(),
-            TableHandle::Column(t) => t.row_count_estimate(),
-            TableHandle::Dual(t) => t.row_count_estimate(),
+        if let Some(rows) = &self.rows {
+            return rows.key_count();
         }
+        self.only_columns().row_count_estimate()
     }
 
-    /// Format-appropriate maintenance at `watermark`: the columnar side's
-    /// full pass (column, dual), row-store GC (row, dual). Returns a
-    /// human-readable note.
+    /// Maintenance at `watermark`: the columnar side's full pass, row-side
+    /// GC. Returns a human-readable note.
     pub fn maintain(&self, watermark: Ts) -> Result<String> {
         self.maintain_full(watermark, &FaultInjector::disabled())
     }
@@ -224,14 +224,15 @@ impl TableHandle {
     /// pass skipped for in-flight deletes once those deletes commit and
     /// the GC watermark passes them.
     pub fn maintain_full(&self, watermark: Ts, faults: &FaultInjector) -> Result<String> {
-        Ok(match self {
-            TableHandle::Row(t) => format!("gc pruned {} versions", t.gc(watermark)),
-            TableHandle::Column(t) => t.maintain(watermark, faults)?,
-            TableHandle::Dual(t) => {
-                let columns = t.columns().maintain(watermark, faults)?;
-                format!("{columns}; row store gc pruned {} versions", t.gc(watermark))
-            }
-        })
+        let mut notes = Vec::new();
+        if let Some(columns) = &self.columns {
+            notes.push(columns.maintain(watermark, faults)?);
+        }
+        if let Some(rows) = &self.rows {
+            let side = if self.columns.is_some() { "row store " } else { "" };
+            notes.push(format!("{side}gc pruned {} versions", rows.gc(watermark)));
+        }
+        Ok(notes.join("; "))
     }
 
     /// Runs the cold-segment freeze pass over the columnar side (`None`

@@ -496,7 +496,7 @@ impl Database {
                     .collect();
                 let key_refs: Vec<&str> = primary_key.iter().map(|s| s.as_str()).collect();
                 let schema = Arc::new(Schema::with_primary_key(fields, &key_refs)?);
-                let handle = self.new_table(schema, (*format).into())?;
+                let handle = self.new_table(schema, *format)?;
                 Ok(DdlChange::Create(name.clone(), handle))
             }
             Statement::DropTable { name } => Ok(DdlChange::Drop(name.clone())),
@@ -1312,10 +1312,9 @@ mod tests {
     }
 
     fn column_table(db: &Database, name: &str) -> Arc<oltap_storage::DeltaMainTable> {
-        match db.table(name).unwrap() {
-            TableHandle::Column(t) => t,
-            other => panic!("{name} is {other:?}"),
-        }
+        let handle = db.table(name).unwrap();
+        assert_eq!(handle.format(), TableFormat::Column, "{name}");
+        Arc::clone(handle.columns().unwrap())
     }
 
     /// Between two passes of a daemon that ticks every ten seconds, the

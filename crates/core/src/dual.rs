@@ -1,169 +1,26 @@
-//! Dual-format tables: a row store and a columnar copy of the same data,
-//! simultaneously active and transactionally consistent.
-//!
-//! This models Oracle Database In-Memory's architecture (paper §3,
-//! \[22, 27\]): the row store remains the system of record and serves OLTP;
-//! a compressed columnar copy serves analytics, and DML invalidates its
-//! rows so that analytic queries are **always** consistent with the row
-//! store at their snapshot — the "strict transactional consistency between
-//! both formats, in real time" the paper highlights.
-//!
-//! The columnar side is a [`DeltaMainTable`], the engine's one columnar
-//! mechanism: every statement's write goes to the row store first (its
-//! errors are the statement's) and then, the same write, to the columnar
-//! side. There an update or a delete of a merged row stamps the segment
-//! row deleted and an update puts the new version in the delta — the
-//! stamp is DBIM's invalidation, the merge its repopulation. Both sides
-//! apply first-committer-wins to the same history, so a columnar write
-//! cannot fail where the row write succeeded, and both commit or abort
-//! with the transaction.
-
-use crate::delta::DeltaMainTable;
-use crate::predicate::ScanPredicate;
-use crate::rowstore::RowStore;
-use oltap_common::ids::TxnId;
-use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, DbError, Result, Row};
-use oltap_txn::{Transaction, Ts};
-use std::sync::Arc;
-
-/// A dual-format table: its row store beside its columnar side.
-#[derive(Debug)]
-pub struct DualFormatTable {
-    rows: RowStore,
-    columns: Arc<DeltaMainTable>,
-}
-
-impl DualFormatTable {
-    /// Creates a dual-format table with a resident columnar side. Requires
-    /// a primary key (both sides identify rows by key).
-    pub fn new(schema: SchemaRef) -> Result<Self> {
-        Self::with_columns(DeltaMainTable::new(schema))
-    }
-
-    /// Creates a dual-format table whose columnar side is `columns`, an
-    /// empty table built with whatever pager and merge bell it should have.
-    pub fn with_columns(columns: DeltaMainTable) -> Result<Self> {
-        let schema = Arc::clone(columns.schema());
-        if !schema.has_primary_key() {
-            return Err(DbError::InvalidArgument(
-                "dual-format tables require a primary key".into(),
-            ));
-        }
-        Ok(DualFormatTable {
-            rows: RowStore::new(schema),
-            columns: Arc::new(columns),
-        })
-    }
-
-    /// The table schema.
-    pub fn schema(&self) -> &SchemaRef {
-        self.columns.schema()
-    }
-
-    /// The columnar side: what analytic scans read and maintenance merges.
-    pub fn columns(&self) -> &Arc<DeltaMainTable> {
-        &self.columns
-    }
-
-    /// Transactional insert (row store, then the columnar side).
-    pub fn insert(&self, txn: &Transaction, row: Row) -> Result<()> {
-        self.rows.insert(txn, row.clone())?;
-        self.columns.insert(txn, row)
-    }
-
-    /// Transactional update.
-    pub fn update(&self, txn: &Transaction, key: &Row, row: Row) -> Result<()> {
-        self.rows.update(txn, key, row.clone())?;
-        self.columns.update(txn, key, row)
-    }
-
-    /// Transactional delete.
-    pub fn delete(&self, txn: &Transaction, key: &Row) -> Result<()> {
-        self.rows.delete(txn, key)?;
-        self.columns.delete(txn, key)
-    }
-
-    /// OLTP point lookup — always served by the row format.
-    pub fn get(&self, key: &Row, read_ts: Ts, me: TxnId) -> Option<Row> {
-        self.rows.get(key, read_ts, me)
-    }
-
-    /// OLTP-style scan — served entirely by the row format (for
-    /// comparison and for queries the optimizer routes to the row store).
-    pub fn scan_oltp(
-        &self,
-        projection: &[usize],
-        pred: &ScanPredicate,
-        read_ts: Ts,
-        me: TxnId,
-        batch_size: usize,
-    ) -> Result<Vec<Batch>> {
-        self.rows.scan(projection, pred, read_ts, me, batch_size)
-    }
-
-    /// Estimated visible rows.
-    pub fn row_count_estimate(&self) -> usize {
-        self.rows.key_count()
-    }
-
-    /// Runs MVCC GC on the row store.
-    pub fn gc(&self, watermark: Ts) -> usize {
-        self.rows.gc(watermark)
-    }
-}
+//! Unit tests of the dual format: a [`TableHandle`](crate::TableHandle)
+//! with both sides, whose analytic scan reads the columnar side and whose
+//! point reads the row side, both kept consistent by every statement
+//! (Oracle Database In-Memory's architecture, the tutorial's §3).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::buffer::SegmentPager;
-    use crate::predicate::CmpOp;
+    use crate::catalog::{TableFormat, TableHandle};
     use oltap_common::fault::FaultInjector;
+    use oltap_common::ids::TxnId;
     use oltap_common::row;
-    use oltap_common::{DataType, Field, Schema, Value};
-    use oltap_txn::TransactionManager;
+    use oltap_common::schema::SchemaRef;
+    use oltap_common::{DataType, Field, Row, Schema, Value};
+    use oltap_storage::{BufferManager, CmpOp, ScanPredicate, SegmentPager};
+    use oltap_txn::{TransactionManager, Ts};
+    use std::sync::Arc;
 
     const NOBODY: TxnId = TxnId(u64::MAX - 1);
 
-    /// An analytic scan drained: the columnar side's segments, then its
-    /// delta.
-    trait Analytic {
-        fn scan_analytic(
-            &self,
-            projection: &[usize],
-            pred: &ScanPredicate,
-            read_ts: Ts,
-            me: TxnId,
-            batch_size: usize,
-        ) -> Result<Vec<Batch>>;
-    }
-
-    impl Analytic for DualFormatTable {
-        fn scan_analytic(
-            &self,
-            projection: &[usize],
-            pred: &ScanPredicate,
-            read_ts: Ts,
-            me: TxnId,
-            batch_size: usize,
-        ) -> Result<Vec<Batch>> {
-            let (segments, delta) =
-                (self.columns).fused_scan_parts(projection, pred, read_ts, me, batch_size)?;
-            let mut out = Vec::new();
-            for seg in &segments {
-                out.extend(seg.scan(projection, pred, read_ts, me, batch_size)?);
-            }
-            out.extend(delta);
-            Ok(out)
-        }
-    }
-
     /// A maintenance pass over the table at the manager's watermark, as
     /// the database runs it.
-    fn maintain(mgr: &TransactionManager, t: &DualFormatTable) {
-        let watermark = mgr.gc_watermark();
-        (t.columns).maintain(watermark, &FaultInjector::disabled()).unwrap();
-        t.gc(watermark);
+    fn maintain(mgr: &TransactionManager, t: &TableHandle) {
+        t.maintain(mgr.gc_watermark()).unwrap();
     }
 
     fn schema() -> SchemaRef {
@@ -180,25 +37,28 @@ mod tests {
         )
     }
 
-    fn table() -> (Arc<TransactionManager>, DualFormatTable) {
+    fn table() -> (Arc<TransactionManager>, TableHandle) {
         (
             Arc::new(TransactionManager::new()),
-            DualFormatTable::new(schema()).unwrap(),
+            TableHandle::create(schema(), TableFormat::Dual).unwrap(),
         )
     }
 
-    fn count(t: &DualFormatTable, read_ts: Ts) -> usize {
-        t.scan_analytic(&[0], &ScanPredicate::all(), read_ts, NOBODY, 4096)
-            .unwrap()
-            .iter()
-            .map(|b| b.len())
-            .sum()
+    /// The analytic scan's rows: the columnar side's segments, then its
+    /// delta.
+    fn scan(t: &TableHandle, cols: &[usize], pred: &ScanPredicate, ts: Ts, me: TxnId) -> Vec<Row> {
+        let batches = t.scan(cols, pred, ts, me, 4096).unwrap();
+        batches.iter().flat_map(|b| b.to_rows()).collect()
+    }
+
+    fn count(t: &TableHandle, read_ts: Ts) -> usize {
+        scan(t, &[0], &ScanPredicate::all(), read_ts, NOBODY).len()
     }
 
     #[test]
     fn requires_primary_key() {
         let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
-        assert!(DualFormatTable::new(schema).is_err());
+        assert!(TableHandle::create(schema, TableFormat::Dual).is_err());
     }
 
     /// Before any merge (DBIM's population) every row is in the delta —
@@ -211,7 +71,7 @@ mod tests {
             t.insert(&tx, row![i as i64, "eu", i as i64]).unwrap();
         }
         let cts = tx.commit().unwrap();
-        assert_eq!(t.columns().sizes().segments, 0);
+        assert_eq!(t.columns().unwrap().sizes().segments, 0);
         assert_eq!(count(&t, cts), 10);
     }
 
@@ -225,9 +85,9 @@ mod tests {
             t.insert(&tx, row![i as i64, "eu", i as i64]).unwrap();
         }
         tx.commit().unwrap();
-        assert_eq!(t.columns().sizes().delta_rows, 100);
+        assert_eq!(t.columns().unwrap().sizes().delta_rows, 100);
         maintain(&mgr, &t);
-        let sizes = t.columns().sizes();
+        let sizes = t.columns().unwrap().sizes();
         assert_eq!((sizes.main_rows, sizes.delta_rows), (100, 0));
         assert!(sizes.segments >= 1);
         assert_eq!(count(&t, mgr.now()), 100);
@@ -248,20 +108,14 @@ mod tests {
         let cts = tx.commit().unwrap();
 
         // New snapshot: 10 rows, row 3 shows the new value.
-        let batches = t
-            .scan_analytic(&[0, 2], &ScanPredicate::all(), cts, NOBODY, 4096)
-            .unwrap();
-        let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
+        let rows = scan(&t, &[0, 2], &ScanPredicate::all(), cts, NOBODY);
         assert_eq!(rows.len(), 10);
         let updated: Vec<&Row> = rows.iter().filter(|r| r[0] == Value::Int(3)).collect();
         assert_eq!(updated.len(), 1);
         assert_eq!(updated[0][1], Value::Int(999));
 
         // Old snapshot: still the old value.
-        let batches = t
-            .scan_analytic(&[0, 2], &ScanPredicate::all(), cts - 1, NOBODY, 4096)
-            .unwrap();
-        let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
+        let rows = scan(&t, &[0, 2], &ScanPredicate::all(), cts - 1, NOBODY);
         let old: Vec<&Row> = rows.iter().filter(|r| r[0] == Value::Int(3)).collect();
         assert_eq!(old.len(), 1);
         assert_eq!(old[0][1], Value::Int(0));
@@ -284,12 +138,7 @@ mod tests {
 
         assert_eq!(count(&t, cts), 10); // +1 insert, -1 delete
         assert_eq!(count(&t, cts - 1), 10);
-        let rows: Vec<Row> = t
-            .scan_analytic(&[0], &ScanPredicate::all(), cts, NOBODY, 4096)
-            .unwrap()
-            .iter()
-            .flat_map(|b| b.to_rows())
-            .collect();
+        let rows = scan(&t, &[0], &ScanPredicate::all(), cts, NOBODY);
         assert!(rows.iter().any(|r| r[0] == Value::Int(100)));
         assert!(!rows.iter().any(|r| r[0] == Value::Int(0)));
     }
@@ -308,11 +157,9 @@ mod tests {
         maintain(&mgr, &t);
 
         let amounts = |read_ts: Ts, me: TxnId| -> Vec<(Value, Value)> {
-            let mut rows: Vec<(Value, Value)> = t
-                .scan_analytic(&[0, 2], &ScanPredicate::all(), read_ts, me, 4096)
-                .unwrap()
-                .iter()
-                .flat_map(|b| b.to_rows())
+            let all = ScanPredicate::all();
+            let mut rows: Vec<(Value, Value)> = scan(&t, &[0, 2], &all, read_ts, me)
+                .into_iter()
                 .map(|r| (r[0].clone(), r[1].clone()))
                 .collect();
             rows.sort();
@@ -353,23 +200,25 @@ mod tests {
         let cts = tx.commit().unwrap();
 
         let pred = ScanPredicate::single(2, CmpOp::Eq, Value::Int(1));
-        let total: usize = t
-            .scan_analytic(&[0], &pred, cts, NOBODY, 4096)
-            .unwrap()
-            .iter()
-            .map(|b| b.len())
-            .sum();
-        assert_eq!(total, 11); // 10 odd rows + updated row 0
+        assert_eq!(scan(&t, &[0], &pred, cts, NOBODY).len(), 11); // 10 odd rows + updated row 0
     }
 
+    /// A point read is the row side's: it finds a row the columnar side
+    /// has not got.
     #[test]
     fn point_reads_always_row_store() {
         let (mgr, t) = table();
         let tx = mgr.begin();
         t.insert(&tx, row![1i64, "eu", 7i64]).unwrap();
         let cts = tx.commit().unwrap();
-        assert_eq!(t.get(&row![1i64], cts, NOBODY).unwrap()[2], Value::Int(7));
-        assert!(t.get(&row![2i64], cts, NOBODY).is_none());
+        assert_eq!(t.get(&row![1i64], cts, NOBODY).unwrap().unwrap()[2], Value::Int(7));
+        assert!(t.get(&row![2i64], cts, NOBODY).unwrap().is_none());
+
+        let tx = mgr.begin();
+        t.rows().unwrap().insert(&tx, row![2i64, "eu", 8i64]).unwrap();
+        let cts = tx.commit().unwrap();
+        assert_eq!(t.get(&row![2i64], cts, NOBODY).unwrap().unwrap()[2], Value::Int(8));
+        assert_eq!(t.columns().unwrap().get(&row![2i64], cts, NOBODY).unwrap(), None);
     }
 
     #[test]
@@ -387,29 +236,22 @@ mod tests {
                 .unwrap();
             tx.commit().unwrap();
         }
-        assert_eq!(t.columns().sizes().delta_rows, 50);
+        assert_eq!(t.columns().unwrap().sizes().delta_rows, 50);
         maintain(&mgr, &t);
-        let sizes = t.columns().sizes();
+        let sizes = t.columns().unwrap().sizes();
         assert_eq!((sizes.delta_rows, sizes.main_rows - sizes.main_dead_rows), (0, 50));
         let pred = ScanPredicate::single(2, CmpOp::Eq, Value::Int(1));
-        let total: usize = t
-            .scan_analytic(&[0], &pred, mgr.now(), NOBODY, 4096)
-            .unwrap()
-            .iter()
-            .map(|b| b.len())
-            .sum();
-        assert_eq!(total, 50);
+        assert_eq!(scan(&t, &[0], &pred, mgr.now(), NOBODY).len(), 50);
     }
 
-    /// The DUAL twin of core's
-    /// `filtered_and_aggregated_column_faults_once_per_group`: a column the
-    /// scan both filters and projects is faulted once per row group under a
-    /// pool smaller than that column (a whole-segment selection followed by
-    /// a gather faults it twice), rows updated or deleted after the merge
-    /// are read once, and the answer is the resident table's.
+    /// The DUAL twin of `filtered_and_aggregated_column_faults_once_per_group`:
+    /// a column the scan both filters and projects is faulted once per row
+    /// group under a pool smaller than that column (a whole-segment
+    /// selection followed by a gather faults it twice), rows updated or
+    /// deleted after the merge are read once, and the answer is the
+    /// resident table's.
     #[test]
     fn filtered_and_projected_column_faults_once_per_group() {
-        use crate::buffer::BufferManager;
         let (pool_bytes, group_rows, n) = (4096, 256, 4096i64);
         let root = std::env::temp_dir().join(format!("oltap-dual-pages-{}", std::process::id()));
         let pager = SegmentPager::new(
@@ -419,9 +261,10 @@ mod tests {
             FaultInjector::disabled(),
         );
         let mgr = Arc::new(TransactionManager::new());
-        let paged = DeltaMainTable::with_pager(schema(), Some(Arc::clone(&pager)));
-        let paged = DualFormatTable::with_columns(paged).unwrap();
-        let resident = DualFormatTable::new(schema()).unwrap();
+        let paged =
+            TableHandle::create_with(schema(), TableFormat::Dual, Some(Arc::clone(&pager)), None)
+                .unwrap();
+        let resident = TableHandle::create(schema(), TableFormat::Dual).unwrap();
         for t in [&paged, &resident] {
             let tx = mgr.begin();
             for i in 0..n {
@@ -439,13 +282,13 @@ mod tests {
 
         // Every group has a passing row: none is pruned or filtered empty.
         let pred = ScanPredicate::single(2, CmpOp::Ge, Value::Int(0));
-        let answer = |t: &DualFormatTable| -> Vec<Row> {
-            let mut rows: Vec<Row> = t
-                .scan_analytic(&[2, 0], &pred, mgr.now(), NOBODY, 1000)
+        let answer = |t: &TableHandle| -> Vec<Row> {
+            let mut rows = t
+                .scan(&[2, 0], &pred, mgr.now(), NOBODY, 1000)
                 .unwrap()
                 .iter()
                 .flat_map(|b| b.to_rows())
-                .collect();
+                .collect::<Vec<Row>>();
             rows.sort();
             rows
         };
@@ -455,7 +298,9 @@ mod tests {
         assert_eq!(got.len(), n as usize - 1);
         assert_eq!(got, answer(&resident));
 
-        let (segments, _) = (paged.columns)
+        let (segments, _) = paged
+            .columns()
+            .unwrap()
             .fused_scan_parts(&[], &ScanPredicate::all(), mgr.now(), NOBODY, 1000)
             .unwrap();
         let groups: usize = segments.iter().map(|s| s.group_count()).sum();

@@ -27,3 +27,6 @@ pub use database::{
     BufferConfig, Database, DbConfig, DbStats, MaintenanceDaemon, MaintenanceStats, MemoryConfig,
 };
 pub use session::{QueryResult, Session, SessionActivity};
+
+#[cfg(test)]
+mod dual;

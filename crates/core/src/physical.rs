@@ -1273,9 +1273,9 @@ mod tests {
                     let LogicalPlan::Scan { projection, pushdown, .. } = &**input else {
                         unreachable!()
                     };
-                    let TableHandle::Column(t) = catalog.get(table).unwrap() else {
-                        panic!("{tag}: {table} is not a column table");
-                    };
+                    let handle = catalog.get(table).unwrap();
+                    assert_eq!(handle.format(), TableFormat::Column, "{tag}: {table}");
+                    let t = handle.columns().unwrap();
                     let ctx = snapshot_ctx(db.txn_manager().now());
                     let parts = t.fused_scan_parts(projection, pushdown, ctx.read_ts, ctx.me, 4096);
                     (parts.unwrap().0, pushdown.clone())

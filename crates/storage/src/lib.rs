@@ -9,10 +9,9 @@
 //!   zone-mapped columnar "main" store (HANA / DB2 BLU / Oracle DBIM
 //!   style), with predicate evaluation over compressed codes.
 //! * [`delta`] — the delta + main architecture with an MVCC-safe merge
-//!   (differential files / LSM lineage, §4).
-//! * [`dual`] — dual-format tables: a row store beside a delta + main
-//!   columnar side, both written by every statement (Oracle Database
-//!   In-Memory style, §3).
+//!   (differential files / LSM lineage, §4). A table (`oltap-core`'s
+//!   `TableHandle`) is a row store, a delta + main table, or both — the
+//!   dual format (Oracle Database In-Memory style, §3).
 //! * [`predicate`] — pushed-down scan predicates shared by all formats.
 //! * [`spill`] — length-framed spill files under per-query scratch dirs,
 //!   the disk half of the executor's memory-bounded operators.
@@ -23,7 +22,6 @@
 
 pub mod buffer;
 pub mod delta;
-pub mod dual;
 pub mod encoding;
 pub mod pagefile;
 pub mod predicate;
@@ -35,7 +33,6 @@ pub mod zonemap;
 
 pub use buffer::{BufferManager, BufferStats, PageGuard, PageKey, ScanPass, SegmentPager};
 pub use delta::{DeltaMainTable, FreezeStats, HeatStats, MergeBell, MergeStats, TableSizes};
-pub use dual::DualFormatTable;
 pub use pagefile::{purge_page_root, PageFile, PageFileWriter};
 pub use predicate::{CmpOp, ColumnPredicate, JoinFilter, ScanPredicate};
 pub use rowstore::RowStore;

@@ -27,7 +27,7 @@ mod rng;
 
 use ch::{card, NewOrder};
 use oltapdb::common::ids::TxnId;
-use oltapdb::core::{Database, TableHandle};
+use oltapdb::core::Database;
 use oltapdb::storage::ScanPredicate;
 use std::hint::black_box;
 use std::time::Instant;
@@ -102,12 +102,9 @@ fn main() -> oltapdb::common::Result<()> {
         }
     }
     db.maintenance();
-    let TableHandle::Column(order_line) = db.table("order_line")? else {
-        unreachable!("the CH tables are COLUMN tables");
-    };
-    let TableHandle::Column(stock) = db.table("stock")? else {
-        unreachable!("the CH tables are COLUMN tables");
-    };
+    let (order_line, stock) = (db.table("order_line")?, db.table("stock")?);
+    let order_line = order_line.columns().expect("the CH tables are COLUMN tables");
+    let stock = stock.columns().expect("the CH tables are COLUMN tables");
 
     println!(
         "{WAREHOUSES} warehouses, order_line {} main rows in {} segments; best of {ROUNDS} x {CALLS} calls, us per call",

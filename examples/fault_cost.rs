@@ -29,7 +29,7 @@ mod rng;
 
 use oltapdb::common::fault::FaultInjector;
 use oltapdb::common::crc32;
-use oltapdb::core::{BufferConfig, Database, DbConfig, TableHandle};
+use oltapdb::core::{BufferConfig, Database, DbConfig};
 use oltapdb::storage::encoding::{Dictionary, ForPacked, IntEncoding, StrEncoding};
 use oltapdb::storage::pagefile::{decode_page, PageFileWriter};
 use oltapdb::storage::segment::EncodedColumn;
@@ -188,10 +188,8 @@ fn order_line_pass(root: &Path) -> oltapdb::common::Result<()> {
     let sql = ch::OLAP.iter().find(|(id, _)| *id == "Q1").expect("Q1").1;
     let page_bytes = {
         let db = order_line_db(u64::MAX, &root.join("all"))?;
-        let TableHandle::Column(table) = db.table("order_line")? else {
-            unreachable!("order_line is a COLUMN table");
-        };
-        table.sizes().main_bytes as u64
+        let table = db.table("order_line")?;
+        table.columns().expect("order_line is a COLUMN table").sizes().main_bytes as u64
     };
     let db = order_line_db(page_bytes / 4, &root.join("quarter"))?;
     for _ in 0..3 {

@@ -76,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nevent 42: {}", one[0]);
 
     // Freshness bookkeeping of the dual format.
-    if let oltapdb::core::TableHandle::Dual(d) = db.table("retail_events")? {
-        let sizes = d.columns().sizes();
+    if let Some(columns) = db.table("retail_events")?.columns() {
+        let sizes = columns.sizes();
         println!(
             "\ncolumnar side: {} segments, {} main rows ({} dead), {} delta keys",
             sizes.segments, sizes.main_rows, sizes.main_dead_rows, sizes.delta_rows

@@ -36,7 +36,7 @@ mod ch;
 mod rng;
 
 use ch::{card, NewOrder};
-use oltapdb::core::{Database, Session, TableHandle};
+use oltapdb::core::{Database, Session};
 use oltapdb::storage::DeltaMainTable;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -98,10 +98,7 @@ fn load() -> oltapdb::common::Result<Arc<Database>> {
 }
 
 fn column(db: &Database, name: &str) -> oltapdb::common::Result<Arc<DeltaMainTable>> {
-    match db.table(name)? {
-        TableHandle::Column(t) => Ok(t),
-        _ => unreachable!("the CH tables are COLUMN tables"),
-    }
+    Ok(Arc::clone(db.table(name)?.columns().expect("the CH tables are COLUMN tables")))
 }
 
 fn sql_of(id: &str) -> &'static str {

@@ -1971,10 +1971,7 @@ fn chaos_crash_mid_coalesce_keeps_the_old_run_serving() {
         "crash must surface as a per-table note: {stats:?} (seed={seed:#x})"
     );
     assert_eq!(faults.fired_count(), 1, "scenario vacuous (seed={seed:#x})");
-    let segments = || match db.table("pages").unwrap() {
-        oltapdb::core::TableHandle::Column(t) => t.sizes().segments,
-        other => panic!("pages is {other:?}"),
-    };
+    let segments = || db.table("pages").unwrap().columns().unwrap().sizes().segments;
     assert_eq!(segments(), 2, "the swap happened (seed={seed:#x})");
     for workers in [1, 4] {
         db.set_parallelism(workers);
@@ -2166,6 +2163,44 @@ fn chaos_net_conn_drop_mid_txn_rolls_back() {
     let _ = server.drain();
     assert_eq!(admission.running(), (0, 0), "admission ticket leaked");
     assert_eq!(governor.total_used(), used_before, "governor bytes leaked");
+}
+
+/// Scenario 20a, through a reconnecting client: `net.conn_drop_mid_query`
+/// severs the socket on the second INSERT of a BEGIN…COMMIT. The server
+/// rolls the transaction back, so the client must not replay the INSERT on
+/// a new session, where it would commit alone: it answers `TxnClosed`, the
+/// COMMIT then runs outside any transaction, and the table holds neither
+/// row.
+#[test]
+fn chaos_net_conn_drop_mid_txn_is_not_replayed_by_retry_client() {
+    let seed = seed_for(203);
+    let faults = FaultInjector::new(seed);
+    let db = net_db(Arc::clone(&faults));
+    db.execute("CREATE TABLE acct (id BIGINT PRIMARY KEY, bal BIGINT)")
+        .unwrap();
+    let server = net_server(&db);
+    let addr = server.local_addr().to_string();
+
+    let cfg = RetryConfig { seed, ..RetryConfig::default() };
+    let mut c = RetryClient::new(addr.clone(), cfg);
+    c.query("BEGIN").unwrap();
+    c.query("INSERT INTO acct VALUES (1, 100)").unwrap();
+    faults.arm(points::NET_CONN_DROP_MID_QUERY, FaultPoint::times(1));
+    let err = c
+        .query("INSERT INTO acct VALUES (2, 200)")
+        .expect_err("a transaction cut by a dropped connection is closed");
+    assert!(matches!(err, DbError::TxnClosed(_)), "got {err:?} (seed={seed:#x})");
+    assert_eq!(faults.fired_count(), 1, "scenario vacuous (seed={seed:#x})");
+    let commit = c.query("COMMIT");
+    assert!(
+        matches!(commit, Err(DbError::InvalidArgument(_))),
+        "COMMIT after the cut runs outside any transaction: {commit:?} (seed={seed:#x})"
+    );
+    let out = c.query("SELECT COUNT(*) FROM acct").unwrap();
+    assert_eq!(out.rows[0].values()[0], Value::Int(0), "half a transaction committed (seed={seed:#x})");
+    drop(c);
+    wait_active_zero(&server, Duration::from_secs(5));
+    let _ = server.drain();
 }
 
 /// Scenario 20b — accept loop killed (`net.accept_fail` always firing):

@@ -10,7 +10,7 @@
 
 use oltapdb::common::fault::{points, FaultInjector, FaultPoint};
 use oltapdb::common::{Row, Value};
-use oltapdb::core::{Database, DbConfig, TableHandle};
+use oltapdb::core::{Database, DbConfig};
 use std::sync::Arc;
 
 #[allow(dead_code)]
@@ -91,9 +91,7 @@ fn float_sums_over_a_populated_delta_keep_their_bits() {
     )
     .unwrap();
     let handle = db.table("m").unwrap();
-    let TableHandle::Column(table) = &handle else {
-        unreachable!("m is a COLUMN table");
-    };
+    let table = handle.columns().unwrap();
 
     let txn = db.txn_manager().begin();
     for id in 0..MERGED {

@@ -4,7 +4,7 @@
 use oltapdb::common::fault::{points, FaultInjector, FaultPoint};
 use oltapdb::common::ids::NodeId;
 use oltapdb::common::{row, CancellationToken, DataType, DbError, Field, Row, Schema, Value};
-use oltapdb::core::{Database, TableHandle};
+use oltapdb::core::Database;
 use oltapdb::dist::{ClusterConfig, DistributedTable, PartitionGroup, RaftConfig, ShardCmd};
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,9 +124,9 @@ fn segments_per_replica(cluster: &DistributedTable) -> Vec<usize> {
     let replicas = cluster.groups().iter().flat_map(|g| &g.replicas);
     replicas
         .filter(|r| r.raft.is_running())
-        .map(|r| match r.db().table(DistributedTable::TABLE).unwrap() {
-            TableHandle::Column(t) => t.sizes().segments,
-            other => panic!("a shard's table is {other:?}"),
+        .map(|r| {
+            let table = r.db().table(DistributedTable::TABLE).unwrap();
+            table.columns().unwrap().sizes().segments
         })
         .collect()
 }

@@ -4,7 +4,7 @@
 //! that shares no code with the engine.
 
 use oltapdb::common::{Row, Value};
-use oltapdb::core::{BufferConfig, Database, DbConfig, MemoryConfig, TableHandle};
+use oltapdb::core::{BufferConfig, Database, DbConfig, MemoryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,10 +75,7 @@ fn load(pool_bytes: Option<u64>, query_bytes: Option<u64>) -> Arc<Database> {
     let rows: Vec<Row> = (0..ROWS)
         .map(|i| Row::new(vec![int(i), int(i % 1000), int(i * 7919 % 1_000_003), int(i / 3)]))
         .collect();
-    let TableHandle::Column(t) = db.table("t").unwrap() else {
-        panic!("a column table");
-    };
-    t.bulk_load(&rows).unwrap();
+    db.table("t").unwrap().columns().unwrap().bulk_load(&rows).unwrap();
     let txn = db.txn_manager().begin();
     let d = db.table("d").unwrap();
     for g in 0..100 {
@@ -106,10 +103,7 @@ fn measured(db: &Arc<Database>, sql: &str) -> (Vec<Row>, usize) {
 #[test]
 fn a_pipeline_scan_holds_a_morsel_per_thread() {
     let held = load(None, None);
-    let TableHandle::Column(t) = held.table("t").unwrap() else {
-        unreachable!()
-    };
-    let table_bytes = t.sizes().main_bytes as u64;
+    let table_bytes = held.table("t").unwrap().columns().unwrap().sizes().main_bytes as u64;
     let budget = Some(ROWS as u64 * 16 / 8);
     for pool in [None, Some(table_bytes / 4)] {
         let storage = if pool.is_some() { "paged" } else { "held" };

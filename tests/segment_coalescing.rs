@@ -11,7 +11,7 @@
 //! read before it.
 
 use oltapdb::common::{Row, Value};
-use oltapdb::core::{BufferConfig, Database, DbConfig, TableHandle};
+use oltapdb::core::{BufferConfig, Database, DbConfig};
 use oltapdb::storage::DeltaMainTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,10 +50,7 @@ const FUSED: [&str; 3] = [
 const PIPELINE: &str = "SELECT g + 0, SUM(f), AVG(f) FROM m GROUP BY g + 0 ORDER BY g + 0";
 
 fn column(db: &Database) -> Arc<DeltaMainTable> {
-    match db.table("m").unwrap() {
-        TableHandle::Column(t) => t,
-        other => panic!("m is {other:?}"),
-    }
+    Arc::clone(db.table("m").unwrap().columns().unwrap())
 }
 
 #[test]

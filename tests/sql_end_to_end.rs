@@ -422,20 +422,18 @@ fn insert_conflicts_and_constraints_via_sql() {
 #[test]
 fn order_by_with_a_large_limit_sorts_within_the_query_budget() {
     use oltapdb::common::Row;
-    use oltapdb::core::{DbConfig, MemoryConfig, TableHandle};
+    use oltapdb::core::{DbConfig, MemoryConfig};
 
     const ROWS: i64 = 20_000;
     let load = |memory: Option<MemoryConfig>| {
         let db = Database::with_config(DbConfig { memory, ..DbConfig::default() }).unwrap();
         db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT COLUMN")
             .unwrap();
-        let TableHandle::Column(t) = db.table("t").unwrap() else {
-            panic!("a column table");
-        };
+        let t = db.table("t").unwrap();
         let rows: Vec<Row> = (0..ROWS)
             .map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 7919 % 1009)]))
             .collect();
-        t.bulk_load(&rows).unwrap();
+        t.columns().unwrap().bulk_load(&rows).unwrap();
         db
     };
     let unbudgeted = load(None);
