@@ -187,6 +187,14 @@ impl Default for RetryConfig {
 /// `COMMIT` cut this way may have committed or not. The next statement
 /// starts outside any transaction.
 ///
+/// The server also closes a transaction itself when a statement fails
+/// after it has written: it rolls the transaction back and answers every
+/// statement with [`DbError::TxnClosed`] until `COMMIT` (answered the
+/// same, ending the block) or `ROLLBACK`. Those answers come over a live
+/// connection and pass through as they are; a block ended by a refused
+/// `COMMIT` still counts as open here, so a transport error on the next
+/// statement answers `TxnClosed` rather than replaying it.
+///
 /// Note for writers: a retried autocommit DML statement may have committed
 /// before the connection died, so retrying an INSERT can legitimately
 /// surface [`DbError::DuplicateKey`] — callers doing exactly-once writes

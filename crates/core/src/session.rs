@@ -94,9 +94,18 @@ impl Drop for Running<'_> {
 }
 
 /// An interactive session: holds at most one open transaction.
+///
+/// A statement is atomic inside a transaction too. One that fails after
+/// it has written rolls the whole transaction back, and the session then
+/// answers every statement with [`DbError::TxnClosed`] until `COMMIT`
+/// (answered the same, ending the block) or `ROLLBACK`. One that fails
+/// before writing leaves the transaction open.
 pub struct Session {
     db: Arc<Database>,
     txn: Option<Transaction>,
+    /// A failed statement rolled the open transaction back; its block
+    /// has not ended yet.
+    rolled_back: bool,
     pending_ops: Vec<WalOp>,
     query_timeout: Option<std::time::Duration>,
     /// Connection-scoped cancellation: when set, every statement's
@@ -115,6 +124,7 @@ impl Session {
             _open: db.open_session(),
             db,
             txn: None,
+            rolled_back: false,
             pending_ops: Vec::new(),
             query_timeout: None,
             session_cancel: None,
@@ -123,9 +133,10 @@ impl Session {
         }
     }
 
-    /// Whether a transaction is open.
+    /// Whether a transaction block is open: `BEGIN` has not been ended by
+    /// `COMMIT` or `ROLLBACK`, even if a failed statement rolled it back.
     pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
+        self.txn.is_some() || self.rolled_back
     }
 
     /// Sets a per-statement timeout for SELECTs: a query past its deadline
@@ -224,6 +235,13 @@ impl Session {
         catalog: RwLockReadGuard<'_, Catalog>,
         sql: &str,
     ) -> Result<QueryResult> {
+        if self.rolled_back {
+            self.rolled_back = !matches!(prepared, Prepared::Commit | Prepared::Rollback);
+            return match prepared {
+                Prepared::Rollback => Ok(QueryResult::Txn("ROLLBACK")),
+                _ => Err(DbError::TxnClosed("a failed statement rolled the transaction back".into())),
+            };
+        }
         match prepared {
             Prepared::Select {
                 plan,
@@ -400,14 +418,30 @@ impl Session {
         handle: &TableHandle,
         params: &[Value],
     ) -> Result<QueryResult> {
+        let mut ops = Vec::new();
         if let Some(txn) = &self.txn {
-            let (n, ops) = self.apply_dml(txn, dml, handle, params)?;
-            self.pending_ops.extend(ops);
-            Ok(QueryResult::Affected(n))
+            match self.apply_dml(txn, dml, handle, params, &mut ops) {
+                Ok(()) => {
+                    let n = ops.len();
+                    self.pending_ops.extend(ops);
+                    Ok(QueryResult::Affected(n))
+                }
+                // What it wrote is in the transaction's write set, beside
+                // the earlier statements' writes: only the whole can go.
+                Err(e) if !ops.is_empty() => {
+                    let _ = txn.abort();
+                    self.txn = None;
+                    self.pending_ops.clear();
+                    self.rolled_back = true;
+                    Err(e)
+                }
+                Err(e) => Err(e),
+            }
         } else {
             let txn = self.db.txn_manager().begin();
-            match self.apply_dml(&txn, dml, handle, params) {
-                Ok((n, ops)) => {
+            match self.apply_dml(&txn, dml, handle, params, &mut ops) {
+                Ok(()) => {
+                    let n = ops.len();
                     self.db.commit_txn(&txn, ops)?;
                     Ok(QueryResult::Affected(n))
                 }
@@ -419,14 +453,17 @@ impl Session {
         }
     }
 
-    /// Applies a DML statement under `txn`; returns (affected, redo ops).
+    /// Applies a DML statement under `txn`, pushing each write's redo op
+    /// onto `ops` once it is made: the statement affected `ops.len()` rows,
+    /// and a failed one wrote something exactly when `ops` is not empty.
     fn apply_dml(
         &self,
         txn: &Transaction,
         dml: &Prepared,
         handle: &TableHandle,
         params: &[Value],
-    ) -> Result<(usize, Vec<WalOp>)> {
+        ops: &mut Vec<WalOp>,
+    ) -> Result<()> {
         match dml {
             Prepared::Insert {
                 table,
@@ -446,7 +483,6 @@ impl Session {
                         Ok(Row::new(vals))
                     })
                     .collect::<Result<Vec<_>>>()?;
-                let mut ops = Vec::with_capacity(rows.len());
                 for row in rows {
                     handle.insert(txn, row.clone())?;
                     ops.push(WalOp::Insert {
@@ -454,7 +490,7 @@ impl Session {
                         row,
                     });
                 }
-                Ok((ops.len(), ops))
+                Ok(())
             }
             Prepared::Update {
                 table,
@@ -479,7 +515,6 @@ impl Session {
                         }
                     }
                 }
-                let mut ops = Vec::with_capacity(targets.len());
                 let pk_cols = schema.primary_key();
                 for (old, new) in targets.into_iter().zip(new_rows) {
                     let old_key = schema.key_of(&old);
@@ -488,11 +523,11 @@ impl Session {
                         .any(|&i| old.values()[i] != new.values()[i]);
                     if pk_changed {
                         handle.delete(txn, &old_key)?;
-                        handle.insert(txn, new.clone())?;
                         ops.push(WalOp::Delete {
                             table: table.clone(),
                             key: old_key,
                         });
+                        handle.insert(txn, new.clone())?;
                         ops.push(WalOp::Insert {
                             table: table.clone(),
                             row: new,
@@ -506,7 +541,7 @@ impl Session {
                         });
                     }
                 }
-                Ok((ops.len(), ops))
+                Ok(())
             }
             Prepared::Delete {
                 table,
@@ -514,7 +549,6 @@ impl Session {
                 target,
             } => {
                 let targets = self.matching_rows(txn, handle, schema, target, params)?;
-                let mut ops = Vec::with_capacity(targets.len());
                 for row in &targets {
                     let key = schema.key_of(row);
                     handle.delete(txn, &key)?;
@@ -523,7 +557,7 @@ impl Session {
                         key,
                     });
                 }
-                Ok((targets.len(), ops))
+                Ok(())
             }
             other => Err(DbError::Unsupported(format!("not DML: {other:?}"))),
         }

@@ -81,7 +81,7 @@ use crate::pipeline::{caught, fan_out, Crew, Job, ParallelContext, Reader, Sourc
 use crate::resources::ExecResources;
 use oltap_common::cancel::CancellationToken;
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::{Batch, BitSet, DbError, Result, Row, Value};
+use oltap_common::{Batch, BitSet, DbError, Result, Value};
 use oltap_sched::WorkerPool;
 use oltap_storage::encoding::{BitPacked, IntEncoding, StrEncoding};
 use oltap_storage::segment::{ColumnRef, EncodedColumn, PassChunks, Segment};
@@ -630,7 +630,7 @@ impl SlotTable {
         if self.slots[code] == UNRESOLVED {
             self.slots[code] = match dict {
                 Dict::Ints(dict) => run.group_of_int(Some(dict[code]))?,
-                Dict::Strs(dict) => run.group_of(Row::new(vec![Value::Str(dict[code].clone())]))?,
+                Dict::Strs(dict) => run.group_of(vec![Value::Str(dict[code].clone())])?,
             };
             self.resolved.push(code as u32);
         }
@@ -719,7 +719,7 @@ impl<'a> KeySource<'a> {
         match self {
             KeySource::Global(Some(gi)) => return Ok(Some(*gi)),
             KeySource::Global(gi) => {
-                *gi = Some(run.group_of(Row::new(Vec::new()))?);
+                *gi = Some(run.group_of(Vec::new())?);
                 return Ok(*gi);
             }
             // Zero bits a code: the chunk holds one value (a clustered key
@@ -1018,7 +1018,7 @@ mod tests {
     use crate::expr::{BinOp, Expr};
     use crate::pipeline::tests::ctx_with;
     use oltap_common::mem::{MemoryGovernor, WorkloadClass};
-    use oltap_common::{row, DataType, Field, Schema};
+    use oltap_common::{row, DataType, Field, Row, Schema};
 
     /// Forty 100-row batches of `(g, v)`, a stage keying them by an
     /// expression (so the walk parks its output) and `SUM(v)` by that key.

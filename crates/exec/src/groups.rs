@@ -14,11 +14,11 @@
 //! store ([`RunningGroups::refused`]): groups already resident keep
 //! updating in place, and a batch's rows of unseen keys are written raw —
 //! the slot values the store reads — to one of `PARTITIONS` spill files
-//! chosen by key hash. A key is therefore either *entirely* resident or
-//! *entirely* spilled, so [`RunningGroups::seal`] can replay each file in
-//! write order (= arrival order) into groups opened force-accounted, and
-//! every accumulator receives exactly the updates of a never-frozen run in
-//! the same order. Without a spill directory the refusal is the
+//! chosen by key hash, one `keys` record a row. A key is therefore either
+//! *entirely* resident or *entirely* spilled, so [`RunningGroups::seal`]
+//! can replay each file in write order (= arrival order) into groups
+//! opened force-accounted, and every accumulator receives exactly the
+//! updates of a never-frozen run in the same order. Without a spill directory the refusal is the
 //! statement's error.
 //!
 //! Stripes. A float `SUM` / `AVG` adds in row order within each stripe of
@@ -33,12 +33,12 @@
 //! answer does not depend on which thread met a key first.
 
 use crate::aggregate::{AggFunc, AggregatorCore};
+use crate::keys::{self, KeyIndex};
 use crate::resources::ExecResources;
 use oltap_common::hash::FxHashMap;
 use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{Batch, BitSet, ColumnVector, DataType, DbError, Result, Row, Value};
 use oltap_storage::spill::SpillWriter;
-use oltap_txn::wal::{decode_row, encode_row};
 use std::cmp::{max_by, min_by};
 use std::ops::Range;
 use std::sync::Arc;
@@ -50,17 +50,10 @@ pub(crate) const UNRESOLVED: u32 = u32::MAX;
 const GROUP_CHUNK: u64 = 64;
 
 /// Number of spill partitions. Matches the join's radix fan-out, so a
-/// frozen store replays ~1/16 of its spilled rows at a time.
+/// frozen store replays ~1/16 of its spilled rows at a time. A key's
+/// partition is the top bits of its hash (the key index takes the low
+/// ones), the same on every worker, so one group lands in one file.
 const PARTITIONS: usize = 16;
-
-/// Deterministic spill partition of a group key (stable across workers,
-/// so one group always lands in one partition file).
-fn partition_of(key: &Row) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % PARTITIONS as u64) as usize
-}
 
 /// A statement's (or one worker's share of a statement's) running groups,
 /// addressed by index: a group exists from the first row that carries its
@@ -80,8 +73,8 @@ pub struct RunningGroups {
     /// The distinct slots read, group keys first: what a spilled row holds.
     pub(crate) read_slots: Vec<usize>,
     mem: ExecResources,
-    /// What a group costs the governor apart from a [`Row`] key, and what
-    /// has been reserved so far (handed back on drop).
+    /// What a group costs the governor apart from its key, and what has
+    /// been reserved so far (handed back on drop).
     pub(crate) group_bytes: u64,
     reserved: u64,
     /// Of `reserved`, what no group has taken yet.
@@ -110,8 +103,9 @@ pub(crate) enum Keys {
         slots: Vec<u32>,
         index: FxHashMap<Option<i64>, u32>,
     },
-    /// Any other GROUP BY list, the empty one of a global aggregate included.
-    Rows(FxHashMap<Row, u32>),
+    /// Any other GROUP BY list, the empty one of a global aggregate
+    /// included: group `gi`'s key is the index's key `gi`.
+    Rows(KeyIndex),
 }
 
 impl Keys {
@@ -254,7 +248,7 @@ impl RunningGroups {
                     index: FxHashMap::default(),
                 }
             } else {
-                Keys::Rows(FxHashMap::default())
+                Keys::Rows(KeyIndex::with_capacity(group_cols.len(), 0))
             },
             rows: Vec::new(),
             accs,
@@ -354,22 +348,40 @@ impl RunningGroups {
         Ok(gi)
     }
 
-    pub(crate) fn group_of(&mut self, key: Row) -> Result<u32> {
-        if let (Keys::Int { .. }, [v]) = (&self.keys, key.values()) {
+    /// The group of a whole key.
+    pub(crate) fn group_of(&mut self, key: Vec<Value>) -> Result<u32> {
+        if let (Keys::Int { .. }, [v]) = (&self.keys, &key[..]) {
             let v = if v.is_null() { None } else { Some(v.as_int()?) };
             return self.group_of_int(v);
         }
-        let Keys::Rows(by_key) = &self.keys else {
+        self.group_of_row(keys::hash_key(&key), key, |key, k| key[..] == *k, |key| key)
+    }
+
+    /// The group of row key `key`, of hash `hash`: the stored key `is`
+    /// accepts it as, or a group opened with the values `make` builds of it.
+    fn group_of_row<K>(
+        &mut self,
+        hash: u64,
+        key: K,
+        is: impl Fn(&K, &[Value]) -> bool,
+        make: impl FnOnce(K) -> Vec<Value>,
+    ) -> Result<u32> {
+        let Keys::Rows(index) = &self.keys else {
             return Err(DbError::Execution(
                 "a row key in an integer-keyed aggregation".into(),
             ));
         };
-        if let Some(&gi) = by_key.get(&key) {
-            return Ok(gi);
-        }
-        let gi = self.new_group(key.approx_size())?;
-        if let Keys::Rows(by_key) = &mut self.keys {
-            by_key.insert(key, gi);
+        let slot = match index.find(hash, |k| is(&key, k)) {
+            Ok(gi) => return Ok(gi),
+            Err(slot) => slot,
+        };
+        let key = make(key);
+        // A key is priced as a `Row` of its values would be: its hash and
+        // slot take what the `Row` header did.
+        let bytes = std::mem::size_of::<Row>() + key.iter().map(Value::approx_size).sum::<usize>();
+        let gi = self.new_group(bytes)?;
+        if let Keys::Rows(index) = &mut self.keys {
+            index.insert(slot, hash, key);
         }
         Ok(gi)
     }
@@ -379,7 +391,7 @@ impl RunningGroups {
             lo, slots, index, ..
         } = &self.keys
         else {
-            return self.group_of(Row::new(vec![key.map_or(Value::Null, Value::Int)]));
+            return self.group_of(vec![key.map_or(Value::Null, Value::Int)]);
         };
         let slot = key
             .and_then(|v| usize::try_from(v.checked_sub(*lo)?).ok())
@@ -405,13 +417,17 @@ impl RunningGroups {
         Ok(gi)
     }
 
-    /// One row, whose slot `c` holds `value_at(c)`: the one update of an
-    /// accumulator from a [`Value`] — a batch's per row, the fused walk's
-    /// scalar path per selected row, the spill replay per record — in the
-    /// accumulators' order. A refused group leaves nothing updated.
+    /// One row, whose slot `c` holds `value_at(c)`: the fused walk's scalar
+    /// path per selected row, the spill replay per record. A refused group
+    /// leaves nothing updated.
     pub(crate) fn update_row(&mut self, value_at: impl Fn(usize) -> Value) -> Result<()> {
-        let key = Row::new(self.group_cols.iter().map(|&c| value_at(c)).collect());
-        let gi = self.group_of(key)? as usize;
+        let gi = self.group_of(self.group_cols.iter().map(|&c| value_at(c)).collect())?;
+        self.accumulate(gi as usize, value_at)
+    }
+
+    /// The one update of group `gi`'s accumulators from a row's [`Value`]s,
+    /// slot `c` holding `value_at(c)`, in the accumulators' order.
+    fn accumulate(&mut self, gi: usize, value_at: impl Fn(usize) -> Value) -> Result<()> {
         self.rows[gi] += 1;
         for acc in &mut self.accs {
             let v = value_at(acc.col);
@@ -442,15 +458,33 @@ impl RunningGroups {
     }
 
     /// [`consume_range`](Self::consume_range) of a batch whose slot columns
-    /// are `cols`.
+    /// are `cols`. Row keys are hashed a range at a time and matched where
+    /// they stand: only a new group's key is built.
     fn consume_rows(&mut self, cols: &[ColumnVector], rows: Range<usize>) -> Result<()> {
-        for i in rows {
+        let key_cols: Vec<&ColumnVector> = self.group_cols.iter().map(|&c| &cols[c]).collect();
+        let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
+        if let Keys::Rows(_) = self.keys {
+            keys::hash_rows(&key_cols, rows.clone(), &mut hashes, &mut nulls);
+        }
+        for i in rows.clone() {
             let value_at = |c: usize| cols[c].value_at(i);
-            match self.update_row(value_at) {
+            let gi = match &key_cols[..] {
+                [col] if matches!(self.keys, Keys::Int { .. }) => {
+                    let v = col.is_valid(i).then(|| col.value_at(i).as_int()).transpose()?;
+                    self.group_of_int(v)
+                }
+                _ => {
+                    let is = |&i: &usize, k: &[Value]| keys::eq_row(&key_cols, i, k);
+                    let make = |i| key_cols.iter().map(|c| c.value_at(i)).collect();
+                    self.group_of_row(hashes[i - rows.start], i, is, make)
+                }
+            };
+            match gi {
+                Ok(gi) => self.accumulate(gi as usize, value_at)?,
                 Err(refusal @ DbError::ResourceExhausted { .. }) if self.refused() => {
                     self.spill_row(refusal, value_at)?
                 }
-                updated => updated?,
+                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -464,14 +498,15 @@ impl RunningGroups {
             self.mem.budget.note_spill();
             self.writers = (0..PARTITIONS).map(|_| None).collect();
         }
-        let key = Row::new(self.group_cols.iter().map(|&c| value_at(c)).collect());
-        let p = partition_of(&key);
+        let key: Vec<Value> = self.group_cols.iter().map(|&c| value_at(c)).collect();
+        let hash = keys::hash_key(&key);
+        let p = (hash >> (64 - PARTITIONS.trailing_zeros())) as usize;
         let writer = match &mut self.writers[p] {
             Some(w) => w,
             none => none.insert(dir.writer(&format!("agg-p{p}"))?),
         };
-        let vals = self.read_slots.iter().map(|&c| value_at(c)).collect();
-        writer.write_record(&encode_row(&Row::new(vals)))
+        let vals: Vec<Value> = self.read_slots.iter().map(|&c| value_at(c)).collect();
+        keys::write_record(writer, 0, hash, &[&vals])
     }
 
     /// Seals the store: no more input. Replays every spilled partition
@@ -491,15 +526,8 @@ impl RunningGroups {
         }
         for writer in std::mem::take(&mut self.writers).into_iter().flatten() {
             let mut records = writer.finish()?.reader()?;
-            while let Some(rec) = records.next_record()? {
-                let vals = decode_row(&rec)?.into_values();
-                if vals.len() != width {
-                    return Err(DbError::Corruption(format!(
-                        "aggregate spill row has {} values, expected {width}",
-                        vals.len()
-                    )));
-                }
-                self.update_row(|c| vals[at[c]].clone())?;
+            while let Some(rec) = keys::read_record(&mut records, width)? {
+                self.update_row(|c| rec.values[at[c]].clone())?;
             }
         }
         Ok(())
@@ -512,16 +540,17 @@ impl RunningGroups {
     pub fn merge(&mut self, mut other: RunningGroups) -> Result<()> {
         self.seal()?;
         other.seal()?;
-        match std::mem::replace(&mut other.keys, Keys::Rows(FxHashMap::default())) {
+        match std::mem::replace(&mut other.keys, Keys::Rows(KeyIndex::with_capacity(0, 0))) {
             Keys::Int { of, .. } => {
                 for (gj, key) in of.into_iter().enumerate() {
                     let gi = self.group_of_int(key)?;
                     self.absorb(gi as usize, &other, gj)?;
                 }
             }
-            Keys::Rows(by_key) => {
-                for (key, gj) in by_key {
-                    let gi = self.group_of(key)?;
+            Keys::Rows(index) => {
+                for gj in 0..index.len() as u32 {
+                    let key = index.key(gj);
+                    let gi = self.group_of_row(index.hash(gj), key, |key, k| *key == k, <[_]>::to_vec)?;
                     self.absorb(gi as usize, &other, gj as usize)?;
                 }
             }
@@ -576,12 +605,10 @@ impl RunningGroups {
     pub fn finish(mut self) -> Result<Vec<Batch>> {
         self.seal()?;
         if self.rows.is_empty() && self.group_cols.is_empty() {
-            self.group_of(Row::new(Vec::new()))?;
+            self.group_of(Vec::new())?;
         }
         let schema = self.core.schema();
         let (key_types, out_types) = schema.fields().split_at(self.group_cols.len());
-        // Under a row key, the keys in key order beside `order`.
-        let mut row_keys: Vec<&Row> = Vec::new();
         let order: Vec<u32> = match &self.keys {
             // The slots are in key order already; the keys outside them —
             // the NULL key first — go round them in theirs.
@@ -598,26 +625,24 @@ impl RunningGroups {
                 below.iter().map(gi).chain(slotted).chain(above.iter().map(gi)).collect()
             }
             // Keys are distinct, so ordering by key orders whole rows.
-            Keys::Rows(by_key) => {
-                let mut sorted: Vec<(&Row, u32)> = by_key.iter().map(|(key, &gi)| (key, gi)).collect();
-                sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                row_keys = sorted.iter().map(|&(key, _)| key).collect();
-                sorted.into_iter().map(|(_, gi)| gi).collect()
+            Keys::Rows(index) => {
+                let mut order: Vec<u32> = (0..index.len() as u32).collect();
+                order.sort_unstable_by(|&a, &b| index.key(a).cmp(index.key(b)));
+                order
             }
         };
         (0..order.len())
             .step_by(BATCH_SIZE)
             .map(|at| {
-                let chunk = at..order.len().min(at + BATCH_SIZE);
-                let groups = &order[chunk.clone()];
+                let groups = &order[at..order.len().min(at + BATCH_SIZE)];
                 let mut cols = Vec::with_capacity(schema.len());
                 match &self.keys {
                     Keys::Int { of, .. } => {
                         cols.push(ints(groups.iter().map(|&gi| of[gi as usize])))
                     }
-                    Keys::Rows(_) => {
+                    Keys::Rows(index) => {
                         for (c, field) in key_types.iter().enumerate() {
-                            let key = row_keys[chunk.clone()].iter().map(|row| &row[c]);
+                            let key = groups.iter().map(|&gi| &index.key(gi)[c]);
                             cols.push(values(field.data_type, key)?);
                         }
                     }
@@ -1082,6 +1107,31 @@ mod tests {
             );
             drop(sealed);
             assert_eq!(budget.used(), 0, "dropped sealed");
+        }
+    }
+
+    /// A short or truncated record in a frozen store's partition file is
+    /// the statement's `Corruption` when the store seals, not a panic.
+    #[test]
+    fn a_damaged_spilled_row_is_corruption() {
+        let input = batches(4000, 500);
+        let core = core(Expr::col(2));
+        let cols = core.slot_columns(&input[0]).unwrap();
+        for keep in [Some(10), None] {
+            let dir = Arc::new(SpillDir::create_temp().unwrap());
+            let mem = ExecResources::new(tight(16 * 1024), Some(Arc::clone(&dir)));
+            let mut frozen = consumed(&core, &mem, &input);
+            let p = frozen.writers.iter().position(Option::is_some).expect("a tight budget spills");
+            // The partition's first record, as the store wrote it, then cut.
+            let row: Vec<Value> = frozen.read_slots.iter().map(|&c| cols[c].value_at(0)).collect();
+            let mut whole = dir.writer("whole").unwrap();
+            keys::write_record(&mut whole, 0, keys::hash_key(&row[..1]), &[&row]).unwrap();
+            let whole = whole.finish().unwrap().reader().unwrap().next_record().unwrap().unwrap();
+            let mut cut = dir.writer("cut").unwrap();
+            cut.write_record(&whole[..keep.unwrap_or(whole.len() - 1)]).unwrap();
+            frozen.writers[p] = Some(cut);
+            let err = frozen.finish().unwrap_err();
+            assert!(matches!(err, DbError::Corruption(_)), "{keep:?}: {err}");
         }
     }
 

@@ -1,11 +1,14 @@
 //! Radix-partitioned hash joins (inner and left outer) on equality keys.
 //!
 //! The build side is hashed into `2^PARTITION_BITS` partitions by the top
-//! bits of the combined key hash; each partition is a flat open-addressing
-//! table over key hashes plus packed payload values — no per-key `Row`
-//! boxing, no pointer chasing through a `HashMap<Row, Vec<Row>>`. Probe
-//! batches hash their key columns in place (one vectorized kernel per
-//! column type) and walk duplicate chains by index.
+//! bits of the combined key hash; each partition is a key index of its
+//! distinct keys, each key's rows chained behind it, plus packed payload
+//! values — no per-key `Row` boxing, no pointer chasing through a
+//! `HashMap<Row, Vec<Row>>`. Probe batches hash their key columns in place
+//! and match them where they stand (`keys`: one vectorized kernel per
+//! column type, `Value` equality), then walk the chain by index. A spilled
+//! partition is one `keys` record a build row: its sequence number, hash,
+//! key and payload.
 //!
 //! Determinism: build entries are tagged with a sequence number
 //! `(morsel_index << 32) | row` and each partition is sorted by it before
@@ -22,18 +25,14 @@
 //! false positives are re-checked exactly here at probe time.
 
 use crate::expr::Expr;
+use crate::keys::{self, KeyIndex, NONE};
 use crate::resources::ExecResources;
 use oltap_common::bloom::BlockedBloom;
-use oltap_common::hash::{
-    join_hash_bool, join_hash_combine, join_hash_float, join_hash_int, join_hash_str,
-    JOIN_KEY_SEED,
-};
 use oltap_common::schema::SchemaRef;
 use oltap_common::vector::ColumnVector;
-use oltap_common::{Batch, DbError, Result, Row, Schema, Value};
+use oltap_common::{Batch, DbError, Result, Schema, Value};
 use oltap_storage::predicate::JoinFilter;
 use oltap_storage::spill::SpillHandle;
-use oltap_txn::wal::{decode_row, encode_row};
 use std::sync::Arc;
 
 /// Join type.
@@ -69,8 +68,6 @@ pub fn join_output_schema(left: &Schema, right: &Schema, join_type: JoinType) ->
 /// dimension-sized build sides while still spreading skewed key spaces.
 pub const PARTITION_BITS: u32 = 4;
 const PARTITIONS: usize = 1 << PARTITION_BITS;
-/// Sentinel entry index ("no entry" in slots / "end of chain" in next).
-const NONE: u32 = u32::MAX;
 
 /// Radix partition of a combined key hash (top bits, leaving the low bits
 /// for the slot index and the middle bits for the Bloom filter).
@@ -79,100 +76,27 @@ fn partition_of(hash: u64) -> usize {
     (hash >> (64 - PARTITION_BITS)) as usize
 }
 
-/// Hashes the evaluated key columns of a batch into one combined hash per
-/// row, recording rows with any NULL key (SQL equality never joins them).
-/// Vectorized per column type; produces exactly the hashes
-/// `join_hash_value` would for the equivalent scalar values, so the
-/// scan-side [`JoinFilter`] agrees with build and probe.
-fn hash_keys(key_cols: &[ColumnVector], len: usize, hashes: &mut Vec<u64>, null_key: &mut Vec<bool>) {
-    hashes.clear();
-    hashes.resize(len, JOIN_KEY_SEED);
-    null_key.clear();
-    null_key.resize(len, false);
-    // The validity match is hoisted out of the row loop: the common
-    // all-valid case runs a straight-line combine with no per-row branch.
-    macro_rules! hash_col {
-        ($validity:expr, $hash_at:expr) => {
-            match $validity {
-                None => {
-                    for (i, h) in hashes.iter_mut().enumerate() {
-                        *h = join_hash_combine(*h, $hash_at(i));
-                    }
-                }
-                Some(valid) => {
-                    for (i, h) in hashes.iter_mut().enumerate() {
-                        if valid.get(i) {
-                            *h = join_hash_combine(*h, $hash_at(i));
-                        } else {
-                            null_key[i] = true;
-                        }
-                    }
-                }
-            }
-        };
-    }
-    for col in key_cols {
-        match col {
-            ColumnVector::Int64 { values, validity } => {
-                hash_col!(validity, |i: usize| join_hash_int(values[i]))
-            }
-            ColumnVector::Float64 { values, validity } => {
-                hash_col!(validity, |i: usize| join_hash_float(values[i]))
-            }
-            ColumnVector::Utf8 { values, validity } => {
-                hash_col!(validity, |i: usize| join_hash_str(&values[i]))
-            }
-            ColumnVector::Bool { values, validity } => {
-                hash_col!(validity, |i: usize| join_hash_bool(values.get(i)))
-            }
-        }
-    }
-}
-
-/// Compares a probe column's row `i` against a stored build key without
-/// materializing a `Value` for strings (the hot case for dictionary-like
-/// dimension keys). Falls back to `Value` equality, which already handles
-/// the cross-type numeric classes.
-#[inline]
-fn col_value_eq(col: &ColumnVector, i: usize, stored: &Value) -> bool {
-    match (col, stored) {
-        (ColumnVector::Utf8 { values, .. }, Value::Str(s)) => values[i] == *s,
-        (ColumnVector::Utf8 { .. }, _) => false,
-        _ => col.value_at(i) == *stored,
-    }
-}
-
-/// One radix partition of a finished [`JoinTable`]: an open-addressing
-/// slot table over entry hashes with duplicate chains, plus the packed
-/// key and payload values in arrival order.
+/// One radix partition of a finished [`JoinTable`]: its distinct keys,
+/// each one's entries (build rows) chained in arrival order, and the
+/// packed payload values of the entries.
 #[derive(Debug)]
 struct JoinPartition {
-    /// Open-addressing table of chain-head entry indices (`NONE` = empty).
-    /// Power-of-two capacity ≥ 2 × entries; linear probing.
-    slots: Vec<u32>,
-    /// Combined key hash per entry.
-    hashes: Vec<u64>,
+    keys: KeyIndex,
+    /// The first entry of each key.
+    heads: Vec<u32>,
     /// Next entry with the same key (`NONE` = end of chain), preserving
     /// build arrival order so duplicate fan-out is deterministic.
     next: Vec<u32>,
-    /// Packed key values, `key_width` per entry.
-    keys: Vec<Value>,
     /// Packed payload (full build row) values, `build_width` per entry.
     rows: Vec<Value>,
-}
-
-impl JoinPartition {
-    fn entries(&self) -> usize {
-        self.hashes.len()
-    }
 }
 
 /// The finished, immutable build side of a radix-partitioned hash join.
 #[derive(Debug)]
 pub struct JoinTable {
     partitions: Vec<JoinPartition>,
-    key_width: usize,
     build_width: usize,
+    /// Build rows in the table (NULL-keyed rows excluded).
     build_rows: usize,
     /// Bloom filter over every entry's combined key hash.
     bloom: Arc<BlockedBloom>,
@@ -181,21 +105,6 @@ pub struct JoinTable {
 }
 
 impl JoinTable {
-    /// Number of build rows in the table (NULL-keyed rows excluded).
-    pub fn build_rows(&self) -> usize {
-        self.build_rows
-    }
-
-    /// Width of one packed payload row.
-    pub fn build_width(&self) -> usize {
-        self.build_width
-    }
-
-    /// Number of join key columns.
-    pub fn key_width(&self) -> usize {
-        self.key_width
-    }
-
     /// Derives the sideways scan filter. `columns` are the probe-side
     /// table ordinals of the key columns, positionally matching the build
     /// keys; the planner fills them per scan (a template with empty
@@ -214,60 +123,8 @@ impl JoinTable {
     fn find(&self, hash: u64, key_cols: &[ColumnVector], i: usize) -> Option<(u32, u32)> {
         let p = partition_of(hash);
         let part = &self.partitions[p];
-        if part.entries() == 0 {
-            return None;
-        }
-        let mask = part.slots.len() - 1;
-        let mut s = (hash as usize) & mask;
-        loop {
-            let head = part.slots[s];
-            if head == NONE {
-                return None;
-            }
-            let e = head as usize;
-            if part.hashes[e] == hash && self.keys_equal(part, e, key_cols, i) {
-                return Some((p as u32, head));
-            }
-            // Linear probing; capacity ≥ 2 × entries guarantees an empty
-            // slot terminates the walk.
-            s = (s + 1) & mask;
-        }
-    }
-
-    fn keys_equal(&self, part: &JoinPartition, e: usize, key_cols: &[ColumnVector], i: usize) -> bool {
-        let base = e * self.key_width;
-        key_cols
-            .iter()
-            .enumerate()
-            .all(|(k, col)| col_value_eq(col, i, &part.keys[base + k]))
-    }
-
-    /// Issues a prefetch for the slot-table cache line a probe of `hash`
-    /// will land on. The probe loop runs in two passes over a small chunk
-    /// (software pipelining): one pass of address computation + prefetch,
-    /// then a resolve pass whose random slot reads hit lines already in
-    /// flight instead of stalling one miss at a time.
-    #[inline(always)]
-    fn prefetch(&self, hash: u64) {
-        let part = &self.partitions[partition_of(hash)];
-        if part.slots.is_empty() {
-            return;
-        }
-        let s = (hash as usize) & (part.slots.len() - 1);
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `s` is masked into bounds; prefetch has no side effects.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(
-                part.slots.as_ptr().add(s).cast::<i8>(),
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            // No portable prefetch intrinsic; a cheap volatile-free read
-            // still warms the line on most microarchitectures.
-            let _ = std::hint::black_box(part.slots[s]);
-        }
+        let key = part.keys.find(hash, |k| keys::eq_row(key_cols, i, k)).ok()?;
+        Some((p as u32, part.heads[key as usize]))
     }
 }
 
@@ -300,29 +157,6 @@ fn col_value_size(col: &ColumnVector, i: usize) -> usize {
             ColumnVector::Utf8 { values, .. } => values[i].len(),
             _ => 0,
         }
-}
-
-/// Spill record: `[seq u64][hash u64][row codec over keys ++ payload]`.
-fn encode_build_entry(seq: u64, hash: u64, vals: Vec<Value>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + vals.len() * 12);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&hash.to_le_bytes());
-    buf.extend_from_slice(&encode_row(&Row::new(vals)));
-    buf
-}
-
-fn decode_build_entry(bytes: &[u8]) -> Result<(u64, u64, Vec<Value>)> {
-    if bytes.len() < 16 {
-        return Err(DbError::Corruption("truncated join spill entry".into()));
-    }
-    let seq = u64::from_le_bytes(bytes[..8].try_into().map_err(corrupt_entry)?);
-    let hash = u64::from_le_bytes(bytes[8..16].try_into().map_err(corrupt_entry)?);
-    let row = decode_row(&bytes[16..])?;
-    Ok((seq, hash, row.into_values()))
-}
-
-fn corrupt_entry(_: std::array::TryFromSliceError) -> DbError {
-    DbError::Corruption("truncated join spill entry".into())
 }
 
 /// Accumulates build-side batches into radix partitions. Each pipeline
@@ -419,18 +253,12 @@ impl JoinTableBuilder {
         let part = &mut self.parts[p];
         let mut w = dir.writer(&format!("join-p{p}"))?;
         for e in 0..part.seqs.len() {
-            let mut vals = Vec::with_capacity(kw + bw);
-            vals.extend_from_slice(&part.keys[e * kw..(e + 1) * kw]);
-            vals.extend_from_slice(&part.rows[e * bw..(e + 1) * bw]);
-            w.write_record(&encode_build_entry(part.seqs[e], part.hashes[e], vals))?;
+            let (key, row) = (&part.keys[e * kw..][..kw], &part.rows[e * bw..][..bw]);
+            keys::write_record(&mut w, part.seqs[e], part.hashes[e], &[key, row])?;
         }
-        part.spilled.push(w.finish()?);
-        part.seqs = Vec::new();
-        part.hashes = Vec::new();
-        part.keys = Vec::new();
-        part.rows = Vec::new();
-        let freed = part.mem_bytes;
-        part.mem_bytes = 0;
+        let mut spilled = std::mem::take(&mut part.spilled);
+        spilled.push(w.finish()?);
+        let freed = std::mem::replace(part, PartitionSink { spilled, ..PartitionSink::default() }).mem_bytes;
         self.res.budget.release(freed);
         self.reserved -= freed;
         Ok(())
@@ -446,26 +274,17 @@ impl JoinTableBuilder {
         morsel_index: usize,
     ) -> Result<()> {
         debug_assert_eq!(key_cols.len(), self.key_width);
-        hash_keys(
-            key_cols,
-            batch.len(),
-            &mut self.scratch_hashes,
-            &mut self.scratch_null,
-        );
+        keys::hash_rows(key_cols, 0..batch.len(), &mut self.scratch_hashes, &mut self.scratch_null);
         let metered = self.res.is_limited();
+        let size = |i: usize| {
+            let values = key_cols.iter().chain(batch.columns());
+            ENTRY_OVERHEAD + values.map(|c| col_value_size(c, i) as u64).sum::<u64>()
+        };
         if metered {
             // Pre-pass: charge the whole batch before appending anything,
             // so a failed reservation can spill without a half-added batch.
-            let mut bytes = 0u64;
-            for i in 0..batch.len() {
-                if self.scratch_null[i] {
-                    continue;
-                }
-                bytes += ENTRY_OVERHEAD;
-                for c in key_cols.iter().chain(batch.columns()) {
-                    bytes += col_value_size(c, i) as u64;
-                }
-            }
+            let joining = (0..batch.len()).filter(|&i| !self.scratch_null[i]);
+            let bytes = joining.map(size).sum();
             self.charge(bytes)?;
         }
         for i in 0..batch.len() {
@@ -478,10 +297,7 @@ impl JoinTableBuilder {
             part.seqs.push(((morsel_index as u64) << 32) | i as u64);
             part.hashes.push(h);
             if metered {
-                part.mem_bytes += ENTRY_OVERHEAD;
-                for c in key_cols.iter().chain(batch.columns()) {
-                    part.mem_bytes += col_value_size(c, i) as u64;
-                }
+                part.mem_bytes += size(i);
             }
             for c in key_cols {
                 part.keys.push(c.value_at(i));
@@ -528,18 +344,10 @@ impl JoinTableBuilder {
                 self.res.budget.reserve_forced(handle.bytes());
                 self.reserved += handle.bytes();
                 let mut r = handle.reader()?;
-                while let Some(rec) = r.next_record()? {
-                    let (seq, hash, vals) = decode_build_entry(&rec)?;
-                    if vals.len() != kw + bw {
-                        return Err(DbError::Corruption(format!(
-                            "join spill entry has {} values, expected {}",
-                            vals.len(),
-                            kw + bw
-                        )));
-                    }
-                    part.seqs.push(seq);
-                    part.hashes.push(hash);
-                    let mut vals = vals.into_iter();
+                while let Some(rec) = keys::read_record(&mut r, kw + bw)? {
+                    part.seqs.push(rec.tag);
+                    part.hashes.push(rec.hash);
+                    let mut vals = rec.values.into_iter();
                     part.keys.extend(vals.by_ref().take(kw));
                     part.rows.extend(vals);
                 }
@@ -560,75 +368,52 @@ impl JoinTableBuilder {
                     ..
                 } = sink;
                 let n = seqs.len();
-                // Morsel order, regardless of merge order.
+                // Morsel order, regardless of merge order; distinct keys
+                // claim a key, duplicates chain behind its last entry.
                 let mut order: Vec<u32> = (0..n as u32).collect();
                 order.sort_unstable_by_key(|&i| seqs[i as usize]);
-                let mut hashes = Vec::with_capacity(n);
-                let mut keys = Vec::with_capacity(n * kw);
+                let take = |v: &mut Value| std::mem::replace(v, Value::Null);
+                let mut keys = KeyIndex::with_capacity(kw, n);
+                let (mut heads, mut tails, mut next) = (Vec::new(), Vec::new(), vec![NONE; n]);
                 let mut rows = Vec::with_capacity(n * bw);
-                for &i in &order {
-                    let i = i as usize;
-                    hashes.push(src_hashes[i]);
-                    for k in 0..kw {
-                        keys.push(std::mem::replace(&mut src_keys[i * kw + k], Value::Null));
-                    }
-                    for c in 0..bw {
-                        rows.push(std::mem::replace(&mut src_rows[i * bw + c], Value::Null));
-                    }
-                }
-                for (e, &h) in hashes.iter().enumerate() {
-                    bloom.insert(h);
-                    for (k, range) in key_ranges.iter_mut().enumerate() {
-                        let v = &keys[e * kw + k];
-                        *range = Some(match range.take() {
-                            None => (v.clone(), v.clone()),
-                            Some((lo, hi)) => (
-                                if *v < lo { v.clone() } else { lo },
-                                if *v > hi { v.clone() } else { hi },
-                            ),
-                        });
-                    }
-                }
-                // Slot table: distinct keys claim a head slot, duplicates
-                // chain behind the head in entry (= arrival) order.
-                let cap = (n.max(1) * 2).next_power_of_two();
-                let mask = cap - 1;
-                let mut slots = vec![NONE; cap];
-                let mut next = vec![NONE; n];
-                let mut tails = vec![NONE; cap];
-                for e in 0..n as u32 {
-                    let h = hashes[e as usize];
-                    let mut s = (h as usize) & mask;
-                    loop {
-                        let head = slots[s];
-                        if head == NONE {
-                            slots[s] = e;
-                            tails[s] = e;
-                            break;
+                for (e, &i) in order.iter().enumerate() {
+                    let (i, e) = (i as usize, e as u32);
+                    let h = src_hashes[i];
+                    let key = &mut src_keys[i * kw..][..kw];
+                    match keys.find(h, |k| k == &key[..]) {
+                        Ok(k) => {
+                            next[tails[k as usize] as usize] = e;
+                            tails[k as usize] = e;
                         }
-                        let he = head as usize;
-                        let eu = e as usize;
-                        if hashes[he] == h && keys[he * kw..he * kw + kw] == keys[eu * kw..eu * kw + kw]
-                        {
-                            next[tails[s] as usize] = e;
-                            tails[s] = e;
-                            break;
+                        Err(slot) => {
+                            keys.insert(slot, h, key.iter_mut().map(take));
+                            heads.push(e);
+                            tails.push(e);
                         }
-                        s = (s + 1) & mask;
+                    }
+                    rows.extend(src_rows[i * bw..][..bw].iter_mut().map(take));
+                }
+                for k in 0..keys.len() as u32 {
+                    bloom.insert(keys.hash(k));
+                    for (range, v) in key_ranges.iter_mut().zip(keys.key(k)) {
+                        let (lo, hi) = range.get_or_insert_with(|| (v.clone(), v.clone()));
+                        if v < lo {
+                            *lo = v.clone();
+                        } else if v > hi {
+                            *hi = v.clone();
+                        }
                     }
                 }
                 JoinPartition {
-                    slots,
-                    hashes,
-                    next,
                     keys,
+                    heads,
+                    next,
                     rows,
                 }
             })
             .collect();
         Ok(JoinTable {
             partitions,
-            key_width: kw,
             build_width: bw,
             build_rows: total,
             bloom: Arc::new(bloom),
@@ -672,12 +457,7 @@ pub fn probe_batch(
     scratch: &mut ProbeScratch,
 ) -> Result<Option<Batch>> {
     let key_cols = Expr::eval_all(keys, batch)?;
-    hash_keys(
-        &key_cols,
-        batch.len(),
-        &mut scratch.hashes,
-        &mut scratch.null_key,
-    );
+    keys::hash_rows(&key_cols, 0..batch.len(), &mut scratch.hashes, &mut scratch.null_key);
     scratch.sel.clear();
     scratch.matches.clear();
     // Software-pipelined probe: walk the batch in small chunks, first
@@ -689,7 +469,8 @@ pub fn probe_batch(
         let end = (start + PROBE_CHUNK).min(batch.len());
         for i in start..end {
             if !scratch.null_key[i] {
-                table.prefetch(scratch.hashes[i]);
+                let h = scratch.hashes[i];
+                table.partitions[partition_of(h)].keys.prefetch(h);
             }
         }
         for i in start..end {
@@ -752,55 +533,28 @@ fn gather_build_column(
     let bw = table.build_width;
     let value_of = |p: u32, e: u32| &table.partitions[p as usize].rows[e as usize * bw + j];
     let mut k = 0;
+    // The typed prefix: matched values of the column's own type.
+    macro_rules! prefix {
+        ($values:expr, $typed:pat => $v:expr) => {{
+            $values.reserve(matches.len());
+            while let Some(&(p, e)) = matches.get(k).filter(|&&(_, e)| e != NONE) {
+                match value_of(p, e) {
+                    $typed => $values.push($v),
+                    _ => break,
+                }
+                k += 1;
+            }
+        }};
+    }
     match col {
-        ColumnVector::Int64 { values, .. } => {
-            values.reserve(matches.len());
-            while let Some(&(p, e)) = matches.get(k) {
-                if e == NONE {
-                    break;
-                }
-                match value_of(p, e) {
-                    Value::Int(x) | Value::Timestamp(x) => values.push(*x),
-                    _ => break,
-                }
-                k += 1;
-            }
-        }
-        ColumnVector::Float64 { values, .. } => {
-            values.reserve(matches.len());
-            while let Some(&(p, e)) = matches.get(k) {
-                if e == NONE {
-                    break;
-                }
-                match value_of(p, e) {
-                    Value::Float(x) => values.push(*x),
-                    _ => break,
-                }
-                k += 1;
-            }
-        }
-        ColumnVector::Utf8 { values, .. } => {
-            values.reserve(matches.len());
-            while let Some(&(p, e)) = matches.get(k) {
-                if e == NONE {
-                    break;
-                }
-                match value_of(p, e) {
-                    Value::Str(s) => values.push(s.clone()),
-                    _ => break,
-                }
-                k += 1;
-            }
-        }
+        ColumnVector::Int64 { values, .. } => prefix!(values, Value::Int(x) | Value::Timestamp(x) => *x),
+        ColumnVector::Float64 { values, .. } => prefix!(values, Value::Float(x) => *x),
+        ColumnVector::Utf8 { values, .. } => prefix!(values, Value::Str(s) => s.clone()),
         // Bool is bit-packed; the generic push is already cheap.
         ColumnVector::Bool { .. } => {}
     }
     for &(p, e) in &matches[k..] {
-        if e == NONE {
-            col.push(&Value::Null)?;
-        } else {
-            col.push(value_of(p, e))?;
-        }
+        col.push(if e == NONE { &Value::Null } else { value_of(p, e) })?;
     }
     Ok(())
 }
@@ -810,6 +564,7 @@ mod tests {
     use super::*;
     use crate::pipeline::tests::{ctx, rows_of};
     use crate::pipeline::{ProbeStage, StageSpec};
+    use oltap_common::hash::{join_hash_combine, join_hash_int, JOIN_KEY_SEED};
     use oltap_common::row;
     use oltap_common::{DataType, Field, Row};
 
@@ -1176,6 +931,35 @@ mod tests {
                 .to_rows()
         };
         assert_eq!(run(&plain), run(&spilled));
+    }
+
+    /// A short or truncated record in a spilled partition chunk is the
+    /// build's `Corruption` when it reloads, not a panic.
+    #[test]
+    fn a_damaged_build_chunk_is_corruption() {
+        use crate::keys::tests::cut_first_records;
+        use oltap_common::mem::{MemoryGovernor, WorkloadClass};
+        use oltap_storage::spill::SpillDir;
+
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("tag", DataType::Utf8),
+        ]));
+        let rows: Vec<Row> = (0..256i64).map(|k| row![k % 17, format!("t{k}")]).collect();
+        let batch = Batch::from_rows(&schema, &rows).unwrap();
+        for keep in [Some(10), None] {
+            let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
+            let dir = Arc::new(SpillDir::create_temp().unwrap());
+            let res = ExecResources::new(gov.budget(WorkloadClass::Olap, 2048), Some(Arc::clone(&dir)));
+            let mut b = JoinTableBuilder::with_resources(1, 2, res);
+            for m in 0..4 {
+                b.push_batch(&[batch.column(0).clone()], &batch, m).unwrap();
+            }
+            assert!(b.spill_chunks() > 0, "a tight budget spills partitions");
+            cut_first_records(&dir, keep);
+            let err = b.finish().unwrap_err();
+            assert!(matches!(err, DbError::Corruption(_)), "{keep:?}: {err}");
+        }
     }
 
     #[test]

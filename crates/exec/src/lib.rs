@@ -29,6 +29,9 @@
 //! * [`aggregate`], [`join`], [`sort`] — the pipeline breakers' cores:
 //!   an aggregation's schema and input slots, radix-partitioned hash-join
 //!   build and probe, sort buffers and top-K accumulators.
+//! * `keys` (private) — the one key path those breakers share: hash,
+//!   match and order key columns with `Value`'s semantics, one
+//!   open-addressing key index, and the one record every spiller writes.
 //! * [`resources`] — the per-query memory budget and spill directory the
 //!   pipeline breakers (join build, aggregation, sort) degrade into when
 //!   a reservation is rejected, without changing their output.
@@ -38,6 +41,7 @@ pub mod expr;
 pub mod fused;
 pub mod groups;
 pub mod join;
+mod keys;
 pub mod pipeline;
 pub mod resources;
 pub mod sort;
@@ -56,6 +60,6 @@ pub use pipeline::{
 };
 pub use resources::ExecResources;
 pub use sort::{
-    compare_keys, merge_spilled_sort, sort_entries, topk_counts, SortBuffer, SortEntry, SortKey,
-    TopKAcc, TopKCounts,
+    merge_spilled_sort, sort_entries, topk_counts, SortBuffer, SortEntry, SortKey, TopKAcc,
+    TopKCounts,
 };

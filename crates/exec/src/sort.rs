@@ -9,13 +9,19 @@
 //! order by `(key, seq)`, any partitioning of the input into sorted
 //! streams — per-worker runs, spilled runs, memory tails — merges to
 //! exactly a stable sort's output over the arrival order.
+//!
+//! Every order here is one comparator's, that of `keys`: an offered
+//! top-K row's key columns against a retained key where they stand, stored
+//! keys against each other, `Value` order under the keys' `desc` flags. A
+//! run is one `keys` record an entry: its sequence number, then its key
+//! and row values.
 
 use crate::expr::Expr;
+use crate::keys;
 use crate::resources::ExecResources;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, ColumnVector, DbError, Result, Row, Value};
-use oltap_storage::spill::{SpillHandle, SpillReader};
-use oltap_txn::wal::{decode_row, encode_row};
+use oltap_storage::spill::SpillHandle;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -40,56 +46,26 @@ impl SortKey {
     }
 }
 
-/// Compares two key rows under the given sort directions.
-pub fn compare_keys(a: &Row, b: &Row, keys: &[SortKey]) -> Ordering {
-    for (i, k) in keys.iter().enumerate() {
-        let ord = a[i].cmp(&b[i]);
-        let ord = if k.desc { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 /// One row staged for sorting: `(key values, arrival sequence, full row)`.
 /// The sequence number breaks key ties by arrival order, which makes
 /// per-worker sort runs merge to exactly the order a stable sort over the
 /// whole input would produce.
 pub type SortEntry = (Row, u64, Row);
 
+/// The sort keys' `desc` flags: what the comparator needs of them.
+fn desc_of(keys: &[SortKey]) -> Vec<bool> {
+    keys.iter().map(|k| k.desc).collect()
+}
+
+/// `(key, seq)` order: keys in `Value` order under `desc`, ties by arrival.
+fn entry_order(desc: &[bool], (a, s): (&Row, u64), (b, t): (&Row, u64)) -> Ordering {
+    keys::cmp_keys(a.values(), b.values(), desc).then(s.cmp(&t))
+}
+
 /// Sorts entries by the sort keys, breaking ties by arrival sequence.
 pub fn sort_entries(entries: &mut [SortEntry], keys: &[SortKey]) {
-    entries.sort_by(|a, b| compare_keys(&a.0, &b.0, keys).then(a.1.cmp(&b.1)));
-}
-
-/// Spill codec for one [`SortEntry`]:
-/// `[seq u64][key_len u32][row codec of key][row codec of row]`.
-fn encode_sort_entry(entry: &SortEntry) -> Vec<u8> {
-    let key = encode_row(&entry.0);
-    let row = encode_row(&entry.2);
-    let mut buf = Vec::with_capacity(12 + key.len() + row.len());
-    buf.extend_from_slice(&entry.1.to_le_bytes());
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&key);
-    buf.extend_from_slice(&row);
-    buf
-}
-
-fn decode_sort_entry(bytes: &[u8]) -> Result<SortEntry> {
-    let corrupt = || DbError::Corruption("truncated sort spill entry".into());
-    if bytes.len() < 12 {
-        return Err(corrupt());
-    }
-    let seq = u64::from_le_bytes(bytes[..8].try_into().map_err(|_| corrupt())?);
-    let key_len = u32::from_le_bytes(bytes[8..12].try_into().map_err(|_| corrupt())?) as usize;
-    let rest = &bytes[12..];
-    if rest.len() < key_len {
-        return Err(corrupt());
-    }
-    let key = decode_row(&rest[..key_len])?;
-    let row = decode_row(&rest[key_len..])?;
-    Ok((key, seq, row))
+    let desc = desc_of(keys);
+    entries.sort_by(|a, b| entry_order(&desc, (&a.0, a.1), (&b.0, b.1)));
 }
 
 /// A budget-bounded staging area for sort entries.
@@ -167,8 +143,8 @@ impl SortBuffer {
         self.res.budget.note_spill();
         sort_entries(&mut self.entries, &self.keys);
         let mut w = dir.writer("sort-run")?;
-        for e in &self.entries {
-            w.write_record(&encode_sort_entry(e))?;
+        for (key, seq, row) in &self.entries {
+            keys::write_record(&mut w, *seq, 0, &[key.values(), row.values()])?;
         }
         self.runs.push(w.finish()?);
         self.entries.clear();
@@ -185,24 +161,6 @@ impl SortBuffer {
     }
 }
 
-/// One sorted input to the final merge: an on-disk run or a memory tail.
-enum SortStream {
-    Disk(SpillReader),
-    Mem(std::vec::IntoIter<SortEntry>),
-}
-
-impl SortStream {
-    fn next(&mut self) -> Result<Option<SortEntry>> {
-        match self {
-            SortStream::Disk(r) => match r.next_record()? {
-                Some(rec) => Ok(Some(decode_sort_entry(&rec)?)),
-                None => Ok(None),
-            },
-            SortStream::Mem(it) => Ok(it.next()),
-        }
-    }
-}
-
 /// Streams every buffer's runs and memory tail through one k-way
 /// `(key, seq)` merge into output batches. Globally unique sequence
 /// numbers make the result identical to one stable sort no matter how
@@ -213,70 +171,49 @@ pub fn merge_spilled_sort(
     schema: &SchemaRef,
     batch_size: usize,
 ) -> Result<Vec<Batch>> {
-    let mut streams: Vec<SortStream> = Vec::new();
+    let desc = desc_of(keys);
+    let kw = keys.len();
+    // The sorted inputs: on-disk runs, whose records hold an entry's key
+    // then its row, and memory tails.
+    let mut streams: Vec<Box<dyn Iterator<Item = Result<SortEntry>>>> = Vec::new();
     for buf in buffers {
         let res = buf.res.clone();
         let (runs, tail) = buf.into_streams();
         for run in runs {
             // Replayed rows become part of the materialized output.
             res.budget.reserve_forced(run.bytes());
-            streams.push(SortStream::Disk(run.reader()?));
+            let mut r = run.reader()?;
+            let width = kw + schema.len();
+            streams.push(Box::new(std::iter::from_fn(move || {
+                let rec = keys::read_record(&mut r, width).transpose()?;
+                Some(rec.map(|mut rec| {
+                    let row = rec.values.split_off(kw);
+                    (Row::new(rec.values), rec.tag, Row::new(row))
+                }))
+            })));
         }
         if !tail.is_empty() {
-            streams.push(SortStream::Mem(tail.into_iter()));
+            streams.push(Box::new(tail.into_iter().map(Ok)));
         }
     }
-    let mut heads: Vec<Option<SortEntry>> = Vec::with_capacity(streams.len());
-    for s in &mut streams {
-        heads.push(s.next()?);
-    }
+    let mut heads = streams.iter_mut().map(|s| s.next().transpose()).collect::<Result<Vec<_>>>()?;
     let mut rows: Vec<Row> = Vec::new();
     loop {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            let Some(cand) = head else { continue };
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let cur = heads[b].as_ref().ok_or_else(|| {
-                        DbError::Execution("sort merge lost a stream head".into())
-                    })?;
-                    let ord = compare_keys(&cand.0, &cur.0, keys).then(cand.1.cmp(&cur.1));
-                    if ord == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+        // Sequence numbers are unique, so the least head is unique too.
+        let least = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, head)| Some((i, head.as_ref()?)))
+            .min_by(|(_, x), (_, y)| entry_order(&desc, (&x.0, x.1), (&y.0, y.1)));
+        let Some((b, _)) = least else { break };
+        let next = streams[b].next().transpose()?;
+        if let Some((_, _, row)) = std::mem::replace(&mut heads[b], next) {
+            rows.push(row);
         }
-        let Some(b) = best else { break };
-        let entry = heads[b].take().ok_or_else(|| {
-            DbError::Execution("sort merge lost a stream head".into())
-        })?;
-        rows.push(entry.2);
-        heads[b] = streams[b].next()?;
     }
     rows.chunks(batch_size)
         .map(|c| Batch::from_rows(schema, c))
         .collect()
-}
-
-/// `col`'s value at `i` against `v`, in [`Value`] order: what
-/// `col.value_at(i).cmp(v)` answers, without building the value to ask.
-fn cmp_at(col: &ColumnVector, i: usize, v: &Value) -> Ordering {
-    if !col.is_valid(i) {
-        return Value::Null.cmp(v);
-    }
-    match (col, v) {
-        (ColumnVector::Int64 { values, .. }, Value::Int(b) | Value::Timestamp(b)) => values[i].cmp(b),
-        (ColumnVector::Float64 { values, .. }, Value::Float(b)) => values[i].total_cmp(b),
-        (ColumnVector::Utf8 { values, .. }, Value::Str(b)) => values[i].as_str().cmp(b),
-        // Against anything but a string the order of the types decides, and
-        // an empty string allocates nothing.
-        (ColumnVector::Utf8 { .. }, _) => Value::Str(String::new()).cmp(v),
-        _ => col.value_at(i).cmp(v),
-    }
 }
 
 /// One retained row of a [`TopKAcc`]: its key values, arrival sequence and
@@ -334,7 +271,7 @@ impl TopKAcc {
         TopKAcc {
             heap: Vec::new(),
             k,
-            desc: keys.iter().map(|k| k.desc).collect(),
+            desc: desc_of(keys),
             counts: TopKCounts::default(),
         }
     }
@@ -366,7 +303,7 @@ impl TopKAcc {
                 row: Row::new(values_at(batch.columns(), i).collect()),
             });
             self.sift_up(self.heap.len() - 1);
-        } else if self.offered_cmp(keys, i, seq, &self.heap[0]) == Ordering::Less {
+        } else if self.beats_worst(keys, i, seq) {
             let worst = &mut self.heap[0];
             worst.seq = seq;
             for (to, v) in worst.key.values_mut().iter_mut().zip(values_at(keys, i)) {
@@ -382,34 +319,24 @@ impl TopKAcc {
         self.counts.entered += 1;
     }
 
-    /// Offered row `i` (key columns `keys`, sequence `seq`) against a
-    /// retained one.
-    fn offered_cmp(&self, keys: &[ColumnVector], i: usize, seq: u64, them: &Retained) -> Ordering {
-        for ((col, v), &desc) in keys.iter().zip(them.key.values()).zip(&self.desc) {
-            let ord = cmp_at(col, i, v);
-            if ord != Ordering::Equal {
-                return if desc { ord.reverse() } else { ord };
-            }
-        }
-        seq.cmp(&them.seq)
+    /// Whether offered row `i` (key columns `keys`, sequence `seq`) ranks
+    /// before the worst retained one, its key compared where it stands.
+    fn beats_worst(&self, keys: &[ColumnVector], i: usize, seq: u64) -> bool {
+        let worst = &self.heap[0];
+        let ord = keys::cmp_row(keys, i, worst.key.values(), &self.desc);
+        ord.then(seq.cmp(&worst.seq)).is_lt()
     }
 
-    /// Two retained rows, in `(key, seq)` order.
-    fn retained_cmp(&self, a: usize, b: usize) -> Ordering {
+    /// Whether retained row `a` ranks after retained row `b`.
+    fn worse(&self, a: usize, b: usize) -> bool {
         let (a, b) = (&self.heap[a], &self.heap[b]);
-        for ((x, y), &desc) in a.key.values().iter().zip(b.key.values()).zip(&self.desc) {
-            let ord = x.cmp(y);
-            if ord != Ordering::Equal {
-                return if desc { ord.reverse() } else { ord };
-            }
-        }
-        a.seq.cmp(&b.seq)
+        entry_order(&self.desc, (&a.key, a.seq), (&b.key, b.seq)).is_gt()
     }
 
     fn sift_up(&mut self, mut at: usize) {
         while at > 0 {
             let parent = (at - 1) / 2;
-            if self.retained_cmp(at, parent) != Ordering::Greater {
+            if !self.worse(at, parent) {
                 break;
             }
             self.heap.swap(at, parent);
@@ -421,7 +348,7 @@ impl TopKAcc {
         loop {
             let mut worst = at;
             for child in [2 * at + 1, 2 * at + 2] {
-                if child < self.heap.len() && self.retained_cmp(child, worst) == Ordering::Greater {
+                if child < self.heap.len() && self.worse(child, worst) {
                     worst = child;
                 }
             }
@@ -448,6 +375,7 @@ impl TopKAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::cmp_at;
     use crate::pipeline::tests::{ctx, ctx_with, rows_of};
     use oltap_common::row;
     use oltap_common::{DataType, Field, Schema, Value};
@@ -682,17 +610,32 @@ mod tests {
         );
     }
 
+    /// A short or truncated record in a spilled run is the merge's
+    /// `Corruption`, not a panic.
     #[test]
-    fn sort_spill_entry_codec_roundtrip() {
-        let entry: SortEntry = (
-            row!["key", 42i64],
-            (7u64 << 32) | 3,
-            row![1i64, 2.5f64, "payload"],
-        );
-        let bytes = encode_sort_entry(&entry);
-        let back = decode_sort_entry(&bytes).unwrap();
-        assert_eq!(back, entry);
-        assert!(decode_sort_entry(&bytes[..5]).is_err());
+    fn a_damaged_run_is_corruption() {
+        use crate::keys::tests::cut_first_records;
+        use oltap_common::mem::{MemoryGovernor, WorkloadClass};
+        use oltap_storage::spill::SpillDir;
+
+        let keys = vec![SortKey::asc(Expr::col(0))];
+        let (schema, batches) = source(&(0..3000).map(|i| (i * 131) % 257).collect::<Vec<_>>());
+        for keep in [Some(10), None] {
+            let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
+            let dir = Arc::new(SpillDir::create_temp().unwrap());
+            let res = ExecResources::new(gov.budget(WorkloadClass::Olap, 32 * 1024), Some(Arc::clone(&dir)));
+            let mut buf = SortBuffer::new(keys.clone(), res);
+            for (m, batch) in batches.iter().enumerate() {
+                for i in 0..batch.len() {
+                    let row = batch.row(i);
+                    buf.push(Row::new(vec![row[0].clone()]), ((m as u64) << 32) | i as u64, row).unwrap();
+                }
+            }
+            assert!(buf.run_count() > 0, "a tight budget spills runs");
+            cut_first_records(&dir, keep);
+            let err = merge_spilled_sort(vec![buf], &keys, &schema, 4096).unwrap_err();
+            assert!(matches!(err, DbError::Corruption(_)), "{keep:?}: {err}");
+        }
     }
 
     #[test]

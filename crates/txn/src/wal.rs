@@ -76,7 +76,9 @@ pub struct CommitRecord {
 // Value / Row binary encoding
 // ---------------------------------------------------------------------------
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
+/// Appends one value in the WAL's binary value codec (also the executor's
+/// spill records).
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
         Value::Bool(b) => {
@@ -103,7 +105,8 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn get_value(buf: &mut &[u8]) -> Result<Value> {
+/// Reads one value written by [`put_value`] off the front of `buf`.
+pub fn get_value(buf: &mut &[u8]) -> Result<Value> {
     if buf.is_empty() {
         return Err(DbError::Corruption("truncated value".into()));
     }

@@ -2,7 +2,7 @@
 //! concurrent sessions) and durability (WAL crash recovery, torn tails).
 
 use oltapdb::common::{DbError, Value};
-use oltapdb::core::Database;
+use oltapdb::core::{Database, QueryResult};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -303,5 +303,67 @@ fn analytic_scans_are_stable_and_unblocked_under_writer_threads() {
         assert!(sums.iter().all(|s| *s == sums[0]), "{format}: {sums:?}");
         let total = ROWS + committed.load(Ordering::Relaxed) as i64;
         assert_eq!(db.query("SELECT SUM(v) FROM t").unwrap()[0][0], Value::Int(total), "{format}");
+    }
+}
+
+/// A statement that fails inside `BEGIN` after it has written rolls the
+/// whole transaction back: its rows are never visible, every later
+/// statement answers `TxnClosed` until `COMMIT` (which answers it too) or
+/// `ROLLBACK`, and what a live database shows is what it shows reopened.
+/// A statement that fails before writing leaves the transaction open.
+#[test]
+fn a_statement_failing_after_it_wrote_rolls_its_transaction_back() {
+    let dir = std::env::temp_dir().join(format!("oltap_it_atomic_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let closed = |r: Result<QueryResult, DbError>| {
+        matches!(r, Err(DbError::TxnClosed(_)))
+    };
+    for format in ["ROW", "COLUMN", "DUAL"] {
+        let path = dir.join(format!("{format}.wal"));
+        let _ = std::fs::remove_file(&path);
+        let all = "SELECT id, v FROM t ORDER BY id";
+        let live = {
+            let db = Database::open(&path).unwrap();
+            let ddl = format!("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT) USING FORMAT {format}");
+            db.execute(&ddl).unwrap();
+            db.execute("INSERT INTO t VALUES (2, 20), (3, 30)").unwrap();
+            let mut s = db.session();
+
+            // An INSERT whose first row lands and whose second is a
+            // duplicate; COMMIT answers `TxnClosed` and ends the block.
+            s.execute("BEGIN").unwrap();
+            s.execute("INSERT INTO t VALUES (5, 50)").unwrap();
+            assert!(s.execute("INSERT INTO t VALUES (1, 10), (2, 21)").is_err(), "{format}");
+            assert!(closed(s.execute("SELECT COUNT(*) FROM t")), "{format}");
+            assert!(closed(s.execute("INSERT INTO t VALUES (6, 60)")), "{format}");
+            assert!(closed(s.execute("COMMIT")), "{format}");
+            assert!(!s.in_transaction(), "{format}");
+
+            // A primary-key-changing UPDATE: its delete lands, its insert
+            // is a duplicate; ROLLBACK answers as ever.
+            s.execute("BEGIN").unwrap();
+            assert!(s.execute("UPDATE t SET id = 3 WHERE id = 2").is_err(), "{format}");
+            assert!(closed(s.execute("UPDATE t SET v = 0 WHERE id = 3")), "{format}");
+            let rollback = s.execute("ROLLBACK").unwrap();
+            assert!(matches!(rollback, QueryResult::Txn("ROLLBACK")), "{format}");
+
+            // Failing before any write leaves the transaction open.
+            s.execute("BEGIN").unwrap();
+            assert!(s.execute("INSERT INTO t VALUES (2, 22)").is_err(), "{format}");
+            s.execute("INSERT INTO t VALUES (7, 70)").unwrap();
+            s.execute("COMMIT").unwrap();
+
+            let live = db.query(all).unwrap();
+            let want = [[2, 20], [3, 30], [7, 70]].map(|r| r.map(Value::Int).to_vec());
+            assert_eq!(
+                live.iter().map(|r| r.values().to_vec()).collect::<Vec<_>>(),
+                want,
+                "{format}"
+            );
+            live
+        };
+        let reopened = Database::open(&path).unwrap().query(all).unwrap();
+        assert_eq!(live, reopened, "{format}: live state is what the log holds");
+        std::fs::remove_file(&path).unwrap();
     }
 }

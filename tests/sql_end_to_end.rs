@@ -461,3 +461,88 @@ fn order_by_with_a_large_limit_sorts_within_the_query_budget() {
     let spills = budgeted.memory_governor().unwrap().spill_events();
     assert!(spills > 0, "the budgeted sorts spilled");
 }
+
+/// A GROUP BY over two non-integer columns keys its groups by whole rows:
+/// a DOUBLE key holding `0.0`, `-0.0`, NaN and NULL (and integral and
+/// fractional values), a TEXT key holding NULL, empty and non-ASCII
+/// strings. Unbudgeted and under a budget that forces the group store to
+/// spill, on a ROW table and on a merged COLUMN table, at one and two
+/// workers, the groups are those of a `BTreeMap<Vec<Value>, _>` — `Value`'s
+/// own equality and order.
+#[test]
+fn a_two_column_row_key_group_by_matches_a_value_keyed_model() {
+    use oltapdb::common::Row;
+    use oltapdb::core::{DbConfig, MemoryConfig};
+    use std::collections::BTreeMap;
+
+    const ROWS: i64 = 6_000;
+    let key = |i: i64| {
+        let f = match i % 9 {
+            0 => Value::Null,
+            1 => Value::Float(0.0),
+            2 => Value::Float(-0.0),
+            3 => Value::Float(f64::NAN),
+            _ => Value::Float((i % 1_500) as f64 * 0.5),
+        };
+        let s = match i % 5 {
+            0 => Value::Null,
+            1 => Value::Str(String::new()),
+            2 => Value::Str("grüße".into()),
+            _ => Value::Str(format!("s{}", i % 3)),
+        };
+        (f, s)
+    };
+    let rows: Vec<Row> = (0..ROWS)
+        .map(|i| {
+            let (f, s) = key(i);
+            Row::new(vec![Value::Int(i), f, s, Value::Int(i % 97 - 40)])
+        })
+        .collect();
+    let mut model: BTreeMap<Vec<Value>, (i64, i64)> = BTreeMap::new();
+    for r in &rows {
+        let group = model.entry(r.values()[1..3].to_vec()).or_default();
+        group.0 += 1;
+        group.1 += r[3].as_int().unwrap();
+    }
+    let want: Vec<Vec<Value>> = model
+        .into_iter()
+        .map(|(mut k, (n, sum))| {
+            k.extend([Value::Int(n), Value::Int(sum)]);
+            k
+        })
+        .collect();
+    assert!(want.len() > 1_000, "enough groups to spill");
+
+    for format in ["ROW", "COLUMN"] {
+        let load = |memory: Option<MemoryConfig>| {
+            let db = Database::with_config(DbConfig { memory, ..DbConfig::default() }).unwrap();
+            db.execute(&format!(
+                "CREATE TABLE t (id BIGINT PRIMARY KEY, f DOUBLE, s TEXT, v BIGINT) USING FORMAT {format}"
+            ))
+            .unwrap();
+            let t = db.table("t").unwrap();
+            let tx = db.txn_manager().begin();
+            for r in &rows {
+                t.insert(&tx, r.clone()).unwrap();
+            }
+            tx.commit().unwrap();
+            db.maintenance();
+            db
+        };
+        let budgeted = load(Some(MemoryConfig {
+            query_bytes: 16 << 10,
+            ..MemoryConfig::with_total(64 << 20)
+        }));
+        for db in [&load(None), &budgeted] {
+            for workers in [1, 2] {
+                db.set_parallelism(workers);
+                let got = db.query("SELECT f, s, COUNT(*), SUM(v) FROM t GROUP BY f, s").unwrap();
+                let mut got: Vec<Vec<Value>> = got.iter().map(|r| r.values().to_vec()).collect();
+                got.sort();
+                assert_eq!(got, want, "{format} at {workers} workers");
+            }
+        }
+        let spills = budgeted.memory_governor().unwrap().spill_events();
+        assert!(spills > 0, "{format}: the budgeted group store spilled");
+    }
+}
