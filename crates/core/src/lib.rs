@@ -21,6 +21,7 @@ pub mod database;
 pub mod physical;
 pub mod prepared;
 pub mod session;
+mod sink;
 
 pub use catalog::{Catalog, TableFormat, TableHandle};
 pub use database::{

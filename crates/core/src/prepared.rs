@@ -13,15 +13,12 @@
 use crate::catalog::Catalog;
 use oltap_common::hash::FxHashMap;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{DbError, Result, Schema, Value};
+use oltap_common::{DbError, Result, Value};
 use oltap_exec::Expr;
 use oltap_sql::ast::{AstExpr, SelectStmt, Statement};
-use oltap_sql::optimizer::split_pushdown;
-use oltap_sql::plan::{bind_scalar, binds_by_value, fill_expr, ParamSlot};
+use oltap_sql::plan::{bind_scalar, binds_by_value, fill_expr};
 use oltap_sql::{bind_select, optimize_shape, CatalogView, LogicalPlan};
-use oltap_storage::ScanPredicate;
 use parking_lot::RwLock;
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,33 +54,29 @@ pub(crate) enum Prepared {
     Insert {
         /// Table name.
         table: String,
-        /// The table's width.
-        width: usize,
         /// The column each value of a row fills.
         targets: Vec<usize>,
         /// Each row's values: literals and slots, evaluated when the row is
         /// built (and type-checked when it is inserted).
         rows: Vec<Vec<AstExpr>>,
     },
-    /// UPDATE: bound SET expressions and the rows they change.
+    /// UPDATE: the rows it changes and what each becomes.
     Update {
         /// Table name.
         table: String,
-        /// The schema the ordinals refer to.
-        schema: SchemaRef,
+        /// The plan that finds the rows it changes: the `SELECT *` its
+        /// WHERE implies ([`SelectStmt::rows_of`]) less its projection, with
+        /// slots.
+        rows: LogicalPlan,
         /// (column, new value over the old row).
         set: Vec<(usize, Expr)>,
-        /// The rows the WHERE selects.
-        target: Target,
     },
     /// DELETE: the rows it removes.
     Delete {
         /// Table name.
         table: String,
-        /// The schema the ordinals refer to.
-        schema: SchemaRef,
-        /// The rows the WHERE selects.
-        target: Target,
+        /// The plan that finds the rows it removes, as UPDATE's.
+        rows: LogicalPlan,
     },
     /// BEGIN.
     Begin,
@@ -95,46 +88,6 @@ pub(crate) enum Prepared {
     Ddl(Statement),
 }
 
-/// The rows an UPDATE or DELETE reaches: its WHERE split as a SELECT's
-/// scan splits it — conjuncts storage evaluates (a point lookup when they
-/// pin the whole primary key, found from the filled values by
-/// [`ScanPredicate::pk_point`]) and a residual filter.
-#[derive(Debug)]
-pub(crate) struct Target {
-    pushdown: ScanPredicate,
-    slots: Vec<ParamSlot>,
-    residual: Option<Expr>,
-}
-
-impl Target {
-    fn new(filter: Option<&AstExpr>, schema: &Schema) -> Result<Target> {
-        let all: Vec<usize> = (0..schema.len()).collect();
-        let split = match filter {
-            Some(f) => split_pushdown(&bind_scalar(f, schema)?, &all, schema),
-            None => Default::default(),
-        };
-        Ok(Target {
-            pushdown: ScanPredicate {
-                conjuncts: split.pushed,
-                join: None,
-            },
-            slots: split.slots,
-            residual: split.residual.into_iter().reduce(Expr::and),
-        })
-    }
-
-    /// The pushdown and the residual filter, filled from `params` (every
-    /// literal of the statement, so one for each slot).
-    pub(crate) fn fill(&self, params: &[Value]) -> (Cow<'_, ScanPredicate>, Option<Expr>) {
-        let mut pushdown = Cow::Borrowed(&self.pushdown);
-        for s in &self.slots {
-            pushdown.to_mut().conjuncts[s.conjunct].value = params[s.param].clone();
-        }
-        let residual = self.residual.as_ref().map(|r| filled(r, params));
-        (pushdown, residual)
-    }
-}
-
 /// `e` with its slots filled from `params`.
 pub(crate) fn filled(e: &Expr, params: &[Value]) -> Expr {
     let mut e = e.clone();
@@ -143,11 +96,12 @@ pub(crate) fn filled(e: &Expr, params: &[Value]) -> Expr {
 }
 
 impl Prepared {
-    /// Plans `stmt` against `catalog`. `None` for a SELECT whose plan
-    /// would depend on its parameters' values — it binds by them
-    /// ([`binds_by_value`]) or folds them ([`optimize_shape`]) — which must
-    /// be planned from its literals instead. A statement that fails to plan
-    /// is an error, and nothing is kept.
+    /// Plans `stmt` against `catalog`. `None` for a statement whose plan
+    /// would depend on its parameters' values — a SELECT that binds by them
+    /// ([`binds_by_value`]), or a SELECT, UPDATE or DELETE whose filter
+    /// folds them ([`optimize_shape`]) — which must be planned from its
+    /// literals instead. A statement that fails to plan is an error, and
+    /// nothing is kept.
     pub(crate) fn new(stmt: Statement, catalog: &Catalog) -> Result<Option<Prepared>> {
         Ok(Some(match stmt {
             Statement::Select(sel) => return Prepared::select(*sel, catalog, false),
@@ -177,7 +131,6 @@ impl Prepared {
                 }
                 Prepared::Insert {
                     table,
-                    width: schema.len(),
                     targets,
                     rows,
                 }
@@ -191,22 +144,17 @@ impl Prepared {
                         Ok((schema.index_of(c)?, e))
                     })
                     .collect::<Result<Vec<_>>>()?;
-                let target = Target::new(filter.as_ref(), &schema)?;
-                Prepared::Update {
-                    table,
-                    schema,
-                    set,
-                    target,
-                }
+                let Some(rows) = rows_of(&table, filter, catalog)? else {
+                    return Ok(None);
+                };
+                Prepared::Update { table, rows, set }
             }
             Statement::Delete { table, filter } => {
-                let schema = keyed_schema(catalog, &table, "DELETE")?;
-                let target = Target::new(filter.as_ref(), &schema)?;
-                Prepared::Delete {
-                    table,
-                    schema,
-                    target,
-                }
+                keyed_schema(catalog, &table, "DELETE")?;
+                let Some(rows) = rows_of(&table, filter, catalog)? else {
+                    return Ok(None);
+                };
+                Prepared::Delete { table, rows }
             }
             Statement::Begin => Prepared::Begin,
             Statement::Commit => Prepared::Commit,
@@ -231,6 +179,19 @@ impl Prepared {
             explain,
         }))
     }
+}
+
+/// The plan of `SELECT * FROM table [WHERE filter]`, the rows an UPDATE or
+/// DELETE changes, planned as that SELECT is: the same access path, zone
+/// maps and pushdown. `None` where [`optimize_shape`] declines the shape.
+fn rows_of(table: &str, filter: Option<AstExpr>, catalog: &Catalog) -> Result<Option<LogicalPlan>> {
+    let plan = optimize_shape(bind_select(&SelectStmt::rows_of(table, filter), catalog)?)?;
+    Ok(plan.map(|plan| match plan {
+        // `*` is every column in table order, as the scan below it reads
+        // them: the write sink takes the scan's (or its filter's) batches.
+        LogicalPlan::Project { input, .. } => *input,
+        other => other,
+    }))
 }
 
 /// The schema of `table`, which `verb` needs a primary key of.
@@ -300,5 +261,80 @@ impl PlanCache {
             self.invalidations.load(Ordering::Relaxed),
             self.plans.read().len(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Database;
+    use oltap_sql::{lex, AccessPath};
+
+    /// Runs `sql` (it changes `affected` rows) and returns the access path
+    /// of the scan in the UPDATE plan kept for its shape.
+    fn kept_access(db: &Arc<Database>, sql: &str, affected: usize) -> AccessPath {
+        assert_eq!(db.execute(sql).unwrap().affected(), affected, "{sql}");
+        let generation = db.catalog_read().generation();
+        let kept = db.plans().get(&lex(sql).unwrap().shape, generation);
+        let Some(Prepared::Update { rows, .. }) = kept.as_deref() else {
+            panic!("no UPDATE plan kept for {sql}: {kept:?}");
+        };
+        let mut plan = rows;
+        loop {
+            match plan {
+                LogicalPlan::Scan { access, .. } => return access.clone(),
+                LogicalPlan::Filter { input, .. } => plan = input,
+                other => panic!("{sql}: not a scan's plan: {other:?}"),
+            }
+        }
+    }
+
+    /// The benchmark's four UPDATE shapes — Payment's customer, warehouse
+    /// and district updates, NewOrder's stock update — pin their tables'
+    /// whole (composite) keys, and their kept plans reach the row by key.
+    /// A filter on part of a key, or a key compared with a literal of
+    /// another type, scans.
+    #[test]
+    fn the_benchmarks_updates_keep_point_plans() {
+        let db = Database::new();
+        for ddl in [
+            "CREATE TABLE warehouse (w_id BIGINT NOT NULL, w_name TEXT, w_tax DOUBLE, \
+             w_ytd DOUBLE, PRIMARY KEY (w_id)) USING FORMAT COLUMN",
+            "CREATE TABLE district (d_w_id BIGINT NOT NULL, d_id BIGINT NOT NULL, \
+             d_name TEXT, d_tax DOUBLE, d_ytd DOUBLE, d_next_o_id BIGINT, \
+             PRIMARY KEY (d_w_id, d_id)) USING FORMAT COLUMN",
+            "CREATE TABLE customer (c_w_id BIGINT NOT NULL, c_d_id BIGINT NOT NULL, \
+             c_id BIGINT NOT NULL, c_name TEXT, c_state TEXT, c_balance DOUBLE, \
+             c_ytd_payment DOUBLE, c_payment_cnt BIGINT, \
+             PRIMARY KEY (c_w_id, c_d_id, c_id)) USING FORMAT COLUMN",
+            "CREATE TABLE stock (s_w_id BIGINT NOT NULL, s_i_id BIGINT NOT NULL, \
+             s_quantity BIGINT, s_ytd BIGINT, s_order_cnt BIGINT, \
+             PRIMARY KEY (s_w_id, s_i_id)) USING FORMAT COLUMN",
+            "INSERT INTO warehouse VALUES (1, 'w', 0.1, 0.0)",
+            "INSERT INTO district VALUES (1, 2, 'd', 0.1, 0.0, 1), (1, 3, 'd', 0.1, 0.0, 1)",
+            "INSERT INTO customer VALUES (1, 2, 3, 'c', 'CA', 0.0, 0.0, 0)",
+            "INSERT INTO stock VALUES (1, 7, 50, 0, 0)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        let point = [
+            "UPDATE customer SET c_balance = c_balance - 12.5, \
+             c_ytd_payment = c_ytd_payment + 12.5, c_payment_cnt = c_payment_cnt + 1 \
+             WHERE c_w_id = 1 AND c_d_id = 2 AND c_id = 3",
+            "UPDATE warehouse SET w_ytd = w_ytd + 12.5 WHERE w_id = 1",
+            "UPDATE district SET d_ytd = d_ytd + 12.5 WHERE d_w_id = 1 AND d_id = 2",
+            "UPDATE stock SET s_quantity = s_quantity - 5, s_ytd = s_ytd + 5, \
+             s_order_cnt = s_order_cnt + 1 WHERE s_w_id = 1 AND s_i_id = 7",
+        ];
+        for sql in point {
+            let access = kept_access(&db, sql, 1);
+            assert!(matches!(access, AccessPath::PkPoint { .. }), "{sql}: {access:?}");
+        }
+        for (sql, affected) in [
+            ("UPDATE district SET d_ytd = 0.0 WHERE d_w_id = 1", 2),
+            ("UPDATE warehouse SET w_ytd = 0.0 WHERE w_id = 1.0", 1),
+        ] {
+            assert_eq!(kept_access(&db, sql, affected), AccessPath::FullScan, "{sql}");
+        }
     }
 }

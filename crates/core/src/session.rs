@@ -1,20 +1,22 @@
 //! Sessions: statement execution with explicit or automatic transactions.
 
-use crate::catalog::{Catalog, TableHandle};
+use crate::catalog::Catalog;
 use crate::database::{Database, OpenSession};
 use crate::physical::{execute_fragment, execute_plan, ExecContext, Partial};
-use crate::prepared::{filled, Prepared, Target, PLAN_CACHE_SHAPE_BYTES};
+use crate::prepared::{filled, Prepared, PLAN_CACHE_SHAPE_BYTES};
+use crate::sink::WriteSink;
 use oltap_common::ids::TxnId;
 use oltap_common::mem::WorkloadClass;
 use oltap_common::schema::SchemaRef;
 use oltap_common::vector::BATCH_SIZE;
-use oltap_common::{Batch, CancellationToken, DbError, Result, Row, Value};
+use oltap_common::{CancellationToken, DbError, Result, Row, Value};
 use oltap_sql::ast::{AstExpr, Statement};
 use oltap_sql::plan::{as_of_timestamp, literal_value};
 use oltap_sql::{lex, parse, parse_tokens, Lexed, LogicalPlan};
 use oltap_txn::wal::WalOp;
 use oltap_txn::Transaction;
 use parking_lot::RwLockReadGuard;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The result of executing one statement.
@@ -72,7 +74,7 @@ impl SessionActivity {
     }
 }
 
-/// Marks a planned SELECT as running: its cancel token and workload class
+/// Marks a planned statement as running: its cancel token and workload class
 /// are what [`Session::cancel_token`] and [`SessionActivity::current`] hand
 /// out, from here until the guard drops — on every exit, `?` included, so
 /// neither ever describes a query that is not executing.
@@ -139,9 +141,10 @@ impl Session {
         self.txn.is_some() || self.rolled_back
     }
 
-    /// Sets a per-statement timeout for SELECTs: a query past its deadline
-    /// terminates at the next batch boundary with [`DbError::Cancelled`].
-    /// `None` disables the timeout.
+    /// Sets a per-statement timeout: a statement past its deadline
+    /// terminates at the next batch boundary with
+    /// [`DbError::DeadlineExceeded`]; a DML statement that has not begun to
+    /// write by then writes nothing. `None` disables the timeout.
     pub fn set_query_timeout(&mut self, timeout: Option<std::time::Duration>) {
         self.query_timeout = timeout;
     }
@@ -160,9 +163,9 @@ impl Session {
         self.activity.clone()
     }
 
-    /// A handle to cancel the currently running SELECT (if any) from
-    /// another thread. Each SELECT installs a fresh token, so grab this
-    /// after the query has started.
+    /// A handle to cancel the currently running statement (if any) from
+    /// another thread. Each statement installs a fresh token, so grab this
+    /// after the statement has started.
     pub fn cancel_token(&self) -> Option<CancellationToken> {
         self.active_cancel.lock().clone()
     }
@@ -249,19 +252,11 @@ impl Session {
                 as_of,
                 explain,
             } => {
-                let filled;
-                let plan = if params.is_empty() {
-                    plan
-                } else {
-                    let mut p = plan.clone();
-                    p.fill(params);
-                    filled = p;
-                    &filled
-                };
+                let plan = with_params(plan, params);
                 if *explain {
-                    return Ok(explain_rows(plan));
+                    return Ok(explain_rows(&plan));
                 }
-                self.execute_select(plan, schema, as_of.as_ref(), params, &catalog)
+                self.execute_select(&plan, schema, as_of.as_ref(), params, &catalog)
             }
             Prepared::Begin => {
                 if self.txn.is_some() {
@@ -303,11 +298,7 @@ impl Session {
             }
             Prepared::Insert { table, .. }
             | Prepared::Update { table, .. }
-            | Prepared::Delete { table, .. } => {
-                let handle = catalog.get(table)?;
-                drop(catalog);
-                self.execute_dml(prepared, &handle, params)
-            }
+            | Prepared::Delete { table, .. } => self.execute_dml(prepared, table, params, catalog),
         }
     }
 
@@ -351,7 +342,9 @@ impl Session {
             }
             None => self.snapshot(),
         };
-        let batches = self.run(plan, (read_ts, me), |ctx| execute_plan(plan, catalog, ctx))?;
+        let batches = self.run(classify_plan(plan), (read_ts, me), |ctx| {
+            execute_plan(plan, catalog, ctx)
+        })?;
         let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
         Ok(QueryResult::Rows {
             schema: Arc::clone(schema),
@@ -365,17 +358,19 @@ impl Session {
     /// ticket, budget and cancellation, stopping at a [`Partial`].
     pub fn execute_fragment(&self, cut: &LogicalPlan) -> Result<Partial> {
         let catalog = self.db.catalog_read();
-        self.run(cut, self.snapshot(), |ctx| execute_fragment(cut, &catalog, ctx))
+        self.run(classify_plan(cut), self.snapshot(), |ctx| {
+            execute_fragment(cut, &catalog, ctx)
+        })
     }
 
-    /// Runs `f` as the execution of `plan`, a SELECT of this session's.
+    /// Runs `f` as the execution of a statement of `class` of this
+    /// session's, reading at `(read_ts, me)`.
     fn run<T>(
         &self,
-        plan: &LogicalPlan,
+        class: WorkloadClass,
         (read_ts, me): (oltap_txn::Ts, TxnId),
         f: impl FnOnce(&ExecContext) -> Result<T>,
     ) -> Result<T> {
-        let class = classify_plan(plan);
         // Per-query token: a child of the connection token when one is
         // installed, so peer loss / deadlines / drain cancel the query.
         let cancel = match (&self.session_cancel, self.query_timeout) {
@@ -397,215 +392,80 @@ impl Session {
         })
     }
 
-    /// Runs DML in the open transaction, or in a fresh auto-commit one.
+    /// Runs a DML statement in the open transaction, or in a fresh
+    /// auto-commit one, as a statement of this session: under its admission
+    /// ticket, budget and cancellation, at the transaction's snapshot. An
+    /// UPDATE or DELETE runs its plan under `catalog`, which is dropped
+    /// before anything is written; every DML statement ends in the
+    /// [`WriteSink`].
     fn execute_dml(
         &mut self,
         dml: &Prepared,
-        handle: &TableHandle,
+        table: &str,
         params: &[Value],
+        catalog: RwLockReadGuard<'_, Catalog>,
     ) -> Result<QueryResult> {
+        let handle = catalog.get(table)?;
+        let own = self.txn.is_none().then(|| self.db.txn_manager().begin());
+        let mut ops = Vec::new();
+        let txn = own.as_ref().or(self.txn.as_ref()).expect("a transaction");
         // DML is transactional work by definition: drains see Oltp and
         // grant the grace period instead of cancelling immediately.
-        self.activity.set(Some(WorkloadClass::Oltp));
-        let out = self.execute_dml_inner(dml, handle, params);
-        self.activity.set(None);
-        out
-    }
-
-    fn execute_dml_inner(
-        &mut self,
-        dml: &Prepared,
-        handle: &TableHandle,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let mut ops = Vec::new();
-        if let Some(txn) = &self.txn {
-            match self.apply_dml(txn, dml, handle, params, &mut ops) {
-                Ok(()) => {
-                    let n = ops.len();
-                    self.pending_ops.extend(ops);
-                    Ok(QueryResult::Affected(n))
-                }
-                // What it wrote is in the transaction's write set, beside
-                // the earlier statements' writes: only the whole can go.
-                Err(e) if !ops.is_empty() => {
-                    let _ = txn.abort();
-                    self.txn = None;
-                    self.pending_ops.clear();
-                    self.rolled_back = true;
-                    Err(e)
-                }
-                Err(e) => Err(e),
-            }
-        } else {
-            let txn = self.db.txn_manager().begin();
-            match self.apply_dml(&txn, dml, handle, params, &mut ops) {
-                Ok(()) => {
-                    let n = ops.len();
-                    self.db.commit_txn(&txn, ops)?;
-                    Ok(QueryResult::Affected(n))
-                }
-                Err(e) => {
-                    let _ = txn.abort();
-                    Err(e)
-                }
-            }
-        }
-    }
-
-    /// Applies a DML statement under `txn`, pushing each write's redo op
-    /// onto `ops` once it is made: the statement affected `ops.len()` rows,
-    /// and a failed one wrote something exactly when `ops` is not empty.
-    fn apply_dml(
-        &self,
-        txn: &Transaction,
-        dml: &Prepared,
-        handle: &TableHandle,
-        params: &[Value],
-        ops: &mut Vec<WalOp>,
-    ) -> Result<()> {
-        match dml {
-            Prepared::Insert {
-                table,
-                width,
-                targets,
-                rows,
-            } => {
-                // Every row is built before any is written: a value that
-                // fails leaves no row behind.
-                let rows = rows
-                    .iter()
-                    .map(|cells| {
-                        let mut vals = vec![Value::Null; *width];
+        let written = self.run(WorkloadClass::Oltp, (txn.begin_ts(), txn.id()), |ctx| {
+            let mut sink = WriteSink::new(handle.schema());
+            match dml {
+                Prepared::Insert { targets, rows, .. } => {
+                    for cells in rows {
+                        let mut vals = vec![Value::Null; handle.schema().len()];
                         for (&t, cell) in targets.iter().zip(cells) {
                             vals[t] = literal_value(cell, params)?;
                         }
-                        Ok(Row::new(vals))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                for row in rows {
-                    handle.insert(txn, row.clone())?;
-                    ops.push(WalOp::Insert {
-                        table: table.clone(),
-                        row,
-                    });
-                }
-                Ok(())
-            }
-            Prepared::Update {
-                table,
-                schema,
-                set,
-                target,
-            } => {
-                let targets = self.matching_rows(txn, handle, schema, target, params)?;
-                // Every SET expression reads the old rows, and is evaluated
-                // over all of them before any is written: a division by
-                // zero or a mistyped value fails the statement with no row
-                // changed.
-                let mut new_rows = targets.clone();
-                if !targets.is_empty() {
-                    let old = Batch::from_rows(schema, &targets)?;
-                    for (i, e) in set {
-                        let col = filled(e, params).eval_batch(&old)?;
-                        for (r, new) in new_rows.iter_mut().enumerate() {
-                            let v = col.value_at(r);
-                            v.check_type(schema.field(*i).data_type)?;
-                            new.values_mut()[*i] = v;
-                        }
+                        sink.insert(Row::new(vals));
                     }
                 }
-                let pk_cols = schema.primary_key();
-                for (old, new) in targets.into_iter().zip(new_rows) {
-                    let old_key = schema.key_of(&old);
-                    let pk_changed = pk_cols
-                        .iter()
-                        .any(|&i| old.values()[i] != new.values()[i]);
-                    if pk_changed {
-                        handle.delete(txn, &old_key)?;
-                        ops.push(WalOp::Delete {
-                            table: table.clone(),
-                            key: old_key,
-                        });
-                        handle.insert(txn, new.clone())?;
-                        ops.push(WalOp::Insert {
-                            table: table.clone(),
-                            row: new,
-                        });
-                    } else {
-                        handle.update(txn, &old_key, new.clone())?;
-                        ops.push(WalOp::Update {
-                            table: table.clone(),
-                            key: old_key,
-                            row: new,
-                        });
+                Prepared::Update { rows, set, .. } => {
+                    let set: Vec<_> = set.iter().map(|(c, e)| (*c, filled(e, params))).collect();
+                    for batch in &execute_plan(&with_params(rows, params), &catalog, ctx)? {
+                        sink.update(&set, batch)?;
                     }
                 }
-                Ok(())
-            }
-            Prepared::Delete {
-                table,
-                schema,
-                target,
-            } => {
-                let targets = self.matching_rows(txn, handle, schema, target, params)?;
-                for row in &targets {
-                    let key = schema.key_of(row);
-                    handle.delete(txn, &key)?;
-                    ops.push(WalOp::Delete {
-                        table: table.clone(),
-                        key,
-                    });
+                Prepared::Delete { rows, .. } => {
+                    for batch in &execute_plan(&with_params(rows, params), &catalog, ctx)? {
+                        sink.delete(batch);
+                    }
                 }
-                Ok(())
+                other => return Err(DbError::Unsupported(format!("not DML: {other:?}"))),
             }
-            other => Err(DbError::Unsupported(format!("not DML: {other:?}"))),
+            drop(catalog);
+            // The last point the statement can stop at without having written.
+            ctx.cancel.check()?;
+            sink.apply(txn, &handle, table, &mut ops)
+        });
+        match (written, own) {
+            (Ok(n), Some(txn)) => {
+                self.db.commit_txn(&txn, ops)?;
+                Ok(QueryResult::Affected(n))
+            }
+            (Ok(n), None) => {
+                self.pending_ops.extend(ops);
+                Ok(QueryResult::Affected(n))
+            }
+            (Err(e), Some(txn)) => {
+                let _ = txn.abort();
+                Err(e)
+            }
+            // What it wrote is in the transaction's write set, beside the
+            // earlier statements' writes: only the whole can go.
+            (Err(e), None) if !ops.is_empty() => {
+                if let Some(txn) = self.txn.take() {
+                    let _ = txn.abort();
+                }
+                self.pending_ops.clear();
+                self.rolled_back = true;
+                Err(e)
+            }
+            (Err(e), None) => Err(e),
         }
-    }
-
-    /// Materializes the rows a DML statement targets, at the transaction's
-    /// snapshot (its own writes included). The filter is lowered as a
-    /// SELECT's is: the conjuncts storage evaluates are pushed into the
-    /// access — a point lookup when they pin every primary-key column with
-    /// equality (the OLTP shape: `WHERE pk = ...`, found by the extractor a
-    /// SELECT's access path is chosen with,
-    /// [`oltap_storage::ScanPredicate::pk_point`]), a
-    /// scan otherwise — and the residual conjuncts filter what it returns.
-    fn matching_rows(
-        &self,
-        txn: &Transaction,
-        handle: &TableHandle,
-        schema: &oltap_common::Schema,
-        target: &Target,
-        params: &[Value],
-    ) -> Result<Vec<Row>> {
-        let (pushed, residual) = target.fill(params);
-        let (read_ts, me) = (txn.begin_ts(), txn.id());
-        let batches = match pushed.pk_point(schema) {
-            // The key only nominates a row: the whole pushdown is
-            // re-checked against it.
-            Some(key) => match handle.get(&key, read_ts, me)? {
-                Some(row) if pushed.matches_row(&row) => {
-                    if residual.is_none() {
-                        return Ok(vec![row]);
-                    }
-                    vec![Batch::from_rows(schema, &[row])?]
-                }
-                _ => return Ok(Vec::new()),
-            },
-            None => {
-                let all: Vec<usize> = (0..schema.len()).collect();
-                handle.scan(&all, &pushed, read_ts, me, BATCH_SIZE)?
-            }
-        };
-        let mut out = Vec::new();
-        for b in &batches {
-            match &residual {
-                None => out.extend(b.to_rows()),
-                Some(p) => out.extend(p.filter(b)?.into_iter().map(|i| b.row(i as usize))),
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -631,6 +491,16 @@ pub(crate) fn classify_plan(plan: &LogicalPlan) -> WorkloadClass {
         | LogicalPlan::Project { input, .. }
         | LogicalPlan::Limit { input, .. } => classify_plan(input),
     }
+}
+
+/// `plan` with `params` in its slots: borrowed when there are none.
+fn with_params<'p>(plan: &'p LogicalPlan, params: &[Value]) -> Cow<'p, LogicalPlan> {
+    if params.is_empty() {
+        return Cow::Borrowed(plan);
+    }
+    let mut plan = plan.clone();
+    plan.fill(params);
+    Cow::Owned(plan)
 }
 
 /// EXPLAIN's answer: the plan tree, one row per line.
@@ -720,6 +590,51 @@ mod tests {
         drop(held);
         assert_eq!(admission.running(), (0, 0));
         assert_eq!(db.query("SELECT SUM(v) FROM t").unwrap(), vec![oltap_common::row![30i64]]);
+    }
+
+    /// DML runs as a statement of its session: admitted as OLTP work and
+    /// bounded by the query timeout. An UPDATE past its deadline fails
+    /// before it writes, so it changes no row and leaves an open
+    /// transaction open, and its admission ticket is handed back.
+    #[test]
+    fn dml_runs_under_the_statements_deadline_and_ticket() {
+        use oltap_sched::AdmissionConfig;
+        use std::time::Duration;
+        let db = Database::with_config(crate::DbConfig {
+            admission: Some(AdmissionConfig::default()),
+            ..crate::DbConfig::default()
+        })
+        .unwrap();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        let admission = db.admission().unwrap();
+        let admitted = admission.stats().oltp_admitted;
+        db.execute("UPDATE t SET v = v + 1 WHERE id = 1").unwrap();
+        assert_eq!(admission.stats().oltp_admitted, admitted + 1);
+
+        let mut s = db.session();
+        s.set_query_timeout(Some(Duration::ZERO));
+        for in_txn in [false, true] {
+            if in_txn {
+                s.set_query_timeout(None);
+                s.execute("BEGIN").unwrap();
+                s.set_query_timeout(Some(Duration::ZERO));
+            }
+            for sql in ["UPDATE t SET v = 0 WHERE id = 1", "UPDATE t SET v = 0", "DELETE FROM t"] {
+                let err = s.execute(sql).unwrap_err();
+                assert!(matches!(err, DbError::DeadlineExceeded(_)), "{sql}: {err}");
+                assert_eq!(admission.running(), (0, 0), "{sql}");
+                assert!(s.cancel_token().is_none() && s.activity().current().is_none());
+            }
+            assert_eq!(s.in_transaction(), in_txn);
+        }
+        s.set_query_timeout(None);
+        assert_eq!(s.execute("UPDATE t SET v = v + 1 WHERE id = 2").unwrap().affected(), 1);
+        s.execute("COMMIT").unwrap();
+        assert_eq!(
+            db.query("SELECT id, v FROM t ORDER BY id").unwrap(),
+            vec![oltap_common::row![1i64, 11i64], oltap_common::row![2i64, 21i64]]
+        );
     }
 
     /// DML finds its point-lookup key with the extractor SELECT's access

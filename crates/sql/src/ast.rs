@@ -76,7 +76,7 @@ pub enum SelectItem {
 }
 
 /// A table reference with an optional alias.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableRef {
     /// Table name.
     pub name: String,
@@ -121,7 +121,7 @@ pub struct OrderItem {
 }
 
 /// A SELECT statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SelectStmt {
     /// SELECT list.
     pub items: Vec<SelectItem>,
@@ -145,6 +145,22 @@ pub struct SelectStmt {
     /// historical snapshot instead of the session's (a literal or a
     /// parameter; see [`crate::plan::as_of_timestamp`]).
     pub as_of: Option<AstExpr>,
+}
+
+impl SelectStmt {
+    /// `SELECT * FROM table [WHERE filter]`: the query whose rows an
+    /// `UPDATE` or `DELETE` of `table` with that `WHERE` changes.
+    pub fn rows_of(table: &str, filter: Option<AstExpr>) -> SelectStmt {
+        SelectStmt {
+            items: vec![SelectItem::Wildcard],
+            from: TableRef {
+                name: table.to_string(),
+                alias: None,
+            },
+            filter,
+            ..SelectStmt::default()
+        }
+    }
 }
 
 /// Storage format requested in CREATE TABLE ... USING FORMAT.

@@ -346,20 +346,20 @@ pub fn split_conjuncts(e: Expr) -> Vec<Expr> {
 
 /// A predicate split for a scan by [`split_pushdown`].
 #[derive(Debug, Default)]
-pub struct Split {
+struct Split {
     /// The conjuncts storage evaluates natively, in source order.
-    pub pushed: Vec<ColumnPredicate>,
+    pushed: Vec<ColumnPredicate>,
     /// Which of `pushed` compare against a statement parameter.
-    pub slots: Vec<ParamSlot>,
+    slots: Vec<ParamSlot>,
     /// The conjuncts an executor filter keeps, in source order.
-    pub residual: Vec<Expr>,
+    residual: Vec<Expr>,
 }
 
 /// Splits `predicate` into the conjuncts storage evaluates natively
 /// (`column <op> literal` or `column <op> parameter`, as ordinals of
 /// `table_schema` through `projection`) and the residual ones an executor
 /// filter keeps.
-pub fn split_pushdown(predicate: &Expr, projection: &[usize], table_schema: &Schema) -> Split {
+fn split_pushdown(predicate: &Expr, projection: &[usize], table_schema: &Schema) -> Split {
     fn walk(e: &Expr, projection: &[usize], table_schema: &Schema, out: &mut Split) {
         match e {
             Expr::Binary {
