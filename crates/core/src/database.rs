@@ -120,7 +120,8 @@ pub struct Database {
     /// Memory governance, fixed at open: the governor and each query's cap.
     memory: Option<(Arc<MemoryGovernor>, u64)>,
     admission: RwLock<Option<Arc<AdmissionController>>>,
-    spill_root: PathBuf,
+    /// Shared by every governed statement's [`SpillDir`].
+    spill_root: Arc<std::path::Path>,
     /// Segment pager; when set, every columnar table built after open
     /// pages its base data through the shared buffer pool.
     pager: Option<Arc<SegmentPager>>,
@@ -203,7 +204,7 @@ impl Database {
             sessions: Arc::default(),
             memory: None,
             admission: RwLock::new(None),
-            spill_root: default_spill_root(None),
+            spill_root: default_spill_root(None).into(),
             pager: None,
             history_floor: AtomicU64::new(0),
             heat_path: None,
@@ -274,7 +275,7 @@ impl Database {
             sessions: Arc::default(),
             memory: governor.zip(config.memory.as_ref().map(|c| c.query_bytes)),
             admission: RwLock::new(None),
-            spill_root,
+            spill_root: spill_root.into(),
             pager,
             history_floor: AtomicU64::new(0),
             heat_path,
@@ -352,14 +353,14 @@ impl Database {
     }
 
     /// Execution resources for one query of `class`: a budget from the
-    /// governor plus the name of a per-query spill dir (made on disk only
-    /// if the query spills), or [`ExecResources::unlimited`] when
-    /// governance is off.
+    /// governor plus a per-query spill dir under the spill root (named and
+    /// made on disk only if the query spills), or
+    /// [`ExecResources::unlimited`] when governance is off.
     pub(crate) fn exec_resources(&self, class: WorkloadClass) -> Result<ExecResources> {
         match &self.memory {
             Some((gov, query_bytes)) => {
                 let budget = gov.budget(class, *query_bytes);
-                let dir = SpillDir::create_under(&self.spill_root)?;
+                let dir = SpillDir::under(Arc::clone(&self.spill_root));
                 Ok(ExecResources::new(budget, Some(Arc::new(dir))))
             }
             None => Ok(ExecResources::unlimited()),

@@ -109,6 +109,9 @@ struct Lowering<'a> {
     /// A node of the plan (by address) and the batches that stand for it: a
     /// distributed statement's cut, answered by the shards.
     leaf: Option<(&'a LogicalPlan, Vec<Batch>)>,
+    /// The output schema of the plan's one scan, when the caller holds it
+    /// ([`execute_point_plan`]).
+    scan_schema: Option<SchemaRef>,
 }
 
 /// Executes `plan` at `ctx`'s snapshot and returns its non-empty result
@@ -121,6 +124,20 @@ pub fn execute_plan(
     execute_above(plan, None, catalog, ctx)
 }
 
+/// [`execute_plan`] of a plan with one scan, whose output schema the caller
+/// already holds (a prepared point statement's): the lowering takes it
+/// instead of projecting the table's fields again.
+pub fn execute_point_plan(
+    plan: &LogicalPlan,
+    scan_schema: &SchemaRef,
+    catalog: &Catalog,
+    ctx: &ExecContext,
+) -> Result<Vec<Batch>> {
+    let mut lowering = Lowering::new(catalog, ctx, None);
+    lowering.scan_schema = Some(Arc::clone(scan_schema));
+    lowering.run(plan)
+}
+
 /// [`execute_plan`] with the node `leaf` names answered by the batches
 /// beside it: what a distributed statement runs above its cut.
 pub fn execute_above(
@@ -129,10 +146,7 @@ pub fn execute_above(
     catalog: &Catalog,
     ctx: &ExecContext,
 ) -> Result<Vec<Batch>> {
-    let mut lowering = Lowering::new(catalog, ctx, leaf);
-    let p = lowering.decompose(plan)?;
-    let batches = lowering.drain(p)?;
-    Ok(batches.into_iter().filter(|b| !b.is_empty()).collect())
+    Lowering::new(catalog, ctx, leaf).run(plan)
 }
 
 /// What one partition hands up for a plan fragment: its root `Aggregate`'s
@@ -193,7 +207,15 @@ impl<'a> Lowering<'a> {
             },
             sips: FxHashMap::default(),
             leaf,
+            scan_schema: None,
         }
+    }
+
+    /// Lowers and runs `plan`: its non-empty result batches.
+    fn run(mut self, plan: &LogicalPlan) -> Result<Vec<Batch>> {
+        let p = self.decompose(plan)?;
+        let batches = self.drain(p)?;
+        Ok(batches.into_iter().filter(|b| !b.is_empty()).collect())
     }
 
     /// Runs a pipeline into batches, in morsel order; batches no stage
@@ -220,6 +242,7 @@ impl<'a> Lowering<'a> {
         Ok(match plan {
             LogicalPlan::Scan {
                 table,
+                table_schema,
                 projection,
                 pushdown,
                 sip,
@@ -239,7 +262,15 @@ impl<'a> Lowering<'a> {
                 });
                 let pushdown = sip_pushdown.as_ref().unwrap_or(pushdown);
                 let ctx = self.ctx;
-                let schema = plan.output_schema()?;
+                // A `SELECT *` scan's schema (an UPDATE's or DELETE's) is
+                // the table's own.
+                let schema = match self.scan_schema.take() {
+                    Some(schema) => schema,
+                    None if projection.iter().copied().eq(0..table_schema.len()) => {
+                        Arc::clone(table_schema)
+                    }
+                    None => plan.output_schema()?,
+                };
                 let source = match access {
                     AccessPath::PkPoint { key } => {
                         point_get(&handle, key, projection, &schema, pushdown, ctx)?.into()

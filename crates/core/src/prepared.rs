@@ -17,7 +17,7 @@ use oltap_common::{DbError, Result, Value};
 use oltap_exec::Expr;
 use oltap_sql::ast::{AstExpr, SelectStmt, Statement};
 use oltap_sql::plan::{bind_scalar, binds_by_value, fill_expr};
-use oltap_sql::{bind_select, optimize_shape, CatalogView, LogicalPlan};
+use oltap_sql::{bind_select, optimize_shape, AccessPath, CatalogView, LogicalPlan};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,6 +45,10 @@ pub(crate) enum Prepared {
         plan: LogicalPlan,
         /// Its output schema.
         schema: SchemaRef,
+        /// The output schema of its scan when it reads one row by key (a
+        /// point plan), which the lowering takes rather than projecting the
+        /// table's fields every statement.
+        point_schema: Option<SchemaRef>,
         /// `AS OF` timestamp, a literal or a slot.
         as_of: Option<AstExpr>,
         /// EXPLAIN: render the filled plan instead of running it.
@@ -174,10 +178,29 @@ impl Prepared {
         };
         Ok(Some(Prepared::Select {
             schema: plan.output_schema()?,
+            point_schema: point_scan(&plan)
+                .map(LogicalPlan::output_schema)
+                .transpose()?,
             plan,
             as_of: sel.as_of,
             explain,
         }))
+    }
+}
+
+/// The one scan of `plan` when it reads a row by key under streaming
+/// operators only: a point plan's.
+fn point_scan(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Scan {
+            access: AccessPath::PkPoint { .. },
+            ..
+        } => Some(plan),
+        LogicalPlan::Project { input, .. }
+        | LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => point_scan(input),
+        _ => None,
     }
 }
 

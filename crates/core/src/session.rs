@@ -2,7 +2,7 @@
 
 use crate::catalog::Catalog;
 use crate::database::{Database, OpenSession};
-use crate::physical::{execute_fragment, execute_plan, ExecContext, Partial};
+use crate::physical::{execute_fragment, execute_plan, execute_point_plan, ExecContext, Partial};
 use crate::prepared::{filled, Prepared, PLAN_CACHE_SHAPE_BYTES};
 use crate::sink::WriteSink;
 use oltap_common::ids::TxnId;
@@ -249,6 +249,7 @@ impl Session {
             Prepared::Select {
                 plan,
                 schema,
+                point_schema,
                 as_of,
                 explain,
             } => {
@@ -256,7 +257,14 @@ impl Session {
                 if *explain {
                     return Ok(explain_rows(&plan));
                 }
-                self.execute_select(&plan, schema, as_of.as_ref(), params, &catalog)
+                self.execute_select(
+                    &plan,
+                    schema,
+                    point_schema.as_ref(),
+                    as_of.as_ref(),
+                    params,
+                    &catalog,
+                )
             }
             Prepared::Begin => {
                 if self.txn.is_some() {
@@ -309,10 +317,13 @@ impl Session {
         }
     }
 
+    /// Runs a SELECT's plan; `schema` is its output schema, and
+    /// `point_schema` its scan's when it is a point plan.
     fn execute_select(
         &self,
         plan: &LogicalPlan,
         schema: &SchemaRef,
+        point_schema: Option<&SchemaRef>,
         as_of: Option<&AstExpr>,
         params: &[Value],
         catalog: &Catalog,
@@ -342,9 +353,14 @@ impl Session {
             }
             None => self.snapshot(),
         };
-        let batches = self.run(classify_plan(plan), (read_ts, me), |ctx| {
-            execute_plan(plan, catalog, ctx)
-        })?;
+        let batches = self.run(
+            classify_plan(plan),
+            (read_ts, me),
+            |ctx| match point_schema {
+                Some(scan_schema) => execute_point_plan(plan, scan_schema, catalog, ctx),
+                None => execute_plan(plan, catalog, ctx),
+            },
+        )?;
         let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
         Ok(QueryResult::Rows {
             schema: Arc::clone(schema),

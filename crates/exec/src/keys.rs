@@ -446,7 +446,7 @@ pub(crate) mod tests {
     /// `keep` bytes (`None`: all but its last), its framing intact: what a
     /// reader meets is a short or truncated record.
     pub(crate) fn cut_first_records(dir: &SpillDir, keep: Option<usize>) {
-        for entry in std::fs::read_dir(dir.path()).unwrap() {
+        for entry in std::fs::read_dir(dir.path().expect("a dir that spilled")).unwrap() {
             let path = entry.unwrap().path();
             let bytes = std::fs::read(&path).unwrap();
             let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;

@@ -496,6 +496,16 @@ impl BufferManager {
         }
     }
 
+    /// The data of page `key` if the pool holds it — no pin, no hit, no
+    /// reference bit: a look that leaves the pool as it found it.
+    fn resident(&self, key: PageKey) -> Option<Arc<EncodedColumn>> {
+        let pool = self.pool.lock();
+        let slot = *pool.map.get(&key)?;
+        pool.frames[slot]
+            .as_ref()
+            .map(|frame| Arc::clone(&frame.data))
+    }
+
     /// Pins the resident frame in `slot`.
     fn hit(self: &Arc<Self>, pool: &mut Pool, slot: usize, key: PageKey) -> PageGuard {
         let frame = pool.frames[slot]
@@ -848,6 +858,21 @@ impl SegmentPager {
             }
             Ok(read)
         })
+    }
+
+    /// Page `page` of `file` for a look that must leave the pool as it
+    /// found it (a key check at a location a hash nominated): the pool's
+    /// frame when it holds the page, else a read of the file that nothing
+    /// keeps.
+    pub(crate) fn peek(&self, file: &PageFile, page: u32) -> Result<Arc<EncodedColumn>> {
+        let key = PageKey {
+            file: file.file_id(),
+            page,
+        };
+        match self.buffer.resident(key) {
+            Some(data) => Ok(data),
+            None => file.read_column(page as usize).map(Arc::new),
+        }
     }
 
     /// Read-ahead for `pass` as it enters row group `group`. On its second

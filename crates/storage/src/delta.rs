@@ -74,18 +74,39 @@
 //!
 //! The freeze pass is the same rebuild of a run of one, into the frozen
 //! encodings.
+//!
+//! # The main store's key index
+//!
+//! A point read, an insert's uniqueness check and the delete half of an
+//! update find a key's main-store rows through `pk_locs`: the FxHash of the
+//! key's values (`Value`'s own `Hash`, so a lookup key hashes as the row it
+//! names does) → the `(segment, offset)` locations of keys of that hash, one
+//! inline and a `Vec` only past one. No key is copied into it, as in
+//! L-Store, whose index resolves a key to a record location over a
+//! read-optimised base while the record holds the key. A hash only
+//! nominates: every use checks the key at the location it finds — a point
+//! read against the row it materializes, the insert check, the delete and
+//! the bulk load against the key columns alone. A merge hashes the rows it
+//! drains; a rebuild hashes its inputs' key columns, and its swap moves
+//! each entry by that hash and the exact old location, which names one row,
+//! so the swap compares no key.
+//!
+//! The delta is a [`RowStore`]: its skip list holds the key of every write,
+//! and an insert searches it once ([`crate::skiplist::SkipList::get_or_insert_with`]).
 
 use crate::buffer::SegmentPager;
 use crate::predicate::ScanPredicate;
 use crate::rowstore::RowStore;
 use crate::segment::{Segment, SegmentBuilder, DROPPED};
 use oltap_common::fault::{points, FaultInjector};
-use oltap_common::hash::FxHashMap;
+use oltap_common::hash::{FxHashMap, FxHasher};
 use oltap_common::ids::{SegmentId, TxnId};
 use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, DbError, Result, Row};
+use oltap_common::{Batch, DbError, Result, Row, Value};
 use oltap_txn::{Stamp, Transaction, Ts, WriteSetEntry};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockWriteGuard};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,7 +119,11 @@ const VISIT_NS: u64 = 125;
 /// What maintenance pays for each row a merge moves into a segment, ns, all
 /// in: the merge's own 1 025–1 060, and the coalesces that rewrite the row
 /// later (2 276–2 376 measured, every maintenance step over the probe's
-/// 6 800 NewOrders divided by the rows merged).
+/// 6 800 NewOrders divided by the rows merged). Re-measured once `pk_locs`
+/// held key hashes instead of key copies, alternated with the key-copying
+/// build on a slower day: the merge's own 1 638–1 688 (1 444–2 370 before),
+/// all in 2 579–2 768 (4 015–4 926 before). Not retuned: this and
+/// `MERGE_FIXED_NS` set how often a scanned delta merges.
 const MERGE_ROW_NS: u64 = 2_300;
 /// What a merge pays however few rows it moves, ns (108–111 µs measured).
 const MERGE_FIXED_NS: u64 = 110_000;
@@ -143,6 +168,11 @@ impl MergeBell {
         *seen = *rings;
         true
     }
+}
+
+/// A `pk_locs` location whose segment the table no longer has.
+fn missing_segment(sid: SegmentId) -> DbError {
+    DbError::Corruption(format!("missing segment {sid}"))
 }
 
 /// Write-set adapter finalizing a transaction's delete stamp on one
@@ -248,18 +278,124 @@ pub struct TableSizes {
     pub main_bytes: usize,
 }
 
+/// A main-store location: a segment and a row offset in it.
+type Loc = (SegmentId, u32);
+
+/// The locations one key hash nominates: one inline, a `Vec` only past
+/// one (an updated key's dead versions, or another key of the same hash).
+/// `Many` always holds at least two.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Locs {
+    One(Loc),
+    Many(Vec<Loc>),
+}
+
+impl Locs {
+    fn as_slice(&self) -> &[Loc] {
+        match self {
+            Locs::One(loc) => std::slice::from_ref(loc),
+            Locs::Many(locs) => locs,
+        }
+    }
+
+    fn push(&mut self, loc: Loc) {
+        match self {
+            Locs::One(first) => *self = Locs::Many(vec![*first, loc]),
+            Locs::Many(locs) => locs.push(loc),
+        }
+    }
+
+    /// Moves location `old` to `new`, or drops it when `new` is `None`;
+    /// false when that leaves no location.
+    fn replace(&mut self, old: Loc, new: Option<Loc>) -> bool {
+        match self {
+            Locs::One(loc) if *loc == old => match new {
+                Some(new) => *loc = new,
+                None => return false,
+            },
+            Locs::One(_) => {}
+            Locs::Many(locs) => {
+                if let Some(at) = locs.iter().position(|&loc| loc == old) {
+                    match new {
+                        Some(new) => locs[at] = new,
+                        None => {
+                            locs.remove(at);
+                        }
+                    }
+                }
+                if let [only] = locs[..] {
+                    *self = Locs::One(only);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The main store's primary-key index: the hash of a key's values
+/// ([`DeltaMainTable::key_hash`]) → every location holding a key of that
+/// hash, one a stored row. A hash only nominates: every use checks the key
+/// at the location it finds. No key is copied into it.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    locs: FxHashMap<u64, Locs>,
+}
+
+impl KeyIndex {
+    fn get(&self, hash: u64) -> &[Loc] {
+        self.locs.get(&hash).map_or(&[], Locs::as_slice)
+    }
+
+    /// Room for `more` new hashes without rehashing.
+    fn reserve(&mut self, more: usize) {
+        self.locs.reserve(more);
+    }
+
+    fn add(&mut self, hash: u64, loc: Loc) {
+        match self.locs.get_mut(&hash) {
+            Some(locs) => locs.push(loc),
+            None => {
+                self.locs.insert(hash, Locs::One(loc));
+            }
+        }
+    }
+
+    /// Moves the entry for location `old` under `hash` to `new`, or drops
+    /// it. A location names one row, so no key is compared.
+    fn relocate(&mut self, hash: u64, old: Loc, new: Option<Loc>) {
+        if let Some(locs) = self.locs.get_mut(&hash) {
+            if !locs.replace(old, new) {
+                self.locs.remove(&hash);
+            }
+        }
+    }
+
+    /// Every location held, over all hashes.
+    #[cfg(test)]
+    fn location_count(&self) -> usize {
+        self.locs.values().map(|locs| locs.as_slice().len()).sum()
+    }
+}
+
+/// Does `row` hold `key` in the primary-key `columns`?
+fn row_holds_key(row: &Row, columns: &[usize], key: &Row) -> bool {
+    key.len() == columns.len() && columns.iter().zip(key.values()).all(|(&c, v)| row[c] == *v)
+}
+
 struct TableState {
     delta: RowStore,
     /// Main segments in scan order. Changed only by [`TableState::publish`]
     /// and [`TableState::retire`], which keep `slot_of` in step.
     segments: Vec<Arc<Segment>>,
     /// Segment id → its position in `segments`: the insert check, the point
-    /// read and the delete resolve a `pk_locs` entry through this, whatever
-    /// number of segments the table has grown.
+    /// read and the delete resolve a `pk_locs` location through this,
+    /// whatever number of segments the table has grown.
     slot_of: FxHashMap<SegmentId, usize>,
-    /// Primary key → every main-store location that holds the key: one a
-    /// stored row. At most one location is visible to a given snapshot.
-    pk_locs: FxHashMap<Row, Vec<(SegmentId, u32)>>,
+    /// Primary-key hash → the main-store locations of keys of that hash,
+    /// one a stored row (a table without a key has none). Of the locations
+    /// holding one key, at most one is visible to a given snapshot. The
+    /// key itself lives only in its segment, where every lookup checks it.
+    pk_locs: KeyIndex,
 }
 
 impl TableState {
@@ -338,9 +474,9 @@ struct Rebuilt {
     /// `moved[i][offset]`: input `i`'s row `offset` in the output, or
     /// [`DROPPED`].
     moved: Vec<Vec<u32>>,
-    /// `keys[i][offset]`: the primary key of input `i`'s row `offset`
-    /// (empty for a table without one).
-    keys: Vec<Vec<Row>>,
+    /// `hashes[i][offset]`: the primary-key hash of input `i`'s row
+    /// `offset` (empty for a table without a key).
+    hashes: Vec<Vec<u64>>,
     /// The rewrite; `None` when no row survived.
     output: Option<Arc<Segment>>,
     /// Rows left out as dead at the watermark.
@@ -426,6 +562,9 @@ pub struct DeltaMainTable {
     /// exist until the first merge. The first merge after a seed drains
     /// this into the segment it builds.
     pending_seed_heat: AtomicU64,
+    /// Every key hashes alike ([`DeltaMainTable::with_one_key_hash`]).
+    #[cfg(test)]
+    one_hash: bool,
 }
 
 impl std::fmt::Debug for DeltaMainTable {
@@ -453,7 +592,7 @@ impl DeltaMainTable {
                 delta: RowStore::new(Arc::clone(&schema)),
                 segments: Vec::new(),
                 slot_of: FxHashMap::default(),
-                pk_locs: FxHashMap::default(),
+                pk_locs: KeyIndex::default(),
             }),
             schema,
             next_segment: AtomicU64::new(1),
@@ -467,7 +606,38 @@ impl DeltaMainTable {
             freeze_bytes_before: AtomicU64::new(0),
             freeze_bytes_after: AtomicU64::new(0),
             pending_seed_heat: AtomicU64::new(0),
+            #[cfg(test)]
+            one_hash: false,
         }
+    }
+
+    /// The table with every primary key sent to one hash: each lookup of
+    /// the main store's key index then nominates every location the table
+    /// has, and only the key checks at those locations tell rows apart.
+    #[cfg(test)]
+    fn with_one_key_hash(mut self) -> Self {
+        self.one_hash = true;
+        self
+    }
+
+    /// The FxHash of a primary key's values, in key-column order, through
+    /// `Value`'s own `Hash`: the same from a row's key columns, a lookup
+    /// key or a segment's decoded key columns.
+    fn key_hash<V: Borrow<Value>>(&self, key: impl IntoIterator<Item = V>) -> u64 {
+        #[cfg(test)]
+        if self.one_hash {
+            return 0;
+        }
+        let mut hasher = FxHasher::default();
+        for value in key {
+            value.borrow().hash(&mut hasher);
+        }
+        hasher.finish()
+    }
+
+    /// The key hash of `row`'s primary-key columns.
+    fn row_key_hash(&self, row: &Row) -> u64 {
+        self.key_hash(self.schema.primary_key().iter().map(|&c| &row[c]))
     }
 
     /// The table, ringing `bell` when a scan finds its delta worth merging
@@ -544,22 +714,28 @@ impl DeltaMainTable {
             self.schema.check_row(r)?;
         }
         let mut state = self.write_state();
-        // Duplicate-key screening against both delta and existing main.
-        if self.schema.has_primary_key() {
-            for r in rows {
-                let key = self.schema.key_of(r);
-                if state.pk_locs.contains_key(&key) {
-                    return Err(DbError::DuplicateKey(format!("{key}")));
+        // Duplicate-key screening against the main store: a key stored
+        // anywhere in it, dead or alive, refuses the load.
+        let key_columns = self.schema.primary_key();
+        let hashes: Vec<u64> = if key_columns.is_empty() {
+            Vec::new()
+        } else {
+            rows.iter().map(|r| self.row_key_hash(r)).collect()
+        };
+        for (r, &hash) in rows.iter().zip(&hashes) {
+            for &(sid, off) in state.pk_locs.get(hash) {
+                let seg = state.segment(sid).ok_or_else(|| missing_segment(sid))?;
+                let key: Vec<&Value> = key_columns.iter().map(|&c| &r[c]).collect();
+                if seg.holds_key(off, key_columns, &key)? {
+                    return Err(DbError::DuplicateKey(format!("{}", self.schema.key_of(r))));
                 }
             }
         }
         let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
         let seg = Segment::from_rows(id, Arc::clone(&self.schema), rows, 0, self.pager.as_ref())?;
-        if self.schema.has_primary_key() {
-            for (i, r) in rows.iter().enumerate() {
-                let key = self.schema.key_of(r);
-                state.pk_locs.entry(key).or_default().push((id, i as u32));
-            }
+        state.pk_locs.reserve(hashes.len());
+        for (i, hash) in hashes.into_iter().enumerate() {
+            state.pk_locs.add(hash, (id, i as u32));
         }
         state.publish(Arc::new(seg));
         Ok(())
@@ -570,46 +746,38 @@ impl DeltaMainTable {
     pub fn insert(&self, txn: &Transaction, row: Row) -> Result<()> {
         self.schema.check_row(&row)?;
         let state = self.state.read();
+        let key = state.delta.key_for_insert(&row);
         if self.schema.has_primary_key() {
-            let key = self.schema.key_of(&row);
             self.check_main_insertable(&state, &key, txn)?;
         }
-        state.delta.insert(txn, row)
+        state.delta.insert_keyed(txn, key, row)
     }
 
-    /// Can `key` be inserted given the main store's contents?
+    /// Can `key` be inserted given the main store's contents? A location
+    /// whose stamp would refuse the insert has its key read first: only a
+    /// location that holds `key` refuses it.
     fn check_main_insertable(
         &self,
         state: &TableState,
         key: &Row,
         txn: &Transaction,
     ) -> Result<()> {
-        let locs = match state.pk_locs.get(key) {
-            Some(l) => l,
-            None => return Ok(()),
-        };
-        for &(sid, off) in locs {
-            let seg = state
-                .segment(sid)
-                .ok_or_else(|| DbError::Corruption(format!("missing segment {sid}")))?;
-            match seg.delete_stamp(off) {
-                None => {
-                    return Err(DbError::DuplicateKey(format!("{key}")));
-                }
-                Some(Stamp::Pending(t)) if t == txn.id() => {
-                    // We deleted it in this transaction: insert may proceed.
-                }
+        for &(sid, off) in state.pk_locs.get(self.key_hash(key.values())) {
+            let seg = state.segment(sid).ok_or_else(|| missing_segment(sid))?;
+            let refusal = match seg.delete_stamp(off) {
+                None => DbError::DuplicateKey(format!("{key}")),
+                // We deleted it in this transaction: insert may proceed.
+                Some(Stamp::Pending(t)) if t == txn.id() => continue,
                 Some(Stamp::Pending(_)) => {
-                    return Err(DbError::WriteConflict(
-                        "concurrent delete on key".into(),
-                    ))
+                    DbError::WriteConflict("concurrent delete on key".into())
                 }
                 Some(Stamp::Committed(ts)) if ts > txn.begin_ts() => {
-                    return Err(DbError::WriteConflict(
-                        "key deleted after snapshot".into(),
-                    ))
+                    DbError::WriteConflict("key deleted after snapshot".into())
                 }
-                Some(Stamp::Committed(_)) | Some(Stamp::Infinity) => {}
+                Some(Stamp::Committed(_)) | Some(Stamp::Infinity) => continue,
+            };
+            if seg.holds_key(off, self.schema.primary_key(), key.values())? {
+                return Err(refusal);
             }
         }
         Ok(())
@@ -622,13 +790,14 @@ impl DeltaMainTable {
         if let Some(r) = state.delta.get(key, read_ts, me) {
             return Ok(Some(r));
         }
-        let Some(locs) = state.pk_locs.get(key) else {
-            return Ok(None);
-        };
-        for &(sid, off) in locs {
+        let key_columns = self.schema.primary_key();
+        for &(sid, off) in state.pk_locs.get(self.key_hash(key.values())) {
             if let Some(seg) = state.segment(sid) {
                 if seg.visible_to(read_ts) && !seg.is_deleted(off, read_ts, me) {
-                    return Ok(Some(seg.row_at(off)?));
+                    let row = seg.row_at(off)?;
+                    if row_holds_key(&row, key_columns, key) {
+                        return Ok(Some(row));
+                    }
                 }
             }
         }
@@ -643,7 +812,7 @@ impl DeltaMainTable {
                 "point operation on table without primary key".into(),
             ));
         }
-        if self.schema.key_of(&row) != *key {
+        if !row_holds_key(&row, self.schema.primary_key(), key) {
             return Err(DbError::InvalidArgument(
                 "update must not change the primary key".into(),
             ));
@@ -655,7 +824,7 @@ impl DeltaMainTable {
         }
         // Main path: logical delete + re-insert into the delta.
         self.delete_in_main(&state, key, txn)?;
-        state.delta.insert(txn, row)
+        state.delta.insert_keyed(txn, key.clone(), row)
     }
 
     /// Transactional delete.
@@ -673,15 +842,11 @@ impl DeltaMainTable {
     }
 
     fn delete_in_main(&self, state: &TableState, key: &Row, txn: &Transaction) -> Result<()> {
-        let locs = state
-            .pk_locs
-            .get(key)
-            .ok_or_else(|| DbError::KeyNotFound(format!("{key}")))?;
-        for &(sid, off) in locs {
-            let seg = state
-                .segment(sid)
-                .ok_or_else(|| DbError::Corruption(format!("missing segment {sid}")))?;
-            if !seg.visible_to(txn.begin_ts()) {
+        for &(sid, off) in state.pk_locs.get(self.key_hash(key.values())) {
+            let seg = state.segment(sid).ok_or_else(|| missing_segment(sid))?;
+            if !seg.visible_to(txn.begin_ts())
+                || !seg.holds_key(off, self.schema.primary_key(), key.values())?
+            {
                 continue;
             }
             match seg.delete_row(off, txn.id(), txn.begin_ts()) {
@@ -761,16 +926,17 @@ impl DeltaMainTable {
         // the next one afresh.
         self.due.store(false, Ordering::Relaxed);
         state.delta.reset_visits();
-        let drained = state.delta.drain_committed(watermark);
+        let (drained, delta) = state.delta.drain_committed(watermark);
         if drained.is_empty() {
             return Ok(MergeStats::default());
         }
         let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
         let rows_merged = drained.len();
         if self.schema.has_primary_key() {
+            state.pk_locs.reserve(drained.len());
             for (i, r) in drained.iter().enumerate() {
-                let key = self.schema.key_of(r);
-                state.pk_locs.entry(key).or_default().push((id, i as u32));
+                let hash = self.row_key_hash(r);
+                state.pk_locs.add(hash, (id, i as u32));
             }
         }
         // Stream the drained rows into the builder: paged builds flush and
@@ -786,10 +952,12 @@ impl DeltaMainTable {
         // seed had nowhere to land until now).
         seg.seed_heat(self.pending_seed_heat.swap(0, Ordering::Relaxed));
         state.publish(seg);
-        // Compact the delta index: drop chains now dead to every snapshot
-        // (their data lives in the new segment). Live/pending chains move
-        // over by Arc.
-        state.delta = state.delta.rebuilt_without_dead(watermark);
+        // The delta without the chains now dead to every snapshot (their
+        // rows live in the new segment); the old index is freed after the
+        // lock is released.
+        let old = std::mem::replace(&mut state.delta, delta);
+        drop(state);
+        drop(old);
         Ok(MergeStats {
             rows_merged,
             new_segment: Some(id.raw()),
@@ -943,7 +1111,7 @@ impl DeltaMainTable {
     /// column batch. The output is visible from the latest `visible_from`
     /// of its inputs and inherits their summed heat and least coldness;
     /// `frozen` picks the frozen encodings. Every input row's key is read
-    /// too, for the swap's `pk_locs` remap.
+    /// and hashed too, for the swap's `pk_locs` remap.
     fn rebuild(&self, inputs: &[Arc<Segment>], watermark: Ts, frozen: bool) -> Result<Rebuilt> {
         let visible_from = inputs.iter().map(|seg| seg.visible_from()).max().unwrap_or(0);
         let id = SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed));
@@ -952,14 +1120,14 @@ impl DeltaMainTable {
             builder = builder.frozen();
         }
         let key_columns = self.schema.primary_key();
-        let (mut moved, mut keys, mut rows_dropped) = (Vec::new(), Vec::new(), 0);
+        let (mut moved, mut hashes, mut rows_dropped) = (Vec::new(), Vec::new(), 0);
         for seg in inputs {
             let dead = seg.dead_at(watermark);
             rows_dropped += dead.count_ones();
             let mut seg_moved = vec![DROPPED; seg.row_count()];
-            let mut seg_keys = Vec::new();
+            let mut seg_hashes = Vec::new();
             if !key_columns.is_empty() {
-                seg_keys.reserve_exact(seg.row_count());
+                seg_hashes.reserve_exact(seg.row_count());
             }
             let chunks = seg.rewrite_pass();
             for g in 0..seg.group_count() {
@@ -975,8 +1143,8 @@ impl DeltaMainTable {
                     let key_cols = (key_columns.iter())
                         .map(|&c| Ok(chunks.column_chunk(g, c)?.gather(&all)))
                         .collect::<Result<Vec<_>>>()?;
-                    let key_at = |i| Row::new(key_cols.iter().map(|col| col.value_at(i)).collect());
-                    seg_keys.extend((0..rows).map(key_at));
+                    let hash_at = |i| self.key_hash(key_cols.iter().map(|col| col.value_at(i)));
+                    seg_hashes.extend((0..rows).map(hash_at));
                 }
                 let columns = (0..self.schema.len())
                     .map(|c| Ok(chunks.column_chunk(g, c)?.gather(&keep)))
@@ -984,7 +1152,7 @@ impl DeltaMainTable {
                 builder.push_columns(columns)?;
             }
             moved.push(seg_moved);
-            keys.push(seg_keys);
+            hashes.push(seg_hashes);
         }
         let built = builder.finish()?;
         // An all-dead run leaves nothing to publish; dropping the empty
@@ -998,7 +1166,7 @@ impl DeltaMainTable {
         Ok(Rebuilt {
             inputs: inputs.to_vec(),
             moved,
-            keys,
+            hashes,
             output,
             rows_dropped,
         })
@@ -1007,14 +1175,15 @@ impl DeltaMainTable {
     /// Publishes a rebuild in one swap under the state write lock: each
     /// input's stamps move to the output and later commits and aborts are
     /// forwarded there (`Segment::retire_into`); `pk_locs` follows every
-    /// input row to its new location, or drops it, looked up by the
-    /// rebuild's own keys — the table's other keys are not walked; and the
-    /// run's slots become the output's ([`TableState::retire`]).
+    /// input row to its new location, or drops it, found by the row's key
+    /// hash and its exact old location — the table's other keys are not
+    /// walked, and no key is compared; and the run's slots become the
+    /// output's ([`TableState::retire`]).
     fn publish(&self, rebuilt: Rebuilt) -> Result<()> {
         let Rebuilt {
             inputs,
             moved,
-            keys,
+            hashes,
             output,
             ..
         } = rebuilt;
@@ -1031,23 +1200,12 @@ impl DeltaMainTable {
             seg.retire_into(output.as_ref(), moved);
         }
         let new_id = output.as_ref().map(|seg| seg.id());
-        for ((seg, moved), keys) in inputs.iter().zip(&moved).zip(&keys) {
-            for (offset, key) in keys.iter().enumerate() {
-                let Some(locs) = state.pk_locs.get_mut(key) else {
-                    continue;
-                };
-                let old = (seg.id(), offset as u32);
-                if let Some(at) = locs.iter().position(|&loc| loc == old) {
-                    match (new_id, moved[offset]) {
-                        (Some(id), new) if new != DROPPED => locs[at] = (id, new),
-                        _ => {
-                            locs.remove(at);
-                        }
-                    }
-                }
-                if locs.is_empty() {
-                    state.pk_locs.remove(key);
-                }
+        for ((seg, moved), hashes) in inputs.iter().zip(&moved).zip(&hashes) {
+            for (offset, &hash) in hashes.iter().enumerate() {
+                let new = new_id
+                    .filter(|_| moved[offset] != DROPPED)
+                    .map(|id| (id, moved[offset]));
+                state.pk_locs.relocate(hash, (seg.id(), offset as u32), new);
             }
         }
         state.retire(first..first + inputs.len(), output);
@@ -1837,7 +1995,7 @@ mod tests {
                 assert!(sizes.segments <= 2 * log2 + 1, "{tag}: {:?}", segment_rows(&t));
                 let (locations, stamps) = {
                     let state = t.state.read();
-                    let locations: usize = state.pk_locs.values().map(Vec::len).sum();
+                    let locations: usize = state.pk_locs.location_count();
                     (locations, state.segments.iter().map(|s| s.delete_count()).sum::<usize>())
                 };
                 assert_eq!(locations, sizes.main_rows, "{tag}");
@@ -1885,6 +2043,102 @@ mod tests {
             drop(t);
             if let Some(root) = root {
                 assert_eq!(page_files(&root), 0, "page files outlived their segments");
+                let _ = std::fs::remove_dir_all(root);
+            }
+        }
+    }
+
+    /// Every key of the table sent to one hash, so the main store's key index
+    /// nominates every stored row for every lookup and only the key checks
+    /// tell them apart: bulk loads, inserts, duplicate inserts, gets,
+    /// updates and deletes, with merges, coalesces and forced freezes
+    /// between them, on held and on paged segments, answer as a `BTreeMap`
+    /// does — and the index holds one location a stored row throughout.
+    #[test]
+    fn one_hash_for_every_key_answers_as_the_model() {
+        const KEYS: i64 = 48;
+        for storage in ["held", "paged"] {
+            let (mgr, plain) = table();
+            let (t, root) = match storage {
+                "paged" => {
+                    let (pager, root) = own_pager(16);
+                    (
+                        DeltaMainTable::with_pager(Arc::clone(plain.schema()), Some(pager)),
+                        Some(root),
+                    )
+                }
+                _ => (plain, None),
+            };
+            let t = t.with_one_key_hash();
+            let faults = FaultInjector::disabled();
+            let mut rng = StdRng::seed_from_u64(0x1_4A54);
+            let mut model: BTreeMap<i64, Row> = BTreeMap::new();
+            let seed: Vec<Row> = (0..KEYS).step_by(3).map(|id| row![id, "b", id]).collect();
+            t.bulk_load(&seed).unwrap();
+            model.extend(seed.iter().map(|r| (r[0].as_int().unwrap(), r.clone())));
+            // A stored key refuses a load; keys it does not hold load.
+            let clash = t.bulk_load(&[row![KEYS, "b", 0i64], row![3i64, "b", 0i64]]);
+            assert!(
+                matches!(clash, Err(DbError::DuplicateKey(_))),
+                "{storage}: {clash:?}"
+            );
+            t.bulk_load(&[row![KEYS + 1, "b", 1i64]]).unwrap();
+            model.insert(KEYS + 1, row![KEYS + 1, "b", 1i64]);
+            for tick in 0..40 {
+                let tag = format!("{storage} tick {tick}");
+                let tx = mgr.begin();
+                let mut touched = std::collections::HashSet::new();
+                for _ in 0..12 {
+                    let id = rng.gen_range(0..KEYS);
+                    if !touched.insert(id) {
+                        continue;
+                    }
+                    let live = model.contains_key(&id);
+                    let r = row![id, ["i", "u"][usize::from(live)], rng.gen_range(0..1000i64)];
+                    match rng.gen_range(0..3u32) {
+                        0 => match t.insert(&tx, r.clone()) {
+                            Ok(()) => assert!(model.insert(id, r).is_none(), "{tag}: {id} twice"),
+                            Err(DbError::DuplicateKey(_)) => assert!(live, "{tag}: {id} refused"),
+                            Err(e) => panic!("{tag}: insert {id}: {e}"),
+                        },
+                        1 => match t.update(&tx, &row![id], r.clone()) {
+                            Ok(()) => assert!(model.insert(id, r).is_some(), "{tag}: {id} updated"),
+                            Err(DbError::KeyNotFound(_)) => assert!(!live, "{tag}: {id} lost"),
+                            Err(e) => panic!("{tag}: update {id}: {e}"),
+                        },
+                        _ => match t.delete(&tx, &row![id]) {
+                            Ok(()) => assert!(model.remove(&id).is_some(), "{tag}: {id} deleted"),
+                            Err(DbError::KeyNotFound(_)) => assert!(!live, "{tag}: {id} lost"),
+                            Err(e) => panic!("{tag}: delete {id}: {e}"),
+                        },
+                    }
+                }
+                tx.commit().unwrap();
+                match tick % 4 {
+                    0 => drop(t.merge(mgr.gc_watermark()).unwrap()),
+                    1 => drop(t.maintain(mgr.gc_watermark(), &faults).unwrap()),
+                    2 if tick % 8 == 2 => {
+                        t.merge(mgr.gc_watermark()).unwrap();
+                        t.freeze(mgr.gc_watermark(), &faults, true).unwrap();
+                    }
+                    _ => {}
+                }
+                let now = mgr.now();
+                for id in 0..KEYS + 2 {
+                    let got = t.get(&row![id], now, NOBODY).unwrap();
+                    assert_eq!(got.as_ref(), model.get(&id), "{tag}: get {id}");
+                }
+                let want: Vec<Row> = model.values().cloned().collect();
+                assert_eq!(rows_at(&t, now, NOBODY), want, "{tag}");
+                let locations = t.state.read().pk_locs.location_count();
+                assert_eq!(locations, t.sizes().main_rows, "{tag}");
+            }
+            assert!(
+                t.sizes().segments > 0 && t.sizes().main_rows > model.len() / 2,
+                "{storage}"
+            );
+            drop(t);
+            if let Some(root) = root {
                 let _ = std::fs::remove_dir_all(root);
             }
         }

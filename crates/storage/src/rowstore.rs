@@ -82,7 +82,9 @@ impl RowStore {
         self.visits.store(0, Ordering::Relaxed);
     }
 
-    fn key_for_insert(&self, row: &Row) -> Row {
+    /// The index key `row` is inserted under: its primary key, or the next
+    /// hidden key of a table without one.
+    pub(crate) fn key_for_insert(&self, row: &Row) -> Row {
         if self.schema.has_primary_key() {
             self.schema.key_of(row)
         } else {
@@ -107,22 +109,22 @@ impl RowStore {
     pub fn insert(&self, txn: &Transaction, row: Row) -> Result<()> {
         self.schema.check_row(&row)?;
         let key = self.key_for_insert(&row);
-        let chain = self.chain_for(key);
-        chain.insert(row, txn.id(), txn.begin_ts())?;
-        txn.enlist(Arc::new(ChainWriteEntry {
-            chain: Arc::clone(&chain),
-        }))?;
-        Ok(())
+        self.insert_keyed(txn, key, row)
     }
 
-    fn chain_for(&self, key: Row) -> Arc<VersionChain<Row>> {
-        if let Some(chain) = self.index.get(&key) {
-            return Arc::clone(chain);
-        }
-        match self.index.insert(key, Arc::new(VersionChain::new())) {
-            Ok(chain) => Arc::clone(chain),
-            Err(existing) => Arc::clone(existing),
-        }
+    /// [`insert`](Self::insert) of a row the caller has checked against
+    /// the schema, under the `key` [`key_for_insert`](Self::key_for_insert)
+    /// gave it: one search of the index, and a chain made only for a new
+    /// key.
+    pub(crate) fn insert_keyed(&self, txn: &Transaction, key: Row, row: Row) -> Result<()> {
+        let chain = self
+            .index
+            .get_or_insert_with(key, || Arc::new(VersionChain::new()));
+        chain.insert(row, txn.id(), txn.begin_ts())?;
+        txn.enlist(Arc::new(ChainWriteEntry {
+            chain: Arc::clone(chain),
+        }))?;
+        Ok(())
     }
 
     /// Point lookup at a snapshot.
@@ -264,29 +266,29 @@ impl RowStore {
         self.index.iter().map(|(_, chain)| chain.gc(watermark)).sum()
     }
 
-    /// Merge hook: closes (at `watermark`) and returns every row whose
-    /// latest version committed at or before `watermark` and is not being
-    /// rewritten by an in-flight transaction. The caller must re-publish
-    /// the returned rows in a main-store segment with
-    /// `visible_from = watermark` (see [`crate::delta`]); the table-level
-    /// lock makes close + publish atomic with respect to readers.
-    pub fn drain_committed(&self, watermark: Ts) -> Vec<Row> {
-        self.index
-            .iter()
-            .filter_map(|(_, chain)| chain.close_latest_committed(watermark))
-            .collect()
-    }
-
-    /// Rebuilds the store without chains that are dead to every snapshot
-    /// at or after `watermark` (the skip list is insert-only, so merged
-    /// keys otherwise accumulate and slow down delta scans forever).
-    /// Chains are moved by `Arc`, so transactions holding write-set
-    /// references keep operating on the same objects.
-    pub fn rebuilt_without_dead(&self, watermark: Ts) -> RowStore {
+    /// Merge hook: ends (at `watermark`) and takes every row whose latest
+    /// version committed at or before `watermark` and is not being
+    /// rewritten by an in-flight transaction, and hands back beside them the
+    /// store rebuilt without the chains that leaves dead to every snapshot
+    /// at or after `watermark` (the skip list is insert-only, so merged keys
+    /// would otherwise accumulate and slow down delta scans forever). One
+    /// walk does both, and a taken version is pruned with its chain's dead
+    /// ones, so its row is moved out, not copied
+    /// (`VersionChain::drain_latest_committed`).
+    ///
+    /// The caller must re-publish the returned rows in a main-store segment
+    /// with `visible_from = watermark` and put the rebuilt store in this
+    /// one's place (see [`crate::delta`]); the table-level lock makes the
+    /// three atomic with respect to readers. Chains that live on are moved
+    /// by `Arc`, so transactions holding write-set references keep
+    /// operating on the same objects.
+    pub fn drain_committed(&self, watermark: Ts) -> (Vec<Row>, RowStore) {
         let fresh = RowStore::new(Arc::clone(&self.schema));
+        let mut drained = Vec::new();
         for (key, chain) in self.index.iter() {
-            chain.gc(watermark);
-            if chain.version_count() > 0 {
+            let (row, left) = chain.drain_latest_committed(watermark);
+            drained.extend(row);
+            if left > 0 {
                 let _ = fresh.index.insert(key.clone(), Arc::clone(chain));
             }
         }
@@ -294,7 +296,7 @@ impl RowStore {
         fresh
             .hidden_seq
             .store(self.hidden_seq.load(Ordering::SeqCst), Ordering::SeqCst);
-        fresh
+        (drained, fresh)
     }
 }
 

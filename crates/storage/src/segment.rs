@@ -23,6 +23,7 @@ use oltap_common::{BitSet, ColumnVector, DataType, DbError, Result, Row, Value};
 use oltap_common::schema::SchemaRef;
 use oltap_txn::{Stamp, Ts};
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::mem::take;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -1530,6 +1531,44 @@ impl Segment {
             values.push(self.column_chunk(g, c)?.value_at(local));
         }
         Ok(Row::new(values))
+    }
+
+    /// Does the row at `offset` hold `key` in `columns`? Reads only those
+    /// columns and bumps no heat: the check a hashed key index makes at the
+    /// location a hash nominates. A paged column is read around the buffer
+    /// pool ([`SegmentPager::peek`]), so the check changes no residency a
+    /// scan's faults depend on.
+    pub(crate) fn holds_key<V: Borrow<Value>>(
+        &self,
+        offset: u32,
+        columns: &[usize],
+        key: &[V],
+    ) -> Result<bool> {
+        let i = offset as usize;
+        if i >= self.row_count {
+            return Err(DbError::InvalidArgument(format!(
+                "row offset {offset} out of range"
+            )));
+        }
+        if key.len() != columns.len() {
+            return Ok(false);
+        }
+        let g = self.group_of(i);
+        let local = i - self.groups[g].row_start;
+        let ncols = self.schema.len();
+        for (&c, value) in columns.iter().zip(key) {
+            let chunk = g * ncols + c;
+            let stored = match &self.chunks {
+                ChunkStore::Held(chunks) => chunks[chunk].value_at(local),
+                ChunkStore::Paged { pager, file } => {
+                    pager.peek(file, chunk as u32)?.value_at(local)
+                }
+            };
+            if stored != *value.borrow() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 }
 

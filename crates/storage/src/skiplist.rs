@@ -179,16 +179,37 @@ impl<K: Ord, V> SkipList<K, V> {
     /// the stored value; if the key already exists, returns `Err(&V)` with
     /// the *existing* value (the caller's value is dropped).
     pub fn insert(&self, key: K, value: V) -> Result<&V, &V> {
+        match self.link(key, || value) {
+            (stored, true) => Ok(stored),
+            (existing, false) => Err(existing),
+        }
+    }
+
+    /// The value under `key`, made by `make` and inserted when the key is
+    /// absent: one search when it is present, and the node (with the value
+    /// `make` builds) only when it is not. Of threads racing to insert the
+    /// same key, one links its node and every other gets that node's value.
+    pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> &V {
+        self.link(key, make).0
+    }
+
+    /// The value under `key`, linking a node of `key → make()` first when
+    /// the key is absent; true when this call linked it.
+    fn link(&self, key: K, make: impl FnOnce() -> V) -> (&V, bool) {
         let mut preds = [ptr::null_mut(); MAX_HEIGHT];
         let mut succs = [ptr::null_mut(); MAX_HEIGHT];
-        let height = self.random_height();
-
-        // Fast path pre-check; also primes preds/succs.
         if self.find(&key, &mut preds, &mut succs) {
-            return Err(unsafe { (&*succs[0]).value.as_ref().unwrap() });
+            // SAFETY: `find` found a published node there, and published
+            // nodes are freed only when the list drops.
+            return (unsafe { (&*succs[0]).value.as_ref().unwrap() }, false);
         }
 
-        let node = Box::into_raw(Node::new(key, value, height));
+        let height = self.random_height();
+        let node = Box::into_raw(Node::new(key, make(), height));
+        // SAFETY (every dereference below): `node` is this call's own
+        // allocation, unshared until the level-0 CAS publishes it and never
+        // freed after; `preds` and `succs` hold the head or published nodes,
+        // which live as long as the list.
         loop {
             // Point the new node at the current successors.
             for (level, &succ) in succs.iter().enumerate().take(height) {
@@ -209,10 +230,11 @@ impl<K: Ord, V> SkipList<K, V> {
                     // Contention: re-find. The key may now exist.
                     let node_key = unsafe { (&*node).key.as_ref().unwrap() };
                     if self.find(node_key, &mut preds, &mut succs) {
-                        // Reclaim the unpublished node (safe: never shared).
+                        // Reclaim the unpublished node: no other thread ever
+                        // saw it.
                         let existing = succs[0];
                         unsafe { drop(Box::from_raw(node)) };
-                        return Err(unsafe { (&*existing).value.as_ref().unwrap() });
+                        return (unsafe { (&*existing).value.as_ref().unwrap() }, false);
                     }
                 }
             }
@@ -241,7 +263,7 @@ impl<K: Ord, V> SkipList<K, V> {
         }
 
         self.len.fetch_add(1, Ordering::Relaxed);
-        Ok(unsafe { (&*node).value.as_ref().unwrap() })
+        (unsafe { (&*node).value.as_ref().unwrap() }, true)
     }
 
     /// Iterates entries in key order, starting at the first key ≥ `start`
@@ -431,6 +453,52 @@ mod tests {
         assert_eq!(l.len(), 1000);
         let keys: Vec<i64> = l.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..1000).collect::<Vec<_>>());
+    }
+
+    /// Threads race `get_or_insert_with` over overlapping keys, each value
+    /// a fresh `Arc`: every key ends with one node, every thread got that
+    /// node's value back for it, and every value a losing thread made was
+    /// dropped with its unlinked node.
+    #[test]
+    fn racing_get_or_insert_with_keeps_one_value_a_key() {
+        const KEYS: i64 = 500;
+        let l: Arc<SkipList<i64, Arc<usize>>> = Arc::new(SkipList::new());
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4usize)
+            .map(|t| {
+                let (l, start) = (Arc::clone(&l), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    // Two threads walk up, two down: every key is contended.
+                    let keys: Vec<i64> = match t % 2 {
+                        0 => (0..KEYS).collect(),
+                        _ => (0..KEYS).rev().collect(),
+                    };
+                    let mut got = BTreeMap::new();
+                    for k in keys {
+                        let v = l.get_or_insert_with(k, || Arc::new(t));
+                        got.insert(k, Arc::as_ptr(v) as usize);
+                    }
+                    got
+                })
+            })
+            .collect();
+        let seen: Vec<BTreeMap<i64, usize>> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(l.len(), KEYS as usize);
+        let keys: Vec<i64> = l.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, (0..KEYS).collect::<Vec<_>>());
+        for (k, v) in l.iter() {
+            // The list's `Arc` is the only one left: no loser's copy lives.
+            assert_eq!(Arc::strong_count(v), 1, "key {k}");
+            for got in &seen {
+                assert_eq!(got[k], Arc::as_ptr(v) as usize, "key {k}");
+            }
+        }
+        // A present key is found, and `make` is not called.
+        let kept = Arc::as_ptr(l.get(&7).unwrap());
+        let again = l.get_or_insert_with(7, || panic!("made a value for a present key"));
+        assert_eq!(Arc::as_ptr(again), kept);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! mechanics so the executor only thinks in records:
 //!
 //! * [`SpillDir`] — a per-query scratch directory under the database's
-//!   spill root, made on disk by the first [`SpillDir::writer`] call: a
-//!   query that never spills never touches the file system. Dropping it
+//!   spill root, named and made on disk by the first [`SpillDir::writer`]
+//!   call: a query that never spills never formats a path or touches the
+//!   file system. Dropping it
 //!   (query completion, success *or* error) removes every file it handed
 //!   out; [`purge_spill_root`] removes orphans left by a crash, and is
 //!   called on recovery startup.
@@ -28,19 +29,22 @@ use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Distinguishes spill dirs of concurrent processes / queries.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A scratch directory whose contents live exactly as long as the handle.
 ///
-/// Named under a database-level spill root, and made on disk only when
+/// Under a database-level spill root, and named and made on disk only when
 /// the first file is asked for; every file allocated through
 /// [`SpillDir::writer`] is removed when the `SpillDir` drops, so a query —
 /// successful, failed, or cancelled — cannot leak spill files.
 #[derive(Debug)]
 pub struct SpillDir {
-    path: PathBuf,
+    root: Arc<Path>,
+    /// `root/q-{pid}-{n}`, formatted by the first writer.
+    path: OnceLock<PathBuf>,
     files: AtomicU64,
     /// Set once the directory exists on disk; `Drop` removes nothing
     /// otherwise.
@@ -48,15 +52,20 @@ pub struct SpillDir {
 }
 
 impl SpillDir {
-    /// Reserves a fresh uniquely-named scratch dir under `root`. Nothing
-    /// is created on disk until the first [`SpillDir::writer`] call.
-    pub fn create_under(root: &Path) -> Result<SpillDir> {
-        let n = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        Ok(SpillDir {
-            path: root.join(format!("q-{}-{}", std::process::id(), n)),
+    /// A scratch dir under `root`, to be named uniquely by the first
+    /// [`SpillDir::writer`] call, which also makes it on disk.
+    pub fn under(root: Arc<Path>) -> SpillDir {
+        SpillDir {
+            root,
+            path: OnceLock::new(),
             files: AtomicU64::new(0),
             created: AtomicBool::new(false),
-        })
+        }
+    }
+
+    /// [`SpillDir::under`] a borrowed `root`, which is copied.
+    pub fn create_under(root: &Path) -> Result<SpillDir> {
+        Ok(Self::under(Arc::from(root)))
     }
 
     /// A scratch dir under the OS temp dir (tests, standalone executors).
@@ -64,9 +73,10 @@ impl SpillDir {
         Self::create_under(&std::env::temp_dir().join("oltap-spill"))
     }
 
-    /// The directory path (diagnostics / leak assertions in tests).
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The directory path, once the first writer has named it
+    /// (diagnostics / leak assertions in tests).
+    pub fn path(&self) -> Option<&Path> {
+        self.path.get().map(PathBuf::as_path)
     }
 
     /// Number of spill files allocated so far.
@@ -79,15 +89,19 @@ impl SpillDir {
     /// (`"join-p3"`, `"agg-p7"`, `"sort-run"`); a counter makes the name
     /// unique.
     pub fn writer(&self, label: &str) -> Result<SpillWriter> {
-        // Workers of one query may race here; `create_dir_all` is
-        // idempotent. Acquire/Release pair with `Drop`'s load so a dir
-        // made by any worker is removed.
+        // Workers of one query may race here: one name wins, and
+        // `create_dir_all` is idempotent. Acquire/Release pair with
+        // `Drop`'s load so a dir made by any worker is removed.
+        let dir = self.path.get_or_init(|| {
+            let n = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+            self.root.join(format!("q-{}-{}", std::process::id(), n))
+        });
         if !self.created.load(Ordering::Acquire) {
-            fs::create_dir_all(&self.path)?;
+            fs::create_dir_all(dir)?;
             self.created.store(true, Ordering::Release);
         }
         let n = self.files.fetch_add(1, Ordering::Relaxed);
-        let path = self.path.join(format!("{label}-{n}.spill"));
+        let path = dir.join(format!("{label}-{n}.spill"));
         let file = File::create(&path)?;
         Ok(SpillWriter {
             out: BufWriter::new(file),
@@ -102,8 +116,12 @@ impl Drop for SpillDir {
     fn drop(&mut self) {
         // Best-effort: a failed removal leaves orphans for
         // `purge_spill_root` at next startup.
-        if self.created.load(Ordering::Acquire) {
-            let _ = fs::remove_dir_all(&self.path);
+        if let Some(path) = self
+            .path
+            .get()
+            .filter(|_| self.created.load(Ordering::Acquire))
+        {
+            let _ = fs::remove_dir_all(path);
         }
     }
 }
@@ -269,8 +287,8 @@ mod tests {
     #[test]
     fn drop_removes_directory() {
         let dir = SpillDir::create_temp().unwrap();
-        let path = dir.path().to_path_buf();
         let mut w = dir.writer("x").unwrap();
+        let path = dir.path().unwrap().to_path_buf();
         w.write_record(b"abc").unwrap();
         let _h = w.finish().unwrap();
         assert!(path.exists());
@@ -287,13 +305,16 @@ mod tests {
         ));
         let dir = SpillDir::create_under(&root).unwrap();
         assert!(!root.exists(), "create_under alone touched the disk");
-        // Dropping an unused dir is silent and still creates nothing.
+        // Nothing formatted a name for it either, and dropping it unused is
+        // silent and still creates nothing.
+        assert!(dir.path().is_none(), "create_under alone named the dir");
         drop(dir);
         assert!(!root.exists());
 
         let dir = SpillDir::create_under(&root).unwrap();
         let w = dir.writer("first").unwrap();
-        assert!(root.is_dir() && dir.path().is_dir());
+        let path = dir.path().expect("the first writer names the dir");
+        assert!(root.is_dir() && path.is_dir() && path.starts_with(&root));
         w.finish().unwrap();
         drop(dir);
         // The query's dir goes; the root stays for the next spill.

@@ -298,19 +298,24 @@ impl<T: Clone> VersionChain<T> {
     }
 
     /// Merge hook: if the latest version is committed at or before
-    /// `watermark` and still live, close it at `watermark` and return its
-    /// payload. The caller is responsible for re-publishing the row in the
-    /// main store with `visible_from = watermark` so that no snapshot loses
-    /// or double-sees it. Versions with an in-flight writer (pending `end`)
-    /// or committed after the watermark are left for a later merge.
-    pub fn close_latest_committed(&self, watermark: Ts) -> Option<T> {
+    /// `watermark` and still live, ends it at `watermark` and hands over its
+    /// payload; then garbage-collects as [`gc`](Self::gc) does, which takes
+    /// the ended version too — so its payload is moved out, not copied.
+    /// Returns the payload, if any, and the versions left. The caller is
+    /// responsible for re-publishing the payload in the main store with
+    /// `visible_from = watermark` so that no snapshot at or after the
+    /// watermark loses or double-sees it. Versions with an in-flight writer
+    /// (pending `end`) or committed after the watermark are left for a
+    /// later merge.
+    pub fn drain_latest_committed(&self, watermark: Ts) -> (Option<T>, usize) {
         let mut guard = self.versions.write();
-        let v = guard.iter_mut().find(|v| {
+        let latest = guard.iter().position(|v| {
             matches!(v.begin, Stamp::Committed(ts) if ts <= watermark)
                 && v.end == Stamp::Infinity
-        })?;
-        v.end = Stamp::Committed(watermark);
-        Some(v.data.clone())
+        });
+        let drained = latest.map(|at| guard.remove(at).data);
+        guard.retain(|v| !matches!(v.end, Stamp::Committed(ets) if ets <= watermark));
+        (drained, guard.len())
     }
 }
 
@@ -333,6 +338,30 @@ mod tests {
         assert_eq!(c.read(11, T2), Some(42));
         // Older snapshot still doesn't see it.
         assert_eq!(c.read(10, T2), None);
+    }
+
+    /// A drain takes the latest committed version at or below the
+    /// watermark and prunes what ended by then; a version committed later,
+    /// or one a writer is still ending, stays for a later merge.
+    #[test]
+    fn drain_takes_the_latest_committed_and_prunes_the_ended() {
+        let c = VersionChain::with_committed(1, 5);
+        c.update(2, T1, 6).unwrap();
+        c.commit(T1, 8);
+        // At 7 the first version is the live one there, but it has ended.
+        assert_eq!(c.drain_latest_committed(7), (None, 2));
+        assert_eq!(c.drain_latest_committed(8), (Some(2), 0));
+        assert_eq!(c.read(100, T2), None);
+
+        let c = VersionChain::with_committed(1, 5);
+        c.delete(T1, 6).unwrap();
+        assert_eq!(
+            c.drain_latest_committed(9),
+            (None, 1),
+            "a pending end stays"
+        );
+        c.abort(T1);
+        assert_eq!(c.drain_latest_committed(9), (Some(1), 0));
     }
 
     #[test]
