@@ -235,6 +235,30 @@ impl ColumnVector {
         }
     }
 
+    /// Appends `other`'s rows after this vector's: a typed copy for numbers
+    /// and strings of its type, else value by value as [`push`](Self::push)
+    /// takes them.
+    pub fn append(&mut self, other: &ColumnVector) -> Result<()> {
+        use ColumnVector::{Float64, Int64, Utf8};
+        fn extend<'v, T: Clone>(to: &mut Vec<T>, more: &[T], valid: &'v mut Option<BitSet>) -> &'v mut Option<BitSet> {
+            to.extend_from_slice(more);
+            valid
+        }
+        let at = self.len();
+        let validity = match (&mut *self, other) {
+            (Int64 { values, validity }, Int64 { values: more, .. }) => extend(values, more, validity),
+            (Float64 { values, validity }, Float64 { values: more, .. }) => extend(values, more, validity),
+            (Utf8 { values, validity }, Utf8 { values: more, .. }) => extend(values, more, validity),
+            (this, _) => return (0..other.len()).try_for_each(|i| this.push(&other.value_at(i))),
+        };
+        if validity.is_some() || other.validity().is_some() {
+            let bits = validity.get_or_insert_with(|| BitSet::all_set(at));
+            bits.grow(other.len());
+            bits.paste(at, other.validity().unwrap_or(&BitSet::all_set(other.len())));
+        }
+        Ok(())
+    }
+
     /// Gathers the rows at `sel` into a new vector (selection-vector
     /// application).
     pub fn take(&self, sel: &[u32]) -> ColumnVector {
@@ -454,10 +478,8 @@ impl Batch {
                 "appending batches with different column counts".into(),
             ));
         }
-        for i in 0..other.len {
-            for (c, o) in self.columns.iter_mut().zip(&other.columns) {
-                c.push(&o.value_at(i))?;
-            }
+        for (c, o) in self.columns.iter_mut().zip(&other.columns) {
+            c.append(o)?;
         }
         self.len += other.len;
         Ok(())
@@ -548,6 +570,37 @@ mod tests {
         b1.append(&b2).unwrap();
         assert_eq!(b1.len(), 2);
         assert_eq!(b1.row(1)[0], Value::Int(2));
+    }
+
+    /// A typed append, a value-by-value one and pushes of the same values
+    /// build the same vector, NULLs on either side included.
+    #[test]
+    fn append_is_pushing_the_other_vectors_values() {
+        let parts = [
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Null, Value::Int(-3), Value::Null],
+            vec![Value::Int(4)],
+        ];
+        for data_type in [DataType::Int64, DataType::Float64, DataType::Utf8, DataType::Bool] {
+            let cast = |v: &Value| match (v, data_type) {
+                (Value::Int(i), DataType::Float64) => Value::Float(*i as f64 / 2.0),
+                (Value::Int(i), DataType::Utf8) => Value::Str(format!("s{i}")),
+                (Value::Int(i), DataType::Bool) => Value::Bool(i % 2 == 0),
+                (v, _) => v.clone(),
+            };
+            let (mut appended, mut pushed) = (ColumnVector::new(data_type), ColumnVector::new(data_type));
+            for part in &parts {
+                let mut col = ColumnVector::new(data_type);
+                for v in part.iter().map(cast) {
+                    col.push(&v).unwrap();
+                    pushed.push(&v).unwrap();
+                }
+                appended.append(&col).unwrap();
+            }
+            assert_eq!(appended, pushed, "{data_type}");
+        }
+        let mut ints = ColumnVector::from_i64(vec![1]);
+        assert!(ints.append(&ColumnVector::from_bools(&[true])).is_err());
     }
 
     #[test]

@@ -179,10 +179,6 @@ fn default_db_dir(wal_path: Option<&PathBuf>, suffix: &str) -> PathBuf {
     }
 }
 
-fn default_spill_root(wal_path: Option<&PathBuf>) -> PathBuf {
-    default_db_dir(wal_path, ".spill")
-}
-
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
@@ -193,27 +189,10 @@ impl std::fmt::Debug for Database {
 }
 
 impl Database {
-    /// An ephemeral in-memory database.
+    /// An ephemeral in-memory database: [`Database::with_config`] of the
+    /// default config (an empty log, a fresh temp spill root, no heat file).
     pub fn new() -> Arc<Database> {
-        let db = Arc::new(Database {
-            catalog: RwLock::new(Catalog::new()),
-            txn_mgr: Arc::new(TransactionManager::new()),
-            wal: Wal::new_in_memory(),
-            faults: FaultInjector::disabled(),
-            pool: RwLock::new(None),
-            sessions: Arc::default(),
-            memory: None,
-            admission: RwLock::new(None),
-            spill_root: default_spill_root(None).into(),
-            pager: None,
-            history_floor: AtomicU64::new(0),
-            heat_path: None,
-            bell: Arc::default(),
-            plans: PlanCache::default(),
-            log_failed: Mutex::new(false),
-        });
-        db.set_parallelism(std::thread::available_parallelism().map_or(1, usize::from));
-        db
+        Database::with_config(DbConfig::default()).expect("an in-memory database opens")
     }
 
     /// Opens (and recovers) a database according to `config`.
@@ -225,7 +204,7 @@ impl Database {
         };
         let spill_root = config
             .spill_root
-            .unwrap_or_else(|| default_spill_root(config.wal_path.as_ref()));
+            .unwrap_or_else(|| default_db_dir(config.wal_path.as_ref(), ".spill"));
         // When both memory governance and a buffer pool are configured,
         // the pool is a carve-out of the governed total: page residency
         // claims count against the process limit alongside query budgets.

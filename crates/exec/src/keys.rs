@@ -14,9 +14,11 @@
 //! the group store keeps them, NULL being a group key like any other.
 //!
 //! Users: the group store's row keys ([`crate::groups`]) and the join's
-//! distinct build keys ([`crate::join`]) are each a [`KeyIndex`]; top-K and
-//! the sort ([`crate::sort`]) order by [`cmp_row`] and [`cmp_keys`]; and all
-//! three spill through [`write_record`] / [`read_record`].
+//! distinct build keys ([`crate::join`]) are each a [`KeyIndex`]; the sort
+//! ([`crate::sort`]) orders parked rows by [`cmp_rows`] and spilled records
+//! by [`cmp_keys`], and top-K an offered row against its heap by
+//! [`cmp_row`]; and all three spill through [`write_record`] /
+//! [`read_record`].
 
 use oltap_common::hash::{
     join_hash_bool, join_hash_combine, join_hash_float, join_hash_int, join_hash_str,
@@ -115,6 +117,23 @@ pub(crate) fn cmp_at(col: &ColumnVector, i: usize, v: &Value) -> Ordering {
 /// column's order reversed where `desc` says so.
 pub(crate) fn cmp_row<C: Borrow<ColumnVector>>(cols: &[C], i: usize, key: &[Value], desc: &[bool]) -> Ordering {
     directed(cols.iter().zip(key).map(|(col, v)| cmp_at(col.borrow(), i, v)), desc)
+}
+
+/// Rows `i` and `j` of the key columns `cols`, a column's order reversed
+/// where `desc` says so: what [`cmp_keys`] answers of their values.
+pub(crate) fn cmp_rows(cols: &[ColumnVector], i: usize, j: usize, desc: &[bool]) -> Ordering {
+    directed(cols.iter().map(|col| cmp_in(col, i, j)), desc)
+}
+
+/// `col`'s values at `i` and `j`, in [`Value`] order: typed where it holds
+/// no NULL, else as [`cmp_at`] the value at `j`.
+fn cmp_in(col: &ColumnVector, i: usize, j: usize) -> Ordering {
+    match col {
+        ColumnVector::Int64 { values, validity: None } => values[i].cmp(&values[j]),
+        ColumnVector::Float64 { values, validity: None } => values[i].total_cmp(&values[j]),
+        ColumnVector::Utf8 { values, validity: None } => values[i].cmp(&values[j]),
+        _ => cmp_at(col, i, &col.value_at(j)),
+    }
 }
 
 /// Two stored keys, a column's order reversed where `desc` says so.
@@ -318,10 +337,10 @@ pub(crate) mod tests {
     }
 
     /// Typed key columns holding every pair of the values their types take
-    /// (NULL included), one row a pair.
-    fn columns(types: [DataType; 2]) -> Vec<ColumnVector> {
+    /// (NULL included when `null`), one row a pair.
+    fn columns(types: [DataType; 2], null: bool) -> Vec<ColumnVector> {
         let fits = |t: DataType| -> Vec<Value> {
-            let fits = |v: &Value| v.is_null() || v.check_type(t).is_ok();
+            let fits = |v: &Value| (null && v.is_null()) || v.check_type(t).is_ok();
             values().into_iter().filter(fits).collect()
         };
         let mut cols = types.map(ColumnVector::new);
@@ -380,7 +399,7 @@ pub(crate) mod tests {
             }
         }
         for types in [[Float64, Utf8], [Int64, Float64], [Utf8, Bool], [Bool, Int64]] {
-            let cols = columns(types);
+            let cols = columns(types, true);
             let len = cols[0].len();
             let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
             hash_rows(&cols, 0..len, &mut hashes, &mut nulls);
@@ -399,9 +418,26 @@ pub(crate) mod tests {
                         assert_eq!(cmp_row(&cols, i, key, desc), want, "{row:?} {key:?} {desc:?}");
                     }
                 }
+                for j in 0..len {
+                    let other: Vec<Value> = cols.iter().map(|c| c.value_at(j)).collect();
+                    for desc in &desc_mixes {
+                        let want = model_cmp(&row, &other, desc);
+                        assert_eq!(cmp_rows(&cols, i, j, desc), want, "{row:?} {other:?} {desc:?}");
+                    }
+                }
                 let found = index.find(hashes[i], |k| eq_row(&cols, i, k));
                 let id = found.unwrap_or_else(|_| panic!("{row:?} is among the stored keys"));
                 assert_eq!(index.key(id), &row[..]);
+            }
+            // Columns with no NULL compare typed.
+            let cols = columns(types, false);
+            let at = |j: usize| -> Vec<Value> { cols.iter().map(|c| c.value_at(j)).collect() };
+            for i in 0..cols[0].len() {
+                for j in 0..cols[0].len() {
+                    for desc in &desc_mixes {
+                        assert_eq!(cmp_rows(&cols, i, j, desc), model_cmp(&at(i), &at(j), desc), "{:?} {:?}", at(i), at(j));
+                    }
+                }
             }
         }
     }

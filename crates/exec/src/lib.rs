@@ -28,7 +28,7 @@
 //!   morsel-ordered result.
 //! * [`aggregate`], [`join`], [`sort`] — the pipeline breakers' cores:
 //!   an aggregation's schema and input slots, radix-partitioned hash-join
-//!   build and probe, sort buffers and top-K accumulators.
+//!   build and probe, the sort sink and top-K accumulators.
 //! * `keys` (private) — the one key path those breakers share: hash,
 //!   match and order key columns with `Value`'s semantics, one
 //!   open-addressing key index, and the one record every spiller writes.
@@ -59,7 +59,4 @@ pub use pipeline::{
     MORSEL_ROWS,
 };
 pub use resources::ExecResources;
-pub use sort::{
-    merge_spilled_sort, sort_entries, topk_counts, SortBuffer, SortEntry, SortKey, TopKAcc,
-    TopKCounts,
-};
+pub use sort::{topk_counts, SortKey, SortSink, TopKAcc, TopKCounts};

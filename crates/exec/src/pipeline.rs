@@ -27,9 +27,10 @@
 //! Determinism contract: results are **byte-identical** at every worker
 //! count. Two mechanisms deliver that:
 //!
-//! 1. Row-level sinks (collected batches, sort runs, top-K candidates, join
-//!    build rows) tag every row with a sequence number `(morsel_index << 32)
-//!    | row_in_batch`, and merges order by it: the order one thread taking
+//! 1. Row-level sinks order what the threads hand in by arrival: collected
+//!    batches and parked sort batches by morsel index, top-K candidates,
+//!    spilled sort records and join build rows by the sequence number
+//!    `(morsel_index << 32) | row_in_batch` — the order one thread taking
 //!    the morsels in index order produces.
 //! 2. An aggregate folds the stage output in stripes of
 //!    [`STRIPE_ROWS`](crate::STRIPE_ROWS) rows of the post-stage row
@@ -50,12 +51,11 @@ use crate::fused::walk;
 use crate::groups::RunningGroups;
 use crate::join::{probe_batch, JoinTable, JoinTableBuilder, JoinType, ProbeScratch};
 use crate::resources::ExecResources;
-use crate::sort::{merge_spilled_sort, sort_entries, SortBuffer, SortEntry, SortKey, TopKAcc};
+use crate::sort::{SortKey, SortSink, TopKAcc};
 use oltap_common::fault::{points, FaultInjector};
 use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
-use oltap_common::vector::BATCH_SIZE;
-use oltap_common::{Batch, BitSet, CancellationToken, DataType, DbError, Field, Result, Row, Schema};
+use oltap_common::{Batch, BitSet, CancellationToken, DataType, DbError, Field, Result, Schema};
 use oltap_sched::WorkerPool;
 use oltap_storage::segment::{GroupSelector, PassChunks, Segment};
 use oltap_storage::ScanPredicate;
@@ -688,10 +688,11 @@ impl ParallelContext {
         merged.finish()
     }
 
-    /// Sort sink: per-thread [`SortBuffer`]s (budget-bounded, spilling
-    /// sorted runs to disk under pressure), k-way merged with
-    /// sequence-number tie-breaking — exactly the order of a stable sort
-    /// over the morsel-ordered input, whether or not any buffer spilled.
+    /// Sort sink: each thread parks the batches it claims in a [`SortSink`]
+    /// of its own (budget-bounded, spilling sorted runs under pressure),
+    /// and [`SortSink::finish`] sorts every thread's share as one: exactly
+    /// a stable sort over the morsel-ordered input, whether or not any
+    /// share spilled.
     pub fn run_sort(
         &self,
         source: impl Into<Source>,
@@ -699,30 +700,20 @@ impl ParallelContext {
         keys: Vec<SortKey>,
         schema: SchemaRef,
     ) -> Result<Vec<Batch>> {
-        let key_exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
-        let keys = Arc::new(keys);
-        let k_make = Arc::clone(&keys);
         let res = self.mem.clone();
-        let buffers = self.run_rows(
+        let sinks = self.run_rows(
             source,
             stages,
-            move || SortBuffer::new(k_make.as_ref().clone(), res.clone()),
-            move |buf: &mut SortBuffer, idx, batch| {
-                let key_cols = Expr::eval_all(&key_exprs, &batch)?;
-                for i in 0..batch.len() {
-                    let key = Row::new(key_cols.iter().map(|c| c.value_at(i)).collect());
-                    buf.push(key, ((idx as u64) << 32) | i as u64, batch.row(i))?;
-                }
-                Ok(())
-            },
-            |buf| buf,
+            move || SortSink::new(&keys, Arc::clone(&schema), res.clone()),
+            |sink: &mut SortSink, idx, batch| sink.park((idx as u64) << 32, batch.into_owned()),
+            |sink| sink,
         )?;
-        merge_spilled_sort(buffers, &keys, &schema, BATCH_SIZE)
+        SortSink::finish(sinks, usize::MAX)
     }
 
-    /// Top-K sink: per-thread bounded heaps; the union of candidates is
-    /// sorted (sequence tie-break) and truncated — the first `k` rows of
-    /// the full sort, using O(n log k) work instead.
+    /// Top-K sink: per-thread bounded heaps, whose candidates end in the
+    /// sort's finish cut at `k` ([`TopKAcc::finish`]) — the first `k` rows
+    /// of the full sort, using O(n log k) work instead.
     pub fn run_topk(
         &self,
         source: impl Into<Source>,
@@ -734,27 +725,15 @@ impl ParallelContext {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let key_exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
-        let keys = Arc::new(keys);
-        let k_make = Arc::clone(&keys);
-        let sets = self.run_rows(
+        let k_make = keys.clone();
+        let accs = self.run_rows(
             source,
             stages,
             move || TopKAcc::new(&k_make, k),
-            move |acc: &mut TopKAcc, idx, batch| {
-                acc.offer(&Expr::eval_all(&key_exprs, &batch)?, &batch, idx);
-                Ok(())
-            },
-            TopKAcc::into_entries,
+            |acc: &mut TopKAcc, idx, batch| acc.offer(&batch, idx),
+            |acc| acc,
         )?;
-        let mut all: Vec<SortEntry> = sets.into_iter().flatten().collect();
-        sort_entries(&mut all, &keys);
-        all.truncate(k);
-        let rows: Vec<Row> = all.into_iter().map(|(_, _, r)| r).collect();
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(vec![Batch::from_rows(&schema, &rows)?])
+        TopKAcc::finish(accs, &keys, schema, k)
     }
 }
 
@@ -813,7 +792,7 @@ pub(crate) mod tests {
     use crate::expr::BinOp;
     use oltap_common::fault::FaultPoint;
     use oltap_common::row;
-    use oltap_common::Value;
+    use oltap_common::{Row, Value};
 
     /// The shared test harness of the breaker modules: a pipeline context
     /// with `workers` workers — inline on the test thread when `workers <=

@@ -1,29 +1,29 @@
-//! Blocking sort and top-K sinks, with external-merge spilling.
+//! The sort sink: every `ORDER BY`, full or cut at `LIMIT k`, ends here.
 //!
-//! The in-memory path stages `(key, seq, row)` entries and sorts once at
-//! the end. Under a [`MemoryBudget`](oltap_common::mem::MemoryBudget) a
-//! rejected reservation turns the staged entries into a sorted on-disk
-//! *run* ([`SortBuffer`]); the finish is then a streaming k-way merge over
-//! all runs plus the in-memory tail ([`merge_spilled_sort`]). Because
-//! every entry carries a globally unique arrival sequence and all merges
-//! order by `(key, seq)`, any partitioning of the input into sorted
-//! streams — per-worker runs, spilled runs, memory tails — merges to
-//! exactly a stable sort's output over the arrival order.
-//!
-//! Every order here is one comparator's, that of `keys`: an offered
-//! top-K row's key columns against a retained key where they stand, stored
-//! keys against each other, `Value` order under the keys' `desc` flags. A
-//! run is one `keys` record an entry: its sequence number, then its key
-//! and row values.
+//! Each thread parks the batches it claims beside their key columns
+//! ([`SortSink::park`]), their bytes reserved from the statement's budget.
+//! The finish ([`SortSink::finish`]) lays them end to end in arrival order
+//! (morsel index, then row) and stably sorts a permutation of the rows by
+//! key, so ties keep arrival order at every worker count; the output is
+//! gathered through the permutation, and no row is built. When the budget
+//! refuses a batch, the thread writes what it has parked as one sorted
+//! *run*, a `keys` record a row (arrival tag, key values, row values), and
+//! the finish merges the runs and the parked rows through one heap by key,
+//! then tag. `ORDER BY … LIMIT k` keeps a bounded heap a thread
+//! ([`TopKAcc`]) and builds only the rows that enter it; their union, in
+//! arrival order, is one parked batch of the same finish, cut at `k`.
+//! Every order is `keys`' comparator: `Value` order under `desc` flags.
 
 use crate::expr::Expr;
-use crate::keys;
+use crate::keys::{self, Record};
 use crate::resources::ExecResources;
 use oltap_common::schema::SchemaRef;
-use oltap_common::{Batch, ColumnVector, DbError, Result, Row, Value};
+use oltap_common::vector::BATCH_SIZE;
+use oltap_common::{Batch, ColumnVector, Result, Row, Value};
 use oltap_storage::spill::SpillHandle;
-use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One ORDER BY key.
 #[derive(Debug, Clone)]
@@ -46,174 +46,188 @@ impl SortKey {
     }
 }
 
-/// One row staged for sorting: `(key values, arrival sequence, full row)`.
-/// The sequence number breaks key ties by arrival order, which makes
-/// per-worker sort runs merge to exactly the order a stable sort over the
-/// whole input would produce.
-pub type SortEntry = (Row, u64, Row);
-
-/// The sort keys' `desc` flags: what the comparator needs of them.
-fn desc_of(keys: &[SortKey]) -> Vec<bool> {
-    keys.iter().map(|k| k.desc).collect()
+/// Restores a binary heap whose root is what `first` ranks first, after
+/// its element `at` changed or was pushed last.
+fn sift<T>(heap: &mut [T], mut at: usize, first: impl Fn(&T, &T) -> bool) {
+    while at > 0 && first(&heap[at], &heap[(at - 1) / 2]) {
+        heap.swap(at, (at - 1) / 2);
+        at = (at - 1) / 2;
+    }
+    loop {
+        let children = [2 * at + 1, 2 * at + 2].into_iter().filter(|&c| c < heap.len());
+        let top = children.fold(at, |top, c| if first(&heap[c], &heap[top]) { c } else { top });
+        if top == at {
+            return;
+        }
+        heap.swap(at, top);
+        at = top;
+    }
 }
 
-/// `(key, seq)` order: keys in `Value` order under `desc`, ties by arrival.
-fn entry_order(desc: &[bool], (a, s): (&Row, u64), (b, t): (&Row, u64)) -> Ordering {
-    keys::cmp_keys(a.values(), b.values(), desc).then(s.cmp(&t))
-}
-
-/// Sorts entries by the sort keys, breaking ties by arrival sequence.
-pub fn sort_entries(entries: &mut [SortEntry], keys: &[SortKey]) {
-    let desc = desc_of(keys);
-    entries.sort_by(|a, b| entry_order(&desc, (&a.0, a.1), (&b.0, b.1)));
-}
-
-/// A budget-bounded staging area for sort entries.
-///
-/// Entries accumulate in memory while reservations succeed; a rejected
-/// reservation sorts the staged entries by `(key, seq)` and writes them
-/// out as one on-disk run, freeing their reservation. [`SortBuffer::into_streams`]
-/// (via [`merge_spilled_sort`]) later merges every run with the sorted
-/// in-memory tail.
-pub struct SortBuffer {
-    keys: Vec<SortKey>,
-    entries: Vec<SortEntry>,
+/// One thread's share of a sort: the batches it parked and the runs it
+/// spilled. [`SortSink::finish`] sorts every share of a sort as one.
+pub struct SortSink {
+    exprs: Vec<Expr>,
+    desc: Vec<bool>,
+    schema: SchemaRef,
     res: ExecResources,
-    /// Budget bytes held for `entries`.
+    /// `(tag, batch, key columns)`, the batch's row `i` arriving as `tag + i`.
+    parked: Vec<(u64, Batch, Vec<ColumnVector>)>,
+    /// Budget bytes held for `parked`.
     held: u64,
     runs: Vec<SpillHandle>,
 }
 
-impl SortBuffer {
-    /// An empty buffer sorting by `keys` under `res`.
-    pub fn new(keys: Vec<SortKey>, res: ExecResources) -> Self {
-        SortBuffer {
-            keys,
-            entries: Vec::new(),
-            res,
-            held: 0,
-            runs: Vec::new(),
+impl SortSink {
+    /// An empty sink sorting rows of `schema` by `keys` under `res`.
+    pub fn new(keys: &[SortKey], schema: SchemaRef, res: ExecResources) -> Self {
+        let (exprs, desc) = keys.iter().map(|k| (k.expr.clone(), k.desc)).unzip();
+        SortSink { exprs, desc, schema, res, parked: Vec::new(), held: 0, runs: Vec::new() }
+    }
+
+    /// Parks `batch` beside its key columns, its row `i` arriving as
+    /// `tag + i`. When the budget refuses its bytes, everything parked,
+    /// `batch` included, is written out as one sorted run.
+    pub fn park(&mut self, tag: u64, batch: Batch) -> Result<()> {
+        let keys = Expr::eval_all(&self.exprs, &batch)?;
+        let size = || batch.columns().iter().chain(&keys).map(|c| c.approx_size() as u64).sum();
+        let bytes = if self.res.is_limited() { size() } else { 0 };
+        let refused = self.res.budget.try_reserve(bytes).err();
+        self.parked.push((tag, batch, keys));
+        self.held += bytes;
+        let Some(err) = refused else {
+            return Ok(());
+        };
+        // No spill directory: the typed error is terminal.
+        let dir = Arc::clone(self.res.spill_dir(err)?);
+        // Below half the query budget (within [4 KiB, 1 MiB]) the parked set
+        // is the working-set minimum, held regardless: a run a morsel would
+        // follow once a sibling's resident result pins the whole budget.
+        if self.held < (self.res.budget.limit() / 2).clamp(4096, 1 << 20) {
+            self.res.budget.reserve_forced(bytes);
+            return Ok(());
         }
-    }
-
-    /// Number of on-disk runs written so far (tests/stats).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Stages one entry, spilling the staged set as a sorted run when the
-    /// budget rejects the reservation.
-    pub fn push(&mut self, key: Row, seq: u64, row: Row) -> Result<()> {
-        if self.res.is_limited() {
-            let bytes = (key.approx_size() + row.approx_size() + 24) as u64;
-            if let Err(err) = self.res.budget.try_reserve(bytes) {
-                // No spill directory: the typed error is terminal.
-                self.res.spill_dir(err)?;
-                // Only cut a run once the staged set is worth a file;
-                // when a sibling operator's resident result has already
-                // pinned the whole budget, every reservation fails and
-                // spilling per entry would write thousands of one-row
-                // runs.
-                if self.held >= self.min_run_bytes() {
-                    self.spill_run()?;
-                }
-                // Below the run floor this entry is part of the
-                // working-set minimum; account it unconditionally.
-                if self.res.budget.try_reserve(bytes).is_err() {
-                    self.res.budget.reserve_forced(bytes);
-                }
-            }
-            self.held += bytes;
-        }
-        self.entries.push((key, seq, row));
-        Ok(())
-    }
-
-    /// Smallest staged size worth writing as a run: half the query
-    /// budget, clamped to [4 KiB, 1 MiB].
-    fn min_run_bytes(&self) -> u64 {
-        (self.res.budget.limit() / 2).clamp(4096, 1 << 20)
-    }
-
-    /// Sorts the staged entries and writes them out as one run.
-    fn spill_run(&mut self) -> Result<()> {
-        let dir = self.res.spill.as_ref().ok_or_else(|| {
-            DbError::Execution("sort spill requested without a spill dir".into())
-        })?;
         self.res.budget.note_spill();
-        sort_entries(&mut self.entries, &self.keys);
+        let (rows, keys, tags, order) = sorted(std::mem::take(&mut self.parked), &self.schema, &self.desc)?;
         let mut w = dir.writer("sort-run")?;
-        for (key, seq, row) in &self.entries {
-            keys::write_record(&mut w, *seq, 0, &[key.values(), row.values()])?;
+        for p in order.into_iter().map(|p| p as usize) {
+            let at = |cols: &[ColumnVector]| cols.iter().map(|c| c.value_at(p)).collect::<Vec<_>>();
+            keys::write_record(&mut w, tags[p], 0, &[&at(&keys), &at(rows.columns())])?;
         }
         self.runs.push(w.finish()?);
-        self.entries.clear();
-        self.res.budget.release(self.held);
-        self.held = 0;
+        // Everything parked but `batch`, whose bytes were refused, was held.
+        self.res.budget.release(std::mem::take(&mut self.held) - bytes);
         Ok(())
     }
 
-    /// Seals the buffer: the on-disk runs plus the sorted in-memory tail,
-    /// each a `(key, seq)`-ordered stream for [`merge_spilled_sort`].
-    pub fn into_streams(mut self) -> (Vec<SpillHandle>, Vec<SortEntry>) {
-        sort_entries(&mut self.entries, &self.keys);
-        (self.runs, self.entries)
+    /// The first `limit` rows of every share of one sort, in order: the
+    /// parked rows gathered through their sorted permutation or, once a
+    /// share spilled, merged with every run through one heap by key, then
+    /// arrival tag. The shares' reservations are handed back.
+    pub fn finish(sinks: Vec<SortSink>, limit: usize) -> Result<Vec<Batch>> {
+        let Some(SortSink { desc, schema, res, .. }) = sinks.first() else {
+            return Ok(Vec::new());
+        };
+        let (desc, schema, res) = (desc.clone(), Arc::clone(schema), res.clone());
+        let (mut parked, mut runs, mut held) = (Vec::new(), Vec::new(), 0);
+        for sink in sinks {
+            parked.extend(sink.parked);
+            runs.extend(sink.runs);
+            held += sink.held;
+        }
+        let out = sorted(parked, &schema, &desc).and_then(|(rows, keys, tags, mut order)| {
+            order.truncate(limit);
+            if runs.is_empty() {
+                return Ok(order.chunks(BATCH_SIZE).map(|sel| rows.take(sel)).collect());
+            }
+            // Every input a stream of records, `(tag, key values, row values)`.
+            let (kw, width) = (desc.len(), desc.len() + schema.len());
+            let parked = order.into_iter().map(move |p| {
+                let values = keys.iter().chain(rows.columns()).map(|c| c.value_at(p as usize)).collect();
+                Ok(Record { tag: tags[p as usize], hash: 0, values })
+            });
+            let mut streams: Vec<Box<dyn Iterator<Item = Result<Record>>>> = vec![Box::new(parked)];
+            for run in &runs {
+                let mut r = run.reader()?;
+                streams.push(Box::new(std::iter::from_fn(move || keys::read_record(&mut r, width).transpose())));
+            }
+            let first = |(_, x): &(usize, Record), (_, y): &(usize, Record)| {
+                let ord = keys::cmp_keys(&x.values[..kw], &y.values[..kw], &desc);
+                ord.then(x.tag.cmp(&y.tag)).is_lt()
+            };
+            let mut heap = Vec::new();
+            for (s, stream) in streams.iter_mut().enumerate() {
+                heap.extend(stream.next().transpose()?.map(|head| (s, head)));
+                let last = heap.len().saturating_sub(1);
+                sift(&mut heap, last, first);
+            }
+            let (mut out, mut cols, mut n) = (Vec::new(), Batch::empty(&schema).into_columns(), 0);
+            while n < limit && !heap.is_empty() {
+                let s = heap[0].0;
+                let (_, head) = match streams[s].next().transpose()? {
+                    Some(next) => std::mem::replace(&mut heap[0], (s, next)),
+                    None => heap.swap_remove(0),
+                };
+                sift(&mut heap, 0, first);
+                for (to, v) in cols.iter_mut().zip(head.values.into_iter().skip(kw)) {
+                    to.push_owned(v)?;
+                }
+                n += 1;
+                if n % BATCH_SIZE == 0 || n == limit || heap.is_empty() {
+                    out.push(Batch::new(std::mem::replace(&mut cols, Batch::empty(&schema).into_columns()))?);
+                }
+            }
+            Ok(out)
+        });
+        res.budget.release(held);
+        out
     }
 }
 
-/// Streams every buffer's runs and memory tail through one k-way
-/// `(key, seq)` merge into output batches. Globally unique sequence
-/// numbers make the result identical to one stable sort no matter how
-/// entries were split across buffers and runs.
-pub fn merge_spilled_sort(
-    buffers: Vec<SortBuffer>,
-    keys: &[SortKey],
-    schema: &SchemaRef,
-    batch_size: usize,
-) -> Result<Vec<Batch>> {
-    let desc = desc_of(keys);
-    let kw = keys.len();
-    // The sorted inputs: on-disk runs, whose records hold an entry's key
-    // then its row, and memory tails.
-    let mut streams: Vec<Box<dyn Iterator<Item = Result<SortEntry>>>> = Vec::new();
-    for buf in buffers {
-        let res = buf.res.clone();
-        let (runs, tail) = buf.into_streams();
-        for run in runs {
-            // Replayed rows become part of the materialized output.
-            res.budget.reserve_forced(run.bytes());
-            let mut r = run.reader()?;
-            let width = kw + schema.len();
-            streams.push(Box::new(std::iter::from_fn(move || {
-                let rec = keys::read_record(&mut r, width).transpose()?;
-                Some(rec.map(|mut rec| {
-                    let row = rec.values.split_off(kw);
-                    (Row::new(rec.values), rec.tag, Row::new(row))
-                }))
-            })));
+/// Parked rows in order: the batches end to end in arrival order (the
+/// first moved, not copied), their key columns, each row's arrival tag, and
+/// the rows' positions sorted, stably, by key.
+type Sorted = (Batch, Vec<ColumnVector>, Vec<u64>, Vec<u32>);
+
+/// `parked`, [`Sorted`] by the keys under `desc`.
+fn sorted(mut parked: Vec<(u64, Batch, Vec<ColumnVector>)>, schema: &SchemaRef, desc: &[bool]) -> Result<Sorted> {
+    parked.sort_unstable_by_key(|&(tag, ..)| tag);
+    let mut parked = parked.into_iter();
+    let (tag, mut rows, mut keys) = parked.next().unwrap_or_else(|| (0, Batch::empty(schema), Vec::new()));
+    let mut tags: Vec<u64> = (tag..).take(rows.len()).collect();
+    for (tag, batch, key_cols) in parked {
+        rows.append(&batch)?;
+        for (to, col) in keys.iter_mut().zip(&key_cols) {
+            to.append(col)?;
         }
-        if !tail.is_empty() {
-            streams.push(Box::new(tail.into_iter().map(Ok)));
-        }
+        tags.extend((tag..).take(batch.len()));
     }
-    let mut heads = streams.iter_mut().map(|s| s.next().transpose()).collect::<Result<Vec<_>>>()?;
-    let mut rows: Vec<Row> = Vec::new();
-    loop {
-        // Sequence numbers are unique, so the least head is unique too.
-        let least = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, head)| Some((i, head.as_ref()?)))
-            .min_by(|(_, x), (_, y)| entry_order(&desc, (&x.0, x.1), (&y.0, y.1)));
-        let Some((b, _)) = least else { break };
-        let next = streams[b].next().transpose()?;
-        if let Some((_, _, row)) = std::mem::replace(&mut heads[b], next) {
-            rows.push(row);
+    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+    // The first key compared typed while it holds no NULL, so that its
+    // comparisons inline into the sort's; the others only on its ties.
+    let rest = |a: &u32, b: &u32| keys::cmp_rows(&keys[1..], *a as usize, *b as usize, &desc[1..]);
+    match keys.first() {
+        Some(ColumnVector::Int64 { values: v, validity: None }) => sort_on(&mut order, v, desc[0], Ord::cmp, rest),
+        Some(ColumnVector::Float64 { values: v, validity: None }) => {
+            sort_on(&mut order, v, desc[0], f64::total_cmp, rest)
         }
+        Some(ColumnVector::Utf8 { values: v, validity: None }) => sort_on(&mut order, v, desc[0], Ord::cmp, rest),
+        _ => order.sort_by(|a, b| keys::cmp_rows(&keys, *a as usize, *b as usize, desc)),
     }
-    rows.chunks(batch_size)
-        .map(|c| Batch::from_rows(schema, c))
-        .collect()
+    Ok((rows, keys, tags, order))
+}
+
+/// Sorts the positions `order` by `values` at them (reversed if `desc`), then `rest`.
+fn sort_on<T, C, R>(order: &mut [u32], values: &[T], desc: bool, cmp: C, rest: R)
+where
+    C: Fn(&T, &T) -> Ordering,
+    R: Fn(&u32, &u32) -> Ordering,
+{
+    let at = |p: &u32| &values[*p as usize];
+    match desc {
+        false => order.sort_by(|a, b| cmp(at(a), at(b)).then_with(|| rest(a, b))),
+        true => order.sort_by(|a, b| cmp(at(b), at(a)).then_with(|| rest(a, b))),
+    }
 }
 
 /// One retained row of a [`TopKAcc`]: its key values, arrival sequence and
@@ -224,11 +238,17 @@ struct Retained {
     row: Row,
 }
 
+/// Whether retained row `a` ranks after retained row `b`: keys in `Value`
+/// order under `desc`, ties by arrival.
+fn worse(desc: &[bool], a: &Retained, b: &Retained) -> bool {
+    keys::cmp_keys(a.key.values(), b.key.values(), desc).then(a.seq.cmp(&b.seq)).is_gt()
+}
+
 /// Bounded top-K accumulator: keeps the best `k` rows seen so far —
 /// O(n log k) instead of a full sort, the classic optimization for
 /// `ORDER BY ... LIMIT k` dashboards (the paper's real-time monitoring use
-/// cases). The pipeline executor keeps one per worker and merges candidate
-/// sets with [`sort_entries`].
+/// cases). The pipeline executor keeps one per worker and orders the
+/// candidates of all of them with [`SortSink::finish`].
 ///
 /// An offered row is compared where it stands, in its batch's key columns,
 /// against the worst row retained; only a row that enters the heap is built
@@ -239,6 +259,7 @@ pub struct TopKAcc {
     /// A max-heap in `(key, seq)` order: the worst retained row first.
     heap: Vec<Retained>,
     k: usize,
+    exprs: Vec<Expr>,
     desc: Vec<bool>,
     counts: TopKCounts,
 }
@@ -268,25 +289,29 @@ impl TopKAcc {
     /// An accumulator retaining the `k` best rows under `keys`; the heap
     /// grows with the rows it keeps, never to `k` up front.
     pub fn new(keys: &[SortKey], k: usize) -> Self {
+        let (exprs, desc) = keys.iter().map(|k| (k.expr.clone(), k.desc)).unzip();
         TopKAcc {
             heap: Vec::new(),
             k,
-            desc: desc_of(keys),
+            exprs,
+            desc,
             counts: TopKCounts::default(),
         }
     }
 
-    /// Offers every row of `batch`, whose key columns are `keys`; row `i`
+    /// Offers every row of `batch`, its key columns evaluated once; row `i`
     /// arrives as `(morsel << 32) | i`. A row is retained only while among
     /// the `k` best.
-    pub fn offer(&mut self, keys: &[ColumnVector], batch: &Batch, morsel: usize) {
+    pub fn offer(&mut self, batch: &Batch, morsel: usize) -> Result<()> {
         if self.k == 0 {
-            return;
+            return Ok(());
         }
+        let keys = Expr::eval_all(&self.exprs, batch)?;
         self.counts.offered += batch.len() as u64;
         for i in 0..batch.len() {
-            self.offer_row(keys, batch, i, ((morsel as u64) << 32) | i as u64);
+            self.offer_row(&keys, batch, i, ((morsel as u64) << 32) | i as u64);
         }
+        Ok(())
     }
 
     /// Offers row `i` of `batch`, arriving as `seq`: built into a new entry
@@ -302,7 +327,8 @@ impl TopKAcc {
                 seq,
                 row: Row::new(values_at(batch.columns(), i).collect()),
             });
-            self.sift_up(self.heap.len() - 1);
+            let last = self.heap.len() - 1;
+            sift(&mut self.heap, last, |a, b| worse(&self.desc, a, b));
         } else if self.beats_worst(keys, i, seq) {
             let worst = &mut self.heap[0];
             worst.seq = seq;
@@ -312,7 +338,7 @@ impl TopKAcc {
             for (to, v) in worst.row.values_mut().iter_mut().zip(values_at(batch.columns(), i)) {
                 *to = v;
             }
-            self.sift_down(0);
+            sift(&mut self.heap, 0, |a, b| worse(&self.desc, a, b));
         } else {
             return;
         }
@@ -327,48 +353,23 @@ impl TopKAcc {
         ord.then(seq.cmp(&worst.seq)).is_lt()
     }
 
-    /// Whether retained row `a` ranks after retained row `b`.
-    fn worse(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (&self.heap[a], &self.heap[b]);
-        entry_order(&self.desc, (&a.key, a.seq), (&b.key, b.seq)).is_gt()
-    }
-
-    fn sift_up(&mut self, mut at: usize) {
-        while at > 0 {
-            let parent = (at - 1) / 2;
-            if !self.worse(at, parent) {
-                break;
-            }
-            self.heap.swap(at, parent);
-            at = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut at: usize) {
-        loop {
-            let mut worst = at;
-            for child in [2 * at + 1, 2 * at + 2] {
-                if child < self.heap.len() && self.worse(child, worst) {
-                    worst = child;
-                }
-            }
-            if worst == at {
-                return;
-            }
-            self.heap.swap(at, worst);
-            at = worst;
-        }
-    }
-
-    /// Drains the retained candidates (unordered; sort with
-    /// [`sort_entries`]) and adds this accumulator's counts to
+    /// The first `k` rows of every accumulator in order, through
+    /// [`SortSink::finish`]: their retained rows, in arrival order, are one
+    /// parked batch of rows of `schema`. Adds the accumulators' counts to
     /// [`topk_counts`].
-    pub fn into_entries(self) -> Vec<SortEntry> {
-        let TopKCounts { offered, entered } = self.counts;
-        for (total, n) in FINISHED.iter().zip([offered, entered]) {
-            total.fetch_add(n, AtomicOrdering::Relaxed);
+    pub fn finish(accs: Vec<TopKAcc>, keys: &[SortKey], schema: SchemaRef, k: usize) -> Result<Vec<Batch>> {
+        let mut retained = Vec::new();
+        for acc in accs {
+            for (total, n) in FINISHED.iter().zip([acc.counts.offered, acc.counts.entered]) {
+                total.fetch_add(n, AtomicOrdering::Relaxed);
+            }
+            retained.extend(acc.heap);
         }
-        self.heap.into_iter().map(|r| (r.key, r.seq, r.row)).collect()
+        retained.sort_unstable_by_key(|r| r.seq);
+        let batch = Batch::from_rows(&schema, &retained.into_iter().map(|r| r.row).collect::<Vec<_>>())?;
+        let mut sink = SortSink::new(keys, schema, ExecResources::unlimited());
+        sink.park(0, batch)?;
+        SortSink::finish(vec![sink], k)
     }
 }
 
@@ -378,7 +379,7 @@ mod tests {
     use crate::keys::cmp_at;
     use crate::pipeline::tests::{ctx, ctx_with, rows_of};
     use oltap_common::row;
-    use oltap_common::{DataType, Field, Schema, Value};
+    use oltap_common::{DataType, DbError, Field, Schema, Value};
     use std::sync::Arc;
 
     fn source(values: &[i64]) -> (SchemaRef, Vec<Batch>) {
@@ -519,25 +520,23 @@ mod tests {
 
     #[test]
     fn merged_runs_match_serial_sort() {
-        // Deal rows round-robin into 3 workers' buffers (tagging arrival
+        // Deal rows round-robin into 3 workers' sinks (tagging arrival
         // order) and merge: the result must equal the one-worker sort.
         let vals: Vec<i64> = (0..97).map(|i| (i * 31) % 13).collect();
         let keys = vec![SortKey::asc(Expr::col(0))];
         let serial = sort(&vals, keys.clone());
         let (schema, batches) = source(&vals);
-        let mut runs: Vec<SortBuffer> = (0..3)
-            .map(|_| SortBuffer::new(keys.clone(), ExecResources::unlimited()))
+        let mut runs: Vec<SortSink> = (0..3)
+            .map(|_| SortSink::new(&keys, Arc::clone(&schema), ExecResources::unlimited()))
             .collect();
         let mut seq = 0u64;
         for batch in &batches {
             for i in 0..batch.len() {
-                let row = batch.row(i);
-                let key = Row::new(vec![row[0].clone()]);
-                runs[(seq % 3) as usize].push(key, seq, row).unwrap();
+                runs[(seq % 3) as usize].park(seq, batch.take(&[i as u32])).unwrap();
                 seq += 1;
             }
         }
-        let merged = merge_spilled_sort(runs, &keys, &schema, 4096).unwrap();
+        let merged = SortSink::finish(runs, usize::MAX).unwrap();
         assert_eq!(rows_of(&serial), rows_of(&merged));
     }
 
@@ -610,6 +609,36 @@ mod tests {
         );
     }
 
+    /// Every byte a sort reserves is handed back when it answers: after a
+    /// spilled full sort, an unspilled one and a top-K, at one worker and
+    /// at four, the statement's budget holds nothing and the governor's
+    /// OLAP bytes are where they started.
+    #[test]
+    fn a_sort_hands_its_reservations_back() {
+        use oltap_common::mem::{MemoryGovernor, WorkloadClass};
+        use oltap_storage::spill::SpillDir;
+
+        let (schema, batches) = source(&(0..3000).map(|i| (i * 131) % 257).collect::<Vec<_>>());
+        let keys = vec![SortKey::desc(Expr::col(0))];
+        let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
+        let baseline = gov.used(WorkloadClass::Olap);
+        let dir = Arc::new(SpillDir::create_temp().unwrap());
+        for (limit, spills) in [(32 * 1024, true), (1 << 30, false)] {
+            for workers in [1, 4] {
+                let tag = format!("limit {limit}, {workers} workers");
+                let budget = gov.budget(WorkloadClass::Olap, limit);
+                let c = ctx_with(workers, ExecResources::new(budget.clone(), Some(Arc::clone(&dir))));
+                let sorted = c.run_sort(batches.clone(), Vec::new(), keys.clone(), Arc::clone(&schema)).unwrap();
+                assert_eq!(rows_of(&sorted).len(), 3000, "{tag}");
+                assert_eq!(budget.spill_count() > 0, spills, "{tag}");
+                assert!(budget.peak() > 0, "{tag}: the sort reserved nothing");
+                assert_eq!((budget.used(), gov.used(WorkloadClass::Olap)), (0, baseline), "{tag}: sort");
+                c.run_topk(batches.clone(), Vec::new(), keys.clone(), 10, Arc::clone(&schema)).unwrap();
+                assert_eq!((budget.used(), gov.used(WorkloadClass::Olap)), (0, baseline), "{tag}: top-K");
+            }
+        }
+    }
+
     /// A short or truncated record in a spilled run is the merge's
     /// `Corruption`, not a panic.
     #[test]
@@ -623,17 +652,15 @@ mod tests {
         for keep in [Some(10), None] {
             let gov = MemoryGovernor::new(u64::MAX, u64::MAX, u64::MAX);
             let dir = Arc::new(SpillDir::create_temp().unwrap());
-            let res = ExecResources::new(gov.budget(WorkloadClass::Olap, 32 * 1024), Some(Arc::clone(&dir)));
-            let mut buf = SortBuffer::new(keys.clone(), res);
+            let budget = gov.budget(WorkloadClass::Olap, 32 * 1024);
+            let res = ExecResources::new(budget.clone(), Some(Arc::clone(&dir)));
+            let mut sink = SortSink::new(&keys, Arc::clone(&schema), res);
             for (m, batch) in batches.iter().enumerate() {
-                for i in 0..batch.len() {
-                    let row = batch.row(i);
-                    buf.push(Row::new(vec![row[0].clone()]), ((m as u64) << 32) | i as u64, row).unwrap();
-                }
+                sink.park((m as u64) << 32, batch.clone()).unwrap();
             }
-            assert!(buf.run_count() > 0, "a tight budget spills runs");
+            assert!(budget.spill_count() > 0, "a tight budget spills runs");
             cut_first_records(&dir, keep);
-            let err = merge_spilled_sort(vec![buf], &keys, &schema, 4096).unwrap_err();
+            let err = SortSink::finish(vec![sink], usize::MAX).unwrap_err();
             assert!(matches!(err, DbError::Corruption(_)), "{keep:?}: {err}");
         }
     }
