@@ -235,28 +235,24 @@ impl ColumnVector {
         }
     }
 
-    /// Appends `other`'s rows after this vector's: a typed copy for numbers
-    /// and strings of its type, else value by value as [`push`](Self::push)
-    /// takes them.
-    pub fn append(&mut self, other: &ColumnVector) -> Result<()> {
+    /// Gathers row `r` of `parts[p]` for each `(p, r)` of `picks` into a new
+    /// vector of the first part's type: [`take`](Self::take) over several
+    /// vectors. Numbers and strings copy typed until a NULL; the rest goes
+    /// value by value as [`push`](Self::push) takes it.
+    pub fn gather(parts: &[&ColumnVector], picks: &[(u32, u32)]) -> Result<ColumnVector> {
         use ColumnVector::{Float64, Int64, Utf8};
-        fn extend<'v, T: Clone>(to: &mut Vec<T>, more: &[T], valid: &'v mut Option<BitSet>) -> &'v mut Option<BitSet> {
-            to.extend_from_slice(more);
-            valid
+        let data_type = parts.first().map_or(DataType::Int64, |c| c.data_type());
+        let mut col = ColumnVector::with_capacity(data_type, picks.len());
+        for &(p, r) in picks {
+            let (part, r) = (parts[p as usize], r as usize);
+            match (&mut col, part) {
+                (Int64 { values, validity: None }, Int64 { values: v, validity: None }) => values.push(v[r]),
+                (Float64 { values, validity: None }, Float64 { values: v, validity: None }) => values.push(v[r]),
+                (Utf8 { values, validity: None }, Utf8 { values: v, validity: None }) => values.push(v[r].clone()),
+                (col, part) => col.push(&part.value_at(r))?,
+            }
         }
-        let at = self.len();
-        let validity = match (&mut *self, other) {
-            (Int64 { values, validity }, Int64 { values: more, .. }) => extend(values, more, validity),
-            (Float64 { values, validity }, Float64 { values: more, .. }) => extend(values, more, validity),
-            (Utf8 { values, validity }, Utf8 { values: more, .. }) => extend(values, more, validity),
-            (this, _) => return (0..other.len()).try_for_each(|i| this.push(&other.value_at(i))),
-        };
-        if validity.is_some() || other.validity().is_some() {
-            let bits = validity.get_or_insert_with(|| BitSet::all_set(at));
-            bits.grow(other.len());
-            bits.paste(at, other.validity().unwrap_or(&BitSet::all_set(other.len())));
-        }
-        Ok(())
+        Ok(col)
     }
 
     /// Gathers the rows at `sel` into a new vector (selection-vector
@@ -478,11 +474,23 @@ impl Batch {
                 "appending batches with different column counts".into(),
             ));
         }
-        for (c, o) in self.columns.iter_mut().zip(&other.columns) {
-            c.append(o)?;
+        for i in 0..other.len {
+            for (c, o) in self.columns.iter_mut().zip(&other.columns) {
+                c.push(&o.value_at(i))?;
+            }
         }
         self.len += other.len;
         Ok(())
+    }
+
+    /// Gathers row `r` of `parts[p]` for each `(p, r)` of `picks` into a new
+    /// batch, column by column ([`ColumnVector::gather`]).
+    pub fn gather(parts: &[&Batch], picks: &[(u32, u32)]) -> Result<Batch> {
+        let width = parts.first().map_or(0, |b| b.num_columns());
+        let columns = (0..width)
+            .map(|c| ColumnVector::gather(&parts.iter().map(|b| &b.columns[c]).collect::<Vec<_>>(), picks))
+            .collect::<Result<_>>()?;
+        Ok(Batch { columns, len: picks.len() })
     }
 }
 
@@ -572,15 +580,16 @@ mod tests {
         assert_eq!(b1.row(1)[0], Value::Int(2));
     }
 
-    /// A typed append, a value-by-value one and pushes of the same values
-    /// build the same vector, NULLs on either side included.
+    /// A gather holds the picked parts' values in the picked order, NULLs
+    /// included, typed or value by value; parts of two types are an error.
     #[test]
-    fn append_is_pushing_the_other_vectors_values() {
+    fn gather_picks_the_parts_values() {
         let parts = [
             vec![Value::Int(1), Value::Int(2)],
             vec![Value::Null, Value::Int(-3), Value::Null],
             vec![Value::Int(4)],
         ];
+        let picks = [(1, 1), (0, 0), (2, 0), (1, 0), (0, 1), (1, 2), (0, 0)];
         for data_type in [DataType::Int64, DataType::Float64, DataType::Utf8, DataType::Bool] {
             let cast = |v: &Value| match (v, data_type) {
                 (Value::Int(i), DataType::Float64) => Value::Float(*i as f64 / 2.0),
@@ -588,19 +597,23 @@ mod tests {
                 (Value::Int(i), DataType::Bool) => Value::Bool(i % 2 == 0),
                 (v, _) => v.clone(),
             };
-            let (mut appended, mut pushed) = (ColumnVector::new(data_type), ColumnVector::new(data_type));
-            for part in &parts {
-                let mut col = ColumnVector::new(data_type);
-                for v in part.iter().map(cast) {
-                    col.push(&v).unwrap();
-                    pushed.push(&v).unwrap();
-                }
-                appended.append(&col).unwrap();
+            let cols: Vec<ColumnVector> = parts
+                .iter()
+                .map(|part| {
+                    let mut col = ColumnVector::new(data_type);
+                    part.iter().for_each(|v| col.push(&cast(v)).unwrap());
+                    col
+                })
+                .collect();
+            for from in [&cols[..], &cols[..1]] {
+                let picks: Vec<(u32, u32)> = picks.into_iter().filter(|&(p, _)| (p as usize) < from.len()).collect();
+                let got = ColumnVector::gather(&from.iter().collect::<Vec<_>>(), &picks).unwrap();
+                let want: Vec<Value> = picks.iter().map(|&(p, r)| cast(&parts[p as usize][r as usize])).collect();
+                assert_eq!((0..got.len()).map(|i| got.value_at(i)).collect::<Vec<_>>(), want, "{data_type}");
             }
-            assert_eq!(appended, pushed, "{data_type}");
         }
-        let mut ints = ColumnVector::from_i64(vec![1]);
-        assert!(ints.append(&ColumnVector::from_bools(&[true])).is_err());
+        let (ints, bools) = (ColumnVector::from_i64(vec![1]), ColumnVector::from_bools(&[true]));
+        assert!(ColumnVector::gather(&[&ints, &bools], &[(0, 0), (1, 0)]).is_err());
     }
 
     #[test]

@@ -119,20 +119,22 @@ pub(crate) fn cmp_row<C: Borrow<ColumnVector>>(cols: &[C], i: usize, key: &[Valu
     directed(cols.iter().zip(key).map(|(col, v)| cmp_at(col.borrow(), i, v)), desc)
 }
 
-/// Rows `i` and `j` of the key columns `cols`, a column's order reversed
-/// where `desc` says so: what [`cmp_keys`] answers of their values.
-pub(crate) fn cmp_rows(cols: &[ColumnVector], i: usize, j: usize, desc: &[bool]) -> Ordering {
-    directed(cols.iter().map(|col| cmp_in(col, i, j)), desc)
+/// Row `i` of the key columns `a` against row `j` of the key columns `b`,
+/// a column's order reversed where `desc` says so: what [`cmp_keys`]
+/// answers of their values.
+pub(crate) fn cmp_rows(a: &[ColumnVector], i: usize, b: &[ColumnVector], j: usize, desc: &[bool]) -> Ordering {
+    directed(a.iter().zip(b).map(|(a, b)| cmp_in(a, i, b, j)), desc)
 }
 
-/// `col`'s values at `i` and `j`, in [`Value`] order: typed where it holds
-/// no NULL, else as [`cmp_at`] the value at `j`.
-fn cmp_in(col: &ColumnVector, i: usize, j: usize) -> Ordering {
-    match col {
-        ColumnVector::Int64 { values, validity: None } => values[i].cmp(&values[j]),
-        ColumnVector::Float64 { values, validity: None } => values[i].total_cmp(&values[j]),
-        ColumnVector::Utf8 { values, validity: None } => values[i].cmp(&values[j]),
-        _ => cmp_at(col, i, &col.value_at(j)),
+/// `a`'s value at `i` against `b`'s at `j`, in [`Value`] order: typed where
+/// both are of one type and hold no NULL, else as [`cmp_at`] `b`'s value.
+fn cmp_in(a: &ColumnVector, i: usize, b: &ColumnVector, j: usize) -> Ordering {
+    use ColumnVector::{Float64, Int64, Utf8};
+    match (a, b) {
+        (Int64 { values: x, validity: None }, Int64 { values: y, validity: None }) => x[i].cmp(&y[j]),
+        (Float64 { values: x, validity: None }, Float64 { values: y, validity: None }) => x[i].total_cmp(&y[j]),
+        (Utf8 { values: x, validity: None }, Utf8 { values: y, validity: None }) => x[i].cmp(&y[j]),
+        _ => cmp_at(a, i, &b.value_at(j)),
     }
 }
 
@@ -340,7 +342,7 @@ pub(crate) mod tests {
     /// (NULL included when `null`), one row a pair.
     fn columns(types: [DataType; 2], null: bool) -> Vec<ColumnVector> {
         let fits = |t: DataType| -> Vec<Value> {
-            let fits = |v: &Value| (null && v.is_null()) || v.check_type(t).is_ok();
+            let fits = |v: &Value| (null || !v.is_null()) && (v.is_null() || v.check_type(t).is_ok());
             values().into_iter().filter(fits).collect()
         };
         let mut cols = types.map(ColumnVector::new);
@@ -418,24 +420,21 @@ pub(crate) mod tests {
                         assert_eq!(cmp_row(&cols, i, key, desc), want, "{row:?} {key:?} {desc:?}");
                     }
                 }
-                for j in 0..len {
-                    let other: Vec<Value> = cols.iter().map(|c| c.value_at(j)).collect();
-                    for desc in &desc_mixes {
-                        let want = model_cmp(&row, &other, desc);
-                        assert_eq!(cmp_rows(&cols, i, j, desc), want, "{row:?} {other:?} {desc:?}");
-                    }
-                }
                 let found = index.find(hashes[i], |k| eq_row(&cols, i, k));
                 let id = found.unwrap_or_else(|_| panic!("{row:?} is among the stored keys"));
                 assert_eq!(index.key(id), &row[..]);
             }
-            // Columns with no NULL compare typed.
-            let cols = columns(types, false);
-            let at = |j: usize| -> Vec<Value> { cols.iter().map(|c| c.value_at(j)).collect() };
-            for i in 0..cols[0].len() {
-                for j in 0..cols[0].len() {
-                    for desc in &desc_mixes {
-                        assert_eq!(cmp_rows(&cols, i, j, desc), model_cmp(&at(i), &at(j), desc), "{:?} {:?}", at(i), at(j));
+            // Rows of columns with NULLs and without (compared typed), each
+            // set against itself and the other.
+            let sets = [cols, columns(types, false)];
+            let at = |s: usize, j: usize| -> Vec<Value> { sets[s].iter().map(|c| c.value_at(j)).collect() };
+            for (a, b) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                for i in 0..sets[a][0].len() {
+                    for j in 0..sets[b][0].len() {
+                        for desc in &desc_mixes {
+                            let want = model_cmp(&at(a, i), &at(b, j), desc);
+                            assert_eq!(cmp_rows(&sets[a], i, &sets[b], j, desc), want, "{:?} {:?}", at(a, i), at(b, j));
+                        }
                     }
                 }
             }

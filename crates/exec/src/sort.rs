@@ -2,17 +2,19 @@
 //!
 //! Each thread parks the batches it claims beside their key columns
 //! ([`SortSink::park`]), their bytes reserved from the statement's budget.
-//! The finish ([`SortSink::finish`]) lays them end to end in arrival order
-//! (morsel index, then row) and stably sorts a permutation of the rows by
-//! key, so ties keep arrival order at every worker count; the output is
-//! gathered through the permutation, and no row is built. When the budget
-//! refuses a batch, the thread writes what it has parked as one sorted
-//! *run*, a `keys` record a row (arrival tag, key values, row values), and
-//! the finish merges the runs and the parked rows through one heap by key,
-//! then tag. `ORDER BY … LIMIT k` keeps a bounded heap a thread
-//! ([`TopKAcc`]) and builds only the rows that enter it; their union, in
-//! arrival order, is one parked batch of the same finish, cut at `k`.
-//! Every order is `keys`' comparator: `Value` order under `desc` flags.
+//! The finish ([`SortSink::finish`]) takes the parked rows in arrival order
+//! (morsel index, then row) and stably sorts their positions, `(batch,
+//! row)`, by key, so ties keep arrival order at every worker count; the
+//! output is gathered column by column from the batches through that
+//! permutation and charged to the budget as it grows. When the budget
+//! refuses a batch, the thread writes what it has parked, in that order and
+//! with nothing copied first, as one *run*, a `keys` record a row (arrival
+//! tag, key values, row values), and the finish merges the runs and the
+//! parked rows through one heap by key, then tag. `ORDER BY … LIMIT k` keeps a
+//! bounded heap a thread ([`TopKAcc`]) and builds only the rows that enter
+//! it; their union, in arrival order, is one parked batch of the same
+//! finish, cut at `k`. Every order is `keys`' comparator: `Value` order
+//! under `desc` flags.
 
 use crate::expr::Expr;
 use crate::keys::{self, Record};
@@ -22,7 +24,6 @@ use oltap_common::vector::BATCH_SIZE;
 use oltap_common::{Batch, ColumnVector, Result, Row, Value};
 use oltap_storage::spill::SpillHandle;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One ORDER BY key.
@@ -64,6 +65,9 @@ fn sift<T>(heap: &mut [T], mut at: usize, first: impl Fn(&T, &T) -> bool) {
     }
 }
 
+/// A parked batch: `(tag, batch, key columns)`, its row `i` arriving as `tag + i`.
+type Parked = (u64, Batch, Vec<ColumnVector>);
+
 /// One thread's share of a sort: the batches it parked and the runs it
 /// spilled. [`SortSink::finish`] sorts every share of a sort as one.
 pub struct SortSink {
@@ -71,8 +75,7 @@ pub struct SortSink {
     desc: Vec<bool>,
     schema: SchemaRef,
     res: ExecResources,
-    /// `(tag, batch, key columns)`, the batch's row `i` arriving as `tag + i`.
-    parked: Vec<(u64, Batch, Vec<ColumnVector>)>,
+    parked: Vec<Parked>,
     /// Budget bytes held for `parked`.
     held: u64,
     runs: Vec<SpillHandle>,
@@ -87,11 +90,10 @@ impl SortSink {
 
     /// Parks `batch` beside its key columns, its row `i` arriving as
     /// `tag + i`. When the budget refuses its bytes, everything parked,
-    /// `batch` included, is written out as one sorted run.
+    /// `batch` included, is written out in order as one run.
     pub fn park(&mut self, tag: u64, batch: Batch) -> Result<()> {
         let keys = Expr::eval_all(&self.exprs, &batch)?;
-        let size = || batch.columns().iter().chain(&keys).map(|c| c.approx_size() as u64).sum();
-        let bytes = if self.res.is_limited() { size() } else { 0 };
+        let bytes = if self.res.is_limited() { size(batch.columns()) + size(&keys) } else { 0 };
         let refused = self.res.budget.try_reserve(bytes).err();
         self.parked.push((tag, batch, keys));
         self.held += bytes;
@@ -108,11 +110,11 @@ impl SortSink {
             return Ok(());
         }
         self.res.budget.note_spill();
-        let (rows, keys, tags, order) = sorted(std::mem::take(&mut self.parked), &self.schema, &self.desc)?;
+        let (parked, order) = sorted(std::mem::take(&mut self.parked), &self.desc);
         let mut w = dir.writer("sort-run")?;
-        for p in order.into_iter().map(|p| p as usize) {
-            let at = |cols: &[ColumnVector]| cols.iter().map(|c| c.value_at(p)).collect::<Vec<_>>();
-            keys::write_record(&mut w, tags[p], 0, &[&at(&keys), &at(rows.columns())])?;
+        for at in order {
+            let r = record(&parked, at);
+            keys::write_record(&mut w, r.tag, 0, &[&r.values])?;
         }
         self.runs.push(w.finish()?);
         // Everything parked but `batch`, whose bytes were refused, was held.
@@ -123,7 +125,9 @@ impl SortSink {
     /// The first `limit` rows of every share of one sort, in order: the
     /// parked rows gathered through their sorted permutation or, once a
     /// share spilled, merged with every run through one heap by key, then
-    /// arrival tag. The shares' reservations are handed back.
+    /// arrival tag. Each output batch is charged to the budget as it is
+    /// built, beside the parked ones, and every share's bytes and the
+    /// output's are handed back when the finish answers.
     pub fn finish(sinks: Vec<SortSink>, limit: usize) -> Result<Vec<Batch>> {
         let Some(SortSink { desc, schema, res, .. }) = sinks.first() else {
             return Ok(Vec::new());
@@ -135,99 +139,89 @@ impl SortSink {
             runs.extend(sink.runs);
             held += sink.held;
         }
-        let out = sorted(parked, &schema, &desc).and_then(|(rows, keys, tags, mut order)| {
-            order.truncate(limit);
-            if runs.is_empty() {
-                return Ok(order.chunks(BATCH_SIZE).map(|sel| rows.take(sel)).collect());
-            }
-            // Every input a stream of records, `(tag, key values, row values)`.
-            let (kw, width) = (desc.len(), desc.len() + schema.len());
-            let parked = order.into_iter().map(move |p| {
-                let values = keys.iter().chain(rows.columns()).map(|c| c.value_at(p as usize)).collect();
-                Ok(Record { tag: tags[p as usize], hash: 0, values })
-            });
-            let mut streams: Vec<Box<dyn Iterator<Item = Result<Record>>>> = vec![Box::new(parked)];
-            for run in &runs {
-                let mut r = run.reader()?;
-                streams.push(Box::new(std::iter::from_fn(move || keys::read_record(&mut r, width).transpose())));
-            }
-            let first = |(_, x): &(usize, Record), (_, y): &(usize, Record)| {
-                let ord = keys::cmp_keys(&x.values[..kw], &y.values[..kw], &desc);
-                ord.then(x.tag.cmp(&y.tag)).is_lt()
-            };
-            let mut heap = Vec::new();
-            for (s, stream) in streams.iter_mut().enumerate() {
-                heap.extend(stream.next().transpose()?.map(|head| (s, head)));
-                let last = heap.len().saturating_sub(1);
-                sift(&mut heap, last, first);
-            }
-            let (mut out, mut cols, mut n) = (Vec::new(), Batch::empty(&schema).into_columns(), 0);
-            while n < limit && !heap.is_empty() {
-                let s = heap[0].0;
-                let (_, head) = match streams[s].next().transpose()? {
-                    Some(next) => std::mem::replace(&mut heap[0], (s, next)),
-                    None => heap.swap_remove(0),
-                };
-                sift(&mut heap, 0, first);
-                for (to, v) in cols.iter_mut().zip(head.values.into_iter().skip(kw)) {
-                    to.push_owned(v)?;
-                }
-                n += 1;
-                if n % BATCH_SIZE == 0 || n == limit || heap.is_empty() {
-                    out.push(Batch::new(std::mem::replace(&mut cols, Batch::empty(&schema).into_columns()))?);
-                }
-            }
-            Ok(out)
-        });
+        let (parked, mut order) = sorted(parked, &desc);
+        order.truncate(limit);
+        let mut out = Vec::new();
+        let mut emit = |batch: Batch| {
+            let bytes = if res.is_limited() { size(batch.columns()) } else { 0 };
+            res.budget.reserve_forced(bytes);
+            held += bytes;
+            out.push(batch);
+        };
+        let built = if runs.is_empty() {
+            let parts: Vec<&Batch> = parked.iter().map(|(_, batch, _)| batch).collect();
+            order.chunks(BATCH_SIZE).try_for_each(|picks| Batch::gather(&parts, picks).map(&mut emit))
+        } else {
+            merge(&parked, order, &runs, &desc, &schema, limit, &mut emit)
+        };
         res.budget.release(held);
-        out
+        built.map(|()| out)
     }
 }
 
-/// Parked rows in order: the batches end to end in arrival order (the
-/// first moved, not copied), their key columns, each row's arrival tag, and
-/// the rows' positions sorted, stably, by key.
-type Sorted = (Batch, Vec<ColumnVector>, Vec<u64>, Vec<u32>);
+/// The approximate bytes of `cols`, as the budget charges them.
+fn size(cols: &[ColumnVector]) -> u64 {
+    cols.iter().map(|c| c.approx_size() as u64).sum()
+}
 
-/// `parked`, [`Sorted`] by the keys under `desc`.
-fn sorted(mut parked: Vec<(u64, Batch, Vec<ColumnVector>)>, schema: &SchemaRef, desc: &[bool]) -> Result<Sorted> {
+/// `parked` in arrival order, and the positions `(batch, row)` of its rows
+/// sorted, stably, by key under `desc`.
+fn sorted(mut parked: Vec<Parked>, desc: &[bool]) -> (Vec<Parked>, Vec<(u32, u32)>) {
     parked.sort_unstable_by_key(|&(tag, ..)| tag);
-    let mut parked = parked.into_iter();
-    let (tag, mut rows, mut keys) = parked.next().unwrap_or_else(|| (0, Batch::empty(schema), Vec::new()));
-    let mut tags: Vec<u64> = (tag..).take(rows.len()).collect();
-    for (tag, batch, key_cols) in parked {
-        rows.append(&batch)?;
-        for (to, col) in keys.iter_mut().zip(&key_cols) {
-            to.append(col)?;
-        }
-        tags.extend((tag..).take(batch.len()));
-    }
-    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-    // The first key compared typed while it holds no NULL, so that its
-    // comparisons inline into the sort's; the others only on its ties.
-    let rest = |a: &u32, b: &u32| keys::cmp_rows(&keys[1..], *a as usize, *b as usize, &desc[1..]);
-    match keys.first() {
-        Some(ColumnVector::Int64 { values: v, validity: None }) => sort_on(&mut order, v, desc[0], Ord::cmp, rest),
-        Some(ColumnVector::Float64 { values: v, validity: None }) => {
-            sort_on(&mut order, v, desc[0], f64::total_cmp, rest)
-        }
-        Some(ColumnVector::Utf8 { values: v, validity: None }) => sort_on(&mut order, v, desc[0], Ord::cmp, rest),
-        _ => order.sort_by(|a, b| keys::cmp_rows(&keys, *a as usize, *b as usize, desc)),
-    }
-    Ok((rows, keys, tags, order))
+    let mut order: Vec<(u32, u32)> = (parked.iter().enumerate())
+        .flat_map(|(p, (_, batch, _))| (0..batch.len() as u32).map(move |r| (p as u32, r)))
+        .collect();
+    let cols = |p: u32| &parked[p as usize].2;
+    order.sort_by(|&(p, i), &(q, j)| keys::cmp_rows(cols(p), i as usize, cols(q), j as usize, desc));
+    (parked, order)
 }
 
-/// Sorts the positions `order` by `values` at them (reversed if `desc`), then `rest`.
-fn sort_on<T, C, R>(order: &mut [u32], values: &[T], desc: bool, cmp: C, rest: R)
-where
-    C: Fn(&T, &T) -> Ordering,
-    R: Fn(&u32, &u32) -> Ordering,
-{
-    let at = |p: &u32| &values[*p as usize];
-    match desc {
-        false => order.sort_by(|a, b| cmp(at(a), at(b)).then_with(|| rest(a, b))),
-        true => order.sort_by(|a, b| cmp(at(b), at(a)).then_with(|| rest(a, b))),
+/// Parked row `(batch, row)` as a `keys` record: its arrival tag, then its
+/// key values and row values.
+fn record(parked: &[Parked], (p, r): (u32, u32)) -> Record {
+    let (tag, batch, keys) = &parked[p as usize];
+    let values = keys.iter().chain(batch.columns()).map(|c| c.value_at(r as usize)).collect();
+    Record { tag: tag + r as u64, hash: 0, values }
+}
+
+/// Hands `emit` the first `limit` rows of the parked rows at `order` and of
+/// every run, in batches, merged through one heap by key, then tag.
+fn merge(parked: &[Parked], order: Vec<(u32, u32)>, runs: &[SpillHandle], desc: &[bool], schema: &SchemaRef, limit: usize,
+         emit: &mut impl FnMut(Batch)) -> Result<()> {
+    let (kw, width) = (desc.len(), desc.len() + schema.len());
+    let mut streams: Vec<Box<dyn Iterator<Item = Result<Record>> + '_>> =
+        vec![Box::new(order.into_iter().map(|at| Ok(record(parked, at))))];
+    for run in runs {
+        let mut r = run.reader()?;
+        streams.push(Box::new(std::iter::from_fn(move || keys::read_record(&mut r, width).transpose())));
     }
+    let first = |(_, x): &(usize, Record), (_, y): &(usize, Record)| {
+        let ord = keys::cmp_keys(&x.values[..kw], &y.values[..kw], desc);
+        ord.then(x.tag.cmp(&y.tag)).is_lt()
+    };
+    let mut heap = Vec::new();
+    for (s, stream) in streams.iter_mut().enumerate() {
+        heap.extend(stream.next().transpose()?.map(|head| (s, head)));
+        let last = heap.len().saturating_sub(1);
+        sift(&mut heap, last, first);
+    }
+    let (mut cols, mut n) = (Batch::empty(schema).into_columns(), 0);
+    while n < limit && !heap.is_empty() {
+        let s = heap[0].0;
+        let (_, head) = match streams[s].next().transpose()? {
+            Some(next) => std::mem::replace(&mut heap[0], (s, next)),
+            None => heap.swap_remove(0),
+        };
+        sift(&mut heap, 0, first);
+        for (to, v) in cols.iter_mut().zip(head.values.into_iter().skip(kw)) {
+            to.push_owned(v)?;
+        }
+        n += 1;
+        if n % BATCH_SIZE == 0 || n == limit || heap.is_empty() {
+            emit(Batch::new(std::mem::replace(&mut cols, Batch::empty(schema).into_columns()))?);
+        }
+    }
+    Ok(())
 }
 
 /// One retained row of a [`TopKAcc`]: its key values, arrival sequence and
@@ -290,13 +284,7 @@ impl TopKAcc {
     /// grows with the rows it keeps, never to `k` up front.
     pub fn new(keys: &[SortKey], k: usize) -> Self {
         let (exprs, desc) = keys.iter().map(|k| (k.expr.clone(), k.desc)).unzip();
-        TopKAcc {
-            heap: Vec::new(),
-            k,
-            exprs,
-            desc,
-            counts: TopKCounts::default(),
-        }
+        TopKAcc { heap: Vec::new(), k, exprs, desc, counts: TopKCounts::default() }
     }
 
     /// Offers every row of `batch`, its key columns evaluated once; row `i`
@@ -631,7 +619,11 @@ mod tests {
                 let sorted = c.run_sort(batches.clone(), Vec::new(), keys.clone(), Arc::clone(&schema)).unwrap();
                 assert_eq!(rows_of(&sorted).len(), 3000, "{tag}");
                 assert_eq!(budget.spill_count() > 0, spills, "{tag}");
-                assert!(budget.peak() > 0, "{tag}: the sort reserved nothing");
+                // The output is charged as it is built, beside the parked
+                // batches and their 8-byte keys unless those went to runs.
+                let bytes = |batches: &[Batch]| batches.iter().map(|b| size(b.columns())).sum::<u64>();
+                let floor = bytes(&sorted) + if spills { 0 } else { bytes(&batches) + 3000 * 8 };
+                assert!(budget.peak() >= floor, "{tag}: peak {} under {floor}", budget.peak());
                 assert_eq!((budget.used(), gov.used(WorkloadClass::Olap)), (0, baseline), "{tag}: sort");
                 c.run_topk(batches.clone(), Vec::new(), keys.clone(), 10, Arc::clone(&schema)).unwrap();
                 assert_eq!((budget.used(), gov.used(WorkloadClass::Olap)), (0, baseline), "{tag}: top-K");
