@@ -92,7 +92,9 @@
 //! so the swap compares no key.
 //!
 //! The delta is a [`RowStore`]: its skip list holds the key of every write,
-//! and an insert searches it once ([`crate::skiplist::SkipList::get_or_insert_with`]).
+//! and an insert searches it at most once
+//! ([`crate::skiplist::SkipList::get_or_insert_with`]; not at all for a key
+//! above every key the delta holds, as a load in key order is).
 
 use crate::buffer::SegmentPager;
 use crate::predicate::ScanPredicate;

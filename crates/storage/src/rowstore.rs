@@ -11,23 +11,9 @@ use crate::skiplist::SkipList;
 use oltap_common::ids::TxnId;
 use oltap_common::schema::SchemaRef;
 use oltap_common::{Batch, ColumnVector, DataType, DbError, Result, Row, Value};
-use oltap_txn::{Transaction, Ts, VersionChain, WriteSetEntry};
+use oltap_txn::{Transaction, Ts, VersionChain};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Adapter enlisting one version chain in a transaction's write set.
-struct ChainWriteEntry {
-    chain: Arc<VersionChain<Row>>,
-}
-
-impl WriteSetEntry for ChainWriteEntry {
-    fn commit(&self, txn: TxnId, commit_ts: Ts) {
-        self.chain.commit(txn, commit_ts);
-    }
-    fn abort(&self, txn: TxnId) {
-        self.chain.abort(txn);
-    }
-}
 
 /// A row store table.
 pub struct RowStore {
@@ -114,16 +100,14 @@ impl RowStore {
 
     /// [`insert`](Self::insert) of a row the caller has checked against
     /// the schema, under the `key` [`key_for_insert`](Self::key_for_insert)
-    /// gave it: one search of the index, and a chain made only for a new
-    /// key.
+    /// gave it: at most one search of the index (none for a key above every
+    /// present one), and a chain made only for a new key.
     pub(crate) fn insert_keyed(&self, txn: &Transaction, key: Row, row: Row) -> Result<()> {
         let chain = self
             .index
             .get_or_insert_with(key, || Arc::new(VersionChain::new()));
         chain.insert(row, txn.id(), txn.begin_ts())?;
-        txn.enlist(Arc::new(ChainWriteEntry {
-            chain: Arc::clone(chain),
-        }))?;
+        txn.enlist(chain.clone())?;
         Ok(())
     }
 
@@ -148,9 +132,7 @@ impl RowStore {
             .get(key)
             .ok_or_else(|| DbError::KeyNotFound(format!("{key}")))?;
         chain.update(row, txn.id(), txn.begin_ts())?;
-        txn.enlist(Arc::new(ChainWriteEntry {
-            chain: Arc::clone(chain),
-        }))?;
+        txn.enlist(chain.clone())?;
         Ok(())
     }
 
@@ -162,9 +144,7 @@ impl RowStore {
             .get(key)
             .ok_or_else(|| DbError::KeyNotFound(format!("{key}")))?;
         chain.delete(txn.id(), txn.begin_ts())?;
-        txn.enlist(Arc::new(ChainWriteEntry {
-            chain: Arc::clone(chain),
-        }))?;
+        txn.enlist(chain.clone())?;
         Ok(())
     }
 

@@ -14,39 +14,129 @@
 //!   against the refreshed predecessor on contention — the classic
 //!   Fraser-style insert without the deletion half.
 //!
-//! The `unsafe` blocks are confined to dereferencing node pointers, justified
-//! by the no-reclamation invariant above.
+//! **Node layout.** A node is one allocation: a header (key, value, height)
+//! followed by its tower, `height` atomic next pointers, one a level
+//! (`Node::layout`). The head sentinel is the same shape with
+//! `MAX_HEIGHT` levels and no key or value. A node is freed with the
+//! layout its own height gives, so `Drop` needs nothing but the level-0
+//! chain.
+//!
+//! **The append path.** The list keeps a finger: for each level, the last
+//! node linked there (the head while the level is empty). An insert draws
+//! its height first; when, for every level below that height, the finger's
+//! node has no successor there and its key is below the new key, those
+//! nodes are the predecessors and every successor is null — no search. The
+//! level-0 compare-and-swap is still the only linearization point, so a
+//! finger made stale by a racing insert costs only a fallback: any failed
+//! check or failed CAS goes to the search (`SkipList::find`) exactly as
+//! an insert into the middle of the list does, and duplicate keys and
+//! racing inserts behave the same on both paths. A load in key order — a
+//! population loaded by key, and the list a merge rebuilds from the chains
+//! it keeps — compares about once a key instead of descending from the
+//! head; a key that lands mid-list (a NewOrder's lines behind a later
+//! district's) takes the search as before.
+//!
+//! The `unsafe` blocks are confined to allocating, dereferencing and freeing
+//! node pointers, justified by the no-reclamation invariant above.
 
+use std::alloc::{self, Layout};
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
+/// The most levels a node has (the head has all of them).
 const MAX_HEIGHT: usize = 16;
 
+/// One level's next pointer.
+type Link<K, V> = AtomicPtr<Node<K, V>>;
+
+/// A node's header; its tower of `height` links follows it in the same
+/// allocation.
 struct Node<K, V> {
-    /// `None` only for the head sentinel (conceptually -infinity).
-    key: Option<K>,
-    value: Option<V>,
-    next: Vec<AtomicPtr<Node<K, V>>>,
+    /// Uninitialised only in the head sentinel (conceptually -infinity).
+    key: MaybeUninit<K>,
+    /// Uninitialised only in the head sentinel.
+    value: MaybeUninit<V>,
+    height: usize,
 }
 
 impl<K, V> Node<K, V> {
-    fn new(key: K, value: V, height: usize) -> Box<Self> {
-        Box::new(Node {
-            key: Some(key),
-            value: Some(value),
-            next: (0..height).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
-        })
+    /// Where the tower starts: the header, padded to a link's alignment.
+    const TOWER: usize = match Layout::new::<Self>().extend(Layout::new::<[Link<K, V>; 0]>()) {
+        Ok((_, offset)) => offset,
+        Err(_) => panic!("node header too large"),
+    };
+
+    /// The layout of a node of `height` levels.
+    fn layout(height: usize) -> Layout {
+        let tower = Layout::array::<Link<K, V>>(height).expect("tower size");
+        let (layout, offset) = Layout::new::<Self>().extend(tower).expect("node size");
+        debug_assert_eq!(offset, Self::TOWER);
+        layout.pad_to_align()
     }
 
-    fn head() -> Box<Self> {
-        Box::new(Node {
-            key: None,
-            value: None,
-            next: (0..MAX_HEIGHT)
-                .map(|_| AtomicPtr::new(ptr::null_mut()))
-                .collect(),
-        })
+    /// Allocates a node of `height` levels, every link null.
+    fn alloc(key: MaybeUninit<K>, value: MaybeUninit<V>, height: usize) -> *mut Self {
+        let layout = Self::layout(height);
+        // SAFETY: the layout is not zero-sized (the header holds a `usize`).
+        let node = unsafe { alloc::alloc(layout) }.cast::<Self>();
+        if node.is_null() {
+            alloc::handle_alloc_error(layout);
+        }
+        // SAFETY: `node` is a fresh allocation of `layout`, which holds the
+        // header and `height` links from `TOWER` on.
+        unsafe {
+            node.write(Node { key, value, height });
+            let tower = node.cast::<u8>().add(Self::TOWER).cast::<Link<K, V>>();
+            for level in 0..height {
+                tower.add(level).write(AtomicPtr::new(ptr::null_mut()));
+            }
+        }
+        node
+    }
+
+    /// Level `level`'s link of `node`.
+    ///
+    /// # Safety
+    /// `node` is a live node of more than `level` levels.
+    unsafe fn next<'a>(node: *const Self, level: usize) -> &'a Link<K, V> {
+        debug_assert!(level < (*node).height);
+        &*node
+            .cast::<u8>()
+            .add(Self::TOWER)
+            .cast::<Link<K, V>>()
+            .add(level)
+    }
+
+    /// The key of `node`.
+    ///
+    /// # Safety
+    /// `node` is a live node other than the head.
+    unsafe fn key<'a>(node: *const Self) -> &'a K {
+        (*node).key.assume_init_ref()
+    }
+
+    /// The value of `node`.
+    ///
+    /// # Safety
+    /// `node` is a live node other than the head.
+    unsafe fn value<'a>(node: *const Self) -> &'a V {
+        (*node).value.assume_init_ref()
+    }
+
+    /// Frees `node` with the layout it was allocated with, dropping its key
+    /// and value first unless it is the head.
+    ///
+    /// # Safety
+    /// `node` came from [`Node::alloc`], nothing else will use it, and
+    /// `filled` is false only for the head.
+    unsafe fn free(node: *mut Self, filled: bool) {
+        if filled {
+            (*node).key.assume_init_drop();
+            (*node).value.assume_init_drop();
+        }
+        alloc::dealloc(node.cast(), Self::layout((*node).height));
     }
 }
 
@@ -54,14 +144,20 @@ impl<K, V> Node<K, V> {
 /// physical deletion (see module docs).
 pub struct SkipList<K, V> {
     head: *mut Node<K, V>,
+    /// For each level, the last node linked there (the head at first): a
+    /// hint the append path checks before it trusts.
+    finger: [Link<K, V>; MAX_HEIGHT],
     len: AtomicUsize,
     rng: AtomicU64,
     _marker: PhantomData<(K, V)>,
 }
 
-// Safety: all shared-state mutation goes through atomics; nodes are never
-// freed while the list is shared (only in Drop, which requires exclusive
-// access).
+// SAFETY: `head` and every node it reaches are owned by the list and freed
+// only in `Drop`, which has exclusive access; `finger`, `len` and `rng` are
+// atomics, and every link is an atomic whose `Release` CAS publishes a fully
+// written node to the `Acquire` loads that reach it. Other threads share
+// `&K` and `&V` through `get` and `iter` and may drop a `K` and `V` (a
+// losing insert frees its own node), hence `K` and `V` are `Send + Sync`.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for SkipList<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SkipList<K, V> {}
 
@@ -74,8 +170,10 @@ impl<K: Ord, V> Default for SkipList<K, V> {
 impl<K: Ord, V> SkipList<K, V> {
     /// An empty list.
     pub fn new() -> Self {
+        let head = Node::alloc(MaybeUninit::uninit(), MaybeUninit::uninit(), MAX_HEIGHT);
         SkipList {
-            head: Box::into_raw(Node::head()),
+            head,
+            finger: std::array::from_fn(|_| AtomicPtr::new(head)),
             len: AtomicUsize::new(0),
             rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
             _marker: PhantomData,
@@ -123,26 +221,45 @@ impl<K: Ord, V> SkipList<K, V> {
     ) -> bool {
         let mut pred = self.head;
         for level in (0..MAX_HEIGHT).rev() {
-            // Safety: pred is head or a published node; never freed.
-            let mut curr = unsafe { (&*pred).next[level].load(Ordering::Acquire) };
-            loop {
-                if curr.is_null() {
-                    break;
-                }
-                let curr_key = unsafe { (&*curr).key.as_ref().unwrap() };
-                if curr_key < key {
-                    pred = curr;
-                    curr = unsafe { (&*pred).next[level].load(Ordering::Acquire) };
-                } else {
-                    break;
-                }
+            // SAFETY: pred is head or a published node of more than `level`
+            // levels (it was reached at this level); never freed.
+            let mut curr = unsafe { Node::next(pred, level).load(Ordering::Acquire) };
+            while !curr.is_null() && unsafe { Node::key(curr) } < key {
+                pred = curr;
+                curr = unsafe { Node::next(pred, level).load(Ordering::Acquire) };
             }
             preds[level] = pred;
             succs[level] = curr;
         }
-        let found = !succs[0].is_null()
-            && unsafe { (&*succs[0]).key.as_ref().unwrap() } == key;
-        found
+        !succs[0].is_null() && unsafe { Node::key(succs[0]) } == key
+    }
+
+    /// The append path: true, with `preds[..height]` set from the finger,
+    /// when at every level below `height` the finger's node is a tail (no
+    /// successor) whose key is below `key` — so `key` is above every key in
+    /// the list, and every successor of a new node is null. False as soon
+    /// as one check fails; the caller then searches.
+    fn at_tail(&self, key: &K, height: usize, preds: &mut [*mut Node<K, V>; MAX_HEIGHT]) -> bool {
+        // The last pred whose key was found below `key`: a tall tail is
+        // every low level's finger, and is compared once.
+        let mut below = self.head;
+        for (level, pred) in preds.iter_mut().enumerate().take(height) {
+            let node = self.finger[level].load(Ordering::Acquire);
+            // SAFETY: the finger holds the head or nodes published at this
+            // level, which live as long as the list.
+            if !unsafe { Node::next(node, level).load(Ordering::Acquire) }.is_null() {
+                return false;
+            }
+            // SAFETY: as above, and `node` is not the head, so it has a key.
+            if node != below && node != self.head {
+                if unsafe { Node::key(node) } >= key {
+                    return false;
+                }
+                below = node;
+            }
+            *pred = node;
+        }
+        true
     }
 
     /// Looks up `key`, returning a reference to its value.
@@ -152,17 +269,15 @@ impl<K: Ord, V> SkipList<K, V> {
     pub fn get(&self, key: &K) -> Option<&V> {
         let mut pred = self.head;
         for level in (0..MAX_HEIGHT).rev() {
-            let mut curr = unsafe { (&*pred).next[level].load(Ordering::Acquire) };
+            // SAFETY: as in `find`.
+            let mut curr = unsafe { Node::next(pred, level).load(Ordering::Acquire) };
             while !curr.is_null() {
-                let curr_key = unsafe { (&*curr).key.as_ref().unwrap() };
-                match curr_key.cmp(key) {
+                match unsafe { Node::key(curr) }.cmp(key) {
                     std::cmp::Ordering::Less => {
                         pred = curr;
-                        curr = unsafe { (&*pred).next[level].load(Ordering::Acquire) };
+                        curr = unsafe { Node::next(pred, level).load(Ordering::Acquire) };
                     }
-                    std::cmp::Ordering::Equal => {
-                        return unsafe { (&*curr).value.as_ref() };
-                    }
+                    std::cmp::Ordering::Equal => return Some(unsafe { Node::value(curr) }),
                     std::cmp::Ordering::Greater => break,
                 }
             }
@@ -179,46 +294,49 @@ impl<K: Ord, V> SkipList<K, V> {
     /// the stored value; if the key already exists, returns `Err(&V)` with
     /// the *existing* value (the caller's value is dropped).
     pub fn insert(&self, key: K, value: V) -> Result<&V, &V> {
-        match self.link(key, || value) {
+        match self.link(key, self.random_height(), || value) {
             (stored, true) => Ok(stored),
             (existing, false) => Err(existing),
         }
     }
 
     /// The value under `key`, made by `make` and inserted when the key is
-    /// absent: one search when it is present, and the node (with the value
-    /// `make` builds) only when it is not. Of threads racing to insert the
-    /// same key, one links its node and every other gets that node's value.
+    /// absent: one search when it is present (none when it is above every
+    /// key, the append path), and the node (with the value `make` builds)
+    /// only when it is not. Of threads racing to insert the same key, one
+    /// links its node and every other gets that node's value.
     pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> &V {
-        self.link(key, make).0
+        self.link(key, self.random_height(), make).0
     }
 
-    /// The value under `key`, linking a node of `key → make()` first when
-    /// the key is absent; true when this call linked it.
-    fn link(&self, key: K, make: impl FnOnce() -> V) -> (&V, bool) {
+    /// The value under `key`, linking a node of `height` levels holding
+    /// `key → make()` first when the key is absent; true when this call
+    /// linked it.
+    fn link(&self, key: K, height: usize, make: impl FnOnce() -> V) -> (&V, bool) {
+        // Every tower access below trusts the height.
+        assert!((1..=MAX_HEIGHT).contains(&height), "height {height}");
         let mut preds = [ptr::null_mut(); MAX_HEIGHT];
         let mut succs = [ptr::null_mut(); MAX_HEIGHT];
-        if self.find(&key, &mut preds, &mut succs) {
+        if !self.at_tail(&key, height, &mut preds) && self.find(&key, &mut preds, &mut succs) {
             // SAFETY: `find` found a published node there, and published
             // nodes are freed only when the list drops.
-            return (unsafe { (&*succs[0]).value.as_ref().unwrap() }, false);
+            return (unsafe { Node::value(succs[0]) }, false);
         }
 
-        let height = self.random_height();
-        let node = Box::into_raw(Node::new(key, make(), height));
+        let node = Node::alloc(MaybeUninit::new(key), MaybeUninit::new(make()), height);
         // SAFETY (every dereference below): `node` is this call's own
         // allocation, unshared until the level-0 CAS publishes it and never
-        // freed after; `preds` and `succs` hold the head or published nodes,
-        // which live as long as the list.
+        // freed after; `preds` and `succs` hold the head or published nodes
+        // of more than the level they are read at, which live as long as
+        // the list.
         loop {
             // Point the new node at the current successors.
             for (level, &succ) in succs.iter().enumerate().take(height) {
-                unsafe { (&*node).next[level].store(succ, Ordering::Relaxed) };
+                unsafe { Node::next(node, level).store(succ, Ordering::Relaxed) };
             }
             // Publish at level 0; this is the linearization point.
-            let pred0 = preds[0];
             match unsafe {
-                (&*pred0).next[0].compare_exchange(
+                Node::next(preds[0], 0).compare_exchange(
                     succs[0],
                     node,
                     Ordering::Release,
@@ -227,35 +345,35 @@ impl<K: Ord, V> SkipList<K, V> {
             } {
                 Ok(_) => break,
                 Err(_) => {
-                    // Contention: re-find. The key may now exist.
-                    let node_key = unsafe { (&*node).key.as_ref().unwrap() };
-                    if self.find(node_key, &mut preds, &mut succs) {
+                    // Contention or a stale finger: search. The key may now
+                    // exist.
+                    if self.find(unsafe { Node::key(node) }, &mut preds, &mut succs) {
                         // Reclaim the unpublished node: no other thread ever
                         // saw it.
-                        let existing = succs[0];
-                        unsafe { drop(Box::from_raw(node)) };
-                        return (unsafe { (&*existing).value.as_ref().unwrap() }, false);
+                        unsafe { Node::free(node, true) };
+                        return (unsafe { Node::value(succs[0]) }, false);
                     }
                 }
             }
         }
+        self.note_tail(node, 0, succs[0]);
 
         // Link upper levels; retry each against fresh predecessors.
         for level in 1..height {
             loop {
                 let pred = preds[level];
                 let succ = succs[level];
-                unsafe { (&*node).next[level].store(succ, Ordering::Relaxed) };
+                unsafe { Node::next(node, level).store(succ, Ordering::Relaxed) };
                 let ok = unsafe {
-                    (&*pred).next[level]
+                    Node::next(pred, level)
                         .compare_exchange(succ, node, Ordering::Release, Ordering::Acquire)
                         .is_ok()
                 };
                 if ok {
+                    self.note_tail(node, level, succ);
                     break;
                 }
-                let node_key = unsafe { (&*node).key.as_ref().unwrap() };
-                self.find(node_key, &mut preds, &mut succs);
+                self.find(unsafe { Node::key(node) }, &mut preds, &mut succs);
                 // If someone linked a *different* node with our key we would
                 // have seen it before level-0 publication; from here on the
                 // found node at level 0 is ourselves, so just retry.
@@ -263,14 +381,24 @@ impl<K: Ord, V> SkipList<K, V> {
         }
 
         self.len.fetch_add(1, Ordering::Relaxed);
-        (unsafe { (&*node).value.as_ref().unwrap() }, true)
+        (unsafe { Node::value(node) }, true)
+    }
+
+    /// Points the finger at `node` for `level` when it was linked there
+    /// with no successor (on either path). A racing append may overwrite a
+    /// later tail with an earlier one; the next append's checks catch that.
+    fn note_tail(&self, node: *mut Node<K, V>, level: usize, succ: *mut Node<K, V>) {
+        if succ.is_null() {
+            self.finger[level].store(node, Ordering::Release);
+        }
     }
 
     /// Iterates entries in key order, starting at the first key ≥ `start`
     /// (or the beginning when `start` is `None`).
     pub fn iter_from(&self, start: Option<&K>) -> Iter<'_, K, V> {
         let first = match start {
-            None => unsafe { (&*self.head).next[0].load(Ordering::Acquire) },
+            // SAFETY: the head has every level.
+            None => unsafe { Node::next(self.head, 0).load(Ordering::Acquire) },
             Some(key) => {
                 let mut preds = [ptr::null_mut(); MAX_HEIGHT];
                 let mut succs = [ptr::null_mut(); MAX_HEIGHT];
@@ -292,14 +420,19 @@ impl<K: Ord, V> SkipList<K, V> {
 
 impl<K, V> Drop for SkipList<K, V> {
     fn drop(&mut self) {
-        // Exclusive access: free the level-0 chain (which owns every node).
-        let mut curr = unsafe { (&*self.head).next[0].load(Ordering::Relaxed) };
-        while !curr.is_null() {
-            let next = unsafe { (&*curr).next[0].load(Ordering::Relaxed) };
-            unsafe { drop(Box::from_raw(curr)) };
-            curr = next;
+        // Exclusive access: free the level-0 chain (which holds every node),
+        // then the head.
+        // SAFETY: every node on the chain was published by `link` and is
+        // freed once here; the head was allocated by `new` with no key.
+        unsafe {
+            let mut curr = Node::next(self.head, 0).load(Ordering::Relaxed);
+            while !curr.is_null() {
+                let next = Node::next(curr, 0).load(Ordering::Relaxed);
+                Node::free(curr, true);
+                curr = next;
+            }
+            Node::free(self.head, false);
         }
-        unsafe { drop(Box::from_raw(self.head)) };
     }
 }
 
@@ -316,10 +449,13 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
         if self.curr.is_null() {
             return None;
         }
-        // Safety: nodes live as long as the list borrow `'a`.
-        let node = unsafe { &*self.curr };
-        self.curr = node.next[0].load(Ordering::Acquire);
-        Some((node.key.as_ref().unwrap(), node.value.as_ref().unwrap()))
+        // SAFETY: nodes live as long as the list borrow `'a`, and the
+        // iterator never visits the head.
+        let node = self.curr;
+        unsafe {
+            self.curr = Node::next(node, 0).load(Ordering::Acquire);
+            Some((Node::key(node), Node::value(node)))
+        }
     }
 }
 
@@ -544,16 +680,174 @@ mod tests {
         assert_eq!(got, vec!["apple", "banana", "cherry"]);
     }
 
+    /// Every node of every height, linked on both paths — appended at the
+    /// tail and searched into the middle — is freed with its key and value
+    /// when the list drops: each key and value holds a clone of one `Arc`,
+    /// and only the original is left.
     #[test]
     fn drop_frees_everything() {
-        // Smoke test under miri-like scrutiny: building and dropping a
-        // large list must not leak or double-free (exercised by the
-        // allocator in debug builds).
-        for _ in 0..10 {
-            let l: SkipList<i64, Vec<u8>> = SkipList::new();
-            for k in 0..1000 {
-                l.insert(k, vec![0u8; 64]).unwrap();
+        struct Tracked {
+            key: i64,
+            _alive: Arc<()>,
+        }
+        impl PartialEq for Tracked {
+            fn eq(&self, other: &Self) -> bool {
+                self.key == other.key
             }
+        }
+        impl Eq for Tracked {}
+        impl PartialOrd for Tracked {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Tracked {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.key.cmp(&other.key)
+            }
+        }
+        let alive = Arc::new(());
+        let tracked = |key| Tracked {
+            key,
+            _alive: Arc::clone(&alive),
+        };
+        for round in 0..4i64 {
+            let l: SkipList<Tracked, (Arc<()>, Vec<u8>)> = SkipList::new();
+            let mut keys = 0;
+            // Odd keys in order (the append path), then even keys, which
+            // land between them (the search), every height on each.
+            for parity in [1, 0] {
+                for k in 0..200i64 {
+                    let height = 1 + (k + round) as usize % MAX_HEIGHT;
+                    let key = tracked(2 * k + parity);
+                    let (_, linked) = l.link(key, height, || (Arc::clone(&alive), vec![0u8; 64]));
+                    assert!(linked);
+                    keys += 1;
+                }
+            }
+            // A present key builds nothing.
+            let again = l.link(tracked(7), MAX_HEIGHT, || unreachable!());
+            assert!(!again.1);
+            assert_eq!(l.len(), keys);
+            let got: Vec<i64> = l.iter().map(|(k, _)| k.key).collect();
+            assert_eq!(got, (0..keys as i64).collect::<Vec<_>>());
+            assert_eq!(Arc::strong_count(&alive), 1 + 2 * keys);
+        }
+        assert_eq!(
+            Arc::strong_count(&alive),
+            1,
+            "a key or value outlived its list"
+        );
+    }
+
+    thread_local! {
+        static COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A key that counts, per thread, every comparison made of it.
+    #[derive(Debug, Clone, Copy)]
+    struct Counted(i64);
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == std::cmp::Ordering::Equal
+        }
+    }
+    impl Eq for Counted {}
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            COMPARES.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    fn compares(f: impl FnOnce()) -> usize {
+        let before = COMPARES.with(|c| c.get());
+        f();
+        COMPARES.with(|c| c.get()) - before
+    }
+
+    /// Keys inserted in ascending order take the append path: about one
+    /// comparison a key (the level-0 tail's, plus a taller node's upper
+    /// tails where they differ from it). A search from the head costs at
+    /// least log₂ N, as the lookups of the same keys show.
+    #[test]
+    fn ascending_inserts_compare_about_once_a_key() {
+        const N: i64 = 4096;
+        let l: SkipList<Counted, i64> = SkipList::new();
+        let inserted = compares(|| {
+            for k in 0..N {
+                l.insert(Counted(k), k).unwrap();
+            }
+        });
+        let looked_up = compares(|| {
+            for k in 0..N {
+                assert_eq!(l.get(&Counted(k)), Some(&k));
+            }
+        });
+        assert!(
+            inserted < 2 * N as usize,
+            "{inserted} compares for {N} appends"
+        );
+        assert!(
+            looked_up >= 12 * N as usize,
+            "{looked_up} compares for {N} lookups"
+        );
+        // A key below the tail takes the search, and still lands in order.
+        l.insert(Counted(-1), -1).unwrap();
+        assert!(l.insert(Counted(N - 1), 0).is_err());
+        let keys: Vec<i64> = l.iter().map(|(k, _)| k.0).collect();
+        assert_eq!(keys, (-1..N).collect::<Vec<_>>());
+    }
+
+    /// Threads append interleaved ascending keys — each the tail when it
+    /// arrives, each thread's finger stale whenever another has just
+    /// appended — and every thread also races the next thread for its key
+    /// and re-inserts its own, a duplicate of the current tail. The list
+    /// ends as a `BTreeMap` of the winners would: every key once, in order,
+    /// holding the value of the one insert that answered `Ok`.
+    #[test]
+    fn racing_appends_keep_one_value_a_key() {
+        const KEYS: i64 = 6000;
+        for threads in [2i64, 3, 4] {
+            let l: Arc<SkipList<i64, i64>> = Arc::new(SkipList::new());
+            let start = Arc::new(std::sync::Barrier::new(threads as usize));
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (l, start) = (Arc::clone(&l), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        let mut won = BTreeMap::new();
+                        for k in (t..KEYS).step_by(threads as usize) {
+                            for key in [k, k + 1, k] {
+                                let value = key * 10 + t;
+                                if key < KEYS && l.insert(key, value).is_ok() {
+                                    assert!(won.insert(key, value).is_none(), "key {key} twice");
+                                }
+                            }
+                        }
+                        won
+                    })
+                })
+                .collect();
+            let mut model = BTreeMap::new();
+            for h in handles {
+                for (k, v) in h.join().unwrap() {
+                    assert!(model.insert(k, v).is_none(), "key {k} won by two threads");
+                }
+            }
+            assert_eq!(model.len(), KEYS as usize, "{threads} threads");
+            assert_eq!(l.len(), model.len(), "{threads} threads");
+            let got: Vec<(i64, i64)> = l.iter().map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(
+                got,
+                model.into_iter().collect::<Vec<_>>(),
+                "{threads} threads"
+            );
         }
     }
 }

@@ -314,24 +314,13 @@ mod tests {
     use super::*;
     use crate::version::VersionChain;
 
-    /// Adapter: a version chain as a write-set entry.
-    struct ChainEntry(Arc<VersionChain<i64>>);
-    impl WriteSetEntry for ChainEntry {
-        fn commit(&self, txn: TxnId, cts: Ts) {
-            self.0.commit(txn, cts);
-        }
-        fn abort(&self, txn: TxnId) {
-            self.0.abort(txn);
-        }
-    }
-
     #[test]
     fn begin_commit_lifecycle() {
         let mgr = Arc::new(TransactionManager::new());
         let chain = Arc::new(VersionChain::new());
         let t = mgr.begin();
         chain.insert(7, t.id(), t.begin_ts()).unwrap();
-        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        t.enlist(chain.clone()).unwrap();
         let cts = t.commit().unwrap();
         assert_eq!(t.status(), TxnStatus::Committed(cts));
         assert_eq!(chain.read(cts, TxnId(999)), Some(7));
@@ -344,7 +333,7 @@ mod tests {
         let chain = Arc::new(VersionChain::new());
         let t = mgr.begin();
         chain.insert(7, t.id(), t.begin_ts()).unwrap();
-        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        t.enlist(chain.clone()).unwrap();
         t.abort().unwrap();
         assert_eq!(chain.read(mgr.now(), TxnId(999)), None);
         assert_eq!(chain.version_count(), 0);
@@ -357,7 +346,7 @@ mod tests {
         {
             let t = mgr.begin();
             chain.insert(7, t.id(), t.begin_ts()).unwrap();
-            t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+            t.enlist(chain.clone()).unwrap();
             // dropped without commit
         }
         assert_eq!(chain.version_count(), 0);
@@ -370,14 +359,14 @@ mod tests {
         let chain = Arc::new(VersionChain::new());
         let t = mgr.begin();
         chain.insert(7, t.id(), t.begin_ts()).unwrap();
-        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        t.enlist(chain.clone()).unwrap();
         t.prepare().unwrap();
         assert_eq!(t.status(), TxnStatus::Prepared);
         // Prepared is not committed: other snapshots still see nothing.
         let reader = mgr.begin();
         assert_eq!(chain.read(reader.begin_ts(), reader.id()), None);
         // No further writes are accepted once prepared.
-        assert!(t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).is_err());
+        assert!(t.enlist(chain.clone()).is_err());
         // Decision delivery: commit from Prepared works.
         let cts = t.commit().unwrap();
         assert_eq!(chain.read(cts, TxnId(999)), Some(7));
@@ -389,7 +378,7 @@ mod tests {
         let chain = Arc::new(VersionChain::new());
         let t = mgr.begin();
         chain.insert(7, t.id(), t.begin_ts()).unwrap();
-        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        t.enlist(chain.clone()).unwrap();
         t.prepare().unwrap();
         t.prepare().unwrap(); // idempotent
         t.abort().unwrap();
@@ -415,9 +404,7 @@ mod tests {
         let reader = mgr.begin(); // snapshot at ts 0
         let writer = mgr.begin();
         chain.update(2, writer.id(), writer.begin_ts()).unwrap();
-        writer
-            .enlist(Arc::new(ChainEntry(Arc::clone(&chain))))
-            .unwrap();
+        writer.enlist(chain.clone()).unwrap();
         writer.commit().unwrap();
 
         // Reader still sees the old value on its snapshot.
@@ -528,7 +515,7 @@ mod tests {
 
         let t = mgr.begin();
         chain.insert(7, t.id(), t.begin_ts()).unwrap();
-        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        t.enlist(chain.clone()).unwrap();
         let (done_tx, done_rx) = bounded(1);
         let committer = std::thread::spawn(move || {
             let cts = t.commit().unwrap();
@@ -556,7 +543,7 @@ mod tests {
         let chain = Arc::new(VersionChain::new());
         let t = mgr.begin();
         chain.insert(7, t.id(), t.begin_ts()).unwrap();
-        t.enlist(Arc::new(ChainEntry(Arc::clone(&chain)))).unwrap();
+        t.enlist(chain.clone()).unwrap();
         let err = t
             .commit_logged(|_| Err(DbError::Io("disk full".into())))
             .unwrap_err();

@@ -12,6 +12,7 @@
 //!   versions valid at its snapshot timestamp.
 
 use crate::clock::Ts;
+use crate::manager::WriteSetEntry;
 use oltap_common::ids::TxnId;
 use oltap_common::{DbError, Result};
 use parking_lot::RwLock;
@@ -153,6 +154,11 @@ impl<T: Clone> VersionChain<T> {
                 }
                 _ => {}
             }
+        }
+        // A key's first version is most keys' only one: room for it alone,
+        // not the four a `Vec` grown from empty reserves.
+        if guard.is_empty() {
+            guard.reserve_exact(1);
         }
         guard.insert(
             0,
@@ -316,6 +322,17 @@ impl<T: Clone> VersionChain<T> {
         let drained = latest.map(|at| guard.remove(at).data);
         guard.retain(|v| !matches!(v.end, Stamp::Committed(ets) if ets <= watermark));
         (drained, guard.len())
+    }
+}
+
+/// A chain is its own write-set entry: the storage layer enlists the
+/// `Arc` it already holds.
+impl<T: Clone + Send + Sync> WriteSetEntry for VersionChain<T> {
+    fn commit(&self, txn: TxnId, commit_ts: Ts) {
+        VersionChain::commit(self, txn, commit_ts);
+    }
+    fn abort(&self, txn: TxnId) {
+        VersionChain::abort(self, txn);
     }
 }
 

@@ -649,6 +649,13 @@ fn tiny_memory() -> oltapdb::core::MemoryConfig {
     }
 }
 
+/// `governed_db`'s `dim` rows: a join that builds over `dim` receives
+/// them in more than two scan batches (4 096 rows each), so a refused
+/// reservation after the first finds partitions resident to spill — a
+/// build that arrives as one batch is force-accounted instead. `fact.g`
+/// reaches only the first 500.
+const DIM_ROWS: i64 = 10_000;
+
 /// A mixed fact/dim database under memory governance and the given
 /// injector, with enough rows that a 16 KiB query budget cannot hold a
 /// join build or aggregation state resident.
@@ -674,7 +681,7 @@ fn governed_db(faults: Arc<FaultInjector>) -> Arc<Database> {
     tx.commit().unwrap();
     let dim = db.table("dim").unwrap();
     let tx = db.txn_manager().begin();
-    for g in 0..500i64 {
+    for g in 0..DIM_ROWS {
         dim.insert(&tx, row![g, g * 10]).unwrap();
     }
     tx.commit().unwrap();
@@ -782,6 +789,19 @@ fn chaos_mem_reserve_fail_mid_join_build() {
     );
     let gov = db.memory_governor().unwrap();
     assert!(gov.spill_events() > 0, "no spills — scenario vacuous");
+
+    // The join alone, on one thread: its build, not the `ORDER BY`'s sort,
+    // must be what spills.
+    let join = "SELECT fact.id, dim.w FROM fact JOIN dim ON fact.g = dim.g";
+    db.set_parallelism(1);
+    let before = gov.spill_events();
+    let mut joined = db.query(join).unwrap();
+    assert!(
+        gov.spill_events() > before,
+        "the join build spilled nothing (seed={seed:#x})"
+    );
+    joined.sort();
+    assert_eq!(joined, serial, "the join alone diverged under reserve faults");
 
     // `always()`: every reservation is rejected. With a spill dir the
     // engine degrades all the way to disk and still answers correctly.
