@@ -41,7 +41,7 @@ fn main() {
     let strs: Vec<String> = (0..n / 4)
         .map(|_| cities[rng.gen_range(0..cities.len())].to_string())
         .collect();
-    let enc = StrEncoding::choose(&strs);
+    let enc = StrEncoding::choose(strs.clone());
     assert_eq!(enc.decode(), strs, "strings via {}", enc.name());
     // A `String` is its bytes plus a 24-byte header.
     cell("strings_low_card", strs.iter().map(|s| s.len() + 24).sum(), enc.size_bytes());

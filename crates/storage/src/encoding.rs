@@ -17,7 +17,7 @@
 //! * [`IntEncoding`] / [`StrEncoding`] — per-column choice made by a simple
 //!   cost model ([`IntEncoding::choose`]).
 
-use oltap_common::hash::FxHashMap;
+use oltap_common::hash::{FxHashMap, FxHashSet};
 use oltap_common::{DbError, Result};
 
 // ---------------------------------------------------------------------------
@@ -135,12 +135,18 @@ impl BitPacked {
 
     /// Minimal width able to represent every value in `values`.
     pub fn width_for(values: &[u64]) -> u8 {
-        let max = values.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            0
-        } else {
-            (64 - max.leading_zeros()) as u8
-        }
+        Self::width_of(values.iter().copied().max().unwrap_or(0))
+    }
+
+    /// Minimal width able to represent `max` and every value below it.
+    fn width_of(max: u64) -> u8 {
+        (64 - max.leading_zeros()) as u8
+    }
+
+    /// What [`size_bytes`](Self::size_bytes) reads once `len` values are
+    /// packed at `width`, without packing them.
+    fn packed_bytes(len: usize, width: u8) -> usize {
+        (len * width as usize).div_ceil(64) * 8
     }
 
     /// Number of packed values.
@@ -350,6 +356,10 @@ impl ForPacked {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rle {
     runs: Vec<(i64, u32)>,
+    /// Where each run ends: the rows it and every run before it cover
+    /// (derived from `runs`; not counted by `size_bytes` nor stored in a
+    /// page).
+    ends: Vec<usize>,
     len: usize,
 }
 
@@ -364,9 +374,20 @@ impl Rle {
             }
         }
         Rle {
+            ends: Self::ends(&runs),
             runs,
             len: values.len(),
         }
+    }
+
+    /// The cumulative ends of `runs`.
+    fn ends(runs: &[(i64, u32)]) -> Vec<usize> {
+        runs.iter()
+            .scan(0, |end, &(_, n)| {
+                *end += n as usize;
+                Some(*end)
+            })
+            .collect()
     }
 
     /// Number of values.
@@ -398,17 +419,14 @@ impl Rle {
         out
     }
 
-    /// Random access by binary search over cumulative run offsets — O(runs)
-    /// here since we do a linear scan; callers needing hot random access
-    /// should decode first.
-    pub fn get(&self, mut i: usize) -> i64 {
-        for &(v, n) in &self.runs {
-            if i < n as usize {
-                return v;
-            }
-            i -= n as usize;
+    /// Random access: a binary search over the runs' cumulative ends,
+    /// O(log runs).
+    pub fn get(&self, i: usize) -> i64 {
+        let run = self.ends.partition_point(|&end| end <= i);
+        match self.runs.get(run) {
+            Some(&(v, _)) => v,
+            None => panic!("RLE index {i} out of range ({} rows)", self.len),
         }
-        panic!("RLE index out of range");
     }
 
     /// Heap bytes used.
@@ -419,13 +437,14 @@ impl Rle {
     /// Reassembles from runs (page codec inverse of [`Rle::runs`]). The
     /// run lengths must sum to `len`; a mismatch means a corrupt page.
     pub fn from_parts(runs: Vec<(i64, u32)>, len: usize) -> Result<Self> {
-        let total: usize = runs.iter().map(|&(_, n)| n as usize).sum();
+        let ends = Self::ends(&runs);
+        let total = ends.last().copied().unwrap_or(0);
         if total != len {
             return Err(DbError::Corruption(format!(
                 "RLE runs cover {total} rows, header says {len}"
             )));
         }
-        Ok(Rle { runs, len })
+        Ok(Rle { runs, ends, len })
     }
 }
 
@@ -619,18 +638,25 @@ pub struct Dictionary<T: Ord + Clone> {
 impl<T: Ord + Clone + std::hash::Hash> Dictionary<T> {
     /// Builds the dictionary and codes for `values`.
     pub fn encode(values: &[T]) -> Self {
-        let mut dict: Vec<T> = values.to_vec();
-        dict.sort_unstable();
-        dict.dedup();
-        let rank: FxHashMap<&T, u64> = dict
+        let distinct: FxHashSet<&T> = values.iter().collect();
+        Self::with_distinct(values, distinct)
+    }
+
+    /// The dictionary of `values`, whose distinct values are `distinct`:
+    /// only they are sorted and cloned.
+    fn with_distinct(values: &[T], distinct: FxHashSet<&T>) -> Self {
+        let mut sorted: Vec<&T> = distinct.into_iter().collect();
+        sorted.sort_unstable();
+        let rank: FxHashMap<&T, u64> = sorted
             .iter()
             .enumerate()
-            .map(|(i, v)| (v, i as u64))
+            .map(|(i, &v)| (v, i as u64))
             .collect();
         let codes: Vec<u64> = values.iter().map(|v| rank[v]).collect();
-        let width = BitPacked::width_for(&codes);
+        // Every rank below the cardinality is some row's code.
+        let width = BitPacked::width_of(sorted.len().saturating_sub(1) as u64);
         Dictionary {
-            dict,
+            dict: sorted.into_iter().cloned().collect(),
             codes: BitPacked::pack(&codes, width).expect("codes fit"),
         }
     }
@@ -706,6 +732,14 @@ impl<T: Ord + Clone + std::hash::Hash> Dictionary<T> {
     }
 }
 
+/// What `size_bytes` would read for the dictionary of `len` rows over
+/// `card` distinct values whose entries take `entry_bytes` together: the
+/// entries and the codes at the width the rank `card - 1` needs.
+fn dictionary_bytes(len: usize, card: usize, entry_bytes: usize) -> usize {
+    let width = BitPacked::width_of(card.saturating_sub(1) as u64);
+    entry_bytes + BitPacked::packed_bytes(len, width)
+}
+
 impl Dictionary<String> {
     /// Heap bytes used (dictionary strings + packed codes).
     pub fn size_bytes(&self) -> usize {
@@ -734,8 +768,10 @@ pub enum IntEncoding {
 
 impl IntEncoding {
     /// Picks the smallest encoding for `values` by measuring each
-    /// candidate's footprint (cheap: FOR and RLE are O(n), dictionary is
-    /// only attempted when a sample suggests low cardinality).
+    /// candidate's footprint (cheap: FOR and RLE are O(n); the dictionary
+    /// is built only when a sample suggests low cardinality and the size
+    /// the sample bounds it below by could still beat the others — it is
+    /// chosen only on a strict win).
     pub fn choose(values: &[i64]) -> Self {
         if values.is_empty() {
             return IntEncoding::Raw(Vec::new());
@@ -754,7 +790,10 @@ impl IntEncoding {
             }
             set.len()
         };
-        let dict = if sample_card <= 256 {
+        // The whole column has at least the sample's distinct values, so
+        // at least this many entries and codes at least this wide.
+        let dict_floor = dictionary_bytes(values.len(), sample_card, sample_card * 8);
+        let dict = if sample_card <= 256 && dict_floor < raw_size.min(fo_size).min(rle_size) {
             Some(Dictionary::encode(values))
         } else {
             None
@@ -896,17 +935,21 @@ pub enum StrEncoding {
 }
 
 impl StrEncoding {
-    /// Chooses dictionary when it is smaller than raw storage.
-    pub fn choose(values: &[String]) -> Self {
+    /// Chooses dictionary when it is smaller than raw storage; its size is
+    /// costed from the distinct values before it is built, and raw keeps
+    /// `values` as they are.
+    pub fn choose(values: Vec<String>) -> Self {
         if values.is_empty() {
-            return StrEncoding::Raw(Vec::new());
+            return StrEncoding::Raw(values);
         }
-        let dict = Dictionary::encode(values);
+        let distinct: FxHashSet<&String> = values.iter().collect();
+        let entry_bytes = distinct.iter().map(|s| s.len() + 24).sum();
+        let dict_size = dictionary_bytes(values.len(), distinct.len(), entry_bytes);
         let raw_size: usize = values.iter().map(|s| s.len() + 24).sum();
-        if dict.size_bytes() < raw_size {
-            StrEncoding::Dict(Box::new(dict))
+        if dict_size < raw_size {
+            StrEncoding::Dict(Box::new(Dictionary::with_distinct(&values, distinct)))
         } else {
-            StrEncoding::Raw(values.to_vec())
+            StrEncoding::Raw(values)
         }
     }
 
@@ -1146,7 +1189,7 @@ mod tests {
     #[test]
     fn str_encoding_chooses_dict_for_low_cardinality() {
         let values: Vec<String> = (0..1000).map(|i| format!("status_{}", i % 4)).collect();
-        let e = StrEncoding::choose(&values);
+        let e = StrEncoding::choose(values.clone());
         assert_eq!(e.name(), "dict");
         assert_eq!(e.decode(), values);
         assert!(e.size_bytes() < 1000 * 10);
@@ -1156,14 +1199,191 @@ mod tests {
     fn str_encoding_falls_back_to_raw() {
         // All-distinct long strings: dictionary adds only overhead.
         let values: Vec<String> = (0..100).map(|i| format!("unique-value-{i:06}")).collect();
-        let e = StrEncoding::choose(&values);
+        let e = StrEncoding::choose(values.clone());
         assert_eq!(e.decode(), values);
+    }
+
+    /// The dictionary build and encoding choices as they were before the
+    /// dictionary was costed ahead of its build: the oracle the property
+    /// tests hold today's to.
+    mod oracle {
+        use super::super::*;
+
+        /// Every value cloned, sorted and deduplicated.
+        pub fn dictionary<T: Ord + Clone + std::hash::Hash>(values: &[T]) -> Dictionary<T> {
+            let mut dict: Vec<T> = values.to_vec();
+            dict.sort_unstable();
+            dict.dedup();
+            let rank: FxHashMap<&T, u64> = dict
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v, i as u64))
+                .collect();
+            let codes: Vec<u64> = values.iter().map(|v| rank[v]).collect();
+            let width = BitPacked::width_for(&codes);
+            Dictionary {
+                dict,
+                codes: BitPacked::pack(&codes, width).unwrap(),
+            }
+        }
+
+        /// The dictionary built whenever the sample has ≤ 256 values.
+        pub fn int_choose(values: &[i64]) -> IntEncoding {
+            if values.is_empty() {
+                return IntEncoding::Raw(Vec::new());
+            }
+            let raw_size = values.len() * 8;
+            let fo = ForPacked::encode(values);
+            let rle = Rle::encode(values);
+            let sample: FxHashSet<i64> = values.iter().take(1024).copied().collect();
+            let dict = (sample.len() <= 256).then(|| dictionary(values));
+            let dict_size = dict
+                .as_ref()
+                .map_or(usize::MAX, |d| d.dict().len() * 8 + d.codes().size_bytes());
+            let sizes = [raw_size, fo.size_bytes(), rle.size_bytes(), dict_size];
+            let best = (0..4).min_by_key(|&i| sizes[i]).unwrap();
+            match best {
+                1 => IntEncoding::For(fo),
+                2 => IntEncoding::Rle(rle),
+                3 => IntEncoding::Dict(Box::new(dict.unwrap())),
+                _ => IntEncoding::Raw(values.to_vec()),
+            }
+        }
+
+        /// The dictionary built, then measured.
+        pub fn str_choose(values: &[String]) -> StrEncoding {
+            if values.is_empty() {
+                return StrEncoding::Raw(Vec::new());
+            }
+            let dict = dictionary(values);
+            let raw_size: usize = values.iter().map(|s| s.len() + 24).sum();
+            if dict.size_bytes() < raw_size {
+                StrEncoding::Dict(Box::new(dict))
+            } else {
+                StrEncoding::Raw(values.to_vec())
+            }
+        }
+    }
+
+    /// A seeded xorshift stream.
+    fn stream(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move |below| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % below.max(1)
+        }
+    }
+
+    /// Integer columns of every shape the choice weighs: constant, runs,
+    /// low cardinality over a wide range, narrow and wide randoms, a sample
+    /// of few values ahead of many, sorted, and at every length up to a
+    /// few thousand (the empty one included).
+    fn int_columns() -> Vec<Vec<i64>> {
+        (0..240u64)
+            .map(|case| {
+                let mut r = stream(case + 1);
+                let len = r(3_000) as usize * (case % 7 != 0) as usize;
+                let card = 1 + r(400) as i64;
+                let (mut v, mut run) = (r(1 << 40) as i64, 0);
+                (0..len as i64)
+                    .map(|i| match case % 6 {
+                        0 => 42,
+                        1 => {
+                            if run == 0 {
+                                (v, run) = (r(1_000) as i64, 1 + r(40));
+                            }
+                            run -= 1;
+                            v
+                        }
+                        2 => (r(card as u64) as i64) << 33,
+                        3 => 1_000 + r(1 << (1 + case % 20)) as i64,
+                        4 if i < 1_024 => r(card as u64) as i64,
+                        4 => i,
+                        _ => {
+                            v += r(5) as i64;
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn int_choice_and_bytes_match_the_oracle() {
+        for (case, values) in int_columns().iter().enumerate() {
+            let want = oracle::int_choose(values);
+            assert_eq!(
+                IntEncoding::choose(values),
+                want,
+                "case {case} ({})",
+                want.name()
+            );
+            assert_eq!(
+                Dictionary::encode(values),
+                oracle::dictionary(values),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn str_choice_and_bytes_match_the_oracle() {
+        for case in 0..160u64 {
+            let mut r = stream(case + 1);
+            let len = r(2_000) as usize * (case % 9 != 0) as usize;
+            let card = 1 + r(if case % 2 == 0 { 20 } else { 100_000 });
+            let width = r(30) as usize;
+            let values: Vec<String> = (0..len).map(|_| format!("{:0width$}", r(card))).collect();
+            let want = oracle::str_choose(&values);
+            assert_eq!(
+                StrEncoding::choose(values.clone()),
+                want,
+                "case {case} ({})",
+                want.name()
+            );
+            assert_eq!(
+                Dictionary::encode(&values),
+                oracle::dictionary(&values),
+                "case {case}"
+            );
+        }
+    }
+
+    /// `get(i)` is `decode()[i]` at every row of every encoding, RLE
+    /// reassembled from its parts included.
+    #[test]
+    fn every_encoding_gets_what_it_decodes() {
+        for (case, values) in int_columns().iter().enumerate() {
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let rle = Rle::encode(values);
+            let mut encodings = vec![
+                IntEncoding::choose(values),
+                IntEncoding::choose_frozen(values),
+                IntEncoding::Raw(values.clone()),
+                IntEncoding::For(ForPacked::encode(values)),
+                IntEncoding::Rle(Rle::from_parts(rle.runs().to_vec(), rle.len()).unwrap()),
+                IntEncoding::Rle(rle),
+                IntEncoding::Dict(Box::new(Dictionary::encode(values))),
+            ];
+            encodings.extend(DeltaEnc::try_encode(&sorted).map(IntEncoding::Delta));
+            for enc in encodings {
+                let dec = enc.decode();
+                assert_eq!(dec.len(), enc.len());
+                for (i, &want) in dec.iter().enumerate() {
+                    assert_eq!(enc.get(i), want, "case {case} {} row {i}", enc.name());
+                }
+            }
+        }
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(IntEncoding::choose(&[]).len(), 0);
-        assert_eq!(StrEncoding::choose(&[]).len(), 0);
+        assert_eq!(StrEncoding::choose(Vec::new()).len(), 0);
         assert!(ForPacked::encode(&[]).is_empty());
         assert!(Rle::encode(&[]).is_empty());
     }

@@ -20,6 +20,7 @@
 //!   larger-than-memory (§2's "operational analytics under one memory
 //!   hierarchy").
 
+mod arena;
 pub mod buffer;
 pub mod delta;
 pub mod encoding;

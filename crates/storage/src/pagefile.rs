@@ -635,7 +635,7 @@ mod tests {
                 validity: Some(validity.clone()),
             },
             EncodedColumn::Str {
-                enc: StrEncoding::choose(&strs),
+                enc: StrEncoding::choose(strs.clone()),
                 validity: None,
             },
             EncodedColumn::Str {

@@ -2062,7 +2062,7 @@ fn encode_column(data_type: DataType, column: ColumnVector, frozen: bool) -> Res
             }
         }
         ColumnVector::Utf8 { values, validity } => EncodedColumn::Str {
-            enc: StrEncoding::choose(&values),
+            enc: StrEncoding::choose(values),
             validity: nulls(validity),
         },
         ColumnVector::Bool { values, validity } => EncodedColumn::Bool {

@@ -14,12 +14,20 @@
 //!   against the refreshed predecessor on contention — the classic
 //!   Fraser-style insert without the deletion half.
 //!
-//! **Node layout.** A node is one allocation: a header (key, value, height)
-//! followed by its tower, `height` atomic next pointers, one a level
-//! (`Node::layout`). The head sentinel is the same shape with
-//! `MAX_HEIGHT` levels and no key or value. A node is freed with the
-//! layout its own height gives, so `Drop` needs nothing but the level-0
-//! chain.
+//! **Node layout.** A node is a header (key, value, height) followed by its
+//! tower, `height` atomic next pointers, one a level (`Node::layout`). The
+//! head sentinel is the same shape with `MAX_HEIGHT` levels and no key or
+//! value; it is the list's one allocation of its own.
+//!
+//! **The arena.** Every other node is bump-allocated from the list's
+//! arena (`arena.rs`): fixed-size blocks, the first taken by the first
+//! insert, so an empty list holds none. No node is freed on its own. `Drop`
+//! walks level 0 and drops each key and value in place, then the arena
+//! frees its blocks whole; an insert that loses a race drops its key and
+//! value in place and leaves its bytes behind. A list of N keys costs the
+//! allocator N / (nodes a block) requests instead of N, and it gets back
+//! large chunks, not a heap scattered with small ones (DESIGN.md § "What a
+//! row costs").
 //!
 //! **The append path.** The list keeps a finger: for each level, the last
 //! node linked there (the head while the level is empty). An insert draws
@@ -36,9 +44,10 @@
 //! head; a key that lands mid-list (a NewOrder's lines behind a later
 //! district's) takes the search as before.
 //!
-//! The `unsafe` blocks are confined to allocating, dereferencing and freeing
-//! node pointers, justified by the no-reclamation invariant above.
+//! The `unsafe` blocks are confined to allocating, dereferencing and
+//! dropping node pointers, justified by the no-reclamation invariant above.
 
+use crate::arena::Arena;
 use std::alloc::{self, Layout};
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
@@ -76,16 +85,46 @@ impl<K, V> Node<K, V> {
         layout.pad_to_align()
     }
 
-    /// Allocates a node of `height` levels, every link null.
-    fn alloc(key: MaybeUninit<K>, value: MaybeUninit<V>, height: usize) -> *mut Self {
-        let layout = Self::layout(height);
+    /// The head sentinel: `MAX_HEIGHT` levels, no key or value, every link
+    /// null; its own allocation, freed by [`Node::free_head`].
+    fn alloc_head() -> *mut Self {
+        let layout = Self::layout(MAX_HEIGHT);
         // SAFETY: the layout is not zero-sized (the header holds a `usize`).
         let node = unsafe { alloc::alloc(layout) }.cast::<Self>();
         if node.is_null() {
             alloc::handle_alloc_error(layout);
         }
-        // SAFETY: `node` is a fresh allocation of `layout`, which holds the
-        // header and `height` links from `TOWER` on.
+        // SAFETY: `node` is a fresh allocation of the layout `init` writes.
+        unsafe {
+            Self::init(
+                node,
+                MaybeUninit::uninit(),
+                MaybeUninit::uninit(),
+                MAX_HEIGHT,
+            )
+        }
+    }
+
+    /// A node of `height` levels holding `key → value`, every link null, in
+    /// `arena`, which never frees it on its own.
+    fn alloc_in(arena: &Arena, key: K, value: V, height: usize) -> *mut Self {
+        let node = arena.alloc(Self::layout(height)).as_ptr().cast::<Self>();
+        // SAFETY: `node` is fresh memory of the layout `init` writes.
+        unsafe { Self::init(node, MaybeUninit::new(key), MaybeUninit::new(value), height) }
+    }
+
+    /// Writes a node of `height` levels, every link null, into `node`.
+    ///
+    /// # Safety
+    /// `node` is unshared memory of `Node::layout(height)`.
+    unsafe fn init(
+        node: *mut Self,
+        key: MaybeUninit<K>,
+        value: MaybeUninit<V>,
+        height: usize,
+    ) -> *mut Self {
+        // SAFETY: the layout holds the header and `height` links from
+        // `TOWER` on.
         unsafe {
             node.write(Node { key, value, height });
             let tower = node.cast::<u8>().add(Self::TOWER).cast::<Link<K, V>>();
@@ -125,18 +164,22 @@ impl<K, V> Node<K, V> {
         (*node).value.assume_init_ref()
     }
 
-    /// Frees `node` with the layout it was allocated with, dropping its key
-    /// and value first unless it is the head.
+    /// Drops the key and value of `node` in place; its bytes stay in the
+    /// arena until the arena drops.
     ///
     /// # Safety
-    /// `node` came from [`Node::alloc`], nothing else will use it, and
-    /// `filled` is false only for the head.
-    unsafe fn free(node: *mut Self, filled: bool) {
-        if filled {
-            (*node).key.assume_init_drop();
-            (*node).value.assume_init_drop();
-        }
-        alloc::dealloc(node.cast(), Self::layout((*node).height));
+    /// `node` came from [`Node::alloc_in`], and nothing will use it again.
+    unsafe fn drop_entry(node: *mut Self) {
+        (*node).key.assume_init_drop();
+        (*node).value.assume_init_drop();
+    }
+
+    /// Frees the head sentinel.
+    ///
+    /// # Safety
+    /// `head` came from [`Node::alloc_head`], and nothing will use it again.
+    unsafe fn free_head(head: *mut Self) {
+        alloc::dealloc(head.cast(), Self::layout(MAX_HEIGHT));
     }
 }
 
@@ -144,6 +187,9 @@ impl<K, V> Node<K, V> {
 /// physical deletion (see module docs).
 pub struct SkipList<K, V> {
     head: *mut Node<K, V>,
+    /// Where every node but the head lives; dropped after the nodes' keys
+    /// and values (`Drop`).
+    arena: Arena,
     /// For each level, the last node linked there (the head at first): a
     /// hint the append path checks before it trusts.
     finger: [Link<K, V>; MAX_HEIGHT],
@@ -152,12 +198,13 @@ pub struct SkipList<K, V> {
     _marker: PhantomData<(K, V)>,
 }
 
-// SAFETY: `head` and every node it reaches are owned by the list and freed
-// only in `Drop`, which has exclusive access; `finger`, `len` and `rng` are
-// atomics, and every link is an atomic whose `Release` CAS publishes a fully
-// written node to the `Acquire` loads that reach it. Other threads share
-// `&K` and `&V` through `get` and `iter` and may drop a `K` and `V` (a
-// losing insert frees its own node), hence `K` and `V` are `Send + Sync`.
+// SAFETY: `head` and every node it reaches are owned by the list and
+// dropped only in `Drop`, which has exclusive access; the arena hands out
+// memory under its own lock; `finger`, `len` and `rng` are atomics, and
+// every link is an atomic whose `Release` CAS publishes a fully written node
+// to the `Acquire` loads that reach it. Other threads share `&K` and `&V`
+// through `get` and `iter` and may drop a `K` and `V` (a losing insert drops
+// its own), hence `K` and `V` are `Send + Sync`.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for SkipList<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SkipList<K, V> {}
 
@@ -168,11 +215,12 @@ impl<K: Ord, V> Default for SkipList<K, V> {
 }
 
 impl<K: Ord, V> SkipList<K, V> {
-    /// An empty list.
+    /// An empty list: the head, and no arena block until the first insert.
     pub fn new() -> Self {
-        let head = Node::alloc(MaybeUninit::uninit(), MaybeUninit::uninit(), MAX_HEIGHT);
+        let head = Node::alloc_head();
         SkipList {
             head,
+            arena: Arena::new(),
             finger: std::array::from_fn(|_| AtomicPtr::new(head)),
             len: AtomicUsize::new(0),
             rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
@@ -323,12 +371,12 @@ impl<K: Ord, V> SkipList<K, V> {
             return (unsafe { Node::value(succs[0]) }, false);
         }
 
-        let node = Node::alloc(MaybeUninit::new(key), MaybeUninit::new(make()), height);
-        // SAFETY (every dereference below): `node` is this call's own
-        // allocation, unshared until the level-0 CAS publishes it and never
-        // freed after; `preds` and `succs` hold the head or published nodes
-        // of more than the level they are read at, which live as long as
-        // the list.
+        let node = Node::alloc_in(&self.arena, key, make(), height);
+        // SAFETY (every dereference below): `node` is this call's own node,
+        // unshared until the level-0 CAS publishes it, in the arena, which
+        // lives as long as the list; `preds` and `succs` hold the head or
+        // published nodes of more than the level they are read at, which
+        // live as long as the list.
         loop {
             // Point the new node at the current successors.
             for (level, &succ) in succs.iter().enumerate().take(height) {
@@ -348,9 +396,9 @@ impl<K: Ord, V> SkipList<K, V> {
                     // Contention or a stale finger: search. The key may now
                     // exist.
                     if self.find(unsafe { Node::key(node) }, &mut preds, &mut succs) {
-                        // Reclaim the unpublished node: no other thread ever
-                        // saw it.
-                        unsafe { Node::free(node, true) };
+                        // Drop the unpublished node's key and value: no
+                        // other thread ever saw it. Its bytes stay behind.
+                        unsafe { Node::drop_entry(node) };
                         return (unsafe { Node::value(succs[0]) }, false);
                     }
                 }
@@ -420,18 +468,19 @@ impl<K: Ord, V> SkipList<K, V> {
 
 impl<K, V> Drop for SkipList<K, V> {
     fn drop(&mut self) {
-        // Exclusive access: free the level-0 chain (which holds every node),
-        // then the head.
+        // Exclusive access: drop the key and value of every node on the
+        // level-0 chain (which holds every node), then free the head; the
+        // arena frees the nodes' blocks after this.
         // SAFETY: every node on the chain was published by `link` and is
-        // freed once here; the head was allocated by `new` with no key.
+        // dropped once here; the head came from `Node::alloc_head`.
         unsafe {
             let mut curr = Node::next(self.head, 0).load(Ordering::Relaxed);
             while !curr.is_null() {
                 let next = Node::next(curr, 0).load(Ordering::Relaxed);
-                Node::free(curr, true);
+                Node::drop_entry(curr);
                 curr = next;
             }
-            Node::free(self.head, false);
+            Node::free_head(self.head);
         }
     }
 }
@@ -680,64 +729,138 @@ mod tests {
         assert_eq!(got, vec!["apple", "banana", "cherry"]);
     }
 
+    /// A key or value that counts its drops in `drops[id]`; keys compare
+    /// by `key`.
+    #[derive(Debug)]
+    struct Dropped {
+        id: usize,
+        key: i64,
+        drops: Arc<Vec<AtomicUsize>>,
+    }
+    impl Drop for Dropped {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    impl PartialEq for Dropped {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for Dropped {}
+    impl PartialOrd for Dropped {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Dropped {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    /// Hands out [`Dropped`]s with fresh ids, and checks that each was
+    /// dropped exactly once.
+    struct Tally {
+        next: AtomicUsize,
+        drops: Arc<Vec<AtomicUsize>>,
+    }
+    impl Tally {
+        fn new(most: usize) -> Self {
+            Tally {
+                next: AtomicUsize::new(0),
+                drops: Arc::new((0..most).map(|_| AtomicUsize::new(0)).collect()),
+            }
+        }
+        fn make(&self, key: i64) -> Dropped {
+            Dropped {
+                id: self.next.fetch_add(1, Ordering::Relaxed),
+                key,
+                drops: Arc::clone(&self.drops),
+            }
+        }
+        /// How many were made, after asserting each was dropped once.
+        fn each_dropped_once(&self) -> usize {
+            let made = self.next.load(Ordering::Relaxed);
+            for (id, drops) in self.drops[..made].iter().enumerate() {
+                assert_eq!(drops.load(Ordering::Relaxed), 1, "object {id}");
+            }
+            made
+        }
+    }
+
     /// Every node of every height, linked on both paths — appended at the
-    /// tail and searched into the middle — is freed with its key and value
-    /// when the list drops: each key and value holds a clone of one `Arc`,
-    /// and only the original is left.
+    /// tail and searched into the middle — has its key and value dropped
+    /// exactly once when the list drops, and so has the key and value of an
+    /// insert that loses a race; the list's arena takes no block until the
+    /// first insert.
     #[test]
     fn drop_frees_everything() {
-        struct Tracked {
-            key: i64,
-            _alive: Arc<()>,
-        }
-        impl PartialEq for Tracked {
-            fn eq(&self, other: &Self) -> bool {
-                self.key == other.key
-            }
-        }
-        impl Eq for Tracked {}
-        impl PartialOrd for Tracked {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Tracked {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.key.cmp(&other.key)
-            }
-        }
-        let alive = Arc::new(());
-        let tracked = |key| Tracked {
-            key,
-            _alive: Arc::clone(&alive),
-        };
+        let empty: SkipList<i64, i64> = SkipList::new();
+        assert_eq!(empty.arena.blocks(), 0, "an empty list holds a block");
+        empty.insert(1, 1).unwrap();
+        assert_eq!(empty.arena.blocks(), 1);
+
         for round in 0..4i64 {
-            let l: SkipList<Tracked, (Arc<()>, Vec<u8>)> = SkipList::new();
+            let tally = Tally::new(1_000);
+            let l: SkipList<Dropped, (Dropped, Vec<u8>)> = SkipList::new();
             let mut keys = 0;
             // Odd keys in order (the append path), then even keys, which
             // land between them (the search), every height on each.
             for parity in [1, 0] {
                 for k in 0..200i64 {
                     let height = 1 + (k + round) as usize % MAX_HEIGHT;
-                    let key = tracked(2 * k + parity);
-                    let (_, linked) = l.link(key, height, || (Arc::clone(&alive), vec![0u8; 64]));
+                    let key = tally.make(2 * k + parity);
+                    let (_, linked) = l.link(key, height, || (tally.make(-1), vec![0u8; 64]));
                     assert!(linked);
                     keys += 1;
                 }
             }
-            // A present key builds nothing.
-            let again = l.link(tracked(7), MAX_HEIGHT, || unreachable!());
+            // A present key builds nothing, and its key is dropped at once.
+            let again = l.link(tally.make(7), MAX_HEIGHT, || unreachable!());
             assert!(!again.1);
             assert_eq!(l.len(), keys);
             let got: Vec<i64> = l.iter().map(|(k, _)| k.key).collect();
             assert_eq!(got, (0..keys as i64).collect::<Vec<_>>());
-            assert_eq!(Arc::strong_count(&alive), 1 + 2 * keys);
+            drop(l);
+            assert_eq!(tally.each_dropped_once(), 2 * keys + 1);
         }
-        assert_eq!(
-            Arc::strong_count(&alive),
-            1,
-            "a key or value outlived its list"
-        );
+
+        // An insert that loses the race for its key after building its
+        // node: while it makes its value, another thread links the same key
+        // — above every key (the append path) and between two (the search).
+        // Its level-0 CAS then fails, the search finds the winner, and the
+        // loser's key and value are dropped there and then.
+        let tally = Tally::new(100);
+        let l: SkipList<Dropped, Dropped> = SkipList::new();
+        for k in [10, 30] {
+            l.insert(tally.make(k), tally.make(k)).unwrap();
+        }
+        for k in [40, 20] {
+            let (made_tx, made_rx) = std::sync::mpsc::channel();
+            let (won_tx, won_rx) = std::sync::mpsc::channel();
+            let (l, tally) = (&l, &tally);
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    made_rx.recv().unwrap();
+                    let winner = l.insert(tally.make(k), tally.make(k));
+                    won_tx.send(winner.unwrap().id).unwrap();
+                });
+                let mut lost = None;
+                let got = l.get_or_insert_with(tally.make(k), || {
+                    made_tx.send(()).unwrap();
+                    let value = tally.make(k);
+                    lost = Some((won_rx.recv().unwrap(), value.id));
+                    value
+                });
+                let (winner, loser) = lost.expect("the value was made");
+                assert_eq!(got.id, winner, "key {k}");
+                assert_eq!(tally.drops[loser].load(Ordering::Relaxed), 1, "key {k}");
+            });
+        }
+        assert_eq!(l.len(), 4);
+        drop(l);
+        assert_eq!(tally.each_dropped_once(), 12);
     }
 
     thread_local! {

@@ -65,13 +65,78 @@ impl<T> Version<T> {
 /// reader-writer lock.
 #[derive(Debug)]
 pub struct VersionChain<T> {
-    versions: RwLock<Vec<Version<T>>>,
+    versions: RwLock<Versions<T>>,
 }
 
 impl<T> Default for VersionChain<T> {
     fn default() -> Self {
         VersionChain {
-            versions: RwLock::new(Vec::new()),
+            versions: RwLock::new(Versions::Many(Vec::new())),
+        }
+    }
+}
+
+/// A chain's versions, newest first. Most keys only ever have one, so the
+/// first is held inline and a `Vec` is allocated only for a second.
+#[derive(Debug)]
+enum Versions<T> {
+    One(Version<T>),
+    /// Any number, none included; an empty `Vec` allocates nothing.
+    Many(Vec<Version<T>>),
+}
+
+impl<T> Versions<T> {
+    /// Makes `v` the newest version.
+    fn push_front(&mut self, v: Version<T>) {
+        *self = match std::mem::replace(self, Versions::Many(Vec::new())) {
+            Versions::Many(vs) if vs.is_empty() => Versions::One(v),
+            Versions::Many(mut vs) => {
+                vs.insert(0, v);
+                Versions::Many(vs)
+            }
+            Versions::One(old) => Versions::Many(vec![v, old]),
+        };
+    }
+
+    /// Removes and returns the version at `at`.
+    fn remove(&mut self, at: usize) -> Version<T> {
+        match self {
+            Versions::Many(vs) => vs.remove(at),
+            Versions::One(_) => {
+                assert_eq!(at, 0, "remove past the only version");
+                let Versions::One(v) = std::mem::replace(self, Versions::Many(Vec::new())) else {
+                    unreachable!()
+                };
+                v
+            }
+        }
+    }
+
+    /// Keeps only the versions `keep` holds to, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&Version<T>) -> bool) {
+        match self {
+            Versions::Many(vs) => vs.retain(keep),
+            Versions::One(v) if !keep(v) => *self = Versions::Many(Vec::new()),
+            Versions::One(_) => {}
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Versions<T> {
+    type Target = [Version<T>];
+    fn deref(&self) -> &[Version<T>] {
+        match self {
+            Versions::One(v) => std::slice::from_ref(v),
+            Versions::Many(vs) => vs,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Versions<T> {
+    fn deref_mut(&mut self) -> &mut [Version<T>] {
+        match self {
+            Versions::One(v) => std::slice::from_mut(v),
+            Versions::Many(vs) => vs,
         }
     }
 }
@@ -85,11 +150,11 @@ impl<T: Clone> VersionChain<T> {
     /// A chain bootstrapped with a single committed version (bulk load).
     pub fn with_committed(data: T, ts: Ts) -> Self {
         VersionChain {
-            versions: RwLock::new(vec![Version {
+            versions: RwLock::new(Versions::One(Version {
                 begin: Stamp::Committed(ts),
                 end: Stamp::Infinity,
                 data,
-            }]),
+            })),
         }
     }
 
@@ -155,19 +220,11 @@ impl<T: Clone> VersionChain<T> {
                 _ => {}
             }
         }
-        // A key's first version is most keys' only one: room for it alone,
-        // not the four a `Vec` grown from empty reserves.
-        if guard.is_empty() {
-            guard.reserve_exact(1);
-        }
-        guard.insert(
-            0,
-            Version {
-                begin: Stamp::Pending(me),
-                end: Stamp::Infinity,
-                data,
-            },
-        );
+        guard.push_front(Version {
+            begin: Stamp::Pending(me),
+            end: Stamp::Infinity,
+            data,
+        });
         Ok(())
     }
 
@@ -190,14 +247,11 @@ impl<T: Clone> VersionChain<T> {
             v.end = Stamp::Infinity;
             return Ok(());
         }
-        guard.insert(
-            0,
-            Version {
-                begin: Stamp::Pending(me),
-                end: Stamp::Infinity,
-                data,
-            },
-        );
+        guard.push_front(Version {
+            begin: Stamp::Pending(me),
+            end: Stamp::Infinity,
+            data,
+        });
         Ok(())
     }
 
@@ -516,6 +570,31 @@ mod tests {
         assert_eq!(pruned, 2);
         assert_eq!(c.read(20, T1), Some(4));
         assert_eq!(c.read(13, T1), Some(3));
+    }
+
+    /// A chain's only version is held inline; a second moves both into a
+    /// `Vec`, newest first; the chain reads the same either way.
+    #[test]
+    fn the_first_version_is_held_inline() {
+        let c: VersionChain<i32> = VersionChain::new();
+        c.insert(1, T1, 10).unwrap();
+        assert!(matches!(*c.versions.read(), Versions::One(_)));
+        c.commit(T1, 11);
+        c.update(2, T2, 11).unwrap();
+        c.commit(T2, 12);
+        assert!(matches!(&*c.versions.read(), Versions::Many(vs) if vs.len() == 2));
+        assert_eq!((c.read(11, T1), c.read(12, T1)), (Some(1), Some(2)));
+        assert_eq!(c.gc(12), 1);
+        assert_eq!(c.read(12, T1), Some(2));
+        // Drained to nothing, then inline again.
+        assert_eq!(c.drain_latest_committed(12), (Some(2), 0));
+        c.insert(3, T1, 12).unwrap();
+        assert!(matches!(*c.versions.read(), Versions::One(_)));
+        c.abort(T1);
+        assert_eq!(c.version_count(), 0);
+        let c = VersionChain::with_committed(4, 5);
+        assert!(matches!(*c.versions.read(), Versions::One(_)));
+        assert_eq!(c.drain_latest_committed(5), (Some(4), 0));
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn str_encodings_roundtrip() {
     for case in 0..64 {
         let mut rng = rng_for(case ^ 0x57F);
         let values = random_strings(&mut rng, 200);
-        assert_eq!(StrEncoding::choose(&values).decode(), values, "seed={case}");
+        assert_eq!(StrEncoding::choose(values.clone()).decode(), values, "seed={case}");
         assert_eq!(Dictionary::encode(&values).decode(), values, "seed={case}");
     }
 }
